@@ -128,13 +128,19 @@ pub struct FaultConfig {
     /// Degraded-mode policy for unrecoverable faults.
     pub policy: FaultPolicy,
     /// Worker-local checkpoint cadence, in state mutations (events +
-    /// registration ops). Each worker keeps a clone of its engine refreshed
-    /// every this-many mutations plus a log of the mutations since; a caught
-    /// panic restores the clone and replays the log, which is byte-identical
-    /// to the pre-fault state because every op is deterministic. `0`
-    /// disables warm recovery entirely: any caught panic poisons the shard
-    /// and only cold resurrection (window replay + re-registration, exact
-    /// results but re-derived thresholds) can bring it back.
+    /// registration ops). Each worker keeps a second engine — the checkpoint
+    /// — that it brings up to date every this-many mutations by copying what
+    /// those mutations changed ([`crate::ItaEngine::sync_checkpoint`]: the
+    /// lists, trees and query states they touched and the window's FIFO
+    /// delta, not the engine), plus a log of the mutations since; a caught
+    /// panic clones the checkpoint and replays the log, which is
+    /// byte-identical to the pre-fault state because every op is
+    /// deterministic. A shorter interval means shorter replays and more
+    /// syncs; the syncs' cost is reported as
+    /// [`crate::ProcessingStats::checkpoint_time`]. `0` disables warm
+    /// recovery entirely: any caught panic poisons the shard and only cold
+    /// resurrection (window replay + re-registration, exact results but
+    /// re-derived thresholds) can bring it back.
     pub checkpoint_interval: usize,
 }
 

@@ -110,6 +110,10 @@ pub struct ItaQueryStats {
 #[derive(Debug, Clone, Default)]
 struct TermRefCounts {
     counts: Vec<u32>,
+    /// A count changed since [`ItaEngine::sync_checkpoint`] last copied the
+    /// table. Only registration, deregistration and migration touch it, so a
+    /// steady stream never pays for the vocabulary-sized copy.
+    changed: bool,
 }
 
 impl TermRefCounts {
@@ -128,6 +132,7 @@ impl TermRefCounts {
         if slot >= self.counts.len() {
             self.counts.resize(slot + 1, 0);
         }
+        self.changed = true;
         self.counts[slot] += 1;
         self.counts[slot] == 1
     }
@@ -137,6 +142,7 @@ impl TermRefCounts {
     fn release(&mut self, term: TermId) -> bool {
         let count = &mut self.counts[term.0 as usize];
         debug_assert!(*count > 0, "release of unreferenced term {term}");
+        self.changed = true;
         *count -= 1;
         *count == 0
     }
@@ -164,9 +170,12 @@ impl QueryMigration {
 }
 
 /// Per-query mutable state.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 struct QueryState {
-    query: ContinuousQuery,
+    /// Shared with whoever registered it (the sharded coordinator's
+    /// registry, a worker's op log, its checkpoint): a query never changes
+    /// after registration, so every holder keeps the one allocation.
+    query: Arc<ContinuousQuery>,
     results: ResultSet,
     /// `⟨t, θ_{Q,t}⟩`, aligned with the query's term order.
     thresholds: Vec<(TermId, Weight)>,
@@ -175,6 +184,40 @@ struct QueryState {
     refills: u64,
     rollups: u64,
     postings_examined: u64,
+}
+
+impl Clone for QueryState {
+    fn clone(&self) -> Self {
+        Self {
+            query: Arc::clone(&self.query),
+            results: self.results.clone(),
+            thresholds: self.thresholds.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers — what a checkpoint
+    /// sync does to every query an interval touched.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            query,
+            results,
+            thresholds,
+            arrivals_examined,
+            expirations_examined,
+            refills,
+            rollups,
+            postings_examined,
+        } = source;
+        self.query.clone_from(query);
+        self.results.clone_from(results);
+        self.thresholds.clone_from(thresholds);
+        self.arrivals_examined = *arrivals_examined;
+        self.expirations_examined = *expirations_examined;
+        self.refills = *refills;
+        self.rollups = *rollups;
+        self.postings_examined = *postings_examined;
+    }
 }
 
 impl QueryState {
@@ -592,7 +635,7 @@ impl ItaEngine {
                 .collect();
             self.admit_newly_live(newly_live);
         }
-        self.finish_register(qid, query);
+        self.finish_register(qid, Arc::new(query));
     }
 
     /// Registers a whole batch of queries under caller-chosen ids — the
@@ -609,11 +652,28 @@ impl ItaEngine {
     ///
     /// Panics if any id is already registered.
     pub fn register_batch_with_ids(&mut self, batch: Vec<(QueryId, ContinuousQuery)>) {
+        let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = batch
+            .into_iter()
+            .map(|(qid, query)| (qid, Arc::new(query)))
+            .collect();
+        self.register_shared_batch(&batch);
+    }
+
+    /// [`ItaEngine::register_batch_with_ids`] over queries the caller keeps
+    /// a handle on: the engine stores a refcount bump per query, not a copy.
+    /// The sharded engine registers through this — its coordinator's durable
+    /// registry, the worker's op log and the worker's engine (and its
+    /// checkpoint) all hold the same allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is already registered.
+    pub fn register_shared_batch(&mut self, batch: &[(QueryId, Arc<ContinuousQuery>)]) {
         if let Some(filter) = &mut self.term_filter {
             // `acquire` returns true exactly once per distinct term across
             // the whole batch, so `newly_live` is duplicate-free.
             let mut newly_live: Vec<TermId> = Vec::new();
-            for (_, query) in &batch {
+            for (_, query) in batch {
                 newly_live.extend(
                     query
                         .terms()
@@ -629,7 +689,7 @@ impl ItaEngine {
             }
         }
         for (qid, query) in batch {
-            self.finish_register(qid, query);
+            self.finish_register(*qid, Arc::clone(query));
         }
     }
 
@@ -651,7 +711,7 @@ impl ItaEngine {
 
     /// The filter-independent tail of registration: record the query state
     /// and run its initial threshold search.
-    fn finish_register(&mut self, qid: QueryId, query: ContinuousQuery) {
+    fn finish_register(&mut self, qid: QueryId, query: Arc<ContinuousQuery>) {
         self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let thresholds = query
             .terms()
@@ -768,6 +828,75 @@ impl ItaEngine {
             outcome.results_changed += changed;
         }
         outcome
+    }
+
+    /// Brings `checkpoint` up to date with this engine by copying **what
+    /// changed since the previous call**, not the engine (DESIGN.md §10):
+    /// the impact lists, threshold trees and query states handed out mutably
+    /// since then (each arena recorded them; the copies reuse the
+    /// checkpoint's buffers), the document store's FIFO delta, the term
+    /// refcount table only if a registration, deregistration or migration
+    /// touched it, and the scalars. Cost is `O(slots dirtied + FIFO delta)`
+    /// where a clone is `O(vocabulary + window + every result set)`.
+    ///
+    /// `checkpoint` must be what the previous call on this engine left — or,
+    /// for an engine no call has read yet, a new engine: everything such an
+    /// engine holds is recorded as changed, so that first sync is the full
+    /// copy. A clone of a synced checkpoint carries no change record, so an
+    /// engine restored from one keeps syncing into it.
+    pub fn sync_checkpoint(&mut self, checkpoint: &mut ItaEngine) {
+        checkpoint.window = self.window;
+        checkpoint.config = self.config;
+        checkpoint.next_query = self.next_query;
+        checkpoint.clock = self.clock;
+        checkpoint.index.sync_from(&mut self.index);
+        checkpoint.trees.sync_from(&mut self.trees);
+        checkpoint.queries.sync_from(&mut self.queries);
+        match (&mut self.term_filter, &mut checkpoint.term_filter) {
+            (Some(live), Some(copy)) => {
+                if live.changed {
+                    copy.counts.clone_from(&live.counts);
+                    live.changed = false;
+                }
+            }
+            (live, copy) => copy.clone_from(live),
+        }
+    }
+
+    /// Names the first component in which `other` differs from this engine,
+    /// or `None` when both hold exactly the same state: scalars, store
+    /// order, every impact list, cold set, threshold tree, query state and
+    /// term refcount, compared slot by slot. The scratch buffer and the
+    /// change records [`ItaEngine::sync_checkpoint`] consumes are not state.
+    /// This is the sync-equals-clone audit the shard workers run under the
+    /// `invariant-checks` feature.
+    pub fn state_mismatch(&self, other: &ItaEngine) -> Option<String> {
+        let component = if (self.window, self.config, self.next_query, self.clock)
+            != (other.window, other.config, other.next_query, other.clock)
+        {
+            "window, config, id counter or clock"
+        } else if self.index.store() != other.index.store() {
+            "document store"
+        } else if self.index != other.index {
+            "impact lists, cold set or backfill counter"
+        } else if self.trees != other.trees {
+            "threshold trees"
+        } else if let Some((qid, _)) = self
+            .queries
+            .iter()
+            .find(|(qid, state)| other.queries.get(*qid) != Some(*state))
+        {
+            return Some(format!("state of {qid}"));
+        } else if self.queries != other.queries {
+            "set of registered queries"
+        } else if self.term_filter.as_ref().map(|f| &f.counts)
+            != other.term_filter.as_ref().map(|f| &f.counts)
+        {
+            "term refcounts"
+        } else {
+            return None;
+        };
+        Some(component.to_string())
     }
 
     /// Audits the engine's deep structural invariants, panicking with a
@@ -1516,5 +1645,100 @@ mod tests {
         target.install_query(q, migration);
         assert_eq!(target.num_cold_terms(), 0);
         assert_eq!(target.register_postings_touched(), hits);
+    }
+
+    /// The checkpoint contract: after every `sync_checkpoint` the checkpoint
+    /// holds exactly the live engine's state — through arrivals, expirations,
+    /// registration, deregistration and migration in both directions, a
+    /// first sync that comes late (the full copy), and a restore (the live
+    /// engine replaced by a clone of its checkpoint).
+    #[test]
+    fn sync_checkpoint_equals_clone_through_churn_migration_and_restore() {
+        use crate::testkit::ScriptRng;
+        let window = SlidingWindow::count_based(12);
+        for (seed, lazy_registration) in [(1u64, true), (2, false), (3, true), (4, false)] {
+            let config = ItaConfig {
+                lazy_registration,
+                ..ItaConfig::default()
+            };
+            let mut rng = ScriptRng::new(0x5C_0000 + seed);
+            let mut live = ItaEngine::term_filtered(window, config);
+            // A second shard over the same stream, to migrate to and from.
+            let mut peer = ItaEngine::term_filtered(window, config);
+            let mut checkpoint = ItaEngine::term_filtered(window, config);
+            let mut here: Vec<QueryId> = Vec::new();
+            let mut there: Vec<QueryId> = Vec::new();
+            let mut next_query = 0u32;
+            let mut syncs = 0;
+            for i in 0..400u64 {
+                let d = doc(
+                    i,
+                    &[
+                        (rng.below(8) as u32, 0.1 + rng.below(5) as f64 * 0.2),
+                        (8 + rng.below(3) as u32, 0.3),
+                    ],
+                );
+                live.process_document(d.clone());
+                peer.process_document(d);
+                if rng.chance(0.12) {
+                    let query = ContinuousQuery::from_weights(
+                        [
+                            (TermId(rng.below(11) as u32), 0.6),
+                            (TermId(rng.below(11) as u32), 0.4),
+                        ],
+                        rng.range(1, 4),
+                    );
+                    live.register_with_id(QueryId(next_query), query);
+                    here.push(QueryId(next_query));
+                    next_query += 1;
+                }
+                if !here.is_empty() && rng.chance(0.05) {
+                    assert!(live.deregister(here.swap_remove(rng.below(here.len()))));
+                }
+                if !here.is_empty() && rng.chance(0.06) {
+                    let qid = here.swap_remove(rng.below(here.len()));
+                    peer.install_query(qid, live.extract_query(qid).unwrap());
+                    there.push(qid);
+                }
+                if !there.is_empty() && rng.chance(0.06) {
+                    let qid = there.swap_remove(rng.below(there.len()));
+                    live.install_query(qid, peer.extract_query(qid).unwrap());
+                    here.push(qid);
+                }
+                // The first sync comes late, onto a populated engine.
+                if i >= 40 && rng.chance(0.2) {
+                    live.sync_checkpoint(&mut checkpoint);
+                    syncs += 1;
+                    assert_eq!(
+                        live.state_mismatch(&checkpoint),
+                        None,
+                        "seed {seed} event {i}"
+                    );
+                    assert_eq!(live.clone().state_mismatch(&checkpoint), None);
+                    if rng.chance(0.2) {
+                        live = checkpoint.clone();
+                    }
+                }
+            }
+            assert!(
+                syncs > 20 && next_query > 20,
+                "the script exercised nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn state_mismatch_names_what_differs() {
+        let (a, q) = paper_lists_engine();
+        let (mut b, _) = paper_lists_engine();
+        assert_eq!(a.state_mismatch(&b), None);
+        b.process_document(doc(30, &[(20, 0.001)]));
+        assert_eq!(
+            a.state_mismatch(&b).as_deref(),
+            Some("window, config, id counter or clock")
+        );
+        let (mut c, _) = paper_lists_engine();
+        c.queries.get_mut(q).unwrap().refills += 1;
+        assert_eq!(a.state_mismatch(&c), Some(format!("state of {q}")));
     }
 }

@@ -7,13 +7,16 @@
 //! the expiration-time *refill* incremental: the threshold search can resume
 //! downwards instead of restarting from the top of the inverted lists.
 //!
-//! [`ResultSet`] is an ordered multiset of `(score, document)` pairs with
+//! [`ResultSet`] is an ordered set of `(score, document)` pairs with
 //! by-document lookup, supporting the operations the engines need:
 //! score-ordered traversal, `S_k` (the k-th best score), membership tests and
-//! point updates — all in `O(log |R|)`.
-
-// cts-lint: allow(nondet-iteration, the score map is point-lookup only; all traversal goes through the BTreeSet)
-use std::collections::{BTreeSet, HashMap};
+//! point updates. It is two sorted `Vec`s — one in rank order, one in
+//! document-id order — because `R` is small (median ≈ 50 entries at the
+//! paper's operating point, a few thousand at most): lookups are a binary
+//! search over a few cache lines, `S_k` is an index, a point update shifts a
+//! short tail, and copying a set into a buffer that already exists — what a
+//! shard's checkpoint sync does to every query an interval touched — is two
+//! `memcpy`s with no allocation.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,11 +54,38 @@ impl PartialOrd for ScoreKey {
     }
 }
 
+impl From<&ScoreKey> for RankedDocument {
+    fn from(key: &ScoreKey) -> Self {
+        RankedDocument {
+            doc: key.doc,
+            score: key.score.get(),
+        }
+    }
+}
+
 /// The result set `R` of one continuous query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ResultSet {
-    ordered: BTreeSet<ScoreKey>,
-    scores: HashMap<DocId, Weight>, // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
+    /// Every entry in rank order (descending score, ties by ascending
+    /// document id).
+    ranked: Vec<ScoreKey>,
+    /// The same entries in ascending document-id order.
+    by_doc: Vec<(DocId, Weight)>,
+}
+
+impl Clone for ResultSet {
+    fn clone(&self) -> Self {
+        Self {
+            ranked: self.ranked.clone(),
+            by_doc: self.by_doc.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.ranked.clone_from(&source.ranked);
+        self.by_doc.clone_from(&source.by_doc);
+    }
 }
 
 impl ResultSet {
@@ -64,40 +94,61 @@ impl ResultSet {
         Self::default()
     }
 
+    /// Position of `doc` in `by_doc`, or where it would be inserted.
+    #[inline]
+    fn locate(&self, doc: DocId) -> Result<usize, usize> {
+        self.by_doc.binary_search_by_key(&doc, |(d, _)| *d)
+    }
+
+    /// Drops `key` from the rank order.
+    fn unrank(&mut self, key: ScoreKey) {
+        if let Ok(at) = self.ranked.binary_search(&key) {
+            self.ranked.remove(at);
+        }
+    }
+
     /// Inserts (or updates) `doc` with `score`.
     pub fn insert(&mut self, doc: DocId, score: f64) {
         let score = Weight::new(score);
-        if let Some(old) = self.scores.insert(doc, score) {
-            self.ordered.remove(&ScoreKey { score: old, doc });
+        match self.locate(doc) {
+            Ok(at) => {
+                let old = std::mem::replace(&mut self.by_doc[at].1, score);
+                self.unrank(ScoreKey { score: old, doc });
+            }
+            Err(at) => self.by_doc.insert(at, (doc, score)),
         }
-        self.ordered.insert(ScoreKey { score, doc });
+        let key = ScoreKey { score, doc };
+        if let Err(at) = self.ranked.binary_search(&key) {
+            self.ranked.insert(at, key);
+        }
     }
 
     /// Removes `doc`, returning its score if it was present.
     pub fn remove(&mut self, doc: DocId) -> Option<f64> {
-        let score = self.scores.remove(&doc)?;
-        self.ordered.remove(&ScoreKey { score, doc });
+        let at = self.locate(doc).ok()?;
+        let (_, score) = self.by_doc.remove(at);
+        self.unrank(ScoreKey { score, doc });
         Some(score.get())
     }
 
     /// The score recorded for `doc`, if present.
     pub fn score_of(&self, doc: DocId) -> Option<f64> {
-        self.scores.get(&doc).map(|w| w.get())
+        self.locate(doc).ok().map(|at| self.by_doc[at].1.get())
     }
 
     /// Whether `doc` is in the result set.
     pub fn contains(&self, doc: DocId) -> bool {
-        self.scores.contains_key(&doc)
+        self.locate(doc).is_ok()
     }
 
     /// Number of documents in the set (top-k plus unverified extras).
     pub fn len(&self) -> usize {
-        self.scores.len()
+        self.ranked.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+        self.ranked.is_empty()
     }
 
     /// The `k`-th best score `S_k`, or `0.0` when fewer than `k` documents
@@ -107,49 +158,32 @@ impl ResultSet {
         if k == 0 {
             return f64::INFINITY;
         }
-        self.ordered
-            .iter()
-            .nth(k - 1)
-            .map(|e| e.score.get())
-            .unwrap_or(0.0)
+        self.ranked.get(k - 1).map_or(0.0, |e| e.score.get())
     }
 
     /// The top `k` documents in descending score order.
     pub fn top(&self, k: usize) -> Vec<RankedDocument> {
-        self.ordered
+        self.ranked
             .iter()
             .take(k)
-            .map(|e| RankedDocument {
-                doc: e.doc,
-                score: e.score.get(),
-            })
+            .map(RankedDocument::from)
             .collect()
     }
 
     /// Whether `doc` currently ranks within the top `k` (ties broken by
     /// ascending document id, consistently with [`ResultSet::top`]).
     pub fn is_in_top_k(&self, doc: DocId, k: usize) -> bool {
-        match self.scores.get(&doc) {
-            None => false,
-            Some(&score) => self
-                .ordered
-                .iter()
-                .take(k)
-                .any(|e| e.doc == doc && e.score == score),
-        }
+        self.ranked.iter().take(k).any(|e| e.doc == doc)
     }
 
     /// Iterates over all entries in descending score order.
     pub fn iter(&self) -> impl Iterator<Item = RankedDocument> + '_ {
-        self.ordered.iter().map(|e| RankedDocument {
-            doc: e.doc,
-            score: e.score.get(),
-        })
+        self.ranked.iter().map(RankedDocument::from)
     }
 
     /// The best (highest) score, if any.
     pub fn best_score(&self) -> Option<f64> {
-        self.ordered.iter().next().map(|e| e.score.get())
+        self.ranked.first().map(|e| e.score.get())
     }
 
     /// The worst (lowest) score currently retained, if any.
@@ -162,22 +196,17 @@ impl ResultSet {
     /// any. This is the admission boundary of a bounded view: a newcomer
     /// belongs in the set iff it ranks above this entry.
     pub fn worst(&self) -> Option<RankedDocument> {
-        self.ordered.iter().next_back().map(|e| RankedDocument {
-            doc: e.doc,
-            score: e.score.get(),
-        })
+        self.ranked.last().map(RankedDocument::from)
     }
 
     /// Removes and returns the lowest-scored entry (used by bounded buffers
     /// such as the Naïve engine's top-`k_max` view).
     pub fn pop_worst(&mut self) -> Option<RankedDocument> {
-        let worst = *self.ordered.iter().next_back()?;
-        self.ordered.remove(&worst);
-        self.scores.remove(&worst.doc);
-        Some(RankedDocument {
-            doc: worst.doc,
-            score: worst.score.get(),
-        })
+        let worst = self.ranked.pop()?;
+        if let Ok(at) = self.locate(worst.doc) {
+            self.by_doc.remove(at);
+        }
+        Some(RankedDocument::from(&worst))
     }
 }
 
@@ -298,5 +327,79 @@ mod tests {
         }
         let scores: Vec<f64> = r.iter().map(|e| e.score).collect();
         assert!(scores.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    /// The reference model: every entry in one `Vec`, re-sorted per read.
+    fn model_ranked(model: &[(u64, f64)]) -> Vec<(u64, f64)> {
+        let mut ranked = model.to_vec();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked
+    }
+
+    #[test]
+    fn random_updates_track_a_sorted_model_and_clone_from_equals_clone() {
+        use crate::testkit::ScriptRng;
+        // A small score palette makes ties (ranked by document id) routine.
+        let palette = [0.1, 0.2, 0.2, 0.4, 0.7, 0.9];
+        for seed in 0..16u64 {
+            let mut rng = ScriptRng::new(0x7E57_0000 + seed);
+            let mut live = ResultSet::new();
+            let mut copy = ResultSet::new();
+            let mut model: Vec<(u64, f64)> = Vec::new();
+            for step in 0..500 {
+                let id = rng.below(60) as u64;
+                match rng.below(8) {
+                    0..=3 => {
+                        let score = *rng.pick(&palette);
+                        live.insert(d(id), score);
+                        model.retain(|(doc, _)| *doc != id);
+                        model.push((id, score));
+                    }
+                    4 | 5 => {
+                        let expected = model.iter().find(|(doc, _)| *doc == id).map(|e| e.1);
+                        assert_eq!(live.remove(d(id)), expected);
+                        model.retain(|(doc, _)| *doc != id);
+                    }
+                    6 => {
+                        let worst = model_ranked(&model).last().copied();
+                        assert_eq!(live.pop_worst().map(|e| (e.doc.0, e.score)), worst);
+                        if let Some((doc, _)) = worst {
+                            model.retain(|(other, _)| *other != doc);
+                        }
+                    }
+                    _ => {}
+                }
+                let ranked = model_ranked(&model);
+                let k = rng.range(1, 6);
+                let context = format!("seed {seed} step {step}");
+                assert_eq!(live.len(), ranked.len(), "{context}");
+                let all: Vec<(u64, f64)> = live.iter().map(|e| (e.doc.0, e.score)).collect();
+                assert_eq!(all, ranked, "{context}");
+                let top: Vec<(u64, f64)> = live.top(k).iter().map(|e| (e.doc.0, e.score)).collect();
+                assert_eq!(top, ranked[..k.min(ranked.len())], "{context}");
+                assert_eq!(
+                    live.kth_score(k),
+                    ranked.get(k - 1).map_or(0.0, |e| e.1),
+                    "{context}"
+                );
+                assert_eq!(
+                    live.is_in_top_k(d(id), k),
+                    ranked.iter().take(k).any(|e| e.0 == id),
+                    "{context}"
+                );
+                assert_eq!(
+                    live.score_of(d(id)),
+                    model.iter().find(|e| e.0 == id).map(|e| e.1),
+                    "{context}"
+                );
+                assert_eq!(live.contains(d(id)), model.iter().any(|e| e.0 == id));
+                if rng.chance(0.1) {
+                    // What a checkpoint sync does to a dirty query: copy into
+                    // the buffers the stale copy already owns.
+                    copy.clone_from(&live);
+                    assert!(copy == live.clone(), "{context}: clone_from != clone");
+                }
+            }
+        }
     }
 }

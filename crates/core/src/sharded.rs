@@ -55,14 +55,16 @@
 //! * **Panic isolation** — every request a worker handles runs under
 //!   [`std::panic::catch_unwind`]. A panic never unwinds the worker thread;
 //!   at worst it costs the shard its in-memory engine state.
-//! * **Warm recovery (checkpoint + op log)** — each worker keeps a clone of
-//!   its engine refreshed every [`FaultConfig::checkpoint_interval`] state
-//!   mutations plus a log of the deterministic mutations since. A caught
-//!   panic restores the clone, replays the log, and **retries the request
-//!   once** — byte-identical to never having faulted, because ITA thresholds
-//!   are history-dependent and the replayed history is exactly the original
-//!   one. Stats record only successful attempts, so the counters also match
-//!   a fault-free run.
+//! * **Warm recovery (checkpoint + op log)** — each worker keeps a second
+//!   engine, the checkpoint, brought up to date every
+//!   [`FaultConfig::checkpoint_interval`] state mutations by copying what
+//!   changed since ([`ItaEngine::sync_checkpoint`]: the slots dirtied and
+//!   the window's FIFO delta, not the engine), plus a log of the
+//!   deterministic mutations since. A caught panic clones the checkpoint,
+//!   replays the log, and **retries the request once** — byte-identical to
+//!   never having faulted, because ITA thresholds are history-dependent and
+//!   the replayed history is exactly the original one. Stats record only
+//!   successful attempts, so the counters also match a fault-free run.
 //! * **Cold resurrection** — if warm recovery is impossible (checkpointing
 //!   disabled, a second panic, or the thread is gone) the worker reports a
 //!   typed [`ShardFault`] and the shard is *degraded*. The coordinator keeps
@@ -123,15 +125,22 @@ use crate::monitor::ProcessingStats;
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
 
+/// A registration burst as it travels: each query under its globally
+/// assigned id, every query one allocation shared by the coordinator's
+/// registry, the worker's op log, its engine and its checkpoint.
+type SharedQueries = Arc<[(QueryId, Arc<ContinuousQuery>)]>;
+
 /// A request travelling coordinator → shard on the shard's SPSC channel.
 enum ShardRequest {
     /// Register a burst of queries, each under its globally assigned id, in
     /// one round-trip (synchronous). The shard brings all of the burst's
     /// newly-live shadow terms up in a single window merge
-    /// ([`ItaEngine::register_batch_with_ids`]) instead of one backfill scan
+    /// ([`ItaEngine::register_shared_batch`]) instead of one backfill scan
     /// per query. Single registrations are a one-element burst (the
-    /// [`Engine::register_batch`] contract makes that byte-identical).
-    RegisterBatch(Vec<(QueryId, ContinuousQuery)>),
+    /// [`Engine::register_batch`] contract makes that byte-identical). The
+    /// queries are shared with the coordinator's registry, and the burst
+    /// with the worker's op log.
+    RegisterBatch(SharedQueries),
     /// Remove a query (synchronous; replies whether it existed).
     Deregister(QueryId),
     /// Process one fanned-out stream event (synchronous; replies with the
@@ -166,12 +175,14 @@ enum ShardRequest {
     /// Rebuild the shard from the coordinator's durable state: a fresh
     /// term-filtered engine, the given queries registered, the given window
     /// replayed. Clears any poisoning.
-    Rebuild(Vec<Arc<Document>>, Vec<(QueryId, ContinuousQuery)>),
-    /// Audit the shard engine's deep structural invariants (synchronous;
-    /// replies [`ShardReply::InvariantsChecked`]). A violation panics inside
-    /// the worker's guard and surfaces as a [`ShardReply::Fault`] carrying
-    /// the assertion message. Driven by the testkit lockstep runner under
-    /// the `invariant-checks` feature; never sent on production paths.
+    Rebuild(Vec<Arc<Document>>, SharedQueries),
+    /// Audit the shard engine's deep structural invariants, and that its
+    /// checkpoint with the op log replayed on top equals the live engine in
+    /// every piece of state (synchronous; replies
+    /// [`ShardReply::InvariantsChecked`]). A violation panics inside the
+    /// worker's guard and surfaces as a [`ShardReply::Fault`] carrying the
+    /// assertion message. Driven by the testkit lockstep runner under the
+    /// `invariant-checks` feature; never sent on production paths.
     CheckInvariants,
     /// Drain the worker's final stats and exit the thread (the shutdown
     /// handshake that keeps stats from being lost on drop).
@@ -227,9 +238,8 @@ struct FaultNotice {
 /// log. Every variant is deterministic: applying the same op to the same
 /// engine state always produces the same next state, which is what makes
 /// checkpoint + replay byte-identical to never having faulted.
-#[derive(Clone)]
 enum LogOp {
-    RegisterBatch(Vec<(QueryId, ContinuousQuery)>),
+    RegisterBatch(SharedQueries),
     Deregister(QueryId),
     Process(Arc<Document>),
     Extract(QueryId),
@@ -245,12 +255,14 @@ enum LogValue {
 }
 
 impl LogOp {
-    /// Applies the op to `engine`. Payloads are cloned per application so
-    /// the op stays replayable.
+    /// Applies the op to `engine`, leaving it replayable: a registration
+    /// burst is shared with the engine (a refcount bump per query), and only
+    /// a migration is copied — the engine must own a result set it can
+    /// change while the log keeps the one that arrived.
     fn apply(&self, engine: &mut ItaEngine) -> LogValue {
         match self {
             LogOp::RegisterBatch(batch) => {
-                engine.register_batch_with_ids(batch.clone());
+                engine.register_shared_batch(batch);
                 LogValue::Unit
             }
             LogOp::Deregister(qid) => LogValue::Deregistered(engine.deregister(*qid)),
@@ -286,11 +298,17 @@ struct ShardWorker {
     checkpoint_interval: usize,
     /// `None` while poisoned (a panic warm recovery could not undo).
     engine: Option<ItaEngine>,
-    /// Clone of the engine as of the last checkpoint; `None` only when
-    /// checkpointing is disabled or the shard is poisoned.
+    /// The engine as of the last checkpoint, kept in step by
+    /// [`ItaEngine::sync_checkpoint`]; `None` only when checkpointing is
+    /// disabled or the shard is poisoned.
     checkpoint: Option<Box<ItaEngine>>,
     /// Mutations applied since the checkpoint, replayed on restore.
     log: Vec<LogOp>,
+    /// The first sync whose checkpoint did not come out equal to the live
+    /// engine (audited under `invariant-checks` only). Kept until the next
+    /// [`ShardRequest::CheckInvariants`] reports it: a panic at the sync
+    /// itself would be recovered from like any other fault and go unseen.
+    sync_mismatch: Option<String>,
     stats: ProcessingStats,
     /// Fault bookkeeping since the last reply (drained onto each reply).
     notice: FaultNotice,
@@ -311,24 +329,35 @@ impl ShardWorker {
         config: ItaConfig,
         checkpoint_interval: usize,
     ) -> Self {
-        let engine = ItaEngine::term_filtered(window, config);
-        // Checkpointing the empty engine up front means warm recovery is
-        // available from the very first mutation.
-        let checkpoint = (checkpoint_interval > 0).then(|| Box::new(engine.clone()));
         Self {
             shard,
             window,
             config,
             checkpoint_interval,
-            engine: Some(engine),
-            checkpoint,
+            engine: Some(ItaEngine::term_filtered(window, config)),
+            // An empty checkpoint up front means warm recovery is available
+            // from the very first mutation.
+            checkpoint: Self::empty_checkpoint(window, config, checkpoint_interval),
             log: Vec::new(),
+            sync_mismatch: None,
             stats: ProcessingStats::default(),
             notice: FaultNotice::default(),
             armed_faults: 0,
             seen_poison: HashSet::new(), // cts-lint: allow(nondet-iteration, membership probes only; never iterated)
             pending_fault: None,
         }
+    }
+
+    /// The checkpoint of an engine that holds nothing yet: a new engine, or
+    /// none when checkpointing is disabled. Everything a new or rebuilt
+    /// engine comes to hold is recorded as changed against it, so the first
+    /// sync into it is the full copy.
+    fn empty_checkpoint(
+        window: SlidingWindow,
+        config: ItaConfig,
+        checkpoint_interval: usize,
+    ) -> Option<Box<ItaEngine>> {
+        (checkpoint_interval > 0).then(|| Box::new(ItaEngine::term_filtered(window, config)))
     }
 
     /// The fault to report while the shard's engine state is gone.
@@ -361,10 +390,23 @@ impl ShardWorker {
         }
     }
 
+    /// Brings the checkpoint up to date with the engine — a copy of what the
+    /// logged mutations changed, not of the engine — and empties the log.
+    /// Runs after the triggering event was timed, so the sync is priced on
+    /// its own in [`ProcessingStats::checkpoint_time`].
     fn take_checkpoint(&mut self) {
-        if let Some(engine) = self.engine.as_ref() {
-            self.checkpoint = Some(Box::new(engine.clone()));
-            self.log.clear();
+        let (Some(engine), Some(checkpoint)) = (self.engine.as_mut(), self.checkpoint.as_mut())
+        else {
+            return;
+        };
+        let start = Instant::now(); // cts-lint: allow(clock-in-apply, prices the sync for stats; never read by engine state)
+        engine.sync_checkpoint(checkpoint);
+        self.log.clear();
+        self.stats.checkpoints += 1;
+        self.stats.checkpoint_time += start.elapsed();
+        #[cfg(any(test, feature = "invariant-checks"))]
+        if self.sync_mismatch.is_none() {
+            self.sync_mismatch = engine.state_mismatch(checkpoint);
         }
     }
 
@@ -482,6 +524,32 @@ impl ShardWorker {
         unreachable!("both attempts return") // cts-lint: allow(panic-in-hot-path, the two-attempt loop returns on every arm)
     }
 
+    /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
+    /// here; `guarded` converts it into a `Fault` reply carrying the message.
+    fn audit(&mut self) -> ShardReply {
+        let Some(engine) = self.engine.as_ref() else {
+            return ShardReply::Fault(self.pending());
+        };
+        engine.check_invariants();
+        if let Some(component) = self.sync_mismatch.take() {
+            // cts-lint: allow(panic-in-hot-path, audit-only request re-raising a recorded sync audit failure)
+            panic!("a checkpoint sync left the checkpoint out of step: {component}");
+        }
+        // What a warm recovery would rebuild right now must be the live
+        // engine, state for state.
+        if let Some(checkpoint) = self.checkpoint.as_deref() {
+            let mut replayed = checkpoint.clone();
+            for op in &self.log {
+                op.apply(&mut replayed);
+            }
+            if let Some(component) = engine.state_mismatch(&replayed) {
+                // cts-lint: allow(panic-in-hot-path, audit-only request reporting a checkpoint divergence)
+                panic!("checkpoint + replayed log differs from the live engine: {component}");
+            }
+        }
+        ShardReply::InvariantsChecked
+    }
+
     /// Serves one request with the outer panic guard: anything that escapes
     /// the per-op guards (e.g. a panic during restore replay) poisons the
     /// shard instead of unwinding the thread.
@@ -570,15 +638,7 @@ impl ShardWorker {
                 self.armed_faults += 1;
                 ShardReply::Armed
             }
-            ShardRequest::CheckInvariants => match self.engine.as_ref() {
-                Some(engine) => {
-                    // A violation panics right here; `guarded` converts it
-                    // into a `Fault` reply carrying the assertion message.
-                    engine.check_invariants();
-                    ShardReply::InvariantsChecked
-                }
-                None => ShardReply::Fault(self.pending()),
-            },
+            ShardRequest::CheckInvariants => self.audit(),
             ShardRequest::Rebuild(window_docs, queries) => {
                 // Cold resurrection from the coordinator's durable state:
                 // register the queries, then replay the window as arrivals.
@@ -586,16 +646,15 @@ impl ShardWorker {
                 // replay triggers no expirations; no injection check and no
                 // stats recording — recovery work is not stream work.
                 let mut engine = ItaEngine::term_filtered(self.window, self.config);
-                engine.register_batch_with_ids(queries);
+                engine.register_shared_batch(&queries);
                 for doc in window_docs {
                     engine.process_shared(doc);
                 }
                 self.engine = Some(engine);
                 self.log.clear();
-                self.checkpoint = None;
-                if self.checkpoint_interval > 0 {
-                    self.take_checkpoint();
-                }
+                self.checkpoint =
+                    Self::empty_checkpoint(self.window, self.config, self.checkpoint_interval);
+                self.take_checkpoint();
                 self.pending_fault = None;
                 self.armed_faults = 0;
                 ShardReply::Rebuilt
@@ -773,7 +832,7 @@ pub struct ShardedItaEngine {
     /// `mirror`, everything cold resurrection needs. Updated **before** any
     /// fan-out, so a request lost to a crashed worker is still
     /// reconstructible.
-    registry: HashMap<QueryId, ContinuousQuery>, // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
+    registry: HashMap<QueryId, Arc<ContinuousQuery>>, // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
     /// Durable mirror of the sliding window (oldest first), pruned with the
     /// exact policy the workers apply. The `Arc`s are shared with the
     /// workers' stores, so the mirror costs pointers, not documents.
@@ -1119,22 +1178,26 @@ impl ShardedItaEngine {
     /// history — see DESIGN.md §10.
     fn resurrect(&mut self, shard: usize) -> Result<(), EngineError> {
         let start = Instant::now(); // cts-lint: allow(clock-in-apply, measures recovery cost only; never read by engine state)
-        let queries: Vec<(QueryId, ContinuousQuery)> = self.placement[shard]
+        let queries: SharedQueries = self.placement[shard]
             .iter()
-            .map(|qid| (*qid, self.registry[qid].clone()))
+            .map(|qid| (*qid, Arc::clone(&self.registry[qid])))
             .collect();
-        let window_docs: Vec<Arc<Document>> = self.mirror.iter().cloned().collect();
-        let request = ShardRequest::Rebuild(window_docs, queries);
-        if let Err(failed_send) = self.workers[shard].sender.send(request) {
-            // The thread is gone, not just poisoned: respawn, then resend.
-            let request = failed_send.0;
+        let rebuild = |engine: &Self| {
+            ShardRequest::Rebuild(engine.mirror.iter().cloned().collect(), queries.clone())
+        };
+        let mut reply = match self.workers[shard].sender.send(rebuild(self)) {
+            Ok(()) => self.recv_reply(shard),
+            Err(_) => Err(EngineError::ShardUnavailable { shard }),
+        };
+        if matches!(reply, Err(EngineError::ShardUnavailable { .. })) {
+            // The thread is gone, not just poisoned — and an exiting thread
+            // can still accept the request before it hangs up, so a
+            // disconnect on either leg means respawn, then resend.
             self.respawn(shard)?;
-            self.workers[shard].sender.send(request).map_err(|_| {
-                self.note_disconnect(shard);
-                EngineError::ShardUnavailable { shard }
-            })?;
+            self.send(shard, rebuild(self))?;
+            reply = self.recv_reply(shard);
         }
-        match self.recv_reply(shard)? {
+        match reply? {
             ShardReply::Rebuilt => {
                 let mut state = self.fault_state.borrow_mut();
                 state.degraded[shard] = false;
@@ -1405,7 +1468,7 @@ impl ShardedItaEngine {
         if !(0..shards).any(|shard| !self.is_degraded(shard)) {
             return Err(EngineError::ShardUnavailable { shard: 0 });
         }
-        let mut per_shard: Vec<Vec<(QueryId, ContinuousQuery)>> = vec![Vec::new(); shards];
+        let mut per_shard: Vec<Vec<(QueryId, Arc<ContinuousQuery>)>> = vec![Vec::new(); shards];
         let mut ids = Vec::with_capacity(queries.len());
         for query in queries {
             let qid = QueryId(self.next_query);
@@ -1417,7 +1480,8 @@ impl ShardedItaEngine {
                     // cts-lint: allow(panic-in-hot-path, guarded by the all-degraded early return above)
                     .expect("a healthy shard exists (checked above)"); // cts-lint: allow(unwrap-in-service, guarded by the all-degraded early return above)
             }
-            per_shard[shard].push((qid, query.clone()));
+            let query = Arc::new(query);
+            per_shard[shard].push((qid, Arc::clone(&query)));
             self.registry.insert(qid, query);
             ids.push(qid);
         }
@@ -1438,7 +1502,7 @@ impl ShardedItaEngine {
             if group.is_empty() {
                 continue;
             }
-            let group = std::mem::take(group);
+            let group: SharedQueries = std::mem::take(group).into();
             match self.send(shard, ShardRequest::RegisterBatch(group)) {
                 Ok(()) => pending.push(shard),
                 Err(err) => {
@@ -2236,6 +2300,47 @@ mod tests {
         assert_eq!(stats.degraded_shards, 0);
         assert_eq!(stats.events_during_degraded, 0);
         assert!(stats.recovery_micros > 0 || stats.recoveries == 0);
+    }
+
+    #[test]
+    fn checkpoint_syncs_are_counted_and_priced_per_worker() {
+        let window = SlidingWindow::count_based(6);
+        let with_interval = |checkpoint_interval: usize| {
+            ShardedItaEngine::with_faults(
+                window,
+                ItaConfig::default(),
+                2,
+                RebalanceConfig::default(),
+                FaultConfig {
+                    checkpoint_interval,
+                    ..FaultConfig::default()
+                },
+            )
+        };
+        let mut sharded = with_interval(5);
+        for t in 0..4u32 {
+            sharded.register(query(&[(t, 1.0)], 2));
+        }
+        sharded.reset_shard_stats();
+        // Every shard logs every event: 25 events at a cadence of 5 are 5
+        // syncs per worker, however the 4 registrations were spread.
+        for i in 0..25u64 {
+            sharded.process_document(doc(i, &[((i % 4) as u32, 0.1 + (i % 5) as f64 * 0.1)]));
+        }
+        for stats in sharded.shard_stats() {
+            assert_eq!(stats.checkpoints, 5);
+            assert!(stats.checkpoint_time > Duration::ZERO);
+        }
+        assert_eq!(sharded.aggregate_shard_stats().checkpoints, 10);
+        sharded.reset_shard_stats();
+        assert_eq!(sharded.aggregate_shard_stats(), ProcessingStats::default());
+        // No checkpointing, no price.
+        let mut unprotected = with_interval(0);
+        unprotected.register(query(&[(0, 1.0)], 1));
+        for i in 0..25u64 {
+            unprotected.process_document(doc(i, &[(0, 0.5)]));
+        }
+        assert_eq!(unprotected.shutdown().checkpoints, 0);
     }
 
     #[test]

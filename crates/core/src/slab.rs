@@ -12,7 +12,7 @@
 use cts_index::{DenseArena, QueryId};
 
 /// A dense map from [`QueryId`] to per-query state `T`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QuerySlab<T> {
     inner: DenseArena<T>,
 }
@@ -74,6 +74,16 @@ impl<T> QuerySlab<T> {
     /// order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.inner.values_mut()
+    }
+
+    /// Copies the states `src` handed out mutably, added or removed since its
+    /// last sync into `self` and clears `src`'s record — see
+    /// [`DenseArena::sync_from`] for the contract.
+    pub fn sync_from(&mut self, src: &mut QuerySlab<T>)
+    where
+        T: Clone,
+    {
+        self.inner.sync_from(&mut src.inner);
     }
 }
 

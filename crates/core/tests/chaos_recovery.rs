@@ -23,7 +23,10 @@
 
 use std::time::Duration;
 
-use cts_core::testkit::{generate_script, run_script, Op, RunOptions, ScriptConfig, ScriptRng};
+use cts_core::testkit::{
+    generate_script, run_script, Op, OpScript, RunOptions, ScriptConfig, ScriptRng,
+};
+use cts_core::validate::assert_lockstep_event;
 use cts_core::{
     ContinuousQuery, Engine, FaultConfig, FaultPolicy, ItaConfig, ItaEngine, RebalanceConfig,
     ShardedItaEngine,
@@ -107,6 +110,268 @@ fn chaos_storm_locksteps_across_checkpoint_cadences() {
             ..FaultConfig::default()
         };
         assert_chaos_lockstep(4, faults, 0xC4A0_0100 + interval as u64);
+    }
+}
+
+/// The checkpoint cadences every delta-sync scenario below runs at: 1 syncs
+/// after every mutation (recovery never replays a log), 5 and 7 put syncs
+/// inside batches and bursts, 256 is the production default.
+const SYNC_CADENCES: [usize; 4] = [1, 5, 7, 256];
+
+fn tie_heavy_doc(rng: &mut ScriptRng, id: u64) -> Document {
+    let palette = [0.1, 0.2, 0.2, 0.4, 0.7];
+    let terms = rng.range(1, 5);
+    let weights: Vec<(TermId, f64)> = (0..terms)
+        .map(|_| (TermId(rng.below(12) as u32), *rng.pick(&palette)))
+        .collect();
+    Document::new(
+        DocId(id),
+        Timestamp::from_millis(id),
+        WeightedVector::from_weights(weights),
+    )
+}
+
+fn small_query(rng: &mut ScriptRng) -> ContinuousQuery {
+    ContinuousQuery::from_weights(
+        [
+            (TermId(rng.below(12) as u32), 0.6),
+            (TermId(rng.below(12) as u32), 0.4),
+        ],
+        rng.range(1, 4),
+    )
+}
+
+/// Two faults straddling a checkpoint sync: one on the event whose logging
+/// triggers the sync (recovery replays a full log, the retry then syncs) and
+/// one on the very next event (recovery clones a checkpoint that was written
+/// by a delta sync a moment ago, with nothing to replay). A sync that missed
+/// a slot the first fault's replay touched would surface in the second.
+#[test]
+fn two_faults_straddling_a_sync_recover_exactly() {
+    const REGISTRATIONS: usize = 4;
+    for interval in SYNC_CADENCES {
+        for shards in [1usize, 2] {
+            let faults = FaultConfig {
+                checkpoint_interval: interval,
+                ..FaultConfig::default()
+            };
+            let mut rng = ScriptRng::new(0x57AD_0000 + interval as u64);
+            let mut script = OpScript::new(0);
+            for _ in 0..REGISTRATIONS {
+                script.push(Op::Register(small_query(&mut rng)));
+            }
+            // A worker syncs when its log reaches `interval` mutations, and
+            // its log holds every event plus the registrations it hosts — up
+            // to REGISTRATIONS of them. So the event that fills the log for
+            // the k-th time is one of REGISTRATIONS + 1 candidates; fault
+            // every one of them and the event after, on every shard.
+            let events = 2 * interval + REGISTRATIONS;
+            let mut armed = 0;
+            for event in 0..events {
+                let mutation = event + 1; // 1-based, before registrations
+                let near_a_sync = (1..=2).any(|k| {
+                    (k * interval).saturating_sub(REGISTRATIONS) <= mutation
+                        && mutation <= k * interval + 1
+                });
+                if near_a_sync {
+                    for shard in 0..shards {
+                        script.push(Op::InjectFault { shard });
+                        armed += 1;
+                    }
+                }
+                script.push(Op::Feed(tie_heavy_doc(&mut rng, event as u64)));
+            }
+            let window = SlidingWindow::count_based(20);
+            let mut reference = ItaEngine::new(window, ItaConfig::default());
+            let mut sharded = faulty(window, shards, faults);
+            {
+                let mut engines: Vec<Box<dyn Engine>> = vec![
+                    Box::new(&mut reference) as Box<dyn Engine>,
+                    Box::new(&mut sharded),
+                ];
+                if let Err(failure) = run_script(&mut engines, &script, &RunOptions::default()) {
+                    panic!("cadence {interval}, {shards} shards: {failure}");
+                }
+            }
+            let stats = sharded.fault_stats().expect("tracked");
+            assert_eq!(
+                stats.faults, armed,
+                "cadence {interval}: an armed fault never fired"
+            );
+            assert_eq!(
+                stats.recoveries, armed,
+                "cadence {interval}: a fault went cold"
+            );
+            assert_eq!(stats.degraded_shards, 0);
+            let syncs: u64 = sharded.shard_stats().iter().map(|s| s.checkpoints).sum();
+            assert!(
+                syncs >= 2 * shards as u64,
+                "cadence {interval}: only {syncs} syncs"
+            );
+        }
+    }
+}
+
+/// A fault right after a cold rebuild: the rebuilt engine's first sync goes
+/// into a brand-new checkpoint (the full copy), and the very next event
+/// faults, so warm recovery runs from that checkpoint. A cold rebuild
+/// promises exact results, not exact thresholds, so this compares results —
+/// and has the workers audit checkpoint + log against their live state.
+#[test]
+fn fault_right_after_a_rebuild_recovers_from_the_new_checkpoint() {
+    for interval in SYNC_CADENCES {
+        let faults = FaultConfig {
+            checkpoint_interval: interval,
+            ..FaultConfig::default()
+        };
+        let window = SlidingWindow::count_based(10);
+        let mut rng = ScriptRng::new(0xC01D_0000 + interval as u64);
+        let mut reference = ItaEngine::new(window, ItaConfig::default());
+        let mut sharded = faulty(window, 2, faults);
+        let qids: Vec<QueryId> = (0..6)
+            .map(|_| {
+                let query = small_query(&mut rng);
+                let qid = reference.register(query.clone());
+                assert_eq!(qid, sharded.register(query));
+                qid
+            })
+            .collect();
+        let mut feed = |reference: &mut ItaEngine, sharded: &mut ShardedItaEngine, id: u64| {
+            let doc = tie_heavy_doc(&mut rng, id);
+            reference.process_document(doc.clone());
+            sharded.process_document(doc);
+            for &q in &qids {
+                assert_eq!(
+                    reference.current_results(q),
+                    sharded.current_results(q),
+                    "cadence {interval}: results diverged on {q} at event {id}"
+                );
+            }
+            sharded.check_invariants();
+        };
+        let mut id = 0u64;
+        let mut armed = 0u64;
+        for round in 0..4usize {
+            // Run up to (and, on later rounds, across) a sync boundary.
+            for _ in 0..interval.min(40) + round {
+                feed(&mut reference, &mut sharded, id);
+                id += 1;
+            }
+            let shard = round % 2;
+            assert!(sharded.inject_disconnect(shard));
+            // This event finds the worker gone and rebuilds the shard cold…
+            feed(&mut reference, &mut sharded, id);
+            id += 1;
+            // …and the next one faults in the freshly rebuilt worker.
+            assert!(sharded.inject_fault(shard), "rebuilt shard refused arming");
+            armed += 1;
+            feed(&mut reference, &mut sharded, id);
+            id += 1;
+        }
+        let stats = sharded.fault_stats().expect("tracked");
+        assert_eq!(
+            stats.faults,
+            armed + 4,
+            "4 disconnects plus the armed faults"
+        );
+        assert_eq!(stats.recoveries, stats.faults);
+        assert_eq!(stats.degraded_shards, 0);
+    }
+}
+
+/// A fault after the rebalancer moved queries between two syncs: the source
+/// shard's log holds an `Extract`, the destination's an `Install` carrying
+/// the migrated result set and thresholds, and recovery must replay both to
+/// the byte. Runs the eager-registration arm too, where an install backfills
+/// its shadow lists at once — more dirty lists for the next sync, and more
+/// work for a replayed `Install` to redo identically.
+#[test]
+fn fault_after_a_migration_between_syncs_replays_extract_and_install() {
+    for interval in SYNC_CADENCES {
+        for lazy_registration in [false, true] {
+            let config = ItaConfig {
+                lazy_registration,
+                ..ItaConfig::default()
+            };
+            let faults = FaultConfig {
+                checkpoint_interval: interval,
+                ..FaultConfig::default()
+            };
+            let shards = 4;
+            let window = SlidingWindow::count_based(12);
+            let mut rng = ScriptRng::new(0x316A_0000 + interval as u64);
+            let mut reference = ItaEngine::new(window, config);
+            let mut sharded = ShardedItaEngine::with_faults(
+                window,
+                config,
+                shards,
+                RebalanceConfig::default(),
+                faults,
+            );
+            let qids: Vec<QueryId> = (0..24)
+                .map(|_| {
+                    let query = small_query(&mut rng);
+                    let qid = reference.register(query.clone());
+                    assert_eq!(qid, sharded.register(query));
+                    qid
+                })
+                .collect();
+            let mut id = 0u64;
+            for _ in 0..30 {
+                let doc = tie_heavy_doc(&mut rng, id);
+                assert_lockstep_event(&mut reference, &mut sharded, &doc, &qids);
+                id += 1;
+            }
+            // Concentrate the survivors on shard 0: every deregistration that
+            // tips the balance makes the rebalancer migrate — and right after
+            // each migration every shard faults on the next event.
+            let survivors: Vec<QueryId> = qids
+                .iter()
+                .copied()
+                .filter(|&q| sharded.shard_of(q) == 0)
+                .collect();
+            assert!(survivors.len() >= 2, "need at least two survivors");
+            let mut live = qids.clone();
+            let mut armed = 0u64;
+            let mut migrations = 0;
+            for &q in &qids {
+                if survivors.contains(&q) {
+                    continue;
+                }
+                assert!(sharded.deregister(q) && reference.deregister(q));
+                live.retain(|&other| other != q);
+                if sharded.migrations() > migrations {
+                    migrations = sharded.migrations();
+                    for shard in 0..shards {
+                        assert!(sharded.inject_fault(shard));
+                        armed += 1;
+                    }
+                    let doc = tie_heavy_doc(&mut rng, id);
+                    assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
+                    sharded.check_invariants();
+                    id += 1;
+                }
+            }
+            assert!(migrations > 0, "cadence {interval}: nothing migrated");
+            // The migrated queries keep living byte-identically, across
+            // further syncs and one more round of faults.
+            for step in 0..(interval.min(40) + 20) {
+                if step == 10 {
+                    for shard in 0..shards {
+                        assert!(sharded.inject_fault(shard));
+                        armed += 1;
+                    }
+                }
+                let doc = tie_heavy_doc(&mut rng, id);
+                assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
+                id += 1;
+            }
+            sharded.check_invariants();
+            let stats = sharded.fault_stats().expect("tracked");
+            assert_eq!(stats.faults, armed);
+            assert_eq!(stats.recoveries, armed, "a migration-era fault went cold");
+            assert_eq!(stats.degraded_shards, 0);
+        }
     }
 }
 

@@ -20,10 +20,23 @@
 use cts_text::TermId;
 
 /// A dense map from `usize` ids to `T`, backed by `Vec<Option<T>>`.
+///
+/// The arena also records **which slots may have changed** since the last
+/// [`DenseArena::sync_from`] read it: every path that yields a `&mut T` or
+/// fills or vacates a slot sets a per-slot bit and pushes the id once, so a
+/// mutation cannot escape the record by construction. A copy kept in step
+/// through `sync_from` (the shard workers' recovery checkpoint) then costs
+/// the slots dirtied, not the id range. An arena nobody syncs from pays one
+/// bit test per mutable access and at most one pushed id per slot.
 #[derive(Debug, Clone)]
 pub struct DenseArena<T> {
     slots: Vec<Option<T>>,
     live: usize,
+    /// One bit per slot, set iff the slot's id is in `dirty`.
+    marked: Vec<u64>,
+    /// Ids whose slot was handed out mutably, filled or vacated since the
+    /// last sync read this arena, each at most once.
+    dirty: Vec<usize>,
 }
 
 impl<T> Default for DenseArena<T> {
@@ -31,7 +44,29 @@ impl<T> Default for DenseArena<T> {
         Self {
             slots: Vec::new(),
             live: 0,
+            marked: Vec::new(),
+            dirty: Vec::new(),
         }
+    }
+}
+
+/// Equality of contents: the same live ids holding equal values. The dirty
+/// record and trailing vacant slots are bookkeeping, not state.
+impl<T: PartialEq> PartialEq for DenseArena<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.live == other.live && self.iter().eq(other.iter())
+    }
+}
+
+/// Records `id` as dirty unless it already is. A free function over the two
+/// bookkeeping fields so callers can hold a `&mut` into `slots` meanwhile.
+#[inline]
+fn mark(marked: &mut [u64], dirty: &mut Vec<usize>, id: usize) {
+    let bit = 1u64 << (id % 64);
+    let word = &mut marked[id / 64];
+    if *word & bit == 0 {
+        *word |= bit;
+        dirty.push(id);
     }
 }
 
@@ -45,7 +80,7 @@ impl<T> DenseArena<T> {
     pub fn with_capacity(ids: usize) -> Self {
         Self {
             slots: Vec::with_capacity(ids),
-            live: 0,
+            ..Self::default()
         }
     }
 
@@ -58,7 +93,9 @@ impl<T> DenseArena<T> {
     /// Mutable access to the value stored for `id`, if any.
     #[inline]
     pub fn get_mut(&mut self, id: usize) -> Option<&mut T> {
-        self.slots.get_mut(id).and_then(Option::as_mut)
+        let value = self.slots.get_mut(id)?.as_mut()?;
+        mark(&mut self.marked, &mut self.dirty, id);
+        Some(value)
     }
 
     /// Whether `id` has a value.
@@ -67,17 +104,19 @@ impl<T> DenseArena<T> {
         self.get(id).is_some()
     }
 
-    /// Grows the slot vector to make `id` addressable.
-    fn reserve_slot(&mut self, id: usize) {
-        if id >= self.slots.len() {
-            self.slots.resize_with(id + 1, || None);
+    /// Grows the slot vector (and its dirty bits) to hold `slots` slots.
+    fn grow_to(&mut self, slots: usize) {
+        if slots > self.slots.len() {
+            self.slots.resize_with(slots, || None);
+            self.marked.resize(slots.div_ceil(64), 0);
         }
     }
 
     /// Stores `value` for `id`, growing the arena as needed. Returns the
     /// previous value if the slot was occupied.
     pub fn insert(&mut self, id: usize, value: T) -> Option<T> {
-        self.reserve_slot(id);
+        self.grow_to(id + 1);
+        mark(&mut self.marked, &mut self.dirty, id);
         let previous = self.slots[id].replace(value);
         if previous.is_none() {
             self.live += 1;
@@ -91,22 +130,21 @@ impl<T> DenseArena<T> {
     where
         T: Default,
     {
-        self.reserve_slot(id);
+        self.grow_to(id + 1);
+        mark(&mut self.marked, &mut self.dirty, id);
         let slot = &mut self.slots[id];
         if slot.is_none() {
-            *slot = Some(T::default());
             self.live += 1;
         }
-        slot.as_mut().expect("slot was just filled")
+        slot.get_or_insert_with(T::default)
     }
 
     /// Removes and returns `id`'s value, freeing the slot.
     pub fn remove(&mut self, id: usize) -> Option<T> {
-        let value = self.slots.get_mut(id).and_then(Option::take);
-        if value.is_some() {
-            self.live -= 1;
-        }
-        value
+        let value = self.slots.get_mut(id)?.take()?;
+        mark(&mut self.marked, &mut self.dirty, id);
+        self.live -= 1;
+        Some(value)
     }
 
     /// Number of live (occupied) slots.
@@ -136,13 +174,43 @@ impl<T> DenseArena<T> {
 
     /// Mutably iterates over the live values in increasing id order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
+        let (marked, dirty) = (&mut self.marked, &mut self.dirty);
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(move |(id, slot)| {
+                let value = slot.as_mut()?;
+                mark(marked, dirty, id);
+                Some(value)
+            })
+    }
+
+    /// Brings `self` up to date with `src` by copying only the slots `src`
+    /// recorded dirty, reusing each destination value's allocations
+    /// (`clone_from`), and clears `src`'s record. Cost is `O(slots dirtied)`.
+    ///
+    /// `self` must hold what `src` held when its record was last cleared —
+    /// both freshly created, or `self` last written by this very call. Two
+    /// new arenas qualify, so the first sync is the full copy.
+    pub fn sync_from(&mut self, src: &mut DenseArena<T>)
+    where
+        T: Clone,
+    {
+        self.grow_to(src.slots.len());
+        for id in src.dirty.drain(..) {
+            src.marked[id / 64] &= !(1u64 << (id % 64));
+            match (&src.slots[id], &mut self.slots[id]) {
+                (Some(from), Some(into)) => into.clone_from(from),
+                (from, into) => *into = from.clone(),
+            }
+        }
+        self.live = src.live;
     }
 }
 
 /// A dense map from [`TermId`] to `T`: the [`DenseArena`] keyed by the
 /// interned term id.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermArena<T> {
     inner: DenseArena<T>,
 }
@@ -209,6 +277,16 @@ impl<T> TermArena<T> {
     /// Iterates over `(term, value)` pairs in increasing term-id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &T)> {
         self.inner.iter().map(|(i, v)| (TermId(i as u32), v))
+    }
+
+    /// Copies the slots `src` dirtied since its last sync into `self` and
+    /// clears `src`'s record — see [`DenseArena::sync_from`] for the
+    /// contract.
+    pub fn sync_from(&mut self, src: &mut TermArena<T>)
+    where
+        T: Clone,
+    {
+        self.inner.sync_from(&mut src.inner);
     }
 }
 

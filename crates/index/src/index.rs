@@ -58,7 +58,7 @@ use crate::InvertedList;
 const BACKFILL_DIRECTORY_THRESHOLD: usize = 8;
 
 /// The streaming inverted index over the valid documents.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvertedIndex {
     store: DocumentStore,
     lists: TermArena<InvertedList>,
@@ -346,6 +346,22 @@ impl InvertedIndex {
             }
         }
         Some(doc)
+    }
+
+    /// Brings `self` up to date with `src` at a cost of `O(lists dirtied +
+    /// FIFO delta)`: the store replays its pops and pushes
+    /// ([`DocumentStore::sync_from`]), the list arena copies the lists an
+    /// arrival, expiration, backfill or retirement touched
+    /// ([`TermArena::sync_from`]), and the (normally empty) cold set and the
+    /// backfill counter are copied outright. Clears `src`'s change records.
+    ///
+    /// `self` must hold what `src` held when it was last synced from — both
+    /// freshly created, or `self` last written by this very call.
+    pub fn sync_from(&mut self, src: &mut InvertedIndex) {
+        self.store.sync_from(&mut src.store);
+        self.lists.sync_from(&mut src.lists);
+        self.cold.clone_from(&src.cold);
+        self.register_postings_touched = src.register_postings_touched;
     }
 
     /// The valid-document store.

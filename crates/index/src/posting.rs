@@ -62,7 +62,7 @@ impl Posting {
 
 /// An impact-ordered inverted list for a single term, backed by a single
 /// sorted `Vec` (decreasing weight, ties by increasing document id).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatImpactList {
     entries: Vec<Posting>,
 }

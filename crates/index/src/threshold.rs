@@ -32,10 +32,24 @@ pub struct ThresholdEntry {
 }
 
 /// The per-list threshold tree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ThresholdTree {
     /// Sorted ascending by `(threshold, query)`.
     entries: Vec<ThresholdEntry>,
+}
+
+impl Clone for ThresholdTree {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffer (a checkpoint sync
+    /// re-copies a changed tree every interval).
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl ThresholdTree {
