@@ -2,17 +2,12 @@
 //!
 //! Fixes a term-filtered shadow engine (the shard-side configuration, where
 //! registration must bring newly-live terms up from the shared window) over
-//! a filled count-based window and prices the three registration protocols
-//! of DESIGN.md §9 against each other:
+//! a filled count-based window and prices the two registration protocols of
+//! DESIGN.md §9 against each other:
 //!
-//! * `eager-loop` — `lazy_registration: false`, one [`Engine::register`]
-//!   call per query: every registration that brings terms live pays its
-//!   backfill immediately, one pass per registration. This is the pre-§9
-//!   behaviour — the protocol behind the registration cliff.
-//! * `lazy-loop`  — the default lazy config, still one `register` per
-//!   query: terms go cold and the query's own initial threshold search
-//!   warms them, so the scan count is the same but each backfill batches
-//!   the query's terms into one store pass.
+//! * `lazy-loop`  — one [`Engine::register`] call per query: each is a
+//!   burst of one, so every registration that brings terms live pays one
+//!   store pass for its own newly-live terms.
 //! * `bulk`       — one [`Engine::register_batch`] call for the whole
 //!   workload: all newly-live terms across the batch are brought up in one
 //!   sorted merge over the window before any threshold search runs.
@@ -22,7 +17,7 @@
 //! registration half plus the engine's `register_postings_touched` counter
 //! are printed per arm, so the readout separates register-only time from
 //! the teardown and ties it to the postings actually filed. The
-//! registration-burst differential tests hold all three protocols
+//! registration-burst differential tests hold both protocols
 //! byte-identical; this bench prices them.
 //!
 //! Run with `cargo bench --bench ablation_register`. Set
@@ -84,9 +79,11 @@ fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
 }
 
 /// A term-filtered engine with a freshly filled window (untimed setup).
-fn filled_engine(point: &Point, config: ItaConfig) -> ItaEngine {
-    let mut engine =
-        ItaEngine::term_filtered(SlidingWindow::count_based(point.window_docs), config);
+fn filled_engine(point: &Point) -> ItaEngine {
+    let mut engine = ItaEngine::term_filtered(
+        SlidingWindow::count_based(point.window_docs),
+        ItaConfig::default(),
+    );
     let mut stream = DocumentStream::new(
         point.corpus,
         StreamConfig {
@@ -100,8 +97,7 @@ fn filled_engine(point: &Point, config: ItaConfig) -> ItaEngine {
     engine
 }
 
-/// One registration strategy: a label, the config it needs and how it
-/// registers the workload.
+/// One registration strategy: how it registers the workload.
 type RegisterFn = fn(&mut ItaEngine, &[ContinuousQuery]) -> Vec<cts_index::QueryId>;
 
 fn register_looped(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<cts_index::QueryId> {
@@ -115,17 +111,9 @@ fn register_bulk(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<cts
 fn bench_registration_strategies(c: &mut Criterion) {
     let point = operating_point();
     let queries = build_queries(&point);
-    let eager = ItaConfig {
-        lazy_registration: false,
-        ..ItaConfig::default()
-    };
-    let arms: [(&str, ItaConfig, RegisterFn); 3] = [
-        ("eager-loop", eager, register_looped),
-        ("lazy-loop", ItaConfig::default(), register_looped),
-        ("bulk", ItaConfig::default(), register_bulk),
-    ];
-    for (label, config, register) in arms {
-        let mut engine = filled_engine(&point, config);
+    let arms: [(&str, RegisterFn); 2] = [("lazy-loop", register_looped), ("bulk", register_bulk)];
+    for (label, register) in arms {
+        let mut engine = filled_engine(&point);
         eprintln!(
             "ablation_register: {label} ready ({} queries, {}-doc window)",
             point.num_queries, point.window_docs

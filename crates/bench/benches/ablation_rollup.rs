@@ -41,7 +41,6 @@ fn bench_rollup(c: &mut Criterion) {
         "ita/rollup_on",
         ItaConfig {
             enable_rollup: true,
-            ..ItaConfig::default()
         },
     );
     stream_events(
@@ -49,7 +48,6 @@ fn bench_rollup(c: &mut Criterion) {
         "ita/rollup_off",
         ItaConfig {
             enable_rollup: false,
-            ..ItaConfig::default()
         },
     );
 }

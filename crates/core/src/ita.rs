@@ -64,20 +64,12 @@ pub struct ItaConfig {
     /// leaves the algorithm correct but lets result sets grow monotonically
     /// between expirations — the ablation measured by `ablation_rollup`.
     pub enable_rollup: bool,
-    /// Whether a term-filtered engine admits newly-live terms **lazily**:
-    /// registration and migration mark them cold in the shadow index and the
-    /// full-window backfill runs only when a threshold search or roll-up
-    /// first probes the list (DESIGN.md §9). Disabling restores the eager
-    /// backfill-on-register path — the `ablation_register` foil. Unfiltered
-    /// engines ignore the knob (their lists are always maintained).
-    pub lazy_registration: bool,
 }
 
 impl Default for ItaConfig {
     fn default() -> Self {
         Self {
             enable_rollup: true,
-            lazy_registration: true,
         }
     }
 }
@@ -326,8 +318,7 @@ impl ItaEngine {
     }
 
     /// Number of shadow-index terms currently cold (live in the term filter
-    /// but not yet materialised). Always 0 on unfiltered engines and under
-    /// eager registration.
+    /// but not yet materialised). Always 0 on unfiltered engines.
     pub fn num_cold_terms(&self) -> usize {
         self.index.num_cold()
     }
@@ -621,21 +612,14 @@ impl ItaEngine {
     /// Registers `query` under a caller-chosen id — the sharded engine
     /// assigns ids globally and routes each query to one shard, so the shard
     /// must not mint its own. Ids handed out by a later [`Engine::register`]
-    /// never collide with ids registered this way.
+    /// never collide with ids registered this way. A burst of one through
+    /// [`ItaEngine::register_shared_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `qid` is already registered.
     pub fn register_with_id(&mut self, qid: QueryId, query: ContinuousQuery) {
-        if let Some(filter) = &mut self.term_filter {
-            let newly_live: Vec<TermId> = query
-                .terms()
-                .filter(|(term, _)| filter.acquire(*term))
-                .map(|(term, _)| term)
-                .collect();
-            self.admit_newly_live(newly_live);
-        }
-        self.finish_register(qid, Arc::new(query));
+        self.register_shared_batch(&[(qid, Arc::new(query))]);
     }
 
     /// Registers a whole batch of queries under caller-chosen ids — the
@@ -681,31 +665,15 @@ impl ItaEngine {
                         .map(|(term, _)| term),
                 );
             }
-            // Eager on purpose, even under lazy registration: the threshold
-            // searches below probe every one of these lists immediately, so
-            // cold marks would only re-discover them one query at a time.
+            // Backfilled now rather than marked cold: the threshold searches
+            // below probe every one of these lists immediately, so cold
+            // marks would only re-discover them one query at a time.
             if !newly_live.is_empty() {
                 self.index.backfill_terms(&newly_live);
             }
         }
         for (qid, query) in batch {
             self.finish_register(*qid, Arc::clone(query));
-        }
-    }
-
-    /// Brings newly-live shadow terms in: cold marks under lazy registration
-    /// (the backfill runs at first probe), an immediate one-pass backfill
-    /// otherwise.
-    fn admit_newly_live(&mut self, newly_live: Vec<TermId>) {
-        if newly_live.is_empty() {
-            return;
-        }
-        if self.config.lazy_registration {
-            for term in newly_live {
-                self.index.mark_cold(term);
-            }
-        } else {
-            self.index.backfill_terms(&newly_live);
         }
     }
 
@@ -763,10 +731,11 @@ impl ItaEngine {
     /// engine whose valid-document window matches this one's (the sharded
     /// engine's shards all mirror the same window, so any shard pair
     /// qualifies). The migrated thresholds are filed into the threshold trees
-    /// verbatim and, on a term-filtered engine, newly-live terms are admitted
-    /// to the shadow index (cold under lazy registration, backfilled eagerly
-    /// otherwise) — after which this engine maintains the query
-    /// byte-identically to the one it left.
+    /// verbatim and, on a term-filtered engine, newly-live terms are marked
+    /// cold in the shadow index (DESIGN.md §9: the full-window backfill runs
+    /// only when a threshold search or roll-up first probes the list) — after
+    /// which this engine maintains the query byte-identically to the one it
+    /// left.
     ///
     /// # Panics
     ///
@@ -775,16 +744,14 @@ impl ItaEngine {
         self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let QueryMigration { state } = migration;
         if let Some(filter) = &mut self.term_filter {
-            // Under lazy registration the newly-live terms only go cold here:
-            // installation runs no threshold search, so a migration costs no
-            // window scan at all until (unless) the query is next probed.
-            let newly_live: Vec<TermId> = state
-                .thresholds
-                .iter()
-                .filter(|(term, _)| filter.acquire(*term))
-                .map(|(term, _)| *term)
-                .collect();
-            self.admit_newly_live(newly_live);
+            // The newly-live terms only go cold here: installation runs no
+            // threshold search, so a migration costs no window scan at all
+            // until (unless) the query is next probed.
+            for (term, _) in &state.thresholds {
+                if filter.acquire(*term) {
+                    self.index.mark_cold(*term);
+                }
+            }
         }
         for (term, theta) in &state.thresholds {
             self.trees.get_or_default(*term).insert(qid, *theta);
@@ -1228,7 +1195,6 @@ mod tests {
             SlidingWindow::count_based(64),
             ItaConfig {
                 enable_rollup: false,
-                ..ItaConfig::default()
             },
         );
         let query = ContinuousQuery::from_weights([(TermId(0), 1.0)], 2);
@@ -1581,7 +1547,7 @@ mod tests {
         assert_eq!(looped.register_postings_touched(), hits);
     }
 
-    /// Lazy registration makes migration free of window scans: terms go cold
+    /// Migration is free of window scans: terms go cold
     /// on install and are only backfilled when a probe actually needs them —
     /// and a same-term registration elsewhere counts as such a probe.
     #[test]
@@ -1615,38 +1581,6 @@ mod tests {
         assert_eq!(target.current_results(q), expected);
     }
 
-    /// The eager foil: with `lazy_registration` off, install pays its window
-    /// scan immediately (the pre-§9 behaviour the ablation bench prices).
-    #[test]
-    fn eager_migration_backfills_on_install() {
-        let hits = 6u64;
-        let eager = ItaConfig {
-            lazy_registration: false,
-            ..ItaConfig::default()
-        };
-        let mut source = ItaEngine::term_filtered(SlidingWindow::count_based(100), eager);
-        for i in 0..40u64 {
-            if i % 7 == 0 {
-                source.process_document(doc(i, &[(7, 0.3)]));
-            } else {
-                source.process_document(doc(i, &[(1000 + (i % 5) as u32, 0.5)]));
-            }
-        }
-        let q = source.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 2));
-        let migration = source.extract_query(q).expect("query is live");
-        let mut target = ItaEngine::term_filtered(SlidingWindow::count_based(100), eager);
-        for i in 0..40u64 {
-            if i % 7 == 0 {
-                target.process_document(doc(i, &[(7, 0.3)]));
-            } else {
-                target.process_document(doc(i, &[(1000 + (i % 5) as u32, 0.5)]));
-            }
-        }
-        target.install_query(q, migration);
-        assert_eq!(target.num_cold_terms(), 0);
-        assert_eq!(target.register_postings_touched(), hits);
-    }
-
     /// The checkpoint contract: after every `sync_checkpoint` the checkpoint
     /// holds exactly the live engine's state — through arrivals, expirations,
     /// registration, deregistration and migration in both directions, a
@@ -1656,11 +1590,8 @@ mod tests {
     fn sync_checkpoint_equals_clone_through_churn_migration_and_restore() {
         use crate::testkit::ScriptRng;
         let window = SlidingWindow::count_based(12);
-        for (seed, lazy_registration) in [(1u64, true), (2, false), (3, true), (4, false)] {
-            let config = ItaConfig {
-                lazy_registration,
-                ..ItaConfig::default()
-            };
+        let config = ItaConfig::default();
+        for seed in 1u64..=4 {
             let mut rng = ScriptRng::new(0x5C_0000 + seed);
             let mut live = ItaEngine::term_filtered(window, config);
             // A second shard over the same stream, to migrate to and from.

@@ -3,7 +3,8 @@
 //! This crate implements the contribution of the ICDE 2009 paper
 //! *"An Incremental Threshold Method for Continuous Text Search Queries"*
 //! (Mouratidis & Pang): the **Incremental Threshold Algorithm (ITA)**, plus
-//! the baselines it is evaluated against and a monitoring-server façade.
+//! the baselines it is evaluated against, and the two layers a caller puts
+//! around an engine.
 //!
 //! * [`ContinuousQuery`] — a registered query: weighted search terms and `k`.
 //! * [`ItaEngine`] — the paper's algorithm. Maintains, per query, a result
@@ -18,8 +19,12 @@
 //!   paper's §IV).
 //! * [`BruteForceOracle`] — an exhaustive re-evaluator used by the test suite
 //!   to validate both engines.
-//! * [`Monitor`] / [`MonitoringServer`] — event-loop wrappers that time every
-//!   stream event (the paper's "processing time" metric) and expose results.
+//! * [`ShardedItaEngine`] — ITA across query-partitioned worker shards, with
+//!   results and event outcomes byte-identical to [`ItaEngine`]'s.
+//! * [`Monitor`] — times every stream event (the paper's "processing time"
+//!   metric) around any engine; it is an [`Engine`] itself.
+//! * [`StreamService`] — admission control in front of a monitored engine: a
+//!   bounded ingest queue with explicit accept/coalesce/shed/retry answers.
 //!
 //! # Quick example
 //!
@@ -56,7 +61,6 @@ pub mod naive;
 pub mod oracle;
 pub mod query;
 pub mod result;
-pub mod server;
 pub mod service;
 pub mod sharded;
 pub mod slab;
@@ -74,7 +78,6 @@ pub use naive::{NaiveConfig, NaiveEngine};
 pub use oracle::BruteForceOracle;
 pub use query::ContinuousQuery;
 pub use result::ResultSet;
-pub use server::MonitoringServer;
 pub use service::{Admission, DrainReport, ServiceConfig, ShedReason, StreamService};
 pub use sharded::{RebalanceConfig, ShardedItaEngine};
 pub use slab::QuerySlab;

@@ -523,6 +523,10 @@ impl<E: Engine> Engine for Monitor<E> {
     fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
         self.engine.fault_stats()
     }
+
+    fn check_invariants(&self) {
+        self.engine.check_invariants()
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //! explicit admission control, deadline-aware load shedding and burst
 //! coalescing around any [`Engine`].
 //!
-//! [`crate::MonitoringServer`] assumes a polite caller that feeds events no
-//! faster than the engine drains them. [`StreamService`] drops that
-//! assumption: it sits between an abusive stream source and the engine,
-//! admits events into a **bounded queue** ([`ServiceConfig::queue_capacity`])
-//! and answers every offer with an explicit [`Admission`]:
+//! A bare [`Monitor`] assumes a polite caller that feeds events no faster
+//! than the engine drains them. [`StreamService`] drops that assumption: it
+//! sits between an abusive stream source and the engine, admits events into
+//! a **bounded queue** ([`ServiceConfig::queue_capacity`]) and answers every
+//! offer with an explicit [`Admission`]:
 //!
 //! * [`Admission::Accepted`] — the event was enqueued (or a registration ran
 //!   immediately). The service now owns it.
@@ -218,14 +218,8 @@ impl<E: Engine> StreamService<E> {
     /// Wraps `engine` behind a bounded ingest queue. Bounds below their
     /// documented minima are clamped (see [`ServiceConfig`]).
     pub fn new(engine: E, config: ServiceConfig) -> Self {
-        Self::from_monitor(Monitor::new(engine), config)
-    }
-
-    /// Wraps an existing monitor (keeping its accumulated stats) behind a
-    /// bounded ingest queue.
-    pub fn from_monitor(monitor: Monitor<E>, config: ServiceConfig) -> Self {
         Self {
-            monitor,
+            monitor: Monitor::new(engine),
             config: config.normalized(),
             queue: VecDeque::new(),
             pending_registers: VecDeque::new(),
@@ -466,12 +460,6 @@ impl<E: Engine> StreamService<E> {
     /// the accounting and the timing.
     pub fn engine_mut(&mut self) -> &mut E {
         self.monitor.engine_mut()
-    }
-
-    /// Consumes the service, returning the monitor (queued events and
-    /// pending registrations are dropped — pump first if they matter).
-    pub fn into_monitor(self) -> Monitor<E> {
-        self.monitor
     }
 
     fn advance_clock(&mut self, now: Timestamp) {

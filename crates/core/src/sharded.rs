@@ -10,42 +10,39 @@
 //! composition lists exist once in memory no matter how many shards mirror
 //! them).
 //!
-//! A stream event is fanned out **once**: the coordinator wraps the document
-//! in an `Arc`, pushes it down each shard's SPSC request channel, and every
-//! worker probes its own trees, repairs its own result sets and slides its
-//! own window mirror with **zero cross-shard locking on the hot path** — the
-//! only synchronisation is the channel handoff at the event boundary. The
+//! Stream events cross the coordinator/worker boundary in **bursts**, and a
+//! single event is a burst of one (DESIGN.md §8 has the traffic numbers that
+//! make this the only protocol): the coordinator wraps each document in an
+//! `Arc` and ships the burst down every shard's SPSC request channel in
+//! **one request/reply round-trip per shard**. Every worker probes its own
+//! trees, repairs its own result sets and slides its own window mirror with
+//! **zero cross-shard locking on the hot path** — the channel handoff at the
+//! burst boundary is the only synchronisation — processing (and timing) the
+//! events one by one, in order, so outcomes are byte-identical whatever the
+//! burst length (the batch-vs-singles differential tests enforce it). The
 //! per-shard [`crate::EventOutcome`]s are folded back with
 //! [`crate::EventOutcome::merge_shard`] into exactly what a single-shard
 //! engine would have reported, and per-worker [`ProcessingStats`] merge
 //! through [`ProcessingStats::absorb`], so monitors and the sweep harness
 //! see exact aggregate numbers.
 //!
-//! A stream **burst** is fanned out even more cheaply:
-//! [`crate::Engine::process_batch`] ships the whole batch of `Arc`'d
-//! documents to every shard in **one request/reply round-trip per shard**,
-//! amortising the channel handoff and worker wake-up across the burst while
-//! each worker still processes (and times) the events one by one, in order —
-//! so the outcomes are byte-identical to the per-event loop, which the
-//! batch-vs-singles differential tests enforce.
-//!
 //! ## Skew-aware rebalancing
 //!
 //! Static hash partitioning can be defeated by churn: if the surviving query
 //! population happens to concentrate on one shard, that worker carries the
 //! whole load while the rest idle. The coordinator therefore tracks the
-//! per-shard query count and, at load-change and batch boundaries (never
+//! per-shard query count and, at load-change and burst boundaries (never
 //! mid-event), **migrates** queries from the heaviest to the lightest shard
 //! while the heaviest exceeds [`RebalanceConfig::max_over_ideal`] times the
 //! uniform share. A migration moves the query's complete ITA state —
 //! result set, local thresholds, counters — via
 //! [`ItaEngine::extract_query`]/[`ItaEngine::install_query`]; the receiving
-//! shard backfills shadow-index lists for terms that just became live and
-//! files the migrated thresholds verbatim, so processing resumes
-//! byte-identically on the new shard (no threshold search is re-run). The
-//! routing table ([`ShardedItaEngine::assigned_shard`]) supersedes the
-//! initial hash placement ([`ShardedItaEngine::shard_of`]) once a query has
-//! moved.
+//! shard marks terms that just became live cold in its shadow index (their
+//! lists are backfilled at first probe) and files the migrated thresholds
+//! verbatim, so processing resumes byte-identically on the new shard (no
+//! threshold search is re-run). The routing table
+//! ([`ShardedItaEngine::assigned_shard`]) supersedes the initial hash
+//! placement ([`ShardedItaEngine::shard_of`]) once a query has moved.
 //!
 //! ## Fault tolerance
 //!
@@ -143,13 +140,10 @@ enum ShardRequest {
     RegisterBatch(SharedQueries),
     /// Remove a query (synchronous; replies whether it existed).
     Deregister(QueryId),
-    /// Process one fanned-out stream event (synchronous; replies with the
-    /// shard's [`EventOutcome`]).
-    Process(Arc<Document>),
-    /// Process a whole fanned-out burst in one round-trip (synchronous;
-    /// replies with one [`EventOutcome`] per document, in order). The burst
-    /// itself is shared: sending it to `N` shards bumps one refcount per
-    /// shard, not one per document per shard.
+    /// Process a fanned-out burst of stream events — a single event is a
+    /// burst of one — in one round-trip (synchronous; replies with one
+    /// [`EventOutcome`] per document, in order). The burst itself is shared:
+    /// `N` shards cost one refcount bump each, not one per document each.
     ProcessBatch(Arc<[Arc<Document>]>),
     /// Extract a query's complete ITA state for migration (synchronous).
     Extract(QueryId),
@@ -199,7 +193,6 @@ enum ShardRequest {
 enum ShardReply {
     Registered,
     Deregistered(bool),
-    Processed(EventOutcome),
     /// The per-document outcomes plus the most expensive single event of the
     /// batch as timed by this worker — the coordinator folds the maxima so
     /// batch-fed monitors still learn a true per-event maximum.
@@ -445,23 +438,26 @@ impl ShardWorker {
         is_poison_document(doc) && self.seen_poison.insert(doc.id.0)
     }
 
-    /// Applies one guarded, logged mutation with a single warm-recovery
-    /// retry: panic → restore checkpoint + log → retry once → second panic
-    /// poisons the shard.
-    fn mutate(&mut self, op: LogOp) -> Result<LogValue, ShardFault> {
-        for attempt in 0..2u8 {
+    /// Runs `attempt` on the engine under the panic guard with a single
+    /// warm-recovery retry: panic → restore checkpoint + log → retry once →
+    /// second panic poisons the shard. The one loop behind every guarded
+    /// mutation, stream events included.
+    fn apply_guarded<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut ItaEngine) -> T,
+    ) -> Result<T, ShardFault> {
+        let mut restored = false;
+        loop {
             let Some(engine) = self.engine.as_mut() else {
                 return Err(self.pending());
             };
-            match catch_unwind(AssertUnwindSafe(|| op.apply(engine))) {
-                Ok(value) => {
-                    self.log_mutation(op);
-                    return Ok(value);
-                }
+            match catch_unwind(AssertUnwindSafe(|| attempt(engine))) {
+                Ok(value) => return Ok(value),
                 Err(payload) => {
                     let context = panic_message(payload.as_ref());
                     self.notice.faults += 1;
-                    if attempt == 0 && self.try_restore() {
+                    if !restored && self.try_restore() {
+                        restored = true;
                         continue;
                     }
                     let fault = ShardFault {
@@ -473,62 +469,52 @@ impl ShardWorker {
                 }
             }
         }
-        unreachable!("both attempts return") // cts-lint: allow(panic-in-hot-path, the two-attempt loop returns on every arm)
+    }
+
+    /// Applies one guarded, logged mutation.
+    fn mutate(&mut self, op: LogOp) -> Result<LogValue, ShardFault> {
+        let value = self.apply_guarded(|engine| op.apply(engine))?;
+        self.log_mutation(op);
+        Ok(value)
     }
 
     /// Processes one stream event under the guard, recording stats for the
     /// successful attempt only (so a recovered run's counters match a
     /// fault-free run exactly). Fault injection detonates *after* the event
-    /// is applied.
+    /// is applied, and on the first attempt only.
     fn process_one(&mut self, doc: Arc<Document>) -> Result<(EventOutcome, Duration), ShardFault> {
         let mut inject = self.take_injection(&doc);
         let doc_id = doc.id;
         let op = LogOp::Process(doc);
-        for attempt in 0..2u8 {
-            let Some(engine) = self.engine.as_mut() else {
-                return Err(self.pending());
-            };
+        let (value, elapsed) = self.apply_guarded(|engine| {
             let injected = std::mem::take(&mut inject);
             let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the event for stats; never read by engine state)
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let value = op.apply(engine);
-                if injected {
-                    // cts-lint: allow(panic-in-hot-path, deliberate injected fault; the recovery machinery under test)
-                    panic!("injected fault while processing document {}", doc_id.0);
-                }
-                value
-            }));
-            match outcome {
-                Ok(LogValue::Processed(outcome)) => {
-                    let elapsed = start.elapsed();
-                    self.stats.record(&outcome, elapsed);
-                    self.log_mutation(op);
-                    return Ok((outcome, elapsed));
-                }
-                Ok(_) => unreachable!("a Process op yields Processed"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Process to Processed)
-                Err(payload) => {
-                    let context = panic_message(payload.as_ref());
-                    self.notice.faults += 1;
-                    if attempt == 0 && self.try_restore() {
-                        continue;
-                    }
-                    let fault = ShardFault {
-                        shard: self.shard,
-                        context,
-                    };
-                    self.poison(fault.clone());
-                    return Err(fault);
-                }
+            let value = op.apply(engine);
+            if injected {
+                // cts-lint: allow(panic-in-hot-path, deliberate injected fault; the recovery machinery under test)
+                panic!("injected fault while processing document {}", doc_id.0);
             }
-        }
-        unreachable!("both attempts return") // cts-lint: allow(panic-in-hot-path, the two-attempt loop returns on every arm)
+            (value, start.elapsed())
+        })?;
+        let LogValue::Processed(outcome) = value else {
+            unreachable!("a Process op yields Processed") // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Process to Processed)
+        };
+        self.stats.record(&outcome, elapsed);
+        self.log_mutation(op);
+        Ok((outcome, elapsed))
+    }
+
+    /// The engine, for a request that only reads it — or the fault to
+    /// report while the shard's state is gone.
+    fn live(&self) -> Result<&ItaEngine, ShardFault> {
+        self.engine.as_ref().ok_or_else(|| self.pending())
     }
 
     /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
     /// here; `guarded` converts it into a `Fault` reply carrying the message.
-    fn audit(&mut self) -> ShardReply {
+    fn audit(&mut self) -> Result<ShardReply, ShardFault> {
         let Some(engine) = self.engine.as_ref() else {
-            return ShardReply::Fault(self.pending());
+            return Err(self.pending());
         };
         engine.check_invariants();
         if let Some(component) = self.sync_mismatch.take() {
@@ -547,15 +533,16 @@ impl ShardWorker {
                 panic!("checkpoint + replayed log differs from the live engine: {component}");
             }
         }
-        ShardReply::InvariantsChecked
+        Ok(ShardReply::InvariantsChecked)
     }
 
     /// Serves one request with the outer panic guard: anything that escapes
     /// the per-op guards (e.g. a panic during restore replay) poisons the
-    /// shard instead of unwinding the thread.
+    /// shard instead of unwinding the thread. The one place a fault becomes
+    /// a reply.
     fn guarded(&mut self, request: ShardRequest) -> ShardReply {
         match catch_unwind(AssertUnwindSafe(|| self.handle(request))) {
-            Ok(reply) => reply,
+            Ok(reply) => reply.unwrap_or_else(ShardReply::Fault),
             Err(payload) => {
                 self.notice.faults += 1;
                 let fault = ShardFault {
@@ -568,77 +555,55 @@ impl ShardWorker {
         }
     }
 
-    fn handle(&mut self, request: ShardRequest) -> ShardReply {
-        match request {
-            ShardRequest::RegisterBatch(batch) => match self.mutate(LogOp::RegisterBatch(batch)) {
-                Ok(_) => ShardReply::Registered,
-                Err(fault) => ShardReply::Fault(fault),
-            },
-            ShardRequest::Deregister(qid) => match self.mutate(LogOp::Deregister(qid)) {
-                Ok(LogValue::Deregistered(removed)) => ShardReply::Deregistered(removed),
-                Ok(_) => unreachable!("a Deregister op yields Deregistered"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Deregister to Deregistered)
-                Err(fault) => ShardReply::Fault(fault),
-            },
-            ShardRequest::Process(doc) => match self.process_one(doc) {
-                Ok((outcome, _)) => ShardReply::Processed(outcome),
-                Err(fault) => ShardReply::Fault(fault),
+    fn handle(&mut self, request: ShardRequest) -> Result<ShardReply, ShardFault> {
+        Ok(match request {
+            ShardRequest::RegisterBatch(batch) => {
+                self.mutate(LogOp::RegisterBatch(batch))?;
+                ShardReply::Registered
+            }
+            ShardRequest::Deregister(qid) => match self.mutate(LogOp::Deregister(qid))? {
+                LogValue::Deregistered(removed) => ShardReply::Deregistered(removed),
+                _ => unreachable!("a Deregister op yields Deregistered"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Deregister to Deregistered)
             },
             ShardRequest::ProcessBatch(docs) => {
                 // One channel round-trip covers the whole burst; the worker
                 // still processes and times each event individually, so the
-                // outcomes and the per-worker stats are exactly the
-                // per-event loop's. A mid-batch unrecoverable fault fails
-                // the whole batch reply (the shard is degraded anyway).
+                // outcomes and the per-worker stats do not depend on how the
+                // stream was cut into bursts. A mid-batch unrecoverable fault
+                // fails the whole batch reply (the shard is degraded anyway).
                 let mut max_event = Duration::ZERO;
                 let mut outcomes = Vec::with_capacity(docs.len());
                 for doc in docs.iter() {
-                    match self.process_one(Arc::clone(doc)) {
-                        Ok((outcome, elapsed)) => {
-                            max_event = max_event.max(elapsed);
-                            outcomes.push(outcome);
-                        }
-                        Err(fault) => return ShardReply::Fault(fault),
-                    }
+                    let (outcome, elapsed) = self.process_one(Arc::clone(doc))?;
+                    max_event = max_event.max(elapsed);
+                    outcomes.push(outcome);
                 }
                 ShardReply::ProcessedBatch(outcomes, max_event)
             }
-            ShardRequest::Extract(qid) => match self.mutate(LogOp::Extract(qid)) {
-                Ok(LogValue::Extracted(migration)) => ShardReply::Extracted(migration),
-                Ok(_) => unreachable!("an Extract op yields Extracted"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Extract to Extracted)
-                Err(fault) => ShardReply::Fault(fault),
+            ShardRequest::Extract(qid) => match self.mutate(LogOp::Extract(qid))? {
+                LogValue::Extracted(migration) => ShardReply::Extracted(migration),
+                _ => unreachable!("an Extract op yields Extracted"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Extract to Extracted)
             },
             ShardRequest::Install(qid, migration) => {
-                match self.mutate(LogOp::Install(qid, migration)) {
-                    Ok(_) => ShardReply::Installed,
-                    Err(fault) => ShardReply::Fault(fault),
-                }
+                self.mutate(LogOp::Install(qid, migration))?;
+                ShardReply::Installed
             }
-            ShardRequest::Results(qid) => match self.engine.as_ref() {
-                Some(engine) => ShardReply::Results(engine.current_results(qid)),
-                None => ShardReply::Fault(self.pending()),
-            },
-            ShardRequest::QueryStats(qid) => match self.engine.as_ref() {
-                Some(engine) => ShardReply::QueryStats(engine.query_stats(qid)),
-                None => ShardReply::Fault(self.pending()),
-            },
-            ShardRequest::IndexStats => match self.engine.as_ref() {
-                Some(engine) => ShardReply::IndexStats(engine.index_stats()),
-                None => ShardReply::Fault(self.pending()),
-            },
+            ShardRequest::Results(qid) => ShardReply::Results(self.live()?.current_results(qid)),
+            ShardRequest::QueryStats(qid) => ShardReply::QueryStats(self.live()?.query_stats(qid)),
+            ShardRequest::IndexStats => ShardReply::IndexStats(self.live()?.index_stats()),
             ShardRequest::Stats => ShardReply::Stats(self.stats),
             ShardRequest::ResetStats => {
                 self.stats = ProcessingStats::default();
                 ShardReply::StatsReset
             }
-            ShardRequest::NumValidDocuments => match self.engine.as_ref() {
-                Some(engine) => ShardReply::NumValidDocuments(engine.num_valid_documents()),
-                None => ShardReply::Fault(self.pending()),
-            },
+            ShardRequest::NumValidDocuments => {
+                ShardReply::NumValidDocuments(self.live()?.num_valid_documents())
+            }
             ShardRequest::ArmFault => {
                 self.armed_faults += 1;
                 ShardReply::Armed
             }
-            ShardRequest::CheckInvariants => self.audit(),
+            ShardRequest::CheckInvariants => self.audit()?,
             ShardRequest::Rebuild(window_docs, queries) => {
                 // Cold resurrection from the coordinator's durable state:
                 // register the queries, then replay the window as arrivals.
@@ -663,7 +628,7 @@ impl ShardWorker {
                 // cts-lint: allow(panic-in-hot-path, the worker loop intercepts lifecycle requests before handle)
                 unreachable!("lifecycle requests are handled by the worker loop")
             }
-        }
+        })
     }
 }
 
@@ -737,7 +702,7 @@ fn spawn_with_retry<T, E>(
 ///
 /// The coordinator evaluates balance whenever the load distribution can have
 /// changed and a migration is safe — after a registration, after a
-/// deregistration and after each processed batch, never inside an event —
+/// deregistration and after each processed burst, never inside an event —
 /// and migrates queries from the heaviest to the lightest shard while
 /// **both** hold:
 ///
@@ -840,8 +805,8 @@ pub struct ShardedItaEngine {
     fault_state: RefCell<FaultState>,
     /// Total queries migrated by the rebalancer since construction.
     migrations: u64,
-    /// Most expensive single event seen inside any processed batch, as timed
-    /// by the workers (max over shards and batches). This is what
+    /// Most expensive single event seen inside any processed burst, as timed
+    /// by the workers (max over shards and bursts, of whatever length). What
     /// [`Engine::batched_max_event_time`] reports; cleared by
     /// [`ShardedItaEngine::reset_shard_stats`].
     batched_max_event: Duration,
@@ -994,9 +959,9 @@ impl ShardedItaEngine {
     }
 
     /// Replaces the rebalancing policy at runtime. Takes effect at the next
-    /// balance check (the next registration, deregistration or batch
-    /// boundary) — an already-skewed placement is repaired then, not
-    /// immediately.
+    /// balance check (the next registration, deregistration or burst
+    /// boundary — a single event is a burst of one) — an already-skewed
+    /// placement is repaired then, not immediately.
     ///
     /// # Panics
     ///
@@ -1119,22 +1084,45 @@ impl ShardedItaEngine {
         self.recv_reply(shard)
     }
 
+    /// Sends `request` to `shard` and says whether a reply is now pending —
+    /// the one place a fan-out meets a worker that died unseen. Under
+    /// [`FaultPolicy::BlockUntilRecovered`] the shard is resurrected on the
+    /// spot; a registration needs no more (`resend` false: the rebuild runs
+    /// it from the registry), stream events are sent again — they reach the
+    /// mirror only after the fan-out, so the rebuilt shard is in the exact
+    /// pre-burst state and its share of the outcome survives. Otherwise the
+    /// disconnect is noted in `first_error`.
+    fn send_or_resurrect(
+        &mut self,
+        shard: usize,
+        request: ShardRequest,
+        resend: bool,
+        first_error: &mut Option<EngineError>,
+    ) -> bool {
+        let Err(std::sync::mpsc::SendError(request)) = self.workers[shard].sender.send(request)
+        else {
+            return true;
+        };
+        self.note_disconnect(shard);
+        if self.faults.policy == FaultPolicy::BlockUntilRecovered && self.resurrect(shard).is_ok() {
+            if !resend {
+                return false;
+            }
+            if self.send(shard, request).is_ok() {
+                return true;
+            }
+        }
+        first_error.get_or_insert(EngineError::ShardUnavailable { shard });
+        false
+    }
+
     /// Applies the degraded-mode policy to shards degraded by *previous*
     /// operations, at the start of every mutating operation.
     fn ensure_serviceable(&mut self) -> Result<(), EngineError> {
-        if !self.any_degraded() {
-            return Ok(());
-        }
-        match self.faults.policy {
-            FaultPolicy::BlockUntilRecovered => self.recover_degraded().map(|_| ()),
-            FaultPolicy::ServeDegraded => Ok(()),
-            FaultPolicy::FailFast => {
-                let state = self.fault_state.borrow();
-                match state.degraded.iter().position(|d| *d) {
-                    Some(shard) => Err(EngineError::ShardUnavailable { shard }),
-                    None => Ok(()),
-                }
-            }
+        let degraded = self.fault_state.borrow().degraded.iter().position(|d| *d);
+        match degraded {
+            Some(shard) => self.handle_shard_failure(EngineError::ShardUnavailable { shard }),
+            None => Ok(()),
         }
     }
 
@@ -1153,20 +1141,12 @@ impl ShardedItaEngine {
     /// [`FaultPolicy::BlockUntilRecovered`] this happens automatically; the
     /// other policies require this explicit call.
     pub fn recover_degraded(&mut self) -> Result<usize, EngineError> {
-        let degraded: Vec<usize> = {
-            let state = self.fault_state.borrow();
-            state
-                .degraded
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| **d)
-                .map(|(shard, _)| shard)
-                .collect()
-        };
         let mut recovered = 0;
-        for shard in degraded {
-            self.resurrect(shard)?;
-            recovered += 1;
+        for shard in 0..self.workers.len() {
+            if self.is_degraded(shard) {
+                self.resurrect(shard)?;
+                recovered += 1;
+            }
         }
         Ok(recovered)
     }
@@ -1185,10 +1165,7 @@ impl ShardedItaEngine {
         let rebuild = |engine: &Self| {
             ShardRequest::Rebuild(engine.mirror.iter().cloned().collect(), queries.clone())
         };
-        let mut reply = match self.workers[shard].sender.send(rebuild(self)) {
-            Ok(()) => self.recv_reply(shard),
-            Err(_) => Err(EngineError::ShardUnavailable { shard }),
-        };
+        let mut reply = self.call_shard(shard, rebuild(self));
         if matches!(reply, Err(EngineError::ShardUnavailable { .. })) {
             // The thread is gone, not just poisoned — and an exiting thread
             // can still accept the request before it hangs up, so a
@@ -1222,13 +1199,8 @@ impl ShardedItaEngine {
             self.fault_state.borrow_mut().stats.spawn_retries += 1;
             Self::spawn_worker(shard, self.window, self.config, interval)
         });
-        match handle {
-            Ok(handle) => {
-                self.workers[shard] = handle;
-                Ok(())
-            }
-            Err(_) => Err(EngineError::ShardUnavailable { shard }),
-        }
+        self.workers[shard] = handle.map_err(|_| EngineError::ShardUnavailable { shard })?;
+        Ok(())
     }
 
     /// Appends `doc` to the durable window mirror and prunes it with the
@@ -1268,155 +1240,65 @@ impl ShardedItaEngine {
     }
 
     /// Fallible single-event processing: the `try_*` twin of
-    /// [`Engine::process_document`]. Under
-    /// [`FaultPolicy::BlockUntilRecovered`] (the default) a mid-event fault
-    /// is repaired before returning and the merged outcome is preserved
-    /// whenever the faulted shard could be restored warm or resent the
-    /// event; under [`FaultPolicy::ServeDegraded`] the healthy shards'
-    /// partial outcome is returned; under [`FaultPolicy::FailFast`] the
-    /// first fault surfaces as a typed error.
+    /// [`Engine::process_document`] — a burst of one through
+    /// [`ShardedItaEngine::try_process_batch`], with its policy semantics.
     pub fn try_process(&mut self, doc: Document) -> Result<EventOutcome, EngineError> {
-        self.ensure_serviceable()?;
-        self.clock = doc.arrival;
-        let doc = Arc::new(doc);
-        let shards = self.workers.len();
-        let mut sent = vec![false; shards];
-        let mut first_error: Option<EngineError> = None;
-        for (shard, sent) in sent.iter_mut().enumerate() {
-            if self.is_degraded(shard) {
-                continue;
-            }
-            match self.send(shard, ShardRequest::Process(Arc::clone(&doc))) {
-                Ok(()) => *sent = true,
-                Err(err) => {
-                    let mut unresolved = Some(err);
-                    // The worker died before seeing the event. The mirror
-                    // does not contain it yet, so a rebuild here restores
-                    // the exact pre-event state, and resending makes the
-                    // restored shard process the event like every other
-                    // shard — the outcome is fully preserved.
-                    if self.faults.policy == FaultPolicy::BlockUntilRecovered
-                        && self.resurrect(shard).is_ok()
-                        && self
-                            .send(shard, ShardRequest::Process(Arc::clone(&doc)))
-                            .is_ok()
-                    {
-                        *sent = true;
-                        unresolved = None;
-                    }
-                    if let Some(err) = unresolved {
-                        first_error.get_or_insert(err);
-                    }
-                }
-            }
-        }
-        // The event becomes durable before outcomes are read: any recovery
-        // from here on replays it from the mirror.
-        let expired = self.push_mirror(Arc::clone(&doc));
-        let mut merged: Option<EventOutcome> = None;
-        for (shard, &sent) in sent.iter().enumerate() {
-            if !sent {
-                continue;
-            }
-            match self.recv_reply(shard) {
-                Ok(ShardReply::Processed(outcome)) => {
-                    debug_assert_eq!(
-                        outcome.expired, expired,
-                        "mirror disagreed with a shard's expirations"
-                    );
-                    match merged.as_mut() {
-                        Some(into) => into.merge_shard(&outcome),
-                        None => merged = Some(outcome),
-                    }
-                }
-                Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-                Err(err) => {
-                    first_error.get_or_insert(err);
-                }
-            }
-        }
-        if let Some(err) = first_error {
-            self.handle_shard_failure(err)?;
-        }
-        if self.faults.policy == FaultPolicy::ServeDegraded && self.any_degraded() {
-            self.fault_state.borrow_mut().stats.events_during_degraded += 1;
-        }
-        Ok(merged.unwrap_or(EventOutcome {
-            arrived: doc.id,
-            expired,
-            ..EventOutcome::default()
-        }))
+        let outcome = self.try_process_batch(vec![doc])?.pop();
+        // cts-lint: allow(panic-in-hot-path, try_process_batch returns exactly one outcome per document)
+        Ok(outcome.expect("one outcome per document")) // cts-lint: allow(unwrap-in-service, try_process_batch returns exactly one outcome per document)
     }
 
     /// Fallible burst processing: the `try_*` twin of
-    /// [`Engine::process_batch`], with the same policy semantics as
-    /// [`ShardedItaEngine::try_process`]. An unrecoverable mid-batch fault
-    /// loses the faulted shard's outcome contributions for the whole batch
-    /// (its state is rebuilt post-batch from the mirror) — reachable only
-    /// with checkpointing disabled.
+    /// [`Engine::process_batch`], and the one path a stream event takes to
+    /// the shards. Under [`FaultPolicy::BlockUntilRecovered`] (the default)
+    /// a mid-burst fault is repaired before returning and the merged
+    /// outcomes are preserved whenever the faulted shard could be restored
+    /// warm or resent the burst (otherwise its contributions to the whole
+    /// burst are lost and its state is rebuilt from the mirror — reachable
+    /// only with checkpointing disabled); under
+    /// [`FaultPolicy::ServeDegraded`] the healthy shards' partial outcomes
+    /// are returned; under [`FaultPolicy::FailFast`] the first fault
+    /// surfaces as a typed error.
     pub fn try_process_batch(
         &mut self,
         docs: Vec<Document>,
     ) -> Result<Vec<EventOutcome>, EngineError> {
-        if docs.is_empty() {
+        let Some(last) = docs.last() else {
             return Ok(Vec::new());
-        }
+        };
         self.ensure_serviceable()?;
-        if let Some(last) = docs.last() {
-            self.clock = last.arrival;
-        }
+        self.clock = last.arrival;
         let docs: Arc<[Arc<Document>]> = docs.into_iter().map(Arc::new).collect();
-        let shards = self.workers.len();
-        let mut sent = vec![false; shards];
         let mut first_error: Option<EngineError> = None;
-        for (shard, sent) in sent.iter_mut().enumerate() {
-            if self.is_degraded(shard) {
-                continue;
-            }
-            match self.send(shard, ShardRequest::ProcessBatch(Arc::clone(&docs))) {
-                Ok(()) => *sent = true,
-                Err(err) => {
-                    let mut unresolved = Some(err);
-                    if self.faults.policy == FaultPolicy::BlockUntilRecovered
-                        && self.resurrect(shard).is_ok()
-                        && self
-                            .send(shard, ShardRequest::ProcessBatch(Arc::clone(&docs)))
-                            .is_ok()
-                    {
-                        *sent = true;
-                        unresolved = None;
-                    }
-                    if let Some(err) = unresolved {
-                        first_error.get_or_insert(err);
-                    }
-                }
+        let mut pending = Vec::with_capacity(self.workers.len());
+        for shard in 0..self.workers.len() {
+            let request = ShardRequest::ProcessBatch(Arc::clone(&docs));
+            if !self.is_degraded(shard)
+                && self.send_or_resurrect(shard, request, true, &mut first_error)
+            {
+                pending.push(shard);
             }
         }
-        let expired: Vec<usize> = docs
+        // The burst becomes durable before outcomes are read: any recovery
+        // from here on replays it from the mirror. The mirror's view seeds
+        // the merge: `merge_shard` debug-checks every shard's expirations
+        // against it, and a burst no shard answered still reports them.
+        let mut merged: Vec<EventOutcome> = docs
             .iter()
-            .map(|doc| self.push_mirror(Arc::clone(doc)))
+            .map(|doc| EventOutcome {
+                arrived: doc.id,
+                expired: self.push_mirror(Arc::clone(doc)),
+                ..EventOutcome::default()
+            })
             .collect();
-        let mut merged: Option<Vec<EventOutcome>> = None;
         let mut batch_max = Duration::ZERO;
-        for (shard, &sent) in sent.iter().enumerate() {
-            if !sent {
-                continue;
-            }
+        for shard in pending {
             match self.recv_reply(shard) {
                 Ok(ShardReply::ProcessedBatch(outcomes, max_event)) => {
+                    debug_assert_eq!(outcomes.len(), merged.len(), "shards saw different bursts");
                     batch_max = batch_max.max(max_event);
-                    match merged.as_mut() {
-                        Some(into) => {
-                            debug_assert_eq!(
-                                outcomes.len(),
-                                into.len(),
-                                "shards saw different batches"
-                            );
-                            for (into, outcome) in into.iter_mut().zip(&outcomes) {
-                                into.merge_shard(outcome);
-                            }
-                        }
-                        None => merged = Some(outcomes),
+                    for (into, outcome) in merged.iter_mut().zip(&outcomes) {
+                        into.merge_shard(outcome);
                     }
                 }
                 Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
@@ -1432,20 +1314,11 @@ impl ShardedItaEngine {
         if self.faults.policy == FaultPolicy::ServeDegraded && self.any_degraded() {
             self.fault_state.borrow_mut().stats.events_during_degraded += docs.len() as u64;
         }
-        // The batch boundary is a safe point to repair skew: no event is in
+        // The burst boundary is a safe point to repair skew: no event is in
         // flight, so a migration cannot split an arrival from its
         // expirations.
         self.maybe_rebalance();
-        Ok(merged.unwrap_or_else(|| {
-            docs.iter()
-                .zip(&expired)
-                .map(|(doc, &expired)| EventOutcome {
-                    arrived: doc.id,
-                    expired,
-                    ..EventOutcome::default()
-                })
-                .collect()
-        }))
+        Ok(merged)
     }
 
     /// Fallible registration burst: the `try_*` twin of
@@ -1502,22 +1375,9 @@ impl ShardedItaEngine {
             if group.is_empty() {
                 continue;
             }
-            let group: SharedQueries = std::mem::take(group).into();
-            match self.send(shard, ShardRequest::RegisterBatch(group)) {
-                Ok(()) => pending.push(shard),
-                Err(err) => {
-                    // No resend needed: the rebuild registers the group
-                    // straight from the registry.
-                    let mut unresolved = Some(err);
-                    if self.faults.policy == FaultPolicy::BlockUntilRecovered
-                        && self.resurrect(shard).is_ok()
-                    {
-                        unresolved = None;
-                    }
-                    if let Some(err) = unresolved {
-                        first_error.get_or_insert(err);
-                    }
-                }
+            let request = ShardRequest::RegisterBatch(std::mem::take(group).into());
+            if self.send_or_resurrect(shard, request, false, &mut first_error) {
+                pending.push(shard);
             }
         }
         for shard in pending {
@@ -1686,7 +1546,8 @@ impl ShardedItaEngine {
 
     /// Fans one request to every healthy shard, then collects the replies
     /// in shard order, substituting `fallback` for degraded or faulting
-    /// shards (the fan-out/fan-in used for stream events and statistics).
+    /// shards (the fan-out/fan-in of the read-only requests: index and
+    /// processing statistics, and the stats reset).
     fn broadcast_collect<T>(
         &self,
         mut request: impl FnMut() -> ShardRequest,
@@ -1717,7 +1578,7 @@ impl ShardedItaEngine {
     /// Runs one balance check (see [`RebalanceConfig`]): while the heaviest
     /// shard exceeds the trigger ratio over the uniform share **and** a
     /// migration reduces imbalance, move the heaviest shard's most recently
-    /// placed query to the lightest shard. Called at load-change and batch
+    /// placed query to the lightest shard. Called at load-change and burst
     /// boundaries only — never between an arrival and its expirations — so
     /// migration can never split an event. Skipped entirely while any shard
     /// is degraded (migration would touch unrecovered state).
@@ -1760,11 +1621,11 @@ impl ShardedItaEngine {
     /// Moves the complete ITA state of the query at `placement[from][slot]`
     /// to shard `to` (extract, reroute, install). Outcome-neutral by
     /// construction: the migrated thresholds and result set are installed
-    /// verbatim and the receiving shadow index backfills any term that just
-    /// became live, so every subsequent event is processed exactly as it
-    /// would have been on the old shard. The routing tables move **between**
-    /// extract and install, so a fault on either side leaves durable state
-    /// pointing at the shard that should (re)build the query.
+    /// verbatim and the receiving shadow index covers any term that just
+    /// became live (cold until first probed), so every subsequent event is
+    /// processed as it would have been on the old shard. The routing tables
+    /// move **between** extract and install, so a fault on either side leaves
+    /// durable state pointing at the shard that should (re)build the query.
     fn migrate(&mut self, from: usize, slot: usize, to: usize) -> Result<(), EngineError> {
         let qid = self.placement[from][slot];
         let migration = match self.call_shard(from, ShardRequest::Extract(qid))? {
@@ -2127,6 +1988,62 @@ mod tests {
         }
         assert_eq!(batched.clock(), singles.clock());
         assert!(batched.process_batch(Vec::new()).is_empty());
+    }
+
+    /// A worker that died unseen is found by the fan-out itself: the shard is
+    /// rebuilt from the mirror, which does not hold the burst yet, and the
+    /// burst — here of one event, through either entry point — is sent
+    /// again, so the shard's share of the outcome survives. (A rebuild after
+    /// mirroring would have replayed the event unrecorded.)
+    #[test]
+    fn a_singleton_sent_to_a_dead_worker_is_resent_after_resurrection() {
+        let window = SlidingWindow::count_based(8);
+        let mut reference = ItaEngine::new(window, ItaConfig::default());
+        let mut singles = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+        let mut bursts = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+        let mut qids = Vec::new();
+        for k in 0..6usize {
+            let q = query(&[(0, 1.0)], 1 + k % 3);
+            qids.push(reference.register(q.clone()));
+            singles.register(q.clone());
+            bursts.register(q);
+        }
+        assert!(singles.shard_loads()[1] > 0, "shard 1 hosts nothing");
+        for i in 0..12u64 {
+            let d = doc(i, &[((i % 3) as u32, 0.1 + (i % 4) as f64 * 0.1)]);
+            reference.process_document(d.clone());
+            singles.process_document(d.clone());
+            bursts.process_document(d);
+        }
+        for engine in [&mut singles, &mut bursts] {
+            // Joined, so the next send fails instead of racing the exit.
+            assert!(engine.inject_disconnect(1));
+            let thread = engine.workers[1].thread.take().expect("worker thread");
+            thread.join().expect("the crash hook exits cleanly");
+        }
+        // The new best document of every query, on both shards.
+        let d = doc(12, &[(0, 0.9)]);
+        let expected = reference.process_document(d.clone());
+        assert_eq!(expected.results_changed, qids.len());
+        let single = singles.process_document(d.clone());
+        assert_eq!(bursts.process_batch(vec![d]), vec![single]);
+        assert_eq!(
+            (single.arrived, single.expired, single.results_changed),
+            (expected.arrived, expected.expired, expected.results_changed)
+        );
+        for engine in [&singles, &bursts] {
+            // The respawned worker replayed the window unrecorded; the one
+            // event it counts is the resent one.
+            assert_eq!(engine.shard_stats()[1].events, 1);
+            let stats = engine.fault_stats().expect("tracked");
+            assert_eq!(
+                (stats.faults, stats.recoveries, stats.degraded_shards),
+                (1, 1, 0)
+            );
+            for &q in &qids {
+                assert_eq!(engine.current_results(q), reference.current_results(q));
+            }
+        }
     }
 
     #[test]

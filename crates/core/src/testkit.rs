@@ -890,7 +890,9 @@ impl OverloadConfig {
 ///   [`Engine::register_batch`] flush, with identical id assignment;
 /// * every event the service reports processed is replayed into the
 ///   reference, with identical [`crate::EventOutcome`]s and periodically
-///   identical top-k results on all live queries;
+///   identical top-k results on all live queries (and, under the
+///   `invariant-checks` feature or a unit-test build, a clean
+///   [`Engine::check_invariants`] audit of the candidate at each comparison);
 /// * at final quiescence the identity collapses to
 ///   `offered == accepted + coalesced + shed` and all live results match
 ///   exactly.
@@ -1040,6 +1042,10 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         );
         service.check_accounting();
         if round % 8 == 0 {
+            // The same deep audit, under the same gate, `run_script` runs
+            // per op — here wherever live results are compared.
+            #[cfg(any(test, feature = "invariant-checks"))]
+            service.engine().check_invariants();
             for &query in &live {
                 assert_eq!(
                     service.results(query),
@@ -1075,6 +1081,8 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         overload.accepted + overload.coalesced + overload.shed(),
         "seed {seed:#x}: quiescent shed accounting violated"
     );
+    #[cfg(any(test, feature = "invariant-checks"))]
+    service.engine().check_invariants();
     for &query in &live {
         assert_eq!(
             service.results(query),
@@ -1277,6 +1285,59 @@ mod tests {
             "a bursty session against a 64-slot queue must shed: {overload:?}"
         );
         assert!(overload.register_offered > 0, "no registration storms ran");
+    }
+
+    /// An engine that is nothing but a failing audit: whoever drops the
+    /// `check_invariants` call on the way to it goes unnoticed no longer.
+    struct AuditPanics;
+
+    impl Engine for AuditPanics {
+        fn register(&mut self, _: ContinuousQuery) -> QueryId {
+            unimplemented!("audit-only stub")
+        }
+        fn deregister(&mut self, _: QueryId) -> bool {
+            unimplemented!("audit-only stub")
+        }
+        fn process_document(&mut self, _: Document) -> crate::EventOutcome {
+            unimplemented!("audit-only stub")
+        }
+        fn current_results(&self, _: QueryId) -> Vec<crate::RankedDocument> {
+            unimplemented!("audit-only stub")
+        }
+        fn num_queries(&self) -> usize {
+            0
+        }
+        fn num_valid_documents(&self) -> usize {
+            0
+        }
+        fn clock(&self) -> Timestamp {
+            Timestamp::ZERO
+        }
+        fn name(&self) -> &'static str {
+            "audit-panics"
+        }
+        fn check_invariants(&self) {
+            panic!("the audit reached the engine");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the audit reached the engine")]
+    fn a_monitored_engine_is_still_audited() {
+        crate::Monitor::new(AuditPanics).check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "the audit reached the engine")]
+    fn overload_sessions_audit_the_candidate() {
+        // No rounds: the session goes straight to its quiescence checks, so
+        // the stub is never asked to be an engine.
+        let config = OverloadConfig {
+            bursts: 0,
+            ..OverloadConfig::default()
+        };
+        let mut reference = ItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default());
+        run_overload_session(AuditPanics, &mut reference, &config, 0x7E57_0B02);
     }
 
     #[test]

@@ -282,96 +282,89 @@ fn fault_right_after_a_rebuild_recovers_from_the_new_checkpoint() {
 /// A fault after the rebalancer moved queries between two syncs: the source
 /// shard's log holds an `Extract`, the destination's an `Install` carrying
 /// the migrated result set and thresholds, and recovery must replay both to
-/// the byte. Runs the eager-registration arm too, where an install backfills
-/// its shadow lists at once — more dirty lists for the next sync, and more
-/// work for a replayed `Install` to redo identically.
+/// the byte.
 #[test]
 fn fault_after_a_migration_between_syncs_replays_extract_and_install() {
     for interval in SYNC_CADENCES {
-        for lazy_registration in [false, true] {
-            let config = ItaConfig {
-                lazy_registration,
-                ..ItaConfig::default()
-            };
-            let faults = FaultConfig {
-                checkpoint_interval: interval,
-                ..FaultConfig::default()
-            };
-            let shards = 4;
-            let window = SlidingWindow::count_based(12);
-            let mut rng = ScriptRng::new(0x316A_0000 + interval as u64);
-            let mut reference = ItaEngine::new(window, config);
-            let mut sharded = ShardedItaEngine::with_faults(
-                window,
-                config,
-                shards,
-                RebalanceConfig::default(),
-                faults,
-            );
-            let qids: Vec<QueryId> = (0..24)
-                .map(|_| {
-                    let query = small_query(&mut rng);
-                    let qid = reference.register(query.clone());
-                    assert_eq!(qid, sharded.register(query));
-                    qid
-                })
-                .collect();
-            let mut id = 0u64;
-            for _ in 0..30 {
-                let doc = tie_heavy_doc(&mut rng, id);
-                assert_lockstep_event(&mut reference, &mut sharded, &doc, &qids);
-                id += 1;
+        let config = ItaConfig::default();
+        let faults = FaultConfig {
+            checkpoint_interval: interval,
+            ..FaultConfig::default()
+        };
+        let shards = 4;
+        let window = SlidingWindow::count_based(12);
+        let mut rng = ScriptRng::new(0x316A_0000 + interval as u64);
+        let mut reference = ItaEngine::new(window, config);
+        let mut sharded = ShardedItaEngine::with_faults(
+            window,
+            config,
+            shards,
+            RebalanceConfig::default(),
+            faults,
+        );
+        let qids: Vec<QueryId> = (0..24)
+            .map(|_| {
+                let query = small_query(&mut rng);
+                let qid = reference.register(query.clone());
+                assert_eq!(qid, sharded.register(query));
+                qid
+            })
+            .collect();
+        let mut id = 0u64;
+        for _ in 0..30 {
+            let doc = tie_heavy_doc(&mut rng, id);
+            assert_lockstep_event(&mut reference, &mut sharded, &doc, &qids);
+            id += 1;
+        }
+        // Concentrate the survivors on shard 0: every deregistration that
+        // tips the balance makes the rebalancer migrate — and right after
+        // each migration every shard faults on the next event.
+        let survivors: Vec<QueryId> = qids
+            .iter()
+            .copied()
+            .filter(|&q| sharded.shard_of(q) == 0)
+            .collect();
+        assert!(survivors.len() >= 2, "need at least two survivors");
+        let mut live = qids.clone();
+        let mut armed = 0u64;
+        let mut migrations = 0;
+        for &q in &qids {
+            if survivors.contains(&q) {
+                continue;
             }
-            // Concentrate the survivors on shard 0: every deregistration that
-            // tips the balance makes the rebalancer migrate — and right after
-            // each migration every shard faults on the next event.
-            let survivors: Vec<QueryId> = qids
-                .iter()
-                .copied()
-                .filter(|&q| sharded.shard_of(q) == 0)
-                .collect();
-            assert!(survivors.len() >= 2, "need at least two survivors");
-            let mut live = qids.clone();
-            let mut armed = 0u64;
-            let mut migrations = 0;
-            for &q in &qids {
-                if survivors.contains(&q) {
-                    continue;
-                }
-                assert!(sharded.deregister(q) && reference.deregister(q));
-                live.retain(|&other| other != q);
-                if sharded.migrations() > migrations {
-                    migrations = sharded.migrations();
-                    for shard in 0..shards {
-                        assert!(sharded.inject_fault(shard));
-                        armed += 1;
-                    }
-                    let doc = tie_heavy_doc(&mut rng, id);
-                    assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
-                    sharded.check_invariants();
-                    id += 1;
-                }
-            }
-            assert!(migrations > 0, "cadence {interval}: nothing migrated");
-            // The migrated queries keep living byte-identically, across
-            // further syncs and one more round of faults.
-            for step in 0..(interval.min(40) + 20) {
-                if step == 10 {
-                    for shard in 0..shards {
-                        assert!(sharded.inject_fault(shard));
-                        armed += 1;
-                    }
+            assert!(sharded.deregister(q) && reference.deregister(q));
+            live.retain(|&other| other != q);
+            if sharded.migrations() > migrations {
+                migrations = sharded.migrations();
+                for shard in 0..shards {
+                    assert!(sharded.inject_fault(shard));
+                    armed += 1;
                 }
                 let doc = tie_heavy_doc(&mut rng, id);
                 assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
+                sharded.check_invariants();
                 id += 1;
             }
-            sharded.check_invariants();
-            let stats = sharded.fault_stats().expect("tracked");
-            assert_eq!(stats.faults, armed);
-            assert_eq!(stats.recoveries, armed, "a migration-era fault went cold");
-            assert_eq!(stats.degraded_shards, 0);
         }
+        assert!(migrations > 0, "cadence {interval}: nothing migrated");
+        // The migrated queries keep living byte-identically, across
+        // further syncs and one more round of faults.
+        for step in 0..(interval.min(40) + 20) {
+            if step == 10 {
+                for shard in 0..shards {
+                    assert!(sharded.inject_fault(shard));
+                    armed += 1;
+                }
+            }
+            let doc = tie_heavy_doc(&mut rng, id);
+            assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
+            id += 1;
+        }
+        sharded.check_invariants();
+        let stats = sharded.fault_stats().expect("tracked");
+        assert_eq!(stats.faults, armed);
+        assert_eq!(stats.recoveries, armed, "a migration-era fault went cold");
+        assert_eq!(stats.degraded_shards, 0);
     }
 }
 

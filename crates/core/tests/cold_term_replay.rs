@@ -27,7 +27,7 @@ fn pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {
 fn cold_terms_survive_warm_replay_across_shard_counts() {
     // The chaos shape with the burst knobs turned up: bursts mint batches of
     // cold terms, and the elevated fault rate forces each shard through
-    // several checkpoint + op-log replays per script. Lazy (reference) and
+    // several checkpoint + op-log replays per script. Reference and
     // sharded engines must agree byte-for-byte through every recovery.
     let config = ScriptConfig {
         events: 220,
@@ -41,36 +41,6 @@ fn cold_terms_survive_warm_replay_across_shard_counts() {
             &|| pair(window, shards),
             &config,
             0x5EED_7000 + shards as u64,
-        );
-    }
-}
-
-#[test]
-fn eager_and_lazy_registration_agree_under_chaos() {
-    // Same stream, but the candidate set pits eager backfill (no cold terms
-    // ever) against the lazy default: the cold→warm promotion must be
-    // invisible even when recovery replays it.
-    let config = ScriptConfig {
-        events: 180,
-        ..ScriptConfig::chaos_storm()
-    };
-    let engines = |window: SlidingWindow, shards: usize| -> Vec<Box<dyn Engine>> {
-        let eager = ItaConfig {
-            lazy_registration: false,
-            ..ItaConfig::default()
-        };
-        vec![
-            Box::new(ItaEngine::new(window, ItaConfig::default())),
-            Box::new(ItaEngine::new(window, eager)),
-            Box::new(ShardedItaEngine::new(window, ItaConfig::default(), shards)),
-        ]
-    };
-    for shards in [2usize, 4] {
-        let window = SlidingWindow::count_based(20);
-        assert_script_equivalence(
-            &|| engines(window, shards),
-            &config,
-            0x5EED_8000 + shards as u64,
         );
     }
 }

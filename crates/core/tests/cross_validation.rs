@@ -174,7 +174,6 @@ fn ita_without_rollup_still_matches_the_oracle() {
         window,
         ItaConfig {
             enable_rollup: false,
-            ..ItaConfig::default()
         },
     );
     let mut oracle = BruteForceOracle::new(window);

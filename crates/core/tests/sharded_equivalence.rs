@@ -136,19 +136,13 @@ fn sharded_matches_single_shard_with_heavy_query_churn() {
 
 /// The registration-heavy axis: [`ScriptConfig::churn_storm`] scripts mix
 /// [`cts_core::testkit::Op::RegisterBurst`]s into the churn, and the engine
-/// set pits every registration strategy against the lazy reference at once —
-/// eager backfill (`lazy_registration: false`), a [`LoopRegister`]-pinned
-/// twin (bulk path disabled) and the sharded engine's one-round-trip-per-
-/// shard burst fan-out. Bulk merge, cold→warm shadow-list promotion and the
-/// per-shard burst protocol must all be byte-invisible.
+/// set pits every registration strategy against the reference at once — a
+/// [`LoopRegister`]-pinned twin (bulk path disabled) and the sharded engine's
+/// one-round-trip-per-shard burst fan-out. Bulk merge, cold→warm shadow-list
+/// promotion and the per-shard burst protocol must all be byte-invisible.
 fn churn_storm_engines(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {
-    let eager = ItaConfig {
-        lazy_registration: false,
-        ..ItaConfig::default()
-    };
     vec![
         Box::new(ItaEngine::new(window, ItaConfig::default())),
-        Box::new(ItaEngine::new(window, eager)),
         Box::new(LoopRegister(ItaEngine::new(window, ItaConfig::default()))),
         Box::new(ShardedItaEngine::new(window, ItaConfig::default(), shards)),
     ]

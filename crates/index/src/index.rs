@@ -1,9 +1,8 @@
 //! The streaming inverted index.
 //!
 //! An [`InvertedIndex`] owns the valid-document store and one impact-ordered
-//! [`InvertedList`] per term seen in the window (the segmented impact list by
-//! default; the flat sorted-`Vec` layout under the `flat-impact-lists`
-//! feature). Document arrival inserts one impact entry per composition-list
+//! [`InvertedList`] per term seen in the window (the segmented impact
+//! list). Document arrival inserts one impact entry per composition-list
 //! term; expiration removes them again and frees empty lists, so memory
 //! tracks the window contents exactly (Figure 1 of the paper).
 //!

@@ -23,12 +23,10 @@
 //! held in dense term-id-indexed arenas ([`TermArena`]) — see DESIGN.md §6
 //! ("Memory layout & cost model"). The production [`InvertedList`] is the
 //! **segmented** impact list ([`SegmentedImpactList`]), which bounds the
-//! point-update `memmove` by the segment capacity; building with the
-//! `flat-impact-lists` cargo feature swaps in the single sorted-`Vec` layout
-//! ([`FlatImpactList`]) instead, so the fig3 sweeps can measure either
-//! backing through identical engine code. The original `BTreeSet`-backed
-//! layouts are retained in [`baseline`] purely for the layout-ablation
-//! benchmarks.
+//! point-update `memmove` by the segment capacity. The single sorted-`Vec`
+//! layout ([`FlatImpactList`]) stays as the reference arm of the impact-list
+//! differential test and of the layout-ablation benchmarks, for which the
+//! original `BTreeSet`-backed layouts are retained in [`baseline`] too.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs, unused_must_use)]
@@ -52,12 +50,5 @@ pub use store::DocumentStore;
 pub use threshold::{ThresholdEntry, ThresholdTree};
 pub use window::{SlidingWindow, WindowKind};
 
-/// The impact-list layout the engines run on (flat build).
-#[cfg(feature = "flat-impact-lists")]
-pub use posting::FlatImpactList as InvertedList;
-/// The impact-list layout the engines run on. Segmented by default; the
-/// `flat-impact-lists` feature restores the PR 2 single sorted-`Vec` layout
-/// (both expose the identical full API, so everything downstream is
-/// layout-agnostic).
-#[cfg(not(feature = "flat-impact-lists"))]
+/// The impact-list layout the engines run on: the segmented impact list.
 pub use segmented::SegmentedImpactList as InvertedList;

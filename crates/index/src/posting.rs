@@ -22,10 +22,8 @@
 //! contiguous scan; the flat layout is retained with its full API as
 //!
 //! * the reference arm of the randomized differential test
-//!   (`tests/differential_impact_list.rs`),
-//! * the `impact_flat` arm of the `ablation_threshold_tree` benchmark, and
-//! * an alternative production layout behind the `flat-impact-lists` cargo
-//!   feature, so the fig3 sweeps can be re-run against either backing.
+//!   (`tests/differential_impact_list.rs`), and
+//! * the `impact_flat` arm of the `ablation_threshold_tree` benchmark.
 
 use std::cmp::Ordering;
 

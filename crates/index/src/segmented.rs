@@ -30,9 +30,8 @@
 //!   with one extra pointer hop per `capacity` entries visited.
 //!
 //! The flat single-`Vec` layout is retained as
-//! [`crate::posting::FlatImpactList`] (differential-test reference, ablation
-//! arm, and optional production layout behind the `flat-impact-lists`
-//! feature); the two are driven through randomized interleaved operation
+//! [`crate::posting::FlatImpactList`] (differential-test reference and
+//! ablation arm); the two are driven through randomized interleaved operation
 //! sequences by `tests/differential_impact_list.rs` and must agree exactly,
 //! including on equal-weight tie runs that straddle segment boundaries.
 
