@@ -20,6 +20,13 @@
 //! registration-burst differential tests hold both protocols
 //! byte-identical; this bench prices them.
 //!
+//! A third arm, `single/len{10,16,17}`, prices the case the service sees
+//! most — **one** query registering alone on an engine that already holds
+//! half the workload — at the paper's query length and on either side of
+//! `cts_index`'s `BACKFILL_DIRECTORY_THRESHOLD` (16 newly-live terms): up to
+//! it the window pass probes each composition list per term, above it the
+//! pass walks every composition entry against a term directory.
+//!
 //! Run with `cargo bench --bench ablation_register`. Set
 //! `CTS_ABLATION_REGISTER_QUICK=1` for a reduced point (50 queries,
 //! 400-document window) when iterating on the harness itself.
@@ -58,13 +65,22 @@ fn operating_point() -> Point {
 }
 
 fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
+    build_queries_of(point, point.num_queries, 10, 0x4E60_0002)
+}
+
+fn build_queries_of(
+    point: &Point,
+    num_queries: usize,
+    query_length: usize,
+    seed: u64,
+) -> Vec<ContinuousQuery> {
     let workload = QueryWorkload::new(
         WorkloadConfig {
-            num_queries: point.num_queries,
-            query_length: 10,
+            num_queries,
+            query_length,
             k: 10,
             popularity_biased: false,
-            seed: 0x4E60_0002,
+            seed,
         },
         point.corpus.vocabulary_size,
     );
@@ -157,5 +173,51 @@ fn bench_registration_strategies(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_registration_strategies);
+/// One query registering alone, at lengths on both sides of the backfill
+/// strategy switch.
+fn bench_single_registration(c: &mut Criterion) {
+    let point = operating_point();
+    let mut engine = filled_engine(&point);
+    let resident = build_queries(&point);
+    engine.register_batch(resident[..point.num_queries / 2].to_vec());
+    for (length, pass) in [
+        (10, "per-term probes"),
+        (16, "per-term probes"),
+        (17, "directory walk"),
+    ] {
+        let fresh = build_queries_of(&point, 64, length, 0x4E60_0100 + length as u64);
+        let mut register_time = std::time::Duration::ZERO;
+        let mut iterations = 0usize;
+        c.bench_function(
+            &format!(
+                "ita_term_filtered/register/q{}w{}/single/len{length}",
+                point.num_queries, point.window_docs
+            ),
+            |b| {
+                b.iter(|| {
+                    let query = fresh[iterations % fresh.len()].clone();
+                    let start = Instant::now();
+                    let id = engine.register(query);
+                    register_time += start.elapsed();
+                    iterations += 1;
+                    engine.deregister(id);
+                })
+            },
+        );
+        if iterations > 0 {
+            eprintln!(
+                "ita_term_filtered/register/single/len{length}: {:.2} ms per lone \
+                 registration over a {}-document window ({pass}, {iterations} iteration(s))",
+                register_time.as_secs_f64() * 1e3 / iterations as f64,
+                point.window_docs,
+            );
+        }
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_registration_strategies,
+    bench_single_registration
+);
 criterion_main!(benches);

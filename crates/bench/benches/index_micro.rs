@@ -11,13 +11,19 @@
 //! * `threshold_tree/update` — moving a query's local threshold.
 //! * `inverted_index/churn` — a full document arrival + oldest-expiration
 //!   cycle through the composite index.
+//! * `live_terms/intersect` — cutting one paper-point document (≈ 230
+//!   composition entries) down to its live entries against the bitmap of the
+//!   ≈ 9.7k terms that 1,000 ten-term queries use: the one pass an event
+//!   still makes over a whole composition list, once on arrival and once on
+//!   expiry.
 //!
 //! Run with `cargo bench --bench index_micro`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cts_bench::fixture;
-use cts_index::{DocId, Document, InvertedIndex, InvertedList, QueryId, ThresholdTree};
+use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
+use cts_index::{DocId, Document, InvertedIndex, InvertedList, LiveTerms, QueryId, ThresholdTree};
 use cts_text::Weight;
 
 fn bench_inverted_list(c: &mut Criterion) {
@@ -98,10 +104,43 @@ fn bench_index_churn(c: &mut Criterion) {
     });
 }
 
+fn bench_live_term_intersection(c: &mut Criterion) {
+    // The paper point: the default corpus (182k-term vocabulary) and the
+    // default workload (1,000 uniformly drawn ten-term queries).
+    let corpus = CorpusConfig::default();
+    let workload = QueryWorkload::new(WorkloadConfig::default(), corpus.vocabulary_size);
+    let mut live = LiveTerms::live_slots();
+    for spec in workload.generate() {
+        for (term, _) in spec.terms.iter() {
+            live.acquire(term);
+        }
+    }
+    let documents = DocumentStream::new(corpus, StreamConfig::default()).take_documents(256);
+    let entries: usize = documents.iter().map(|d| d.composition.len()).sum();
+    let mut scratch = Vec::new();
+    let mut kept = 0usize;
+    let mut cursor = 0usize;
+    c.bench_function("live_terms/intersect", |b| {
+        b.iter(|| {
+            let doc = &documents[cursor % documents.len()];
+            live.intersect(black_box(doc.composition.as_slice()), &mut scratch);
+            kept += black_box(&scratch).len();
+            cursor += 1;
+        })
+    });
+    eprintln!(
+        "live_terms/intersect: {} live terms; {:.1} composition entries per document, {:.1} of them live",
+        live.len(),
+        entries as f64 / documents.len() as f64,
+        kept as f64 / cursor.max(1) as f64,
+    );
+}
+
 criterion_group!(
     benches,
     bench_inverted_list,
     bench_threshold_tree,
-    bench_index_churn
+    bench_index_churn,
+    bench_live_term_intersection
 );
 criterion_main!(benches);

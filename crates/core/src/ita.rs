@@ -16,9 +16,11 @@
 //! * **Registration** runs a threshold (TA-style) search down the query's
 //!   inverted lists, stopping as soon as `S_k ≥ τ` — usually after reading a
 //!   small prefix of each list.
-//! * **Arrival** of document `d` probes, for every term `t` of `d`, the
-//!   threshold tree of `L_t` for queries with `θ_{Q,t} ≤ w_{d,t}`. Only those
-//!   queries score `d`; all others provably cannot have `d` in their top-k.
+//! * **Arrival** of document `d` probes, for every term `t` of `d` that some
+//!   registered query uses (one pass over `d` against the live-term bitmap
+//!   finds them), the threshold tree of `L_t` for queries with
+//!   `θ_{Q,t} ≤ w_{d,t}`. Only those queries score `d` — against those same
+//!   few entries — and all others provably cannot have `d` in their top-k.
 //!   When `d` enters a top-k, the freed slack (`S_k` grew, `τ` did not) is
 //!   reclaimed by *rolling up* local thresholds to the preceding list entries
 //!   and evicting unverified documents that lose all support — this is what
@@ -47,9 +49,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use cts_index::{
-    DocId, Document, InvertedIndex, QueryId, SlidingWindow, TermArena, ThresholdTree, Timestamp,
+    DenseArena, DocId, Document, InvertedIndex, QueryId, SlidingWindow, ThresholdTree, Timestamp,
 };
-use cts_text::{TermId, Weight};
+use cts_text::{TermId, Weight, WeightedTerm};
 
 use crate::engine::{Engine, EventOutcome};
 use crate::query::ContinuousQuery;
@@ -93,51 +95,6 @@ pub struct ItaQueryStats {
     pub rollups: u64,
     /// Inverted-list postings scored by this query's threshold searches.
     pub postings_examined: u64,
-}
-
-/// Reference counts over the terms the engine's registered queries use, kept
-/// dense by term id (interned small integers). Present only on term-filtered
-/// engines — the shards of `ShardedItaEngine` — where it decides which
-/// composition entries are filed into the (shadow) inverted index.
-#[derive(Debug, Clone, Default)]
-struct TermRefCounts {
-    counts: Vec<u32>,
-    /// A count changed since [`ItaEngine::sync_checkpoint`] last copied the
-    /// table. Only registration, deregistration and migration touch it, so a
-    /// steady stream never pays for the vocabulary-sized copy.
-    changed: bool,
-}
-
-impl TermRefCounts {
-    /// Whether any registered query references `term`.
-    #[inline]
-    fn contains(&self, term: TermId) -> bool {
-        self.counts
-            .get(term.0 as usize)
-            .is_some_and(|count| *count > 0)
-    }
-
-    /// Takes one reference on `term`; `true` when this is the first (the
-    /// term just became live and its list must be backfilled).
-    fn acquire(&mut self, term: TermId) -> bool {
-        let slot = term.0 as usize;
-        if slot >= self.counts.len() {
-            self.counts.resize(slot + 1, 0);
-        }
-        self.changed = true;
-        self.counts[slot] += 1;
-        self.counts[slot] == 1
-    }
-
-    /// Drops one reference on `term`; `true` when it was the last (the term
-    /// just died and its list can be retired).
-    fn release(&mut self, term: TermId) -> bool {
-        let count = &mut self.counts[term.0 as usize];
-        debug_assert!(*count > 0, "release of unreferenced term {term}");
-        self.changed = true;
-        *count -= 1;
-        *count == 0
-    }
 }
 
 /// A query's complete ITA state, packaged for migration between engines —
@@ -226,17 +183,22 @@ impl QueryState {
 pub struct ItaEngine {
     window: SlidingWindow,
     config: ItaConfig,
+    /// The inverted index, which also owns the engine's **live-term set**
+    /// (`index.live_terms()`): one reference per (registered query, term),
+    /// a bit per term flipped where a count crosses zero, and the key space
+    /// of every per-term arena — term ids on a plain engine, compact live
+    /// slots on a term-filtered one (see `cts_index::arena`).
     index: InvertedIndex,
-    /// One threshold tree per term that occurs in at least one query,
-    /// in a dense term-id-indexed arena (terms are interned small integers).
-    trees: TermArena<ThresholdTree>,
+    /// One threshold tree per live term, keyed like the index's lists.
+    trees: DenseArena<ThresholdTree>,
     queries: QuerySlab<QueryState>,
     /// Reused per-event buffer for the affected-query probe; kept on the
     /// engine so steady-state event processing allocates nothing.
     scratch: Vec<QueryId>,
-    /// `Some` on term-filtered engines (shards): the index files postings
-    /// only for terms referenced by at least one registered query.
-    term_filter: Option<TermRefCounts>,
+    /// Reused per-event buffer: the live entries of the document being
+    /// handled — its one intersection with the live-term set, which the
+    /// index filing loop, the threshold probe and arrival scoring all walk.
+    live_entries: Vec<WeightedTerm>,
     next_query: u32,
     clock: Timestamp,
 }
@@ -244,14 +206,20 @@ pub struct ItaEngine {
 impl ItaEngine {
     /// Creates an engine with the given sliding-window policy.
     pub fn new(window: SlidingWindow, config: ItaConfig) -> Self {
+        Self::over(window, config, InvertedIndex::new())
+    }
+
+    /// The index fixes the key space of every per-term structure, so it is
+    /// the one thing the two constructors choose.
+    fn over(window: SlidingWindow, config: ItaConfig, index: InvertedIndex) -> Self {
         Self {
             window,
             config,
-            index: InvertedIndex::new(),
-            trees: TermArena::new(),
+            index,
+            trees: DenseArena::new(),
             queries: QuerySlab::new(),
             scratch: Vec::new(),
-            term_filter: None,
+            live_entries: Vec::new(),
             next_query: 0,
             clock: Timestamp::ZERO,
         }
@@ -264,18 +232,17 @@ impl ItaEngine {
     /// its registered queries it is exactly equivalent to an unfiltered
     /// engine — every list a query's threshold search, roll-up or probe can
     /// touch is complete — while skipping index maintenance for the (large)
-    /// majority of composition terms no query watches. This is the shard
-    /// configuration of [`crate::ShardedItaEngine`].
+    /// majority of composition terms no query watches, and keying lists,
+    /// threshold trees and reference counts by compact live slots so their
+    /// memory follows the live terms instead of the vocabulary. This is the
+    /// shard configuration of [`crate::ShardedItaEngine`].
     pub fn term_filtered(window: SlidingWindow, config: ItaConfig) -> Self {
-        Self {
-            term_filter: Some(TermRefCounts::default()),
-            ..Self::new(window, config)
-        }
+        Self::over(window, config, InvertedIndex::term_filtered())
     }
 
     /// Whether this engine maintains a term-filtered (shadow) index.
     pub fn is_term_filtered(&self) -> bool {
-        self.term_filter.is_some()
+        self.index.is_term_filtered()
     }
 
     /// The engine's configuration.
@@ -304,9 +271,14 @@ impl ItaEngine {
     }
 
     /// A point-in-time summary of the inverted index (documents, lists,
-    /// postings). Exposed for the sweep harness and soak tests.
+    /// postings) and of how the per-term tables are sized (`live_terms`
+    /// against `list_slots` / `tree_slots`). Exposed for the sweep harness,
+    /// soak tests and the memory-shape regression test.
     pub fn index_stats(&self) -> cts_index::IndexStats {
-        self.index.stats()
+        cts_index::IndexStats {
+            tree_slots: self.trees.slot_capacity(),
+            ..self.index.stats()
+        }
     }
 
     /// Impact entries filed by the registration-path backfills of this
@@ -371,8 +343,11 @@ impl ItaEngine {
         let state = self.queries.get_mut(qid).expect("query exists");
         let before: Vec<Weight> = state.thresholds.iter().map(|(_, theta)| *theta).collect();
         threshold_descent(&self.index, state);
+        let live = self.index.live_terms();
         for ((term, after), before) in state.thresholds.iter().zip(before) {
-            let tree = self.trees.get_or_default(*term);
+            // cts-lint: allow(panic-in-hot-path, registration and installation take a reference on every query term before any search runs)
+            let key = live.key(*term).expect("query terms are live");
+            let tree = self.trees.get_or_default(key);
             if register {
                 tree.insert(qid, *after);
             } else if before != *after {
@@ -381,15 +356,18 @@ impl ItaEngine {
         }
     }
 
-    /// Fills `self.scratch` with the queries whose frontier `composition`
-    /// crosses — every `Q` with `θ_{Q,t} ≤ w_{d,t}` for at least one term `t`
-    /// of the document — sorted by query id and deduplicated. Probing is one
-    /// arena index plus one `partition_point` per term; the buffer is reused
-    /// across events so the hot path performs no allocation.
-    fn collect_affected_queries(&mut self, composition: &cts_text::WeightedVector) {
+    /// Fills `self.scratch` with the queries whose frontier the document in
+    /// `self.live_entries` crosses — every `Q` with `θ_{Q,t} ≤ w_{d,t}` for
+    /// at least one term `t` of the document — sorted by query id and
+    /// deduplicated. Only a live term can have a tree, so the probe walks
+    /// the document's live entries (≈ 10 of ≈ 230 at the paper point), each
+    /// costing one key lookup, one arena index and one `partition_point`; the
+    /// buffer is reused across events so the hot path performs no allocation.
+    fn collect_affected_queries(&mut self) {
         self.scratch.clear();
-        for entry in composition.as_slice() {
-            if let Some(tree) = self.trees.get(entry.term) {
+        let live = self.index.live_terms();
+        for entry in &self.live_entries {
+            if let Some(tree) = live.key(entry.term).and_then(|key| self.trees.get(key)) {
                 self.scratch
                     .extend(tree.affected_by(entry.weight).map(|hit| hit.query));
             }
@@ -399,10 +377,13 @@ impl ItaEngine {
     }
 
     /// Handles the arrival side of one stream event. The document is already
-    /// in the index. Returns `(queries_touched, results_changed)`.
+    /// in the index and its live entries are in `self.live_entries` — all an
+    /// affected query needs to score it, bit for bit (every term of a
+    /// registered query is live). Returns `(queries_touched, results_changed)`.
     fn handle_arrival(&mut self, doc: &Document) -> (usize, usize) {
-        self.collect_affected_queries(&doc.composition);
+        self.collect_affected_queries();
         let affected = std::mem::take(&mut self.scratch);
+        let entries = std::mem::take(&mut self.live_entries);
         let touched = affected.len();
         let mut changed = 0;
         for &qid in &affected {
@@ -410,7 +391,7 @@ impl ItaEngine {
             let state = self.queries.get_mut(qid).expect("tree entries are live");
             state.arrivals_examined += 1;
             state.postings_examined += 1;
-            let score = state.query.score(&doc.composition);
+            let score = state.query.score_entries(&entries);
             state.results.insert(doc.id, score);
             if state.results.is_in_top_k(doc.id, state.query.k()) {
                 changed += 1;
@@ -420,13 +401,15 @@ impl ItaEngine {
             }
         }
         self.scratch = affected;
+        self.live_entries = entries;
         (touched, changed)
     }
 
     /// Handles one expiration. The document has already been removed from
-    /// the index. Returns `(queries_touched, results_changed)`.
+    /// the index, which left its entries live *now* in `self.live_entries`.
+    /// Returns `(queries_touched, results_changed)`.
     fn handle_expiration(&mut self, doc: &Document) -> (usize, usize) {
-        self.collect_affected_queries(&doc.composition);
+        self.collect_affected_queries();
         let affected = std::mem::take(&mut self.scratch);
         let touched = affected.len();
         let mut changed = 0;
@@ -517,8 +500,8 @@ impl ItaEngine {
                 }
             }
             state.rollups += 1;
-            self.trees
-                .get_mut(term)
+            let key = self.index.live_terms().key(term);
+            key.and_then(|key| self.trees.get_mut(key))
                 // cts-lint: allow(panic-in-hot-path, registration filed a tree entry for every query term)
                 .expect("tree exists for query term")
                 .update(qid, old_theta, new_theta);
@@ -653,32 +636,22 @@ impl ItaEngine {
     ///
     /// Panics if any id is already registered.
     pub fn register_shared_batch(&mut self, batch: &[(QueryId, Arc<ContinuousQuery>)]) {
-        if let Some(filter) = &mut self.term_filter {
-            // `acquire` returns true exactly once per distinct term across
-            // the whole batch, so `newly_live` is duplicate-free.
-            let mut newly_live: Vec<TermId> = Vec::new();
-            for (_, query) in batch {
-                newly_live.extend(
-                    query
-                        .terms()
-                        .filter(|(term, _)| filter.acquire(*term))
-                        .map(|(term, _)| term),
-                );
-            }
-            // Backfilled now rather than marked cold: the threshold searches
-            // below probe every one of these lists immediately, so cold
-            // marks would only re-discover them one query at a time.
-            if !newly_live.is_empty() {
-                self.index.backfill_terms(&newly_live);
-            }
-        }
+        // Newly-live terms are backfilled now rather than marked cold: the
+        // threshold searches below probe every one of their lists
+        // immediately, so cold marks would only re-discover them one query
+        // at a time.
+        self.index.acquire_terms(
+            batch
+                .iter()
+                .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
+        );
         for (qid, query) in batch {
             self.finish_register(*qid, Arc::clone(query));
         }
     }
 
-    /// The filter-independent tail of registration: record the query state
-    /// and run its initial threshold search.
+    /// The tail of registration, once the query's terms are live: record the
+    /// query state and run its initial threshold search.
     fn finish_register(&mut self, qid: QueryId, query: Arc<ContinuousQuery>) {
         self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let thresholds = query
@@ -706,23 +679,23 @@ impl ItaEngine {
     /// returning the [`QueryMigration`] package an [`ItaEngine::install_query`]
     /// call on another engine (over the same window contents) consumes. The
     /// engine-side teardown is exactly [`Engine::deregister`]'s: threshold-tree
-    /// entries are removed (empty trees retired) and, on a term-filtered
-    /// engine, term references are released (last-reference lists dropped).
+    /// entries are removed (empty trees retired) and term references are
+    /// released (on a term-filtered engine, last-reference lists dropped).
     /// Returns `None` if the query is not registered.
     pub fn extract_query(&mut self, query: QueryId) -> Option<QueryMigration> {
         let state = self.queries.remove(query)?;
         for (term, theta) in &state.thresholds {
-            if let Some(tree) = self.trees.get_mut(*term) {
-                tree.remove(query, *theta);
-                if tree.is_empty() {
-                    self.trees.remove(*term);
+            // The tree goes before the reference: releasing the last one
+            // recycles the key the tree is filed under.
+            if let Some(key) = self.index.live_terms().key(*term) {
+                if let Some(tree) = self.trees.get_mut(key) {
+                    tree.remove(query, *theta);
+                    if tree.is_empty() {
+                        self.trees.remove(key);
+                    }
                 }
             }
-            if let Some(filter) = &mut self.term_filter {
-                if filter.release(*term) {
-                    self.index.drop_list(*term);
-                }
-            }
+            self.index.release_term(*term);
         }
         Some(QueryMigration { state })
     }
@@ -743,18 +716,14 @@ impl ItaEngine {
     pub fn install_query(&mut self, qid: QueryId, migration: QueryMigration) {
         self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let QueryMigration { state } = migration;
-        if let Some(filter) = &mut self.term_filter {
+        for (term, theta) in &state.thresholds {
             // The newly-live terms only go cold here: installation runs no
             // threshold search, so a migration costs no window scan at all
             // until (unless) the query is next probed.
-            for (term, _) in &state.thresholds {
-                if filter.acquire(*term) {
-                    self.index.mark_cold(*term);
-                }
-            }
-        }
-        for (term, theta) in &state.thresholds {
-            self.trees.get_or_default(*term).insert(qid, *theta);
+            self.index.acquire_term_cold(*term);
+            // cts-lint: allow(panic-in-hot-path, the line above took a reference on the term)
+            let key = self.index.live_terms().key(*term).expect("term is live");
+            self.trees.get_or_default(key).insert(qid, *theta);
         }
         let previous = self.queries.insert(qid, state);
         assert!(previous.is_none(), "query id {qid} is already registered");
@@ -765,19 +734,29 @@ impl ItaEngine {
     /// and the window's composition lists exist once in memory no matter how
     /// many shards mirror them. [`Engine::process_document`] wraps and
     /// delegates here.
+    ///
+    /// The arriving document, and later each expiring one, is intersected
+    /// with the live-term set **once**; filing, the threshold probe and
+    /// arrival scoring then cost what the document's *matching* terms make
+    /// them cost. The full `Arc<Document>` stays in the store for what needs
+    /// all of it: backfills, `threshold_descent`'s random-access scoring,
+    /// roll-up support checks and cold materialisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a document with the same id is still in the window — before
+    /// the index or any query state is touched.
     pub fn process_shared(&mut self, doc: Arc<Document>) -> EventOutcome {
-        self.clock = doc.arrival;
         let mut outcome = EventOutcome {
             arrived: doc.id,
             ..EventOutcome::default()
         };
 
-        match &self.term_filter {
-            Some(filter) => self
-                .index
-                .insert_shared_filtered(Arc::clone(&doc), |term| filter.contains(term)),
-            None => self.index.insert_shared(Arc::clone(&doc)),
-        }
+        // One pass over the composition list, against the live-term bitmap;
+        // from here on the event walks the document's live entries. First,
+        // because this is where a duplicate id is refused.
+        self.index.insert_arrival(&doc, &mut self.live_entries);
+        self.clock = doc.arrival;
         let (touched, changed) = self.handle_arrival(&doc);
         outcome.queries_touched_by_arrival = touched;
         outcome.results_changed += changed;
@@ -785,9 +764,11 @@ impl ItaEngine {
         let expired = self.window.expired(self.index.store(), self.clock);
         outcome.expired = expired.len();
         for id in expired {
+            // Re-intersected against the live set as it is *now* — it may
+            // have changed since the document arrived.
             let doc = self
                 .index
-                .remove_document(id)
+                .remove_expired(id, &mut self.live_entries)
                 // cts-lint: allow(panic-in-hot-path, the expiration set was computed from the same store one line up)
                 .expect("window reported a valid document");
             let (touched, changed) = self.handle_expiration(&doc);
@@ -801,10 +782,10 @@ impl ItaEngine {
     /// changed since the previous call**, not the engine (DESIGN.md §10):
     /// the impact lists, threshold trees and query states handed out mutably
     /// since then (each arena recorded them; the copies reuse the
-    /// checkpoint's buffers), the document store's FIFO delta, the term
-    /// refcount table only if a registration, deregistration or migration
-    /// touched it, and the scalars. Cost is `O(slots dirtied + FIFO delta)`
-    /// where a clone is `O(vocabulary + window + every result set)`.
+    /// checkpoint's buffers), the document store's FIFO delta, the live-term
+    /// set only if a registration, deregistration or migration touched it,
+    /// and the scalars. Cost is `O(slots dirtied + FIFO delta)` where a clone
+    /// is `O(live terms + window + every result set)`.
     ///
     /// `checkpoint` must be what the previous call on this engine left — or,
     /// for an engine no call has read yet, a new engine: everything such an
@@ -819,21 +800,13 @@ impl ItaEngine {
         checkpoint.index.sync_from(&mut self.index);
         checkpoint.trees.sync_from(&mut self.trees);
         checkpoint.queries.sync_from(&mut self.queries);
-        match (&mut self.term_filter, &mut checkpoint.term_filter) {
-            (Some(live), Some(copy)) => {
-                if live.changed {
-                    copy.counts.clone_from(&live.counts);
-                    live.changed = false;
-                }
-            }
-            (live, copy) => copy.clone_from(live),
-        }
     }
 
     /// Names the first component in which `other` differs from this engine,
     /// or `None` when both hold exactly the same state: scalars, store
-    /// order, every impact list, cold set, threshold tree, query state and
-    /// term refcount, compared slot by slot. The scratch buffer and the
+    /// order, the live-term set (counts *and* key assignment), every impact
+    /// list, cold set, threshold tree and query state, compared slot by
+    /// slot. The scratch buffers and the
     /// change records [`ItaEngine::sync_checkpoint`] consumes are not state.
     /// This is the sync-equals-clone audit the shard workers run under the
     /// `invariant-checks` feature.
@@ -844,6 +817,8 @@ impl ItaEngine {
             "window, config, id counter or clock"
         } else if self.index.store() != other.index.store() {
             "document store"
+        } else if self.index.live_terms() != other.index.live_terms() {
+            "live-term set"
         } else if self.index != other.index {
             "impact lists, cold set or backfill counter"
         } else if self.trees != other.trees {
@@ -856,10 +831,6 @@ impl ItaEngine {
             return Some(format!("state of {qid}"));
         } else if self.queries != other.queries {
             "set of registered queries"
-        } else if self.term_filter.as_ref().map(|f| &f.counts)
-            != other.term_filter.as_ref().map(|f| &f.counts)
-        {
-            "term refcounts"
         } else {
             return None;
         };
@@ -868,16 +839,24 @@ impl ItaEngine {
 
     /// Audits the engine's deep structural invariants, panicking with a
     /// description on violation (DESIGN.md §11): the inverted index's own
-    /// invariants, every threshold tree's strict ordering, two-way agreement
-    /// between tree entries and the live queries' recorded local thresholds,
-    /// result sets referencing only valid (windowed) documents, and — on
-    /// term-filtered engines — term refcounts equal to the number of live
-    /// referencing queries, with every cold term still referenced. Driven by
-    /// the testkit lockstep runner when the `invariant-checks` feature (or a
-    /// unit-test build) is active; far too expensive for production paths.
+    /// invariants (the live-term set's included: bitmap bit ⇔ reference
+    /// count > 0), every threshold tree's strict ordering, a tree for every
+    /// live term and under no other key, two-way agreement between tree
+    /// entries and the live queries' recorded local thresholds, result sets
+    /// referencing only valid (windowed) documents, term reference counts
+    /// equal to the number of live referencing queries, and every cold term
+    /// still live. Driven by the testkit lockstep runner when the
+    /// `invariant-checks` feature (or a unit-test build) is active; far too
+    /// expensive for production paths.
     pub fn check_invariants(&self) {
         self.index.check_invariants();
-        for (term, tree) in self.trees.iter() {
+        let live = self.index.live_terms();
+        for (key, tree) in self.trees.iter() {
+            let term = live.term_of(key);
+            assert!(
+                live.contains(term) && live.key(term) == Some(key),
+                "a threshold tree is filed under key {key}, which no live term holds (last: {term})"
+            );
             assert!(
                 !tree.is_empty(),
                 "empty threshold tree for {term} was not retired"
@@ -902,10 +881,15 @@ impl ItaEngine {
                 );
             }
         }
+        assert_eq!(
+            self.trees.len(),
+            live.len(),
+            "a live term has no threshold tree"
+        );
         let mut live_refs: Vec<u32> = Vec::new();
         for (qid, state) in self.queries.iter() {
             for (term, theta) in &state.thresholds {
-                let Some(tree) = self.trees.get(*term) else {
+                let Some(tree) = live.key(*term).and_then(|key| self.trees.get(key)) else {
                     // cts-lint: allow(panic-in-hot-path, audit-only diagnostics, never on a hot path)
                     panic!("no threshold tree covers {qid}'s term {term}");
                 };
@@ -927,23 +911,25 @@ impl ItaEngine {
                 );
             }
         }
-        if let Some(filter) = &self.term_filter {
-            for slot in 0..live_refs.len().max(filter.counts.len()) {
-                let counted = filter.counts.get(slot).copied().unwrap_or(0);
-                let live = live_refs.get(slot).copied().unwrap_or(0);
-                assert_eq!(
-                    counted,
-                    live,
-                    "term {} refcount {counted} disagrees with {live} live referencing queries",
-                    TermId(slot as u32)
-                );
-            }
-            for term in self.index.cold_terms() {
-                assert!(
-                    filter.contains(term),
-                    "{term} is cold in the shadow index but no live query references it"
-                );
-            }
+        let referenced = live_refs.iter().filter(|count| **count > 0).count();
+        assert_eq!(
+            referenced,
+            live.len(),
+            "a term is live but no registered query references it"
+        );
+        for (slot, referencing) in live_refs.iter().enumerate() {
+            let term = TermId(slot as u32);
+            assert_eq!(
+                live.count(term),
+                *referencing,
+                "{term}'s reference count disagrees with the live queries referencing it"
+            );
+        }
+        for term in self.index.cold_terms() {
+            assert!(
+                live.contains(term),
+                "{term} is cold in the shadow index but no live query references it"
+            );
         }
     }
 }
@@ -1371,6 +1357,35 @@ mod tests {
             );
         }
         assert_eq!(destination.query_stats(qid), stayed.query_stats(qid));
+    }
+
+    #[test]
+    fn a_duplicate_document_id_leaves_the_engine_as_it_was() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for mut e in [
+            engine(8),
+            ItaEngine::term_filtered(SlidingWindow::count_based(8), ItaConfig::default()),
+        ] {
+            let query = ContinuousQuery::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)], 2);
+            let q = e.register(query.clone());
+            for i in 0..5u64 {
+                e.process_document(doc(i, &[(1, 0.1 + i as f64 * 0.1), (3, 0.5)]));
+            }
+            let (postings, clock, top) = (e.index_stats().postings, e.clock(), top_ids(&e, q));
+            // Same id as a valid document, other contents: refused before the
+            // store, a list, a tree probe or the clock has moved.
+            let duplicate = doc(3, &[(1, 0.9), (2, 0.9), (4, 0.9)]);
+            let refused = catch_unwind(AssertUnwindSafe(|| e.process_document(duplicate)));
+            assert!(refused.is_err(), "a duplicate id must not be accepted");
+            e.check_invariants();
+            assert_eq!(e.index_stats().postings, postings);
+            assert_eq!((e.clock(), e.num_valid_documents()), (clock, 5));
+            assert_eq!(top_ids(&e, q), top);
+            // And the engine keeps working.
+            e.process_document(doc(5, &[(2, 0.8)]));
+            assert_eq!(top_ids(&e, q), brute_force_top(&e, &query));
+            e.check_invariants();
+        }
     }
 
     #[test]

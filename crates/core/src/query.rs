@@ -9,7 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 use cts_text::weighting::Scoring;
-use cts_text::{query_document_score, Dictionary, TermId, TermVector, Weight, WeightedVector};
+use cts_text::{
+    query_document_score, Dictionary, TermId, TermVector, Weight, WeightedTerm, WeightedVector,
+};
 
 /// A registered continuous top-k text query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,7 +97,16 @@ impl ContinuousQuery {
     /// list when the query is much shorter, the linear merge otherwise. Both
     /// paths are bit-identical (see `cts_text::score`).
     pub fn score(&self, composition: &WeightedVector) -> f64 {
-        query_document_score(&self.weights, composition)
+        self.score_entries(composition.as_slice())
+    }
+
+    /// [`ContinuousQuery::score`] over a term-id-sorted slice of composition
+    /// entries. The engines pass the document's *live* entries (those naming
+    /// a term some registered query uses): every term of this query is live,
+    /// so the slice holds every entry the query can match and the score is
+    /// bit-identical to scoring the whole composition list.
+    pub fn score_entries(&self, entries: &[WeightedTerm]) -> f64 {
+        query_document_score(self.weights.as_slice(), entries)
     }
 }
 

@@ -6,44 +6,59 @@
 //! term; expiration removes them again and frees empty lists, so memory
 //! tracks the window contents exactly (Figure 1 of the paper).
 //!
-//! Lists live in a dense [`TermArena`] indexed by the interned [`TermId`] —
+//! Lists live in a [`DenseArena`] keyed through the index's [`LiveTerms`] —
+//! the set of terms the owner's registered queries use, which also fixes the
+//! arena's key space (see [`crate::arena`]). A full index
+//! ([`InvertedIndex::new`]) keys its lists by the interned [`TermId`], so
 //! the per-term lookup performed for *every* term of *every* arriving and
 //! expiring document is a single bounds-checked array index, not a hash.
-//! Composition entries already carry validated [`Weight`]s
+//! Composition entries already carry validated [`cts_text::Weight`]s
 //! (`cts_text::WeightedTerm`), so filing them into the lists is free of
 //! per-entry `f64` re-validation.
 //!
-//! The sharded engine builds **term-filtered shadow indexes**: each worker
-//! shard mirrors the full window in its store (shared `Arc`s, one copy in
-//! memory) but files impact entries only for the terms its own queries
-//! reference ([`InvertedIndex::insert_shared_filtered`]). A query registered
-//! mid-stream may introduce a term the shadow never indexed;
-//! [`InvertedIndex::backfill_term`] rebuilds that one list from the store in
-//! arrival order, and [`InvertedIndex::drop_list`] retires a list once the
-//! last referencing query deregisters.
+//! The sharded engine builds **term-filtered shadow indexes**
+//! ([`InvertedIndex::term_filtered`]): each worker shard mirrors the full
+//! window in its store (shared `Arc`s, one copy in memory) but files impact
+//! entries only for the live terms, under compact live-slot keys, so both
+//! the work per event and the memory follow the terms its own queries
+//! reference, not the vocabulary. An arriving or expiring document is cut
+//! down to its live entries **once** ([`InvertedIndex::insert_arrival`],
+//! [`InvertedIndex::remove_expired`]) and the filing loop, the engine's
+//! threshold probe and its scoring all walk that short slice. A query
+//! registered mid-stream may bring a term live that the shadow never
+//! indexed; [`InvertedIndex::acquire_terms`] rebuilds such lists from the
+//! store in arrival order, and [`InvertedIndex::release_term`] retires a
+//! list once the last referencing query deregisters. (The caller-filtered
+//! form — [`InvertedIndex::insert_shared_filtered`] over an identity-keyed
+//! index, which the replica passes of `ctsbench` drive, with
+//! [`InvertedIndex::backfill_term`], [`InvertedIndex::mark_cold`] and
+//! [`InvertedIndex::drop_list`] for the index-level differential suites —
+//! is refused by a term-filtered index, whose lists move only with its
+//! references.)
 //!
 //! Backfilling eagerly on every registration is the *registration cliff*:
 //! each register pays a full window scan even when the query's lists are
 //! never probed before the next churn event (DESIGN.md §9). The index
-//! therefore supports **cold** terms: [`InvertedIndex::mark_cold`] records
-//! that a term is live in the caller's filter without building its list,
+//! therefore supports **cold** terms: [`InvertedIndex::acquire_term_cold`]
+//! ([`InvertedIndex::mark_cold`] on a caller-filtered index) records that a
+//! term is live without building its list,
 //! [`InvertedIndex::probe_shared`] answers a one-off read from the
 //! `Arc`-shared window without materialising anything, and
 //! [`InvertedIndex::materialise_terms`] promotes cold terms to private
 //! segmented lists on first real touch — in one store pass for the whole
 //! batch. While a term is cold the store remains the single source of truth:
-//! arrivals skip filing it ([`InvertedIndex::insert_shared_filtered`]) and
-//! expirations have no list to clean, so a later materialisation over the
-//! current store yields exactly the postings an always-warm list would hold.
+//! arrivals skip filing it and expirations have no list to clean, so a later
+//! materialisation over the current store yields exactly the postings an
+//! always-warm list would hold.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use cts_text::TermId;
+use cts_text::{TermId, WeightedTerm};
 
-use crate::arena::TermArena;
+use crate::arena::{DenseArena, LiveTerms};
 use crate::document::{DocId, Document};
 use crate::posting::Posting;
 use crate::store::DocumentStore;
@@ -53,14 +68,20 @@ use crate::InvertedList;
 /// list once and binary-searches the requested term set, instead of running
 /// one composition binary search per (document, term) pair. Bulk (batch
 /// registration) backfills bring hundreds of terms live at once; the per-term
-/// strategy would multiply the window scan by the term count.
-const BACKFILL_DIRECTORY_THRESHOLD: usize = 8;
+/// strategy would multiply the window scan by the term count. 16 keeps a lone
+/// ten-term query — the paper's query length — on the per-term side, where
+/// the window pass costs about half what the directory walk does
+/// (`ablation_register`'s single-query arm prices either side of the switch).
+const BACKFILL_DIRECTORY_THRESHOLD: usize = 16;
 
 /// The streaming inverted index over the valid documents.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvertedIndex {
     store: DocumentStore,
-    lists: TermArena<InvertedList>,
+    /// The terms the owner's queries reference, and the key space of
+    /// `lists`: term ids on a full index, live slots on a term-filtered one.
+    live: LiveTerms,
+    lists: DenseArena<InvertedList>,
     /// Terms live in the owner's filter but intentionally without a private
     /// list yet — served from the shared store until first touch. A `BTreeSet`
     /// on purpose: anything that sweeps the cold set (idle materialisation,
@@ -84,10 +105,77 @@ impl InvertedIndex {
     pub fn with_capacity(docs: usize, terms_per_doc: usize) -> Self {
         Self {
             store: DocumentStore::with_capacity(docs),
-            lists: TermArena::with_capacity(docs.saturating_mul(terms_per_doc) / 4),
-            cold: BTreeSet::new(),
-            register_postings_touched: 0,
+            lists: DenseArena::with_capacity(docs.saturating_mul(terms_per_doc) / 4),
+            ..Self::default()
         }
+    }
+
+    /// Creates an empty **term-filtered** index: postings are filed only for
+    /// live terms — those holding a reference taken through
+    /// [`InvertedIndex::acquire_terms`] / [`InvertedIndex::acquire_term_cold`]
+    /// — and lists are keyed by compact live slots, so the arena is sized by
+    /// the live terms rather than by the vocabulary. Documents are always
+    /// stored in full.
+    pub fn term_filtered() -> Self {
+        Self {
+            live: LiveTerms::live_slots(),
+            ..Self::default()
+        }
+    }
+
+    /// Whether this index files live terms only (see
+    /// [`InvertedIndex::term_filtered`]).
+    pub fn is_term_filtered(&self) -> bool {
+        self.live.keys_are_slots()
+    }
+
+    /// The live-term set: which terms registered queries reference, and the
+    /// key under which per-term state is filed. The engine keys its
+    /// threshold-tree arena through the same set.
+    pub fn live_terms(&self) -> &LiveTerms {
+        &self.live
+    }
+
+    /// Takes one reference on each of `terms` (a registering batch's query
+    /// terms, repeats included). On a term-filtered index the terms this
+    /// brings live are backfilled from the stored window in **one pass**
+    /// (as [`InvertedIndex::backfill_terms`] does for a caller-filtered
+    /// index), so the caller may probe every one of their lists right away.
+    pub fn acquire_terms(&mut self, terms: impl IntoIterator<Item = TermId>) {
+        // `acquire` is true exactly once per distinct newly-live term, so
+        // `newly_live` is duplicate-free.
+        let newly_live: Vec<TermId> = terms
+            .into_iter()
+            .filter(|term| self.live.acquire(*term))
+            .collect();
+        if self.is_term_filtered() && !newly_live.is_empty() {
+            self.rebuild_lists(&newly_live);
+        }
+    }
+
+    /// Takes one reference on `term` without building anything: on a
+    /// term-filtered index a term this brings live is marked cold (what
+    /// [`InvertedIndex::mark_cold`] is to a caller-filtered index), so the
+    /// caller pays no window scan until (unless) something probes the list.
+    pub fn acquire_term_cold(&mut self, term: TermId) {
+        if self.live.acquire(term) && self.is_term_filtered() {
+            self.set_cold(term);
+        }
+    }
+
+    /// Drops one reference on `term`; `true` when it was the last. A
+    /// term-filtered index then retires the term's list (or cold mark) and
+    /// recycles its key — the caller must already have let go of whatever
+    /// *it* files under [`LiveTerms::key`].
+    pub fn release_term(&mut self, term: TermId) -> bool {
+        let Some(key) = self.live.release(term) else {
+            return false;
+        };
+        if self.is_term_filtered() {
+            self.cold.remove(&term);
+            self.lists.remove(key);
+        }
+        true
     }
 
     /// Inserts an arriving document: stores it and adds one impact entry per
@@ -96,16 +184,11 @@ impl InvertedIndex {
         self.insert_shared(Arc::new(doc));
     }
 
-    /// Inserts an already-shared arriving document (the sharded fan-out
-    /// path): stores the `Arc` and adds one impact entry per composition-list
-    /// term.
+    /// Inserts an already-shared arriving document: stores the `Arc` and
+    /// adds one impact entry per composition-list term (per *live* term on a
+    /// term-filtered index).
     pub fn insert_shared(&mut self, doc: Arc<Document>) {
-        for entry in doc.composition.as_slice() {
-            self.lists
-                .get_or_default(entry.term)
-                .insert(doc.id, entry.weight);
-        }
-        self.store.push_shared(doc);
+        self.file(&doc, doc.composition.as_slice(), |_| true);
     }
 
     /// Inserts an already-shared arriving document, filing impact entries
@@ -117,21 +200,65 @@ impl InvertedIndex {
     pub fn insert_shared_filtered(
         &mut self,
         doc: Arc<Document>,
+        allow: impl FnMut(TermId) -> bool,
+    ) {
+        self.file(&doc, doc.composition.as_slice(), allow);
+    }
+
+    /// The engines' arrival path: cuts `doc` down to its live entries — left
+    /// in `live_entries` for the caller's threshold probe and scoring — and
+    /// files them. A full index files the whole composition list instead
+    /// (its lists cover every term, live or not); a term-filtered one walks
+    /// only the slice, typically ~5 entries of ~230.
+    pub fn insert_arrival(&mut self, doc: &Arc<Document>, live_entries: &mut Vec<WeightedTerm>) {
+        let entries = self.cut(doc, live_entries);
+        self.file(doc, entries, |_| true);
+    }
+
+    /// Replaces `live_entries` with `doc`'s live entries and returns the
+    /// entries this index keeps postings for: those, if it is term-filtered,
+    /// the whole composition list if it is full.
+    fn cut<'a>(
+        &self,
+        doc: &'a Document,
+        live_entries: &'a mut Vec<WeightedTerm>,
+    ) -> &'a [WeightedTerm] {
+        let composition = doc.composition.as_slice();
+        self.live.intersect(composition, live_entries);
+        if self.is_term_filtered() {
+            live_entries
+        } else {
+            composition
+        }
+    }
+
+    /// The one filing loop: stores `doc`, then adds an impact entry for each
+    /// of `entries` that `allow` accepts, that has a key and is not cold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a document with `doc`'s id is already stored — before any
+    /// list is touched, so the index the unwind leaves behind is intact.
+    fn file(
+        &mut self,
+        doc: &Arc<Document>,
+        entries: &[WeightedTerm],
         mut allow: impl FnMut(TermId) -> bool,
     ) {
-        // Cold terms are allowed by the filter but must stay unmaterialised:
-        // filing only post-registration arrivals would leave a partial list
-        // that a later materialisation would double-count. The `is_empty`
-        // check keeps the fully-warm hot path a single branch.
+        self.store.push_shared(Arc::clone(doc));
+        // Cold terms are live but must stay unmaterialised: filing only
+        // post-registration arrivals would leave a partial list that a later
+        // materialisation would double-count. The `is_empty` check keeps the
+        // fully-warm hot path a single branch.
         let any_cold = !self.cold.is_empty();
-        for entry in doc.composition.as_slice() {
-            if allow(entry.term) && !(any_cold && self.cold.contains(&entry.term)) {
-                self.lists
-                    .get_or_default(entry.term)
-                    .insert(doc.id, entry.weight);
+        for entry in entries {
+            if !allow(entry.term) || (any_cold && self.cold.contains(&entry.term)) {
+                continue;
+            }
+            if let Some(key) = self.live.key(entry.term) {
+                self.lists.get_or_default(key).insert(doc.id, entry.weight);
             }
         }
-        self.store.push_shared(doc);
     }
 
     /// Builds the inverted list for `term` from the stored documents, in
@@ -150,7 +277,7 @@ impl InvertedIndex {
     }
 
     /// Backfills several terms in **one pass over the store** — the
-    /// registration path of a term-filtered shadow index, where a new query
+    /// registration path of a caller-filtered shadow index, where a new query
     /// typically brings several terms live at once and per-term store scans
     /// would multiply the (window-sized) traversal cost by the query length.
     /// Postings are filed in arrival order per term, exactly as
@@ -160,11 +287,34 @@ impl InvertedIndex {
     /// # Panics
     ///
     /// Panics if any of the terms already has a non-empty list (see
-    /// [`InvertedIndex::backfill_term`]) or if `terms` contains duplicates.
+    /// [`InvertedIndex::backfill_term`]), if `terms` contains duplicates, or
+    /// on a [`InvertedIndex::term_filtered`] index, which backfills by itself
+    /// when [`InvertedIndex::acquire_terms`] brings a term live.
     pub fn backfill_terms(&mut self, terms: &[TermId]) -> usize {
+        self.assert_caller_filtered("backfill_terms");
+        self.rebuild_lists(terms)
+    }
+
+    /// `backfill_term(s)`, `mark_cold` and `drop_list` are the protocol of a
+    /// caller that keeps the term filter itself, over a full (term-id keyed)
+    /// index. A term-filtered index owns its filter: its lists, cold marks
+    /// and slots move only with the references taken and dropped through
+    /// `acquire_terms` / `acquire_term_cold` / `release_term`, so the
+    /// caller-side calls — which would retire a list without releasing its
+    /// term, or mark a term cold that is not live — are refused.
+    fn assert_caller_filtered(&self, method: &str) {
+        assert!(
+            !self.is_term_filtered(),
+            "{method} on a term-filtered index: acquire or release the term instead"
+        );
+    }
+
+    /// Builds the lists of `terms` from the stored window in one pass (see
+    /// [`InvertedIndex::backfill_terms`] for the contract).
+    fn rebuild_lists(&mut self, terms: &[TermId]) -> usize {
         for (i, term) in terms.iter().enumerate() {
             assert!(
-                self.lists.get(*term).is_none_or(|list| list.is_empty()),
+                self.list(*term).is_none_or(|list| list.is_empty()),
                 "backfill of {term} would duplicate an existing list"
             );
             assert!(
@@ -218,7 +368,10 @@ impl InvertedIndex {
             if term_postings.is_empty() {
                 continue;
             }
-            let list = self.lists.get_or_default(*term);
+            let Some(key) = self.live.key(*term) else {
+                panic!("backfill of {term}, which no registered query references");
+            };
+            let list = self.lists.get_or_default(key);
             for (doc, weight) in term_postings {
                 list.insert(doc, weight);
                 filed += 1;
@@ -238,10 +391,17 @@ impl InvertedIndex {
     /// # Panics
     ///
     /// Panics if a non-empty list for `term` exists — a term cannot be both
-    /// warm and cold, so the caller's bookkeeping is corrupt.
+    /// warm and cold, so the caller's bookkeeping is corrupt — or on a
+    /// [`InvertedIndex::term_filtered`] index, where only
+    /// [`InvertedIndex::acquire_term_cold`] may mark a term.
     pub fn mark_cold(&mut self, term: TermId) {
+        self.assert_caller_filtered("mark_cold");
+        self.set_cold(term);
+    }
+
+    fn set_cold(&mut self, term: TermId) {
         assert!(
-            self.lists.get(term).is_none_or(|list| list.is_empty()),
+            self.list(term).is_none_or(|list| list.is_empty()),
             "cannot mark {term} cold: a live list exists"
         );
         self.cold.insert(term);
@@ -300,7 +460,7 @@ impl InvertedIndex {
         if promoted.is_empty() {
             0
         } else {
-            self.backfill_terms(&promoted)
+            self.rebuild_lists(&promoted)
         }
     }
 
@@ -315,14 +475,23 @@ impl InvertedIndex {
     }
 
     /// Drops the inverted list for `term` entirely (the stored documents are
-    /// untouched). Used by filtered shadow indexes when the last query
-    /// referencing `term` deregisters. A cold `term` just sheds its cold
+    /// untouched) — what [`InvertedIndex::release_term`] does when the last
+    /// query referencing `term` deregisters, for callers that keep the term
+    /// filter themselves. A cold `term` just sheds its cold
     /// mark — deregistering a never-probed term must not trigger the
     /// materialisation it existed to avoid. Returns `true` if a list or a
     /// cold mark existed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`InvertedIndex::term_filtered`] index: dropping a live
+    /// term's list without releasing the term would let later arrivals
+    /// refile a partial one.
     pub fn drop_list(&mut self, term: TermId) -> bool {
+        self.assert_caller_filtered("drop_list");
         let was_cold = self.cold.remove(&term);
-        self.lists.remove(term).is_some() || was_cold
+        let list = self.live.key(term).and_then(|key| self.lists.remove(key));
+        list.is_some() || was_cold
     }
 
     /// Removes the document with id `id` (normally the oldest, on expiration):
@@ -332,32 +501,60 @@ impl InvertedIndex {
     /// simply have no list and are skipped.
     pub fn remove_document(&mut self, id: DocId) -> Option<Arc<Document>> {
         let doc = self.store.remove(id)?;
-        for entry in doc.composition.as_slice() {
-            let empty = match self.lists.get_mut(entry.term) {
-                Some(list) => {
-                    list.remove(id, entry.weight);
-                    list.is_empty()
-                }
-                None => false,
+        self.unfile(id, doc.composition.as_slice());
+        Some(doc)
+    }
+
+    /// The engines' expiration path, the mirror of
+    /// [`InvertedIndex::insert_arrival`]: removes the document, cuts it down
+    /// to the entries live **now** — left in `live_entries` for the caller's
+    /// threshold probe — and deletes their impact entries. The live set may
+    /// have changed since the document arrived; that is sound because a list
+    /// exists exactly for the live, non-cold terms, whatever they were then:
+    /// a term that went live later was backfilled with this document's entry,
+    /// and a term that died took its list with it.
+    pub fn remove_expired(
+        &mut self,
+        id: DocId,
+        live_entries: &mut Vec<WeightedTerm>,
+    ) -> Option<Arc<Document>> {
+        let doc = self.store.remove(id)?;
+        let entries = self.cut(&doc, live_entries);
+        self.unfile(id, entries);
+        Some(doc)
+    }
+
+    /// The one removal loop: deletes document `id`'s impact entry from the
+    /// list of each of `entries` that has one, vacating emptied lists.
+    fn unfile(&mut self, id: DocId, entries: &[WeightedTerm]) {
+        for entry in entries {
+            let Some(key) = self.live.key(entry.term) else {
+                continue;
             };
-            if empty {
-                self.lists.remove(entry.term);
+            let emptied = self.lists.get_mut(key).is_some_and(|list| {
+                list.remove(id, entry.weight);
+                list.is_empty()
+            });
+            if emptied {
+                self.lists.remove(key);
             }
         }
-        Some(doc)
     }
 
     /// Brings `self` up to date with `src` at a cost of `O(lists dirtied +
     /// FIFO delta)`: the store replays its pops and pushes
     /// ([`DocumentStore::sync_from`]), the list arena copies the lists an
     /// arrival, expiration, backfill or retirement touched
-    /// ([`TermArena::sync_from`]), and the (normally empty) cold set and the
-    /// backfill counter are copied outright. Clears `src`'s change records.
+    /// ([`DenseArena::sync_from`]), the live-term set is copied if a
+    /// registration changed it ([`LiveTerms::sync_from`]), and the (normally
+    /// empty) cold set and the backfill counter are copied outright. Clears
+    /// `src`'s change records.
     ///
     /// `self` must hold what `src` held when it was last synced from — both
     /// freshly created, or `self` last written by this very call.
     pub fn sync_from(&mut self, src: &mut InvertedIndex) {
         self.store.sync_from(&mut src.store);
+        self.live.sync_from(&mut src.live);
         self.lists.sync_from(&mut src.lists);
         self.cold.clone_from(&src.cold);
         self.register_postings_touched = src.register_postings_touched;
@@ -370,7 +567,7 @@ impl InvertedIndex {
 
     /// The inverted list for `term`, if any valid document contains it.
     pub fn list(&self, term: TermId) -> Option<&InvertedList> {
-        self.lists.get(term)
+        self.lists.get(self.live.key(term)?)
     }
 
     /// Number of valid documents.
@@ -383,9 +580,12 @@ impl InvertedIndex {
         self.lists.len()
     }
 
-    /// Iterates over `(term, list)` pairs in increasing term-id order.
+    /// Iterates over `(term, list)` pairs in key order — increasing term id
+    /// on a full index, live-slot order on a term-filtered one.
     pub fn lists(&self) -> impl Iterator<Item = (TermId, &InvertedList)> {
-        self.lists.iter()
+        self.lists
+            .iter()
+            .map(|(key, list)| (self.live.term_of(key), list))
     }
 
     /// Audits the index's structural invariants, panicking with a
@@ -398,14 +598,24 @@ impl InvertedIndex {
     ///   more postings than there are valid documents;
     /// * the **cold-term lifecycle**: a cold term never owns a list — cold
     ///   means "the shared store is the single source of truth", so a
-    ///   coexisting private list would double-count on materialisation.
+    ///   coexisting private list would double-count on materialisation;
+    /// * the live-term set's own invariants ([`LiveTerms::check_invariants`]),
+    ///   and on a term-filtered index every list sits under the key of a
+    ///   term that is live now — a recycled slot never inherits a list.
     ///
     /// Driven per-op by the testkit lockstep runner under the
     /// `invariant-checks` feature (and in unit tests); not called on hot
     /// paths.
     pub fn check_invariants(&self) {
         let documents = self.store.len();
-        for (term, list) in self.lists.iter() {
+        self.live.check_invariants();
+        for (key, list) in self.lists.iter() {
+            let term = self.live.term_of(key);
+            assert_eq!(
+                self.live.key(term),
+                Some(key),
+                "a list is filed under key {key}, which no live term holds (last: {term})"
+            );
             assert!(!list.is_empty(), "empty list for {term} was not vacated");
             assert!(
                 list.len() <= documents,
@@ -431,7 +641,7 @@ impl InvertedIndex {
     pub fn stats(&self) -> IndexStats {
         let mut total_postings = 0;
         let mut longest_list = 0;
-        for (_, list) in self.lists.iter() {
+        for list in self.lists.values() {
             total_postings += list.len();
             longest_list = longest_list.max(list.len());
         }
@@ -440,6 +650,10 @@ impl InvertedIndex {
             terms: self.lists.len(),
             postings: total_postings,
             longest_list,
+            live_terms: self.live.len(),
+            list_slots: self.lists.slot_capacity(),
+            tree_slots: 0,
+            refcount_slots: self.live.slot_capacity(),
         }
     }
 }
@@ -455,6 +669,17 @@ pub struct IndexStats {
     pub postings: usize,
     /// Length of the longest inverted list.
     pub longest_list: usize,
+    /// Number of terms at least one registered query references.
+    pub live_terms: usize,
+    /// Slots allocated by the list arena, occupied or not: vocabulary-sized
+    /// on a full index, within twice the peak live-term count on a
+    /// term-filtered one.
+    pub list_slots: usize,
+    /// Slots allocated by the owning engine's threshold-tree arena (same
+    /// key space as the lists). 0 when a bare index reports.
+    pub tree_slots: usize,
+    /// Slots allocated by the term reference-count table (same key space).
+    pub refcount_slots: usize,
 }
 
 impl IndexStats {
@@ -584,6 +809,80 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_document_id_panics_before_any_list_is_touched() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut full = InvertedIndex::new();
+        let mut filtered = InvertedIndex::term_filtered();
+        filtered.acquire_terms([TermId(11), TermId(20)]);
+        for idx in [&mut full, &mut filtered] {
+            idx.insert_document(doc(1, &[(11, 0.08), (20, 0.06)]));
+            idx.insert_document(doc(2, &[(20, 0.09)]));
+            let before = idx.stats();
+            let duplicate = Arc::new(doc(1, &[(11, 0.5), (20, 0.5), (30, 0.5)]));
+            let mut scratch = Vec::new();
+            for attempt in 0..3 {
+                let duplicate = Arc::clone(&duplicate);
+                let refused = catch_unwind(AssertUnwindSafe(|| match attempt {
+                    0 => idx.insert_shared(duplicate),
+                    1 => idx.insert_shared_filtered(duplicate, |_| true),
+                    _ => idx.insert_arrival(&duplicate, &mut scratch),
+                }));
+                assert!(refused.is_err(), "attempt {attempt} filed a duplicate id");
+                idx.check_invariants();
+                assert_eq!(idx.stats(), before);
+                // The stored document is still the first one.
+                assert_eq!(idx.store().get(DocId(1)).unwrap().composition.len(), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn a_term_filtered_index_files_live_terms_under_recycled_slots() {
+        let mut full = InvertedIndex::new();
+        let mut shadow = InvertedIndex::term_filtered();
+        assert!(shadow.is_term_filtered() && !full.is_term_filtered());
+        let mut entries = Vec::new();
+        let arrive = |full: &mut InvertedIndex, shadow: &mut InvertedIndex, d: Document| {
+            let d = Arc::new(d);
+            full.insert_shared(Arc::clone(&d));
+            shadow.insert_arrival(&d, &mut Vec::new());
+        };
+        arrive(&mut full, &mut shadow, doc(1, &[(7, 0.3), (90_000, 0.4)]));
+        assert_eq!(shadow.stats().postings, 0, "no term is live yet");
+        // Going live backfills; the slot is compact whatever the term id.
+        shadow.acquire_terms([TermId(90_000), TermId(90_000), TermId(5)]);
+        assert_eq!(shadow.live_terms().key(TermId(90_000)), Some(0));
+        assert_eq!(shadow.list(TermId(90_000)).unwrap().len(), 1);
+        arrive(
+            &mut full,
+            &mut shadow,
+            doc(2, &[(5, 0.2), (7, 0.9), (90_000, 0.1)]),
+        );
+        assert_eq!(shadow.stats().postings, 3);
+        // One of two references goes: still live. The second takes the list.
+        assert!(!shadow.release_term(TermId(90_000)));
+        assert!(shadow.release_term(TermId(90_000)));
+        assert!(shadow.list(TermId(90_000)).is_none());
+        // Term 7 inherits the slot, and a list rebuilt from the store.
+        shadow.acquire_terms([TermId(7)]);
+        assert_eq!(shadow.live_terms().key(TermId(7)), Some(0));
+        for term in [5, 7] {
+            let expected: Vec<_> = full.list(TermId(term)).unwrap().iter().collect();
+            let actual: Vec<_> = shadow.list(TermId(term)).unwrap().iter().collect();
+            assert_eq!(actual, expected);
+        }
+        // Expiry re-intersects with the live set as it is now.
+        let removed = shadow.remove_expired(DocId(1), &mut entries).unwrap();
+        assert_eq!(removed.composition.len(), 2);
+        assert_eq!(entries.len(), 1, "only term 7 of d1 is live");
+        assert_eq!(shadow.list(TermId(7)).unwrap().len(), 1);
+        shadow.check_invariants();
+        let stats = shadow.stats();
+        assert_eq!((stats.live_terms, stats.postings), (2, 2));
+        assert!(stats.list_slots < 16 && stats.refcount_slots < 16);
+    }
+
+    #[test]
     fn backfill_rebuilds_a_list_in_arrival_order() {
         let mut full = InvertedIndex::new();
         let mut shadow = InvertedIndex::new();
@@ -631,24 +930,25 @@ mod tests {
     #[test]
     fn bulk_backfill_directory_path_matches_the_per_term_path() {
         // More terms than BACKFILL_DIRECTORY_THRESHOLD forces the
-        // composition-walk strategy; both strategies must file identical
-        // lists.
-        let terms: Vec<TermId> = (0..12u32).map(TermId).collect();
+        // composition-walk strategy on the `bulk` side, at most two at a time
+        // keeps `small` on the per-term one; both strategies must file identical
+        // lists. The term count follows the constant, so the directory path
+        // stays covered whatever the threshold becomes.
+        let count = BACKFILL_DIRECTORY_THRESHOLD as u32 + 4;
+        let terms: Vec<TermId> = (0..count).map(TermId).collect();
         let mut small = InvertedIndex::new();
         let mut bulk = InvertedIndex::new();
-        for i in 0..40u64 {
+        for i in 0..u64::from(count) * 4 {
+            let t = (i % u64::from(count)) as u32;
             let d = doc(
                 i,
-                &[
-                    ((i % 12) as u32, 0.1 + (i % 3) as f64 * 0.2),
-                    (((i + 5) % 12) as u32, 0.4),
-                ],
+                &[(t, 0.1 + (i % 3) as f64 * 0.2), ((t + 5) % count, 0.4)],
             );
             small.insert_shared_filtered(Arc::new(d.clone()), |_| false);
             bulk.insert_shared_filtered(Arc::new(d), |_| false);
         }
         let mut filed_small = 0;
-        for chunk in terms.chunks(2) {
+        for chunk in terms.chunks(BACKFILL_DIRECTORY_THRESHOLD.min(2)) {
             filed_small += small.backfill_terms(chunk);
         }
         let filed_bulk = bulk.backfill_terms(&terms);
@@ -727,6 +1027,40 @@ mod tests {
         let mut idx = InvertedIndex::new();
         idx.insert_document(doc(1, &[(7, 0.3)]));
         idx.mark_cold(TermId(7));
+    }
+
+    #[test]
+    fn a_term_filtered_index_refuses_the_caller_filtered_protocol() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut idx = InvertedIndex::term_filtered();
+        idx.acquire_terms([TermId(7)]);
+        idx.insert_document(doc(1, &[(7, 0.3), (8, 0.2)]));
+        let before = idx.clone();
+        type Call = fn(&mut InvertedIndex);
+        let calls: [(&str, Call); 4] = [
+            ("drop_list", |idx| {
+                idx.drop_list(TermId(7));
+            }),
+            ("mark_cold", |idx| idx.mark_cold(TermId(8))),
+            ("backfill_term", |idx| {
+                idx.backfill_term(TermId(8));
+            }),
+            ("backfill_terms", |idx| {
+                idx.backfill_terms(&[TermId(8)]);
+            }),
+        ];
+        for (name, call) in calls {
+            let refused = catch_unwind(AssertUnwindSafe(|| call(&mut idx)));
+            assert!(refused.is_err(), "{name} ran on a term-filtered index");
+            assert_eq!(idx, before, "{name} changed the index before refusing");
+        }
+        // The live-term protocol is the one way in: cold, then materialised.
+        idx.acquire_term_cold(TermId(8));
+        assert!(idx.is_cold(TermId(8)));
+        assert_eq!(idx.materialise_terms(&[TermId(8)]), 1);
+        assert!(idx.release_term(TermId(7)));
+        assert!(idx.list(TermId(7)).is_none());
+        idx.check_invariants();
     }
 
     #[test]

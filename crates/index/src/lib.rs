@@ -20,7 +20,9 @@
 //! itself; that lives in `cts-core`. Everything here is deterministic, purely
 //! in-memory and designed for high update rates: the hot structures are
 //! sorted arrays (one binary search to locate, contiguous scans to traverse)
-//! held in dense term-id-indexed arenas ([`TermArena`]) — see DESIGN.md §6
+//! held in dense arenas ([`DenseArena`]) keyed through the live-term set
+//! ([`LiveTerms`]: term ids under the full index, compact live slots under a
+//! term-filtered one) — see DESIGN.md §6
 //! ("Memory layout & cost model"). The production [`InvertedList`] is the
 //! **segmented** impact list ([`SegmentedImpactList`]), which bounds the
 //! point-update `memmove` by the segment capacity. The single sorted-`Vec`
@@ -41,7 +43,7 @@ pub mod store;
 pub mod threshold;
 pub mod window;
 
-pub use arena::{DenseArena, TermArena};
+pub use arena::{DenseArena, LiveTerms};
 pub use document::{DocId, Document, QueryId, Timestamp};
 pub use index::{IndexStats, InvertedIndex};
 pub use posting::{FlatImpactList, Posting};

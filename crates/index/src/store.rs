@@ -17,7 +17,7 @@
 //! accessors still hand out plain `&Document`.
 
 // cts-lint: allow(nondet-iteration, the id map is point-lookup only; all traversal follows the FIFO order)
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map::Entry, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::document::{DocId, Document, Timestamp};
@@ -87,11 +87,14 @@ impl DocumentStore {
     ///
     /// # Panics
     ///
-    /// Panics if a document with the same id is already stored.
+    /// Panics if a document with the same id is already stored — before
+    /// anything is changed, so the store behind the unwind is intact.
     pub fn push_shared(&mut self, doc: Arc<Document>) {
         let id = doc.id;
-        let previous = self.by_id.insert(id, doc);
-        assert!(previous.is_none(), "duplicate document id {id}");
+        match self.by_id.entry(id) {
+            Entry::Occupied(_) => panic!("duplicate document id {id}"),
+            Entry::Vacant(slot) => slot.insert(doc),
+        };
         self.fifo.push_back(id);
         self.pushed += 1;
     }

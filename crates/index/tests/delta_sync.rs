@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use cts_core::testkit::ScriptRng;
-use cts_index::{DenseArena, DocId, Document, DocumentStore, TermArena, Timestamp};
+use cts_index::{DenseArena, DocId, Document, DocumentStore, LiveTerms, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
 fn contents(arena: &DenseArena<Vec<u32>>) -> Vec<(usize, Vec<u32>)> {
@@ -128,18 +128,36 @@ fn every_mutable_accessor_is_recorded() {
 
 #[test]
 fn term_arena_sync_follows_the_dense_core() {
-    let mut live: TermArena<Vec<u32>> = TermArena::new();
-    let mut copy: TermArena<Vec<u32>> = TermArena::new();
-    live.get_or_default(TermId(7)).push(1);
-    live.get_or_default(TermId(3)).push(2);
+    // A per-term arena is a dense arena keyed through a live-term set; with
+    // live-slot keys the pair must stay in step through slot recycling.
+    let (mut keys, mut keys_copy) = (LiveTerms::live_slots(), LiveTerms::live_slots());
+    let mut live: DenseArena<Vec<u32>> = DenseArena::new();
+    let mut copy: DenseArena<Vec<u32>> = DenseArena::new();
+    for (term, value) in [(7, 1), (3, 2)] {
+        assert!(keys.acquire(TermId(term)));
+        live.get_or_default(keys.key(TermId(term)).unwrap())
+            .push(value);
+    }
+    keys_copy.sync_from(&mut keys);
     copy.sync_from(&mut live);
-    assert!(copy == live.clone());
-    live.get_mut(TermId(7)).unwrap().push(3);
-    live.remove(TermId(3));
+    assert!(copy == live.clone() && keys_copy == keys);
+    live.get_mut(keys.key(TermId(7)).unwrap()).unwrap().push(3);
+    // Term 3 dies and its slot goes to term 90,000 between two syncs.
+    live.remove(keys.release(TermId(3)).unwrap());
+    assert!(keys.acquire(TermId(90_000)));
+    live.get_or_default(keys.key(TermId(90_000)).unwrap())
+        .push(4);
+    keys_copy.sync_from(&mut keys);
     copy.sync_from(&mut live);
-    assert!(copy == live.clone());
-    assert_eq!(copy.get(TermId(7)), Some(&vec![1, 3]));
-    assert!(copy.get(TermId(3)).is_none());
+    assert!(copy == live.clone() && keys_copy == keys);
+    let of = |term: u32| keys_copy.key(TermId(term)).and_then(|key| copy.get(key));
+    assert_eq!(of(7), Some(&vec![1, 3]));
+    assert_eq!(of(3), None);
+    assert_eq!(of(90_000), Some(&vec![4]));
+    assert!(
+        copy.slot_capacity() < 64,
+        "slots follow live terms, not ids"
+    );
 }
 
 fn doc(id: u64) -> Arc<Document> {

@@ -31,7 +31,7 @@
 //! let model = CosineModel::default();
 //! let doc_w = model.document_weights(&doc, &dict);
 //! let query_w = model.query_weights(&query, &dict);
-//! let s = cts_text::score::dot_product(&query_w, &doc_w);
+//! let s = cts_text::score::dot_product(query_w.as_slice(), doc_w.as_slice());
 //! assert!(s > 0.0 && s <= 1.0 + 1e-9);
 //! ```
 

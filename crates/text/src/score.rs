@@ -13,15 +13,16 @@ use std::ops::{Add, Sub};
 
 use serde::{Deserialize, Serialize};
 
-use crate::vector::WeightedVector;
+use crate::vector::WeightedTerm;
 
-/// Computes the sparse dot product of two weighted vectors.
+/// Computes the sparse dot product of two term-id-sorted entry slices (whole
+/// weighted vectors via [`WeightedVector::as_slice`], or any sub-sequence of
+/// one — the engines pass only the document entries whose term some query
+/// uses).
 ///
-/// Both vectors are sorted by term id, so this is a linear merge. The query
+/// Both sides are sorted by term id, so this is a linear merge. The query
 /// side is conventionally the first argument but the operation is symmetric.
-pub fn dot_product(a: &WeightedVector, b: &WeightedVector) -> f64 {
-    let xs = a.as_slice();
-    let ys = b.as_slice();
+pub fn dot_product(xs: &[WeightedTerm], ys: &[WeightedTerm]) -> f64 {
     let mut i = 0;
     let mut j = 0;
     let mut acc = 0.0;
@@ -45,22 +46,27 @@ pub fn dot_product(a: &WeightedVector, b: &WeightedVector) -> f64 {
 /// `|Q| + |d|` at newswire document lengths.
 const LOOKUP_ASYMMETRY: usize = 16;
 
-/// Computes the sparse dot product by probing `b` (binary search) for each
-/// term of `a`. Equivalent to [`dot_product`] — both accumulate matched terms
-/// in ascending term-id order, so the results are bit-identical — but `O(|a|
-/// log |b|)` instead of `O(|a| + |b|)`, a large win when a short query meets
-/// a long document composition list.
-pub fn dot_product_lookup(a: &WeightedVector, b: &WeightedVector) -> f64 {
-    a.as_slice()
-        .iter()
-        .map(|e| e.weight.get() * b.weight(e.term))
+/// Computes the sparse dot product by probing `ys` (binary search) for each
+/// term of `xs`. Equivalent to [`dot_product`] — both accumulate matched
+/// terms in ascending term-id order, so the results are bit-identical — but
+/// `O(|xs| log |ys|)` instead of `O(|xs| + |ys|)`, a large win when a short
+/// query meets a long document composition list.
+pub fn dot_product_lookup(xs: &[WeightedTerm], ys: &[WeightedTerm]) -> f64 {
+    xs.iter()
+        .map(|x| {
+            let matched = ys.binary_search_by_key(&x.term, |y| y.term);
+            x.weight.get() * matched.map_or(0.0, |i| ys[i].weight.get())
+        })
         .sum()
 }
 
-/// Scores a (short) query vector against a (long) document composition list,
-/// choosing between the linear merge and per-term lookup by size asymmetry.
-/// Both paths produce bit-identical sums.
-pub fn query_document_score(query: &WeightedVector, doc: &WeightedVector) -> f64 {
+/// Scores a (short) query against a (long) document composition list, both
+/// as term-id-sorted entry slices, choosing between the linear merge and
+/// per-term lookup by size asymmetry. Both paths produce bit-identical sums,
+/// and so does dropping document entries whose term the query does not
+/// contain: every path adds the matched products in ascending term-id order,
+/// and an unmatched term contributes nothing or an exact `+ 0.0`.
+pub fn query_document_score(query: &[WeightedTerm], doc: &[WeightedTerm]) -> f64 {
     if query.len().saturating_mul(LOOKUP_ASYMMETRY) < doc.len() {
         dot_product_lookup(query, doc)
     } else {
@@ -175,7 +181,7 @@ mod tests {
     fn dot_product_of_disjoint_vectors_is_zero() {
         let a = WeightedVector::from_weights([(t(0), 0.5), (t(1), 0.5)]);
         let b = WeightedVector::from_weights([(t(2), 0.9)]);
-        assert_eq!(dot_product(&a, &b), 0.0);
+        assert_eq!(dot_product(a.as_slice(), b.as_slice()), 0.0);
     }
 
     #[test]
@@ -183,34 +189,44 @@ mod tests {
         let q = WeightedVector::from_weights([(t(11), 0.447), (t(20), 0.894)]);
         let d = WeightedVector::from_weights([(t(11), 0.16), (t(20), 0.10), (t(30), 0.5)]);
         let expected = 0.447 * 0.16 + 0.894 * 0.10;
-        assert!((dot_product(&q, &d) - expected).abs() < 1e-12);
+        assert!((dot_product(q.as_slice(), d.as_slice()) - expected).abs() < 1e-12);
     }
 
     #[test]
     fn dot_product_is_symmetric() {
         let a = WeightedVector::from_weights([(t(1), 0.3), (t(4), 0.7)]);
         let b = WeightedVector::from_weights([(t(1), 0.2), (t(3), 0.8), (t(4), 0.1)]);
-        assert!((dot_product(&a, &b) - dot_product(&b, &a)).abs() < 1e-15);
+        assert!(
+            (dot_product(a.as_slice(), b.as_slice()) - dot_product(b.as_slice(), a.as_slice()))
+                .abs()
+                < 1e-15
+        );
     }
 
     #[test]
     fn dot_product_with_empty_is_zero() {
         let a = WeightedVector::from_weights([(t(1), 0.3)]);
-        assert_eq!(dot_product(&a, &WeightedVector::new()), 0.0);
-        assert_eq!(dot_product(&WeightedVector::new(), &a), 0.0);
+        assert_eq!(dot_product(a.as_slice(), &[]), 0.0);
+        assert_eq!(dot_product(&[], a.as_slice()), 0.0);
     }
 
     #[test]
     fn lookup_and_merge_dot_products_are_bit_identical() {
         let q = WeightedVector::from_weights([(t(3), 0.447), (t(40), 0.894), (t(99), 0.1)]);
         let d = WeightedVector::from_weights((0..100u32).map(|i| (t(i), 0.001 + i as f64 * 0.003)));
-        assert_eq!(dot_product(&q, &d), dot_product_lookup(&q, &d));
-        assert_eq!(query_document_score(&q, &d), dot_product(&q, &d));
+        assert_eq!(
+            dot_product(q.as_slice(), d.as_slice()),
+            dot_product_lookup(q.as_slice(), d.as_slice())
+        );
+        assert_eq!(
+            query_document_score(q.as_slice(), d.as_slice()),
+            dot_product(q.as_slice(), d.as_slice())
+        );
         // Symmetric sizes take the merge path; tiny-vs-large takes lookup.
         let small = WeightedVector::from_weights([(t(1), 0.5)]);
         assert_eq!(
-            query_document_score(&small, &d),
-            dot_product_lookup(&small, &d)
+            query_document_score(small.as_slice(), d.as_slice()),
+            dot_product_lookup(small.as_slice(), d.as_slice())
         );
     }
 

@@ -227,7 +227,7 @@ mod tests {
         let v = TermVector::from_counts([(t(0), 3), (t(1), 4)]);
         let d = CosineModel.document_weights(&v, &dict);
         let q = CosineModel.query_weights(&v, &dict);
-        assert!((dot_product(&q, &d) - 1.0).abs() < 1e-12);
+        assert!((dot_product(q.as_slice(), d.as_slice()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
