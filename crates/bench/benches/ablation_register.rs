@@ -1,47 +1,57 @@
-//! Ablation: what a query registration costs under each strategy.
+//! Ablation: what a query registration costs, and what it reads.
 //!
-//! Fixes a term-filtered shadow engine (the shard-side configuration, where
-//! registration must bring newly-live terms up from the shared window) over
-//! a filled count-based window and prices the two registration protocols of
-//! DESIGN.md §9 against each other:
+//! A term-filtered shadow engine (the shard-side configuration) must file
+//! the window postings of every term a registration brings live. DESIGN.md
+//! §9 has the cost model; this bench prices its three parts.
 //!
-//! * `lazy-loop`  — one [`Engine::register`] call per query: each is a
-//!   burst of one, so every registration that brings terms live pays one
-//!   store pass for its own newly-live terms.
-//! * `bulk`       — one [`Engine::register_batch`] call for the whole
-//!   workload: all newly-live terms across the batch are brought up in one
-//!   sorted merge over the window before any threshold search runs.
+//! **Stand-alone engine** (`ita_term_filtered/register/…`) — nobody supplies
+//! postings, so the engine reads them out of its own store, one bitmap walk
+//! of the whole window per call:
 //!
-//! The measured routine registers the full workload and then deregisters it
-//! (restoring the engine for the next iteration); a manual clock around the
-//! registration half plus the engine's `register_postings_touched` counter
-//! are printed per arm, so the readout separates register-only time from
-//! the teardown and ties it to the postings actually filed. The
-//! registration-burst differential tests hold both protocols
-//! byte-identical; this bench prices them.
+//! * `lazy-loop` — one [`Engine::register`] call per query, a walk each;
+//! * `bulk` — one [`Engine::register_batch`] call, one walk for the lot;
+//! * `single/len10` — one ten-term query registering alone on an engine
+//!   that already holds half the workload.
 //!
-//! A third arm, `single/len{10,16,17}`, prices the case the service sees
-//! most — **one** query registering alone on an engine that already holds
-//! half the workload — at the paper's query length and on either side of
-//! `cts_index`'s `BACKFILL_DIRECTORY_THRESHOLD` (16 newly-live terms): up to
-//! it the window pass probes each composition list per term, above it the
-//! pass walks every composition entry against a term directory.
+//! **Resolved by the window's owner** (`window_terms/register/…`) — what the
+//! sharded coordinator does: a [`WindowTerms`] over the same documents
+//! answers [`WindowTerms::postings`] and the engine files the answer
+//! ([`ItaEngine::register_shared_batch`]). Arms: a lone query, bursts of 16
+//! and 64, the 1,000-query workload × a 10k- and a 40k-document window ×
+//! directories *cold* (a fresh `WindowTerms` per call: everything is walked,
+//! then the bounded builds run) and *warm* (every sealed chunk built). Each
+//! arm prints the time per call split into resolve and file-and-search, the
+//! composition entries walked and the postings answered from directories —
+//! a warm lone registration must follow the chunk count and its own
+//! postings, not the window's 2.3M / 9.2M entries.
 //!
-//! Run with `cargo bench --bench ablation_register`. Set
-//! `CTS_ABLATION_REGISTER_QUICK=1` for a reduced point (50 queries,
-//! 400-document window) when iterating on the harness itself.
+//! **Shape sweep** (`window_terms/shape/…`) — chunk length × builds per call
+//! on the 10k window, `WindowTerms` alone: the cold and the warm lone call,
+//! a warm burst of 16, the directory build per document, the directories'
+//! bytes and the calls a fresh window needs before it is fully built. This
+//! is what `cts_index::window_terms::{CHUNK_DOCS, BUILDS_PER_CALL}` were
+//! read off.
+//!
+//! The routines register and then deregister (restoring the engine for the
+//! next iteration); a manual clock around the registration half separates it
+//! from the teardown. Run with `cargo bench --bench ablation_register`. Set
+//! `CTS_ABLATION_REGISTER_QUICK=1` for a reduced point (50 queries, 400- and
+//! 1,600-document windows, chunks of 16) when iterating on the harness.
 
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
-use cts_index::SlidingWindow;
+use cts_index::window_terms::{BUILDS_PER_CALL, CHUNK_DOCS};
+use cts_index::{Document, QueryId, SlidingWindow, WindowTerms};
 use cts_text::weighting::Scoring;
-use cts_text::Dictionary;
+use cts_text::{Dictionary, TermId};
 
 struct Point {
+    quick: bool,
     num_queries: usize,
     window_docs: usize,
     corpus: CorpusConfig,
@@ -58,6 +68,7 @@ fn operating_point() -> Point {
         }
     };
     Point {
+        quick,
         num_queries: if quick { 50 } else { 1_000 },
         window_docs: if quick { 400 } else { 10_000 },
         corpus,
@@ -65,19 +76,14 @@ fn operating_point() -> Point {
 }
 
 fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
-    build_queries_of(point, point.num_queries, 10, 0x4E60_0002)
+    build_queries_of(point, point.num_queries, 0x4E60_0002)
 }
 
-fn build_queries_of(
-    point: &Point,
-    num_queries: usize,
-    query_length: usize,
-    seed: u64,
-) -> Vec<ContinuousQuery> {
+fn build_queries_of(point: &Point, num_queries: usize, seed: u64) -> Vec<ContinuousQuery> {
     let workload = QueryWorkload::new(
         WorkloadConfig {
             num_queries,
-            query_length,
+            query_length: 10,
             k: 10,
             popularity_biased: false,
             seed,
@@ -94,12 +100,8 @@ fn build_queries_of(
         .collect()
 }
 
-/// A term-filtered engine with a freshly filled window (untimed setup).
-fn filled_engine(point: &Point) -> ItaEngine {
-    let mut engine = ItaEngine::term_filtered(
-        SlidingWindow::count_based(point.window_docs),
-        ItaConfig::default(),
-    );
+/// The first `count` documents of the bench's stream, shared.
+fn window_documents(point: &Point, count: usize) -> Vec<Arc<Document>> {
     let mut stream = DocumentStream::new(
         point.corpus,
         StreamConfig {
@@ -107,34 +109,63 @@ fn filled_engine(point: &Point) -> ItaEngine {
             seed: 0x4E60_0003,
         },
     );
-    for _ in 0..point.window_docs {
-        engine.process_document(stream.next_document());
+    (0..count)
+        .map(|_| Arc::new(stream.next_document()))
+        .collect()
+}
+
+/// A term-filtered engine whose window holds exactly `docs` (untimed setup).
+fn filled_engine(docs: &[Arc<Document>]) -> ItaEngine {
+    let mut engine =
+        ItaEngine::term_filtered(SlidingWindow::count_based(docs.len()), ItaConfig::default());
+    for doc in docs {
+        engine.process_shared(Arc::clone(doc));
     }
     engine
 }
 
-/// One registration strategy: how it registers the workload.
-type RegisterFn = fn(&mut ItaEngine, &[ContinuousQuery]) -> Vec<cts_index::QueryId>;
+fn window_over(docs: &[Arc<Document>], chunk_docs: usize, builds_per_call: usize) -> WindowTerms {
+    let mut window = WindowTerms::with_shape(chunk_docs, builds_per_call);
+    for doc in docs {
+        window.push(Arc::clone(doc));
+    }
+    window
+}
 
-fn register_looped(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<cts_index::QueryId> {
+fn terms_of(queries: &[ContinuousQuery]) -> Vec<TermId> {
+    queries
+        .iter()
+        .flat_map(|query| query.terms().map(|(term, _)| term))
+        .collect()
+}
+
+fn ms(duration: Duration, calls: u64) -> f64 {
+    duration.as_secs_f64() * 1e3 / calls.max(1) as f64
+}
+
+/// One registration strategy: how it registers the workload.
+type RegisterFn = fn(&mut ItaEngine, &[ContinuousQuery]) -> Vec<QueryId>;
+
+fn register_looped(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<QueryId> {
     queries.iter().map(|q| engine.register(q.clone())).collect()
 }
 
-fn register_bulk(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<cts_index::QueryId> {
+fn register_bulk(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<QueryId> {
     engine.register_batch(queries.to_vec())
 }
 
 fn bench_registration_strategies(c: &mut Criterion) {
     let point = operating_point();
     let queries = build_queries(&point);
+    let docs = window_documents(&point, point.window_docs);
     let arms: [(&str, RegisterFn); 2] = [("lazy-loop", register_looped), ("bulk", register_bulk)];
     for (label, register) in arms {
-        let mut engine = filled_engine(&point);
+        let mut engine = filled_engine(&docs);
         eprintln!(
             "ablation_register: {label} ready ({} queries, {}-doc window)",
             point.num_queries, point.window_docs
         );
-        let mut register_time = std::time::Duration::ZERO;
+        let mut register_time = Duration::ZERO;
         let mut iterations = 0u64;
         let postings_before = engine.register_postings_touched();
         c.bench_function(
@@ -163,53 +194,227 @@ fn bench_registration_strategies(c: &mut Criterion) {
             let filed = engine.register_postings_touched() - postings_before;
             eprintln!(
                 "ita_term_filtered/register/{label}: {:.3} s per {}-query workload \
-                 ({:.1} µs/query, {} postings filed across {iterations} iteration(s))",
+                 ({:.1} µs/query, {} postings filed and {} composition entries walked \
+                 across {iterations} iteration(s))",
                 per_workload,
                 point.num_queries,
                 per_workload * 1e6 / point.num_queries as f64,
                 filed,
+                engine.register_entries_walked(),
             );
         }
     }
 }
 
-/// One query registering alone, at lengths on both sides of the backfill
-/// strategy switch.
+/// One query registering alone on a stand-alone filtered engine: the walk
+/// that remains where nobody supplies postings.
 fn bench_single_registration(c: &mut Criterion) {
     let point = operating_point();
-    let mut engine = filled_engine(&point);
+    let docs = window_documents(&point, point.window_docs);
+    let mut engine = filled_engine(&docs);
     let resident = build_queries(&point);
     engine.register_batch(resident[..point.num_queries / 2].to_vec());
-    for (length, pass) in [
-        (10, "per-term probes"),
-        (16, "per-term probes"),
-        (17, "directory walk"),
-    ] {
-        let fresh = build_queries_of(&point, 64, length, 0x4E60_0100 + length as u64);
-        let mut register_time = std::time::Duration::ZERO;
-        let mut iterations = 0usize;
-        c.bench_function(
-            &format!(
-                "ita_term_filtered/register/q{}w{}/single/len{length}",
-                point.num_queries, point.window_docs
-            ),
-            |b| {
-                b.iter(|| {
-                    let query = fresh[iterations % fresh.len()].clone();
-                    let start = Instant::now();
-                    let id = engine.register(query);
-                    register_time += start.elapsed();
-                    iterations += 1;
-                    engine.deregister(id);
-                })
-            },
+    let fresh = build_queries_of(&point, 64, 0x4E60_010A);
+    let mut register_time = Duration::ZERO;
+    let mut iterations = 0u64;
+    c.bench_function(
+        &format!(
+            "ita_term_filtered/register/q{}w{}/single/len10",
+            point.num_queries, point.window_docs
+        ),
+        |b| {
+            b.iter(|| {
+                let query = fresh[iterations as usize % fresh.len()].clone();
+                let start = Instant::now();
+                let id = engine.register(query);
+                register_time += start.elapsed();
+                iterations += 1;
+                engine.deregister(id);
+            })
+        },
+    );
+    if iterations > 0 {
+        eprintln!(
+            "ita_term_filtered/register/single/len10: {:.2} ms per lone registration \
+             over a {}-document window (one bitmap walk of the engine's own store, \
+             {iterations} iteration(s))",
+            ms(register_time, iterations),
+            point.window_docs,
         );
-        if iterations > 0 {
+    }
+}
+
+/// Registration as the sharded coordinator performs it — postings resolved
+/// by a `WindowTerms`, filed by the engine — across burst sizes, window
+/// sizes and directory states.
+fn bench_resolved_registration(c: &mut Criterion) {
+    let point = operating_point();
+    let chunk_docs = if point.quick { 16 } else { CHUNK_DOCS };
+    for window_docs in [point.window_docs, 4 * point.window_docs] {
+        let docs = window_documents(&point, window_docs);
+        let entries: usize = docs.iter().map(|doc| doc.composition.len()).sum();
+        let mut engine = filled_engine(&docs);
+        let resident = build_queries(&point);
+        engine.register_batch(resident[..point.num_queries / 2].to_vec());
+        // The resident half registered stand-alone: that one walk is all
+        // this engine ever reads out of its own store.
+        let own_walk = engine.register_entries_walked();
+        let mut warm = window_over(&docs, chunk_docs, usize::MAX);
+        warm.postings([TermId(0)]);
+        let built = warm.stats();
+        eprintln!(
+            "ablation_register: {window_docs}-doc window = {entries} composition entries; \
+             {} of {} chunks carry a directory, {:.2} MB",
+            built.directories,
+            built.chunks,
+            built.directory_bytes as f64 / 1e6,
+        );
+        for burst in [1, 16, 64, point.num_queries] {
+            let arm = if burst == 1 {
+                "lone".to_string()
+            } else {
+                format!("q{burst}")
+            };
+            // 64 distinct bursts, cycled, so no call re-registers the terms
+            // the previous one just released.
+            let bursts: Vec<Vec<ContinuousQuery>> = (0..if burst > 64 { 2 } else { 64 })
+                .map(|i| build_queries_of(&point, burst, 0x4E60_0200 + i))
+                .collect();
+            for state in ["cold", "warm"] {
+                let (mut resolve, mut file) = (Duration::ZERO, Duration::ZERO);
+                let mut calls = 0u64;
+                let (mut walked, mut from_directories, mut filed) = (0u64, 0u64, 0u64);
+                c.bench_function(
+                    &format!("window_terms/register/w{window_docs}/{arm}/{state}"),
+                    |b| {
+                        b.iter(|| {
+                            let queries = &bursts[calls as usize % bursts.len()];
+                            // Ids above the resident ones, reused call
+                            // after call: each burst leaves before the next.
+                            let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = (point.num_queries
+                                as u32..)
+                                .zip(queries)
+                                .map(|(id, query)| (QueryId(id), Arc::new(query.clone())))
+                                .collect();
+                            // Cold: a window nobody has asked anything yet.
+                            let mut fresh = (state == "cold")
+                                .then(|| window_over(&docs, chunk_docs, BUILDS_PER_CALL));
+                            let window = fresh.as_mut().unwrap_or(&mut warm);
+                            let before = window.stats();
+                            let filed_before = engine.register_postings_touched();
+                            let start = Instant::now();
+                            let postings = window.postings(terms_of(queries));
+                            let resolved = start.elapsed();
+                            engine.register_shared_batch(&batch, &postings);
+                            let done = start.elapsed();
+                            resolve += resolved;
+                            file += done - resolved;
+                            calls += 1;
+                            let after = window.stats();
+                            walked += after.entries_walked - before.entries_walked;
+                            from_directories +=
+                                after.postings_from_directories - before.postings_from_directories;
+                            filed += engine.register_postings_touched() - filed_before;
+                            for (id, _) in &batch {
+                                engine.deregister(*id);
+                            }
+                        })
+                    },
+                );
+                assert_eq!(
+                    engine.register_entries_walked(),
+                    own_walk,
+                    "the engine walked"
+                );
+                eprintln!(
+                    "window_terms/register/w{window_docs}/{arm}/{state}: {:.3} ms per call \
+                     = {:.3} resolve + {:.3} file and search ({:.1} µs/query); per call {} \
+                     entries walked, {} postings from directories, {} filed ({calls} calls)",
+                    ms(resolve + file, calls),
+                    ms(resolve, calls),
+                    ms(file, calls),
+                    ms(resolve + file, calls) * 1e3 / burst as f64,
+                    walked / calls.max(1),
+                    from_directories / calls.max(1),
+                    filed / calls.max(1),
+                );
+            }
+        }
+    }
+}
+
+/// Median of `calls` timings of `routine`, in microseconds.
+fn median_us(calls: usize, mut routine: impl FnMut(usize) -> Duration) -> f64 {
+    let mut timings: Vec<Duration> = (0..calls).map(&mut routine).collect();
+    timings.sort_unstable();
+    timings[timings.len() / 2].as_secs_f64() * 1e6
+}
+
+/// Chunk length × builds per call on the 10k window, `WindowTerms` alone.
+fn bench_window_shape(_c: &mut Criterion) {
+    let point = operating_point();
+    let docs = window_documents(&point, point.window_docs);
+    let lone: Vec<Vec<TermId>> = build_queries_of(&point, 40, 0x4E60_0300)
+        .iter()
+        .map(|query| terms_of(std::slice::from_ref(query)))
+        .collect();
+    let bursts: Vec<Vec<TermId>> = (0..10)
+        .map(|i| terms_of(&build_queries_of(&point, 16, 0x4E60_0400 + i)))
+        .collect();
+    let chunk_lengths: &[usize] = if point.quick {
+        &[8, 16, 32]
+    } else {
+        &[128, 256, 512, 1024]
+    };
+    for &chunk_docs in chunk_lengths {
+        for builds_per_call in [1, 2, 4] {
+            let cold = median_us(lone.len().min(12), |i| {
+                let mut window = window_over(&docs, chunk_docs, builds_per_call);
+                let start = Instant::now();
+                window.postings(lone[i].iter().copied());
+                start.elapsed()
+            });
+            let mut window = window_over(&docs, chunk_docs, builds_per_call);
+            let sealed = docs.len() / chunk_docs;
+            let mut warming_calls = 0;
+            let mut warming = Duration::ZERO;
+            while window.stats().directories < sealed {
+                let start = Instant::now();
+                window.postings(lone[warming_calls % lone.len()].iter().copied());
+                warming += start.elapsed();
+                warming_calls += 1;
+            }
+            let walked = window.stats().entries_walked;
+            let warm_lone = median_us(lone.len(), |i| {
+                let start = Instant::now();
+                window.postings(lone[i].iter().copied());
+                start.elapsed()
+            });
+            let walked_per_warm_call = (window.stats().entries_walked - walked) / lone.len() as u64;
+            let warm_burst = median_us(bursts.len(), |i| {
+                let start = Instant::now();
+                window.postings(bursts[i].iter().copied());
+                start.elapsed()
+            });
+            // What the builds alone cost: everything built in one call.
+            let mut all_at_once = window_over(&docs, chunk_docs, usize::MAX);
+            let mut never = window_over(&docs, chunk_docs, 0);
+            let start = Instant::now();
+            all_at_once.postings(lone[0].iter().copied());
+            let with_builds = start.elapsed();
+            let start = Instant::now();
+            never.postings(lone[0].iter().copied());
+            let walk_only = start.elapsed();
             eprintln!(
-                "ita_term_filtered/register/single/len{length}: {:.2} ms per lone \
-                 registration over a {}-document window ({pass}, {iterations} iteration(s))",
-                register_time.as_secs_f64() * 1e3 / iterations as f64,
-                point.window_docs,
+                "window_terms/shape/chunk{chunk_docs}/builds{builds_per_call}: lone cold \
+                 {cold:.0} µs, lone warm {warm_lone:.0} µs ({walked_per_warm_call} entries \
+                 walked), q16 warm {warm_burst:.0} µs; fully built after {warming_calls} \
+                 calls ({:.1} ms in all), build {:.2} µs/doc, {sealed} directories = \
+                 {:.2} MB",
+                warming.as_secs_f64() * 1e3,
+                with_builds.saturating_sub(walk_only).as_secs_f64() * 1e6
+                    / (sealed * chunk_docs).max(1) as f64,
+                window.stats().directory_bytes as f64 / 1e6,
             );
         }
     }
@@ -218,6 +423,8 @@ fn bench_single_registration(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_registration_strategies,
-    bench_single_registration
+    bench_single_registration,
+    bench_resolved_registration,
+    bench_window_shape
 );
 criterion_main!(benches);

@@ -49,7 +49,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use cts_index::{
-    DenseArena, DocId, Document, InvertedIndex, QueryId, SlidingWindow, ThresholdTree, Timestamp,
+    DenseArena, DocId, Document, InvertedIndex, QueryId, SlidingWindow, TermPostings,
+    ThresholdTree, Timestamp,
 };
 use cts_text::{TermId, Weight, WeightedTerm};
 
@@ -227,7 +228,8 @@ impl ItaEngine {
 
     /// Creates a **term-filtered** engine: the inverted index files postings
     /// only for terms referenced by at least one registered query
-    /// (registration backfills a new term's list from the stored window;
+    /// (registration files a new term's list from postings the caller
+    /// supplies or, failing that, from one walk of the stored window;
     /// deregistration retires lists whose last referencing query left). For
     /// its registered queries it is exactly equivalent to an unfiltered
     /// engine — every list a query's threshold search, roll-up or probe can
@@ -289,6 +291,14 @@ impl ItaEngine {
         self.index.register_postings_touched()
     }
 
+    /// Composition entries this engine's index read out of its own store to
+    /// resolve postings no caller supplied (see
+    /// [`cts_index::InvertedIndex::register_entries_walked`]): a window's
+    /// worth per walk, and 0 on a shard whose coordinator ships them.
+    pub fn register_entries_walked(&self) -> u64 {
+        self.index.register_entries_walked()
+    }
+
     /// Number of shadow-index terms currently cold (live in the term filter
     /// but not yet materialised). Always 0 on unfiltered engines.
     pub fn num_cold_terms(&self) -> usize {
@@ -315,7 +325,7 @@ impl ItaEngine {
     }
 
     /// Materialises any still-cold terms of `qid` before its lists are
-    /// probed — the whole batch of cold terms in one store pass. The
+    /// probed — the whole batch of cold terms in one store walk. The
     /// `num_cold` fast path keeps this a single branch on engines with no
     /// cold terms (unfiltered engines, and filtered ones in steady state).
     fn ensure_query_terms_warm(&mut self, qid: QueryId) {
@@ -596,24 +606,25 @@ impl ItaEngine {
     /// assigns ids globally and routes each query to one shard, so the shard
     /// must not mint its own. Ids handed out by a later [`Engine::register`]
     /// never collide with ids registered this way. A burst of one through
-    /// [`ItaEngine::register_shared_batch`].
+    /// [`ItaEngine::register_shared_batch`], with no postings supplied.
     ///
     /// # Panics
     ///
     /// Panics if `qid` is already registered.
     pub fn register_with_id(&mut self, qid: QueryId, query: ContinuousQuery) {
-        self.register_shared_batch(&[(qid, Arc::new(query))]);
+        self.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
     }
 
     /// Registers a whole batch of queries under caller-chosen ids — the
-    /// shard-side half of [`Engine::register_batch`]. All of the batch's
-    /// newly-live terms are brought up in **one sorted merge over the stored
-    /// window** (one [`InvertedIndex::backfill_terms`] pass), and only then
-    /// do the per-query threshold searches run — each is byte-identical to
-    /// the one a lone [`ItaEngine::register_with_id`] call would have run,
+    /// shard-side half of [`Engine::register_batch`], with no postings
+    /// supplied: on a term-filtered engine all of the batch's newly-live
+    /// terms are read out of the stored window in **one walk** (each
+    /// composition entry tested against a bitmap of those terms), and only
+    /// then do the per-query threshold searches run — each is byte-identical
+    /// to the one a lone [`ItaEngine::register_with_id`] call would have run,
     /// because registration reads the index and writes only the registering
-    /// query's own state. The old path paid that window scan once *per
-    /// query*; this is the registration cliff fix of DESIGN.md §9.
+    /// query's own state. A per-query loop pays that walk once *per query*;
+    /// DESIGN.md §9 has the cost model.
     ///
     /// # Panics
     ///
@@ -623,20 +634,31 @@ impl ItaEngine {
             .into_iter()
             .map(|(qid, query)| (qid, Arc::new(query)))
             .collect();
-        self.register_shared_batch(&batch);
+        self.register_shared_batch(&batch, &TermPostings::default());
     }
 
     /// [`ItaEngine::register_batch_with_ids`] over queries the caller keeps
-    /// a handle on: the engine stores a refcount bump per query, not a copy.
-    /// The sharded engine registers through this — its coordinator's durable
-    /// registry, the worker's op log and the worker's engine (and its
-    /// checkpoint) all hold the same allocation.
+    /// a handle on — the engine stores a refcount bump per query, not a copy
+    /// — and with the window's postings resolved by the caller. The sharded
+    /// engine registers through this: its coordinator's durable registry,
+    /// the worker's op log and the worker's engine (and its checkpoint) all
+    /// hold the same query allocations, and the coordinator resolves
+    /// `postings` for the burst's terms against its own copy of the window
+    /// (`cts_index::WindowTerms`), so no shard reads its store. `postings`
+    /// must describe exactly the documents this engine holds; terms it does
+    /// not cover (all of them, when it is empty) are read from the engine's
+    /// own store in one walk. A plain engine keeps every list current and
+    /// ignores it.
     ///
     /// # Panics
     ///
     /// Panics if any id is already registered.
-    pub fn register_shared_batch(&mut self, batch: &[(QueryId, Arc<ContinuousQuery>)]) {
-        // Newly-live terms are backfilled now rather than marked cold: the
+    pub fn register_shared_batch(
+        &mut self,
+        batch: &[(QueryId, Arc<ContinuousQuery>)],
+        postings: &TermPostings,
+    ) {
+        // Newly-live terms are filed now rather than marked cold: the
         // threshold searches below probe every one of their lists
         // immediately, so cold marks would only re-discover them one query
         // at a time.
@@ -644,6 +666,7 @@ impl ItaEngine {
             batch
                 .iter()
                 .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
+            postings,
         );
         for (qid, query) in batch {
             self.finish_register(*qid, Arc::clone(query));
@@ -705,7 +728,7 @@ impl ItaEngine {
     /// engine's shards all mirror the same window, so any shard pair
     /// qualifies). The migrated thresholds are filed into the threshold trees
     /// verbatim and, on a term-filtered engine, newly-live terms are marked
-    /// cold in the shadow index (DESIGN.md §9: the full-window backfill runs
+    /// cold in the shadow index (DESIGN.md §9: the window walk runs
     /// only when a threshold search or roll-up first probes the list) — after
     /// which this engine maintains the query byte-identically to the one it
     /// left.
@@ -718,7 +741,7 @@ impl ItaEngine {
         let QueryMigration { state } = migration;
         for (term, theta) in &state.thresholds {
             // The newly-live terms only go cold here: installation runs no
-            // threshold search, so a migration costs no window scan at all
+            // threshold search, so a migration costs no window walk at all
             // until (unless) the query is next probed.
             self.index.acquire_term_cold(*term);
             // cts-lint: allow(panic-in-hot-path, the line above took a reference on the term)
@@ -739,7 +762,7 @@ impl ItaEngine {
     /// with the live-term set **once**; filing, the threshold probe and
     /// arrival scoring then cost what the document's *matching* terms make
     /// them cost. The full `Arc<Document>` stays in the store for what needs
-    /// all of it: backfills, `threshold_descent`'s random-access scoring,
+    /// all of it: store walks, `threshold_descent`'s random-access scoring,
     /// roll-up support checks and cold materialisation.
     ///
     /// # Panics
@@ -820,7 +843,7 @@ impl ItaEngine {
         } else if self.index.live_terms() != other.index.live_terms() {
             "live-term set"
         } else if self.index != other.index {
-            "impact lists, cold set or backfill counter"
+            "impact lists, cold set or backfill counters"
         } else if self.trees != other.trees {
             "threshold trees"
         } else if let Some((qid, _)) = self
@@ -1547,9 +1570,10 @@ mod tests {
             .collect();
         let ids = e.register_batch(queries);
         assert_eq!(ids.len(), 20);
-        // One sorted merge serves the whole burst: the cost is one list's
-        // postings, not 20 of them.
+        // One walk serves the whole burst: the cost is one list's postings
+        // and one window's entries, not 20 of either.
         assert_eq!(e.register_postings_touched(), hits);
+        assert_eq!(e.register_entries_walked(), hits + 100);
         // And the loop path agrees — the second and later registrations find
         // the term already live and file nothing.
         let mut looped = filtered_window(7, hits, 100);
@@ -1560,6 +1584,59 @@ mod tests {
             ));
         }
         assert_eq!(looped.register_postings_touched(), hits);
+    }
+
+    /// Postings resolved by the window's owner are filed as they are: the
+    /// engine reads nothing out of its own store and ends up in the state the
+    /// walk would have left.
+    #[test]
+    fn supplied_postings_replace_the_store_walk_exactly() {
+        let hits = 8u64;
+        let mut walked = filtered_window(7, hits, 100);
+        let mut supplied = filtered_window(7, hits, 100);
+        let mut window = cts_index::WindowTerms::with_shape(16, usize::MAX);
+        for doc in supplied.store_documents() {
+            window.push(Arc::new(doc.clone()));
+        }
+        let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = (0..5u32)
+            .map(|i| {
+                let query = ContinuousQuery::from_weights(
+                    [(TermId(7), 0.8), (TermId(1000 + i), 0.6), (TermId(5), 0.1)],
+                    2,
+                );
+                (QueryId(i), Arc::new(query))
+            })
+            .collect();
+        let terms: Vec<TermId> = batch
+            .iter()
+            .flat_map(|(_, query)| query.terms().map(|(term, _)| term))
+            .collect();
+        // Twice: the second answer comes out of the directories.
+        window.postings(terms.iter().copied());
+        let postings = window.postings(terms);
+        supplied.register_shared_batch(&batch, &postings);
+        walked.register_shared_batch(&batch, &TermPostings::default());
+        assert_eq!(supplied.register_entries_walked(), 0);
+        assert_eq!(walked.register_entries_walked(), hits + 100);
+        assert_eq!(
+            supplied.register_postings_touched(),
+            walked.register_postings_touched()
+        );
+        for (qid, _) in &batch {
+            assert_eq!(supplied.current_results(*qid), walked.current_results(*qid));
+            assert_eq!(supplied.query_stats(*qid), walked.query_stats(*qid));
+        }
+        supplied.check_invariants();
+        for i in 200..260u64 {
+            let d = doc(i, &[(7, 0.1 + (i % 7) as f64 * 0.1), (1002, 0.3)]);
+            assert_eq!(
+                supplied.process_document(d.clone()),
+                walked.process_document(d)
+            );
+        }
+        for (qid, _) in &batch {
+            assert_eq!(supplied.current_results(*qid), walked.current_results(*qid));
+        }
     }
 
     /// Migration is free of window scans: terms go cold

@@ -38,7 +38,8 @@
 //! result set, local thresholds, counters — via
 //! [`ItaEngine::extract_query`]/[`ItaEngine::install_query`]; the receiving
 //! shard marks terms that just became live cold in its shadow index (their
-//! lists are backfilled at first probe) and files the migrated thresholds
+//! lists are read out of its own store, in one walk, at first probe) and
+//! files the migrated thresholds
 //! verbatim, so processing resumes byte-identically on the new shard (no
 //! threshold search is re-run). The routing table
 //! ([`ShardedItaEngine::assigned_shard`]) supersedes the initial hash
@@ -67,7 +68,8 @@
 //!   typed [`ShardFault`] and the shard is *degraded*. The coordinator keeps
 //!   durable state updated **before** any fan-out — a query registry
 //!   (id → [`ContinuousQuery`]), the placement table and a window mirror of
-//!   `Arc`'d documents — so it can rebuild the shard from scratch: respawn
+//!   `Arc`'d documents ([`WindowTerms`]) — so it can rebuild the shard from
+//!   scratch: respawn
 //!   the thread if needed, re-register the shard's queries and replay the
 //!   window. Rebuilt top-k results are exact (ITA's reported top-k is a
 //!   function of the window contents); the re-derived *thresholds* are not
@@ -94,9 +96,22 @@
 //! arriving document's terms. A shard that keeps complete lists for the
 //! union of its queries' terms therefore reproduces, query for query, the
 //! exact reads the single-shard engine performs — the shadow index is
-//! complete for that term set by construction (filtered inserts for live
-//! terms, [`cts_index::InvertedIndex::backfill_term`] when a registration
-//! brings a term live mid-stream). The randomized differential test in
+//! complete for that term set by construction: filtered inserts for live
+//! terms, and when a registration brings a term live mid-stream, its
+//! postings over the whole window filed in arrival order.
+//!
+//! **Who resolves those postings.** The coordinator does, once, for every
+//! shard: its window mirror is a [`WindowTerms`] — the arrival-ordered
+//! `Arc`s plus lazily built per-chunk term directories, which exist once
+//! however many shards there are. [`ShardedItaEngine::try_register_batch`]
+//! resolves the burst's terms against it while no event burst is in flight
+//! (so the mirror and every healthy shard's store hold the same documents)
+//! and ships the [`TermPostings`] with the request and into the worker's op
+//! log; the shard files what it finds newly live and never reads its own
+//! store. A shard still walks its store — once per call, whatever the number
+//! of terms — where nobody supplied postings: the first probe of a term a
+//! migration left cold. Arrival and expiry do no term work on the mirror
+//! (DESIGN.md §9). The randomized differential test in
 //! `tests/sharded_equivalence.rs` enforces byte-identical results and event
 //! outcomes against [`ItaEngine`] across shard counts, deregistration and
 //! window expiry; `tests/chaos_recovery.rs` enforces the same with faults
@@ -104,14 +119,17 @@
 
 use std::cell::RefCell;
 // cts-lint: allow(nondet-iteration, every map below is point-lookup only; nothing iterates their order)
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cts_index::{Document, IndexStats, QueryId, SlidingWindow, Timestamp, WindowKind};
+use cts_index::{
+    DocId, Document, IndexStats, QueryId, SlidingWindow, TermPostings, Timestamp, WindowTerms,
+    WindowTermsStats,
+};
 
 use crate::engine::{Engine, EventOutcome};
 use crate::fault::{
@@ -130,14 +148,15 @@ type SharedQueries = Arc<[(QueryId, Arc<ContinuousQuery>)]>;
 /// A request travelling coordinator → shard on the shard's SPSC channel.
 enum ShardRequest {
     /// Register a burst of queries, each under its globally assigned id, in
-    /// one round-trip (synchronous). The shard brings all of the burst's
-    /// newly-live shadow terms up in a single window merge
-    /// ([`ItaEngine::register_shared_batch`]) instead of one backfill scan
-    /// per query. Single registrations are a one-element burst (the
+    /// one round-trip (synchronous), with the window postings of the whole
+    /// burst's terms as the coordinator resolved them against its mirror.
+    /// The shard files the ones its own queries bring live
+    /// ([`ItaEngine::register_shared_batch`]) and reads nothing out of its
+    /// store. Single registrations are a one-element burst (the
     /// [`Engine::register_batch`] contract makes that byte-identical). The
-    /// queries are shared with the coordinator's registry, and the burst
-    /// with the worker's op log.
-    RegisterBatch(SharedQueries),
+    /// queries are shared with the coordinator's registry, the postings with
+    /// the other shards, and both with the worker's op log.
+    RegisterBatch(SharedQueries, Arc<TermPostings>),
     /// Remove a query (synchronous; replies whether it existed).
     Deregister(QueryId),
     /// Process a fanned-out burst of stream events — a single event is a
@@ -170,14 +189,16 @@ enum ShardRequest {
     /// term-filtered engine, the given queries registered, the given window
     /// replayed. Clears any poisoning.
     Rebuild(Vec<Arc<Document>>, SharedQueries),
-    /// Audit the shard engine's deep structural invariants, and that its
+    /// Audit the shard engine's deep structural invariants, that its store
+    /// holds exactly the given documents (the coordinator's mirror, oldest
+    /// first), and that its
     /// checkpoint with the op log replayed on top equals the live engine in
     /// every piece of state (synchronous; replies
     /// [`ShardReply::InvariantsChecked`]). A violation panics inside the
     /// worker's guard and surfaces as a [`ShardReply::Fault`] carrying the
     /// assertion message. Driven by the testkit lockstep runner under the
     /// `invariant-checks` feature; never sent on production paths.
-    CheckInvariants,
+    CheckInvariants(Arc<[DocId]>),
     /// Drain the worker's final stats and exit the thread (the shutdown
     /// handshake that keeps stats from being lost on drop).
     Shutdown,
@@ -232,7 +253,9 @@ struct FaultNotice {
 /// engine state always produces the same next state, which is what makes
 /// checkpoint + replay byte-identical to never having faulted.
 enum LogOp {
-    RegisterBatch(SharedQueries),
+    /// With the postings the coordinator shipped, so a replay files the
+    /// same lists without reading the store either.
+    RegisterBatch(SharedQueries, Arc<TermPostings>),
     Deregister(QueryId),
     Process(Arc<Document>),
     Extract(QueryId),
@@ -254,8 +277,8 @@ impl LogOp {
     /// change while the log keeps the one that arrived.
     fn apply(&self, engine: &mut ItaEngine) -> LogValue {
         match self {
-            LogOp::RegisterBatch(batch) => {
-                engine.register_shared_batch(batch);
+            LogOp::RegisterBatch(batch, postings) => {
+                engine.register_shared_batch(batch, postings);
                 LogValue::Unit
             }
             LogOp::Deregister(qid) => LogValue::Deregistered(engine.deregister(*qid)),
@@ -512,11 +535,20 @@ impl ShardWorker {
 
     /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
     /// here; `guarded` converts it into a `Fault` reply carrying the message.
-    fn audit(&mut self) -> Result<ShardReply, ShardFault> {
+    fn audit(&mut self, mirror: &[DocId]) -> Result<ShardReply, ShardFault> {
         let Some(engine) = self.engine.as_ref() else {
             return Err(self.pending());
         };
         engine.check_invariants();
+        // Shipped postings are only right if the coordinator resolved them
+        // over the very documents this store holds.
+        assert!(
+            engine
+                .store_documents()
+                .map(|doc| doc.id)
+                .eq(mirror.iter().copied()),
+            "the shard's store and the coordinator's mirror hold different documents"
+        );
         if let Some(component) = self.sync_mismatch.take() {
             // cts-lint: allow(panic-in-hot-path, audit-only request re-raising a recorded sync audit failure)
             panic!("a checkpoint sync left the checkpoint out of step: {component}");
@@ -557,8 +589,8 @@ impl ShardWorker {
 
     fn handle(&mut self, request: ShardRequest) -> Result<ShardReply, ShardFault> {
         Ok(match request {
-            ShardRequest::RegisterBatch(batch) => {
-                self.mutate(LogOp::RegisterBatch(batch))?;
+            ShardRequest::RegisterBatch(batch, postings) => {
+                self.mutate(LogOp::RegisterBatch(batch, postings))?;
                 ShardReply::Registered
             }
             ShardRequest::Deregister(qid) => match self.mutate(LogOp::Deregister(qid))? {
@@ -603,15 +635,16 @@ impl ShardWorker {
                 self.armed_faults += 1;
                 ShardReply::Armed
             }
-            ShardRequest::CheckInvariants => self.audit()?,
+            ShardRequest::CheckInvariants(mirror) => self.audit(&mirror)?,
             ShardRequest::Rebuild(window_docs, queries) => {
                 // Cold resurrection from the coordinator's durable state:
-                // register the queries, then replay the window as arrivals.
+                // register the queries (over an empty window: there are no
+                // postings to supply), then replay the window as arrivals.
                 // The mirror holds only currently-valid documents, so the
                 // replay triggers no expirations; no injection check and no
                 // stats recording — recovery work is not stream work.
                 let mut engine = ItaEngine::term_filtered(self.window, self.config);
-                engine.register_shared_batch(&queries);
+                engine.register_shared_batch(&queries, &TermPostings::default());
                 for doc in window_docs {
                     engine.process_shared(doc);
                 }
@@ -632,6 +665,34 @@ impl ShardWorker {
     }
 }
 
+/// How long a worker that has just replied keeps polling its queue before
+/// it parks. The coordinator's requests come in runs — a burst, then a
+/// registration, its result reads and deregistrations, one shard at a time —
+/// and a worker parked between two of them is woken wherever the scheduler
+/// finds an idle core, which on a box with fewer cores than threads is the
+/// core the *other* parked worker last ran on: the next fan-out then starts
+/// both on one core, one after the other (74% of bursts on the 2-core
+/// sandbox once registration stopped keeping the workers busy;
+/// `register_churn.event_us` 28 → 40). Polling through the run keeps each
+/// worker where it is. 20 µs does not bridge the gaps, 50 µs and up do
+/// (DESIGN.md §9 has the sweep); the poll yields, so a thread waiting for
+/// the core gets it.
+const LINGER: Duration = Duration::from_micros(100);
+
+/// The worker's next request: polled for while [`LINGER`] lasts, then
+/// awaited. `None` once the coordinator has hung up.
+fn next_request(requests: &Receiver<ShardRequest>) -> Option<ShardRequest> {
+    let lingering = Instant::now(); // cts-lint: allow(clock-in-apply, bounds the poll before parking; never read by engine state)
+    while lingering.elapsed() < LINGER {
+        match requests.try_recv() {
+            Ok(request) => return Some(request),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+            Err(TryRecvError::Disconnected) => return None,
+        }
+    }
+    requests.recv().ok()
+}
+
 /// The persistent worker loop: one guarded [`ShardWorker`] driven by the
 /// shard's request channel until the coordinator hangs up or sends the
 /// shutdown handshake. A panic while serving a request is caught and
@@ -645,7 +706,7 @@ fn worker_loop(
     replies: Sender<(ShardReply, FaultNotice)>,
 ) {
     let mut worker = ShardWorker::new(shard, window, config, checkpoint_interval);
-    while let Ok(request) = requests.recv() {
+    while let Some(request) = next_request(&requests) {
         let reply = match request {
             ShardRequest::Shutdown => {
                 // Final-stats handshake: surrendering the accumulated stats
@@ -713,8 +774,8 @@ fn spawn_with_retry<T, E>(
 ///
 /// Each migration strictly decreases the load distribution's sum of squares,
 /// so a rebalance pass always terminates; `max_migrations_per_check` is a
-/// safety valve bounding how much migration cost (state transfer plus
-/// shadow-list backfill over the window) a single boundary may absorb.
+/// safety valve bounding how much migration cost (state transfer plus the
+/// receiving shard's store walk at first probe) a single boundary may absorb.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Whether the rebalancer runs at all. Disabled, placement is the
@@ -800,8 +861,11 @@ pub struct ShardedItaEngine {
     registry: HashMap<QueryId, Arc<ContinuousQuery>>, // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
     /// Durable mirror of the sliding window (oldest first), pruned with the
     /// exact policy the workers apply. The `Arc`s are shared with the
-    /// workers' stores, so the mirror costs pointers, not documents.
-    mirror: VecDeque<Arc<Document>>,
+    /// workers' stores, so the mirror costs pointers, not documents — plus
+    /// the term directories registrations have built over its sealed chunks,
+    /// which is what makes it the one place a registration's postings are
+    /// resolved.
+    mirror: WindowTerms,
     fault_state: RefCell<FaultState>,
     /// Total queries migrated by the rebalancer since construction.
     migrations: u64,
@@ -888,7 +952,7 @@ impl ShardedItaEngine {
             assignment: HashMap::new(), // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
             placement: vec![Vec::new(); spawned],
             registry: HashMap::new(), // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
-            mirror: VecDeque::new(),
+            mirror: WindowTerms::new(),
             fault_state: RefCell::new(FaultState {
                 stats: FaultStats {
                     spawn_retries,
@@ -1208,26 +1272,8 @@ impl ShardedItaEngine {
     /// (cross-checked against the shards' outcomes in debug builds).
     fn push_mirror(&mut self, doc: Arc<Document>) -> usize {
         let now = doc.arrival;
-        self.mirror.push_back(doc);
-        let before = self.mirror.len();
-        match self.window.kind() {
-            WindowKind::CountBased { size } => {
-                while self.mirror.len() > size {
-                    self.mirror.pop_front();
-                }
-            }
-            WindowKind::TimeBased { duration_micros } => {
-                let cutoff = now.as_micros().saturating_sub(duration_micros);
-                while self
-                    .mirror
-                    .front()
-                    .is_some_and(|doc| doc.arrival.as_micros() < cutoff)
-                {
-                    self.mirror.pop_front();
-                }
-            }
-        }
-        before - self.mirror.len()
+        self.mirror.push(doc);
+        self.mirror.expire(self.window, now)
     }
 
     /// The healthy shard with the fewest resident queries (registration
@@ -1322,7 +1368,11 @@ impl ShardedItaEngine {
     }
 
     /// Fallible registration burst: the `try_*` twin of
-    /// [`Engine::register_batch`]. Durable state (registry, placement,
+    /// [`Engine::register_batch`]. The window postings of the burst's terms
+    /// are resolved here, once, against the mirror — no event burst is in
+    /// flight, so every healthy shard's store holds the mirror's documents —
+    /// and shipped to the shards, which file them instead of reading the
+    /// window themselves. Durable state (registry, placement,
     /// routing) is updated **before** the fan-out, so a worker fault during
     /// registration is recoverable: the rebuild re-registers the batch from
     /// the registry. Under [`FaultPolicy::ServeDegraded`], queries whose
@@ -1367,15 +1417,26 @@ impl ShardedItaEngine {
                 self.num_queries += 1;
             }
         }
+        // One resolve serves every shard: the union of the burst's terms,
+        // sorted, so nothing depends on which shard a term's query went to.
+        let postings = Arc::new(
+            self.mirror.postings(
+                per_shard
+                    .iter()
+                    .flatten()
+                    .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
+            ),
+        );
         // Send every shard's group before awaiting any reply, so the shards
-        // run their (window-sized) registration merges in parallel.
+        // file their lists and run their threshold searches in parallel.
         let mut pending = Vec::new();
         let mut first_error: Option<EngineError> = None;
         for (shard, group) in per_shard.iter_mut().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let request = ShardRequest::RegisterBatch(std::mem::take(group).into());
+            let request =
+                ShardRequest::RegisterBatch(std::mem::take(group).into(), Arc::clone(&postings));
             if self.send_or_resurrect(shard, request, false, &mut first_error) {
                 pending.push(shard);
             }
@@ -1468,6 +1529,15 @@ impl ShardedItaEngine {
             },
             |_| IndexStats::default(),
         )
+    }
+
+    /// Sizes and counters of the coordinator's [`WindowTerms`] — the window
+    /// mirror every registration's postings are resolved against: how many
+    /// chunks it spans and how many carry a term directory (and their
+    /// bytes), composition entries read by walks, postings answered from
+    /// directories and from walks, directories built.
+    pub fn window_terms_stats(&self) -> WindowTermsStats {
+        self.mirror.stats()
     }
 
     /// Per-shard processing statistics (each worker times its own event
@@ -1622,7 +1692,8 @@ impl ShardedItaEngine {
     /// to shard `to` (extract, reroute, install). Outcome-neutral by
     /// construction: the migrated thresholds and result set are installed
     /// verbatim and the receiving shadow index covers any term that just
-    /// became live (cold until first probed), so every subsequent event is
+    /// became live (cold until first probed, then read from the shard's own
+    /// store), so every subsequent event is
     /// processed as it would have been on the old shard. The routing tables
     /// move **between** extract and install, so a fault on either side leaves
     /// durable state pointing at the shard that should (re)build the query.
@@ -1760,8 +1831,11 @@ impl Engine for ShardedItaEngine {
 
     /// Audits the coordinator's durable state (registry, routing table and
     /// placement must agree exactly — they are what cold resurrection
-    /// rebuilds shards from) and then has every healthy worker audit its own
-    /// engine via [`ShardRequest::CheckInvariants`]; a worker-side violation
+    /// rebuilds shards from — and the window mirror's own structure: only
+    /// sealed chunks carry a term directory, each equal to a rebuild from
+    /// its documents) and then has every healthy worker audit its own
+    /// engine, and that its store holds the mirror's documents in arrival
+    /// order, via [`ShardRequest::CheckInvariants`]; a worker-side violation
     /// comes back as a fault carrying the assertion message and is re-raised
     /// here. Degraded shards are skipped — their state is gone by
     /// definition and the rebuild starts from the durable state just
@@ -1796,11 +1870,13 @@ impl Engine for ShardedItaEngine {
                 );
             }
         }
+        self.mirror.check_invariants();
+        let mirrored: Arc<[DocId]> = self.mirror.iter().map(|doc| doc.id).collect();
         for shard in 0..self.workers.len() {
             if self.is_degraded(shard) {
                 continue;
             }
-            match self.call_shard(shard, ShardRequest::CheckInvariants) {
+            match self.call_shard(shard, ShardRequest::CheckInvariants(Arc::clone(&mirrored))) {
                 Ok(ShardReply::InvariantsChecked) => {}
                 Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
                 Err(err) => {
@@ -1821,7 +1897,6 @@ impl Drop for ShardedItaEngine {
 mod tests {
     use super::*;
     use crate::validate::assert_lockstep_event;
-    use cts_index::DocId;
     use cts_text::{TermId, WeightedVector};
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {

@@ -368,6 +368,155 @@ fn fault_after_a_migration_between_syncs_replays_extract_and_install() {
     }
 }
 
+/// A fault on the event right after a registration burst: the burst brought
+/// terms live mid-stream, so its logged `RegisterBatch` carries the window
+/// postings the coordinator resolved against its mirror, and warm recovery
+/// files them again on replay — the restored shard never reads its store.
+/// The audit after each recovery checks checkpoint + log against the live
+/// engine and every shard's store against the mirror.
+#[test]
+fn fault_right_after_a_registration_burst_replays_the_shipped_postings() {
+    for interval in SYNC_CADENCES {
+        let faults = FaultConfig {
+            checkpoint_interval: interval,
+            ..FaultConfig::default()
+        };
+        let shards = 2;
+        let window = SlidingWindow::count_based(14);
+        let mut rng = ScriptRng::new(0x5EA1_0000 + interval as u64);
+        let mut reference = ItaEngine::new(window, ItaConfig::default());
+        let mut sharded = faulty(window, shards, faults);
+        let mut live: Vec<QueryId> = Vec::new();
+        let mut id = 0u64;
+        let mut armed = 0u64;
+        for round in 0..12 {
+            for _ in 0..rng.range(1, 6) {
+                let doc = tie_heavy_doc(&mut rng, id);
+                assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
+                id += 1;
+            }
+            // Terms die and come back live: the oldest burst leaves.
+            if round >= 3 {
+                for q in live.drain(..3) {
+                    assert!(reference.deregister(q) && sharded.deregister(q));
+                }
+            }
+            let burst: Vec<ContinuousQuery> = (0..3).map(|_| small_query(&mut rng)).collect();
+            let ids = reference.register_batch(burst.clone());
+            assert_eq!(ids, sharded.register_batch(burst));
+            for &q in &ids {
+                assert_eq!(reference.current_results(q), sharded.current_results(q));
+                assert_eq!(reference.query_stats(q), sharded.query_stats(q));
+            }
+            live.extend(ids);
+            for shard in 0..shards {
+                assert!(sharded.inject_fault(shard));
+                armed += 1;
+            }
+            let doc = tie_heavy_doc(&mut rng, id);
+            assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
+            id += 1;
+            sharded.check_invariants();
+        }
+        let stats = sharded.fault_stats().expect("tracked");
+        assert_eq!(
+            stats.faults, armed,
+            "cadence {interval}: a fault never fired"
+        );
+        assert_eq!(
+            stats.recoveries, armed,
+            "cadence {interval}: a fault went cold"
+        );
+        assert_eq!(stats.degraded_shards, 0);
+        let resolved = sharded.window_terms_stats();
+        assert!(
+            resolved.postings_from_walks + resolved.postings_from_directories > 0,
+            "cadence {interval}: no registration shipped a posting"
+        );
+        // Recovered counters are the fault-free ones.
+        for &q in &live {
+            assert_eq!(reference.query_stats(q), sharded.query_stats(q));
+        }
+    }
+}
+
+/// Under [`FaultPolicy::ServeDegraded`] a registration whose hash shard is
+/// down goes to the healthy shard, with postings resolved against the
+/// mirror — which kept sliding while the shard was gone — so the new
+/// queries answer exactly at once, and still do after the dead shard is
+/// rebuilt.
+#[test]
+fn serve_degraded_registration_is_rerouted_with_postings_from_the_mirror() {
+    let window = SlidingWindow::count_based(12);
+    let faults = FaultConfig {
+        policy: FaultPolicy::ServeDegraded,
+        checkpoint_interval: 0, // every caught panic degrades the shard
+    };
+    let mut rng = ScriptRng::new(0x5EA1_0100);
+    let mut reference = ItaEngine::new(window, ItaConfig::default());
+    let mut sharded = faulty(window, 2, faults);
+    let mut qids = Vec::new();
+    for _ in 0..4 {
+        let query = small_query(&mut rng);
+        let qid = reference.register(query.clone());
+        assert_eq!(qid, sharded.register(query));
+        qids.push(qid);
+    }
+    let mut id = 0u64;
+    let mut feed = |reference: &mut ItaEngine, sharded: &mut ShardedItaEngine, events: usize| {
+        for _ in 0..events {
+            let doc = tie_heavy_doc(&mut rng, id);
+            reference.process_document(doc.clone());
+            sharded.process_document(doc);
+            id += 1;
+        }
+    };
+    feed(&mut reference, &mut sharded, 10);
+    assert!(sharded.inject_fault(0));
+    // The window slides on while shard 0 is down.
+    feed(&mut reference, &mut sharded, 9);
+    assert_eq!(sharded.fault_stats().expect("tracked").degraded_shards, 1);
+    let before = sharded.window_terms_stats();
+    let burst: Vec<ContinuousQuery> = (0..6)
+        .map(|t| {
+            ContinuousQuery::from_weights(
+                [(TermId(t), 0.7), (TermId(11 - t), 0.3)],
+                1 + t as usize % 3,
+            )
+        })
+        .collect();
+    let late = reference.register_batch(burst.clone());
+    assert_eq!(late, sharded.register_batch(burst));
+    let after = sharded.window_terms_stats();
+    assert!(
+        after.postings_from_walks + after.postings_from_directories
+            > before.postings_from_walks + before.postings_from_directories,
+        "the rerouted registration resolved nothing"
+    );
+    assert!(
+        late.iter().any(|&q| sharded.shard_of(q) == 0),
+        "no late query hashed to the dead shard"
+    );
+    for &q in &late {
+        assert_eq!(sharded.assigned_shard(q), Some(1), "{q} was not rerouted");
+        assert!(!sharded.query_is_stale(q));
+        assert_eq!(reference.current_results(q), sharded.current_results(q));
+    }
+    // The healthy shard's store is still the mirror, document for document.
+    sharded.check_invariants();
+    feed(&mut reference, &mut sharded, 7);
+    for &q in &late {
+        assert_eq!(reference.current_results(q), sharded.current_results(q));
+    }
+    assert_eq!(sharded.recover_degraded().expect("recovery succeeds"), 1);
+    sharded.check_invariants();
+    feed(&mut reference, &mut sharded, 5);
+    for &q in qids.iter().chain(&late) {
+        assert!(!sharded.query_is_stale(q));
+        assert_eq!(reference.current_results(q), sharded.current_results(q));
+    }
+}
+
 /// One explicit, readable fault-recovery scenario (the differential above
 /// is the strong check; this one is the debuggable one): arm a fault, feed
 /// a document, and verify the armed shard panicked, recovered warm, and

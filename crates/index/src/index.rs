@@ -26,8 +26,8 @@
 //! [`InvertedIndex::remove_expired`]) and the filing loop, the engine's
 //! threshold probe and its scoring all walk that short slice. A query
 //! registered mid-stream may bring a term live that the shadow never
-//! indexed; [`InvertedIndex::acquire_terms`] rebuilds such lists from the
-//! store in arrival order, and [`InvertedIndex::release_term`] retires a
+//! indexed; [`InvertedIndex::acquire_terms`] files such a term's postings in
+//! arrival order, and [`InvertedIndex::release_term`] retires a
 //! list once the last referencing query deregisters. (The caller-filtered
 //! form — [`InvertedIndex::insert_shared_filtered`] over an identity-keyed
 //! index, which the replica passes of `ctsbench` drive, with
@@ -36,16 +36,26 @@
 //! is refused by a term-filtered index, whose lists move only with its
 //! references.)
 //!
-//! Backfilling eagerly on every registration is the *registration cliff*:
-//! each register pays a full window scan even when the query's lists are
-//! never probed before the next churn event (DESIGN.md §9). The index
-//! therefore supports **cold** terms: [`InvertedIndex::acquire_term_cold`]
+//! **Who resolves those postings.** Reading them out of the stored window
+//! is a pass over every composition entry of every valid document — the
+//! *registration cliff* (DESIGN.md §9) — so the index does not do it when
+//! someone else already has: `acquire_terms` takes a [`TermPostings`]
+//! resolved by the window's owner (the sharded coordinator's
+//! [`crate::WindowTerms`], which answers from per-chunk term directories
+//! and is shared by every shard) and files from it. Only for terms nobody
+//! supplied — a stand-alone filtered engine, a caller-filtered backfill, a
+//! cold term's first touch — does the index walk its own store, once per
+//! call however many terms it brings, each composition entry tested against
+//! a bitmap of the wanted terms ([`InvertedIndex::register_entries_walked`]
+//! counts those entries).
+//!
+//! The index also supports **cold** terms: [`InvertedIndex::acquire_term_cold`]
 //! ([`InvertedIndex::mark_cold`] on a caller-filtered index) records that a
 //! term is live without building its list,
 //! [`InvertedIndex::probe_shared`] answers a one-off read from the
 //! `Arc`-shared window without materialising anything, and
 //! [`InvertedIndex::materialise_terms`] promotes cold terms to private
-//! segmented lists on first real touch — in one store pass for the whole
+//! segmented lists on first real touch — in one store walk for the whole
 //! batch. While a term is cold the store remains the single source of truth:
 //! arrivals skip filing it and expirations have no list to clean, so a later
 //! materialisation over the current store yields exactly the postings an
@@ -62,17 +72,8 @@ use crate::arena::{DenseArena, LiveTerms};
 use crate::document::{DocId, Document};
 use crate::posting::Posting;
 use crate::store::DocumentStore;
+use crate::window_terms::{walk_postings, TermPostings};
 use crate::InvertedList;
-
-/// Above this many terms, a backfill pass walks each document's composition
-/// list once and binary-searches the requested term set, instead of running
-/// one composition binary search per (document, term) pair. Bulk (batch
-/// registration) backfills bring hundreds of terms live at once; the per-term
-/// strategy would multiply the window scan by the term count. 16 keeps a lone
-/// ten-term query — the paper's query length — on the per-term side, where
-/// the window pass costs about half what the directory walk does
-/// (`ablation_register`'s single-query arm prices either side of the switch).
-const BACKFILL_DIRECTORY_THRESHOLD: usize = 16;
 
 /// The streaming inverted index over the valid documents.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -92,6 +93,10 @@ pub struct InvertedIndex {
     /// regression counter: must scale with the probed lists, never with the
     /// window × registration count product of the old eager path).
     register_postings_touched: u64,
+    /// Composition entries this index read out of its own store to resolve
+    /// postings nobody supplied (the sibling counter: stays 0 on a shard
+    /// whose coordinator ships every registration's postings).
+    register_entries_walked: u64,
 }
 
 impl InvertedIndex {
@@ -138,10 +143,16 @@ impl InvertedIndex {
 
     /// Takes one reference on each of `terms` (a registering batch's query
     /// terms, repeats included). On a term-filtered index the terms this
-    /// brings live are backfilled from the stored window in **one pass**
-    /// (as [`InvertedIndex::backfill_terms`] does for a caller-filtered
-    /// index), so the caller may probe every one of their lists right away.
-    pub fn acquire_terms(&mut self, terms: impl IntoIterator<Item = TermId>) {
+    /// brings live get their lists filed right away — from `supplied`, the
+    /// postings the window's owner resolved for this very window state, and,
+    /// for newly live terms it does not cover, from **one walk** of this
+    /// index's own store (as [`InvertedIndex::backfill_terms`] does for a
+    /// caller-filtered index) — so the caller may probe every one of them.
+    pub fn acquire_terms(
+        &mut self,
+        terms: impl IntoIterator<Item = TermId>,
+        supplied: &TermPostings,
+    ) {
         // `acquire` is true exactly once per distinct newly-live term, so
         // `newly_live` is duplicate-free.
         let newly_live: Vec<TermId> = terms
@@ -149,7 +160,7 @@ impl InvertedIndex {
             .filter(|term| self.live.acquire(*term))
             .collect();
         if self.is_term_filtered() && !newly_live.is_empty() {
-            self.rebuild_lists(&newly_live);
+            self.rebuild_lists(&newly_live, supplied);
         }
     }
 
@@ -276,7 +287,7 @@ impl InvertedIndex {
         self.backfill_terms(&[term])
     }
 
-    /// Backfills several terms in **one pass over the store** — the
+    /// Backfills several terms in **one walk of the store** — the
     /// registration path of a caller-filtered shadow index, where a new query
     /// typically brings several terms live at once and per-term store scans
     /// would multiply the (window-sized) traversal cost by the query length.
@@ -292,7 +303,7 @@ impl InvertedIndex {
     /// when [`InvertedIndex::acquire_terms`] brings a term live.
     pub fn backfill_terms(&mut self, terms: &[TermId]) -> usize {
         self.assert_caller_filtered("backfill_terms");
-        self.rebuild_lists(terms)
+        self.rebuild_lists(terms, &TermPostings::default())
     }
 
     /// `backfill_term(s)`, `mark_cold` and `drop_list` are the protocol of a
@@ -309,9 +320,12 @@ impl InvertedIndex {
         );
     }
 
-    /// Builds the lists of `terms` from the stored window in one pass (see
-    /// [`InvertedIndex::backfill_terms`] for the contract).
-    fn rebuild_lists(&mut self, terms: &[TermId]) -> usize {
+    /// Files the lists of `terms` — the one place backfilled postings are
+    /// filed (see [`InvertedIndex::backfill_terms`] for the contract). Each
+    /// term's postings come from `supplied` if it covers the term, and
+    /// otherwise from one bitmap walk of this index's store over all the
+    /// uncovered terms together.
+    fn rebuild_lists(&mut self, terms: &[TermId], supplied: &TermPostings) -> usize {
         for (i, term) in terms.iter().enumerate() {
             assert!(
                 self.list(*term).is_none_or(|list| list.is_empty()),
@@ -326,56 +340,23 @@ impl InvertedIndex {
                 "backfill of {term} requested twice"
             );
         }
-        // One traversal of the (window-sized) store collects every term's
-        // postings; the store is iterated immutably while the lists are
-        // built, so the postings are buffered first — a backfill is a rare
-        // (per-registration-batch) event and the allocation is proportional
-        // to the rebuilt lists.
-        let mut postings: Vec<Vec<(DocId, cts_text::Weight)>> = vec![Vec::new(); terms.len()];
-        if terms.len() <= BACKFILL_DIRECTORY_THRESHOLD {
-            for doc in self.store.iter() {
-                for (slot, term) in terms.iter().enumerate() {
-                    // One binary search per (doc, term): composition weights
-                    // are strictly positive by construction, so a zero impact
-                    // means the term is absent.
-                    let weight = doc.composition.impact(*term);
-                    if weight > cts_text::Weight::ZERO {
-                        postings[slot].push((doc.id, weight));
-                    }
-                }
-            }
-        } else {
-            // Bulk path: walk each composition list once and binary-search a
-            // sorted term → slot directory, so the pass costs
-            // O(window · doc_len · log terms) instead of
-            // O(window · terms · log doc_len).
-            let mut directory: Vec<(TermId, usize)> = terms
-                .iter()
-                .enumerate()
-                .map(|(slot, t)| (*t, slot))
-                .collect();
-            directory.sort_unstable_by_key(|(t, _)| *t);
-            for doc in self.store.iter() {
-                for entry in doc.composition.as_slice() {
-                    if let Ok(i) = directory.binary_search_by_key(&entry.term, |(t, _)| *t) {
-                        postings[directory[i].1].push((doc.id, entry.weight));
-                    }
-                }
-            }
-        }
+        let uncovered = terms.iter().filter(|term| supplied.get(**term).is_none());
+        let (walked, entries) = walk_postings(self.store.iter(), uncovered.copied());
+        self.register_entries_walked += entries;
         let mut filed = 0;
-        for (term, term_postings) in terms.iter().zip(postings) {
-            if term_postings.is_empty() {
+        for term in terms {
+            let postings = supplied.get(*term).or_else(|| walked.get(*term));
+            let Some(postings) = postings.filter(|postings| !postings.is_empty()) else {
                 continue;
-            }
+            };
             let Some(key) = self.live.key(*term) else {
                 panic!("backfill of {term}, which no registered query references");
             };
             let list = self.lists.get_or_default(key);
-            for (doc, weight) in term_postings {
-                list.insert(doc, weight);
-                filed += 1;
+            for (doc, weight) in postings {
+                list.insert(*doc, *weight);
             }
+            filed += postings.len();
         }
         self.register_postings_touched += filed as u64;
         filed
@@ -445,7 +426,7 @@ impl InvertedIndex {
     }
 
     /// Promotes every currently-cold term in `terms` to a private list, in
-    /// **one pass over the store** regardless of how many terms the batch
+    /// **one walk of the store** regardless of how many terms the batch
     /// brings. Terms that are not cold (already warm, or never marked) are
     /// skipped, so materialisation is idempotent. Returns the number of
     /// postings filed.
@@ -460,7 +441,7 @@ impl InvertedIndex {
         if promoted.is_empty() {
             0
         } else {
-            self.rebuild_lists(&promoted)
+            self.rebuild_lists(&promoted, &TermPostings::default())
         }
     }
 
@@ -472,6 +453,14 @@ impl InvertedIndex {
     /// terms must not grow the counter.
     pub fn register_postings_touched(&self) -> u64 {
         self.register_postings_touched
+    }
+
+    /// Composition entries this index read out of its own store to resolve
+    /// postings nobody supplied (monotone). A whole-window walk adds the
+    /// window's entry count whatever the number of terms; a registration
+    /// whose postings were all supplied adds nothing.
+    pub fn register_entries_walked(&self) -> u64 {
+        self.register_entries_walked
     }
 
     /// Drops the inverted list for `term` entirely (the stored documents are
@@ -547,7 +536,7 @@ impl InvertedIndex {
     /// arrival, expiration, backfill or retirement touched
     /// ([`DenseArena::sync_from`]), the live-term set is copied if a
     /// registration changed it ([`LiveTerms::sync_from`]), and the (normally
-    /// empty) cold set and the backfill counter are copied outright. Clears
+    /// empty) cold set and the backfill counters are copied outright. Clears
     /// `src`'s change records.
     ///
     /// `self` must hold what `src` held when it was last synced from — both
@@ -558,6 +547,7 @@ impl InvertedIndex {
         self.lists.sync_from(&mut src.lists);
         self.cold.clone_from(&src.cold);
         self.register_postings_touched = src.register_postings_touched;
+        self.register_entries_walked = src.register_entries_walked;
     }
 
     /// The valid-document store.
@@ -813,7 +803,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut full = InvertedIndex::new();
         let mut filtered = InvertedIndex::term_filtered();
-        filtered.acquire_terms([TermId(11), TermId(20)]);
+        filtered.acquire_terms([TermId(11), TermId(20)], &TermPostings::default());
         for idx in [&mut full, &mut filtered] {
             idx.insert_document(doc(1, &[(11, 0.08), (20, 0.06)]));
             idx.insert_document(doc(2, &[(20, 0.09)]));
@@ -850,7 +840,10 @@ mod tests {
         arrive(&mut full, &mut shadow, doc(1, &[(7, 0.3), (90_000, 0.4)]));
         assert_eq!(shadow.stats().postings, 0, "no term is live yet");
         // Going live backfills; the slot is compact whatever the term id.
-        shadow.acquire_terms([TermId(90_000), TermId(90_000), TermId(5)]);
+        shadow.acquire_terms(
+            [TermId(90_000), TermId(90_000), TermId(5)],
+            &TermPostings::default(),
+        );
         assert_eq!(shadow.live_terms().key(TermId(90_000)), Some(0));
         assert_eq!(shadow.list(TermId(90_000)).unwrap().len(), 1);
         arrive(
@@ -864,7 +857,7 @@ mod tests {
         assert!(shadow.release_term(TermId(90_000)));
         assert!(shadow.list(TermId(90_000)).is_none());
         // Term 7 inherits the slot, and a list rebuilt from the store.
-        shadow.acquire_terms([TermId(7)]);
+        shadow.acquire_terms([TermId(7)], &TermPostings::default());
         assert_eq!(shadow.live_terms().key(TermId(7)), Some(0));
         for term in [5, 7] {
             let expected: Vec<_> = full.list(TermId(term)).unwrap().iter().collect();
@@ -928,44 +921,86 @@ mod tests {
     }
 
     #[test]
-    fn bulk_backfill_directory_path_matches_the_per_term_path() {
-        // More terms than BACKFILL_DIRECTORY_THRESHOLD forces the
-        // composition-walk strategy on the `bulk` side, at most two at a time
-        // keeps `small` on the per-term one; both strategies must file identical
-        // lists. The term count follows the constant, so the directory path
-        // stays covered whatever the threshold becomes.
-        let count = BACKFILL_DIRECTORY_THRESHOLD as u32 + 4;
-        let terms: Vec<TermId> = (0..count).map(TermId).collect();
-        let mut small = InvertedIndex::new();
-        let mut bulk = InvertedIndex::new();
-        for i in 0..u64::from(count) * 4 {
-            let t = (i % u64::from(count)) as u32;
-            let d = doc(
+    fn directory_answer_equals_walk_answer_equals_probe_shared() {
+        use crate::window_terms::WindowTerms;
+        // Chunks of 8 over 29 documents, then 3 expire: the term set has hits
+        // in the partly expired front chunk, in sealed chunks and in the
+        // unsealed tail. `built` answers from directories, `walked` never
+        // builds one, `own` walks its own store.
+        let terms: Vec<TermId> = (0..12).map(TermId).collect();
+        let mut built = WindowTerms::with_shape(8, usize::MAX);
+        let mut walked = WindowTerms::with_shape(8, 0);
+        let mut supplied = InvertedIndex::term_filtered();
+        let mut own = InvertedIndex::term_filtered();
+        for i in 0..29u64 {
+            let t = (i % 10) as u32;
+            let d = Arc::new(doc(
                 i,
-                &[(t, 0.1 + (i % 3) as f64 * 0.2), ((t + 5) % count, 0.4)],
-            );
-            small.insert_shared_filtered(Arc::new(d.clone()), |_| false);
-            bulk.insert_shared_filtered(Arc::new(d), |_| false);
+                &[(t, 0.1 + (i % 3) as f64 * 0.2), ((t + 5) % 10, 0.4)],
+            ));
+            for window in [&mut built, &mut walked] {
+                window.push(Arc::clone(&d));
+            }
+            for idx in [&mut supplied, &mut own] {
+                idx.insert_shared(Arc::clone(&d));
+            }
         }
-        let mut filed_small = 0;
-        for chunk in terms.chunks(BACKFILL_DIRECTORY_THRESHOLD.min(2)) {
-            filed_small += small.backfill_terms(chunk);
+        built.postings(terms.iter().copied());
+        assert_eq!(built.stats().directories, 3);
+        for i in 0..3 {
+            built.pop_front();
+            walked.pop_front();
+            supplied.remove_document(DocId(i));
+            own.remove_document(DocId(i));
         }
-        let filed_bulk = bulk.backfill_terms(&terms);
-        assert_eq!(filed_small, filed_bulk);
+        let walked_before = built.stats().entries_walked;
+        let from_directories = built.postings(terms.iter().copied());
+        assert_eq!(from_directories, walked.postings(terms.iter().copied()));
+        // Over built directories only the five-document tail is walked —
+        // fewer entries than one chunk holds.
+        assert_eq!(built.stats().entries_walked - walked_before, 5 * 2);
+        supplied.acquire_terms(terms.iter().copied(), &from_directories);
+        own.acquire_terms(terms.iter().copied(), &TermPostings::default());
+        assert_eq!(supplied, {
+            // Equal but for who read the window.
+            let mut expected = own.clone();
+            expected.register_entries_walked = 0;
+            expected
+        });
+        assert_eq!(own.register_entries_walked(), 26 * 2);
+        assert_eq!(own.register_postings_touched(), 26 * 2);
+        assert_eq!(supplied.register_postings_touched(), 26 * 2);
         for term in &terms {
-            let a: Vec<_> = small
+            let filed: Vec<_> = supplied
                 .list(*term)
                 .map(|l| l.iter().collect())
                 .unwrap_or_default();
-            let b: Vec<_> = bulk
-                .list(*term)
-                .map(|l| l.iter().collect())
-                .unwrap_or_default();
-            assert_eq!(a, b, "lists diverge for {term}");
+            assert_eq!(filed, own.probe_shared(*term), "lists diverge for {term}");
         }
-        assert_eq!(small.register_postings_touched(), filed_small as u64);
-        assert_eq!(bulk.register_postings_touched(), filed_bulk as u64);
+        supplied.check_invariants();
+    }
+
+    #[test]
+    fn partly_supplied_postings_are_completed_by_one_walk() {
+        let mut window = crate::window_terms::WindowTerms::new();
+        let mut idx = InvertedIndex::term_filtered();
+        for i in 0..6u64 {
+            let d = Arc::new(doc(i, &[(1, 0.5), (2, 0.1 + i as f64 * 0.1), (3, 0.2)]));
+            window.push(Arc::clone(&d));
+            idx.insert_shared(d);
+        }
+        // Terms 1 and 9 are supplied (9 occurs nowhere), 2 is not; 3 is
+        // supplied but not asked for.
+        let supplied = window.postings([TermId(1), TermId(9), TermId(3)]);
+        idx.acquire_terms([TermId(2), TermId(1), TermId(9), TermId(2)], &supplied);
+        assert_eq!(idx.register_entries_walked(), 6 * 3, "one walk for term 2");
+        assert_eq!(idx.register_postings_touched(), 12);
+        for term in [1, 2] {
+            let filed: Vec<_> = idx.list(TermId(term)).unwrap().iter().collect();
+            assert_eq!(filed, idx.probe_shared(TermId(term)));
+        }
+        assert!(idx.list(TermId(9)).is_none() && idx.list(TermId(3)).is_none());
+        idx.check_invariants();
     }
 
     #[test]
@@ -1033,7 +1068,7 @@ mod tests {
     fn a_term_filtered_index_refuses_the_caller_filtered_protocol() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut idx = InvertedIndex::term_filtered();
-        idx.acquire_terms([TermId(7)]);
+        idx.acquire_terms([TermId(7)], &TermPostings::default());
         idx.insert_document(doc(1, &[(7, 0.3), (8, 0.2)]));
         let before = idx.clone();
         type Call = fn(&mut InvertedIndex);

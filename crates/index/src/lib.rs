@@ -15,6 +15,10 @@
 //!   the probe "all queries whose local threshold is ≤ w".
 //! * [`SlidingWindow`] — count-based and time-based window policies deciding
 //!   which documents expire when a new one arrives (or when time advances).
+//! * [`WindowTerms`] — the window as a *registration* reads it: the valid
+//!   documents in arrival-ordered chunks with lazily built per-chunk term
+//!   directories, answering "the postings of these terms, in arrival order"
+//!   ([`TermPostings`]) without a pass over the whole window.
 //!
 //! The crate knows nothing about queries' result sets or the ITA algorithm
 //! itself; that lives in `cts-core`. Everything here is deterministic, purely
@@ -42,6 +46,7 @@ pub mod segmented;
 pub mod store;
 pub mod threshold;
 pub mod window;
+pub mod window_terms;
 
 pub use arena::{DenseArena, LiveTerms};
 pub use document::{DocId, Document, QueryId, Timestamp};
@@ -51,6 +56,7 @@ pub use segmented::SegmentedImpactList;
 pub use store::DocumentStore;
 pub use threshold::{ThresholdEntry, ThresholdTree};
 pub use window::{SlidingWindow, WindowKind};
+pub use window_terms::{TermPostings, WindowTerms, WindowTermsStats};
 
 /// The impact-list layout the engines run on: the segmented impact list.
 pub use segmented::SegmentedImpactList as InvertedList;
