@@ -85,11 +85,17 @@ const REPLAY_MODULES: &[&str] = &[
 ];
 
 /// Modules on the per-event hot path, where a stray panic kills a shard
-/// worker mid-event (`panic-in-hot-path`).
+/// worker mid-event — or, for the `cts-text` modules every token of every
+/// document passes through, the ingest thread (`panic-in-hot-path`).
 const HOT_MODULES: &[&str] = &[
     "crates/core/src/ita.rs",
     "crates/core/src/sharded.rs",
     "crates/index/src/segmented.rs",
+    "crates/text/src/analyze.rs",
+    "crates/text/src/token.rs",
+    "crates/text/src/stem.rs",
+    "crates/text/src/dictionary.rs",
+    "crates/text/src/table.rs",
 ];
 
 /// The only module allowed to spawn threads: the shard supervisor.

@@ -64,6 +64,32 @@ fn every_rule_has_a_fixture_that_trips_it_and_only_it() {
     }
 }
 
+/// The `cts-text` modules every token of every document passes through.
+const TEXT_HOT_MODULES: [&str; 5] = [
+    "crates/text/src/analyze.rs",
+    "crates/text/src/token.rs",
+    "crates/text/src/stem.rs",
+    "crates/text/src/dictionary.rs",
+    "crates/text/src/table.rs",
+];
+
+#[test]
+fn the_text_path_is_hot_and_its_rewritten_sites_pass() {
+    for module in TEXT_HOT_MODULES {
+        let findings = lint_fixture("text_path_panics.rs", module);
+        let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, ["panic-in-hot-path"; 2], "{module}: {findings:?}");
+        let findings = lint_fixture("text_path_clean.rs", module);
+        assert!(findings.is_empty(), "{module}: {findings:?}");
+    }
+    // Scoring and weighting run per document, not per token, and are not
+    // (yet) under the rule: the same source is silent there.
+    for module in ["crates/text/src/score.rs", "crates/text/src/weighting.rs"] {
+        let findings = lint_fixture("text_path_panics.rs", module);
+        assert!(findings.is_empty(), "{module}: {findings:?}");
+    }
+}
+
 #[test]
 fn the_fixture_set_covers_every_rule() {
     let covered: BTreeSet<&str> = CASES.iter().map(|(_, _, rule)| *rule).collect();

@@ -11,7 +11,8 @@
 //!   plus per-term corpus statistics (document frequency).
 //! * [`TermVector`] — a sparse term-frequency vector for a document or query.
 //! * [`Analyzer`] — the full pipeline (tokenise → stop → stem → count) that
-//!   turns raw text into a [`TermVector`].
+//!   turns raw text into a [`TermVector`], with a surface-form memo so a
+//!   token seen before costs one table probe.
 //! * [`weighting`] — cosine (L2-normalised TF) and Okapi BM25 impact models
 //!   producing the `w_{d,t}` / `w_{Q,t}` weights of the paper's Equation (1).
 //! * [`score`] — similarity evaluation (`S(d|Q) = Σ w_{Q,t}·w_{d,t}`) plus a
@@ -24,7 +25,7 @@
 //! use cts_text::{Analyzer, Dictionary, weighting::{CosineModel, WeightingModel}};
 //!
 //! let mut dict = Dictionary::new();
-//! let analyzer = Analyzer::english();
+//! let mut analyzer = Analyzer::english();
 //! let doc = analyzer.analyze("The white tower stood over the white city", &mut dict);
 //! let query = analyzer.analyze("white white tower", &mut dict);
 //!
@@ -43,11 +44,12 @@ pub mod dictionary;
 pub mod score;
 pub mod stem;
 pub mod stopwords;
+mod table;
 pub mod token;
 pub mod vector;
 pub mod weighting;
 
-pub use analyze::Analyzer;
+pub use analyze::{Analyzer, MemoStats};
 pub use dictionary::{Dictionary, TermId, TermStats};
 pub use score::{dot_product, dot_product_lookup, query_document_score, Weight};
 pub use stem::PorterStemmer;

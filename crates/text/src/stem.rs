@@ -23,22 +23,45 @@ impl PorterStemmer {
     /// lower-case; words shorter than 3 characters or containing non-ASCII
     /// bytes are returned unchanged.
     pub fn stem(&self, word: &str) -> String {
-        if word.len() <= 2 || !word.is_ascii() {
+        if !stemmable(word) {
             return word.to_string();
         }
-        let mut w: Vec<u8> = word.as_bytes().to_vec();
-        step_1a(&mut w);
-        step_1b(&mut w);
-        step_1c(&mut w);
-        step_2(&mut w);
-        step_3(&mut w);
-        step_4(&mut w);
-        step_5a(&mut w);
-        step_5b(&mut w);
-        // The buffer only ever shrinks or has ASCII letters appended, so it is
-        // guaranteed to remain valid UTF-8.
-        String::from_utf8(w).expect("stemmer output is ASCII")
+        let mut w = word.as_bytes().to_vec();
+        run_steps(&mut w);
+        String::from_utf8(w).unwrap_or_else(|_| word.to_string())
     }
+
+    /// [`PorterStemmer::stem`] without an allocation per call: the word is
+    /// stemmed in `buf` (overwritten; reuse one across calls) and the result
+    /// borrows from it — or from `word` itself when there is nothing to do.
+    pub fn stem_into<'a>(&self, word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
+        if !stemmable(word) {
+            return word;
+        }
+        buf.clear();
+        buf.extend_from_slice(word.as_bytes());
+        run_steps(buf);
+        std::str::from_utf8(buf).unwrap_or(word)
+    }
+}
+
+fn stemmable(word: &str) -> bool {
+    word.len() > 2 && word.is_ascii()
+}
+
+/// Steps 1a–5b on an ASCII word. The steps only truncate the word or append
+/// ASCII letters to it, so the buffer stays valid UTF-8; both callers fall
+/// back to the unstemmed word rather than panic should a future step break
+/// that.
+fn run_steps(w: &mut Vec<u8>) {
+    step_1a(w);
+    step_1b(w);
+    step_1c(w);
+    step_2(w);
+    step_3(w);
+    step_4(w);
+    step_5a(w);
+    step_5b(w);
 }
 
 /// Returns `true` if `w[i]` acts as a consonant in Porter's definition.
@@ -402,6 +425,25 @@ mod tests {
         assert_eq!(s("be"), "be");
         assert_eq!(s("a"), "a");
         assert_eq!(s("zürich"), "zürich");
+    }
+
+    #[test]
+    fn stem_into_reuses_one_buffer_and_matches_stem() {
+        let stemmer = PorterStemmer::new();
+        let mut buf = Vec::new();
+        for w in [
+            "relational",
+            "be",
+            "zürich",
+            "hopping",
+            "a",
+            "controll",
+            "sky",
+            "caresses",
+        ] {
+            let owned = stemmer.stem(w);
+            assert_eq!(stemmer.stem_into(w, &mut buf), owned, "for {w}");
+        }
     }
 
     #[test]

@@ -1,10 +1,23 @@
 //! Tokenisation of raw text into lower-cased word tokens.
 //!
 //! The tokenizer splits on any character that is not alphanumeric, folds
-//! ASCII upper-case to lower-case, and optionally drops purely-numeric and
-//! very short/long tokens. It is deliberately simple and allocation-light:
-//! iteration borrows from the input string and only the final token text is
-//! materialised (lower-cased) when the caller asks for it.
+//! upper-case to lower-case, and optionally drops purely-numeric and very
+//! short/long tokens. One scanner finds the tokens; it has two front ends:
+//!
+//! * [`Tokenizer::for_each_token`] — the analysis path. Tokens are handed to
+//!   a callback as `&str`: a slice of the input when the token is already
+//!   lower-case ASCII, otherwise a view of one caller-owned buffer the token
+//!   was folded into. Nothing is allocated per token or per call for ASCII
+//!   text; a token with a non-ASCII character pays `str::to_lowercase`.
+//! * [`Tokenizer::tokenize`] / [`Tokenizer::tokenize_into`] — a `Vec` of
+//!   [`Token`]s with offsets and positions, for callers that want to keep
+//!   them. This one allocates: the vector, and a `String` per token that
+//!   needed folding.
+//!
+//! ASCII input (the common case, detected once per call) is scanned as bytes
+//! through a 256-entry class table; anything else is walked by `char` with
+//! Unicode `is_alphanumeric` and full Unicode lower-casing, so both paths
+//! accept exactly the same tokens on ASCII text.
 
 use std::borrow::Cow;
 
@@ -48,6 +61,39 @@ impl Default for Tokenizer {
     }
 }
 
+/// What it takes to lower-case an accepted token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// Already lower-case ASCII.
+    None,
+    /// ASCII with at least one upper-case letter.
+    Ascii,
+    /// Contains a non-ASCII character.
+    Unicode,
+}
+
+/// Byte classes of the ASCII scanner, or-ed over a token's bytes.
+const WORD: u8 = 1;
+const UPPER: u8 = 2;
+const NOT_DIGIT: u8 = 4;
+
+const BYTE_CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0usize;
+    while b < 128 {
+        let byte = b as u8;
+        if byte.is_ascii_digit() {
+            class[b] = WORD;
+        } else if byte.is_ascii_lowercase() {
+            class[b] = WORD | NOT_DIGIT;
+        } else if byte.is_ascii_uppercase() {
+            class[b] = WORD | NOT_DIGIT | UPPER;
+        }
+        b += 1;
+    }
+    class
+};
+
 impl Tokenizer {
     /// Creates a tokenizer with the default settings (length 2..=40, numeric
     /// tokens dropped), matching common IR preprocessing.
@@ -65,6 +111,31 @@ impl Tokenizer {
         }
     }
 
+    /// Calls `visit` with each accepted token of `input`, lower-cased, in
+    /// order. `fold` is scratch space: a token that needs case folding is
+    /// written there and `visit` sees that copy, so the `&str` is only good
+    /// for the duration of the call. Reuse one buffer across calls.
+    #[inline]
+    pub fn for_each_token<F>(&self, input: &str, fold: &mut String, mut visit: F)
+    where
+        F: FnMut(&str),
+    {
+        self.scan(input, |raw, _, how| match how {
+            Fold::None => visit(raw),
+            Fold::Ascii => {
+                fold.clear();
+                fold.push_str(raw);
+                fold.make_ascii_lowercase();
+                visit(fold);
+            }
+            Fold::Unicode => {
+                fold.clear();
+                fold.push_str(&raw.to_lowercase());
+                visit(fold);
+            }
+        });
+    }
+
     /// Tokenises `input`, returning the accepted tokens in order.
     pub fn tokenize<'a>(&self, input: &'a str) -> Vec<Token<'a>> {
         let mut out = Vec::new();
@@ -73,63 +144,121 @@ impl Tokenizer {
     }
 
     /// Tokenises `input`, appending accepted tokens to `out` (which is cleared
-    /// first). Reusing the output vector avoids per-call allocation in hot
-    /// loops.
+    /// first). Reusing the output vector saves its allocation, not the
+    /// per-token `String` of a folded token; the analysis path uses
+    /// [`Tokenizer::for_each_token`] instead.
     pub fn tokenize_into<'a>(&self, input: &'a str, out: &mut Vec<Token<'a>>) {
         out.clear();
+        self.scan(input, |raw, offset, how| {
+            let text = match how {
+                Fold::None => Cow::Borrowed(raw),
+                Fold::Ascii => Cow::Owned(raw.to_ascii_lowercase()),
+                Fold::Unicode => Cow::Owned(raw.to_lowercase()),
+            };
+            out.push(Token {
+                text,
+                offset,
+                position: out.len(),
+            });
+        });
+    }
+
+    /// The scanner: `emit(raw token, byte offset, fold needed)` for every
+    /// alphanumeric run that passes the length and numeric filters.
+    #[inline]
+    fn scan<'a, F>(&self, input: &'a str, emit: F)
+    where
+        F: FnMut(&'a str, usize, Fold),
+    {
+        if input.is_ascii() {
+            self.scan_ascii(input, emit);
+        } else {
+            self.scan_unicode(input, emit);
+        }
+    }
+
+    /// The length and numeric filters, and what folding an accepted token
+    /// needs. `seen` is the or of the token's ASCII byte classes.
+    #[inline]
+    fn accept(&self, chars: usize, seen: u8, non_ascii: bool) -> Option<Fold> {
+        if chars < self.min_len || chars > self.max_len {
+            return None;
+        }
+        if self.drop_numeric && !non_ascii && seen & NOT_DIGIT == 0 {
+            return None;
+        }
+        Some(if non_ascii {
+            Fold::Unicode
+        } else if seen & UPPER != 0 {
+            Fold::Ascii
+        } else {
+            Fold::None
+        })
+    }
+
+    #[inline]
+    fn scan_ascii<'a, F>(&self, input: &'a str, mut emit: F)
+    where
+        F: FnMut(&'a str, usize, Fold),
+    {
         let bytes = input.as_bytes();
-        let mut position = 0usize;
-        let mut start: Option<usize> = None;
-        // Walk char boundaries; alphanumeric runs form candidate tokens.
-        let mut iter = input.char_indices().peekable();
-        while let Some((idx, ch)) = iter.next() {
-            let is_word = ch.is_alphanumeric();
-            if is_word && start.is_none() {
-                start = Some(idx);
+        let mut at = 0;
+        while at < bytes.len() {
+            if BYTE_CLASS[usize::from(bytes[at])] == 0 {
+                at += 1;
+                continue;
             }
-            let at_end = iter.peek().is_none();
-            if (!is_word || at_end) && start.is_some() {
-                let begin = start.take().expect("start set");
-                let end = if is_word && at_end { input.len() } else { idx };
-                if let Some(tok) = self.make_token(input, bytes, begin, end, position) {
-                    out.push(tok);
-                    position += 1;
-                }
-                // If the run was terminated by a non-word char we simply move on.
+            let begin = at;
+            let mut seen = 0u8;
+            while at < bytes.len() && BYTE_CLASS[usize::from(bytes[at])] != 0 {
+                seen |= BYTE_CLASS[usize::from(bytes[at])];
+                at += 1;
+            }
+            // One byte is one character here.
+            if let Some(how) = self.accept(at - begin, seen, false) {
+                emit(&input[begin..at], begin, how);
             }
         }
     }
 
-    fn make_token<'a>(
-        &self,
-        input: &'a str,
-        bytes: &[u8],
-        begin: usize,
-        end: usize,
-        position: usize,
-    ) -> Option<Token<'a>> {
-        let raw = &input[begin..end];
-        let char_len = raw.chars().count();
-        if char_len < self.min_len || char_len > self.max_len {
-            return None;
+    fn scan_unicode<'a, F>(&self, input: &'a str, mut emit: F)
+    where
+        F: FnMut(&'a str, usize, Fold),
+    {
+        /// An alphanumeric run in progress.
+        struct Run {
+            begin: usize,
+            chars: usize,
+            seen: u8,
+            non_ascii: bool,
         }
-        if self.drop_numeric && raw.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        // Fast path: already lower-case ASCII → borrow.
-        let needs_fold = bytes[begin..end]
-            .iter()
-            .any(|b| b.is_ascii_uppercase() || !b.is_ascii());
-        let text = if needs_fold {
-            Cow::Owned(raw.to_lowercase())
-        } else {
-            Cow::Borrowed(raw)
+        let mut finish = |run: Run, end: usize| {
+            if let Some(how) = self.accept(run.chars, run.seen, run.non_ascii) {
+                emit(&input[run.begin..end], run.begin, how);
+            }
         };
-        Some(Token {
-            text,
-            offset: begin,
-            position,
-        })
+        let mut run: Option<Run> = None;
+        for (idx, ch) in input.char_indices() {
+            if ch.is_alphanumeric() {
+                let run = run.get_or_insert(Run {
+                    begin: idx,
+                    chars: 0,
+                    seen: 0,
+                    non_ascii: false,
+                });
+                run.chars += 1;
+                if ch.is_ascii() {
+                    run.seen |= BYTE_CLASS[ch as usize];
+                } else {
+                    run.non_ascii = true;
+                }
+            } else if let Some(run) = run.take() {
+                finish(run, idx);
+            }
+        }
+        if let Some(run) = run {
+            finish(run, input.len());
+        }
     }
 }
 
@@ -238,6 +367,74 @@ mod tests {
         t.max_len = 5;
         let toks = t.tokenize("short elongatedword tiny");
         assert_eq!(texts(&toks), vec!["short", "tiny"]);
+    }
+
+    /// What `for_each_token` shows its visitor.
+    fn visited(t: &Tokenizer, input: &str) -> Vec<String> {
+        let mut fold = String::new();
+        let mut seen = Vec::new();
+        t.for_each_token(input, &mut fold, |token| seen.push(token.to_string()));
+        seen
+    }
+
+    #[test]
+    fn both_front_ends_see_the_same_tokens() {
+        for t in [Tokenizer::new(), Tokenizer::permissive()] {
+            for input in [
+                "Weapons of mass-destruction, reported!",
+                "boeing 747s and B2B deals in 1992",
+                "Zürich café ÉCONOMIE İstanbul straße ΟΔΟΣ x",
+                "trailing Token",
+                "ends in é",
+                "",
+                " \t ",
+            ] {
+                let owned: Vec<String> = t
+                    .tokenize(input)
+                    .iter()
+                    .map(|tok| tok.as_str().to_string())
+                    .collect();
+                assert_eq!(visited(&t, input), owned, "for {input:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ascii_tokens_in_unicode_input_follow_the_ascii_rules() {
+        let t = Tokenizer::new();
+        // One non-ASCII character anywhere sends the whole input down the
+        // char-by-char scanner; ASCII tokens must come out as they would
+        // from the byte scanner.
+        let ascii = "Profits rose 1992 by 12 Percent at b2b firms a";
+        let mixed = format!("{ascii} — né");
+        let mut expected = visited(&t, ascii);
+        expected.push("né".to_string());
+        assert_eq!(visited(&t, &mixed), expected);
+        let toks = t.tokenize(&mixed);
+        assert!(matches!(toks[1].text, Cow::Borrowed("rose")));
+        assert_eq!(toks[1].offset, 8);
+    }
+
+    #[test]
+    fn length_limits_count_characters_not_bytes() {
+        let mut t = Tokenizer::new();
+        t.max_len = 4;
+        // Four characters, eight bytes: kept. Five characters: dropped.
+        assert_eq!(visited(&t, "éééé ééééé abcd abcde"), vec!["éééé", "abcd"]);
+        t.min_len = 4;
+        assert_eq!(visited(&t, "ééé éééé abc"), vec!["éééé"]);
+    }
+
+    #[test]
+    fn unicode_lowercasing_may_change_byte_length() {
+        let t = Tokenizer::new();
+        // U+0130 lower-cases to "i" + U+0307 (2 → 3 bytes); final sigma is
+        // context-sensitive, which only `str::to_lowercase` gets right.
+        assert_eq!(visited(&t, "İx"), vec!["i\u{307}x"]);
+        assert_eq!(visited(&t, "ΟΔΟΣ"), vec!["οδος"]);
+        // Non-ASCII digits are alphanumeric but not "numeric" for the
+        // drop_numeric filter, which is about ASCII digits only.
+        assert_eq!(visited(&t, "٣٤ 34"), vec!["٣٤"]);
     }
 
     #[test]

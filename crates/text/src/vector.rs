@@ -41,6 +41,20 @@ impl TermVector {
         Self { entries: merged }
     }
 
+    /// Builds a vector from one id per term *occurrence*, in any order: the
+    /// slice is sorted in place and each run of equal ids becomes one entry.
+    /// One sort and two passes, against a binary search and a shifting
+    /// insert per occurrence with [`TermVector::add`].
+    pub fn from_occurrences(occurrences: &mut [TermId]) -> Self {
+        occurrences.sort_unstable();
+        let distinct = occurrences.chunk_by(|a, b| a == b).count();
+        let mut entries = Vec::with_capacity(distinct);
+        for run in occurrences.chunk_by(|a, b| a == b) {
+            entries.push((run[0], run.len() as u32));
+        }
+        Self { entries }
+    }
+
     /// Increments the count of `term` by one.
     pub fn add(&mut self, term: TermId) {
         self.add_count(term, 1);
@@ -130,20 +144,33 @@ impl WeightedVector {
     }
 
     /// Builds a weighted vector from `(term, weight)` pairs, sorting by term.
-    /// Zero and negative weights are dropped; duplicate terms keep the sum of
-    /// their weights.
+    /// Zero, negative and non-finite weights are dropped; duplicate terms
+    /// keep the sum of their weights. Input that is already strictly
+    /// increasing by term — what the weighting models produce from a
+    /// [`TermVector`] — is collected once and neither sorted nor copied.
     pub fn from_weights<I>(weights: I) -> Self
     where
         I: IntoIterator<Item = (TermId, f64)>,
     {
-        let mut entries: Vec<WeightedTerm> = weights
-            .into_iter()
-            .filter(|(_, w)| *w > 0.0 && w.is_finite())
-            .map(|(term, weight)| WeightedTerm {
-                term,
-                weight: Weight::new(weight),
-            })
-            .collect();
+        // The lower size bound is exact for the slice-backed iterators the
+        // models pass, so the usual input is one allocation of the right
+        // size; a composition list lives as long as its document does.
+        let weights = weights.into_iter();
+        let mut entries: Vec<WeightedTerm> = Vec::with_capacity(weights.size_hint().0);
+        let mut strictly_increasing = true;
+        for (term, weight) in weights {
+            if weight > 0.0 && weight.is_finite() {
+                strictly_increasing &= entries.last().is_none_or(|last| last.term < term);
+                entries.push(WeightedTerm {
+                    term,
+                    weight: Weight::new(weight),
+                });
+            }
+        }
+        if strictly_increasing {
+            entries.shrink_to_fit();
+            return Self { entries };
+        }
         entries.sort_unstable_by_key(|e| e.term);
         let mut merged: Vec<WeightedTerm> = Vec::with_capacity(entries.len());
         for e in entries {
@@ -248,6 +275,22 @@ mod tests {
     }
 
     #[test]
+    fn from_occurrences_counts_runs() {
+        let mut ids = [t(7), t(3), t(7), t(0), t(7), t(3)];
+        let v = TermVector::from_occurrences(&mut ids);
+        assert_eq!(
+            v.iter().collect::<Vec<_>>(),
+            vec![(t(0), 1), (t(3), 2), (t(7), 3)]
+        );
+        let mut by_add = TermVector::new();
+        for id in [7, 3, 7, 0, 7, 3] {
+            by_add.add(t(id));
+        }
+        assert_eq!(v, by_add);
+        assert!(TermVector::from_occurrences(&mut []).is_empty());
+    }
+
+    #[test]
     fn term_vector_l2_norm() {
         let v = TermVector::from_counts([(t(0), 3), (t(1), 4)]);
         assert!((v.l2_norm_squared() - 25.0).abs() < 1e-12);
@@ -265,6 +308,77 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v.contains(t(0)));
         assert!(!v.contains(t(1)));
+    }
+
+    /// What `from_weights` did before it learnt to recognise sorted input:
+    /// filter, sort, merge. The fast path must be indistinguishable from it.
+    fn from_weights_by_sorting(weights: &[(TermId, f64)]) -> Vec<(TermId, f64)> {
+        let mut kept: Vec<(TermId, f64)> = weights
+            .iter()
+            .copied()
+            .filter(|(_, w)| *w > 0.0 && w.is_finite())
+            .collect();
+        kept.sort_by_key(|(term, _)| *term);
+        let mut merged: Vec<(TermId, f64)> = Vec::new();
+        for (term, w) in kept {
+            match merged.last_mut() {
+                Some((last, sum)) if *last == term => *sum += w,
+                _ => merged.push((term, w)),
+            }
+        }
+        merged
+    }
+
+    #[test]
+    fn from_weights_drops_the_same_weights_on_either_path() {
+        let droppable = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            -f64::MIN_POSITIVE,
+        ];
+        // Each droppable weight at the front, in the middle and at the end
+        // of (a) strictly increasing input, (b) the same reversed, (c) input
+        // with a duplicated term — so a dropped entry is also what sits
+        // between two kept ones when sortedness is judged.
+        for bad in droppable {
+            for at in [0usize, 2, 4] {
+                let mut sorted: Vec<(TermId, f64)> = (0..5)
+                    .map(|i| (t(10 * i), 0.125 * f64::from(i + 1)))
+                    .collect();
+                sorted[at].1 = bad;
+                let reversed: Vec<_> = sorted.iter().rev().copied().collect();
+                let mut duplicated = sorted.clone();
+                duplicated.push((t(10), 0.5));
+                for input in [&sorted, &reversed, &duplicated] {
+                    let got: Vec<(TermId, f64)> =
+                        WeightedVector::from_weights(input.iter().copied())
+                            .iter()
+                            .map(|e| (e.term, e.weight.get()))
+                            .collect();
+                    assert_eq!(
+                        got,
+                        from_weights_by_sorting(input),
+                        "{bad} at {at} in {input:?}"
+                    );
+                    assert_eq!(got.len(), 4);
+                    assert!(got.iter().all(|(_, w)| *w > 0.0 && w.is_finite()));
+                    assert!(got.iter().all(|(term, _)| *term != t(10 * at as u32)));
+                }
+            }
+        }
+        // All dropped: empty, not a panic.
+        assert!(WeightedVector::from_weights(droppable.iter().map(|w| (t(1), *w))).is_empty());
+        // A term whose only kept weight arrives out of order after a dropped
+        // one is still filed in order.
+        let v = WeightedVector::from_weights([(t(9), f64::NAN), (t(4), 0.5), (t(2), 0.25)]);
+        assert_eq!(
+            v.iter().map(|e| e.term).collect::<Vec<_>>(),
+            vec![t(2), t(4)]
+        );
     }
 
     #[test]
