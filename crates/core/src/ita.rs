@@ -299,12 +299,6 @@ impl ItaEngine {
         self.index.register_entries_walked()
     }
 
-    /// Number of shadow-index terms currently cold (live in the term filter
-    /// but not yet materialised). Always 0 on unfiltered engines.
-    pub fn num_cold_terms(&self) -> usize {
-        self.index.num_cold()
-    }
-
     /// Iterates over the currently valid documents in arrival order.
     /// Exposed so validation harnesses (e.g. the paper-scale soak) can
     /// re-evaluate queries against the engine's own window without keeping a
@@ -324,31 +318,9 @@ impl ItaEngine {
             .map(|(_, theta)| *theta)
     }
 
-    /// Materialises any still-cold terms of `qid` before its lists are
-    /// probed — the whole batch of cold terms in one store walk. The
-    /// `num_cold` fast path keeps this a single branch on engines with no
-    /// cold terms (unfiltered engines, and filtered ones in steady state).
-    fn ensure_query_terms_warm(&mut self, qid: QueryId) {
-        if self.index.num_cold() == 0 {
-            return;
-        }
-        // cts-lint: allow(panic-in-hot-path, callers pass ids taken from the live query slab)
-        let state = self.queries.get(qid).expect("query exists");
-        let cold: Vec<TermId> = state
-            .thresholds
-            .iter()
-            .map(|(term, _)| *term)
-            .filter(|term| self.index.is_cold(*term))
-            .collect();
-        if !cold.is_empty() {
-            self.index.materialise_terms(&cold);
-        }
-    }
-
     /// Runs (or resumes) the threshold search for `qid` until `S_k ≥ τ`,
     /// then reconciles the per-list threshold trees with the new frontier.
     fn run_threshold_search(&mut self, qid: QueryId, register: bool) {
-        self.ensure_query_terms_warm(qid);
         // cts-lint: allow(panic-in-hot-path, callers pass ids taken from the live query slab)
         let state = self.queries.get_mut(qid).expect("query exists");
         let before: Vec<Weight> = state.thresholds.iter().map(|(_, theta)| *theta).collect();
@@ -448,7 +420,6 @@ impl ItaEngine {
     /// influence threshold stays at or below `S_k`, evicting unverified
     /// documents whose only support was the reclaimed band (paper §III-C).
     fn roll_up(&mut self, qid: QueryId) {
-        self.ensure_query_terms_warm(qid);
         // cts-lint: allow(panic-in-hot-path, the only caller just looked the query up in the slab)
         let state = self.queries.get_mut(qid).expect("query exists");
         let k = state.query.k();
@@ -610,58 +581,39 @@ impl ItaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `qid` is already registered.
+    /// Panics if `qid` is already registered — before anything is touched.
     pub fn register_with_id(&mut self, qid: QueryId, query: ContinuousQuery) {
         self.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
     }
 
-    /// Registers a whole batch of queries under caller-chosen ids — the
-    /// shard-side half of [`Engine::register_batch`], with no postings
-    /// supplied: on a term-filtered engine all of the batch's newly-live
-    /// terms are read out of the stored window in **one walk** (each
-    /// composition entry tested against a bitmap of those terms), and only
-    /// then do the per-query threshold searches run — each is byte-identical
-    /// to the one a lone [`ItaEngine::register_with_id`] call would have run,
-    /// because registration reads the index and writes only the registering
-    /// query's own state. A per-query loop pays that walk once *per query*;
-    /// DESIGN.md §9 has the cost model.
+    /// Registers a whole batch of queries under caller-chosen ids, over
+    /// queries the caller keeps a handle on — the engine stores a refcount
+    /// bump per query, not a copy. All of the batch's newly-live terms are
+    /// filed first, in one call, and only then do the per-query threshold
+    /// searches run — each byte-identical to the one a lone
+    /// [`ItaEngine::register_with_id`] would have run, because registration
+    /// reads the index and writes only the registering query's own state.
+    ///
+    /// `postings` are the window's postings as the caller resolved them: the
+    /// sharded coordinator resolves a burst's terms against its own copy of
+    /// the window (`cts_index::WindowTerms`), so no shard reads its store.
+    /// They must describe exactly the documents this engine holds; terms they
+    /// do not cover (all of them, when empty — what [`Engine::register_batch`]
+    /// passes) are read from a term-filtered engine's own store in **one
+    /// walk**, which a per-query loop pays once *per query* (DESIGN.md §9 has
+    /// the cost model). A plain engine keeps every list current and ignores
+    /// them.
     ///
     /// # Panics
     ///
-    /// Panics if any id is already registered.
-    pub fn register_batch_with_ids(&mut self, batch: Vec<(QueryId, ContinuousQuery)>) {
-        let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = batch
-            .into_iter()
-            .map(|(qid, query)| (qid, Arc::new(query)))
-            .collect();
-        self.register_shared_batch(&batch, &TermPostings::default());
-    }
-
-    /// [`ItaEngine::register_batch_with_ids`] over queries the caller keeps
-    /// a handle on — the engine stores a refcount bump per query, not a copy
-    /// — and with the window's postings resolved by the caller. The sharded
-    /// engine registers through this: its coordinator's durable registry,
-    /// the worker's op log and the worker's engine (and its checkpoint) all
-    /// hold the same query allocations, and the coordinator resolves
-    /// `postings` for the burst's terms against its own copy of the window
-    /// (`cts_index::WindowTerms`), so no shard reads its store. `postings`
-    /// must describe exactly the documents this engine holds; terms it does
-    /// not cover (all of them, when it is empty) are read from the engine's
-    /// own store in one walk. A plain engine keeps every list current and
-    /// ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is already registered.
+    /// Panics if any id is already registered or occurs twice in `batch` —
+    /// before anything is touched.
     pub fn register_shared_batch(
         &mut self,
         batch: &[(QueryId, Arc<ContinuousQuery>)],
         postings: &TermPostings,
     ) {
-        // Newly-live terms are filed now rather than marked cold: the
-        // threshold searches below probe every one of their lists
-        // immediately, so cold marks would only re-discover them one query
-        // at a time.
+        self.claim_ids(batch.iter().map(|(qid, _)| *qid).collect());
         self.index.acquire_terms(
             batch
                 .iter()
@@ -673,15 +625,31 @@ impl ItaEngine {
         }
     }
 
+    /// Refuses a duplicate id before anything is touched — `QuerySlab::insert`
+    /// would *replace* the live query's state, under term references and tree
+    /// entries taken for a query that then does not exist — and keeps the ids
+    /// [`Engine::register`] mints clear of the claimed ones.
+    fn claim_ids(&mut self, mut ids: Vec<QueryId>) {
+        ids.sort_unstable();
+        for (i, qid) in ids.iter().enumerate() {
+            assert!(
+                self.queries.get(*qid).is_none() && ids.get(i + 1) != Some(qid),
+                "query id {qid} is already registered"
+            );
+        }
+        if let Some(highest) = ids.last() {
+            self.next_query = self.next_query.max(highest.0.saturating_add(1));
+        }
+    }
+
     /// The tail of registration, once the query's terms are live: record the
     /// query state and run its initial threshold search.
     fn finish_register(&mut self, qid: QueryId, query: Arc<ContinuousQuery>) {
-        self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let thresholds = query
             .terms()
             .map(|(t, _)| (t, Weight::new(f64::INFINITY)))
             .collect();
-        let previous = self.queries.insert(
+        self.queries.insert(
             qid,
             QueryState {
                 query,
@@ -694,7 +662,6 @@ impl ItaEngine {
                 postings_examined: 0,
             },
         );
-        assert!(previous.is_none(), "query id {qid} is already registered");
         self.run_threshold_search(qid, true);
     }
 
@@ -726,30 +693,35 @@ impl ItaEngine {
     /// Installs a query previously [`ItaEngine::extract_query`]ed from an
     /// engine whose valid-document window matches this one's (the sharded
     /// engine's shards all mirror the same window, so any shard pair
-    /// qualifies). The migrated thresholds are filed into the threshold trees
-    /// verbatim and, on a term-filtered engine, newly-live terms are marked
-    /// cold in the shadow index (DESIGN.md §9: the window walk runs
-    /// only when a threshold search or roll-up first probes the list) — after
-    /// which this engine maintains the query byte-identically to the one it
-    /// left.
+    /// qualifies). Its terms take their references as a registration's do:
+    /// on a term-filtered engine the ones this brings live get their lists
+    /// filed from `postings` — the contract of
+    /// [`ItaEngine::register_shared_batch`]; a stand-alone engine passes
+    /// `TermPostings::default()` and pays the one store walk. The migrated
+    /// thresholds are filed into the threshold trees verbatim, after which
+    /// this engine maintains the query byte-identically to the one it left.
     ///
     /// # Panics
     ///
-    /// Panics if `qid` is already registered here.
-    pub fn install_query(&mut self, qid: QueryId, migration: QueryMigration) {
-        self.next_query = self.next_query.max(qid.0.saturating_add(1));
+    /// Panics if `qid` is already registered here — before anything is
+    /// touched.
+    pub fn install_query(
+        &mut self,
+        qid: QueryId,
+        migration: QueryMigration,
+        postings: &TermPostings,
+    ) {
+        self.claim_ids(vec![qid]);
         let QueryMigration { state } = migration;
+        self.index
+            .acquire_terms(state.thresholds.iter().map(|(term, _)| *term), postings);
+        let live = self.index.live_terms();
         for (term, theta) in &state.thresholds {
-            // The newly-live terms only go cold here: installation runs no
-            // threshold search, so a migration costs no window walk at all
-            // until (unless) the query is next probed.
-            self.index.acquire_term_cold(*term);
-            // cts-lint: allow(panic-in-hot-path, the line above took a reference on the term)
-            let key = self.index.live_terms().key(*term).expect("term is live");
+            // cts-lint: allow(panic-in-hot-path, the call above took a reference on every term of the query)
+            let key = live.key(*term).expect("term is live");
             self.trees.get_or_default(key).insert(qid, *theta);
         }
-        let previous = self.queries.insert(qid, state);
-        assert!(previous.is_none(), "query id {qid} is already registered");
+        self.queries.insert(qid, state);
     }
 
     /// Processes one already-shared stream event — the fan-out path of the
@@ -762,8 +734,8 @@ impl ItaEngine {
     /// with the live-term set **once**; filing, the threshold probe and
     /// arrival scoring then cost what the document's *matching* terms make
     /// them cost. The full `Arc<Document>` stays in the store for what needs
-    /// all of it: store walks, `threshold_descent`'s random-access scoring,
-    /// roll-up support checks and cold materialisation.
+    /// all of it: store walks, `threshold_descent`'s random-access scoring
+    /// and roll-up support checks.
     ///
     /// # Panics
     ///
@@ -828,9 +800,9 @@ impl ItaEngine {
     /// Names the first component in which `other` differs from this engine,
     /// or `None` when both hold exactly the same state: scalars, store
     /// order, the live-term set (counts *and* key assignment), every impact
-    /// list, cold set, threshold tree and query state, compared slot by
-    /// slot. The scratch buffers and the
-    /// change records [`ItaEngine::sync_checkpoint`] consumes are not state.
+    /// list, threshold tree and query state, compared slot by slot. The
+    /// scratch buffers and the change records
+    /// [`ItaEngine::sync_checkpoint`] consumes are not state.
     /// This is the sync-equals-clone audit the shard workers run under the
     /// `invariant-checks` feature.
     pub fn state_mismatch(&self, other: &ItaEngine) -> Option<String> {
@@ -843,7 +815,7 @@ impl ItaEngine {
         } else if self.index.live_terms() != other.index.live_terms() {
             "live-term set"
         } else if self.index != other.index {
-            "impact lists, cold set or backfill counters"
+            "impact lists or backfill counters"
         } else if self.trees != other.trees {
             "threshold trees"
         } else if let Some((qid, _)) = self
@@ -863,12 +835,14 @@ impl ItaEngine {
     /// Audits the engine's deep structural invariants, panicking with a
     /// description on violation (DESIGN.md §11): the inverted index's own
     /// invariants (the live-term set's included: bitmap bit ⇔ reference
-    /// count > 0), every threshold tree's strict ordering, a tree for every
+    /// count > 0; on a term-filtered engine also that the lists hold exactly
+    /// the window's postings of the live terms), every threshold tree's
+    /// strict ordering, a tree for every
     /// live term and under no other key, two-way agreement between tree
     /// entries and the live queries' recorded local thresholds, result sets
-    /// referencing only valid (windowed) documents, term reference counts
-    /// equal to the number of live referencing queries, and every cold term
-    /// still live. Driven by the testkit lockstep runner when the
+    /// referencing only valid (windowed) documents, and term reference counts
+    /// equal to the number of live referencing queries. Driven by the testkit
+    /// lockstep runner when the
     /// `invariant-checks` feature (or a unit-test build) is active; far too
     /// expensive for production paths.
     pub fn check_invariants(&self) {
@@ -948,12 +922,6 @@ impl ItaEngine {
                 "{term}'s reference count disagrees with the live queries referencing it"
             );
         }
-        for term in self.index.cold_terms() {
-            assert!(
-                live.contains(term),
-                "{term} is cold in the shadow index but no live query references it"
-            );
-        }
     }
 }
 
@@ -965,17 +933,16 @@ impl Engine for ItaEngine {
     }
 
     fn register_batch(&mut self, queries: Vec<ContinuousQuery>) -> Vec<QueryId> {
-        let batch: Vec<(QueryId, ContinuousQuery)> = queries
+        let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = queries
             .into_iter()
             .map(|query| {
                 let qid = QueryId(self.next_query);
                 self.next_query += 1;
-                (qid, query)
+                (qid, Arc::new(query))
             })
             .collect();
-        let ids: Vec<QueryId> = batch.iter().map(|(qid, _)| *qid).collect();
-        self.register_batch_with_ids(batch);
-        ids
+        self.register_shared_batch(&batch, &TermPostings::default());
+        batch.iter().map(|(qid, _)| *qid).collect()
     }
 
     fn deregister(&mut self, query: QueryId) -> bool {
@@ -1350,7 +1317,7 @@ mod tests {
         assert_eq!(terms, vec![1, 2]);
         // The source dropped its now-unreferenced shadow lists.
         assert_eq!(source.index_stats().postings, 0);
-        destination.install_query(qid, migration);
+        destination.install_query(qid, migration, &TermPostings::default());
         assert_eq!(destination.num_queries(), 1);
         assert_eq!(
             destination.current_results(qid),
@@ -1412,6 +1379,68 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_query_id_leaves_the_engine_as_it_was() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for mut e in [
+            engine(8),
+            ItaEngine::term_filtered(SlidingWindow::count_based(8), ItaConfig::default()),
+        ] {
+            let query = ContinuousQuery::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)], 2);
+            let q = e.register(query.clone());
+            for i in 0..5u64 {
+                e.process_document(doc(i, &[(1, 0.1 + i as f64 * 0.1), (3, 0.5)]));
+            }
+            // A query over other terms, some of them in the window: taking
+            // its references would bring terms live and file their lists.
+            let other = ContinuousQuery::from_weights([(TermId(3), 0.9), (TermId(4), 0.1)], 1);
+            let mut donor = e.clone();
+            let other_id = donor.register(other.clone());
+            let migration = donor.extract_query(other_id).expect("just registered");
+            let (stats, top, thresholds) = (e.index_stats(), top_ids(&e, q), e.query_stats(q));
+            let fresh = QueryId(q.0 + 1);
+            type Attempt<'a> = Box<dyn FnOnce(&mut ItaEngine) + 'a>;
+            let attempts: [(&str, Attempt); 4] = [
+                (
+                    "register_with_id",
+                    Box::new(|e| e.register_with_id(q, other.clone())),
+                ),
+                (
+                    "a batch naming a live id after a fresh one",
+                    Box::new(|e| {
+                        let batch = [fresh, q].map(|id| (id, Arc::new(other.clone())));
+                        e.register_shared_batch(&batch, &TermPostings::default())
+                    }),
+                ),
+                (
+                    "a batch naming one fresh id twice",
+                    Box::new(|e| {
+                        let batch = [fresh, fresh].map(|id| (id, Arc::new(other.clone())));
+                        e.register_shared_batch(&batch, &TermPostings::default())
+                    }),
+                ),
+                (
+                    "install_query",
+                    Box::new(|e| e.install_query(q, migration.clone(), &TermPostings::default())),
+                ),
+            ];
+            for (name, attempt) in attempts {
+                let refused = catch_unwind(AssertUnwindSafe(|| attempt(&mut e)));
+                assert!(refused.is_err(), "{name} accepted a duplicate id");
+                e.check_invariants();
+                assert_eq!(e.index_stats(), stats, "{name} touched the index");
+                assert_eq!(e.num_queries(), 1, "{name} left a query behind");
+                assert_eq!(top_ids(&e, q), top, "{name} changed the live query");
+                assert_eq!(e.query_stats(q), thresholds);
+            }
+            // And the engine keeps working, the refused id still free.
+            e.process_document(doc(5, &[(2, 0.8)]));
+            assert_eq!(top_ids(&e, q), brute_force_top(&e, &query));
+            assert_eq!(e.register(other.clone()), fresh);
+            e.check_invariants();
+        }
+    }
+
+    #[test]
     fn default_process_batch_is_the_per_event_loop() {
         let mut batched = engine(6);
         let mut singles = engine(6);
@@ -1441,7 +1470,7 @@ mod tests {
             qid
         );
         let migration = a.extract_query(qid).unwrap();
-        b.install_query(qid, migration);
+        b.install_query(qid, migration, &TermPostings::default());
     }
 
     #[test]
@@ -1639,38 +1668,42 @@ mod tests {
         }
     }
 
-    /// Migration is free of window scans: terms go cold
-    /// on install and are only backfilled when a probe actually needs them —
-    /// and a same-term registration elsewhere counts as such a probe.
+    /// A migration ships its postings: the terms it brings live are listed
+    /// at install, from what the window's owner resolved — the destination
+    /// reads nothing out of its own store — and a stand-alone engine, given
+    /// none, pays the one walk a registration would.
     #[test]
-    fn lazy_migration_defers_the_backfill_until_first_probe() {
+    fn a_migration_files_its_lists_at_install_from_the_supplied_postings() {
         let hits = 6u64;
         let mut source = filtered_window(7, hits, 60);
         let q = source.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 2));
         let expected = source.current_results(q);
         let migration = source.extract_query(q).expect("query is live");
 
-        // Same stream, so the target mirrors the source window (the
+        // Same stream, so both targets mirror the source window (the
         // precondition `install_query` documents) — but no query ever made
-        // term 7 live here.
-        let mut target = filtered_window(7, hits, 60);
-        let before = target.register_postings_touched();
-        target.install_query(q, migration);
-        assert!(target.num_cold_terms() > 0, "install should go cold");
-        assert_eq!(
-            target.register_postings_touched(),
-            before,
-            "install must not scan the window"
-        );
-        // The migrated query answers from its carried result set even while
-        // its terms are cold…
-        assert_eq!(target.current_results(q), expected);
-        // …and the first probe (here: another registration sharing the term)
-        // warms the list, exactly.
-        target.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 1));
-        assert_eq!(target.num_cold_terms(), 0);
-        assert_eq!(target.register_postings_touched(), before + hits);
-        assert_eq!(target.current_results(q), expected);
+        // term 7 live on them.
+        let mut supplied = filtered_window(7, hits, 60);
+        let mut walked = filtered_window(7, hits, 60);
+        let mut window = cts_index::WindowTerms::new();
+        for doc in supplied.store_documents() {
+            window.push(Arc::new(doc.clone()));
+        }
+        let postings = window.postings(migration.terms());
+        supplied.install_query(q, migration.clone(), &postings);
+        walked.install_query(q, migration, &TermPostings::default());
+        assert_eq!(supplied.register_entries_walked(), 0);
+        assert_eq!(walked.register_entries_walked(), hits + 60);
+        for target in [&supplied, &walked] {
+            assert_eq!(target.register_postings_touched(), hits);
+            assert_eq!(target.index_stats().postings, hits as usize);
+            assert_eq!(target.current_results(q), expected);
+            target.check_invariants();
+        }
+        // A later registration sharing the term finds the list complete.
+        supplied.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 1));
+        assert_eq!(supplied.register_postings_touched(), hits);
+        assert_eq!(supplied.register_entries_walked(), 0);
     }
 
     /// The checkpoint contract: after every `sync_checkpoint` the checkpoint
@@ -1720,12 +1753,20 @@ mod tests {
                 }
                 if !here.is_empty() && rng.chance(0.06) {
                     let qid = here.swap_remove(rng.below(here.len()));
-                    peer.install_query(qid, live.extract_query(qid).unwrap());
+                    peer.install_query(
+                        qid,
+                        live.extract_query(qid).unwrap(),
+                        &TermPostings::default(),
+                    );
                     there.push(qid);
                 }
                 if !there.is_empty() && rng.chance(0.06) {
                     let qid = there.swap_remove(rng.below(there.len()));
-                    live.install_query(qid, peer.extract_query(qid).unwrap());
+                    live.install_query(
+                        qid,
+                        peer.extract_query(qid).unwrap(),
+                        &TermPostings::default(),
+                    );
                     here.push(qid);
                 }
                 // The first sync comes late, onto a populated engine.

@@ -38,11 +38,11 @@ pub struct OverloadStats {
     /// Events the ingest queue took ownership of (enqueued, or shed on the
     /// spot); excludes `Retry` refusals, which the caller retains.
     pub offered: u64,
-    /// Owned events processed individually (drained below the coalescing
-    /// watermark). Disjoint from `coalesced`.
+    /// Owned events processed as a burst of one (drained alone). Disjoint
+    /// from `coalesced`.
     pub accepted: u64,
-    /// Owned events processed as members of a coalesced
-    /// [`Engine::process_batch`] burst. Disjoint from `accepted`.
+    /// Owned events processed as members of an [`Engine::process_batch`]
+    /// burst of two or more. Disjoint from `accepted`.
     pub coalesced: u64,
     /// Owned events dropped because their ingest deadline passed
     /// (oldest-first).

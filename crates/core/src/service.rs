@@ -28,9 +28,10 @@
 //! Draining is explicit: [`StreamService::pump`] (or the budgeted
 //! [`StreamService::pump_budget`], which models a slow consumer) flushes
 //! pending registrations, sheds expired events and processes the survivors —
-//! **coalescing** them into [`Engine::process_batch`] bursts whenever the
-//! queue depth is at or above [`ServiceConfig::coalesce_watermark`], which is
-//! exactly when batch amortisation pays.
+//! whatever is queued goes to the engine as one [`Engine::process_batch`]
+//! burst (of at most [`ServiceConfig::max_coalesce`] events), so a deep queue
+//! is **coalesced** and a queue one deep is a burst of one, which every
+//! engine processes — and [`Monitor`] records — as the single event it is.
 //!
 //! # Exactness of the accepted sequence
 //!
@@ -116,12 +117,8 @@ pub struct ServiceConfig {
     /// displaces its oldest survivor per fresh admission — memory is bounded
     /// by construction. Clamped to at least 1.
     pub queue_capacity: usize,
-    /// Queue depth at which a pump drains via [`Engine::process_batch`]
-    /// bursts instead of per-event calls. Clamped to at least 2 (a
-    /// "coalesced" burst of one would be indistinguishable from a single).
-    pub coalesce_watermark: usize,
-    /// Largest coalesced burst per [`Engine::process_batch`] call. Clamped
-    /// to at least 2.
+    /// Largest burst per [`Engine::process_batch`] call. Clamped to at
+    /// least 1.
     pub max_coalesce: usize,
     /// Default ingest deadline applied (as arrival + slack) to events
     /// offered without one; `None` means such events never expire.
@@ -149,19 +146,17 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with all bounds scaled from one queue capacity: coalescing
-    /// from a sixteenth of the queue, backpressure from half, a
-    /// half-capacity register queue deferring at the coalesce watermark.
+    /// A config with all bounds scaled from one queue capacity: bursts of up
+    /// to a quarter of the queue, backpressure from half, a half-capacity
+    /// register queue deferring from a sixteenth.
     pub fn bounded(queue_capacity: usize) -> Self {
         let queue_capacity = queue_capacity.max(1);
-        let coalesce_watermark = (queue_capacity / 16).max(2);
         Self {
             queue_capacity,
-            coalesce_watermark,
             max_coalesce: (queue_capacity / 4).max(2),
             default_deadline: None,
             register_capacity: (queue_capacity / 2).max(1),
-            register_pressure: coalesce_watermark,
+            register_pressure: (queue_capacity / 16).max(2),
             backpressure_watermark: (queue_capacity / 2).max(1),
             retry_after: Duration::from_millis(2),
         }
@@ -171,8 +166,7 @@ impl ServiceConfig {
     fn normalized(&self) -> Self {
         let mut config = self.clone();
         config.queue_capacity = config.queue_capacity.max(1);
-        config.coalesce_watermark = config.coalesce_watermark.max(2);
-        config.max_coalesce = config.max_coalesce.max(2);
+        config.max_coalesce = config.max_coalesce.max(1);
         config.register_capacity = config.register_capacity.max(1);
         config.backpressure_watermark = config.backpressure_watermark.max(1);
         config
@@ -195,9 +189,11 @@ pub struct DrainReport {
     /// Ids assigned to the coalesced registrations this pump flushed, in
     /// offer order.
     pub registered: Vec<QueryId>,
-    /// Coalesced bursts this pump sent through [`Engine::process_batch`].
+    /// Bursts of two or more events this pump sent through
+    /// [`Engine::process_batch`].
     pub batches: u64,
-    /// Events this pump processed individually.
+    /// Bursts of one: events this pump found alone in the queue (or was
+    /// left a budget of one for).
     pub singletons: u64,
 }
 
@@ -369,8 +365,8 @@ impl<E: Engine> StreamService<E> {
 
     /// Drains the whole queue at stream time `now`: flushes pending
     /// registrations, sheds expired events oldest-first, processes every
-    /// survivor (coalescing into [`Engine::process_batch`] bursts while the
-    /// depth is at or above the watermark).
+    /// survivor (in [`Engine::process_batch`] bursts of whatever is queued,
+    /// up to [`ServiceConfig::max_coalesce`]).
     pub fn pump(&mut self, now: Timestamp) -> DrainReport {
         self.pump_budget(now, usize::MAX)
     }
@@ -390,27 +386,19 @@ impl<E: Engine> StreamService<E> {
         self.shed_expired();
         let mut budget = budget;
         while budget > 0 && !self.queue.is_empty() {
-            if self.queue.len() >= self.config.coalesce_watermark && budget >= 2 {
-                let take = self.queue.len().min(self.config.max_coalesce).min(budget);
-                let batch: Vec<Document> =
-                    self.queue.drain(..take).map(|event| event.doc).collect();
-                report.processed.extend(batch.iter().map(|doc| doc.id));
-                let outcomes = self.monitor.process_batch(batch);
-                report.outcomes.extend(outcomes);
-                self.overload.coalesced += take as u64;
-                report.batches += 1;
-                budget -= take;
-            } else {
-                let Some(event) = self.queue.pop_front() else {
-                    break;
-                };
-                report.processed.push(event.doc.id);
-                let outcome = self.monitor.process_document(event.doc);
-                report.outcomes.push(outcome);
+            let take = self.queue.len().min(self.config.max_coalesce).min(budget);
+            let batch: Vec<Document> = self.queue.drain(..take).map(|event| event.doc).collect();
+            report.processed.extend(batch.iter().map(|doc| doc.id));
+            report.outcomes.extend(self.monitor.process_batch(batch));
+            // A burst of one is a single event, counted as one.
+            if take == 1 {
                 self.overload.accepted += 1;
                 report.singletons += 1;
-                budget -= 1;
+            } else {
+                self.overload.coalesced += take as u64;
+                report.batches += 1;
             }
+            budget -= take;
         }
         report.shed = std::mem::take(&mut self.shed_log);
         self.check_accounting();
@@ -651,22 +639,21 @@ mod tests {
     fn deep_queues_coalesce_into_batches_and_shallow_queues_do_not() {
         let engine = ItaEngine::new(SlidingWindow::count_based(32), ItaConfig::default());
         let mut config = ServiceConfig::bounded(64);
-        config.coalesce_watermark = 8;
         config.max_coalesce = 8;
         let mut service = StreamService::new(engine, config);
-        // 20 queued events: two bursts of 8, then 4 singles below watermark.
-        for i in 0..20u64 {
+        // 17 queued events: two bursts of 8, then the one left is a single.
+        for i in 0..17u64 {
             service.offer_document(doc(i, i, 0.5));
         }
         let report = service.pump(Timestamp::from_millis(100));
         assert_eq!(report.batches, 2);
-        assert_eq!(report.singletons, 4);
-        assert_eq!(report.processed.len(), 20);
+        assert_eq!(report.singletons, 1);
+        assert_eq!(report.processed.len(), 17);
         let overload = service.overload_stats();
         assert_eq!(overload.coalesced, 16);
-        assert_eq!(overload.accepted, 4);
+        assert_eq!(overload.accepted, 1);
         let stats = service.stats();
-        assert_eq!(stats.events, 20);
+        assert_eq!(stats.events, 17);
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.overload, overload);
     }
@@ -793,7 +780,6 @@ mod tests {
     fn bounds_are_clamped_to_their_minima() {
         let config = ServiceConfig {
             queue_capacity: 0,
-            coalesce_watermark: 0,
             max_coalesce: 0,
             default_deadline: None,
             register_capacity: 0,
@@ -805,8 +791,7 @@ mod tests {
         let service = StreamService::new(engine, config);
         let normalized = service.config();
         assert_eq!(normalized.queue_capacity, 1);
-        assert_eq!(normalized.coalesce_watermark, 2);
-        assert_eq!(normalized.max_coalesce, 2);
+        assert_eq!(normalized.max_coalesce, 1);
         assert_eq!(normalized.register_capacity, 1);
         assert_eq!(normalized.backpressure_watermark, 1);
     }

@@ -36,12 +36,12 @@
 //! while the heaviest exceeds [`RebalanceConfig::max_over_ideal`] times the
 //! uniform share. A migration moves the query's complete ITA state —
 //! result set, local thresholds, counters — via
-//! [`ItaEngine::extract_query`]/[`ItaEngine::install_query`]; the receiving
-//! shard marks terms that just became live cold in its shadow index (their
-//! lists are read out of its own store, in one walk, at first probe) and
-//! files the migrated thresholds
-//! verbatim, so processing resumes byte-identically on the new shard (no
-//! threshold search is re-run). The routing table
+//! [`ItaEngine::extract_query`]/[`ItaEngine::install_query`], with the
+//! window postings of its terms resolved against the coordinator's mirror as
+//! for a registration; the receiving shard files the lists of the terms that
+//! just became live from them and the migrated thresholds verbatim, so
+//! processing resumes byte-identically on the new shard (no threshold search
+//! is re-run, no shard store is read). The routing table
 //! ([`ShardedItaEngine::assigned_shard`]) supersedes the initial hash
 //! placement ([`ShardedItaEngine::shard_of`]) once a query has moved.
 //!
@@ -97,25 +97,24 @@
 //! union of its queries' terms therefore reproduces, query for query, the
 //! exact reads the single-shard engine performs — the shadow index is
 //! complete for that term set by construction: filtered inserts for live
-//! terms, and when a registration brings a term live mid-stream, its
-//! postings over the whole window filed in arrival order.
+//! terms, and when a registration or a migration brings a term live
+//! mid-stream, its postings over the whole window filed in arrival order.
 //!
 //! **Who resolves those postings.** The coordinator does, once, for every
 //! shard: its window mirror is a [`WindowTerms`] — the arrival-ordered
 //! `Arc`s plus lazily built per-chunk term directories, which exist once
 //! however many shards there are. [`ShardedItaEngine::try_register_batch`]
-//! resolves the burst's terms against it while no event burst is in flight
-//! (so the mirror and every healthy shard's store hold the same documents)
-//! and ships the [`TermPostings`] with the request and into the worker's op
-//! log; the shard files what it finds newly live and never reads its own
-//! store. A shard still walks its store — once per call, whatever the number
-//! of terms — where nobody supplied postings: the first probe of a term a
-//! migration left cold. Arrival and expiry do no term work on the mirror
-//! (DESIGN.md §9). The randomized differential test in
-//! `tests/sharded_equivalence.rs` enforces byte-identical results and event
-//! outcomes against [`ItaEngine`] across shard counts, deregistration and
-//! window expiry; `tests/chaos_recovery.rs` enforces the same with faults
-//! injected and recovered mid-stream.
+//! and the rebalancer's `migrate` resolve the terms of what they are about to
+//! place against it while no event burst is in flight (so the mirror and
+//! every healthy shard's store hold the same documents) and ship the
+//! [`TermPostings`] with the request and into the worker's op log; the shard
+//! files what it finds newly live and never reads its own store
+//! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
+//! and expiry do no term work on the mirror (DESIGN.md §9). The randomized
+//! differential test in `tests/sharded_equivalence.rs` enforces
+//! byte-identical results and event outcomes against [`ItaEngine`] across
+//! shard counts, deregistration and window expiry; `tests/chaos_recovery.rs`
+//! enforces the same with faults injected and recovered mid-stream.
 
 use std::cell::RefCell;
 // cts-lint: allow(nondet-iteration, every map below is point-lookup only; nothing iterates their order)
@@ -166,8 +165,9 @@ enum ShardRequest {
     ProcessBatch(Arc<[Arc<Document>]>),
     /// Extract a query's complete ITA state for migration (synchronous).
     Extract(QueryId),
-    /// Install a migrated query under its existing id (synchronous).
-    Install(QueryId, Box<QueryMigration>),
+    /// Install a migrated query under its existing id (synchronous), with
+    /// the window postings of its terms, resolved as for `RegisterBatch`.
+    Install(QueryId, Box<QueryMigration>, Arc<TermPostings>),
     /// Read a query's current top-k.
     Results(QueryId),
     /// Read a query's ITA bookkeeping snapshot.
@@ -259,7 +259,8 @@ enum LogOp {
     Deregister(QueryId),
     Process(Arc<Document>),
     Extract(QueryId),
-    Install(QueryId, Box<QueryMigration>),
+    /// With the postings the coordinator shipped, like `RegisterBatch`.
+    Install(QueryId, Box<QueryMigration>, Arc<TermPostings>),
 }
 
 /// The value a [`LogOp`] application produces (discarded during replay).
@@ -284,8 +285,8 @@ impl LogOp {
             LogOp::Deregister(qid) => LogValue::Deregistered(engine.deregister(*qid)),
             LogOp::Process(doc) => LogValue::Processed(engine.process_shared(Arc::clone(doc))),
             LogOp::Extract(qid) => LogValue::Extracted(engine.extract_query(*qid).map(Box::new)),
-            LogOp::Install(qid, migration) => {
-                engine.install_query(*qid, (**migration).clone());
+            LogOp::Install(qid, migration, postings) => {
+                engine.install_query(*qid, (**migration).clone(), postings);
                 LogValue::Unit
             }
         }
@@ -616,8 +617,8 @@ impl ShardWorker {
                 LogValue::Extracted(migration) => ShardReply::Extracted(migration),
                 _ => unreachable!("an Extract op yields Extracted"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Extract to Extracted)
             },
-            ShardRequest::Install(qid, migration) => {
-                self.mutate(LogOp::Install(qid, migration))?;
+            ShardRequest::Install(qid, migration, postings) => {
+                self.mutate(LogOp::Install(qid, migration, postings))?;
                 ShardReply::Installed
             }
             ShardRequest::Results(qid) => ShardReply::Results(self.live()?.current_results(qid)),
@@ -775,7 +776,8 @@ fn spawn_with_retry<T, E>(
 /// Each migration strictly decreases the load distribution's sum of squares,
 /// so a rebalance pass always terminates; `max_migrations_per_check` is a
 /// safety valve bounding how much migration cost (state transfer plus the
-/// receiving shard's store walk at first probe) a single boundary may absorb.
+/// coordinator's resolve of the query's window postings and the receiving
+/// shard's filing of them) a single boundary may absorb.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Whether the rebalancer runs at all. Disabled, placement is the
@@ -1691,10 +1693,10 @@ impl ShardedItaEngine {
     /// Moves the complete ITA state of the query at `placement[from][slot]`
     /// to shard `to` (extract, reroute, install). Outcome-neutral by
     /// construction: the migrated thresholds and result set are installed
-    /// verbatim and the receiving shadow index covers any term that just
-    /// became live (cold until first probed, then read from the shard's own
-    /// store), so every subsequent event is
-    /// processed as it would have been on the old shard. The routing tables
+    /// verbatim and the receiving shadow index files the list of any term
+    /// that just became live from the postings resolved here — between
+    /// bursts, when the mirror holds what every healthy shard's store does —
+    /// so every subsequent event is processed as on the old shard. The routing tables
     /// move **between** extract and install, so a fault on either side leaves
     /// durable state pointing at the shard that should (re)build the query.
     fn migrate(&mut self, from: usize, slot: usize, to: usize) -> Result<(), EngineError> {
@@ -1711,7 +1713,8 @@ impl ShardedItaEngine {
         self.placement[to].push(qid);
         self.assignment.insert(qid, to);
         self.migrations += 1;
-        match self.call_shard(to, ShardRequest::Install(qid, migration))? {
+        let postings = Arc::new(self.mirror.postings(migration.terms()));
+        match self.call_shard(to, ShardRequest::Install(qid, migration, postings))? {
             ShardReply::Installed => Ok(()),
             _ => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
         }

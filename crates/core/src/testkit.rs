@@ -318,9 +318,8 @@ impl ScriptConfig {
 
     /// The registration-heavy shape: frequent single registrations, frequent
     /// [`Op::RegisterBurst`]s, aggressive deregistration and a batched
-    /// stream. This is the axis that exercises bulk registration, the
-    /// cold→warm shadow-list lifecycle (every burst mints cold terms a later
-    /// event must warm) and list retirement under churn, all at once.
+    /// stream. This is the axis that exercises bulk registration, lists
+    /// filed mid-stream and list retirement under churn, all at once.
     pub fn churn_storm() -> Self {
         Self {
             initial_queries: 6,

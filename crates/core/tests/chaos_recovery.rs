@@ -24,7 +24,8 @@
 use std::time::Duration;
 
 use cts_core::testkit::{
-    generate_script, run_script, Op, OpScript, RunOptions, ScriptConfig, ScriptRng,
+    assert_script_equivalence, generate_script, run_script, Op, OpScript, RunOptions, ScriptConfig,
+    ScriptRng,
 };
 use cts_core::validate::assert_lockstep_event;
 use cts_core::{
@@ -96,6 +97,35 @@ fn assert_chaos_lockstep(shards: usize, faults: FaultConfig, seed: u64) {
 fn chaos_storm_locksteps_across_shard_counts() {
     for shards in [1usize, 2, 4, 8] {
         assert_chaos_lockstep(shards, FaultConfig::default(), 0xC4A0_0000 + shards as u64);
+    }
+}
+
+/// The chaos shape with the registration-burst knobs turned up: every burst
+/// brings a batch of terms live mid-stream — lists filed from postings the
+/// coordinator shipped — and the elevated fault rate forces each shard
+/// through several checkpoint + op-log replays of those bursts per script.
+/// Run with `--features invariant-checks`, every op is followed by every
+/// engine's structural audit, the complete-lists one included.
+#[test]
+fn registration_bursts_survive_warm_replay_across_shard_counts() {
+    let config = ScriptConfig {
+        events: 220,
+        burst_register_probability: 0.18,
+        max_burst_registers: 10,
+        ..ScriptConfig::chaos_storm()
+    };
+    for shards in [1usize, 2, 4, 8] {
+        let window = SlidingWindow::count_based(24);
+        assert_script_equivalence(
+            &|| -> Vec<Box<dyn Engine>> {
+                vec![
+                    Box::new(ItaEngine::new(window, ItaConfig::default())),
+                    Box::new(ShardedItaEngine::new(window, ItaConfig::default(), shards)),
+                ]
+            },
+            &config,
+            0x5EED_7000 + shards as u64,
+        );
     }
 }
 
@@ -347,6 +377,20 @@ fn fault_after_a_migration_between_syncs_replays_extract_and_install() {
             }
         }
         assert!(migrations > 0, "cadence {interval}: nothing migrated");
+        // Each destination faulted on the event right after its `Install`,
+        // so the op log replayed the install with the postings it carried:
+        // lists were filed, and no shard — restored or not — read its store.
+        let index = sharded.shard_index_stats();
+        assert!(
+            index.iter().all(|shard| shard.register_entries_walked == 0),
+            "cadence {interval}: a shard walked its store: {index:?}"
+        );
+        assert!(
+            index[1..]
+                .iter()
+                .any(|shard| shard.register_postings_touched > 0),
+            "cadence {interval}: no migration brought a term with postings live"
+        );
         // The migrated queries keep living byte-identically, across
         // further syncs and one more round of faults.
         for step in 0..(interval.min(40) + 20) {
@@ -844,7 +888,8 @@ fn window_replay_rebuild_is_not_exact() {
         // window (the order the cold-resurrection path uses — which is why
         // cold recovery only promises exact *results*, not exact state).
         let mut rebuilt = ItaEngine::term_filtered(window, ItaConfig::default());
-        rebuilt.register_batch_with_ids(queries.clone());
+        let (ids, bodies): (Vec<QueryId>, Vec<ContinuousQuery>) = queries.iter().cloned().unzip();
+        assert_eq!(rebuilt.register_batch(bodies), ids);
         let window_docs: Vec<Document> = reference.store_documents().cloned().collect();
         for d in window_docs {
             rebuilt.process_document(d);

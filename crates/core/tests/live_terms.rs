@@ -9,7 +9,8 @@
 //!   query;
 //! * two **term-filtered** engines (live-slot keys) that both see every
 //!   document and host one part of the queries each — the shard
-//!   configuration, so queries can migrate between them and arrive *cold*;
+//!   configuration, so queries can migrate between them, their postings
+//!   resolved by a [`WindowTerms`] mirror as the sharded coordinator's are;
 //! * the [`BruteForceOracle`].
 //!
 //! After every op: `check_invariants()` on all three ITA engines, merged
@@ -22,6 +23,7 @@
 //! promises.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use cts_core::testkit::ScriptRng;
@@ -29,7 +31,7 @@ use cts_core::{
     BruteForceOracle, ContinuousQuery, Engine, EventOutcome, ItaConfig, ItaEngine, RankedDocument,
 };
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
-use cts_index::{DocId, Document, LiveTerms, QueryId, SlidingWindow, Timestamp};
+use cts_index::{DocId, Document, LiveTerms, QueryId, SlidingWindow, Timestamp, WindowTerms};
 use cts_text::weighting::Scoring;
 use cts_text::{Dictionary, TermId, WeightedVector};
 
@@ -37,6 +39,12 @@ use cts_text::{Dictionary, TermId, WeightedVector};
 struct Rig {
     plain: ItaEngine,
     filtered: [ItaEngine; 2],
+    /// The window as its owner sees it: what a migration's postings are
+    /// resolved against.
+    window: SlidingWindow,
+    mirror: WindowTerms,
+    /// Postings shipped with migrations so far.
+    shipped: usize,
     oracle: BruteForceOracle,
     host: BTreeMap<QueryId, usize>,
     next_doc: u64,
@@ -59,6 +67,9 @@ impl Rig {
                 ItaEngine::term_filtered(window, config),
                 ItaEngine::term_filtered(window, config),
             ],
+            window,
+            mirror: WindowTerms::new(),
+            shipped: 0,
             oracle: BruteForceOracle::new(window),
             host: BTreeMap::new(),
             next_doc: 0,
@@ -83,14 +94,18 @@ impl Rig {
         self.audit(&format!("deregister {qid}"));
     }
 
-    /// Moves `qid` to the other filtered engine, where its newly-live terms
-    /// arrive cold (tree entries, no lists).
+    /// Moves `qid` to the other filtered engine, which files the lists of
+    /// its newly-live terms from the mirror's postings and reads no store.
     fn migrate(&mut self, qid: QueryId) {
         let from = self.host[&qid];
         let migration = self.filtered[from]
             .extract_query(qid)
             .expect("query is live");
-        self.filtered[1 - from].install_query(qid, migration);
+        let postings = self.mirror.postings(migration.terms());
+        self.shipped += postings.len();
+        let walked = self.filtered[1 - from].register_entries_walked();
+        self.filtered[1 - from].install_query(qid, migration, &postings);
+        assert_eq!(self.filtered[1 - from].register_entries_walked(), walked);
         self.host.insert(qid, 1 - from);
         self.audit(&format!("migrate {qid} to shard {}", 1 - from));
     }
@@ -109,6 +124,11 @@ impl Rig {
         let mut merged = a.process_document(doc.clone());
         merged.merge_shard(&b.process_document(doc.clone()));
         assert_eq!(merged, expected, "outcomes diverged on {}", doc.id);
+        self.mirror.push(Arc::new(doc.clone()));
+        assert_eq!(
+            self.mirror.expire(self.window, doc.arrival),
+            expected.expired
+        );
         self.oracle.process_document(doc);
         self.audit(&format!("feed d{}", self.next_doc - 1));
         expected
@@ -188,30 +208,31 @@ fn a_term_whose_last_query_left_is_skipped_on_expiry() {
 
 /// Registers `{T}` with `k = 1` on shard 0 over a low and a high document
 /// (the roll-up leaves `θ_T` at the high weight), then migrates the query to
-/// shard 1, where `T` is cold: a tree entry, no list.
-fn rig_with_t_cold_on_shard_1() -> (Rig, QueryId) {
+/// shard 1, which no query ever made `T` live on: the install lists both
+/// documents at once.
+fn rig_with_t_migrated_to_shard_1() -> (Rig, QueryId) {
     let mut rig = Rig::new(SlidingWindow::count_based(4));
     let q = rig.register(&[(T, 1.0)], 1, 0);
     rig.feed(&[(T, 0.2)], 1);
     rig.feed(&[(T, 0.9)], 1);
     rig.migrate(q);
-    assert_eq!(rig.filtered[1].num_cold_terms(), 1);
-    assert_eq!(rig.postings(1), 0);
+    assert_eq!((rig.shipped, rig.postings(1)), (2, 2));
+    assert_eq!(rig.filtered[1].register_postings_touched(), 2);
     (rig, q)
 }
 
 #[test]
-fn a_term_cold_at_arrival_and_materialised_before_expiry_is_cleaned() {
-    let (mut rig, _) = rig_with_t_cold_on_shard_1();
-    // Arrives while T is cold: not filed, and below θ_T so nothing probes.
+fn a_term_a_migration_brings_live_is_listed_at_once_later_arrivals_included() {
+    let (mut rig, _) = rig_with_t_migrated_to_shard_1();
+    // Arrives below θ_T, so nothing probes — and is filed all the same: the
+    // list is complete from the install on.
     rig.feed(&[(T, 0.5)], 1);
-    assert_eq!(rig.filtered[1].num_cold_terms(), 1);
-    // A second query on T registers on shard 1: its search warms the list
-    // from the store, cold-era arrival included.
-    rig.register(&[(T, 0.5), (U, 0.5)], 2, 1);
-    assert_eq!(rig.filtered[1].num_cold_terms(), 0);
     assert_eq!(rig.postings(1), 3);
-    // Slide until the cold-era arrival (d2) has expired out of the list.
+    // A second query on T registers on shard 1 and finds the list as it is.
+    rig.register(&[(T, 0.5), (U, 0.5)], 2, 1);
+    assert_eq!(rig.filtered[1].register_postings_touched(), 2);
+    assert_eq!(rig.postings(1), 3);
+    // Slide until every T document has expired out of the list.
     for _ in 0..4 {
         rig.feed(&[(U, 0.3)], 1);
     }
@@ -219,19 +240,19 @@ fn a_term_cold_at_arrival_and_materialised_before_expiry_is_cleaned() {
 }
 
 #[test]
-fn a_term_still_cold_at_expiry_has_a_tree_but_no_list() {
-    let (mut rig, q) = rig_with_t_cold_on_shard_1();
+fn a_shipped_posting_expires_out_of_its_list_below_the_threshold_and_above() {
+    let (mut rig, q) = rig_with_t_migrated_to_shard_1();
     rig.feed(&[(U, 0.3)], 1);
     rig.feed(&[(U, 0.3)], 1);
-    // d0 (T: 0.2) expires below θ_T = 0.9 while T is cold on shard 1: its
-    // live entry finds a key, a tree, and no list to clean.
+    // d0 (T: 0.2) expires below θ_T = 0.9: no query is touched, and the
+    // posting the migration shipped leaves the list.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 0));
-    assert_eq!(rig.filtered[1].num_cold_terms(), 1, "T stayed cold");
-    // d1 (T: 0.9) is the top-1: its expiry refills, which warms the list.
+    assert_eq!(rig.postings(1), 1);
+    // d1 (T: 0.9) is the top-1: its expiry refills from a list now empty.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 1));
-    assert_eq!(rig.filtered[1].num_cold_terms(), 0);
+    assert_eq!(rig.postings(1), 0);
     assert!(rig.filtered[1].current_results(q).is_empty());
 }
 
@@ -255,12 +276,12 @@ fn a_term_that_dies_and_is_reregistered_is_rebuilt_under_a_recycled_slot() {
 }
 
 /// Seeded scripts over a small vocabulary, so that every op keeps moving
-/// terms across the live/cold/dead boundary under documents in the window.
+/// terms across the live/dead boundary under documents in the window.
 fn random_script(window: SlidingWindow, seed: u64) {
     let mut rng = ScriptRng::new(seed);
     let mut rig = Rig::new(window);
     let weights = [0.1, 0.25, 0.4, 0.55, 0.7];
-    let (mut colds, mut migrations) = (0usize, 0usize);
+    let mut migrations = 0usize;
     for _ in 0..260 {
         let live: Vec<QueryId> = rig.host.keys().copied().collect();
         match rng.below(10) {
@@ -283,15 +304,11 @@ fn random_script(window: SlidingWindow, seed: u64) {
                 rig.feed(&terms, rng.below(3) as u64);
             }
         }
-        colds += rig
-            .filtered
-            .iter()
-            .map(ItaEngine::num_cold_terms)
-            .sum::<usize>();
     }
     assert!(
-        migrations > 5 && colds > 20,
-        "seed {seed:#x} exercised nothing: {migrations} migrations, {colds} cold term-ops"
+        migrations > 5 && rig.shipped > 20,
+        "seed {seed:#x} exercised nothing: {migrations} migrations shipped {} postings",
+        rig.shipped
     );
 }
 

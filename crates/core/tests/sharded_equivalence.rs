@@ -138,8 +138,9 @@ fn sharded_matches_single_shard_with_heavy_query_churn() {
 /// [`cts_core::testkit::Op::RegisterBurst`]s into the churn, and the engine
 /// set pits every registration strategy against the reference at once — a
 /// [`LoopRegister`]-pinned twin (bulk path disabled) and the sharded engine's
-/// one-round-trip-per-shard burst fan-out. Bulk merge, cold→warm shadow-list
-/// promotion and the per-shard burst protocol must all be byte-invisible.
+/// one-round-trip-per-shard burst fan-out. Bulk merge, lists filed from
+/// shipped postings and the per-shard burst protocol must all be
+/// byte-invisible.
 fn churn_storm_engines(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {
     vec![
         Box::new(ItaEngine::new(window, ItaConfig::default())),

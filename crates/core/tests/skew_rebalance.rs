@@ -9,12 +9,14 @@
 //! every result and every event outcome **byte-identical** to the
 //! single-shard reference throughout — migration moves threshold trees,
 //! result sets and shadow-index term filters, and none of it may be
-//! observable from the outside.
+//! observable from the outside — while (c) no shard reads its own store: the
+//! coordinator ships every migrated term's window postings with the install.
 
 use cts_core::testkit::{generate_script, Op, RunOptions, ScriptConfig};
 use cts_core::validate::assert_lockstep_event;
-use cts_core::{Engine, ItaConfig, ItaEngine, RebalanceConfig, ShardedItaEngine};
-use cts_index::{QueryId, SlidingWindow};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine, RebalanceConfig, ShardedItaEngine};
+use cts_index::{Document, QueryId, SlidingWindow};
+use cts_text::TermId;
 
 /// Queries to register before the cull. Large enough that every shard count
 /// below keeps at least a handful of shard-0 survivors.
@@ -27,7 +29,7 @@ fn engineer_skew(
     window: SlidingWindow,
     shards: usize,
     seed: u64,
-) -> (ItaEngine, ShardedItaEngine, Vec<QueryId>) {
+) -> (ItaEngine, ShardedItaEngine, Vec<(QueryId, ContinuousQuery)>) {
     let mut reference = ItaEngine::new(window, ItaConfig::default());
     let mut sharded = ShardedItaEngine::with_rebalance(
         window,
@@ -47,26 +49,26 @@ fn engineer_skew(
                 )
             })
             .collect();
-        let query = cts_core::ContinuousQuery::from_weights(weights, rng.range(1, 4));
+        let query = ContinuousQuery::from_weights(weights, rng.range(1, 4));
         let qa = reference.register(query.clone());
-        let qb = sharded.register(query);
+        let qb = sharded.register(query.clone());
         assert_eq!(qa, qb);
-        qids.push(qa);
+        qids.push((qa, query));
     }
     // Cull everything that does not hash to shard 0.
-    let survivors: Vec<QueryId> = qids
+    let survivors: Vec<(QueryId, ContinuousQuery)> = qids
         .iter()
-        .copied()
-        .filter(|&q| sharded.shard_of(q) == 0)
+        .filter(|(q, _)| sharded.shard_of(*q) == 0)
+        .cloned()
         .collect();
     assert!(
         survivors.len() >= 4,
         "hash left too few shard-0 queries to make the test meaningful"
     );
-    for &q in &qids {
-        if !survivors.contains(&q) {
-            assert!(reference.deregister(q));
-            assert!(sharded.deregister(q));
+    for (q, _) in &qids {
+        if !survivors.iter().any(|(survivor, _)| survivor == q) {
+            assert!(reference.deregister(*q));
+            assert!(sharded.deregister(*q));
         }
     }
     // The skew is real: one shard holds every query, the rest idle.
@@ -77,12 +79,47 @@ fn engineer_skew(
     (reference, sharded, survivors)
 }
 
+/// What each shard's installs must have filed, given that every migration
+/// ran over `window` onto a shard that hosted nothing: per shard, the window
+/// postings of the distinct terms of the queries it now hosts (a term two
+/// migrated queries share went live, and was filed, once).
+fn shipped_postings(
+    sharded: &ShardedItaEngine,
+    survivors: &[(QueryId, ContinuousQuery)],
+    window: &[Document],
+    shards: usize,
+) -> Vec<u64> {
+    let mut terms: Vec<Vec<TermId>> = vec![Vec::new(); shards];
+    for (q, query) in survivors {
+        let shard = sharded.assigned_shard(*q).expect("survivor is routable");
+        if shard != 0 {
+            terms[shard].extend(query.terms().map(|(term, _)| term));
+        }
+    }
+    terms
+        .iter_mut()
+        .map(|terms| {
+            terms.sort_unstable();
+            terms.dedup();
+            let postings = terms
+                .iter()
+                .flat_map(|term| window.iter().filter(|doc| doc.composition.contains(*term)));
+            postings.count() as u64
+        })
+        .collect()
+}
+
 #[test]
 fn rebalancer_spreads_an_all_on_one_shard_population_and_stays_exact() {
     for shards in [2usize, 4, 8] {
         let window = SlidingWindow::count_based(24);
         let (mut reference, mut sharded, survivors) =
             engineer_skew(window, shards, 0x5C3A_0000 + shards as u64);
+        let qids: Vec<QueryId> = survivors.iter().map(|(q, _)| *q).collect();
+        // Every query was registered over an empty window: nothing filed yet.
+        let before = sharded.shard_index_stats();
+        assert!(before.iter().all(|s| s.register_postings_touched == 0));
+        let mut shipped: Option<(u64, Vec<u64>)> = None;
 
         // Re-arm the rebalancer; the next boundary repairs the skew.
         sharded.set_rebalance_config(RebalanceConfig::default());
@@ -98,13 +135,13 @@ fn rebalancer_spreads_an_all_on_one_shard_population_and_stays_exact() {
         for op in &script.ops {
             match op {
                 Op::Feed(doc) => {
-                    assert_lockstep_event(&mut reference, &mut sharded, doc, &survivors);
+                    assert_lockstep_event(&mut reference, &mut sharded, doc, &qids);
                 }
                 Op::FeedBatch(docs) => {
                     let expected = reference.process_batch(docs.clone());
                     let actual = sharded.process_batch(docs.clone());
                     assert_eq!(expected, actual, "batch outcomes diverged");
-                    for &q in &survivors {
+                    for &q in &qids {
                         assert_eq!(
                             reference.current_results(q),
                             sharded.current_results(q),
@@ -114,7 +151,42 @@ fn rebalancer_spreads_an_all_on_one_shard_population_and_stays_exact() {
                 }
                 _ => unreachable!("script has no churn"),
             }
+            // The first boundary repairs the whole skew, over a window that
+            // holds exactly the first op's documents.
+            shipped.get_or_insert_with(|| {
+                let window = match op {
+                    Op::Feed(doc) => vec![doc.clone()],
+                    Op::FeedBatch(docs) => docs.clone(),
+                    _ => unreachable!("script has no churn"),
+                };
+                assert!(window.len() < 24, "the first op already slid the window");
+                let expected = shipped_postings(&sharded, &survivors, &window, shards);
+                (sharded.migrations(), expected)
+            });
         }
+        // A migration reads no shard store: the coordinator resolved every
+        // migrated term's postings against its mirror, and each destination
+        // filed exactly those.
+        let (migrations, expected) = shipped.expect("the script fed something");
+        assert_eq!(
+            sharded.migrations(),
+            migrations,
+            "a later boundary migrated"
+        );
+        for (shard, stats) in sharded.shard_index_stats().iter().enumerate() {
+            assert_eq!(
+                stats.register_entries_walked, 0,
+                "{shards} shards: shard {shard} walked its own store"
+            );
+            assert_eq!(
+                stats.register_postings_touched, expected[shard],
+                "{shards} shards: shard {shard} filed something other than what was shipped"
+            );
+        }
+        assert!(
+            expected.iter().sum::<u64>() > 0,
+            "no migrated term had postings"
+        );
 
         // The rebalancer did move load...
         assert!(
@@ -124,15 +196,15 @@ fn rebalancer_spreads_an_all_on_one_shard_population_and_stays_exact() {
         // ...to within 2× of uniform (the acceptance bound; the default
         // policy actually levels tighter than this).
         let loads = sharded.shard_loads();
-        assert_eq!(loads.iter().sum::<usize>(), survivors.len());
-        let uniform = survivors.len() as f64 / shards as f64;
+        assert_eq!(loads.iter().sum::<usize>(), qids.len());
+        let uniform = qids.len() as f64 / shards as f64;
         let max = *loads.iter().max().unwrap();
         assert!(
             (max as f64) <= (2.0 * uniform).max(1.0),
             "{shards} shards: loads {loads:?} exceed 2x uniform ({uniform:.2})"
         );
         // Routing survived every migration.
-        for &q in &survivors {
+        for &q in &qids {
             let shard = sharded.assigned_shard(q).expect("survivor is routable");
             assert!(shard < shards);
             assert!(

@@ -28,13 +28,15 @@
 //! registered mid-stream may bring a term live that the shadow never
 //! indexed; [`InvertedIndex::acquire_terms`] files such a term's postings in
 //! arrival order, and [`InvertedIndex::release_term`] retires a
-//! list once the last referencing query deregisters. (The caller-filtered
-//! form — [`InvertedIndex::insert_shared_filtered`] over an identity-keyed
-//! index, which the replica passes of `ctsbench` drive, with
-//! [`InvertedIndex::backfill_term`], [`InvertedIndex::mark_cold`] and
-//! [`InvertedIndex::drop_list`] for the index-level differential suites —
-//! is refused by a term-filtered index, whose lists move only with its
-//! references.)
+//! list once the last referencing query deregisters. A term therefore has
+//! two states on a term-filtered index and no third: no query uses it and
+//! it has no list, or it is live and its list holds **exactly** the window's
+//! postings for it — which is what lets expiry re-intersect a document with
+//! the live set as it is *now*, and what [`InvertedIndex::check_invariants`]
+//! audits. (The caller-filtered form —
+//! [`InvertedIndex::insert_shared_filtered`] over an identity-keyed index,
+//! which the replica passes of `ctsbench` drive — is for full indexes only:
+//! a term-filtered index owns its filter.)
 //!
 //! **Who resolves those postings.** Reading them out of the stored window
 //! is a pass over every composition entry of every valid document — the
@@ -42,26 +44,13 @@
 //! someone else already has: `acquire_terms` takes a [`TermPostings`]
 //! resolved by the window's owner (the sharded coordinator's
 //! [`crate::WindowTerms`], which answers from per-chunk term directories
-//! and is shared by every shard) and files from it. Only for terms nobody
-//! supplied — a stand-alone filtered engine, a caller-filtered backfill, a
-//! cold term's first touch — does the index walk its own store, once per
-//! call however many terms it brings, each composition entry tested against
-//! a bitmap of the wanted terms ([`InvertedIndex::register_entries_walked`]
-//! counts those entries).
-//!
-//! The index also supports **cold** terms: [`InvertedIndex::acquire_term_cold`]
-//! ([`InvertedIndex::mark_cold`] on a caller-filtered index) records that a
-//! term is live without building its list,
-//! [`InvertedIndex::probe_shared`] answers a one-off read from the
-//! `Arc`-shared window without materialising anything, and
-//! [`InvertedIndex::materialise_terms`] promotes cold terms to private
-//! segmented lists on first real touch — in one store walk for the whole
-//! batch. While a term is cold the store remains the single source of truth:
-//! arrivals skip filing it and expirations have no list to clean, so a later
-//! materialisation over the current store yields exactly the postings an
-//! always-warm list would hold.
+//! and is shared by every shard) and files from it, for registrations and
+//! migrations alike. Only for terms nobody supplied — a stand-alone filtered
+//! engine — does the index walk its own store, once per call however many
+//! terms it brings, each composition entry tested against a bitmap of the
+//! wanted terms ([`InvertedIndex::register_entries_walked`] counts those
+//! entries).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -70,7 +59,6 @@ use cts_text::{TermId, WeightedTerm};
 
 use crate::arena::{DenseArena, LiveTerms};
 use crate::document::{DocId, Document};
-use crate::posting::Posting;
 use crate::store::DocumentStore;
 use crate::window_terms::{walk_postings, TermPostings};
 use crate::InvertedList;
@@ -83,19 +71,13 @@ pub struct InvertedIndex {
     /// `lists`: term ids on a full index, live slots on a term-filtered one.
     live: LiveTerms,
     lists: DenseArena<InvertedList>,
-    /// Terms live in the owner's filter but intentionally without a private
-    /// list yet — served from the shared store until first touch. A `BTreeSet`
-    /// on purpose: anything that sweeps the cold set (idle materialisation,
-    /// diagnostics) observes the terms in sorted order, so no replayed or
-    /// differential path can depend on hash-iteration order.
-    cold: BTreeSet<TermId>,
     /// Impact entries filed by registration-path backfills (satellite
     /// regression counter: must scale with the probed lists, never with the
     /// window × registration count product of the old eager path).
     register_postings_touched: u64,
     /// Composition entries this index read out of its own store to resolve
-    /// postings nobody supplied (the sibling counter: stays 0 on a shard
-    /// whose coordinator ships every registration's postings).
+    /// postings nobody supplied (the sibling counter: stays 0 on a shard,
+    /// whose coordinator ships them with every registration and migration).
     register_entries_walked: u64,
 }
 
@@ -117,10 +99,9 @@ impl InvertedIndex {
 
     /// Creates an empty **term-filtered** index: postings are filed only for
     /// live terms — those holding a reference taken through
-    /// [`InvertedIndex::acquire_terms`] / [`InvertedIndex::acquire_term_cold`]
-    /// — and lists are keyed by compact live slots, so the arena is sized by
-    /// the live terms rather than by the vocabulary. Documents are always
-    /// stored in full.
+    /// [`InvertedIndex::acquire_terms`] — and lists are keyed by compact live
+    /// slots, so the arena is sized by the live terms rather than by the
+    /// vocabulary. Documents are always stored in full.
     pub fn term_filtered() -> Self {
         Self {
             live: LiveTerms::live_slots(),
@@ -146,8 +127,8 @@ impl InvertedIndex {
     /// brings live get their lists filed right away — from `supplied`, the
     /// postings the window's owner resolved for this very window state, and,
     /// for newly live terms it does not cover, from **one walk** of this
-    /// index's own store (as [`InvertedIndex::backfill_terms`] does for a
-    /// caller-filtered index) — so the caller may probe every one of them.
+    /// index's own store — so the caller may probe every one of them. This is
+    /// the only way a list comes to exist other than by an arrival.
     pub fn acquire_terms(
         &mut self,
         terms: impl IntoIterator<Item = TermId>,
@@ -164,26 +145,15 @@ impl InvertedIndex {
         }
     }
 
-    /// Takes one reference on `term` without building anything: on a
-    /// term-filtered index a term this brings live is marked cold (what
-    /// [`InvertedIndex::mark_cold`] is to a caller-filtered index), so the
-    /// caller pays no window scan until (unless) something probes the list.
-    pub fn acquire_term_cold(&mut self, term: TermId) {
-        if self.live.acquire(term) && self.is_term_filtered() {
-            self.set_cold(term);
-        }
-    }
-
     /// Drops one reference on `term`; `true` when it was the last. A
-    /// term-filtered index then retires the term's list (or cold mark) and
-    /// recycles its key — the caller must already have let go of whatever
-    /// *it* files under [`LiveTerms::key`].
+    /// term-filtered index then retires the term's list and recycles its key
+    /// — the caller must already have let go of whatever *it* files under
+    /// [`LiveTerms::key`].
     pub fn release_term(&mut self, term: TermId) -> bool {
         let Some(key) = self.live.release(term) else {
             return false;
         };
         if self.is_term_filtered() {
-            self.cold.remove(&term);
             self.lists.remove(key);
         }
         true
@@ -203,11 +173,11 @@ impl InvertedIndex {
     }
 
     /// Inserts an already-shared arriving document, filing impact entries
-    /// only for composition terms accepted by `allow`. The document itself is
-    /// always stored in full, so later [`InvertedIndex::backfill_term`] calls
-    /// can recover the skipped terms — this is what makes a term-filtered
-    /// shadow index exactly equivalent to the full index *for the filtered
-    /// term set* under arbitrary register/feed interleavings.
+    /// only for composition terms accepted by `allow`; the document itself is
+    /// always stored in full. For a caller that keeps a term filter of its
+    /// own over a full index (the `ctsbench` replica pass). On a
+    /// term-filtered index anything but an all-accepting `allow` would leave
+    /// a live term's list incomplete, which the audit reports.
     pub fn insert_shared_filtered(
         &mut self,
         doc: Arc<Document>,
@@ -244,7 +214,7 @@ impl InvertedIndex {
     }
 
     /// The one filing loop: stores `doc`, then adds an impact entry for each
-    /// of `entries` that `allow` accepts, that has a key and is not cold.
+    /// of `entries` that `allow` accepts and that has a key.
     ///
     /// # Panics
     ///
@@ -257,13 +227,8 @@ impl InvertedIndex {
         mut allow: impl FnMut(TermId) -> bool,
     ) {
         self.store.push_shared(Arc::clone(doc));
-        // Cold terms are live but must stay unmaterialised: filing only
-        // post-registration arrivals would leave a partial list that a later
-        // materialisation would double-count. The `is_empty` check keeps the
-        // fully-warm hot path a single branch.
-        let any_cold = !self.cold.is_empty();
         for entry in entries {
-            if !allow(entry.term) || (any_cold && self.cold.contains(&entry.term)) {
+            if !allow(entry.term) {
                 continue;
             }
             if let Some(key) = self.live.key(entry.term) {
@@ -272,176 +237,31 @@ impl InvertedIndex {
         }
     }
 
-    /// Builds the inverted list for `term` from the stored documents, in
-    /// arrival order — the exact insertion sequence the unfiltered index
-    /// would have performed. Used when a newly registered query references a
-    /// term the filtered index has not been maintaining. Returns the number
-    /// of postings filed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-empty list for `term` already exists: backfilling on
-    /// top of live postings would duplicate them, which means the caller's
-    /// term bookkeeping is corrupt.
-    pub fn backfill_term(&mut self, term: TermId) -> usize {
-        self.backfill_terms(&[term])
-    }
-
-    /// Backfills several terms in **one walk of the store** — the
-    /// registration path of a caller-filtered shadow index, where a new query
-    /// typically brings several terms live at once and per-term store scans
-    /// would multiply the (window-sized) traversal cost by the query length.
-    /// Postings are filed in arrival order per term, exactly as
-    /// [`InvertedIndex::backfill_term`] would. Returns the total number of
-    /// postings filed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any of the terms already has a non-empty list (see
-    /// [`InvertedIndex::backfill_term`]), if `terms` contains duplicates, or
-    /// on a [`InvertedIndex::term_filtered`] index, which backfills by itself
-    /// when [`InvertedIndex::acquire_terms`] brings a term live.
-    pub fn backfill_terms(&mut self, terms: &[TermId]) -> usize {
-        self.assert_caller_filtered("backfill_terms");
-        self.rebuild_lists(terms, &TermPostings::default())
-    }
-
-    /// `backfill_term(s)`, `mark_cold` and `drop_list` are the protocol of a
-    /// caller that keeps the term filter itself, over a full (term-id keyed)
-    /// index. A term-filtered index owns its filter: its lists, cold marks
-    /// and slots move only with the references taken and dropped through
-    /// `acquire_terms` / `acquire_term_cold` / `release_term`, so the
-    /// caller-side calls — which would retire a list without releasing its
-    /// term, or mark a term cold that is not live — are refused.
-    fn assert_caller_filtered(&self, method: &str) {
-        assert!(
-            !self.is_term_filtered(),
-            "{method} on a term-filtered index: acquire or release the term instead"
-        );
-    }
-
-    /// Files the lists of `terms` — the one place backfilled postings are
-    /// filed (see [`InvertedIndex::backfill_terms`] for the contract). Each
-    /// term's postings come from `supplied` if it covers the term, and
-    /// otherwise from one bitmap walk of this index's store over all the
-    /// uncovered terms together.
-    fn rebuild_lists(&mut self, terms: &[TermId], supplied: &TermPostings) -> usize {
-        for (i, term) in terms.iter().enumerate() {
-            assert!(
-                self.list(*term).is_none_or(|list| list.is_empty()),
-                "backfill of {term} would duplicate an existing list"
-            );
-            assert!(
-                !self.cold.contains(term),
-                "backfill of cold {term} without clearing its cold mark"
-            );
-            assert!(
-                !terms[..i].contains(term),
-                "backfill of {term} requested twice"
-            );
-        }
+    /// Files the lists of `terms`, which [`InvertedIndex::acquire_terms`]
+    /// just brought live (so they are distinct, and the last release retired
+    /// any earlier list) — the one place backfilled postings are filed, in
+    /// arrival order per term, the insertion sequence a list maintained all
+    /// along would have seen. A term's postings come from `supplied` if it
+    /// covers the term, and otherwise from one bitmap walk of this index's
+    /// store over all the uncovered terms together.
+    fn rebuild_lists(&mut self, terms: &[TermId], supplied: &TermPostings) {
         let uncovered = terms.iter().filter(|term| supplied.get(**term).is_none());
         let (walked, entries) = walk_postings(self.store.iter(), uncovered.copied());
         self.register_entries_walked += entries;
-        let mut filed = 0;
         for term in terms {
             let postings = supplied.get(*term).or_else(|| walked.get(*term));
             let Some(postings) = postings.filter(|postings| !postings.is_empty()) else {
                 continue;
             };
             let Some(key) = self.live.key(*term) else {
+                // cts-lint: allow(panic-in-hot-path, the only caller took a reference on every term it passes, so each has a key)
                 panic!("backfill of {term}, which no registered query references");
             };
             let list = self.lists.get_or_default(key);
             for (doc, weight) in postings {
                 list.insert(*doc, *weight);
             }
-            filed += postings.len();
-        }
-        self.register_postings_touched += filed as u64;
-        filed
-    }
-
-    /// Marks `term` **cold**: live in the caller's term filter, but with its
-    /// private list deliberately not built. Arrivals skip filing the term and
-    /// expirations find nothing to clean, so the shared store stays the
-    /// single source of truth until [`InvertedIndex::materialise_terms`] (or
-    /// a direct [`InvertedIndex::probe_shared`]) reads it. Marking an
-    /// already-cold term is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-empty list for `term` exists — a term cannot be both
-    /// warm and cold, so the caller's bookkeeping is corrupt — or on a
-    /// [`InvertedIndex::term_filtered`] index, where only
-    /// [`InvertedIndex::acquire_term_cold`] may mark a term.
-    pub fn mark_cold(&mut self, term: TermId) {
-        self.assert_caller_filtered("mark_cold");
-        self.set_cold(term);
-    }
-
-    fn set_cold(&mut self, term: TermId) {
-        assert!(
-            self.list(term).is_none_or(|list| list.is_empty()),
-            "cannot mark {term} cold: a live list exists"
-        );
-        self.cold.insert(term);
-    }
-
-    /// Whether `term` is currently marked cold.
-    pub fn is_cold(&self, term: TermId) -> bool {
-        self.cold.contains(&term)
-    }
-
-    /// Number of currently cold terms (0 means every live term is warm and
-    /// the arrival path runs exactly as before lazy registration existed).
-    pub fn num_cold(&self) -> usize {
-        self.cold.len()
-    }
-
-    /// The currently cold terms, in increasing term-id order — for batch-idle
-    /// materialisation sweeps. The order is deterministic (the cold set is a
-    /// `BTreeSet`), so sweeps driven off this list replay identically.
-    pub fn cold_terms(&self) -> Vec<TermId> {
-        self.cold.iter().copied().collect()
-    }
-
-    /// Read-only probe of `term` against the `Arc`-shared window: the impact
-    /// entries a private list would hold right now, in list order
-    /// (decreasing weight, ties by increasing document id). This is how a
-    /// cold term's *first* read can be served without mutating the index; it
-    /// works identically for warm or unfiltered terms (and is differentially
-    /// tested against the maintained lists).
-    pub fn probe_shared(&self, term: TermId) -> Vec<Posting> {
-        let mut postings: Vec<Posting> = self
-            .store
-            .iter()
-            .filter_map(|doc| {
-                let weight = doc.composition.impact(term);
-                (weight > cts_text::Weight::ZERO).then(|| Posting::new(doc.id, weight))
-            })
-            .collect();
-        postings.sort_unstable_by(|a, b| a.rank(b));
-        postings
-    }
-
-    /// Promotes every currently-cold term in `terms` to a private list, in
-    /// **one walk of the store** regardless of how many terms the batch
-    /// brings. Terms that are not cold (already warm, or never marked) are
-    /// skipped, so materialisation is idempotent. Returns the number of
-    /// postings filed.
-    pub fn materialise_terms(&mut self, terms: &[TermId]) -> usize {
-        let mut promoted: Vec<TermId> = Vec::new();
-        for term in terms {
-            // `remove` both filters to cold terms and dedups repeats.
-            if self.cold.remove(term) {
-                promoted.push(*term);
-            }
-        }
-        if promoted.is_empty() {
-            0
-        } else {
-            self.rebuild_lists(&promoted, &TermPostings::default())
+            self.register_postings_touched += postings.len() as u64;
         }
     }
 
@@ -463,26 +283,6 @@ impl InvertedIndex {
         self.register_entries_walked
     }
 
-    /// Drops the inverted list for `term` entirely (the stored documents are
-    /// untouched) — what [`InvertedIndex::release_term`] does when the last
-    /// query referencing `term` deregisters, for callers that keep the term
-    /// filter themselves. A cold `term` just sheds its cold
-    /// mark — deregistering a never-probed term must not trigger the
-    /// materialisation it existed to avoid. Returns `true` if a list or a
-    /// cold mark existed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`InvertedIndex::term_filtered`] index: dropping a live
-    /// term's list without releasing the term would let later arrivals
-    /// refile a partial one.
-    pub fn drop_list(&mut self, term: TermId) -> bool {
-        self.assert_caller_filtered("drop_list");
-        let was_cold = self.cold.remove(&term);
-        let list = self.live.key(term).and_then(|key| self.lists.remove(key));
-        list.is_some() || was_cold
-    }
-
     /// Removes the document with id `id` (normally the oldest, on expiration):
     /// deletes its impact entries and returns the (shared) document for
     /// further processing by the engines. Returns `None` if `id` is not
@@ -499,9 +299,9 @@ impl InvertedIndex {
     /// to the entries live **now** — left in `live_entries` for the caller's
     /// threshold probe — and deletes their impact entries. The live set may
     /// have changed since the document arrived; that is sound because a list
-    /// exists exactly for the live, non-cold terms, whatever they were then:
-    /// a term that went live later was backfilled with this document's entry,
-    /// and a term that died took its list with it.
+    /// exists exactly for the live terms, whatever they were then: a term
+    /// that went live later was backfilled with this document's entry, and a
+    /// term that died took its list with it.
     pub fn remove_expired(
         &mut self,
         id: DocId,
@@ -535,9 +335,8 @@ impl InvertedIndex {
     /// ([`DocumentStore::sync_from`]), the list arena copies the lists an
     /// arrival, expiration, backfill or retirement touched
     /// ([`DenseArena::sync_from`]), the live-term set is copied if a
-    /// registration changed it ([`LiveTerms::sync_from`]), and the (normally
-    /// empty) cold set and the backfill counters are copied outright. Clears
-    /// `src`'s change records.
+    /// registration changed it ([`LiveTerms::sync_from`]), and the backfill
+    /// counters are copied outright. Clears `src`'s change records.
     ///
     /// `self` must hold what `src` held when it was last synced from — both
     /// freshly created, or `self` last written by this very call.
@@ -545,7 +344,6 @@ impl InvertedIndex {
         self.store.sync_from(&mut src.store);
         self.live.sync_from(&mut src.live);
         self.lists.sync_from(&mut src.lists);
-        self.cold.clone_from(&src.cold);
         self.register_postings_touched = src.register_postings_touched;
         self.register_entries_walked = src.register_entries_walked;
     }
@@ -584,14 +382,17 @@ impl InvertedIndex {
     /// * every inverted list is non-empty (an emptied list's arena slot is
     ///   vacated on removal, never left behind) and internally well-formed
     ///   ([`crate::InvertedList`]'s own `check_invariants`);
-    /// * no posting refers to a document outside the store, and no list holds
-    ///   more postings than there are valid documents;
-    /// * the **cold-term lifecycle**: a cold term never owns a list — cold
-    ///   means "the shared store is the single source of truth", so a
-    ///   coexisting private list would double-count on materialisation;
+    /// * every posting is an entry of a stored document — that document's
+    ///   weight for the list's term — and no list holds more postings than
+    ///   there are valid documents;
     /// * the live-term set's own invariants ([`LiveTerms::check_invariants`]),
     ///   and on a term-filtered index every list sits under the key of a
-    ///   term that is live now — a recycled slot never inherits a list.
+    ///   term that is live now — a recycled slot never inherits a list;
+    /// * **complete lists**, on a term-filtered index: the lists hold as many
+    ///   postings as the stored documents have live entries (one
+    ///   [`LiveTerms::intersect`] per document). Postings are distinct and
+    ///   each is a true one, so equal counts mean a term is live **iff** its
+    ///   list holds exactly the window's postings for it.
     ///
     /// Driven per-op by the testkit lockstep runner under the
     /// `invariant-checks` feature (and in unit tests); not called on hot
@@ -614,15 +415,36 @@ impl InvertedIndex {
             );
             list.check_invariants();
             for posting in list.iter() {
+                let Some(doc) = self.store.get(posting.doc) else {
+                    // cts-lint: allow(panic-in-hot-path, audit-only diagnostics, never on a hot path)
+                    panic!(
+                        "list for {term} references expired document {}",
+                        posting.doc
+                    );
+                };
                 assert!(
-                    self.store.get(posting.doc).is_some(),
-                    "list for {term} references expired document {}",
+                    doc.composition.contains(term)
+                        && doc.composition.impact(term) == posting.weight,
+                    "list for {term} holds {} at a weight its composition list does not",
                     posting.doc
                 );
             }
-            assert!(
-                !self.cold.contains(&term),
-                "{term} is cold but owns a materialised list"
+        }
+        if self.is_term_filtered() {
+            let mut live_entries = Vec::new();
+            let expected: usize = self
+                .store
+                .iter()
+                .map(|doc| {
+                    self.live
+                        .intersect(doc.composition.as_slice(), &mut live_entries);
+                    live_entries.len()
+                })
+                .sum();
+            assert_eq!(
+                self.stats().postings,
+                expected,
+                "the lists do not hold exactly the live entries of the stored documents"
             );
         }
     }
@@ -644,6 +466,8 @@ impl InvertedIndex {
             list_slots: self.lists.slot_capacity(),
             tree_slots: 0,
             refcount_slots: self.live.slot_capacity(),
+            register_postings_touched: self.register_postings_touched,
+            register_entries_walked: self.register_entries_walked,
         }
     }
 }
@@ -670,6 +494,10 @@ pub struct IndexStats {
     pub tree_slots: usize,
     /// Slots allocated by the term reference-count table (same key space).
     pub refcount_slots: usize,
+    /// [`InvertedIndex::register_postings_touched`] so far.
+    pub register_postings_touched: u64,
+    /// [`InvertedIndex::register_entries_walked`] so far (0 on a shard).
+    pub register_entries_walked: u64,
 }
 
 impl IndexStats {
@@ -687,6 +515,7 @@ impl IndexStats {
 mod tests {
     use super::*;
     use crate::document::Timestamp;
+    use crate::posting::Posting;
     use cts_text::WeightedVector;
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {
@@ -695,6 +524,19 @@ mod tests {
             Timestamp::from_millis(id),
             WeightedVector::from_weights(terms.iter().map(|&(t, w)| (TermId(t), w))),
         )
+    }
+
+    /// What `term`'s list must hold: a brute-force filter of the stored
+    /// documents, in list order (decreasing weight, ties by document id).
+    fn window_postings(idx: &InvertedIndex, term: TermId) -> Vec<Posting> {
+        let mut postings: Vec<Posting> = idx
+            .store()
+            .iter()
+            .filter(|doc| doc.composition.contains(term))
+            .map(|doc| Posting::new(doc.id, doc.composition.impact(term)))
+            .collect();
+        postings.sort_unstable_by(|a, b| a.rank(b));
+        postings
     }
 
     #[test]
@@ -878,7 +720,7 @@ mod tests {
     #[test]
     fn backfill_rebuilds_a_list_in_arrival_order() {
         let mut full = InvertedIndex::new();
-        let mut shadow = InvertedIndex::new();
+        let mut shadow = InvertedIndex::term_filtered();
         let docs = [
             doc(1, &[(7, 0.30), (8, 0.10)]),
             doc(2, &[(7, 0.50)]),
@@ -887,41 +729,38 @@ mod tests {
         ];
         for d in docs {
             full.insert_document(d.clone());
-            shadow.insert_shared_filtered(Arc::new(d), |_| false);
+            shadow.insert_document(d);
         }
         assert!(shadow.list(TermId(7)).is_none());
-        assert_eq!(shadow.backfill_term(TermId(7)), 3);
+        // Terms with no postings in the window backfill to nothing.
+        shadow.acquire_terms([TermId(7), TermId(42)], &TermPostings::default());
+        assert_eq!(shadow.register_postings_touched(), 3);
         let reference: Vec<_> = full.list(TermId(7)).unwrap().iter().collect();
         let rebuilt: Vec<_> = shadow.list(TermId(7)).unwrap().iter().collect();
         assert_eq!(reference, rebuilt);
-        // Terms with no postings in the window backfill to nothing.
-        assert_eq!(shadow.backfill_term(TermId(42)), 0);
         assert!(shadow.list(TermId(42)).is_none());
+        // A second reference on a live term files nothing: the list is
+        // already complete.
+        shadow.acquire_terms([TermId(7)], &TermPostings::default());
+        assert_eq!(shadow.register_postings_touched(), 3);
+        shadow.check_invariants();
     }
 
     #[test]
-    #[should_panic(expected = "would duplicate an existing list")]
-    fn backfill_onto_a_live_list_panics() {
-        let mut idx = InvertedIndex::new();
+    #[should_panic(expected = "do not hold exactly the live entries")]
+    fn the_audit_reports_a_live_term_whose_list_is_incomplete() {
+        let mut idx = InvertedIndex::term_filtered();
+        idx.acquire_terms([TermId(7)], &TermPostings::default());
         idx.insert_document(doc(1, &[(7, 0.3)]));
-        idx.backfill_term(TermId(7));
+        idx.check_invariants();
+        // A caller-side filter over an index that owns its filter: term 7 is
+        // live and this document's posting for it is never filed.
+        idx.insert_shared_filtered(Arc::new(doc(2, &[(7, 0.5)])), |_| false);
+        idx.check_invariants();
     }
 
     #[test]
-    fn drop_list_retires_a_term_without_touching_the_store() {
-        let mut idx = InvertedIndex::new();
-        idx.insert_document(doc(1, &[(7, 0.3), (8, 0.2)]));
-        assert!(idx.drop_list(TermId(7)));
-        assert!(!idx.drop_list(TermId(7)));
-        assert!(idx.list(TermId(7)).is_none());
-        assert_eq!(idx.num_documents(), 1);
-        // A later backfill restores exactly the dropped postings.
-        assert_eq!(idx.backfill_term(TermId(7)), 1);
-        assert_eq!(idx.list(TermId(7)).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn directory_answer_equals_walk_answer_equals_probe_shared() {
+    fn supplied_postings_equal_walked_postings_equal_a_brute_force_filter() {
         use crate::window_terms::WindowTerms;
         // Chunks of 8 over 29 documents, then 3 expire: the term set has hits
         // in the partly expired front chunk, in sealed chunks and in the
@@ -975,9 +814,14 @@ mod tests {
                 .list(*term)
                 .map(|l| l.iter().collect())
                 .unwrap_or_default();
-            assert_eq!(filed, own.probe_shared(*term), "lists diverge for {term}");
+            assert_eq!(
+                filed,
+                window_postings(&own, *term),
+                "lists diverge for {term}"
+            );
         }
         supplied.check_invariants();
+        own.check_invariants();
     }
 
     #[test]
@@ -997,104 +841,9 @@ mod tests {
         assert_eq!(idx.register_postings_touched(), 12);
         for term in [1, 2] {
             let filed: Vec<_> = idx.list(TermId(term)).unwrap().iter().collect();
-            assert_eq!(filed, idx.probe_shared(TermId(term)));
+            assert_eq!(filed, window_postings(&idx, TermId(term)));
         }
         assert!(idx.list(TermId(9)).is_none() && idx.list(TermId(3)).is_none());
-        idx.check_invariants();
-    }
-
-    #[test]
-    fn cold_terms_are_skipped_by_arrivals_and_materialise_exactly() {
-        let mut full = InvertedIndex::new();
-        let mut shadow = InvertedIndex::new();
-        let t = TermId(7);
-        // Half the window arrives, the term goes cold (registered), the rest
-        // of the window arrives while cold, one document expires while cold.
-        for i in 0..4u64 {
-            let d = doc(i, &[(7, 0.1 + i as f64 * 0.1), (8, 0.2)]);
-            full.insert_document(d.clone());
-            shadow.insert_shared_filtered(Arc::new(d), |_| true);
-        }
-        shadow.drop_list(t); // simulate the term never having been live
-        shadow.mark_cold(t);
-        assert!(shadow.is_cold(t));
-        assert_eq!(shadow.num_cold(), 1);
-        assert_eq!(shadow.cold_terms(), vec![t]);
-        for i in 4..8u64 {
-            let d = doc(i, &[(7, 0.05 + i as f64 * 0.1)]);
-            full.insert_document(d.clone());
-            shadow.insert_shared_filtered(Arc::new(d), |_| true);
-        }
-        full.remove_document(DocId(1)).unwrap();
-        shadow.remove_document(DocId(1)).unwrap();
-        // While cold: no list, but the shared probe answers correctly.
-        assert!(shadow.list(t).is_none());
-        let reference: Vec<_> = full.list(t).unwrap().iter().collect();
-        assert_eq!(shadow.probe_shared(t), reference);
-        // Materialisation over the churned store equals the always-warm list.
-        shadow.materialise_terms(&[t]);
-        assert!(!shadow.is_cold(t));
-        let rebuilt: Vec<_> = shadow.list(t).unwrap().iter().collect();
-        assert_eq!(rebuilt, reference);
-        // Idempotent: a second materialisation files nothing.
-        let before = shadow.register_postings_touched();
-        assert_eq!(shadow.materialise_terms(&[t]), 0);
-        assert_eq!(shadow.register_postings_touched(), before);
-    }
-
-    #[test]
-    fn dropping_a_cold_term_never_materialises_it() {
-        let mut idx = InvertedIndex::new();
-        for i in 0..6u64 {
-            idx.insert_shared_filtered(Arc::new(doc(i, &[(3, 0.5)])), |_| false);
-        }
-        idx.mark_cold(TermId(3));
-        assert!(idx.drop_list(TermId(3)));
-        assert!(!idx.is_cold(TermId(3)));
-        assert!(idx.list(TermId(3)).is_none());
-        assert_eq!(idx.register_postings_touched(), 0);
-        assert!(!idx.drop_list(TermId(3)));
-    }
-
-    #[test]
-    #[should_panic(expected = "a live list exists")]
-    fn marking_a_warm_term_cold_panics() {
-        let mut idx = InvertedIndex::new();
-        idx.insert_document(doc(1, &[(7, 0.3)]));
-        idx.mark_cold(TermId(7));
-    }
-
-    #[test]
-    fn a_term_filtered_index_refuses_the_caller_filtered_protocol() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut idx = InvertedIndex::term_filtered();
-        idx.acquire_terms([TermId(7)], &TermPostings::default());
-        idx.insert_document(doc(1, &[(7, 0.3), (8, 0.2)]));
-        let before = idx.clone();
-        type Call = fn(&mut InvertedIndex);
-        let calls: [(&str, Call); 4] = [
-            ("drop_list", |idx| {
-                idx.drop_list(TermId(7));
-            }),
-            ("mark_cold", |idx| idx.mark_cold(TermId(8))),
-            ("backfill_term", |idx| {
-                idx.backfill_term(TermId(8));
-            }),
-            ("backfill_terms", |idx| {
-                idx.backfill_terms(&[TermId(8)]);
-            }),
-        ];
-        for (name, call) in calls {
-            let refused = catch_unwind(AssertUnwindSafe(|| call(&mut idx)));
-            assert!(refused.is_err(), "{name} ran on a term-filtered index");
-            assert_eq!(idx, before, "{name} changed the index before refusing");
-        }
-        // The live-term protocol is the one way in: cold, then materialised.
-        idx.acquire_term_cold(TermId(8));
-        assert!(idx.is_cold(TermId(8)));
-        assert_eq!(idx.materialise_terms(&[TermId(8)]), 1);
-        assert!(idx.release_term(TermId(7)));
-        assert!(idx.list(TermId(7)).is_none());
         idx.check_invariants();
     }
 

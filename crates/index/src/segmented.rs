@@ -5,8 +5,8 @@
 //! cost is dominated by the `Vec` `memmove` paid on every arrival/expiration
 //! by the few head terms whose flat impact lists reach window length — not by
 //! any of the probes or descents the algorithm actually reasons about. The
-//! same observation drives FAST's split of hot frequent-term structures from
-//! cold ones for continuous filter queries (Mahmood et al.).
+//! same observation drives FAST's split of frequent-term structures from
+//! infrequent-term ones for continuous filter queries (Mahmood et al.).
 //!
 //! [`SegmentedImpactList`] keeps the postings in a small ordered directory of
 //! fixed-capacity **segments**, each a sorted `Vec<Posting>` in the global

@@ -90,6 +90,7 @@ const REPLAY_MODULES: &[&str] = &[
 const HOT_MODULES: &[&str] = &[
     "crates/core/src/ita.rs",
     "crates/core/src/sharded.rs",
+    "crates/index/src/index.rs",
     "crates/index/src/segmented.rs",
     "crates/text/src/analyze.rs",
     "crates/text/src/token.rs",
