@@ -1,40 +1,32 @@
-//! Ablation: what recovering a faulted shard worker costs, warm vs cold —
-//! and what being able to costs when nothing faults.
+//! Ablation: what recovering a faulted shard worker costs.
 //!
-//! Fixes a sharded engine over a filled count-based window and prices the
-//! two recovery paths of DESIGN.md §10 against each other:
+//! There is one recovery path (DESIGN.md §10): a caught panic poisons the
+//! shard, and the coordinator rebuilds it from its durable registry and
+//! window mirror — the mirror's documents loaded into a fresh engine (no
+//! query is live yet, so nothing is filed), then one registration of the
+//! shard's queries with the postings the coordinator resolves against the
+//! mirror. Cost scales with the window (the load and the resolve) and with
+//! the shard's queries (their threshold searches), not with history.
 //!
-//! * `warm` — the default checkpoint + op-log configuration: a caught panic
-//!   clones the worker's checkpoint and replays the logged mutations. Cost
-//!   scales with engine-state size (the clone) plus log length, independent
-//!   of the window.
-//! * `cold` — `checkpoint_interval: 0`: every caught panic poisons the
-//!   shard, so the coordinator rebuilds it from the durable registry and
-//!   the window mirror — re-registration plus a full window replay. Cost
-//!   scales with window size × resident queries.
+//! Fixes a 2-shard engine over a filled count-based window at two points —
+//! 500 queries over 5k documents (where the deleted warm restore was priced)
+//! and the paper point, 1,000 queries over 10k — and runs two arms:
 //!
-//! Each measured iteration arms one fault and feeds one document through
-//! the engine, so the criterion number is (event + recovery); the fault-free
-//! `none` arm prices the same event without a fault for the baseline. The
-//! engine's own `recovery_micros` counter is printed per arm, isolating
-//! time inside restore/rebuild from the surrounding dispatch.
+//! * `none` — one steady-state event per iteration, no fault;
+//! * `cold` — one fault armed on shard 0 per iteration, so the iteration is
+//!   the event plus the rebuild.
 //!
-//! The `steady` arms are the first column of the ROADMAP's `robustness_tax`:
-//! the same fault-free stream, in bursts of 64, at the paper point (1,000
-//! queries, 10k-document window, 2 shards) with `checkpoint_interval` 0 and
-//! 256. The difference is the price of warm recovery in steady state — one
-//! delta sync of each worker's checkpoint per 256 mutations — and the
-//! workers' own `checkpoint_time / events` is printed beside it.
+//! The engine's own `recovery_micros` counter is printed per fault,
+//! isolating time inside the rebuild (resolve, load, registration) from the
+//! surrounding dispatch.
 //!
 //! Run with `cargo bench --bench ablation_recovery`. Set
 //! `CTS_ABLATION_RECOVERY_QUICK=1` for reduced points (50 queries, a
 //! 400-document window) when iterating on the harness itself.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use cts_core::{
-    ContinuousQuery, Engine, FaultConfig, ItaConfig, RebalanceConfig, ShardedItaEngine,
-};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ShardedItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::SlidingWindow;
 use cts_text::weighting::Scoring;
@@ -88,13 +80,11 @@ fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
 
 /// A 2-shard engine with the workload registered and the window filled
 /// (untimed setup), plus the stream to keep feeding from.
-fn prepared_engine(point: &Point, faults: FaultConfig) -> (ShardedItaEngine, DocumentStream) {
-    let mut engine = ShardedItaEngine::with_faults(
+fn prepared_engine(point: &Point) -> (ShardedItaEngine, DocumentStream) {
+    let mut engine = ShardedItaEngine::new(
         SlidingWindow::count_based(point.window_docs),
         ItaConfig::default(),
         2,
-        RebalanceConfig::default(),
-        faults,
     );
     let mut stream = DocumentStream::new(
         point.corpus,
@@ -110,115 +100,53 @@ fn prepared_engine(point: &Point, faults: FaultConfig) -> (ShardedItaEngine, Doc
     (engine, stream)
 }
 
-fn bench_recovery_paths(c: &mut Criterion) {
-    let point = operating_point(500, 5_000);
-    let arms: [(&str, Option<FaultConfig>); 3] = [
-        // Baseline: the same steady-state event with no fault at all.
-        ("none", None),
-        ("warm", Some(FaultConfig::default())),
-        (
-            "cold",
-            Some(FaultConfig {
-                checkpoint_interval: 0,
-                ..FaultConfig::default()
-            }),
-        ),
-    ];
-    for (label, faults) in arms {
-        let (mut engine, mut stream) = prepared_engine(&point, faults.unwrap_or_default());
-        eprintln!(
-            "ablation_recovery: {label} ready ({} queries, {}-doc window, 2 shards)",
-            point.num_queries, point.window_docs
-        );
-        c.bench_function(
-            &format!(
-                "sharded_ita/recovery/q{}w{}/{label}",
+fn bench_recovery(c: &mut Criterion) {
+    for (num_queries, window_docs) in [(500, 5_000), (1_000, 10_000)] {
+        let point = operating_point(num_queries, window_docs);
+        for (label, fault) in [("none", false), ("cold", true)] {
+            let (mut engine, mut stream) = prepared_engine(&point);
+            eprintln!(
+                "ablation_recovery: {label} ready ({} queries, {}-doc window, 2 shards)",
                 point.num_queries, point.window_docs
-            ),
-            |b| {
-                b.iter(|| {
-                    if faults.is_some() {
-                        // One fault on one shard per iteration: the next
-                        // event is applied, the worker panics, and the
-                        // measured time includes the recovery.
-                        engine.inject_fault(0);
-                    }
-                    engine.process_document(stream.next_document())
-                })
-            },
-        );
-        let stats = engine.fault_stats().expect("sharded engines track faults");
-        assert_eq!(
-            stats.faults, stats.recoveries,
-            "{label}: some faults did not recover"
-        );
-        eprintln!(
-            "sharded_ita/recovery/{label}: {} faults, {} recoveries, \
-             {} µs total inside restore/rebuild ({:.1} µs/recovery)",
-            stats.faults,
-            stats.recoveries,
-            stats.recovery_micros,
-            if stats.recoveries > 0 {
-                stats.recovery_micros as f64 / stats.recoveries as f64
-            } else {
-                0.0
-            },
-        );
+            );
+            c.bench_function(
+                &format!(
+                    "sharded_ita/recovery/q{}w{}/{label}",
+                    point.num_queries, point.window_docs
+                ),
+                |b| {
+                    b.iter(|| {
+                        if fault {
+                            // The next event is applied, the worker panics,
+                            // and the measured time includes the rebuild.
+                            engine.inject_fault(0);
+                        }
+                        engine.process_document(stream.next_document())
+                    })
+                },
+            );
+            let stats = engine.fault_stats().expect("sharded engines track faults");
+            assert_eq!(
+                stats.faults, stats.recoveries,
+                "{label}: some faults were not rebuilt"
+            );
+            eprintln!(
+                "sharded_ita/recovery/q{}w{}/{label}: {} faults, {} rebuilds, \
+                 {} µs total inside rebuilds ({:.1} µs per fault)",
+                point.num_queries,
+                point.window_docs,
+                stats.faults,
+                stats.recoveries,
+                stats.recovery_micros,
+                if stats.faults > 0 {
+                    stats.recovery_micros as f64 / stats.faults as f64
+                } else {
+                    0.0
+                },
+            );
+        }
     }
 }
 
-/// Events per `process_batch` call in the steady-state arms.
-const STEADY_BURST: usize = 64;
-
-fn bench_steady_state_price(c: &mut Criterion) {
-    let point = operating_point(1_000, 10_000);
-    for checkpoint_interval in [0usize, 256] {
-        let faults = FaultConfig {
-            checkpoint_interval,
-            ..FaultConfig::default()
-        };
-        let (mut engine, mut stream) = prepared_engine(&point, faults);
-        engine.reset_shard_stats();
-        c.bench_function(
-            &format!(
-                "sharded_ita/steady/q{}w{}/checkpoint_interval_{checkpoint_interval}/burst{STEADY_BURST}",
-                point.num_queries, point.window_docs
-            ),
-            |b| {
-                b.iter_batched(
-                    || stream.take_documents(STEADY_BURST),
-                    |burst| engine.process_batch(burst),
-                    BatchSize::PerIteration,
-                )
-            },
-        );
-        let faults = engine.fault_stats().expect("sharded engines track faults");
-        assert_eq!(faults.faults, 0, "the steady-state arm must not fault");
-        // Every worker sees every event; the slowest worker's syncs are what
-        // the stream waits for.
-        let slowest = engine
-            .shard_stats()
-            .into_iter()
-            .max_by_key(|stats| stats.checkpoint_time)
-            .expect("at least one shard");
-        let per_event =
-            |total: std::time::Duration| total.as_secs_f64() * 1e6 / slowest.events.max(1) as f64;
-        eprintln!(
-            "sharded_ita/steady/checkpoint_interval_{checkpoint_interval}: {} events per worker, \
-             {} syncs, {:.2} µs/event inside syncs ({:.1} µs/sync) beside {:.2} µs/event \
-             inside events",
-            slowest.events,
-            slowest.checkpoints,
-            per_event(slowest.checkpoint_time),
-            if slowest.checkpoints > 0 {
-                slowest.checkpoint_time.as_secs_f64() * 1e6 / slowest.checkpoints as f64
-            } else {
-                0.0
-            },
-            per_event(slowest.total_time),
-        );
-    }
-}
-
-criterion_group!(benches, bench_recovery_paths, bench_steady_state_price);
+criterion_group!(benches, bench_recovery);
 criterion_main!(benches);

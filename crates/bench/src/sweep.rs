@@ -72,8 +72,8 @@ pub struct SweepSettings {
     /// Arm two injected worker faults per shard at the start of the
     /// measured phase of the sharded arm (the chaos sweep mode): the first
     /// events each shard processes are applied and then the worker panics,
-    /// so the measured mean includes warm recoveries — and the self-check
-    /// still has to come out exact.
+    /// so the measured mean includes the shards' rebuilds — and the
+    /// self-check still has to come out exact.
     pub chaos: bool,
 }
 
@@ -483,7 +483,7 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
             // so shard_busy_per_event_micros covers exactly the measured
             // events. In chaos mode, also arm two faults per shard: the
             // first measured events detonate them, so the measured mean
-            // prices warm recovery and the self-check proves it was exact.
+            // prices the rebuilds and the self-check proves they were exact.
             |engine: &mut ShardedItaEngine| {
                 engine.reset_shard_stats();
                 if settings.chaos {

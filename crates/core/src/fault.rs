@@ -8,13 +8,14 @@
 //! * [`ShardFault`] / [`EngineError`] — what went wrong, as data instead of
 //!   a process abort. The `try_*` coordinator methods return these; the
 //!   infallible [`crate::Engine`] trait methods only panic under
-//!   [`FaultPolicy::FailFast`] (or when recovery itself is impossible).
-//! * [`FaultPolicy`] / [`FaultConfig`] — what the coordinator does when a
-//!   shard cannot be recovered in place: block and resurrect it
-//!   synchronously, serve the remaining shards and mark the affected
-//!   queries stale, or fail fast with a typed error.
-//! * [`FaultStats`] — counters for faults seen, recoveries performed, time
-//!   spent recovering, events served while degraded, and spawn
+//!   [`FaultPolicy::FailFast`], on a refused input (a duplicate document
+//!   id), or when recovery itself is impossible.
+//! * [`FaultPolicy`] — what the coordinator does between a shard's fault
+//!   and its rebuild: block and rebuild it synchronously, serve the
+//!   remaining shards and mark the affected queries stale, or fail fast with
+//!   a typed error.
+//! * [`FaultStats`] — counters for faults seen, rebuilds performed, time
+//!   spent rebuilding, events served while degraded, and spawn
 //!   retries/fallbacks at construction.
 //! * [`POISON_DOC_TEXT`] / [`poison_document`] — the testkit's
 //!   poison-document mechanism: a marked document makes every shard worker
@@ -23,17 +24,16 @@
 //!   text, which scoring ignores), so chaos scripts stay runnable in
 //!   lockstep.
 //!
-//! The recovery design itself (worker-local checkpoint + op-log replay for
-//! *warm* recovery; coordinator registry + window-mirror replay for *cold*
-//! resurrection) is documented in DESIGN.md §10 and implemented in
-//! [`crate::sharded`].
+//! The recovery design itself — one path: a faulted shard is rebuilt as a
+//! registration of its queries over the coordinator's window mirror — is
+//! documented in DESIGN.md §10 and implemented in [`crate::sharded`].
 
 use std::fmt;
 
-use cts_index::{Document, QueryId};
+use cts_index::{DocId, Document, QueryId};
 
-/// A shard worker panicked and could not be recovered in place: the shard's
-/// engine state is gone until the coordinator cold-resurrects it.
+/// A shard worker panicked: the shard's engine state is gone until the
+/// coordinator rebuilds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFault {
     /// Which shard faulted (coordinator shard index).
@@ -54,8 +54,8 @@ impl std::error::Error for ShardFault {}
 /// panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker panicked beyond in-place recovery; the shard is degraded
-    /// until [`crate::ShardedItaEngine::recover_degraded`] resurrects it.
+    /// A worker panicked; the shard is degraded until
+    /// [`crate::ShardedItaEngine::recover_degraded`] rebuilds it.
     ShardFault(ShardFault),
     /// A worker thread is gone (its channel disconnected); the shard is
     /// degraded until resurrected.
@@ -65,6 +65,10 @@ pub enum EngineError {
     },
     /// The query id is not registered.
     UnknownQuery(QueryId),
+    /// A document of the burst has the id of a document still in the
+    /// window, or of another document of the same burst. Refused before any
+    /// shard or the window mirror saw the burst.
+    DuplicateDocument(DocId),
 }
 
 impl fmt::Display for EngineError {
@@ -75,6 +79,7 @@ impl fmt::Display for EngineError {
                 write!(f, "shard {shard} worker is unavailable (disconnected)")
             }
             EngineError::UnknownQuery(query) => write!(f, "{query} is not registered"),
+            EngineError::DuplicateDocument(id) => write!(f, "duplicate document id {id}"),
         }
     }
 }
@@ -94,23 +99,19 @@ impl From<ShardFault> for EngineError {
     }
 }
 
-/// What the coordinator does when a shard becomes *degraded* — its worker
-/// poisoned (a panic that in-place checkpoint recovery could not undo) or
-/// its thread gone entirely.
-///
-/// This policy governs only unrecoverable faults. The common case — a panic
-/// caught by the worker's own guard — is repaired *inside* the worker from
-/// its checkpoint + op log before the reply is sent, under every policy.
+/// What the coordinator does when a shard becomes *degraded* — a panic its
+/// worker caught poisoned it, or its thread is gone entirely — until the
+/// shard is rebuilt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// Surface a typed [`EngineError`] from the `try_*` paths (the
     /// infallible [`crate::Engine`] methods panic). Nothing is rebuilt until
     /// [`crate::ShardedItaEngine::recover_degraded`] is called explicitly.
     FailFast,
-    /// Resurrect degraded shards synchronously before (or during) the next
-    /// operation: respawn the worker if needed, replay the window mirror and
-    /// re-register the shard's queries from the durable registry. Callers
-    /// never observe a degraded shard; they just pay the rebuild latency.
+    /// Rebuild degraded shards synchronously before (or during) the next
+    /// operation: respawn the worker if needed, load the window mirror and
+    /// register the shard's queries from the durable registry. Callers never
+    /// observe a degraded shard; they just pay the rebuild latency.
     #[default]
     BlockUntilRecovered,
     /// Keep serving from the healthy shards. Queries hosted on a degraded
@@ -122,47 +123,16 @@ pub enum FaultPolicy {
     ServeDegraded,
 }
 
-/// Fault-tolerance configuration of the sharded engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultConfig {
-    /// Degraded-mode policy for unrecoverable faults.
-    pub policy: FaultPolicy,
-    /// Worker-local checkpoint cadence, in state mutations (events +
-    /// registration ops). Each worker keeps a second engine — the checkpoint
-    /// — that it brings up to date every this-many mutations by copying what
-    /// those mutations changed ([`crate::ItaEngine::sync_checkpoint`]: the
-    /// lists, trees and query states they touched and the window's FIFO
-    /// delta, not the engine), plus a log of the mutations since; a caught
-    /// panic clones the checkpoint and replays the log, which is
-    /// byte-identical to the pre-fault state because every op is
-    /// deterministic. A shorter interval means shorter replays and more
-    /// syncs; the syncs' cost is reported as
-    /// [`crate::ProcessingStats::checkpoint_time`]. `0` disables warm
-    /// recovery entirely: any caught panic poisons the shard and only cold
-    /// resurrection (window replay + re-registration, exact results but
-    /// re-derived thresholds) can bring it back.
-    pub checkpoint_interval: usize,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            policy: FaultPolicy::default(),
-            checkpoint_interval: 256,
-        }
-    }
-}
-
 /// Fault and recovery counters of a sharded engine
 /// ([`crate::Engine::fault_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Worker panics and disconnects observed (recovered or not).
+    /// Times a shard went from healthy to degraded, by a caught panic or a
+    /// disconnect.
     pub faults: u64,
-    /// Recoveries performed: in-place checkpoint restores plus cold shard
-    /// resurrections.
+    /// Shard rebuilds performed.
     pub recoveries: u64,
-    /// Total time spent restoring/rebuilding shard state, in microseconds.
+    /// Total time spent rebuilding shards, in microseconds.
     pub recovery_micros: u64,
     /// Stream events processed while at least one shard was degraded
     /// (only possible under [`FaultPolicy::ServeDegraded`]).
@@ -242,6 +212,10 @@ mod tests {
         assert!(EngineError::UnknownQuery(QueryId(9))
             .to_string()
             .contains("not registered"));
+        assert_eq!(
+            EngineError::DuplicateDocument(DocId(4)).to_string(),
+            "duplicate document id d4"
+        );
     }
 
     #[test]
@@ -292,10 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_block_until_recovered_with_checkpointing_on() {
-        let config = FaultConfig::default();
-        assert_eq!(config.policy, FaultPolicy::BlockUntilRecovered);
-        assert!(config.checkpoint_interval > 0);
+    fn the_default_policy_blocks_until_recovered() {
+        assert_eq!(FaultPolicy::default(), FaultPolicy::BlockUntilRecovered);
         assert_eq!(FaultStats::default().faults, 0);
     }
 }

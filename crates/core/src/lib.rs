@@ -20,7 +20,9 @@
 //! * [`BruteForceOracle`] — an exhaustive re-evaluator used by the test suite
 //!   to validate both engines.
 //! * [`ShardedItaEngine`] — ITA across query-partitioned worker shards, with
-//!   results and event outcomes byte-identical to [`ItaEngine`]'s.
+//!   results byte-identical to [`ItaEngine`]'s, and event outcomes too up
+//!   to a shard's first fault (a faulted shard is rebuilt from the
+//!   coordinator's window mirror).
 //! * [`Monitor`] — times every stream event (the paper's "processing time"
 //!   metric) around any engine; it is an [`Engine`] itself.
 //! * [`StreamService`] — admission control in front of a monitored engine: a
@@ -69,8 +71,8 @@ pub mod validate;
 
 pub use engine::{Engine, EventOutcome, IngestEvent, RankedDocument};
 pub use fault::{
-    is_poison_document, poison_document, EngineError, FaultConfig, FaultPolicy, FaultStats,
-    ShardFault, POISON_DOC_TEXT,
+    is_poison_document, poison_document, EngineError, FaultPolicy, FaultStats, ShardFault,
+    POISON_DOC_TEXT,
 };
 pub use ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
 pub use monitor::{Monitor, OverloadStats, ProcessingStats};

@@ -173,14 +173,6 @@ pub struct ProcessingStats {
     pub largest_batch: u64,
     /// The most expensive single batch (whole-batch wall clock).
     pub max_batch_time: Duration,
-    /// Recovery-checkpoint syncs taken ([`crate::ItaEngine::sync_checkpoint`],
-    /// once per [`crate::FaultConfig::checkpoint_interval`] mutations on each
-    /// shard worker). Zero for engines that keep no checkpoint.
-    pub checkpoints: u64,
-    /// Time spent inside those syncs. The worker takes one *after* timing
-    /// the event that triggered it, so this is not part of `total_time`:
-    /// `checkpoint_time / events` is what fault tolerance adds per event.
-    pub checkpoint_time: Duration,
     /// Admission-control counters when the events flowed through a bounded
     /// ingest queue ([`crate::StreamService`]); all-zero for unbounded
     /// monitors. Carried through [`ProcessingStats::absorb`] and
@@ -287,8 +279,6 @@ impl ProcessingStats {
         self.batches += other.batches;
         self.largest_batch = self.largest_batch.max(other.largest_batch);
         self.max_batch_time = self.max_batch_time.max(other.max_batch_time);
-        self.checkpoints += other.checkpoints;
-        self.checkpoint_time += other.checkpoint_time;
         self.overload.absorb(&other.overload);
     }
 
@@ -316,8 +306,6 @@ impl ProcessingStats {
             batches: self.batches.saturating_sub(earlier.batches),
             largest_batch: self.largest_batch,
             max_batch_time: self.max_batch_time,
-            checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
-            checkpoint_time: self.checkpoint_time.saturating_sub(earlier.checkpoint_time),
             overload: self.overload.delta_since(&earlier.overload),
         }
     }
@@ -621,8 +609,6 @@ mod tests {
             results_changed: 4,
             total_time: Duration::from_nanos(10),
             max_event_time: Duration::from_nanos(6),
-            checkpoints: 2,
-            checkpoint_time: Duration::from_nanos(40),
             ..ProcessingStats::default()
         };
         let b = ProcessingStats {
@@ -633,17 +619,15 @@ mod tests {
             results_changed: 1,
             total_time: Duration::from_nanos(11),
             max_event_time: Duration::from_nanos(4),
-            checkpoints: 1,
-            checkpoint_time: Duration::from_nanos(2),
             ..ProcessingStats::default()
         };
         let before = a;
         a.absorb(&b);
-        assert_eq!(a.checkpoints, 3);
-        assert_eq!(a.checkpoint_time, Duration::from_nanos(42));
         let since = a.delta_since(&before);
-        assert_eq!(since.checkpoints, 1);
-        assert_eq!(since.checkpoint_time, Duration::from_nanos(2));
+        assert_eq!(
+            (since.events, since.total_time),
+            (5, Duration::from_nanos(11))
+        );
         assert_eq!(a.events, 8);
         assert_eq!(a.expirations, 3);
         assert_eq!(a.queries_touched_by_arrival, 9);

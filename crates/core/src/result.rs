@@ -13,10 +13,8 @@
 //! point updates. It is two sorted `Vec`s — one in rank order, one in
 //! document-id order — because `R` is small (median ≈ 50 entries at the
 //! paper's operating point, a few thousand at most): lookups are a binary
-//! search over a few cache lines, `S_k` is an index, a point update shifts a
-//! short tail, and copying a set into a buffer that already exists — what a
-//! shard's checkpoint sync does to every query an interval touched — is two
-//! `memcpy`s with no allocation.
+//! search over a few cache lines, `S_k` is an index, and a point update
+//! shifts a short tail.
 
 use serde::{Deserialize, Serialize};
 
@@ -64,28 +62,13 @@ impl From<&ScoreKey> for RankedDocument {
 }
 
 /// The result set `R` of one continuous query.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultSet {
     /// Every entry in rank order (descending score, ties by ascending
     /// document id).
     ranked: Vec<ScoreKey>,
     /// The same entries in ascending document-id order.
     by_doc: Vec<(DocId, Weight)>,
-}
-
-impl Clone for ResultSet {
-    fn clone(&self) -> Self {
-        Self {
-            ranked: self.ranked.clone(),
-            by_doc: self.by_doc.clone(),
-        }
-    }
-
-    /// Copies `source` into `self`'s existing buffers.
-    fn clone_from(&mut self, source: &Self) {
-        self.ranked.clone_from(&source.ranked);
-        self.by_doc.clone_from(&source.by_doc);
-    }
 }
 
 impl ResultSet {
@@ -337,14 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn random_updates_track_a_sorted_model_and_clone_from_equals_clone() {
+    fn random_updates_track_a_sorted_model() {
         use crate::testkit::ScriptRng;
         // A small score palette makes ties (ranked by document id) routine.
         let palette = [0.1, 0.2, 0.2, 0.4, 0.7, 0.9];
         for seed in 0..16u64 {
             let mut rng = ScriptRng::new(0x7E57_0000 + seed);
             let mut live = ResultSet::new();
-            let mut copy = ResultSet::new();
             let mut model: Vec<(u64, f64)> = Vec::new();
             for step in 0..500 {
                 let id = rng.below(60) as u64;
@@ -393,12 +375,6 @@ mod tests {
                     "{context}"
                 );
                 assert_eq!(live.contains(d(id)), model.iter().any(|e| e.0 == id));
-                if rng.chance(0.1) {
-                    // What a checkpoint sync does to a dirty query: copy into
-                    // the buffers the stale copy already owns.
-                    copy.clone_from(&live);
-                    assert!(copy == live.clone(), "{context}: clone_from != clone");
-                }
             }
         }
     }

@@ -484,7 +484,7 @@ impl<E: Engine> StreamService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultConfig, FaultPolicy};
+    use crate::fault::FaultPolicy;
     use crate::ita::{ItaConfig, ItaEngine};
     use crate::query::ContinuousQuery;
     use crate::sharded::ShardedItaEngine;
@@ -727,10 +727,7 @@ mod tests {
             ItaConfig::default(),
             2,
             crate::sharded::RebalanceConfig::default(),
-            FaultConfig {
-                policy: FaultPolicy::ServeDegraded,
-                ..FaultConfig::default()
-            },
+            FaultPolicy::ServeDegraded,
         );
         let mut config = ServiceConfig::bounded(8);
         config.backpressure_watermark = 2;

@@ -50,36 +50,34 @@
 //! A production service cannot let one poisoned event take every registered
 //! query down, so a worker panic is **data, not death** (DESIGN.md §10):
 //!
-//! * **Panic isolation** — every request a worker handles runs under
-//!   [`std::panic::catch_unwind`]. A panic never unwinds the worker thread;
-//!   at worst it costs the shard its in-memory engine state.
-//! * **Warm recovery (checkpoint + op log)** — each worker keeps a second
-//!   engine, the checkpoint, brought up to date every
-//!   [`FaultConfig::checkpoint_interval`] state mutations by copying what
-//!   changed since ([`ItaEngine::sync_checkpoint`]: the slots dirtied and
-//!   the window's FIFO delta, not the engine), plus a log of the
-//!   deterministic mutations since. A caught panic clones the checkpoint,
-//!   replays the log, and **retries the request once** — byte-identical to
-//!   never having faulted, because ITA thresholds are history-dependent and
-//!   the replayed history is exactly the original one. Stats record only
-//!   successful attempts, so the counters also match a fault-free run.
-//! * **Cold resurrection** — if warm recovery is impossible (checkpointing
-//!   disabled, a second panic, or the thread is gone) the worker reports a
-//!   typed [`ShardFault`] and the shard is *degraded*. The coordinator keeps
-//!   durable state updated **before** any fan-out — a query registry
+//! * **Panic isolation** — every request a worker handles runs under one
+//!   [`std::panic::catch_unwind`]. A panic never unwinds the worker thread:
+//!   it drops the shard's engine state and comes back as a typed
+//!   [`ShardFault`]; the shard is *degraded* (so is one whose thread is
+//!   gone).
+//! * **One recovery path, the rebuild** — the coordinator keeps durable
+//!   state updated **before** any fan-out — a query registry
 //!   (id → [`ContinuousQuery`]), the placement table and a window mirror of
-//!   `Arc`'d documents ([`WindowTerms`]) — so it can rebuild the shard from
-//!   scratch: respawn
-//!   the thread if needed, re-register the shard's queries and replay the
-//!   window. Rebuilt top-k results are exact (ITA's reported top-k is a
-//!   function of the window contents); the re-derived *thresholds* are not
-//!   guaranteed identical, so post-resurrection work counters may differ
-//!   from a fault-free history (measured in `tests/chaos_recovery.rs`).
+//!   `Arc`'d documents ([`WindowTerms`]) — and rebuilds a degraded shard
+//!   from it: respawn the thread if it is gone, load the mirror's documents
+//!   into a fresh engine (no query is live, so nothing is filed), then one
+//!   registration of the shard's queries with the postings the coordinator
+//!   resolves against the mirror. A rebuilt shard is "these queries
+//!   registered over this window", the state any registration produces.
+//!   Its top-k results are exact (ITA's reported top-k is a function of the
+//!   window contents and the queries); its thresholds are a fresh
+//!   registration's, not the faulted history's, so its work counters — and
+//!   the event outcomes built from them — are a rebuilt engine's from the
+//!   shard's first fault on (DESIGN.md §10).
 //! * **Degraded-mode policy** — [`FaultPolicy`] decides what happens between
-//!   a cold fault and its resurrection: block and rebuild synchronously
-//!   (default), serve the healthy shards and mark the affected queries
-//!   stale, or fail fast with a typed [`EngineError`] from the `try_*`
-//!   paths.
+//!   a fault and the rebuild: rebuild synchronously (default), serve the
+//!   healthy shards and mark the affected queries stale, or fail fast with
+//!   a typed [`EngineError`] from the `try_*` paths.
+//!
+//! A document whose id is already in the window (or twice in one burst) is
+//! refused with [`EngineError::DuplicateDocument`] before any shard or the
+//! mirror sees it: every worker would panic on it, and the mirror would
+//! hand it to every rebuild.
 //!
 //! Workers are **persistent**: one spawned thread per shard, living until
 //! the engine shuts down. Construction retries a failed spawn once and then
@@ -107,14 +105,15 @@
 //! and the rebalancer's `migrate` resolve the terms of what they are about to
 //! place against it while no event burst is in flight (so the mirror and
 //! every healthy shard's store hold the same documents) and ship the
-//! [`TermPostings`] with the request and into the worker's op log; the shard
-//! files what it finds newly live and never reads its own store
+//! [`TermPostings`] with the request, and so does a rebuild; the shard files
+//! what it finds newly live and never reads its own store
 //! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
 //! and expiry do no term work on the mirror (DESIGN.md §9). The randomized
 //! differential test in `tests/sharded_equivalence.rs` enforces
 //! byte-identical results and event outcomes against [`ItaEngine`] across
 //! shard counts, deregistration and window expiry; `tests/chaos_recovery.rs`
-//! enforces the same with faults injected and recovered mid-stream.
+//! enforces exact results with faults injected and rebuilt mid-stream, and
+//! identical outcomes up to the first fault.
 
 use std::cell::RefCell;
 // cts-lint: allow(nondet-iteration, every map below is point-lookup only; nothing iterates their order)
@@ -131,9 +130,7 @@ use cts_index::{
 };
 
 use crate::engine::{Engine, EventOutcome};
-use crate::fault::{
-    is_poison_document, EngineError, FaultConfig, FaultPolicy, FaultStats, ShardFault,
-};
+use crate::fault::{is_poison_document, EngineError, FaultPolicy, FaultStats, ShardFault};
 use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
 use crate::monitor::ProcessingStats;
 use crate::query::ContinuousQuery;
@@ -141,7 +138,7 @@ use crate::result::RankedDocument;
 
 /// A registration burst as it travels: each query under its globally
 /// assigned id, every query one allocation shared by the coordinator's
-/// registry, the worker's op log, its engine and its checkpoint.
+/// registry and the worker's engine.
 type SharedQueries = Arc<[(QueryId, Arc<ContinuousQuery>)]>;
 
 /// A request travelling coordinator → shard on the shard's SPSC channel.
@@ -154,7 +151,7 @@ enum ShardRequest {
     /// store. Single registrations are a one-element burst (the
     /// [`Engine::register_batch`] contract makes that byte-identical). The
     /// queries are shared with the coordinator's registry, the postings with
-    /// the other shards, and both with the worker's op log.
+    /// the other shards.
     RegisterBatch(SharedQueries, Arc<TermPostings>),
     /// Remove a query (synchronous; replies whether it existed).
     Deregister(QueryId),
@@ -182,18 +179,17 @@ enum ShardRequest {
     /// Read the shard's valid-document count (identical across shards).
     NumValidDocuments,
     /// Arm one injected fault: the next stream event is applied for real and
-    /// the worker then panics mid-request, exercising warm recovery (or
-    /// poisoning the shard when checkpointing is off).
+    /// the worker then panics mid-request, poisoning the shard.
     ArmFault,
     /// Rebuild the shard from the coordinator's durable state: a fresh
-    /// term-filtered engine, the given queries registered, the given window
-    /// replayed. Clears any poisoning.
-    Rebuild(Vec<Arc<Document>>, SharedQueries),
-    /// Audit the shard engine's deep structural invariants, that its store
-    /// holds exactly the given documents (the coordinator's mirror, oldest
-    /// first), and that its
-    /// checkpoint with the op log replayed on top equals the live engine in
-    /// every piece of state (synchronous; replies
+    /// term-filtered engine loaded with the given window (the mirror's
+    /// documents, oldest first), then the given queries registered with the
+    /// postings the coordinator resolved for their terms over that window.
+    /// Clears any poisoning.
+    Rebuild(Vec<Arc<Document>>, SharedQueries, Arc<TermPostings>),
+    /// Audit the shard engine's deep structural invariants and that its
+    /// store holds exactly the given documents (the coordinator's mirror,
+    /// oldest first) (synchronous; replies
     /// [`ShardReply::InvariantsChecked`]). A violation panics inside the
     /// worker's guard and surfaces as a [`ShardReply::Fault`] carrying the
     /// assertion message. Driven by the testkit lockstep runner under the
@@ -208,9 +204,7 @@ enum ShardRequest {
 }
 
 /// A reply travelling shard → coordinator, always in request order (each
-/// channel pair carries at most one outstanding request per shard). Every
-/// reply piggybacks a [`FaultNotice`] so warm recoveries performed inside
-/// the worker reach the coordinator's [`FaultStats`].
+/// channel pair carries at most one outstanding request per shard).
 enum ShardReply {
     Registered,
     Deregistered(bool),
@@ -233,64 +227,10 @@ enum ShardReply {
     /// The worker's final stats, sent once in response to
     /// [`ShardRequest::Shutdown`] just before the thread exits.
     ShuttingDown(ProcessingStats),
-    /// The request could not be served: the worker caught a panic it could
-    /// not recover from in place (or its state is already gone). The shard
-    /// is degraded until the coordinator rebuilds it.
+    /// The request could not be served: the worker caught a panic serving it
+    /// (or its state is already gone). The shard is degraded until the
+    /// coordinator rebuilds it.
     Fault(ShardFault),
-}
-
-/// Fault bookkeeping piggybacked on every reply: panics the worker caught
-/// and warm recoveries it performed since the previous reply.
-#[derive(Debug, Clone, Copy, Default)]
-struct FaultNotice {
-    faults: u64,
-    recoveries: u64,
-    recovery: Duration,
-}
-
-/// One logged state mutation — the unit of the worker's warm-recovery op
-/// log. Every variant is deterministic: applying the same op to the same
-/// engine state always produces the same next state, which is what makes
-/// checkpoint + replay byte-identical to never having faulted.
-enum LogOp {
-    /// With the postings the coordinator shipped, so a replay files the
-    /// same lists without reading the store either.
-    RegisterBatch(SharedQueries, Arc<TermPostings>),
-    Deregister(QueryId),
-    Process(Arc<Document>),
-    Extract(QueryId),
-    /// With the postings the coordinator shipped, like `RegisterBatch`.
-    Install(QueryId, Box<QueryMigration>, Arc<TermPostings>),
-}
-
-/// The value a [`LogOp`] application produces (discarded during replay).
-enum LogValue {
-    Unit,
-    Deregistered(bool),
-    Processed(EventOutcome),
-    Extracted(Option<Box<QueryMigration>>),
-}
-
-impl LogOp {
-    /// Applies the op to `engine`, leaving it replayable: a registration
-    /// burst is shared with the engine (a refcount bump per query), and only
-    /// a migration is copied — the engine must own a result set it can
-    /// change while the log keeps the one that arrived.
-    fn apply(&self, engine: &mut ItaEngine) -> LogValue {
-        match self {
-            LogOp::RegisterBatch(batch, postings) => {
-                engine.register_shared_batch(batch, postings);
-                LogValue::Unit
-            }
-            LogOp::Deregister(qid) => LogValue::Deregistered(engine.deregister(*qid)),
-            LogOp::Process(doc) => LogValue::Processed(engine.process_shared(Arc::clone(doc))),
-            LogOp::Extract(qid) => LogValue::Extracted(engine.extract_query(*qid).map(Box::new)),
-            LogOp::Install(qid, migration, postings) => {
-                engine.install_query(*qid, (**migration).clone(), postings);
-                LogValue::Unit
-            }
-        }
-    }
 }
 
 /// Renders a caught panic payload as the fault context string.
@@ -304,156 +244,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The per-thread state of one shard worker: the engine (absent while the
-/// shard is poisoned), the warm-recovery checkpoint + op log, local
-/// processing stats, and the fault-injection hooks.
+/// The per-thread state of one shard worker: the engine (or the fault that
+/// poisoned it), local processing stats, and the fault-injection hooks.
 struct ShardWorker {
     shard: usize,
     window: SlidingWindow,
     config: ItaConfig,
-    /// Mutations between checkpoints; `0` disables warm recovery.
-    checkpoint_interval: usize,
-    /// `None` while poisoned (a panic warm recovery could not undo).
-    engine: Option<ItaEngine>,
-    /// The engine as of the last checkpoint, kept in step by
-    /// [`ItaEngine::sync_checkpoint`]; `None` only when checkpointing is
-    /// disabled or the shard is poisoned.
-    checkpoint: Option<Box<ItaEngine>>,
-    /// Mutations applied since the checkpoint, replayed on restore.
-    log: Vec<LogOp>,
-    /// The first sync whose checkpoint did not come out equal to the live
-    /// engine (audited under `invariant-checks` only). Kept until the next
-    /// [`ShardRequest::CheckInvariants`] reports it: a panic at the sync
-    /// itself would be recovered from like any other fault and go unseen.
-    sync_mismatch: Option<String>,
+    /// The engine — or, while the shard is poisoned, the fault that dropped
+    /// it, replayed to every request that needs the engine until a rebuild.
+    engine: Result<ItaEngine, ShardFault>,
     stats: ProcessingStats,
-    /// Fault bookkeeping since the last reply (drained onto each reply).
-    notice: FaultNotice,
     /// Injected faults armed via [`ShardRequest::ArmFault`]; each is
-    /// consumed by one stream event.
+    /// consumed by one stream event, and a rebuild on this thread keeps the
+    /// rest armed.
     armed_faults: u32,
-    /// Poison documents already detonated once — consumed pre-attempt so
-    /// the post-recovery retry (and any rebuild replay) runs clean.
+    /// Poison documents already detonated once on this thread — a document
+    /// a rebuild loads from the mirror is never processed again anyway.
     seen_poison: HashSet<u64>, // cts-lint: allow(nondet-iteration, membership probes only; never iterated)
-    /// The fault that poisoned the shard, replayed to callers until rebuilt.
-    pending_fault: Option<ShardFault>,
 }
 
 impl ShardWorker {
-    fn new(
-        shard: usize,
-        window: SlidingWindow,
-        config: ItaConfig,
-        checkpoint_interval: usize,
-    ) -> Self {
+    fn new(shard: usize, window: SlidingWindow, config: ItaConfig) -> Self {
         Self {
             shard,
             window,
             config,
-            checkpoint_interval,
-            engine: Some(ItaEngine::term_filtered(window, config)),
-            // An empty checkpoint up front means warm recovery is available
-            // from the very first mutation.
-            checkpoint: Self::empty_checkpoint(window, config, checkpoint_interval),
-            log: Vec::new(),
-            sync_mismatch: None,
+            engine: Ok(ItaEngine::term_filtered(window, config)),
             stats: ProcessingStats::default(),
-            notice: FaultNotice::default(),
             armed_faults: 0,
             seen_poison: HashSet::new(), // cts-lint: allow(nondet-iteration, membership probes only; never iterated)
-            pending_fault: None,
         }
-    }
-
-    /// The checkpoint of an engine that holds nothing yet: a new engine, or
-    /// none when checkpointing is disabled. Everything a new or rebuilt
-    /// engine comes to hold is recorded as changed against it, so the first
-    /// sync into it is the full copy.
-    fn empty_checkpoint(
-        window: SlidingWindow,
-        config: ItaConfig,
-        checkpoint_interval: usize,
-    ) -> Option<Box<ItaEngine>> {
-        (checkpoint_interval > 0).then(|| Box::new(ItaEngine::term_filtered(window, config)))
-    }
-
-    /// The fault to report while the shard's engine state is gone.
-    fn pending(&self) -> ShardFault {
-        self.pending_fault.clone().unwrap_or_else(|| ShardFault {
-            shard: self.shard,
-            context: "shard state is gone (awaiting rebuild)".to_string(),
-        })
-    }
-
-    /// Drops all recoverable state after a panic that warm recovery could
-    /// not undo; every engine-touching request now replies `fault` until the
-    /// coordinator rebuilds the shard.
-    fn poison(&mut self, fault: ShardFault) {
-        self.engine = None;
-        self.checkpoint = None;
-        self.log.clear();
-        self.pending_fault = Some(fault);
-    }
-
-    /// Appends a successful mutation to the op log, refreshing the
-    /// checkpoint when the log reaches the configured interval.
-    fn log_mutation(&mut self, op: LogOp) {
-        if self.checkpoint_interval == 0 {
-            return;
-        }
-        self.log.push(op);
-        if self.log.len() >= self.checkpoint_interval {
-            self.take_checkpoint();
-        }
-    }
-
-    /// Brings the checkpoint up to date with the engine — a copy of what the
-    /// logged mutations changed, not of the engine — and empties the log.
-    /// Runs after the triggering event was timed, so the sync is priced on
-    /// its own in [`ProcessingStats::checkpoint_time`].
-    fn take_checkpoint(&mut self) {
-        let (Some(engine), Some(checkpoint)) = (self.engine.as_mut(), self.checkpoint.as_mut())
-        else {
-            return;
-        };
-        let start = Instant::now(); // cts-lint: allow(clock-in-apply, prices the sync for stats; never read by engine state)
-        engine.sync_checkpoint(checkpoint);
-        self.log.clear();
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_time += start.elapsed();
-        #[cfg(any(test, feature = "invariant-checks"))]
-        if self.sync_mismatch.is_none() {
-            self.sync_mismatch = engine.state_mismatch(checkpoint);
-        }
-    }
-
-    /// Warm recovery: rebuilds the engine as checkpoint + replayed op log —
-    /// byte-identical to the pre-fault state, because every logged op is
-    /// deterministic and the replayed history is the original one. Replay
-    /// does **not** touch `stats` (those mutations were already recorded
-    /// when they first succeeded). Returns `false` when checkpointing is
-    /// off.
-    fn try_restore(&mut self) -> bool {
-        let Some(checkpoint) = self.checkpoint.as_deref() else {
-            return false;
-        };
-        let start = Instant::now(); // cts-lint: allow(clock-in-apply, measures recovery cost only; never read by engine state)
-        let mut engine = checkpoint.clone();
-        for op in &self.log {
-            op.apply(&mut engine);
-        }
-        self.engine = Some(engine);
-        self.notice.recoveries += 1;
-        self.notice.recovery += start.elapsed();
-        true
     }
 
     /// Whether this event should detonate: an armed injected fault, or the
-    /// first sighting of a poison document. Consumed **before** the attempt
-    /// so the post-recovery retry runs clean — which also means the
-    /// injection models a *partial* failure (the event is applied for real,
-    /// then the panic fires), forcing a genuine state restore rather than a
-    /// no-op retry.
+    /// first sighting of a poison document. The injection models a
+    /// *partial* failure: the event is applied for real, then the panic
+    /// fires.
     fn take_injection(&mut self, doc: &Document) -> bool {
         if self.armed_faults > 0 {
             self.armed_faults -= 1;
@@ -462,84 +288,39 @@ impl ShardWorker {
         is_poison_document(doc) && self.seen_poison.insert(doc.id.0)
     }
 
-    /// Runs `attempt` on the engine under the panic guard with a single
-    /// warm-recovery retry: panic → restore checkpoint + log → retry once →
-    /// second panic poisons the shard. The one loop behind every guarded
-    /// mutation, stream events included.
-    fn apply_guarded<T>(
-        &mut self,
-        mut attempt: impl FnMut(&mut ItaEngine) -> T,
-    ) -> Result<T, ShardFault> {
-        let mut restored = false;
-        loop {
-            let Some(engine) = self.engine.as_mut() else {
-                return Err(self.pending());
-            };
-            match catch_unwind(AssertUnwindSafe(|| attempt(engine))) {
-                Ok(value) => return Ok(value),
-                Err(payload) => {
-                    let context = panic_message(payload.as_ref());
-                    self.notice.faults += 1;
-                    if !restored && self.try_restore() {
-                        restored = true;
-                        continue;
-                    }
-                    let fault = ShardFault {
-                        shard: self.shard,
-                        context,
-                    };
-                    self.poison(fault.clone());
-                    return Err(fault);
-                }
-            }
-        }
-    }
-
-    /// Applies one guarded, logged mutation.
-    fn mutate(&mut self, op: LogOp) -> Result<LogValue, ShardFault> {
-        let value = self.apply_guarded(|engine| op.apply(engine))?;
-        self.log_mutation(op);
-        Ok(value)
-    }
-
-    /// Processes one stream event under the guard, recording stats for the
-    /// successful attempt only (so a recovered run's counters match a
-    /// fault-free run exactly). Fault injection detonates *after* the event
-    /// is applied, and on the first attempt only.
+    /// Processes and times one stream event. A panic — the engine's or an
+    /// injected one, which fires after the event is applied — unwinds to
+    /// [`ShardWorker::guarded`], which poisons the shard.
     fn process_one(&mut self, doc: Arc<Document>) -> Result<(EventOutcome, Duration), ShardFault> {
-        let mut inject = self.take_injection(&doc);
+        let inject = self.take_injection(&doc);
         let doc_id = doc.id;
-        let op = LogOp::Process(doc);
-        let (value, elapsed) = self.apply_guarded(|engine| {
-            let injected = std::mem::take(&mut inject);
-            let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the event for stats; never read by engine state)
-            let value = op.apply(engine);
-            if injected {
-                // cts-lint: allow(panic-in-hot-path, deliberate injected fault; the recovery machinery under test)
-                panic!("injected fault while processing document {}", doc_id.0);
-            }
-            (value, start.elapsed())
-        })?;
-        let LogValue::Processed(outcome) = value else {
-            unreachable!("a Process op yields Processed") // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Process to Processed)
-        };
+        let engine = self.live_mut()?;
+        let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the event for stats; never read by engine state)
+        let outcome = engine.process_shared(doc);
+        let elapsed = start.elapsed();
+        if inject {
+            // cts-lint: allow(panic-in-hot-path, deliberate injected fault; the recovery machinery under test)
+            panic!("injected fault while processing document {}", doc_id.0);
+        }
         self.stats.record(&outcome, elapsed);
-        self.log_mutation(op);
         Ok((outcome, elapsed))
     }
 
     /// The engine, for a request that only reads it — or the fault to
     /// report while the shard's state is gone.
     fn live(&self) -> Result<&ItaEngine, ShardFault> {
-        self.engine.as_ref().ok_or_else(|| self.pending())
+        self.engine.as_ref().map_err(ShardFault::clone)
+    }
+
+    /// The engine, for a request that changes it.
+    fn live_mut(&mut self) -> Result<&mut ItaEngine, ShardFault> {
+        self.engine.as_mut().map_err(|fault| fault.clone())
     }
 
     /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
     /// here; `guarded` converts it into a `Fault` reply carrying the message.
-    fn audit(&mut self, mirror: &[DocId]) -> Result<ShardReply, ShardFault> {
-        let Some(engine) = self.engine.as_ref() else {
-            return Err(self.pending());
-        };
+    fn audit(&self, mirror: &[DocId]) -> Result<ShardReply, ShardFault> {
+        let engine = self.live()?;
         engine.check_invariants();
         // Shipped postings are only right if the coordinator resolved them
         // over the very documents this store holds.
@@ -550,39 +331,23 @@ impl ShardWorker {
                 .eq(mirror.iter().copied()),
             "the shard's store and the coordinator's mirror hold different documents"
         );
-        if let Some(component) = self.sync_mismatch.take() {
-            // cts-lint: allow(panic-in-hot-path, audit-only request re-raising a recorded sync audit failure)
-            panic!("a checkpoint sync left the checkpoint out of step: {component}");
-        }
-        // What a warm recovery would rebuild right now must be the live
-        // engine, state for state.
-        if let Some(checkpoint) = self.checkpoint.as_deref() {
-            let mut replayed = checkpoint.clone();
-            for op in &self.log {
-                op.apply(&mut replayed);
-            }
-            if let Some(component) = engine.state_mismatch(&replayed) {
-                // cts-lint: allow(panic-in-hot-path, audit-only request reporting a checkpoint divergence)
-                panic!("checkpoint + replayed log differs from the live engine: {component}");
-            }
-        }
         Ok(ShardReply::InvariantsChecked)
     }
 
-    /// Serves one request with the outer panic guard: anything that escapes
-    /// the per-op guards (e.g. a panic during restore replay) poisons the
-    /// shard instead of unwinding the thread. The one place a fault becomes
-    /// a reply.
+    /// Serves one request under the worker's one panic guard: a panic
+    /// anywhere in it poisons the shard — the engine state is dropped, every
+    /// engine-touching request replies `fault` until the coordinator
+    /// rebuilds the shard — instead of unwinding the thread. The one place a
+    /// fault becomes a reply.
     fn guarded(&mut self, request: ShardRequest) -> ShardReply {
         match catch_unwind(AssertUnwindSafe(|| self.handle(request))) {
             Ok(reply) => reply.unwrap_or_else(ShardReply::Fault),
             Err(payload) => {
-                self.notice.faults += 1;
                 let fault = ShardFault {
                     shard: self.shard,
                     context: panic_message(payload.as_ref()),
                 };
-                self.poison(fault.clone());
+                self.engine = Err(fault.clone());
                 ShardReply::Fault(fault)
             }
         }
@@ -591,19 +356,18 @@ impl ShardWorker {
     fn handle(&mut self, request: ShardRequest) -> Result<ShardReply, ShardFault> {
         Ok(match request {
             ShardRequest::RegisterBatch(batch, postings) => {
-                self.mutate(LogOp::RegisterBatch(batch, postings))?;
+                self.live_mut()?.register_shared_batch(&batch, &postings);
                 ShardReply::Registered
             }
-            ShardRequest::Deregister(qid) => match self.mutate(LogOp::Deregister(qid))? {
-                LogValue::Deregistered(removed) => ShardReply::Deregistered(removed),
-                _ => unreachable!("a Deregister op yields Deregistered"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Deregister to Deregistered)
-            },
+            ShardRequest::Deregister(qid) => {
+                ShardReply::Deregistered(self.live_mut()?.deregister(qid))
+            }
             ShardRequest::ProcessBatch(docs) => {
                 // One channel round-trip covers the whole burst; the worker
                 // still processes and times each event individually, so the
                 // outcomes and the per-worker stats do not depend on how the
-                // stream was cut into bursts. A mid-batch unrecoverable fault
-                // fails the whole batch reply (the shard is degraded anyway).
+                // stream was cut into bursts. A mid-batch fault fails the
+                // whole batch reply (the shard is degraded anyway).
                 let mut max_event = Duration::ZERO;
                 let mut outcomes = Vec::with_capacity(docs.len());
                 for doc in docs.iter() {
@@ -613,12 +377,11 @@ impl ShardWorker {
                 }
                 ShardReply::ProcessedBatch(outcomes, max_event)
             }
-            ShardRequest::Extract(qid) => match self.mutate(LogOp::Extract(qid))? {
-                LogValue::Extracted(migration) => ShardReply::Extracted(migration),
-                _ => unreachable!("an Extract op yields Extracted"), // cts-lint: allow(panic-in-hot-path, LogOp::apply maps Extract to Extracted)
-            },
+            ShardRequest::Extract(qid) => {
+                ShardReply::Extracted(self.live_mut()?.extract_query(qid).map(Box::new))
+            }
             ShardRequest::Install(qid, migration, postings) => {
-                self.mutate(LogOp::Install(qid, migration, postings))?;
+                self.live_mut()?.install_query(qid, *migration, &postings);
                 ShardReply::Installed
             }
             ShardRequest::Results(qid) => ShardReply::Results(self.live()?.current_results(qid)),
@@ -637,25 +400,19 @@ impl ShardWorker {
                 ShardReply::Armed
             }
             ShardRequest::CheckInvariants(mirror) => self.audit(&mirror)?,
-            ShardRequest::Rebuild(window_docs, queries) => {
-                // Cold resurrection from the coordinator's durable state:
-                // register the queries (over an empty window: there are no
-                // postings to supply), then replay the window as arrivals.
-                // The mirror holds only currently-valid documents, so the
-                // replay triggers no expirations; no injection check and no
-                // stats recording — recovery work is not stream work.
+            ShardRequest::Rebuild(window_docs, queries, postings) => {
+                // The mirror holds only currently valid documents, so loading
+                // them triggers no expiration, and with no query live it
+                // files nothing and runs no threshold work. Then the shard's
+                // queries register as any burst does, with their postings
+                // resolved over those documents. No injection check and no
+                // stats recording: recovery work is not stream work.
                 let mut engine = ItaEngine::term_filtered(self.window, self.config);
-                engine.register_shared_batch(&queries, &TermPostings::default());
                 for doc in window_docs {
                     engine.process_shared(doc);
                 }
-                self.engine = Some(engine);
-                self.log.clear();
-                self.checkpoint =
-                    Self::empty_checkpoint(self.window, self.config, self.checkpoint_interval);
-                self.take_checkpoint();
-                self.pending_fault = None;
-                self.armed_faults = 0;
+                engine.register_shared_batch(&queries, &postings);
+                self.engine = Ok(engine);
                 ShardReply::Rebuilt
             }
             ShardRequest::Shutdown | ShardRequest::Crash => {
@@ -702,28 +459,23 @@ fn worker_loop(
     shard: usize,
     window: SlidingWindow,
     config: ItaConfig,
-    checkpoint_interval: usize,
     requests: Receiver<ShardRequest>,
-    replies: Sender<(ShardReply, FaultNotice)>,
+    replies: Sender<ShardReply>,
 ) {
-    let mut worker = ShardWorker::new(shard, window, config, checkpoint_interval);
+    let mut worker = ShardWorker::new(shard, window, config);
     while let Some(request) = next_request(&requests) {
         let reply = match request {
             ShardRequest::Shutdown => {
                 // Final-stats handshake: surrendering the accumulated stats
                 // in the reply is what keeps them from dying with the
                 // thread.
-                let _ = replies.send((
-                    ShardReply::ShuttingDown(worker.stats),
-                    FaultNotice::default(),
-                ));
+                let _ = replies.send(ShardReply::ShuttingDown(worker.stats));
                 return;
             }
             ShardRequest::Crash => return,
             request => worker.guarded(request),
         };
-        let notice = std::mem::take(&mut worker.notice);
-        if replies.send((reply, notice)).is_err() {
+        if replies.send(reply).is_err() {
             // The coordinator is gone; nothing left to serve.
             break;
         }
@@ -816,7 +568,7 @@ impl RebalanceConfig {
 #[derive(Debug)]
 struct ShardHandle {
     sender: Sender<ShardRequest>,
-    receiver: Receiver<(ShardReply, FaultNotice)>,
+    receiver: Receiver<ShardReply>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -834,21 +586,21 @@ struct FaultState {
 /// The paper's ITA, executed across `N` query-partitioned worker shards
 /// with panic isolation and supervised recovery.
 ///
-/// Implements [`Engine`] with results and event outcomes byte-identical to
-/// the single-shard [`ItaEngine`] over any stream — including streams with
-/// worker faults, as long as warm recovery is enabled (the default). See
-/// the module docs for the partitioning rule, the fan-out and batch
-/// protocols, the skew-aware rebalancer, the fault model and the exactness
-/// argument.
+/// Implements [`Engine`] with results byte-identical to the single-shard
+/// [`ItaEngine`] over any stream — including streams with worker faults —
+/// and event outcomes byte-identical up to the first fault, after which they
+/// are a rebuilt shard's. See the module docs for the partitioning rule, the
+/// fan-out and batch protocols, the skew-aware rebalancer, the fault model
+/// and the exactness argument.
 #[derive(Debug)]
 pub struct ShardedItaEngine {
     /// Per-shard channels + thread handles. Workers are respawned in place
-    /// on cold resurrection, so the vector length is the shard count.
+    /// by a rebuild, so the vector length is the shard count.
     workers: Vec<ShardHandle>,
     window: SlidingWindow,
     config: ItaConfig,
     rebalance: RebalanceConfig,
-    faults: FaultConfig,
+    policy: FaultPolicy,
     /// The routing table: which shard currently hosts each registered query.
     /// Starts as the hash placement of [`ShardedItaEngine::shard_of`];
     /// migrations move entries.
@@ -857,7 +609,7 @@ pub struct ShardedItaEngine {
     /// is shard `s`'s query load.
     placement: Vec<Vec<QueryId>>,
     /// Durable copy of every registered query — with `placement` and
-    /// `mirror`, everything cold resurrection needs. Updated **before** any
+    /// `mirror`, everything a rebuild needs. Updated **before** any
     /// fan-out, so a request lost to a crashed worker is still
     /// reconstructible.
     registry: HashMap<QueryId, Arc<ContinuousQuery>>, // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
@@ -866,7 +618,7 @@ pub struct ShardedItaEngine {
     /// workers' stores, so the mirror costs pointers, not documents — plus
     /// the term directories registrations have built over its sealed chunks,
     /// which is what makes it the one place a registration's postings are
-    /// resolved.
+    /// resolved, and (with its id set) where duplicate ids are refused.
     mirror: WindowTerms,
     fault_state: RefCell<FaultState>,
     /// Total queries migrated by the rebalancer since construction.
@@ -885,7 +637,7 @@ impl ShardedItaEngine {
     /// Creates an engine with `shards` persistent worker shards, each
     /// running a term-filtered [`ItaEngine`] under the given window policy
     /// and configuration, with the default [`RebalanceConfig`] and
-    /// [`FaultConfig`].
+    /// [`FaultPolicy`].
     ///
     /// # Panics
     ///
@@ -905,10 +657,10 @@ impl ShardedItaEngine {
         shards: usize,
         rebalance: RebalanceConfig,
     ) -> Self {
-        Self::with_faults(window, config, shards, rebalance, FaultConfig::default())
+        Self::with_faults(window, config, shards, rebalance, FaultPolicy::default())
     }
 
-    /// Creates an engine with explicit rebalancing and fault-tolerance
+    /// Creates an engine with explicit rebalancing and degraded-mode
     /// policies. A worker spawn that fails is retried once and then its
     /// shard is dropped — the engine degrades to fewer shards (counted in
     /// [`FaultStats::spawn_fallbacks`]) rather than aborting.
@@ -922,15 +674,14 @@ impl ShardedItaEngine {
         config: ItaConfig,
         shards: usize,
         rebalance: RebalanceConfig,
-        faults: FaultConfig,
+        policy: FaultPolicy,
     ) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
         assert!(
             rebalance.max_over_ideal >= 1.0,
             "a rebalance trigger below the uniform share would thrash"
         );
-        let interval = faults.checkpoint_interval;
-        let mut spawn = |slot: usize| Self::spawn_worker(slot, window, config, interval);
+        let mut spawn = |slot: usize| Self::spawn_worker(slot, window, config);
         let (workers, spawn_retries, spawn_fallbacks) = spawn_with_retry(shards, &mut spawn);
         assert!(
             !workers.is_empty(),
@@ -950,7 +701,7 @@ impl ShardedItaEngine {
             window,
             config,
             rebalance,
-            faults,
+            policy,
             assignment: HashMap::new(), // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
             placement: vec![Vec::new(); spawned],
             registry: HashMap::new(), // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
@@ -975,22 +726,12 @@ impl ShardedItaEngine {
         shard: usize,
         window: SlidingWindow,
         config: ItaConfig,
-        checkpoint_interval: usize,
     ) -> std::io::Result<ShardHandle> {
         let (request_tx, request_rx) = std::sync::mpsc::channel();
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         let thread = std::thread::Builder::new()
             .name(format!("cts-shard-{shard}"))
-            .spawn(move || {
-                worker_loop(
-                    shard,
-                    window,
-                    config,
-                    checkpoint_interval,
-                    request_rx,
-                    reply_tx,
-                )
-            })?;
+            .spawn(move || worker_loop(shard, window, config, request_rx, reply_tx))?;
         Ok(ShardHandle {
             sender: request_tx,
             receiver: reply_rx,
@@ -1019,9 +760,9 @@ impl ShardedItaEngine {
         self.rebalance
     }
 
-    /// The configured fault-tolerance policy.
-    pub fn fault_config(&self) -> FaultConfig {
-        self.faults
+    /// The configured degraded-mode policy.
+    pub fn fault_policy(&self) -> FaultPolicy {
+        self.policy
     }
 
     /// Replaces the rebalancing policy at runtime. Takes effect at the next
@@ -1076,7 +817,7 @@ impl ShardedItaEngine {
 
     /// Whether `query` is registered but hosted on a degraded shard — its
     /// reported results are stale (empty) until
-    /// [`ShardedItaEngine::recover_degraded`] resurrects the shard. Only
+    /// [`ShardedItaEngine::recover_degraded`] rebuilds the shard. Only
     /// observable under [`FaultPolicy::ServeDegraded`] (or
     /// [`FaultPolicy::FailFast`] before an explicit recovery).
     pub fn query_is_stale(&self, query: QueryId) -> bool {
@@ -1092,9 +833,9 @@ impl ShardedItaEngine {
         self.fault_state.borrow().degraded.iter().any(|d| *d)
     }
 
-    /// Marks a disconnect-discovered fault (the worker thread is gone, so
-    /// no [`FaultNotice`] counted it).
-    fn note_disconnect(&self, shard: usize) {
+    /// Marks `shard` degraded, counting a fault when it was healthy — the
+    /// same for a `Fault` reply as for a disconnect.
+    fn mark_degraded(&self, shard: usize) {
         let mut state = self.fault_state.borrow_mut();
         if !state.degraded[shard] {
             state.stats.faults += 1;
@@ -1102,43 +843,26 @@ impl ShardedItaEngine {
         }
     }
 
-    /// Folds a worker-side fault notice into the coordinator's counters.
-    fn absorb_notice(&self, notice: FaultNotice) {
-        if notice.faults == 0 && notice.recoveries == 0 {
-            return;
-        }
-        let mut state = self.fault_state.borrow_mut();
-        state.stats.faults += notice.faults;
-        state.stats.recoveries += notice.recoveries;
-        state.stats.recovery_micros += notice.recovery.as_micros() as u64;
-    }
-
     /// Sends one request to `shard`, marking it degraded on disconnect.
     fn send(&self, shard: usize, request: ShardRequest) -> Result<(), EngineError> {
         if self.workers[shard].sender.send(request).is_err() {
-            self.note_disconnect(shard);
+            self.mark_degraded(shard);
             return Err(EngineError::ShardUnavailable { shard });
         }
         Ok(())
     }
 
-    /// Receives one reply from `shard`, absorbing its fault notice and
-    /// converting faults/disconnects into typed errors (marking the shard
-    /// degraded).
+    /// Receives one reply from `shard`, converting faults and disconnects
+    /// into typed errors (marking the shard degraded).
     fn recv_reply(&self, shard: usize) -> Result<ShardReply, EngineError> {
         match self.workers[shard].receiver.recv() {
-            Ok((reply, notice)) => {
-                self.absorb_notice(notice);
-                match reply {
-                    ShardReply::Fault(fault) => {
-                        self.fault_state.borrow_mut().degraded[shard] = true;
-                        Err(EngineError::ShardFault(fault))
-                    }
-                    reply => Ok(reply),
-                }
+            Ok(ShardReply::Fault(fault)) => {
+                self.mark_degraded(shard);
+                Err(EngineError::ShardFault(fault))
             }
+            Ok(reply) => Ok(reply),
             Err(_) => {
-                self.note_disconnect(shard);
+                self.mark_degraded(shard);
                 Err(EngineError::ShardUnavailable { shard })
             }
         }
@@ -1152,11 +876,11 @@ impl ShardedItaEngine {
 
     /// Sends `request` to `shard` and says whether a reply is now pending —
     /// the one place a fan-out meets a worker that died unseen. Under
-    /// [`FaultPolicy::BlockUntilRecovered`] the shard is resurrected on the
+    /// [`FaultPolicy::BlockUntilRecovered`] the shard is rebuilt on the
     /// spot; a registration needs no more (`resend` false: the rebuild runs
     /// it from the registry), stream events are sent again — they reach the
-    /// mirror only after the fan-out, so the rebuilt shard is in the exact
-    /// pre-burst state and its share of the outcome survives. Otherwise the
+    /// mirror only after the fan-out, so the rebuilt shard holds the exact
+    /// pre-burst window and its share of the outcome survives. Otherwise the
     /// disconnect is noted in `first_error`.
     fn send_or_resurrect(
         &mut self,
@@ -1169,8 +893,8 @@ impl ShardedItaEngine {
         else {
             return true;
         };
-        self.note_disconnect(shard);
-        if self.faults.policy == FaultPolicy::BlockUntilRecovered && self.resurrect(shard).is_ok() {
+        self.mark_degraded(shard);
+        if self.policy == FaultPolicy::BlockUntilRecovered && self.resurrect(shard).is_ok() {
             if !resend {
                 return false;
             }
@@ -1195,14 +919,14 @@ impl ShardedItaEngine {
     /// Applies the degraded-mode policy to a fault observed *during* the
     /// current operation (the shard is already marked degraded).
     fn handle_shard_failure(&mut self, error: EngineError) -> Result<(), EngineError> {
-        match self.faults.policy {
+        match self.policy {
             FaultPolicy::FailFast => Err(error),
             FaultPolicy::BlockUntilRecovered => self.recover_degraded().map(|_| ()),
             FaultPolicy::ServeDegraded => Ok(()),
         }
     }
 
-    /// Resurrects every degraded shard from the durable registry + window
+    /// Rebuilds every degraded shard from the durable registry + window
     /// mirror, returning how many shards were rebuilt. Under
     /// [`FaultPolicy::BlockUntilRecovered`] this happens automatically; the
     /// other policies require this explicit call.
@@ -1217,19 +941,26 @@ impl ShardedItaEngine {
         Ok(recovered)
     }
 
-    /// Cold resurrection of one shard: respawn the worker thread if it is
-    /// gone, then rebuild its engine from the durable registry and window
-    /// mirror. Rebuilt results are exact; re-derived thresholds (and hence
-    /// future work counters) are not guaranteed to match a fault-free
-    /// history — see DESIGN.md §10.
+    /// The one recovery path, for one shard: respawn the worker thread if it
+    /// is gone, then rebuild its engine as a registration of its queries
+    /// over the mirror, with their postings resolved here as
+    /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. Rebuilt
+    /// results are exact; the thresholds are a fresh registration's, so
+    /// future work counters need not match a fault-free history — see
+    /// DESIGN.md §10.
     fn resurrect(&mut self, shard: usize) -> Result<(), EngineError> {
         let start = Instant::now(); // cts-lint: allow(clock-in-apply, measures recovery cost only; never read by engine state)
         let queries: SharedQueries = self.placement[shard]
             .iter()
             .map(|qid| (*qid, Arc::clone(&self.registry[qid])))
             .collect();
+        let terms = queries
+            .iter()
+            .flat_map(|(_, query)| query.terms().map(|(term, _)| term));
+        let postings = Arc::new(self.mirror.postings(terms));
         let rebuild = |engine: &Self| {
-            ShardRequest::Rebuild(engine.mirror.iter().cloned().collect(), queries.clone())
+            let window = engine.mirror.iter().cloned().collect();
+            ShardRequest::Rebuild(window, queries.clone(), Arc::clone(&postings))
         };
         let mut reply = self.call_shard(shard, rebuild(self));
         if matches!(reply, Err(EngineError::ShardUnavailable { .. })) {
@@ -1260,10 +991,9 @@ impl ShardedItaEngine {
             // The thread already exited (its channel disconnected); reap it.
             let _ = thread.join();
         }
-        let interval = self.faults.checkpoint_interval;
-        let handle = Self::spawn_worker(shard, self.window, self.config, interval).or_else(|_| {
+        let handle = Self::spawn_worker(shard, self.window, self.config).or_else(|_| {
             self.fault_state.borrow_mut().stats.spawn_retries += 1;
-            Self::spawn_worker(shard, self.window, self.config, interval)
+            Self::spawn_worker(shard, self.window, self.config)
         });
         self.workers[shard] = handle.map_err(|_| EngineError::ShardUnavailable { shard })?;
         Ok(())
@@ -1276,6 +1006,18 @@ impl ShardedItaEngine {
         let now = doc.arrival;
         self.mirror.push(doc);
         self.mirror.expire(self.window, now)
+    }
+
+    /// An id of `docs` that is still in the window or occurs twice among
+    /// them: every worker would refuse it mid-burst by panicking, and the
+    /// mirror would hand it to every rebuild.
+    fn first_duplicate(&self, docs: &[Document]) -> Option<DocId> {
+        let mut ids: Vec<DocId> = docs.iter().map(|doc| doc.id).collect();
+        ids.sort_unstable();
+        ids.windows(2)
+            .find(|pair| pair[0] == pair[1])
+            .map(|pair| pair[0])
+            .or_else(|| ids.into_iter().find(|id| self.mirror.contains(*id)))
     }
 
     /// The healthy shard with the fewest resident queries (registration
@@ -1298,12 +1040,14 @@ impl ShardedItaEngine {
 
     /// Fallible burst processing: the `try_*` twin of
     /// [`Engine::process_batch`], and the one path a stream event takes to
-    /// the shards. Under [`FaultPolicy::BlockUntilRecovered`] (the default)
-    /// a mid-burst fault is repaired before returning and the merged
-    /// outcomes are preserved whenever the faulted shard could be restored
-    /// warm or resent the burst (otherwise its contributions to the whole
-    /// burst are lost and its state is rebuilt from the mirror — reachable
-    /// only with checkpointing disabled); under
+    /// the shards. A burst that repeats an id, or names one still in the
+    /// window, is refused whole with [`EngineError::DuplicateDocument`]
+    /// before anything moves. Under [`FaultPolicy::BlockUntilRecovered`] (the
+    /// default) a mid-burst fault is repaired before returning: a worker
+    /// found dead at the send is rebuilt and sent the burst again, so its
+    /// share of the outcomes survives; a worker that faults on the burst is
+    /// rebuilt from the mirror, which holds the burst by then, and its share
+    /// of the burst's outcomes is lost (results stay exact). Under
     /// [`FaultPolicy::ServeDegraded`] the healthy shards' partial outcomes
     /// are returned; under [`FaultPolicy::FailFast`] the first fault
     /// surfaces as a typed error.
@@ -1314,6 +1058,9 @@ impl ShardedItaEngine {
         let Some(last) = docs.last() else {
             return Ok(Vec::new());
         };
+        if let Some(id) = self.first_duplicate(&docs) {
+            return Err(EngineError::DuplicateDocument(id));
+        }
         self.ensure_serviceable()?;
         self.clock = last.arrival;
         let docs: Arc<[Arc<Document>]> = docs.into_iter().map(Arc::new).collect();
@@ -1359,7 +1106,7 @@ impl ShardedItaEngine {
         if let Some(err) = first_error {
             self.handle_shard_failure(err)?;
         }
-        if self.faults.policy == FaultPolicy::ServeDegraded && self.any_degraded() {
+        if self.policy == FaultPolicy::ServeDegraded && self.any_degraded() {
             self.fault_state.borrow_mut().stats.events_during_degraded += docs.len() as u64;
         }
         // The burst boundary is a safe point to repair skew: no event is in
@@ -1599,7 +1346,7 @@ impl ShardedItaEngine {
         let mut merged = ProcessingStats::default();
         for mut handle in self.workers.drain(..) {
             if handle.sender.send(ShardRequest::Shutdown).is_ok() {
-                while let Ok((reply, _)) = handle.receiver.recv() {
+                while let Ok(reply) = handle.receiver.recv() {
                     if let ShardReply::ShuttingDown(stats) = reply {
                         merged.absorb(&stats);
                         break;
@@ -2110,7 +1857,7 @@ mod tests {
             (expected.arrived, expected.expired, expected.results_changed)
         );
         for engine in [&singles, &bursts] {
-            // The respawned worker replayed the window unrecorded; the one
+            // The respawned worker loaded the window unrecorded; the one
             // event it counts is the resent one.
             assert_eq!(engine.shard_stats()[1].events, 1);
             let stats = engine.fault_stats().expect("tracked");
@@ -2266,8 +2013,11 @@ mod tests {
         assert_eq!(fallbacks, 3);
     }
 
+    /// A fault poisons the shard, and the coordinator rebuilds it before the
+    /// event returns: the faulted shard's share of that event's outcome is
+    /// lost, so outcomes match up to the first fault and results always.
     #[test]
-    fn injected_fault_recovers_warm_and_stays_in_lockstep() {
+    fn an_injected_fault_is_rebuilt_with_exact_results() {
         let window = SlidingWindow::count_based(8);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
         let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
@@ -2284,58 +2034,20 @@ mod tests {
                 assert!(sharded.inject_fault((i % 2) as usize), "arming failed");
             }
             let d = doc(i, &[((i % 6) as u32, 0.1 + (i % 5) as f64 * 0.12)]);
-            assert_lockstep_event(&mut reference, &mut sharded, &d, &qids);
+            let expected = reference.process_document(d.clone());
+            let actual = sharded.process_document(d);
+            if sharded.fault_stats().expect("tracked").faults == 0 {
+                assert_eq!(expected, actual, "outcome diverged at event {i}");
+            }
+            for &q in &qids {
+                assert_eq!(reference.current_results(q), sharded.current_results(q));
+            }
         }
         let stats = sharded.fault_stats().expect("sharded engine tracks faults");
-        assert!(stats.faults >= 4, "expected every armed fault to fire");
-        assert_eq!(
-            stats.recoveries, stats.faults,
-            "every injected fault should recover warm"
-        );
+        assert_eq!(stats.faults, 5, "every armed fault fires on its event");
+        assert_eq!(stats.recoveries, stats.faults, "every fault is rebuilt");
         assert_eq!(stats.degraded_shards, 0);
         assert_eq!(stats.events_during_degraded, 0);
-        assert!(stats.recovery_micros > 0 || stats.recoveries == 0);
-    }
-
-    #[test]
-    fn checkpoint_syncs_are_counted_and_priced_per_worker() {
-        let window = SlidingWindow::count_based(6);
-        let with_interval = |checkpoint_interval: usize| {
-            ShardedItaEngine::with_faults(
-                window,
-                ItaConfig::default(),
-                2,
-                RebalanceConfig::default(),
-                FaultConfig {
-                    checkpoint_interval,
-                    ..FaultConfig::default()
-                },
-            )
-        };
-        let mut sharded = with_interval(5);
-        for t in 0..4u32 {
-            sharded.register(query(&[(t, 1.0)], 2));
-        }
-        sharded.reset_shard_stats();
-        // Every shard logs every event: 25 events at a cadence of 5 are 5
-        // syncs per worker, however the 4 registrations were spread.
-        for i in 0..25u64 {
-            sharded.process_document(doc(i, &[((i % 4) as u32, 0.1 + (i % 5) as f64 * 0.1)]));
-        }
-        for stats in sharded.shard_stats() {
-            assert_eq!(stats.checkpoints, 5);
-            assert!(stats.checkpoint_time > Duration::ZERO);
-        }
-        assert_eq!(sharded.aggregate_shard_stats().checkpoints, 10);
-        sharded.reset_shard_stats();
-        assert_eq!(sharded.aggregate_shard_stats(), ProcessingStats::default());
-        // No checkpointing, no price.
-        let mut unprotected = with_interval(0);
-        unprotected.register(query(&[(0, 1.0)], 1));
-        for i in 0..25u64 {
-            unprotected.process_document(doc(i, &[(0, 0.5)]));
-        }
-        assert_eq!(unprotected.shutdown().checkpoints, 0);
     }
 
     #[test]

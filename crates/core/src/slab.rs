@@ -75,16 +75,6 @@ impl<T> QuerySlab<T> {
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.inner.values_mut()
     }
-
-    /// Copies the states `src` handed out mutably, added or removed since its
-    /// last sync into `self` and clears `src`'s record — see
-    /// [`DenseArena::sync_from`] for the contract.
-    pub fn sync_from(&mut self, src: &mut QuerySlab<T>)
-    where
-        T: Clone,
-    {
-        self.inner.sync_from(&mut src.inner);
-    }
 }
 
 #[cfg(test)]

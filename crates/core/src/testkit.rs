@@ -23,9 +23,10 @@
 //! * [`run_script`] — the lockstep runner over `N` boxed [`Engine`]s:
 //!   engine 0 is the reference; every op must produce identical query-id
 //!   assignment, identical [`crate::EventOutcome`]s (optional, for engines
-//!   with identical accounting, e.g. ITA vs sharded ITA) and identical
-//!   top-k on every (sampled) live query. Failures are returned as data,
-//!   not panics, so the minimizer can re-run candidate scripts.
+//!   with identical accounting, e.g. ITA vs sharded ITA, and only up to a
+//!   candidate's first fault) and identical top-k on every (sampled) live
+//!   query. Failures are returned as data, not panics, so the minimizer can
+//!   re-run candidate scripts.
 //! * [`assert_script_equivalence`] — the test-facing entry point: generate,
 //!   run, and on divergence shrink the script with [`minimize_script`]
 //!   (greedy delta debugging over fresh engines) and panic with the **seed**
@@ -119,8 +120,8 @@ pub enum Op {
     /// Arm one injected fault on `shard % num_shards` via
     /// [`Engine::inject_fault`] on **every** engine. Engines without fault
     /// injection (the plain reference) treat it as a no-op, which is what
-    /// lets a chaos script run in lockstep: the faulting engine must recover
-    /// to byte-identical state while the reference never faulted at all. No
+    /// lets a chaos script run in lockstep: the faulting engine must come
+    /// back with exact results while the reference never faulted at all. No
     /// cross-engine comparison is made for this op.
     InjectFault {
         /// Pseudo-index of the shard to fault (taken modulo the engine's
@@ -274,7 +275,7 @@ pub struct ScriptConfig {
     pub max_doc_terms: usize,
     /// Per-op probability of arming an injected fault on a random shard
     /// ([`Op::InjectFault`]): the next event that shard processes is applied
-    /// and then the worker panics mid-request, forcing a recovery.
+    /// and then the worker panics mid-request, forcing a rebuild.
     pub inject_fault_probability: f64,
     /// Per-document probability of shipping a *poison document*
     /// ([`crate::poison_document`]): every fault-injecting shard panics the
@@ -507,7 +508,10 @@ pub struct RunOptions {
     /// Compare per-event [`crate::EventOutcome`]s across engines. Enable
     /// for engines with identical work accounting (ITA vs sharded ITA;
     /// batch vs singles); disable when comparing engines that count work
-    /// differently (ITA vs the naïve baseline).
+    /// differently (ITA vs the naïve baseline). Either way a candidate's
+    /// outcomes are compared only until its [`Engine::fault_stats`] `faults`
+    /// first rises: from there on they are a rebuilt engine's, whose results
+    /// are exact and whose work counters need not be (DESIGN.md §10).
     pub compare_outcomes: bool,
     /// Compare live-query results every `check_every`-th feed op (outcome
     /// checks, when enabled, still run on every op). 1 = every feed.
@@ -577,9 +581,10 @@ fn check_results<'e>(
 /// Applies `script` to every engine in lockstep (engine 0 is the
 /// reference), returning the first divergence: query-id assignment,
 /// deregistration success, per-event/batch outcomes (when
-/// `options.compare_outcomes`) and (sampled) live-query results must all
-/// agree. The engines must share a window policy; the runner does not
-/// construct engines — pair it with a factory closure for minimization (see
+/// `options.compare_outcomes`, up to a candidate's first fault) and
+/// (sampled) live-query results must all agree. The engines must share a
+/// window policy; the runner does not construct engines — pair it with a
+/// factory closure for minimization (see
 /// [`assert_script_equivalence`]). To keep ownership of concrete engines
 /// for post-run assertions (index stats, migration counters), box mutable
 /// references instead — `&mut E` is itself an [`Engine`]:
@@ -595,6 +600,10 @@ pub fn run_script<'e>(
     );
     let mut live: Vec<QueryId> = Vec::new();
     let mut feeds = 0usize;
+    let unfaulted: Vec<u64> = engines.iter().map(|engine| faults(&**engine)).collect();
+    let outcomes_held = |i: usize, candidate: &dyn Engine| {
+        options.compare_outcomes && faults(candidate) == unfaulted[i]
+    };
     for (op_index, op) in script.ops.iter().enumerate() {
         let fail = |message: String| ScriptFailure { op_index, message };
         match op {
@@ -643,9 +652,9 @@ pub fn run_script<'e>(
             Op::Feed(doc) => {
                 feeds += 1;
                 let expected = engines[0].process_document(doc.clone());
-                for candidate in &mut engines[1..] {
+                for (i, candidate) in engines.iter_mut().enumerate().skip(1) {
                     let actual = candidate.process_document(doc.clone());
-                    if options.compare_outcomes && actual != expected {
+                    if outcomes_held(i, &**candidate) && actual != expected {
                         return Err(fail(format!(
                             "outcomes diverged on {}: reference {expected:?}, {} {actual:?}",
                             doc.id,
@@ -657,9 +666,9 @@ pub fn run_script<'e>(
             Op::FeedBatch(docs) => {
                 feeds += 1;
                 let expected = engines[0].process_batch(docs.clone());
-                for candidate in &mut engines[1..] {
+                for (i, candidate) in engines.iter_mut().enumerate().skip(1) {
                     let actual = candidate.process_batch(docs.clone());
-                    if options.compare_outcomes && actual != expected {
+                    if outcomes_held(i, &**candidate) && actual != expected {
                         let at = expected
                             .iter()
                             .zip(&actual)
@@ -714,6 +723,18 @@ pub fn run_script<'e>(
     }
     // Final checkpoint regardless of stride/cadence.
     check_results(engines, &live, 1, script.ops.len().saturating_sub(1))
+}
+
+/// The faults `engine` has counted so far (0 for engines that count none).
+fn faults(engine: &dyn Engine) -> u64 {
+    engine.fault_stats().map_or(0, |stats| stats.faults)
+}
+
+/// Whether `engine` reports a shard it has not rebuilt yet.
+fn degraded(engine: &dyn Engine) -> bool {
+    engine
+        .fault_stats()
+        .is_some_and(|stats| stats.any_degraded())
 }
 
 /// Shrinks a failing script by greedy delta debugging: repeatedly re-runs
@@ -833,8 +854,8 @@ pub struct OverloadConfig {
     /// milliseconds; `0` offers events without deadlines.
     pub deadline_slack_millis: u64,
     /// Per-round probability of arming an injected fault on the candidate
-    /// (worker panic + in-place warm recovery; lockstep must hold through
-    /// it).
+    /// (a worker panic and the shard's rebuild; results must stay exact
+    /// through it).
     pub inject_fault_probability: f64,
 }
 
@@ -888,13 +909,19 @@ impl OverloadConfig {
 ///   offer time, coalesced registrations at their pump's
 ///   [`Engine::register_batch`] flush, with identical id assignment;
 /// * every event the service reports processed is replayed into the
-///   reference, with identical [`crate::EventOutcome`]s and periodically
-///   identical top-k results on all live queries (and, under the
+///   reference, with identical [`crate::EventOutcome`]s up to the
+///   candidate's first fault, and periodically identical top-k results on
+///   all live queries while no shard is degraded (and, under the
 ///   `invariant-checks` feature or a unit-test build, a clean
 ///   [`Engine::check_invariants`] audit of the candidate at each comparison);
 /// * at final quiescence the identity collapses to
 ///   `offered == accepted + coalesced + shed` and all live results match
 ///   exactly.
+///
+/// A candidate that reports a degraded shard at the end of a round (a
+/// fault under [`crate::FaultPolicy::ServeDegraded`]) serves the next whole
+/// round degraded and is then handed to `recover`, as it is before the final
+/// comparison; a candidate that never degrades never sees `recover`.
 ///
 /// Returns the session's [`OverloadStats`] so callers can assert shape
 /// (e.g. that a 10× profile actually shed).
@@ -903,6 +930,7 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     reference: &mut R,
     config: &OverloadConfig,
     seed: u64,
+    mut recover: impl FnMut(&mut C),
 ) -> OverloadStats {
     use std::collections::BTreeMap;
 
@@ -918,12 +946,16 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     let mut pending_ref: Vec<ContinuousQuery> = Vec::new();
     let mut clock = Timestamp::ZERO;
     let mut next_doc = 0u64;
+    let unfaulted = faults(service.engine());
+    // Consecutive round ends at which the candidate was degraded.
+    let mut degraded_rounds = 0;
 
     let mirror_report = |report: &crate::service::DrainReport,
                          reference: &mut R,
                          queued: &mut BTreeMap<u64, Document>,
                          live: &mut Vec<QueryId>,
                          pending_ref: &mut Vec<ContinuousQuery>,
+                         outcomes_held: bool,
                          round: usize| {
         if !report.registered.is_empty() {
             let flushed: Vec<ContinuousQuery> = std::mem::take(pending_ref);
@@ -950,9 +982,11 @@ pub fn run_overload_session<C: Engine, R: Engine>(
                 )
             });
             let expected = reference.process_document(doc);
-            assert_eq!(
-                expected, report.outcomes[index],
-                "seed {seed:#x} round {round}: outcome diverged on {doc_id:?}"
+            assert!(
+                !outcomes_held || expected == report.outcomes[index],
+                "seed {seed:#x} round {round}: outcome diverged on {doc_id:?}: \
+                 reference {expected:?}, candidate {:?}",
+                report.outcomes[index]
             );
         }
     };
@@ -1031,16 +1065,19 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         } else {
             service.pump(clock)
         };
+        let outcomes_held = faults(service.engine()) == unfaulted;
         mirror_report(
             &report,
             reference,
             &mut queued,
             &mut live,
             &mut pending_ref,
+            outcomes_held,
             round,
         );
         service.check_accounting();
-        if round % 8 == 0 {
+        let down = degraded(service.engine());
+        if round % 8 == 0 && !down {
             // The same deep audit, under the same gate, `run_script` runs
             // per op — here wherever live results are compared.
             #[cfg(any(test, feature = "invariant-checks"))]
@@ -1053,17 +1090,28 @@ pub fn run_overload_session<C: Engine, R: Engine>(
                 );
             }
         }
+        // A degraded shard serves one whole round degraded, then recovers.
+        degraded_rounds = if down { degraded_rounds + 1 } else { 0 };
+        if degraded_rounds == 2 {
+            recover(service.engine_mut());
+            degraded_rounds = 0;
+        }
     }
     // Quiesce: drain everything still queued and settle the ledger.
     let report = service.pump(clock);
+    let outcomes_held = faults(service.engine()) == unfaulted;
     mirror_report(
         &report,
         reference,
         &mut queued,
         &mut live,
         &mut pending_ref,
+        outcomes_held,
         config.bursts,
     );
+    if degraded(service.engine()) {
+        recover(service.engine_mut());
+    }
     assert_eq!(
         service.depth(),
         0,
@@ -1277,7 +1325,8 @@ mod tests {
         };
         let candidate = ShardedItaEngine::new(window, ItaConfig::default(), 2);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
-        let overload = run_overload_session(candidate, &mut reference, &config, 0x7E57_0B01);
+        let overload =
+            run_overload_session(candidate, &mut reference, &config, 0x7E57_0B01, |_| {});
         assert!(overload.offered > 0, "session offered nothing");
         assert!(
             overload.shed() > 0,
@@ -1336,7 +1385,7 @@ mod tests {
             ..OverloadConfig::default()
         };
         let mut reference = ItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default());
-        run_overload_session(AuditPanics, &mut reference, &config, 0x7E57_0B02);
+        run_overload_session(AuditPanics, &mut reference, &config, 0x7E57_0B02, |_| {});
     }
 
     #[test]

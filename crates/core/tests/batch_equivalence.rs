@@ -13,13 +13,13 @@
 //!   once through batches and once as singles, and the outcome sequences
 //!   and results must match element for element;
 //! * burst of one: `process_document(d)` against `process_batch(vec![d])` on
-//!   twin sharded engines, through faults, under every fault policy and
-//!   checkpoint cadence — a single event *is* a burst of one.
+//!   twin sharded engines, through faults, under every fault policy — a
+//!   single event *is* a burst of one.
 
 use cts_core::testkit::{assert_script_equivalence, generate_script, Op, ScriptConfig, ScriptRng};
 use cts_core::{
-    poison_document, ContinuousQuery, Engine, EventOutcome, FaultConfig, FaultPolicy, FaultStats,
-    ItaConfig, ItaEngine, Monitor, RebalanceConfig, ShardedItaEngine,
+    poison_document, ContinuousQuery, Engine, EventOutcome, FaultPolicy, FaultStats, ItaConfig,
+    ItaEngine, Monitor, RebalanceConfig, ShardedItaEngine,
 };
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
@@ -225,15 +225,15 @@ fn monitored_batches_with_deregistration_between_batches() {
 /// bursts of one to its twin, with an armed fault, a poison document,
 /// deregistrations (so the rebalancer migrates) and explicit recoveries
 /// along the way. Every observable must agree after every step.
-fn burst_of_one_session(window: SlidingWindow, shards: usize, faults: FaultConfig) {
-    let context = format!("{shards} shards, {window:?}, {faults:?}");
+fn burst_of_one_session(window: SlidingWindow, shards: usize, policy: FaultPolicy) {
+    let context = format!("{shards} shards, {window:?}, {policy:?}");
     let make = || {
         ShardedItaEngine::with_faults(
             window,
             ItaConfig::default(),
             shards,
             RebalanceConfig::default(),
-            faults,
+            policy,
         )
     };
     let (mut singles, mut bursts) = (make(), make());
@@ -336,7 +336,6 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize, faults: FaultConfi
                     a.queries_touched_by_arrival,
                     a.queries_touched_by_expiration,
                     a.results_changed,
-                    a.checkpoints,
                 ),
                 (
                     b.events,
@@ -344,7 +343,6 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize, faults: FaultConfi
                     b.queries_touched_by_arrival,
                     b.queries_touched_by_expiration,
                     b.results_changed,
-                    b.checkpoints,
                 ),
                 "{context}: step {step} worker stats diverged"
             );
@@ -360,10 +358,9 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize, faults: FaultConfi
 /// `process_document(d)` and `process_batch(vec![d])` are one path — a
 /// burst of one — so they must agree on everything observable: outcomes
 /// (typed errors included), results, fault counters, per-worker stats and
-/// migrations, under each [`FaultPolicy`] and with warm recovery off (0),
-/// synced after every mutation (1) and at the default cadence (256).
+/// migrations, under each [`FaultPolicy`].
 #[test]
-fn a_burst_of_one_is_the_single_event_under_every_policy_and_cadence() {
+fn a_burst_of_one_is_the_single_event_under_every_policy() {
     let windows = [
         SlidingWindow::count_based(10),
         SlidingWindow::time_based(std::time::Duration::from_millis(20)),
@@ -375,16 +372,7 @@ fn a_burst_of_one_is_the_single_event_under_every_policy_and_cadence() {
                 FaultPolicy::ServeDegraded,
                 FaultPolicy::FailFast,
             ] {
-                for checkpoint_interval in [0usize, 1, 256] {
-                    burst_of_one_session(
-                        window,
-                        shards,
-                        FaultConfig {
-                            policy,
-                            checkpoint_interval,
-                        },
-                    );
-                }
+                burst_of_one_session(window, shards, policy);
             }
         }
     }

@@ -1,55 +1,74 @@
 //! The fault-injection differential axis: a fault-tolerant
-//! [`ShardedItaEngine`] must stay in **exact** lockstep with a fault-free
+//! [`ShardedItaEngine`] must stay in lockstep with a fault-free
 //! single-shard [`ItaEngine`] *through* injected worker panics, poison
-//! documents and killed worker threads — across shard counts {1, 2, 4, 8}
-//! and across checkpoint cadences (including a cadence of 1, which
-//! checkpoints on every mutation, and small odd cadences that force long
-//! log replays).
+//! documents and killed worker threads, across shard counts {1, 2, 4, 8}.
 //!
-//! Why warm recovery must be checkpoint + op-log and not "rebuild from the
-//! window": ITA per-query state is **not** observably a pure function of
-//! (window contents, registered queries). The thresholds θ and τ are
-//! history-dependent — a query registered mid-stream carries thresholds
-//! derived from documents that have since expired, which a fresh engine fed
-//! only the surviving window cannot reproduce. The
-//! `window_replay_rebuild_is_not_exact` test at the bottom documents this
-//! with a concrete divergence, and is the experiment that shaped the
-//! recovery design (see DESIGN.md §10): warm recovery restores a cloned
-//! checkpoint and replays the logged mutations (byte-identical by
-//! determinism); cold resurrection rebuilds from the registry + window
-//! mirror, which reproduces the *reported top-k* exactly (those are a
-//! function of window contents) but not necessarily the future work
-//! counters — so cold-recovery tests compare results only.
+//! There is one recovery path (DESIGN.md §10): a faulted shard is rebuilt as
+//! a registration of its queries over the coordinator's window mirror. ITA's
+//! reported top-k is a function of (window contents, registered queries), so
+//! results are exact throughout. Its thresholds are history-dependent — a
+//! query registered mid-stream carries thresholds derived from documents
+//! that have since expired — so a rebuilt shard's work counters, and the
+//! event outcomes built from them, may differ from a fault-free history.
+//! The suites therefore compare outcomes up to the first fault and results
+//! always; `a_rebuild_keeps_results_exact_while_counters_may_differ` states
+//! that contract on the engine itself.
 
 use std::time::Duration;
 
 use cts_core::testkit::{
-    assert_script_equivalence, generate_script, run_script, Op, OpScript, RunOptions, ScriptConfig,
-    ScriptRng,
+    assert_script_equivalence, generate_script, run_script, Op, RunOptions, ScriptConfig, ScriptRng,
 };
-use cts_core::validate::assert_lockstep_event;
+use cts_core::validate::assert_engines_agree;
 use cts_core::{
-    ContinuousQuery, Engine, FaultConfig, FaultPolicy, ItaConfig, ItaEngine, RebalanceConfig,
+    BruteForceOracle, ContinuousQuery, Engine, FaultPolicy, ItaConfig, ItaEngine, RebalanceConfig,
     ShardedItaEngine,
 };
-use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
+use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp, WindowTerms};
 use cts_text::{TermId, WeightedVector};
 
-fn faulty(window: SlidingWindow, shards: usize, faults: FaultConfig) -> ShardedItaEngine {
+fn faulty(window: SlidingWindow, shards: usize, policy: FaultPolicy) -> ShardedItaEngine {
     ShardedItaEngine::with_faults(
         window,
         ItaConfig::default(),
         shards,
         RebalanceConfig::default(),
-        faults,
+        policy,
     )
+}
+
+fn faults(sharded: &ShardedItaEngine) -> u64 {
+    sharded
+        .fault_stats()
+        .expect("sharded engines track faults")
+        .faults
+}
+
+/// Feeds `doc` to both engines: outcomes must agree until the sharded
+/// engine's first fault, results on `queries` always.
+fn assert_exact_event(
+    reference: &mut impl Engine,
+    sharded: &mut ShardedItaEngine,
+    doc: &Document,
+    queries: &[QueryId],
+) {
+    let expected = reference.process_document(doc.clone());
+    let actual = sharded.process_document(doc.clone());
+    if faults(sharded) == 0 {
+        assert_eq!(
+            expected, actual,
+            "outcomes diverged on {} before any fault",
+            doc.id
+        );
+    }
+    assert_engines_agree(&*reference, &*sharded, queries);
 }
 
 /// Runs a chaos-storm script over (reference, sharded-with-faults) and
 /// asserts lockstep held *and* that the script actually made the sharded
 /// engine fault and recover — a chaos suite that never faults tests
 /// nothing.
-fn assert_chaos_lockstep(shards: usize, faults: FaultConfig, seed: u64) {
+fn assert_chaos_lockstep(shards: usize, seed: u64) {
     let window = SlidingWindow::count_based(30);
     let config = ScriptConfig {
         events: 160,
@@ -63,18 +82,14 @@ fn assert_chaos_lockstep(shards: usize, faults: FaultConfig, seed: u64) {
         .count();
     assert!(injections > 0, "seed {seed:#x} armed no faults");
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, shards, faults);
+    let mut sharded = faulty(window, shards, FaultPolicy::default());
     {
         let mut engines: Vec<Box<dyn Engine>> = vec![
             Box::new(&mut reference) as Box<dyn Engine>,
             Box::new(&mut sharded),
         ];
         if let Err(failure) = run_script(&mut engines, &script, &RunOptions::default()) {
-            panic!(
-                "chaos lockstep broke (shards {shards}, checkpoint {}, seed {seed:#x})\n  \
-                 {failure}\n{script}",
-                faults.checkpoint_interval
-            );
+            panic!("chaos lockstep broke (shards {shards}, seed {seed:#x})\n  {failure}\n{script}");
         }
     }
     let stats = sharded.fault_stats().expect("sharded engines track faults");
@@ -82,11 +97,11 @@ fn assert_chaos_lockstep(shards: usize, faults: FaultConfig, seed: u64) {
         stats.faults > 0,
         "shards {shards}, seed {seed:#x}: chaos script caused no faults"
     );
-    assert!(
-        stats.recoveries > 0,
-        "shards {shards}, seed {seed:#x}: faults happened but nothing recovered"
+    assert_eq!(
+        stats.recoveries, stats.faults,
+        "shards {shards}, seed {seed:#x}: a fault was not rebuilt"
     );
-    assert!(stats.recovery_micros > 0 || stats.recoveries == 0);
+    assert!(stats.recovery_micros > 0);
     assert_eq!(
         stats.degraded_shards, 0,
         "shards {shards}, seed {seed:#x}: run ended with degraded shards under BlockUntilRecovered"
@@ -96,18 +111,18 @@ fn assert_chaos_lockstep(shards: usize, faults: FaultConfig, seed: u64) {
 #[test]
 fn chaos_storm_locksteps_across_shard_counts() {
     for shards in [1usize, 2, 4, 8] {
-        assert_chaos_lockstep(shards, FaultConfig::default(), 0xC4A0_0000 + shards as u64);
+        assert_chaos_lockstep(shards, 0xC4A0_0000 + shards as u64);
     }
 }
 
 /// The chaos shape with the registration-burst knobs turned up: every burst
 /// brings a batch of terms live mid-stream — lists filed from postings the
-/// coordinator shipped — and the elevated fault rate forces each shard
-/// through several checkpoint + op-log replays of those bursts per script.
-/// Run with `--features invariant-checks`, every op is followed by every
-/// engine's structural audit, the complete-lists one included.
+/// coordinator shipped — and the elevated fault rate rebuilds each shard
+/// several times per script from postings resolved the same way. Run with
+/// `--features invariant-checks`, every op is followed by every engine's
+/// structural audit, the complete-lists one included.
 #[test]
-fn registration_bursts_survive_warm_replay_across_shard_counts() {
+fn registration_bursts_survive_cold_rebuilds_across_shard_counts() {
     let config = ScriptConfig {
         events: 220,
         burst_register_probability: 0.18,
@@ -128,25 +143,6 @@ fn registration_bursts_survive_warm_replay_across_shard_counts() {
         );
     }
 }
-
-#[test]
-fn chaos_storm_locksteps_across_checkpoint_cadences() {
-    // Cadence 1 checkpoints every mutation (empty log replays); 5 and 7
-    // force replays of several logged ops, including ops logged *during* a
-    // batch.
-    for interval in [1usize, 5, 7] {
-        let faults = FaultConfig {
-            checkpoint_interval: interval,
-            ..FaultConfig::default()
-        };
-        assert_chaos_lockstep(4, faults, 0xC4A0_0100 + interval as u64);
-    }
-}
-
-/// The checkpoint cadences every delta-sync scenario below runs at: 1 syncs
-/// after every mutation (recovery never replays a log), 5 and 7 put syncs
-/// inside batches and bursts, 256 is the production default.
-const SYNC_CADENCES: [usize; 4] = [1, 5, 7, 256];
 
 fn tie_heavy_doc(rng: &mut ScriptRng, id: u64) -> Document {
     let palette = [0.1, 0.2, 0.2, 0.4, 0.7];
@@ -171,317 +167,281 @@ fn small_query(rng: &mut ScriptRng) -> ContinuousQuery {
     )
 }
 
-/// Two faults straddling a checkpoint sync: one on the event whose logging
-/// triggers the sync (recovery replays a full log, the retry then syncs) and
-/// one on the very next event (recovery clones a checkpoint that was written
-/// by a delta sync a moment ago, with nothing to replay). A sync that missed
-/// a slot the first fault's replay touched would surface in the second.
+/// Right after a resurrection a rebuilt shard is "these queries registered
+/// over this window" and nothing else: no rebuilt query has examined an
+/// arrival or an expiration, no shard read its own store (the rebuild ships
+/// its postings), and results are the oracle's — under the blocking policy
+/// (rebuilt inside the faulting event) and after an explicit recovery.
 #[test]
-fn two_faults_straddling_a_sync_recover_exactly() {
-    const REGISTRATIONS: usize = 4;
-    for interval in SYNC_CADENCES {
-        for shards in [1usize, 2] {
-            let faults = FaultConfig {
-                checkpoint_interval: interval,
-                ..FaultConfig::default()
-            };
-            let mut rng = ScriptRng::new(0x57AD_0000 + interval as u64);
-            let mut script = OpScript::new(0);
-            for _ in 0..REGISTRATIONS {
-                script.push(Op::Register(small_query(&mut rng)));
-            }
-            // A worker syncs when its log reaches `interval` mutations, and
-            // its log holds every event plus the registrations it hosts — up
-            // to REGISTRATIONS of them. So the event that fills the log for
-            // the k-th time is one of REGISTRATIONS + 1 candidates; fault
-            // every one of them and the event after, on every shard.
-            let events = 2 * interval + REGISTRATIONS;
-            let mut armed = 0;
-            for event in 0..events {
-                let mutation = event + 1; // 1-based, before registrations
-                let near_a_sync = (1..=2).any(|k| {
-                    (k * interval).saturating_sub(REGISTRATIONS) <= mutation
-                        && mutation <= k * interval + 1
-                });
-                if near_a_sync {
-                    for shard in 0..shards {
-                        script.push(Op::InjectFault { shard });
-                        armed += 1;
-                    }
-                }
-                script.push(Op::Feed(tie_heavy_doc(&mut rng, event as u64)));
-            }
+fn a_rebuilt_shard_is_a_registration_over_the_mirror() {
+    for policy in [FaultPolicy::BlockUntilRecovered, FaultPolicy::ServeDegraded] {
+        for shards in [1usize, 2, 4, 8] {
             let window = SlidingWindow::count_based(20);
-            let mut reference = ItaEngine::new(window, ItaConfig::default());
-            let mut sharded = faulty(window, shards, faults);
-            {
-                let mut engines: Vec<Box<dyn Engine>> = vec![
-                    Box::new(&mut reference) as Box<dyn Engine>,
-                    Box::new(&mut sharded),
-                ];
-                if let Err(failure) = run_script(&mut engines, &script, &RunOptions::default()) {
-                    panic!("cadence {interval}, {shards} shards: {failure}");
+            let mut rng = ScriptRng::new(0x4E61_0000 + shards as u64);
+            let mut oracle = BruteForceOracle::new(window);
+            let mut sharded = faulty(window, shards, policy);
+            let mut qids: Vec<QueryId> = Vec::new();
+            let mut register = |oracle: &mut BruteForceOracle, sharded: &mut ShardedItaEngine| {
+                let query = small_query(&mut rng);
+                let qid = oracle.register(query.clone());
+                assert_eq!(sharded.register(query), qid);
+                qids.push(qid);
+            };
+            for _ in 0..8 {
+                register(&mut oracle, &mut sharded);
+            }
+            let mut doc_rng = ScriptRng::new(0x4E61_1000 + shards as u64);
+            let mut feed = |oracle: &mut BruteForceOracle, sharded: &mut ShardedItaEngine, id| {
+                let doc = tie_heavy_doc(&mut doc_rng, id);
+                oracle.process_document(doc.clone());
+                sharded.process_document(doc);
+            };
+            for id in 0..30 {
+                feed(&mut oracle, &mut sharded, id);
+                if id % 10 == 5 {
+                    // Registered mid-stream, so its thresholds carry history.
+                    register(&mut oracle, &mut sharded);
                 }
+            }
+            for shard in 0..shards {
+                assert!(sharded.inject_fault(shard));
+            }
+            feed(&mut oracle, &mut sharded, 30);
+            if policy == FaultPolicy::ServeDegraded {
+                feed(&mut oracle, &mut sharded, 31);
+                assert_eq!(sharded.recover_degraded(), Ok(shards));
             }
             let stats = sharded.fault_stats().expect("tracked");
+            let context = format!("{policy:?}, {shards} shards");
             assert_eq!(
-                stats.faults, armed,
-                "cadence {interval}: an armed fault never fired"
+                (stats.faults, stats.recoveries, stats.degraded_shards),
+                (shards as u64, shards as u64, 0),
+                "{context}"
             );
-            assert_eq!(
-                stats.recoveries, armed,
-                "cadence {interval}: a fault went cold"
-            );
-            assert_eq!(stats.degraded_shards, 0);
-            let syncs: u64 = sharded.shard_stats().iter().map(|s| s.checkpoints).sum();
-            assert!(
-                syncs >= 2 * shards as u64,
-                "cadence {interval}: only {syncs} syncs"
-            );
-        }
-    }
-}
-
-/// A fault right after a cold rebuild: the rebuilt engine's first sync goes
-/// into a brand-new checkpoint (the full copy), and the very next event
-/// faults, so warm recovery runs from that checkpoint. A cold rebuild
-/// promises exact results, not exact thresholds, so this compares results —
-/// and has the workers audit checkpoint + log against their live state.
-#[test]
-fn fault_right_after_a_rebuild_recovers_from_the_new_checkpoint() {
-    for interval in SYNC_CADENCES {
-        let faults = FaultConfig {
-            checkpoint_interval: interval,
-            ..FaultConfig::default()
-        };
-        let window = SlidingWindow::count_based(10);
-        let mut rng = ScriptRng::new(0xC01D_0000 + interval as u64);
-        let mut reference = ItaEngine::new(window, ItaConfig::default());
-        let mut sharded = faulty(window, 2, faults);
-        let qids: Vec<QueryId> = (0..6)
-            .map(|_| {
-                let query = small_query(&mut rng);
-                let qid = reference.register(query.clone());
-                assert_eq!(qid, sharded.register(query));
-                qid
-            })
-            .collect();
-        let mut feed = |reference: &mut ItaEngine, sharded: &mut ShardedItaEngine, id: u64| {
-            let doc = tie_heavy_doc(&mut rng, id);
-            reference.process_document(doc.clone());
-            sharded.process_document(doc);
             for &q in &qids {
+                let rebuilt = sharded.query_stats(q).expect("registered");
                 assert_eq!(
-                    reference.current_results(q),
-                    sharded.current_results(q),
-                    "cadence {interval}: results diverged on {q} at event {id}"
+                    (
+                        rebuilt.arrivals_examined,
+                        rebuilt.expirations_examined,
+                        rebuilt.refills,
+                        rebuilt.rollups
+                    ),
+                    (0, 0, 0, 0),
+                    "{context}: {q} was rebuilt by replaying the window"
                 );
             }
+            for index in sharded.shard_index_stats() {
+                assert_eq!(index.register_entries_walked, 0, "{context}");
+                assert_eq!(index.documents, 20, "{context}");
+            }
+            assert_engines_agree(&oracle, &sharded, &qids);
             sharded.check_invariants();
-        };
-        let mut id = 0u64;
-        let mut armed = 0u64;
-        for round in 0..4usize {
-            // Run up to (and, on later rounds, across) a sync boundary.
-            for _ in 0..interval.min(40) + round {
-                feed(&mut reference, &mut sharded, id);
-                id += 1;
+            // And the rebuilt shards keep the results exact.
+            for id in 32..60 {
+                feed(&mut oracle, &mut sharded, id);
+                assert_engines_agree(&oracle, &sharded, &qids);
             }
-            let shard = round % 2;
-            assert!(sharded.inject_disconnect(shard));
-            // This event finds the worker gone and rebuilds the shard cold…
-            feed(&mut reference, &mut sharded, id);
-            id += 1;
-            // …and the next one faults in the freshly rebuilt worker.
-            assert!(sharded.inject_fault(shard), "rebuilt shard refused arming");
-            armed += 1;
-            feed(&mut reference, &mut sharded, id);
-            id += 1;
         }
-        let stats = sharded.fault_stats().expect("tracked");
-        assert_eq!(
-            stats.faults,
-            armed + 4,
-            "4 disconnects plus the armed faults"
-        );
-        assert_eq!(stats.recoveries, stats.faults);
-        assert_eq!(stats.degraded_shards, 0);
     }
 }
 
-/// A fault after the rebalancer moved queries between two syncs: the source
-/// shard's log holds an `Extract`, the destination's an `Install` carrying
-/// the migrated result set and thresholds, and recovery must replay both to
-/// the byte.
+/// A fault right after a rebuild: a killed worker is found by the next
+/// event, respawned and rebuilt, and the event after that faults in the
+/// freshly rebuilt worker, which is rebuilt again. Results are compared
+/// after every event.
 #[test]
-fn fault_after_a_migration_between_syncs_replays_extract_and_install() {
-    for interval in SYNC_CADENCES {
-        let config = ItaConfig::default();
-        let faults = FaultConfig {
-            checkpoint_interval: interval,
-            ..FaultConfig::default()
-        };
-        let shards = 4;
-        let window = SlidingWindow::count_based(12);
-        let mut rng = ScriptRng::new(0x316A_0000 + interval as u64);
-        let mut reference = ItaEngine::new(window, config);
-        let mut sharded = ShardedItaEngine::with_faults(
-            window,
-            config,
-            shards,
-            RebalanceConfig::default(),
-            faults,
-        );
-        let qids: Vec<QueryId> = (0..24)
-            .map(|_| {
-                let query = small_query(&mut rng);
-                let qid = reference.register(query.clone());
-                assert_eq!(qid, sharded.register(query));
-                qid
-            })
-            .collect();
-        let mut id = 0u64;
-        for _ in 0..30 {
-            let doc = tie_heavy_doc(&mut rng, id);
-            assert_lockstep_event(&mut reference, &mut sharded, &doc, &qids);
-            id += 1;
-        }
-        // Concentrate the survivors on shard 0: every deregistration that
-        // tips the balance makes the rebalancer migrate — and right after
-        // each migration every shard faults on the next event.
-        let survivors: Vec<QueryId> = qids
-            .iter()
-            .copied()
-            .filter(|&q| sharded.shard_of(q) == 0)
-            .collect();
-        assert!(survivors.len() >= 2, "need at least two survivors");
-        let mut live = qids.clone();
-        let mut armed = 0u64;
-        let mut migrations = 0;
-        for &q in &qids {
-            if survivors.contains(&q) {
-                continue;
-            }
-            assert!(sharded.deregister(q) && reference.deregister(q));
-            live.retain(|&other| other != q);
-            if sharded.migrations() > migrations {
-                migrations = sharded.migrations();
-                for shard in 0..shards {
-                    assert!(sharded.inject_fault(shard));
-                    armed += 1;
-                }
-                let doc = tie_heavy_doc(&mut rng, id);
-                assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
-                sharded.check_invariants();
-                id += 1;
-            }
-        }
-        assert!(migrations > 0, "cadence {interval}: nothing migrated");
-        // Each destination faulted on the event right after its `Install`,
-        // so the op log replayed the install with the postings it carried:
-        // lists were filed, and no shard — restored or not — read its store.
-        let index = sharded.shard_index_stats();
-        assert!(
-            index.iter().all(|shard| shard.register_entries_walked == 0),
-            "cadence {interval}: a shard walked its store: {index:?}"
-        );
-        assert!(
-            index[1..]
-                .iter()
-                .any(|shard| shard.register_postings_touched > 0),
-            "cadence {interval}: no migration brought a term with postings live"
-        );
-        // The migrated queries keep living byte-identically, across
-        // further syncs and one more round of faults.
-        for step in 0..(interval.min(40) + 20) {
-            if step == 10 {
-                for shard in 0..shards {
-                    assert!(sharded.inject_fault(shard));
-                    armed += 1;
-                }
-            }
-            let doc = tie_heavy_doc(&mut rng, id);
-            assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
-            id += 1;
-        }
+fn fault_right_after_a_rebuild_rebuilds_again_exactly() {
+    let window = SlidingWindow::count_based(10);
+    let mut rng = ScriptRng::new(0xC01D_0000);
+    let mut reference = ItaEngine::new(window, ItaConfig::default());
+    let mut sharded = faulty(window, 2, FaultPolicy::default());
+    let qids: Vec<QueryId> = (0..6)
+        .map(|_| {
+            let query = small_query(&mut rng);
+            let qid = reference.register(query.clone());
+            assert_eq!(qid, sharded.register(query));
+            qid
+        })
+        .collect();
+    let mut feed = |reference: &mut ItaEngine, sharded: &mut ShardedItaEngine, id: u64| {
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(reference, sharded, &doc, &qids);
         sharded.check_invariants();
-        let stats = sharded.fault_stats().expect("tracked");
-        assert_eq!(stats.faults, armed);
-        assert_eq!(stats.recoveries, armed, "a migration-era fault went cold");
-        assert_eq!(stats.degraded_shards, 0);
+    };
+    let mut id = 0u64;
+    let mut armed = 0u64;
+    for round in 0..4usize {
+        for _ in 0..7 + round {
+            feed(&mut reference, &mut sharded, id);
+            id += 1;
+        }
+        let shard = round % 2;
+        assert!(sharded.inject_disconnect(shard));
+        // This event finds the worker gone and rebuilds the shard…
+        feed(&mut reference, &mut sharded, id);
+        id += 1;
+        // …and the next one faults in the freshly rebuilt worker.
+        assert!(sharded.inject_fault(shard), "rebuilt shard refused arming");
+        armed += 1;
+        feed(&mut reference, &mut sharded, id);
+        id += 1;
     }
+    let stats = sharded.fault_stats().expect("tracked");
+    assert_eq!(
+        stats.faults,
+        armed + 4,
+        "4 disconnects plus the armed faults"
+    );
+    assert_eq!(stats.recoveries, stats.faults);
+    assert_eq!(stats.degraded_shards, 0);
 }
 
-/// A fault on the event right after a registration burst: the burst brought
-/// terms live mid-stream, so its logged `RegisterBatch` carries the window
-/// postings the coordinator resolved against its mirror, and warm recovery
-/// files them again on replay — the restored shard never reads its store.
-/// The audit after each recovery checks checkpoint + log against the live
-/// engine and every shard's store against the mirror.
+/// A fault right after the rebalancer moved queries: the destination shard
+/// faults on the event after its `Install`, and its rebuild registers the
+/// migrated query from the registry with postings the coordinator resolves —
+/// no shard, rebuilt or not, reads its own store.
 #[test]
-fn fault_right_after_a_registration_burst_replays_the_shipped_postings() {
-    for interval in SYNC_CADENCES {
-        let faults = FaultConfig {
-            checkpoint_interval: interval,
-            ..FaultConfig::default()
-        };
-        let shards = 2;
-        let window = SlidingWindow::count_based(14);
-        let mut rng = ScriptRng::new(0x5EA1_0000 + interval as u64);
-        let mut reference = ItaEngine::new(window, ItaConfig::default());
-        let mut sharded = faulty(window, shards, faults);
-        let mut live: Vec<QueryId> = Vec::new();
-        let mut id = 0u64;
-        let mut armed = 0u64;
-        for round in 0..12 {
-            for _ in 0..rng.range(1, 6) {
-                let doc = tie_heavy_doc(&mut rng, id);
-                assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
-                id += 1;
-            }
-            // Terms die and come back live: the oldest burst leaves.
-            if round >= 3 {
-                for q in live.drain(..3) {
-                    assert!(reference.deregister(q) && sharded.deregister(q));
-                }
-            }
-            let burst: Vec<ContinuousQuery> = (0..3).map(|_| small_query(&mut rng)).collect();
-            let ids = reference.register_batch(burst.clone());
-            assert_eq!(ids, sharded.register_batch(burst));
-            for &q in &ids {
-                assert_eq!(reference.current_results(q), sharded.current_results(q));
-                assert_eq!(reference.query_stats(q), sharded.query_stats(q));
-            }
-            live.extend(ids);
+fn fault_right_after_a_migration_rebuilds_the_installed_query() {
+    let shards = 4;
+    let window = SlidingWindow::count_based(12);
+    let mut rng = ScriptRng::new(0x316A_0000);
+    let mut reference = ItaEngine::new(window, ItaConfig::default());
+    let mut sharded = faulty(window, shards, FaultPolicy::default());
+    let qids: Vec<QueryId> = (0..24)
+        .map(|_| {
+            let query = small_query(&mut rng);
+            let qid = reference.register(query.clone());
+            assert_eq!(qid, sharded.register(query));
+            qid
+        })
+        .collect();
+    let mut id = 0u64;
+    for _ in 0..30 {
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(&mut reference, &mut sharded, &doc, &qids);
+        id += 1;
+    }
+    // Concentrate the survivors on shard 0: every deregistration that tips
+    // the balance makes the rebalancer migrate — and right after each
+    // migration every shard faults on the next event.
+    let survivors: Vec<QueryId> = qids
+        .iter()
+        .copied()
+        .filter(|&q| sharded.shard_of(q) == 0)
+        .collect();
+    assert!(survivors.len() >= 2, "need at least two survivors");
+    let mut live = qids.clone();
+    let mut armed = 0u64;
+    let mut migrations = 0;
+    for &q in &qids {
+        if survivors.contains(&q) {
+            continue;
+        }
+        assert!(sharded.deregister(q) && reference.deregister(q));
+        live.retain(|&other| other != q);
+        if sharded.migrations() > migrations {
+            migrations = sharded.migrations();
             for shard in 0..shards {
                 assert!(sharded.inject_fault(shard));
                 armed += 1;
             }
             let doc = tie_heavy_doc(&mut rng, id);
-            assert_lockstep_event(&mut reference, &mut sharded, &doc, &live);
-            id += 1;
+            assert_exact_event(&mut reference, &mut sharded, &doc, &live);
             sharded.check_invariants();
-        }
-        let stats = sharded.fault_stats().expect("tracked");
-        assert_eq!(
-            stats.faults, armed,
-            "cadence {interval}: a fault never fired"
-        );
-        assert_eq!(
-            stats.recoveries, armed,
-            "cadence {interval}: a fault went cold"
-        );
-        assert_eq!(stats.degraded_shards, 0);
-        let resolved = sharded.window_terms_stats();
-        assert!(
-            resolved.postings_from_walks + resolved.postings_from_directories > 0,
-            "cadence {interval}: no registration shipped a posting"
-        );
-        // Recovered counters are the fault-free ones.
-        for &q in &live {
-            assert_eq!(reference.query_stats(q), sharded.query_stats(q));
+            id += 1;
         }
     }
+    assert!(migrations > 0, "nothing migrated");
+    let index = sharded.shard_index_stats();
+    assert!(
+        index.iter().all(|shard| shard.register_entries_walked == 0),
+        "a shard walked its store: {index:?}"
+    );
+    assert!(
+        index
+            .iter()
+            .any(|shard| shard.register_postings_touched > 0),
+        "no rebuild filed a posting"
+    );
+    // The migrated queries keep living exactly, through one more round of
+    // faults.
+    for step in 0..30 {
+        if step == 10 {
+            for shard in 0..shards {
+                assert!(sharded.inject_fault(shard));
+                armed += 1;
+            }
+        }
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(&mut reference, &mut sharded, &doc, &live);
+        id += 1;
+    }
+    sharded.check_invariants();
+    let stats = sharded.fault_stats().expect("tracked");
+    assert_eq!(stats.faults, armed);
+    assert_eq!(stats.recoveries, armed);
+    assert_eq!(stats.degraded_shards, 0);
+}
+
+/// A fault on the event right after a registration burst: the burst brought
+/// terms live mid-stream from postings the coordinator shipped, and the
+/// rebuild ships them again — the rebuilt shard never reads its store. A
+/// registration is a function of the window and the query, so the burst's
+/// initial bookkeeping matches the reference's even on shards rebuilt
+/// before it.
+#[test]
+fn fault_right_after_a_registration_burst_replays_the_shipped_postings() {
+    let shards = 2;
+    let window = SlidingWindow::count_based(14);
+    let mut rng = ScriptRng::new(0x5EA1_0000);
+    let mut reference = ItaEngine::new(window, ItaConfig::default());
+    let mut sharded = faulty(window, shards, FaultPolicy::default());
+    let mut live: Vec<QueryId> = Vec::new();
+    let mut id = 0u64;
+    let mut armed = 0u64;
+    for round in 0..12 {
+        for _ in 0..rng.range(1, 6) {
+            let doc = tie_heavy_doc(&mut rng, id);
+            assert_exact_event(&mut reference, &mut sharded, &doc, &live);
+            id += 1;
+        }
+        // Terms die and come back live: the oldest burst leaves.
+        if round >= 3 {
+            for q in live.drain(..3) {
+                assert!(reference.deregister(q) && sharded.deregister(q));
+            }
+        }
+        let burst: Vec<ContinuousQuery> = (0..3).map(|_| small_query(&mut rng)).collect();
+        let ids = reference.register_batch(burst.clone());
+        assert_eq!(ids, sharded.register_batch(burst));
+        for &q in &ids {
+            assert_eq!(reference.current_results(q), sharded.current_results(q));
+            assert_eq!(reference.query_stats(q), sharded.query_stats(q));
+        }
+        live.extend(ids);
+        for shard in 0..shards {
+            assert!(sharded.inject_fault(shard));
+            armed += 1;
+        }
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(&mut reference, &mut sharded, &doc, &live);
+        id += 1;
+        sharded.check_invariants();
+        assert!(sharded
+            .shard_index_stats()
+            .iter()
+            .all(|shard| shard.register_entries_walked == 0));
+    }
+    let stats = sharded.fault_stats().expect("tracked");
+    assert_eq!(stats.faults, armed, "a fault never fired");
+    assert_eq!(stats.recoveries, armed, "a fault was not rebuilt");
+    assert_eq!(stats.degraded_shards, 0);
+    let resolved = sharded.window_terms_stats();
+    assert!(
+        resolved.postings_from_walks + resolved.postings_from_directories > 0,
+        "no registration shipped a posting"
+    );
 }
 
 /// Under [`FaultPolicy::ServeDegraded`] a registration whose hash shard is
@@ -492,13 +452,9 @@ fn fault_right_after_a_registration_burst_replays_the_shipped_postings() {
 #[test]
 fn serve_degraded_registration_is_rerouted_with_postings_from_the_mirror() {
     let window = SlidingWindow::count_based(12);
-    let faults = FaultConfig {
-        policy: FaultPolicy::ServeDegraded,
-        checkpoint_interval: 0, // every caught panic degrades the shard
-    };
     let mut rng = ScriptRng::new(0x5EA1_0100);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, faults);
+    let mut sharded = faulty(window, 2, FaultPolicy::ServeDegraded);
     let mut qids = Vec::new();
     for _ in 0..4 {
         let query = small_query(&mut rng);
@@ -563,13 +519,13 @@ fn serve_degraded_registration_is_rerouted_with_postings_from_the_mirror() {
 
 /// One explicit, readable fault-recovery scenario (the differential above
 /// is the strong check; this one is the debuggable one): arm a fault, feed
-/// a document, and verify the armed shard panicked, recovered warm, and
+/// a document, and verify the armed shard panicked, was rebuilt, and
 /// reports the same results as a never-faulted reference.
 #[test]
 fn injected_fault_is_applied_then_recovered_exactly() {
     let window = SlidingWindow::count_based(8);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultConfig::default());
+    let mut sharded = faulty(window, 2, FaultPolicy::default());
     let query = ContinuousQuery::from_weights([(TermId(1), 0.7), (TermId(2), 0.3)], 2);
     let qr = reference.register(query.clone());
     let qs = sharded.register(query);
@@ -586,10 +542,7 @@ fn injected_fault_is_applied_then_recovered_exactly() {
                 0.1 + (i % 5) as f64 * 0.1,
             )]),
         );
-        let expected = reference.process_document(doc.clone());
-        let actual = sharded.process_document(doc);
-        assert_eq!(expected, actual, "outcome diverged at event {i}");
-        assert_eq!(reference.current_results(qr), sharded.current_results(qs));
+        assert_exact_event(&mut reference, &mut sharded, &doc, &[qr]);
     }
     let stats = sharded.fault_stats().expect("tracked");
     assert_eq!(stats.faults, 2);
@@ -598,16 +551,17 @@ fn injected_fault_is_applied_then_recovered_exactly() {
 }
 
 /// Poison documents detonate once per shard (the event is applied, then the
-/// worker panics), recover warm, and must not re-detonate when the same
-/// document is replayed from the recovery log.
+/// worker panics) and the shard is rebuilt; the rebuild loads the poison
+/// document from the mirror without processing it, so it never re-detonates.
 #[test]
 fn poison_documents_detonate_once_and_recover() {
     let window = SlidingWindow::count_based(6);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultConfig::default());
+    let mut sharded = faulty(window, 2, FaultPolicy::default());
     let query = ContinuousQuery::from_weights([(TermId(3), 1.0)], 2);
     let qr = reference.register(query.clone());
     let qs = sharded.register(query);
+    assert_eq!(qr, qs);
     for i in 0..15u64 {
         let mut doc = Document::new(
             DocId(i),
@@ -617,10 +571,7 @@ fn poison_documents_detonate_once_and_recover() {
         if i == 4 || i == 9 {
             doc = cts_core::poison_document(doc);
         }
-        let expected = reference.process_document(doc.clone());
-        let actual = sharded.process_document(doc);
-        assert_eq!(expected, actual, "outcome diverged at event {i}");
-        assert_eq!(reference.current_results(qr), sharded.current_results(qs));
+        assert_exact_event(&mut reference, &mut sharded, &doc, &[qr]);
     }
     let stats = sharded.fault_stats().expect("tracked");
     // Each of the 2 poison docs detonates once in each of the 2 shards.
@@ -628,20 +579,14 @@ fn poison_documents_detonate_once_and_recover() {
     assert_eq!(stats.recoveries, 4);
 }
 
-/// With checkpointing disabled every caught panic poisons the shard, so
-/// recovery must go through the cold path: respawn + registry
-/// re-registration + window-mirror replay. Cold resurrection guarantees
-/// exact *results* (not future work counters), so this scenario compares
-/// results only.
+/// Random injected faults on three shards under the blocking policy: every
+/// caught panic poisons its shard and the coordinator rebuilds it before the
+/// event returns, with exact results after every event.
 #[test]
 fn cold_rebuild_restores_exact_results_under_block_policy() {
     let window = SlidingWindow::count_based(10);
-    let faults = FaultConfig {
-        checkpoint_interval: 0, // no warm recovery possible
-        policy: FaultPolicy::BlockUntilRecovered,
-    };
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 3, faults);
+    let mut sharded = faulty(window, 3, FaultPolicy::BlockUntilRecovered);
     let mut rng = ScriptRng::new(0xC01D);
     let mut qids: Vec<QueryId> = Vec::new();
     for t in 0..9u32 {
@@ -662,19 +607,11 @@ fn cold_rebuild_restores_exact_results_under_block_policy() {
                 (TermId((2 + i % 3) as u32), 0.3),
             ]),
         );
-        reference.process_document(doc.clone());
-        sharded.process_document(doc);
-        for &q in &qids {
-            assert_eq!(
-                reference.current_results(q),
-                sharded.current_results(q),
-                "results diverged on {q} at event {i}"
-            );
-        }
+        assert_exact_event(&mut reference, &mut sharded, &doc, &qids);
     }
     let stats = sharded.fault_stats().expect("tracked");
     assert!(stats.faults > 0, "no faults fired");
-    assert!(stats.recoveries > 0, "no cold resurrection happened");
+    assert_eq!(stats.recoveries, stats.faults, "a fault was not rebuilt");
     assert_eq!(stats.degraded_shards, 0);
 }
 
@@ -684,7 +621,7 @@ fn cold_rebuild_restores_exact_results_under_block_policy() {
 fn killed_worker_is_resurrected_with_exact_results() {
     let window = SlidingWindow::count_based(8);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultConfig::default());
+    let mut sharded = faulty(window, 2, FaultPolicy::default());
     let mut qids = Vec::new();
     for t in 0..6u32 {
         let q = ContinuousQuery::from_weights([(TermId(t), 1.0)], 2);
@@ -728,12 +665,8 @@ fn killed_worker_is_resurrected_with_exact_results() {
 #[test]
 fn serve_degraded_keeps_healthy_shards_live_until_explicit_recovery() {
     let window = SlidingWindow::count_based(8);
-    let faults = FaultConfig {
-        policy: FaultPolicy::ServeDegraded,
-        checkpoint_interval: 0, // every caught panic degrades the shard
-    };
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, faults);
+    let mut sharded = faulty(window, 2, FaultPolicy::ServeDegraded);
     let mut qids = Vec::new();
     for t in 0..8u32 {
         let q = ContinuousQuery::from_weights([(TermId(t % 4), 1.0)], 2);
@@ -795,17 +728,13 @@ fn serve_degraded_keeps_healthy_shards_live_until_explicit_recovery() {
     }
 }
 
-/// Under [`FaultPolicy::FailFast`] an unrecoverable fault surfaces as a
-/// typed error from the `try_*` paths, and the engine is usable again after
-/// an explicit `recover_degraded`.
+/// Under [`FaultPolicy::FailFast`] a fault surfaces as a typed error from
+/// the `try_*` paths, and the engine is usable again after an explicit
+/// `recover_degraded`.
 #[test]
 fn fail_fast_surfaces_typed_errors_and_recovers_on_request() {
     let window = SlidingWindow::count_based(6);
-    let faults = FaultConfig {
-        policy: FaultPolicy::FailFast,
-        checkpoint_interval: 0,
-    };
-    let mut sharded = faulty(window, 2, faults);
+    let mut sharded = faulty(window, 2, FaultPolicy::FailFast);
     let q = sharded.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
     let doc = |i: u64| {
         Document::new(
@@ -835,15 +764,17 @@ fn fail_fast_surfaces_typed_errors_and_recovers_on_request() {
     assert!(!sharded.current_results(q).is_empty());
 }
 
-/// The experiment that shaped the recovery design, kept as a living
-/// document: rebuilding an ITA engine from (window contents, registered
-/// queries) alone — either replay order — does **not** reproduce the
-/// pre-fault engine observably. Registered-mid-stream queries carry
-/// thresholds derived from expired history. If this test ever starts
-/// failing (i.e. rebuilds stop diverging), the checkpoint + op-log
-/// machinery can be replaced by plain window replay — see DESIGN.md §10.
+/// The contract the suites above rely on, stated on the engine itself: a
+/// term-filtered engine rebuilt the way a shard is — the window loaded, then
+/// every query registered with postings resolved over it — reports exactly
+/// the results of the engine it replaces, now and on every later event. Its
+/// work counters need not match: a query registered mid-stream carries
+/// thresholds derived from documents that have since expired, which a
+/// registration over the surviving window cannot reproduce. That is why
+/// outcomes are compared only up to a fault; if the counters ever stop
+/// diverging, the narrowed contract can be tightened again (DESIGN.md §10).
 #[test]
-fn window_replay_rebuild_is_not_exact() {
+fn a_rebuild_keeps_results_exact_while_counters_may_differ() {
     let mut diverged = 0usize;
     for seed in 0..20u64 {
         let mut rng = ScriptRng::new(seed);
@@ -884,36 +815,41 @@ fn window_replay_rebuild_is_not_exact() {
                 queries.push((reference.register(q.clone()), q));
             }
         }
-        // The naive rebuild: register everything, replay the surviving
-        // window (the order the cold-resurrection path uses — which is why
-        // cold recovery only promises exact *results*, not exact state).
+        // The rebuild: the window loaded into a fresh engine, then one
+        // registration with the postings its owner resolves.
+        let mut mirror = WindowTerms::new();
         let mut rebuilt = ItaEngine::term_filtered(window, ItaConfig::default());
-        let (ids, bodies): (Vec<QueryId>, Vec<ContinuousQuery>) = queries.iter().cloned().unzip();
-        assert_eq!(rebuilt.register_batch(bodies), ids);
-        let window_docs: Vec<Document> = reference.store_documents().cloned().collect();
-        for d in window_docs {
-            rebuilt.process_document(d);
+        for doc in reference.store_documents() {
+            let doc = std::sync::Arc::new(doc.clone());
+            mirror.push(std::sync::Arc::clone(&doc));
+            rebuilt.process_shared(doc);
         }
-        // Current results DO match (they are a function of window contents)…
-        for (qid, _) in &queries {
-            assert_eq!(
-                reference.current_results(*qid),
-                rebuilt.current_results(*qid),
-                "seed {seed}: cold rebuild broke current results"
-            );
-        }
-        // …but future behaviour may not: thresholds are history-dependent.
+        let batch: Vec<(QueryId, std::sync::Arc<ContinuousQuery>)> = queries
+            .iter()
+            .map(|(qid, query)| (*qid, std::sync::Arc::new(query.clone())))
+            .collect();
+        let postings = mirror.postings(
+            queries
+                .iter()
+                .flat_map(|(_, query)| query.terms().map(|(t, _)| t)),
+        );
+        rebuilt.register_shared_batch(&batch, &postings);
+        assert_eq!(rebuilt.register_entries_walked(), 0);
+        let ids: Vec<QueryId> = queries.iter().map(|(qid, _)| *qid).collect();
+        // Results match now (a function of window contents and queries)…
+        assert_engines_agree(&reference, &rebuilt, &ids);
+        // …and on every later event, while the work done may not.
+        let mut counters_differ = false;
         for i in 40..80u64 {
             let d = random_doc(&mut rng, i, &mut clock);
-            if reference.process_document(d.clone()) != rebuilt.process_document(d) {
-                diverged += 1;
-                break;
-            }
+            counters_differ |= reference.process_document(d.clone()) != rebuilt.process_document(d);
+            assert_engines_agree(&reference, &rebuilt, &ids);
         }
+        diverged += usize::from(counters_differ);
     }
     assert!(
         diverged > 0,
-        "window-replay rebuilds reproduced the engine exactly on all seeds; \
-         the checkpoint+log recovery design may be over-engineered now"
+        "rebuilt engines reproduced the work counters on all seeds; the \
+         outcome comparisons could be held across faults again"
     );
 }

@@ -1,9 +1,14 @@
 //! Coordinator error-path and lifecycle tests for the sharded engine: the
 //! unglamorous edges the differential suites rarely pin down exactly —
 //! unknown-query deregistration, typed `try_*` errors, empty batches,
-//! id minting under interleaved churn, and the shutdown stat drain.
+//! duplicate document ids, id minting under interleaved churn, and the
+//! shutdown stat drain.
 
-use cts_core::{ContinuousQuery, Engine, EngineError, FaultConfig, ItaConfig, ShardedItaEngine};
+use cts_core::validate::assert_engines_agree;
+use cts_core::{
+    BruteForceOracle, ContinuousQuery, Engine, EngineError, FaultPolicy, ItaConfig,
+    ShardedItaEngine,
+};
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
@@ -112,6 +117,58 @@ fn duplicate_queries_in_one_burst_get_distinct_ids() {
     );
 }
 
+/// A duplicate id would panic in every worker and, once in the mirror, in
+/// every rebuild — a fault no recovery repairs. The coordinator refuses it,
+/// inside one burst or against the window, before any shard or the mirror
+/// sees the burst: nothing faults, nothing moves, and an id that has left
+/// the window is fresh again.
+#[test]
+fn a_duplicate_document_id_is_refused_before_any_shard_sees_it() {
+    for shards in [1usize, 2, 4, 8] {
+        let window = SlidingWindow::count_based(8);
+        let mut sharded = engine(shards);
+        let mut oracle = BruteForceOracle::new(window);
+        let queries: Vec<QueryId> = (0..6)
+            .map(|t| {
+                let id = sharded.register(query(t % 5));
+                assert_eq!(oracle.register(query(t % 5)), id);
+                id
+            })
+            .collect();
+        for i in 0..12u64 {
+            sharded.process_document(doc(i));
+            oracle.process_document(doc(i));
+        }
+        let faults = sharded.fault_stats();
+        let events = sharded.aggregate_shard_stats().events;
+        let clock = sharded.clock();
+        for (burst, duplicate) in [
+            (vec![doc(9)], 9),
+            (vec![doc(20), doc(21), doc(20)], 20),
+            (vec![doc(22), doc(23), doc(11)], 11),
+        ] {
+            assert_eq!(
+                sharded.try_process_batch(burst),
+                Err(EngineError::DuplicateDocument(DocId(duplicate))),
+                "{shards} shards"
+            );
+        }
+        assert_eq!(sharded.fault_stats(), faults, "{shards} shards");
+        assert_eq!(faults.map(|stats| stats.degraded_shards), Some(0));
+        assert_eq!(sharded.aggregate_shard_stats().events, events);
+        assert_eq!((sharded.clock(), sharded.num_valid_documents()), (clock, 8));
+        sharded.check_invariants();
+        assert_engines_agree(&oracle, &sharded, &queries);
+        // Ids 0 and 3 left the window long ago.
+        for i in [12u64, 0, 13, 3] {
+            sharded.process_document(doc(i));
+            oracle.process_document(doc(i));
+            assert_engines_agree(&oracle, &sharded, &queries);
+        }
+        sharded.check_invariants();
+    }
+}
+
 #[test]
 fn shutdown_returns_the_final_aggregate_stats() {
     let mut sharded = ShardedItaEngine::with_faults(
@@ -119,7 +176,7 @@ fn shutdown_returns_the_final_aggregate_stats() {
         ItaConfig::default(),
         3,
         Default::default(),
-        FaultConfig::default(),
+        FaultPolicy::default(),
     );
     sharded.register(query(0));
     for i in 0..12u64 {

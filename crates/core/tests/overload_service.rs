@@ -10,8 +10,8 @@
 
 use cts_core::testkit::{run_overload_session, OverloadConfig, ScriptRng};
 use cts_core::{
-    Admission, ContinuousQuery, Engine, FaultConfig, FaultPolicy, IngestEvent, ItaConfig,
-    ItaEngine, RebalanceConfig, ServiceConfig, ShardedItaEngine, ShedReason, StreamService,
+    Admission, ContinuousQuery, Engine, FaultPolicy, IngestEvent, ItaConfig, ItaEngine,
+    RebalanceConfig, ServiceConfig, ShardedItaEngine, ShedReason, StreamService,
 };
 use cts_index::{DocId, Document, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
@@ -22,11 +22,18 @@ fn sharded(window: SlidingWindow, shards: usize, policy: FaultPolicy) -> Sharded
         ItaConfig::default(),
         shards,
         RebalanceConfig::default(),
-        FaultConfig {
-            policy,
-            ..FaultConfig::default()
-        },
+        policy,
     )
+}
+
+/// Recovers a degraded candidate for [`run_overload_session`], counting the
+/// degraded intervals it ended.
+fn recover_into(intervals: &mut usize) -> impl FnMut(&mut ShardedItaEngine) + '_ {
+    |engine| {
+        *intervals += engine
+            .recover_degraded()
+            .expect("a degraded shard rebuilds");
+    }
 }
 
 fn doc(id: u64, millis: u64, weight: f64) -> Document {
@@ -49,22 +56,32 @@ fn overload_lockstep_holds_across_shards_and_policies() {
         inject_fault_probability: 0.05,
         ..OverloadConfig::default()
     };
+    let mut degraded_intervals = 0;
     for shards in [1usize, 2, 4, 8] {
         for policy in [FaultPolicy::BlockUntilRecovered, FaultPolicy::ServeDegraded] {
             let candidate = sharded(window, shards, policy);
             let mut reference = ItaEngine::new(window, ItaConfig::default());
+            let mut intervals = 0;
             let overload = run_overload_session(
                 candidate,
                 &mut reference,
                 &config,
                 0x0BAD_0001 + shards as u64,
+                recover_into(&mut intervals),
             );
             assert!(
                 overload.shed() > 0,
                 "{shards} shards / {policy:?}: bursty session never shed"
             );
+            if policy == FaultPolicy::BlockUntilRecovered {
+                assert_eq!(intervals, 0, "{shards} shards: a blocking engine degraded");
+            }
+            degraded_intervals += intervals;
         }
     }
+    // Under ServeDegraded an injected fault leaves its shard down until the
+    // session recovers it, and the session still ended byte-exact.
+    assert!(degraded_intervals > 0, "no session served a degraded round");
 }
 
 /// The acceptance burst: arrival rate 10× the drain budget at the
@@ -96,11 +113,13 @@ fn ten_x_burst_stays_live_and_exact_at_paper_scale() {
             let mut reference = ItaEngine::new(window, ItaConfig::default());
             let ids = candidate.register_batch(upfront.clone());
             assert_eq!(ids, reference.register_batch(upfront.clone()));
+            let mut intervals = 0;
             let overload = run_overload_session(
                 candidate,
                 &mut reference,
                 &config,
                 0x0BAD_0100 + shards as u64,
+                recover_into(&mut intervals),
             );
             // 10× overload must actually shed, and the ledger must settle
             // exactly (run_overload_session asserts the identity and the

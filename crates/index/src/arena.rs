@@ -26,8 +26,8 @@
 //!   slot handed out when a term's reference count leaves zero and recycled
 //!   when it returns there. This is right for a *term-filtered* index, which
 //!   files ~5k of the 182k terms: id-indexed arenas would spend 12 MB of
-//!   empty `Option` slots around 1.7 MB of postings — per shard, and again
-//!   per recovery checkpoint — where slot keys make list arena, tree arena
+//!   empty `Option` slots around 1.7 MB of postings — per shard — where
+//!   slot keys make list arena, tree arena
 //!   and refcount table track the live terms (FAST, arXiv:1709.02529: spend
 //!   memory by frequency of *use*). Only the `term → slot` table (one `u32`
 //!   per term id) is vocabulary-sized, and it is read only for the handful
@@ -41,23 +41,10 @@
 use cts_text::{TermId, WeightedTerm};
 
 /// A dense map from `usize` ids to `T`, backed by `Vec<Option<T>>`.
-///
-/// The arena also records **which slots may have changed** since the last
-/// [`DenseArena::sync_from`] read it: every path that yields a `&mut T` or
-/// fills or vacates a slot sets a per-slot bit and pushes the id once, so a
-/// mutation cannot escape the record by construction. A copy kept in step
-/// through `sync_from` (the shard workers' recovery checkpoint) then costs
-/// the slots dirtied, not the id range. An arena nobody syncs from pays one
-/// bit test per mutable access and at most one pushed id per slot.
 #[derive(Debug, Clone)]
 pub struct DenseArena<T> {
     slots: Vec<Option<T>>,
     live: usize,
-    /// One bit per slot, set iff the slot's id is in `dirty`.
-    marked: Vec<u64>,
-    /// Ids whose slot was handed out mutably, filled or vacated since the
-    /// last sync read this arena, each at most once.
-    dirty: Vec<usize>,
 }
 
 impl<T> Default for DenseArena<T> {
@@ -65,29 +52,15 @@ impl<T> Default for DenseArena<T> {
         Self {
             slots: Vec::new(),
             live: 0,
-            marked: Vec::new(),
-            dirty: Vec::new(),
         }
     }
 }
 
-/// Equality of contents: the same live ids holding equal values. The dirty
-/// record and trailing vacant slots are bookkeeping, not state.
+/// Equality of contents: the same live ids holding equal values. Trailing
+/// vacant slots are capacity, not state.
 impl<T: PartialEq> PartialEq for DenseArena<T> {
     fn eq(&self, other: &Self) -> bool {
         self.live == other.live && self.iter().eq(other.iter())
-    }
-}
-
-/// Records `id` as dirty unless it already is. A free function over the two
-/// bookkeeping fields so callers can hold a `&mut` into `slots` meanwhile.
-#[inline]
-fn mark(marked: &mut [u64], dirty: &mut Vec<usize>, id: usize) {
-    let bit = 1u64 << (id % 64);
-    let word = &mut marked[id / 64];
-    if *word & bit == 0 {
-        *word |= bit;
-        dirty.push(id);
     }
 }
 
@@ -114,9 +87,7 @@ impl<T> DenseArena<T> {
     /// Mutable access to the value stored for `id`, if any.
     #[inline]
     pub fn get_mut(&mut self, id: usize) -> Option<&mut T> {
-        let value = self.slots.get_mut(id)?.as_mut()?;
-        mark(&mut self.marked, &mut self.dirty, id);
-        Some(value)
+        self.slots.get_mut(id)?.as_mut()
     }
 
     /// Whether `id` has a value.
@@ -125,11 +96,10 @@ impl<T> DenseArena<T> {
         self.get(id).is_some()
     }
 
-    /// Grows the slot vector (and its dirty bits) to hold `slots` slots.
+    /// Grows the slot vector to hold `slots` slots.
     fn grow_to(&mut self, slots: usize) {
         if slots > self.slots.len() {
             self.slots.resize_with(slots, || None);
-            self.marked.resize(slots.div_ceil(64), 0);
         }
     }
 
@@ -137,7 +107,6 @@ impl<T> DenseArena<T> {
     /// previous value if the slot was occupied.
     pub fn insert(&mut self, id: usize, value: T) -> Option<T> {
         self.grow_to(id + 1);
-        mark(&mut self.marked, &mut self.dirty, id);
         let previous = self.slots[id].replace(value);
         if previous.is_none() {
             self.live += 1;
@@ -152,7 +121,6 @@ impl<T> DenseArena<T> {
         T: Default,
     {
         self.grow_to(id + 1);
-        mark(&mut self.marked, &mut self.dirty, id);
         let slot = &mut self.slots[id];
         if slot.is_none() {
             self.live += 1;
@@ -163,7 +131,6 @@ impl<T> DenseArena<T> {
     /// Removes and returns `id`'s value, freeing the slot.
     pub fn remove(&mut self, id: usize) -> Option<T> {
         let value = self.slots.get_mut(id)?.take()?;
-        mark(&mut self.marked, &mut self.dirty, id);
         self.live -= 1;
         Some(value)
     }
@@ -201,37 +168,7 @@ impl<T> DenseArena<T> {
 
     /// Mutably iterates over the live values in increasing id order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        let (marked, dirty) = (&mut self.marked, &mut self.dirty);
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(move |(id, slot)| {
-                let value = slot.as_mut()?;
-                mark(marked, dirty, id);
-                Some(value)
-            })
-    }
-
-    /// Brings `self` up to date with `src` by copying only the slots `src`
-    /// recorded dirty, reusing each destination value's allocations
-    /// (`clone_from`), and clears `src`'s record. Cost is `O(slots dirtied)`.
-    ///
-    /// `self` must hold what `src` held when its record was last cleared —
-    /// both freshly created, or `self` last written by this very call. Two
-    /// new arenas qualify, so the first sync is the full copy.
-    pub fn sync_from(&mut self, src: &mut DenseArena<T>)
-    where
-        T: Clone,
-    {
-        self.grow_to(src.slots.len());
-        for id in src.dirty.drain(..) {
-            src.marked[id / 64] &= !(1u64 << (id % 64));
-            match (&src.slots[id], &mut self.slots[id]) {
-                (Some(from), Some(into)) => into.clone_from(from),
-                (from, into) => *into = from.clone(),
-            }
-        }
-        self.live = src.live;
+        self.slots.iter_mut().filter_map(Option::as_mut)
     }
 }
 
@@ -243,7 +180,7 @@ impl<T> DenseArena<T> {
 /// Reference counts are the owner's to keep: one [`LiveTerms::acquire`] per
 /// (query, term) at registration or migration-in, one [`LiveTerms::release`]
 /// at deregistration or migration-out.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LiveTerms {
     /// One bit per term id, set iff the term's reference count is positive.
     bits: Vec<u64>,
@@ -253,10 +190,6 @@ pub struct LiveTerms {
     slots: Option<SlotTable>,
     /// Number of terms with a positive count.
     live: usize,
-    /// A count changed since [`LiveTerms::sync_from`] last read this set.
-    /// Only registration, deregistration and migration do that, so a steady
-    /// stream never pays for the copy.
-    changed: bool,
 }
 
 /// The `term → slot` assignment of a live-slot key space.
@@ -268,14 +201,6 @@ struct SlotTable {
     term_of: Vec<TermId>,
     /// Vacant slots, reused last-in-first-out before a new one is minted.
     free: Vec<u32>,
-}
-
-/// Equality of contents: the same counts under the same keys. The change
-/// flag is bookkeeping, not state.
-impl PartialEq for LiveTerms {
-    fn eq(&self, other: &Self) -> bool {
-        self.bits == other.bits && self.counts == other.counts && self.slots == other.slots
-    }
 }
 
 impl LiveTerms {
@@ -369,7 +294,6 @@ impl LiveTerms {
     /// Takes one reference on `term`; `true` when it is the first — the
     /// term just became live (and, with live-slot keys, was given a slot).
     pub fn acquire(&mut self, term: TermId) -> bool {
-        self.changed = true;
         if let (true, Some(key)) = (self.contains(term), self.key(term)) {
             self.counts[key] += 1;
             return false;
@@ -419,7 +343,6 @@ impl LiveTerms {
         let Some(key) = key else {
             panic!("release of unreferenced term {term}");
         };
-        self.changed = true;
         self.counts[key] -= 1;
         if self.counts[key] > 0 {
             return None;
@@ -447,18 +370,6 @@ impl LiveTerms {
                 .filter(|entry| self.contains(entry.term))
                 .copied(),
         );
-    }
-
-    /// Brings `self` up to date with `src` — a whole copy, but only if a
-    /// count changed since the previous call — and clears `src`'s flag.
-    pub fn sync_from(&mut self, src: &mut LiveTerms) {
-        if src.changed {
-            self.bits.clone_from(&src.bits);
-            self.counts.clone_from(&src.counts);
-            self.slots.clone_from(&src.slots);
-            self.live = src.live;
-            src.changed = false;
-        }
     }
 
     /// Audits the set, panicking with a description on violation: a term's
@@ -664,30 +575,5 @@ mod tests {
         live.release(t(64));
         live.intersect(&composition, &mut out);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn live_terms_sync_copies_only_after_a_change() {
-        for mut live in [LiveTerms::identity(), LiveTerms::live_slots()] {
-            let mut copy = live.clone();
-            live.acquire(t(9));
-            live.acquire(t(4));
-            live.release(t(9));
-            copy.sync_from(&mut live);
-            assert!(copy == live);
-            assert_eq!(copy.len(), 1);
-            // A recycled slot lands where the copy expects it.
-            live.acquire(t(77));
-            copy.sync_from(&mut live);
-            assert!(copy == live);
-            assert_eq!(copy.key(t(77)), live.key(t(77)));
-            copy.check_invariants();
-            // The copy carries no change record of its own: a set restored
-            // from it keeps syncing into it.
-            let mut restored = copy.clone();
-            restored.acquire(t(4));
-            copy.sync_from(&mut restored);
-            assert_eq!(copy.count(t(4)), 2);
-        }
     }
 }

@@ -330,24 +330,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Brings `self` up to date with `src` at a cost of `O(lists dirtied +
-    /// FIFO delta)`: the store replays its pops and pushes
-    /// ([`DocumentStore::sync_from`]), the list arena copies the lists an
-    /// arrival, expiration, backfill or retirement touched
-    /// ([`DenseArena::sync_from`]), the live-term set is copied if a
-    /// registration changed it ([`LiveTerms::sync_from`]), and the backfill
-    /// counters are copied outright. Clears `src`'s change records.
-    ///
-    /// `self` must hold what `src` held when it was last synced from — both
-    /// freshly created, or `self` last written by this very call.
-    pub fn sync_from(&mut self, src: &mut InvertedIndex) {
-        self.store.sync_from(&mut src.store);
-        self.live.sync_from(&mut src.live);
-        self.lists.sync_from(&mut src.lists);
-        self.register_postings_touched = src.register_postings_touched;
-        self.register_entries_walked = src.register_entries_walked;
-    }
-
     /// The valid-document store.
     pub fn store(&self) -> &DocumentStore {
         &self.store

@@ -59,7 +59,7 @@ struct Cursor {
 /// An impact-ordered inverted list for a single term, backed by an ordered
 /// directory of fixed-capacity sorted segments (decreasing weight, ties by
 /// increasing document id). See the module docs for the layout rationale.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentedImpactList {
     /// Non-empty segments in global list order: every entry of `segments[i]`
     /// ranks strictly before every entry of `segments[i + 1]`.
@@ -73,25 +73,6 @@ pub struct SegmentedImpactList {
 impl Default for SegmentedImpactList {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for SegmentedImpactList {
-    fn clone(&self) -> Self {
-        Self {
-            segments: self.segments.clone(),
-            len: self.len,
-            capacity: self.capacity,
-        }
-    }
-
-    /// Copies `source` into `self` reusing the directory and every segment
-    /// buffer `self` already owns — a checkpoint sync re-copies a changed
-    /// list every interval, and a list changes by a few postings at a time.
-    fn clone_from(&mut self, source: &Self) {
-        self.segments.clone_from(&source.segments);
-        self.len = source.len;
-        self.capacity = source.capacity;
     }
 }
 

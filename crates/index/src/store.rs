@@ -23,37 +23,10 @@ use std::sync::Arc;
 use crate::document::{DocId, Document, Timestamp};
 
 /// FIFO store of the currently valid documents.
-///
-/// The store counts how it changed since [`DocumentStore::sync_from`] last
-/// read it — documents popped from the front, documents pushed at the back —
-/// so a copy kept in step (the shard workers' recovery checkpoint) replays
-/// that FIFO delta instead of copying the window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DocumentStore {
     fifo: VecDeque<DocId>,
     by_id: HashMap<DocId, Arc<Document>>, // cts-lint: allow(nondet-iteration, point lookups only; iteration follows the FIFO)
-    /// Documents removed from the front since the last sync.
-    popped: usize,
-    /// Documents appended at the back since the last sync.
-    pushed: usize,
-    /// A document was removed from somewhere other than the front since the
-    /// last sync, so the change is not a FIFO delta.
-    irregular: bool,
-}
-
-/// Equality of contents: the same documents in the same arrival order. The
-/// delta counters are bookkeeping, not state.
-impl PartialEq for DocumentStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.fifo == other.fifo
-            && self.by_id.len() == other.by_id.len()
-            && self.fifo.iter().all(|id| {
-                matches!(
-                    (self.by_id.get(id), other.by_id.get(id)),
-                    (Some(a), Some(b)) if Arc::ptr_eq(a, b) || a == b
-                )
-            })
-    }
 }
 
 impl DocumentStore {
@@ -67,7 +40,6 @@ impl DocumentStore {
         Self {
             fifo: VecDeque::with_capacity(n),
             by_id: HashMap::with_capacity(n), // cts-lint: allow(nondet-iteration, point lookups only; iteration follows the FIFO)
-            ..Self::default()
         }
     }
 
@@ -96,7 +68,6 @@ impl DocumentStore {
             Entry::Vacant(slot) => slot.insert(doc),
         };
         self.fifo.push_back(id);
-        self.pushed += 1;
     }
 
     /// Removes and returns the oldest valid document, if any.
@@ -106,7 +77,6 @@ impl DocumentStore {
             .by_id
             .remove(&id)
             .expect("FIFO id must exist in the id map");
-        self.popped += 1;
         Some(doc)
     }
 
@@ -119,45 +89,12 @@ impl DocumentStore {
         let doc = self.by_id.remove(&id)?;
         if self.fifo.front() == Some(&id) {
             self.fifo.pop_front();
-            self.popped += 1;
-        } else {
-            self.irregular = true;
-            if self.fifo.back() == Some(&id) {
-                self.fifo.pop_back();
-            } else if let Some(pos) = self.fifo.iter().position(|&d| d == id) {
-                self.fifo.remove(pos);
-            }
+        } else if self.fifo.back() == Some(&id) {
+            self.fifo.pop_back();
+        } else if let Some(pos) = self.fifo.iter().position(|&d| d == id) {
+            self.fifo.remove(pos);
         }
         Some(doc)
-    }
-
-    /// Brings `self` up to date with `src` by replaying `src`'s FIFO delta —
-    /// its pops from `self`'s front, its last `pushed` arrivals onto
-    /// `self`'s back (refcount bumps) — and clears the delta. Cost is
-    /// `O(pops + pushes)`, not `O(window)`.
-    ///
-    /// Falls back to a full copy when the delta is not replayable: a
-    /// document left `src` from the middle or the back, or `src` popped
-    /// more documents than `self` holds (the window turned over completely,
-    /// so some arrival came and went between two syncs).
-    ///
-    /// `self` must hold what `src` held when its delta was last cleared —
-    /// both freshly created, or `self` last written by this very call.
-    pub fn sync_from(&mut self, src: &mut DocumentStore) {
-        if src.irregular || src.popped > self.fifo.len() {
-            self.fifo.clone_from(&src.fifo);
-            self.by_id.clone_from(&src.by_id);
-        } else {
-            for id in self.fifo.drain(..src.popped) {
-                self.by_id.remove(&id);
-            }
-            for id in src.fifo.range(src.fifo.len() - src.pushed..) {
-                let doc = src.by_id.get(id).expect("FIFO id must exist in the id map");
-                self.by_id.insert(*id, Arc::clone(doc));
-                self.fifo.push_back(*id);
-            }
-        }
-        (src.popped, src.pushed, src.irregular) = (0, 0, false);
     }
 
     /// The oldest valid document without removing it.

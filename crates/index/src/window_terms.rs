@@ -27,11 +27,12 @@
 //! registration after a quiet stretch costs one walk plus that bounded build;
 //! steady churn finds every sealed chunk built. Arrival and expiry do no term
 //! work at all: [`WindowTerms::push`] and [`WindowTerms::pop_front`] are
-//! pointer pushes and pops, plus dropping a directory when its chunk's last
-//! document leaves (DESIGN.md §9 has the prices that ruled per-event
-//! maintenance out).
+//! pointer pushes and pops and one id-set update (what
+//! [`WindowTerms::contains`] answers duplicate checks from), plus dropping a
+//! directory when its chunk's last document leaves (DESIGN.md §9 has the
+//! prices that ruled per-event maintenance out).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use cts_text::{TermId, Weight};
@@ -345,6 +346,9 @@ pub struct WindowTermsStats {
 #[derive(Debug)]
 pub struct WindowTerms {
     docs: VecDeque<Arc<Document>>,
+    /// The ids of `docs`, so a caller can refuse a duplicate before it
+    /// arrives anywhere.
+    ids: HashSet<DocId>,
     /// One slot per chunk the window spans, oldest first. Chunk `c` covers
     /// the documents at positions `c * chunk_docs - front_offset ..` of
     /// `docs`, clipped to it.
@@ -388,6 +392,7 @@ impl WindowTerms {
         );
         Self {
             docs: VecDeque::new(),
+            ids: HashSet::new(),
             directories: VecDeque::new(),
             front_offset: 0,
             chunk_docs,
@@ -399,19 +404,32 @@ impl WindowTerms {
         }
     }
 
-    /// Appends an arriving document: a pointer push, plus an empty directory
-    /// slot when the document opens a chunk.
+    /// Appends an arriving document: a pointer push and an id insert, plus
+    /// an empty directory slot when the document opens a chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a document with the same id is in the window — before
+    /// anything is changed; [`WindowTerms::contains`] asks first.
     pub fn push(&mut self, doc: Arc<Document>) {
+        assert!(self.ids.insert(doc.id), "duplicate document id {}", doc.id);
         if (self.front_offset + self.docs.len()).is_multiple_of(self.chunk_docs) {
             self.directories.push_back(None);
         }
         self.docs.push_back(doc);
     }
 
-    /// Removes and returns the oldest document: a pointer pop, plus dropping
-    /// the front chunk's directory when this was its last document.
+    /// Whether a document with id `id` is in the window.
+    pub fn contains(&self, id: DocId) -> bool {
+        self.ids.contains(&id)
+    }
+
+    /// Removes and returns the oldest document: a pointer pop and an id
+    /// removal, plus dropping the front chunk's directory when this was its
+    /// last document.
     pub fn pop_front(&mut self) -> Option<Arc<Document>> {
         let doc = self.docs.pop_front()?;
+        self.ids.remove(&doc.id);
         self.front_offset += 1;
         if self.front_offset == self.chunk_docs {
             self.front_offset = 0;
@@ -526,12 +544,17 @@ impl WindowTerms {
     }
 
     /// Audits the structure, panicking with a description on violation:
-    /// there is one directory slot per chunk the window spans; only a sealed
+    /// the id set holds exactly the window's ids; there is one directory
+    /// slot per chunk the window spans; only a sealed
     /// chunk carries a directory; and every directory, cut down to the
     /// documents still valid, is what a plain re-derivation from those
     /// documents gives — sorted distinct terms, each with its documents'
     /// local indexes in arrival order.
     pub fn check_invariants(&self) {
+        assert!(
+            self.ids.len() == self.docs.len() && self.docs.iter().all(|doc| self.contains(doc.id)),
+            "the id set is not the window's ids"
+        );
         let arrived = self.front_offset + self.docs.len();
         assert!(
             self.front_offset < self.chunk_docs,

@@ -5,7 +5,7 @@
 //!
 //! The engine's correctness argument leans on four source-level properties
 //! that the compiler does not check: **determinism** of everything on the
-//! op-log replay path, **panic-safety** of the hot event-processing modules,
+//! lockstep replay path, **panic-safety** of the hot event-processing modules,
 //! **refusal-over-panic** on the service/admission surface, and a handful of
 //! **structural conventions** (thread ownership, crate hygiene). This crate
 //! proves them with a hand-rolled lexer and six module-path-aware rules —

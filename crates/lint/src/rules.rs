@@ -30,10 +30,10 @@ pub struct Finding {
 }
 
 /// `HashMap`/`HashSet` in a replay-relevant module: iteration order is
-/// nondeterministic, which would break op-log replay and lockstep
-/// differential testing.
+/// nondeterministic, which would break lockstep replay of op scripts across
+/// engines.
 pub const NONDET_ITERATION: &str = "nondet-iteration";
-/// Wall-clock reads inside apply/replay paths: replaying an op log must
+/// Wall-clock reads inside apply/replay paths: a lockstep replay must
 /// reproduce state bit-for-bit, so time may only enter through the op stream.
 pub const CLOCK_IN_APPLY: &str = "clock-in-apply";
 /// `unwrap`/`expect`/`panic!`/`unreachable!` in the hot event-processing
@@ -64,9 +64,10 @@ pub const RULES: [&str; 6] = [
     UNWRAP_IN_SERVICE,
 ];
 
-/// Modules on the op-log replay path: state they build must be a pure
-/// function of the op sequence, so unordered iteration and wall-clock reads
-/// are forbidden (`nondet-iteration`, `clock-in-apply`).
+/// Modules on the lockstep replay path: state they build must be a pure
+/// function of the op sequence — the testkit replays one script against
+/// several engines and demands identical answers — so unordered iteration
+/// and wall-clock reads are forbidden (`nondet-iteration`, `clock-in-apply`).
 const REPLAY_MODULES: &[&str] = &[
     "crates/core/src/ita.rs",
     "crates/core/src/service.rs",
@@ -346,7 +347,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                         CLOCK_IN_APPLY,
                         format!(
                             "{token} on a replay-relevant path: wall-clock reads make \
-                             op-log replay irreproducible; time must enter via the op stream"
+                             lockstep replay irreproducible; time must enter via the op stream"
                         ),
                     );
                 }
