@@ -441,7 +441,7 @@ fn bench_window_shape(_c: &mut Criterion) {
         &[128, 256, 512, 1024]
     };
     for &chunk_docs in chunk_lengths {
-        for builds_per_call in [1, 2, 4] {
+        for builds_per_call in [1, 2, 4, 8] {
             let cold = median_us(lone.len().min(12), |i| {
                 let mut window = window_over(&docs, chunk_docs, builds_per_call);
                 let start = Instant::now();

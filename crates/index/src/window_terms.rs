@@ -49,9 +49,10 @@ pub const CHUNK_DOCS: usize = 256;
 /// Directories one [`WindowTerms::postings`] call may build. Bounds what a
 /// registration after a quiet window pays on top of the walk, while a window
 /// under steady churn — a chunk seals every [`CHUNK_DOCS`] events — stays
-/// fully built. At 4 a quiet 10k window is indexed ten registrations later;
-/// at 2 it took twenty, which a burst of churn rarely outlasts (DESIGN.md §9).
-pub const BUILDS_PER_CALL: usize = 4;
+/// fully built. At 8 a quiet 10k window is indexed five registrations later;
+/// at 4 it took ten and at 2 twenty, and a run of registrations after a
+/// quiet stretch paid the walk on each of them (DESIGN.md §9).
+pub const BUILDS_PER_CALL: usize = 8;
 
 /// Bits per counting pass of the directory build's radix sort.
 const RADIX_BITS: u32 = 11;
