@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine};
+use cts_core::{ContinuousQuery, Engine, ItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::window_terms::{BUILDS_PER_CALL, CHUNK_DOCS};
 use cts_index::{Document, QueryId, SlidingWindow, TermPostings, WindowTerms};
@@ -126,8 +126,7 @@ fn window_documents(point: &Point, count: usize) -> Vec<Arc<Document>> {
 
 /// A term-filtered engine whose window holds exactly `docs` (untimed setup).
 fn filled_engine(docs: &[Arc<Document>]) -> ItaEngine {
-    let mut engine =
-        ItaEngine::term_filtered(SlidingWindow::count_based(docs.len()), ItaConfig::default());
+    let mut engine = ItaEngine::term_filtered(SlidingWindow::count_based(docs.len()));
     for doc in docs {
         engine.process_shared(Arc::clone(doc));
     }

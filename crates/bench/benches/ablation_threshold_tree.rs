@@ -9,7 +9,7 @@
 //!   (one `partition_point` + prefix scan vs a B-tree range walk) over a
 //!   tree of N entries, executed for every term of every arriving document.
 //! * `threshold_{flat,btree}/update/N` — moving a query's local threshold
-//!   (roll-up / refill bookkeeping).
+//!   (refill bookkeeping).
 //! * `impact_{flat,btree,segmented}/descent/N` — resuming a bounded descent
 //!   at a mid-list weight, the refill access path, over a list of N postings.
 //! * `impact_{flat,btree,segmented}/insert_expire/N` — one posting insertion

@@ -21,28 +21,32 @@
 //!   finds them), the threshold tree of `L_t` for queries with
 //!   `θ_{Q,t} ≤ w_{d,t}`. Only those queries score `d` — against those same
 //!   few entries — and all others provably cannot have `d` in their top-k.
-//!   When `d` enters a top-k, the freed slack (`S_k` grew, `τ` did not) is
-//!   reclaimed by *rolling up* local thresholds to the preceding list entries
-//!   and evicting unverified documents that lose all support — this is what
-//!   keeps `R` small.
+//!   An arrival enters `R` and moves no threshold.
 //! * **Expiration** probes the same trees; affected queries drop the expired
 //!   document from `R`, and if it was in the top-k the threshold search
 //!   *resumes* below the recorded thresholds (an incremental *refill*)
 //!   instead of restarting from the top of the lists.
 //!
-//! The engine's per-query invariant, checked by the test suite, is exactly
-//! the paper's: every valid document outside `R` scores at most
-//! `τ ≤ S_k`, so the top-k inside `R` is the true top-k.
+//! A local threshold therefore moves in one place only — the threshold
+//! search, at registration and refill — and only downward. The paper's
+//! §III-C also *rolls thresholds up* after an improving arrival, evicting
+//! unverified documents to keep `R` small; at the paper's operating point
+//! that costs more per event than the larger `R` it saves, so this engine
+//! does not (a measured deviation, DESIGN.md §6 "No roll-up").
+//!
+//! The engine's per-query invariant is exactly the paper's: every posting
+//! strictly above `θ_{Q,t}` in `L_t` is in `R`, so every valid document
+//! outside `R` scores at most `τ ≤ S_k`, and the top-k inside `R` is the
+//! true top-k. [`ItaEngine::check_invariants`] audits both halves.
 //!
 //! Every list access above goes through the impact-list API of `cts_index`
-//! (`iter_at_or_below`, `iter_weight_range`, `lowest_above`, …), which since
-//! PR 3 is backed by *segmented* impact lists: descent cursors and range
-//! probes transparently cross segment boundaries — including equal-weight
-//! tie runs that a segment split leaves straddling two segments — while a
-//! head-term arrival/expiration shifts at most one segment instead of a
-//! window-length `Vec` tail. The engine code is layout-agnostic; the
-//! `ita_brute_force_agreement_beyond_segment_capacity` test pins the
-//! boundary behaviour at engine level.
+//! (`iter_at_or_below`, …), which since PR 3 is backed by *segmented* impact
+//! lists: descent cursors transparently cross segment boundaries —
+//! including equal-weight tie runs that a segment split leaves straddling
+//! two segments — while a head-term arrival/expiration shifts at most one
+//! segment instead of a window-length `Vec` tail. The engine code is
+//! layout-agnostic; the `ita_brute_force_agreement_beyond_segment_capacity`
+//! test pins the boundary behaviour at engine level.
 
 use std::sync::Arc;
 
@@ -59,23 +63,13 @@ use crate::query::ContinuousQuery;
 use crate::result::{RankedDocument, ResultSet};
 use crate::slab::QuerySlab;
 
-/// Tuning knobs of the [`ItaEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ItaConfig {
-    /// Whether local thresholds are rolled up (and unverified documents
-    /// evicted) when an arrival improves a query's top-k. Disabling roll-up
-    /// leaves the algorithm correct but lets result sets grow monotonically
-    /// between expirations — the ablation measured by `ablation_rollup`.
-    pub enable_rollup: bool,
-}
-
-impl Default for ItaConfig {
-    fn default() -> Self {
-        Self {
-            enable_rollup: true,
-        }
-    }
-}
+/// The [`ItaEngine`]'s configuration, which has no fields: its one field
+/// switched roll-up on and off, and roll-up is gone (DESIGN.md §6 "No
+/// roll-up"). The type stays because [`ItaEngine::new`] and
+/// [`crate::ShardedItaEngine::new`] take one and existing callers build
+/// `ItaConfig::default()`; both constructors ignore it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ItaConfig {}
 
 /// A point-in-time snapshot of one query's ITA bookkeeping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -92,8 +86,6 @@ pub struct ItaQueryStats {
     pub expirations_examined: u64,
     /// Incremental refills performed after top-k expirations.
     pub refills: u64,
-    /// Committed threshold roll-up steps.
-    pub rollups: u64,
     /// Inverted-list postings scored by this query's threshold searches.
     pub postings_examined: u64,
 }
@@ -132,7 +124,6 @@ struct QueryState {
     arrivals_examined: u64,
     expirations_examined: u64,
     refills: u64,
-    rollups: u64,
     postings_examined: u64,
 }
 
@@ -149,7 +140,6 @@ impl QueryState {
 #[derive(Debug, Clone)]
 pub struct ItaEngine {
     window: SlidingWindow,
-    config: ItaConfig,
     /// The inverted index, which also owns the engine's **live-term set**
     /// (`index.live_terms()`): one reference per (registered query, term),
     /// a bit per term flipped where a count crosses zero, and the key space
@@ -171,17 +161,17 @@ pub struct ItaEngine {
 }
 
 impl ItaEngine {
-    /// Creates an engine with the given sliding-window policy.
-    pub fn new(window: SlidingWindow, config: ItaConfig) -> Self {
-        Self::over(window, config, InvertedIndex::new())
+    /// Creates an engine with the given sliding-window policy. The
+    /// [`ItaConfig`] is empty and ignored.
+    pub fn new(window: SlidingWindow, _config: ItaConfig) -> Self {
+        Self::over(window, InvertedIndex::new())
     }
 
     /// The index fixes the key space of every per-term structure, so it is
     /// the one thing the two constructors choose.
-    fn over(window: SlidingWindow, config: ItaConfig, index: InvertedIndex) -> Self {
+    fn over(window: SlidingWindow, index: InvertedIndex) -> Self {
         Self {
             window,
-            config,
             index,
             trees: DenseArena::new(),
             queries: QuerySlab::new(),
@@ -198,24 +188,19 @@ impl ItaEngine {
     /// supplies or, failing that, from one walk of the stored window;
     /// deregistration retires lists whose last referencing query left). For
     /// its registered queries it is exactly equivalent to an unfiltered
-    /// engine — every list a query's threshold search, roll-up or probe can
-    /// touch is complete — while skipping index maintenance for the (large)
+    /// engine — every list a query's threshold search or probe can touch is
+    /// complete — while skipping index maintenance for the (large)
     /// majority of composition terms no query watches, and keying lists,
     /// threshold trees and reference counts by compact live slots so their
     /// memory follows the live terms instead of the vocabulary. This is the
     /// shard configuration of [`crate::ShardedItaEngine`].
-    pub fn term_filtered(window: SlidingWindow, config: ItaConfig) -> Self {
-        Self::over(window, config, InvertedIndex::term_filtered())
+    pub fn term_filtered(window: SlidingWindow) -> Self {
+        Self::over(window, InvertedIndex::term_filtered())
     }
 
     /// Whether this engine maintains a term-filtered (shadow) index.
     pub fn is_term_filtered(&self) -> bool {
         self.index.is_term_filtered()
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> ItaConfig {
-        self.config
     }
 
     /// The sliding-window policy in force.
@@ -233,7 +218,6 @@ impl ItaEngine {
             arrivals_examined: state.arrivals_examined,
             expirations_examined: state.expirations_examined,
             refills: state.refills,
-            rollups: state.rollups,
             postings_examined: state.postings_examined,
         })
     }
@@ -343,9 +327,6 @@ impl ItaEngine {
             state.results.insert(doc.id, score);
             if state.results.is_in_top_k(doc.id, state.query.k()) {
                 changed += 1;
-                if self.config.enable_rollup {
-                    self.roll_up(qid);
-                }
             }
         }
         self.scratch = affected;
@@ -380,79 +361,6 @@ impl ItaEngine {
         }
         self.scratch = affected;
         (touched, changed)
-    }
-
-    /// Rolls `qid`'s local thresholds up the lists while the resulting
-    /// influence threshold stays at or below `S_k`, evicting unverified
-    /// documents whose only support was the reclaimed band (paper §III-C).
-    fn roll_up(&mut self, qid: QueryId) {
-        // cts-lint: allow(panic-in-hot-path, the only caller just looked the query up in the slab)
-        let state = self.queries.get_mut(qid).expect("query exists");
-        let k = state.query.k();
-        loop {
-            let s_k = state.results.kth_score(k);
-            let tau = state.tau();
-            // Pick the roll-up step with the largest slack reclaim that keeps
-            // τ' ≤ S_k. `lowest_above` yields the preceding list entry c_t.
-            let mut best: Option<(usize, Weight, f64)> = None;
-            for (i, (term, theta)) in state.thresholds.iter().enumerate() {
-                let Some(list) = self.index.list(*term) else {
-                    continue;
-                };
-                let Some(above) = list.lowest_above(*theta) else {
-                    continue;
-                };
-                let gain = state.query.weight(*term).get() * (above.weight - *theta).get();
-                if tau + gain <= s_k && best.as_ref().is_none_or(|(_, _, g)| gain > *g) {
-                    best = Some((i, above.weight, gain));
-                }
-            }
-            let Some((slot, new_theta, _)) = best else {
-                break;
-            };
-            let (term, old_theta) = state.thresholds[slot];
-            // Documents whose weight falls in [θ, c_t) lose this list's
-            // support; evict them unless another list still covers them.
-            let band: Vec<DocId> = self
-                .index
-                .list(term)
-                .map(|list| {
-                    list.iter_weight_range(old_theta, new_theta)
-                        .map(|p| p.doc)
-                        .collect()
-                })
-                .unwrap_or_default();
-            state.thresholds[slot].1 = new_theta;
-            for doc in band {
-                if !state.results.contains(doc) {
-                    continue;
-                }
-                let composition = &self
-                    .index
-                    .store()
-                    .get(doc)
-                    // cts-lint: allow(panic-in-hot-path, the band came from the index's own lists, which only reference stored documents)
-                    .expect("banded documents are valid")
-                    .composition;
-                let supported = state
-                    .thresholds
-                    .iter()
-                    .any(|(t, theta)| composition.impact(*t) >= *theta && composition.contains(*t));
-                if !supported {
-                    debug_assert!(
-                        !state.results.is_in_top_k(doc, k),
-                        "roll-up must never evict a top-k document"
-                    );
-                    state.results.remove(doc);
-                }
-            }
-            state.rollups += 1;
-            let key = self.index.live_terms().key(term);
-            key.and_then(|key| self.trees.get_mut(key))
-                // cts-lint: allow(panic-in-hot-path, registration filed a tree entry for every query term)
-                .expect("tree exists for query term")
-                .update(qid, old_theta, new_theta);
-        }
     }
 }
 
@@ -624,7 +532,6 @@ impl ItaEngine {
                 arrivals_examined: 0,
                 expirations_examined: 0,
                 refills: 0,
-                rollups: 0,
                 postings_examined: 0,
             },
         );
@@ -700,8 +607,8 @@ impl ItaEngine {
     /// with the live-term set **once**; filing, the threshold probe and
     /// arrival scoring then cost what the document's *matching* terms make
     /// them cost. The full `Arc<Document>` stays in the store for what needs
-    /// all of it: store walks, `threshold_descent`'s random-access scoring
-    /// and roll-up support checks.
+    /// all of it: store walks and `threshold_descent`'s random-access
+    /// scoring.
     ///
     /// # Panics
     ///
@@ -747,8 +654,10 @@ impl ItaEngine {
     /// strict ordering, a tree for every
     /// live term and under no other key, two-way agreement between tree
     /// entries and the live queries' recorded local thresholds, result sets
-    /// referencing only valid (windowed) documents, and term reference counts
-    /// equal to the number of live referencing queries. Driven by the testkit
+    /// referencing only valid (windowed) documents, term reference counts
+    /// equal to the number of live referencing queries, and the paper's
+    /// per-query invariant: every posting strictly above `θ_{Q,t}` is in `R`,
+    /// and `τ ≤ S_k`. Driven by the testkit
     /// lockstep runner when the
     /// `invariant-checks` feature (or a unit-test build) is active; far too
     /// expensive for production paths.
@@ -806,7 +715,23 @@ impl ItaEngine {
                     live_refs.resize(slot + 1, 0);
                 }
                 live_refs[slot] += 1;
+                // The paper's invariant, first half: the search has examined
+                // every posting strictly above θ_{Q,t}, and an arrival up
+                // there is touched, so each of them is in R.
+                let list = self.index.list(*term).into_iter().flat_map(|l| l.iter());
+                for posting in list.take_while(|p| p.weight > *theta) {
+                    assert!(
+                        state.results.contains(posting.doc),
+                        "{} lies above {qid}'s θ={theta} in {term} but is not in R",
+                        posting.doc
+                    );
+                }
             }
+            // Second half: τ ≤ S_k, exactly. Only the descent sets a threshold,
+            // and it stops on τ < S_k (or with every θ at zero); S_k falls
+            // only when a top-k document expires, which runs the descent.
+            let (tau, s_k) = (state.tau(), state.results.kth_score(state.query.k()));
+            assert!(tau <= s_k, "{qid}'s τ={tau} exceeds S_k={s_k}");
             for ranked in state.results.iter() {
                 assert!(
                     self.index.store().get(ranked.doc).is_some(),
@@ -1038,9 +963,9 @@ mod tests {
         // A 400-document window over a 3-term vocabulary: each inverted list
         // grows far past the default segment capacity (128), and the discrete
         // weight palette produces tie runs much longer than one segment, so
-        // the initial descent, the refill resume after a top-k expiration,
-        // and the roll-up range probe all cross segment boundaries —
-        // including boundaries that cut straight through a tie run.
+        // the initial descent and the refill resume after a top-k expiration
+        // both cross segment boundaries — including boundaries that cut
+        // straight through a tie run.
         let mut e = engine(400);
         let query = ContinuousQuery::from_weights([(TermId(0), 0.7), (TermId(1), 0.3)], 5);
         let q = e.register(query.clone());
@@ -1068,38 +993,6 @@ mod tests {
         );
         let s = e.query_stats(q).unwrap();
         assert!(s.refills > 0, "no refill crossed a boundary");
-        assert!(s.rollups > 0, "no roll-up crossed a boundary");
-    }
-
-    #[test]
-    fn rollup_keeps_result_sets_smaller() {
-        let mut with = ItaEngine::new(SlidingWindow::count_based(64), ItaConfig::default());
-        let mut without = ItaEngine::new(
-            SlidingWindow::count_based(64),
-            ItaConfig {
-                enable_rollup: false,
-            },
-        );
-        let query = ContinuousQuery::from_weights([(TermId(0), 1.0)], 2);
-        let qa = with.register(query.clone());
-        let qb = without.register(query);
-        for i in 0..300u64 {
-            // Steadily improving scores force frequent top-k turnover.
-            let d = doc(i, &[(0, 0.1 + (i % 50) as f64 * 0.01)]);
-            with.process_document(d.clone());
-            without.process_document(d);
-            assert_eq!(top_ids(&with, qa), top_ids(&without, qb));
-        }
-        let s_with = with.query_stats(qa).unwrap();
-        let s_without = without.query_stats(qb).unwrap();
-        assert!(s_with.rollups > 0);
-        assert_eq!(s_without.rollups, 0);
-        assert!(
-            s_with.result_set_size <= s_without.result_set_size,
-            "rollup {} vs plain {}",
-            s_with.result_set_size,
-            s_without.result_set_size
-        );
     }
 
     #[test]
@@ -1139,8 +1032,7 @@ mod tests {
     #[test]
     fn term_filtered_engine_matches_unfiltered_through_churn() {
         let mut full = engine(12);
-        let mut filtered =
-            ItaEngine::term_filtered(SlidingWindow::count_based(12), ItaConfig::default());
+        let mut filtered = ItaEngine::term_filtered(SlidingWindow::count_based(12));
         assert!(filtered.is_term_filtered() && !full.is_term_filtered());
         let q1 = ContinuousQuery::from_weights([(TermId(0), 0.7), (TermId(1), 0.3)], 3);
         let q2 = ContinuousQuery::from_weights([(TermId(2), 1.0)], 2);
@@ -1195,9 +1087,9 @@ mod tests {
         // counters, thresholds, event outcomes — exactly as if the query had
         // lived on the destination all along (modelled by `stayed`).
         let window = SlidingWindow::count_based(15);
-        let mut source = ItaEngine::term_filtered(window, ItaConfig::default());
-        let mut destination = ItaEngine::term_filtered(window, ItaConfig::default());
-        let mut stayed = ItaEngine::term_filtered(window, ItaConfig::default());
+        let mut source = ItaEngine::term_filtered(window);
+        let mut destination = ItaEngine::term_filtered(window);
+        let mut stayed = ItaEngine::term_filtered(window);
         let q = ContinuousQuery::from_weights([(TermId(1), 0.7), (TermId(2), 0.3)], 3);
         let qid = source.register(q.clone());
         assert_eq!(stayed.register(q), qid);
@@ -1235,7 +1127,7 @@ mod tests {
             destination.local_threshold(qid, TermId(1)),
             stayed.local_threshold(qid, TermId(1))
         );
-        // Post-migration traffic (arrivals, expirations, refills, roll-ups)
+        // Post-migration traffic (arrivals, expirations, refills)
         // stays in lockstep with the engine that never migrated.
         for i in 40..120u64 {
             let d = doc(
@@ -1261,7 +1153,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         for mut e in [
             engine(8),
-            ItaEngine::term_filtered(SlidingWindow::count_based(8), ItaConfig::default()),
+            ItaEngine::term_filtered(SlidingWindow::count_based(8)),
         ] {
             let query = ContinuousQuery::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)], 2);
             let q = e.register(query.clone());
@@ -1290,7 +1182,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         for mut e in [
             engine(8),
-            ItaEngine::term_filtered(SlidingWindow::count_based(8), ItaConfig::default()),
+            ItaEngine::term_filtered(SlidingWindow::count_based(8)),
         ] {
             let query = ContinuousQuery::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)], 2);
             let q = e.register(query.clone());
@@ -1458,10 +1350,7 @@ mod tests {
     /// `term` among `filler` documents that do not.
     fn filtered_window(term: u32, hits: u64, filler: u64) -> ItaEngine {
         let total = hits + filler;
-        let mut e = ItaEngine::term_filtered(
-            SlidingWindow::count_based(total as usize + 1),
-            ItaConfig::default(),
-        );
+        let mut e = ItaEngine::term_filtered(SlidingWindow::count_based(total as usize + 1));
         for i in 0..total {
             // Spread the hits across the window; fillers use a disjoint,
             // rotating vocabulary so the window is never degenerate.

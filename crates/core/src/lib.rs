@@ -12,8 +12,8 @@
 //!   incremental maintenance), per-term *local thresholds* `θ_{Q,t}` stored in
 //!   per-list threshold trees, and the *influence threshold* `τ`. Document
 //!   arrivals and expirations touch only the queries whose thresholds they
-//!   cross; results are repaired by threshold *roll-up* (arrivals) and
-//!   incremental *refill* (expirations) instead of recomputation.
+//!   cross; an expired top-k document is replaced by an incremental
+//!   *refill* instead of recomputation.
 //! * [`NaiveEngine`] — the §II baseline enhanced with the top-`k_max`
 //!   materialised-view technique of Yi et al. (the competitor measured in the
 //!   paper's §IV).

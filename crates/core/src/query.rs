@@ -6,7 +6,7 @@
 //! stores exactly that translated form, so the engines never re-derive
 //! weights.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use cts_text::weighting::Scoring;
 use cts_text::{
@@ -14,7 +14,18 @@ use cts_text::{
 };
 
 /// A registered continuous top-k text query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It serialises but does not deserialise: the constructors are the only
+/// way in, so `k = 0`, NaN weights and unsorted or duplicate terms (which
+/// the binary-probe dot product would silently mis-score) never reach an
+/// engine. Neither do they through [`cts_index::Document`] or any other type
+/// holding a [`Weight`].
+///
+/// ```compile_fail
+/// fn deserialisable<T: serde::Deserialize>() {}
+/// deserialisable::<cts_core::ContinuousQuery>();
+/// ```
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContinuousQuery {
     /// The weighted query terms `⟨t, w_{Q,t}⟩`, sorted by term id.
     weights: WeightedVector,

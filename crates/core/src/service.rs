@@ -724,7 +724,6 @@ mod tests {
     fn degraded_shard_raises_backpressure_instead_of_deepening_the_queue() {
         let engine = ShardedItaEngine::with_faults(
             SlidingWindow::count_based(8),
-            ItaConfig::default(),
             2,
             crate::sharded::RebalanceConfig::default(),
             FaultPolicy::ServeDegraded,

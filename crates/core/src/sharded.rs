@@ -89,9 +89,9 @@
 //! ## Why this is exact
 //!
 //! Every structure the ITA maintenance paths read is *per query term*:
-//! registration and refill descend the query's own inverted lists, roll-up
-//! probes them, and arrivals/expirations consult the threshold trees of the
-//! arriving document's terms. A shard that keeps complete lists for the
+//! registration and refill descend the query's own inverted lists, and
+//! arrivals/expirations consult the threshold trees of the arriving
+//! document's terms. A shard that keeps complete lists for the
 //! union of its queries' terms therefore reproduces, query for query, the
 //! exact reads the single-shard engine performs — the shadow index is
 //! complete for that term set by construction: filtered inserts for live
@@ -249,7 +249,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 struct ShardWorker {
     shard: usize,
     window: SlidingWindow,
-    config: ItaConfig,
     /// The engine — or, while the shard is poisoned, the fault that dropped
     /// it, replayed to every request that needs the engine until a rebuild.
     engine: Result<ItaEngine, ShardFault>,
@@ -264,12 +263,11 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
-    fn new(shard: usize, window: SlidingWindow, config: ItaConfig) -> Self {
+    fn new(shard: usize, window: SlidingWindow) -> Self {
         Self {
             shard,
             window,
-            config,
-            engine: Ok(ItaEngine::term_filtered(window, config)),
+            engine: Ok(ItaEngine::term_filtered(window)),
             stats: ProcessingStats::default(),
             armed_faults: 0,
             seen_poison: HashSet::new(), // cts-lint: allow(nondet-iteration, membership probes only; never iterated)
@@ -407,7 +405,7 @@ impl ShardWorker {
                 // queries register as any burst does, with their postings
                 // resolved over those documents. No injection check and no
                 // stats recording: recovery work is not stream work.
-                let mut engine = ItaEngine::term_filtered(self.window, self.config);
+                let mut engine = ItaEngine::term_filtered(self.window);
                 for doc in window_docs {
                     engine.process_shared(doc);
                 }
@@ -458,11 +456,10 @@ fn next_request(requests: &Receiver<ShardRequest>) -> Option<ShardRequest> {
 fn worker_loop(
     shard: usize,
     window: SlidingWindow,
-    config: ItaConfig,
     requests: Receiver<ShardRequest>,
     replies: Sender<ShardReply>,
 ) {
-    let mut worker = ShardWorker::new(shard, window, config);
+    let mut worker = ShardWorker::new(shard, window);
     while let Some(request) = next_request(&requests) {
         let reply = match request {
             ShardRequest::Shutdown => {
@@ -598,7 +595,6 @@ pub struct ShardedItaEngine {
     /// by a rebuild, so the vector length is the shard count.
     workers: Vec<ShardHandle>,
     window: SlidingWindow,
-    config: ItaConfig,
     rebalance: RebalanceConfig,
     policy: FaultPolicy,
     /// The routing table: which shard currently hosts each registered query.
@@ -635,15 +631,15 @@ pub struct ShardedItaEngine {
 
 impl ShardedItaEngine {
     /// Creates an engine with `shards` persistent worker shards, each
-    /// running a term-filtered [`ItaEngine`] under the given window policy
-    /// and configuration, with the default [`RebalanceConfig`] and
-    /// [`FaultPolicy`].
+    /// running a term-filtered [`ItaEngine`] under the given window policy,
+    /// with the default [`RebalanceConfig`] and [`FaultPolicy`]. The
+    /// [`ItaConfig`] is empty and ignored.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn new(window: SlidingWindow, config: ItaConfig, shards: usize) -> Self {
-        Self::with_rebalance(window, config, shards, RebalanceConfig::default())
+    pub fn new(window: SlidingWindow, _config: ItaConfig, shards: usize) -> Self {
+        Self::with_rebalance(window, shards, RebalanceConfig::default())
     }
 
     /// Creates an engine with an explicit rebalancing policy.
@@ -653,11 +649,10 @@ impl ShardedItaEngine {
     /// Panics if `shards == 0` or `rebalance.max_over_ideal < 1`.
     pub fn with_rebalance(
         window: SlidingWindow,
-        config: ItaConfig,
         shards: usize,
         rebalance: RebalanceConfig,
     ) -> Self {
-        Self::with_faults(window, config, shards, rebalance, FaultPolicy::default())
+        Self::with_faults(window, shards, rebalance, FaultPolicy::default())
     }
 
     /// Creates an engine with explicit rebalancing and degraded-mode
@@ -671,7 +666,6 @@ impl ShardedItaEngine {
     /// not a single worker could be spawned.
     pub fn with_faults(
         window: SlidingWindow,
-        config: ItaConfig,
         shards: usize,
         rebalance: RebalanceConfig,
         policy: FaultPolicy,
@@ -681,7 +675,7 @@ impl ShardedItaEngine {
             rebalance.max_over_ideal >= 1.0,
             "a rebalance trigger below the uniform share would thrash"
         );
-        let mut spawn = |slot: usize| Self::spawn_worker(slot, window, config);
+        let mut spawn = |slot: usize| Self::spawn_worker(slot, window);
         let (workers, spawn_retries, spawn_fallbacks) = spawn_with_retry(shards, &mut spawn);
         assert!(
             !workers.is_empty(),
@@ -699,7 +693,6 @@ impl ShardedItaEngine {
         Self {
             workers,
             window,
-            config,
             rebalance,
             policy,
             assignment: HashMap::new(), // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
@@ -722,16 +715,12 @@ impl ShardedItaEngine {
         }
     }
 
-    fn spawn_worker(
-        shard: usize,
-        window: SlidingWindow,
-        config: ItaConfig,
-    ) -> std::io::Result<ShardHandle> {
+    fn spawn_worker(shard: usize, window: SlidingWindow) -> std::io::Result<ShardHandle> {
         let (request_tx, request_rx) = std::sync::mpsc::channel();
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         let thread = std::thread::Builder::new()
             .name(format!("cts-shard-{shard}"))
-            .spawn(move || worker_loop(shard, window, config, request_rx, reply_tx))?;
+            .spawn(move || worker_loop(shard, window, request_rx, reply_tx))?;
         Ok(ShardHandle {
             sender: request_tx,
             receiver: reply_rx,
@@ -748,11 +737,6 @@ impl ShardedItaEngine {
     /// The sliding-window policy in force.
     pub fn window(&self) -> SlidingWindow {
         self.window
-    }
-
-    /// The per-shard ITA configuration.
-    pub fn config(&self) -> ItaConfig {
-        self.config
     }
 
     /// The configured rebalancing policy.
@@ -991,9 +975,9 @@ impl ShardedItaEngine {
             // The thread already exited (its channel disconnected); reap it.
             let _ = thread.join();
         }
-        let handle = Self::spawn_worker(shard, self.window, self.config).or_else(|_| {
+        let handle = Self::spawn_worker(shard, self.window).or_else(|_| {
             self.fault_state.borrow_mut().stats.spawn_retries += 1;
-            Self::spawn_worker(shard, self.window, self.config)
+            Self::spawn_worker(shard, self.window)
         });
         self.workers[shard] = handle.map_err(|_| EngineError::ShardUnavailable { shard })?;
         Ok(())
@@ -1925,12 +1909,7 @@ mod tests {
     #[test]
     fn disabled_rebalancer_keeps_the_static_hash_placement() {
         let window = SlidingWindow::count_based(8);
-        let mut sharded = ShardedItaEngine::with_rebalance(
-            window,
-            ItaConfig::default(),
-            4,
-            RebalanceConfig::disabled(),
-        );
+        let mut sharded = ShardedItaEngine::with_rebalance(window, 4, RebalanceConfig::disabled());
         assert!(!sharded.rebalance_config().enabled);
         let qids: Vec<QueryId> = (0..16u32)
             .map(|t| sharded.register(query(&[(t % 5, 1.0)], 1)))
@@ -1963,7 +1942,6 @@ mod tests {
     fn sub_uniform_rebalance_trigger_is_rejected() {
         let _ = ShardedItaEngine::with_rebalance(
             SlidingWindow::count_based(4),
-            ItaConfig::default(),
             2,
             RebalanceConfig {
                 max_over_ideal: 0.5,

@@ -237,8 +237,8 @@ impl fmt::Display for OpScript {
 /// Shape of the scripts [`generate_script`] produces. The defaults mirror
 /// the adversarial stream the sharded-equivalence suite has used since PR 4:
 /// a small vocabulary and a discrete weight palette force long tie runs and
-/// dense term sharing, so backfill, list retirement, refill and roll-up all
-/// fire constantly.
+/// dense term sharing, so backfill, list retirement and refill all fire
+/// constantly.
 #[derive(Debug, Clone)]
 pub struct ScriptConfig {
     /// Vocabulary size for documents and queries.

@@ -227,15 +227,7 @@ fn monitored_batches_with_deregistration_between_batches() {
 /// along the way. Every observable must agree after every step.
 fn burst_of_one_session(window: SlidingWindow, shards: usize, policy: FaultPolicy) {
     let context = format!("{shards} shards, {window:?}, {policy:?}");
-    let make = || {
-        ShardedItaEngine::with_faults(
-            window,
-            ItaConfig::default(),
-            shards,
-            RebalanceConfig::default(),
-            policy,
-        )
-    };
+    let make = || ShardedItaEngine::with_faults(window, shards, RebalanceConfig::default(), policy);
     let (mut singles, mut bursts) = (make(), make());
     let mut rng = ScriptRng::new(0xBA7C_4000 + shards as u64);
     let mut live: Vec<QueryId> = (0..16)

@@ -28,13 +28,7 @@ use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp, WindowTerms}
 use cts_text::{TermId, WeightedVector};
 
 fn faulty(window: SlidingWindow, shards: usize, policy: FaultPolicy) -> ShardedItaEngine {
-    ShardedItaEngine::with_faults(
-        window,
-        ItaConfig::default(),
-        shards,
-        RebalanceConfig::default(),
-        policy,
-    )
+    ShardedItaEngine::with_faults(window, shards, RebalanceConfig::default(), policy)
 }
 
 fn faults(sharded: &ShardedItaEngine) -> u64 {
@@ -224,10 +218,9 @@ fn a_rebuilt_shard_is_a_registration_over_the_mirror() {
                     (
                         rebuilt.arrivals_examined,
                         rebuilt.expirations_examined,
-                        rebuilt.refills,
-                        rebuilt.rollups
+                        rebuilt.refills
                     ),
-                    (0, 0, 0, 0),
+                    (0, 0, 0),
                     "{context}: {q} was rebuilt by replaying the window"
                 );
             }
@@ -779,7 +772,7 @@ fn a_rebuild_keeps_results_exact_while_counters_may_differ() {
     for seed in 0..20u64 {
         let mut rng = ScriptRng::new(seed);
         let window = SlidingWindow::count_based(10);
-        let mut reference = ItaEngine::term_filtered(window, ItaConfig::default());
+        let mut reference = ItaEngine::term_filtered(window);
         let mut clock = Timestamp::ZERO;
         let random_doc = |rng: &mut ScriptRng, id: u64, clock: &mut Timestamp| {
             *clock = clock.advance(Duration::from_millis(rng.below(4) as u64));
@@ -818,7 +811,7 @@ fn a_rebuild_keeps_results_exact_while_counters_may_differ() {
         // The rebuild: the window loaded into a fresh engine, then one
         // registration with the postings its owner resolves.
         let mut mirror = WindowTerms::new();
-        let mut rebuilt = ItaEngine::term_filtered(window, ItaConfig::default());
+        let mut rebuilt = ItaEngine::term_filtered(window);
         for doc in reference.store_documents() {
             let doc = std::sync::Arc::new(doc.clone());
             mirror.push(std::sync::Arc::clone(&doc));

@@ -149,53 +149,3 @@ fn time_based_window_stream_b() {
     );
     check_work_counters(&outcome);
 }
-
-/// Roll-up is an optimisation, never a semantic change: with it disabled the
-/// engine must still match the oracle exactly.
-#[test]
-fn ita_without_rollup_still_matches_the_oracle() {
-    let window = SlidingWindow::count_based(40);
-    let corpus = CorpusConfig {
-        vocabulary_size: 1_000,
-        seed: 0xF00,
-        ..CorpusConfig::small()
-    };
-    let workload = QueryWorkload::new(
-        WorkloadConfig {
-            num_queries: 20,
-            query_length: 3,
-            k: 4,
-            popularity_biased: false,
-            seed: 0xF02,
-        },
-        corpus.vocabulary_size,
-    );
-    let mut ita = ItaEngine::new(
-        window,
-        ItaConfig {
-            enable_rollup: false,
-        },
-    );
-    let mut oracle = BruteForceOracle::new(window);
-    let dict = Dictionary::new();
-    let mut queries = Vec::new();
-    for spec in workload.generate() {
-        let query =
-            ContinuousQuery::from_term_frequencies(&spec.terms, spec.k, Scoring::Cosine, &dict);
-        oracle.register(query.clone());
-        queries.push(ita.register(query));
-    }
-    let mut stream = DocumentStream::new(
-        corpus,
-        StreamConfig {
-            arrival_rate_per_sec: 200.0,
-            seed: 0xF01,
-        },
-    );
-    for _ in 0..300 {
-        let doc = stream.next_document();
-        ita.process_document(doc.clone());
-        oracle.process_document(doc);
-        assert_engines_agree(&oracle, &ita, &queries);
-    }
-}

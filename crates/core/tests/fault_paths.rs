@@ -173,7 +173,6 @@ fn a_duplicate_document_id_is_refused_before_any_shard_sees_it() {
 fn shutdown_returns_the_final_aggregate_stats() {
     let mut sharded = ShardedItaEngine::with_faults(
         SlidingWindow::count_based(8),
-        ItaConfig::default(),
         3,
         Default::default(),
         FaultPolicy::default(),

@@ -33,7 +33,7 @@ use cts_core::{
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::{DocId, Document, LiveTerms, QueryId, SlidingWindow, Timestamp, WindowTerms};
 use cts_text::weighting::Scoring;
-use cts_text::{Dictionary, TermId, WeightedVector};
+use cts_text::{Dictionary, TermId, Weight, WeightedVector};
 
 /// The three views, plus where each query lives among the filtered pair.
 struct Rig {
@@ -60,12 +60,11 @@ fn bits(results: &[RankedDocument]) -> Vec<(u64, u64)> {
 
 impl Rig {
     fn new(window: SlidingWindow) -> Self {
-        let config = ItaConfig::default();
         Rig {
-            plain: ItaEngine::new(window, config),
+            plain: ItaEngine::new(window, ItaConfig::default()),
             filtered: [
-                ItaEngine::term_filtered(window, config),
-                ItaEngine::term_filtered(window, config),
+                ItaEngine::term_filtered(window),
+                ItaEngine::term_filtered(window),
             ],
             window,
             mirror: WindowTerms::new(),
@@ -206,18 +205,24 @@ fn a_term_whose_last_query_left_is_skipped_on_expiry() {
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 0));
 }
 
-/// Registers `{T}` with `k = 1` on shard 0 over a low and a high document
-/// (the roll-up leaves `θ_T` at the high weight), then migrates the query to
-/// shard 1, which no query ever made `T` live on: the install lists both
-/// documents at once.
+/// Feeds a low, a middle and a high `T` document, then registers `{T}` with
+/// `k = 1` on shard 0: the descent examines the high one and stops at the
+/// middle one, so `θ_T` = 0.6 lies strictly above the low posting. Then
+/// migrates the query to shard 1, which no query ever made `T` live on: the
+/// install lists all three documents at once.
 fn rig_with_t_migrated_to_shard_1() -> (Rig, QueryId) {
     let mut rig = Rig::new(SlidingWindow::count_based(4));
-    let q = rig.register(&[(T, 1.0)], 1, 0);
     rig.feed(&[(T, 0.2)], 1);
+    rig.feed(&[(T, 0.6)], 1);
     rig.feed(&[(T, 0.9)], 1);
+    let q = rig.register(&[(T, 1.0)], 1, 0);
+    assert_eq!(
+        rig.filtered[0].local_threshold(q, TermId(T)),
+        Some(Weight::new(0.6))
+    );
     rig.migrate(q);
-    assert_eq!((rig.shipped, rig.postings(1)), (2, 2));
-    assert_eq!(rig.filtered[1].register_postings_touched(), 2);
+    assert_eq!((rig.shipped, rig.postings(1)), (3, 3));
+    assert_eq!(rig.filtered[1].register_postings_touched(), 3);
     (rig, q)
 }
 
@@ -226,12 +231,13 @@ fn a_term_a_migration_brings_live_is_listed_at_once_later_arrivals_included() {
     let (mut rig, _) = rig_with_t_migrated_to_shard_1();
     // Arrives below θ_T, so nothing probes — and is filed all the same: the
     // list is complete from the install on.
-    rig.feed(&[(T, 0.5)], 1);
-    assert_eq!(rig.postings(1), 3);
+    let out = rig.feed(&[(T, 0.5)], 1);
+    assert_eq!(out.queries_touched_by_arrival, 0);
+    assert_eq!(rig.postings(1), 4);
     // A second query on T registers on shard 1 and finds the list as it is.
     rig.register(&[(T, 0.5), (U, 0.5)], 2, 1);
-    assert_eq!(rig.filtered[1].register_postings_touched(), 2);
-    assert_eq!(rig.postings(1), 3);
+    assert_eq!(rig.filtered[1].register_postings_touched(), 3);
+    assert_eq!(rig.postings(1), 4);
     // Slide until every T document has expired out of the list.
     for _ in 0..4 {
         rig.feed(&[(U, 0.3)], 1);
@@ -243,13 +249,18 @@ fn a_term_a_migration_brings_live_is_listed_at_once_later_arrivals_included() {
 fn a_shipped_posting_expires_out_of_its_list_below_the_threshold_and_above() {
     let (mut rig, q) = rig_with_t_migrated_to_shard_1();
     rig.feed(&[(U, 0.3)], 1);
-    rig.feed(&[(U, 0.3)], 1);
-    // d0 (T: 0.2) expires below θ_T = 0.9: no query is touched, and the
+    // d0 (T: 0.2) expires below θ_T = 0.6: no query is touched, and the
     // posting the migration shipped leaves the list.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 0));
+    assert_eq!(rig.postings(1), 2);
+    // d1 (T: 0.6) sits on the frontier, never examined and not in R: the
+    // probe touches the query, which has nothing to repair.
+    let out = rig.feed(&[(U, 0.3)], 1);
+    assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 1));
+    assert_eq!(out.results_changed, 0);
     assert_eq!(rig.postings(1), 1);
-    // d1 (T: 0.9) is the top-1: its expiry refills from a list now empty.
+    // d2 (T: 0.9) is the top-1: its expiry refills from a list now empty.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 1));
     assert_eq!(rig.postings(1), 0);
@@ -395,7 +406,7 @@ fn scoring_the_live_entries_is_bit_identical_to_scoring_the_composition() {
 #[test]
 fn a_filtered_engine_sizes_its_term_tables_by_live_terms() {
     let window = SlidingWindow::count_based(120);
-    let mut engine = ItaEngine::term_filtered(window, ItaConfig::default());
+    let mut engine = ItaEngine::term_filtered(window);
     let mut stream = DocumentStream::new(CorpusConfig::default(), StreamConfig::default());
     let queries = paper_queries(1_500, 10, 0x5C0E_0003);
     let highest = queries

@@ -17,13 +17,7 @@ use cts_index::{DocId, Document, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
 fn sharded(window: SlidingWindow, shards: usize, policy: FaultPolicy) -> ShardedItaEngine {
-    ShardedItaEngine::with_faults(
-        window,
-        ItaConfig::default(),
-        shards,
-        RebalanceConfig::default(),
-        policy,
-    )
+    ShardedItaEngine::with_faults(window, shards, RebalanceConfig::default(), policy)
 }
 
 /// Recovers a degraded candidate for [`run_overload_session`], counting the

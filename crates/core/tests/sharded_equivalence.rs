@@ -13,8 +13,8 @@
 //! [`ScriptConfig`] is adversarial on purpose: a small vocabulary and a
 //! discrete weight palette force long tie runs and dense term sharing
 //! between queries, so shadow-index backfill (registration after traffic),
-//! list retirement (deregistration), refill after top-k expiry and roll-up
-//! all fire constantly.
+//! list retirement (deregistration) and refill after top-k expiry all fire
+//! constantly.
 
 use std::time::Duration;
 
@@ -38,7 +38,6 @@ fn eager_rebalance_pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Eng
         Box::new(ItaEngine::new(window, ItaConfig::default())),
         Box::new(ShardedItaEngine::with_rebalance(
             window,
-            ItaConfig::default(),
             shards,
             RebalanceConfig {
                 max_over_ideal: 1.0,

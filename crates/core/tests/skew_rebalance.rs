@@ -31,12 +31,7 @@ fn engineer_skew(
     seed: u64,
 ) -> (ItaEngine, ShardedItaEngine, Vec<(QueryId, ContinuousQuery)>) {
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = ShardedItaEngine::with_rebalance(
-        window,
-        ItaConfig::default(),
-        shards,
-        RebalanceConfig::disabled(),
-    );
+    let mut sharded = ShardedItaEngine::with_rebalance(window, shards, RebalanceConfig::disabled());
     let mut rng = cts_core::testkit::ScriptRng::new(seed);
     let mut qids = Vec::new();
     for _ in 0..REGISTERED {

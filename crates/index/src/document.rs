@@ -118,7 +118,7 @@ impl fmt::Display for Timestamp {
 }
 
 /// A document as it travels through the monitoring system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Document {
     /// Unique identifier.
     pub id: DocId,

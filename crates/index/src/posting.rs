@@ -27,14 +27,14 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use cts_text::Weight;
 
 use crate::document::DocId;
 
 /// One `⟨w_{d,t}, d⟩` impact entry of an inverted list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Posting {
     /// The impact weight `w_{d,t}`.
     pub weight: Weight,
@@ -161,19 +161,6 @@ impl FlatImpactList {
             .copied()
     }
 
-    /// Iterates over postings whose weight lies in `[lower, upper)`, in
-    /// decreasing-weight order. Used by ITA's roll-up to find the documents
-    /// whose only support was the just-raised threshold segment.
-    pub fn iter_weight_range(
-        &self,
-        lower_inclusive: Weight,
-        upper_exclusive: Weight,
-    ) -> impl Iterator<Item = Posting> + '_ {
-        let start = self.first_below(upper_exclusive);
-        let end = self.first_below(lower_inclusive).max(start);
-        self.entries[start..end].iter().copied()
-    }
-
     /// The posting immediately following `previous` in descending order
     /// (strictly after it), if any. Passing `None` returns the first posting.
     /// This is the sequential-descent cursor used by the threshold algorithm.
@@ -188,16 +175,6 @@ impl FlatImpactList {
                 self.entries.get(at).copied()
             }
         }
-    }
-
-    /// The posting immediately **above** the given weight position: the
-    /// lowest-ranked posting whose weight is strictly greater than `weight`.
-    /// This is the `c_t` used when rolling local thresholds *up* (the paper's
-    /// "the ct values are defined by the preceding entry in Lt").
-    pub fn lowest_above(&self, weight: Weight) -> Option<Posting> {
-        self.entries[..self.first_at_or_below(weight)]
-            .last()
-            .copied()
     }
 
     /// Returns the weight stored for `doc`, if the document appears in this
@@ -310,52 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_weight_range_is_half_open() {
-        let l = list(&[(9, 0.16), (7, 0.10), (1, 0.08), (5, 0.07), (8, 0.05)]);
-        // [0.07, 0.10): postings with weight 0.08 and 0.07.
-        let docs: Vec<u64> = l
-            .iter_weight_range(w(0.07), w(0.10))
-            .map(|p| p.doc.0)
-            .collect();
-        assert_eq!(docs, vec![1, 5]);
-        // Empty range when the bounds coincide.
-        assert_eq!(l.iter_weight_range(w(0.08), w(0.08)).count(), 0);
-        // Full coverage.
-        assert_eq!(l.iter_weight_range(w(0.0), w(1.0)).count(), 5);
-    }
-
-    #[test]
-    fn iter_weight_range_with_inverted_bounds_is_empty() {
-        let l = list(&[(9, 0.16), (7, 0.10), (1, 0.08)]);
-        assert_eq!(l.iter_weight_range(w(0.16), w(0.08)).count(), 0);
-    }
-
-    #[test]
     fn iter_at_or_above_includes_equal_weights() {
         let l = list(&[(7, 0.10), (1, 0.08), (5, 0.07), (8, 0.05)]);
         let above: Vec<u64> = l.iter_at_or_above(w(0.08)).map(|p| p.doc.0).collect();
         assert_eq!(above, vec![7, 1]);
-    }
-
-    #[test]
-    fn lowest_above_returns_preceding_entry() {
-        // Paper Fig. 2: local threshold at d5 (0.07); the entry above used for
-        // roll-up is d1 (0.08), then d7 (0.10).
-        let l = list(&[(9, 0.16), (7, 0.10), (1, 0.08), (5, 0.07)]);
-        assert_eq!(l.lowest_above(w(0.07)).unwrap().doc, DocId(1));
-        assert_eq!(l.lowest_above(w(0.08)).unwrap().doc, DocId(7));
-        assert_eq!(l.lowest_above(w(0.10)).unwrap().doc, DocId(9));
-        assert!(l.lowest_above(w(0.16)).is_none());
-        assert!(l.lowest_above(w(0.99)).is_none());
-    }
-
-    #[test]
-    fn lowest_above_with_ties_returns_a_tied_entry_only_if_strictly_greater() {
-        let l = list(&[(1, 0.5), (2, 0.5), (3, 0.3)]);
-        // Strictly above 0.3 → one of the 0.5 postings (the last in order, doc 2).
-        assert_eq!(l.lowest_above(w(0.3)).unwrap().weight, w(0.5));
-        // Strictly above 0.5 → nothing.
-        assert!(l.lowest_above(w(0.5)).is_none());
     }
 
     #[test]
@@ -386,8 +321,6 @@ mod tests {
         let head: Vec<u64> = l.iter_at_or_above(w(0.9)).map(|p| p.doc.0).collect();
         assert_eq!(head, vec![1, 2, 3]);
         assert_eq!(l.iter_below(w(0.9)).count(), 1);
-        assert!(l.lowest_above(w(0.9)).is_none());
-        assert_eq!(l.lowest_above(w(0.5)).unwrap().doc, DocId(3));
     }
 
     #[test]
@@ -409,8 +342,6 @@ mod tests {
         assert_eq!(l.iter_below(w(0.3)).count(), 0);
         assert_eq!(l.iter_at_or_below(w(0.3)).count(), 3);
         assert_eq!(l.iter_at_or_above(w(0.3)).count(), 3);
-        assert_eq!(l.iter_weight_range(w(0.3), w(0.3)).count(), 0);
-        assert!(l.lowest_above(w(0.3)).is_none());
         // Descent cursor walks the tie group by document id.
         let p = l.next_after(None).unwrap();
         assert_eq!(p.doc, DocId(1));

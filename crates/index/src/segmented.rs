@@ -21,10 +21,9 @@
 //!   merge re-split in half if it would itself overflow), so segment count
 //!   stays `Θ(len / capacity)` and every segment except a lone survivor
 //!   stays at least a quarter full.
-//! * Every read path — initial threshold descent, refill resume
-//!   (`iter_at_or_below`), roll-up range probe (`iter_weight_range`,
-//!   `lowest_above`) and the sequential cursor (`next_after`) — is still a
-//!   directory locate followed by **contiguous scans within segments**,
+//! * Every read path — initial threshold descent and refill resume
+//!   (`iter_at_or_below`) and the sequential cursor (`next_after`) — is
+//!   still a directory locate followed by **contiguous scans within segments**,
 //!   which is the access pattern the paper's §III cost model charges for:
 //!   "read a prefix of `L_t`" remains a linear read of adjacent memory, now
 //!   with one extra pointer hop per `capacity` entries visited.
@@ -289,21 +288,6 @@ impl SegmentedImpactList {
         self.iter_from(self.first_at_or_below(weight))
     }
 
-    /// Iterates over postings whose weight lies in `[lower, upper)`, in
-    /// decreasing-weight order. Used by ITA's roll-up to find the documents
-    /// whose only support was the just-raised threshold segment. Inverted or
-    /// empty bounds yield an empty iterator.
-    pub fn iter_weight_range(
-        &self,
-        lower_inclusive: Weight,
-        upper_exclusive: Weight,
-    ) -> impl Iterator<Item = Posting> + '_ {
-        // Weights are non-increasing along the list, so the half-open band is
-        // a take-while from the first entry strictly below `upper`.
-        self.iter_from(self.first_below(upper_exclusive))
-            .take_while(move |p| p.weight >= lower_inclusive)
-    }
-
     /// The posting immediately following `previous` in descending order
     /// (strictly after it), if any. Passing `None` returns the first posting.
     /// This is the sequential-descent cursor used by the threshold algorithm;
@@ -323,21 +307,6 @@ impl SegmentedImpactList {
         // a real entry.
         let off = entries.partition_point(|e| e.rank(&p) != std::cmp::Ordering::Greater);
         entries.get(off).copied()
-    }
-
-    /// The posting immediately **above** the given weight position: the
-    /// lowest-ranked posting whose weight is strictly greater than `weight`.
-    /// This is the `c_t` used when rolling local thresholds *up* (the paper's
-    /// "the ct values are defined by the preceding entry in Lt").
-    pub fn lowest_above(&self, weight: Weight) -> Option<Posting> {
-        let cursor = self.first_at_or_below(weight);
-        if cursor.off > 0 {
-            Some(self.segments[cursor.seg][cursor.off - 1])
-        } else if cursor.seg > 0 {
-            self.segments[cursor.seg - 1].last().copied()
-        } else {
-            None
-        }
     }
 
     /// Returns the weight stored for `doc`, if the document appears in this
@@ -493,10 +462,6 @@ mod tests {
         assert_eq!(l.iter_at_or_above(w(0.5)).count(), 9);
         assert_eq!(l.iter_at_or_below(w(0.5)).count(), 9);
         assert_eq!(l.iter_below(w(0.5)).count(), 0);
-        assert_eq!(l.iter_weight_range(w(0.5), w(0.5)).count(), 0);
-        assert_eq!(l.iter_weight_range(w(0.5), w(0.6)).count(), 9);
-        assert!(l.lowest_above(w(0.5)).is_none());
-        assert_eq!(l.lowest_above(w(0.4)).unwrap().doc, DocId(9));
         // The sequential cursor walks the whole run across boundaries.
         let mut cursor = None;
         let mut seen = Vec::new();
@@ -531,16 +496,9 @@ mod tests {
             (4, 0.02),
         ]);
         assert!(l.num_segments() > 1);
-        assert_eq!(
-            docs_of(l.iter_weight_range(w(0.03), w(0.10))),
-            vec![1, 5, 8, 2]
-        );
-        assert_eq!(l.iter_weight_range(w(0.16), w(0.08)).count(), 0);
         assert_eq!(docs_of(l.iter_below(w(0.07))), vec![8, 2, 4]);
         assert_eq!(docs_of(l.iter_at_or_above(w(0.07))), vec![9, 7, 1, 5]);
-        assert_eq!(l.lowest_above(w(0.07)).unwrap().doc, DocId(1));
-        assert_eq!(l.lowest_above(w(0.10)).unwrap().doc, DocId(9));
-        assert!(l.lowest_above(w(0.16)).is_none());
+        assert_eq!(docs_of(l.iter_at_or_below(w(0.07))), vec![5, 8, 2, 4]);
         assert_eq!(l.weight_of(DocId(8)), Some(w(0.05)));
         assert!(l.weight_of(DocId(42)).is_none());
     }
@@ -554,7 +512,6 @@ mod tests {
         assert!(l.next_after(None).is_none());
         assert_eq!(l.iter_below(w(1.0)).count(), 0);
         assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);
-        assert!(l.lowest_above(w(0.0)).is_none());
         l.check_invariants();
     }
 

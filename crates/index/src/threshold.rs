@@ -16,14 +16,14 @@
 //! pay a tail `memmove`; the `ablation_threshold_tree` benchmark quantifies
 //! the trade against the retained [`crate::baseline::BTreeThresholdTree`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use cts_text::Weight;
 
 use crate::document::QueryId;
 
 /// One `⟨θ_{Q,t}, Q⟩` entry of a threshold tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct ThresholdEntry {
     /// The query's local threshold in this list.
     pub threshold: Weight,

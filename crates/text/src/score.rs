@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::vector::WeightedTerm;
 
@@ -79,7 +79,7 @@ pub fn query_document_score(query: &[WeightedTerm], doc: &[WeightedTerm]) -> f64
 /// Construction via [`Weight::new`] panics on NaN (a NaN weight is always a
 /// programming error upstream — weights come from normalised term
 /// frequencies); [`Weight::try_new`] is available for fallible conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 #[serde(transparent)]
 pub struct Weight(f64);
 

@@ -120,7 +120,7 @@ impl FromIterator<(TermId, u32)> for TermVector {
 /// construction) so the index layer can file impact entries into its ordered
 /// structures without re-validating the `f64` on every document arrival and
 /// expiration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WeightedTerm {
     /// The term.
     pub term: TermId,
@@ -132,7 +132,7 @@ pub struct WeightedTerm {
 ///
 /// This is the "composition list" attached to every streamed document in the
 /// paper's model, and also the representation of a weighted query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct WeightedVector {
     entries: Vec<WeightedTerm>,
 }
