@@ -5,8 +5,8 @@
 //! Protocol (§IV): fill a 10,000-document count-based window from the
 //! synthetic WSJ-like stream (181,978-term vocabulary, 200 docs/s Poisson
 //! arrivals), register N ∈ {100, 250, 500, 1000} queries (10 terms, k = 10),
-//! then measure steady-state events — each arrival expires the oldest
-//! document — through `cts_core::Monitor`. ITA's final top-k for a sample of
+//! then time steady-state events — each arrival expires the oldest
+//! document — one engine call at a time. ITA's final top-k for a sample of
 //! queries is the reference; the naïve engine **and** the sharded-ITA arm
 //! (`--shards N` worker threads over term-filtered shadow indexes) must
 //! reproduce it exactly or the run panics.

@@ -4,8 +4,8 @@
 //!
 //! Protocol (§IV): fix 1,000 continuous queries (10 terms, k = 10) and vary
 //! the count-based window over {10k, 20k, 40k} documents (80k with
-//! `--full`) on the 200 docs/s synthetic WSJ-like stream, measuring
-//! steady-state events through `cts_core::Monitor`. ITA's final top-k for a
+//! `--full`) on the 200 docs/s synthetic WSJ-like stream, timing
+//! steady-state events one engine call at a time. ITA's final top-k for a
 //! sample of queries is the reference; the naïve engine **and** the
 //! sharded-ITA arm (`--shards N` worker threads over term-filtered shadow
 //! indexes) must reproduce it exactly or the run panics.

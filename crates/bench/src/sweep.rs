@@ -27,7 +27,7 @@ use cts_core::validate::{
     compare_to_snapshot, sample_queries, snapshot_results, DEFAULT_TOLERANCE,
 };
 use cts_core::{
-    ContinuousQuery, Engine, ItaConfig, ItaEngine, Monitor, NaiveConfig, NaiveEngine,
+    ContinuousQuery, Engine, ItaConfig, ItaEngine, NaiveConfig, NaiveEngine, ProcessingStats,
     ShardedItaEngine,
 };
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
@@ -300,22 +300,24 @@ fn build_stream(settings: &SweepSettings) -> DocumentStream {
 }
 
 struct DriveOutcome<E: Engine> {
-    monitor: Monitor<E>,
+    engine: E,
+    /// The measured events, timed by [`drive`]'s own loop.
+    stats: ProcessingStats,
     query_ids: Vec<QueryId>,
     fill_seconds: f64,
     register_seconds: f64,
 }
 
-/// Streams one engine through fill → register → measured events. Document
-/// generation happens between `process_document`/`process_batch` calls
-/// (inside [`Monitor::run_batched`]'s untimed buffer fill), so the
-/// monitor's timings never include it (fill_seconds, an informational
+/// Streams one engine through fill → register → measured events. Each
+/// measured `process_document`/`process_batch` call is timed on its own, and
+/// the burst it gets is generated before its clock starts, so the timings
+/// never include document generation (fill_seconds, an informational
 /// total, does). `on_measure_start` runs after fill + registration and
 /// before the first measured event — the hook the sharded arm uses to zero
 /// its per-worker statistics, so worker busy time covers exactly the
 /// measured events the wall-clock mean covers. `batch` > 1 drives the
 /// measured events through the engine's batched path, `batch` events per
-/// round-trip.
+/// round-trip; a trailing burst of one is a single event, recorded as one.
 fn drive<E: Engine>(
     mut engine: E,
     settings: &SweepSettings,
@@ -348,13 +350,25 @@ fn drive<E: Engine>(
     let register_seconds = start.elapsed().as_secs_f64();
 
     on_measure_start(&mut engine);
-    let mut monitor = Monitor::new(engine);
-    monitor.run_batched(
-        (0..settings.measured_events).map(|_| stream.next_document()),
-        batch,
-    );
+    let mut stats = ProcessingStats::default();
+    let mut remaining = settings.measured_events;
+    while remaining > 0 {
+        let mut burst = stream.take_documents(remaining.min(batch.max(1)));
+        remaining -= burst.len();
+        if burst.len() == 1 {
+            let doc = burst.remove(0);
+            let start = Instant::now();
+            let outcome = engine.process_document(doc);
+            stats.record(&outcome, start.elapsed());
+        } else {
+            let start = Instant::now();
+            let outcomes = engine.process_batch(burst);
+            stats.record_batch(&outcomes, start.elapsed());
+        }
+    }
     DriveOutcome {
-        monitor,
+        engine,
+        stats,
         query_ids,
         fill_seconds,
         register_seconds,
@@ -362,10 +376,10 @@ fn drive<E: Engine>(
 }
 
 fn base_report<E: Engine>(settings: &SweepSettings, outcome: &DriveOutcome<E>) -> CellReport {
-    let stats = outcome.monitor.stats();
+    let stats = &outcome.stats;
     let events = stats.events.max(1);
     CellReport {
-        engine: outcome.monitor.name().to_string(),
+        engine: outcome.engine.name().to_string(),
         num_queries: settings.num_queries,
         window_docs: settings.window_docs,
         measured_events: stats.events,
@@ -429,9 +443,9 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
         |_| {},
     );
     let sampled = sample_queries(&outcome.query_ids, settings.self_check_stride);
-    let snapshot = snapshot_results(&outcome.monitor, &sampled);
+    let snapshot = snapshot_results(&outcome.engine, &sampled);
     let mut ita_report = base_report(settings, &outcome);
-    ita_report.index_postings = Some(outcome.monitor.engine().index_stats().postings);
+    ita_report.index_postings = Some(outcome.engine.index_stats().postings);
     ita_report.self_check = "reference".to_string();
     eprintln!(
         "    ita:     mean {:.1} µs/event, {:.1} queries touched/event",
@@ -450,14 +464,14 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
     if let Err(divergence) = compare_to_snapshot(
         "ita",
         &snapshot,
-        &outcome.monitor,
+        &outcome.engine,
         &sampled,
         DEFAULT_TOLERANCE,
     ) {
         panic!("paper-scale self-check failed: {divergence}");
     }
     let mut naive_report = base_report(settings, &outcome);
-    naive_report.recomputations = Some(outcome.monitor.engine().recomputations());
+    naive_report.recomputations = Some(outcome.engine.recomputations());
     naive_report.self_check = format!("ok ({} queries)", sampled.len());
     eprintln!(
         "    naive:   mean {:.1} µs/event, {:.1} queries touched/event",
@@ -498,7 +512,7 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
         if let Err(divergence) = compare_to_snapshot(
             "ita",
             &snapshot,
-            &outcome.monitor,
+            &outcome.engine,
             &sampled,
             DEFAULT_TOLERANCE,
         ) {
@@ -506,7 +520,7 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
         }
         let mut sharded_report = base_report(settings, &outcome);
         sharded_report.batch = batch;
-        let engine = outcome.monitor.engine();
+        let engine = &outcome.engine;
         sharded_report.shards = Some(engine.num_shards());
         sharded_report.migrations = Some(engine.migrations());
         sharded_report.index_postings = Some(
@@ -517,9 +531,14 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
                 .sum(),
         );
         let busy = engine.aggregate_shard_stats();
-        let events = outcome.monitor.stats().events.max(1);
+        let events = outcome.stats.events.max(1);
         sharded_report.shard_busy_per_event_micros =
             Some(busy.total_time.as_secs_f64() * 1e6 / events as f64);
+        if batch > 1 {
+            // A batch has no per-event split on the caller's side; the
+            // workers timed every event of it.
+            sharded_report.max_event_micros = busy.max_event_time.as_secs_f64() * 1e6;
+        }
         let fault_stats = engine.fault_stats().expect("sharded engines track faults");
         sharded_report.faults = Some(fault_stats.faults);
         sharded_report.recoveries = Some(fault_stats.recoveries);

@@ -3,8 +3,8 @@
 //! All monitoring strategies expose the same interface: register continuous
 //! queries, feed stream events (each document arrival may trigger window
 //! expirations), and read the current top-k of any query. Benchmarks, tests
-//! and the [`crate::Monitor`] wrapper are generic over this trait, which is
-//! what makes the paper's ITA-vs-Naïve comparison a one-line swap.
+//! and the [`crate::StreamService`] front-end are generic over this trait,
+//! which is what makes the paper's ITA-vs-Naïve comparison a one-line swap.
 
 use cts_index::{DocId, Document, QueryId, Timestamp};
 
@@ -161,17 +161,6 @@ pub trait Engine {
     /// A short, stable name for reporting ("ita", "naive", …).
     fn name(&self) -> &'static str;
 
-    /// The most expensive single event observed *inside* any batch this
-    /// engine processed via [`Engine::process_batch`], when the engine times
-    /// its batched events individually (the sharded engine's workers do,
-    /// per-shard). `None` means the engine has no per-event view of its
-    /// batches — the monitor can then only time whole batches, and
-    /// `max_event_micros` stays 0 on purely batch-fed runs. Cumulative since
-    /// the engine's stats were last reset.
-    fn batched_max_event_time(&self) -> Option<std::time::Duration> {
-        None
-    }
-
     /// Arms one injected fault on `shard`, for engines that support fault
     /// injection: the next stream event that shard processes is applied and
     /// then the worker panics mid-request, exercising the recovery path.
@@ -243,10 +232,6 @@ impl<E: Engine + ?Sized> Engine for &mut E {
 
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn batched_max_event_time(&self) -> Option<std::time::Duration> {
-        (**self).batched_max_event_time()
     }
 
     fn inject_fault(&mut self, shard: usize) -> bool {

@@ -3,7 +3,7 @@
 //! This crate implements the contribution of the ICDE 2009 paper
 //! *"An Incremental Threshold Method for Continuous Text Search Queries"*
 //! (Mouratidis & Pang): the **Incremental Threshold Algorithm (ITA)**, plus
-//! the baselines it is evaluated against, and the two layers a caller puts
+//! the baselines it is evaluated against, and the one layer a caller puts
 //! around an engine.
 //!
 //! * [`ContinuousQuery`] — a registered query: weighted search terms and `k`.
@@ -23,10 +23,10 @@
 //!   results byte-identical to [`ItaEngine`]'s, and event outcomes too up
 //!   to a shard's first fault (a faulted shard is rebuilt from the
 //!   coordinator's window mirror).
-//! * [`Monitor`] — times every stream event (the paper's "processing time"
-//!   metric) around any engine; it is an [`Engine`] itself.
-//! * [`StreamService`] — admission control in front of a monitored engine: a
-//!   bounded ingest queue with explicit accept/coalesce/shed/retry answers.
+//! * [`StreamService`] — admission control in front of any engine: a
+//!   bounded ingest queue with explicit accept/coalesce/shed/retry answers,
+//!   timing each burst it hands the engine into [`ProcessingStats`] (the
+//!   paper's "processing time" metric).
 //!
 //! # Quick example
 //!
@@ -58,7 +58,6 @@
 pub mod engine;
 pub mod fault;
 pub mod ita;
-pub mod monitor;
 pub mod naive;
 pub mod oracle;
 pub mod query;
@@ -66,6 +65,7 @@ pub mod result;
 pub mod service;
 pub mod sharded;
 pub mod slab;
+pub mod stats;
 pub mod testkit;
 pub mod validate;
 
@@ -75,7 +75,6 @@ pub use fault::{
     POISON_DOC_TEXT,
 };
 pub use ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
-pub use monitor::{Monitor, OverloadStats, ProcessingStats};
 pub use naive::{NaiveConfig, NaiveEngine};
 pub use oracle::BruteForceOracle;
 pub use query::ContinuousQuery;
@@ -83,3 +82,4 @@ pub use result::ResultSet;
 pub use service::{Admission, DrainReport, ServiceConfig, ShedReason, StreamService};
 pub use sharded::{RebalanceConfig, ShardedItaEngine};
 pub use slab::QuerySlab;
+pub use stats::{OverloadStats, ProcessingStats};

@@ -2,8 +2,8 @@
 //! explicit admission control, deadline-aware load shedding and burst
 //! coalescing around any [`Engine`].
 //!
-//! A bare [`Monitor`] assumes a polite caller that feeds events no faster
-//! than the engine drains them. [`StreamService`] drops that assumption: it
+//! A bare [`Engine`] assumes a polite caller that feeds events no faster
+//! than it drains them. [`StreamService`] drops that assumption: it
 //! sits between an abusive stream source and the engine, admits events into
 //! a **bounded queue** ([`ServiceConfig::queue_capacity`]) and answers every
 //! offer with an explicit [`Admission`]:
@@ -31,7 +31,9 @@
 //! whatever is queued goes to the engine as one [`Engine::process_batch`]
 //! burst (of at most [`ServiceConfig::max_coalesce`] events), so a deep queue
 //! is **coalesced** and a queue one deep is a burst of one, which every
-//! engine processes — and [`Monitor`] records — as the single event it is.
+//! engine processes — and the service records — as the single event it is.
+//! The service times each burst's engine call, and nothing else (no
+//! registration flush, no shedding), into [`StreamService::stats`].
 //!
 //! # Exactness of the accepted sequence
 //!
@@ -54,14 +56,14 @@
 //! is a pure function of the offered sequence and replays exactly.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cts_index::{DocId, Document, QueryId, Timestamp};
 
 use crate::engine::{Engine, EventOutcome, IngestEvent};
-use crate::monitor::{Monitor, OverloadStats, ProcessingStats};
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
+use crate::stats::{OverloadStats, ProcessingStats};
 
 /// Why a queue-owned event was dropped instead of processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +203,10 @@ pub struct DrainReport {
 /// [module docs](crate::service) for the admission and shedding model.
 #[derive(Debug)]
 pub struct StreamService<E: Engine> {
-    monitor: Monitor<E>,
+    engine: E,
+    /// What the engine's event calls cost; the admission ledger lives in
+    /// `overload` and joins it in [`StreamService::stats`].
+    stats: ProcessingStats,
     config: ServiceConfig,
     queue: VecDeque<IngestEvent>,
     pending_registers: VecDeque<ContinuousQuery>,
@@ -215,7 +220,8 @@ impl<E: Engine> StreamService<E> {
     /// documented minima are clamped (see [`ServiceConfig`]).
     pub fn new(engine: E, config: ServiceConfig) -> Self {
         Self {
-            monitor: Monitor::new(engine),
+            engine,
+            stats: ProcessingStats::default(),
             config: config.normalized(),
             queue: VecDeque::new(),
             pending_registers: VecDeque::new(),
@@ -253,7 +259,7 @@ impl<E: Engine> StreamService<E> {
     pub fn is_backpressured(&self) -> bool {
         self.queue.len() >= self.config.backpressure_watermark
             && self
-                .monitor
+                .engine
                 .fault_stats()
                 .is_some_and(|faults| faults.any_degraded())
     }
@@ -333,7 +339,7 @@ impl<E: Engine> StreamService<E> {
         if self.pending_registers.is_empty() && self.queue.len() < self.config.register_pressure {
             self.overload.register_offered += 1;
             self.overload.register_immediate += 1;
-            let id = self.monitor.register(query);
+            let id = self.engine.register(query);
             return (Admission::Accepted, Some(id));
         }
         if self.pending_registers.len() >= self.config.register_capacity {
@@ -360,7 +366,7 @@ impl<E: Engine> StreamService<E> {
     /// Returns `true` if it existed. A query still pending coalesced
     /// registration has no id yet and cannot be addressed here.
     pub fn deregister(&mut self, query: QueryId) -> bool {
-        self.monitor.deregister(query)
+        self.engine.deregister(query)
     }
 
     /// Drains the whole queue at stream time `now`: flushes pending
@@ -381,7 +387,7 @@ impl<E: Engine> StreamService<E> {
         let mut report = DrainReport::default();
         if !self.pending_registers.is_empty() {
             let queries: Vec<ContinuousQuery> = self.pending_registers.drain(..).collect();
-            report.registered = self.monitor.register_batch(queries);
+            report.registered = self.engine.register_batch(queries);
         }
         self.shed_expired();
         let mut budget = budget;
@@ -389,15 +395,20 @@ impl<E: Engine> StreamService<E> {
             let take = self.queue.len().min(self.config.max_coalesce).min(budget);
             let batch: Vec<Document> = self.queue.drain(..take).map(|event| event.doc).collect();
             report.processed.extend(batch.iter().map(|doc| doc.id));
-            report.outcomes.extend(self.monitor.process_batch(batch));
-            // A burst of one is a single event, counted as one.
-            if take == 1 {
+            let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the burst for stats; never read by admission)
+            let outcomes = self.engine.process_batch(batch);
+            let elapsed = start.elapsed();
+            // A burst of one is a single event, counted and timed as one.
+            if let [outcome] = outcomes.as_slice() {
+                self.stats.record(outcome, elapsed);
                 self.overload.accepted += 1;
                 report.singletons += 1;
             } else {
+                self.stats.record_batch(&outcomes, elapsed);
                 self.overload.coalesced += take as u64;
                 report.batches += 1;
             }
+            report.outcomes.extend(outcomes);
             budget -= take;
         }
         report.shed = std::mem::take(&mut self.shed_log);
@@ -420,34 +431,37 @@ impl<E: Engine> StreamService<E> {
     }
 
     /// Cumulative processing statistics with the overload counters folded
-    /// in (see [`ProcessingStats::overload`]).
+    /// in (see [`ProcessingStats::overload`]). `total_time` is the wall clock
+    /// of the engine's event calls alone: a burst of one is recorded as one
+    /// event, a larger burst as one batch.
     pub fn stats(&self) -> ProcessingStats {
-        let mut stats = *self.monitor.stats();
-        stats.overload = self.overload;
-        stats
+        ProcessingStats {
+            overload: self.overload,
+            ..self.stats
+        }
     }
 
     /// The current top-k of `query`, best first.
     pub fn results(&self, query: QueryId) -> Vec<RankedDocument> {
-        self.monitor.current_results(query)
+        self.engine.current_results(query)
     }
 
     /// Number of registered queries (pending coalesced registrations are not
     /// yet registered).
     pub fn num_queries(&self) -> usize {
-        self.monitor.num_queries()
+        self.engine.num_queries()
     }
 
     /// The wrapped engine.
     pub fn engine(&self) -> &E {
-        self.monitor.engine()
+        &self.engine
     }
 
     /// Mutable access to the wrapped engine (fault injection, explicit
     /// recovery). Events processed directly on the engine bypass the queue,
     /// the accounting and the timing.
     pub fn engine_mut(&mut self) -> &mut E {
-        self.monitor.engine_mut()
+        &mut self.engine
     }
 
     fn advance_clock(&mut self, now: Timestamp) {

@@ -23,8 +23,8 @@
 //! per-shard [`crate::EventOutcome`]s are folded back with
 //! [`crate::EventOutcome::merge_shard`] into exactly what a single-shard
 //! engine would have reported, and per-worker [`ProcessingStats`] merge
-//! through [`ProcessingStats::absorb`], so monitors and the sweep harness
-//! see exact aggregate numbers.
+//! through [`ProcessingStats::absorb`], so the sweep harness sees exact
+//! aggregate numbers, per-event maxima of batched runs included.
 //!
 //! ## Skew-aware rebalancing
 //!
@@ -132,9 +132,9 @@ use cts_index::{
 use crate::engine::{Engine, EventOutcome};
 use crate::fault::{is_poison_document, EngineError, FaultPolicy, FaultStats, ShardFault};
 use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
-use crate::monitor::ProcessingStats;
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
+use crate::stats::ProcessingStats;
 
 /// A registration burst as it travels: each query under its globally
 /// assigned id, every query one allocation shared by the coordinator's
@@ -208,10 +208,8 @@ enum ShardRequest {
 enum ShardReply {
     Registered,
     Deregistered(bool),
-    /// The per-document outcomes plus the most expensive single event of the
-    /// batch as timed by this worker — the coordinator folds the maxima so
-    /// batch-fed monitors still learn a true per-event maximum.
-    ProcessedBatch(Vec<EventOutcome>, Duration),
+    /// The per-document outcomes, in order.
+    ProcessedBatch(Vec<EventOutcome>),
     Extracted(Option<Box<QueryMigration>>),
     Installed,
     Results(Vec<RankedDocument>),
@@ -289,7 +287,7 @@ impl ShardWorker {
     /// Processes and times one stream event. A panic — the engine's or an
     /// injected one, which fires after the event is applied — unwinds to
     /// [`ShardWorker::guarded`], which poisons the shard.
-    fn process_one(&mut self, doc: Arc<Document>) -> Result<(EventOutcome, Duration), ShardFault> {
+    fn process_one(&mut self, doc: Arc<Document>) -> Result<EventOutcome, ShardFault> {
         let inject = self.take_injection(&doc);
         let doc_id = doc.id;
         let engine = self.live_mut()?;
@@ -301,7 +299,7 @@ impl ShardWorker {
             panic!("injected fault while processing document {}", doc_id.0);
         }
         self.stats.record(&outcome, elapsed);
-        Ok((outcome, elapsed))
+        Ok(outcome)
     }
 
     /// The engine, for a request that only reads it — or the fault to
@@ -366,14 +364,11 @@ impl ShardWorker {
                 // outcomes and the per-worker stats do not depend on how the
                 // stream was cut into bursts. A mid-batch fault fails the
                 // whole batch reply (the shard is degraded anyway).
-                let mut max_event = Duration::ZERO;
                 let mut outcomes = Vec::with_capacity(docs.len());
                 for doc in docs.iter() {
-                    let (outcome, elapsed) = self.process_one(Arc::clone(doc))?;
-                    max_event = max_event.max(elapsed);
-                    outcomes.push(outcome);
+                    outcomes.push(self.process_one(Arc::clone(doc))?);
                 }
-                ShardReply::ProcessedBatch(outcomes, max_event)
+                ShardReply::ProcessedBatch(outcomes)
             }
             ShardRequest::Extract(qid) => {
                 ShardReply::Extracted(self.live_mut()?.extract_query(qid).map(Box::new))
@@ -619,11 +614,6 @@ pub struct ShardedItaEngine {
     fault_state: RefCell<FaultState>,
     /// Total queries migrated by the rebalancer since construction.
     migrations: u64,
-    /// Most expensive single event seen inside any processed burst, as timed
-    /// by the workers (max over shards and bursts, of whatever length). What
-    /// [`Engine::batched_max_event_time`] reports; cleared by
-    /// [`ShardedItaEngine::reset_shard_stats`].
-    batched_max_event: Duration,
     num_queries: usize,
     next_query: u32,
     clock: Timestamp,
@@ -708,7 +698,6 @@ impl ShardedItaEngine {
                 degraded: vec![false; spawned],
             }),
             migrations: 0,
-            batched_max_event: Duration::ZERO,
             num_queries: 0,
             next_query: 0,
             clock: Timestamp::ZERO,
@@ -1070,12 +1059,10 @@ impl ShardedItaEngine {
                 ..EventOutcome::default()
             })
             .collect();
-        let mut batch_max = Duration::ZERO;
         for shard in pending {
             match self.recv_reply(shard) {
-                Ok(ShardReply::ProcessedBatch(outcomes, max_event)) => {
+                Ok(ShardReply::ProcessedBatch(outcomes)) => {
                     debug_assert_eq!(outcomes.len(), merged.len(), "shards saw different bursts");
-                    batch_max = batch_max.max(max_event);
                     for (into, outcome) in merged.iter_mut().zip(&outcomes) {
                         into.merge_shard(outcome);
                     }
@@ -1086,7 +1073,6 @@ impl ShardedItaEngine {
                 }
             }
         }
-        self.batched_max_event = self.batched_max_event.max(batch_max);
         if let Some(err) = first_error {
             self.handle_shard_failure(err)?;
         }
@@ -1300,14 +1286,15 @@ impl ShardedItaEngine {
             |_| true,
         );
         assert!(acks.iter().all(|ok| *ok), "shard replied out of order");
-        self.batched_max_event = Duration::ZERO;
     }
 
     /// The exact aggregate of every worker's processing statistics, merged
     /// with [`ProcessingStats::absorb`]. `events` counts each stream event
     /// once per shard (every shard handles every event); `total_time` is the
-    /// summed busy time across workers — divide by the wall-clock event time
-    /// of an enclosing [`crate::Monitor`] to read parallel utilisation.
+    /// summed busy time across workers — divide by the caller's own
+    /// wall-clock event time to read parallel utilisation;
+    /// `max_event_time` is the slowest single event any worker processed,
+    /// whatever the bursts were.
     pub fn aggregate_shard_stats(&self) -> ProcessingStats {
         let mut merged = ProcessingStats::default();
         for stats in self.shard_stats() {
@@ -1538,10 +1525,6 @@ impl Engine for ShardedItaEngine {
 
     fn name(&self) -> &'static str {
         "sharded-ita"
-    }
-
-    fn batched_max_event_time(&self) -> Option<Duration> {
-        Some(self.batched_max_event)
     }
 
     fn inject_fault(&mut self, shard: usize) -> bool {

@@ -1,18 +1,16 @@
-//! Event timing around any [`Engine`].
+//! Event-processing statistics.
 //!
 //! The paper's headline metric is *processing time per stream event*
-//! (arrival plus the expirations it triggers). [`Monitor`] wraps an engine,
-//! times every [`Engine::process_document`] call with a monotonic clock and
-//! accumulates [`ProcessingStats`]. It implements [`Engine`] itself, so a
-//! monitored engine drops into any harness unchanged.
+//! (arrival plus the expirations it triggers). [`ProcessingStats`]
+//! accumulates it, with the work counters of every [`EventOutcome`], at the
+//! one place each figure is measured: a shard worker times each event it
+//! processes, [`crate::StreamService`] times each burst it hands its engine,
+//! and a bench harness times its own loop. [`OverloadStats`] is the
+//! service's admission ledger, carried inside.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cts_index::{Document, QueryId, Timestamp};
-
-use crate::engine::{Engine, EventOutcome};
-use crate::query::ContinuousQuery;
-use crate::result::RankedDocument;
+use crate::engine::EventOutcome;
 
 /// Admission-control and load-shedding counters of a bounded-queue
 /// streaming front-end ([`crate::StreamService`]).
@@ -41,8 +39,9 @@ pub struct OverloadStats {
     /// Owned events processed as a burst of one (drained alone). Disjoint
     /// from `coalesced`.
     pub accepted: u64,
-    /// Owned events processed as members of an [`Engine::process_batch`]
-    /// burst of two or more. Disjoint from `accepted`.
+    /// Owned events processed as members of a
+    /// [`crate::Engine::process_batch`] burst of two or more. Disjoint from
+    /// `accepted`.
     pub coalesced: u64,
     /// Owned events dropped because their ingest deadline passed
     /// (oldest-first).
@@ -62,7 +61,7 @@ pub struct OverloadStats {
     /// Registrations performed immediately (no pressure).
     pub register_immediate: u64,
     /// Registrations queued and later flushed through one
-    /// [`Engine::register_batch`] call (coalesced under pressure).
+    /// [`crate::Engine::register_batch`] call (coalesced under pressure).
     pub register_coalesced: u64,
     /// `Retry { after }` hints issued because the pending-register queue was
     /// at capacity. Not counted in `register_offered`.
@@ -158,12 +157,12 @@ pub struct ProcessingStats {
     /// Total wall-clock time spent inside `process_document` /
     /// `process_batch`.
     pub total_time: Duration,
-    /// The most expensive single event. Individually-timed events always
-    /// contribute; batches contribute when the engine times its batched
-    /// events internally and surfaces the in-batch maximum (the sharded
-    /// engine's workers do — see [`crate::Engine::batched_max_event_time`]
-    /// and the `max_event` parameter of [`ProcessingStats::record_batch`]).
-    /// Whole-batch wall clock is tracked separately as
+    /// The most expensive single event recorded through
+    /// [`ProcessingStats::record`]. A batch has no per-event split, so
+    /// [`ProcessingStats::record_batch`] leaves this alone; whoever times
+    /// the events one by one inside a batch (the sharded engine's workers,
+    /// read through [`crate::ShardedItaEngine::shard_stats`]) holds that
+    /// maximum. Whole-batch wall clock is tracked separately as
     /// [`ProcessingStats::max_batch_time`].
     pub max_event_time: Duration,
     /// Number of [`crate::Engine::process_batch`] calls recorded (singleton
@@ -174,8 +173,8 @@ pub struct ProcessingStats {
     /// The most expensive single batch (whole-batch wall clock).
     pub max_batch_time: Duration,
     /// Admission-control counters when the events flowed through a bounded
-    /// ingest queue ([`crate::StreamService`]); all-zero for unbounded
-    /// monitors. Carried through [`ProcessingStats::absorb`] and
+    /// ingest queue ([`crate::StreamService`]); all-zero everywhere else.
+    /// Carried through [`ProcessingStats::absorb`] and
     /// [`ProcessingStats::delta_since`] like every other counter.
     pub overload: OverloadStats,
 }
@@ -198,17 +197,8 @@ impl ProcessingStats {
     /// totals. Counters sum exactly as if each event had been recorded
     /// individually; `elapsed` goes to `total_time` (keeping
     /// [`ProcessingStats::mean_event_time`] exact) and to the batch-level
-    /// maximum. `max_event` is the most expensive single event *within* the
-    /// batch when the engine timed its batched events internally (see
-    /// [`crate::Engine::batched_max_event_time`]); it folds into
-    /// `max_event_time` via max, so pass [`Duration::ZERO`] when the split is
-    /// unknown and the field is simply left alone.
-    pub fn record_batch(
-        &mut self,
-        outcomes: &[EventOutcome],
-        elapsed: Duration,
-        max_event: Duration,
-    ) {
+    /// maximum; `max_event_time` is left alone.
+    pub fn record_batch(&mut self, outcomes: &[EventOutcome], elapsed: Duration) {
         self.events += outcomes.len() as u64;
         for outcome in outcomes {
             self.expirations += outcome.expired as u64;
@@ -217,9 +207,6 @@ impl ProcessingStats {
             self.results_changed += outcome.results_changed as u64;
         }
         self.total_time += elapsed;
-        if max_event > self.max_event_time {
-            self.max_event_time = max_event;
-        }
         self.batches += 1;
         self.largest_batch = self.largest_batch.max(outcomes.len() as u64);
         if elapsed > self.max_batch_time {
@@ -232,7 +219,7 @@ impl ProcessingStats {
     /// Computed in integer nanoseconds: `Duration / u32` would need the event
     /// count clamped to `u32::MAX`, silently inflating the mean once more
     /// than 2^32 events have been recorded — exactly the regime a
-    /// long-running monitor is for.
+    /// long-running service is in.
     pub fn mean_event_time(&self) -> Duration {
         if self.events == 0 {
             return Duration::ZERO;
@@ -260,8 +247,7 @@ impl ProcessingStats {
     }
 
     /// Folds another accumulator into this one — the combinator behind every
-    /// multi-source aggregation (the sharded engine's per-worker stats, batch
-    /// deltas in [`Monitor::run`]).
+    /// multi-source aggregation (the sharded engine's per-worker stats).
     ///
     /// The merge is exact: counters and `total_time` (integer nanoseconds)
     /// add, `max_event_time` takes the maximum, and derived quantities like
@@ -283,13 +269,12 @@ impl ProcessingStats {
     }
 
     /// The change in counters since `earlier` (saturating; `earlier` should
-    /// be a previous snapshot of the same monitor).
+    /// be a previous snapshot of the same accumulator).
     ///
     /// Note the wart this pattern carries: `max_event_time` is the
-    /// *cumulative* maximum, not the interval's. Batch aggregation should
+    /// *cumulative* maximum, not the interval's. Interval aggregation should
     /// prefer recording into a fresh accumulator and
-    /// [`ProcessingStats::absorb`]ing it (what [`Monitor::run`] does), which
-    /// keeps every field exact.
+    /// [`ProcessingStats::absorb`]ing it, which keeps every field exact.
     pub fn delta_since(&self, earlier: &ProcessingStats) -> ProcessingStats {
         ProcessingStats {
             events: self.events.saturating_sub(earlier.events),
@@ -311,217 +296,13 @@ impl ProcessingStats {
     }
 }
 
-/// An [`Engine`] wrapper that times every stream event.
-#[derive(Debug, Clone)]
-pub struct Monitor<E> {
-    engine: E,
-    stats: ProcessingStats,
-}
-
-impl<E: Engine> Monitor<E> {
-    /// Wraps `engine`.
-    pub fn new(engine: E) -> Self {
-        Self {
-            engine,
-            stats: ProcessingStats::default(),
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// Mutable access to the wrapped engine. Events processed directly on
-    /// the inner engine bypass timing.
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
-    }
-
-    /// Consumes the monitor, returning the engine.
-    pub fn into_inner(self) -> E {
-        self.engine
-    }
-
-    /// The statistics accumulated so far.
-    pub fn stats(&self) -> &ProcessingStats {
-        &self.stats
-    }
-
-    /// Processes a whole batch of documents, returning the statistics for
-    /// exactly this batch. The batch is recorded into a fresh accumulator and
-    /// [`ProcessingStats::absorb`]ed into the cumulative stats, so cumulative
-    /// and per-batch views are built from the same exact integer totals.
-    pub fn run<I>(&mut self, docs: I) -> ProcessingStats
-    where
-        I: IntoIterator<Item = Document>,
-    {
-        let mut batch = ProcessingStats::default();
-        for doc in docs {
-            let start = Instant::now();
-            let outcome = self.engine.process_document(doc);
-            batch.record(&outcome, start.elapsed());
-        }
-        self.stats.absorb(&batch);
-        batch
-    }
-
-    /// Drives the whole document iterator through the engine's batched path,
-    /// `batch` events per [`Engine::process_batch`] call (the final batch may
-    /// be shorter), returning the statistics for exactly this run. Outcomes
-    /// are byte-identical to [`Monitor::run`] — batching only amortises
-    /// dispatch — but timing is recorded per batch, not per event. A `batch`
-    /// of 1 (or 0, treated as 1) degenerates to [`Monitor::run`] exactly,
-    /// per-event maxima included.
-    pub fn run_batched<I>(&mut self, docs: I, batch: usize) -> ProcessingStats
-    where
-        I: IntoIterator<Item = Document>,
-    {
-        let batch = batch.max(1);
-        if batch == 1 {
-            return self.run(docs);
-        }
-        let mut stats = ProcessingStats::default();
-        let mut docs = docs.into_iter().peekable();
-        let mut buffer = Vec::with_capacity(batch);
-        while docs.peek().is_some() {
-            buffer.extend(docs.by_ref().take(batch));
-            if buffer.len() == 1 {
-                // A trailing partial batch of one is a single event, and is
-                // recorded as one (per-event maxima included, `batches` not
-                // bumped) — the same singleton routing Engine::process_batch
-                // on Monitor performs.
-                let doc = buffer.pop().expect("len checked");
-                let start = Instant::now();
-                let outcome = self.engine.process_document(doc);
-                stats.record(&outcome, start.elapsed());
-                continue;
-            }
-            let (outcomes, elapsed, in_batch_max) = self.timed_batch(std::mem::take(&mut buffer));
-            stats.record_batch(&outcomes, elapsed, in_batch_max);
-            buffer = Vec::with_capacity(batch);
-        }
-        self.stats.absorb(&stats);
-        stats
-    }
-
-    /// Resets the accumulated statistics to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = ProcessingStats::default();
-    }
-
-    /// Times one [`Engine::process_batch`] call, returning the outcomes, the
-    /// whole-batch wall clock, and the most expensive single event *within*
-    /// this batch when the engine surfaces one.
-    ///
-    /// The engine only reports a *cumulative* per-event maximum
-    /// ([`Engine::batched_max_event_time`]), so the batch's own maximum is
-    /// recovered by snapshotting around the call: if the cumulative maximum
-    /// grew, an event in this batch set it and the new value is exactly this
-    /// batch's maximum; if it did not, this batch's maximum is unknown but
-    /// cannot exceed what `max_event_time` already holds, so reporting ZERO
-    /// keeps the fold exact.
-    fn timed_batch(&mut self, docs: Vec<Document>) -> (Vec<EventOutcome>, Duration, Duration) {
-        let before = self
-            .engine
-            .batched_max_event_time()
-            .unwrap_or(Duration::ZERO);
-        let start = Instant::now();
-        let outcomes = self.engine.process_batch(docs);
-        let elapsed = start.elapsed();
-        let after = self
-            .engine
-            .batched_max_event_time()
-            .unwrap_or(Duration::ZERO);
-        let in_batch_max = if after > before {
-            after
-        } else {
-            Duration::ZERO
-        };
-        (outcomes, elapsed, in_batch_max)
-    }
-}
-
-impl<E: Engine> Engine for Monitor<E> {
-    fn register(&mut self, query: ContinuousQuery) -> QueryId {
-        self.engine.register(query)
-    }
-
-    fn register_batch(&mut self, queries: Vec<ContinuousQuery>) -> Vec<QueryId> {
-        self.engine.register_batch(queries)
-    }
-
-    fn deregister(&mut self, query: QueryId) -> bool {
-        self.engine.deregister(query)
-    }
-
-    fn process_document(&mut self, doc: Document) -> EventOutcome {
-        let start = Instant::now();
-        let outcome = self.engine.process_document(doc);
-        self.stats.record(&outcome, start.elapsed());
-        outcome
-    }
-
-    fn process_batch(&mut self, docs: Vec<Document>) -> Vec<EventOutcome> {
-        // An empty batch is a no-op and must not touch the stats (a timed
-        // zero-event batch would inflate `batches` and drift the mean); a
-        // singleton batch is recorded through the per-event path, so the
-        // batch==1 protocol produces stats indistinguishable from singles
-        // (per-event maxima included).
-        if docs.is_empty() {
-            return Vec::new();
-        }
-        if docs.len() == 1 {
-            let doc = docs.into_iter().next().expect("len checked");
-            return vec![self.process_document(doc)];
-        }
-        let (outcomes, elapsed, in_batch_max) = self.timed_batch(docs);
-        self.stats.record_batch(&outcomes, elapsed, in_batch_max);
-        outcomes
-    }
-
-    fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
-        self.engine.current_results(query)
-    }
-
-    fn num_queries(&self) -> usize {
-        self.engine.num_queries()
-    }
-
-    fn num_valid_documents(&self) -> usize {
-        self.engine.num_valid_documents()
-    }
-
-    fn clock(&self) -> Timestamp {
-        self.engine.clock()
-    }
-
-    fn name(&self) -> &'static str {
-        self.engine.name()
-    }
-
-    fn batched_max_event_time(&self) -> Option<Duration> {
-        self.engine.batched_max_event_time()
-    }
-
-    fn inject_fault(&mut self, shard: usize) -> bool {
-        self.engine.inject_fault(shard)
-    }
-
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.engine.fault_stats()
-    }
-
-    fn check_invariants(&self) {
-        self.engine.check_invariants()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::ita::{ItaConfig, ItaEngine};
-    use cts_index::{DocId, SlidingWindow};
+    use crate::query::ContinuousQuery;
+    use cts_index::{DocId, Document, SlidingWindow, Timestamp};
     use cts_text::{TermId, WeightedVector};
 
     fn doc(id: u64, weight: f64) -> Document {
@@ -532,51 +313,43 @@ mod tests {
         )
     }
 
-    fn monitored() -> Monitor<ItaEngine> {
-        Monitor::new(ItaEngine::new(
-            SlidingWindow::count_based(2),
-            ItaConfig::default(),
-        ))
+    /// Five events through a two-document window, each recorded with a
+    /// known duration: 10, 20, … 50 ns.
+    fn five_recorded_events() -> Vec<ProcessingStats> {
+        let mut engine = ItaEngine::new(SlidingWindow::count_based(2), ItaConfig::default());
+        engine.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
+        let mut stats = ProcessingStats::default();
+        let mut snapshots = Vec::new();
+        for i in 0..5u64 {
+            let outcome = engine.process_document(doc(i, 0.1 * (i + 1) as f64));
+            stats.record(&outcome, Duration::from_nanos(10 * (i + 1)));
+            snapshots.push(stats);
+        }
+        snapshots
     }
 
     #[test]
     fn events_are_counted_and_timed() {
-        let mut m = monitored();
-        let q = m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        for i in 0..5 {
-            m.process_document(doc(i, 0.1 * (i + 1) as f64));
-        }
-        let stats = m.stats();
+        let stats = *five_recorded_events().last().expect("five events");
         assert_eq!(stats.events, 5);
         assert_eq!(stats.expirations, 3);
-        assert!(stats.total_time >= stats.max_event_time);
-        assert!(stats.mean_event_time() <= stats.max_event_time);
+        assert_eq!(stats.total_time, Duration::from_nanos(150));
+        assert_eq!(stats.max_event_time, Duration::from_nanos(50));
+        assert_eq!(stats.mean_event_time(), Duration::from_nanos(30));
         assert!(stats.events_per_second() > 0.0);
-        assert_eq!(m.current_results(q).len(), 1);
-        assert_eq!(m.name(), "ita");
-    }
-
-    #[test]
-    fn reset_clears_the_counters() {
-        let mut m = monitored();
-        m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        m.process_document(doc(0, 0.5));
-        assert_eq!(m.stats().events, 1);
-        m.reset_stats();
-        assert_eq!(m.stats(), &ProcessingStats::default());
+        assert!(stats.queries_touched_by_arrival > 0);
+        assert_eq!(stats.batches, 0);
     }
 
     #[test]
     fn delta_since_subtracts_counters() {
-        let mut m = monitored();
-        m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        m.process_document(doc(0, 0.5));
-        let snapshot = *m.stats();
-        m.process_document(doc(1, 0.6));
-        m.process_document(doc(2, 0.7));
-        let delta = m.stats().delta_since(&snapshot);
+        let snapshots = five_recorded_events();
+        let delta = snapshots[2].delta_since(&snapshots[0]);
         assert_eq!(delta.events, 2);
         assert_eq!(delta.expirations, 1);
+        assert_eq!(delta.total_time, Duration::from_nanos(50));
+        // The wart: the maximum stays cumulative, not the interval's.
+        assert_eq!(delta.max_event_time, Duration::from_nanos(30));
     }
 
     #[test]
@@ -670,20 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn run_returns_batch_stats_and_absorbs_them_into_the_cumulative_view() {
-        let mut m = monitored();
-        m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        let first = m.run((0..3u64).map(|i| doc(i, 0.5)));
-        assert_eq!(first.events, 3);
-        assert_eq!(m.stats().events, 3);
-        let second = m.run((3..8u64).map(|i| doc(i, 0.5)));
-        assert_eq!(second.events, 5);
-        assert_eq!(second.expirations, 5);
-        assert_eq!(m.stats().events, 8);
-        assert_eq!(m.stats().total_time, first.total_time + second.total_time);
-    }
-
-    #[test]
     fn record_batch_sums_counters_like_singles_and_tracks_batch_shape() {
         let outcome = |touched: usize| EventOutcome {
             queries_touched_by_arrival: touched,
@@ -697,11 +456,7 @@ mod tests {
             singles.record(o, Duration::from_nanos(20));
         }
         let mut batched = ProcessingStats::default();
-        batched.record_batch(
-            &outcomes,
-            Duration::from_nanos(100),
-            Duration::from_nanos(40),
-        );
+        batched.record_batch(&outcomes, Duration::from_nanos(100));
         // Same counters, same total time; only the per-event/batch timing
         // split differs.
         assert_eq!(batched.events, singles.events);
@@ -716,81 +471,20 @@ mod tests {
         assert_eq!(batched.batches, 1);
         assert_eq!(batched.largest_batch, 5);
         assert_eq!(batched.max_batch_time, Duration::from_nanos(100));
-        // The engine-reported in-batch maximum lands in max_event_time …
-        assert_eq!(batched.max_event_time, Duration::from_nanos(40));
-        // … and a ZERO (split unknown) leaves it untouched.
-        batched.record_batch(&outcomes, Duration::from_nanos(50), Duration::ZERO);
-        assert_eq!(batched.max_event_time, Duration::from_nanos(40));
-        // Batch bookkeeping merges through absorb: totals add, maxima max.
+        // A batch has no per-event split: the per-event maximum is left
+        // alone …
+        assert_eq!(batched.max_event_time, Duration::ZERO);
+        // … and comes from whoever timed the events one by one.
         let mut merged = batched;
         let mut more = ProcessingStats::default();
-        more.record_batch(
-            &outcomes[..2],
-            Duration::from_nanos(300),
-            Duration::from_nanos(90),
-        );
+        more.record_batch(&outcomes[..2], Duration::from_nanos(300));
         merged.absorb(&more);
-        assert_eq!(merged.batches, 3);
+        merged.absorb(&singles);
+        assert_eq!(merged.batches, 2);
         assert_eq!(merged.largest_batch, 5);
         assert_eq!(merged.max_batch_time, Duration::from_nanos(300));
-        assert_eq!(merged.max_event_time, Duration::from_nanos(90));
-    }
-
-    #[test]
-    fn monitor_process_batch_times_batches_and_degenerates_to_singles_at_one() {
-        let mut m = monitored();
-        m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        // A singleton batch goes through the per-event path.
-        let outcomes = m.process_batch(vec![doc(0, 0.5)]);
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(m.stats().batches, 0);
-        assert!(m.stats().max_event_time > Duration::ZERO);
-        // A real batch is timed as a whole.
-        let outcomes = m.process_batch((1..5u64).map(|i| doc(i, 0.5)).collect());
-        assert_eq!(outcomes.len(), 4);
-        assert_eq!(m.stats().events, 5);
-        assert_eq!(m.stats().batches, 1);
-        assert_eq!(m.stats().largest_batch, 4);
-        assert!(m.stats().max_batch_time > Duration::ZERO);
-        // Empty batches are a full no-op: no event, no batch, no time.
-        let before = *m.stats();
-        assert!(m.process_batch(Vec::new()).is_empty());
-        assert_eq!(m.stats(), &before);
-    }
-
-    #[test]
-    fn run_batched_routes_a_trailing_singleton_through_the_per_event_path() {
-        let mut m = monitored();
-        m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        // 7 events at batch 3: two real batches (3 + 3) and one trailing
-        // single event — recorded as an event, not a phantom batch, so its
-        // per-event maximum is kept.
-        let stats = m.run_batched((0..7u64).map(|i| doc(i, 0.5)), 3);
-        assert_eq!(stats.events, 7);
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.largest_batch, 3);
-        assert!(stats.max_event_time > Duration::ZERO);
-    }
-
-    #[test]
-    fn run_batched_matches_run_event_for_event() {
-        let mut batched = monitored();
-        let mut singles = monitored();
-        let qa = batched.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 2));
-        let qb = singles.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 2));
-        let docs = |lo: u64, hi: u64| (lo..hi).map(|i| doc(i, 0.1 + (i % 4) as f64 * 0.2));
-        // Batch size 3 over 8 events: batches of 3, 3 and 2.
-        let stats = batched.run_batched(docs(0, 8), 3);
-        singles.run(docs(0, 8));
-        assert_eq!(stats.events, 8);
-        assert_eq!(stats.batches, 3);
-        assert_eq!(stats.largest_batch, 3);
-        assert_eq!(batched.current_results(qa), singles.current_results(qb));
-        assert_eq!(batched.stats().expirations, singles.stats().expirations);
-        // batch <= 1 degenerates to the per-event path exactly.
-        let stats = batched.run_batched(docs(8, 10), 1);
-        assert_eq!(stats.batches, 0);
-        assert!(stats.max_event_time > Duration::ZERO);
+        assert_eq!(merged.max_event_time, Duration::from_nanos(20));
+        assert_eq!(merged.events, 12);
     }
 
     fn sample_overload() -> OverloadStats {
@@ -846,7 +540,7 @@ mod tests {
         let snapshot = a.overload;
         a.record(&EventOutcome::default(), Duration::from_nanos(3));
         let outcomes = [EventOutcome::default(), EventOutcome::default()];
-        a.record_batch(&outcomes, Duration::from_nanos(9), Duration::ZERO);
+        a.record_batch(&outcomes, Duration::from_nanos(9));
         assert_eq!(a.overload, snapshot);
 
         // Path 3: delta_since — counts subtract (saturating), high waters
@@ -875,19 +569,5 @@ mod tests {
         assert_eq!(stats.mean_event_time(), Duration::ZERO);
         assert_eq!(stats.events_per_second(), 0.0);
         assert_eq!(stats.total_queries_touched(), 0);
-    }
-
-    #[test]
-    fn monitor_passes_engine_calls_through() {
-        let mut m = monitored();
-        let q = m.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        assert_eq!(m.num_queries(), 1);
-        m.process_document(doc(0, 0.5));
-        assert_eq!(m.num_valid_documents(), 1);
-        assert_eq!(m.clock(), Timestamp::ZERO.advance(Duration::ZERO));
-        assert!(m.deregister(q));
-        assert_eq!(m.engine().num_queries(), 0);
-        let inner = m.into_inner();
-        assert_eq!(inner.num_valid_documents(), 1);
     }
 }

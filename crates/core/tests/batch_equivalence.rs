@@ -19,7 +19,7 @@
 use cts_core::testkit::{assert_script_equivalence, generate_script, Op, ScriptConfig, ScriptRng};
 use cts_core::{
     poison_document, ContinuousQuery, Engine, EventOutcome, FaultPolicy, FaultStats, ItaConfig,
-    ItaEngine, Monitor, RebalanceConfig, ShardedItaEngine,
+    ItaEngine, RebalanceConfig, ShardedItaEngine,
 };
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
@@ -168,13 +168,13 @@ fn sharded_batches_equal_sharded_singles_on_the_same_stream() {
     }
 }
 
-/// A deterministic deregister-between-batches scenario, driven through
-/// [`Monitor`] so the batch stats path is covered end to end.
+/// A deterministic deregister-between-batches scenario; the sharded
+/// engine's workers must count every event of both bursts, one by one.
 #[test]
 fn monitored_batches_with_deregistration_between_batches() {
     let window = SlidingWindow::count_based(6);
-    let mut sharded = Monitor::new(ShardedItaEngine::new(window, ItaConfig::default(), 4));
-    let mut reference = Monitor::new(ItaEngine::new(window, ItaConfig::default()));
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 4);
+    let mut reference = ItaEngine::new(window, ItaConfig::default());
     let make_doc = |id: u64, w: f64| {
         Document::new(
             DocId(id),
@@ -210,15 +210,16 @@ fn monitored_batches_with_deregistration_between_batches() {
         assert_eq!(sharded.current_results(q), reference.current_results(q));
     }
     assert!(sharded.current_results(qids[2]).is_empty());
-    // The batch stats recorded both bursts on both monitors.
-    assert_eq!(sharded.stats().events, 20);
-    assert_eq!(sharded.stats().batches, 2);
-    assert_eq!(sharded.stats().largest_batch, 11);
-    assert_eq!(reference.stats().batches, 2);
-    // Steady state: the 6-doc window expired everything the batches pushed
-    // out, identically on both.
-    assert_eq!(sharded.stats().expirations, reference.stats().expirations);
+    // Every worker saw all 20 events of both bursts and timed each alone:
+    // workers count events, not bursts. The 6-doc window expired the other
+    // 14 on every shard.
+    for stats in sharded.shard_stats() {
+        assert_eq!((stats.events, stats.batches), (20, 0));
+        assert_eq!(stats.expirations, 14);
+        assert!(stats.max_event_time > std::time::Duration::ZERO);
+    }
     assert_eq!(sharded.num_valid_documents(), 6);
+    assert_eq!(reference.num_valid_documents(), 6);
 }
 
 /// One seeded stream, fed as single events to one sharded engine and as

@@ -544,7 +544,7 @@ mod tests {
     #[test]
     fn unwrap_outside_service_modules_is_not_service_flagged() {
         let f = lint_source(
-            "crates/core/src/monitor.rs",
+            "crates/core/src/stats.rs",
             "pub fn f(v: Option<u8>) -> u8 { v.unwrap() }\n",
         );
         assert!(f.is_empty());
@@ -610,12 +610,12 @@ mod tests {
 
     #[test]
     fn rules_do_not_apply_outside_their_module_sets() {
-        // monitor.rs is neither replay-relevant nor hot: clocks and unwraps
+        // stats.rs is neither replay-relevant nor hot: clocks and unwraps
         // are fine there; spawning still is not.
         let src =
             "pub fn f() { let _ = std::time::Instant::now(); let _ = [1].first().unwrap(); }\n\
                    pub fn g() { std::thread::spawn(|| {}); }\n";
-        let f = lint_source("crates/core/src/monitor.rs", src);
+        let f = lint_source("crates/core/src/stats.rs", src);
         assert_eq!(rules_of(&f), vec![SPAWN_OUTSIDE_SUPERVISOR]);
     }
 

@@ -38,7 +38,7 @@ const CASES: [(&str, &str, &str); 7] = [
     ),
     (
         "spawn_outside_supervisor.rs",
-        "crates/core/src/monitor.rs",
+        "crates/core/src/stats.rs",
         "spawn-outside-supervisor",
     ),
     (
