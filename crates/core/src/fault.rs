@@ -1,21 +1,17 @@
-//! Fault taxonomy, recovery policy and fault counters for the sharded
-//! engine.
+//! Fault taxonomy and fault counters for the sharded engine.
 //!
 //! A production continuous-search service cannot let one poisoned event take
 //! down every registered query. This module holds the types the fault-
 //! tolerant [`crate::ShardedItaEngine`] surfaces to callers:
 //!
 //! * [`ShardFault`] / [`EngineError`] — what went wrong, as data instead of
-//!   a process abort. The `try_*` coordinator methods return these; the
-//!   infallible [`crate::Engine`] trait methods only panic under
-//!   [`FaultPolicy::FailFast`], on a refused input (a duplicate document
-//!   id), or when recovery itself is impossible.
-//! * [`FaultPolicy`] — what the coordinator does between a shard's fault
-//!   and its rebuild: block and rebuild it synchronously, serve the
-//!   remaining shards and mark the affected queries stale, or fail fast with
-//!   a typed error.
+//!   a process abort. A faulted shard is rebuilt before the mutating call
+//!   that found it returns, so a `try_*` coordinator method returns a fault
+//!   only when the rebuild itself fails (a worker whose respawn fails
+//!   twice). The infallible [`crate::Engine`] trait methods panic
+//!   then, and on a refused input (a duplicate document id).
 //! * [`FaultStats`] — counters for faults seen, rebuilds performed, time
-//!   spent rebuilding, events served while degraded, and spawn
+//!   spent rebuilding, shards currently degraded, and spawn
 //!   retries/fallbacks at construction.
 //! * [`POISON_DOC_TEXT`] / [`poison_document`] — the testkit's
 //!   poison-document mechanism: a marked document makes every shard worker
@@ -54,11 +50,11 @@ impl std::error::Error for ShardFault {}
 /// panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker panicked; the shard is degraded until
-    /// [`crate::ShardedItaEngine::recover_degraded`] rebuilds it.
+    /// A worker panicked while rebuilding its shard; the shard stays
+    /// degraded and the next mutating call tries the rebuild again.
     ShardFault(ShardFault),
-    /// A worker thread is gone (its channel disconnected); the shard is
-    /// degraded until resurrected.
+    /// A worker thread is gone (its channel disconnected) and could not be
+    /// respawned; the next mutating call tries again.
     ShardUnavailable {
         /// Which shard's worker is unreachable.
         shard: usize,
@@ -99,30 +95,6 @@ impl From<ShardFault> for EngineError {
     }
 }
 
-/// What the coordinator does when a shard becomes *degraded* — a panic its
-/// worker caught poisoned it, or its thread is gone entirely — until the
-/// shard is rebuilt.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FaultPolicy {
-    /// Surface a typed [`EngineError`] from the `try_*` paths (the
-    /// infallible [`crate::Engine`] methods panic). Nothing is rebuilt until
-    /// [`crate::ShardedItaEngine::recover_degraded`] is called explicitly.
-    FailFast,
-    /// Rebuild degraded shards synchronously before (or during) the next
-    /// operation: respawn the worker if needed, load the window mirror and
-    /// register the shard's queries from the durable registry. Callers never
-    /// observe a degraded shard; they just pay the rebuild latency.
-    #[default]
-    BlockUntilRecovered,
-    /// Keep serving from the healthy shards. Queries hosted on a degraded
-    /// shard report empty (stale) results and
-    /// [`crate::ShardedItaEngine::query_is_stale`] returns `true` for them;
-    /// events processed meanwhile are counted in
-    /// [`FaultStats::events_during_degraded`]. Recovery happens only when
-    /// [`crate::ShardedItaEngine::recover_degraded`] is called.
-    ServeDegraded,
-}
-
 /// Fault and recovery counters of a sharded engine
 /// ([`crate::Engine::fault_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,42 +106,15 @@ pub struct FaultStats {
     pub recoveries: u64,
     /// Total time spent rebuilding shards, in microseconds.
     pub recovery_micros: u64,
-    /// Stream events processed while at least one shard was degraded
-    /// (only possible under [`FaultPolicy::ServeDegraded`]).
-    pub events_during_degraded: u64,
-    /// Shards currently degraded (worker poisoned or gone).
+    /// Shards currently degraded (worker poisoned or gone). Only a read
+    /// through `&self` can leave one degraded past its call; the next
+    /// mutating call rebuilds it.
     pub degraded_shards: usize,
     /// Worker-spawn attempts that failed once and were retried.
     pub spawn_retries: u64,
     /// Shards dropped at construction because spawning failed twice (the
     /// engine degraded to fewer shards instead of aborting).
     pub spawn_fallbacks: u64,
-}
-
-impl FaultStats {
-    /// Folds another engine's fault counters into this one — the combinator
-    /// for aggregating fault stats across engines (e.g. a fleet report over
-    /// several sharded instances). Event-shaped counters add exactly;
-    /// `degraded_shards` is a *current-state* gauge, not a counter, and also
-    /// adds: each source reports its own currently-degraded shard count and
-    /// the shard sets are disjoint.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.faults += other.faults;
-        self.recoveries += other.recoveries;
-        self.recovery_micros += other.recovery_micros;
-        self.events_during_degraded += other.events_during_degraded;
-        self.degraded_shards += other.degraded_shards;
-        self.spawn_retries += other.spawn_retries;
-        self.spawn_fallbacks += other.spawn_fallbacks;
-    }
-
-    /// Whether any shard is currently degraded — the signal the bounded
-    /// ingest queue ([`crate::StreamService`]) converts into backpressure
-    /// (`Retry` admissions) instead of letting a recovery block behind a
-    /// growing queue.
-    pub fn any_degraded(&self) -> bool {
-        self.degraded_shards > 0
-    }
 }
 
 /// The payload-text marker of a *poison document*: the first time a shard
@@ -227,47 +172,5 @@ mod tests {
         // The marker does not touch anything scoring reads.
         assert_eq!(doc.id, DocId(1));
         assert!(doc.composition.as_slice().is_empty());
-    }
-
-    #[test]
-    fn fault_stats_absorb_is_an_exact_merge() {
-        let mut a = FaultStats {
-            faults: 3,
-            recoveries: 2,
-            recovery_micros: 40,
-            events_during_degraded: 7,
-            degraded_shards: 1,
-            spawn_retries: 1,
-            spawn_fallbacks: 0,
-        };
-        let b = FaultStats {
-            faults: 1,
-            recoveries: 1,
-            recovery_micros: 5,
-            events_during_degraded: 0,
-            degraded_shards: 2,
-            spawn_retries: 0,
-            spawn_fallbacks: 1,
-        };
-        a.absorb(&b);
-        assert_eq!(a.faults, 4);
-        assert_eq!(a.recoveries, 3);
-        assert_eq!(a.recovery_micros, 45);
-        assert_eq!(a.events_during_degraded, 7);
-        assert_eq!(a.degraded_shards, 3);
-        assert_eq!(a.spawn_retries, 1);
-        assert_eq!(a.spawn_fallbacks, 1);
-        assert!(a.any_degraded());
-        assert!(!FaultStats::default().any_degraded());
-        // Absorbing the zero stats is the identity.
-        let before = a;
-        a.absorb(&FaultStats::default());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn the_default_policy_blocks_until_recovered() {
-        assert_eq!(FaultPolicy::default(), FaultPolicy::BlockUntilRecovered);
-        assert_eq!(FaultStats::default().faults, 0);
     }
 }

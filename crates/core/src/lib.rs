@@ -71,8 +71,7 @@ pub mod validate;
 
 pub use engine::{Engine, EventOutcome, IngestEvent, RankedDocument};
 pub use fault::{
-    is_poison_document, poison_document, EngineError, FaultPolicy, FaultStats, ShardFault,
-    POISON_DOC_TEXT,
+    is_poison_document, poison_document, EngineError, FaultStats, ShardFault, POISON_DOC_TEXT,
 };
 pub use ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
 pub use naive::{NaiveConfig, NaiveEngine};

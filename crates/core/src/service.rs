@@ -18,12 +18,12 @@
 //!   Queued events past their [`IngestEvent`] deadline are dropped
 //!   **oldest-first**; a full queue displaces its oldest event to admit the
 //!   fresher arrival.
-//! * [`Admission::Retry`] — backpressure: the caller keeps the event and
-//!   should retry after the hint. Raised while the engine reports a degraded
-//!   shard and the queue is already deep
-//!   ([`ServiceConfig::backpressure_watermark`]), so a recovery never ends up
-//!   blocked behind an unbounded backlog — the degraded-shard ⇄ backpressure
-//!   interplay of DESIGN.md §12.
+//! * [`Admission::Retry`] — backpressure on registrations: the pending
+//!   registration queue is full ([`ServiceConfig::register_capacity`]), so
+//!   the caller keeps the query and should retry after the hint. Events are
+//!   never refused this way: the queue is bounded by shedding, and a sharded
+//!   engine rebuilds a faulted shard inside the pump's engine call that
+//!   finds it, so no recovery is left waiting behind the queue.
 //!
 //! Draining is explicit: [`StreamService::pump`] (or the budgeted
 //! [`StreamService::pump_budget`], which models a slow consumer) flushes
@@ -88,9 +88,9 @@ pub enum Admission {
     Coalesced,
     /// The service took ownership and dropped the event on the spot.
     Shed(ShedReason),
-    /// Backpressure: the service did **not** take ownership. Retry after the
-    /// hint (typically once the degraded shard has recovered or the queue
-    /// has drained).
+    /// Backpressure: the service did **not** take ownership of the
+    /// registration (the pending-register queue is full). Retry after the
+    /// hint, once a pump has flushed the queue.
     Retry {
         /// Suggested backoff before re-offering.
         after: Duration,
@@ -132,11 +132,6 @@ pub struct ServiceConfig {
     /// and queue for batch coalescing instead (registration storms under
     /// event pressure amortise into [`Engine::register_batch`]).
     pub register_pressure: usize,
-    /// Queue depth at or above which a degraded engine
-    /// ([`crate::FaultStats::any_degraded`]) raises backpressure: offers get
-    /// [`Admission::Retry`] instead of deepening the backlog behind a
-    /// pending recovery.
-    pub backpressure_watermark: usize,
     /// The backoff hint carried by every [`Admission::Retry`].
     pub retry_after: Duration,
 }
@@ -149,8 +144,8 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// A config with all bounds scaled from one queue capacity: bursts of up
-    /// to a quarter of the queue, backpressure from half, a half-capacity
-    /// register queue deferring from a sixteenth.
+    /// to a quarter of the queue, a half-capacity register queue deferring
+    /// from a sixteenth.
     pub fn bounded(queue_capacity: usize) -> Self {
         let queue_capacity = queue_capacity.max(1);
         Self {
@@ -159,7 +154,6 @@ impl ServiceConfig {
             default_deadline: None,
             register_capacity: (queue_capacity / 2).max(1),
             register_pressure: (queue_capacity / 16).max(2),
-            backpressure_watermark: (queue_capacity / 2).max(1),
             retry_after: Duration::from_millis(2),
         }
     }
@@ -170,7 +164,6 @@ impl ServiceConfig {
         config.queue_capacity = config.queue_capacity.max(1);
         config.max_coalesce = config.max_coalesce.max(1);
         config.register_capacity = config.register_capacity.max(1);
-        config.backpressure_watermark = config.backpressure_watermark.max(1);
         config
     }
 }
@@ -252,37 +245,20 @@ impl<E: Engine> StreamService<E> {
         self.clock
     }
 
-    /// Whether the next offer would be refused with [`Admission::Retry`]:
-    /// the engine reports a degraded shard **and** the queue is at or past
-    /// the backpressure watermark. Reading this never touches the engine
-    /// mutably, so it cannot trigger (or block on) a recovery.
-    pub fn is_backpressured(&self) -> bool {
-        self.queue.len() >= self.config.backpressure_watermark
-            && self
-                .engine
-                .fault_stats()
-                .is_some_and(|faults| faults.any_degraded())
-    }
-
     /// Offers one document without an explicit deadline (the configured
     /// [`ServiceConfig::default_deadline`] still applies).
     pub fn offer_document(&mut self, doc: Document) -> Admission {
         self.offer(IngestEvent::new(doc))
     }
 
-    /// Offers one stream event. Never blocks and never calls into the
-    /// engine: admission is pure queue arithmetic plus a read of the fault
-    /// gauge, which is what keeps the shed path live while a degraded shard
-    /// waits for recovery.
+    /// Offers one stream event: [`Admission::Accepted`] or
+    /// [`Admission::Shed`], never [`Admission::Retry`] (so
+    /// [`OverloadStats::retry_hints`] stays 0). Never blocks and never calls
+    /// into the engine: admission is pure queue arithmetic, so the shed path
+    /// stays live whatever the engine is doing.
     pub fn offer(&mut self, event: IngestEvent) -> Admission {
         let arrival = event.doc.arrival;
         self.advance_clock(arrival);
-        if self.is_backpressured() {
-            self.overload.retry_hints += 1;
-            return Admission::Retry {
-                after: self.config.retry_after,
-            };
-        }
         let mut event = event;
         if event.deadline.is_none() {
             event.deadline = self
@@ -324,18 +300,8 @@ impl<E: Engine> StreamService<E> {
     /// [`Admission::Accepted`]. Under pressure it queues for the next pump's
     /// single [`Engine::register_batch`] flush ([`Admission::Coalesced`];
     /// the id arrives in [`DrainReport::registered`], in offer order). A
-    /// full pending queue — or active backpressure — yields
-    /// [`Admission::Retry`].
+    /// full pending queue yields [`Admission::Retry`].
     pub fn offer_register(&mut self, query: ContinuousQuery) -> (Admission, Option<QueryId>) {
-        if self.is_backpressured() {
-            self.overload.register_retry_hints += 1;
-            return (
-                Admission::Retry {
-                    after: self.config.retry_after,
-                },
-                None,
-            );
-        }
         if self.pending_registers.is_empty() && self.queue.len() < self.config.register_pressure {
             self.overload.register_offered += 1;
             self.overload.register_immediate += 1;
@@ -457,9 +423,9 @@ impl<E: Engine> StreamService<E> {
         &self.engine
     }
 
-    /// Mutable access to the wrapped engine (fault injection, explicit
-    /// recovery). Events processed directly on the engine bypass the queue,
-    /// the accounting and the timing.
+    /// Mutable access to the wrapped engine (fault injection). Events
+    /// processed directly on the engine bypass the queue, the accounting and
+    /// the timing.
     pub fn engine_mut(&mut self) -> &mut E {
         &mut self.engine
     }
@@ -498,10 +464,8 @@ impl<E: Engine> StreamService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPolicy;
     use crate::ita::{ItaConfig, ItaEngine};
     use crate::query::ContinuousQuery;
-    use crate::sharded::ShardedItaEngine;
     use cts_index::SlidingWindow;
     use cts_text::{TermId, WeightedVector};
 
@@ -735,58 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_shard_raises_backpressure_instead_of_deepening_the_queue() {
-        let engine = ShardedItaEngine::with_faults(
-            SlidingWindow::count_based(8),
-            2,
-            crate::sharded::RebalanceConfig::default(),
-            FaultPolicy::ServeDegraded,
-        );
-        let mut config = ServiceConfig::bounded(8);
-        config.backpressure_watermark = 2;
-        let mut service = StreamService::new(engine, config);
-        let (_, id) = service.offer_register(query(2));
-        let q = id.expect("immediate registration");
-        // Kill a worker and let an op discover the disconnect.
-        service.engine_mut().inject_disconnect(0);
-        service.offer_document(doc(0, 0, 0.5));
-        service.pump(Timestamp::from_millis(1));
-        assert!(service
-            .engine()
-            .fault_stats()
-            .is_some_and(|faults| faults.any_degraded()));
-        // Below the watermark offers still land; at the watermark they retry.
-        assert_eq!(service.offer_document(doc(1, 1, 0.5)), Admission::Accepted);
-        assert_eq!(service.offer_document(doc(2, 2, 0.5)), Admission::Accepted);
-        assert!(service.is_backpressured());
-        for i in 3..6u64 {
-            let admission = service.offer_document(doc(i, i, 0.5));
-            assert_eq!(
-                admission,
-                Admission::Retry {
-                    after: service.config().retry_after
-                },
-                "deterministic backpressure while degraded"
-            );
-        }
-        let overload = service.overload_stats();
-        assert_eq!(overload.retry_hints, 3);
-        // Retries are not owned: accounting stays exact without them.
-        service.check_accounting();
-        // The queue still drains (ServeDegraded keeps healthy shards live)…
-        service.pump(Timestamp::from_millis(10));
-        assert_eq!(service.depth(), 0);
-        // …and recovery lifts the backpressure.
-        service
-            .engine_mut()
-            .recover_degraded()
-            .expect("resurrection succeeds");
-        assert!(!service.is_backpressured());
-        assert_eq!(service.offer_document(doc(9, 9, 0.5)), Admission::Accepted);
-        let _ = service.results(q);
-    }
-
-    #[test]
     fn bounds_are_clamped_to_their_minima() {
         let config = ServiceConfig {
             queue_capacity: 0,
@@ -794,7 +706,6 @@ mod tests {
             default_deadline: None,
             register_capacity: 0,
             register_pressure: 0,
-            backpressure_watermark: 0,
             retry_after: Duration::ZERO,
         };
         let engine = ItaEngine::new(SlidingWindow::count_based(2), ItaConfig::default());
@@ -803,6 +714,5 @@ mod tests {
         assert_eq!(normalized.queue_capacity, 1);
         assert_eq!(normalized.max_coalesce, 1);
         assert_eq!(normalized.register_capacity, 1);
-        assert_eq!(normalized.backpressure_watermark, 1);
     }
 }

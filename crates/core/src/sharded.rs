@@ -69,10 +69,12 @@
 //!   registration's, not the faulted history's, so its work counters — and
 //!   the event outcomes built from them — are a rebuilt engine's from the
 //!   shard's first fault on (DESIGN.md §10).
-//! * **Degraded-mode policy** — [`FaultPolicy`] decides what happens between
-//!   a fault and the rebuild: rebuild synchronously (default), serve the
-//!   healthy shards and mark the affected queries stale, or fail fast with
-//!   a typed [`EngineError`] from the `try_*` paths.
+//! * **Rebuilt before the call returns** — a mutating call rebuilds every
+//!   degraded shard before it fans out, and again before it returns, so it
+//!   surfaces a typed [`EngineError`] only when a rebuild itself fails. A
+//!   read through `&self` cannot rebuild: it answers a degraded shard with
+//!   its fallback (empty results, zeroed stats) and leaves the shard to the
+//!   next mutating call.
 //!
 //! A document whose id is already in the window (or twice in one burst) is
 //! refused with [`EngineError::DuplicateDocument`] before any shard or the
@@ -130,7 +132,7 @@ use cts_index::{
 };
 
 use crate::engine::{Engine, EventOutcome};
-use crate::fault::{is_poison_document, EngineError, FaultPolicy, FaultStats, ShardFault};
+use crate::fault::{is_poison_document, EngineError, FaultStats, ShardFault};
 use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
@@ -518,10 +520,7 @@ fn spawn_with_retry<T, E>(
 ///   (`heaviest − lightest ≥ 2`).
 ///
 /// Each migration strictly decreases the load distribution's sum of squares,
-/// so a rebalance pass always terminates; `max_migrations_per_check` is a
-/// safety valve bounding how much migration cost (state transfer plus the
-/// coordinator's resolve of the query's window postings and the receiving
-/// shard's filing of them) a single boundary may absorb.
+/// so a rebalance pass always terminates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Whether the rebalancer runs at all. Disabled, placement is the
@@ -531,8 +530,6 @@ pub struct RebalanceConfig {
     /// least 1; values close to 1 level aggressively, larger values tolerate
     /// more skew before paying migration cost.
     pub max_over_ideal: f64,
-    /// Upper bound on migrations performed per balance check.
-    pub max_migrations_per_check: usize,
 }
 
 impl Default for RebalanceConfig {
@@ -540,7 +537,6 @@ impl Default for RebalanceConfig {
         Self {
             enabled: true,
             max_over_ideal: 1.25,
-            max_migrations_per_check: usize::MAX,
         }
     }
 }
@@ -591,7 +587,6 @@ pub struct ShardedItaEngine {
     workers: Vec<ShardHandle>,
     window: SlidingWindow,
     rebalance: RebalanceConfig,
-    policy: FaultPolicy,
     /// The routing table: which shard currently hosts each registered query.
     /// Starts as the hash placement of [`ShardedItaEngine::shard_of`];
     /// migrations move entries.
@@ -622,8 +617,8 @@ pub struct ShardedItaEngine {
 impl ShardedItaEngine {
     /// Creates an engine with `shards` persistent worker shards, each
     /// running a term-filtered [`ItaEngine`] under the given window policy,
-    /// with the default [`RebalanceConfig`] and [`FaultPolicy`]. The
-    /// [`ItaConfig`] is empty and ignored.
+    /// with the default [`RebalanceConfig`]. The [`ItaConfig`] is empty and
+    /// ignored.
     ///
     /// # Panics
     ///
@@ -632,33 +627,19 @@ impl ShardedItaEngine {
         Self::with_rebalance(window, shards, RebalanceConfig::default())
     }
 
-    /// Creates an engine with an explicit rebalancing policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `rebalance.max_over_ideal < 1`.
-    pub fn with_rebalance(
-        window: SlidingWindow,
-        shards: usize,
-        rebalance: RebalanceConfig,
-    ) -> Self {
-        Self::with_faults(window, shards, rebalance, FaultPolicy::default())
-    }
-
-    /// Creates an engine with explicit rebalancing and degraded-mode
-    /// policies. A worker spawn that fails is retried once and then its
-    /// shard is dropped — the engine degrades to fewer shards (counted in
+    /// Creates an engine with an explicit rebalancing policy. A worker spawn
+    /// that fails is retried once and then its shard is dropped — the
+    /// engine degrades to fewer shards (counted in
     /// [`FaultStats::spawn_fallbacks`]) rather than aborting.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`, if `rebalance.max_over_ideal < 1`, or if
     /// not a single worker could be spawned.
-    pub fn with_faults(
+    pub fn with_rebalance(
         window: SlidingWindow,
         shards: usize,
         rebalance: RebalanceConfig,
-        policy: FaultPolicy,
     ) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
         assert!(
@@ -684,7 +665,6 @@ impl ShardedItaEngine {
             workers,
             window,
             rebalance,
-            policy,
             assignment: HashMap::new(), // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
             placement: vec![Vec::new(); spawned],
             registry: HashMap::new(), // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
@@ -731,11 +711,6 @@ impl ShardedItaEngine {
     /// The configured rebalancing policy.
     pub fn rebalance_config(&self) -> RebalanceConfig {
         self.rebalance
-    }
-
-    /// The configured degraded-mode policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
     }
 
     /// Replaces the rebalancing policy at runtime. Takes effect at the next
@@ -788,22 +763,8 @@ impl ShardedItaEngine {
         ((u128::from(hashed) * self.workers.len() as u128) >> 64) as usize
     }
 
-    /// Whether `query` is registered but hosted on a degraded shard — its
-    /// reported results are stale (empty) until
-    /// [`ShardedItaEngine::recover_degraded`] rebuilds the shard. Only
-    /// observable under [`FaultPolicy::ServeDegraded`] (or
-    /// [`FaultPolicy::FailFast`] before an explicit recovery).
-    pub fn query_is_stale(&self, query: QueryId) -> bool {
-        self.assigned_shard(query)
-            .is_some_and(|shard| self.is_degraded(shard))
-    }
-
     fn is_degraded(&self, shard: usize) -> bool {
         self.fault_state.borrow().degraded[shard]
-    }
-
-    fn any_degraded(&self) -> bool {
-        self.fault_state.borrow().degraded.iter().any(|d| *d)
     }
 
     /// Marks `shard` degraded, counting a fault when it was healthy — the
@@ -848,70 +809,35 @@ impl ShardedItaEngine {
     }
 
     /// Sends `request` to `shard` and says whether a reply is now pending —
-    /// the one place a fan-out meets a worker that died unseen. Under
-    /// [`FaultPolicy::BlockUntilRecovered`] the shard is rebuilt on the
-    /// spot; a registration needs no more (`resend` false: the rebuild runs
-    /// it from the registry), stream events are sent again — they reach the
-    /// mirror only after the fan-out, so the rebuilt shard holds the exact
-    /// pre-burst window and its share of the outcome survives. Otherwise the
-    /// disconnect is noted in `first_error`.
-    fn send_or_resurrect(
-        &mut self,
-        shard: usize,
-        request: ShardRequest,
-        resend: bool,
-        first_error: &mut Option<EngineError>,
-    ) -> bool {
+    /// the one place a fan-out meets a worker that died unseen, which marks
+    /// the shard degraded. A registration needs nothing more (`resend`
+    /// false): the caller's closing [`ShardedItaEngine::recover_degraded`]
+    /// runs it from the registry. Stream events cannot wait for that — they
+    /// reach the mirror only after the fan-out — so the shard is rebuilt on
+    /// the spot and sent the burst again: it holds the exact pre-burst
+    /// window, and its share of the outcome survives.
+    fn send_or_resurrect(&mut self, shard: usize, request: ShardRequest, resend: bool) -> bool {
         let Err(std::sync::mpsc::SendError(request)) = self.workers[shard].sender.send(request)
         else {
             return true;
         };
         self.mark_degraded(shard);
-        if self.policy == FaultPolicy::BlockUntilRecovered && self.resurrect(shard).is_ok() {
-            if !resend {
-                return false;
-            }
-            if self.send(shard, request).is_ok() {
-                return true;
-            }
-        }
-        first_error.get_or_insert(EngineError::ShardUnavailable { shard });
-        false
-    }
-
-    /// Applies the degraded-mode policy to shards degraded by *previous*
-    /// operations, at the start of every mutating operation.
-    fn ensure_serviceable(&mut self) -> Result<(), EngineError> {
-        let degraded = self.fault_state.borrow().degraded.iter().position(|d| *d);
-        match degraded {
-            Some(shard) => self.handle_shard_failure(EngineError::ShardUnavailable { shard }),
-            None => Ok(()),
-        }
-    }
-
-    /// Applies the degraded-mode policy to a fault observed *during* the
-    /// current operation (the shard is already marked degraded).
-    fn handle_shard_failure(&mut self, error: EngineError) -> Result<(), EngineError> {
-        match self.policy {
-            FaultPolicy::FailFast => Err(error),
-            FaultPolicy::BlockUntilRecovered => self.recover_degraded().map(|_| ()),
-            FaultPolicy::ServeDegraded => Ok(()),
-        }
+        resend && self.resurrect(shard).is_ok() && self.send(shard, request).is_ok()
     }
 
     /// Rebuilds every degraded shard from the durable registry + window
-    /// mirror, returning how many shards were rebuilt. Under
-    /// [`FaultPolicy::BlockUntilRecovered`] this happens automatically; the
-    /// other policies require this explicit call.
-    pub fn recover_degraded(&mut self) -> Result<usize, EngineError> {
-        let mut recovered = 0;
+    /// mirror. Every mutating call runs it before its fan-out, for shards a
+    /// read or a failed rebuild left degraded, and again after its receive
+    /// loop, for shards the call itself degraded — never in between: an
+    /// early return mid-broadcast would leave replies in the channels for
+    /// the next call to read as its own (DESIGN.md §10).
+    fn recover_degraded(&mut self) -> Result<(), EngineError> {
         for shard in 0..self.workers.len() {
             if self.is_degraded(shard) {
                 self.resurrect(shard)?;
-                recovered += 1;
             }
         }
-        Ok(recovered)
+        Ok(())
     }
 
     /// The one recovery path, for one shard: respawn the worker thread if it
@@ -993,18 +919,9 @@ impl ShardedItaEngine {
             .or_else(|| ids.into_iter().find(|id| self.mirror.contains(*id)))
     }
 
-    /// The healthy shard with the fewest resident queries (registration
-    /// reroute target while another shard is degraded).
-    fn lightest_healthy_shard(&self) -> Option<usize> {
-        let state = self.fault_state.borrow();
-        (0..self.workers.len())
-            .filter(|&shard| !state.degraded[shard])
-            .min_by_key(|&shard| self.placement[shard].len())
-    }
-
     /// Fallible single-event processing: the `try_*` twin of
     /// [`Engine::process_document`] — a burst of one through
-    /// [`ShardedItaEngine::try_process_batch`], with its policy semantics.
+    /// [`ShardedItaEngine::try_process_batch`].
     pub fn try_process(&mut self, doc: Document) -> Result<EventOutcome, EngineError> {
         let outcome = self.try_process_batch(vec![doc])?.pop();
         // cts-lint: allow(panic-in-hot-path, try_process_batch returns exactly one outcome per document)
@@ -1015,15 +932,12 @@ impl ShardedItaEngine {
     /// [`Engine::process_batch`], and the one path a stream event takes to
     /// the shards. A burst that repeats an id, or names one still in the
     /// window, is refused whole with [`EngineError::DuplicateDocument`]
-    /// before anything moves. Under [`FaultPolicy::BlockUntilRecovered`] (the
-    /// default) a mid-burst fault is repaired before returning: a worker
-    /// found dead at the send is rebuilt and sent the burst again, so its
-    /// share of the outcomes survives; a worker that faults on the burst is
-    /// rebuilt from the mirror, which holds the burst by then, and its share
-    /// of the burst's outcomes is lost (results stay exact). Under
-    /// [`FaultPolicy::ServeDegraded`] the healthy shards' partial outcomes
-    /// are returned; under [`FaultPolicy::FailFast`] the first fault
-    /// surfaces as a typed error.
+    /// before anything moves. Every degraded shard is rebuilt before the
+    /// fan-out, and a mid-burst fault before returning: a worker found dead
+    /// at the send is rebuilt and sent the burst again, so its share of the
+    /// outcomes survives; a worker that faults on the burst is rebuilt from
+    /// the mirror, which holds the burst by then, and its share of the
+    /// burst's outcomes is lost (results stay exact).
     pub fn try_process_batch(
         &mut self,
         docs: Vec<Document>,
@@ -1034,16 +948,13 @@ impl ShardedItaEngine {
         if let Some(id) = self.first_duplicate(&docs) {
             return Err(EngineError::DuplicateDocument(id));
         }
-        self.ensure_serviceable()?;
+        self.recover_degraded()?;
         self.clock = last.arrival;
         let docs: Arc<[Arc<Document>]> = docs.into_iter().map(Arc::new).collect();
-        let mut first_error: Option<EngineError> = None;
         let mut pending = Vec::with_capacity(self.workers.len());
         for shard in 0..self.workers.len() {
             let request = ShardRequest::ProcessBatch(Arc::clone(&docs));
-            if !self.is_degraded(shard)
-                && self.send_or_resurrect(shard, request, true, &mut first_error)
-            {
+            if self.send_or_resurrect(shard, request, true) {
                 pending.push(shard);
             }
         }
@@ -1068,17 +979,11 @@ impl ShardedItaEngine {
                     }
                 }
                 Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-                Err(err) => {
-                    first_error.get_or_insert(err);
-                }
+                // The shard is marked degraded and rebuilt below.
+                Err(_) => {}
             }
         }
-        if let Some(err) = first_error {
-            self.handle_shard_failure(err)?;
-        }
-        if self.policy == FaultPolicy::ServeDegraded && self.any_degraded() {
-            self.fault_state.borrow_mut().stats.events_during_degraded += docs.len() as u64;
-        }
+        self.recover_degraded()?;
         // The burst boundary is a safe point to repair skew: no event is in
         // flight, so a migration cannot split an arrival from its
         // expirations.
@@ -1094,10 +999,10 @@ impl ShardedItaEngine {
     /// window themselves. Durable state (registry, placement,
     /// routing) is updated **before** the fan-out, so a worker fault during
     /// registration is recoverable: the rebuild re-registers the batch from
-    /// the registry. Under [`FaultPolicy::ServeDegraded`], queries whose
-    /// hash shard is degraded are rerouted to the lightest healthy shard.
-    /// On error the durable state keeps the minted registrations; a later
-    /// [`ShardedItaEngine::recover_degraded`] makes the workers agree.
+    /// the registry. Every degraded shard is rebuilt before the fan-out, so
+    /// each query goes to its hash shard ([`ShardedItaEngine::shard_of`]).
+    /// On error the durable state keeps the minted registrations; the next
+    /// mutating call's rebuild makes the workers agree.
     pub fn try_register_batch(
         &mut self,
         queries: Vec<ContinuousQuery>,
@@ -1105,23 +1010,14 @@ impl ShardedItaEngine {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.ensure_serviceable()?;
-        let shards = self.workers.len();
-        if !(0..shards).any(|shard| !self.is_degraded(shard)) {
-            return Err(EngineError::ShardUnavailable { shard: 0 });
-        }
-        let mut per_shard: Vec<Vec<(QueryId, Arc<ContinuousQuery>)>> = vec![Vec::new(); shards];
+        self.recover_degraded()?;
+        let mut per_shard: Vec<Vec<(QueryId, Arc<ContinuousQuery>)>> =
+            vec![Vec::new(); self.workers.len()];
         let mut ids = Vec::with_capacity(queries.len());
         for query in queries {
             let qid = QueryId(self.next_query);
             self.next_query += 1;
-            let mut shard = self.shard_of(qid);
-            if self.is_degraded(shard) {
-                shard = self
-                    .lightest_healthy_shard()
-                    // cts-lint: allow(panic-in-hot-path, guarded by the all-degraded early return above)
-                    .expect("a healthy shard exists (checked above)"); // cts-lint: allow(unwrap-in-service, guarded by the all-degraded early return above)
-            }
+            let shard = self.shard_of(qid);
             let query = Arc::new(query);
             per_shard[shard].push((qid, Arc::clone(&query)));
             self.registry.insert(qid, query);
@@ -1149,14 +1045,13 @@ impl ShardedItaEngine {
         // Send every shard's group before awaiting any reply, so the shards
         // file their lists and run their threshold searches in parallel.
         let mut pending = Vec::new();
-        let mut first_error: Option<EngineError> = None;
         for (shard, group) in per_shard.iter_mut().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let request =
                 ShardRequest::RegisterBatch(std::mem::take(group).into(), Arc::clone(&postings));
-            if self.send_or_resurrect(shard, request, false, &mut first_error) {
+            if self.send_or_resurrect(shard, request, false) {
                 pending.push(shard);
             }
         }
@@ -1164,14 +1059,12 @@ impl ShardedItaEngine {
             match self.recv_reply(shard) {
                 Ok(ShardReply::Registered) => {}
                 Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-                Err(err) => {
-                    first_error.get_or_insert(err);
-                }
+                // The shard is marked degraded; its rebuild below registers
+                // the burst from the registry.
+                Err(_) => {}
             }
         }
-        if let Some(err) = first_error {
-            self.handle_shard_failure(err)?;
-        }
+        self.recover_degraded()?;
         // One balance check for the whole burst: rebalancing is
         // outcome-invisible (migration is behaviour-preserving), so checking
         // once here instead of after every query changes placement only.
@@ -1182,11 +1075,9 @@ impl ShardedItaEngine {
     /// Fallible deregistration: the `try_*` twin of [`Engine::deregister`],
     /// surfacing [`EngineError::UnknownQuery`] instead of `false`. Durable
     /// state is updated first, so a worker fault during removal is
-    /// recoverable (the rebuild simply omits the query); removing a query
-    /// hosted on a degraded shard under [`FaultPolicy::ServeDegraded`] is
-    /// registry-only — the worker's copy dies with the eventual rebuild.
+    /// recoverable (the rebuild simply omits the query).
     pub fn try_deregister(&mut self, query: QueryId) -> Result<bool, EngineError> {
-        self.ensure_serviceable()?;
+        self.recover_degraded()?;
         let Some(shard) = self.assigned_shard(query) else {
             return Err(EngineError::UnknownQuery(query));
         };
@@ -1199,21 +1090,17 @@ impl ShardedItaEngine {
             .expect("routing table lists the query on its shard"); // cts-lint: allow(unwrap-in-service, a missing placement entry is routing corruption; panicking beats serving wrong shards)
         self.placement[shard].swap_remove(at);
         self.num_queries -= 1;
-        if !self.is_degraded(shard) {
-            match self.call_shard(shard, ShardRequest::Deregister(query)) {
-                Ok(ShardReply::Deregistered(removed)) => {
-                    assert!(
-                        removed,
-                        "routing table said shard {shard} hosts {query}, shard disagreed"
-                    );
-                }
-                Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-                Err(err) => {
-                    // Durable state already dropped the query; recovery
-                    // rebuilds the shard without it.
-                    self.handle_shard_failure(err)?;
-                }
+        match self.call_shard(shard, ShardRequest::Deregister(query)) {
+            Ok(ShardReply::Deregistered(removed)) => {
+                assert!(
+                    removed,
+                    "routing table said shard {shard} hosts {query}, shard disagreed"
+                );
             }
+            Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+            // Durable state already dropped the query; the rebuild leaves
+            // it out.
+            Err(_) => self.recover_degraded()?,
         }
         self.maybe_rebalance();
         Ok(true)
@@ -1369,24 +1256,21 @@ impl ShardedItaEngine {
     /// shard exceeds the trigger ratio over the uniform share **and** a
     /// migration reduces imbalance, move the heaviest shard's most recently
     /// placed query to the lightest shard. Called at load-change and burst
-    /// boundaries only — never between an arrival and its expirations — so
-    /// migration can never split an event. Skipped entirely while any shard
-    /// is degraded (migration would touch unrecovered state).
+    /// boundaries only — never between an arrival and its expirations, so
+    /// migration can never split an event — and after the call's rebuilds,
+    /// so it never touches a degraded shard.
     fn maybe_rebalance(&mut self) {
-        if !self.rebalance.enabled || self.workers.len() < 2 || self.any_degraded() {
+        if !self.rebalance.enabled || self.workers.len() < 2 {
             return;
         }
         let ideal = self.num_queries as f64 / self.workers.len() as f64;
         let trigger = self.rebalance.max_over_ideal * ideal;
-        for _ in 0..self.rebalance.max_migrations_per_check {
-            let Some((heavy, _)) = self
-                .placement
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, resident)| resident.len())
-            else {
-                break;
-            };
+        while let Some((heavy, _)) = self
+            .placement
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, resident)| resident.len())
+        {
             let Some((light, _)) = self
                 .placement
                 .iter()
@@ -1401,8 +1285,8 @@ impl ShardedItaEngine {
             }
             let slot = self.placement[heavy].len() - 1;
             if self.migrate(heavy, slot, light).is_err() {
-                // The faulting shard is marked degraded; the next
-                // operation's policy deals with it.
+                // The faulting shard is marked degraded; the next mutating
+                // call rebuilds it.
                 break;
             }
         }
@@ -1441,8 +1325,10 @@ impl ShardedItaEngine {
     /// Test hook for the chaos suite: makes `shard`'s worker thread exit
     /// without replying, exactly as a killed thread would look from the
     /// coordinator's side. The next operation that touches the shard
-    /// observes the disconnect and applies the fault policy. Returns whether
-    /// the crash request reached the worker.
+    /// observes the disconnect: a mutating one rebuilds the shard before it
+    /// returns, a read answers with its fallback and leaves the rebuild to
+    /// the next mutating call. Returns whether the crash request reached the
+    /// worker.
     pub fn inject_disconnect(&mut self, shard: usize) -> bool {
         let shard = shard % self.workers.len();
         self.workers[shard].sender.send(ShardRequest::Crash).is_ok()
@@ -1489,8 +1375,7 @@ impl Engine for ShardedItaEngine {
             return Vec::new();
         };
         if self.is_degraded(shard) {
-            // Stale under ServeDegraded: the caller can distinguish "no
-            // matches" from "shard down" via `query_is_stale`.
+            // A read cannot rebuild; the next mutating call does.
             return Vec::new();
         }
         match self.call_shard(shard, ShardRequest::Results(query)) {
@@ -2008,7 +1893,6 @@ mod tests {
         assert_eq!(stats.faults, 5, "every armed fault fires on its event");
         assert_eq!(stats.recoveries, stats.faults, "every fault is rebuilt");
         assert_eq!(stats.degraded_shards, 0);
-        assert_eq!(stats.events_during_degraded, 0);
     }
 
     #[test]

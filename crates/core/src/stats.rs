@@ -33,8 +33,8 @@ use crate::engine::EventOutcome;
 /// are folded across shards or batches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadStats {
-    /// Events the ingest queue took ownership of (enqueued, or shed on the
-    /// spot); excludes `Retry` refusals, which the caller retains.
+    /// Events the ingest queue took ownership of: every offered event is
+    /// enqueued or shed on the spot.
     pub offered: u64,
     /// Owned events processed as a burst of one (drained alone). Disjoint
     /// from `coalesced`.
@@ -49,8 +49,9 @@ pub struct OverloadStats {
     /// Owned events displaced from a full queue to admit fresher arrivals
     /// (oldest-first).
     pub shed_queue_full: u64,
-    /// `Retry { after }` hints issued under backpressure (degraded shard
-    /// with a deep queue). Not counted in `offered`.
+    /// `Retry { after }` hints issued to offered events. Always 0: an event
+    /// offer is accepted or shed, never refused for a retry. Kept because
+    /// `ctsbench` reports it.
     pub retry_hints: u64,
     /// Deepest the ingest queue has ever been (high-water mark; cumulative
     /// like the timing maxima).

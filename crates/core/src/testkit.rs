@@ -726,13 +726,6 @@ fn faults(engine: &dyn Engine) -> u64 {
     engine.fault_stats().map_or(0, |stats| stats.faults)
 }
 
-/// Whether `engine` reports a shard it has not rebuilt yet.
-fn degraded(engine: &dyn Engine) -> bool {
-    engine
-        .fault_stats()
-        .is_some_and(|stats| stats.any_degraded())
-}
-
 /// Shrinks a failing script by greedy delta debugging: repeatedly re-runs
 /// candidate scripts (on fresh engines from `make_engines`) with chunks of
 /// ops removed, keeping any removal that still fails, halving the chunk
@@ -910,17 +903,14 @@ impl OverloadConfig {
 /// * every event the service reports processed is replayed into the
 ///   reference, with identical [`crate::EventOutcome`]s up to the
 ///   candidate's first fault, and periodically identical top-k results on
-///   all live queries while no shard is degraded (and, under the
-///   `invariant-checks` feature or a unit-test build, a clean
-///   [`Engine::check_invariants`] audit of the candidate at each comparison);
+///   all live queries (and, under the `invariant-checks` feature or a
+///   unit-test build, a clean [`Engine::check_invariants`] audit of the
+///   candidate at each comparison);
+/// * no pump returns with a shard left degraded: a fault is rebuilt inside
+///   the engine call that found it;
 /// * at final quiescence the identity collapses to
 ///   `offered == accepted + coalesced + shed` and all live results match
 ///   exactly.
-///
-/// A candidate that reports a degraded shard at the end of a round (a
-/// fault under [`crate::FaultPolicy::ServeDegraded`]) serves the next whole
-/// round degraded and is then handed to `recover`, as it is before the final
-/// comparison; a candidate that never degrades never sees `recover`.
 ///
 /// Returns the session's [`OverloadStats`] so callers can assert shape
 /// (e.g. that a 10× profile actually shed).
@@ -929,7 +919,6 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     reference: &mut R,
     config: &OverloadConfig,
     seed: u64,
-    mut recover: impl FnMut(&mut C),
 ) -> OverloadStats {
     use std::collections::BTreeMap;
 
@@ -946,12 +935,19 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     let mut clock = Timestamp::ZERO;
     let mut next_doc = 0u64;
     let unfaulted = faults(service.engine());
-    // Consecutive round ends at which the candidate was degraded.
-    let mut degraded_rounds = 0;
     // Bursts of two or more the pumps have reported. The service's own
-    // stats must agree with them and with its admission ledger.
+    // stats must agree with them and with its admission ledger, and no pump
+    // may return with a shard still degraded.
     let mut drained_batches = 0u64;
     let check_stats = |service: &StreamService<C>, drained_batches: u64, round: usize| {
+        let degraded = service
+            .engine()
+            .fault_stats()
+            .map_or(0, |stats| stats.degraded_shards);
+        assert_eq!(
+            degraded, 0,
+            "seed {seed:#x} round {round}: the pump returned with {degraded} shards degraded"
+        );
         let stats = service.stats();
         let processed = stats.overload.accepted + stats.overload.coalesced;
         assert_eq!(
@@ -1095,8 +1091,7 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         service.check_accounting();
         drained_batches += report.batches;
         check_stats(&service, drained_batches, round);
-        let down = degraded(service.engine());
-        if round % 8 == 0 && !down {
+        if round % 8 == 0 {
             // The same deep audit, under the same gate, `run_script` runs
             // per op — here wherever live results are compared.
             #[cfg(any(test, feature = "invariant-checks"))]
@@ -1108,12 +1103,6 @@ pub fn run_overload_session<C: Engine, R: Engine>(
                     "seed {seed:#x} round {round}: results diverged on {query:?}"
                 );
             }
-        }
-        // A degraded shard serves one whole round degraded, then recovers.
-        degraded_rounds = if down { degraded_rounds + 1 } else { 0 };
-        if degraded_rounds == 2 {
-            recover(service.engine_mut());
-            degraded_rounds = 0;
         }
     }
     // Quiesce: drain everything still queued and settle the ledger.
@@ -1128,9 +1117,6 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         outcomes_held,
         config.bursts,
     );
-    if degraded(service.engine()) {
-        recover(service.engine_mut());
-    }
     assert_eq!(
         service.depth(),
         0,
@@ -1345,8 +1331,7 @@ mod tests {
         };
         let candidate = ShardedItaEngine::new(window, ItaConfig::default(), 2);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
-        let overload =
-            run_overload_session(candidate, &mut reference, &config, 0x7E57_0B01, |_| {});
+        let overload = run_overload_session(candidate, &mut reference, &config, 0x7E57_0B01);
         assert!(overload.offered > 0, "session offered nothing");
         assert!(
             overload.shed() > 0,
@@ -1399,7 +1384,7 @@ mod tests {
             ..OverloadConfig::default()
         };
         let mut reference = ItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default());
-        run_overload_session(AuditPanics, &mut reference, &config, 0x7E57_0B02, |_| {});
+        run_overload_session(AuditPanics, &mut reference, &config, 0x7E57_0B02);
     }
 
     #[test]

@@ -21,15 +21,11 @@ use cts_core::testkit::{
 };
 use cts_core::validate::assert_engines_agree;
 use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, FaultPolicy, ItaConfig, ItaEngine, RebalanceConfig,
+    BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, RebalanceConfig,
     ShardedItaEngine,
 };
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp, WindowTerms};
 use cts_text::{TermId, WeightedVector};
-
-fn faulty(window: SlidingWindow, shards: usize, policy: FaultPolicy) -> ShardedItaEngine {
-    ShardedItaEngine::with_faults(window, shards, RebalanceConfig::default(), policy)
-}
 
 fn faults(sharded: &ShardedItaEngine) -> u64 {
     sharded
@@ -76,7 +72,7 @@ fn assert_chaos_lockstep(shards: usize, seed: u64) {
         .count();
     assert!(injections > 0, "seed {seed:#x} armed no faults");
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, shards, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), shards);
     {
         let mut engines: Vec<Box<dyn Engine>> = vec![
             Box::new(&mut reference) as Box<dyn Engine>,
@@ -98,7 +94,7 @@ fn assert_chaos_lockstep(shards: usize, seed: u64) {
     assert!(stats.recovery_micros > 0);
     assert_eq!(
         stats.degraded_shards, 0,
-        "shards {shards}, seed {seed:#x}: run ended with degraded shards under BlockUntilRecovered"
+        "shards {shards}, seed {seed:#x}: run ended with degraded shards"
     );
 }
 
@@ -164,77 +160,71 @@ fn small_query(rng: &mut ScriptRng) -> ContinuousQuery {
 /// Right after a resurrection a rebuilt shard is "these queries registered
 /// over this window" and nothing else: no rebuilt query has examined an
 /// arrival or an expiration, no shard read its own store (the rebuild ships
-/// its postings), and results are the oracle's — under the blocking policy
-/// (rebuilt inside the faulting event) and after an explicit recovery.
+/// its postings), and results are the oracle's — the shards are rebuilt
+/// inside the faulting event.
 #[test]
 fn a_rebuilt_shard_is_a_registration_over_the_mirror() {
-    for policy in [FaultPolicy::BlockUntilRecovered, FaultPolicy::ServeDegraded] {
-        for shards in [1usize, 2, 4, 8] {
-            let window = SlidingWindow::count_based(20);
-            let mut rng = ScriptRng::new(0x4E61_0000 + shards as u64);
-            let mut oracle = BruteForceOracle::new(window);
-            let mut sharded = faulty(window, shards, policy);
-            let mut qids: Vec<QueryId> = Vec::new();
-            let mut register = |oracle: &mut BruteForceOracle, sharded: &mut ShardedItaEngine| {
-                let query = small_query(&mut rng);
-                let qid = oracle.register(query.clone());
-                assert_eq!(sharded.register(query), qid);
-                qids.push(qid);
-            };
-            for _ in 0..8 {
+    for shards in [1usize, 2, 4, 8] {
+        let window = SlidingWindow::count_based(20);
+        let mut rng = ScriptRng::new(0x4E61_0000 + shards as u64);
+        let mut oracle = BruteForceOracle::new(window);
+        let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), shards);
+        let mut qids: Vec<QueryId> = Vec::new();
+        let mut register = |oracle: &mut BruteForceOracle, sharded: &mut ShardedItaEngine| {
+            let query = small_query(&mut rng);
+            let qid = oracle.register(query.clone());
+            assert_eq!(sharded.register(query), qid);
+            qids.push(qid);
+        };
+        for _ in 0..8 {
+            register(&mut oracle, &mut sharded);
+        }
+        let mut doc_rng = ScriptRng::new(0x4E61_1000 + shards as u64);
+        let mut feed = |oracle: &mut BruteForceOracle, sharded: &mut ShardedItaEngine, id| {
+            let doc = tie_heavy_doc(&mut doc_rng, id);
+            oracle.process_document(doc.clone());
+            sharded.process_document(doc);
+        };
+        for id in 0..30 {
+            feed(&mut oracle, &mut sharded, id);
+            if id % 10 == 5 {
+                // Registered mid-stream, so its thresholds carry history.
                 register(&mut oracle, &mut sharded);
             }
-            let mut doc_rng = ScriptRng::new(0x4E61_1000 + shards as u64);
-            let mut feed = |oracle: &mut BruteForceOracle, sharded: &mut ShardedItaEngine, id| {
-                let doc = tie_heavy_doc(&mut doc_rng, id);
-                oracle.process_document(doc.clone());
-                sharded.process_document(doc);
-            };
-            for id in 0..30 {
-                feed(&mut oracle, &mut sharded, id);
-                if id % 10 == 5 {
-                    // Registered mid-stream, so its thresholds carry history.
-                    register(&mut oracle, &mut sharded);
-                }
-            }
-            for shard in 0..shards {
-                assert!(sharded.inject_fault(shard));
-            }
-            feed(&mut oracle, &mut sharded, 30);
-            if policy == FaultPolicy::ServeDegraded {
-                feed(&mut oracle, &mut sharded, 31);
-                assert_eq!(sharded.recover_degraded(), Ok(shards));
-            }
-            let stats = sharded.fault_stats().expect("tracked");
-            let context = format!("{policy:?}, {shards} shards");
+        }
+        for shard in 0..shards {
+            assert!(sharded.inject_fault(shard));
+        }
+        feed(&mut oracle, &mut sharded, 30);
+        let stats = sharded.fault_stats().expect("tracked");
+        let context = format!("{shards} shards");
+        assert_eq!(
+            (stats.faults, stats.recoveries, stats.degraded_shards),
+            (shards as u64, shards as u64, 0),
+            "{context}"
+        );
+        for &q in &qids {
+            let rebuilt = sharded.query_stats(q).expect("registered");
             assert_eq!(
-                (stats.faults, stats.recoveries, stats.degraded_shards),
-                (shards as u64, shards as u64, 0),
-                "{context}"
+                (
+                    rebuilt.arrivals_examined,
+                    rebuilt.expirations_examined,
+                    rebuilt.refills
+                ),
+                (0, 0, 0),
+                "{context}: {q} was rebuilt by replaying the window"
             );
-            for &q in &qids {
-                let rebuilt = sharded.query_stats(q).expect("registered");
-                assert_eq!(
-                    (
-                        rebuilt.arrivals_examined,
-                        rebuilt.expirations_examined,
-                        rebuilt.refills
-                    ),
-                    (0, 0, 0),
-                    "{context}: {q} was rebuilt by replaying the window"
-                );
-            }
-            for index in sharded.shard_index_stats() {
-                assert_eq!(index.register_entries_walked, 0, "{context}");
-                assert_eq!(index.documents, 20, "{context}");
-            }
+        }
+        for index in sharded.shard_index_stats() {
+            assert_eq!(index.register_entries_walked, 0, "{context}");
+            assert_eq!(index.documents, 20, "{context}");
+        }
+        assert_engines_agree(&oracle, &sharded, &qids);
+        sharded.check_invariants();
+        // And the rebuilt shards keep the results exact.
+        for id in 31..60 {
+            feed(&mut oracle, &mut sharded, id);
             assert_engines_agree(&oracle, &sharded, &qids);
-            sharded.check_invariants();
-            // And the rebuilt shards keep the results exact.
-            for id in 32..60 {
-                feed(&mut oracle, &mut sharded, id);
-                assert_engines_agree(&oracle, &sharded, &qids);
-            }
         }
     }
 }
@@ -248,7 +238,7 @@ fn fault_right_after_a_rebuild_rebuilds_again_exactly() {
     let window = SlidingWindow::count_based(10);
     let mut rng = ScriptRng::new(0xC01D_0000);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
     let qids: Vec<QueryId> = (0..6)
         .map(|_| {
             let query = small_query(&mut rng);
@@ -300,7 +290,7 @@ fn fault_right_after_a_migration_rebuilds_the_installed_query() {
     let window = SlidingWindow::count_based(12);
     let mut rng = ScriptRng::new(0x316A_0000);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, shards, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), shards);
     let qids: Vec<QueryId> = (0..24)
         .map(|_| {
             let query = small_query(&mut rng);
@@ -389,7 +379,7 @@ fn fault_right_after_a_registration_burst_replays_the_shipped_postings() {
     let window = SlidingWindow::count_based(14);
     let mut rng = ScriptRng::new(0x5EA1_0000);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, shards, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), shards);
     let mut live: Vec<QueryId> = Vec::new();
     let mut id = 0u64;
     let mut armed = 0u64;
@@ -437,79 +427,6 @@ fn fault_right_after_a_registration_burst_replays_the_shipped_postings() {
     );
 }
 
-/// Under [`FaultPolicy::ServeDegraded`] a registration whose hash shard is
-/// down goes to the healthy shard, with postings resolved against the
-/// mirror — which kept sliding while the shard was gone — so the new
-/// queries answer exactly at once, and still do after the dead shard is
-/// rebuilt.
-#[test]
-fn serve_degraded_registration_is_rerouted_with_postings_from_the_mirror() {
-    let window = SlidingWindow::count_based(12);
-    let mut rng = ScriptRng::new(0x5EA1_0100);
-    let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultPolicy::ServeDegraded);
-    let mut qids = Vec::new();
-    for _ in 0..4 {
-        let query = small_query(&mut rng);
-        let qid = reference.register(query.clone());
-        assert_eq!(qid, sharded.register(query));
-        qids.push(qid);
-    }
-    let mut id = 0u64;
-    let mut feed = |reference: &mut ItaEngine, sharded: &mut ShardedItaEngine, events: usize| {
-        for _ in 0..events {
-            let doc = tie_heavy_doc(&mut rng, id);
-            reference.process_document(doc.clone());
-            sharded.process_document(doc);
-            id += 1;
-        }
-    };
-    feed(&mut reference, &mut sharded, 10);
-    assert!(sharded.inject_fault(0));
-    // The window slides on while shard 0 is down.
-    feed(&mut reference, &mut sharded, 9);
-    assert_eq!(sharded.fault_stats().expect("tracked").degraded_shards, 1);
-    let before = sharded.window_terms_stats();
-    let burst: Vec<ContinuousQuery> = (0..6)
-        .map(|t| {
-            ContinuousQuery::from_weights(
-                [(TermId(t), 0.7), (TermId(11 - t), 0.3)],
-                1 + t as usize % 3,
-            )
-        })
-        .collect();
-    let late = reference.register_batch(burst.clone());
-    assert_eq!(late, sharded.register_batch(burst));
-    let after = sharded.window_terms_stats();
-    assert!(
-        after.postings_from_walks + after.postings_from_directories
-            > before.postings_from_walks + before.postings_from_directories,
-        "the rerouted registration resolved nothing"
-    );
-    assert!(
-        late.iter().any(|&q| sharded.shard_of(q) == 0),
-        "no late query hashed to the dead shard"
-    );
-    for &q in &late {
-        assert_eq!(sharded.assigned_shard(q), Some(1), "{q} was not rerouted");
-        assert!(!sharded.query_is_stale(q));
-        assert_eq!(reference.current_results(q), sharded.current_results(q));
-    }
-    // The healthy shard's store is still the mirror, document for document.
-    sharded.check_invariants();
-    feed(&mut reference, &mut sharded, 7);
-    for &q in &late {
-        assert_eq!(reference.current_results(q), sharded.current_results(q));
-    }
-    assert_eq!(sharded.recover_degraded().expect("recovery succeeds"), 1);
-    sharded.check_invariants();
-    feed(&mut reference, &mut sharded, 5);
-    for &q in qids.iter().chain(&late) {
-        assert!(!sharded.query_is_stale(q));
-        assert_eq!(reference.current_results(q), sharded.current_results(q));
-    }
-}
-
 /// One explicit, readable fault-recovery scenario (the differential above
 /// is the strong check; this one is the debuggable one): arm a fault, feed
 /// a document, and verify the armed shard panicked, was rebuilt, and
@@ -518,7 +435,7 @@ fn serve_degraded_registration_is_rerouted_with_postings_from_the_mirror() {
 fn injected_fault_is_applied_then_recovered_exactly() {
     let window = SlidingWindow::count_based(8);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
     let query = ContinuousQuery::from_weights([(TermId(1), 0.7), (TermId(2), 0.3)], 2);
     let qr = reference.register(query.clone());
     let qs = sharded.register(query);
@@ -550,7 +467,7 @@ fn injected_fault_is_applied_then_recovered_exactly() {
 fn poison_documents_detonate_once_and_recover() {
     let window = SlidingWindow::count_based(6);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
     let query = ContinuousQuery::from_weights([(TermId(3), 1.0)], 2);
     let qr = reference.register(query.clone());
     let qs = sharded.register(query);
@@ -572,14 +489,14 @@ fn poison_documents_detonate_once_and_recover() {
     assert_eq!(stats.recoveries, 4);
 }
 
-/// Random injected faults on three shards under the blocking policy: every
-/// caught panic poisons its shard and the coordinator rebuilds it before the
-/// event returns, with exact results after every event.
+/// Random injected faults on three shards: every caught panic poisons its
+/// shard and the coordinator rebuilds it before the event returns, with
+/// exact results after every event.
 #[test]
 fn cold_rebuild_restores_exact_results_under_block_policy() {
     let window = SlidingWindow::count_based(10);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 3, FaultPolicy::BlockUntilRecovered);
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 3);
     let mut rng = ScriptRng::new(0xC01D);
     let mut qids: Vec<QueryId> = Vec::new();
     for t in 0..9u32 {
@@ -609,12 +526,12 @@ fn cold_rebuild_restores_exact_results_under_block_policy() {
 }
 
 /// A killed worker thread (disconnect, not panic) is resurrected by the
-/// coordinator under the blocking policy, with exact results afterwards.
+/// coordinator, with exact results afterwards.
 #[test]
 fn killed_worker_is_resurrected_with_exact_results() {
     let window = SlidingWindow::count_based(8);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultPolicy::default());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
     let mut qids = Vec::new();
     for t in 0..6u32 {
         let q = ContinuousQuery::from_weights([(TermId(t), 1.0)], 2);
@@ -651,110 +568,107 @@ fn killed_worker_is_resurrected_with_exact_results() {
     assert_eq!(sharded.num_valid_documents(), 8);
 }
 
-/// Under [`FaultPolicy::ServeDegraded`] the healthy shards keep serving:
-/// queries on the dead shard go stale (empty results, `query_is_stale`),
-/// events are counted in `events_during_degraded`, and an explicit
-/// `recover_degraded` brings the shard back with exact results.
+/// The one window in which a shard stays degraded: a read through `&self`
+/// that finds a killed worker cannot rebuild it. It answers its fallback
+/// (empty results, no stats) and leaves the shard degraded; the next event
+/// rebuilds the shard before it returns, with exact results.
 #[test]
-fn serve_degraded_keeps_healthy_shards_live_until_explicit_recovery() {
+fn a_dead_worker_found_by_a_read_is_rebuilt_by_the_next_event() {
     let window = SlidingWindow::count_based(8);
+    let mut rng = ScriptRng::new(0x4EAD_0000);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = faulty(window, 2, FaultPolicy::ServeDegraded);
-    let mut qids = Vec::new();
-    for t in 0..8u32 {
-        let q = ContinuousQuery::from_weights([(TermId(t % 4), 1.0)], 2);
-        let qr = reference.register(q.clone());
-        assert_eq!(qr, sharded.register(q));
-        qids.push(qr);
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+    let qids: Vec<QueryId> = (0..6)
+        .map(|_| {
+            let query = small_query(&mut rng);
+            let qid = reference.register(query.clone());
+            assert_eq!(qid, sharded.register(query));
+            qid
+        })
+        .collect();
+    for id in 0..12 {
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(&mut reference, &mut sharded, &doc, &qids);
     }
-    let feed = |engine: &mut dyn Engine, i: u64| {
-        engine.process_document(Document::new(
-            DocId(i),
-            Timestamp::from_millis(i),
-            WeightedVector::from_weights([(TermId((i % 4) as u32), 0.2 + (i % 3) as f64 * 0.2)]),
-        ));
-    };
-    for i in 0..10u64 {
-        feed(&mut reference, i);
-        feed(&mut sharded, i);
-    }
-    // Kill shard 0 and keep serving.
-    assert!(sharded.inject_fault(0));
-    for i in 10..20u64 {
-        feed(&mut reference, i);
-        feed(&mut sharded, i);
-    }
+    let victim = qids
+        .iter()
+        .copied()
+        .find(|&q| !reference.current_results(q).is_empty())
+        .expect("some query has results");
+    let shard = sharded.assigned_shard(victim).expect("registered");
+    assert!(sharded.inject_disconnect(shard));
+    assert!(
+        sharded.current_results(victim).is_empty(),
+        "a dead worker served results"
+    );
+    assert!(sharded.query_stats(victim).is_none());
     let stats = sharded.fault_stats().expect("tracked");
-    assert_eq!(stats.degraded_shards, 1);
-    // The faulting event itself is applied before the panic; after it the
-    // coordinator served 9 more events degraded — plus the one that faulted.
-    assert_eq!(stats.events_during_degraded, 10);
-    let (stale, live): (Vec<QueryId>, Vec<QueryId>) =
-        qids.iter().partition(|&&q| sharded.query_is_stale(q));
-    assert!(!stale.is_empty(), "no query was hosted on the dead shard");
-    assert!(!live.is_empty(), "every query was hosted on the dead shard");
-    for &q in &stale {
-        assert!(
-            sharded.current_results(q).is_empty(),
-            "stale {q} served data"
-        );
-    }
-    for &q in &live {
-        assert_eq!(reference.current_results(q), sharded.current_results(q));
-    }
-    // Explicit recovery rebuilds the dead shard from registry + mirror;
-    // results come back exact for every query.
-    let resurrected = sharded.recover_degraded().expect("recovery succeeds");
-    assert_eq!(resurrected, 1);
-    assert_eq!(sharded.fault_stats().expect("tracked").degraded_shards, 0);
-    for &q in &qids {
-        assert!(!sharded.query_is_stale(q));
-        assert_eq!(reference.current_results(q), sharded.current_results(q));
-    }
-    // And the engine is fully live again.
-    for i in 20..30u64 {
-        feed(&mut reference, i);
-        feed(&mut sharded, i);
-        for &q in &qids {
-            assert_eq!(reference.current_results(q), sharded.current_results(q));
-        }
-    }
+    assert_eq!(
+        (stats.faults, stats.recoveries, stats.degraded_shards),
+        (1, 0, 1),
+        "the read did not mark the shard degraded, or rebuilt it"
+    );
+    let doc = tie_heavy_doc(&mut rng, 12);
+    reference.process_document(doc.clone());
+    sharded.process_document(doc);
+    let stats = sharded.fault_stats().expect("tracked");
+    assert_eq!(
+        (stats.faults, stats.recoveries, stats.degraded_shards),
+        (1, 1, 0),
+        "the event returned with the shard unrebuilt"
+    );
+    assert_engines_agree(&reference, &sharded, &qids);
+    sharded.check_invariants();
 }
 
-/// Under [`FaultPolicy::FailFast`] a fault surfaces as a typed error from
-/// the `try_*` paths, and the engine is usable again after an explicit
-/// `recover_degraded`.
+/// A registration burst that finds a killed worker: the burst's queries go
+/// to their hash shards, the dead one included (there is no reroute), the
+/// shard is rebuilt before the registration returns, and every new query
+/// answers exactly at once and after more events.
 #[test]
-fn fail_fast_surfaces_typed_errors_and_recovers_on_request() {
-    let window = SlidingWindow::count_based(6);
-    let mut sharded = faulty(window, 2, FaultPolicy::FailFast);
-    let q = sharded.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-    let doc = |i: u64| {
-        Document::new(
-            DocId(i),
-            Timestamp::from_millis(i),
-            WeightedVector::from_weights([(TermId(1), 0.5)]),
-        )
-    };
-    sharded.try_process(doc(0)).expect("healthy engine serves");
-    assert!(sharded.inject_fault(0));
-    // The faulting event returns an error naming the shard…
-    let err = sharded.try_process(doc(1)).expect_err("fault must surface");
-    assert!(
-        matches!(err, cts_core::EngineError::ShardFault(ref fault) if fault.shard == 0),
-        "unexpected error: {err}"
+fn a_registration_that_finds_a_dead_worker_lands_on_the_hash_shard() {
+    let window = SlidingWindow::count_based(12);
+    let mut rng = ScriptRng::new(0x5EA1_0100);
+    let mut reference = ItaEngine::new(window, ItaConfig::default());
+    // Rebalancing off, so placement after the burst is the hash placement.
+    let mut sharded = ShardedItaEngine::with_rebalance(window, 2, RebalanceConfig::disabled());
+    let mut live: Vec<QueryId> = (0..4)
+        .map(|_| {
+            let query = small_query(&mut rng);
+            let qid = reference.register(query.clone());
+            assert_eq!(qid, sharded.register(query));
+            qid
+        })
+        .collect();
+    let mut id = 0u64;
+    for _ in 0..19 {
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(&mut reference, &mut sharded, &doc, &live);
+        id += 1;
+    }
+    // The next minted id goes to `dead`.
+    let dead = sharded.shard_of(QueryId(live.len() as u32));
+    assert!(sharded.inject_disconnect(dead));
+    let burst: Vec<ContinuousQuery> = (0..6).map(|_| small_query(&mut rng)).collect();
+    let late = reference.register_batch(burst.clone());
+    assert_eq!(late, sharded.register_batch(burst));
+    let stats = sharded.fault_stats().expect("tracked");
+    assert_eq!(
+        (stats.faults, stats.recoveries, stats.degraded_shards),
+        (1, 1, 0),
+        "the registration returned with the shard unrebuilt"
     );
-    // …and so does every subsequent operation until recovery.
-    let err = sharded.try_process(doc(2)).expect_err("still degraded");
-    assert!(matches!(
-        err,
-        cts_core::EngineError::ShardUnavailable { shard: 0 }
-    ));
-    assert_eq!(sharded.recover_degraded().expect("recovers"), 1);
-    sharded
-        .try_process(doc(3))
-        .expect("recovered engine serves");
-    assert!(!sharded.current_results(q).is_empty());
+    for &q in &late {
+        assert_eq!(sharded.assigned_shard(q), Some(sharded.shard_of(q)));
+        assert_eq!(reference.current_results(q), sharded.current_results(q));
+    }
+    sharded.check_invariants();
+    live.extend(late);
+    for _ in 0..12 {
+        let doc = tie_heavy_doc(&mut rng, id);
+        assert_exact_event(&mut reference, &mut sharded, &doc, &live);
+        id += 1;
+    }
 }
 
 /// The contract the suites above rely on, stated on the engine itself: a

@@ -6,8 +6,7 @@
 
 use cts_core::validate::assert_engines_agree;
 use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, EngineError, FaultPolicy, ItaConfig,
-    ShardedItaEngine,
+    BruteForceOracle, ContinuousQuery, Engine, EngineError, ItaConfig, ShardedItaEngine,
 };
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
@@ -171,12 +170,8 @@ fn a_duplicate_document_id_is_refused_before_any_shard_sees_it() {
 
 #[test]
 fn shutdown_returns_the_final_aggregate_stats() {
-    let mut sharded = ShardedItaEngine::with_faults(
-        SlidingWindow::count_based(8),
-        3,
-        Default::default(),
-        FaultPolicy::default(),
-    );
+    let mut sharded =
+        ShardedItaEngine::with_rebalance(SlidingWindow::count_based(8), 3, Default::default());
     sharded.register(query(0));
     for i in 0..12u64 {
         sharded.process_document(doc(i));
