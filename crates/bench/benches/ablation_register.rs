@@ -2,7 +2,7 @@
 //!
 //! A term-filtered shadow engine (the shard-side configuration) must file
 //! the window postings of every term a registration brings live. DESIGN.md
-//! §9 has the cost model; this bench prices its three parts.
+//! §9 has the cost model; this bench prices it.
 //!
 //! **Stand-alone engine** (`ita_term_filtered/register/…`) — nobody supplies
 //! postings, so the engine reads them out of its own store, one bitmap walk
@@ -25,16 +25,6 @@
 //! a warm lone registration must follow the chunk count and its own
 //! postings, not the window's 2.3M / 9.2M entries.
 //!
-//! **Migration** (`window_terms/migrate/…`) — one ten-term query moving
-//! between two filtered engines over the same 10k window (the two-shard
-//! rebalancer's unit of work), timed from extracted state to installed:
-//! `walk` — nobody supplies postings, so the destination reads its own store
-//! (what a shard did at a migrated term's first probe before migrations
-//! shipped their postings, and what a stand-alone engine still does);
-//! `shipped/cold` and `shipped/warm` — the window's owner resolves the
-//! query's terms ([`WindowTerms::postings`], directories cold / built) and
-//! the destination files the answer ([`ItaEngine::install_query`]).
-//!
 //! **Shape sweep** (`window_terms/shape/…`) — chunk length × builds per call
 //! on the 10k window, `WindowTerms` alone: the cold and the warm lone call,
 //! a warm burst of 16, the directory build per document, the directories'
@@ -56,7 +46,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cts_core::{ContinuousQuery, Engine, ItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::window_terms::{BUILDS_PER_CALL, CHUNK_DOCS};
-use cts_index::{Document, QueryId, SlidingWindow, TermPostings, WindowTerms};
+use cts_index::{Document, QueryId, SlidingWindow, WindowTerms};
 use cts_text::weighting::Scoring;
 use cts_text::{Dictionary, TermId};
 
@@ -352,70 +342,6 @@ fn bench_resolved_registration(c: &mut Criterion) {
     }
 }
 
-/// One query migrating between two filtered engines over the same window:
-/// the destination walking its own store against the window's owner
-/// resolving the postings (directories cold and warm) and shipping them.
-fn bench_migration(c: &mut Criterion) {
-    let point = operating_point();
-    let chunk_docs = if point.quick { 16 } else { CHUNK_DOCS };
-    let docs = window_documents(&point, point.window_docs);
-    let mut source = filled_engine(&docs);
-    let mut destination = filled_engine(&docs);
-    // The destination hosts half the workload, so a migrated query finds
-    // some of its terms live already, as on a running shard.
-    let resident = build_queries(&point);
-    destination.register_batch(resident[..point.num_queries / 2].to_vec());
-    let movers: Vec<(QueryId, Arc<ContinuousQuery>)> = (point.num_queries as u32..)
-        .zip(build_queries_of(&point, 64, 0x4E60_0400))
-        .map(|(id, query)| (QueryId(id), Arc::new(query)))
-        .collect();
-    source.register_shared_batch(&movers, &TermPostings::default());
-    let mut warm = window_over(&docs, chunk_docs, usize::MAX);
-    warm.postings([TermId(0)]);
-    for arm in ["walk", "shipped/cold", "shipped/warm"] {
-        let (mut resolve, mut install) = (Duration::ZERO, Duration::ZERO);
-        let mut calls = 0u64;
-        let walked_before = destination.register_entries_walked();
-        let filed_before = destination.register_postings_touched();
-        c.bench_function(&format!("window_terms/migrate/{arm}"), |b| {
-            b.iter(|| {
-                let (qid, _) = movers[calls as usize % movers.len()];
-                let migration = source.extract_query(qid).expect("the mover is home");
-                let mut fresh = (arm == "shipped/cold")
-                    .then(|| window_over(&docs, chunk_docs, BUILDS_PER_CALL));
-                let start = Instant::now();
-                let postings = match arm {
-                    "walk" => TermPostings::default(),
-                    _ => fresh
-                        .as_mut()
-                        .unwrap_or(&mut warm)
-                        .postings(migration.terms()),
-                };
-                let resolved = start.elapsed();
-                destination.install_query(qid, migration, &postings);
-                let done = start.elapsed();
-                resolve += resolved;
-                install += done - resolved;
-                calls += 1;
-                // Home again, outside the manual clock.
-                let back = destination.extract_query(qid).expect("just installed");
-                source.install_query(qid, back, &TermPostings::default());
-            })
-        });
-        eprintln!(
-            "window_terms/migrate/{arm}: {:.3} ms per migration = {:.3} resolve + {:.3} \
-             install over a {}-document window; per migration {} entries walked by the \
-             destination, {} postings filed ({calls} migrations)",
-            ms(resolve + install, calls),
-            ms(resolve, calls),
-            ms(install, calls),
-            point.window_docs,
-            (destination.register_entries_walked() - walked_before) / calls.max(1),
-            (destination.register_postings_touched() - filed_before) / calls.max(1),
-        );
-    }
-}
-
 /// Median of `calls` timings of `routine`, in microseconds.
 fn median_us(calls: usize, mut routine: impl FnMut(usize) -> Duration) -> f64 {
     let mut timings: Vec<Duration> = (0..calls).map(&mut routine).collect();
@@ -498,7 +424,6 @@ criterion_group!(
     bench_registration_strategies,
     bench_single_registration,
     bench_resolved_registration,
-    bench_migration,
     bench_window_shape
 );
 criterion_main!(benches);

@@ -159,9 +159,6 @@ pub struct CellReport {
     /// Slowest single batch, microseconds (0 when `batch == 1`; the
     /// per-event maximum is `max_event_micros` in that case).
     pub max_batch_micros: f64,
-    /// Queries migrated by the skew rebalancer during the whole run
-    /// (sharded-ITA arm only).
-    pub migrations: Option<u64>,
     /// Mean per-event worker busy time summed across shards, microseconds
     /// (sharded-ITA arm only). Divide by `mean_event_micros` for parallel
     /// utilisation; at 1 shard the difference to `mean_event_micros` is the
@@ -397,7 +394,6 @@ fn base_report<E: Engine>(settings: &SweepSettings, outcome: &DriveOutcome<E>) -
         batch: 1,
         register_burst: settings.register_burst,
         max_batch_micros: stats.max_batch_time.as_secs_f64() * 1e6,
-        migrations: None,
         shard_busy_per_event_micros: None,
         faults: None,
         recoveries: None,
@@ -522,7 +518,6 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
         sharded_report.batch = batch;
         let engine = &outcome.engine;
         sharded_report.shards = Some(engine.num_shards());
-        sharded_report.migrations = Some(engine.migrations());
         sharded_report.index_postings = Some(
             engine
                 .shard_index_stats()
@@ -556,13 +551,12 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
         }
         sharded_report.self_check = format!("ok ({} queries)", sampled.len());
         eprintln!(
-            "    sharded: mean {:.1} µs/event ({} shards, batch {}, {:.1} µs busy/event, \
-             {} migrations), {:.1} queries touched/event",
+            "    sharded: mean {:.1} µs/event ({} shards, batch {}, {:.1} µs busy/event), \
+             {:.1} queries touched/event",
             sharded_report.mean_event_micros,
             settings.shards,
             batch,
             sharded_report.shard_busy_per_event_micros.unwrap(),
-            sharded_report.migrations.unwrap(),
             sharded_report.queries_touched_per_event
         );
         if settings.chaos {
@@ -858,7 +852,7 @@ mod tests {
         assert!(batched.max_event_micros <= batched.max_batch_micros);
         assert!(singles.max_event_micros > 0.0);
         assert_eq!(singles.max_batch_micros, 0.0);
-        assert!(batched.migrations.is_some());
+        assert!(batched.shard_busy_per_event_micros.is_some());
         // The per-event work measure is protocol-independent.
         assert_eq!(
             singles.queries_touched_per_event,

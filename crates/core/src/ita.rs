@@ -90,27 +90,6 @@ pub struct ItaQueryStats {
     pub postings_examined: u64,
 }
 
-/// A query's complete ITA state, packaged for migration between engines —
-/// the payload of the sharded engine's skew rebalancer. Produced by
-/// [`ItaEngine::extract_query`] and consumed by [`ItaEngine::install_query`];
-/// it carries the query itself, its result set `R`, its local thresholds
-/// `θ_{Q,t}` and its bookkeeping counters, so the receiving engine resumes
-/// maintenance **exactly** where the sender stopped — no threshold search is
-/// re-run, no result is recomputed, and every future event is processed
-/// byte-identically to an engine that had hosted the query all along.
-#[derive(Debug, Clone)]
-pub struct QueryMigration {
-    state: QueryState,
-}
-
-impl QueryMigration {
-    /// The terms (with local thresholds) the migrated query watches —
-    /// what the receiving shard must cover in its shadow index.
-    pub fn terms(&self) -> impl Iterator<Item = TermId> + '_ {
-        self.state.thresholds.iter().map(|(term, _)| *term)
-    }
-}
-
 /// Per-query mutable state.
 #[derive(Debug, Clone)]
 struct QueryState {
@@ -277,7 +256,7 @@ impl ItaEngine {
         threshold_descent(&self.index, state);
         let live = self.index.live_terms();
         for ((term, after), before) in state.thresholds.iter().zip(before) {
-            // cts-lint: allow(panic-in-hot-path, registration and installation take a reference on every query term before any search runs)
+            // cts-lint: allow(panic-in-hot-path, registration takes a reference on every query term before any search runs)
             let key = live.key(*term).expect("query terms are live");
             let tree = self.trees.get_or_default(key);
             if register {
@@ -538,65 +517,6 @@ impl ItaEngine {
         self.run_threshold_search(qid, true);
     }
 
-    /// Removes `query` from this engine **without discarding its state**,
-    /// returning the [`QueryMigration`] package an [`ItaEngine::install_query`]
-    /// call on another engine (over the same window contents) consumes. The
-    /// engine-side teardown is exactly [`Engine::deregister`]'s: threshold-tree
-    /// entries are removed (empty trees retired) and term references are
-    /// released (on a term-filtered engine, last-reference lists dropped).
-    /// Returns `None` if the query is not registered.
-    pub fn extract_query(&mut self, query: QueryId) -> Option<QueryMigration> {
-        let state = self.queries.remove(query)?;
-        for (term, theta) in &state.thresholds {
-            // The tree goes before the reference: releasing the last one
-            // recycles the key the tree is filed under.
-            if let Some(key) = self.index.live_terms().key(*term) {
-                if let Some(tree) = self.trees.get_mut(key) {
-                    tree.remove(query, *theta);
-                    if tree.is_empty() {
-                        self.trees.remove(key);
-                    }
-                }
-            }
-            self.index.release_term(*term);
-        }
-        Some(QueryMigration { state })
-    }
-
-    /// Installs a query previously [`ItaEngine::extract_query`]ed from an
-    /// engine whose valid-document window matches this one's (the sharded
-    /// engine's shards all mirror the same window, so any shard pair
-    /// qualifies). Its terms take their references as a registration's do:
-    /// on a term-filtered engine the ones this brings live get their lists
-    /// filed from `postings` — the contract of
-    /// [`ItaEngine::register_shared_batch`]; a stand-alone engine passes
-    /// `TermPostings::default()` and pays the one store walk. The migrated
-    /// thresholds are filed into the threshold trees verbatim, after which
-    /// this engine maintains the query byte-identically to the one it left.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qid` is already registered here — before anything is
-    /// touched.
-    pub fn install_query(
-        &mut self,
-        qid: QueryId,
-        migration: QueryMigration,
-        postings: &TermPostings,
-    ) {
-        self.claim_ids(vec![qid]);
-        let QueryMigration { state } = migration;
-        self.index
-            .acquire_terms(state.thresholds.iter().map(|(term, _)| *term), postings);
-        let live = self.index.live_terms();
-        for (term, theta) in &state.thresholds {
-            // cts-lint: allow(panic-in-hot-path, the call above took a reference on every term of the query)
-            let key = live.key(*term).expect("term is live");
-            self.trees.get_or_default(key).insert(qid, *theta);
-        }
-        self.queries.insert(qid, state);
-    }
-
     /// Processes one already-shared stream event — the fan-out path of the
     /// sharded engine, where every shard receives the same `Arc`'d document
     /// and the window's composition lists exist once in memory no matter how
@@ -777,9 +697,27 @@ impl Engine for ItaEngine {
         batch.iter().map(|(qid, _)| *qid).collect()
     }
 
+    /// Removes the query's threshold-tree entries (retiring empty trees) and
+    /// releases its term references (on a term-filtered engine,
+    /// last-reference lists are dropped).
     fn deregister(&mut self, query: QueryId) -> bool {
-        // Deregistration is extraction with the migrated state discarded.
-        self.extract_query(query).is_some()
+        let Some(state) = self.queries.remove(query) else {
+            return false;
+        };
+        for (term, theta) in &state.thresholds {
+            // The tree goes before the reference: releasing the last one
+            // recycles the key the tree is filed under.
+            if let Some(key) = self.index.live_terms().key(*term) {
+                if let Some(tree) = self.trees.get_mut(key) {
+                    tree.remove(query, *theta);
+                    if tree.is_empty() {
+                        self.trees.remove(key);
+                    }
+                }
+            }
+            self.index.release_term(*term);
+        }
+        true
     }
 
     fn process_document(&mut self, doc: Document) -> EventOutcome {
@@ -1080,75 +1018,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_install_migration_is_behaviour_preserving() {
-        // Two term-filtered engines over the same stream (the shard
-        // configuration): migrating a query from one to the other
-        // mid-stream must leave every observable — results, bookkeeping
-        // counters, thresholds, event outcomes — exactly as if the query had
-        // lived on the destination all along (modelled by `stayed`).
-        let window = SlidingWindow::count_based(15);
-        let mut source = ItaEngine::term_filtered(window);
-        let mut destination = ItaEngine::term_filtered(window);
-        let mut stayed = ItaEngine::term_filtered(window);
-        let q = ContinuousQuery::from_weights([(TermId(1), 0.7), (TermId(2), 0.3)], 3);
-        let qid = source.register(q.clone());
-        assert_eq!(stayed.register(q), qid);
-        let feed = |engines: &mut [&mut ItaEngine], lo: u64, hi: u64| {
-            for i in lo..hi {
-                let d = doc(
-                    i,
-                    &[
-                        ((i % 4) as u32, 0.1 + (i % 7) as f64 * 0.09),
-                        (2, 0.05 + (i % 3) as f64 * 0.2),
-                    ],
-                );
-                for engine in engines.iter_mut() {
-                    engine.process_document(d.clone());
-                }
-            }
-        };
-        feed(&mut [&mut source, &mut destination, &mut stayed], 0, 40);
-        let migration = source.extract_query(qid).expect("query is registered");
-        assert!(source.extract_query(qid).is_none(), "extract removes");
-        assert_eq!(source.num_queries(), 0);
-        // The extracted package names the terms the destination must cover.
-        let terms: Vec<u32> = migration.terms().map(|t| t.0).collect();
-        assert_eq!(terms, vec![1, 2]);
-        // The source dropped its now-unreferenced shadow lists.
-        assert_eq!(source.index_stats().postings, 0);
-        destination.install_query(qid, migration, &TermPostings::default());
-        assert_eq!(destination.num_queries(), 1);
-        assert_eq!(
-            destination.current_results(qid),
-            stayed.current_results(qid)
-        );
-        assert_eq!(destination.query_stats(qid), stayed.query_stats(qid));
-        assert_eq!(
-            destination.local_threshold(qid, TermId(1)),
-            stayed.local_threshold(qid, TermId(1))
-        );
-        // Post-migration traffic (arrivals, expirations, refills)
-        // stays in lockstep with the engine that never migrated.
-        for i in 40..120u64 {
-            let d = doc(
-                i,
-                &[
-                    ((i % 4) as u32, 0.1 + (i % 7) as f64 * 0.09),
-                    (2, 0.05 + (i % 3) as f64 * 0.2),
-                ],
-            );
-            let a = destination.process_document(d.clone());
-            let b = stayed.process_document(d);
-            assert_eq!(a, b, "outcomes diverged at event {i}");
-            assert_eq!(
-                destination.current_results(qid),
-                stayed.current_results(qid)
-            );
-        }
-        assert_eq!(destination.query_stats(qid), stayed.query_stats(qid));
-    }
-
-    #[test]
     fn a_duplicate_document_id_leaves_the_engine_as_it_was() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         for mut e in [
@@ -1192,13 +1061,10 @@ mod tests {
             // A query over other terms, some of them in the window: taking
             // its references would bring terms live and file their lists.
             let other = ContinuousQuery::from_weights([(TermId(3), 0.9), (TermId(4), 0.1)], 1);
-            let mut donor = e.clone();
-            let other_id = donor.register(other.clone());
-            let migration = donor.extract_query(other_id).expect("just registered");
             let (stats, top, thresholds) = (e.index_stats(), top_ids(&e, q), e.query_stats(q));
             let fresh = QueryId(q.0 + 1);
             type Attempt<'a> = Box<dyn FnOnce(&mut ItaEngine) + 'a>;
-            let attempts: [(&str, Attempt); 4] = [
+            let attempts: [(&str, Attempt); 3] = [
                 (
                     "register_with_id",
                     Box::new(|e| e.register_with_id(q, other.clone())),
@@ -1216,10 +1082,6 @@ mod tests {
                         let batch = [fresh, fresh].map(|id| (id, Arc::new(other.clone())));
                         e.register_shared_batch(&batch, &TermPostings::default())
                     }),
-                ),
-                (
-                    "install_query",
-                    Box::new(|e| e.install_query(q, migration.clone(), &TermPostings::default())),
                 ),
             ];
             for (name, attempt) in attempts {
@@ -1256,20 +1118,6 @@ mod tests {
         assert_eq!(batched.process_batch(docs), expected);
         assert_eq!(batched.current_results(qa), singles.current_results(qb));
         assert!(batched.process_batch(Vec::new()).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn install_over_a_live_id_panics() {
-        let mut a = engine(4);
-        let mut b = engine(4);
-        let qid = a.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 1));
-        assert_eq!(
-            b.register(ContinuousQuery::from_weights([(TermId(2), 1.0)], 1)),
-            qid
-        );
-        let migration = a.extract_query(qid).unwrap();
-        b.install_query(qid, migration, &TermPostings::default());
     }
 
     #[test]
@@ -1462,43 +1310,5 @@ mod tests {
         for (qid, _) in &batch {
             assert_eq!(supplied.current_results(*qid), walked.current_results(*qid));
         }
-    }
-
-    /// A migration ships its postings: the terms it brings live are listed
-    /// at install, from what the window's owner resolved — the destination
-    /// reads nothing out of its own store — and a stand-alone engine, given
-    /// none, pays the one walk a registration would.
-    #[test]
-    fn a_migration_files_its_lists_at_install_from_the_supplied_postings() {
-        let hits = 6u64;
-        let mut source = filtered_window(7, hits, 60);
-        let q = source.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 2));
-        let expected = source.current_results(q);
-        let migration = source.extract_query(q).expect("query is live");
-
-        // Same stream, so both targets mirror the source window (the
-        // precondition `install_query` documents) — but no query ever made
-        // term 7 live on them.
-        let mut supplied = filtered_window(7, hits, 60);
-        let mut walked = filtered_window(7, hits, 60);
-        let mut window = cts_index::WindowTerms::new();
-        for doc in supplied.store_documents() {
-            window.push(Arc::new(doc.clone()));
-        }
-        let postings = window.postings(migration.terms());
-        supplied.install_query(q, migration.clone(), &postings);
-        walked.install_query(q, migration, &TermPostings::default());
-        assert_eq!(supplied.register_entries_walked(), 0);
-        assert_eq!(walked.register_entries_walked(), hits + 60);
-        for target in [&supplied, &walked] {
-            assert_eq!(target.register_postings_touched(), hits);
-            assert_eq!(target.index_stats().postings, hits as usize);
-            assert_eq!(target.current_results(q), expected);
-            target.check_invariants();
-        }
-        // A later registration sharing the term finds the list complete.
-        supplied.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 1));
-        assert_eq!(supplied.register_postings_touched(), hits);
-        assert_eq!(supplied.register_entries_walked(), 0);
     }
 }

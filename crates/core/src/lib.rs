@@ -73,12 +73,12 @@ pub use engine::{Engine, EventOutcome, IngestEvent, RankedDocument};
 pub use fault::{
     is_poison_document, poison_document, EngineError, FaultStats, ShardFault, POISON_DOC_TEXT,
 };
-pub use ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
+pub use ita::{ItaConfig, ItaEngine, ItaQueryStats};
 pub use naive::{NaiveConfig, NaiveEngine};
 pub use oracle::BruteForceOracle;
 pub use query::ContinuousQuery;
 pub use result::ResultSet;
 pub use service::{Admission, DrainReport, ServiceConfig, ShedReason, StreamService};
-pub use sharded::{RebalanceConfig, ShardedItaEngine};
+pub use sharded::ShardedItaEngine;
 pub use slab::QuerySlab;
 pub use stats::{OverloadStats, ProcessingStats};

@@ -26,24 +26,15 @@
 //! through [`ProcessingStats::absorb`], so the sweep harness sees exact
 //! aggregate numbers, per-event maxima of batched runs included.
 //!
-//! ## Skew-aware rebalancing
+//! ## Static placement
 //!
-//! Static hash partitioning can be defeated by churn: if the surviving query
-//! population happens to concentrate on one shard, that worker carries the
-//! whole load while the rest idle. The coordinator therefore tracks the
-//! per-shard query count and, at load-change and burst boundaries (never
-//! mid-event), **migrates** queries from the heaviest to the lightest shard
-//! while the heaviest exceeds [`RebalanceConfig::max_over_ideal`] times the
-//! uniform share. A migration moves the query's complete ITA state —
-//! result set, local thresholds, counters — via
-//! [`ItaEngine::extract_query`]/[`ItaEngine::install_query`], with the
-//! window postings of its terms resolved against the coordinator's mirror as
-//! for a registration; the receiving shard files the lists of the terms that
-//! just became live from them and the migrated thresholds verbatim, so
-//! processing resumes byte-identically on the new shard (no threshold search
-//! is re-run, no shard store is read). The routing table
-//! ([`ShardedItaEngine::assigned_shard`]) supersedes the initial hash
-//! placement ([`ShardedItaEngine::shard_of`]) once a query has moved.
+//! A query lives on the shard [`ShardedItaEngine::shard_of`] hashes its id
+//! to, from registration to deregistration; that hash is the whole routing.
+//! The coordinator mints
+//! the ids, and the multiply-shift over their Fibonacci hash levels the query
+//! count across shards for sequential and churned id sets alike, so nothing
+//! moves a query afterwards (DESIGN.md §8 has the measured spread and what a
+//! rebalancer would still level).
 //!
 //! ## Fault tolerance
 //!
@@ -57,8 +48,8 @@
 //!   gone).
 //! * **One recovery path, the rebuild** — the coordinator keeps durable
 //!   state updated **before** any fan-out — a query registry
-//!   (id → [`ContinuousQuery`]), the placement table and a window mirror of
-//!   `Arc`'d documents ([`WindowTerms`]) — and rebuilds a degraded shard
+//!   (id → [`ContinuousQuery`]), whose ids hash to their shards, and a window
+//!   mirror of `Arc`'d documents ([`WindowTerms`]) — and rebuilds a degraded shard
 //!   from it: respawn the thread if it is gone, load the mirror's documents
 //!   into a fresh engine (no query is live, so nothing is filed), then one
 //!   registration of the shard's queries with the postings the coordinator
@@ -97,17 +88,17 @@
 //! union of its queries' terms therefore reproduces, query for query, the
 //! exact reads the single-shard engine performs — the shadow index is
 //! complete for that term set by construction: filtered inserts for live
-//! terms, and when a registration or a migration brings a term live
-//! mid-stream, its postings over the whole window filed in arrival order.
+//! terms, and when a registration brings a term live mid-stream, its
+//! postings over the whole window filed in arrival order.
 //!
 //! **Who resolves those postings.** The coordinator does, once, for every
 //! shard: its window mirror is a [`WindowTerms`] — the arrival-ordered
 //! `Arc`s plus lazily built per-chunk term directories, which exist once
 //! however many shards there are. [`ShardedItaEngine::try_register_batch`]
-//! and the rebalancer's `migrate` resolve the terms of what they are about to
-//! place against it while no event burst is in flight (so the mirror and
-//! every healthy shard's store hold the same documents) and ship the
-//! [`TermPostings`] with the request, and so does a rebuild; the shard files
+//! resolves the terms of a burst against it while no event burst is in
+//! flight (so the mirror and every healthy shard's store hold the same
+//! documents) and ships the [`TermPostings`] with the request, and so does a
+//! rebuild; the shard files
 //! what it finds newly live and never reads its own store
 //! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
 //! and expiry do no term work on the mirror (DESIGN.md §9). The randomized
@@ -118,8 +109,8 @@
 //! identical outcomes up to the first fault.
 
 use std::cell::RefCell;
-// cts-lint: allow(nondet-iteration, every map below is point-lookup only; nothing iterates their order)
-use std::collections::{HashMap, HashSet};
+// cts-lint: allow(nondet-iteration, the one set below is membership-only; nothing iterates its order)
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -133,7 +124,7 @@ use cts_index::{
 
 use crate::engine::{Engine, EventOutcome};
 use crate::fault::{is_poison_document, EngineError, FaultStats, ShardFault};
-use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats, QueryMigration};
+use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats};
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
 use crate::stats::ProcessingStats;
@@ -162,11 +153,6 @@ enum ShardRequest {
     /// [`EventOutcome`] per document, in order). The burst itself is shared:
     /// `N` shards cost one refcount bump each, not one per document each.
     ProcessBatch(Arc<[Arc<Document>]>),
-    /// Extract a query's complete ITA state for migration (synchronous).
-    Extract(QueryId),
-    /// Install a migrated query under its existing id (synchronous), with
-    /// the window postings of its terms, resolved as for `RegisterBatch`.
-    Install(QueryId, Box<QueryMigration>, Arc<TermPostings>),
     /// Read a query's current top-k.
     Results(QueryId),
     /// Read a query's ITA bookkeeping snapshot.
@@ -189,14 +175,15 @@ enum ShardRequest {
     /// postings the coordinator resolved for their terms over that window.
     /// Clears any poisoning.
     Rebuild(Vec<Arc<Document>>, SharedQueries, Arc<TermPostings>),
-    /// Audit the shard engine's deep structural invariants and that its
-    /// store holds exactly the given documents (the coordinator's mirror,
-    /// oldest first) (synchronous; replies
+    /// Audit the shard engine's deep structural invariants, that its store
+    /// holds exactly the given documents (the coordinator's mirror, oldest
+    /// first) and that it hosts exactly the given queries (the registry's
+    /// ids that hash to this shard) (synchronous; replies
     /// [`ShardReply::InvariantsChecked`]). A violation panics inside the
     /// worker's guard and surfaces as a [`ShardReply::Fault`] carrying the
     /// assertion message. Driven by the testkit lockstep runner under the
     /// `invariant-checks` feature; never sent on production paths.
-    CheckInvariants(Arc<[DocId]>),
+    CheckInvariants(Arc<[DocId]>, Vec<QueryId>),
     /// Drain the worker's final stats and exit the thread (the shutdown
     /// handshake that keeps stats from being lost on drop).
     Shutdown,
@@ -212,8 +199,6 @@ enum ShardReply {
     Deregistered(bool),
     /// The per-document outcomes, in order.
     ProcessedBatch(Vec<EventOutcome>),
-    Extracted(Option<Box<QueryMigration>>),
-    Installed,
     Results(Vec<RankedDocument>),
     QueryStats(Option<ItaQueryStats>),
     IndexStats(IndexStats),
@@ -317,7 +302,7 @@ impl ShardWorker {
 
     /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
     /// here; `guarded` converts it into a `Fault` reply carrying the message.
-    fn audit(&self, mirror: &[DocId]) -> Result<ShardReply, ShardFault> {
+    fn audit(&self, mirror: &[DocId], hosted: &[QueryId]) -> Result<ShardReply, ShardFault> {
         let engine = self.live()?;
         engine.check_invariants();
         // Shipped postings are only right if the coordinator resolved them
@@ -328,6 +313,16 @@ impl ShardWorker {
                 .map(|doc| doc.id)
                 .eq(mirror.iter().copied()),
             "the shard's store and the coordinator's mirror hold different documents"
+        );
+        // Placement is the hash: the registry's distinct ids that hash here,
+        // and no other query.
+        assert!(
+            engine.num_queries() == hosted.len()
+                && hosted.iter().all(|qid| engine.query_stats(*qid).is_some()),
+            "shard {} hosts {} queries, not the {} the registry places on it",
+            self.shard,
+            engine.num_queries(),
+            hosted.len()
         );
         Ok(ShardReply::InvariantsChecked)
     }
@@ -372,13 +367,6 @@ impl ShardWorker {
                 }
                 ShardReply::ProcessedBatch(outcomes)
             }
-            ShardRequest::Extract(qid) => {
-                ShardReply::Extracted(self.live_mut()?.extract_query(qid).map(Box::new))
-            }
-            ShardRequest::Install(qid, migration, postings) => {
-                self.live_mut()?.install_query(qid, *migration, &postings);
-                ShardReply::Installed
-            }
             ShardRequest::Results(qid) => ShardReply::Results(self.live()?.current_results(qid)),
             ShardRequest::QueryStats(qid) => ShardReply::QueryStats(self.live()?.query_stats(qid)),
             ShardRequest::IndexStats => ShardReply::IndexStats(self.live()?.index_stats()),
@@ -394,7 +382,7 @@ impl ShardWorker {
                 self.armed_faults += 1;
                 ShardReply::Armed
             }
-            ShardRequest::CheckInvariants(mirror) => self.audit(&mirror)?,
+            ShardRequest::CheckInvariants(mirror, hosted) => self.audit(&mirror, &hosted)?,
             ShardRequest::Rebuild(window_docs, queries, postings) => {
                 // The mirror holds only currently valid documents, so loading
                 // them triggers no expiration, and with no query live it
@@ -506,52 +494,6 @@ fn spawn_with_retry<T, E>(
     (spawned, retries, fallbacks)
 }
 
-/// Policy of the coordinator's skew-aware query rebalancer.
-///
-/// The coordinator evaluates balance whenever the load distribution can have
-/// changed and a migration is safe — after a registration, after a
-/// deregistration and after each processed burst, never inside an event —
-/// and migrates queries from the heaviest to the lightest shard while
-/// **both** hold:
-///
-/// * the heaviest shard's query count exceeds
-///   `max_over_ideal × (num_queries / shards)` (the uniform share), and
-/// * moving one query actually reduces imbalance
-///   (`heaviest − lightest ≥ 2`).
-///
-/// Each migration strictly decreases the load distribution's sum of squares,
-/// so a rebalance pass always terminates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebalanceConfig {
-    /// Whether the rebalancer runs at all. Disabled, placement is the
-    /// static hash of [`ShardedItaEngine::shard_of`] forever.
-    pub enabled: bool,
-    /// Trigger ratio over the uniform per-shard query count. Must be at
-    /// least 1; values close to 1 level aggressively, larger values tolerate
-    /// more skew before paying migration cost.
-    pub max_over_ideal: f64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            max_over_ideal: 1.25,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// A configuration with rebalancing switched off (static hash
-    /// placement).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
-
 /// One shard's channels and thread handle, as owned by the coordinator.
 #[derive(Debug)]
 struct ShardHandle {
@@ -578,27 +520,20 @@ struct FaultState {
 /// [`ItaEngine`] over any stream — including streams with worker faults —
 /// and event outcomes byte-identical up to the first fault, after which they
 /// are a rebuilt shard's. See the module docs for the partitioning rule, the
-/// fan-out and batch protocols, the skew-aware rebalancer, the fault model
-/// and the exactness argument.
+/// fan-out and batch protocols, the fault model and the exactness argument.
 #[derive(Debug)]
 pub struct ShardedItaEngine {
     /// Per-shard channels + thread handles. Workers are respawned in place
     /// by a rebuild, so the vector length is the shard count.
     workers: Vec<ShardHandle>,
     window: SlidingWindow,
-    rebalance: RebalanceConfig,
-    /// The routing table: which shard currently hosts each registered query.
-    /// Starts as the hash placement of [`ShardedItaEngine::shard_of`];
-    /// migrations move entries.
-    assignment: HashMap<QueryId, usize>, // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
-    /// Per-shard resident query ids (registration order). `placement[s].len()`
-    /// is shard `s`'s query load.
-    placement: Vec<Vec<QueryId>>,
-    /// Durable copy of every registered query — with `placement` and
-    /// `mirror`, everything a rebuild needs. Updated **before** any
-    /// fan-out, so a request lost to a crashed worker is still
+    /// Durable copy of every registered query, in id order. Its keys are the
+    /// registered set, each living on the shard its id hashes to
+    /// ([`ShardedItaEngine::shard_of`]) — with `mirror`, everything a
+    /// rebuild needs. Updated **before**
+    /// any fan-out, so a request lost to a crashed worker is still
     /// reconstructible.
-    registry: HashMap<QueryId, Arc<ContinuousQuery>>, // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
+    registry: BTreeMap<QueryId, Arc<ContinuousQuery>>,
     /// Durable mirror of the sliding window (oldest first), pruned with the
     /// exact policy the workers apply. The `Arc`s are shared with the
     /// workers' stores, so the mirror costs pointers, not documents — plus
@@ -607,45 +542,23 @@ pub struct ShardedItaEngine {
     /// resolved, and (with its id set) where duplicate ids are refused.
     mirror: WindowTerms,
     fault_state: RefCell<FaultState>,
-    /// Total queries migrated by the rebalancer since construction.
-    migrations: u64,
-    num_queries: usize,
     next_query: u32,
     clock: Timestamp,
 }
 
 impl ShardedItaEngine {
     /// Creates an engine with `shards` persistent worker shards, each
-    /// running a term-filtered [`ItaEngine`] under the given window policy,
-    /// with the default [`RebalanceConfig`]. The [`ItaConfig`] is empty and
-    /// ignored.
+    /// running a term-filtered [`ItaEngine`] under the given window policy.
+    /// The [`ItaConfig`] is empty and ignored. A worker spawn that fails is
+    /// retried once and then its shard is dropped — the engine degrades to
+    /// fewer shards (counted in [`FaultStats::spawn_fallbacks`]) rather than
+    /// aborting.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`.
+    /// Panics if `shards == 0`, or if not a single worker could be spawned.
     pub fn new(window: SlidingWindow, _config: ItaConfig, shards: usize) -> Self {
-        Self::with_rebalance(window, shards, RebalanceConfig::default())
-    }
-
-    /// Creates an engine with an explicit rebalancing policy. A worker spawn
-    /// that fails is retried once and then its shard is dropped — the
-    /// engine degrades to fewer shards (counted in
-    /// [`FaultStats::spawn_fallbacks`]) rather than aborting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, if `rebalance.max_over_ideal < 1`, or if
-    /// not a single worker could be spawned.
-    pub fn with_rebalance(
-        window: SlidingWindow,
-        shards: usize,
-        rebalance: RebalanceConfig,
-    ) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        assert!(
-            rebalance.max_over_ideal >= 1.0,
-            "a rebalance trigger below the uniform share would thrash"
-        );
         let mut spawn = |slot: usize| Self::spawn_worker(slot, window);
         let (workers, spawn_retries, spawn_fallbacks) = spawn_with_retry(shards, &mut spawn);
         assert!(
@@ -664,10 +577,7 @@ impl ShardedItaEngine {
         Self {
             workers,
             window,
-            rebalance,
-            assignment: HashMap::new(), // cts-lint: allow(nondet-iteration, point lookups only; never iterated)
-            placement: vec![Vec::new(); spawned],
-            registry: HashMap::new(), // cts-lint: allow(nondet-iteration, indexed in placement order; never iterated)
+            registry: BTreeMap::new(),
             mirror: WindowTerms::new(),
             fault_state: RefCell::new(FaultState {
                 stats: FaultStats {
@@ -677,8 +587,6 @@ impl ShardedItaEngine {
                 },
                 degraded: vec![false; spawned],
             }),
-            migrations: 0,
-            num_queries: 0,
             next_query: 0,
             clock: Timestamp::ZERO,
         }
@@ -708,49 +616,15 @@ impl ShardedItaEngine {
         self.window
     }
 
-    /// The configured rebalancing policy.
-    pub fn rebalance_config(&self) -> RebalanceConfig {
-        self.rebalance
-    }
-
-    /// Replaces the rebalancing policy at runtime. Takes effect at the next
-    /// balance check (the next registration, deregistration or burst
-    /// boundary — a single event is a burst of one) — an already-skewed
-    /// placement is repaired then, not immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rebalance.max_over_ideal < 1`.
-    pub fn set_rebalance_config(&mut self, rebalance: RebalanceConfig) {
-        assert!(
-            rebalance.max_over_ideal >= 1.0,
-            "a rebalance trigger below the uniform share would thrash"
-        );
-        self.rebalance = rebalance;
-    }
-
-    /// Total queries the rebalancer has migrated between shards.
+    /// Queries moved between shards: always 0, since a query lives on its
+    /// hash shard for life. Kept only because the frozen `ctsbench` adapter
+    /// reports it as `sharded.migrations`.
     pub fn migrations(&self) -> u64 {
-        self.migrations
+        0
     }
 
-    /// Per-shard resident query counts, in shard order — the load measure
-    /// the rebalancer levels.
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.placement.iter().map(Vec::len).collect()
-    }
-
-    /// The shard currently hosting `query`, if it is registered. This is the
-    /// routing table every query-addressed request consults; it starts at
-    /// the hash placement of [`ShardedItaEngine::shard_of`] and diverges
-    /// from it once the rebalancer migrates the query.
-    pub fn assigned_shard(&self, query: QueryId) -> Option<usize> {
-        self.assignment.get(&query).copied()
-    }
-
-    /// The **initial placement** rule: which shard a freshly registered
-    /// `query` is routed to (the rebalancer may move it later —
-    /// [`ShardedItaEngine::assigned_shard`] is the live routing table).
+    /// The placement rule, and the whole routing: the shard that hosts
+    /// `query` from registration to deregistration.
     /// Fibonacci-hashing the id spreads both sequential registration order
     /// and arbitrary (churned) id sets evenly across shards, and stays
     /// stable for a given id across deregistrations. The shard is taken from
@@ -761,6 +635,13 @@ impl ShardedItaEngine {
     pub fn shard_of(&self, query: QueryId) -> usize {
         let hashed = (u64::from(query.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((u128::from(hashed) * self.workers.len() as u128) >> 64) as usize
+    }
+
+    /// The shard hosting `query`, if it is registered.
+    fn host(&self, query: QueryId) -> Option<usize> {
+        self.registry
+            .contains_key(&query)
+            .then(|| self.shard_of(query))
     }
 
     fn is_degraded(&self, shard: usize) -> bool {
@@ -841,17 +722,20 @@ impl ShardedItaEngine {
     }
 
     /// The one recovery path, for one shard: respawn the worker thread if it
-    /// is gone, then rebuild its engine as a registration of its queries
-    /// over the mirror, with their postings resolved here as
+    /// is gone, then rebuild its engine as a registration of its queries —
+    /// the registry's ids that hash to it, in id order — over the mirror,
+    /// with their postings resolved here as
     /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. Rebuilt
     /// results are exact; the thresholds are a fresh registration's, so
     /// future work counters need not match a fault-free history — see
     /// DESIGN.md §10.
     fn resurrect(&mut self, shard: usize) -> Result<(), EngineError> {
         let start = Instant::now(); // cts-lint: allow(clock-in-apply, measures recovery cost only; never read by engine state)
-        let queries: SharedQueries = self.placement[shard]
+        let queries: SharedQueries = self
+            .registry
             .iter()
-            .map(|qid| (*qid, Arc::clone(&self.registry[qid])))
+            .filter(|(qid, _)| self.shard_of(**qid) == shard)
+            .map(|(qid, query)| (*qid, Arc::clone(query)))
             .collect();
         let terms = queries
             .iter()
@@ -984,10 +868,6 @@ impl ShardedItaEngine {
             }
         }
         self.recover_degraded()?;
-        // The burst boundary is a safe point to repair skew: no event is in
-        // flight, so a migration cannot split an arrival from its
-        // expirations.
-        self.maybe_rebalance();
         Ok(merged)
     }
 
@@ -996,13 +876,12 @@ impl ShardedItaEngine {
     /// are resolved here, once, against the mirror — no event burst is in
     /// flight, so every healthy shard's store holds the mirror's documents —
     /// and shipped to the shards, which file them instead of reading the
-    /// window themselves. Durable state (registry, placement,
-    /// routing) is updated **before** the fan-out, so a worker fault during
-    /// registration is recoverable: the rebuild re-registers the batch from
-    /// the registry. Every degraded shard is rebuilt before the fan-out, so
-    /// each query goes to its hash shard ([`ShardedItaEngine::shard_of`]).
-    /// On error the durable state keeps the minted registrations; the next
-    /// mutating call's rebuild makes the workers agree.
+    /// window themselves. Each query goes to its hash shard
+    /// ([`ShardedItaEngine::shard_of`]). The registry is updated **before**
+    /// the fan-out, so a worker fault during registration is recoverable:
+    /// the rebuild re-registers the batch from the registry. On error the
+    /// registry keeps the minted registrations; the next mutating call's
+    /// rebuild makes the workers agree.
     pub fn try_register_batch(
         &mut self,
         queries: Vec<ContinuousQuery>,
@@ -1017,20 +896,12 @@ impl ShardedItaEngine {
         for query in queries {
             let qid = QueryId(self.next_query);
             self.next_query += 1;
-            let shard = self.shard_of(qid);
             let query = Arc::new(query);
-            per_shard[shard].push((qid, Arc::clone(&query)));
+            per_shard[self.shard_of(qid)].push((qid, Arc::clone(&query)));
+            // Durable state first: a fault from here on resurrects with the
+            // new queries included.
             self.registry.insert(qid, query);
             ids.push(qid);
-        }
-        // Durable state first: a fault from here on resurrects with the new
-        // queries included.
-        for (shard, group) in per_shard.iter().enumerate() {
-            for (qid, _) in group {
-                self.assignment.insert(*qid, shard);
-                self.placement[shard].push(*qid);
-                self.num_queries += 1;
-            }
         }
         // One resolve serves every shard: the union of the burst's terms,
         // sorted, so nothing depends on which shard a term's query went to.
@@ -1065,10 +936,6 @@ impl ShardedItaEngine {
             }
         }
         self.recover_degraded()?;
-        // One balance check for the whole burst: rebalancing is
-        // outcome-invisible (migration is behaviour-preserving), so checking
-        // once here instead of after every query changes placement only.
-        self.maybe_rebalance();
         Ok(ids)
     }
 
@@ -1078,23 +945,15 @@ impl ShardedItaEngine {
     /// recoverable (the rebuild simply omits the query).
     pub fn try_deregister(&mut self, query: QueryId) -> Result<bool, EngineError> {
         self.recover_degraded()?;
-        let Some(shard) = self.assigned_shard(query) else {
+        if self.registry.remove(&query).is_none() {
             return Err(EngineError::UnknownQuery(query));
-        };
-        self.assignment.remove(&query);
-        self.registry.remove(&query);
-        let at = self.placement[shard]
-            .iter()
-            .position(|&resident| resident == query)
-            // cts-lint: allow(panic-in-hot-path, assignment and placement move together; check_invariants audits the agreement)
-            .expect("routing table lists the query on its shard"); // cts-lint: allow(unwrap-in-service, a missing placement entry is routing corruption; panicking beats serving wrong shards)
-        self.placement[shard].swap_remove(at);
-        self.num_queries -= 1;
+        }
+        let shard = self.shard_of(query);
         match self.call_shard(shard, ShardRequest::Deregister(query)) {
             Ok(ShardReply::Deregistered(removed)) => {
                 assert!(
                     removed,
-                    "routing table said shard {shard} hosts {query}, shard disagreed"
+                    "shard {shard} did not host {query}, its hash shard"
                 );
             }
             Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
@@ -1102,15 +961,14 @@ impl ShardedItaEngine {
             // it out.
             Err(_) => self.recover_degraded()?,
         }
-        self.maybe_rebalance();
         Ok(true)
     }
 
     /// A query's ITA bookkeeping snapshot, if it is registered and its shard
-    /// is healthy (served by the shard currently hosting it; `None` while
-    /// the shard is degraded).
+    /// is healthy (served by its hash shard; `None` while the shard is
+    /// degraded).
     pub fn query_stats(&self, query: QueryId) -> Option<ItaQueryStats> {
-        let shard = self.assigned_shard(query)?;
+        let shard = self.host(query)?;
         if self.is_degraded(shard) {
             return None;
         }
@@ -1252,76 +1110,6 @@ impl ShardedItaEngine {
             .collect()
     }
 
-    /// Runs one balance check (see [`RebalanceConfig`]): while the heaviest
-    /// shard exceeds the trigger ratio over the uniform share **and** a
-    /// migration reduces imbalance, move the heaviest shard's most recently
-    /// placed query to the lightest shard. Called at load-change and burst
-    /// boundaries only — never between an arrival and its expirations, so
-    /// migration can never split an event — and after the call's rebuilds,
-    /// so it never touches a degraded shard.
-    fn maybe_rebalance(&mut self) {
-        if !self.rebalance.enabled || self.workers.len() < 2 {
-            return;
-        }
-        let ideal = self.num_queries as f64 / self.workers.len() as f64;
-        let trigger = self.rebalance.max_over_ideal * ideal;
-        while let Some((heavy, _)) = self
-            .placement
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, resident)| resident.len())
-        {
-            let Some((light, _)) = self
-                .placement
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, resident)| resident.len())
-            else {
-                break;
-            };
-            let (high, low) = (self.placement[heavy].len(), self.placement[light].len());
-            if (high as f64) <= trigger || high - low < 2 {
-                break;
-            }
-            let slot = self.placement[heavy].len() - 1;
-            if self.migrate(heavy, slot, light).is_err() {
-                // The faulting shard is marked degraded; the next mutating
-                // call rebuilds it.
-                break;
-            }
-        }
-    }
-
-    /// Moves the complete ITA state of the query at `placement[from][slot]`
-    /// to shard `to` (extract, reroute, install). Outcome-neutral by
-    /// construction: the migrated thresholds and result set are installed
-    /// verbatim and the receiving shadow index files the list of any term
-    /// that just became live from the postings resolved here — between
-    /// bursts, when the mirror holds what every healthy shard's store does —
-    /// so every subsequent event is processed as on the old shard. The routing tables
-    /// move **between** extract and install, so a fault on either side leaves
-    /// durable state pointing at the shard that should (re)build the query.
-    fn migrate(&mut self, from: usize, slot: usize, to: usize) -> Result<(), EngineError> {
-        let qid = self.placement[from][slot];
-        let migration = match self.call_shard(from, ShardRequest::Extract(qid))? {
-            ShardReply::Extracted(Some(migration)) => migration,
-            ShardReply::Extracted(None) => {
-                // cts-lint: allow(panic-in-hot-path, a corrupt routing table is unrecoverable; check_invariants audits it)
-                panic!("rebalance: shard {from} does not host {qid} (routing table corrupt)")
-            }
-            _ => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-        };
-        self.placement[from].swap_remove(slot);
-        self.placement[to].push(qid);
-        self.assignment.insert(qid, to);
-        self.migrations += 1;
-        let postings = Arc::new(self.mirror.postings(migration.terms()));
-        match self.call_shard(to, ShardRequest::Install(qid, migration, postings))? {
-            ShardReply::Installed => Ok(()),
-            _ => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-        }
-    }
-
     /// Test hook for the chaos suite: makes `shard`'s worker thread exit
     /// without replying, exactly as a killed thread would look from the
     /// coordinator's side. The next operation that touches the shard
@@ -1371,7 +1159,7 @@ impl Engine for ShardedItaEngine {
     }
 
     fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
-        let Some(shard) = self.assigned_shard(query) else {
+        let Some(shard) = self.host(query) else {
             return Vec::new();
         };
         if self.is_degraded(shard) {
@@ -1386,7 +1174,7 @@ impl Engine for ShardedItaEngine {
     }
 
     fn num_queries(&self) -> usize {
-        self.num_queries
+        self.registry.len()
     }
 
     fn num_valid_documents(&self) -> usize {
@@ -1431,54 +1219,28 @@ impl Engine for ShardedItaEngine {
         Some(stats)
     }
 
-    /// Audits the coordinator's durable state (registry, routing table and
-    /// placement must agree exactly — they are what cold resurrection
-    /// rebuilds shards from — and the window mirror's own structure: only
-    /// sealed chunks carry a term directory, each equal to a rebuild from
-    /// its documents) and then has every healthy worker audit its own
-    /// engine, and that its store holds the mirror's documents in arrival
-    /// order, via [`ShardRequest::CheckInvariants`]; a worker-side violation
-    /// comes back as a fault carrying the assertion message and is re-raised
-    /// here. Degraded shards are skipped — their state is gone by
-    /// definition and the rebuild starts from the durable state just
-    /// audited.
+    /// Audits the window mirror's own structure (only sealed chunks carry a
+    /// term directory, each equal to a rebuild from its documents) and then
+    /// has every healthy worker audit its own engine, that its store holds
+    /// the mirror's documents in arrival order, and that it hosts exactly
+    /// the registry's queries that hash to it, via
+    /// [`ShardRequest::CheckInvariants`]; a worker-side violation comes back
+    /// as a fault carrying the assertion message and is re-raised here.
+    /// Degraded shards are skipped — their state is gone by definition and
+    /// the rebuild starts from the registry and the mirror.
     fn check_invariants(&self) {
-        assert_eq!(
-            self.assignment.len(),
-            self.num_queries,
-            "routing table size disagrees with the query count"
-        );
-        assert_eq!(
-            self.registry.len(),
-            self.num_queries,
-            "query registry size disagrees with the query count"
-        );
-        let placed: usize = self.placement.iter().map(Vec::len).sum();
-        assert_eq!(
-            placed, self.num_queries,
-            "placement tables hold {placed} residents over {} queries",
-            self.num_queries
-        );
-        for (shard, resident) in self.placement.iter().enumerate() {
-            for qid in resident {
-                assert_eq!(
-                    self.assignment.get(qid).copied(),
-                    Some(shard),
-                    "{qid} is resident on shard {shard} but routed elsewhere"
-                );
-                assert!(
-                    self.registry.contains_key(qid),
-                    "{qid} is placed but missing from the durable registry"
-                );
-            }
-        }
         self.mirror.check_invariants();
         let mirrored: Arc<[DocId]> = self.mirror.iter().map(|doc| doc.id).collect();
-        for shard in 0..self.workers.len() {
+        let mut hosted = vec![Vec::new(); self.workers.len()];
+        for &qid in self.registry.keys() {
+            hosted[self.shard_of(qid)].push(qid);
+        }
+        for (shard, hosted) in hosted.into_iter().enumerate() {
             if self.is_degraded(shard) {
                 continue;
             }
-            match self.call_shard(shard, ShardRequest::CheckInvariants(Arc::clone(&mirrored))) {
+            let request = ShardRequest::CheckInvariants(Arc::clone(&mirrored), hosted);
+            match self.call_shard(shard, request) {
                 Ok(ShardReply::InvariantsChecked) => {}
                 Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
                 Err(err) => {
@@ -1612,23 +1374,29 @@ mod tests {
         assert!(after.iter().all(|s| s.events == 1));
     }
 
+    /// Static placement rests on this: the hash alone levels the query count.
+    /// The failure mode of a low-bits partition is a churned workload whose
+    /// surviving ids share low bits (all even, or one residue mod 8) and
+    /// collapse onto a fraction of the shards. The multiply-shift over the
+    /// Fibonacci hash keys on the high bits instead, so sequential ids and
+    /// such sets alike land within 3% of the uniform share (the worst is
+    /// 1.024, stride 8 on 8 shards).
     #[test]
     fn hash_partition_spreads_stride_patterned_id_sets() {
-        // The failure mode of a low-bits partition: a churned workload whose
-        // surviving ids share low bits (all even, or one residue mod 8)
-        // collapses onto a fraction of the shards. The multiply-shift over
-        // the Fibonacci hash keys on the high bits instead, so such sets
-        // still spread.
-        let sharded = ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), 8);
-        for stride in [2u32, 4, 8] {
-            let used: std::collections::HashSet<usize> = (0..64u32)
-                .map(|i| sharded.shard_of(QueryId(i * stride)))
-                .collect();
-            assert!(
-                used.len() >= 6,
-                "stride-{stride} ids reached only {} of 8 shards",
-                used.len()
-            );
+        for shards in [2usize, 4, 8] {
+            let sharded =
+                ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), shards);
+            for stride in [1u32, 2, 4, 8] {
+                let mut loads = vec![0usize; shards];
+                for i in 0..1_000u32 {
+                    loads[sharded.shard_of(QueryId(i * stride))] += 1;
+                }
+                let worst = *loads.iter().max().unwrap() as f64 / (1_000.0 / shards as f64);
+                assert!(
+                    worst <= 1.03,
+                    "stride-{stride} ids on {shards} shards: loads {loads:?}, {worst:.3}× uniform"
+                );
+            }
         }
     }
 
@@ -1685,7 +1453,10 @@ mod tests {
             singles.register(q.clone());
             bursts.register(q);
         }
-        assert!(singles.shard_loads()[1] > 0, "shard 1 hosts nothing");
+        assert!(
+            qids.iter().any(|&q| singles.shard_of(q) == 1),
+            "shard 1 hosts nothing"
+        );
         for i in 0..12u64 {
             let d = doc(i, &[((i % 3) as u32, 0.1 + (i % 4) as f64 * 0.1)]);
             reference.process_document(d.clone());
@@ -1723,8 +1494,11 @@ mod tests {
         }
     }
 
+    /// Placement is the hash for life: a population churned down to one
+    /// shard's ids stays on that shard — the others hold no query and file
+    /// no list — and stays exact.
     #[test]
-    fn rebalancer_levels_an_engineered_skew() {
+    fn a_skewed_population_stays_on_its_hash_shard_exactly() {
         let window = SlidingWindow::count_based(12);
         let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 4);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
@@ -1738,8 +1512,6 @@ mod tests {
             let d = doc(i, &[((i % 12) as u32, 0.1 + (i % 6) as f64 * 0.12)]);
             assert_lockstep_event(&mut reference, &mut sharded, &d, &qids);
         }
-        // Concentrate the surviving population on the initial-hash shard 0,
-        // then make sure the rebalancer spread it back out.
         let survivors: Vec<QueryId> = qids
             .iter()
             .copied()
@@ -1752,70 +1524,28 @@ mod tests {
                 assert!(reference.deregister(q));
             }
         }
-        assert!(sharded.migrations() > 0, "no migration happened");
-        let loads = sharded.shard_loads();
-        assert_eq!(loads.iter().sum::<usize>(), survivors.len());
-        let uniform = survivors.len() as f64 / 4.0;
+        assert_eq!(sharded.num_queries(), survivors.len());
+        assert_eq!(sharded.migrations(), 0);
+        let index = sharded.shard_index_stats();
+        assert!(index[0].live_terms > 0, "shard 0 lost its queries");
         assert!(
-            *loads.iter().max().unwrap() as f64 <= (2.0 * uniform).max(1.0),
-            "loads {loads:?} not within 2x of uniform {uniform}"
+            index[1..]
+                .iter()
+                .all(|s| s.live_terms == 0 && s.postings == 0),
+            "a query left its hash shard: {index:?}"
         );
-        // Routing follows the migrations: some survivor no longer lives on
-        // its hash shard, yet every survivor is still routable.
-        assert!(survivors
-            .iter()
-            .any(|&q| sharded.assigned_shard(q) != Some(0)));
-        assert!(survivors
-            .iter()
-            .all(|&q| sharded.assigned_shard(q).is_some()));
+        sharded.check_invariants();
         for i in 30..60u64 {
             let d = doc(i, &[((i % 12) as u32, 0.2 + (i % 4) as f64 * 0.2)]);
             assert_lockstep_event(&mut reference, &mut sharded, &d, &survivors);
         }
-    }
-
-    #[test]
-    fn disabled_rebalancer_keeps_the_static_hash_placement() {
-        let window = SlidingWindow::count_based(8);
-        let mut sharded = ShardedItaEngine::with_rebalance(window, 4, RebalanceConfig::disabled());
-        assert!(!sharded.rebalance_config().enabled);
-        let qids: Vec<QueryId> = (0..16u32)
-            .map(|t| sharded.register(query(&[(t % 5, 1.0)], 1)))
-            .collect();
-        let survivors: Vec<QueryId> = qids
-            .iter()
-            .copied()
-            .filter(|&q| sharded.shard_of(q) == 0)
-            .collect();
-        for &q in &qids {
-            if !survivors.contains(&q) {
-                assert!(sharded.deregister(q));
-            }
-        }
-        assert_eq!(sharded.migrations(), 0);
-        for &q in &survivors {
-            assert_eq!(sharded.assigned_shard(q), Some(0));
-        }
-        assert_eq!(sharded.shard_loads()[0], survivors.len());
+        sharded.check_invariants();
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_is_rejected() {
         let _ = ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "would thrash")]
-    fn sub_uniform_rebalance_trigger_is_rejected() {
-        let _ = ShardedItaEngine::with_rebalance(
-            SlidingWindow::count_based(4),
-            2,
-            RebalanceConfig {
-                max_over_ideal: 0.5,
-                ..RebalanceConfig::default()
-            },
-        );
     }
 
     #[test]

@@ -582,7 +582,7 @@ fn check_results<'e>(
 /// window policy; the runner does not construct engines — pair it with a
 /// factory closure for minimization (see
 /// [`assert_script_equivalence`]). To keep ownership of concrete engines
-/// for post-run assertions (index stats, migration counters), box mutable
+/// for post-run assertions (index stats, fault counters), box mutable
 /// references instead — `&mut E` is itself an [`Engine`]:
 /// `vec![Box::new(&mut reference) as Box<dyn Engine + '_>, ...]`.
 pub fn run_script<'e>(

@@ -20,10 +20,7 @@ use cts_core::testkit::{
     assert_script_equivalence, generate_script, run_script, Op, RunOptions, ScriptConfig, ScriptRng,
 };
 use cts_core::validate::assert_engines_agree;
-use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, RebalanceConfig,
-    ShardedItaEngine,
-};
+use cts_core::{BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp, WindowTerms};
 use cts_text::{TermId, WeightedVector};
 
@@ -280,93 +277,6 @@ fn fault_right_after_a_rebuild_rebuilds_again_exactly() {
     assert_eq!(stats.degraded_shards, 0);
 }
 
-/// A fault right after the rebalancer moved queries: the destination shard
-/// faults on the event after its `Install`, and its rebuild registers the
-/// migrated query from the registry with postings the coordinator resolves —
-/// no shard, rebuilt or not, reads its own store.
-#[test]
-fn fault_right_after_a_migration_rebuilds_the_installed_query() {
-    let shards = 4;
-    let window = SlidingWindow::count_based(12);
-    let mut rng = ScriptRng::new(0x316A_0000);
-    let mut reference = ItaEngine::new(window, ItaConfig::default());
-    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), shards);
-    let qids: Vec<QueryId> = (0..24)
-        .map(|_| {
-            let query = small_query(&mut rng);
-            let qid = reference.register(query.clone());
-            assert_eq!(qid, sharded.register(query));
-            qid
-        })
-        .collect();
-    let mut id = 0u64;
-    for _ in 0..30 {
-        let doc = tie_heavy_doc(&mut rng, id);
-        assert_exact_event(&mut reference, &mut sharded, &doc, &qids);
-        id += 1;
-    }
-    // Concentrate the survivors on shard 0: every deregistration that tips
-    // the balance makes the rebalancer migrate — and right after each
-    // migration every shard faults on the next event.
-    let survivors: Vec<QueryId> = qids
-        .iter()
-        .copied()
-        .filter(|&q| sharded.shard_of(q) == 0)
-        .collect();
-    assert!(survivors.len() >= 2, "need at least two survivors");
-    let mut live = qids.clone();
-    let mut armed = 0u64;
-    let mut migrations = 0;
-    for &q in &qids {
-        if survivors.contains(&q) {
-            continue;
-        }
-        assert!(sharded.deregister(q) && reference.deregister(q));
-        live.retain(|&other| other != q);
-        if sharded.migrations() > migrations {
-            migrations = sharded.migrations();
-            for shard in 0..shards {
-                assert!(sharded.inject_fault(shard));
-                armed += 1;
-            }
-            let doc = tie_heavy_doc(&mut rng, id);
-            assert_exact_event(&mut reference, &mut sharded, &doc, &live);
-            sharded.check_invariants();
-            id += 1;
-        }
-    }
-    assert!(migrations > 0, "nothing migrated");
-    let index = sharded.shard_index_stats();
-    assert!(
-        index.iter().all(|shard| shard.register_entries_walked == 0),
-        "a shard walked its store: {index:?}"
-    );
-    assert!(
-        index
-            .iter()
-            .any(|shard| shard.register_postings_touched > 0),
-        "no rebuild filed a posting"
-    );
-    // The migrated queries keep living exactly, through one more round of
-    // faults.
-    for step in 0..30 {
-        if step == 10 {
-            for shard in 0..shards {
-                assert!(sharded.inject_fault(shard));
-                armed += 1;
-            }
-        }
-        let doc = tie_heavy_doc(&mut rng, id);
-        assert_exact_event(&mut reference, &mut sharded, &doc, &live);
-        id += 1;
-    }
-    sharded.check_invariants();
-    let stats = sharded.fault_stats().expect("tracked");
-    assert_eq!(stats.faults, armed);
-    assert_eq!(stats.recoveries, armed);
-    assert_eq!(stats.degraded_shards, 0);
-}
-
 /// A fault on the event right after a registration burst: the burst brought
 /// terms live mid-stream from postings the coordinator shipped, and the
 /// rebuild ships them again — the rebuilt shard never reads its store. A
@@ -595,7 +505,7 @@ fn a_dead_worker_found_by_a_read_is_rebuilt_by_the_next_event() {
         .copied()
         .find(|&q| !reference.current_results(q).is_empty())
         .expect("some query has results");
-    let shard = sharded.assigned_shard(victim).expect("registered");
+    let shard = sharded.shard_of(victim);
     assert!(sharded.inject_disconnect(shard));
     assert!(
         sharded.current_results(victim).is_empty(),
@@ -630,8 +540,7 @@ fn a_registration_that_finds_a_dead_worker_lands_on_the_hash_shard() {
     let window = SlidingWindow::count_based(12);
     let mut rng = ScriptRng::new(0x5EA1_0100);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
-    // Rebalancing off, so placement after the burst is the hash placement.
-    let mut sharded = ShardedItaEngine::with_rebalance(window, 2, RebalanceConfig::disabled());
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
     let mut live: Vec<QueryId> = (0..4)
         .map(|_| {
             let query = small_query(&mut rng);
@@ -659,9 +568,10 @@ fn a_registration_that_finds_a_dead_worker_lands_on_the_hash_shard() {
         "the registration returned with the shard unrebuilt"
     );
     for &q in &late {
-        assert_eq!(sharded.assigned_shard(q), Some(sharded.shard_of(q)));
         assert_eq!(reference.current_results(q), sharded.current_results(q));
+        assert!(sharded.query_stats(q).is_some(), "{q} is not hosted");
     }
+    // The audit: each shard hosts exactly the queries that hash to it.
     sharded.check_invariants();
     live.extend(late);
     for _ in 0..12 {

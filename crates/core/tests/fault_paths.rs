@@ -85,10 +85,16 @@ fn minted_ids_stay_unique_across_interleaved_bursts_and_removals() {
         sharded.process_document(doc(round as u64));
     }
     assert_eq!(sharded.num_queries(), live.len());
-    // Every live query still routes to a shard and serves results.
-    for &q in &live {
-        assert!(sharded.assigned_shard(q).is_some(), "{q} lost its shard");
-        let _ = sharded.current_results(q);
+    // Every live query is still served by its shard; a removed one by none.
+    for q in (0..seen.len() as u32).map(QueryId) {
+        let registered = live.contains(&q);
+        assert_eq!(sharded.query_stats(q).is_some(), registered, "{q}");
+        if !registered {
+            assert!(
+                sharded.current_results(q).is_empty(),
+                "{q} outlived its removal"
+            );
+        }
     }
 }
 
@@ -170,8 +176,7 @@ fn a_duplicate_document_id_is_refused_before_any_shard_sees_it() {
 
 #[test]
 fn shutdown_returns_the_final_aggregate_stats() {
-    let mut sharded =
-        ShardedItaEngine::with_rebalance(SlidingWindow::count_based(8), 3, Default::default());
+    let mut sharded = engine(3);
     sharded.register(query(0));
     for i in 0..12u64 {
         sharded.process_document(doc(i));

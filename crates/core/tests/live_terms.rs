@@ -9,8 +9,9 @@
 //!   query;
 //! * two **term-filtered** engines (live-slot keys) that both see every
 //!   document and host one part of the queries each — the shard
-//!   configuration, so queries can migrate between them, their postings
-//!   resolved by a [`WindowTerms`] mirror as the sharded coordinator's are;
+//!   configuration: every registration files the postings a [`WindowTerms`]
+//!   mirror resolves, as the sharded coordinator ships them, and never walks
+//!   the engine's own store;
 //! * the [`BruteForceOracle`].
 //!
 //! After every op: `check_invariants()` on all three ITA engines, merged
@@ -39,11 +40,11 @@ use cts_text::{Dictionary, TermId, Weight, WeightedVector};
 struct Rig {
     plain: ItaEngine,
     filtered: [ItaEngine; 2],
-    /// The window as its owner sees it: what a migration's postings are
+    /// The window as its owner sees it: what a registration's postings are
     /// resolved against.
     window: SlidingWindow,
     mirror: WindowTerms,
-    /// Postings shipped with migrations so far.
+    /// Postings shipped with registrations so far.
     shipped: usize,
     oracle: BruteForceOracle,
     host: BTreeMap<QueryId, usize>,
@@ -76,11 +77,18 @@ impl Rig {
         }
     }
 
+    /// Registers on `shard` with the mirror's postings shipped, as the
+    /// sharded coordinator does: the engine files the lists of its
+    /// newly-live terms from them and reads no store.
     fn register(&mut self, terms: &[(u32, f64)], k: usize, shard: usize) -> QueryId {
         let query = ContinuousQuery::from_weights(terms.iter().map(|&(t, w)| (TermId(t), w)), k);
         let qid = self.plain.register(query.clone());
         assert_eq!(self.oracle.register(query.clone()), qid);
-        self.filtered[shard].register_with_id(qid, query);
+        let postings = self.mirror.postings(query.terms().map(|(term, _)| term));
+        self.shipped += postings.len();
+        let walked = self.filtered[shard].register_entries_walked();
+        self.filtered[shard].register_shared_batch(&[(qid, Arc::new(query))], &postings);
+        assert_eq!(self.filtered[shard].register_entries_walked(), walked);
         self.host.insert(qid, shard);
         self.audit(&format!("register {qid} on shard {shard}"));
         qid
@@ -91,22 +99,6 @@ impl Rig {
         assert!(self.plain.deregister(qid) && self.oracle.deregister(qid));
         assert!(self.filtered[shard].deregister(qid));
         self.audit(&format!("deregister {qid}"));
-    }
-
-    /// Moves `qid` to the other filtered engine, which files the lists of
-    /// its newly-live terms from the mirror's postings and reads no store.
-    fn migrate(&mut self, qid: QueryId) {
-        let from = self.host[&qid];
-        let migration = self.filtered[from]
-            .extract_query(qid)
-            .expect("query is live");
-        let postings = self.mirror.postings(migration.terms());
-        self.shipped += postings.len();
-        let walked = self.filtered[1 - from].register_entries_walked();
-        self.filtered[1 - from].install_query(qid, migration, &postings);
-        assert_eq!(self.filtered[1 - from].register_entries_walked(), walked);
-        self.host.insert(qid, 1 - from);
-        self.audit(&format!("migrate {qid} to shard {}", 1 - from));
     }
 
     /// Feeds one document, `gap_ms` after the previous one, to every view.
@@ -206,31 +198,30 @@ fn a_term_whose_last_query_left_is_skipped_on_expiry() {
 }
 
 /// Feeds a low, a middle and a high `T` document, then registers `{T}` with
-/// `k = 1` on shard 0: the descent examines the high one and stops at the
-/// middle one, so `θ_T` = 0.6 lies strictly above the low posting. Then
-/// migrates the query to shard 1, which no query ever made `T` live on: the
-/// install lists all three documents at once.
-fn rig_with_t_migrated_to_shard_1() -> (Rig, QueryId) {
+/// `k = 1` late on shard 1, which no query ever made `T` live on: the
+/// registration lists all three documents at once from the shipped
+/// postings, and the descent examines the high one and stops at the middle
+/// one, so `θ_T` = 0.6 lies strictly above the low posting.
+fn rig_with_t_registered_late_on_shard_1() -> (Rig, QueryId) {
     let mut rig = Rig::new(SlidingWindow::count_based(4));
     rig.feed(&[(T, 0.2)], 1);
     rig.feed(&[(T, 0.6)], 1);
     rig.feed(&[(T, 0.9)], 1);
-    let q = rig.register(&[(T, 1.0)], 1, 0);
+    let q = rig.register(&[(T, 1.0)], 1, 1);
     assert_eq!(
-        rig.filtered[0].local_threshold(q, TermId(T)),
+        rig.filtered[1].local_threshold(q, TermId(T)),
         Some(Weight::new(0.6))
     );
-    rig.migrate(q);
     assert_eq!((rig.shipped, rig.postings(1)), (3, 3));
     assert_eq!(rig.filtered[1].register_postings_touched(), 3);
     (rig, q)
 }
 
 #[test]
-fn a_term_a_migration_brings_live_is_listed_at_once_later_arrivals_included() {
-    let (mut rig, _) = rig_with_t_migrated_to_shard_1();
+fn a_term_a_late_registration_brings_live_is_listed_at_once_later_arrivals_included() {
+    let (mut rig, _) = rig_with_t_registered_late_on_shard_1();
     // Arrives below θ_T, so nothing probes — and is filed all the same: the
-    // list is complete from the install on.
+    // list is complete from the registration on.
     let out = rig.feed(&[(T, 0.5)], 1);
     assert_eq!(out.queries_touched_by_arrival, 0);
     assert_eq!(rig.postings(1), 4);
@@ -247,10 +238,10 @@ fn a_term_a_migration_brings_live_is_listed_at_once_later_arrivals_included() {
 
 #[test]
 fn a_shipped_posting_expires_out_of_its_list_below_the_threshold_and_above() {
-    let (mut rig, q) = rig_with_t_migrated_to_shard_1();
+    let (mut rig, q) = rig_with_t_registered_late_on_shard_1();
     rig.feed(&[(U, 0.3)], 1);
     // d0 (T: 0.2) expires below θ_T = 0.6: no query is touched, and the
-    // posting the migration shipped leaves the list.
+    // posting the registration shipped leaves the list.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 0));
     assert_eq!(rig.postings(1), 2);
@@ -292,7 +283,6 @@ fn random_script(window: SlidingWindow, seed: u64) {
     let mut rng = ScriptRng::new(seed);
     let mut rig = Rig::new(window);
     let weights = [0.1, 0.25, 0.4, 0.55, 0.7];
-    let mut migrations = 0usize;
     for _ in 0..260 {
         let live: Vec<QueryId> = rig.host.keys().copied().collect();
         match rng.below(10) {
@@ -303,10 +293,6 @@ fn random_script(window: SlidingWindow, seed: u64) {
                 rig.register(&terms, rng.range(1, 4), rng.below(2));
             }
             2 if !live.is_empty() => rig.deregister(*rng.pick(&live)),
-            3 if !live.is_empty() => {
-                rig.migrate(*rng.pick(&live));
-                migrations += 1;
-            }
             _ => {
                 let terms: Vec<(u32, f64)> = (0..rng.range(1, 5))
                     .map(|_| (rng.below(9) as u32 * 97, *rng.pick(&weights)))
@@ -317,8 +303,8 @@ fn random_script(window: SlidingWindow, seed: u64) {
         }
     }
     assert!(
-        migrations > 5 && rig.shipped > 20,
-        "seed {seed:#x} exercised nothing: {migrations} migrations shipped {} postings",
+        rig.shipped > 20,
+        "seed {seed:#x} exercised nothing: registrations shipped {} postings",
         rig.shipped
     );
 }

@@ -3,8 +3,7 @@
 //! every query after every event, and identical `EventOutcome` accounting
 //! (expirations, touched queries, changed results) — across shard counts
 //! {1, 2, 4, 8}, under both count- and time-based windows, with query
-//! registration and deregistration interleaved into the stream, and with
-//! the skew-aware rebalancer migrating queries mid-run.
+//! registration and deregistration interleaved into the stream.
 //!
 //! All of the mechanics — the seeded op-script generator, the lockstep
 //! runner, and the failure path that echoes the seed and a minimized
@@ -19,7 +18,7 @@
 use std::time::Duration;
 
 use cts_core::testkit::{assert_script_equivalence, LoopRegister, ScriptConfig};
-use cts_core::{Engine, ItaConfig, ItaEngine, RebalanceConfig, ShardedItaEngine};
+use cts_core::{Engine, ItaConfig, ItaEngine, ShardedItaEngine};
 use cts_index::SlidingWindow;
 
 /// The reference/candidate pair every scenario drives: a single-shard
@@ -28,22 +27,6 @@ fn pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {
     vec![
         Box::new(ItaEngine::new(window, ItaConfig::default())),
         Box::new(ShardedItaEngine::new(window, ItaConfig::default(), shards)),
-    ]
-}
-
-/// Same pair, but with an aggressive rebalancer so migrations fire many
-/// times within a short script (trigger exactly at the uniform share).
-fn eager_rebalance_pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(ItaEngine::new(window, ItaConfig::default())),
-        Box::new(ShardedItaEngine::with_rebalance(
-            window,
-            shards,
-            RebalanceConfig {
-                max_over_ideal: 1.0,
-                ..RebalanceConfig::default()
-            },
-        )),
     ]
 }
 
@@ -115,8 +98,8 @@ fn sharded_matches_single_shard_under_time_based_windows() {
 #[test]
 fn sharded_matches_single_shard_with_heavy_query_churn() {
     // A tighter window and doubled churn probabilities, so
-    // expiration-triggered refills dominate and the rebalancer sees the
-    // query population move constantly.
+    // expiration-triggered refills dominate and each shard's query
+    // population moves constantly.
     let config = ScriptConfig {
         events: 400,
         register_probability: 0.2,
@@ -165,10 +148,10 @@ fn churn_storm_registration_bursts_hold_across_shard_counts() {
 }
 
 #[test]
-fn churn_storm_survives_eager_migration() {
-    // Registration bursts land whole shard-groups of fresh queries at once —
-    // exactly the imbalance a trigger-at-uniform-share rebalancer pounces
-    // on, so bursts and migrations interleave densely here.
+fn churn_storm_bursts_hold_on_a_tight_window() {
+    // Registration bursts land whole shard-groups of fresh queries at once,
+    // into a window short enough that their terms die and come back live
+    // between bursts.
     let config = ScriptConfig {
         events: 240,
         ..ScriptConfig::churn_storm()
@@ -176,7 +159,7 @@ fn churn_storm_survives_eager_migration() {
     for shards in [2usize, 4] {
         let window = SlidingWindow::count_based(20);
         assert_script_equivalence(
-            &|| eager_rebalance_pair(window, shards),
+            &|| pair(window, shards),
             &config,
             0x5EED_6000 + shards as u64,
         );
@@ -184,11 +167,10 @@ fn churn_storm_survives_eager_migration() {
 }
 
 #[test]
-fn sharded_matches_single_shard_with_eager_migration() {
-    // Trigger ratio 1.0: any imbalance the hash placement or churn creates
-    // is repaired immediately, so query state migrates (threshold trees,
-    // result sets, shadow-filter references) many times per script — and
-    // the results must not move by a byte.
+fn sharded_matches_single_shard_with_batched_churn() {
+    // Bursts of events between registrations and deregistrations: shadow
+    // lists filed mid-stream, retired, and filed again — and the results
+    // must not move by a byte.
     let config = ScriptConfig {
         events: 300,
         register_probability: 0.15,
@@ -198,7 +180,7 @@ fn sharded_matches_single_shard_with_eager_migration() {
     for shards in [2usize, 4] {
         let window = SlidingWindow::count_based(25);
         assert_script_equivalence(
-            &|| eager_rebalance_pair(window, shards),
+            &|| pair(window, shards),
             &config,
             0x5EED_3000 + shards as u64,
         );

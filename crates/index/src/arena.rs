@@ -178,8 +178,8 @@ impl<T> DenseArena<T> {
 /// documentation for the two key spaces.
 ///
 /// Reference counts are the owner's to keep: one [`LiveTerms::acquire`] per
-/// (query, term) at registration or migration-in, one [`LiveTerms::release`]
-/// at deregistration or migration-out.
+/// (query, term) at registration, one [`LiveTerms::release`] at
+/// deregistration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LiveTerms {
     /// One bit per term id, set iff the term's reference count is positive.

@@ -45,7 +45,7 @@
 //! resolved by the window's owner (the sharded coordinator's
 //! [`crate::WindowTerms`], which answers from per-chunk term directories
 //! and is shared by every shard) and files from it, for registrations and
-//! migrations alike. Only for terms nobody supplied — a stand-alone filtered
+//! rebuilds alike. Only for terms nobody supplied — a stand-alone filtered
 //! engine — does the index walk its own store, once per call however many
 //! terms it brings, each composition entry tested against a bitmap of the
 //! wanted terms ([`InvertedIndex::register_entries_walked`] counts those
@@ -77,7 +77,7 @@ pub struct InvertedIndex {
     register_postings_touched: u64,
     /// Composition entries this index read out of its own store to resolve
     /// postings nobody supplied (the sibling counter: stays 0 on a shard,
-    /// whose coordinator ships them with every registration and migration).
+    /// whose coordinator ships them with every registration and rebuild).
     register_entries_walked: u64,
 }
 
