@@ -53,8 +53,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use cts_index::{
-    DenseArena, DocId, Document, InvertedIndex, QueryId, SlidingWindow, TermPostings,
-    ThresholdTree, Timestamp,
+    DenseArena, Document, InvertedIndex, QueryId, SlidingWindow, TermPostings, ThresholdTree,
+    Timestamp,
 };
 use cts_text::{TermId, Weight, WeightedTerm};
 
@@ -253,7 +253,13 @@ impl ItaEngine {
         // cts-lint: allow(panic-in-hot-path, callers pass ids taken from the live query slab)
         let state = self.queries.get_mut(qid).expect("query exists");
         let before: Vec<Weight> = state.thresholds.iter().map(|(_, theta)| *theta).collect();
+        // Unit-test builds run every search twice, once by the restart-at-θ
+        // reference, and hold the two to the same θ, R and count.
+        #[cfg(test)]
+        let reference = tests::restart_descent(&self.index, state.clone());
         threshold_descent(&self.index, state);
+        #[cfg(test)]
+        tests::assert_same_search(state, &reference);
         let live = self.index.live_terms();
         for ((term, after), before) in state.thresholds.iter().zip(before) {
             // cts-lint: allow(panic-in-hot-path, registration takes a reference on every query term before any search runs)
@@ -346,23 +352,42 @@ impl ItaEngine {
 /// Runs the (initial or resumed) threshold search: repeatedly examines the
 /// highest-impact unexamined posting among the query's lists, maintaining
 /// `R` and the frontier, until `S_k ≥ τ` or the lists are exhausted.
+///
+/// Each list is read through **one cursor** for the whole search, opened at
+/// its frontier (`iter_at_or_below(θ)`: ties at the frontier may or may not
+/// have been examined). `R` only grows while the search runs and every
+/// posting behind a cursor is in `R`, so a step skips `R`-members only from
+/// where each cursor stands, and only the chosen list advances — through its
+/// tie group. No posting is read twice and no step allocates.
 fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
     let k = state.query.k();
+    let mut cursors: Vec<_> = state
+        .thresholds
+        .iter()
+        .map(|&(term, theta)| {
+            index
+                .list(term)
+                .into_iter()
+                .flat_map(move |list| list.iter_at_or_below(theta))
+                .peekable()
+        })
+        .collect();
     loop {
-        // Peek the best unexamined posting of each list (at or below the
-        // current frontier, skipping documents already in R — ties at the
-        // frontier may or may not have been examined).
-        let mut peeks: Vec<Option<cts_index::Posting>> = Vec::with_capacity(state.thresholds.len());
+        // The bound over the best unexamined posting of each list, and the
+        // list whose posting contributes most — the last of equal maxima.
         let mut tau_next = 0.0;
-        for (term, theta) in &state.thresholds {
-            let peek = index.list(*term).and_then(|list| {
-                list.iter_at_or_below(*theta)
-                    .find(|p| !state.results.contains(p.doc))
-            });
-            if let Some(p) = peek {
-                tau_next += state.query.weight(*term).get() * p.weight.get();
+        let mut best: Option<(usize, f64, Weight)> = None;
+        for (slot, cursor) in cursors.iter_mut().enumerate() {
+            while cursor.next_if(|p| state.results.contains(p.doc)).is_some() {}
+            let Some(peek) = cursor.peek() else {
+                continue;
+            };
+            let (term, _) = state.thresholds[slot];
+            let contribution = state.query.weight(term).get() * peek.weight.get();
+            tau_next += contribution;
+            if best.is_none_or(|(_, most, _)| contribution >= most) {
+                best = Some((slot, contribution, peek.weight));
             }
-            peeks.push(peek);
         }
 
         // Stop only when `S_k` STRICTLY exceeds the bound (or nothing is
@@ -370,55 +395,30 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         // score ties common, and a document tied with `S_k` at the frontier
         // may out-rank an in-R document under the doc-id tie-break, so the
         // search must keep going until ties are provably impossible.
-        let exhausted = peeks.iter().all(Option::is_none);
-        if exhausted || state.results.kth_score(k) > tau_next {
-            // Done: snap every local threshold to its peek frontier (every
-            // posting strictly above it is in R).
-            for ((_, theta), peek) in state.thresholds.iter_mut().zip(&peeks) {
-                *theta = peek.map(|p| p.weight).unwrap_or(Weight::ZERO);
+        let Some((slot, _, group_weight)) = best.filter(|_| state.results.kth_score(k) <= tau_next)
+        else {
+            // Done: snap every local threshold to its cursor's frontier
+            // (every posting strictly above it is in R).
+            for ((_, theta), cursor) in state.thresholds.iter_mut().zip(&mut cursors) {
+                *theta = cursor.peek().map_or(Weight::ZERO, |p| p.weight);
             }
             return;
-        }
+        };
 
-        // Examine the whole tie group of the most promising list.
-        let (slot, posting) = peeks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|p| (i, *p)))
-            .max_by(|(i, a), (j, b)| {
-                let (ta, _) = state.thresholds[*i];
-                let (tb, _) = state.thresholds[*j];
-                let ca = state.query.weight(ta).get() * a.weight.get();
-                let cb = state.query.weight(tb).get() * b.weight.get();
-                // cts-lint: allow(panic-in-hot-path, Weight::new rejects NaN, so products of weights compare totally)
-                ca.partial_cmp(&cb).expect("weights are not NaN")
-            })
-            // cts-lint: allow(panic-in-hot-path, the stop test above returned unless some peek is Some)
-            .expect("kth_score < tau_next implies an unexamined posting");
         // Examine the full tie group at that weight so the frontier is exact:
         // afterwards, every posting strictly above θ is guaranteed to be in R.
-        let (term, _) = state.thresholds[slot];
-        let group_weight = posting.weight;
-        let members: Vec<DocId> = index
-            .list(term)
-            // cts-lint: allow(panic-in-hot-path, the chosen slot's peek came from this exact list)
-            .expect("peeked list exists")
-            .iter_at_or_below(group_weight)
-            .take_while(|p| p.weight == group_weight)
-            .map(|p| p.doc)
-            .collect();
-        for doc in members {
-            if state.results.contains(doc) {
+        while let Some(posting) = cursors[slot].next_if(|p| p.weight == group_weight) {
+            if state.results.contains(posting.doc) {
                 continue;
             }
             let composition = &index
                 .store()
-                .get(doc)
+                .get(posting.doc)
                 // cts-lint: allow(panic-in-hot-path, postings only reference documents held by the store)
                 .expect("indexed documents are valid")
                 .composition;
             let score = state.query.score(composition);
-            state.results.insert(doc, score);
+            state.results.insert(posting.doc, score);
             state.postings_examined += 1;
         }
         state.thresholds[slot].1 = group_weight;
@@ -755,7 +755,91 @@ impl Engine for ItaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::ScriptRng;
+    use cts_index::DocId;
     use cts_text::WeightedVector;
+
+    /// The descent before it kept a cursor per list: every step re-peeks
+    /// every list from its θ, skipping the postings already in R, and
+    /// collects the chosen tie group before examining it. The reference the
+    /// cursor walk is held to (`run_threshold_search` runs both in unit-test
+    /// builds).
+    pub(super) fn restart_descent(index: &InvertedIndex, mut state: QueryState) -> QueryState {
+        let k = state.query.k();
+        loop {
+            let mut peeks: Vec<Option<cts_index::Posting>> = Vec::new();
+            let mut tau_next = 0.0;
+            for (term, theta) in &state.thresholds {
+                let peek = index.list(*term).and_then(|list| {
+                    list.iter_at_or_below(*theta)
+                        .find(|p| !state.results.contains(p.doc))
+                });
+                if let Some(p) = peek {
+                    tau_next += state.query.weight(*term).get() * p.weight.get();
+                }
+                peeks.push(peek);
+            }
+            let exhausted = peeks.iter().all(Option::is_none);
+            if exhausted || state.results.kth_score(k) > tau_next {
+                for ((_, theta), peek) in state.thresholds.iter_mut().zip(&peeks) {
+                    *theta = peek.map(|p| p.weight).unwrap_or(Weight::ZERO);
+                }
+                return state;
+            }
+            let (slot, posting) = peeks
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| p.map(|p| (i, p)))
+                .max_by(|(i, a), (j, b)| {
+                    let ca = state.query.weight(state.thresholds[*i].0).get() * a.weight.get();
+                    let cb = state.query.weight(state.thresholds[*j].0).get() * b.weight.get();
+                    ca.partial_cmp(&cb).unwrap()
+                })
+                .unwrap();
+            let (term, _) = state.thresholds[slot];
+            let members: Vec<DocId> = index
+                .list(term)
+                .unwrap()
+                .iter_at_or_below(posting.weight)
+                .take_while(|p| p.weight == posting.weight)
+                .map(|p| p.doc)
+                .collect();
+            for doc in members {
+                if !state.results.contains(doc) {
+                    let score = state
+                        .query
+                        .score(&index.store().get(doc).unwrap().composition);
+                    state.results.insert(doc, score);
+                    state.postings_examined += 1;
+                }
+            }
+            state.thresholds[slot].1 = posting.weight;
+        }
+    }
+
+    /// Equal θ (by bits), equal R entries (scores by bits) and an equal
+    /// count of postings examined.
+    pub(super) fn assert_same_search(cursor: &QueryState, restart: &QueryState) {
+        let thetas = |s: &QueryState| -> Vec<(TermId, u64)> {
+            let bits = s
+                .thresholds
+                .iter()
+                .map(|(t, theta)| (*t, theta.get().to_bits()));
+            bits.collect()
+        };
+        let entries = |s: &QueryState| -> Vec<(DocId, u64)> {
+            s.results
+                .iter()
+                .map(|r| (r.doc, r.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(thetas(cursor), thetas(restart), "θ diverged");
+        assert_eq!(entries(cursor), entries(restart), "R diverged");
+        assert_eq!(
+            cursor.postings_examined, restart.postings_examined,
+            "postings examined diverged"
+        );
+    }
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {
         Document::new(
@@ -931,6 +1015,62 @@ mod tests {
         );
         let s = e.query_stats(q).unwrap();
         assert!(s.refills > 0, "no refill crossed a boundary");
+    }
+
+    /// The cursor walk against the restart-at-θ reference, on lists built to
+    /// trip a cursor (every search of this build runs both, see
+    /// `run_threshold_search`). A four-weight palette over a 400-document
+    /// window makes tie runs of ≈ 70 postings in lists two or three segments
+    /// long, so runs straddle segment boundaries; query terms weigh alike, so
+    /// lists tie for the largest contribution and the tie-break decides which
+    /// is read. Queries register into an empty, a filling and a full window,
+    /// and the stream expires their top-k again and again: registration and
+    /// refill searches both meet the reference.
+    #[test]
+    fn cursor_descent_matches_the_restart_descent_on_tie_runs() {
+        let mut rng = ScriptRng::new(0x17A_C0DE);
+        let palette = [0.2, 0.4, 0.6, 0.8];
+        let mut e = engine(400);
+        let mut registered = Vec::new();
+        for i in 0..1_600u64 {
+            if i % 80 == 0 {
+                let mut terms: Vec<u32> = (0..5).filter(|_| rng.chance(0.6)).collect();
+                if terms.is_empty() {
+                    terms.push(rng.below(5) as u32);
+                }
+                let alike = *rng.pick(&[0.5, 1.0]);
+                let query = ContinuousQuery::from_weights(
+                    terms.iter().map(|&t| (TermId(t), alike)),
+                    rng.range(1, 8),
+                );
+                registered.push((e.register(query.clone()), query));
+            }
+            let mut terms: Vec<(u32, f64)> = Vec::new();
+            for t in 0..5 {
+                if rng.chance(0.7) {
+                    terms.push((t, *rng.pick(&palette)));
+                }
+            }
+            if terms.is_empty() {
+                terms.push((rng.below(5) as u32, *rng.pick(&palette)));
+            }
+            e.process_document(doc(i, &terms));
+            if i % 97 == 0 {
+                for (q, query) in &registered {
+                    assert_eq!(top_ids(&e, *q), brute_force_top(&e, query), "event {i}");
+                }
+            }
+        }
+        let longest = e.index_stats().longest_list;
+        assert!(
+            longest > 2 * cts_index::segmented::DEFAULT_SEGMENT_CAPACITY,
+            "longest list {longest} spans fewer than three segments"
+        );
+        let refills: u64 = registered
+            .iter()
+            .map(|(q, _)| e.query_stats(*q).unwrap().refills)
+            .sum();
+        assert!(refills > 100, "only {refills} refills met the reference");
     }
 
     #[test]

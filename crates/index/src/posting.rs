@@ -161,22 +161,6 @@ impl FlatImpactList {
             .copied()
     }
 
-    /// The posting immediately following `previous` in descending order
-    /// (strictly after it), if any. Passing `None` returns the first posting.
-    /// This is the sequential-descent cursor used by the threshold algorithm.
-    pub fn next_after(&self, previous: Option<Posting>) -> Option<Posting> {
-        match previous {
-            None => self.first(),
-            Some(p) => {
-                let at = match self.entries.binary_search_by(|e| e.rank(&p)) {
-                    Ok(at) => at + 1,
-                    Err(at) => at,
-                };
-                self.entries.get(at).copied()
-            }
-        }
-    }
-
     /// Returns the weight stored for `doc`, if the document appears in this
     /// list. Linear scan; used only by tests and invariant checks.
     pub fn weight_of(&self, doc: DocId) -> Option<Weight> {
@@ -248,29 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn first_and_next_after_walk_the_list() {
-        let l = list(&[(7, 0.10), (1, 0.08), (5, 0.07)]);
-        let p0 = l.next_after(None).unwrap();
-        assert_eq!(p0.doc, DocId(7));
-        let p1 = l.next_after(Some(p0)).unwrap();
-        assert_eq!(p1.doc, DocId(1));
-        let p2 = l.next_after(Some(p1)).unwrap();
-        assert_eq!(p2.doc, DocId(5));
-        assert!(l.next_after(Some(p2)).is_none());
-    }
-
-    #[test]
-    fn next_after_a_removed_posting_resumes_at_its_successor() {
-        // The cursor posting need not still be in the list (its document may
-        // have expired between descent steps): `next_after` must resume at
-        // the position the posting would occupy.
-        let mut l = list(&[(7, 0.10), (1, 0.08), (5, 0.07)]);
-        let p1 = Posting::new(DocId(1), w(0.08));
-        l.remove(DocId(1), w(0.08));
-        assert_eq!(l.next_after(Some(p1)).unwrap().doc, DocId(5));
-    }
-
-    #[test]
     fn iter_below_excludes_equal_weights() {
         let l = list(&[(7, 0.10), (1, 0.08), (5, 0.07), (8, 0.05)]);
         let below: Vec<u64> = l.iter_below(w(0.08)).map(|p| p.doc.0).collect();
@@ -298,7 +259,6 @@ mod tests {
         let l = FlatImpactList::new();
         assert!(l.is_empty());
         assert!(l.first().is_none());
-        assert!(l.next_after(None).is_none());
         assert_eq!(l.iter_below(w(1.0)).count(), 0);
         assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);
         assert!(l.as_slice().is_empty());
@@ -342,10 +302,9 @@ mod tests {
         assert_eq!(l.iter_below(w(0.3)).count(), 0);
         assert_eq!(l.iter_at_or_below(w(0.3)).count(), 3);
         assert_eq!(l.iter_at_or_above(w(0.3)).count(), 3);
-        // Descent cursor walks the tie group by document id.
-        let p = l.next_after(None).unwrap();
-        assert_eq!(p.doc, DocId(1));
-        assert_eq!(l.next_after(Some(p)).unwrap().doc, DocId(2));
+        // A descent walks the tie group by document id.
+        let docs: Vec<u64> = l.iter_at_or_below(w(0.3)).map(|p| p.doc.0).collect();
+        assert_eq!(docs, vec![1, 2, 3]);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   merge re-split in half if it would itself overflow), so segment count
 //!   stays `Θ(len / capacity)` and every segment except a lone survivor
 //!   stays at least a quarter full.
-//! * Every read path — initial threshold descent and refill resume
-//!   (`iter_at_or_below`) and the sequential cursor (`next_after`) — is
-//!   still a directory locate followed by **contiguous scans within segments**,
+//! * Every read path — above all the threshold descent's one cursor per
+//!   list, opened at the query's frontier by `iter_at_or_below` at
+//!   registration and refill alike — is a directory locate followed by
+//!   **contiguous scans within segments**,
 //!   which is the access pattern the paper's §III cost model charges for:
 //!   "read a prefix of `L_t`" remains a linear read of adjacent memory, now
 //!   with one extra pointer hop per `capacity` entries visited.
@@ -288,27 +289,6 @@ impl SegmentedImpactList {
         self.iter_from(self.first_at_or_below(weight))
     }
 
-    /// The posting immediately following `previous` in descending order
-    /// (strictly after it), if any. Passing `None` returns the first posting.
-    /// This is the sequential-descent cursor used by the threshold algorithm;
-    /// `previous` need not still be in the list, and the successor may live
-    /// in a later segment than `previous` did (e.g. after a split of its tie
-    /// run).
-    pub fn next_after(&self, previous: Option<Posting>) -> Option<Posting> {
-        let Some(p) = previous else {
-            return self.first();
-        };
-        let seg = self.segments.partition_point(|s| {
-            // cts-lint: allow(panic-in-hot-path, structural invariant: the directory never holds an empty segment, enforced by check_invariants)
-            s.last().expect("segments are non-empty").rank(&p) != std::cmp::Ordering::Greater
-        });
-        let entries = self.segments.get(seg)?;
-        // The segment's last entry ranks after `p`, so the partition point is
-        // a real entry.
-        let off = entries.partition_point(|e| e.rank(&p) != std::cmp::Ordering::Greater);
-        entries.get(off).copied()
-    }
-
     /// Returns the weight stored for `doc`, if the document appears in this
     /// list. Linear scan; used only by tests and invariant checks.
     pub fn weight_of(&self, doc: DocId) -> Option<Weight> {
@@ -462,26 +442,12 @@ mod tests {
         assert_eq!(l.iter_at_or_above(w(0.5)).count(), 9);
         assert_eq!(l.iter_at_or_below(w(0.5)).count(), 9);
         assert_eq!(l.iter_below(w(0.5)).count(), 0);
-        // The sequential cursor walks the whole run across boundaries.
-        let mut cursor = None;
-        let mut seen = Vec::new();
-        while let Some(p) = l.next_after(cursor) {
-            seen.push(p.doc.0);
-            cursor = Some(p);
-        }
-        assert_eq!(seen, (1..=9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn next_after_a_removed_posting_resumes_at_its_successor() {
-        let mut l = list(&[(7, 0.10), (1, 0.08), (5, 0.07), (2, 0.06), (9, 0.04)]);
-        let p1 = Posting::new(DocId(1), w(0.08));
-        l.remove(DocId(1), w(0.08));
-        assert_eq!(l.next_after(Some(p1)).unwrap().doc, DocId(5));
-        // A cursor ranking after everything yields None.
-        assert!(l
-            .next_after(Some(Posting::new(DocId(u64::MAX), w(0.0))))
-            .is_none());
+        // A descent cursor opened at the run walks all of it across the
+        // boundaries.
+        assert_eq!(
+            docs_of(l.iter_at_or_below(w(0.5))),
+            (1..=9).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -509,7 +475,6 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.segment_capacity(), DEFAULT_SEGMENT_CAPACITY);
         assert!(l.first().is_none());
-        assert!(l.next_after(None).is_none());
         assert_eq!(l.iter_below(w(1.0)).count(), 0);
         assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);
         l.check_invariants();

@@ -14,12 +14,16 @@
 //!   (the one scan strategy; an index reading its own store runs the same
 //!   function);
 //! * a *sealed* chunk may carry a **term directory** — its distinct terms,
-//!   sorted, each with the chunk-local indexes of the documents containing
-//!   it in arrival order — and is then answered by a galloping merge of the
-//!   sorted wanted terms against the sorted term array: a lone query costs a
-//!   probe per term, a bulk batch degrades to a linear merge of the two
-//!   arrays. Weights are not stored; they are read from the shared
-//!   `Arc<Document>` per posting found.
+//!   sorted, each with the documents containing it in arrival order (their
+//!   chunk-local indexes) and where in each document's composition it sits —
+//!   and is then answered by a galloping merge of the sorted wanted terms
+//!   against the sorted term array: a lone query costs a probe per term, a
+//!   bulk batch degrades to a linear merge of the two arrays. Weights are not
+//!   stored; each posting found reads its weight from the shared
+//!   `Arc<Document>` at the recorded position, one load and no search. A
+//!   position is a `u16`, so a chunk holding a document of more than
+//!   [`MAX_POSITIONS`] composition entries never gets a directory and is
+//!   walked on every call.
 //!
 //! Directories are built **lazily and only here, on the registration path**:
 //! each call builds them for at most [`BUILDS_PER_CALL`] of the whole sealed
@@ -60,8 +64,13 @@ const RADIX_BITS: u32 = 11;
 /// Set in a directory slot that holds a document count, not a local index.
 const MULTI: u16 = 1 << 15;
 
-/// Terms per recorded offset into a directory's `locals`.
+/// Terms per recorded offset into a directory's `hits`.
 const MARK_EVERY: usize = 64;
+
+/// The most composition entries a document may have for its chunk to get a
+/// directory: a directory records a term's position in its document as a
+/// `u16`.
+pub const MAX_POSITIONS: usize = 1 << u16::BITS;
 
 /// The postings of a set of terms over one state of the window: for each
 /// term, the `(document, weight)` pairs of the valid documents containing it,
@@ -176,45 +185,67 @@ pub(crate) fn walk_postings<'a>(
     (postings, walked)
 }
 
+/// One document containing a directory's term: its chunk-local index and
+/// the position of the term in its composition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hit {
+    local: u16,
+    position: u16,
+}
+
+impl Hit {
+    /// The low 32 bits of a build key.
+    fn of_key(key: u64) -> Self {
+        Self {
+            local: (key >> 16) as u16,
+            position: key as u16,
+        }
+    }
+}
+
 /// A sealed chunk's term directory. Three of four distinct terms of a
 /// 256-document chunk occur in one document only, so those cost a term and
-/// a `u16`; only terms in several documents have their indexes listed, and
+/// one [`Hit`]; only terms in several documents have their hits listed, and
 /// offsets into that list are kept for every [`MARK_EVERY`]-th term and
-/// summed up from there (6 bytes per distinct term and 2 per listed index,
-/// where plain `u32` offsets cost 8 and 2: 9.0 MB against 12.4 MB over the
-/// 10k-document window).
+/// summed up from there: 8 bytes per distinct term and 4 per listed hit,
+/// where plain `u32` offsets would cost 12 and 4. Over the 10k-document
+/// window that is 14.2 MB; the positions are 5.1 MB of it, and buy each
+/// posting found a weight read without a search (DESIGN.md §9).
 #[derive(Debug, Clone, PartialEq)]
 struct TermDirectory {
     /// The chunk's distinct terms, increasing.
     terms: Vec<TermId>,
-    /// Aligned with `terms`: the chunk-local index of the one document
-    /// containing the term, or `MULTI | n` when `n >= 2` documents do and
-    /// their indexes are the term's group in `locals`.
-    slots: Vec<u16>,
-    /// Chunk-local document indexes of the terms in several documents,
-    /// grouped by term in `terms` order, increasing (arrival order) within
-    /// a group.
-    locals: Vec<u16>,
+    /// Aligned with `terms`: the one document containing the term, or a
+    /// `local` of `MULTI | n` when `n >= 2` documents do and their hits are
+    /// the term's group in `hits`.
+    slots: Vec<Hit>,
+    /// The hits of the terms in several documents, grouped by term in
+    /// `terms` order, increasing `local` (arrival order) within a group.
+    hits: Vec<Hit>,
     /// `marks[m]` is where the groups of `terms[m * MARK_EVERY..]` start.
     marks: Vec<u32>,
 }
 
 impl TermDirectory {
-    /// Builds the directory of a whole chunk: one key `term << 16 | local`
-    /// per composition entry, generated document by document — so already
-    /// ordered by `(local, term)` — then stably radix-sorted on the term
-    /// bits alone, which leaves them ordered by `(term, local)`.
+    /// Builds the directory of a whole chunk whose documents have at most
+    /// [`MAX_POSITIONS`] composition entries each: one key
+    /// `term << 32 | local << 16 | position` per composition entry,
+    /// generated document by document — so already ordered by
+    /// `(local, term)` — then stably radix-sorted on the term bits alone,
+    /// which leaves them ordered by `(term, local)`.
     fn build<'a>(docs: impl Iterator<Item = &'a Document>) -> Self {
         let mut keys: Vec<u64> = Vec::new();
         let mut max_term = 0u32;
         for (local, doc) in docs.enumerate() {
             let composition = doc.composition.as_slice();
-            max_term = max_term.max(composition.last().map_or(0, |entry| entry.term.0));
-            keys.extend(
-                composition
-                    .iter()
-                    .map(|entry| u64::from(entry.term.0) << 16 | local as u64),
+            assert!(
+                composition.len() <= MAX_POSITIONS,
+                "a directory's positions are u16s"
             );
+            max_term = max_term.max(composition.last().map_or(0, |entry| entry.term.0));
+            keys.extend(composition.iter().enumerate().map(|(position, entry)| {
+                u64::from(entry.term.0) << 32 | (local as u64) << 16 | position as u64
+            }));
         }
         let term_bits = u32::BITS - max_term.leading_zeros();
         let passes = term_bits.div_ceil(RADIX_BITS);
@@ -226,7 +257,7 @@ impl TermDirectory {
             let mut scratch = vec![0u64; keys.len()];
             let mut counts = vec![0u32; 1 << digit_bits];
             for pass in 0..passes {
-                let shift = 16 + pass * digit_bits;
+                let shift = 32 + pass * digit_bits;
                 counts.fill(0);
                 for key in &keys {
                     counts[(key >> shift & mask) as usize] += 1;
@@ -243,7 +274,7 @@ impl TermDirectory {
                 std::mem::swap(&mut keys, &mut scratch);
             }
         }
-        let same_term = |a: &u64, b: &u64| a >> 16 == b >> 16;
+        let same_term = |a: &u64, b: &u64| a >> 32 == b >> 32;
         let (mut distinct, mut single) = (0, 0);
         for group in keys.chunk_by(same_term) {
             distinct += 1;
@@ -251,24 +282,27 @@ impl TermDirectory {
         }
         let mut terms = Vec::with_capacity(distinct);
         let mut slots = Vec::with_capacity(distinct);
-        let mut locals = Vec::with_capacity(keys.len() - single);
+        let mut hits = Vec::with_capacity(keys.len() - single);
         let mut marks = Vec::with_capacity(distinct.div_ceil(MARK_EVERY));
         for group in keys.chunk_by(same_term) {
             if terms.len().is_multiple_of(MARK_EVERY) {
-                marks.push(locals.len() as u32);
+                marks.push(hits.len() as u32);
             }
-            terms.push(TermId((group[0] >> 16) as u32));
+            terms.push(TermId((group[0] >> 32) as u32));
             if let [only] = group {
-                slots.push(*only as u16);
+                slots.push(Hit::of_key(*only));
             } else {
-                slots.push(MULTI | group.len() as u16);
-                locals.extend(group.iter().map(|key| *key as u16));
+                slots.push(Hit {
+                    local: MULTI | group.len() as u16,
+                    position: 0,
+                });
+                hits.extend(group.iter().map(|key| Hit::of_key(*key)));
             }
         }
         Self {
             terms,
             slots,
-            locals,
+            hits,
             marks,
         }
     }
@@ -276,23 +310,23 @@ impl TermDirectory {
     /// Heap bytes held.
     fn bytes(&self) -> usize {
         self.terms.capacity() * std::mem::size_of::<TermId>()
-            + (self.slots.capacity() + self.locals.capacity()) * std::mem::size_of::<u16>()
+            + (self.slots.capacity() + self.hits.capacity()) * std::mem::size_of::<Hit>()
             + self.marks.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// The local indexes of the documents containing the `at`-th term.
-    fn locals_of(&self, at: usize) -> &[u16] {
-        let slot = self.slots[at];
+    /// The documents containing the `at`-th term, in arrival order.
+    fn hits_of(&self, at: usize) -> &[Hit] {
+        let slot = self.slots[at].local;
         if slot & MULTI == 0 {
             return std::slice::from_ref(&self.slots[at]);
         }
         let skipped: usize = self.slots[at - at % MARK_EVERY..at]
             .iter()
-            .filter(|slot| **slot & MULTI != 0)
-            .map(|slot| usize::from(slot & !MULTI))
+            .filter(|slot| slot.local & MULTI != 0)
+            .map(|slot| usize::from(slot.local & !MULTI))
             .sum();
         let start = self.marks[at / MARK_EVERY] as usize + skipped;
-        &self.locals[start..start + usize::from(slot & !MULTI)]
+        &self.hits[start..start + usize::from(slot & !MULTI)]
     }
 
     /// Calls `found(slot in wanted, slot in self.terms)` for every wanted
@@ -481,8 +515,9 @@ impl WindowTerms {
     /// The postings of `terms` (repeats allowed) over the current window, in
     /// arrival order per term: chunks with a directory answer from it, the
     /// rest are walked once, and up to the build bound of the whole chunks
-    /// walked get their directory built afterwards, newest first. The answer
-    /// does not depend on which chunks have a directory.
+    /// walked get their directory built afterwards, newest first — those
+    /// whose documents all fit [`MAX_POSITIONS`]. The answer does not depend
+    /// on which chunks have a directory.
     pub fn postings(&mut self, terms: impl IntoIterator<Item = TermId>) -> TermPostings {
         let mut postings = TermPostings::for_terms(terms);
         if postings.terms.is_empty() {
@@ -509,20 +544,30 @@ impl WindowTerms {
             let expired = self.chunk_docs - range.len();
             let (docs, lists) = (&self.docs, &mut postings.lists);
             directory.merge(&postings.terms, |slot, at| {
-                let term = directory.terms[at];
-                let locals = directory.locals_of(at);
-                let live = locals.partition_point(|local| usize::from(*local) < expired);
-                for local in &locals[live..] {
-                    let doc = &docs[range.start + usize::from(*local) - expired];
-                    lists[slot].push((doc.id, doc.composition.impact(term)));
+                let hits = directory.hits_of(at);
+                let live = hits.partition_point(|hit| usize::from(hit.local) < expired);
+                for hit in &hits[live..] {
+                    let doc = &docs[range.start + usize::from(hit.local) - expired];
+                    let entry = doc.composition.as_slice()[usize::from(hit.position)];
+                    lists[slot].push((doc.id, entry.weight));
                 }
-                from_directories += locals.len() - live;
+                from_directories += hits.len() - live;
             });
         }
         self.entries_walked += entries_walked;
         self.postings_from_walks += from_walks;
         self.postings_from_directories += from_directories as u64;
-        for chunk in walked_whole.into_iter().rev().take(self.builds_per_call) {
+        let fits = |chunk: &usize| {
+            let mut docs = self.docs.range(self.chunk_range(*chunk));
+            docs.all(|doc| doc.composition.len() <= MAX_POSITIONS)
+        };
+        let builds: Vec<usize> = walked_whole
+            .into_iter()
+            .rev()
+            .filter(fits)
+            .take(self.builds_per_call)
+            .collect();
+        for chunk in builds {
             let docs = self.docs.range(self.chunk_range(chunk)).map(|doc| &**doc);
             self.directories[chunk] = Some(TermDirectory::build(docs));
             self.directories_built += 1;
@@ -546,11 +591,13 @@ impl WindowTerms {
 
     /// Audits the structure, panicking with a description on violation:
     /// the id set holds exactly the window's ids; there is one directory
-    /// slot per chunk the window spans; only a sealed
-    /// chunk carries a directory; and every directory, cut down to the
-    /// documents still valid, is what a plain re-derivation from those
-    /// documents gives — sorted distinct terms, each with its documents'
-    /// local indexes in arrival order.
+    /// slot per chunk the window spans; only a sealed chunk whose documents
+    /// all fit [`MAX_POSITIONS`] carries a directory; every position a directory records for a
+    /// valid document names that document's composition entry of the
+    /// directory's term; and every directory, cut down to the documents
+    /// still valid, is what a plain re-derivation from those documents
+    /// gives — sorted distinct terms, each with its documents' local indexes
+    /// in arrival order.
     pub fn check_invariants(&self) {
         assert!(
             self.ids.len() == self.docs.len() && self.docs.iter().all(|doc| self.contains(doc.id)),
@@ -576,8 +623,14 @@ impl WindowTerms {
             );
             let range = self.chunk_range(chunk);
             let expired = self.chunk_docs - range.len();
+            assert!(
+                self.docs
+                    .range(range.clone())
+                    .all(|doc| doc.composition.len() <= MAX_POSITIONS),
+                "chunk {chunk} carries a directory but holds a document past MAX_POSITIONS"
+            );
             let mut expected: BTreeMap<TermId, Vec<u16>> = BTreeMap::new();
-            for (at, doc) in self.docs.range(range).enumerate() {
+            for (at, doc) in self.docs.range(range.clone()).enumerate() {
                 for entry in doc.composition.as_slice() {
                     let local = (expired + at) as u16;
                     expected.entry(entry.term).or_default().push(local);
@@ -589,12 +642,22 @@ impl WindowTerms {
             );
             let mut held: BTreeMap<TermId, Vec<u16>> = BTreeMap::new();
             for (slot, term) in directory.terms.iter().enumerate() {
-                let live: Vec<u16> = directory
-                    .locals_of(slot)
-                    .iter()
-                    .copied()
-                    .filter(|local| usize::from(*local) >= expired)
-                    .collect();
+                let mut live = Vec::new();
+                for hit in directory.hits_of(slot) {
+                    let Some(at) = usize::from(hit.local).checked_sub(expired) else {
+                        continue;
+                    };
+                    let doc = &self.docs[range.start + at];
+                    let named = doc.composition.as_slice().get(usize::from(hit.position));
+                    assert!(
+                        named.is_some_and(|entry| entry.term == *term),
+                        "chunk {chunk}'s directory records position {} of local {} for {term}, \
+                         which names another entry",
+                        hit.position,
+                        hit.local
+                    );
+                    live.push(hit.local);
+                }
                 if !live.is_empty() {
                     held.insert(*term, live);
                 }
@@ -724,6 +787,7 @@ mod tests {
         window.check_invariants();
         let directory = window.directories[0].as_ref().expect("just built");
         assert!(directory.marks.len() > 2, "one block would test nothing");
+        assert!(directory.hits.iter().any(|hit| hit.position > 0));
         assert_eq!(window.postings(all()), walked);
         assert_eq!(
             window.stats().postings_from_directories,
@@ -741,14 +805,23 @@ mod tests {
         let directory = TermDirectory::build(docs.iter().map(|d| &**d));
         let terms: Vec<u32> = directory.terms.iter().map(|t| t.0).collect();
         assert_eq!(terms, vec![0, 5, 70_000, u32::MAX]);
-        assert_eq!(directory.slots, vec![MULTI | 2, 2, MULTI | 2, MULTI | 2]);
-        assert_eq!(directory.locals, vec![0, 1, 0, 2, 0, 2]);
-        assert_eq!(directory.locals_of(1), [2]);
-        assert_eq!(directory.locals_of(3), [0, 2]);
+        let hit = |local, position| Hit { local, position };
+        let multi = hit(MULTI | 2, 0);
+        assert_eq!(directory.slots, vec![multi, hit(2, 0), multi, multi]);
+        // Term 0 sits first in documents 0 and 1, 70 000 second and
+        // u32::MAX third in documents 0 and 2.
+        let hits: Vec<(u16, u16)> = directory
+            .hits
+            .iter()
+            .map(|h| (h.local, h.position))
+            .collect();
+        assert_eq!(hits, [(0, 0), (1, 0), (0, 1), (2, 1), (0, 2), (2, 2)]);
+        assert_eq!(directory.hits_of(1), [hit(2, 0)]);
+        assert_eq!(directory.hits_of(3), [hit(0, 2), hit(2, 2)]);
         // Every term is 0: no radix pass runs at all.
         let zeros = [doc(0, &[(0, 0.5)]), doc(1, &[(0, 0.5)])];
         let directory = TermDirectory::build(zeros.iter().map(|d| &**d));
-        assert_eq!(directory.locals_of(0), [0, 1]);
+        assert_eq!(directory.hits_of(0), [hit(0, 0), hit(1, 0)]);
         let empty = TermDirectory::build(std::iter::empty());
         assert!(empty.terms.is_empty() && empty.marks.is_empty());
     }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cts_core::testkit::ScriptRng;
+use cts_index::window_terms::MAX_POSITIONS;
 use cts_index::{DocId, Document, SlidingWindow, TermPostings, Timestamp, WindowTerms};
 use cts_text::{TermId, WeightedVector};
 
@@ -245,6 +246,61 @@ fn a_time_window_can_run_empty_and_refill() {
     view.push(random_doc(&mut rng, 99, now));
     assert_eq!(view.postings([HEAD]).len(), 1);
     view.check_invariants();
+}
+
+/// A directory records where a term sits in its document as a `u16`, so a
+/// chunk holding a document of more than `MAX_POSITIONS` composition entries
+/// is never built and is walked on every call; a document of exactly
+/// `MAX_POSITIONS` still fits. The answer is the brute force's either way.
+#[test]
+fn a_chunk_holding_a_document_past_max_positions_is_always_walked() {
+    // Terms 2, 3, … at positions 0, 1, …: term `p + 2` sits at position `p`.
+    let wide = |id: u64, len: usize| {
+        let weights = (2..len as u32 + 2).map(|t| (TermId(t), 0.01 + f64::from(t % 7) * 0.1));
+        Arc::new(Document::new(
+            DocId(id),
+            Timestamp::from_millis(id),
+            WeightedVector::from_weights(weights),
+        ))
+    };
+    let mut rng = ScriptRng::new(0x3717_0600);
+    let mut view = WindowTerms::with_shape(2, usize::MAX);
+    let mut reference = BruteForce::default();
+    let docs = [
+        wide(0, MAX_POSITIONS + 1),
+        random_doc(&mut rng, 1, Timestamp::from_millis(1)),
+        wide(2, MAX_POSITIONS),
+        random_doc(&mut rng, 3, Timestamp::from_millis(3)),
+        random_doc(&mut rng, 4, Timestamp::from_millis(4)),
+        random_doc(&mut rng, 5, Timestamp::from_millis(5)),
+    ];
+    for doc in docs {
+        reference.0.push_back(Arc::clone(&doc));
+        view.push(doc);
+    }
+    // The last position of a `u16` in both wide documents, and the first
+    // past it in document 0.
+    let (fits, past) = (
+        TermId(MAX_POSITIONS as u32 + 1),
+        TermId(MAX_POSITIONS as u32 + 2),
+    );
+    let wanted = [HEAD, TermId(5), fits, past];
+    for call in 0..3 {
+        let before = view.stats();
+        let answer = view.postings(wanted);
+        assert_answer(&answer, &wanted, &reference, &format!("call {call}"));
+        view.check_invariants();
+        let after = view.stats();
+        assert_eq!(after.directories, 2, "chunk 0 is never built");
+        // From the second call on, only chunk 0 is walked.
+        let chunk_0 = (MAX_POSITIONS + 1 + reference.0[1].composition.len()) as u64;
+        if call > 0 {
+            assert_eq!(after.entries_walked - before.entries_walked, chunk_0);
+        }
+    }
+    let answer = view.postings([fits, past]);
+    let ids = |term| -> Vec<u64> { answer.get(term).unwrap().iter().map(|(d, _)| d.0).collect() };
+    assert_eq!((ids(fits), ids(past)), (vec![0, 2], vec![0]));
 }
 
 /// The contract the sibling counter exists for: once the sealed chunks are
