@@ -1,25 +1,34 @@
-//! The paper-scale Figure 3 sweep harness.
+//! The paper-scale Figure 3 sweep harness behind the `fig3` binary.
 //!
 //! Reproduces the experimental protocol of §IV: fill a count-based sliding
 //! window from the synthetic WSJ-like stream, register the continuous-query
-//! workload, then measure the mean per-event processing time of
-//! [`ItaEngine`] and [`NaiveEngine`] over a run of steady-state events
-//! (each arrival expires the oldest document, so every event exercises both
-//! maintenance paths). Figure 3(a) grows the query count at a fixed window;
-//! Figure 3(b) grows the window at the paper's 1,000 queries.
+//! workload, then measure the mean per-event processing time of each engine
+//! over steady-state events (each arrival expires the oldest document, so
+//! every event exercises both maintenance paths). Figure 3(a) grows the query
+//! count at a fixed window; Figure 3(b) grows the window at the paper's 1,000
+//! queries.
 //!
-//! Engines run **sequentially**, each reading its own identically-seeded
-//! (hence identical) document stream — nothing is materialised, so peak
-//! memory stays at one engine's footprint — and the harness
-//! cross-checks them anyway: ITA's final top-k for a sample of queries is
-//! snapshotted and the naïve engine must reproduce it exactly
+//! **Steady state.** A cell measures exactly two window turnovers
+//! ([`SweepSettings::measured_events`]): every document that was in the
+//! window when measurement began has expired, twice over, so the top-`k_max`
+//! baseline pays its defining cost — recomputing views that expirations
+//! drained — inside the measured mean, and [`run_cell`] refuses a naive cell
+//! that never recomputed.
+//!
+//! **Arms.** Every cell runs four engines, one after another:
+//! `ita` (the term-filtered [`ItaEngine`], indexing only query terms),
+//! `ita-full-index` (the full-index engine, [`ItaEngine::new`]), `naive` (the
+//! top-`k_max` baseline) and `sharded-ita` (the query-partitioned engine on
+//! `--shards` workers, one event per call). Each reads its own
+//! identically-seeded (hence identical) document stream — nothing is
+//! materialised, so peak memory stays at one engine's footprint — and the
+//! harness cross-checks them anyway: `ita`'s final top-k for a sample of
+//! queries is snapshotted and every other arm must reproduce it exactly
 //! ([`cts_core::validate::compare_to_snapshot`]). A cell that diverges
-//! panics; the sweep binaries are therefore also paper-scale integration
-//! tests.
+//! panics; the sweep is therefore also a paper-scale integration test.
 //!
 //! Reports serialise to machine-readable JSON (`BENCH_fig3a.json` /
-//! `BENCH_fig3b.json`) so the performance trajectory of this repository is
-//! recorded run over run; see README §"Reproducing Figure 3".
+//! `BENCH_fig3b.json`); see README §"Reproducing Figure 3".
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -28,13 +37,18 @@ use cts_core::validate::{
 };
 use cts_core::{
     ContinuousQuery, Engine, ItaConfig, ItaEngine, NaiveConfig, NaiveEngine, ProcessingStats,
-    ShardedItaEngine,
+    RankedDocument, ShardedItaEngine,
 };
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::{QueryId, SlidingWindow};
 use cts_text::weighting::Scoring;
 use cts_text::Dictionary;
 use serde::Serialize;
+
+/// Window turnovers measured per cell: enough that every document valid
+/// when measurement starts expires inside it, so the naive baseline's view
+/// recomputations are part of its measured mean.
+pub const MEASURED_TURNOVERS: usize = 2;
 
 /// One cell of a Figure 3 sweep: a fully specified experiment.
 #[derive(Debug, Clone)]
@@ -43,8 +57,6 @@ pub struct SweepSettings {
     pub num_queries: usize,
     /// Count-based window size in documents (paper default: 10,000+).
     pub window_docs: usize,
-    /// Steady-state events to measure after the window is full.
-    pub measured_events: usize,
     /// Corpus shape (vocabulary, document lengths).
     pub corpus: CorpusConfig,
     /// Mean Poisson arrival rate in documents/second (paper: 200).
@@ -59,32 +71,15 @@ pub struct SweepSettings {
     pub self_check_stride: usize,
     /// Worker shards for the sharded-ITA arm (1 = a single worker thread).
     pub shards: usize,
-    /// Events per `process_batch` call on the sharded-ITA arm (1 = the
-    /// per-event protocol). The ITA and naive arms always run per-event;
-    /// when `batch > 1` the cell grows an extra `sharded-ita` arm at batch
-    /// 1, so the handoff-overhead reduction is recorded side by side.
-    pub batch: usize,
-    /// Queries per [`Engine::register_batch`] call during setup. 0 registers
-    /// the whole workload in **one** bulk call (the cheapest protocol);
-    /// a positive value chunks registration into bursts of that size — the
-    /// `register_burst` sweep mode, pricing bursty online registration.
-    pub register_burst: usize,
-    /// Arm two injected worker faults per shard at the start of the
-    /// measured phase of the sharded arm (the chaos sweep mode): the first
-    /// events each shard processes are applied and then the worker panics,
-    /// so the measured mean includes the shards' rebuilds — and the
-    /// self-check still has to come out exact.
-    pub chaos: bool,
 }
 
 impl SweepSettings {
     /// A paper-scale cell: WSJ-like corpus (181,978-term vocabulary), 200
     /// docs/s, 10-term queries with `k = 10`.
-    pub fn paper(num_queries: usize, window_docs: usize, measured_events: usize) -> Self {
+    pub fn paper(num_queries: usize, window_docs: usize) -> Self {
         Self {
             num_queries,
             window_docs,
-            measured_events,
             corpus: CorpusConfig {
                 seed: 0xF16_3000,
                 ..CorpusConfig::default()
@@ -95,42 +90,46 @@ impl SweepSettings {
             seed: 0xF16_3100,
             self_check_stride: 20,
             shards: 1,
-            batch: 1,
-            register_burst: 0,
-            chaos: false,
         }
     }
 
     /// A reduced cell for CI smoke runs: small vocabulary, short documents,
     /// everything finishes in seconds.
-    pub fn quick(num_queries: usize, window_docs: usize, measured_events: usize) -> Self {
+    pub fn quick(num_queries: usize, window_docs: usize) -> Self {
         Self {
             corpus: CorpusConfig {
                 seed: 0xF16_3000,
                 ..CorpusConfig::small()
             },
             self_check_stride: 5,
-            ..Self::paper(num_queries, window_docs, measured_events)
+            ..Self::paper(num_queries, window_docs)
         }
+    }
+
+    /// Steady-state events measured per arm: [`MEASURED_TURNOVERS`] full
+    /// window turnovers.
+    pub fn measured_events(&self) -> usize {
+        MEASURED_TURNOVERS * self.window_docs
     }
 }
 
 /// Measured outcome of one engine in one cell.
 #[derive(Debug, Clone, Serialize)]
 pub struct CellReport {
-    /// Engine name (`ita` or `naive`).
+    /// Arm name: `ita`, `ita-full-index`, `naive` or `sharded-ita`.
     pub engine: String,
     /// Registered queries.
     pub num_queries: usize,
     /// Window size in documents.
     pub window_docs: usize,
-    /// Steady-state events measured.
+    /// Steady-state events measured ([`SweepSettings::measured_events`]).
     pub measured_events: u64,
     /// Expirations triggered by the measured events.
     pub expirations: u64,
     /// Wall-clock seconds to stream the window full (no queries registered).
     pub fill_seconds: f64,
-    /// Wall-clock seconds to register the full query workload.
+    /// Wall-clock seconds to register the full query workload in one
+    /// `register_batch` call.
     pub register_seconds: f64,
     /// Mean per-event processing time, microseconds (the paper's metric).
     pub mean_event_micros: f64,
@@ -143,53 +142,22 @@ pub struct CellReport {
     pub queries_touched_per_event: f64,
     /// Top-k changes observed during measurement.
     pub results_changed: u64,
-    /// Full view recomputations (naïve engine only).
+    /// Full view recomputations during measurement (naive arm only; > 0 in
+    /// every cell).
     pub recomputations: Option<u64>,
-    /// Total impact entries in the inverted index (ITA: the full index;
-    /// sharded ITA: summed across the term-filtered shadow indexes).
+    /// Impact entries held in the inverted index at the end of the run (ITA
+    /// arms; sharded ITA sums its term-filtered shadow indexes).
     pub index_postings: Option<usize>,
     /// Worker shards (sharded-ITA arm only).
     pub shards: Option<usize>,
-    /// Events per `process_batch` call this arm was driven with (1 = the
-    /// per-event protocol).
-    pub batch: usize,
-    /// Queries per `register_batch` call during setup (0 = the whole
-    /// workload in one bulk call).
-    pub register_burst: usize,
-    /// Slowest single batch, microseconds (0 when `batch == 1`; the
-    /// per-event maximum is `max_event_micros` in that case).
-    pub max_batch_micros: f64,
     /// Mean per-event worker busy time summed across shards, microseconds
     /// (sharded-ITA arm only). Divide by `mean_event_micros` for parallel
     /// utilisation; at 1 shard the difference to `mean_event_micros` is the
     /// channel fan-out overhead.
     pub shard_busy_per_event_micros: Option<f64>,
-    /// Worker faults observed during the run (sharded-ITA arm only;
-    /// non-zero only in chaos mode).
-    pub faults: Option<u64>,
-    /// Recoveries performed during the run (sharded-ITA arm only; in chaos
-    /// mode every fault must have recovered, so this equals `faults`).
-    pub recoveries: Option<u64>,
-    /// Total time spent recovering shard state, microseconds (sharded-ITA
-    /// arm only).
-    pub recovery_micros: Option<u64>,
-    /// Events shed by a bounded ingest queue in front of this arm (deadline
-    /// expiries plus queue-full displacements). The sweep arms run
-    /// unbounded, so this records 0 — the column exists so a cell run with a
-    /// bounded queue reports what was dropped instead of reading as full
-    /// coverage; the bounded-queue profile itself lives in
-    /// `BENCH_loadgen.json`.
-    pub shed: u64,
-    /// Events processed as members of coalesced `process_batch` bursts by a
-    /// bounded ingest queue (0 for the unbounded sweep arms; distinct from
-    /// `batch`, which is the *driver's* fixed batching protocol).
-    pub coalesced: u64,
-    /// Deepest the bounded ingest queue got during the run (0 when
-    /// unbounded).
-    pub queue_high_water: u64,
-    /// Outcome of the cross-engine self-check (`"reference"` for the engine
-    /// that produced the snapshot, `"ok (n queries)"` for the one checked
-    /// against it).
+    /// Outcome of the cross-engine self-check (`"reference"` for the `ita`
+    /// arm, which produced the snapshot, `"ok (n queries)"` for every arm
+    /// checked against it).
     pub self_check: String,
 }
 
@@ -212,8 +180,6 @@ pub struct SweepReport {
     pub k: usize,
     /// Worker shards used by the sharded-ITA arm of every cell.
     pub shards: usize,
-    /// Batch size used by the batched sharded-ITA arm of every cell.
-    pub batch: usize,
     /// One entry per (cell, engine), in execution order.
     pub cells: Vec<CellReport>,
 }
@@ -230,7 +196,6 @@ impl SweepReport {
             query_length: template.query_length,
             k: template.k,
             shards: template.shards,
-            batch: template.batch,
             cells: Vec::new(),
         }
     }
@@ -296,32 +261,22 @@ fn build_stream(settings: &SweepSettings) -> DocumentStream {
     )
 }
 
-struct DriveOutcome<E: Engine> {
-    engine: E,
-    /// The measured events, timed by [`drive`]'s own loop.
-    stats: ProcessingStats,
-    query_ids: Vec<QueryId>,
-    fill_seconds: f64,
-    register_seconds: f64,
-}
-
-/// Streams one engine through fill → register → measured events. Each
-/// measured `process_document`/`process_batch` call is timed on its own, and
-/// the burst it gets is generated before its clock starts, so the timings
-/// never include document generation (fill_seconds, an informational
-/// total, does). `on_measure_start` runs after fill + registration and
-/// before the first measured event — the hook the sharded arm uses to zero
-/// its per-worker statistics, so worker busy time covers exactly the
-/// measured events the wall-clock mean covers. `batch` > 1 drives the
-/// measured events through the engine's batched path, `batch` events per
-/// round-trip; a trailing burst of one is a single event, recorded as one.
+/// Streams one engine through fill → register → measured events and
+/// returns its report (the arm-specific fields left `None` for the caller)
+/// and the registered query ids. Each measured `process_document` call is
+/// timed on its own, after its document is generated, so the timings never
+/// include document generation (`fill_seconds`, an informational total,
+/// does). `on_measure_start` runs after fill + registration and before the
+/// first measured event — the hook the sharded arm uses to zero its
+/// per-worker statistics, so worker busy time covers exactly the measured
+/// events.
 fn drive<E: Engine>(
-    mut engine: E,
+    arm: &str,
+    engine: &mut E,
     settings: &SweepSettings,
     queries: &[ContinuousQuery],
-    batch: usize,
     on_measure_start: impl FnOnce(&mut E),
-) -> DriveOutcome<E> {
+) -> (CellReport, Vec<QueryId>) {
     let mut stream = build_stream(settings);
     let start = Instant::now();
     for _ in 0..settings.window_docs {
@@ -329,60 +284,28 @@ fn drive<E: Engine>(
     }
     let fill_seconds = start.elapsed().as_secs_f64();
 
-    // Registration goes through the bulk path (`Engine::register_batch`),
-    // either as one call over the whole workload or — in the
-    // `register_burst` sweep mode — chunked into bursts, pricing bursty
-    // online registration. Both are differential-tested byte-identical to
-    // the one-by-one loop this harness used before DESIGN.md §9.
     let start = Instant::now();
-    let query_ids: Vec<QueryId> = if settings.register_burst == 0 {
-        engine.register_batch(queries.to_vec())
-    } else {
-        let mut ids = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(settings.register_burst) {
-            ids.extend(engine.register_batch(chunk.to_vec()));
-        }
-        ids
-    };
+    let query_ids = engine.register_batch(queries.to_vec());
     let register_seconds = start.elapsed().as_secs_f64();
 
-    on_measure_start(&mut engine);
+    on_measure_start(engine);
     let mut stats = ProcessingStats::default();
-    let mut remaining = settings.measured_events;
-    while remaining > 0 {
-        let mut burst = stream.take_documents(remaining.min(batch.max(1)));
-        remaining -= burst.len();
-        if burst.len() == 1 {
-            let doc = burst.remove(0);
-            let start = Instant::now();
-            let outcome = engine.process_document(doc);
-            stats.record(&outcome, start.elapsed());
-        } else {
-            let start = Instant::now();
-            let outcomes = engine.process_batch(burst);
-            stats.record_batch(&outcomes, start.elapsed());
-        }
+    for _ in 0..settings.measured_events() {
+        let doc = stream.next_document();
+        let start = Instant::now();
+        let outcome = engine.process_document(doc);
+        stats.record(&outcome, start.elapsed());
     }
-    DriveOutcome {
-        engine,
-        stats,
-        query_ids,
-        fill_seconds,
-        register_seconds,
-    }
-}
 
-fn base_report<E: Engine>(settings: &SweepSettings, outcome: &DriveOutcome<E>) -> CellReport {
-    let stats = &outcome.stats;
     let events = stats.events.max(1);
-    CellReport {
-        engine: outcome.engine.name().to_string(),
+    let report = CellReport {
+        engine: arm.to_string(),
         num_queries: settings.num_queries,
         window_docs: settings.window_docs,
         measured_events: stats.events,
         expirations: stats.expirations,
-        fill_seconds: outcome.fill_seconds,
-        register_seconds: outcome.register_seconds,
+        fill_seconds,
+        register_seconds,
         mean_event_micros: stats.total_time.as_secs_f64() * 1e6 / events as f64,
         max_event_micros: stats.max_event_time.as_secs_f64() * 1e6,
         events_per_second: stats.events_per_second(),
@@ -391,241 +314,196 @@ fn base_report<E: Engine>(settings: &SweepSettings, outcome: &DriveOutcome<E>) -
         recomputations: None,
         index_postings: None,
         shards: None,
-        batch: 1,
-        register_burst: settings.register_burst,
-        max_batch_micros: stats.max_batch_time.as_secs_f64() * 1e6,
         shard_busy_per_event_micros: None,
-        faults: None,
-        recoveries: None,
-        recovery_micros: None,
-        shed: stats.overload.shed(),
-        coalesced: stats.overload.coalesced,
-        queue_high_water: stats.overload.queue_high_water,
         self_check: String::new(),
+    };
+    (report, query_ids)
+}
+
+/// The `ita` arm's final top-k for every `stride`-th query: what every other
+/// arm of the cell must reproduce exactly.
+struct Reference {
+    queries: Vec<QueryId>,
+    snapshot: Vec<Vec<RankedDocument>>,
+}
+
+impl Reference {
+    /// Checks `engine` against the snapshot and stamps `report` with the
+    /// outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first divergence.
+    fn check<E: Engine>(&self, engine: &E, report: &mut CellReport) {
+        if let Err(divergence) = compare_to_snapshot(
+            "ita",
+            &self.snapshot,
+            engine,
+            &self.queries,
+            DEFAULT_TOLERANCE,
+        ) {
+            panic!("{} self-check failed: {divergence}", report.engine);
+        }
+        report.self_check = format!("ok ({} queries)", self.queries.len());
     }
 }
 
-/// Runs one cell: ITA first (its final top-k sample becomes the reference
-/// snapshot), then the naïve baseline and the sharded-ITA arm
+fn log_arm(report: &CellReport) {
+    eprintln!(
+        "    {:<15} mean {:.1} µs/event, {:.1} queries touched/event, registration {:.2} s",
+        report.engine,
+        report.mean_event_micros,
+        report.queries_touched_per_event,
+        report.register_seconds
+    );
+}
+
+/// Runs one cell: `ita` first (its final top-k sample becomes the reference
+/// snapshot), then `ita-full-index`, `naive` and `sharded-ita`
 /// (`settings.shards` worker threads), each of which must reproduce the
-/// snapshot exactly. When `settings.batch > 1`, the sharded arm runs
-/// **twice** — once per-event and once batched — so the JSON records the
-/// handoff-overhead reduction side by side. Returns the [`CellReport`]s in
-/// execution order.
+/// snapshot exactly. Returns the four [`CellReport`]s in that order.
 ///
 /// # Panics
 ///
 /// Panics if the engines diverge on any sampled query — the sweep doubles as
-/// a paper-scale correctness check.
+/// a paper-scale correctness check — or if the naive arm never recomputed a
+/// view, i.e. the cell did not reach the baseline's steady state.
 pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
     let queries = build_queries(settings);
     let window = SlidingWindow::count_based(settings.window_docs);
 
     eprintln!(
-        "  cell: {} queries, {}-doc window, {} events, {} shard(s), batch {}",
+        "  cell: {} queries, {}-doc window, {} events, {} shard(s)",
         settings.num_queries,
         settings.window_docs,
-        settings.measured_events,
+        settings.measured_events(),
         settings.shards,
-        settings.batch
     );
 
-    // ITA.
-    let outcome = drive(
-        ItaEngine::new(window, ItaConfig::default()),
+    // Each engine is dropped before the next one fills its store.
+    let mut engine = ItaEngine::term_filtered(window);
+    let (mut ita, query_ids) = drive("ita", &mut engine, settings, &queries, |_| {});
+    let sampled = sample_queries(&query_ids, settings.self_check_stride);
+    let reference = Reference {
+        snapshot: snapshot_results(&engine, &sampled),
+        queries: sampled,
+    };
+    ita.index_postings = Some(engine.index_stats().postings);
+    ita.self_check = "reference".to_string();
+    drop(engine);
+    log_arm(&ita);
+
+    let mut engine = ItaEngine::new(window, ItaConfig::default());
+    let (mut full, _) = drive("ita-full-index", &mut engine, settings, &queries, |_| {});
+    reference.check(&engine, &mut full);
+    full.index_postings = Some(engine.index_stats().postings);
+    drop(engine);
+    log_arm(&full);
+
+    let mut engine = NaiveEngine::new(window, NaiveConfig::default());
+    let (mut naive, _) = drive("naive", &mut engine, settings, &queries, |_| {});
+    reference.check(&engine, &mut naive);
+    // Views built by registration are fresh, so every recomputation happened
+    // during the measured events.
+    let recomputations = engine.recomputations();
+    assert!(
+        recomputations > 0,
+        "naive arm never recomputed a view in {} events: not at steady state",
+        naive.measured_events
+    );
+    naive.recomputations = Some(recomputations);
+    drop(engine);
+    log_arm(&naive);
+
+    let mut engine = ShardedItaEngine::new(window, ItaConfig::default(), settings.shards);
+    let (mut sharded, _) = drive(
+        "sharded-ita",
+        &mut engine,
         settings,
         &queries,
-        1,
-        |_| {},
+        ShardedItaEngine::reset_shard_stats,
     );
-    let sampled = sample_queries(&outcome.query_ids, settings.self_check_stride);
-    let snapshot = snapshot_results(&outcome.engine, &sampled);
-    let mut ita_report = base_report(settings, &outcome);
-    ita_report.index_postings = Some(outcome.engine.index_stats().postings);
-    ita_report.self_check = "reference".to_string();
-    eprintln!(
-        "    ita:     mean {:.1} µs/event, {:.1} queries touched/event",
-        ita_report.mean_event_micros, ita_report.queries_touched_per_event
+    reference.check(&engine, &mut sharded);
+    sharded.shards = Some(engine.num_shards());
+    sharded.index_postings = Some(
+        engine
+            .shard_index_stats()
+            .iter()
+            .map(|stats| stats.postings)
+            .sum(),
     );
-    drop(outcome); // Free the index before the next engine fills its store.
+    let busy = engine.aggregate_shard_stats();
+    sharded.shard_busy_per_event_micros =
+        Some(busy.total_time.as_secs_f64() * 1e6 / sharded.measured_events.max(1) as f64);
+    drop(engine);
+    log_arm(&sharded);
 
-    // Naïve baseline, over its own identically-seeded stream.
-    let outcome = drive(
-        NaiveEngine::new(window, NaiveConfig::default()),
-        settings,
-        &queries,
-        1,
-        |_| {},
-    );
-    if let Err(divergence) = compare_to_snapshot(
-        "ita",
-        &snapshot,
-        &outcome.engine,
-        &sampled,
-        DEFAULT_TOLERANCE,
-    ) {
-        panic!("paper-scale self-check failed: {divergence}");
-    }
-    let mut naive_report = base_report(settings, &outcome);
-    naive_report.recomputations = Some(outcome.engine.recomputations());
-    naive_report.self_check = format!("ok ({} queries)", sampled.len());
-    eprintln!(
-        "    naive:   mean {:.1} µs/event, {:.1} queries touched/event",
-        naive_report.mean_event_micros, naive_report.queries_touched_per_event
-    );
-    drop(outcome);
-
-    // Sharded ITA: query-partitioned worker threads over term-filtered
-    // shadow indexes, cross-checked against the same ITA snapshot — once
-    // per-event, and (when configured) once batched.
-    let mut reports = vec![ita_report, naive_report];
-    let mut batches = vec![1usize];
-    if settings.batch > 1 {
-        batches.push(settings.batch);
-    }
-    for batch in batches {
-        let outcome = drive(
-            ShardedItaEngine::new(window, ItaConfig::default(), settings.shards),
-            settings,
-            &queries,
-            batch,
-            // Fill and registration are untimed setup; zero the worker stats
-            // so shard_busy_per_event_micros covers exactly the measured
-            // events. In chaos mode, also arm two faults per shard: the
-            // first measured events detonate them, so the measured mean
-            // prices the rebuilds and the self-check proves they were exact.
-            |engine: &mut ShardedItaEngine| {
-                engine.reset_shard_stats();
-                if settings.chaos {
-                    for shard in 0..engine.num_shards() {
-                        for _ in 0..2 {
-                            assert!(engine.inject_fault(shard), "arming chaos fault failed");
-                        }
-                    }
-                }
-            },
-        );
-        if let Err(divergence) = compare_to_snapshot(
-            "ita",
-            &snapshot,
-            &outcome.engine,
-            &sampled,
-            DEFAULT_TOLERANCE,
-        ) {
-            panic!("sharded-vs-single-shard self-check failed (batch {batch}): {divergence}");
-        }
-        let mut sharded_report = base_report(settings, &outcome);
-        sharded_report.batch = batch;
-        let engine = &outcome.engine;
-        sharded_report.shards = Some(engine.num_shards());
-        sharded_report.index_postings = Some(
-            engine
-                .shard_index_stats()
-                .iter()
-                .map(|stats| stats.postings)
-                .sum(),
-        );
-        let busy = engine.aggregate_shard_stats();
-        let events = outcome.stats.events.max(1);
-        sharded_report.shard_busy_per_event_micros =
-            Some(busy.total_time.as_secs_f64() * 1e6 / events as f64);
-        if batch > 1 {
-            // A batch has no per-event split on the caller's side; the
-            // workers timed every event of it.
-            sharded_report.max_event_micros = busy.max_event_time.as_secs_f64() * 1e6;
-        }
-        let fault_stats = engine.fault_stats().expect("sharded engines track faults");
-        sharded_report.faults = Some(fault_stats.faults);
-        sharded_report.recoveries = Some(fault_stats.recoveries);
-        sharded_report.recovery_micros = Some(fault_stats.recovery_micros);
-        if settings.chaos {
-            assert!(
-                fault_stats.faults > 0,
-                "chaos mode armed faults but none fired"
-            );
-            assert_eq!(
-                fault_stats.faults, fault_stats.recoveries,
-                "chaos mode: some faults did not recover"
-            );
-            assert_eq!(fault_stats.degraded_shards, 0, "run ended degraded");
-        }
-        sharded_report.self_check = format!("ok ({} queries)", sampled.len());
-        eprintln!(
-            "    sharded: mean {:.1} µs/event ({} shards, batch {}, {:.1} µs busy/event), \
-             {:.1} queries touched/event",
-            sharded_report.mean_event_micros,
-            settings.shards,
-            batch,
-            sharded_report.shard_busy_per_event_micros.unwrap(),
-            sharded_report.queries_touched_per_event
-        );
-        if settings.chaos {
-            eprintln!(
-                "             chaos: {} faults, {} recoveries, {} µs recovering \
-                 (self_check still exact)",
-                fault_stats.faults, fault_stats.recoveries, fault_stats.recovery_micros
-            );
-        }
-        reports.push(sharded_report);
-    }
-
-    reports
+    vec![ita, full, naive, sharded]
 }
 
-/// Shared command-line options of the sweep binaries.
+/// Which panel of Figure 3 to reproduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    /// Figure 3(a): the query count grows at a fixed window.
+    A,
+    /// Figure 3(b): the window grows at the paper's 1,000 queries.
+    B,
+}
+
+impl Figure {
+    /// The report's `figure` field, and the default output's stem.
+    pub fn name(self) -> &'static str {
+        match self {
+            Figure::A => "fig3a",
+            Figure::B => "fig3b",
+        }
+    }
+
+    fn description(self) -> &'static str {
+        match self {
+            Figure::A => {
+                "Mean event processing time vs. number of continuous queries \
+                 (count-based window, two window turnovers per cell)"
+            }
+            Figure::B => {
+                "Mean event processing time vs. sliding-window size \
+                 (1,000 continuous queries, two window turnovers per cell)"
+            }
+        }
+    }
+}
+
+/// Command-line options of the `fig3` binary.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
+    /// The panel to reproduce.
+    pub figure: Figure,
     /// Run the reduced CI-smoke grid instead of the paper-scale one.
     pub quick: bool,
-    /// Extend the grid to its largest (slowest) configuration.
-    pub full: bool,
-    /// Output path for the JSON report.
-    pub out: String,
-    /// Override for measured events per cell.
-    pub events: Option<usize>,
     /// Worker shards for the sharded-ITA arm of every cell.
     pub shards: usize,
-    /// Events per `process_batch` round-trip for the batched sharded arm
-    /// (1 disables the extra batched arm).
-    pub batch: usize,
-    /// Register the query workload in bursts of `batch` queries per
-    /// `register_batch` call instead of one bulk call (the `register_burst`
-    /// sweep mode).
-    pub register_burst: bool,
-    /// Arm injected worker faults during the measured phase of the sharded
-    /// arm (the chaos sweep mode; the self-check must still pass).
-    pub chaos: bool,
+    /// Output path for the JSON report.
+    pub out: String,
 }
 
-/// The usage text printed when a sweep binary is invoked with bad arguments.
-pub const USAGE: &str =
-    "usage: <sweep binary> [--quick] [--full] [--events N] [--shards N] [--batch N] [--register-burst] [--chaos] [--out PATH]
-  --quick     run the reduced CI-smoke grid instead of the paper-scale one
-  --full      extend the grid to its largest (slowest) configuration
-  --events N  measured events per cell (positive integer)
-  --shards N  worker shards for the sharded-ITA arm (positive integer, default 1)
-  --batch N   events per process_batch round-trip on the sharded arm (positive
-              integer, default 1; values > 1 add a second, batched sharded arm
-              to every cell next to the per-event one)
-  --register-burst
-              register the query workload in bursts of `--batch` queries per
-              register_batch call instead of one bulk call, pricing bursty
-              online registration
-  --chaos     arm injected worker faults during the measured phase of the
-              sharded arm; the run must recover every fault and still pass
-              the exact self-check
-  --out PATH  output path for the JSON report";
+/// The usage text printed when `fig3` is invoked with bad arguments.
+pub const USAGE: &str = "usage: fig3 --figure a|b [--quick] [--shards N] [--out PATH]
+  --figure a|b  the panel: (a) query count at a 10k window, (b) window size
+                at 1,000 queries
+  --quick       run the reduced CI-smoke grid instead of the paper-scale one
+  --shards N    worker shards for the sharded-ITA arm (positive integer,
+                default 1)
+  --out PATH    output path for the JSON report (default BENCH_fig3a.json /
+                BENCH_fig3b.json)";
 
 impl SweepOptions {
-    /// Parses `--quick`, `--full`, `--events N`, `--shards N`, `--batch N`
-    /// and `--out PATH` from the
-    /// process arguments; `default_out` names the report file. On an unknown
+    /// Parses the process arguments. On a missing `--figure`, an unknown
     /// flag or a malformed value, prints the error and [`USAGE`] to stderr
     /// and exits with status 2 — CI fails loudly on typos rather than
     /// silently running the wrong grid, and a human gets usage instead of a
     /// panic backtrace.
-    pub fn from_args(default_out: &str) -> Self {
-        match Self::parse(default_out, std::env::args().skip(1)) {
+    pub fn from_args() -> Self {
+        match Self::parse(std::env::args().skip(1)) {
             Ok(options) => options,
             Err(message) => {
                 eprintln!("error: {message}\n{USAGE}");
@@ -636,35 +514,23 @@ impl SweepOptions {
 
     /// The argument grammar behind [`SweepOptions::from_args`], split out so
     /// it can be unit-tested without touching the process environment.
-    fn parse(default_out: &str, args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut options = Self {
-            quick: false,
-            full: false,
-            out: default_out.to_string(),
-            events: None,
-            shards: 1,
-            batch: 1,
-            register_burst: false,
-            chaos: false,
-        };
-        let mut args = args.peekable();
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut figure = None;
+        let mut quick = false;
+        let mut shards = 1;
+        let mut out = None;
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--quick" => options.quick = true,
-                "--full" => options.full = true,
-                "--out" => {
-                    options.out = args.next().ok_or("--out requires a path")?;
+                "--figure" => {
+                    let value = args.next().ok_or("--figure requires a or b")?;
+                    figure = Some(match value.as_str() {
+                        "a" => Figure::A,
+                        "b" => Figure::B,
+                        _ => return Err(format!("--figure requires a or b, got {value:?}")),
+                    });
                 }
-                "--events" => {
-                    let value = args.next().ok_or("--events requires a count")?;
-                    let parsed: usize = value
-                        .parse()
-                        .map_err(|_| format!("--events requires an integer, got {value:?}"))?;
-                    if parsed == 0 {
-                        return Err("--events requires a positive count".to_string());
-                    }
-                    options.events = Some(parsed);
-                }
+                "--quick" => quick = true,
+                "--out" => out = Some(args.next().ok_or("--out requires a path")?),
                 "--shards" => {
                     let value = args.next().ok_or("--shards requires a count")?;
                     let parsed: usize = value
@@ -673,97 +539,59 @@ impl SweepOptions {
                     if parsed == 0 {
                         return Err("--shards requires a positive count".to_string());
                     }
-                    options.shards = parsed;
+                    shards = parsed;
                 }
-                "--batch" => {
-                    let value = args.next().ok_or("--batch requires a count")?;
-                    let parsed: usize = value
-                        .parse()
-                        .map_err(|_| format!("--batch requires an integer, got {value:?}"))?;
-                    if parsed == 0 {
-                        return Err("--batch requires a positive count".to_string());
-                    }
-                    options.batch = parsed;
-                }
-                "--register-burst" => options.register_burst = true,
-                "--chaos" => options.chaos = true,
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        Ok(options)
+        let figure = figure.ok_or("--figure a|b is required")?;
+        Ok(Self {
+            figure,
+            quick,
+            shards,
+            out: out.unwrap_or_else(|| format!("BENCH_{}.json", figure.name())),
+        })
     }
 }
 
-/// The Figure 3(a) grid: query count sweep at a fixed window.
-pub fn fig3a_grid(options: &SweepOptions) -> Vec<SweepSettings> {
-    let mut cells: Vec<SweepSettings> = if options.quick {
-        let events = options.events.unwrap_or(200);
-        [10, 25, 50]
+/// The grid of the chosen panel: Figure 3(a) sweeps the query count at a
+/// 10k-document window, Figure 3(b) the window at 1,000 queries. `--quick`
+/// shrinks both to seconds on the small corpus.
+pub fn grid(options: &SweepOptions) -> Vec<SweepSettings> {
+    let cells: Vec<SweepSettings> = match (options.figure, options.quick) {
+        (Figure::A, false) => [100, 250, 500, 1_000, 2_500, 10_000]
             .iter()
-            .map(|&n| SweepSettings::quick(n, 200, events))
-            .collect()
-    } else {
-        let events = options.events.unwrap_or(2_000);
-        [100, 250, 500, 1_000]
+            .map(|&n| SweepSettings::paper(n, 10_000))
+            .collect(),
+        (Figure::B, false) => [2_500, 5_000, 10_000, 20_000, 40_000]
             .iter()
-            .map(|&n| SweepSettings::paper(n, 10_000, events))
-            .collect()
+            .map(|&w| SweepSettings::paper(1_000, w))
+            .collect(),
+        (Figure::A, true) => [10, 25, 50]
+            .iter()
+            .map(|&n| SweepSettings::quick(n, 200))
+            .collect(),
+        (Figure::B, true) => [100, 200, 400]
+            .iter()
+            .map(|&w| SweepSettings::quick(25, w))
+            .collect(),
     };
-    for cell in &mut cells {
-        cell.shards = options.shards;
-        cell.batch = options.batch;
-        cell.register_burst = if options.register_burst {
-            options.batch
-        } else {
-            0
-        };
-        cell.chaos = options.chaos;
-    }
     cells
+        .into_iter()
+        .map(|cell| SweepSettings {
+            shards: options.shards,
+            ..cell
+        })
+        .collect()
 }
 
-/// The Figure 3(b) grid: window sweep at the paper's 1,000 queries
-/// (`--full` extends to the 80k-document window).
-pub fn fig3b_grid(options: &SweepOptions) -> Vec<SweepSettings> {
-    let mut cells: Vec<SweepSettings> = if options.quick {
-        let events = options.events.unwrap_or(200);
-        [100, 200, 400]
-            .iter()
-            .map(|&w| SweepSettings::quick(25, w, events))
-            .collect()
-    } else {
-        let events = options.events.unwrap_or(2_000);
-        let mut windows = vec![10_000, 20_000, 40_000];
-        if options.full {
-            windows.push(80_000);
-        }
-        windows
-            .into_iter()
-            .map(|w| SweepSettings::paper(1_000, w, events))
-            .collect()
-    };
-    for cell in &mut cells {
-        cell.shards = options.shards;
-        cell.batch = options.batch;
-        cell.register_burst = if options.register_burst {
-            options.batch
-        } else {
-            0
-        };
-        cell.chaos = options.chaos;
-    }
-    cells
-}
-
-/// Runs a full grid and writes the JSON report to `options.out`.
-pub fn run_sweep(
-    figure: &str,
-    description: &str,
-    grid: Vec<SweepSettings>,
-    options: &SweepOptions,
-) {
-    let template = grid.first().expect("grid has at least one cell").clone();
-    let mut report = SweepReport::new(figure, description, &template);
+/// Runs the chosen panel's grid and writes the JSON report to
+/// `options.out`.
+pub fn run_sweep(options: &SweepOptions) {
+    let figure = options.figure.name();
+    let grid = grid(options);
+    let template = grid.first().expect("grid has at least one cell");
+    let mut report = SweepReport::new(figure, options.figure.description(), template);
     eprintln!(
         "{figure}: {} cell(s), vocabulary {}, {} docs/s",
         grid.len(),
@@ -773,9 +601,8 @@ pub fn run_sweep(
     for settings in &grid {
         report.cells.extend(run_cell(settings));
     }
-    let out = options.out.clone();
-    report.write(&out).expect("report file is writable");
-    eprintln!("{figure}: wrote {out}");
+    report.write(&options.out).expect("report file is writable");
+    eprintln!("{figure}: wrote {}", options.out);
 }
 
 #[cfg(test)]
@@ -784,188 +611,113 @@ mod tests {
 
     #[test]
     fn a_tiny_cell_runs_end_to_end_and_self_checks() {
-        let mut settings = SweepSettings::quick(8, 60, 40);
+        // The quick grid's first cell: at 8 queries on a 60-document window
+        // no view runs dry in two turnovers.
+        let mut settings = SweepSettings::quick(10, 200);
         settings.shards = 2;
         let cells = run_cell(&settings);
-        assert_eq!(cells.len(), 3);
-        let (ita, naive, sharded) = (&cells[0], &cells[1], &cells[2]);
-        assert_eq!(ita.engine, "ita");
-        assert_eq!(naive.engine, "naive");
-        assert_eq!(sharded.engine, "sharded-ita");
-        assert_eq!(ita.measured_events, 40);
-        assert_eq!(naive.measured_events, 40);
-        assert_eq!(sharded.measured_events, 40);
-        // Steady state: every arrival expires exactly one document.
-        assert_eq!(ita.expirations, 40);
-        assert_eq!(sharded.expirations, 40);
-        assert!(ita.mean_event_micros > 0.0);
-        assert!(ita.index_postings.unwrap() > 0);
-        assert!(naive.recomputations.is_some());
-        assert!(naive.self_check.starts_with("ok ("));
-        // The sharded arm reproduced the ITA snapshot exactly and reports
-        // its shard count, shadow footprint and worker busy time.
-        assert!(sharded.self_check.starts_with("ok ("));
+        let arms: Vec<&str> = cells.iter().map(|cell| cell.engine.as_str()).collect();
+        assert_eq!(arms, ["ita", "ita-full-index", "naive", "sharded-ita"]);
+        let (ita, full, naive, sharded) = (&cells[0], &cells[1], &cells[2], &cells[3]);
+        for cell in &cells {
+            // Steady state: two turnovers, every arrival expiring exactly
+            // one document.
+            assert_eq!(cell.measured_events, 2 * 200);
+            assert_eq!(cell.expirations, 2 * 200);
+            assert!(cell.mean_event_micros > 0.0);
+        }
+        assert_eq!(ita.self_check, "reference");
+        for cell in [full, naive, sharded] {
+            assert!(cell.self_check.starts_with("ok ("), "{}", cell.engine);
+        }
+        // The baseline paid its defining cost inside the measured events.
+        assert!(naive.recomputations.unwrap() > 0);
+        // The term-filtered engine indexes only query terms.
+        assert!(ita.index_postings.unwrap() < full.index_postings.unwrap());
+        // The sharded arm reports its shard count, shadow footprint and
+        // worker busy time; query partitioning keeps the per-event work
+        // measure identical, and the filtering leaves it unchanged.
         assert_eq!(sharded.shards, Some(2));
         assert!(sharded.index_postings.unwrap() > 0);
         assert!(sharded.shard_busy_per_event_micros.unwrap() > 0.0);
-        // Query partitioning keeps the per-event work measure identical.
-        assert_eq!(
-            sharded.queries_touched_per_event,
-            ita.queries_touched_per_event
-        );
+        for cell in [full, sharded] {
+            assert_eq!(
+                cell.queries_touched_per_event,
+                ita.queries_touched_per_event
+            );
+        }
         // The headline claim, visible even at toy scale: ITA touches fewer
         // (query, update) pairs per event than the all-queries baseline.
         assert!(ita.queries_touched_per_event < naive.queries_touched_per_event);
-        // The sweep arms run unbounded: the overload columns exist (so a
-        // bounded-queue cell can report its drops) and record zero here.
-        for cell in &cells {
-            assert_eq!(
-                (cell.shed, cell.coalesced, cell.queue_high_water),
-                (0, 0, 0)
-            );
-        }
-    }
-
-    #[test]
-    fn a_batched_cell_grows_a_second_sharded_arm_that_matches() {
-        let mut settings = SweepSettings::quick(8, 60, 40);
-        settings.shards = 2;
-        settings.batch = 16;
-        let cells = run_cell(&settings);
-        assert_eq!(cells.len(), 4);
-        let (singles, batched) = (&cells[2], &cells[3]);
-        assert_eq!(singles.engine, "sharded-ita");
-        assert_eq!(batched.engine, "sharded-ita");
-        assert_eq!(singles.batch, 1);
-        assert_eq!(batched.batch, 16);
-        // Both sharded arms processed every event and reproduced the ITA
-        // snapshot; the batched arm was really driven through
-        // process_batch (it recorded whole-batch maxima) — and since the
-        // sharded workers time their batched events individually, its
-        // per-event maximum is populated too, not the 0.0 this field used
-        // to ship on batched arms.
-        assert_eq!(singles.measured_events, 40);
-        assert_eq!(batched.measured_events, 40);
-        assert!(batched.self_check.starts_with("ok ("));
-        assert!(batched.max_batch_micros > 0.0);
-        assert!(batched.max_event_micros > 0.0);
-        assert!(batched.max_event_micros <= batched.max_batch_micros);
-        assert!(singles.max_event_micros > 0.0);
-        assert_eq!(singles.max_batch_micros, 0.0);
-        assert!(batched.shard_busy_per_event_micros.is_some());
-        // The per-event work measure is protocol-independent.
-        assert_eq!(
-            singles.queries_touched_per_event,
-            batched.queries_touched_per_event
-        );
-    }
-
-    #[test]
-    fn register_burst_mode_chunks_registration_and_still_self_checks() {
-        let mut settings = SweepSettings::quick(9, 60, 30);
-        settings.shards = 2;
-        settings.register_burst = 4; // 9 queries → bursts of 4, 4, 1.
-        let cells = run_cell(&settings);
-        assert_eq!(cells.len(), 3);
-        for cell in &cells {
-            assert_eq!(cell.register_burst, 4);
-            assert!(cell.register_seconds >= 0.0);
-            assert!(cell.self_check == "reference" || cell.self_check.starts_with("ok ("));
-        }
-    }
-
-    #[test]
-    fn a_chaos_cell_recovers_every_fault_and_still_self_checks() {
-        let mut settings = SweepSettings::quick(8, 60, 40);
-        settings.shards = 2;
-        settings.chaos = true;
-        let cells = run_cell(&settings);
-        let sharded = &cells[2];
-        assert_eq!(sharded.engine, "sharded-ita");
-        // run_cell already asserts faults == recoveries > 0 and a clean
-        // self-check; here we additionally pin down what the JSON records.
-        assert_eq!(sharded.faults, sharded.recoveries);
-        assert!(sharded.faults.unwrap() >= 4, "2 faults/shard armed");
-        assert!(sharded.recovery_micros.unwrap() > 0);
-        assert!(sharded.self_check.starts_with("ok ("));
-        // The fault-free arms carry no fault counters.
-        assert_eq!(cells[0].faults, None);
-        assert_eq!(cells[1].faults, None);
     }
 
     #[test]
     fn reports_serialise_to_json() {
-        let settings = SweepSettings::quick(4, 30, 10);
+        let settings = SweepSettings::quick(25, 100);
         let mut report = SweepReport::new("fig3x", "test sweep", &settings);
         report.cells.extend(run_cell(&settings));
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"figure\":\"fig3x\""));
-        assert!(json.contains("\"engine\":\"ita\""));
+        assert!(json.contains("\"engine\":\"ita-full-index\""));
         assert!(json.contains("\"mean_event_micros\""));
     }
 
     fn parse(args: &[&str]) -> Result<SweepOptions, String> {
-        SweepOptions::parse("DEFAULT.json", args.iter().map(|s| s.to_string()))
+        SweepOptions::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn argument_grammar_accepts_the_documented_flags() {
         let options = parse(&[
-            "--quick",
-            "--events",
-            "50",
-            "--shards",
-            "4",
-            "--batch",
-            "64",
-            "--register-burst",
-            "--chaos",
-            "--out",
-            "x.json",
+            "--figure", "b", "--quick", "--shards", "4", "--out", "x.json",
         ])
         .unwrap();
+        assert_eq!(options.figure, Figure::B);
         assert!(options.quick);
-        assert!(!options.full);
-        assert_eq!(options.events, Some(50));
         assert_eq!(options.shards, 4);
-        assert_eq!(options.batch, 64);
-        assert!(options.register_burst);
-        assert!(options.chaos);
         assert_eq!(options.out, "x.json");
-        let defaults = parse(&[]).unwrap();
-        assert_eq!(defaults.out, "DEFAULT.json");
-        assert_eq!(defaults.events, None);
+        let defaults = parse(&["--figure", "a"]).unwrap();
+        assert_eq!(defaults.figure, Figure::A);
+        assert!(!defaults.quick);
         assert_eq!(defaults.shards, 1);
-        assert_eq!(defaults.batch, 1);
-        assert!(!defaults.register_burst);
-        assert!(!defaults.chaos);
-        assert!(USAGE.contains("--chaos"));
+        assert_eq!(defaults.out, "BENCH_fig3a.json");
+        assert_eq!(parse(&["--figure", "b"]).unwrap().out, "BENCH_fig3b.json");
+        for flag in ["--figure", "--quick", "--shards", "--out"] {
+            assert!(USAGE.contains(flag), "{flag}");
+        }
     }
 
     #[test]
     fn argument_grammar_rejects_bad_input_with_a_message() {
         // Unknown flags and malformed values must produce an error (rendered
         // with USAGE by from_args), never a panic or a silently-wrong grid.
+        assert!(parse(&[]).unwrap_err().contains("--figure"));
+        assert!(parse(&["--quick"]).unwrap_err().contains("--figure"));
+        assert!(parse(&["--figure"]).unwrap_err().contains("a or b"));
+        assert!(parse(&["--figure", "c"]).unwrap_err().contains("\"c\""));
         assert!(parse(&["--typo"]).unwrap_err().contains("--typo"));
-        assert!(parse(&["--events"]).unwrap_err().contains("count"));
-        assert!(parse(&["--events", "many"]).unwrap_err().contains("many"));
-        assert!(parse(&["--events", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--shards"]).unwrap_err().contains("count"));
         assert!(parse(&["--shards", "no"]).unwrap_err().contains("no"));
         assert!(parse(&["--shards", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--batch"]).unwrap_err().contains("count"));
-        assert!(parse(&["--batch", "half"]).unwrap_err().contains("half"));
-        assert!(parse(&["--batch", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--out"]).unwrap_err().contains("path"));
-        assert!(USAGE.contains("--events"));
-        assert!(USAGE.contains("--shards"));
-        assert!(USAGE.contains("--batch"));
-        assert!(USAGE.contains("--register-burst"));
+        // The measured-event count is derived, and no other sweep mode
+        // exists.
+        for gone in [
+            "--events",
+            "--batch",
+            "--register-burst",
+            "--chaos",
+            "--full",
+        ] {
+            let error = parse(&["--figure", "a", gone]).unwrap_err();
+            assert!(error.contains("unknown argument"), "{gone}: {error}");
+            assert!(!USAGE.contains(gone), "{gone}");
+        }
     }
 
     #[test]
     fn written_reports_carry_a_real_timestamp() {
-        let settings = SweepSettings::quick(4, 30, 10);
+        let settings = SweepSettings::quick(4, 30);
         let report = SweepReport::new("fig3t", "timestamp test", &settings);
         let path = std::env::temp_dir().join("cts_sweep_timestamp_test.json");
         report.write(path.to_str().unwrap()).unwrap();
@@ -977,50 +729,33 @@ mod tests {
 
     #[test]
     fn grids_have_the_documented_shape() {
-        let paper = SweepOptions {
-            quick: false,
-            full: false,
-            out: String::new(),
-            events: None,
+        let options = |figure, quick| SweepOptions {
+            figure,
+            quick,
             shards: 4,
-            batch: 64,
-            register_burst: false,
-            chaos: true,
+            out: String::new(),
         };
-        let quick = SweepOptions {
-            quick: true,
-            ..paper.clone()
-        };
-        let full = SweepOptions {
-            full: true,
-            ..paper.clone()
-        };
-        let a = fig3a_grid(&paper);
-        assert!(a
-            .iter()
-            .all(|s| s.shards == 4 && s.batch == 64 && s.register_burst == 0 && s.chaos));
-        assert!(fig3b_grid(&paper)
-            .iter()
-            .all(|s| s.shards == 4 && s.batch == 64 && s.register_burst == 0));
-        // --register-burst chunks registration at the --batch size.
-        let bursty = SweepOptions {
-            register_burst: true,
-            ..paper.clone()
-        };
-        assert!(fig3a_grid(&bursty).iter().all(|s| s.register_burst == 64));
-        assert!(fig3b_grid(&bursty).iter().all(|s| s.register_burst == 64));
+        let a = grid(&options(Figure::A, false));
         assert_eq!(
             a.iter().map(|s| s.num_queries).collect::<Vec<_>>(),
-            vec![100, 250, 500, 1_000]
+            vec![100, 250, 500, 1_000, 2_500, 10_000]
         );
         assert!(a.iter().all(|s| s.window_docs == 10_000));
-        assert!(fig3a_grid(&quick).iter().all(|s| s.window_docs < 1_000));
-        let b = fig3b_grid(&paper);
+        let b = grid(&options(Figure::B, false));
         assert_eq!(
             b.iter().map(|s| s.window_docs).collect::<Vec<_>>(),
-            vec![10_000, 20_000, 40_000]
+            vec![2_500, 5_000, 10_000, 20_000, 40_000]
         );
         assert!(b.iter().all(|s| s.num_queries == 1_000));
-        assert_eq!(fig3b_grid(&full).last().unwrap().window_docs, 80_000);
+        for cell in a.iter().chain(&b) {
+            assert_eq!(cell.corpus.vocabulary_size, 181_978);
+            assert_eq!(cell.measured_events(), 2 * cell.window_docs);
+        }
+        for figure in [Figure::A, Figure::B] {
+            assert!(grid(&options(figure, true))
+                .iter()
+                .all(|s| s.window_docs < 1_000 && s.corpus.vocabulary_size < 10_000));
+            assert!(grid(&options(figure, false)).iter().all(|s| s.shards == 4));
+        }
     }
 }

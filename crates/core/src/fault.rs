@@ -7,12 +7,12 @@
 //! * [`ShardFault`] / [`EngineError`] — what went wrong, as data instead of
 //!   a process abort. A faulted shard is rebuilt before the mutating call
 //!   that found it returns, so a `try_*` coordinator method returns a fault
-//!   only when the rebuild itself fails (a worker whose respawn fails
-//!   twice). The infallible [`crate::Engine`] trait methods panic
+//!   only when the rebuild itself fails (a worker whose respawn fails; the
+//!   next mutating call tries again). The infallible [`crate::Engine`] trait methods panic
 //!   then, and on a refused input (a duplicate document id).
 //! * [`FaultStats`] — counters for faults seen, rebuilds performed, time
-//!   spent rebuilding, shards currently degraded, and spawn
-//!   retries/fallbacks at construction.
+//!   spent rebuilding and shards currently degraded. Construction has no
+//!   counters: a worker that fails to spawn fails construction.
 //! * [`POISON_DOC_TEXT`] / [`poison_document`] — the testkit's
 //!   poison-document mechanism: a marked document makes every shard worker
 //!   panic mid-mutation the first time it sees it, while fault-free
@@ -110,11 +110,6 @@ pub struct FaultStats {
     /// through `&self` can leave one degraded past its call; the next
     /// mutating call rebuilds it.
     pub degraded_shards: usize,
-    /// Worker-spawn attempts that failed once and were retried.
-    pub spawn_retries: u64,
-    /// Shards dropped at construction because spawning failed twice (the
-    /// engine degraded to fewer shards instead of aborting).
-    pub spawn_fallbacks: u64,
 }
 
 /// The payload-text marker of a *poison document*: the first time a shard

@@ -28,8 +28,8 @@ use crate::slab::QuerySlab;
 pub struct NaiveConfig {
     /// The materialised view holds up to `k_max = kmax_factor · k` documents
     /// per query. Larger factors make expirations cheaper (fewer rescans) at
-    /// the price of more arrival work and memory — the trade-off measured by
-    /// the `ablation_kmax` benchmark. Must be at least 1; the paper's
+    /// the price of more arrival work and memory — DESIGN.md §6 records the
+    /// trade-off measured at factors 1–8. Must be at least 1; the paper's
     /// competitor uses a small constant factor.
     pub kmax_factor: usize,
 }

@@ -23,8 +23,8 @@
 //! per-shard [`crate::EventOutcome`]s are folded back with
 //! [`crate::EventOutcome::merge_shard`] into exactly what a single-shard
 //! engine would have reported, and per-worker [`ProcessingStats`] merge
-//! through [`ProcessingStats::absorb`], so the sweep harness sees exact
-//! aggregate numbers, per-event maxima of batched runs included.
+//! through [`ProcessingStats::absorb`], so a caller reads exact aggregate
+//! numbers, per-event maxima of batched runs included.
 //!
 //! ## Static placement
 //!
@@ -73,9 +73,10 @@
 //! hand it to every rebuild.
 //!
 //! Workers are **persistent**: one spawned thread per shard, living until
-//! the engine shuts down. Construction retries a failed spawn once and then
-//! degrades to fewer shards (counted in [`FaultStats::spawn_retries`] /
-//! [`FaultStats::spawn_fallbacks`]) instead of aborting. Shutdown drains
+//! the engine shuts down. Construction panics if any of them fails to
+//! spawn, so an engine always runs on the shards it was asked for; a failed
+//! respawn during a rebuild leaves the shard degraded for the next mutating
+//! call to try again. Shutdown drains
 //! each worker's final [`ProcessingStats`] through a handshake before
 //! joining, so no timing data is lost on drop.
 //!
@@ -164,8 +165,6 @@ enum ShardRequest {
     /// Zero the shard's processing statistics (e.g. after an untimed
     /// fill/register phase, so later readings cover only measured events).
     ResetStats,
-    /// Read the shard's valid-document count (identical across shards).
-    NumValidDocuments,
     /// Arm one injected fault: the next stream event is applied for real and
     /// the worker then panics mid-request, poisoning the shard.
     ArmFault,
@@ -204,7 +203,6 @@ enum ShardReply {
     IndexStats(IndexStats),
     Stats(ProcessingStats),
     StatsReset,
-    NumValidDocuments(usize),
     Armed,
     Rebuilt,
     /// The shard's engine passed its structural audit.
@@ -375,9 +373,6 @@ impl ShardWorker {
                 self.stats = ProcessingStats::default();
                 ShardReply::StatsReset
             }
-            ShardRequest::NumValidDocuments => {
-                ShardReply::NumValidDocuments(self.live()?.num_valid_documents())
-            }
             ShardRequest::ArmFault => {
                 self.armed_faults += 1;
                 ShardReply::Armed
@@ -464,36 +459,6 @@ fn worker_loop(
     }
 }
 
-/// Spawns `requested` workers through `spawn`, assigning contiguous slot
-/// indices. A failed spawn is retried once; a slot that fails twice is
-/// dropped (the engine degrades to fewer shards) instead of aborting
-/// construction. Returns the spawned handles plus the retry and fallback
-/// counts for [`FaultStats::spawn_retries`] / [`FaultStats::spawn_fallbacks`].
-fn spawn_with_retry<T, E>(
-    requested: usize,
-    spawn: &mut dyn FnMut(usize) -> Result<T, E>,
-) -> (Vec<T>, u64, u64) {
-    let mut spawned = Vec::with_capacity(requested);
-    let mut retries = 0u64;
-    let mut fallbacks = 0u64;
-    for _ in 0..requested {
-        // Slots stay contiguous: a dropped slot's index is reused by the
-        // next attempt, so shard indices always equal 0..spawned.len().
-        let slot = spawned.len();
-        match spawn(slot) {
-            Ok(handle) => spawned.push(handle),
-            Err(_) => {
-                retries += 1;
-                match spawn(slot) {
-                    Ok(handle) => spawned.push(handle),
-                    Err(_) => fallbacks += 1,
-                }
-            }
-        }
-    }
-    (spawned, retries, fallbacks)
-}
-
 /// One shard's channels and thread handle, as owned by the coordinator.
 #[derive(Debug)]
 struct ShardHandle {
@@ -549,43 +514,29 @@ pub struct ShardedItaEngine {
 impl ShardedItaEngine {
     /// Creates an engine with `shards` persistent worker shards, each
     /// running a term-filtered [`ItaEngine`] under the given window policy.
-    /// The [`ItaConfig`] is empty and ignored. A worker spawn that fails is
-    /// retried once and then its shard is dropped — the engine degrades to
-    /// fewer shards (counted in [`FaultStats::spawn_fallbacks`]) rather than
-    /// aborting.
+    /// The [`ItaConfig`] is empty and ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, or if not a single worker could be spawned.
+    /// Panics if `shards == 0`, or with the io error if any worker thread
+    /// fails to spawn: an engine runs on exactly the shards it was asked for.
     pub fn new(window: SlidingWindow, _config: ItaConfig, shards: usize) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        let mut spawn = |slot: usize| Self::spawn_worker(slot, window);
-        let (workers, spawn_retries, spawn_fallbacks) = spawn_with_retry(shards, &mut spawn);
-        assert!(
-            !workers.is_empty(),
-            "could not spawn any shard worker (all {shards} spawn attempts failed twice)"
-        );
-        if spawn_fallbacks > 0 {
-            eprintln!(
-                "cts-shard: degraded to {} of {} requested shards ({} spawn attempts failed twice)",
-                workers.len(),
-                shards,
-                spawn_fallbacks
-            );
-        }
-        let spawned = workers.len();
+        let workers: Vec<ShardHandle> = (0..shards)
+            .map(|shard| match Self::spawn_worker(shard, window) {
+                Ok(handle) => handle,
+                // cts-lint: allow(panic-in-hot-path, construction fails loudly rather than run on fewer shards than asked for)
+                Err(error) => panic!("could not spawn shard worker {shard}: {error}"),
+            })
+            .collect();
         Self {
             workers,
             window,
             registry: BTreeMap::new(),
             mirror: WindowTerms::new(),
             fault_state: RefCell::new(FaultState {
-                stats: FaultStats {
-                    spawn_retries,
-                    spawn_fallbacks,
-                    ..FaultStats::default()
-                },
-                degraded: vec![false; spawned],
+                stats: FaultStats::default(),
+                degraded: vec![false; shards],
             }),
             next_query: 0,
             clock: Timestamp::ZERO,
@@ -605,8 +556,8 @@ impl ShardedItaEngine {
         })
     }
 
-    /// Number of worker shards (after any construction-time spawn
-    /// fallbacks).
+    /// Number of worker shards: always the count [`ShardedItaEngine::new`]
+    /// was given.
     pub fn num_shards(&self) -> usize {
         self.workers.len()
     }
@@ -767,18 +718,17 @@ impl ShardedItaEngine {
     }
 
     /// Replaces a dead worker thread with a fresh one (empty engine, same
-    /// shard index), retrying the spawn once. The caller follows up with a
-    /// [`ShardRequest::Rebuild`].
+    /// shard index). The caller follows up with a [`ShardRequest::Rebuild`].
+    /// A failed spawn is not retried here: the shard stays degraded, the call
+    /// returns [`EngineError::ShardUnavailable`], and the next mutating call
+    /// tries again.
     fn respawn(&mut self, shard: usize) -> Result<(), EngineError> {
         if let Some(thread) = self.workers[shard].thread.take() {
             // The thread already exited (its channel disconnected); reap it.
             let _ = thread.join();
         }
-        let handle = Self::spawn_worker(shard, self.window).or_else(|_| {
-            self.fault_state.borrow_mut().stats.spawn_retries += 1;
-            Self::spawn_worker(shard, self.window)
-        });
-        self.workers[shard] = handle.map_err(|_| EngineError::ShardUnavailable { shard })?;
+        self.workers[shard] = Self::spawn_worker(shard, self.window)
+            .map_err(|_| EngineError::ShardUnavailable { shard })?;
         Ok(())
     }
 
@@ -1178,17 +1128,8 @@ impl Engine for ShardedItaEngine {
     }
 
     fn num_valid_documents(&self) -> usize {
-        for shard in 0..self.workers.len() {
-            if self.is_degraded(shard) {
-                continue;
-            }
-            match self.call_shard(shard, ShardRequest::NumValidDocuments) {
-                Ok(ShardReply::NumValidDocuments(count)) => return count,
-                Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-                Err(_) => continue,
-            }
-        }
-        // Every worker is down; the mirror is the authoritative window.
+        // Every healthy shard's store equals the mirror (`check_invariants`
+        // audits it), so the coordinator answers without a round-trip.
         self.mirror.len()
     }
 
@@ -1558,35 +1499,6 @@ mod tests {
         // Reaching here without hanging means the workers exited and the
         // supervisor joined them.
         assert_eq!(handle, 2);
-    }
-
-    #[test]
-    fn spawn_with_retry_counts_retries_and_keeps_slots_contiguous() {
-        // Call 1 (slot 1) fails once then succeeds; calls 3 and 4 both fail,
-        // dropping one requested shard.
-        let mut calls = 0u32;
-        let mut spawn = |slot: usize| -> Result<usize, ()> {
-            calls += 1;
-            match calls {
-                2 | 4 | 5 => Err(()),
-                _ => Ok(slot),
-            }
-        };
-        let (spawned, retries, fallbacks) = spawn_with_retry(4, &mut spawn);
-        // The engine degrades to 3 shards; their slot indices stay 0..3
-        // because a dropped slot's index is reused by the next attempt.
-        assert_eq!(spawned, vec![0, 1, 2]);
-        assert_eq!(retries, 2);
-        assert_eq!(fallbacks, 1);
-    }
-
-    #[test]
-    fn spawn_with_retry_all_failures_yields_no_workers() {
-        let mut spawn = |_slot: usize| -> Result<usize, ()> { Err(()) };
-        let (spawned, retries, fallbacks) = spawn_with_retry(3, &mut spawn);
-        assert!(spawned.is_empty());
-        assert_eq!(retries, 3);
-        assert_eq!(fallbacks, 3);
     }
 
     /// A fault poisons the shard, and the coordinator rebuilds it before the

@@ -44,7 +44,7 @@ fn sharded_matches_single_shard_under_count_based_windows() {
 }
 
 /// The runner compares engine-level observables, and
-/// `ShardedItaEngine::num_valid_documents` is served by shard 0 — so this
+/// `ShardedItaEngine::num_valid_documents` is the coordinator's mirror — so this
 /// scenario keeps the concrete engines (`&mut E` is an `Engine`) and
 /// asserts afterwards that **every** shard's shadow index mirrors the
 /// reference window exactly. A shard ≥ 1 mis-expiring its mirror cannot

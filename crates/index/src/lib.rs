@@ -31,14 +31,13 @@
 //! **segmented** impact list ([`SegmentedImpactList`]), which bounds the
 //! point-update `memmove` by the segment capacity. The single sorted-`Vec`
 //! layout ([`FlatImpactList`]) stays as the reference arm of the impact-list
-//! differential test and of the layout-ablation benchmarks, for which the
-//! original `BTreeSet`-backed layouts are retained in [`baseline`] too.
+//! differential test; DESIGN.md §6 records what the retired `BTreeSet`
+//! layouts measured against both.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs, unused_must_use)]
 
 pub mod arena;
-pub mod baseline;
 pub mod document;
 pub mod index;
 pub mod posting;

@@ -13,17 +13,15 @@
 //!
 //! [`FlatImpactList`] is the single sorted `Vec<Posting>` layout of PR 2:
 //! every locate is one binary search (`partition_point`) and every traversal
-//! is a contiguous slice scan. Its weakness, measured in `BENCH_fig3a.json`,
+//! is a contiguous slice scan. Its weakness, measured by the Figure 3 sweeps,
 //! is the point update: the few head terms whose lists reach window length
 //! pay a full-tail `memmove` on every arrival and expiration, which at 10k+
 //! document windows dominates ITA's event cost. The production list is
 //! therefore the segmented layout ([`crate::SegmentedImpactList`]), which
 //! bounds the `memmove` by the segment capacity while keeping every descent a
-//! contiguous scan; the flat layout is retained with its full API as
-//!
-//! * the reference arm of the randomized differential test
-//!   (`tests/differential_impact_list.rs`), and
-//! * the `impact_flat` arm of the `ablation_threshold_tree` benchmark.
+//! contiguous scan; the flat layout is retained with its full API as the
+//! reference arm of the randomized differential test
+//! (`tests/differential_impact_list.rs`).
 
 use std::cmp::Ordering;
 

@@ -1,12 +1,13 @@
 //! Segmented impact lists: bounded-`memmove` point updates, contiguous
 //! descents.
 //!
-//! `BENCH_fig3a.json` showed that at 10k+ document windows, ITA's per-event
-//! cost is dominated by the `Vec` `memmove` paid on every arrival/expiration
-//! by the few head terms whose flat impact lists reach window length — not by
-//! any of the probes or descents the algorithm actually reasons about. The
-//! same observation drives FAST's split of frequent-term structures from
-//! infrequent-term ones for continuous filter queries (Mahmood et al.).
+//! Figure 3 sweeps over the flat layout showed that at 10k+ document
+//! windows, ITA's per-event cost was dominated by the `Vec` `memmove` paid on
+//! every arrival/expiration by the few head terms whose flat impact lists
+//! reach window length — not by any of the probes or descents the algorithm
+//! actually reasons about. The same observation drives FAST's split of
+//! frequent-term structures from infrequent-term ones for continuous filter
+//! queries (Mahmood et al.).
 //!
 //! [`SegmentedImpactList`] keeps the postings in a small ordered directory of
 //! fixed-capacity **segments**, each a sorted `Vec<Posting>` in the global
@@ -30,8 +31,8 @@
 //!   with one extra pointer hop per `capacity` entries visited.
 //!
 //! The flat single-`Vec` layout is retained as
-//! [`crate::posting::FlatImpactList`] (differential-test reference and
-//! ablation arm); the two are driven through randomized interleaved operation
+//! [`crate::posting::FlatImpactList`] (the differential-test reference); the
+//! two are driven through randomized interleaved operation
 //! sequences by `tests/differential_impact_list.rs` and must agree exactly,
 //! including on equal-weight tie runs that straddle segment boundaries.
 
@@ -103,8 +104,8 @@ impl SegmentedImpactList {
         self.capacity
     }
 
-    /// Number of segments currently in the directory. Exposed for tests and
-    /// the layout ablation; `Θ(len / capacity)` by the merge policy.
+    /// Number of segments currently in the directory. Exposed for tests;
+    /// `Θ(len / capacity)` by the merge policy.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
     }

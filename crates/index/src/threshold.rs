@@ -13,8 +13,8 @@
 //! is one `partition_point` binary search plus a contiguous prefix scan —
 //! the single hottest operation in the whole system runs at memory-stream
 //! speed instead of walking B-tree nodes. Threshold moves (insert + remove)
-//! pay a tail `memmove`; the `ablation_threshold_tree` benchmark quantifies
-//! the trade against the retained [`crate::baseline::BTreeThresholdTree`].
+//! pay a tail `memmove`; DESIGN.md §6 records the trade as measured against
+//! the `BTreeSet` layout this replaced.
 
 use serde::Serialize;
 
