@@ -7,12 +7,12 @@
 //! the unbounded ITA reference), then offer the synthetic WSJ-like stream
 //! in bursts of `--burst` events while draining only `--drain` events per
 //! round (`burst/10` by default — a sustained 10× overload), plus one
-//! mid-run registration storm through the admission path. Every processed
-//! event is replayed into the reference in lockstep (outcomes must match
-//! exactly), the shed-accounting identity
-//! `offered == accepted + coalesced + shed` is asserted at quiescence, and
-//! a sample of query results is compared exactly before the report is
-//! written.
+//! mid-run registration storm through the service, mirrored into the
+//! reference as it is offered. Every processed event is replayed into the
+//! reference in lockstep (outcomes must match exactly), the shed-accounting
+//! identity `offered == accepted + coalesced + shed` is asserted at
+//! quiescence, and a sample of query results is compared exactly before the
+//! report is written.
 //!
 //! Usage:
 //!   cargo run --release -p cts-bench --bin loadgen             # paper scale
@@ -161,10 +161,6 @@ struct LoadgenReport {
     shed_rate: f64,
     retry_hints: u64,
     queue_high_water: u64,
-    register_offered: u64,
-    register_immediate: u64,
-    register_coalesced: u64,
-    register_retry_hints: u64,
     latency_p50_micros: f64,
     latency_p99_micros: f64,
     latency_p999_micros: f64,
@@ -254,9 +250,8 @@ fn main() {
         },
     );
 
-    // One mid-run registration storm exercises the admission path while the
-    // queue is under pressure; coalesced registrations mirror into the
-    // reference at their pump's register_batch flush.
+    // One mid-run registration storm while the queue is under pressure: each
+    // query registers at once and mirrors into the reference as it does.
     let storm_queries = build_queries(
         &Options {
             queries: 32.min(options.queries.max(1)),
@@ -266,7 +261,6 @@ fn main() {
         0x570,
     );
     let mut storm_queries = Some(storm_queries);
-    let mut pending_ref: Vec<ContinuousQuery> = Vec::new();
 
     // Wall-clock offer instants of the events the queue owns, by doc id:
     // end-to-end latency is offer → drain completion.
@@ -279,17 +273,9 @@ fn main() {
                  reference: &mut ItaEngine,
                  offered_at: &mut BTreeMap<u64, (Instant, cts_index::Document)>,
                  latencies: &mut Vec<f64>,
-                 pending_ref: &mut Vec<ContinuousQuery>,
-                 live: &mut Vec<QueryId>,
                  clock: cts_index::Timestamp,
                  budget: usize| {
         let report = service.pump_budget(clock, budget);
-        if !report.registered.is_empty() {
-            let flushed: Vec<ContinuousQuery> = std::mem::take(pending_ref);
-            let ids = reference.register_batch(flushed);
-            assert_eq!(ids, report.registered, "coalesced registration diverged");
-            live.extend(ids);
-        }
         for (doc_id, _reason) in &report.shed {
             offered_at.remove(&doc_id.0);
         }
@@ -311,17 +297,14 @@ fn main() {
         if round == rounds / 2 {
             if let Some(storm) = storm_queries.take() {
                 for query in storm {
-                    match service.offer_register(query.clone()) {
-                        (Admission::Accepted, Some(id)) => {
-                            assert_eq!(id, reference.register(query), "immediate ids diverged");
-                            live.push(id);
-                        }
-                        (Admission::Coalesced, None) => pending_ref.push(query),
-                        (Admission::Retry { .. }, None) => {}
-                        (admission, id) => {
-                            panic!("impossible register admission {admission:?} / {id:?}")
-                        }
-                    }
+                    let answer = service.offer_register(query.clone());
+                    let id = reference.register(query);
+                    assert_eq!(
+                        answer,
+                        (Admission::Accepted, Some(id)),
+                        "storm ids diverged"
+                    );
+                    live.push(id);
                 }
             }
         }
@@ -334,8 +317,7 @@ fn main() {
                 Admission::Accepted => {
                     offered_at.insert(id, (Instant::now(), doc));
                 }
-                Admission::Shed(_) | Admission::Retry { .. } => {}
-                Admission::Coalesced => unreachable!("events never coalesce at offer"),
+                Admission::Shed(_) => {}
             }
         }
         drain(
@@ -343,8 +325,6 @@ fn main() {
             &mut reference,
             &mut offered_at,
             &mut latencies_micros,
-            &mut pending_ref,
-            &mut live,
             clock,
             drain_budget,
         );
@@ -355,8 +335,6 @@ fn main() {
         &mut reference,
         &mut offered_at,
         &mut latencies_micros,
-        &mut pending_ref,
-        &mut live,
         clock,
         usize::MAX,
     );
@@ -409,10 +387,6 @@ fn main() {
         shed_rate: overload.shed() as f64 / overload.offered.max(1) as f64,
         retry_hints: overload.retry_hints,
         queue_high_water: overload.queue_high_water,
-        register_offered: overload.register_offered,
-        register_immediate: overload.register_immediate,
-        register_coalesced: overload.register_coalesced,
-        register_retry_hints: overload.register_retry_hints,
         latency_p50_micros: percentile(&latencies_micros, 0.50),
         latency_p99_micros: percentile(&latencies_micros, 0.99),
         latency_p999_micros: percentile(&latencies_micros, 0.999),

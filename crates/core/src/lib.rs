@@ -24,9 +24,9 @@
 //!   to a shard's first fault (a faulted shard is rebuilt from the
 //!   coordinator's window mirror).
 //! * [`StreamService`] — admission control in front of any engine: a
-//!   bounded ingest queue with explicit accept/coalesce/shed/retry answers,
-//!   timing each burst it hands the engine into [`ProcessingStats`] (the
-//!   paper's "processing time" metric).
+//!   bounded ingest queue with explicit accept/shed answers, registrations
+//!   that run at once, and each burst it hands the engine timed into
+//!   [`ProcessingStats`] (the paper's "processing time" metric).
 //!
 //! # Quick example
 //!

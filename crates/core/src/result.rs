@@ -164,16 +164,6 @@ impl ResultSet {
         self.ranked.iter().map(RankedDocument::from)
     }
 
-    /// The best (highest) score, if any.
-    pub fn best_score(&self) -> Option<f64> {
-        self.ranked.first().map(|e| e.score.get())
-    }
-
-    /// The worst (lowest) score currently retained, if any.
-    pub fn worst_score(&self) -> Option<f64> {
-        self.worst().map(|e| e.score)
-    }
-
     /// The lowest-ranked entry (lowest score, ties broken by highest
     /// document id — the exact inverse of [`ResultSet::top`]'s order), if
     /// any. This is the admission boundary of a bounded view: a newcomer
@@ -277,13 +267,13 @@ mod tests {
         r.insert(d(1), 0.9);
         r.insert(d(2), 0.1);
         r.insert(d(3), 0.5);
-        assert_eq!(r.best_score(), Some(0.9));
-        assert_eq!(r.worst_score(), Some(0.1));
+        assert_eq!(r.iter().next().map(|e| e.score), Some(0.9));
         assert_eq!(r.worst().unwrap().doc, d(2));
+        assert_eq!(r.worst().unwrap().score, 0.1);
         let popped = r.pop_worst().unwrap();
         assert_eq!(popped.doc, d(2));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.worst_score(), Some(0.5));
+        assert_eq!(r.worst().unwrap().score, 0.5);
     }
 
     #[test]

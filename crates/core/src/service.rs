@@ -10,30 +10,27 @@
 //!
 //! * [`Admission::Accepted`] — the event was enqueued (or a registration ran
 //!   immediately). The service now owns it.
-//! * [`Admission::Coalesced`] — a registration was queued and will be
-//!   flushed through one [`Engine::register_batch`] call at the next
-//!   [`StreamService::pump`] (registration storms amortise into the bulk
-//!   path instead of paying the per-query cliff).
 //! * [`Admission::Shed`] — the event was dropped, with a [`ShedReason`].
 //!   Queued events past their [`IngestEvent`] deadline are dropped
 //!   **oldest-first**; a full queue displaces its oldest event to admit the
 //!   fresher arrival.
-//! * [`Admission::Retry`] — backpressure on registrations: the pending
-//!   registration queue is full ([`ServiceConfig::register_capacity`]), so
-//!   the caller keeps the query and should retry after the hint. Events are
-//!   never refused this way: the queue is bounded by shedding, and a sharded
-//!   engine rebuilds a faulted shard inside the pump's engine call that
-//!   finds it, so no recovery is left waiting behind the queue.
+//!
+//! Nothing is ever refused: the queue is bounded by shedding, a sharded
+//! engine rebuilds a faulted shard inside the pump's engine call that finds
+//! it, and a registration ([`StreamService::offer_register`]) runs at once.
+//! Registering at offer time takes the stream position a deferred
+//! registration would: after every event already processed, before every
+//! event still queued.
 //!
 //! Draining is explicit: [`StreamService::pump`] (or the budgeted
-//! [`StreamService::pump_budget`], which models a slow consumer) flushes
-//! pending registrations, sheds expired events and processes the survivors —
-//! whatever is queued goes to the engine as one [`Engine::process_batch`]
-//! burst (of at most [`ServiceConfig::max_coalesce`] events), so a deep queue
-//! is **coalesced** and a queue one deep is a burst of one, which every
+//! [`StreamService::pump_budget`], which models a slow consumer) sheds
+//! expired events and processes the survivors — whatever is queued goes to
+//! the engine as one [`Engine::process_batch`] burst (of at most
+//! [`ServiceConfig::max_coalesce`] events), so a deep queue is
+//! **coalesced** and a queue one deep is a burst of one, which every
 //! engine processes — and the service records — as the single event it is.
 //! The service times each burst's engine call, and nothing else (no
-//! registration flush, no shedding), into [`StreamService::stats`].
+//! registration, no shedding), into [`StreamService::stats`].
 //!
 //! # Exactness of the accepted sequence
 //!
@@ -82,37 +79,11 @@ pub enum Admission {
     /// The service took ownership: the event was enqueued, or the
     /// registration ran immediately.
     Accepted,
-    /// A registration was queued for the next pump's coalesced
-    /// [`Engine::register_batch`] flush; its id arrives in
-    /// [`DrainReport::registered`].
-    Coalesced,
     /// The service took ownership and dropped the event on the spot.
     Shed(ShedReason),
-    /// Backpressure: the service did **not** take ownership of the
-    /// registration (the pending-register queue is full). Retry after the
-    /// hint, once a pump has flushed the queue.
-    Retry {
-        /// Suggested backoff before re-offering.
-        after: Duration,
-    },
 }
 
-impl Admission {
-    /// Whether the service took ownership of the offered item (it will be
-    /// processed, coalesced or shed — but not silently lost).
-    pub fn is_owned(&self) -> bool {
-        !matches!(self, Admission::Retry { .. })
-    }
-
-    /// Whether this is a backpressure refusal.
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Admission::Retry { .. })
-    }
-}
-
-/// Tuning of the bounded ingest pipeline. Every bound is in events (or
-/// queries, for the registration queue); every watermark compares against the
-/// current queue depth.
+/// Tuning of the bounded ingest pipeline. Every bound is in events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Ingest queue bound. A full queue sheds expired events first, then
@@ -125,15 +96,6 @@ pub struct ServiceConfig {
     /// Default ingest deadline applied (as arrival + slack) to events
     /// offered without one; `None` means such events never expire.
     pub default_deadline: Option<Duration>,
-    /// Pending-register queue bound; at capacity, registrations get
-    /// [`Admission::Retry`].
-    pub register_capacity: usize,
-    /// Ingest-queue depth at which registrations stop running immediately
-    /// and queue for batch coalescing instead (registration storms under
-    /// event pressure amortise into [`Engine::register_batch`]).
-    pub register_pressure: usize,
-    /// The backoff hint carried by every [`Admission::Retry`].
-    pub retry_after: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -144,17 +106,13 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// A config with all bounds scaled from one queue capacity: bursts of up
-    /// to a quarter of the queue, a half-capacity register queue deferring
-    /// from a sixteenth.
+    /// to a quarter of the queue.
     pub fn bounded(queue_capacity: usize) -> Self {
         let queue_capacity = queue_capacity.max(1);
         Self {
             queue_capacity,
             max_coalesce: (queue_capacity / 4).max(2),
             default_deadline: None,
-            register_capacity: (queue_capacity / 2).max(1),
-            register_pressure: (queue_capacity / 16).max(2),
-            retry_after: Duration::from_millis(2),
         }
     }
 
@@ -163,7 +121,6 @@ impl ServiceConfig {
         let mut config = self.clone();
         config.queue_capacity = config.queue_capacity.max(1);
         config.max_coalesce = config.max_coalesce.max(1);
-        config.register_capacity = config.register_capacity.max(1);
         config
     }
 }
@@ -181,9 +138,6 @@ pub struct DrainReport {
     /// Events shed since the previous report (at offer time or by this
     /// pump), with reasons.
     pub shed: Vec<(DocId, ShedReason)>,
-    /// Ids assigned to the coalesced registrations this pump flushed, in
-    /// offer order.
-    pub registered: Vec<QueryId>,
     /// Bursts of two or more events this pump sent through
     /// [`Engine::process_batch`].
     pub batches: u64,
@@ -202,7 +156,6 @@ pub struct StreamService<E: Engine> {
     stats: ProcessingStats,
     config: ServiceConfig,
     queue: VecDeque<IngestEvent>,
-    pending_registers: VecDeque<ContinuousQuery>,
     shed_log: Vec<(DocId, ShedReason)>,
     overload: OverloadStats,
     clock: Timestamp,
@@ -217,7 +170,6 @@ impl<E: Engine> StreamService<E> {
             stats: ProcessingStats::default(),
             config: config.normalized(),
             queue: VecDeque::new(),
-            pending_registers: VecDeque::new(),
             shed_log: Vec::new(),
             overload: OverloadStats::default(),
             clock: Timestamp::ZERO,
@@ -234,17 +186,6 @@ impl<E: Engine> StreamService<E> {
         self.queue.len()
     }
 
-    /// Registrations currently queued for the next coalesced flush.
-    pub fn pending_registers(&self) -> usize {
-        self.pending_registers.len()
-    }
-
-    /// The service's logical clock: the latest stream time it has observed
-    /// (arrival of an offered event, or the `now` of a pump).
-    pub fn admission_clock(&self) -> Timestamp {
-        self.clock
-    }
-
     /// Offers one document without an explicit deadline (the configured
     /// [`ServiceConfig::default_deadline`] still applies).
     pub fn offer_document(&mut self, doc: Document) -> Admission {
@@ -252,10 +193,10 @@ impl<E: Engine> StreamService<E> {
     }
 
     /// Offers one stream event: [`Admission::Accepted`] or
-    /// [`Admission::Shed`], never [`Admission::Retry`] (so
-    /// [`OverloadStats::retry_hints`] stays 0). Never blocks and never calls
-    /// into the engine: admission is pure queue arithmetic, so the shed path
-    /// stays live whatever the engine is doing.
+    /// [`Admission::Shed`], never a refusal (so [`OverloadStats::retry_hints`]
+    /// stays 0). Never blocks and never calls into the engine: admission is
+    /// pure queue arithmetic, so the shed path stays live whatever the engine
+    /// is doing.
     pub fn offer(&mut self, event: IngestEvent) -> Admission {
         let arrival = event.doc.arrival;
         self.advance_clock(arrival);
@@ -294,67 +235,37 @@ impl<E: Engine> StreamService<E> {
         Admission::Accepted
     }
 
-    /// Offers one registration. Under low pressure (no queued registrations
-    /// and an ingest queue below [`ServiceConfig::register_pressure`]) the
-    /// query registers immediately and its id is returned alongside
-    /// [`Admission::Accepted`]. Under pressure it queues for the next pump's
-    /// single [`Engine::register_batch`] flush ([`Admission::Coalesced`];
-    /// the id arrives in [`DrainReport::registered`], in offer order). A
-    /// full pending queue yields [`Admission::Retry`].
+    /// Offers one registration: the query registers at once, whatever the
+    /// queue holds, and its id comes back with [`Admission::Accepted`]. It
+    /// sees every event already processed and none still queued — the stream
+    /// position a registration deferred to the next pump would take, and
+    /// [`Engine::register_batch`] is byte-identical to registering one by
+    /// one, so there is nothing to gain by deferring it. The answer is always
+    /// `(Accepted, Some(id))`; the pair keeps the shape callers already read.
     pub fn offer_register(&mut self, query: ContinuousQuery) -> (Admission, Option<QueryId>) {
-        if self.pending_registers.is_empty() && self.queue.len() < self.config.register_pressure {
-            self.overload.register_offered += 1;
-            self.overload.register_immediate += 1;
-            let id = self.engine.register(query);
-            return (Admission::Accepted, Some(id));
-        }
-        if self.pending_registers.len() >= self.config.register_capacity {
-            self.overload.register_retry_hints += 1;
-            return (
-                Admission::Retry {
-                    after: self.config.retry_after,
-                },
-                None,
-            );
-        }
-        self.overload.register_offered += 1;
-        self.overload.register_coalesced += 1;
-        self.pending_registers.push_back(query);
-        self.overload.register_high_water = self
-            .overload
-            .register_high_water
-            .max(self.pending_registers.len() as u64);
-        (Admission::Coalesced, None)
+        (Admission::Accepted, Some(self.engine.register(query)))
     }
 
-    /// Removes a query immediately (registration admission control never
-    /// delays removals — freeing capacity must not queue behind a storm).
-    /// Returns `true` if it existed. A query still pending coalesced
-    /// registration has no id yet and cannot be addressed here.
+    /// Removes a query immediately. Returns `true` if it existed.
     pub fn deregister(&mut self, query: QueryId) -> bool {
         self.engine.deregister(query)
     }
 
-    /// Drains the whole queue at stream time `now`: flushes pending
-    /// registrations, sheds expired events oldest-first, processes every
-    /// survivor (in [`Engine::process_batch`] bursts of whatever is queued,
-    /// up to [`ServiceConfig::max_coalesce`]).
+    /// Drains the whole queue at stream time `now`: sheds expired events
+    /// oldest-first, processes every survivor (in [`Engine::process_batch`]
+    /// bursts of whatever is queued, up to [`ServiceConfig::max_coalesce`]).
     pub fn pump(&mut self, now: Timestamp) -> DrainReport {
         self.pump_budget(now, usize::MAX)
     }
 
     /// [`StreamService::pump`] with a drain budget: at most `budget` events
-    /// are processed (shedding and registration flushing are not budgeted —
-    /// they are how an overloaded service gets *cheaper*, and throttling
-    /// them would let a slow consumer grow the backlog unboundedly). This is
-    /// the slow-consumer model of the overload tests.
+    /// are processed (shedding is not budgeted — it is how an overloaded
+    /// service gets *cheaper*, and throttling it would let a slow consumer
+    /// grow the backlog unboundedly). This is the slow-consumer model of the
+    /// overload tests.
     pub fn pump_budget(&mut self, now: Timestamp, budget: usize) -> DrainReport {
         self.advance_clock(now);
         let mut report = DrainReport::default();
-        if !self.pending_registers.is_empty() {
-            let queries: Vec<ContinuousQuery> = self.pending_registers.drain(..).collect();
-            report.registered = self.engine.register_batch(queries);
-        }
         self.shed_expired();
         let mut budget = budget;
         while budget > 0 && !self.queue.is_empty() {
@@ -412,8 +323,7 @@ impl<E: Engine> StreamService<E> {
         self.engine.current_results(query)
     }
 
-    /// Number of registered queries (pending coalesced registrations are not
-    /// yet registered).
+    /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
         self.engine.num_queries()
     }
@@ -657,45 +567,40 @@ mod tests {
     }
 
     #[test]
-    fn registration_storms_coalesce_under_pressure() {
-        let engine = ItaEngine::new(SlidingWindow::count_based(8), ItaConfig::default());
-        let mut config = ServiceConfig::bounded(16);
-        config.register_pressure = 2;
-        config.register_capacity = 3;
-        let mut service = StreamService::new(engine, config);
-        // No pressure: immediate.
-        let (admission, id) = service.offer_register(query(1));
-        assert_eq!(admission, Admission::Accepted);
-        assert!(id.is_some());
-        // Raise event pressure past register_pressure.
-        service.offer_document(doc(0, 0, 0.5));
-        service.offer_document(doc(1, 1, 0.5));
-        // Under pressure: queue for coalescing, up to capacity.
-        for _ in 0..3 {
-            let (admission, id) = service.offer_register(query(2));
-            assert_eq!(admission, Admission::Coalesced);
-            assert!(id.is_none());
+    fn a_registration_behind_a_deep_queue_registers_at_once() {
+        let mut service = small_service(16);
+        let mut reference = ItaEngine::new(SlidingWindow::count_based(8), ItaConfig::default());
+        let processed: Vec<Document> = (0..3u64).map(|i| doc(i, i, 0.1 * (i + 1) as f64)).collect();
+        for d in &processed {
+            service.offer_document(d.clone());
+            reference.process_document(d.clone());
         }
-        let (admission, id) = service.offer_register(query(2));
-        assert!(admission.is_retry(), "register queue at capacity");
-        assert!(id.is_none());
-        assert_eq!(service.pending_registers(), 3);
-        // The pump flushes all three in one register_batch, ids in order.
-        let report = service.pump(Timestamp::from_millis(5));
-        assert_eq!(report.registered.len(), 3);
-        assert_eq!(service.pending_registers(), 0);
-        assert_eq!(service.num_queries(), 4);
-        let overload = service.overload_stats();
-        assert_eq!(overload.register_offered, 4);
-        assert_eq!(overload.register_immediate, 1);
-        assert_eq!(overload.register_coalesced, 3);
-        assert_eq!(overload.register_retry_hints, 1);
-        assert_eq!(overload.register_high_water, 3);
-        // Once queued registrations exist, later offers queue behind them to
-        // keep id assignment in offer order, even with pressure gone.
-        service.pump(Timestamp::from_millis(6));
-        let (admission, _) = service.offer_register(query(1));
+        service.pump(Timestamp::from_millis(3));
+        // Six queued events: past a sixteenth of the queue, the depth from
+        // which registrations were once deferred to the next pump.
+        let queued: Vec<Document> = (3..9u64).map(|i| doc(i, i, 0.9)).collect();
+        for d in &queued {
+            service.offer_document(d.clone());
+        }
+        assert_eq!(service.depth(), 6);
+        let (admission, id) = service.offer_register(query(4));
         assert_eq!(admission, Admission::Accepted);
+        let q = id.expect("a registration is answered with its id");
+        // It sees every processed event and none of the queued ones …
+        let results = service.results(q);
+        assert_eq!(results.len(), 3);
+        assert!(results.iter().all(|r| r.doc.0 < 3), "{results:?}");
+        // … exactly as a reference registering at the same stream position.
+        let rq = reference.register(query(4));
+        assert_eq!(q, rq);
+        assert_eq!(results, reference.current_results(rq));
+        let report = service.pump(Timestamp::from_millis(9));
+        let queued_ids: Vec<DocId> = queued.iter().map(|d| d.id).collect();
+        assert_eq!(report.processed, queued_ids);
+        for d in queued {
+            reference.process_document(d);
+        }
+        assert_eq!(service.results(q), reference.current_results(rq));
     }
 
     #[test]
@@ -704,15 +609,11 @@ mod tests {
             queue_capacity: 0,
             max_coalesce: 0,
             default_deadline: None,
-            register_capacity: 0,
-            register_pressure: 0,
-            retry_after: Duration::ZERO,
         };
         let engine = ItaEngine::new(SlidingWindow::count_based(2), ItaConfig::default());
         let service = StreamService::new(engine, config);
         let normalized = service.config();
         assert_eq!(normalized.queue_capacity, 1);
         assert_eq!(normalized.max_coalesce, 1);
-        assert_eq!(normalized.register_capacity, 1);
     }
 }

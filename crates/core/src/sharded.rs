@@ -1164,8 +1164,8 @@ impl Engine for ShardedItaEngine {
     /// term directory, each equal to a rebuild from its documents) and then
     /// has every healthy worker audit its own engine, that its store holds
     /// the mirror's documents in arrival order, and that it hosts exactly
-    /// the registry's queries that hash to it, via
-    /// [`ShardRequest::CheckInvariants`]; a worker-side violation comes back
+    /// the registry's queries that hash to it, via a `CheckInvariants`
+    /// request; a worker-side violation comes back
     /// as a fault carrying the assertion message and is re-raised here.
     /// Degraded shards are skipped — their state is gone by definition and
     /// the rebuild starts from the registry and the mirror.

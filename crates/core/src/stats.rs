@@ -23,9 +23,8 @@ use crate::engine::EventOutcome;
 /// ```
 ///
 /// which collapses to the quiescent form `offered == accepted + coalesced +
-/// shed()` once the queue has drained. `Retry` refusals are *not* part of
-/// `offered` — a retried caller still owns its event — and are tracked
-/// separately as hints.
+/// shed()` once the queue has drained. Registrations are not counted:
+/// every one runs at once ([`crate::StreamService::offer_register`]).
 ///
 /// Embedded in [`ProcessingStats`] so overload counters ride through every
 /// aggregation path ([`ProcessingStats::absorb`],
@@ -49,26 +48,13 @@ pub struct OverloadStats {
     /// Owned events displaced from a full queue to admit fresher arrivals
     /// (oldest-first).
     pub shed_queue_full: u64,
-    /// `Retry { after }` hints issued to offered events. Always 0: an event
-    /// offer is accepted or shed, never refused for a retry. Kept because
-    /// `ctsbench` reports it.
+    /// Refusals with a retry hint. Always 0: an event offer is accepted or
+    /// shed and a registration runs at once, so nothing is ever refused.
+    /// Kept because `ctsbench` reports it.
     pub retry_hints: u64,
     /// Deepest the ingest queue has ever been (high-water mark; cumulative
     /// like the timing maxima).
     pub queue_high_water: u64,
-    /// Registrations the admission path took ownership of (immediate or
-    /// queued); excludes `Retry` refusals.
-    pub register_offered: u64,
-    /// Registrations performed immediately (no pressure).
-    pub register_immediate: u64,
-    /// Registrations queued and later flushed through one
-    /// [`crate::Engine::register_batch`] call (coalesced under pressure).
-    pub register_coalesced: u64,
-    /// `Retry { after }` hints issued because the pending-register queue was
-    /// at capacity. Not counted in `register_offered`.
-    pub register_retry_hints: u64,
-    /// Deepest the pending-register queue has ever been.
-    pub register_high_water: u64,
 }
 
 impl OverloadStats {
@@ -106,11 +92,6 @@ impl OverloadStats {
         self.shed_queue_full += other.shed_queue_full;
         self.retry_hints += other.retry_hints;
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.register_offered += other.register_offered;
-        self.register_immediate += other.register_immediate;
-        self.register_coalesced += other.register_coalesced;
-        self.register_retry_hints += other.register_retry_hints;
-        self.register_high_water = self.register_high_water.max(other.register_high_water);
     }
 
     /// The change in counters since `earlier` (saturating). High-water marks
@@ -125,19 +106,6 @@ impl OverloadStats {
             shed_queue_full: self.shed_queue_full.saturating_sub(earlier.shed_queue_full),
             retry_hints: self.retry_hints.saturating_sub(earlier.retry_hints),
             queue_high_water: self.queue_high_water,
-            register_offered: self
-                .register_offered
-                .saturating_sub(earlier.register_offered),
-            register_immediate: self
-                .register_immediate
-                .saturating_sub(earlier.register_immediate),
-            register_coalesced: self
-                .register_coalesced
-                .saturating_sub(earlier.register_coalesced),
-            register_retry_hints: self
-                .register_retry_hints
-                .saturating_sub(earlier.register_retry_hints),
-            register_high_water: self.register_high_water,
         }
     }
 }
@@ -497,11 +465,6 @@ mod tests {
             shed_queue_full: 1,
             retry_hints: 5,
             queue_high_water: 7,
-            register_offered: 6,
-            register_immediate: 2,
-            register_coalesced: 4,
-            register_retry_hints: 1,
-            register_high_water: 3,
         }
     }
 
@@ -518,7 +481,6 @@ mod tests {
         };
         let mut other = overload;
         other.queue_high_water = 2;
-        other.register_high_water = 9;
         let b = ProcessingStats {
             overload: other,
             ..ProcessingStats::default()
@@ -530,8 +492,6 @@ mod tests {
         assert_eq!(a.overload.shed(), 6);
         assert_eq!(a.overload.retry_hints, 10);
         assert_eq!(a.overload.queue_high_water, 7);
-        assert_eq!(a.overload.register_offered, 12);
-        assert_eq!(a.overload.register_high_water, 9);
         a.overload.check_accounting(0);
 
         // Path 2: event recording (record / record_batch) must leave the
@@ -551,9 +511,8 @@ mod tests {
         assert_eq!(delta.overload.accepted, 4);
         assert_eq!(delta.overload.coalesced, 3);
         assert_eq!(delta.overload.shed_deadline, 2);
-        assert_eq!(delta.overload.register_coalesced, 4);
+        assert_eq!(delta.overload.retry_hints, 5);
         assert_eq!(delta.overload.queue_high_water, 7);
-        assert_eq!(delta.overload.register_high_water, 9);
     }
 
     #[test]

@@ -897,9 +897,8 @@ impl OverloadConfig {
 /// * the service's own timing stats count exactly what it drained:
 ///   `stats().events == accepted + coalesced`, and `stats().batches` is the
 ///   sum of every [`crate::service::DrainReport::batches`];
-/// * immediate registrations/deregistrations mirror to the reference at
-///   offer time, coalesced registrations at their pump's
-///   [`Engine::register_batch`] flush, with identical id assignment;
+/// * registrations and deregistrations mirror to the reference at offer
+///   time, with identical id assignment;
 /// * every event the service reports processed is replayed into the
 ///   reference, with identical [`crate::EventOutcome`]s up to the
 ///   candidate's first fault, and periodically identical top-k results on
@@ -929,9 +928,6 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     // is replay-deterministic code.
     let mut queued: BTreeMap<u64, Document> = BTreeMap::new();
     let mut live: Vec<QueryId> = Vec::new();
-    // Coalesced registrations awaiting the service's next register_batch
-    // flush; mirrored into the reference at exactly that point.
-    let mut pending_ref: Vec<ContinuousQuery> = Vec::new();
     let mut clock = Timestamp::ZERO;
     let mut next_doc = 0u64;
     let unfaulted = faults(service.engine());
@@ -966,24 +962,8 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     let mirror_report = |report: &crate::service::DrainReport,
                          reference: &mut R,
                          queued: &mut BTreeMap<u64, Document>,
-                         live: &mut Vec<QueryId>,
-                         pending_ref: &mut Vec<ContinuousQuery>,
                          outcomes_held: bool,
                          round: usize| {
-        if !report.registered.is_empty() {
-            let flushed: Vec<ContinuousQuery> = std::mem::take(pending_ref);
-            assert_eq!(
-                flushed.len(),
-                report.registered.len(),
-                "seed {seed:#x} round {round}: coalesced-register flush size diverged"
-            );
-            let ids = reference.register_batch(flushed);
-            assert_eq!(
-                ids, report.registered,
-                "seed {seed:#x} round {round}: coalesced registration ids diverged"
-            );
-            live.extend(ids);
-        }
         for (doc_id, _reason) in &report.shed {
             queued.remove(&doc_id.0);
         }
@@ -1009,30 +989,14 @@ pub fn run_overload_session<C: Engine, R: Engine>(
             let storm = rng.range(1, config.max_storm.max(1) + 1);
             for _ in 0..storm {
                 let query = random_query(&mut rng, &config.script);
-                let (admission, id) = service.offer_register(query.clone());
-                match admission {
-                    Admission::Accepted => {
-                        let expected = reference.register(query);
-                        let id = id.unwrap_or_else(|| {
-                            panic!(
-                                "seed {seed:#x} round {round}: immediate \
-                                 registration returned no id"
-                            )
-                        });
-                        assert_eq!(
-                            id, expected,
-                            "seed {seed:#x} round {round}: immediate registration \
-                             ids diverged"
-                        );
-                        live.push(id);
-                    }
-                    Admission::Coalesced => pending_ref.push(query),
-                    Admission::Retry { .. } => {}
-                    Admission::Shed(reason) => panic!(
-                        "seed {seed:#x} round {round}: registration shed ({reason:?}) \
-                         — registrations must coalesce or retry, never shed"
-                    ),
-                }
+                let answer = service.offer_register(query.clone());
+                let expected = reference.register(query);
+                assert_eq!(
+                    answer,
+                    (Admission::Accepted, Some(expected)),
+                    "seed {seed:#x} round {round}: registration diverged"
+                );
+                live.push(expected);
             }
         }
         if rng.chance(config.deregister_probability) && !live.is_empty() {
@@ -1066,11 +1030,7 @@ pub fn run_overload_session<C: Engine, R: Engine>(
                 Admission::Accepted => {
                     queued.insert(doc.id.0, doc);
                 }
-                Admission::Shed(_) | Admission::Retry { .. } => {}
-                Admission::Coalesced => panic!(
-                    "seed {seed:#x} round {round}: event admission returned \
-                     Coalesced — events coalesce at drain, not at offer"
-                ),
+                Admission::Shed(_) => {}
             }
         }
         let report = if rng.chance(config.slow_drain_probability) {
@@ -1079,15 +1039,7 @@ pub fn run_overload_session<C: Engine, R: Engine>(
             service.pump(clock)
         };
         let outcomes_held = faults(service.engine()) == unfaulted;
-        mirror_report(
-            &report,
-            reference,
-            &mut queued,
-            &mut live,
-            &mut pending_ref,
-            outcomes_held,
-            round,
-        );
+        mirror_report(&report, reference, &mut queued, outcomes_held, round);
         service.check_accounting();
         drained_batches += report.batches;
         check_stats(&service, drained_batches, round);
@@ -1112,8 +1064,6 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         &report,
         reference,
         &mut queued,
-        &mut live,
-        &mut pending_ref,
         outcomes_held,
         config.bursts,
     );
@@ -1337,7 +1287,7 @@ mod tests {
             overload.shed() > 0,
             "a bursty session against a 64-slot queue must shed: {overload:?}"
         );
-        assert!(overload.register_offered > 0, "no registration storms ran");
+        assert!(reference.num_queries() > 0, "no registration storms ran");
     }
 
     /// An engine that is nothing but a failing audit: whoever drops the

@@ -482,17 +482,6 @@ pub struct IndexStats {
     pub register_entries_walked: u64,
 }
 
-impl IndexStats {
-    /// Average inverted-list length (0 when there are no terms).
-    pub fn average_list_len(&self) -> f64 {
-        if self.terms == 0 {
-            0.0
-        } else {
-            self.postings as f64 / self.terms as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,7 +563,6 @@ mod tests {
         assert_eq!(s.terms, 2);
         assert_eq!(s.postings, 3);
         assert_eq!(s.longest_list, 2);
-        assert!((s.average_list_len() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -582,7 +570,6 @@ mod tests {
         let idx = InvertedIndex::new();
         let s = idx.stats();
         assert_eq!(s, IndexStats::default());
-        assert_eq!(s.average_list_len(), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::collections::{hash_map::Entry, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::document::{DocId, Document, Timestamp};
+use crate::document::{DocId, Document};
 
 /// FIFO store of the currently valid documents.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -70,16 +70,6 @@ impl DocumentStore {
         self.fifo.push_back(id);
     }
 
-    /// Removes and returns the oldest valid document, if any.
-    pub fn pop_oldest(&mut self) -> Option<Arc<Document>> {
-        let id = self.fifo.pop_front()?;
-        let doc = self
-            .by_id
-            .remove(&id)
-            .expect("FIFO id must exist in the id map");
-        Some(doc)
-    }
-
     /// Removes the document with the given id, wherever it sits in the FIFO.
     ///
     /// Expirations normally remove the oldest document (`O(1)`); removal from
@@ -101,14 +91,6 @@ impl DocumentStore {
     pub fn oldest(&self) -> Option<&Document> {
         self.fifo
             .front()
-            .and_then(|id| self.by_id.get(id))
-            .map(Arc::as_ref)
-    }
-
-    /// The most recently arrived document.
-    pub fn newest(&self) -> Option<&Document> {
-        self.fifo
-            .back()
             .and_then(|id| self.by_id.get(id))
             .map(Arc::as_ref)
     }
@@ -140,22 +122,12 @@ impl DocumentStore {
             .filter_map(move |id| self.by_id.get(id))
             .map(Arc::as_ref)
     }
-
-    /// Arrival time of the oldest valid document, if any.
-    pub fn oldest_arrival(&self) -> Option<Timestamp> {
-        self.oldest().map(|d| d.arrival)
-    }
-
-    /// Total number of composition-list entries across all valid documents
-    /// (an indicator of index memory footprint).
-    pub fn total_postings(&self) -> usize {
-        self.by_id.values().map(|d| d.composition.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::Timestamp;
     use cts_text::{TermId, WeightedVector};
 
     fn doc(id: u64, arrival_secs: u64) -> Document {
@@ -173,11 +145,14 @@ mod tests {
             s.push(doc(i, i));
         }
         assert_eq!(s.len(), 5);
-        assert_eq!(s.oldest().unwrap().id, DocId(0));
-        assert_eq!(s.newest().unwrap().id, DocId(4));
-        let popped: Vec<u64> = std::iter::from_fn(|| s.pop_oldest())
-            .map(|d| d.id.0)
-            .collect();
+        // Expiring the oldest document, again and again, empties the store
+        // in arrival order.
+        let popped: Vec<u64> = std::iter::from_fn(|| {
+            let oldest = s.oldest()?.id;
+            s.remove(oldest)
+        })
+        .map(|d| d.id.0)
+        .collect();
         assert_eq!(popped, vec![0, 1, 2, 3, 4]);
         assert!(s.is_empty());
     }
@@ -211,16 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn oldest_arrival_and_total_postings() {
-        let mut s = DocumentStore::with_capacity(4);
-        assert!(s.oldest_arrival().is_none());
-        s.push(doc(1, 7));
-        s.push(doc(2, 9));
-        assert_eq!(s.oldest_arrival(), Some(Timestamp::from_secs(7)));
-        assert_eq!(s.total_postings(), 2);
-    }
-
-    #[test]
     fn push_shared_stores_the_same_allocation() {
         let mut a = DocumentStore::new();
         let mut b = DocumentStore::new();
@@ -229,15 +194,16 @@ mod tests {
         b.push_shared(Arc::clone(&shared));
         // Both stores (and the caller) point at one allocation.
         assert_eq!(Arc::strong_count(&shared), 3);
-        let out = a.pop_oldest().unwrap();
+        let out = a.remove(DocId(1)).unwrap();
         assert!(Arc::ptr_eq(&out, &shared));
         assert_eq!(b.get(DocId(1)).unwrap().id, DocId(1));
     }
 
     #[test]
     fn pop_from_empty_is_none() {
-        let mut s = DocumentStore::new();
-        assert!(s.pop_oldest().is_none());
+        let mut s = DocumentStore::with_capacity(4);
+        assert!(s.oldest().is_none());
+        assert!(s.remove(DocId(0)).is_none());
     }
 
     #[test]

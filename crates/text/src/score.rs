@@ -15,10 +15,10 @@ use serde::Serialize;
 
 use crate::vector::WeightedTerm;
 
-/// Computes the sparse dot product of two term-id-sorted entry slices (whole
-/// weighted vectors via [`WeightedVector::as_slice`], or any sub-sequence of
-/// one — the engines pass only the document entries whose term some query
-/// uses).
+/// Computes the sparse dot product of two term-id-sorted entry slices
+/// (whole weighted vectors via [`crate::WeightedVector::as_slice`], or any
+/// sub-sequence of one — the engines pass only the document entries whose
+/// term some query uses).
 ///
 /// Both sides are sorted by term id, so this is a linear merge. The query
 /// side is conventionally the first argument but the operation is symmetric.
