@@ -1,12 +1,14 @@
 //! Ablation: what recovering a faulted shard worker costs.
 //!
-//! There is one recovery path (DESIGN.md §10): a caught panic poisons the
-//! shard, and the coordinator rebuilds it from its durable registry and
-//! window mirror — the mirror's documents loaded into a fresh engine (no
-//! query is live yet, so nothing is filed), then one registration of the
-//! shard's queries with the postings the coordinator resolves against the
-//! mirror. Cost scales with the window (the load and the resolve) and with
-//! the shard's queries (their threshold searches), not with history.
+//! There is one recovery path (DESIGN.md §10): a caught panic ends the
+//! shard's worker, and the coordinator rebuilds the shard from its durable
+//! registry and window mirror — it joins the old thread, resolves the
+//! postings of the shard's queries against the mirror and spawns a worker
+//! seeded with them, which loads the mirror's documents into a fresh engine
+//! (no query is live yet, so nothing is filed) and then registers the
+//! queries in one batch. Cost scales with the window (the load and the
+//! resolve) and with the shard's queries (their threshold searches), not
+//! with history; the thread start is tens of microseconds.
 //!
 //! Fixes a 2-shard engine over a filled count-based window at two points —
 //! 500 queries over 5k documents (where the deleted warm restore was priced)

@@ -1,35 +1,34 @@
 //! Fault taxonomy and fault counters for the sharded engine.
 //!
-//! A production continuous-search service cannot let one poisoned event take
-//! down every registered query. This module holds the types the fault-
+//! A production continuous-search service cannot let one faulting worker
+//! take down every registered query. This module holds the types the fault-
 //! tolerant [`crate::ShardedItaEngine`] surfaces to callers:
 //!
 //! * [`ShardFault`] / [`EngineError`] — what went wrong, as data instead of
-//!   a process abort. A faulted shard is rebuilt before the mutating call
-//!   that found it returns, so a `try_*` coordinator method returns a fault
-//!   only when the rebuild itself fails (a worker whose respawn fails; the
-//!   next mutating call tries again). The infallible [`crate::Engine`] trait methods panic
-//!   then, and on a refused input (a duplicate document id).
+//!   a process abort. A worker that faults exits, and its shard is rebuilt
+//!   by a freshly started worker before the mutating call that found it
+//!   returns, so a `try_*` coordinator method returns a fault only when
+//!   that worker fails to start (its thread fails to spawn, or it panics
+//!   while building; the next mutating call tries again). The infallible
+//!   [`crate::Engine`] trait methods panic then, and on a refused input (a
+//!   duplicate document id).
 //! * [`FaultStats`] — counters for faults seen, rebuilds performed, time
 //!   spent rebuilding and shards currently degraded. Construction has no
-//!   counters: a worker that fails to spawn fails construction.
-//! * [`POISON_DOC_TEXT`] / [`poison_document`] — the testkit's
-//!   poison-document mechanism: a marked document makes every shard worker
-//!   panic mid-mutation the first time it sees it, while fault-free
-//!   reference engines score it normally (the marker lives in the payload
-//!   text, which scoring ignores), so chaos scripts stay runnable in
-//!   lockstep.
+//!   counters: a worker that fails to start fails construction.
 //!
-//! The recovery design itself — one path: a faulted shard is rebuilt as a
-//! registration of its queries over the coordinator's window mirror — is
-//! documented in DESIGN.md §10 and implemented in [`crate::sharded`].
+//! Faults are injected only through [`crate::Engine::inject_fault`] and the
+//! sharded engine's `inject_disconnect` test hook; no document or query a
+//! caller passes in can fault a worker on purpose. The recovery design
+//! itself — one path: a faulted shard is rebuilt as a registration of its
+//! queries over the coordinator's window mirror — is documented in
+//! DESIGN.md §10 and implemented in [`crate::sharded`].
 
 use std::fmt;
 
-use cts_index::{DocId, Document, QueryId};
+use cts_index::{DocId, QueryId};
 
-/// A shard worker panicked: the shard's engine state is gone until the
-/// coordinator rebuilds it.
+/// A shard worker panicked and exited: the shard's engine state is gone
+/// until the coordinator rebuilds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFault {
     /// Which shard faulted (coordinator shard index).
@@ -50,11 +49,12 @@ impl std::error::Error for ShardFault {}
 /// panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker panicked while rebuilding its shard; the shard stays
-    /// degraded and the next mutating call tries the rebuild again.
+    /// A worker panicked while building its shard from the coordinator's
+    /// state; the shard stays degraded and the next mutating call tries the
+    /// rebuild again.
     ShardFault(ShardFault),
-    /// A worker thread is gone (its channel disconnected) and could not be
-    /// respawned; the next mutating call tries again.
+    /// A worker thread is gone (its channel disconnected) and a new one
+    /// could not be spawned; the next mutating call tries again.
     ShardUnavailable {
         /// Which shard's worker is unreachable.
         shard: usize,
@@ -106,34 +106,15 @@ pub struct FaultStats {
     pub recoveries: u64,
     /// Total time spent rebuilding shards, in microseconds.
     pub recovery_micros: u64,
-    /// Shards currently degraded (worker poisoned or gone). Only a read
+    /// Shards currently degraded (worker gone). Only a read
     /// through `&self` can leave one degraded past its call; the next
     /// mutating call rebuilds it.
     pub degraded_shards: usize,
 }
 
-/// The payload-text marker of a *poison document*: the first time a shard
-/// worker processes a document carrying this text it panics mid-mutation
-/// (exercising the recovery path), while engines without fault injection
-/// score the document normally — the marker rides in [`Document::text`],
-/// which no engine's scoring reads.
-pub const POISON_DOC_TEXT: &str = "__cts_poison__";
-
-/// Marks `doc` as a poison document (see [`POISON_DOC_TEXT`]).
-pub fn poison_document(doc: Document) -> Document {
-    doc.with_text(POISON_DOC_TEXT)
-}
-
-/// Whether `doc` carries the poison marker.
-pub fn is_poison_document(doc: &Document) -> bool {
-    doc.text.as_deref() == Some(POISON_DOC_TEXT)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_index::{DocId, Timestamp};
-    use cts_text::WeightedVector;
 
     #[test]
     fn errors_render_their_context() {
@@ -156,16 +137,5 @@ mod tests {
             EngineError::DuplicateDocument(DocId(4)).to_string(),
             "duplicate document id d4"
         );
-    }
-
-    #[test]
-    fn poison_marking_round_trips() {
-        let doc = Document::new(DocId(1), Timestamp::ZERO, WeightedVector::from_weights([]));
-        assert!(!is_poison_document(&doc));
-        let doc = poison_document(doc);
-        assert!(is_poison_document(&doc));
-        // The marker does not touch anything scoring reads.
-        assert_eq!(doc.id, DocId(1));
-        assert!(doc.composition.as_slice().is_empty());
     }
 }

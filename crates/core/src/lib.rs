@@ -70,9 +70,7 @@ pub mod testkit;
 pub mod validate;
 
 pub use engine::{Engine, EventOutcome, IngestEvent, RankedDocument};
-pub use fault::{
-    is_poison_document, poison_document, EngineError, FaultStats, ShardFault, POISON_DOC_TEXT,
-};
+pub use fault::{EngineError, FaultStats, ShardFault};
 pub use ita::{ItaConfig, ItaEngine, ItaQueryStats};
 pub use naive::{NaiveConfig, NaiveEngine};
 pub use oracle::BruteForceOracle;

@@ -38,45 +38,52 @@
 //!
 //! ## Fault tolerance
 //!
-//! A production service cannot let one poisoned event take every registered
-//! query down, so a worker panic is **data, not death** (DESIGN.md §10):
+//! A production service cannot let one faulting worker take every
+//! registered query down, so a worker panic is **data, not death of the
+//! process** (DESIGN.md §10):
 //!
-//! * **Panic isolation** — every request a worker handles runs under one
-//!   [`std::panic::catch_unwind`]. A panic never unwinds the worker thread:
-//!   it drops the shard's engine state and comes back as a typed
-//!   [`ShardFault`]; the shard is *degraded* (so is one whose thread is
-//!   gone).
-//! * **One recovery path, the rebuild** — the coordinator keeps durable
-//!   state updated **before** any fan-out — a query registry
+//! * **A shard is only ever built** — one function starts every worker: a
+//!   fresh thread seeded with the mirror's documents, the shard's queries
+//!   and their postings, which builds its engine from the seed and replies
+//!   once when it is ready. [`ShardedItaEngine::new`] seeds every worker
+//!   empty; recovery seeds one from the coordinator's durable state.
+//! * **A faulted worker exits** — the worker's whole life, building and
+//!   serving, runs under one [`std::panic::catch_unwind`]. A panic replies
+//!   with a typed [`ShardFault`] and ends the thread, so a shard is either
+//!   healthy or gone; the coordinator marks it *degraded* alike for a
+//!   `Fault` reply, a failed send and a failed receive.
+//! * **One recovery path, the seeded rebuild** — the coordinator keeps
+//!   durable state updated **before** any fan-out — a query registry
 //!   (id → [`ContinuousQuery`]), whose ids hash to their shards, and a window
-//!   mirror of `Arc`'d documents ([`WindowTerms`]) — and rebuilds a degraded shard
-//!   from it: respawn the thread if it is gone, load the mirror's documents
-//!   into a fresh engine (no query is live, so nothing is filed), then one
-//!   registration of the shard's queries with the postings the coordinator
-//!   resolves against the mirror. A rebuilt shard is "these queries
-//!   registered over this window", the state any registration produces.
-//!   Its top-k results are exact (ITA's reported top-k is a function of the
-//!   window contents and the queries); its thresholds are a fresh
-//!   registration's, not the faulted history's, so its work counters — and
-//!   the event outcomes built from them — are a rebuilt engine's from the
-//!   shard's first fault on (DESIGN.md §10).
+//!   mirror of `Arc`'d documents ([`WindowTerms`]) — and rebuilds a degraded
+//!   shard from it: join the old thread, resolve the postings of the shard's
+//!   queries against the mirror, spawn a worker seeded with them. The worker
+//!   loads the mirror's documents into a fresh engine (no query is live, so
+//!   nothing is filed), then registers the queries in one batch. A rebuilt
+//!   shard is "these queries registered over this window", the state any
+//!   registration produces. Its top-k results are exact (ITA's reported
+//!   top-k is a function of the window contents and the queries); its
+//!   thresholds are a fresh registration's, not the faulted history's, so
+//!   its work counters — and the event outcomes built from them — are a
+//!   rebuilt engine's from the shard's first fault on (DESIGN.md §10).
 //! * **Rebuilt before the call returns** — a mutating call rebuilds every
-//!   degraded shard before it fans out, and again before it returns, so it
-//!   surfaces a typed [`EngineError`] only when a rebuild itself fails. A
-//!   read through `&self` cannot rebuild: it answers a degraded shard with
-//!   its fallback (empty results, zeroed stats) and leaves the shard to the
-//!   next mutating call.
+//!   degraded shard before it fans out, and again before it returns, so a
+//!   shard that faults during a call loses its share of that call's
+//!   outcomes and nothing else. The call surfaces a typed [`EngineError`]
+//!   only when a rebuild itself fails. A read through `&self` cannot
+//!   rebuild: it answers a degraded shard with its fallback (empty results,
+//!   zeroed stats) and leaves the shard to the next mutating call.
 //!
 //! A document whose id is already in the window (or twice in one burst) is
 //! refused with [`EngineError::DuplicateDocument`] before any shard or the
 //! mirror sees it: every worker would panic on it, and the mirror would
 //! hand it to every rebuild.
 //!
-//! Workers are **persistent**: one spawned thread per shard, living until
-//! the engine shuts down. Construction panics if any of them fails to
-//! spawn, so an engine always runs on the shards it was asked for; a failed
-//! respawn during a rebuild leaves the shard degraded for the next mutating
-//! call to try again. Shutdown drains
+//! Workers are **persistent**: one thread per shard, living until the engine
+//! shuts down or the worker faults. Construction panics if any of them
+//! fails to start, so an engine always runs on the shards it was asked for;
+//! a worker that fails to start during a rebuild leaves the shard degraded
+//! for the next mutating call to try again. Shutdown drains
 //! each worker's final [`ProcessingStats`] through a handshake before
 //! joining, so no timing data is lost on drop.
 //!
@@ -99,7 +106,7 @@
 //! resolves the terms of a burst against it while no event burst is in
 //! flight (so the mirror and every healthy shard's store hold the same
 //! documents) and ships the [`TermPostings`] with the request, and so does a
-//! rebuild; the shard files
+//! rebuild's seed; the shard files
 //! what it finds newly live and never reads its own store
 //! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
 //! and expiry do no term work on the mirror (DESIGN.md §9). The randomized
@@ -110,8 +117,7 @@
 //! identical outcomes up to the first fault.
 
 use std::cell::RefCell;
-// cts-lint: allow(nondet-iteration, the one set below is membership-only; nothing iterates its order)
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -124,7 +130,7 @@ use cts_index::{
 };
 
 use crate::engine::{Engine, EventOutcome};
-use crate::fault::{is_poison_document, EngineError, FaultStats, ShardFault};
+use crate::fault::{EngineError, FaultStats, ShardFault};
 use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats};
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
@@ -134,6 +140,17 @@ use crate::stats::ProcessingStats;
 /// assigned id, every query one allocation shared by the coordinator's
 /// registry and the worker's engine.
 type SharedQueries = Arc<[(QueryId, Arc<ContinuousQuery>)]>;
+
+/// What a worker builds its engine from: the mirror's documents (oldest
+/// first), then the shard's queries registered with the postings the
+/// coordinator resolved for their terms over those documents. Empty for a
+/// worker [`ShardedItaEngine::new`] starts.
+#[derive(Default)]
+struct Seed {
+    window: Vec<Arc<Document>>,
+    queries: Vec<(QueryId, Arc<ContinuousQuery>)>,
+    postings: TermPostings,
+}
 
 /// A request travelling coordinator → shard on the shard's SPSC channel.
 enum ShardRequest {
@@ -166,20 +183,14 @@ enum ShardRequest {
     /// fill/register phase, so later readings cover only measured events).
     ResetStats,
     /// Arm one injected fault: the next stream event is applied for real and
-    /// the worker then panics mid-request, poisoning the shard.
+    /// the worker then panics mid-request, which ends the worker.
     ArmFault,
-    /// Rebuild the shard from the coordinator's durable state: a fresh
-    /// term-filtered engine loaded with the given window (the mirror's
-    /// documents, oldest first), then the given queries registered with the
-    /// postings the coordinator resolved for their terms over that window.
-    /// Clears any poisoning.
-    Rebuild(Vec<Arc<Document>>, SharedQueries, Arc<TermPostings>),
     /// Audit the shard engine's deep structural invariants, that its store
     /// holds exactly the given documents (the coordinator's mirror, oldest
     /// first) and that it hosts exactly the given queries (the registry's
     /// ids that hash to this shard) (synchronous; replies
     /// [`ShardReply::InvariantsChecked`]). A violation panics inside the
-    /// worker's guard and surfaces as a [`ShardReply::Fault`] carrying the
+    /// worker and surfaces as a [`ShardReply::Fault`] carrying the
     /// assertion message. Driven by the testkit lockstep runner under the
     /// `invariant-checks` feature; never sent on production paths.
     CheckInvariants(Arc<[DocId]>, Vec<QueryId>),
@@ -194,6 +205,9 @@ enum ShardRequest {
 /// A reply travelling shard → coordinator, always in request order (each
 /// channel pair carries at most one outstanding request per shard).
 enum ShardReply {
+    /// The worker built its engine from its seed and is serving; the first
+    /// reply of every worker.
+    Ready,
     Registered,
     Deregistered(bool),
     /// The per-document outcomes, in order.
@@ -204,15 +218,14 @@ enum ShardReply {
     Stats(ProcessingStats),
     StatsReset,
     Armed,
-    Rebuilt,
     /// The shard's engine passed its structural audit.
     InvariantsChecked,
     /// The worker's final stats, sent once in response to
     /// [`ShardRequest::Shutdown`] just before the thread exits.
     ShuttingDown(ProcessingStats),
-    /// The request could not be served: the worker caught a panic serving it
-    /// (or its state is already gone). The shard is degraded until the
-    /// coordinator rebuilds it.
+    /// The worker caught a panic building its engine or serving the
+    /// request, and its thread is exiting: the last reply it sends. The
+    /// shard is degraded until the coordinator rebuilds it.
     Fault(ShardFault),
 }
 
@@ -227,81 +240,59 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The per-thread state of one shard worker: the engine (or the fault that
-/// poisoned it), local processing stats, and the fault-injection hooks.
+/// The per-thread state of one shard worker: the engine, local processing
+/// stats, and whether an injected fault is armed.
 struct ShardWorker {
     shard: usize,
-    window: SlidingWindow,
-    /// The engine — or, while the shard is poisoned, the fault that dropped
-    /// it, replayed to every request that needs the engine until a rebuild.
-    engine: Result<ItaEngine, ShardFault>,
+    engine: ItaEngine,
     stats: ProcessingStats,
-    /// Injected faults armed via [`ShardRequest::ArmFault`]; each is
-    /// consumed by one stream event, and a rebuild on this thread keeps the
-    /// rest armed.
-    armed_faults: u32,
-    /// Poison documents already detonated once on this thread — a document
-    /// a rebuild loads from the mirror is never processed again anyway.
-    seen_poison: HashSet<u64>, // cts-lint: allow(nondet-iteration, membership probes only; never iterated)
+    /// Whether [`ShardRequest::ArmFault`] armed an injected fault. The next
+    /// stream event fires it, and the worker dies with it: arming twice
+    /// still faults once.
+    fault_armed: bool,
 }
 
 impl ShardWorker {
-    fn new(shard: usize, window: SlidingWindow) -> Self {
+    /// Builds the shard's engine from its seed. The mirror holds only
+    /// currently valid documents, so loading them triggers no expiration,
+    /// and with no query live it files nothing and runs no threshold work.
+    /// Then the shard's queries register as any burst does, with their
+    /// postings resolved over those documents. No injection check and no
+    /// stats recording: building is not stream work.
+    fn build(shard: usize, window: SlidingWindow, seed: Seed) -> Self {
+        let mut engine = ItaEngine::term_filtered(window);
+        for doc in seed.window {
+            engine.process_shared(doc);
+        }
+        engine.register_shared_batch(&seed.queries, &seed.postings);
         Self {
             shard,
-            window,
-            engine: Ok(ItaEngine::term_filtered(window)),
+            engine,
             stats: ProcessingStats::default(),
-            armed_faults: 0,
-            seen_poison: HashSet::new(), // cts-lint: allow(nondet-iteration, membership probes only; never iterated)
+            fault_armed: false,
         }
     }
 
-    /// Whether this event should detonate: an armed injected fault, or the
-    /// first sighting of a poison document. The injection models a
-    /// *partial* failure: the event is applied for real, then the panic
-    /// fires.
-    fn take_injection(&mut self, doc: &Document) -> bool {
-        if self.armed_faults > 0 {
-            self.armed_faults -= 1;
-            return true;
-        }
-        is_poison_document(doc) && self.seen_poison.insert(doc.id.0)
-    }
-
-    /// Processes and times one stream event. A panic — the engine's or an
-    /// injected one, which fires after the event is applied — unwinds to
-    /// [`ShardWorker::guarded`], which poisons the shard.
-    fn process_one(&mut self, doc: Arc<Document>) -> Result<EventOutcome, ShardFault> {
-        let inject = self.take_injection(&doc);
+    /// Processes and times one stream event. An armed injected fault models
+    /// a *partial* failure: the event is applied for real, then the panic
+    /// fires and ends the worker.
+    fn process_one(&mut self, doc: Arc<Document>) -> EventOutcome {
         let doc_id = doc.id;
-        let engine = self.live_mut()?;
         let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the event for stats; never read by engine state)
-        let outcome = engine.process_shared(doc);
+        let outcome = self.engine.process_shared(doc);
         let elapsed = start.elapsed();
-        if inject {
+        if self.fault_armed {
             // cts-lint: allow(panic-in-hot-path, deliberate injected fault; the recovery machinery under test)
             panic!("injected fault while processing document {}", doc_id.0);
         }
         self.stats.record(&outcome, elapsed);
-        Ok(outcome)
-    }
-
-    /// The engine, for a request that only reads it — or the fault to
-    /// report while the shard's state is gone.
-    fn live(&self) -> Result<&ItaEngine, ShardFault> {
-        self.engine.as_ref().map_err(ShardFault::clone)
-    }
-
-    /// The engine, for a request that changes it.
-    fn live_mut(&mut self) -> Result<&mut ItaEngine, ShardFault> {
-        self.engine.as_mut().map_err(|fault| fault.clone())
+        outcome
     }
 
     /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
-    /// here; `guarded` converts it into a `Fault` reply carrying the message.
-    fn audit(&self, mirror: &[DocId], hosted: &[QueryId]) -> Result<ShardReply, ShardFault> {
-        let engine = self.live()?;
+    /// here, which ends the worker with a `Fault` reply carrying the message.
+    fn audit(&self, mirror: &[DocId], hosted: &[QueryId]) -> ShardReply {
+        let engine = &self.engine;
         engine.check_invariants();
         // Shipped postings are only right if the coordinator resolved them
         // over the very documents this store holds.
@@ -322,82 +313,45 @@ impl ShardWorker {
             engine.num_queries(),
             hosted.len()
         );
-        Ok(ShardReply::InvariantsChecked)
+        ShardReply::InvariantsChecked
     }
 
-    /// Serves one request under the worker's one panic guard: a panic
-    /// anywhere in it poisons the shard — the engine state is dropped, every
-    /// engine-touching request replies `fault` until the coordinator
-    /// rebuilds the shard — instead of unwinding the thread. The one place a
-    /// fault becomes a reply.
-    fn guarded(&mut self, request: ShardRequest) -> ShardReply {
-        match catch_unwind(AssertUnwindSafe(|| self.handle(request))) {
-            Ok(reply) => reply.unwrap_or_else(ShardReply::Fault),
-            Err(payload) => {
-                let fault = ShardFault {
-                    shard: self.shard,
-                    context: panic_message(payload.as_ref()),
-                };
-                self.engine = Err(fault.clone());
-                ShardReply::Fault(fault)
-            }
-        }
-    }
-
-    fn handle(&mut self, request: ShardRequest) -> Result<ShardReply, ShardFault> {
-        Ok(match request {
+    fn handle(&mut self, request: ShardRequest) -> ShardReply {
+        match request {
             ShardRequest::RegisterBatch(batch, postings) => {
-                self.live_mut()?.register_shared_batch(&batch, &postings);
+                self.engine.register_shared_batch(&batch, &postings);
                 ShardReply::Registered
             }
-            ShardRequest::Deregister(qid) => {
-                ShardReply::Deregistered(self.live_mut()?.deregister(qid))
-            }
+            ShardRequest::Deregister(qid) => ShardReply::Deregistered(self.engine.deregister(qid)),
             ShardRequest::ProcessBatch(docs) => {
                 // One channel round-trip covers the whole burst; the worker
                 // still processes and times each event individually, so the
                 // outcomes and the per-worker stats do not depend on how the
-                // stream was cut into bursts. A mid-batch fault fails the
-                // whole batch reply (the shard is degraded anyway).
-                let mut outcomes = Vec::with_capacity(docs.len());
-                for doc in docs.iter() {
-                    outcomes.push(self.process_one(Arc::clone(doc))?);
-                }
+                // stream was cut into bursts.
+                let outcomes = docs
+                    .iter()
+                    .map(|doc| self.process_one(Arc::clone(doc)))
+                    .collect();
                 ShardReply::ProcessedBatch(outcomes)
             }
-            ShardRequest::Results(qid) => ShardReply::Results(self.live()?.current_results(qid)),
-            ShardRequest::QueryStats(qid) => ShardReply::QueryStats(self.live()?.query_stats(qid)),
-            ShardRequest::IndexStats => ShardReply::IndexStats(self.live()?.index_stats()),
+            ShardRequest::Results(qid) => ShardReply::Results(self.engine.current_results(qid)),
+            ShardRequest::QueryStats(qid) => ShardReply::QueryStats(self.engine.query_stats(qid)),
+            ShardRequest::IndexStats => ShardReply::IndexStats(self.engine.index_stats()),
             ShardRequest::Stats => ShardReply::Stats(self.stats),
             ShardRequest::ResetStats => {
                 self.stats = ProcessingStats::default();
                 ShardReply::StatsReset
             }
             ShardRequest::ArmFault => {
-                self.armed_faults += 1;
+                self.fault_armed = true;
                 ShardReply::Armed
             }
-            ShardRequest::CheckInvariants(mirror, hosted) => self.audit(&mirror, &hosted)?,
-            ShardRequest::Rebuild(window_docs, queries, postings) => {
-                // The mirror holds only currently valid documents, so loading
-                // them triggers no expiration, and with no query live it
-                // files nothing and runs no threshold work. Then the shard's
-                // queries register as any burst does, with their postings
-                // resolved over those documents. No injection check and no
-                // stats recording: recovery work is not stream work.
-                let mut engine = ItaEngine::term_filtered(self.window);
-                for doc in window_docs {
-                    engine.process_shared(doc);
-                }
-                engine.register_shared_batch(&queries, &postings);
-                self.engine = Ok(engine);
-                ShardReply::Rebuilt
-            }
+            ShardRequest::CheckInvariants(mirror, hosted) => self.audit(&mirror, &hosted),
             ShardRequest::Shutdown | ShardRequest::Crash => {
                 // cts-lint: allow(panic-in-hot-path, the worker loop intercepts lifecycle requests before handle)
                 unreachable!("lifecycle requests are handled by the worker loop")
             }
-        })
+        }
     }
 }
 
@@ -429,33 +383,41 @@ fn next_request(requests: &Receiver<ShardRequest>) -> Option<ShardRequest> {
     requests.recv().ok()
 }
 
-/// The persistent worker loop: one guarded [`ShardWorker`] driven by the
-/// shard's request channel until the coordinator hangs up or sends the
-/// shutdown handshake. A panic while serving a request is caught and
-/// reported as [`ShardReply::Fault`]; it never unwinds the thread.
+/// A worker thread's whole life under its one panic guard: build the
+/// engine from `seed`, then serve until the coordinator hangs up, sends the
+/// shutdown handshake or crashes the thread. A panic anywhere in it — the
+/// build, or the one request being served — becomes the thread's last
+/// reply, [`ShardReply::Fault`], and the thread exits.
 fn worker_loop(
     shard: usize,
     window: SlidingWindow,
+    seed: Seed,
     requests: Receiver<ShardRequest>,
     replies: Sender<ShardReply>,
 ) {
-    let mut worker = ShardWorker::new(shard, window);
-    while let Some(request) = next_request(&requests) {
-        let reply = match request {
-            ShardRequest::Shutdown => {
-                // Final-stats handshake: surrendering the accumulated stats
-                // in the reply is what keeps them from dying with the
-                // thread.
-                let _ = replies.send(ShardReply::ShuttingDown(worker.stats));
-                return;
-            }
-            ShardRequest::Crash => return,
-            request => worker.guarded(request),
-        };
-        if replies.send(reply).is_err() {
-            // The coordinator is gone; nothing left to serve.
-            break;
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        let mut worker = ShardWorker::build(shard, window, seed);
+        let mut reply = ShardReply::Ready;
+        // A failed send means the coordinator is gone; nothing left to serve.
+        while replies.send(reply).is_ok() {
+            reply = match next_request(&requests) {
+                None | Some(ShardRequest::Crash) => return,
+                Some(ShardRequest::Shutdown) => {
+                    // Final-stats handshake: surrendering the accumulated
+                    // stats in the reply is what keeps them from dying with
+                    // the thread.
+                    let _ = replies.send(ShardReply::ShuttingDown(worker.stats));
+                    return;
+                }
+                Some(request) => worker.handle(request),
+            };
         }
+    }));
+    if let Err(payload) = served {
+        let _ = replies.send(ShardReply::Fault(ShardFault {
+            shard,
+            context: panic_message(payload.as_ref()),
+        }));
     }
 }
 
@@ -488,8 +450,8 @@ struct FaultState {
 /// fan-out and batch protocols, the fault model and the exactness argument.
 #[derive(Debug)]
 pub struct ShardedItaEngine {
-    /// Per-shard channels + thread handles. Workers are respawned in place
-    /// by a rebuild, so the vector length is the shard count.
+    /// Per-shard channels + thread handles. A rebuild replaces a shard's
+    /// handle in place, so the vector length is the shard count.
     workers: Vec<ShardHandle>,
     window: SlidingWindow,
     /// Durable copy of every registered query, in id order. Its keys are the
@@ -518,17 +480,16 @@ impl ShardedItaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, or with the io error if any worker thread
-    /// fails to spawn: an engine runs on exactly the shards it was asked for.
+    /// Panics if `shards == 0`, or if any worker fails to start: an engine
+    /// runs on exactly the shards it was asked for.
     pub fn new(window: SlidingWindow, _config: ItaConfig, shards: usize) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        let workers: Vec<ShardHandle> = (0..shards)
-            .map(|shard| match Self::spawn_worker(shard, window) {
-                Ok(handle) => handle,
-                // cts-lint: allow(panic-in-hot-path, construction fails loudly rather than run on fewer shards than asked for)
-                Err(error) => panic!("could not spawn shard worker {shard}: {error}"),
-            })
-            .collect();
+        let start = |shard| match Self::spawn_worker(shard, window, Seed::default()) {
+            Ok(handle) => handle,
+            // cts-lint: allow(panic-in-hot-path, construction fails loudly rather than run on fewer shards than asked for)
+            Err(error) => panic!("could not start shard worker {shard}: {error}"),
+        };
+        let workers: Vec<ShardHandle> = (0..shards).map(start).collect();
         Self {
             workers,
             window,
@@ -543,16 +504,35 @@ impl ShardedItaEngine {
         }
     }
 
-    fn spawn_worker(shard: usize, window: SlidingWindow) -> std::io::Result<ShardHandle> {
+    /// The one way a shard worker comes to be: spawns a fresh thread that
+    /// builds its engine from `seed`, and returns once it replied that it
+    /// is ready. A thread that fails to spawn is
+    /// [`EngineError::ShardUnavailable`]; a build that panics is the
+    /// worker's [`EngineError::ShardFault`], its thread joined.
+    fn spawn_worker(
+        shard: usize,
+        window: SlidingWindow,
+        seed: Seed,
+    ) -> Result<ShardHandle, EngineError> {
         let (request_tx, request_rx) = std::sync::mpsc::channel();
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         let thread = std::thread::Builder::new()
             .name(format!("cts-shard-{shard}"))
-            .spawn(move || worker_loop(shard, window, request_rx, reply_tx))?;
-        Ok(ShardHandle {
-            sender: request_tx,
-            receiver: reply_rx,
-            thread: Some(thread),
+            .spawn(move || worker_loop(shard, window, seed, request_rx, reply_tx))
+            .map_err(|_| EngineError::ShardUnavailable { shard })?;
+        let ready = reply_rx.recv();
+        if matches!(ready, Ok(ShardReply::Ready)) {
+            return Ok(ShardHandle {
+                sender: request_tx,
+                receiver: reply_rx,
+                thread: Some(thread),
+            });
+        }
+        // The worker's first reply is `Ready` or its last, `Fault`.
+        let _ = thread.join();
+        Err(match ready {
+            Ok(ShardReply::Fault(fault)) => EngineError::ShardFault(fault),
+            _ => EngineError::ShardUnavailable { shard },
         })
     }
 
@@ -640,23 +620,6 @@ impl ShardedItaEngine {
         self.recv_reply(shard)
     }
 
-    /// Sends `request` to `shard` and says whether a reply is now pending —
-    /// the one place a fan-out meets a worker that died unseen, which marks
-    /// the shard degraded. A registration needs nothing more (`resend`
-    /// false): the caller's closing [`ShardedItaEngine::recover_degraded`]
-    /// runs it from the registry. Stream events cannot wait for that — they
-    /// reach the mirror only after the fan-out — so the shard is rebuilt on
-    /// the spot and sent the burst again: it holds the exact pre-burst
-    /// window, and its share of the outcome survives.
-    fn send_or_resurrect(&mut self, shard: usize, request: ShardRequest, resend: bool) -> bool {
-        let Err(std::sync::mpsc::SendError(request)) = self.workers[shard].sender.send(request)
-        else {
-            return true;
-        };
-        self.mark_degraded(shard);
-        resend && self.resurrect(shard).is_ok() && self.send(shard, request).is_ok()
-    }
-
     /// Rebuilds every degraded shard from the durable registry + window
     /// mirror. Every mutating call runs it before its fan-out, for shards a
     /// read or a failed rebuild left degraded, and again after its receive
@@ -666,69 +629,49 @@ impl ShardedItaEngine {
     fn recover_degraded(&mut self) -> Result<(), EngineError> {
         for shard in 0..self.workers.len() {
             if self.is_degraded(shard) {
-                self.resurrect(shard)?;
+                self.rebuild(shard)?;
             }
         }
         Ok(())
     }
 
-    /// The one recovery path, for one shard: respawn the worker thread if it
-    /// is gone, then rebuild its engine as a registration of its queries —
-    /// the registry's ids that hash to it, in id order — over the mirror,
-    /// with their postings resolved here as
+    /// The one recovery path, for one shard: join the old worker thread —
+    /// a degraded shard's worker replied `Fault` or hung up, so it has
+    /// exited — then spawn a worker seeded with the mirror's documents and
+    /// the shard's queries (the registry's ids that hash to it, in id
+    /// order), their postings resolved here as
     /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. Rebuilt
     /// results are exact; the thresholds are a fresh registration's, so
     /// future work counters need not match a fault-free history — see
     /// DESIGN.md §10.
-    fn resurrect(&mut self, shard: usize) -> Result<(), EngineError> {
+    fn rebuild(&mut self, shard: usize) -> Result<(), EngineError> {
         let start = Instant::now(); // cts-lint: allow(clock-in-apply, measures recovery cost only; never read by engine state)
-        let queries: SharedQueries = self
+        if let Some(thread) = self.workers[shard].thread.take() {
+            // An error here is a panic that escaped the worker's guard; the
+            // panic hook has reported it, and the shard is rebuilt anyway.
+            let _ = thread.join();
+        }
+        let queries: Vec<(QueryId, Arc<ContinuousQuery>)> = self
             .registry
             .iter()
             .filter(|(qid, _)| self.shard_of(**qid) == shard)
             .map(|(qid, query)| (*qid, Arc::clone(query)))
             .collect();
-        let terms = queries
-            .iter()
-            .flat_map(|(_, query)| query.terms().map(|(term, _)| term));
-        let postings = Arc::new(self.mirror.postings(terms));
-        let rebuild = |engine: &Self| {
-            let window = engine.mirror.iter().cloned().collect();
-            ShardRequest::Rebuild(window, queries.clone(), Arc::clone(&postings))
+        let postings = self.mirror.postings(
+            queries
+                .iter()
+                .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
+        );
+        let seed = Seed {
+            window: self.mirror.iter().cloned().collect(),
+            queries,
+            postings,
         };
-        let mut reply = self.call_shard(shard, rebuild(self));
-        if matches!(reply, Err(EngineError::ShardUnavailable { .. })) {
-            // The thread is gone, not just poisoned — and an exiting thread
-            // can still accept the request before it hangs up, so a
-            // disconnect on either leg means respawn, then resend.
-            self.respawn(shard)?;
-            self.send(shard, rebuild(self))?;
-            reply = self.recv_reply(shard);
-        }
-        match reply? {
-            ShardReply::Rebuilt => {
-                let mut state = self.fault_state.borrow_mut();
-                state.degraded[shard] = false;
-                state.stats.recoveries += 1;
-                state.stats.recovery_micros += start.elapsed().as_micros() as u64;
-                Ok(())
-            }
-            _ => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
-        }
-    }
-
-    /// Replaces a dead worker thread with a fresh one (empty engine, same
-    /// shard index). The caller follows up with a [`ShardRequest::Rebuild`].
-    /// A failed spawn is not retried here: the shard stays degraded, the call
-    /// returns [`EngineError::ShardUnavailable`], and the next mutating call
-    /// tries again.
-    fn respawn(&mut self, shard: usize) -> Result<(), EngineError> {
-        if let Some(thread) = self.workers[shard].thread.take() {
-            // The thread already exited (its channel disconnected); reap it.
-            let _ = thread.join();
-        }
-        self.workers[shard] = Self::spawn_worker(shard, self.window)
-            .map_err(|_| EngineError::ShardUnavailable { shard })?;
+        self.workers[shard] = Self::spawn_worker(shard, self.window, seed)?;
+        let mut state = self.fault_state.borrow_mut();
+        state.degraded[shard] = false;
+        state.stats.recoveries += 1;
+        state.stats.recovery_micros += start.elapsed().as_micros() as u64;
         Ok(())
     }
 
@@ -767,11 +710,10 @@ impl ShardedItaEngine {
     /// the shards. A burst that repeats an id, or names one still in the
     /// window, is refused whole with [`EngineError::DuplicateDocument`]
     /// before anything moves. Every degraded shard is rebuilt before the
-    /// fan-out, and a mid-burst fault before returning: a worker found dead
-    /// at the send is rebuilt and sent the burst again, so its share of the
-    /// outcomes survives; a worker that faults on the burst is rebuilt from
-    /// the mirror, which holds the burst by then, and its share of the
-    /// burst's outcomes is lost (results stay exact).
+    /// fan-out, and every shard that faults during it — a worker found gone
+    /// at the send, or one that faults on the burst — before returning,
+    /// from the mirror, which holds the burst by then: that shard's share
+    /// of the burst's outcomes is lost (results stay exact).
     pub fn try_process_batch(
         &mut self,
         docs: Vec<Document>,
@@ -785,13 +727,12 @@ impl ShardedItaEngine {
         self.recover_degraded()?;
         self.clock = last.arrival;
         let docs: Arc<[Arc<Document>]> = docs.into_iter().map(Arc::new).collect();
-        let mut pending = Vec::with_capacity(self.workers.len());
-        for shard in 0..self.workers.len() {
-            let request = ShardRequest::ProcessBatch(Arc::clone(&docs));
-            if self.send_or_resurrect(shard, request, true) {
-                pending.push(shard);
-            }
-        }
+        let pending: Vec<usize> = (0..self.workers.len())
+            .filter(|&shard| {
+                self.send(shard, ShardRequest::ProcessBatch(Arc::clone(&docs)))
+                    .is_ok()
+            })
+            .collect();
         // The burst becomes durable before outcomes are read: any recovery
         // from here on replays it from the mirror. The mirror's view seeds
         // the merge: `merge_shard` debug-checks every shard's expirations
@@ -828,10 +769,10 @@ impl ShardedItaEngine {
     /// and shipped to the shards, which file them instead of reading the
     /// window themselves. Each query goes to its hash shard
     /// ([`ShardedItaEngine::shard_of`]). The registry is updated **before**
-    /// the fan-out, so a worker fault during registration is recoverable:
-    /// the rebuild re-registers the batch from the registry. On error the
-    /// registry keeps the minted registrations; the next mutating call's
-    /// rebuild makes the workers agree.
+    /// the fan-out, so a shard that faults during registration is rebuilt
+    /// with the burst's queries from the registry. On error the registry
+    /// keeps the minted registrations; the next mutating call's rebuild
+    /// makes the workers agree.
     pub fn try_register_batch(
         &mut self,
         queries: Vec<ContinuousQuery>,
@@ -848,7 +789,7 @@ impl ShardedItaEngine {
             self.next_query += 1;
             let query = Arc::new(query);
             per_shard[self.shard_of(qid)].push((qid, Arc::clone(&query)));
-            // Durable state first: a fault from here on resurrects with the
+            // Durable state first: a fault from here on rebuilds with the
             // new queries included.
             self.registry.insert(qid, query);
             ids.push(qid);
@@ -872,7 +813,7 @@ impl ShardedItaEngine {
             }
             let request =
                 ShardRequest::RegisterBatch(std::mem::take(group).into(), Arc::clone(&postings));
-            if self.send_or_resurrect(shard, request, false) {
+            if self.send(shard, request).is_ok() {
                 pending.push(shard);
             }
         }
@@ -955,7 +896,8 @@ impl ShardedItaEngine {
     }
 
     /// Per-shard processing statistics (each worker times its own event
-    /// handling), in shard order. Degraded shards report zeroed stats.
+    /// handling), in shard order. Degraded shards report zeroed stats, and a
+    /// rebuilt shard counts from its rebuild: a worker's stats die with it.
     pub fn shard_stats(&self) -> Vec<ProcessingStats> {
         self.broadcast_collect(
             || ShardRequest::Stats,
@@ -1021,7 +963,7 @@ impl ShardedItaEngine {
             }
             if let Some(thread) = handle.thread.take() {
                 if thread.join().is_err() && !std::thread::panicking() {
-                    // cts-lint: allow(panic-in-hot-path, shutdown path surfacing a worker panic that escaped the guards)
+                    // cts-lint: allow(panic-in-hot-path, shutdown path surfacing a worker panic that escaped its guard)
                     panic!("a shard worker panicked; see stderr for the root cause");
                 }
             }
@@ -1167,7 +1109,7 @@ impl Engine for ShardedItaEngine {
     /// the registry's queries that hash to it, via a `CheckInvariants`
     /// request; a worker-side violation comes back
     /// as a fault carrying the assertion message and is re-raised here.
-    /// Degraded shards are skipped — their state is gone by definition and
+    /// Degraded shards are skipped — their worker is gone by definition and
     /// the rebuild starts from the registry and the mirror.
     fn check_invariants(&self) {
         self.mirror.check_invariants();
@@ -1376,13 +1318,16 @@ mod tests {
         assert!(batched.process_batch(Vec::new()).is_empty());
     }
 
-    /// A worker that died unseen is found by the fan-out itself: the shard is
-    /// rebuilt from the mirror, which does not hold the burst yet, and the
-    /// burst — here of one event, through either entry point — is sent
-    /// again, so the shard's share of the outcome survives. (A rebuild after
-    /// mirroring would have replayed the event unrecorded.)
+    /// The one fault rule: a shard that faults during a call is rebuilt
+    /// before the call returns and loses its share of that call's outcomes.
+    /// Here the worker is killed and joined before the event, so the fan-out
+    /// finds it gone at the send, through either entry point. The rebuild
+    /// loads the event from the mirror unrecorded, so the rebuilt shard
+    /// counts no event, and the outcome is shard 0's share alone — the
+    /// window's arrival and expirations are the reference's — while results
+    /// stay exact.
     #[test]
-    fn a_singleton_sent_to_a_dead_worker_is_resent_after_resurrection() {
+    fn a_worker_gone_before_an_event_is_rebuilt_and_loses_its_share() {
         let window = SlidingWindow::count_based(8);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
         let mut singles = ShardedItaEngine::new(window, ItaConfig::default(), 2);
@@ -1394,9 +1339,10 @@ mod tests {
             singles.register(q.clone());
             bursts.register(q);
         }
+        let on_shard_0 = qids.iter().filter(|&&q| singles.shard_of(q) == 0).count();
         assert!(
-            qids.iter().any(|&q| singles.shard_of(q) == 1),
-            "shard 1 hosts nothing"
+            on_shard_0 > 0 && on_shard_0 < qids.len(),
+            "both shards must host a query"
         );
         for i in 0..12u64 {
             let d = doc(i, &[((i % 3) as u32, 0.1 + (i % 4) as f64 * 0.1)]);
@@ -1405,7 +1351,7 @@ mod tests {
             bursts.process_document(d);
         }
         for engine in [&mut singles, &mut bursts] {
-            // Joined, so the next send fails instead of racing the exit.
+            // Joined, so the send fails instead of racing the exit.
             assert!(engine.inject_disconnect(1));
             let thread = engine.workers[1].thread.take().expect("worker thread");
             thread.join().expect("the crash hook exits cleanly");
@@ -1418,12 +1364,10 @@ mod tests {
         assert_eq!(bursts.process_batch(vec![d]), vec![single]);
         assert_eq!(
             (single.arrived, single.expired, single.results_changed),
-            (expected.arrived, expected.expired, expected.results_changed)
+            (expected.arrived, expected.expired, on_shard_0)
         );
         for engine in [&singles, &bursts] {
-            // The respawned worker loaded the window unrecorded; the one
-            // event it counts is the resent one.
-            assert_eq!(engine.shard_stats()[1].events, 1);
+            assert_eq!(engine.shard_stats()[1].events, 0);
             let stats = engine.fault_stats().expect("tracked");
             assert_eq!(
                 (stats.faults, stats.recoveries, stats.degraded_shards),
@@ -1501,7 +1445,7 @@ mod tests {
         assert_eq!(handle, 2);
     }
 
-    /// A fault poisons the shard, and the coordinator rebuilds it before the
+    /// A fault ends the shard's worker, and the coordinator rebuilds it before the
     /// event returns: the faulted shard's share of that event's outcome is
     /// lost, so outcomes match up to the first fault and results always.
     #[test]

@@ -143,11 +143,7 @@ fn write_composition(f: &mut fmt::Formatter<'_>, composition: &WeightedVector) -
 
 fn write_doc(f: &mut fmt::Formatter<'_>, doc: &Document) -> fmt::Result {
     write!(f, "{} @{}us ", doc.id, doc.arrival.as_micros())?;
-    write_composition(f, &doc.composition)?;
-    if crate::fault::is_poison_document(doc) {
-        write!(f, " poison")?;
-    }
-    Ok(())
+    write_composition(f, &doc.composition)
 }
 
 impl fmt::Display for Op {
@@ -234,6 +230,11 @@ impl fmt::Display for OpScript {
     }
 }
 
+/// Shard pseudo-indices [`generate_script`] arms, taken modulo an engine's
+/// shard count: one run of `0..ARMED_SHARDS` arms every shard of an engine
+/// with up to this many.
+pub const ARMED_SHARDS: usize = 8;
+
 /// Shape of the scripts [`generate_script`] produces. The defaults mirror
 /// the adversarial stream the sharded-equivalence suite has used since PR 4:
 /// a small vocabulary and a discrete weight palette force long tie runs and
@@ -277,10 +278,11 @@ pub struct ScriptConfig {
     /// ([`Op::InjectFault`]): the next event that shard processes is applied
     /// and then the worker panics mid-request, forcing a rebuild.
     pub inject_fault_probability: f64,
-    /// Per-document probability of shipping a *poison document*
-    /// ([`crate::poison_document`]): every fault-injecting shard panics the
-    /// first time it sees one, while plain engines score it normally.
-    pub poison_probability: f64,
+    /// Per-document probability of arming every shard at once: one
+    /// [`Op::InjectFault`] per pseudo-index below [`ARMED_SHARDS`], just
+    /// before the feed op that carries the document, so every shard of an
+    /// engine with up to that many faults on one event.
+    pub fault_every_shard_probability: f64,
 }
 
 impl Default for ScriptConfig {
@@ -301,7 +303,7 @@ impl Default for ScriptConfig {
             max_k: 3,
             max_doc_terms: 5,
             inject_fault_probability: 0.0,
-            poison_probability: 0.0,
+            fault_every_shard_probability: 0.0,
         }
     }
 }
@@ -334,14 +336,14 @@ impl ScriptConfig {
     }
 
     /// The chaos shape: the churn storm with faults mixed in — frequent
-    /// injected worker faults and occasional poison documents on top of the
-    /// registration churn and batching. This is the fault-injection
-    /// differential axis: a fault-tolerant engine must stay in lockstep with
+    /// injected faults on one shard and occasional ones on every shard at
+    /// once, on top of the registration churn and batching. This is the
+    /// fault-injection differential axis: a fault-tolerant engine must stay in lockstep with
     /// a fault-free reference *through* its own crashes and recoveries.
     pub fn chaos_storm() -> Self {
         Self {
             inject_fault_probability: 0.10,
-            poison_probability: 0.02,
+            fault_every_shard_probability: 0.02,
             ..Self::churn_storm()
         }
     }
@@ -390,12 +392,10 @@ pub fn generate_script(config: &ScriptConfig, seed: u64) -> OpScript {
         clock = clock.advance(std::time::Duration::from_millis(
             rng.below(config.max_gap_millis + 1) as u64,
         ));
-        let mut doc = random_document(rng, config, next_doc, clock);
-        if rng.chance(config.poison_probability) {
-            doc = crate::fault::poison_document(doc);
-        }
+        let doc = random_document(rng, config, next_doc, clock);
+        let fault_every_shard = rng.chance(config.fault_every_shard_probability);
         next_doc += 1;
-        doc
+        (doc, fault_every_shard)
     };
     while emitted < config.events {
         if rng.chance(config.register_probability) {
@@ -403,7 +403,7 @@ pub fn generate_script(config: &ScriptConfig, seed: u64) -> OpScript {
         }
         if rng.chance(config.inject_fault_probability) {
             script.push(Op::InjectFault {
-                shard: rng.below(8),
+                shard: rng.below(ARMED_SHARDS),
             });
         }
         if rng.chance(config.burst_register_probability) {
@@ -417,18 +417,25 @@ pub fn generate_script(config: &ScriptConfig, seed: u64) -> OpScript {
                 victim: rng.below(64),
             });
         }
-        if rng.chance(config.batch_probability) {
+        let (feed, fault_every_shard) = if rng.chance(config.batch_probability) {
             let size = rng
                 .range(2, config.max_batch.max(2) + 1)
                 .min(config.events - emitted)
                 .max(1);
-            let docs: Vec<Document> = (0..size).map(|_| next_document(&mut rng)).collect();
+            let (docs, faults): (Vec<Document>, Vec<bool>) =
+                (0..size).map(|_| next_document(&mut rng)).unzip();
             emitted += docs.len();
-            script.push(Op::FeedBatch(docs));
+            (Op::FeedBatch(docs), faults.contains(&true))
         } else {
-            script.push(Op::Feed(next_document(&mut rng)));
+            let (doc, fault_every_shard) = next_document(&mut rng);
             emitted += 1;
+            (Op::Feed(doc), fault_every_shard)
+        };
+        if fault_every_shard {
+            let arms = (0..ARMED_SHARDS).map(|shard| Op::InjectFault { shard });
+            script.ops.extend(arms);
         }
+        script.push(feed);
     }
     script
 }
@@ -1196,32 +1203,30 @@ mod tests {
     }
 
     #[test]
-    fn chaos_storm_scripts_carry_faults_and_poison() {
+    fn chaos_storm_scripts_arm_one_shard_and_every_shard() {
         let config = ScriptConfig {
             events: 200,
             ..ScriptConfig::chaos_storm()
         };
         let script = generate_script(&config, 0x7E57_0006);
-        let injections = script
+        let armed: Vec<Option<usize>> = script
             .ops
             .iter()
-            .filter(|op| matches!(op, Op::InjectFault { .. }))
-            .count();
-        assert!(injections > 0, "chaos storm armed no faults");
-        let poisoned = script
-            .ops
-            .iter()
-            .flat_map(|op| match op {
-                Op::Feed(doc) => std::slice::from_ref(doc).iter(),
-                Op::FeedBatch(docs) => docs.iter(),
-                _ => [].iter(),
+            .map(|op| match op {
+                Op::InjectFault { shard } => Some(*shard),
+                _ => None,
             })
-            .filter(|doc| crate::fault::is_poison_document(doc))
-            .count();
-        assert!(poisoned > 0, "chaos storm shipped no poison documents");
-        let rendered = script.to_string();
-        assert!(rendered.contains("inject_fault shard%"));
-        assert!(rendered.contains(" poison"));
+            .collect();
+        assert!(
+            armed.iter().any(Option::is_some),
+            "chaos storm armed no faults"
+        );
+        let every_shard: Vec<Option<usize>> = (0..ARMED_SHARDS).map(Some).collect();
+        assert!(
+            armed.windows(ARMED_SHARDS).any(|run| run == every_shard),
+            "chaos storm never armed every shard at once"
+        );
+        assert!(script.to_string().contains("inject_fault shard%"));
     }
 
     #[test]

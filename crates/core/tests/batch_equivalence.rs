@@ -18,8 +18,7 @@
 
 use cts_core::testkit::{assert_script_equivalence, generate_script, Op, ScriptConfig, ScriptRng};
 use cts_core::{
-    poison_document, ContinuousQuery, Engine, EventOutcome, FaultStats, ItaConfig, ItaEngine,
-    ShardedItaEngine,
+    ContinuousQuery, Engine, EventOutcome, FaultStats, ItaConfig, ItaEngine, ShardedItaEngine,
 };
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
@@ -223,8 +222,8 @@ fn monitored_batches_with_deregistration_between_batches() {
 }
 
 /// One seeded stream, fed as single events to one sharded engine and as
-/// bursts of one to its twin, with armed faults, a poison document and
-/// deregistrations along the way. Every observable must agree after every
+/// bursts of one to its twin, with faults armed on one shard and on every
+/// shard at once, and deregistrations along the way. Every observable must agree after every
 /// step.
 fn burst_of_one_session(window: SlidingWindow, shards: usize) {
     let context = format!("{shards} shards, {window:?}");
@@ -248,7 +247,7 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize) {
     let mut millis = 0u64;
     for step in 0..64u64 {
         millis += rng.below(5) as u64;
-        let mut doc = Document::new(
+        let doc = Document::new(
             DocId(step),
             Timestamp::from_millis(millis),
             WeightedVector::from_weights([
@@ -281,7 +280,13 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize) {
                     }
                 }
             }
-            32 => doc = poison_document(doc),
+            32 => {
+                // Every shard faults on this one event.
+                for shard in 0..shards {
+                    assert!(singles.inject_fault(shard), "{context}");
+                    assert!(bursts.inject_fault(shard), "{context}");
+                }
+            }
             _ => {}
         }
         let single = singles.try_process(doc.clone());
@@ -335,7 +340,7 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize) {
     let faults_seen = singles.fault_stats().expect("tracked").faults;
     assert!(
         faults_seen >= shards as u64,
-        "{context}: the poison never fired"
+        "{context}: the faults on every shard never fired"
     );
 }
 

@@ -1,7 +1,8 @@
 //! The fault-injection differential axis: a fault-tolerant
 //! [`ShardedItaEngine`] must stay in lockstep with a fault-free
-//! single-shard [`ItaEngine`] *through* injected worker panics, poison
-//! documents and killed worker threads, across shard counts {1, 2, 4, 8}.
+//! single-shard [`ItaEngine`] *through* injected worker panics — on one
+//! shard or on every shard at once — and killed worker threads, across
+//! shard counts {1, 2, 4, 8}.
 //!
 //! There is one recovery path (DESIGN.md §10): a faulted shard is rebuilt as
 //! a registration of its queries over the coordinator's window mirror. ITA's
@@ -227,7 +228,7 @@ fn a_rebuilt_shard_is_a_registration_over_the_mirror() {
 }
 
 /// A fault right after a rebuild: a killed worker is found by the next
-/// event, respawned and rebuilt, and the event after that faults in the
+/// event and rebuilt by a fresh worker, and the event after that faults in the
 /// freshly rebuilt worker, which is rebuilt again. Results are compared
 /// after every event.
 #[test]
@@ -370,11 +371,12 @@ fn injected_fault_is_applied_then_recovered_exactly() {
     assert_eq!(stats.degraded_shards, 0);
 }
 
-/// Poison documents detonate once per shard (the event is applied, then the
-/// worker panics) and the shard is rebuilt; the rebuild loads the poison
-/// document from the mirror without processing it, so it never re-detonates.
+/// Every shard faults on one event (the event is applied, then each worker
+/// panics) and every shard is rebuilt before the event returns; the rebuild
+/// loads the event from the mirror without processing it. Twice, with
+/// results exact throughout.
 #[test]
-fn poison_documents_detonate_once_and_recover() {
+fn a_fault_on_every_shard_at_once_is_rebuilt_exactly() {
     let window = SlidingWindow::count_based(6);
     let mut reference = ItaEngine::new(window, ItaConfig::default());
     let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
@@ -383,25 +385,67 @@ fn poison_documents_detonate_once_and_recover() {
     let qs = sharded.register(query);
     assert_eq!(qr, qs);
     for i in 0..15u64 {
-        let mut doc = Document::new(
+        let doc = Document::new(
             DocId(i),
             Timestamp::from_millis(i),
             WeightedVector::from_weights([(TermId(3), 0.1 + (i % 4) as f64 * 0.2)]),
         );
         if i == 4 || i == 9 {
-            doc = cts_core::poison_document(doc);
+            for shard in 0..2 {
+                assert!(sharded.inject_fault(shard));
+            }
         }
         assert_exact_event(&mut reference, &mut sharded, &doc, &[qr]);
     }
     let stats = sharded.fault_stats().expect("tracked");
-    // Each of the 2 poison docs detonates once in each of the 2 shards.
+    // Each of the 2 events faults once on each of the 2 shards.
     assert_eq!(stats.faults, 4);
     assert_eq!(stats.recoveries, 4);
+    assert_eq!(stats.degraded_shards, 0);
 }
 
-/// Random injected faults on three shards: every caught panic poisons its
-/// shard and the coordinator rebuilds it before the event returns, with
-/// exact results after every event.
+/// An armed fault lives in the shard's worker and dies with it: shard 0
+/// armed twice faults on the first event only, because the rebuilt worker
+/// starts with nothing armed, and results are the oracle's after both.
+#[test]
+fn armed_faults_die_with_their_worker() {
+    let window = SlidingWindow::count_based(6);
+    let mut rng = ScriptRng::new(0xA4ED_0000);
+    let mut oracle = BruteForceOracle::new(window);
+    let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+    let qids: Vec<QueryId> = (0..6)
+        .map(|_| {
+            let query = small_query(&mut rng);
+            let qid = oracle.register(query.clone());
+            assert_eq!(qid, sharded.register(query));
+            qid
+        })
+        .collect();
+    for id in 0..8 {
+        let doc = tie_heavy_doc(&mut rng, id);
+        oracle.process_document(doc.clone());
+        sharded.process_document(doc);
+    }
+    assert!(sharded.inject_fault(0));
+    assert!(sharded.inject_fault(0));
+    for id in 8..10 {
+        let doc = tie_heavy_doc(&mut rng, id);
+        oracle.process_document(doc.clone());
+        sharded.process_document(doc);
+        assert_engines_agree(&oracle, &sharded, &qids);
+    }
+    let stats = sharded.fault_stats().expect("tracked");
+    assert_eq!(
+        (stats.faults, stats.recoveries, stats.degraded_shards),
+        (1, 1, 0),
+        "the second arm outlived the worker it was armed on"
+    );
+    sharded.check_invariants();
+}
+
+/// Random injected faults on three shards: every caught panic ends its
+/// shard's worker and the coordinator rebuilds the shard before the event
+/// returns, with exact results after every event.
 #[test]
 fn cold_rebuild_restores_exact_results_under_block_policy() {
     let window = SlidingWindow::count_based(10);

@@ -2,8 +2,9 @@
 //!
 //! Each element of the input stream comprises a document identifier, an
 //! arrival timestamp and a *composition list*: one `⟨t, w_{d,t}⟩` pair per
-//! term appearing in the document (paper §II). The optional raw text is kept
-//! only when the caller wants it for display; the engines never read it.
+//! term appearing in the document (paper §II). Raw text is analysed into
+//! the composition list before a document is built (`cts_text`), so a
+//! document carries nothing else.
 
 use std::fmt;
 use std::time::Duration;
@@ -126,9 +127,6 @@ pub struct Document {
     pub arrival: Timestamp,
     /// The composition list: `⟨t, w_{d,t}⟩` for every term in the document.
     pub composition: WeightedVector,
-    /// Optional raw text (kept for display in examples; never used by the
-    /// engines).
-    pub text: Option<String>,
 }
 
 impl Document {
@@ -138,14 +136,7 @@ impl Document {
             id,
             arrival,
             composition,
-            text: None,
         }
-    }
-
-    /// Attaches the raw text to the document (builder style).
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.text = Some(text.into());
-        self
     }
 
     /// Number of distinct terms in the composition list.
@@ -197,9 +188,8 @@ mod tests {
     #[test]
     fn document_construction() {
         let comp = WeightedVector::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)]);
-        let d = Document::new(DocId(9), Timestamp::from_secs(1), comp).with_text("white tower");
+        let d = Document::new(DocId(9), Timestamp::from_secs(1), comp);
         assert_eq!(d.id, DocId(9));
         assert_eq!(d.term_count(), 2);
-        assert_eq!(d.text.as_deref(), Some("white tower"));
     }
 }
