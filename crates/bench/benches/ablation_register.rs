@@ -5,13 +5,19 @@
 //! §9 has the cost model; this bench prices it.
 //!
 //! **Stand-alone engine** (`ita_term_filtered/register/…`) — nobody supplies
-//! postings, so the engine reads them out of its own store, one bitmap walk
-//! of the whole window per call:
+//! postings, so the engine resolves them through its own [`WindowTerms`],
+//! exactly as the sharded coordinator does: one [`WindowTerms::postings`]
+//! call per registration call, which walks the chunks without a term
+//! directory and builds up to `BUILDS_PER_CALL` of them, so repeated calls
+//! find the window built:
 //!
-//! * `lazy-loop` — one [`Engine::register`] call per query, a walk each;
-//! * `bulk` — one [`Engine::register_batch`] call, one walk for the lot;
+//! * `lazy-loop` — one [`Engine::register`] call per query, one resolve each;
+//! * `bulk` — one [`Engine::register_batch`] call, one resolve for the lot;
 //! * `single/len10` — one ten-term query registering alone on an engine
 //!   that already holds half the workload.
+//!
+//! Each stand-alone arm also prints the directory bytes the engine holds
+//! after it (`IndexStats::directory_bytes`).
 //!
 //! **Resolved by the window's owner** (`window_terms/register/…`) — what the
 //! sharded coordinator does: a [`WindowTerms`] over the same documents
@@ -194,19 +200,20 @@ fn bench_registration_strategies(c: &mut Criterion) {
             eprintln!(
                 "ita_term_filtered/register/{label}: {:.3} s per {}-query workload \
                  ({:.1} µs/query, {} postings filed and {} composition entries walked \
-                 across {iterations} iteration(s))",
+                 across {iterations} iteration(s); {:.2} MB of directories)",
                 per_workload,
                 point.num_queries,
                 per_workload * 1e6 / point.num_queries as f64,
                 filed,
                 engine.register_entries_walked(),
+                engine.index_stats().directory_bytes as f64 / 1e6,
             );
         }
     }
 }
 
-/// One query registering alone on a stand-alone filtered engine: the walk
-/// that remains where nobody supplies postings.
+/// One query registering alone on a stand-alone filtered engine, which
+/// resolves its postings through its own window.
 fn bench_single_registration(c: &mut Criterion) {
     let point = operating_point();
     let docs = window_documents(&point, point.window_docs);
@@ -235,10 +242,12 @@ fn bench_single_registration(c: &mut Criterion) {
     if iterations > 0 {
         eprintln!(
             "ita_term_filtered/register/single/len10: {:.2} ms per lone registration \
-             over a {}-document window (one bitmap walk of the engine's own store, \
-             {iterations} iteration(s))",
+             over a {}-document window (resolved through the engine's own window, \
+             {iterations} iteration(s); {:.2} MB of directories, {} entries walked)",
             ms(register_time, iterations),
             point.window_docs,
+            engine.index_stats().directory_bytes as f64 / 1e6,
+            engine.register_entries_walked(),
         );
     }
 }

@@ -19,6 +19,8 @@
 //!
 //! Run with `cargo bench --bench index_micro`.
 
+use std::collections::VecDeque;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cts_bench::fixture;
@@ -83,8 +85,11 @@ fn bench_threshold_tree(c: &mut Criterion) {
 fn bench_index_churn(c: &mut Criterion) {
     let fixture = fixture(512, 0);
     let mut index = InvertedIndex::with_capacity(256, 40);
+    // The window's ids, oldest first: `remove_document` takes the oldest.
+    let mut ids: VecDeque<DocId> = VecDeque::new();
     for doc in &fixture.documents[..256] {
         index.insert_document(doc.clone());
+        ids.push_back(doc.id);
     }
     let mut cursor = 256usize;
     c.bench_function("inverted_index/churn", |b| {
@@ -96,8 +101,9 @@ fn bench_index_churn(c: &mut Criterion) {
                 template.arrival,
                 template.composition.clone(),
             );
+            ids.push_back(doc.id);
             index.insert_document(doc);
-            let oldest = index.store().oldest().expect("window is non-empty").id;
+            let oldest = ids.pop_front().expect("window is non-empty");
             index.remove_document(oldest).expect("oldest is valid");
             cursor += 1;
         })

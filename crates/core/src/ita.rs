@@ -164,7 +164,8 @@ impl ItaEngine {
     /// Creates a **term-filtered** engine: the inverted index files postings
     /// only for terms referenced by at least one registered query
     /// (registration files a new term's list from postings the caller
-    /// supplies or, failing that, from one walk of the stored window;
+    /// supplies or, failing that, resolves them through the index's own
+    /// `cts_index::WindowTerms`, as the sharded coordinator does;
     /// deregistration retires lists whose last referencing query left). For
     /// its registered queries it is exactly equivalent to an unfiltered
     /// engine — every list a query's threshold search or probe can touch is
@@ -220,10 +221,11 @@ impl ItaEngine {
         self.index.register_postings_touched()
     }
 
-    /// Composition entries this engine's index read out of its own store to
-    /// resolve postings no caller supplied (see
-    /// [`cts_index::InvertedIndex::register_entries_walked`]): a window's
-    /// worth per walk, and 0 on a shard whose coordinator ships them.
+    /// Composition entries this engine's window walked to resolve postings
+    /// no caller supplied (see
+    /// [`cts_index::InvertedIndex::register_entries_walked`]): the chunks
+    /// without a term directory per call, and 0 on a shard whose
+    /// coordinator ships them.
     pub fn register_entries_walked(&self) -> u64 {
         self.index.register_entries_walked()
     }
@@ -233,7 +235,7 @@ impl ItaEngine {
     /// re-evaluate queries against the engine's own window without keeping a
     /// second copy of it.
     pub fn store_documents(&self) -> impl Iterator<Item = &Document> {
-        self.index.store().iter()
+        self.index.documents().iter().map(|doc| &**doc)
     }
 
     /// The local threshold `θ_{Q,t}`, if `query` is registered and contains
@@ -412,9 +414,9 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
                 continue;
             }
             let composition = &index
-                .store()
+                .documents()
                 .get(posting.doc)
-                // cts-lint: allow(panic-in-hot-path, postings only reference documents held by the store)
+                // cts-lint: allow(panic-in-hot-path, postings only reference valid documents)
                 .expect("indexed documents are valid")
                 .composition;
             let score = state.query.score(composition);
@@ -449,13 +451,13 @@ impl ItaEngine {
     ///
     /// `postings` are the window's postings as the caller resolved them: the
     /// sharded coordinator resolves a burst's terms against its own copy of
-    /// the window (`cts_index::WindowTerms`), so no shard reads its store.
+    /// the window (`cts_index::WindowTerms`), so no shard resolves any.
     /// They must describe exactly the documents this engine holds; terms they
     /// do not cover (all of them, when empty — what [`Engine::register_batch`]
-    /// passes) are read from a term-filtered engine's own store in **one
-    /// walk**, which a per-query loop pays once *per query* (DESIGN.md §9 has
-    /// the cost model). A plain engine keeps every list current and ignores
-    /// them.
+    /// passes) a term-filtered engine resolves in **one call** on its own
+    /// `WindowTerms`, which answers from term directories where built and
+    /// walks the rest (DESIGN.md §9 has the cost model). A plain engine keeps
+    /// every list current and ignores them.
     ///
     /// # Panics
     ///
@@ -526,9 +528,10 @@ impl ItaEngine {
     /// The arriving document, and later each expiring one, is intersected
     /// with the live-term set **once**; filing, the threshold probe and
     /// arrival scoring then cost what the document's *matching* terms make
-    /// them cost. The full `Arc<Document>` stays in the store for what needs
-    /// all of it: store walks and `threshold_descent`'s random-access
-    /// scoring.
+    /// them cost. The full `Arc<Document>` stays in the window for what needs
+    /// all of it: postings resolution and `threshold_descent`'s
+    /// random-access scoring. Expiry then pops the oldest documents while
+    /// the window policy calls them stale, one at a time.
     ///
     /// # Panics
     ///
@@ -549,16 +552,13 @@ impl ItaEngine {
         outcome.queries_touched_by_arrival = touched;
         outcome.results_changed += changed;
 
-        let expired = self.window.expired(self.index.store(), self.clock);
-        outcome.expired = expired.len();
-        for id in expired {
-            // Re-intersected against the live set as it is *now* — it may
-            // have changed since the document arrived.
-            let doc = self
-                .index
-                .remove_expired(id, &mut self.live_entries)
-                // cts-lint: allow(panic-in-hot-path, the expiration set was computed from the same store one line up)
-                .expect("window reported a valid document");
+        // Each expiring document is re-intersected against the live set as
+        // it is *now* — it may have changed since the document arrived.
+        while let Some(doc) =
+            self.index
+                .pop_expired(self.window, self.clock, &mut self.live_entries)
+        {
+            outcome.expired += 1;
             let (touched, changed) = self.handle_expiration(&doc);
             outcome.queries_touched_by_expiration += touched;
             outcome.results_changed += changed;
@@ -654,7 +654,7 @@ impl ItaEngine {
             assert!(tau <= s_k, "{qid}'s τ={tau} exceeds S_k={s_k}");
             for ranked in state.results.iter() {
                 assert!(
-                    self.index.store().get(ranked.doc).is_some(),
+                    self.index.documents().contains(ranked.doc),
                     "{qid}'s result set holds expired document {}",
                     ranked.doc
                 );
@@ -808,7 +808,7 @@ mod tests {
                 if !state.results.contains(doc) {
                     let score = state
                         .query
-                        .score(&index.store().get(doc).unwrap().composition);
+                        .score(&index.documents().get(doc).unwrap().composition);
                     state.results.insert(doc, score);
                     state.postings_examined += 1;
                 }
@@ -884,7 +884,7 @@ mod tests {
 
     fn brute_force_top(e: &ItaEngine, query: &ContinuousQuery) -> Vec<u64> {
         let mut rs = ResultSet::new();
-        for d in e.index.store().iter() {
+        for d in e.index.documents().iter() {
             let s = query.score(&d.composition);
             if s > 0.0 {
                 rs.insert(d.id, s);
@@ -1399,9 +1399,68 @@ mod tests {
         assert_eq!(looped.register_postings_touched(), hits);
     }
 
+    /// A stand-alone filtered engine resolves through its own window the way
+    /// the sharded coordinator does: the first registration of a fresh term
+    /// walks the window and builds the sealed chunks' term directories, and
+    /// the next one — the term fresh again after its query left — walks only
+    /// the unsealed tail. Both queries' results are the full-index engine's
+    /// and the oracle's.
+    #[test]
+    fn a_stand_alone_filtered_engine_resolves_from_directories() {
+        use crate::oracle::BruteForceOracle;
+        use cts_index::window_terms::CHUNK_DOCS;
+        let mut rng = ScriptRng::new(0xD1_2EC7);
+        let window = SlidingWindow::count_based(4 * CHUNK_DOCS);
+        let mut filtered = ItaEngine::term_filtered(window);
+        let mut full = ItaEngine::new(window, ItaConfig::default());
+        let mut oracle = BruteForceOracle::new(window);
+        // Two sealed chunks and a tail of 100 documents, 3–8 terms each.
+        let docs = 2 * CHUNK_DOCS as u64 + 100;
+        let mut chunk_entries = 0;
+        for i in 0..docs {
+            let terms: Vec<(u32, f64)> = (0..rng.range(3, 9))
+                .map(|_| (rng.below(60) as u32, 0.1 + rng.below(8) as f64 * 0.1))
+                .collect();
+            let d = doc(i, &terms);
+            if i < CHUNK_DOCS as u64 {
+                chunk_entries += d.composition.len() as u64;
+            }
+            filtered.process_document(d.clone());
+            full.process_document(d.clone());
+            oracle.process_document(d);
+        }
+        let queries = [
+            ContinuousQuery::from_weights([(TermId(7), 0.8), (TermId(8), 0.6)], 5),
+            ContinuousQuery::from_weights([(TermId(7), 0.3), (TermId(9), 0.95)], 3),
+        ];
+        let mut walks = Vec::new();
+        for query in queries {
+            let before = filtered.register_entries_walked();
+            let q = filtered.register(query.clone());
+            walks.push(filtered.register_entries_walked() - before);
+            assert_eq!(full.register(query.clone()), q);
+            assert_eq!(oracle.register(query), q);
+            assert_eq!(filtered.current_results(q), full.current_results(q));
+            assert_eq!(filtered.current_results(q), oracle.current_results(q));
+            filtered.check_invariants();
+            for engine in [&mut filtered as &mut dyn Engine, &mut full, &mut oracle] {
+                assert!(engine.deregister(q));
+            }
+        }
+        assert!(
+            walks[0] > 2 * chunk_entries,
+            "the first call walks the window"
+        );
+        assert!(
+            walks[1] < chunk_entries,
+            "the second call walked {} entries, a chunk holds {chunk_entries}",
+            walks[1]
+        );
+    }
+
     /// Postings resolved by the window's owner are filed as they are: the
-    /// engine reads nothing out of its own store and ends up in the state the
-    /// walk would have left.
+    /// engine's own window walks nothing, and the engine ends up in the state
+    /// its own resolution would have left.
     #[test]
     fn supplied_postings_replace_the_store_walk_exactly() {
         let hits = 8u64;

@@ -16,7 +16,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use cts_index::{DocumentStore, QueryId, SlidingWindow, Timestamp};
+use std::sync::Arc;
+
+use cts_index::{QueryId, SlidingWindow, Timestamp, WindowTerms};
 
 use crate::engine::{Engine, EventOutcome};
 use crate::query::ContinuousQuery;
@@ -66,7 +68,8 @@ struct ViewState {
 pub struct NaiveEngine {
     window: SlidingWindow,
     config: NaiveConfig,
-    store: DocumentStore,
+    /// The valid documents.
+    store: WindowTerms,
     /// Per-query views in a dense slab: the baseline sweeps every view on
     /// every event, so iteration cost is the engine's defining term.
     queries: QuerySlab<ViewState>,
@@ -82,7 +85,7 @@ impl NaiveEngine {
         Self {
             window,
             config,
-            store: DocumentStore::new(),
+            store: WindowTerms::new(),
             queries: QuerySlab::new(),
             next_query: 0,
             clock: Timestamp::ZERO,
@@ -106,7 +109,7 @@ impl NaiveEngine {
     }
 
     /// Rebuilds `state`'s view from scratch by scanning the valid documents.
-    fn recompute(store: &DocumentStore, config: NaiveConfig, state: &mut ViewState) {
+    fn recompute(store: &WindowTerms, config: NaiveConfig, state: &mut ViewState) {
         state.view = ResultSet::new();
         state.complete = true;
         let k_max = config.k_max(state.query.k());
@@ -180,15 +183,12 @@ impl Engine for NaiveEngine {
                 state.complete = false;
             }
         }
-        self.store.push(doc);
+        self.store.push(Arc::new(doc));
 
         // Expirations: every query checks its view for the leaving document.
-        let expired = self.window.expired(&self.store, self.clock);
-        outcome.expired = expired.len();
-        for id in expired {
-            self.store
-                .remove(id)
-                .expect("window reported a valid document");
+        while let Some(expired) = self.store.pop_expired(self.window, self.clock) {
+            outcome.expired += 1;
+            let id = expired.id;
             for state in self.queries.values_mut() {
                 outcome.queries_touched_by_expiration += 1;
                 if !state.view.contains(id) {

@@ -7,9 +7,9 @@
 //! [`crate::ItaEngine`] and [`crate::NaiveEngine`] against — any divergence
 //! is a bug in the incremental machinery, never in the oracle.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use cts_index::{Document, DocumentStore, QueryId, SlidingWindow, Timestamp};
+use cts_index::{Document, QueryId, SlidingWindow, Timestamp};
 
 use crate::engine::{Engine, EventOutcome};
 use crate::query::ContinuousQuery;
@@ -19,7 +19,10 @@ use crate::result::{RankedDocument, ResultSet};
 #[derive(Debug, Clone)]
 pub struct BruteForceOracle {
     window: SlidingWindow,
-    store: DocumentStore,
+    /// The valid documents, oldest first — a plain list, kept apart from the
+    /// engines' `WindowTerms` so the reference shares no container code
+    /// with what it checks.
+    store: VecDeque<Document>,
     queries: BTreeMap<QueryId, ContinuousQuery>,
     next_query: u32,
     clock: Timestamp,
@@ -30,7 +33,7 @@ impl BruteForceOracle {
     pub fn new(window: SlidingWindow) -> Self {
         Self {
             window,
-            store: DocumentStore::new(),
+            store: VecDeque::new(),
             queries: BTreeMap::new(),
             next_query: 0,
             clock: Timestamp::ZERO,
@@ -62,15 +65,20 @@ impl Engine for BruteForceOracle {
             queries_touched_by_arrival: self.queries.len(),
             ..EventOutcome::default()
         };
-        self.store.push(doc);
-        let expired = self.window.expired(&self.store, self.clock);
-        outcome.expired = expired.len();
-        outcome.queries_touched_by_expiration = expired.len() * self.queries.len();
-        for id in expired {
-            self.store
-                .remove(id)
-                .expect("window reported a valid document");
+        self.store.push_back(doc);
+        // The window rule, applied here by hand: pop the oldest while it is
+        // stale, stop at the first fresh one.
+        while let Some(oldest) = self.store.front() {
+            if !self
+                .window
+                .is_stale(self.store.len(), oldest.arrival, self.clock)
+            {
+                break;
+            }
+            self.store.pop_front();
+            outcome.expired += 1;
         }
+        outcome.queries_touched_by_expiration = outcome.expired * self.queries.len();
         outcome
     }
 

@@ -6,7 +6,7 @@
 //! full set: the per-query result sets and local thresholds, the per-term
 //! threshold trees, and a *term-filtered shadow* inverted index — segmented
 //! impact lists for only the terms its queries reference, mirrored over the
-//! shared window (the document store holds `Arc`s, so the window's
+//! shared window (every shard's `WindowTerms` holds `Arc`s, so the window's
 //! composition lists exist once in memory no matter how many shards mirror
 //! them).
 //!
@@ -107,7 +107,7 @@
 //! flight (so the mirror and every healthy shard's store hold the same
 //! documents) and ships the [`TermPostings`] with the request, and so does a
 //! rebuild's seed; the shard files
-//! what it finds newly live and never reads its own store
+//! what it finds newly live and never resolves through its own window
 //! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
 //! and expiry do no term work on the mirror (DESIGN.md §9). The randomized
 //! differential test in `tests/sharded_equivalence.rs` enforces
@@ -158,8 +158,8 @@ enum ShardRequest {
     /// one round-trip (synchronous), with the window postings of the whole
     /// burst's terms as the coordinator resolved them against its mirror.
     /// The shard files the ones its own queries bring live
-    /// ([`ItaEngine::register_shared_batch`]) and reads nothing out of its
-    /// store. Single registrations are a one-element burst (the
+    /// ([`ItaEngine::register_shared_batch`]) and resolves nothing itself.
+    /// Single registrations are a one-element burst (the
     /// [`Engine::register_batch`] contract makes that byte-identical). The
     /// queries are shared with the coordinator's registry, the postings with
     /// the other shards.
@@ -681,7 +681,7 @@ impl ShardedItaEngine {
     fn push_mirror(&mut self, doc: Arc<Document>) -> usize {
         let now = doc.arrival;
         self.mirror.push(doc);
-        self.mirror.expire(self.window, now)
+        std::iter::from_fn(|| self.mirror.pop_expired(self.window, now)).count()
     }
 
     /// An id of `docs` that is still in the window or occurs twice among

@@ -10,12 +10,19 @@
 //! * **the saturating-micros path from PR 3** — a `Duration::MAX` window
 //!   saturates to `u64::MAX` microseconds instead of wrapping; through
 //!   `process_batch` it must behave as an infinite window, not expire the
-//!   store.
+//!   store;
+//! * **a timestamp that steps backwards** — the one window rule (`now` is
+//!   the latest event's arrival; expiry pops from the oldest arrival and
+//!   stops at the first document still fresh) must be the same rule in every
+//!   engine, the oracle's hand-written loop included.
 
 use std::time::Duration;
 
 use cts_core::testkit::{assert_script_equivalence, ScriptConfig};
-use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
+use cts_core::{
+    BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, NaiveConfig, NaiveEngine,
+    ShardedItaEngine,
+};
 use cts_index::{DocId, Document, SlidingWindow, Timestamp, WindowKind};
 use cts_text::{TermId, WeightedVector};
 
@@ -164,4 +171,95 @@ fn saturating_micros_window_through_process_batch() {
         assert_eq!(sharded.num_valid_documents(), 40);
         assert_eq!(reference.current_results(qa), sharded.current_results(qb));
     }
+}
+
+/// A 100 ms time window over documents 10 ms apart, until document 40
+/// arrives 250 ms *before* document 39 and the stream carries on from
+/// there. `now` follows the latest arrival back, so nothing expires for a
+/// while; when the old documents do go, the stepped-back ones behind them —
+/// stale for some time by then — go with them, and until then expiry stops
+/// at the first fresh document. Full-index, term-filtered and sharded ITA
+/// and the naive baseline run in lockstep with the oracle, in bursts of one
+/// to four events: results exact and the window sizes equal after every
+/// burst, and every engine expires the same number of documents.
+#[test]
+fn a_timestamp_stepping_backwards_expires_alike_in_every_engine() {
+    let window = SlidingWindow::time_based(Duration::from_millis(100));
+    let mut oracle = BruteForceOracle::new(window);
+    let mut engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(ItaEngine::new(window, ItaConfig::default())),
+        Box::new(ItaEngine::term_filtered(window)),
+        Box::new(ShardedItaEngine::new(window, ItaConfig::default(), 1)),
+        Box::new(ShardedItaEngine::new(window, ItaConfig::default(), 2)),
+        Box::new(NaiveEngine::new(window, NaiveConfig::default())),
+    ];
+    let queries = [
+        ContinuousQuery::from_weights([(TermId(0), 0.8), (TermId(1), 0.6)], 3),
+        ContinuousQuery::from_weights([(TermId(2), 1.0)], 2),
+        ContinuousQuery::from_weights([(TermId(1), 0.5), (TermId(3), 0.5)], 4),
+    ];
+    let ids: Vec<_> = queries.iter().map(|q| oracle.register(q.clone())).collect();
+    for engine in &mut engines {
+        for (query, id) in queries.iter().zip(&ids) {
+            assert_eq!(engine.register(query.clone()), *id);
+        }
+    }
+    let arrival = |i: u64| {
+        let millis = if i < 40 { 10 * i } else { 10 * i - 250 };
+        Timestamp::from_millis(millis)
+    };
+    let docs: Vec<Document> = (0..90u64)
+        .map(|i| {
+            Document::new(
+                DocId(i),
+                arrival(i),
+                WeightedVector::from_weights([
+                    (TermId((i % 4) as u32), 0.1 + (i % 7) as f64 * 0.1),
+                    (TermId(((i + 1) % 4) as u32), 0.05 + (i % 3) as f64 * 0.2),
+                ]),
+            )
+        })
+        .collect();
+    let (mut sent, mut burst) = (0, 1);
+    let mut expired_in_total = 0;
+    while sent < docs.len() {
+        let batch = docs[sent..(sent + burst).min(docs.len())].to_vec();
+        sent += batch.len();
+        burst = burst % 4 + 1;
+        let expected: usize = (oracle.process_batch(batch.clone()).iter())
+            .map(|o| o.expired)
+            .sum();
+        expired_in_total += expected;
+        for engine in &mut engines {
+            let expired: usize = (engine.process_batch(batch.clone()).iter())
+                .map(|o| o.expired)
+                .sum();
+            let context = format!("{} after d{}", engine.name(), sent - 1);
+            assert_eq!(expired, expected, "{context}: expired");
+            assert_eq!(
+                engine.num_valid_documents(),
+                oracle.num_valid_documents(),
+                "{context}: window size"
+            );
+            for id in &ids {
+                assert_eq!(
+                    engine.current_results(*id),
+                    oracle.current_results(*id),
+                    "{context}: {id}"
+                );
+            }
+            engine.check_invariants();
+        }
+        if sent == 41 {
+            // d40 arrived at 140 ms behind d39 at 390 ms: d29..=d39
+            // (290..=390 ms, fresh at the 40 ms cutoff) are joined by d40.
+            assert_eq!(oracle.num_valid_documents(), 12);
+        }
+        if sent == 54 {
+            // now = 280 ms, cutoff 180 ms: d29 (290 ms) is fresh, so
+            // everything behind it stays, d40..=d43 stale as they are.
+            assert_eq!(oracle.num_valid_documents(), 25);
+        }
+    }
+    assert!(expired_in_total > 40, "the window slid all the way through");
 }

@@ -116,10 +116,9 @@ impl Rig {
         merged.merge_shard(&b.process_document(doc.clone()));
         assert_eq!(merged, expected, "outcomes diverged on {}", doc.id);
         self.mirror.push(Arc::new(doc.clone()));
-        assert_eq!(
-            self.mirror.expire(self.window, doc.arrival),
-            expected.expired
-        );
+        let mirror = &mut self.mirror;
+        let expired = std::iter::from_fn(|| mirror.pop_expired(self.window, doc.arrival));
+        assert_eq!(expired.count(), expected.expired);
         self.oracle.process_document(doc);
         self.audit(&format!("feed d{}", self.next_doc - 1));
         expected

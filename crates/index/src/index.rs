@@ -1,10 +1,12 @@
 //! The streaming inverted index.
 //!
-//! An [`InvertedIndex`] owns the valid-document store and one impact-ordered
-//! [`InvertedList`] per term seen in the window (the segmented impact
-//! list). Document arrival inserts one impact entry per composition-list
-//! term; expiration removes them again and frees empty lists, so memory
-//! tracks the window contents exactly (Figure 1 of the paper).
+//! An [`InvertedIndex`] owns the valid documents — a [`WindowTerms`], the
+//! one container of them — and one impact-ordered [`InvertedList`] per term
+//! seen in the window (the segmented impact list). Document arrival inserts
+//! one impact entry per composition-list term; expiration
+//! ([`InvertedIndex::pop_expired`], the window's one expiry rule) removes
+//! them again and frees empty lists, so memory tracks the window contents
+//! exactly (Figure 1 of the paper).
 //!
 //! Lists live in a [`DenseArena`] keyed through the index's [`LiveTerms`] —
 //! the set of terms the owner's registered queries use, which also fixes the
@@ -18,12 +20,13 @@
 //!
 //! The sharded engine builds **term-filtered shadow indexes**
 //! ([`InvertedIndex::term_filtered`]): each worker shard mirrors the full
-//! window in its store (shared `Arc`s, one copy in memory) but files impact
-//! entries only for the live terms, under compact live-slot keys, so both
-//! the work per event and the memory follow the terms its own queries
-//! reference, not the vocabulary. An arriving or expiring document is cut
-//! down to its live entries **once** ([`InvertedIndex::insert_arrival`],
-//! [`InvertedIndex::remove_expired`]) and the filing loop, the engine's
+//! window in its own [`WindowTerms`] (shared `Arc`s, one copy in memory)
+//! but files impact entries only for the live terms, under compact
+//! live-slot keys, so both the work per event and the memory follow the
+//! terms its own queries reference, not the vocabulary. An arriving or
+//! expiring document is cut down to its live entries **once**
+//! ([`InvertedIndex::insert_arrival`],
+//! [`InvertedIndex::pop_expired`]) and the filing loop, the engine's
 //! threshold probe and its scoring all walk that short slice. A query
 //! registered mid-stream may bring a term live that the shadow never
 //! indexed; [`InvertedIndex::acquire_terms`] files such a term's postings in
@@ -38,18 +41,16 @@
 //! which the replica passes of `ctsbench` drive — is for full indexes only:
 //! a term-filtered index owns its filter.)
 //!
-//! **Who resolves those postings.** Reading them out of the stored window
-//! is a pass over every composition entry of every valid document — the
-//! *registration cliff* (DESIGN.md §9) — so the index does not do it when
-//! someone else already has: `acquire_terms` takes a [`TermPostings`]
-//! resolved by the window's owner (the sharded coordinator's
-//! [`crate::WindowTerms`], which answers from per-chunk term directories
-//! and is shared by every shard) and files from it, for registrations and
-//! rebuilds alike. Only for terms nobody supplied — a stand-alone filtered
-//! engine — does the index walk its own store, once per call however many
-//! terms it brings, each composition entry tested against a bitmap of the
-//! wanted terms ([`InvertedIndex::register_entries_walked`] counts those
-//! entries).
+//! **One resolver.** Postings are always resolved by a
+//! [`WindowTerms::postings`] call — per-chunk term directories where built,
+//! one bitmap walk of the rest — never by a pass over the whole window (the
+//! *registration cliff*, DESIGN.md §9). `acquire_terms` files what the
+//! caller supplies (a shard's coordinator resolves a burst once, against its
+//! own mirror, for every shard) and resolves the terms nobody supplied — all
+//! of them on a stand-alone filtered engine — through the index's own
+//! window, exactly as the coordinator does
+//! ([`InvertedIndex::register_entries_walked`] counts the entries that
+//! window walked: 0 on a shard).
 
 use std::sync::Arc;
 
@@ -58,15 +59,17 @@ use serde::{Deserialize, Serialize};
 use cts_text::{TermId, WeightedTerm};
 
 use crate::arena::{DenseArena, LiveTerms};
-use crate::document::{DocId, Document};
-use crate::store::DocumentStore;
-use crate::window_terms::{walk_postings, TermPostings};
+use crate::document::{DocId, Document, Timestamp};
+use crate::window::SlidingWindow;
+use crate::window_terms::{TermPostings, WindowTerms};
 use crate::InvertedList;
 
 /// The streaming inverted index over the valid documents.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    store: DocumentStore,
+    /// The valid documents in arrival order, and the resolver of the
+    /// postings of terms nobody supplied.
+    window: WindowTerms,
     /// The terms the owner's queries reference, and the key space of
     /// `lists`: term ids on a full index, live slots on a term-filtered one.
     live: LiveTerms,
@@ -75,10 +78,6 @@ pub struct InvertedIndex {
     /// regression counter: must scale with the probed lists, never with the
     /// window × registration count product of the old eager path).
     register_postings_touched: u64,
-    /// Composition entries this index read out of its own store to resolve
-    /// postings nobody supplied (the sibling counter: stays 0 on a shard,
-    /// whose coordinator ships them with every registration and rebuild).
-    register_entries_walked: u64,
 }
 
 impl InvertedIndex {
@@ -87,11 +86,10 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Creates an empty index sized for roughly `docs` valid documents of
-    /// `terms_per_doc` distinct terms each.
+    /// Creates an empty index with list room for roughly `docs` valid
+    /// documents of `terms_per_doc` distinct terms each.
     pub fn with_capacity(docs: usize, terms_per_doc: usize) -> Self {
         Self {
-            store: DocumentStore::with_capacity(docs),
             lists: DenseArena::with_capacity(docs.saturating_mul(terms_per_doc) / 4),
             ..Self::default()
         }
@@ -126,9 +124,10 @@ impl InvertedIndex {
     /// terms, repeats included). On a term-filtered index the terms this
     /// brings live get their lists filed right away — from `supplied`, the
     /// postings the window's owner resolved for this very window state, and,
-    /// for newly live terms it does not cover, from **one walk** of this
-    /// index's own store — so the caller may probe every one of them. This is
-    /// the only way a list comes to exist other than by an arrival.
+    /// for newly live terms it does not cover, from this index's own
+    /// [`WindowTerms::postings`] — so the caller may probe every one of
+    /// them. This is the only way a list comes to exist other than by an
+    /// arrival.
     pub fn acquire_terms(
         &mut self,
         terms: impl IntoIterator<Item = TermId>,
@@ -159,13 +158,13 @@ impl InvertedIndex {
         true
     }
 
-    /// Inserts an arriving document: stores it and adds one impact entry per
-    /// composition-list term.
+    /// Inserts an arriving document: appends it to the window and adds one
+    /// impact entry per composition-list term.
     pub fn insert_document(&mut self, doc: Document) {
         self.insert_shared(Arc::new(doc));
     }
 
-    /// Inserts an already-shared arriving document: stores the `Arc` and
+    /// Inserts an already-shared arriving document: appends the `Arc` and
     /// adds one impact entry per composition-list term (per *live* term on a
     /// term-filtered index).
     pub fn insert_shared(&mut self, doc: Arc<Document>) {
@@ -213,12 +212,12 @@ impl InvertedIndex {
         }
     }
 
-    /// The one filing loop: stores `doc`, then adds an impact entry for each
-    /// of `entries` that `allow` accepts and that has a key.
+    /// The one filing loop: appends `doc` to the window, then adds an impact
+    /// entry for each of `entries` that `allow` accepts and that has a key.
     ///
     /// # Panics
     ///
-    /// Panics if a document with `doc`'s id is already stored — before any
+    /// Panics if a document with `doc`'s id is already valid — before any
     /// list is touched, so the index the unwind leaves behind is intact.
     fn file(
         &mut self,
@@ -226,7 +225,7 @@ impl InvertedIndex {
         entries: &[WeightedTerm],
         mut allow: impl FnMut(TermId) -> bool,
     ) {
-        self.store.push_shared(Arc::clone(doc));
+        self.window.push(Arc::clone(doc));
         for entry in entries {
             if !allow(entry.term) {
                 continue;
@@ -242,14 +241,13 @@ impl InvertedIndex {
     /// any earlier list) — the one place backfilled postings are filed, in
     /// arrival order per term, the insertion sequence a list maintained all
     /// along would have seen. A term's postings come from `supplied` if it
-    /// covers the term, and otherwise from one bitmap walk of this index's
-    /// store over all the uncovered terms together.
+    /// covers the term, and otherwise from one [`WindowTerms::postings`] call
+    /// on this index's window over all the uncovered terms together.
     fn rebuild_lists(&mut self, terms: &[TermId], supplied: &TermPostings) {
         let uncovered = terms.iter().filter(|term| supplied.get(**term).is_none());
-        let (walked, entries) = walk_postings(self.store.iter(), uncovered.copied());
-        self.register_entries_walked += entries;
+        let resolved = self.window.postings(uncovered.copied());
         for term in terms {
-            let postings = supplied.get(*term).or_else(|| walked.get(*term));
+            let postings = supplied.get(*term).or_else(|| resolved.get(*term));
             let Some(postings) = postings.filter(|postings| !postings.is_empty()) else {
                 continue;
             };
@@ -275,41 +273,49 @@ impl InvertedIndex {
         self.register_postings_touched
     }
 
-    /// Composition entries this index read out of its own store to resolve
-    /// postings nobody supplied (monotone). A whole-window walk adds the
-    /// window's entry count whatever the number of terms; a registration
-    /// whose postings were all supplied adds nothing.
+    /// Composition entries this index's window walked to resolve postings
+    /// nobody supplied (monotone; [`crate::WindowTermsStats::entries_walked`]).
+    /// A call adds the entries of the chunks it found without a directory,
+    /// whatever the number of terms; a registration whose postings were all
+    /// supplied adds nothing.
     pub fn register_entries_walked(&self) -> u64 {
-        self.register_entries_walked
+        self.window.stats().entries_walked
     }
 
-    /// Removes the document with id `id` (normally the oldest, on expiration):
-    /// deletes its impact entries and returns the (shared) document for
-    /// further processing by the engines. Returns `None` if `id` is not
-    /// valid. On a filtered index, composition terms that were never indexed
-    /// simply have no list and are skipped.
+    /// Removes the window's **oldest** document, if its id is `id`: deletes
+    /// its impact entries and returns the (shared) document. Returns `None`
+    /// and changes nothing for any other id — a document leaves the window
+    /// in arrival order or not at all. For a caller that applies a window
+    /// policy of its own (the `ctsbench` replica pass); the engines expire
+    /// through [`InvertedIndex::pop_expired`]. On a filtered index,
+    /// composition terms that were never indexed simply have no list and are
+    /// skipped.
     pub fn remove_document(&mut self, id: DocId) -> Option<Arc<Document>> {
-        let doc = self.store.remove(id)?;
+        self.window.iter().next().filter(|oldest| oldest.id == id)?;
+        let doc = self.window.pop_front()?;
         self.unfile(id, doc.composition.as_slice());
         Some(doc)
     }
 
     /// The engines' expiration path, the mirror of
-    /// [`InvertedIndex::insert_arrival`]: removes the document, cuts it down
-    /// to the entries live **now** — left in `live_entries` for the caller's
-    /// threshold probe — and deletes their impact entries. The live set may
-    /// have changed since the document arrived; that is sound because a list
-    /// exists exactly for the live terms, whatever they were then: a term
-    /// that went live later was backfilled with this document's entry, and a
-    /// term that died took its list with it.
-    pub fn remove_expired(
+    /// [`InvertedIndex::insert_arrival`]: pops the oldest document if it has
+    /// left `window` at `now` ([`WindowTerms::pop_expired`]), cuts it down to
+    /// the entries live **now** — left in `live_entries` for the caller's
+    /// threshold probe — and deletes their impact entries. An engine loops
+    /// over this until it returns `None`. The live set may have changed since
+    /// the document arrived; that is sound because a list exists exactly for
+    /// the live terms, whatever they were then: a term that went live later
+    /// was backfilled with this document's entry, and a term that died took
+    /// its list with it.
+    pub fn pop_expired(
         &mut self,
-        id: DocId,
+        window: SlidingWindow,
+        now: Timestamp,
         live_entries: &mut Vec<WeightedTerm>,
     ) -> Option<Arc<Document>> {
-        let doc = self.store.remove(id)?;
+        let doc = self.window.pop_expired(window, now)?;
         let entries = self.cut(&doc, live_entries);
-        self.unfile(id, entries);
+        self.unfile(doc.id, entries);
         Some(doc)
     }
 
@@ -330,9 +336,9 @@ impl InvertedIndex {
         }
     }
 
-    /// The valid-document store.
-    pub fn store(&self) -> &DocumentStore {
-        &self.store
+    /// The valid documents, oldest first.
+    pub fn documents(&self) -> &WindowTerms {
+        &self.window
     }
 
     /// The inverted list for `term`, if any valid document contains it.
@@ -342,7 +348,7 @@ impl InvertedIndex {
 
     /// Number of valid documents.
     pub fn num_documents(&self) -> usize {
-        self.store.len()
+        self.window.len()
     }
 
     /// Number of non-empty inverted lists (distinct terms in the window).
@@ -364,14 +370,15 @@ impl InvertedIndex {
     /// * every inverted list is non-empty (an emptied list's arena slot is
     ///   vacated on removal, never left behind) and internally well-formed
     ///   ([`crate::InvertedList`]'s own `check_invariants`);
-    /// * every posting is an entry of a stored document — that document's
+    /// * the window's own invariants ([`WindowTerms::check_invariants`]);
+    /// * every posting is an entry of a valid document — that document's
     ///   weight for the list's term — and no list holds more postings than
     ///   there are valid documents;
     /// * the live-term set's own invariants ([`LiveTerms::check_invariants`]),
     ///   and on a term-filtered index every list sits under the key of a
     ///   term that is live now — a recycled slot never inherits a list;
     /// * **complete lists**, on a term-filtered index: the lists hold as many
-    ///   postings as the stored documents have live entries (one
+    ///   postings as the valid documents have live entries (one
     ///   [`LiveTerms::intersect`] per document). Postings are distinct and
     ///   each is a true one, so equal counts mean a term is live **iff** its
     ///   list holds exactly the window's postings for it.
@@ -380,7 +387,8 @@ impl InvertedIndex {
     /// `invariant-checks` feature (and in unit tests); not called on hot
     /// paths.
     pub fn check_invariants(&self) {
-        let documents = self.store.len();
+        let documents = self.window.len();
+        self.window.check_invariants();
         self.live.check_invariants();
         for (key, list) in self.lists.iter() {
             let term = self.live.term_of(key);
@@ -397,7 +405,7 @@ impl InvertedIndex {
             );
             list.check_invariants();
             for posting in list.iter() {
-                let Some(doc) = self.store.get(posting.doc) else {
+                let Some(doc) = self.window.get(posting.doc) else {
                     // cts-lint: allow(panic-in-hot-path, audit-only diagnostics, never on a hot path)
                     panic!(
                         "list for {term} references expired document {}",
@@ -415,7 +423,7 @@ impl InvertedIndex {
         if self.is_term_filtered() {
             let mut live_entries = Vec::new();
             let expected: usize = self
-                .store
+                .window
                 .iter()
                 .map(|doc| {
                     self.live
@@ -426,7 +434,7 @@ impl InvertedIndex {
             assert_eq!(
                 self.stats().postings,
                 expected,
-                "the lists do not hold exactly the live entries of the stored documents"
+                "the lists do not hold exactly the live entries of the valid documents"
             );
         }
     }
@@ -440,7 +448,7 @@ impl InvertedIndex {
             longest_list = longest_list.max(list.len());
         }
         IndexStats {
-            documents: self.store.len(),
+            documents: self.window.len(),
             terms: self.lists.len(),
             postings: total_postings,
             longest_list,
@@ -449,7 +457,8 @@ impl InvertedIndex {
             tree_slots: 0,
             refcount_slots: self.live.slot_capacity(),
             register_postings_touched: self.register_postings_touched,
-            register_entries_walked: self.register_entries_walked,
+            register_entries_walked: self.register_entries_walked(),
+            directory_bytes: self.window.stats().directory_bytes,
         }
     }
 }
@@ -480,6 +489,10 @@ pub struct IndexStats {
     pub register_postings_touched: u64,
     /// [`InvertedIndex::register_entries_walked`] so far (0 on a shard).
     pub register_entries_walked: u64,
+    /// Heap bytes of the term directories the index's window has built to
+    /// resolve postings (0 on a shard and on a full index, which never
+    /// resolve any).
+    pub directory_bytes: usize,
 }
 
 #[cfg(test)]
@@ -497,11 +510,11 @@ mod tests {
         )
     }
 
-    /// What `term`'s list must hold: a brute-force filter of the stored
+    /// What `term`'s list must hold: a brute-force filter of the valid
     /// documents, in list order (decreasing weight, ties by document id).
     fn window_postings(idx: &InvertedIndex, term: TermId) -> Vec<Posting> {
         let mut postings: Vec<Posting> = idx
-            .store()
+            .documents()
             .iter()
             .filter(|doc| doc.composition.contains(term))
             .map(|doc| Posting::new(doc.id, doc.composition.impact(term)))
@@ -535,6 +548,26 @@ mod tests {
         assert!(idx.list(TermId(11)).is_none());
         assert_eq!(idx.list(TermId(20)).unwrap().len(), 1);
         assert!(idx.remove_document(DocId(1)).is_none());
+    }
+
+    #[test]
+    fn removing_anything_but_the_oldest_document_changes_nothing() {
+        for mut idx in [InvertedIndex::new(), InvertedIndex::term_filtered()] {
+            idx.acquire_terms([TermId(20)], &TermPostings::default());
+            idx.insert_document(doc(1, &[(11, 0.08), (20, 0.06)]));
+            idx.insert_document(doc(2, &[(20, 0.09)]));
+            idx.insert_document(doc(3, &[(11, 0.5)]));
+            let before = idx.stats();
+            for id in [2, 3, 99] {
+                assert!(idx.remove_document(DocId(id)).is_none(), "d{id}");
+                idx.check_invariants();
+                assert_eq!(idx.stats(), before, "d{id}");
+            }
+            assert_eq!(idx.remove_document(DocId(1)).map(|d| d.id), Some(DocId(1)));
+            assert_eq!(idx.remove_document(DocId(2)).map(|d| d.id), Some(DocId(2)));
+            idx.check_invariants();
+            assert_eq!(idx.num_documents(), 1);
+        }
     }
 
     #[test]
@@ -579,8 +612,7 @@ mod tests {
         for i in 0..50u64 {
             idx.insert_document(doc(i, &[((i % 7) as u32, 0.1 + (i % 5) as f64 * 0.1)]));
             if idx.num_documents() > 3 {
-                let oldest = idx.store().oldest().unwrap().id;
-                idx.remove_document(oldest).unwrap();
+                idx.remove_document(DocId(i - 3)).unwrap();
             }
         }
         assert_eq!(idx.num_documents(), 3);
@@ -598,7 +630,7 @@ mod tests {
         assert!(idx.list(TermId(2)).is_none());
         // The stored composition is complete, not the filtered projection.
         assert!(idx
-            .store()
+            .documents()
             .get(DocId(1))
             .unwrap()
             .composition
@@ -632,7 +664,7 @@ mod tests {
                 idx.check_invariants();
                 assert_eq!(idx.stats(), before);
                 // The stored document is still the first one.
-                assert_eq!(idx.store().get(DocId(1)).unwrap().composition.len(), 2);
+                assert_eq!(idx.documents().get(DocId(1)).unwrap().composition.len(), 2);
             }
         }
     }
@@ -667,7 +699,7 @@ mod tests {
         assert!(!shadow.release_term(TermId(90_000)));
         assert!(shadow.release_term(TermId(90_000)));
         assert!(shadow.list(TermId(90_000)).is_none());
-        // Term 7 inherits the slot, and a list rebuilt from the store.
+        // Term 7 inherits the slot, and a list rebuilt from the window.
         shadow.acquire_terms([TermId(7)], &TermPostings::default());
         assert_eq!(shadow.live_terms().key(TermId(7)), Some(0));
         for term in [5, 7] {
@@ -676,7 +708,9 @@ mod tests {
             assert_eq!(actual, expected);
         }
         // Expiry re-intersects with the live set as it is now.
-        let removed = shadow.remove_expired(DocId(1), &mut entries).unwrap();
+        let (one, now) = (SlidingWindow::count_based(1), Timestamp::from_millis(2));
+        let removed = shadow.pop_expired(one, now, &mut entries).unwrap();
+        assert!(shadow.pop_expired(one, now, &mut entries).is_none());
         assert_eq!(removed.composition.len(), 2);
         assert_eq!(entries.len(), 1, "only term 7 of d1 is live");
         assert_eq!(shadow.list(TermId(7)).unwrap().len(), 1);
@@ -734,7 +768,7 @@ mod tests {
         // Chunks of 8 over 29 documents, then 3 expire: the term set has hits
         // in the partly expired front chunk, in sealed chunks and in the
         // unsealed tail. `built` answers from directories, `walked` never
-        // builds one, `own` walks its own store.
+        // builds one, `own` resolves through its own window.
         let terms: Vec<TermId> = (0..12).map(TermId).collect();
         let mut built = WindowTerms::with_shape(8, usize::MAX);
         let mut walked = WindowTerms::with_shape(8, 0);
@@ -769,12 +803,12 @@ mod tests {
         assert_eq!(built.stats().entries_walked - walked_before, 5 * 2);
         supplied.acquire_terms(terms.iter().copied(), &from_directories);
         own.acquire_terms(terms.iter().copied(), &TermPostings::default());
-        assert_eq!(supplied, {
-            // Equal but for who read the window.
-            let mut expected = own.clone();
-            expected.register_entries_walked = 0;
-            expected
-        });
+        // Equal but for who read the window.
+        let lists = |idx: &InvertedIndex| -> Vec<(TermId, Vec<Posting>)> {
+            idx.lists().map(|(t, l)| (t, l.iter().collect())).collect()
+        };
+        assert_eq!(lists(&supplied), lists(&own));
+        assert_eq!(supplied.register_entries_walked(), 0);
         assert_eq!(own.register_entries_walked(), 26 * 2);
         assert_eq!(own.register_postings_touched(), 26 * 2);
         assert_eq!(supplied.register_postings_touched(), 26 * 2);

@@ -4,21 +4,22 @@
 //! paper "An Incremental Threshold Method for Continuous Text Search
 //! Queries":
 //!
-//! * [`DocumentStore`] — the first-in-first-out list of *valid* documents
-//!   (the sliding window contents), holding each document's full composition
-//!   list for random-access scoring.
+//! * [`WindowTerms`] — the first-in-first-out list of *valid* documents
+//!   (the sliding window contents), the one container of them: it holds each
+//!   document's full composition list for random-access scoring by id,
+//!   applies the window policy ([`WindowTerms::pop_expired`]) and resolves a
+//!   registration's postings — "the postings of these terms, in arrival
+//!   order" ([`TermPostings`]) — from lazily built per-chunk term
+//!   directories, without a pass over the whole window.
 //! * [`InvertedList`] / [`InvertedIndex`] — one impact-ordered inverted list
 //!   per dictionary term, holding `⟨d, w_{d,t}⟩` entries sorted by decreasing
 //!   weight, maintained under document arrival and expiration.
 //! * [`ThresholdTree`] — the per-list book-keeping structure holding one
 //!   `⟨θ_{Q,t}, Q⟩` entry per query that contains the list's term, supporting
 //!   the probe "all queries whose local threshold is ≤ w".
-//! * [`SlidingWindow`] — count-based and time-based window policies deciding
-//!   which documents expire when a new one arrives (or when time advances).
-//! * [`WindowTerms`] — the window as a *registration* reads it: the valid
-//!   documents in arrival-ordered chunks with lazily built per-chunk term
-//!   directories, answering "the postings of these terms, in arrival order"
-//!   ([`TermPostings`]) without a pass over the whole window.
+//! * [`SlidingWindow`] — count-based and time-based window policies: the
+//!   one rule ([`SlidingWindow::is_stale`]) deciding whether the oldest valid
+//!   document has expired at the latest event's arrival.
 //!
 //! The crate knows nothing about queries' result sets or the ITA algorithm
 //! itself; that lives in `cts-core`. Everything here is deterministic, purely
@@ -42,7 +43,6 @@ pub mod document;
 pub mod index;
 pub mod posting;
 pub mod segmented;
-pub mod store;
 pub mod threshold;
 pub mod window;
 pub mod window_terms;
@@ -52,7 +52,6 @@ pub use document::{DocId, Document, QueryId, Timestamp};
 pub use index::{IndexStats, InvertedIndex};
 pub use posting::{FlatImpactList, Posting};
 pub use segmented::SegmentedImpactList;
-pub use store::DocumentStore;
 pub use threshold::{ThresholdEntry, ThresholdTree};
 pub use window::{SlidingWindow, WindowKind};
 pub use window_terms::{TermPostings, WindowTerms, WindowTermsStats};

@@ -2,17 +2,16 @@
 //!
 //! The paper considers **count-based** windows ("the N most recent
 //! documents", the default in its experiments) and **time-based** windows
-//! ("documents received in the last T time units"). A [`SlidingWindow`]
-//! inspects the [`DocumentStore`] after each arrival (or clock advance) and
-//! reports which documents have ceased to be valid; the engines then process
-//! those expirations.
+//! ("documents received in the last T time units"). A [`SlidingWindow`] is
+//! the policy alone: [`SlidingWindow::is_stale`] says whether the oldest
+//! valid document has ceased to be valid, and [`crate::WindowTerms`] — the
+//! one container of valid documents — pops while it does.
 
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::document::{DocId, Timestamp};
-use crate::store::DocumentStore;
+use crate::document::Timestamp;
 
 /// The window policy in force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,36 +74,20 @@ impl SlidingWindow {
         self.kind
     }
 
-    /// Determines which documents expire given the store contents and the
-    /// current stream time (the arrival time of the newest document, or the
-    /// clock-tick time for pure time advances). Expired documents are reported
-    /// oldest-first; they are **not** removed from the store — the engine does
-    /// that while processing each expiration.
-    pub fn expired(&self, store: &DocumentStore, now: Timestamp) -> Vec<DocId> {
+    /// The one expiry rule, as a predicate: whether the oldest of `len`
+    /// valid documents, which arrived at `oldest`, has left the window at
+    /// `now`. `now` is the latest event's arrival — not the largest arrival
+    /// seen, so a timestamp that steps backwards moves it back too. Expiry
+    /// pops from the oldest arrival while this holds and stops at the first
+    /// document still fresh, even if a later one is older by timestamp
+    /// ([`crate::WindowTerms::pop_expired`]). A count-based window looks only
+    /// at `len`, a time-based one only at the timestamps; the cutoff is
+    /// strict, so a document exactly `duration` old is still valid.
+    pub fn is_stale(&self, len: usize, oldest: Timestamp, now: Timestamp) -> bool {
         match self.kind {
-            WindowKind::CountBased { size } => {
-                let excess = store.len().saturating_sub(size);
-                store.iter().take(excess).map(|d| d.id).collect()
-            }
+            WindowKind::CountBased { size } => len > size,
             WindowKind::TimeBased { duration_micros } => {
-                let cutoff = now.as_micros().saturating_sub(duration_micros);
-                store
-                    .iter()
-                    .take_while(|d| d.arrival.as_micros() < cutoff)
-                    .map(|d| d.id)
-                    .collect()
-            }
-        }
-    }
-
-    /// Whether a document that arrived at `arrival` is still valid at `now`
-    /// under this policy, ignoring the count constraint (which depends on the
-    /// store, not the document alone).
-    pub fn is_fresh(&self, arrival: Timestamp, now: Timestamp) -> bool {
-        match self.kind {
-            WindowKind::CountBased { .. } => true,
-            WindowKind::TimeBased { duration_micros } => {
-                arrival.as_micros() >= now.as_micros().saturating_sub(duration_micros)
+                oldest.as_micros() < now.as_micros().saturating_sub(duration_micros)
             }
         }
     }
@@ -112,70 +95,79 @@ impl SlidingWindow {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::document::Document;
+    use crate::document::{DocId, Document};
+    use crate::WindowTerms;
     use cts_text::{TermId, WeightedVector};
 
-    fn doc(id: u64, arrival_ms: u64) -> Document {
-        Document::new(
-            DocId(id),
-            Timestamp::from_millis(arrival_ms),
-            WeightedVector::from_weights([(TermId(0), 1.0)]),
-        )
+    /// Pushes documents `0..` arriving at `arrivals_ms` and returns the ids
+    /// expiry pops at `now`, oldest first.
+    fn expired(w: SlidingWindow, arrivals_ms: &[u64], now: Timestamp) -> Vec<DocId> {
+        let mut docs = WindowTerms::new();
+        for (id, arrival) in arrivals_ms.iter().enumerate() {
+            docs.push(Arc::new(Document::new(
+                DocId(id as u64),
+                Timestamp::from_millis(*arrival),
+                WeightedVector::from_weights([(TermId(0), 1.0)]),
+            )));
+        }
+        std::iter::from_fn(|| docs.pop_expired(w, now))
+            .map(|doc| doc.id)
+            .collect()
     }
 
     #[test]
     fn count_based_window_expires_excess_oldest_first() {
         let w = SlidingWindow::count_based(3);
-        let mut store = DocumentStore::new();
-        for i in 0..5 {
-            store.push(doc(i, i));
-        }
-        let expired = w.expired(&store, Timestamp::from_millis(4));
+        let expired = expired(w, &[0, 1, 2, 3, 4], Timestamp::from_millis(4));
         assert_eq!(expired, vec![DocId(0), DocId(1)]);
+        // The count rule ignores the timestamps.
+        assert!(w.is_stale(4, Timestamp::from_secs(9), Timestamp::ZERO));
     }
 
     #[test]
     fn count_based_window_with_room_expires_nothing() {
         let w = SlidingWindow::count_based(10);
-        let mut store = DocumentStore::new();
-        store.push(doc(0, 0));
-        assert!(w.expired(&store, Timestamp::ZERO).is_empty());
+        assert!(expired(w, &[0], Timestamp::ZERO).is_empty());
     }
 
     #[test]
     fn time_based_window_expires_stale_documents() {
         let w = SlidingWindow::time_based(Duration::from_millis(100));
-        let mut store = DocumentStore::new();
-        store.push(doc(0, 0));
-        store.push(doc(1, 50));
-        store.push(doc(2, 120));
-        store.push(doc(3, 160));
         // At t=170ms the cutoff is 70ms: documents 0 and 1 expire.
-        let expired = w.expired(&store, Timestamp::from_millis(170));
+        let expired = expired(w, &[0, 50, 120, 160], Timestamp::from_millis(170));
         assert_eq!(expired, vec![DocId(0), DocId(1)]);
     }
 
     #[test]
     fn time_based_window_boundary_is_inclusive_for_documents_exactly_at_cutoff() {
         let w = SlidingWindow::time_based(Duration::from_millis(100));
-        let mut store = DocumentStore::new();
-        store.push(doc(0, 100));
         // cutoff = 200 - 100 = 100; arrival 100 is NOT strictly below the
         // cutoff, so the document is still valid.
-        assert!(w.expired(&store, Timestamp::from_millis(200)).is_empty());
+        assert!(expired(w, &[100], Timestamp::from_millis(200)).is_empty());
         // One microsecond later it expires.
-        let expired = w.expired(&store, Timestamp::from_micros(200_001));
+        let expired = expired(w, &[100], Timestamp::from_micros(200_001));
         assert_eq!(expired, vec![DocId(0)]);
     }
 
     #[test]
     fn is_fresh_matches_expiration_rule() {
         let w = SlidingWindow::time_based(Duration::from_secs(1));
-        assert!(w.is_fresh(Timestamp::from_secs(9), Timestamp::from_secs(10)));
-        assert!(!w.is_fresh(Timestamp::from_secs(8), Timestamp::from_secs(10)));
-        let c = SlidingWindow::count_based(5);
-        assert!(c.is_fresh(Timestamp::ZERO, Timestamp::from_secs(100)));
+        let (secs, now) = (Timestamp::from_secs, Timestamp::from_secs(10));
+        assert!(!w.is_stale(1, secs(9), now));
+        assert!(w.is_stale(1, secs(8), now));
+        // The time rule ignores the count.
+        assert!(!w.is_stale(usize::MAX, secs(9), now));
+        assert!(!SlidingWindow::count_based(5).is_stale(5, Timestamp::ZERO, secs(100)));
+        // Expiry stops at the first fresh document: a stale one behind it
+        // (its timestamp stepped back) stays until that one goes. `now`
+        // earlier than every arrival keeps everything.
+        let arrivals = [8_000, 9_500, 7_000, 9_800];
+        assert_eq!(expired(w, &arrivals, now), vec![DocId(0)]);
+        assert!(expired(w, &arrivals, secs(1)).is_empty());
+        assert_eq!(expired(w, &arrivals, secs(11)).len(), 4);
     }
 
     #[test]
@@ -202,11 +194,7 @@ mod tests {
                 duration_micros: u64::MAX
             }
         );
-        let mut store = DocumentStore::new();
-        store.push(doc(0, 0));
-        assert!(w
-            .expired(&store, Timestamp::from_secs(1_000_000))
-            .is_empty());
+        assert!(!w.is_stale(1, Timestamp::ZERO, Timestamp::from_secs(1_000_000)));
         // The largest representable-in-µs duration still converts exactly.
         let exact = SlidingWindow::time_based(Duration::from_micros(u64::MAX));
         assert_eq!(

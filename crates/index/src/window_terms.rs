@@ -1,18 +1,36 @@
-//! The window as a registration reads it.
+//! The valid documents: the paper's FIFO list (Figure 1), and the window as
+//! a registration reads it.
 //!
-//! A query registered mid-stream on a term-filtered engine needs the
-//! postings of the terms it brings live — `(document, weight)` pairs over the
-//! whole valid window, in arrival order — and the window stores documents,
-//! not terms. [`WindowTerms`] is the arrival-ordered window cut into fixed
-//! **chunks** of [`CHUNK_DOCS`] documents, and it answers
-//! [`WindowTerms::postings`] chunk by chunk:
+//! [`WindowTerms`] is the one container of valid documents. Every engine
+//! keeps its window in one — an [`crate::InvertedIndex`] (so every
+//! `ItaEngine` and every shard), the naive baseline and the sharded
+//! coordinator's mirror — as shared `Arc<Document>`s in arrival order, so N
+//! shards mirroring one stream hold each composition list once. It does
+//! three things:
+//!
+//! * **Arrival and expiry.** [`WindowTerms::push`] appends;
+//!   [`WindowTerms::pop_expired`] is the one place the window policy is
+//!   applied: it pops the oldest document while [`SlidingWindow::is_stale`]
+//!   says so. `now` is the latest event's arrival, and expiry stops at the
+//!   first document still fresh — so after a timestamp steps backwards, a
+//!   document behind a fresh one waits for it, whatever its own timestamp.
+//! * **Lookup by id.** Each document's arrival sequence number is kept by
+//!   id, so [`WindowTerms::get`] — the threshold descent's random-access
+//!   scoring read — is one map probe plus one deque index, and
+//!   [`WindowTerms::contains`] refuses a duplicate before it lands anywhere.
+//! * **Resolving postings.** A query registered mid-stream on a
+//!   term-filtered engine needs the postings of the terms it brings live —
+//!   `(document, weight)` pairs over the whole valid window, in arrival
+//!   order — and the window stores documents, not terms. The window is cut
+//!   into fixed **chunks** of [`CHUNK_DOCS`] documents, and
+//!   [`WindowTerms::postings`] answers chunk by chunk.
+//!
+//! The resolver, chunk by chunk:
 //!
 //! * a chunk without a directory — the unsealed tail always, any chunk
 //!   nobody has asked about yet — is read by **one bitmap walk**: every
 //!   composition entry is tested against a bitmap of the wanted terms, so the
-//!   cost is the chunk's entries whatever the number of terms
-//!   (the one scan strategy; an index reading its own store runs the same
-//!   function);
+//!   cost is the chunk's entries whatever the number of terms;
 //! * a *sealed* chunk may carry a **term directory** — its distinct terms,
 //!   sorted, each with the documents containing it in arrival order (their
 //!   chunk-local indexes) and where in each document's composition it sits —
@@ -29,20 +47,22 @@
 //! each call builds them for at most [`BUILDS_PER_CALL`] of the whole sealed
 //! chunks it had to walk, newest first (the oldest expire soonest). The first
 //! registration after a quiet stretch costs one walk plus that bounded build;
-//! steady churn finds every sealed chunk built. Arrival and expiry do no term
+//! steady churn finds every sealed chunk built. A window nobody asks — a
+//! full index's, a shard's (its coordinator resolves for it), the naive
+//! baseline's — never walks and never builds. Arrival and expiry do no term
 //! work at all: [`WindowTerms::push`] and [`WindowTerms::pop_front`] are
-//! pointer pushes and pops and one id-set update (what
-//! [`WindowTerms::contains`] answers duplicate checks from), plus dropping a
-//! directory when its chunk's last document leaves (DESIGN.md §9 has the
-//! prices that ruled per-event maintenance out).
+//! pointer pushes and pops and one id-map update, plus dropping a directory
+//! when its chunk's last document leaves (DESIGN.md §9 has the prices that
+//! ruled per-event maintenance out).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+// cts-lint: allow(nondet-iteration, the id map is point-lookup only; all traversal follows the FIFO order)
+use std::collections::{hash_map::Entry, BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use cts_text::{TermId, Weight};
 
 use crate::document::{DocId, Document, Timestamp};
-use crate::window::{SlidingWindow, WindowKind};
+use crate::window::SlidingWindow;
 
 /// Documents per chunk. `ablation_register`'s shape sweep prices 128–1024:
 /// shorter chunks mean more directories to probe per registration and more
@@ -75,8 +95,8 @@ pub const MAX_POSITIONS: usize = 1 << u16::BITS;
 /// The postings of a set of terms over one state of the window: for each
 /// term, the `(document, weight)` pairs of the valid documents containing it,
 /// **in arrival order** — the insertion sequence an always-live list would
-/// have seen. Resolved by [`WindowTerms::postings`] (or by an index over its
-/// own store) and filed by `InvertedIndex::acquire_terms`.
+/// have seen. Resolved by [`WindowTerms::postings`] and filed by
+/// `InvertedIndex::acquire_terms`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermPostings {
     /// Sorted and distinct.
@@ -166,23 +186,6 @@ fn walk<'a>(
         }
     }
     (walked, hits)
-}
-
-/// Resolves `terms` over `docs` (oldest first) by one bitmap walk — how an
-/// index answers from its own store when nobody supplied the postings.
-/// Returns them with the number of composition entries read (none when no
-/// term is asked for).
-pub(crate) fn walk_postings<'a>(
-    docs: impl Iterator<Item = &'a Document>,
-    terms: impl IntoIterator<Item = TermId>,
-) -> (TermPostings, u64) {
-    let mut postings = TermPostings::for_terms(terms);
-    if postings.terms.is_empty() {
-        return (postings, 0);
-    }
-    let wanted = WantedBits::of(&postings.terms);
-    let (walked, _) = walk(docs, &wanted, &mut postings);
-    (postings, walked)
 }
 
 /// One document containing a directory's term: its chunk-local index and
@@ -378,18 +381,18 @@ pub struct WindowTermsStats {
 
 /// The valid documents in arrival order, with lazily built per-chunk term
 /// directories — see the module documentation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WindowTerms {
     docs: VecDeque<Arc<Document>>,
-    /// The ids of `docs`, so a caller can refuse a duplicate before it
-    /// arrives anywhere.
-    ids: HashSet<DocId>,
+    /// The arrival sequence number of each document of `docs`: `docs[i]` has
+    /// number `popped + i`.
+    seqs: HashMap<DocId, u64>, // cts-lint: allow(nondet-iteration, point lookups only; iteration follows the FIFO)
+    /// Documents popped so far — the sequence number of `docs[0]`.
+    popped: u64,
     /// One slot per chunk the window spans, oldest first. Chunk `c` covers
-    /// the documents at positions `c * chunk_docs - front_offset ..` of
+    /// the documents at positions `c * chunk_docs - front_offset() ..` of
     /// `docs`, clipped to it.
     directories: VecDeque<Option<TermDirectory>>,
-    /// How many documents of the front chunk have expired.
-    front_offset: usize,
     chunk_docs: usize,
     builds_per_call: usize,
     entries_walked: u64,
@@ -427,9 +430,9 @@ impl WindowTerms {
         );
         Self {
             docs: VecDeque::new(),
-            ids: HashSet::new(),
+            seqs: Default::default(),
+            popped: 0,
             directories: VecDeque::new(),
-            front_offset: 0,
             chunk_docs,
             builds_per_call,
             entries_walked: 0,
@@ -447,8 +450,12 @@ impl WindowTerms {
     /// Panics if a document with the same id is in the window — before
     /// anything is changed; [`WindowTerms::contains`] asks first.
     pub fn push(&mut self, doc: Arc<Document>) {
-        assert!(self.ids.insert(doc.id), "duplicate document id {}", doc.id);
-        if (self.front_offset + self.docs.len()).is_multiple_of(self.chunk_docs) {
+        let seq = self.popped + self.docs.len() as u64;
+        match self.seqs.entry(doc.id) {
+            Entry::Occupied(_) => panic!("duplicate document id {}", doc.id),
+            Entry::Vacant(slot) => slot.insert(seq),
+        };
+        if seq.is_multiple_of(self.chunk_docs as u64) {
             self.directories.push_back(None);
         }
         self.docs.push_back(doc);
@@ -456,7 +463,15 @@ impl WindowTerms {
 
     /// Whether a document with id `id` is in the window.
     pub fn contains(&self, id: DocId) -> bool {
-        self.ids.contains(&id)
+        self.seqs.contains_key(&id)
+    }
+
+    /// The valid document with id `id`: one map probe and one deque index.
+    pub fn get(&self, id: DocId) -> Option<&Document> {
+        let seq = self.seqs.get(&id)?;
+        self.docs
+            .get((seq - self.popped) as usize)
+            .map(|doc| &**doc)
     }
 
     /// Removes and returns the oldest document: a pointer pop and an id
@@ -464,30 +479,30 @@ impl WindowTerms {
     /// last document.
     pub fn pop_front(&mut self) -> Option<Arc<Document>> {
         let doc = self.docs.pop_front()?;
-        self.ids.remove(&doc.id);
-        self.front_offset += 1;
-        if self.front_offset == self.chunk_docs {
-            self.front_offset = 0;
+        self.seqs.remove(&doc.id);
+        self.popped += 1;
+        if self.front_offset() == 0 {
             self.directories.pop_front();
         }
         Some(doc)
     }
 
-    /// Drops what `window` no longer holds at time `now` — the policy the
-    /// engines apply to their stores ([`SlidingWindow::expired`]) — and
-    /// returns how many documents went.
-    pub fn expire(&mut self, window: SlidingWindow, now: Timestamp) -> usize {
-        let capacity = match window.kind() {
-            WindowKind::CountBased { size } => size,
-            WindowKind::TimeBased { .. } => usize::MAX,
-        };
-        let before = self.docs.len();
-        while self.docs.len() > capacity
-            || (self.docs.front()).is_some_and(|doc| !window.is_fresh(doc.arrival, now))
-        {
-            self.pop_front();
+    /// Pops the oldest document if it has left `window` at `now`
+    /// ([`SlidingWindow::is_stale`]) — the one place the window policy is
+    /// applied. Expiry is a loop over this: it takes documents in arrival
+    /// order and stops at the first one still fresh.
+    pub fn pop_expired(&mut self, window: SlidingWindow, now: Timestamp) -> Option<Arc<Document>> {
+        let oldest = self.docs.front()?;
+        if window.is_stale(self.docs.len(), oldest.arrival, now) {
+            self.pop_front()
+        } else {
+            None
         }
-        before - self.docs.len()
+    }
+
+    /// How many documents of the front chunk have expired.
+    fn front_offset(&self) -> usize {
+        (self.popped % self.chunk_docs as u64) as usize
     }
 
     /// Number of valid documents.
@@ -507,8 +522,9 @@ impl WindowTerms {
 
     /// The positions in `docs` of chunk `chunk`'s documents.
     fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
-        let start = (chunk * self.chunk_docs).saturating_sub(self.front_offset);
-        let end = ((chunk + 1) * self.chunk_docs - self.front_offset).min(self.docs.len());
+        let front_offset = self.front_offset();
+        let start = (chunk * self.chunk_docs).saturating_sub(front_offset);
+        let end = ((chunk + 1) * self.chunk_docs - front_offset).min(self.docs.len());
         start..end
     }
 
@@ -590,7 +606,8 @@ impl WindowTerms {
     }
 
     /// Audits the structure, panicking with a description on violation:
-    /// the id set holds exactly the window's ids; there is one directory
+    /// the id map holds exactly the window's ids, each under its document's
+    /// position; there is one directory
     /// slot per chunk the window spans; only a sealed chunk whose documents
     /// all fit [`MAX_POSITIONS`] carries a directory; every position a directory records for a
     /// valid document names that document's composition entry of the
@@ -600,14 +617,12 @@ impl WindowTerms {
     /// in arrival order.
     pub fn check_invariants(&self) {
         assert!(
-            self.ids.len() == self.docs.len() && self.docs.iter().all(|doc| self.contains(doc.id)),
-            "the id set is not the window's ids"
+            self.seqs.len() == self.docs.len()
+                && (self.docs.iter().enumerate())
+                    .all(|(at, doc)| self.seqs.get(&doc.id) == Some(&(self.popped + at as u64))),
+            "the id map is not the window's ids at their positions"
         );
-        let arrived = self.front_offset + self.docs.len();
-        assert!(
-            self.front_offset < self.chunk_docs,
-            "the front chunk expired whole but was not dropped"
-        );
+        let arrived = self.front_offset() + self.docs.len();
         assert_eq!(
             self.directories.len(),
             arrived.div_ceil(self.chunk_docs),
@@ -686,6 +701,87 @@ mod tests {
     fn ids(postings: &TermPostings, term: u32) -> Vec<u64> {
         let list = postings.get(TermId(term)).expect("term was asked for");
         list.iter().map(|(doc, _)| doc.0).collect()
+    }
+
+    #[test]
+    fn push_and_pop_preserve_fifo_order() {
+        let mut window = WindowTerms::new();
+        for i in 0..5 {
+            window.push(doc(i, &[(1, 0.5)]));
+        }
+        assert_eq!(window.len(), 5);
+        // Popping the oldest, again and again, empties the window in
+        // arrival order.
+        let popped: Vec<u64> = std::iter::from_fn(|| window.pop_front())
+            .map(|d| d.id.0)
+            .collect();
+        assert_eq!(popped, vec![0, 1, 2, 3, 4]);
+        assert!(window.is_empty());
+    }
+
+    #[test]
+    fn get_and_contains() {
+        // Chunks of 3, so `get` crosses chunk seams after the front expires.
+        let mut window = WindowTerms::with_shape(3, 0);
+        for i in [10, 4, 7, 11, 2, 9, 30] {
+            window.push(doc(i, &[(i as u32, 0.5)]));
+        }
+        for expired in [10, 4, 7, 11] {
+            assert!(window.contains(DocId(expired)));
+            assert_eq!(window.pop_front().map(|d| d.id), Some(DocId(expired)));
+            assert!(!window.contains(DocId(expired)) && window.get(DocId(expired)).is_none());
+            for valid in window.iter() {
+                let got = window.get(valid.id).expect("a valid document");
+                assert!(std::ptr::eq(got, &**valid));
+            }
+            window.check_invariants();
+        }
+        assert_eq!(
+            window.get(DocId(9)).unwrap().arrival,
+            Timestamp::from_millis(9)
+        );
+        assert!(window.get(DocId(99)).is_none() && !window.contains(DocId(99)));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate document id")]
+    fn duplicate_push_panics() {
+        let mut window = WindowTerms::new();
+        window.push(doc(1, &[(1, 0.5)]));
+        window.push(doc(1, &[(2, 0.5)]));
+    }
+
+    #[test]
+    fn iter_follows_arrival_order() {
+        let mut window = WindowTerms::new();
+        for i in [3, 1, 2] {
+            window.push(doc(i, &[(1, 0.5)]));
+        }
+        let order: Vec<u64> = window.iter().map(|d| d.id.0).collect();
+        assert_eq!(order, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn push_shared_stores_the_same_allocation() {
+        let mut a = WindowTerms::new();
+        let mut b = WindowTerms::new();
+        let shared = doc(1, &[(1, 0.5)]);
+        a.push(Arc::clone(&shared));
+        b.push(Arc::clone(&shared));
+        // Both windows (and the caller) point at one allocation.
+        assert_eq!(Arc::strong_count(&shared), 3);
+        let out = a.pop_front().unwrap();
+        assert!(Arc::ptr_eq(&out, &shared));
+        assert_eq!(b.get(DocId(1)).unwrap().id, DocId(1));
+    }
+
+    #[test]
+    fn pop_from_empty_is_none() {
+        let mut window = WindowTerms::new();
+        let any = SlidingWindow::count_based(1);
+        assert!(window.pop_front().is_none());
+        assert!(window.pop_expired(any, Timestamp::ZERO).is_none());
+        window.check_invariants();
     }
 
     #[test]

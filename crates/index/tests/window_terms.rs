@@ -51,23 +51,10 @@ fn random_doc(rng: &mut ScriptRng, id: u64, arrival: Timestamp) -> Arc<Document>
 struct BruteForce(VecDeque<Arc<Document>>);
 
 impl BruteForce {
-    fn expire(&mut self, window: SlidingWindow, now: Timestamp) -> usize {
+    fn slide(&mut self, window: SlidingWindow, now: Timestamp) -> usize {
         let before = self.0.len();
-        match window.kind() {
-            cts_index::WindowKind::CountBased { size } => {
-                while self.0.len() > size {
-                    self.0.pop_front();
-                }
-            }
-            cts_index::WindowKind::TimeBased { .. } => {
-                while self
-                    .0
-                    .front()
-                    .is_some_and(|doc| !window.is_fresh(doc.arrival, now))
-                {
-                    self.0.pop_front();
-                }
-            }
+        while (self.0.front()).is_some_and(|doc| window.is_stale(self.0.len(), doc.arrival, now)) {
+            self.0.pop_front();
         }
         before - self.0.len()
     }
@@ -79,6 +66,12 @@ impl BruteForce {
             .map(|doc| (doc.id.0, doc.composition.weight(term).to_bits()))
             .collect()
     }
+}
+
+/// Expires `view` at `now` the way the engines do — pop while stale — and
+/// returns how many documents went.
+fn expire(view: &mut WindowTerms, window: SlidingWindow, now: Timestamp) -> usize {
+    std::iter::from_fn(|| view.pop_expired(window, now)).count()
 }
 
 /// Every requested term is answered exactly as the brute-force filter
@@ -139,11 +132,11 @@ fn run_session(seed: u64, window: SlidingWindow, chunk_docs: usize, events: usiz
         now = now.advance(Duration::from_millis(rng.range(1, 40) as u64));
         let doc = random_doc(&mut rng, id, now);
         reference.0.push_back(Arc::clone(&doc));
-        let expired = reference.expire(window, now);
+        let expired = reference.slide(window, now);
         for view in &mut views {
             view.push(Arc::clone(&doc));
             assert_eq!(
-                view.expire(window, now),
+                expire(view, window, now),
                 expired,
                 "seed {seed:#x} event {event}"
             );
@@ -232,7 +225,7 @@ fn a_time_window_can_run_empty_and_refill() {
         let doc = random_doc(&mut rng, id, now);
         reference.0.push_back(Arc::clone(&doc));
         view.push(doc);
-        assert_eq!(view.expire(window, now), reference.expire(window, now));
+        assert_eq!(expire(&mut view, window, now), reference.slide(window, now));
         let wanted = [HEAD, TermId(2), TermId(3), ABSENT];
         let answer = view.postings(wanted);
         assert_answer(&answer, &wanted, &reference, &format!("arrival {id}"));

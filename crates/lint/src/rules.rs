@@ -77,7 +77,7 @@ const REPLAY_MODULES: &[&str] = &[
     "crates/core/src/result.rs",
     "crates/core/src/slab.rs",
     "crates/index/src/index.rs",
-    "crates/index/src/store.rs",
+    "crates/index/src/window_terms.rs",
     "crates/index/src/segmented.rs",
     "crates/index/src/window.rs",
     "crates/index/src/arena.rs",
