@@ -26,6 +26,11 @@
 //! `CTS_ABLATION_RECOVERY_QUICK=1` for reduced points (50 queries, a
 //! 400-document window) when iterating on the harness itself.
 
+#![expect(
+    missing_docs,
+    reason = "a bench binary has no API; criterion_group! emits an undocumented pub fn"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cts_core::{ContinuousQuery, Engine, ItaConfig, ShardedItaEngine};

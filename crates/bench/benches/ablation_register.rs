@@ -44,6 +44,11 @@
 //! `CTS_ABLATION_REGISTER_QUICK=1` for a reduced point (50 queries, 400- and
 //! 1,600-document windows, chunks of 16) when iterating on the harness.
 
+#![expect(
+    missing_docs,
+    reason = "a bench binary has no API; criterion_group! emits an undocumented pub fn"
+)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

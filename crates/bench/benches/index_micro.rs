@@ -19,6 +19,11 @@
 //!
 //! Run with `cargo bench --bench index_micro`.
 
+#![expect(
+    missing_docs,
+    reason = "a bench binary has no API; criterion_group! emits an undocumented pub fn"
+)]
+
 use std::collections::VecDeque;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

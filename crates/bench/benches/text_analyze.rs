@@ -33,6 +33,11 @@
 //! `cargo bench --bench text_analyze`; `CTS_TEXT_ANALYZE_QUICK=1` runs every
 //! arm on the small corpus in a few seconds.
 
+#![expect(
+    missing_docs,
+    reason = "a bench binary has no API; criterion_group! emits an undocumented pub fn"
+)]
+
 #[path = "../../corpus/tests/generator_text/mod.rs"]
 mod generator_text;
 #[path = "../../text/tests/reference/mod.rs"]

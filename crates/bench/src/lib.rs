@@ -5,9 +5,6 @@
 //! through `cts-corpus`, so two benchmark runs (or a benchmark and a test)
 //! see byte-identical documents and queries.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs, unused_must_use)]
-
 pub mod sweep;
 
 use cts_core::ContinuousQuery;

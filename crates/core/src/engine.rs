@@ -6,6 +6,8 @@
 //! and the [`crate::StreamService`] front-end are generic over this trait,
 //! which is what makes the paper's ITA-vs-Naïve comparison a one-line swap.
 
+#![deny(clippy::disallowed_types)]
+
 use cts_index::{DocId, Document, QueryId, Timestamp};
 
 use crate::fault::FaultStats;

@@ -23,6 +23,8 @@
 //! queries over the coordinator's window mirror — is documented in
 //! DESIGN.md §10 and implemented in [`crate::sharded`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 
 use cts_index::{DocId, QueryId};

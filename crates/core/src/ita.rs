@@ -48,6 +48,14 @@
 //! layout-agnostic; the `ita_brute_force_agreement_beyond_segment_capacity`
 //! test pins the boundary behaviour at engine level.
 
+#![deny(clippy::disallowed_types)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -252,7 +260,10 @@ impl ItaEngine {
     /// Runs (or resumes) the threshold search for `qid` until `S_k ≥ τ`,
     /// then reconciles the per-list threshold trees with the new frontier.
     fn run_threshold_search(&mut self, qid: QueryId, register: bool) {
-        // cts-lint: allow(panic-in-hot-path, callers pass ids taken from the live query slab)
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass ids taken from the live query slab"
+        )]
         let state = self.queries.get_mut(qid).expect("query exists");
         let before: Vec<Weight> = state.thresholds.iter().map(|(_, theta)| *theta).collect();
         // Unit-test builds run every search twice, once by the restart-at-θ
@@ -264,7 +275,10 @@ impl ItaEngine {
         tests::assert_same_search(state, &reference);
         let live = self.index.live_terms();
         for ((term, after), before) in state.thresholds.iter().zip(before) {
-            // cts-lint: allow(panic-in-hot-path, registration takes a reference on every query term before any search runs)
+            #[expect(
+                clippy::expect_used,
+                reason = "registration takes a reference on every query term before any search runs"
+            )]
             let key = live.key(*term).expect("query terms are live");
             let tree = self.trees.get_or_default(key);
             if register {
@@ -306,7 +320,10 @@ impl ItaEngine {
         let touched = affected.len();
         let mut changed = 0;
         for &qid in &affected {
-            // cts-lint: allow(panic-in-hot-path, deregistration removes tree entries, so probes only yield live queries)
+            #[expect(
+                clippy::expect_used,
+                reason = "deregistration removes tree entries, so probes only yield live queries"
+            )]
             let state = self.queries.get_mut(qid).expect("tree entries are live");
             state.arrivals_examined += 1;
             state.postings_examined += 1;
@@ -330,7 +347,10 @@ impl ItaEngine {
         let touched = affected.len();
         let mut changed = 0;
         for &qid in &affected {
-            // cts-lint: allow(panic-in-hot-path, deregistration removes tree entries, so probes only yield live queries)
+            #[expect(
+                clippy::expect_used,
+                reason = "deregistration removes tree entries, so probes only yield live queries"
+            )]
             let state = self.queries.get_mut(qid).expect("tree entries are live");
             state.expirations_examined += 1;
             if !state.results.contains(doc.id) {
@@ -413,10 +433,13 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
             if state.results.contains(posting.doc) {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "postings only reference valid documents"
+            )]
             let composition = &index
                 .documents()
                 .get(posting.doc)
-                // cts-lint: allow(panic-in-hot-path, postings only reference valid documents)
                 .expect("indexed documents are valid")
                 .composition;
             let score = state.query.score(composition);
@@ -596,8 +619,8 @@ impl ItaEngine {
             );
             tree.check_invariants();
             for entry in tree.iter() {
+                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
                 let Some(state) = self.queries.get(entry.query) else {
-                    // cts-lint: allow(panic-in-hot-path, audit-only diagnostics, never on a hot path)
                     panic!(
                         "threshold tree for {term} references dead query {}",
                         entry.query
@@ -622,8 +645,8 @@ impl ItaEngine {
         let mut live_refs: Vec<u32> = Vec::new();
         for (qid, state) in self.queries.iter() {
             for (term, theta) in &state.thresholds {
+                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
                 let Some(tree) = live.key(*term).and_then(|key| self.trees.get(key)) else {
-                    // cts-lint: allow(panic-in-hot-path, audit-only diagnostics, never on a hot path)
                     panic!("no threshold tree covers {qid}'s term {term}");
                 };
                 assert!(

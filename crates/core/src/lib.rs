@@ -52,9 +52,6 @@
 //! assert!(top[0].score >= top[1].score);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs, unused_must_use)]
-
 pub mod engine;
 pub mod fault;
 pub mod ita;

@@ -16,6 +16,8 @@
 //! search over a few cache lines, `S_k` is an index, and a point update
 //! shifts a short tail.
 
+#![deny(clippy::disallowed_types)]
+
 use serde::{Deserialize, Serialize};
 
 use cts_index::DocId;

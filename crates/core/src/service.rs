@@ -52,8 +52,11 @@
 //! caller-passed `now` of a pump), never the wall clock, so the accepted set
 //! is a pure function of the offered sequence and replays exactly.
 
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cts_index::{DocId, Document, QueryId, Timestamp};
 
@@ -272,7 +275,11 @@ impl<E: Engine> StreamService<E> {
             let take = self.queue.len().min(self.config.max_coalesce).min(budget);
             let batch: Vec<Document> = self.queue.drain(..take).map(|event| event.doc).collect();
             report.processed.extend(batch.iter().map(|doc| doc.id));
-            let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the burst for stats; never read by admission)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "times the burst for stats; never read by admission"
+            )]
+            let start = std::time::Instant::now();
             let outcomes = self.engine.process_batch(batch);
             let elapsed = start.elapsed();
             // A burst of one is a single event, counted and timed as one.

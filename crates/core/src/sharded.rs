@@ -116,13 +116,21 @@
 //! enforces exact results with faults injected and rebuilt mid-stream, and
 //! identical outcomes up to the first fault.
 
+#![deny(clippy::disallowed_types)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cts_index::{
     DocId, Document, IndexStats, QueryId, SlidingWindow, TermPostings, Timestamp, WindowTerms,
@@ -278,11 +286,18 @@ impl ShardWorker {
     /// fires and ends the worker.
     fn process_one(&mut self, doc: Arc<Document>) -> EventOutcome {
         let doc_id = doc.id;
-        let start = Instant::now(); // cts-lint: allow(clock-in-apply, times the event for stats; never read by engine state)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "times the event for stats; never read by engine state"
+        )]
+        let start = std::time::Instant::now();
         let outcome = self.engine.process_shared(doc);
         let elapsed = start.elapsed();
+        #[expect(
+            clippy::panic,
+            reason = "deliberate injected fault; the recovery machinery under test"
+        )]
         if self.fault_armed {
-            // cts-lint: allow(panic-in-hot-path, deliberate injected fault; the recovery machinery under test)
             panic!("injected fault while processing document {}", doc_id.0);
         }
         self.stats.record(&outcome, elapsed);
@@ -347,8 +362,11 @@ impl ShardWorker {
                 ShardReply::Armed
             }
             ShardRequest::CheckInvariants(mirror, hosted) => self.audit(&mirror, &hosted),
+            #[expect(
+                clippy::unreachable,
+                reason = "the worker loop intercepts lifecycle requests before handle"
+            )]
             ShardRequest::Shutdown | ShardRequest::Crash => {
-                // cts-lint: allow(panic-in-hot-path, the worker loop intercepts lifecycle requests before handle)
                 unreachable!("lifecycle requests are handled by the worker loop")
             }
         }
@@ -372,7 +390,11 @@ const LINGER: Duration = Duration::from_micros(100);
 /// The worker's next request: polled for while [`LINGER`] lasts, then
 /// awaited. `None` once the coordinator has hung up.
 fn next_request(requests: &Receiver<ShardRequest>) -> Option<ShardRequest> {
-    let lingering = Instant::now(); // cts-lint: allow(clock-in-apply, bounds the poll before parking; never read by engine state)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "bounds the poll before parking; never read by engine state"
+    )]
+    let lingering = std::time::Instant::now();
     while lingering.elapsed() < LINGER {
         match requests.try_recv() {
             Ok(request) => return Some(request),
@@ -486,7 +508,10 @@ impl ShardedItaEngine {
         assert!(shards > 0, "a sharded engine needs at least one shard");
         let start = |shard| match Self::spawn_worker(shard, window, Seed::default()) {
             Ok(handle) => handle,
-            // cts-lint: allow(panic-in-hot-path, construction fails loudly rather than run on fewer shards than asked for)
+            #[expect(
+                clippy::panic,
+                reason = "construction fails loudly rather than run on fewer shards than asked for"
+            )]
             Err(error) => panic!("could not start shard worker {shard}: {error}"),
         };
         let workers: Vec<ShardHandle> = (0..shards).map(start).collect();
@@ -516,6 +541,10 @@ impl ShardedItaEngine {
     ) -> Result<ShardHandle, EngineError> {
         let (request_tx, request_rx) = std::sync::mpsc::channel();
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the shard supervisor: every worker thread is spawned here, and rebuilt here after a fault"
+        )]
         let thread = std::thread::Builder::new()
             .name(format!("cts-shard-{shard}"))
             .spawn(move || worker_loop(shard, window, seed, request_rx, reply_tx))
@@ -645,7 +674,11 @@ impl ShardedItaEngine {
     /// future work counters need not match a fault-free history — see
     /// DESIGN.md §10.
     fn rebuild(&mut self, shard: usize) -> Result<(), EngineError> {
-        let start = Instant::now(); // cts-lint: allow(clock-in-apply, measures recovery cost only; never read by engine state)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "measures recovery cost only; never read by engine state"
+        )]
+        let start = std::time::Instant::now();
         if let Some(thread) = self.workers[shard].thread.take() {
             // An error here is a panic that escaped the worker's guard; the
             // panic hook has reported it, and the shard is rebuilt anyway.
@@ -699,10 +732,13 @@ impl ShardedItaEngine {
     /// Fallible single-event processing: the `try_*` twin of
     /// [`Engine::process_document`] — a burst of one through
     /// [`ShardedItaEngine::try_process_batch`].
+    #[expect(
+        clippy::expect_used,
+        reason = "try_process_batch returns exactly one outcome per document"
+    )]
     pub fn try_process(&mut self, doc: Document) -> Result<EventOutcome, EngineError> {
         let outcome = self.try_process_batch(vec![doc])?.pop();
-        // cts-lint: allow(panic-in-hot-path, try_process_batch returns exactly one outcome per document)
-        Ok(outcome.expect("one outcome per document")) // cts-lint: allow(unwrap-in-service, try_process_batch returns exactly one outcome per document)
+        Ok(outcome.expect("one outcome per document"))
     }
 
     /// Fallible burst processing: the `try_*` twin of
@@ -753,7 +789,11 @@ impl ShardedItaEngine {
                         into.merge_shard(outcome);
                     }
                 }
-                Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the SPSC protocol pairs every reply with its request"
+                )]
+                Ok(_) => unreachable!("shard replied out of order"),
                 // The shard is marked degraded and rebuilt below.
                 Err(_) => {}
             }
@@ -820,7 +860,11 @@ impl ShardedItaEngine {
         for shard in pending {
             match self.recv_reply(shard) {
                 Ok(ShardReply::Registered) => {}
-                Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the SPSC protocol pairs every reply with its request"
+                )]
+                Ok(_) => unreachable!("shard replied out of order"),
                 // The shard is marked degraded; its rebuild below registers
                 // the burst from the registry.
                 Err(_) => {}
@@ -847,7 +891,11 @@ impl ShardedItaEngine {
                     "shard {shard} did not host {query}, its hash shard"
                 );
             }
-            Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+            #[expect(
+                clippy::unreachable,
+                reason = "the SPSC protocol pairs every reply with its request"
+            )]
+            Ok(_) => unreachable!("shard replied out of order"),
             // Durable state already dropped the query; the rebuild leaves
             // it out.
             Err(_) => self.recover_degraded()?,
@@ -865,7 +913,11 @@ impl ShardedItaEngine {
         }
         match self.call_shard(shard, ShardRequest::QueryStats(query)) {
             Ok(ShardReply::QueryStats(stats)) => stats,
-            Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+            #[expect(
+                clippy::unreachable,
+                reason = "the SPSC protocol pairs every reply with its request"
+            )]
+            Ok(_) => unreachable!("shard replied out of order"),
             Err(_) => None,
         }
     }
@@ -880,7 +932,11 @@ impl ShardedItaEngine {
             || ShardRequest::IndexStats,
             |reply| match reply {
                 ShardReply::IndexStats(stats) => stats,
-                _ => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the SPSC protocol pairs every reply with its request"
+                )]
+                _ => unreachable!("shard replied out of order"),
             },
             |_| IndexStats::default(),
         )
@@ -903,7 +959,11 @@ impl ShardedItaEngine {
             || ShardRequest::Stats,
             |reply| match reply {
                 ShardReply::Stats(stats) => stats,
-                _ => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the SPSC protocol pairs every reply with its request"
+                )]
+                _ => unreachable!("shard replied out of order"),
             },
             |_| ProcessingStats::default(),
         )
@@ -962,8 +1022,11 @@ impl ShardedItaEngine {
                 }
             }
             if let Some(thread) = handle.thread.take() {
+                #[expect(
+                    clippy::panic,
+                    reason = "shutdown path surfacing a worker panic that escaped its guard"
+                )]
                 if thread.join().is_err() && !std::thread::panicking() {
-                    // cts-lint: allow(panic-in-hot-path, shutdown path surfacing a worker panic that escaped its guard)
                     panic!("a shard worker panicked; see stderr for the root cause");
                 }
             }
@@ -1016,16 +1079,22 @@ impl ShardedItaEngine {
 }
 
 impl Engine for ShardedItaEngine {
+    #[expect(
+        clippy::expect_used,
+        reason = "register_batch returns exactly one id per query"
+    )]
     fn register(&mut self, query: ContinuousQuery) -> QueryId {
         self.register_batch(vec![query])
             .pop()
-            // cts-lint: allow(panic-in-hot-path, register_batch returns exactly one id per query)
-            .expect("one id per registered query") // cts-lint: allow(unwrap-in-service, register_batch returns exactly one id per query)
+            .expect("one id per registered query")
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the infallible Engine surface; typed errors live on the try_* twin"
+    )]
     fn register_batch(&mut self, queries: Vec<ContinuousQuery>) -> Vec<QueryId> {
         self.try_register_batch(queries)
-            // cts-lint: allow(panic-in-hot-path, the infallible Engine surface; typed errors live on the try_* twin)
             .unwrap_or_else(|err| panic!("sharded engine could not register: {err}"))
     }
 
@@ -1033,20 +1102,29 @@ impl Engine for ShardedItaEngine {
         match self.try_deregister(query) {
             Ok(removed) => removed,
             Err(EngineError::UnknownQuery(_)) => false,
-            // cts-lint: allow(panic-in-hot-path, the infallible Engine surface; typed errors live on the try_* twin)
+            #[expect(
+                clippy::panic,
+                reason = "the infallible Engine surface; typed errors live on the try_* twin"
+            )]
             Err(err) => panic!("sharded engine could not deregister: {err}"),
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the infallible Engine surface; typed errors live on the try_* twin"
+    )]
     fn process_document(&mut self, doc: Document) -> EventOutcome {
         self.try_process(doc)
-            // cts-lint: allow(panic-in-hot-path, the infallible Engine surface; typed errors live on the try_* twin)
             .unwrap_or_else(|err| panic!("sharded engine could not serve the event: {err}"))
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the infallible Engine surface; typed errors live on the try_* twin"
+    )]
     fn process_batch(&mut self, docs: Vec<Document>) -> Vec<EventOutcome> {
         self.try_process_batch(docs)
-            // cts-lint: allow(panic-in-hot-path, the infallible Engine surface; typed errors live on the try_* twin)
             .unwrap_or_else(|err| panic!("sharded engine could not serve the batch: {err}"))
     }
 
@@ -1060,7 +1138,11 @@ impl Engine for ShardedItaEngine {
         }
         match self.call_shard(shard, ShardRequest::Results(query)) {
             Ok(ShardReply::Results(results)) => results,
-            Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+            #[expect(
+                clippy::unreachable,
+                reason = "the SPSC protocol pairs every reply with its request"
+            )]
+            Ok(_) => unreachable!("shard replied out of order"),
             Err(_) => Vec::new(),
         }
     }
@@ -1090,7 +1172,11 @@ impl Engine for ShardedItaEngine {
         }
         match self.call_shard(shard, ShardRequest::ArmFault) {
             Ok(ShardReply::Armed) => true,
-            Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+            #[expect(
+                clippy::unreachable,
+                reason = "the SPSC protocol pairs every reply with its request"
+            )]
+            Ok(_) => unreachable!("shard replied out of order"),
             Err(_) => false,
         }
     }
@@ -1125,9 +1211,16 @@ impl Engine for ShardedItaEngine {
             let request = ShardRequest::CheckInvariants(Arc::clone(&mirrored), hosted);
             match self.call_shard(shard, request) {
                 Ok(ShardReply::InvariantsChecked) => {}
-                Ok(_) => unreachable!("shard replied out of order"), // cts-lint: allow(panic-in-hot-path, the SPSC protocol pairs every reply with its request)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the SPSC protocol pairs every reply with its request"
+                )]
+                Ok(_) => unreachable!("shard replied out of order"),
+                #[expect(
+                    clippy::panic,
+                    reason = "audit-only path re-raising a worker-side assertion"
+                )]
                 Err(err) => {
-                    // cts-lint: allow(panic-in-hot-path, audit-only path re-raising a worker-side assertion)
                     panic!("shard {shard} failed its invariant audit: {err}")
                 }
             }
@@ -1190,7 +1283,7 @@ mod tests {
             qids.push(qs);
         }
         // The hash really does use more than one shard for 8 sequential ids.
-        let used: std::collections::HashSet<usize> =
+        let used: std::collections::BTreeSet<usize> =
             qids.iter().map(|&q| sharded.shard_of(q)).collect();
         assert!(used.len() > 1, "all queries landed on one shard");
         for i in 0..60u64 {

@@ -9,6 +9,8 @@
 //! churn should be compacted by re-registration; the paper's workloads
 //! register once and stream forever).
 
+#![deny(clippy::disallowed_types)]
+
 use cts_index::{DenseArena, QueryId};
 
 /// A dense map from [`QueryId`] to per-query state `T`.

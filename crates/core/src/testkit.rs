@@ -33,6 +33,8 @@
 //!   and the **minimized script** — small enough to read, sufficient to
 //!   replay.
 
+#![deny(clippy::disallowed_types)]
+
 use std::fmt;
 
 use cts_index::{DocId, Document, QueryId, Timestamp};

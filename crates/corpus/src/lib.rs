@@ -44,9 +44,6 @@
 //! assert_eq!(workload.generate().len(), 5);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs, unused_must_use)]
-
 pub mod arrivals;
 pub mod config;
 pub mod distributions;

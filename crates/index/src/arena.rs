@@ -38,6 +38,8 @@
 //! composition list down to the ~10 entries that can matter to any query
 //! against a 22 KB bitmap, before any arena is touched.
 
+#![deny(clippy::disallowed_types)]
+
 use cts_text::{TermId, WeightedTerm};
 
 /// A dense map from `usize` ids to `T`, backed by `Vec<Option<T>>`.
@@ -336,6 +338,10 @@ impl LiveTerms {
     ///
     /// Panics if `term` holds no reference — the owner's bookkeeping is
     /// corrupt.
+    #[expect(
+        clippy::panic,
+        reason = "an internal bookkeeping invariant: every release pairs with an earlier acquire"
+    )]
     pub fn release(&mut self, term: TermId) -> Option<usize> {
         let key = self
             .key(term)

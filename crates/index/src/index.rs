@@ -52,6 +52,8 @@
 //! ([`InvertedIndex::register_entries_walked`] counts the entries that
 //! window walked: 0 on a shard).
 
+#![deny(clippy::disallowed_types)]
+
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -251,8 +253,11 @@ impl InvertedIndex {
             let Some(postings) = postings.filter(|postings| !postings.is_empty()) else {
                 continue;
             };
+            #[expect(
+                clippy::panic,
+                reason = "the only caller took a reference on every term it passes, so each has a key"
+            )]
             let Some(key) = self.live.key(*term) else {
-                // cts-lint: allow(panic-in-hot-path, the only caller took a reference on every term it passes, so each has a key)
                 panic!("backfill of {term}, which no registered query references");
             };
             let list = self.lists.get_or_default(key);
@@ -405,8 +410,8 @@ impl InvertedIndex {
             );
             list.check_invariants();
             for posting in list.iter() {
+                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
                 let Some(doc) = self.window.get(posting.doc) else {
-                    // cts-lint: allow(panic-in-hot-path, audit-only diagnostics, never on a hot path)
                     panic!(
                         "list for {term} references expired document {}",
                         posting.doc

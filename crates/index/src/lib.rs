@@ -35,8 +35,14 @@
 //! differential test; DESIGN.md §6 records what the retired `BTreeSet`
 //! layouts measured against both.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs, unused_must_use)]
+// Every entry point of the crate runs on some engine's per-event path, so
+// the panic lints hold crate-wide (DESIGN.md §11).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod arena;
 pub mod document;

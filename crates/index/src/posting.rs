@@ -23,6 +23,8 @@
 //! reference arm of the randomized differential test
 //! (`tests/differential_impact_list.rs`).
 
+#![deny(clippy::disallowed_types)]
+
 use std::cmp::Ordering;
 
 use serde::Serialize;

@@ -36,6 +36,8 @@
 //! sequences by `tests/differential_impact_list.rs` and must agree exactly,
 //! including on equal-weight tie runs that straddle segment boundaries.
 
+#![deny(clippy::disallowed_types)]
+
 use cts_text::Weight;
 
 use crate::document::DocId;
@@ -115,9 +117,12 @@ impl SegmentedImpactList {
     /// contain `p` or its insertion position (may be `segments.len()` when
     /// `p` ranks after everything).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
+    )]
     fn segment_for(&self, p: &Posting) -> usize {
         self.segments.partition_point(|seg| {
-            // cts-lint: allow(panic-in-hot-path, structural invariant: the directory never holds an empty segment, enforced by check_invariants)
             seg.last().expect("segments are non-empty").rank(p) == std::cmp::Ordering::Less
         })
     }
@@ -125,9 +130,12 @@ impl SegmentedImpactList {
     /// Cursor at the first entry whose weight is **strictly below** `weight`.
     #[inline]
     fn first_below(&self, weight: Weight) -> Cursor {
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
+        )]
         let seg = self
             .segments
-            // cts-lint: allow(panic-in-hot-path, structural invariant: the directory never holds an empty segment, enforced by check_invariants)
             .partition_point(|s| s.last().expect("segments are non-empty").weight >= weight);
         let off = match self.segments.get(seg) {
             // The segment's last entry is < weight, so `off` is in bounds.
@@ -140,9 +148,12 @@ impl SegmentedImpactList {
     /// Cursor at the first entry whose weight is **at or below** `weight`.
     #[inline]
     fn first_at_or_below(&self, weight: Weight) -> Cursor {
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
+        )]
         let seg = self
             .segments
-            // cts-lint: allow(panic-in-hot-path, structural invariant: the directory never holds an empty segment, enforced by check_invariants)
             .partition_point(|s| s.last().expect("segments are non-empty").weight > weight);
         let off = match self.segments.get(seg) {
             Some(entries) => entries.partition_point(|p| p.weight > weight),
@@ -332,9 +343,12 @@ impl SegmentedImpactList {
                     "segment {i} is not strictly ordered"
                 );
             }
+            #[expect(
+                clippy::unwrap_used,
+                reason = "audit-only path; both segments were just asserted non-empty"
+            )]
             if let Some(next) = self.segments.get(i + 1) {
                 assert!(
-                    // cts-lint: allow(panic-in-hot-path, audit-only path; both segments were just asserted non-empty)
                     seg.last().unwrap().rank(next.first().unwrap()) == std::cmp::Ordering::Less,
                     "segments {i} and {} are not ordered across the boundary",
                     i + 1

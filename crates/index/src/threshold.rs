@@ -16,6 +16,8 @@
 //! pay a tail `memmove`; DESIGN.md §6 records the trade as measured against
 //! the `BTreeSet` layout this replaced.
 
+#![deny(clippy::disallowed_types)]
+
 use serde::Serialize;
 
 use cts_text::Weight;
@@ -108,12 +110,6 @@ impl ThresholdTree {
         self.entries.iter().copied()
     }
 
-    /// The smallest registered local threshold, if any. An arriving impact
-    /// entry below this value cannot affect any query through this list.
-    pub fn min_threshold(&self) -> Option<Weight> {
-        self.entries.first().map(|e| e.threshold)
-    }
-
     /// Audits the tree's structural invariants, panicking with a description
     /// on violation: entries strictly ascending by `(θ, Q)` — which implies
     /// no duplicate entry — so `affected_by`'s `partition_point` + prefix
@@ -185,17 +181,6 @@ mod tests {
         assert_eq!(t.affected_by(w(0.07)).count(), 0);
         assert_eq!(t.affected_by(w(0.10)).count(), 1);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn min_threshold_tracks_smallest_entry() {
-        let mut t = ThresholdTree::new();
-        assert!(t.min_threshold().is_none());
-        t.insert(q(1), w(0.4));
-        t.insert(q(2), w(0.1));
-        assert_eq!(t.min_threshold(), Some(w(0.1)));
-        t.remove(q(2), w(0.1));
-        assert_eq!(t.min_threshold(), Some(w(0.4)));
     }
 
     #[test]

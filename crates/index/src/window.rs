@@ -7,6 +7,8 @@
 //! valid document has ceased to be valid, and [`crate::WindowTerms`] — the
 //! one container of valid documents — pops while it does.
 
+#![deny(clippy::disallowed_types)]
+
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};

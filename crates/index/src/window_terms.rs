@@ -55,7 +55,12 @@
 //! when its chunk's last document leaves (DESIGN.md §9 has the prices that
 //! ruled per-event maintenance out).
 
-// cts-lint: allow(nondet-iteration, the id map is point-lookup only; all traversal follows the FIFO order)
+#![deny(clippy::disallowed_types)]
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "the id map is point-lookup only; all traversal follows the FIFO order"
+)]
 use std::collections::{hash_map::Entry, BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -386,7 +391,11 @@ pub struct WindowTerms {
     docs: VecDeque<Arc<Document>>,
     /// The arrival sequence number of each document of `docs`: `docs[i]` has
     /// number `popped + i`.
-    seqs: HashMap<DocId, u64>, // cts-lint: allow(nondet-iteration, point lookups only; iteration follows the FIFO)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only; iteration follows the FIFO"
+    )]
+    seqs: HashMap<DocId, u64>,
     /// Documents popped so far — the sequence number of `docs[0]`.
     popped: u64,
     /// One slot per chunk the window spans, oldest first. Chunk `c` covers
@@ -452,6 +461,11 @@ impl WindowTerms {
     pub fn push(&mut self, doc: Arc<Document>) {
         let seq = self.popped + self.docs.len() as u64;
         match self.seqs.entry(doc.id) {
+            #[expect(
+                clippy::panic,
+                reason = "the documented duplicate-DocId contract of the infallible Engine surface; \
+                          a typed refusal waits on a fallible Engine (ROADMAP items 8 (a) and 10)"
+            )]
             Entry::Occupied(_) => panic!("duplicate document id {}", doc.id),
             Entry::Vacant(slot) => slot.insert(seq),
         };

@@ -29,6 +29,13 @@
 //! the dictionary, since numeric and over-long tokens are dropped by the
 //! tokenizer before either sees them.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::dictionary::{Dictionary, TermId};
 use crate::stem::PorterStemmer;
 use crate::stopwords::StopWords;

@@ -12,6 +12,13 @@
 //! slot *is* the term for anything up to 15 bytes, so neither direction boxes
 //! a string per term.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,8 +107,11 @@ impl Clone for Dictionary {
 /// The one place a dictionary may panic: past `u32::MAX − 1` terms or 4 GiB
 /// of term text there is no valid [`TermId`] or offset left to issue, and
 /// returning a wrong one would silently merge terms.
+#[expect(
+    clippy::expect_used,
+    reason = "no valid id or offset exists past u32 and a wrong one merges terms"
+)]
 fn to_u32(n: usize) -> u32 {
-    // cts-lint: allow(panic-in-hot-path, no valid id or offset exists past u32 and a wrong one merges terms)
     u32::try_from(n).expect("dictionary exceeds u32 terms")
 }
 

@@ -36,9 +36,6 @@
 //! assert!(s > 0.0 && s <= 1.0 + 1e-9);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs, unused_must_use)]
-
 pub mod analyze;
 pub mod dictionary;
 pub mod score;

@@ -9,6 +9,13 @@
 //! stripping", *Program* 14(3), 1980, steps 1a–5b. It operates on lower-case
 //! ASCII words; words containing non-ASCII characters are returned unchanged.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 /// The Porter stemmer. Stateless; construct once and reuse.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PorterStemmer;

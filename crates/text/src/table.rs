@@ -18,6 +18,13 @@
 //! not share them. Entries are never removed, only
 //! [`InlineKeyTable::clear`]ed wholesale.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};

@@ -19,6 +19,13 @@
 //! Unicode `is_alphanumeric` and full Unicode lower-casing, so both paths
 //! accept exactly the same tokens on ASCII text.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::borrow::Cow;
 
 /// A single token produced by the [`Tokenizer`].

@@ -12,7 +12,10 @@
 //!
 //! Included by path from `crates/corpus/tests/` and `crates/bench/benches/`
 //! as well; not every includer uses every item.
-#![allow(dead_code)]
+#![expect(
+    dead_code,
+    reason = "included by path into several test and bench crates, none of which uses every item"
+)]
 
 use std::borrow::Cow;
 use std::collections::HashMap;
