@@ -451,26 +451,16 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
 }
 
 impl ItaEngine {
-    /// Registers `query` under a caller-chosen id — the sharded engine
-    /// assigns ids globally and routes each query to one shard, so the shard
-    /// must not mint its own. Ids handed out by a later [`Engine::register`]
-    /// never collide with ids registered this way. A burst of one through
-    /// [`ItaEngine::register_shared_batch`], with no postings supplied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qid` is already registered — before anything is touched.
-    pub fn register_with_id(&mut self, qid: QueryId, query: ContinuousQuery) {
-        self.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
-    }
-
-    /// Registers a whole batch of queries under caller-chosen ids, over
-    /// queries the caller keeps a handle on — the engine stores a refcount
-    /// bump per query, not a copy. All of the batch's newly-live terms are
+    /// Registers a whole batch of queries under caller-chosen ids — the
+    /// sharded engine assigns ids globally and routes each query to one
+    /// shard, so the shard must not mint its own — over queries the caller
+    /// keeps a handle on: the engine stores a refcount bump per query, not a
+    /// copy. Ids handed out by a later [`Engine::register`] never collide
+    /// with ids registered this way. All of the batch's newly-live terms are
     /// filed first, in one call, and only then do the per-query threshold
-    /// searches run — each byte-identical to the one a lone
-    /// [`ItaEngine::register_with_id`] would have run, because registration
-    /// reads the index and writes only the registering query's own state.
+    /// searches run — each byte-identical to the one a burst of one would
+    /// have run, because registration reads the index and writes only the
+    /// registering query's own state.
     ///
     /// `postings` are the window's postings as the caller resolved them: the
     /// sharded coordinator resolves a burst's terms against its own copy of
@@ -703,7 +693,7 @@ impl ItaEngine {
 impl Engine for ItaEngine {
     fn register(&mut self, query: ContinuousQuery) -> QueryId {
         let qid = QueryId(self.next_query);
-        self.register_with_id(qid, query);
+        self.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
         qid
     }
 
@@ -1229,8 +1219,11 @@ mod tests {
             type Attempt<'a> = Box<dyn FnOnce(&mut ItaEngine) + 'a>;
             let attempts: [(&str, Attempt); 3] = [
                 (
-                    "register_with_id",
-                    Box::new(|e| e.register_with_id(q, other.clone())),
+                    "a burst of one naming the live id",
+                    Box::new(|e| {
+                        let batch = [(q, Arc::new(other.clone()))];
+                        e.register_shared_batch(&batch, &TermPostings::default())
+                    }),
                 ),
                 (
                     "a batch naming a live id after a fresh one",
@@ -1283,10 +1276,17 @@ mod tests {
         assert!(batched.process_batch(Vec::new()).is_empty());
     }
 
+    /// Registers `query` under a caller-chosen id, as a shard does: a burst
+    /// of one with no postings supplied.
+    fn register_with_id(e: &mut ItaEngine, qid: QueryId, query: ContinuousQuery) {
+        e.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
+    }
+
     #[test]
     fn register_with_id_controls_the_id_space() {
         let mut e = engine(4);
-        e.register_with_id(
+        register_with_id(
+            &mut e,
             QueryId(7),
             ContinuousQuery::from_weights([(TermId(1), 1.0)], 1),
         );
@@ -1301,11 +1301,13 @@ mod tests {
     #[should_panic(expected = "already registered")]
     fn duplicate_register_with_id_panics() {
         let mut e = engine(4);
-        e.register_with_id(
+        register_with_id(
+            &mut e,
             QueryId(3),
             ContinuousQuery::from_weights([(TermId(1), 1.0)], 1),
         );
-        e.register_with_id(
+        register_with_id(
+            &mut e,
             QueryId(3),
             ContinuousQuery::from_weights([(TermId(2), 1.0)], 1),
         );

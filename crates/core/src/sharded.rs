@@ -10,17 +10,25 @@
 //! composition lists exist once in memory no matter how many shards mirror
 //! them).
 //!
-//! Stream events cross the coordinator/worker boundary in **bursts**, and a
-//! single event is a burst of one (DESIGN.md §8 has the traffic numbers that
-//! make this the only protocol): the coordinator wraps each document in an
-//! `Arc` and ships the burst down every shard's SPSC request channel in
-//! **one request/reply round-trip per shard**. Every worker probes its own
-//! trees, repairs its own result sets and slides its own window mirror with
-//! **zero cross-shard locking on the hot path** — the channel handoff at the
-//! burst boundary is the only synchronisation — processing (and timing) the
-//! events one by one, in order, so outcomes are byte-identical whatever the
-//! burst length (the batch-vs-singles differential tests enforce it). The
-//! per-shard [`crate::EventOutcome`]s are folded back with
+//! ## Calls
+//!
+//! The coordinator talks to a worker in **calls**: it ships a closure over
+//! the worker's state down the shard's job queue and receives the closure's
+//! typed result on a reply channel that belongs to that one call, so an
+//! operation is one closure at its call site and no reply can be read by
+//! another call. A fan-out submits its call to every shard before it waits
+//! on any, so the shards work in parallel.
+//!
+//! Stream events cross the boundary in **bursts**, and a single event is a
+//! burst of one (DESIGN.md §8 has the traffic numbers that make this the
+//! only path): the coordinator wraps each document in an `Arc` and ships the
+//! burst to every shard in **one call per shard**. Every worker probes its
+//! own trees, repairs its own result sets and slides its own window mirror
+//! with **zero cross-shard locking on the hot path** — the channel handoff
+//! at the burst boundary is the only synchronisation — processing (and
+//! timing) the events one by one, in order, so outcomes are byte-identical
+//! whatever the burst length (the batch-vs-singles differential tests
+//! enforce it). The per-shard [`crate::EventOutcome`]s are folded back with
 //! [`crate::EventOutcome::merge_shard`] into exactly what a single-shard
 //! engine would have reported, and per-worker [`ProcessingStats`] merge
 //! through [`ProcessingStats::absorb`], so a caller reads exact aggregate
@@ -44,14 +52,14 @@
 //!
 //! * **A shard is only ever built** — one function starts every worker: a
 //!   fresh thread seeded with the mirror's documents, the shard's queries
-//!   and their postings, which builds its engine from the seed and replies
-//!   once when it is ready. [`ShardedItaEngine::new`] seeds every worker
+//!   and their postings, which builds its engine from the seed and answers
+//!   once on a ready channel. [`ShardedItaEngine::new`] seeds every worker
 //!   empty; recovery seeds one from the coordinator's durable state.
-//! * **A faulted worker exits** — the worker's whole life, building and
-//!   serving, runs under one [`std::panic::catch_unwind`]. A panic replies
-//!   with a typed [`ShardFault`] and ends the thread, so a shard is either
-//!   healthy or gone; the coordinator marks it *degraded* alike for a
-//!   `Fault` reply, a failed send and a failed receive.
+//! * **A faulted worker exits** — the build and every call run under
+//!   [`std::panic::catch_unwind`]. A panic answers with a typed
+//!   [`ShardFault`] and ends the thread, so a shard is either healthy or
+//!   gone; the coordinator marks it *degraded* alike for a fault, a failed
+//!   submit and a reply channel that closes unanswered.
 //! * **One recovery path, the seeded rebuild** — the coordinator keeps
 //!   durable state updated **before** any fan-out — a query registry
 //!   (id → [`ContinuousQuery`]), whose ids hash to their shards, and a window
@@ -80,12 +88,13 @@
 //! hand it to every rebuild.
 //!
 //! Workers are **persistent**: one thread per shard, living until the engine
-//! shuts down or the worker faults. Construction panics if any of them
+//! is dropped or the worker faults. Construction panics if any of them
 //! fails to start, so an engine always runs on the shards it was asked for;
 //! a worker that fails to start during a rebuild leaves the shard degraded
-//! for the next mutating call to try again. Shutdown drains
-//! each worker's final [`ProcessingStats`] through a handshake before
-//! joining, so no timing data is lost on drop.
+//! for the next mutating call to try again. Dropping the engine closes
+//! every job queue and joins the threads; a worker's [`ProcessingStats`]
+//! are read while the engine lives
+//! ([`ShardedItaEngine::aggregate_shard_stats`]).
 //!
 //! ## Why this is exact
 //!
@@ -105,7 +114,7 @@
 //! however many shards there are. [`ShardedItaEngine::try_register_batch`]
 //! resolves the terms of a burst against it while no event burst is in
 //! flight (so the mirror and every healthy shard's store hold the same
-//! documents) and ships the [`TermPostings`] with the request, and so does a
+//! documents) and ships the [`TermPostings`] with the call, and so does a
 //! rebuild's seed; the shard files
 //! what it finds newly live and never resolves through its own window
 //! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
@@ -127,7 +136,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -144,11 +153,6 @@ use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
 use crate::stats::ProcessingStats;
 
-/// A registration burst as it travels: each query under its globally
-/// assigned id, every query one allocation shared by the coordinator's
-/// registry and the worker's engine.
-type SharedQueries = Arc<[(QueryId, Arc<ContinuousQuery>)]>;
-
 /// What a worker builds its engine from: the mirror's documents (oldest
 /// first), then the shard's queries registered with the postings the
 /// coordinator resolved for their terms over those documents. Empty for a
@@ -160,81 +164,15 @@ struct Seed {
     postings: TermPostings,
 }
 
-/// A request travelling coordinator → shard on the shard's SPSC channel.
-enum ShardRequest {
-    /// Register a burst of queries, each under its globally assigned id, in
-    /// one round-trip (synchronous), with the window postings of the whole
-    /// burst's terms as the coordinator resolved them against its mirror.
-    /// The shard files the ones its own queries bring live
-    /// ([`ItaEngine::register_shared_batch`]) and resolves nothing itself.
-    /// Single registrations are a one-element burst (the
-    /// [`Engine::register_batch`] contract makes that byte-identical). The
-    /// queries are shared with the coordinator's registry, the postings with
-    /// the other shards.
-    RegisterBatch(SharedQueries, Arc<TermPostings>),
-    /// Remove a query (synchronous; replies whether it existed).
-    Deregister(QueryId),
-    /// Process a fanned-out burst of stream events — a single event is a
-    /// burst of one — in one round-trip (synchronous; replies with one
-    /// [`EventOutcome`] per document, in order). The burst itself is shared:
-    /// `N` shards cost one refcount bump each, not one per document each.
-    ProcessBatch(Arc<[Arc<Document>]>),
-    /// Read a query's current top-k.
-    Results(QueryId),
-    /// Read a query's ITA bookkeeping snapshot.
-    QueryStats(QueryId),
-    /// Read the shard's shadow-index statistics.
-    IndexStats,
-    /// Read the shard's accumulated per-worker processing statistics.
-    Stats,
-    /// Zero the shard's processing statistics (e.g. after an untimed
-    /// fill/register phase, so later readings cover only measured events).
-    ResetStats,
-    /// Arm one injected fault: the next stream event is applied for real and
-    /// the worker then panics mid-request, which ends the worker.
-    ArmFault,
-    /// Audit the shard engine's deep structural invariants, that its store
-    /// holds exactly the given documents (the coordinator's mirror, oldest
-    /// first) and that it hosts exactly the given queries (the registry's
-    /// ids that hash to this shard) (synchronous; replies
-    /// [`ShardReply::InvariantsChecked`]). A violation panics inside the
-    /// worker and surfaces as a [`ShardReply::Fault`] carrying the
-    /// assertion message. Driven by the testkit lockstep runner under the
-    /// `invariant-checks` feature; never sent on production paths.
-    CheckInvariants(Arc<[DocId]>, Vec<QueryId>),
-    /// Drain the worker's final stats and exit the thread (the shutdown
-    /// handshake that keeps stats from being lost on drop).
-    Shutdown,
-    /// Test hook: exit the worker thread *without* replying, exactly as a
-    /// killed thread would look from the coordinator's side.
-    Crash,
-}
+/// One unit of work on a shard's job queue, run on the worker's thread
+/// against its state; it returns whether the worker keeps serving.
+type Job = Box<dyn FnOnce(&mut ShardWorker) -> bool + Send>;
 
-/// A reply travelling shard → coordinator, always in request order (each
-/// channel pair carries at most one outstanding request per shard).
-enum ShardReply {
-    /// The worker built its engine from its seed and is serving; the first
-    /// reply of every worker.
-    Ready,
-    Registered,
-    Deregistered(bool),
-    /// The per-document outcomes, in order.
-    ProcessedBatch(Vec<EventOutcome>),
-    Results(Vec<RankedDocument>),
-    QueryStats(Option<ItaQueryStats>),
-    IndexStats(IndexStats),
-    Stats(ProcessingStats),
-    StatsReset,
-    Armed,
-    /// The shard's engine passed its structural audit.
-    InvariantsChecked,
-    /// The worker's final stats, sent once in response to
-    /// [`ShardRequest::Shutdown`] just before the thread exits.
-    ShuttingDown(ProcessingStats),
-    /// The worker caught a panic building its engine or serving the
-    /// request, and its thread is exiting: the last reply it sends. The
-    /// shard is degraded until the coordinator rebuilds it.
-    Fault(ShardFault),
+/// A call submitted to a shard and not yet waited on: the receiving end of
+/// the reply channel that belongs to this one call.
+struct Pending<T> {
+    shard: usize,
+    reply: Receiver<Result<T, ShardFault>>,
 }
 
 /// Renders a caught panic payload as the fault context string.
@@ -248,13 +186,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs `work` under a panic guard, turning a caught panic into `shard`'s
+/// typed fault.
+fn guarded<T>(shard: usize, work: impl FnOnce() -> T) -> Result<T, ShardFault> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| ShardFault {
+        shard,
+        context: panic_message(payload.as_ref()),
+    })
+}
+
 /// The per-thread state of one shard worker: the engine, local processing
 /// stats, and whether an injected fault is armed.
 struct ShardWorker {
     shard: usize,
     engine: ItaEngine,
     stats: ProcessingStats,
-    /// Whether [`ShardRequest::ArmFault`] armed an injected fault. The next
+    /// Whether [`Engine::inject_fault`] armed an injected fault. The next
     /// stream event fires it, and the worker dies with it: arming twice
     /// still faults once.
     fault_armed: bool,
@@ -281,32 +228,41 @@ impl ShardWorker {
         }
     }
 
-    /// Processes and times one stream event. An armed injected fault models
-    /// a *partial* failure: the event is applied for real, then the panic
-    /// fires and ends the worker.
-    fn process_one(&mut self, doc: Arc<Document>) -> EventOutcome {
-        let doc_id = doc.id;
-        #[expect(
-            clippy::disallowed_types,
-            reason = "times the event for stats; never read by engine state"
-        )]
-        let start = std::time::Instant::now();
-        let outcome = self.engine.process_shared(doc);
-        let elapsed = start.elapsed();
-        #[expect(
-            clippy::panic,
-            reason = "deliberate injected fault; the recovery machinery under test"
-        )]
-        if self.fault_armed {
-            panic!("injected fault while processing document {}", doc_id.0);
-        }
-        self.stats.record(&outcome, elapsed);
-        outcome
+    /// Processes and times a burst of stream events one by one, so the
+    /// outcomes and the per-worker stats do not depend on how the stream
+    /// was cut into bursts. An armed injected fault models a *partial*
+    /// failure: the event is applied for real, then the panic fires and
+    /// ends the worker.
+    fn process_burst(&mut self, docs: &[Arc<Document>]) -> Vec<EventOutcome> {
+        docs.iter()
+            .map(|doc| {
+                let doc_id = doc.id;
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "times the event for stats; never read by engine state"
+                )]
+                let start = std::time::Instant::now();
+                let outcome = self.engine.process_shared(Arc::clone(doc));
+                let elapsed = start.elapsed();
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate injected fault; the recovery machinery under test"
+                )]
+                if self.fault_armed {
+                    panic!("injected fault while processing document {}", doc_id.0);
+                }
+                self.stats.record(&outcome, elapsed);
+                outcome
+            })
+            .collect()
     }
 
-    /// Serves [`ShardRequest::CheckInvariants`]. A violation panics right
-    /// here, which ends the worker with a `Fault` reply carrying the message.
-    fn audit(&self, mirror: &[DocId], hosted: &[QueryId]) -> ShardReply {
+    /// Audits the shard engine's deep structural invariants, that its store
+    /// holds exactly `mirror` (the coordinator's documents, oldest first)
+    /// and that it hosts exactly `hosted` (the registry's ids that hash to
+    /// this shard). A violation panics right here, which ends the worker
+    /// with a fault carrying the message.
+    fn audit(&self, mirror: &[DocId], hosted: &[QueryId]) {
         let engine = &self.engine;
         engine.check_invariants();
         // Shipped postings are only right if the coordinator resolved them
@@ -328,53 +284,11 @@ impl ShardWorker {
             engine.num_queries(),
             hosted.len()
         );
-        ShardReply::InvariantsChecked
-    }
-
-    fn handle(&mut self, request: ShardRequest) -> ShardReply {
-        match request {
-            ShardRequest::RegisterBatch(batch, postings) => {
-                self.engine.register_shared_batch(&batch, &postings);
-                ShardReply::Registered
-            }
-            ShardRequest::Deregister(qid) => ShardReply::Deregistered(self.engine.deregister(qid)),
-            ShardRequest::ProcessBatch(docs) => {
-                // One channel round-trip covers the whole burst; the worker
-                // still processes and times each event individually, so the
-                // outcomes and the per-worker stats do not depend on how the
-                // stream was cut into bursts.
-                let outcomes = docs
-                    .iter()
-                    .map(|doc| self.process_one(Arc::clone(doc)))
-                    .collect();
-                ShardReply::ProcessedBatch(outcomes)
-            }
-            ShardRequest::Results(qid) => ShardReply::Results(self.engine.current_results(qid)),
-            ShardRequest::QueryStats(qid) => ShardReply::QueryStats(self.engine.query_stats(qid)),
-            ShardRequest::IndexStats => ShardReply::IndexStats(self.engine.index_stats()),
-            ShardRequest::Stats => ShardReply::Stats(self.stats),
-            ShardRequest::ResetStats => {
-                self.stats = ProcessingStats::default();
-                ShardReply::StatsReset
-            }
-            ShardRequest::ArmFault => {
-                self.fault_armed = true;
-                ShardReply::Armed
-            }
-            ShardRequest::CheckInvariants(mirror, hosted) => self.audit(&mirror, &hosted),
-            #[expect(
-                clippy::unreachable,
-                reason = "the worker loop intercepts lifecycle requests before handle"
-            )]
-            ShardRequest::Shutdown | ShardRequest::Crash => {
-                unreachable!("lifecycle requests are handled by the worker loop")
-            }
-        }
     }
 }
 
-/// How long a worker that has just replied keeps polling its queue before
-/// it parks. The coordinator's requests come in runs — a burst, then a
+/// How long a worker that has just finished a job keeps polling its queue
+/// before it parks. The coordinator's calls come in runs — a burst, then a
 /// registration, its result reads and deregistrations, one shard at a time —
 /// and a worker parked between two of them is woken wherever the scheduler
 /// finds an idle core, which on a box with fewer cores than threads is the
@@ -387,67 +301,56 @@ impl ShardWorker {
 /// the core gets it.
 const LINGER: Duration = Duration::from_micros(100);
 
-/// The worker's next request: polled for while [`LINGER`] lasts, then
-/// awaited. `None` once the coordinator has hung up.
-fn next_request(requests: &Receiver<ShardRequest>) -> Option<ShardRequest> {
+/// The worker's next job: polled for while [`LINGER`] lasts, then awaited.
+/// `None` once the coordinator has hung up.
+fn next_job(jobs: &Receiver<Job>) -> Option<Job> {
     #[expect(
         clippy::disallowed_types,
         reason = "bounds the poll before parking; never read by engine state"
     )]
     let lingering = std::time::Instant::now();
     while lingering.elapsed() < LINGER {
-        match requests.try_recv() {
-            Ok(request) => return Some(request),
+        match jobs.try_recv() {
+            Ok(job) => return Some(job),
             Err(TryRecvError::Empty) => std::thread::yield_now(),
             Err(TryRecvError::Disconnected) => return None,
         }
     }
-    requests.recv().ok()
+    jobs.recv().ok()
 }
 
-/// A worker thread's whole life under its one panic guard: build the
-/// engine from `seed`, then serve until the coordinator hangs up, sends the
-/// shutdown handshake or crashes the thread. A panic anywhere in it — the
-/// build, or the one request being served — becomes the thread's last
-/// reply, [`ShardReply::Fault`], and the thread exits.
+/// A worker thread's whole life: build the engine from `seed` under a panic
+/// guard and answer `ready` with the outcome, then run jobs until the
+/// coordinator hangs up or a job says to stop — a call that panicked, or
+/// the disconnect test hook.
 fn worker_loop(
     shard: usize,
     window: SlidingWindow,
     seed: Seed,
-    requests: Receiver<ShardRequest>,
-    replies: Sender<ShardReply>,
+    jobs: Receiver<Job>,
+    ready: SyncSender<Result<(), ShardFault>>,
 ) {
-    let served = catch_unwind(AssertUnwindSafe(|| {
-        let mut worker = ShardWorker::build(shard, window, seed);
-        let mut reply = ShardReply::Ready;
-        // A failed send means the coordinator is gone; nothing left to serve.
-        while replies.send(reply).is_ok() {
-            reply = match next_request(&requests) {
-                None | Some(ShardRequest::Crash) => return,
-                Some(ShardRequest::Shutdown) => {
-                    // Final-stats handshake: surrendering the accumulated
-                    // stats in the reply is what keeps them from dying with
-                    // the thread.
-                    let _ = replies.send(ShardReply::ShuttingDown(worker.stats));
-                    return;
+    match guarded(shard, || ShardWorker::build(shard, window, seed)) {
+        Ok(mut worker) => {
+            // A failed send means the coordinator is gone; nothing to serve.
+            if ready.send(Ok(())).is_ok() {
+                while let Some(job) = next_job(&jobs) {
+                    if !job(&mut worker) {
+                        return;
+                    }
                 }
-                Some(request) => worker.handle(request),
-            };
+            }
         }
-    }));
-    if let Err(payload) = served {
-        let _ = replies.send(ShardReply::Fault(ShardFault {
-            shard,
-            context: panic_message(payload.as_ref()),
-        }));
+        Err(fault) => {
+            let _ = ready.send(Err(fault));
+        }
     }
 }
 
-/// One shard's channels and thread handle, as owned by the coordinator.
+/// One shard's job queue and thread handle, as owned by the coordinator.
 #[derive(Debug)]
 struct ShardHandle {
-    sender: Sender<ShardRequest>,
-    receiver: Receiver<ShardReply>,
+    jobs: Sender<Job>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -469,10 +372,10 @@ struct FaultState {
 /// [`ItaEngine`] over any stream — including streams with worker faults —
 /// and event outcomes byte-identical up to the first fault, after which they
 /// are a rebuilt shard's. See the module docs for the partitioning rule, the
-/// fan-out and batch protocols, the fault model and the exactness argument.
+/// call protocol, the fault model and the exactness argument.
 #[derive(Debug)]
 pub struct ShardedItaEngine {
-    /// Per-shard channels + thread handles. A rebuild replaces a shard's
+    /// Per-shard job queues + thread handles. A rebuild replaces a shard's
     /// handle in place, so the vector length is the shard count.
     workers: Vec<ShardHandle>,
     window: SlidingWindow,
@@ -480,7 +383,7 @@ pub struct ShardedItaEngine {
     /// registered set, each living on the shard its id hashes to
     /// ([`ShardedItaEngine::shard_of`]) — with `mirror`, everything a
     /// rebuild needs. Updated **before**
-    /// any fan-out, so a request lost to a crashed worker is still
+    /// any fan-out, so a call lost to a crashed worker is still
     /// reconstructible.
     registry: BTreeMap<QueryId, Arc<ContinuousQuery>>,
     /// Durable mirror of the sliding window (oldest first), pruned with the
@@ -530,7 +433,7 @@ impl ShardedItaEngine {
     }
 
     /// The one way a shard worker comes to be: spawns a fresh thread that
-    /// builds its engine from `seed`, and returns once it replied that it
+    /// builds its engine from `seed`, and returns once it answered that it
     /// is ready. A thread that fails to spawn is
     /// [`EngineError::ShardUnavailable`]; a build that panics is the
     /// worker's [`EngineError::ShardFault`], its thread joined.
@@ -539,30 +442,28 @@ impl ShardedItaEngine {
         window: SlidingWindow,
         seed: Seed,
     ) -> Result<ShardHandle, EngineError> {
-        let (request_tx, request_rx) = std::sync::mpsc::channel();
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let (jobs, job_queue) = mpsc::channel();
+        let (ready_tx, ready) = mpsc::sync_channel(1);
         #[expect(
             clippy::disallowed_methods,
             reason = "the shard supervisor: every worker thread is spawned here, and rebuilt here after a fault"
         )]
         let thread = std::thread::Builder::new()
             .name(format!("cts-shard-{shard}"))
-            .spawn(move || worker_loop(shard, window, seed, request_rx, reply_tx))
+            .spawn(move || worker_loop(shard, window, seed, job_queue, ready_tx))
             .map_err(|_| EngineError::ShardUnavailable { shard })?;
-        let ready = reply_rx.recv();
-        if matches!(ready, Ok(ShardReply::Ready)) {
-            return Ok(ShardHandle {
-                sender: request_tx,
-                receiver: reply_rx,
-                thread: Some(thread),
-            });
-        }
-        // The worker's first reply is `Ready` or its last, `Fault`.
+        let failed = match ready.recv() {
+            Ok(Ok(())) => {
+                return Ok(ShardHandle {
+                    jobs,
+                    thread: Some(thread),
+                })
+            }
+            Ok(Err(fault)) => EngineError::ShardFault(fault),
+            Err(_) => EngineError::ShardUnavailable { shard },
+        };
         let _ = thread.join();
-        Err(match ready {
-            Ok(ShardReply::Fault(fault)) => EngineError::ShardFault(fault),
-            _ => EngineError::ShardUnavailable { shard },
-        })
+        Err(failed)
     }
 
     /// Number of worker shards: always the count [`ShardedItaEngine::new`]
@@ -609,7 +510,7 @@ impl ShardedItaEngine {
     }
 
     /// Marks `shard` degraded, counting a fault when it was healthy — the
-    /// same for a `Fault` reply as for a disconnect.
+    /// same for a fault as for a disconnect.
     fn mark_degraded(&self, shard: usize) {
         let mut state = self.fault_state.borrow_mut();
         if !state.degraded[shard] {
@@ -618,43 +519,56 @@ impl ShardedItaEngine {
         }
     }
 
-    /// Sends one request to `shard`, marking it degraded on disconnect.
-    fn send(&self, shard: usize, request: ShardRequest) -> Result<(), EngineError> {
-        if self.workers[shard].sender.send(request).is_err() {
+    /// Ships `work` to `shard`'s worker, which runs it under the panic
+    /// guard and answers on this call's own reply channel: the result, or
+    /// the fault that ends the worker. A worker found gone marks the shard
+    /// degraded.
+    fn submit<T: Send + 'static>(
+        &self,
+        shard: usize,
+        work: impl FnOnce(&mut ShardWorker) -> T + Send + 'static,
+    ) -> Result<Pending<T>, EngineError> {
+        let (answer, reply) = mpsc::sync_channel(1);
+        let job: Job = Box::new(move |worker| {
+            let result = guarded(shard, || work(worker));
+            let serving = result.is_ok();
+            let _ = answer.send(result);
+            serving
+        });
+        if self.workers[shard].jobs.send(job).is_err() {
             self.mark_degraded(shard);
             return Err(EngineError::ShardUnavailable { shard });
         }
-        Ok(())
+        Ok(Pending { shard, reply })
     }
 
-    /// Receives one reply from `shard`, converting faults and disconnects
-    /// into typed errors (marking the shard degraded).
-    fn recv_reply(&self, shard: usize) -> Result<ShardReply, EngineError> {
-        match self.workers[shard].receiver.recv() {
-            Ok(ShardReply::Fault(fault)) => {
-                self.mark_degraded(shard);
-                Err(EngineError::ShardFault(fault))
-            }
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                self.mark_degraded(shard);
-                Err(EngineError::ShardUnavailable { shard })
-            }
-        }
+    /// Blocks for a submitted call's answer, converting a fault and a reply
+    /// channel closed unanswered (the worker exited) into typed errors that
+    /// mark the shard degraded.
+    fn wait<T>(&self, call: Pending<T>) -> Result<T, EngineError> {
+        let shard = call.shard;
+        let error = match call.reply.recv() {
+            Ok(Ok(value)) => return Ok(value),
+            Ok(Err(fault)) => EngineError::ShardFault(fault),
+            Err(_) => EngineError::ShardUnavailable { shard },
+        };
+        self.mark_degraded(shard);
+        Err(error)
     }
 
-    /// Sends one request to `shard` and blocks for its reply.
-    fn call_shard(&self, shard: usize, request: ShardRequest) -> Result<ShardReply, EngineError> {
-        self.send(shard, request)?;
-        self.recv_reply(shard)
+    /// Runs `work` on `shard`'s worker and blocks for its result.
+    fn call<T: Send + 'static>(
+        &self,
+        shard: usize,
+        work: impl FnOnce(&mut ShardWorker) -> T + Send + 'static,
+    ) -> Result<T, EngineError> {
+        self.wait(self.submit(shard, work)?)
     }
 
     /// Rebuilds every degraded shard from the durable registry + window
     /// mirror. Every mutating call runs it before its fan-out, for shards a
-    /// read or a failed rebuild left degraded, and again after its receive
-    /// loop, for shards the call itself degraded — never in between: an
-    /// early return mid-broadcast would leave replies in the channels for
-    /// the next call to read as its own (DESIGN.md §10).
+    /// read or a failed rebuild left degraded, and again after it has
+    /// waited on every shard, for shards the call itself degraded.
     fn recover_degraded(&mut self) -> Result<(), EngineError> {
         for shard in 0..self.workers.len() {
             if self.is_degraded(shard) {
@@ -665,8 +579,8 @@ impl ShardedItaEngine {
     }
 
     /// The one recovery path, for one shard: join the old worker thread —
-    /// a degraded shard's worker replied `Fault` or hung up, so it has
-    /// exited — then spawn a worker seeded with the mirror's documents and
+    /// a degraded shard's worker faulted or hung up, so it has exited —
+    /// then spawn a worker seeded with the mirror's documents and
     /// the shard's queries (the registry's ids that hash to it, in id
     /// order), their postings resolved here as
     /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. Rebuilt
@@ -747,7 +661,7 @@ impl ShardedItaEngine {
     /// window, is refused whole with [`EngineError::DuplicateDocument`]
     /// before anything moves. Every degraded shard is rebuilt before the
     /// fan-out, and every shard that faults during it — a worker found gone
-    /// at the send, or one that faults on the burst — before returning,
+    /// at the submit, or one that faults on the burst — before returning,
     /// from the mirror, which holds the burst by then: that shard's share
     /// of the burst's outcomes is lost (results stay exact).
     pub fn try_process_batch(
@@ -763,10 +677,10 @@ impl ShardedItaEngine {
         self.recover_degraded()?;
         self.clock = last.arrival;
         let docs: Arc<[Arc<Document>]> = docs.into_iter().map(Arc::new).collect();
-        let pending: Vec<usize> = (0..self.workers.len())
-            .filter(|&shard| {
-                self.send(shard, ShardRequest::ProcessBatch(Arc::clone(&docs)))
-                    .is_ok()
+        let pending: Vec<Pending<Vec<EventOutcome>>> = (0..self.workers.len())
+            .filter_map(|shard| {
+                let docs = Arc::clone(&docs);
+                self.submit(shard, move |w| w.process_burst(&docs)).ok()
             })
             .collect();
         // The burst becomes durable before outcomes are read: any recovery
@@ -781,21 +695,13 @@ impl ShardedItaEngine {
                 ..EventOutcome::default()
             })
             .collect();
-        for shard in pending {
-            match self.recv_reply(shard) {
-                Ok(ShardReply::ProcessedBatch(outcomes)) => {
-                    debug_assert_eq!(outcomes.len(), merged.len(), "shards saw different bursts");
-                    for (into, outcome) in merged.iter_mut().zip(&outcomes) {
-                        into.merge_shard(outcome);
-                    }
+        for call in pending {
+            // A faulted shard is marked degraded and rebuilt below.
+            if let Ok(outcomes) = self.wait(call) {
+                debug_assert_eq!(outcomes.len(), merged.len(), "shards saw different bursts");
+                for (into, outcome) in merged.iter_mut().zip(&outcomes) {
+                    into.merge_shard(outcome);
                 }
-                #[expect(
-                    clippy::unreachable,
-                    reason = "the SPSC protocol pairs every reply with its request"
-                )]
-                Ok(_) => unreachable!("shard replied out of order"),
-                // The shard is marked degraded and rebuilt below.
-                Err(_) => {}
             }
         }
         self.recover_degraded()?;
@@ -844,31 +750,26 @@ impl ShardedItaEngine {
                     .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
             ),
         );
-        // Send every shard's group before awaiting any reply, so the shards
-        // file their lists and run their threshold searches in parallel.
-        let mut pending = Vec::new();
-        for (shard, group) in per_shard.iter_mut().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let request =
-                ShardRequest::RegisterBatch(std::mem::take(group).into(), Arc::clone(&postings));
-            if self.send(shard, request).is_ok() {
-                pending.push(shard);
-            }
-        }
-        for shard in pending {
-            match self.recv_reply(shard) {
-                Ok(ShardReply::Registered) => {}
-                #[expect(
-                    clippy::unreachable,
-                    reason = "the SPSC protocol pairs every reply with its request"
-                )]
-                Ok(_) => unreachable!("shard replied out of order"),
-                // The shard is marked degraded; its rebuild below registers
-                // the burst from the registry.
-                Err(_) => {}
-            }
+        // Submit every shard's group before awaiting any answer, so the
+        // shards file their lists and run their threshold searches in
+        // parallel. The queries are shared with the registry, the postings
+        // with the other shards.
+        let pending: Vec<Pending<()>> = per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .filter_map(|(shard, group)| {
+                let postings = Arc::clone(&postings);
+                self.submit(shard, move |w| {
+                    w.engine.register_shared_batch(&group, &postings)
+                })
+                .ok()
+            })
+            .collect();
+        for call in pending {
+            // A faulted shard is marked degraded; its rebuild below
+            // registers the burst from the registry.
+            let _ = self.wait(call);
         }
         self.recover_degraded()?;
         Ok(ids)
@@ -884,18 +785,11 @@ impl ShardedItaEngine {
             return Err(EngineError::UnknownQuery(query));
         }
         let shard = self.shard_of(query);
-        match self.call_shard(shard, ShardRequest::Deregister(query)) {
-            Ok(ShardReply::Deregistered(removed)) => {
-                assert!(
-                    removed,
-                    "shard {shard} did not host {query}, its hash shard"
-                );
-            }
-            #[expect(
-                clippy::unreachable,
-                reason = "the SPSC protocol pairs every reply with its request"
-            )]
-            Ok(_) => unreachable!("shard replied out of order"),
+        match self.call(shard, move |w| w.engine.deregister(query)) {
+            Ok(removed) => assert!(
+                removed,
+                "shard {shard} did not host {query}, its hash shard"
+            ),
             // Durable state already dropped the query; the rebuild leaves
             // it out.
             Err(_) => self.recover_degraded()?,
@@ -911,15 +805,9 @@ impl ShardedItaEngine {
         if self.is_degraded(shard) {
             return None;
         }
-        match self.call_shard(shard, ShardRequest::QueryStats(query)) {
-            Ok(ShardReply::QueryStats(stats)) => stats,
-            #[expect(
-                clippy::unreachable,
-                reason = "the SPSC protocol pairs every reply with its request"
-            )]
-            Ok(_) => unreachable!("shard replied out of order"),
-            Err(_) => None,
-        }
+        self.call(shard, move |w| w.engine.query_stats(query))
+            .ok()
+            .flatten()
     }
 
     /// Per-shard shadow-index statistics, in shard order. Postings sum to
@@ -928,18 +816,7 @@ impl ShardedItaEngine {
     /// reports the same document count. Degraded shards report zeroed
     /// stats.
     pub fn shard_index_stats(&self) -> Vec<IndexStats> {
-        self.broadcast_collect(
-            || ShardRequest::IndexStats,
-            |reply| match reply {
-                ShardReply::IndexStats(stats) => stats,
-                #[expect(
-                    clippy::unreachable,
-                    reason = "the SPSC protocol pairs every reply with its request"
-                )]
-                _ => unreachable!("shard replied out of order"),
-            },
-            |_| IndexStats::default(),
-        )
+        self.broadcast_collect(|w| w.engine.index_stats())
     }
 
     /// Sizes and counters of the coordinator's [`WindowTerms`] — the window
@@ -955,34 +832,17 @@ impl ShardedItaEngine {
     /// handling), in shard order. Degraded shards report zeroed stats, and a
     /// rebuilt shard counts from its rebuild: a worker's stats die with it.
     pub fn shard_stats(&self) -> Vec<ProcessingStats> {
-        self.broadcast_collect(
-            || ShardRequest::Stats,
-            |reply| match reply {
-                ShardReply::Stats(stats) => stats,
-                #[expect(
-                    clippy::unreachable,
-                    reason = "the SPSC protocol pairs every reply with its request"
-                )]
-                _ => unreachable!("shard replied out of order"),
-            },
-            |_| ProcessingStats::default(),
-        )
+        self.broadcast_collect(|w| w.stats)
     }
 
     /// Zeroes every worker's processing statistics. Call after an untimed
     /// setup phase (window fill, workload registration) so
     /// [`ShardedItaEngine::shard_stats`] and
     /// [`ShardedItaEngine::aggregate_shard_stats`] cover only the events
-    /// processed afterwards.
+    /// processed afterwards. A degraded shard's rebuild starts from zeroed
+    /// stats anyway.
     pub fn reset_shard_stats(&mut self) {
-        let acks = self.broadcast_collect(
-            || ShardRequest::ResetStats,
-            |reply| matches!(reply, ShardReply::StatsReset),
-            // A degraded shard's eventual rebuild starts from zeroed stats
-            // anyway.
-            |_| true,
-        );
-        assert!(acks.iter().all(|ok| *ok), "shard replied out of order");
+        self.broadcast_collect(|w| w.stats = ProcessingStats::default());
     }
 
     /// The exact aggregate of every worker's processing statistics, merged
@@ -1000,81 +860,41 @@ impl ShardedItaEngine {
         merged
     }
 
-    /// Consumes the engine, draining and returning the exact aggregate of
-    /// the workers' final [`ProcessingStats`] through the shutdown
-    /// handshake (what a plain drop would discard).
-    pub fn shutdown(mut self) -> ProcessingStats {
-        self.drain()
-    }
-
-    /// The shutdown path shared by [`ShardedItaEngine::shutdown`] and
-    /// `Drop`: handshake each worker's final stats out, close the channels,
-    /// join the threads. Idempotent — the second call sees no workers.
-    fn drain(&mut self) -> ProcessingStats {
-        let mut merged = ProcessingStats::default();
-        for mut handle in self.workers.drain(..) {
-            if handle.sender.send(ShardRequest::Shutdown).is_ok() {
-                while let Ok(reply) = handle.receiver.recv() {
-                    if let ShardReply::ShuttingDown(stats) = reply {
-                        merged.absorb(&stats);
-                        break;
-                    }
-                }
-            }
-            if let Some(thread) = handle.thread.take() {
-                #[expect(
-                    clippy::panic,
-                    reason = "shutdown path surfacing a worker panic that escaped its guard"
-                )]
-                if thread.join().is_err() && !std::thread::panicking() {
-                    panic!("a shard worker panicked; see stderr for the root cause");
-                }
-            }
-        }
-        merged
-    }
-
-    /// Fans one request to every healthy shard, then collects the replies
-    /// in shard order, substituting `fallback` for degraded or faulting
-    /// shards (the fan-out/fan-in of the read-only requests: index and
-    /// processing statistics, and the stats reset).
-    fn broadcast_collect<T>(
+    /// Runs `work` on every healthy shard — submitted to all before any is
+    /// waited on — and returns the results in shard order, with the default
+    /// value for a degraded or faulting shard (the read-only fan-outs: index
+    /// and processing statistics, and the stats reset).
+    fn broadcast_collect<T: Default + Send + 'static>(
         &self,
-        mut request: impl FnMut() -> ShardRequest,
-        mut unwrap: impl FnMut(ShardReply) -> T,
-        mut fallback: impl FnMut(usize) -> T,
+        work: impl FnOnce(&mut ShardWorker) -> T + Send + Copy + 'static,
     ) -> Vec<T> {
-        let shards = self.workers.len();
-        let mut sent = vec![false; shards];
-        for (shard, sent) in sent.iter_mut().enumerate() {
-            if self.is_degraded(shard) {
-                continue;
-            }
-            *sent = self.send(shard, request()).is_ok();
-        }
-        (0..shards)
+        let pending: Vec<Option<Pending<T>>> = (0..self.workers.len())
             .map(|shard| {
-                if !sent[shard] {
-                    return fallback(shard);
+                if self.is_degraded(shard) {
+                    return None;
                 }
-                match self.recv_reply(shard) {
-                    Ok(reply) => unwrap(reply),
-                    Err(_) => fallback(shard),
-                }
+                self.submit(shard, work).ok()
+            })
+            .collect();
+        pending
+            .into_iter()
+            .map(|call| {
+                call.and_then(|call| self.wait(call).ok())
+                    .unwrap_or_default()
             })
             .collect()
     }
 
     /// Test hook for the chaos suite: makes `shard`'s worker thread exit
-    /// without replying, exactly as a killed thread would look from the
+    /// without answering, exactly as a killed thread would look from the
     /// coordinator's side. The next operation that touches the shard
     /// observes the disconnect: a mutating one rebuilds the shard before it
     /// returns, a read answers with its fallback and leaves the rebuild to
-    /// the next mutating call. Returns whether the crash request reached the
-    /// worker.
+    /// the next mutating call. Returns whether the exit job reached the
+    /// worker's queue.
     pub fn inject_disconnect(&mut self, shard: usize) -> bool {
         let shard = shard % self.workers.len();
-        self.workers[shard].sender.send(ShardRequest::Crash).is_ok()
+        self.workers[shard].jobs.send(Box::new(|_| false)).is_ok()
     }
 }
 
@@ -1129,21 +949,13 @@ impl Engine for ShardedItaEngine {
     }
 
     fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
-        let Some(shard) = self.host(query) else {
-            return Vec::new();
-        };
-        if self.is_degraded(shard) {
-            // A read cannot rebuild; the next mutating call does.
-            return Vec::new();
-        }
-        match self.call_shard(shard, ShardRequest::Results(query)) {
-            Ok(ShardReply::Results(results)) => results,
-            #[expect(
-                clippy::unreachable,
-                reason = "the SPSC protocol pairs every reply with its request"
-            )]
-            Ok(_) => unreachable!("shard replied out of order"),
-            Err(_) => Vec::new(),
+        match self.host(query) {
+            // A read cannot rebuild a degraded shard; the next mutating
+            // call does.
+            Some(shard) if !self.is_degraded(shard) => self
+                .call(shard, move |w| w.engine.current_results(query))
+                .unwrap_or_default(),
+            _ => Vec::new(),
         }
     }
 
@@ -1167,18 +979,7 @@ impl Engine for ShardedItaEngine {
 
     fn inject_fault(&mut self, shard: usize) -> bool {
         let shard = shard % self.workers.len();
-        if self.is_degraded(shard) {
-            return false;
-        }
-        match self.call_shard(shard, ShardRequest::ArmFault) {
-            Ok(ShardReply::Armed) => true,
-            #[expect(
-                clippy::unreachable,
-                reason = "the SPSC protocol pairs every reply with its request"
-            )]
-            Ok(_) => unreachable!("shard replied out of order"),
-            Err(_) => false,
-        }
+        !self.is_degraded(shard) && self.call(shard, |w| w.fault_armed = true).is_ok()
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
@@ -1192,11 +993,11 @@ impl Engine for ShardedItaEngine {
     /// term directory, each equal to a rebuild from its documents) and then
     /// has every healthy worker audit its own engine, that its store holds
     /// the mirror's documents in arrival order, and that it hosts exactly
-    /// the registry's queries that hash to it, via a `CheckInvariants`
-    /// request; a worker-side violation comes back
-    /// as a fault carrying the assertion message and is re-raised here.
-    /// Degraded shards are skipped — their worker is gone by definition and
-    /// the rebuild starts from the registry and the mirror.
+    /// the registry's queries that hash to it; a worker-side violation
+    /// comes back as a fault carrying the assertion message and is
+    /// re-raised here. Degraded shards are skipped — their worker is gone
+    /// by definition and the rebuild starts from the registry and the
+    /// mirror.
     fn check_invariants(&self) {
         self.mirror.check_invariants();
         let mirrored: Arc<[DocId]> = self.mirror.iter().map(|doc| doc.id).collect();
@@ -1208,29 +1009,34 @@ impl Engine for ShardedItaEngine {
             if self.is_degraded(shard) {
                 continue;
             }
-            let request = ShardRequest::CheckInvariants(Arc::clone(&mirrored), hosted);
-            match self.call_shard(shard, request) {
-                Ok(ShardReply::InvariantsChecked) => {}
-                #[expect(
-                    clippy::unreachable,
-                    reason = "the SPSC protocol pairs every reply with its request"
-                )]
-                Ok(_) => unreachable!("shard replied out of order"),
-                #[expect(
-                    clippy::panic,
-                    reason = "audit-only path re-raising a worker-side assertion"
-                )]
-                Err(err) => {
-                    panic!("shard {shard} failed its invariant audit: {err}")
-                }
+            let mirrored = Arc::clone(&mirrored);
+            #[expect(
+                clippy::panic,
+                reason = "audit-only path re-raising a worker-side assertion"
+            )]
+            if let Err(err) = self.call(shard, move |w| w.audit(&mirrored, &hosted)) {
+                panic!("shard {shard} failed its invariant audit: {err}");
             }
         }
     }
 }
 
 impl Drop for ShardedItaEngine {
+    /// Hangs up every worker's job queue, which ends its loop, and joins
+    /// the threads.
     fn drop(&mut self) {
-        let _ = self.drain();
+        for ShardHandle { jobs, thread } in self.workers.drain(..) {
+            drop(jobs);
+            #[expect(
+                clippy::panic,
+                reason = "drop path surfacing a worker panic that escaped its guard"
+            )]
+            if let Some(thread) = thread {
+                if thread.join().is_err() && !std::thread::panicking() {
+                    panic!("a shard worker panicked; see stderr for the root cause");
+                }
+            }
+        }
     }
 }
 #[cfg(test)]
@@ -1574,18 +1380,55 @@ mod tests {
         assert_eq!(stats.degraded_shards, 0);
     }
 
+    /// A panic inside a call reaches the caller as a fault that carries the
+    /// worker's own message. Here a query is deregistered on its worker's
+    /// engine behind the coordinator's back, so the worker's placement audit
+    /// fails; the next mutating call rebuilds the shard from the registry,
+    /// and every query's results are exact again.
     #[test]
-    fn shutdown_drains_final_worker_stats() {
-        let mut sharded =
-            ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), 3);
-        sharded.register(query(&[(0, 1.0)], 1));
-        for i in 0..10u64 {
-            sharded.process_document(doc(i, &[(0, 0.5)]));
+    fn a_worker_panic_reaches_the_caller_with_its_message() {
+        let window = SlidingWindow::count_based(8);
+        let mut reference = ItaEngine::new(window, ItaConfig::default());
+        let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+        let mut qids = Vec::new();
+        for t in 0..2u32 {
+            let q = query(&[(t, 0.6), (2 + t, 0.4)], 2);
+            let qid = reference.register(q.clone());
+            assert_eq!(sharded.register(q), qid);
+            qids.push(qid);
         }
-        let merged = sharded.shutdown();
-        // Every shard saw every event, and the handshake preserved the
-        // counters a plain drop would discard.
-        assert_eq!(merged.events, 30);
-        assert!(merged.total_time > Duration::ZERO);
+        let lone = qids[0];
+        let shard = sharded.shard_of(lone);
+        assert_ne!(
+            sharded.shard_of(qids[1]),
+            shard,
+            "the shard must host one query"
+        );
+        for i in 0..10u64 {
+            let d = doc(i, &[((i % 4) as u32, 0.1 + (i % 5) as f64 * 0.1)]);
+            reference.process_document(d.clone());
+            sharded.process_document(d);
+        }
+        let removed = sharded.call(shard, move |w| w.engine.deregister(lone));
+        assert!(matches!(removed, Ok(true)));
+        let audit = catch_unwind(AssertUnwindSafe(|| sharded.check_invariants()));
+        let message = panic_message(audit.expect_err("the audit must fail").as_ref());
+        assert!(message.contains("failed its invariant audit"), "{message}");
+        let worker_text =
+            format!("shard {shard} hosts 0 queries, not the 1 the registry places on it");
+        assert!(message.contains(&worker_text), "{message}");
+        assert_eq!(sharded.fault_stats().expect("tracked").degraded_shards, 1);
+        let d = doc(10, &[(0, 0.9), (1, 0.9)]);
+        reference.process_document(d.clone());
+        sharded.process_document(d);
+        let stats = sharded.fault_stats().expect("tracked");
+        assert_eq!(
+            (stats.faults, stats.recoveries, stats.degraded_shards),
+            (1, 1, 0)
+        );
+        for &q in &qids {
+            assert_eq!(sharded.current_results(q), reference.current_results(q));
+        }
+        sharded.check_invariants();
     }
 }

@@ -1,8 +1,7 @@
 //! Coordinator error-path and lifecycle tests for the sharded engine: the
 //! unglamorous edges the differential suites rarely pin down exactly —
 //! unknown-query deregistration, typed `try_*` errors, empty batches,
-//! duplicate document ids, id minting under interleaved churn, and the
-//! shutdown stat drain.
+//! duplicate document ids and id minting under interleaved churn.
 
 use cts_core::validate::assert_engines_agree;
 use cts_core::{
@@ -172,18 +171,4 @@ fn a_duplicate_document_id_is_refused_before_any_shard_sees_it() {
         }
         sharded.check_invariants();
     }
-}
-
-#[test]
-fn shutdown_returns_the_final_aggregate_stats() {
-    let mut sharded = engine(3);
-    sharded.register(query(0));
-    for i in 0..12u64 {
-        sharded.process_document(doc(i));
-    }
-    let merged = sharded.shutdown();
-    // Every shard saw every event; the drain handshake preserves exactly
-    // what a plain drop would have discarded.
-    assert_eq!(merged.events, 12 * 3);
-    assert!(merged.total_time > std::time::Duration::ZERO);
 }

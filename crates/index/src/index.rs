@@ -161,15 +161,10 @@ impl InvertedIndex {
     }
 
     /// Inserts an arriving document: appends it to the window and adds one
-    /// impact entry per composition-list term.
-    pub fn insert_document(&mut self, doc: Document) {
-        self.insert_shared(Arc::new(doc));
-    }
-
-    /// Inserts an already-shared arriving document: appends the `Arc` and
-    /// adds one impact entry per composition-list term (per *live* term on a
+    /// impact entry per composition-list term (per *live* term on a
     /// term-filtered index).
-    pub fn insert_shared(&mut self, doc: Arc<Document>) {
+    pub fn insert_document(&mut self, doc: Document) {
+        let doc = Arc::new(doc);
         self.file(&doc, doc.composition.as_slice(), |_| true);
     }
 
@@ -661,7 +656,7 @@ mod tests {
             for attempt in 0..3 {
                 let duplicate = Arc::clone(&duplicate);
                 let refused = catch_unwind(AssertUnwindSafe(|| match attempt {
-                    0 => idx.insert_shared(duplicate),
+                    0 => idx.insert_document(Document::clone(&duplicate)),
                     1 => idx.insert_shared_filtered(duplicate, |_| true),
                     _ => idx.insert_arrival(&duplicate, &mut scratch),
                 }));
@@ -682,7 +677,7 @@ mod tests {
         let mut entries = Vec::new();
         let arrive = |full: &mut InvertedIndex, shadow: &mut InvertedIndex, d: Document| {
             let d = Arc::new(d);
-            full.insert_shared(Arc::clone(&d));
+            full.insert_shared_filtered(Arc::clone(&d), |_| true);
             shadow.insert_arrival(&d, &mut Vec::new());
         };
         arrive(&mut full, &mut shadow, doc(1, &[(7, 0.3), (90_000, 0.4)]));
@@ -789,7 +784,7 @@ mod tests {
                 window.push(Arc::clone(&d));
             }
             for idx in [&mut supplied, &mut own] {
-                idx.insert_shared(Arc::clone(&d));
+                idx.insert_shared_filtered(Arc::clone(&d), |_| true);
             }
         }
         built.postings(terms.iter().copied());
@@ -839,7 +834,7 @@ mod tests {
         for i in 0..6u64 {
             let d = Arc::new(doc(i, &[(1, 0.5), (2, 0.1 + i as f64 * 0.1), (3, 0.2)]));
             window.push(Arc::clone(&d));
-            idx.insert_shared(d);
+            idx.insert_shared_filtered(d, |_| true);
         }
         // Terms 1 and 9 are supplied (9 occurs nowhere), 2 is not; 3 is
         // supplied but not asked for.
