@@ -139,7 +139,7 @@ fn memory_of(layout: &str) {
         let (seed, mut dict) = (ReferenceAnalyzer::english(), ReferenceDictionary::new());
         reference_pass(&seed, &mut dict, &warm_up);
         println!(
-            "seed (HashMap<Box<str>, TermId> + Vec<Box<str>> + stats), {} terms: resident set \
+            "seed (HashMap<Box<str>, TermId> + Vec<Box<str>>), {} terms: resident set \
              grew {}; {:.2} MB by what it asks the allocator for",
             dict.len(),
             grown(),
@@ -194,7 +194,7 @@ fn hit_rate(from: MemoStats, to: MemoStats) -> f64 {
 /// One pass of the seed pipeline over `documents`.
 fn reference_pass(seed: &ReferenceAnalyzer, dict: &mut ReferenceDictionary, documents: &[String]) {
     for text in documents {
-        black_box(seed.analyze_document(text, dict));
+        black_box(seed.analyze(text, dict));
     }
 }
 

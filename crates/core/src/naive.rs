@@ -103,11 +103,6 @@ impl NaiveEngine {
         self.recomputations
     }
 
-    /// Current size of `query`'s materialised view (top-k plus buffer).
-    pub fn view_size(&self, query: QueryId) -> Option<usize> {
-        self.queries.get(query).map(|s| s.view.len())
-    }
-
     /// Rebuilds `state`'s view from scratch by scanning the valid documents.
     fn recompute(store: &WindowTerms, config: NaiveConfig, state: &mut ViewState) {
         state.view = ResultSet::new();
@@ -250,6 +245,11 @@ mod tests {
         )
     }
 
+    /// Current size of `query`'s materialised view (top-k plus buffer).
+    fn view_size(e: &NaiveEngine, query: QueryId) -> Option<usize> {
+        e.queries.get(query).map(|s| s.view.len())
+    }
+
     fn engine(window: usize) -> NaiveEngine {
         NaiveEngine::new(SlidingWindow::count_based(window), NaiveConfig::default())
     }
@@ -330,7 +330,7 @@ mod tests {
         let q = e.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 5));
         e.process_document(doc(0, &[(2, 0.9)]));
         assert!(e.current_results(q).is_empty());
-        assert_eq!(e.view_size(q), Some(0));
+        assert_eq!(view_size(&e, q), Some(0));
     }
 
     #[test]

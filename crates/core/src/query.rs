@@ -64,7 +64,8 @@ impl ContinuousQuery {
 
     /// Builds a query from raw term frequencies (e.g. the output of
     /// [`cts_text::Analyzer::analyze_query`] or a workload generator), using
-    /// the given similarity measure to derive `w_{Q,t}`.
+    /// the given similarity measure to derive `w_{Q,t}`. `dict` is unread;
+    /// the frozen `ctsbench` adapter pins the signature (ROADMAP item 4).
     pub fn from_term_frequencies(
         terms: &TermVector,
         k: usize,

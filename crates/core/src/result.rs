@@ -116,11 +116,6 @@ impl ResultSet {
         Some(score.get())
     }
 
-    /// The score recorded for `doc`, if present.
-    pub fn score_of(&self, doc: DocId) -> Option<f64> {
-        self.locate(doc).ok().map(|at| self.by_doc[at].1.get())
-    }
-
     /// Whether `doc` is in the result set.
     pub fn contains(&self, doc: DocId) -> bool {
         self.locate(doc).is_ok()
@@ -193,6 +188,11 @@ mod tests {
         DocId(i)
     }
 
+    /// The score `r` records for `doc`, if present.
+    fn score_of(r: &ResultSet, doc: DocId) -> Option<f64> {
+        r.locate(doc).ok().map(|at| r.by_doc[at].1.get())
+    }
+
     #[test]
     fn insert_and_rank_order() {
         let mut r = ResultSet::new();
@@ -235,7 +235,7 @@ mod tests {
         r.insert(d(1), 0.2);
         r.insert(d(1), 0.5);
         assert_eq!(r.len(), 1);
-        assert_eq!(r.score_of(d(1)), Some(0.5));
+        assert_eq!(score_of(&r, d(1)), Some(0.5));
         assert_eq!(r.top(1)[0].score, 0.5);
     }
 
@@ -362,7 +362,7 @@ mod tests {
                     "{context}"
                 );
                 assert_eq!(
-                    live.score_of(d(id)),
+                    score_of(&live, d(id)),
                     model.iter().find(|e| e.0 == id).map(|e| e.1),
                     "{context}"
                 );

@@ -515,6 +515,18 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_deadline_never_expires() {
+        assert_eq!(
+            Timestamp::from_secs(u64::MAX),
+            Timestamp::from_micros(u64::MAX)
+        );
+        let event = IngestEvent::deadline_in(doc(0, 1_000, 0.5), Duration::MAX);
+        assert!(!event.is_expired(Timestamp::from_secs(1)));
+        let mut service = small_service(16);
+        assert_eq!(service.offer(event), Admission::Accepted);
+    }
+
+    #[test]
     fn default_deadline_applies_to_events_offered_without_one() {
         let engine = ItaEngine::new(SlidingWindow::count_based(8), ItaConfig::default());
         let mut config = ServiceConfig::bounded(16);

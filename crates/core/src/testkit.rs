@@ -28,7 +28,7 @@
 //!   query. Failures are returned as data, not panics, so the minimizer can
 //!   re-run candidate scripts.
 //! * [`assert_script_equivalence`] — the test-facing entry point: generate,
-//!   run, and on divergence shrink the script with [`minimize_script`]
+//!   run, and on divergence shrink the script with `minimize_script`
 //!   (greedy delta debugging over fresh engines) and panic with the **seed**
 //!   and the **minimized script** — small enough to read, sufficient to
 //!   replay.
@@ -65,7 +65,7 @@ impl ScriptRng {
     }
 
     /// The next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -207,18 +207,6 @@ impl OpScript {
     pub fn push(&mut self, op: Op) -> &mut Self {
         self.ops.push(op);
         self
-    }
-
-    /// Number of stream events the script feeds (counting batch members).
-    pub fn num_events(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                Op::Feed(_) => 1,
-                Op::FeedBatch(docs) => docs.len(),
-                _ => 0,
-            })
-            .sum()
     }
 }
 
@@ -741,7 +729,7 @@ fn faults(engine: &dyn Engine) -> u64 {
 /// size until single ops cannot be removed — or `budget` re-runs have been
 /// spent. The result still fails; it is what
 /// [`assert_script_equivalence`] prints.
-pub fn minimize_script(
+fn minimize_script(
     make_engines: &dyn Fn() -> Vec<Box<dyn Engine>>,
     script: &OpScript,
     options: &RunOptions,
@@ -800,7 +788,7 @@ pub fn assert_script_equivalence(
 
 /// Runs an existing script (generated or hand-/corpus-built) over fresh
 /// engines, panicking with seed + minimized script on divergence.
-pub fn assert_script_runs(
+fn assert_script_runs(
     make_engines: &dyn Fn() -> Vec<Box<dyn Engine>>,
     script: &OpScript,
     options: &RunOptions,
@@ -1112,6 +1100,19 @@ mod tests {
     use crate::sharded::ShardedItaEngine;
     use cts_index::SlidingWindow;
 
+    /// Number of stream events `script` feeds (counting batch members).
+    fn num_events(script: &OpScript) -> usize {
+        script
+            .ops
+            .iter()
+            .map(|op| match op {
+                Op::Feed(_) => 1,
+                Op::FeedBatch(docs) => docs.len(),
+                _ => 0,
+            })
+            .sum()
+    }
+
     #[test]
     fn script_rng_is_deterministic_and_in_range() {
         let mut a = ScriptRng::new(42);
@@ -1141,7 +1142,7 @@ mod tests {
         let a = generate_script(&config, 0xABCD);
         let b = generate_script(&config, 0xABCD);
         assert_eq!(a.ops.len(), b.ops.len());
-        assert_eq!(a.num_events(), 50);
+        assert_eq!(num_events(&a), 50);
         assert!(a.ops.iter().any(|op| matches!(op, Op::FeedBatch(_))));
         assert!(a
             .ops
@@ -1364,7 +1365,7 @@ mod tests {
             });
         }
         script.push(Op::Deregister { victim: 0 });
-        assert_eq!(script.num_events(), 6);
+        assert_eq!(num_events(&script), 6);
         assert_script_runs(&|| engines(2), &script, &RunOptions::default());
     }
 }

@@ -69,7 +69,7 @@ pub fn results_match(a: &[RankedDocument], b: &[RankedDocument], tolerance: f64)
 
 /// Compares `candidate` against `reference` on every query in `queries`,
 /// returning the first divergence found.
-pub fn compare_engines<R, C>(
+fn compare_engines<R, C>(
     reference: &R,
     candidate: &C,
     queries: &[QueryId],
@@ -96,7 +96,7 @@ where
 }
 
 /// Panics with a formatted [`Divergence`] if the engines disagree on any
-/// query. Test-suite convenience around [`compare_engines`].
+/// query. Test-suite convenience around `compare_engines`.
 pub fn assert_engines_agree<R, C>(reference: &R, candidate: &C, queries: &[QueryId])
 where
     R: Engine,

@@ -62,18 +62,6 @@ impl Zipf {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// The probability mass of 0-based rank `r`.
-    pub fn pmf(&self, r: usize) -> f64 {
-        if r >= self.cdf.len() {
-            return 0.0;
-        }
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
-        }
-    }
 }
 
 /// A log-normal distribution with ln-scale parameters `mu` and `sigma`.
@@ -138,18 +126,27 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// The probability mass `z`'s sampler gives 0-based rank `r`.
+    fn pmf(z: &Zipf, r: usize) -> f64 {
+        match r {
+            _ if r >= z.cdf.len() => 0.0,
+            0 => z.cdf[0],
+            _ => z.cdf[r] - z.cdf[r - 1],
+        }
+    }
+
     #[test]
     fn zipf_rank_zero_is_most_probable() {
         let z = Zipf::new(1000, 1.0);
-        assert!(z.pmf(0) > z.pmf(1));
-        assert!(z.pmf(1) > z.pmf(100));
-        assert!(z.pmf(2000) == 0.0);
+        assert!(pmf(&z, 0) > pmf(&z, 1));
+        assert!(pmf(&z, 1) > pmf(&z, 100));
+        assert!(pmf(&z, 2000) == 0.0);
     }
 
     #[test]
     fn zipf_pmf_sums_to_one() {
         let z = Zipf::new(500, 1.2);
-        let total: f64 = (0..z.len()).map(|r| z.pmf(r)).sum();
+        let total: f64 = (0..z.len()).map(|r| pmf(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
@@ -173,7 +170,7 @@ mod tests {
     fn zipf_with_zero_exponent_is_uniform() {
         let z = Zipf::new(4, 0.0);
         for r in 0..4 {
-            assert!((z.pmf(r) - 0.25).abs() < 1e-12);
+            assert!((pmf(&z, r) - 0.25).abs() < 1e-12);
         }
     }
 

@@ -70,19 +70,6 @@ impl SyntheticCorpus {
         self.generated += 1;
         v
     }
-
-    /// Samples a term-frequency vector of exactly `occurrences` term
-    /// occurrences (used by tests and micro-benchmarks that need a fixed
-    /// document size).
-    pub fn term_vector_with_len(&mut self, occurrences: usize) -> TermVector {
-        let mut v = TermVector::new();
-        for _ in 0..occurrences {
-            let rank = self.zipf.sample(&mut self.rng);
-            v.add(TermId(rank as u32));
-        }
-        self.generated += 1;
-        v
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +134,6 @@ mod tests {
         // The 20 most popular terms must out-weigh the entire tail beyond
         // rank 1000 under a Zipf(1.0) law over 2000 terms.
         assert!(low_rank > high_rank, "low {low_rank} vs high {high_rank}");
-    }
-
-    #[test]
-    fn fixed_length_generation() {
-        let mut g = SyntheticCorpus::new(CorpusConfig::small());
-        let v = g.term_vector_with_len(17);
-        assert_eq!(v.total_occurrences(), 17);
     }
 
     #[test]

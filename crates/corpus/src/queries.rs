@@ -16,6 +16,9 @@ use cts_text::{TermId, TermVector};
 use crate::config::WorkloadConfig;
 use crate::distributions::Zipf;
 
+/// The Zipf exponent of popularity-biased term selection.
+const ZIPF_EXPONENT: f64 = 1.0;
+
 /// How query terms are drawn from the vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TermSelection {
@@ -48,7 +51,6 @@ impl QuerySpec {
 pub struct QueryWorkload {
     config: WorkloadConfig,
     vocabulary_size: usize,
-    zipf_exponent: f64,
 }
 
 impl QueryWorkload {
@@ -64,14 +66,7 @@ impl QueryWorkload {
         Self {
             config,
             vocabulary_size,
-            zipf_exponent: 1.0,
         }
-    }
-
-    /// Overrides the Zipf exponent used for popularity-biased selection.
-    pub fn with_zipf_exponent(mut self, s: f64) -> Self {
-        self.zipf_exponent = s;
-        self
     }
 
     /// The generator's configuration.
@@ -88,7 +83,7 @@ impl QueryWorkload {
             TermSelection::Uniform
         };
         let zipf = if selection == TermSelection::PopularityBiased {
-            Some(Zipf::new(self.vocabulary_size, self.zipf_exponent))
+            Some(Zipf::new(self.vocabulary_size, ZIPF_EXPONENT))
         } else {
             None
         };

@@ -1,10 +1,11 @@
 //! The document stream.
 //!
 //! A [`DocumentStream`] combines a [`SyntheticCorpus`] with a
-//! [`PoissonArrivals`] process and a weighting model, yielding ready-to-index
-//! [`Document`]s: each carries a unique id, its Poisson arrival timestamp and
-//! its composition list (`⟨t, w_{d,t}⟩` pairs). This is the exact shape of a
-//! stream element in the paper's model (§II).
+//! [`PoissonArrivals`] process and the paper's cosine weights (Equation 1),
+//! yielding ready-to-index [`Document`]s: each carries a unique id, its
+//! Poisson arrival timestamp and its composition list (`⟨t, w_{d,t}⟩`
+//! pairs). This is the exact shape of a stream element in the paper's model
+//! (§II).
 
 use cts_index::{DocId, Document, Timestamp};
 use cts_text::weighting::Scoring;
@@ -19,31 +20,15 @@ use crate::generator::SyntheticCorpus;
 pub struct DocumentStream {
     corpus: SyntheticCorpus,
     arrivals: PoissonArrivals,
-    scoring: Scoring,
-    dictionary: Dictionary,
     next_id: u64,
 }
 
 impl DocumentStream {
-    /// Creates a stream from corpus and stream configurations, using cosine
-    /// weighting (the paper's Equation 1).
+    /// Creates a stream from corpus and stream configurations.
     pub fn new(corpus_config: CorpusConfig, stream_config: StreamConfig) -> Self {
-        Self::with_scoring(corpus_config, stream_config, Scoring::Cosine)
-    }
-
-    /// Creates a stream with an explicit weighting model. For IDF-dependent
-    /// models (BM25) the stream maintains its own dictionary statistics,
-    /// updated with every generated document.
-    pub fn with_scoring(
-        corpus_config: CorpusConfig,
-        stream_config: StreamConfig,
-        scoring: Scoring,
-    ) -> Self {
         Self {
             corpus: SyntheticCorpus::new(corpus_config),
             arrivals: PoissonArrivals::from_config(&stream_config),
-            scoring,
-            dictionary: Dictionary::new(),
             next_id: 0,
         }
     }
@@ -51,11 +36,6 @@ impl DocumentStream {
     /// A small, fast stream for tests and examples.
     pub fn small() -> Self {
         Self::new(CorpusConfig::small(), StreamConfig::default())
-    }
-
-    /// The weighting model in use.
-    pub fn scoring(&self) -> Scoring {
-        self.scoring
     }
 
     /// The vocabulary size of the underlying corpus.
@@ -69,15 +49,11 @@ impl DocumentStream {
         self.next_document_at(arrival)
     }
 
-    /// Produces the next document with an explicit arrival timestamp
-    /// (used by harnesses that drive their own clock).
-    pub fn next_document_at(&mut self, arrival: Timestamp) -> Document {
+    /// Produces the next document with an explicit arrival timestamp.
+    fn next_document_at(&mut self, arrival: Timestamp) -> Document {
         let raw = self.corpus.next_term_vector();
-        // Keep IDF statistics up to date for weighting models that use them.
-        for (term, count) in raw.iter() {
-            self.dictionary.record_occurrences(term, u64::from(count));
-        }
-        let composition = self.scoring.document_weights(&raw, &self.dictionary);
+        // The cosine weights read no dictionary; the parameter is pinned.
+        let composition = Scoring::Cosine.document_weights(&raw, &Dictionary::new());
         let id = DocId(self.next_id);
         self.next_id += 1;
         Document::new(id, arrival, composition)
@@ -100,7 +76,6 @@ impl Iterator for DocumentStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_text::weighting::Bm25Model;
 
     #[test]
     fn documents_have_unique_increasing_ids_and_times() {
@@ -121,18 +96,6 @@ mod tests {
             let norm = d.composition.l2_norm();
             assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
             assert!(!d.composition.is_empty());
-        }
-    }
-
-    #[test]
-    fn bm25_stream_produces_positive_weights() {
-        let mut s = DocumentStream::with_scoring(
-            CorpusConfig::small(),
-            StreamConfig::default(),
-            Scoring::Bm25(Bm25Model::with_average_doc_len(40.0)),
-        );
-        for d in s.take_documents(10) {
-            assert!(d.composition.iter().all(|e| e.weight.get() > 0.0));
         }
     }
 

@@ -6,7 +6,7 @@
 //! syllables, suffixed with the id when needed to guarantee uniqueness) and
 //! can render a composition of term ids back into a string.
 
-use cts_text::{Dictionary, TermId};
+use cts_text::TermId;
 
 /// A deterministic term-id → word mapping.
 #[derive(Debug, Clone)]
@@ -97,15 +97,6 @@ impl Vocabulary {
         }
         out
     }
-
-    /// Interns the entire vocabulary into a [`Dictionary`], so that term ids
-    /// assigned by the dictionary coincide with this vocabulary's indices.
-    /// Useful when examples mix synthetic documents with analysed real text.
-    pub fn intern_all(&self, dict: &mut Dictionary) {
-        for w in &self.words {
-            dict.intern(w);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,17 +138,6 @@ mod tests {
             v.word(TermId(7))
         );
         assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn intern_all_aligns_ids_with_indices() {
-        let v = Vocabulary::synthetic(50);
-        let mut dict = Dictionary::new();
-        v.intern_all(&mut dict);
-        assert_eq!(dict.len(), 50);
-        for i in 0..50u32 {
-            assert_eq!(dict.term(TermId(i)), Some(v.word(TermId(i))));
-        }
     }
 
     #[test]

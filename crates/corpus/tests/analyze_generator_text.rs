@@ -21,7 +21,7 @@ fn assert_pipelines_agree(texts: &[String], context: &str) {
     let (mut dict, mut ref_dict) = (Dictionary::new(), ReferenceDictionary::new());
     for (i, text) in texts.iter().enumerate() {
         let got = new.analyze_document(text, &mut dict);
-        let want = reference.analyze_document(text, &mut ref_dict);
+        let want = reference.analyze(text, &mut ref_dict);
         assert_eq!(got, want, "{context}: document {i}");
     }
     assert_same_dictionary(&dict, &ref_dict, context);

@@ -75,14 +75,14 @@ impl Timestamp {
     /// The zero timestamp (stream start).
     pub const ZERO: Timestamp = Timestamp(0);
 
-    /// Builds a timestamp from whole seconds.
+    /// Builds a timestamp from whole seconds, saturating at `u64::MAX` µs.
     pub fn from_secs(secs: u64) -> Self {
-        Timestamp(secs * 1_000_000)
+        Timestamp(secs.saturating_mul(1_000_000))
     }
 
-    /// Builds a timestamp from milliseconds.
+    /// Builds a timestamp from milliseconds, saturating at `u64::MAX` µs.
     pub fn from_millis(millis: u64) -> Self {
-        Timestamp(millis * 1_000)
+        Timestamp(millis.saturating_mul(1_000))
     }
 
     /// Builds a timestamp from microseconds.
@@ -101,9 +101,11 @@ impl Timestamp {
         self.0 as f64 / 1e6
     }
 
-    /// The timestamp `duration` after this one.
+    /// The timestamp `duration` after this one, saturating at `u64::MAX` µs:
+    /// `Duration::MAX` means "never", not a wrapped instant in the past.
     pub fn advance(self, duration: Duration) -> Timestamp {
-        Timestamp(self.0 + duration.as_micros() as u64)
+        let micros = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
+        Timestamp(self.0.saturating_add(micros))
     }
 
     /// The duration elapsed since `earlier` (zero if `earlier` is later).
@@ -137,11 +139,6 @@ impl Document {
             arrival,
             composition,
         }
-    }
-
-    /// Number of distinct terms in the composition list.
-    pub fn term_count(&self) -> usize {
-        self.composition.len()
     }
 }
 
@@ -190,6 +187,6 @@ mod tests {
         let comp = WeightedVector::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)]);
         let d = Document::new(DocId(9), Timestamp::from_secs(1), comp);
         assert_eq!(d.id, DocId(9));
-        assert_eq!(d.term_count(), 2);
+        assert_eq!(d.composition.len(), 2);
     }
 }

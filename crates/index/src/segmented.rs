@@ -101,11 +101,6 @@ impl SegmentedImpactList {
         }
     }
 
-    /// The configured maximum postings per segment.
-    pub fn segment_capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of segments currently in the directory. Exposed for tests;
     /// `Θ(len / capacity)` by the merge policy.
     pub fn num_segments(&self) -> usize {
@@ -488,7 +483,7 @@ mod tests {
     fn empty_list_behaviour() {
         let l = SegmentedImpactList::new();
         assert!(l.is_empty());
-        assert_eq!(l.segment_capacity(), DEFAULT_SEGMENT_CAPACITY);
+        assert_eq!(l.capacity, DEFAULT_SEGMENT_CAPACITY);
         assert!(l.first().is_none());
         assert_eq!(l.iter_below(w(1.0)).count(), 0);
         assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);

@@ -1,11 +1,12 @@
 //! The analysis pipeline: raw text → [`TermVector`].
 //!
-//! An [`Analyzer`] chains the [`Tokenizer`], [`StopWords`] filter and
-//! [`PorterStemmer`] and interns the surviving terms in a [`Dictionary`].
-//! This mirrors the "standard stopword removal" preprocessing of the paper's
-//! experimental setup and is what both the corpus generator (for real text)
-//! and the examples use to turn strings into the term-id world that the
-//! engine operates in.
+//! An [`Analyzer`] chains the [`Tokenizer`], the English [`StopWords`] and
+//! the [`PorterStemmer`] and interns the surviving terms in a
+//! [`Dictionary`]. This is the "standard stopword removal" preprocessing of
+//! the paper's experimental setup, and the one pipeline that turns raw text
+//! (documents and queries alike) into the term-id world the engine operates
+//! in. Analysis records nothing in the dictionary beyond the terms it
+//! interns.
 //!
 //! # The surface-form memo
 //!
@@ -65,7 +66,8 @@ pub struct MemoStats {
     pub misses: u64,
 }
 
-/// A configurable text-analysis pipeline.
+/// The English text-analysis pipeline: tokenise, drop stop words, Porter
+/// stem, intern, count.
 ///
 /// Analysis takes `&mut self`: the analyzer owns the memo and the scratch
 /// buffers that make a repeated token cheap. A clone carries a copy of the
@@ -74,7 +76,7 @@ pub struct MemoStats {
 pub struct Analyzer {
     tokenizer: Tokenizer,
     stopwords: StopWords,
-    stemmer: Option<PorterStemmer>,
+    stemmer: PorterStemmer,
     memo: InlineKeyTable,
     /// [`Dictionary::identity`] of the dictionary the memo's ids belong to;
     /// 0 (no dictionary has it) until the first call.
@@ -87,28 +89,14 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    /// The standard English pipeline: default tokenizer, English stop words,
-    /// Porter stemming.
+    /// The English pipeline: the tokenizer, English stop words, Porter
+    /// stemming. The frozen `ctsbench` adapter names this constructor
+    /// (ROADMAP item 4).
     pub fn english() -> Self {
-        Self::new(
-            Tokenizer::new(),
-            StopWords::english(),
-            Some(PorterStemmer::new()),
-        )
-    }
-
-    /// A pipeline with no stop-word removal and no stemming; only
-    /// tokenisation and lower-casing are applied.
-    pub fn plain() -> Self {
-        Self::new(Tokenizer::new(), StopWords::none(), None)
-    }
-
-    /// Builds an analyzer from explicit components.
-    pub fn new(tokenizer: Tokenizer, stopwords: StopWords, stemmer: Option<PorterStemmer>) -> Self {
         Self {
-            tokenizer,
-            stopwords,
-            stemmer,
+            tokenizer: Tokenizer::new(),
+            stopwords: StopWords::english(),
+            stemmer: PorterStemmer::new(),
             memo: InlineKeyTable::new(),
             memo_owner: 0,
             hits: 0,
@@ -120,9 +108,7 @@ impl Analyzer {
     }
 
     /// Analyses `text`: tokenise, filter stop words, stem, intern, count.
-    /// Terms are interned into `dict` (new terms extend the dictionary), and
-    /// the dictionary's per-term statistics are **not** updated — call
-    /// [`Analyzer::analyze_document`] for that.
+    /// Terms are interned into `dict` (new terms extend the dictionary).
     pub fn analyze(&mut self, text: &str, dict: &mut Dictionary) -> TermVector {
         let mut occurrences = std::mem::take(&mut self.occurrences);
         occurrences.clear();
@@ -168,11 +154,7 @@ impl Analyzer {
                     let fresh = if stopwords.contains(token) {
                         STOP
                     } else {
-                        let term = match stemmer {
-                            Some(stemmer) => stemmer.stem_into(token, stem_buf),
-                            None => token,
-                        };
-                        dict.intern(term).0
+                        dict.intern(stemmer.stem_into(token, stem_buf)).0
                     };
                     memo.insert(token.as_bytes(), fresh);
                     fresh
@@ -184,19 +166,14 @@ impl Analyzer {
         });
     }
 
-    /// Analyses a *document*: like [`Analyzer::analyze`], but also records the
-    /// document's term occurrences in the dictionary statistics (document and
-    /// collection frequency), which IDF-style weighting models consume.
+    /// [`Analyzer::analyze`] under a second name, which the frozen
+    /// `ctsbench` adapter calls for documents (ROADMAP item 4).
     pub fn analyze_document(&mut self, text: &str, dict: &mut Dictionary) -> TermVector {
-        let vector = self.analyze(text, dict);
-        for (term, count) in vector.iter() {
-            dict.record_occurrences(term, u64::from(count));
-        }
-        vector
+        self.analyze(text, dict)
     }
 
-    /// Analyses a *query string*. Identical to [`Analyzer::analyze`]; provided
-    /// for call-site clarity (queries never update dictionary statistics).
+    /// [`Analyzer::analyze`] under a second name, which the frozen
+    /// `ctsbench` adapter calls for queries (ROADMAP item 4).
     pub fn analyze_query(&mut self, text: &str, dict: &mut Dictionary) -> TermVector {
         self.analyze(text, dict)
     }
@@ -252,16 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_pipeline_keeps_stopwords_and_inflections() {
-        let mut dict = Dictionary::new();
-        let mut a = Analyzer::plain();
-        let v = a.analyze("the markets", &mut dict);
-        assert!(dict.lookup("the").is_some());
-        assert!(dict.lookup("markets").is_some());
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
     fn inflections_map_to_same_term_id() {
         let mut dict = Dictionary::new();
         let mut a = Analyzer::english();
@@ -270,27 +237,6 @@ mod tests {
         let id1: Vec<_> = v1.iter().map(|(t, _)| t).collect();
         let id2: Vec<_> = v2.iter().map(|(t, _)| t).collect();
         assert_eq!(id1, id2);
-    }
-
-    #[test]
-    fn analyze_document_updates_dictionary_stats() {
-        let mut dict = Dictionary::new();
-        let mut a = Analyzer::english();
-        a.analyze_document("market market crash", &mut dict);
-        a.analyze_document("market recovery", &mut dict);
-        let market = dict.lookup("market").unwrap();
-        let stats = dict.stats(market).unwrap();
-        assert_eq!(stats.document_frequency, 2);
-        assert_eq!(stats.collection_frequency, 3);
-    }
-
-    #[test]
-    fn analyze_query_does_not_update_stats() {
-        let mut dict = Dictionary::new();
-        let mut a = Analyzer::english();
-        a.analyze_query("market crash", &mut dict);
-        let market = dict.lookup("market").unwrap();
-        assert_eq!(dict.stats(market).unwrap().document_frequency, 0);
     }
 
     #[test]

@@ -48,17 +48,6 @@ impl fmt::Display for TermId {
     }
 }
 
-/// Per-term statistics tracked by the dictionary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TermStats {
-    /// Number of documents this term has been observed in (monotonic; not
-    /// decremented on expiration — it reflects the whole history seen so far
-    /// and is only used for reporting and for IDF-style weighting models).
-    pub document_frequency: u64,
-    /// Total number of occurrences observed across all documents.
-    pub collection_frequency: u64,
-}
-
 /// Source of [`Dictionary::identity`]: starts at 1, so 0 names no dictionary.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
 
@@ -67,7 +56,7 @@ fn fresh_identity() -> u64 {
     NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A bidirectional term ↔ id mapping with per-term statistics.
+/// A bidirectional term ↔ id mapping.
 #[derive(Debug)]
 pub struct Dictionary {
     identity: u64,
@@ -79,7 +68,6 @@ pub struct Dictionary {
     by_term: InlineKeyTable,
     /// The id of the empty term, which the table cannot key.
     empty_term: Option<TermId>,
-    stats: Vec<TermStats>,
 }
 
 impl Default for Dictionary {
@@ -99,7 +87,6 @@ impl Clone for Dictionary {
             ends: self.ends.clone(),
             by_term: self.by_term.clone(),
             empty_term: self.empty_term,
-            stats: self.stats.clone(),
         }
     }
 }
@@ -120,7 +107,8 @@ impl Dictionary {
     /// callers that pack "no term" into the same word as an id.
     pub const MAX_TERMS: usize = u32::MAX as usize;
 
-    /// Creates an empty dictionary.
+    /// Creates an empty dictionary. The frozen `ctsbench` adapter names this
+    /// (ROADMAP item 4).
     pub fn new() -> Self {
         Self::default()
     }
@@ -133,7 +121,6 @@ impl Dictionary {
             ends: Vec::with_capacity(n),
             by_term: InlineKeyTable::with_capacity(n),
             empty_term: None,
-            stats: Vec::with_capacity(n),
         }
     }
 
@@ -160,7 +147,6 @@ impl Dictionary {
         } else {
             self.by_term.insert(term.as_bytes(), id.0);
         }
-        self.stats.push(TermStats::default());
         id
     }
 
@@ -182,20 +168,8 @@ impl Dictionary {
         self.arena.get(start..end)
     }
 
-    /// Returns the statistics recorded for `id`.
-    pub fn stats(&self, id: TermId) -> Option<TermStats> {
-        self.stats.get(id.index()).copied()
-    }
-
-    /// Records that `id` occurred `count` times in one (new) document.
-    pub fn record_occurrences(&mut self, id: TermId, count: u64) {
-        if let Some(s) = self.stats.get_mut(id.index()) {
-            s.document_frequency += 1;
-            s.collection_frequency += count;
-        }
-    }
-
-    /// Number of distinct terms interned.
+    /// Number of distinct terms interned. The frozen `ctsbench` adapter
+    /// names this (ROADMAP item 4).
     pub fn len(&self) -> usize {
         self.ends.len()
     }
@@ -215,19 +189,13 @@ impl Dictionary {
         })
     }
 
-    /// Total number of term occurrences recorded across all documents.
-    pub fn total_collection_frequency(&self) -> u64 {
-        self.stats.iter().map(|s| s.collection_frequency).sum()
-    }
-
     /// Heap bytes this dictionary owns, from capacities: the term arena, the
-    /// offsets, the term → id table and the statistics. Plain arithmetic, no
+    /// offsets and the term → id table. Plain arithmetic, no
     /// allocator or clock involved.
     pub fn heap_bytes(&self) -> usize {
         self.arena.capacity()
             + self.ends.capacity() * std::mem::size_of::<u32>()
             + self.by_term.heap_bytes()
-            + self.stats.capacity() * std::mem::size_of::<TermStats>()
     }
 }
 
@@ -270,18 +238,6 @@ mod tests {
         let id = d.intern("explosives");
         assert_eq!(d.term(id), Some("explosives"));
         assert_eq!(d.term(TermId(999)), None);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut d = Dictionary::new();
-        let id = d.intern("market");
-        d.record_occurrences(id, 3);
-        d.record_occurrences(id, 2);
-        let s = d.stats(id).unwrap();
-        assert_eq!(s.document_frequency, 2);
-        assert_eq!(s.collection_frequency, 5);
-        assert_eq!(d.total_collection_frequency(), 5);
     }
 
     #[test]
@@ -343,9 +299,9 @@ mod tests {
         for i in 0..1_000 {
             d.intern(&format!("term{i}"));
         }
-        // 6,890 bytes of text, 1,000 offsets, 1,000 stats and a 2,048-slot
-        // table of 20-byte slots are the floor; capacities may round up.
-        let floor = 6_890 + 4 * 1_000 + 16 * 1_000 + 20 * 2_048;
+        // 6,890 bytes of text, 1,000 offsets and a 2,048-slot table of
+        // 20-byte slots are the floor; capacities may round up.
+        let floor = 6_890 + 4 * 1_000 + 20 * 2_048;
         assert!(d.heap_bytes() >= floor, "{}", d.heap_bytes());
         assert!(d.heap_bytes() < 2 * floor, "{}", d.heap_bytes());
     }

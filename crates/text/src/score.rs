@@ -78,7 +78,7 @@ pub fn query_document_score(query: &[WeightedTerm], doc: &[WeightedTerm]) -> f64
 ///
 /// Construction via [`Weight::new`] panics on NaN (a NaN weight is always a
 /// programming error upstream — weights come from normalised term
-/// frequencies); [`Weight::try_new`] is available for fallible conversion.
+/// frequencies).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 #[serde(transparent)]
 pub struct Weight(f64);
@@ -89,16 +89,8 @@ impl Weight {
 
     /// Wraps `value`, panicking if it is NaN.
     pub fn new(value: f64) -> Self {
-        Self::try_new(value).expect("weight must not be NaN")
-    }
-
-    /// Wraps `value`, returning `None` if it is NaN.
-    pub fn try_new(value: f64) -> Option<Self> {
-        if value.is_nan() {
-            None
-        } else {
-            Some(Weight(value))
-        }
+        assert!(!value.is_nan(), "weight must not be NaN");
+        Weight(value)
     }
 
     /// Returns the inner `f64`.
@@ -241,12 +233,6 @@ mod tests {
         ws.sort();
         let raw: Vec<f64> = ws.into_iter().map(Weight::get).collect();
         assert_eq!(raw, vec![-1.0, 0.0, 0.3, 2.5]);
-    }
-
-    #[test]
-    fn weight_rejects_nan() {
-        assert!(Weight::try_new(f64::NAN).is_none());
-        assert!(Weight::try_new(1.0).is_some());
     }
 
     #[test]

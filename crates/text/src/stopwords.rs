@@ -203,39 +203,16 @@ pub struct StopWords {
 }
 
 impl StopWords {
-    /// Creates the standard English stop-word set.
+    /// Creates the standard English stop-word set, [`DEFAULT_ENGLISH`].
     pub fn english() -> Self {
-        Self::from_words(DEFAULT_ENGLISH.iter().copied())
-    }
-
-    /// Creates an empty stop-word set (nothing is filtered).
-    pub fn none() -> Self {
         Self {
-            words: HashSet::new(),
+            words: DEFAULT_ENGLISH.iter().map(|&word| word.into()).collect(),
         }
-    }
-
-    /// Builds a stop-word set from an iterator of words. Words are stored
-    /// lower-cased so membership tests match tokenizer output.
-    pub fn from_words<'a, I>(words: I) -> Self
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let words = words
-            .into_iter()
-            .map(|w| w.to_lowercase().into_boxed_str())
-            .collect();
-        Self { words }
     }
 
     /// Returns `true` if `word` (assumed lower-case) is a stop word.
     pub fn contains(&self, word: &str) -> bool {
         self.words.contains(word)
-    }
-
-    /// Adds a word to the stop list.
-    pub fn insert(&mut self, word: &str) {
-        self.words.insert(word.to_lowercase().into_boxed_str());
     }
 
     /// Number of stop words in the set.
@@ -273,29 +250,6 @@ mod tests {
         for w in ["weapons", "tower", "white", "market", "explosives"] {
             assert!(!sw.contains(w), "unexpected stop word: {w}");
         }
-    }
-
-    #[test]
-    fn none_filters_nothing() {
-        let sw = StopWords::none();
-        assert!(sw.is_empty());
-        assert!(!sw.contains("the"));
-    }
-
-    #[test]
-    fn custom_list_is_lowercased() {
-        let sw = StopWords::from_words(["Foo", "BAR"]);
-        assert!(sw.contains("foo"));
-        assert!(sw.contains("bar"));
-        assert!(!sw.contains("baz"));
-    }
-
-    #[test]
-    fn insert_extends_the_set() {
-        let mut sw = StopWords::none();
-        sw.insert("Reuters");
-        assert!(sw.contains("reuters"));
-        assert_eq!(sw.len(), 1);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Tokenisation of raw text into lower-cased word tokens.
 //!
 //! The tokenizer splits on any character that is not alphanumeric, folds
-//! upper-case to lower-case, and optionally drops purely-numeric and very
-//! short/long tokens. One scanner finds the tokens; it has two front ends:
+//! upper-case to lower-case, and drops tokens shorter than 2 or longer than
+//! 40 characters and tokens made of ASCII digits only. The filters are
+//! fixed, so the tokens a text can produce — and with them the analyzer's
+//! memo and the dictionary — are bounded by the vocabulary, not by the
+//! stream.
 //!
-//! * [`Tokenizer::for_each_token`] — the analysis path. Tokens are handed to
-//!   a callback as `&str`: a slice of the input when the token is already
-//!   lower-case ASCII, otherwise a view of one caller-owned buffer the token
-//!   was folded into. Nothing is allocated per token or per call for ASCII
-//!   text; a token with a non-ASCII character pays `str::to_lowercase`.
-//! * [`Tokenizer::tokenize`] / [`Tokenizer::tokenize_into`] — a `Vec` of
-//!   [`Token`]s with offsets and positions, for callers that want to keep
-//!   them. This one allocates: the vector, and a `String` per token that
-//!   needed folding.
+//! [`Tokenizer::for_each_token`] hands each token to a callback as `&str`:
+//! a slice of the input when the token is already lower-case ASCII,
+//! otherwise a view of one caller-owned buffer the token was folded into.
+//! Nothing is allocated per token or per call for ASCII text; a token with a
+//! non-ASCII character pays `str::to_lowercase`.
 //!
 //! ASCII input (the common case, detected once per call) is scanned as bytes
 //! through a 256-entry class table; anything else is walked by `char` with
@@ -26,47 +25,14 @@
     clippy::unreachable
 )]
 
-use std::borrow::Cow;
+/// Shortest token kept, in characters.
+const MIN_LEN: usize = 2;
+/// Longest token kept, in characters.
+const MAX_LEN: usize = 40;
 
-/// A single token produced by the [`Tokenizer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token<'a> {
-    /// The token text, lower-cased. Borrowed when the source was already
-    /// lower-case ASCII, owned otherwise.
-    pub text: Cow<'a, str>,
-    /// Byte offset of the token start in the original input.
-    pub offset: usize,
-    /// Ordinal position of the token in the token stream (0-based).
-    pub position: usize,
-}
-
-impl<'a> Token<'a> {
-    /// Returns the token text as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-}
-
-/// Configuration and entry point for tokenisation.
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    /// Minimum token length (in characters) to emit. Shorter tokens are dropped.
-    pub min_len: usize,
-    /// Maximum token length (in characters) to emit. Longer tokens are dropped.
-    pub max_len: usize,
-    /// Whether tokens consisting only of ASCII digits are dropped.
-    pub drop_numeric: bool,
-}
-
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self {
-            min_len: 2,
-            max_len: 40,
-            drop_numeric: true,
-        }
-    }
-}
+/// The tokenizer; it has no settings.
+#[derive(Debug, Clone, Default)]
+pub struct Tokenizer;
 
 /// What it takes to lower-case an accepted token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,20 +68,9 @@ const BYTE_CLASS: [u8; 256] = {
 };
 
 impl Tokenizer {
-    /// Creates a tokenizer with the default settings (length 2..=40, numeric
-    /// tokens dropped), matching common IR preprocessing.
+    /// Creates the tokenizer.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a permissive tokenizer that keeps every alphanumeric run,
-    /// including single characters and numbers.
-    pub fn permissive() -> Self {
-        Self {
-            min_len: 1,
-            max_len: usize::MAX,
-            drop_numeric: false,
-        }
+        Self
     }
 
     /// Calls `visit` with each accepted token of `input`, lower-cased, in
@@ -127,7 +82,7 @@ impl Tokenizer {
     where
         F: FnMut(&str),
     {
-        self.scan(input, |raw, _, how| match how {
+        self.scan(input, |raw, how| match how {
             Fold::None => visit(raw),
             Fold::Ascii => {
                 fold.clear();
@@ -143,39 +98,12 @@ impl Tokenizer {
         });
     }
 
-    /// Tokenises `input`, returning the accepted tokens in order.
-    pub fn tokenize<'a>(&self, input: &'a str) -> Vec<Token<'a>> {
-        let mut out = Vec::new();
-        self.tokenize_into(input, &mut out);
-        out
-    }
-
-    /// Tokenises `input`, appending accepted tokens to `out` (which is cleared
-    /// first). Reusing the output vector saves its allocation, not the
-    /// per-token `String` of a folded token; the analysis path uses
-    /// [`Tokenizer::for_each_token`] instead.
-    pub fn tokenize_into<'a>(&self, input: &'a str, out: &mut Vec<Token<'a>>) {
-        out.clear();
-        self.scan(input, |raw, offset, how| {
-            let text = match how {
-                Fold::None => Cow::Borrowed(raw),
-                Fold::Ascii => Cow::Owned(raw.to_ascii_lowercase()),
-                Fold::Unicode => Cow::Owned(raw.to_lowercase()),
-            };
-            out.push(Token {
-                text,
-                offset,
-                position: out.len(),
-            });
-        });
-    }
-
-    /// The scanner: `emit(raw token, byte offset, fold needed)` for every
-    /// alphanumeric run that passes the length and numeric filters.
+    /// The scanner: `emit(raw token, fold needed)` for every alphanumeric
+    /// run that passes the length and numeric filters.
     #[inline]
     fn scan<'a, F>(&self, input: &'a str, emit: F)
     where
-        F: FnMut(&'a str, usize, Fold),
+        F: FnMut(&'a str, Fold),
     {
         if input.is_ascii() {
             self.scan_ascii(input, emit);
@@ -188,10 +116,10 @@ impl Tokenizer {
     /// needs. `seen` is the or of the token's ASCII byte classes.
     #[inline]
     fn accept(&self, chars: usize, seen: u8, non_ascii: bool) -> Option<Fold> {
-        if chars < self.min_len || chars > self.max_len {
+        if !(MIN_LEN..=MAX_LEN).contains(&chars) {
             return None;
         }
-        if self.drop_numeric && !non_ascii && seen & NOT_DIGIT == 0 {
+        if !non_ascii && seen & NOT_DIGIT == 0 {
             return None;
         }
         Some(if non_ascii {
@@ -206,7 +134,7 @@ impl Tokenizer {
     #[inline]
     fn scan_ascii<'a, F>(&self, input: &'a str, mut emit: F)
     where
-        F: FnMut(&'a str, usize, Fold),
+        F: FnMut(&'a str, Fold),
     {
         let bytes = input.as_bytes();
         let mut at = 0;
@@ -223,14 +151,14 @@ impl Tokenizer {
             }
             // One byte is one character here.
             if let Some(how) = self.accept(at - begin, seen, false) {
-                emit(&input[begin..at], begin, how);
+                emit(&input[begin..at], how);
             }
         }
     }
 
     fn scan_unicode<'a, F>(&self, input: &'a str, mut emit: F)
     where
-        F: FnMut(&'a str, usize, Fold),
+        F: FnMut(&'a str, Fold),
     {
         /// An alphanumeric run in progress.
         struct Run {
@@ -241,7 +169,7 @@ impl Tokenizer {
         }
         let mut finish = |run: Run, end: usize| {
             if let Some(how) = self.accept(run.chars, run.seen, run.non_ascii) {
-                emit(&input[run.begin..end], run.begin, how);
+                emit(&input[run.begin..end], how);
             }
         };
         let mut run: Option<Run> = None;
@@ -273,185 +201,154 @@ impl Tokenizer {
 mod tests {
     use super::*;
 
-    fn texts<'a>(tokens: &'a [Token<'a>]) -> Vec<&'a str> {
-        tokens.iter().map(|t| t.as_str()).collect()
+    /// What `for_each_token` shows its visitor.
+    fn visited(input: &str) -> Vec<String> {
+        let mut fold = String::new();
+        let mut seen = Vec::new();
+        Tokenizer::new().for_each_token(input, &mut fold, |token| seen.push(token.to_string()));
+        seen
+    }
+
+    /// Whether `token` is a slice of `input`'s bytes.
+    fn inside(input: &str, token: &str) -> bool {
+        input.as_bytes().as_ptr_range().contains(&token.as_ptr())
     }
 
     #[test]
     fn splits_on_whitespace_and_punctuation() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("Weapons of mass-destruction, reported!");
         assert_eq!(
-            texts(&toks),
+            visited("Weapons of mass-destruction, reported!"),
             vec!["weapons", "of", "mass", "destruction", "reported"]
         );
     }
 
     #[test]
     fn lowercases_tokens() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("Wall Street JOURNAL");
-        assert_eq!(texts(&toks), vec!["wall", "street", "journal"]);
+        assert_eq!(
+            visited("Wall Street JOURNAL"),
+            vec!["wall", "street", "journal"]
+        );
     }
 
     #[test]
     fn borrowed_when_already_lowercase_ascii() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("simple lowercase words");
-        assert!(toks.iter().all(|tok| matches!(tok.text, Cow::Borrowed(_))));
+        let input = "simple lowercase words";
+        let (mut fold, mut count) = (String::new(), 0);
+        Tokenizer::new().for_each_token(input, &mut fold, |token| {
+            assert!(
+                inside(input, token),
+                "{token:?} is not a slice of the input"
+            );
+            count += 1;
+        });
+        assert_eq!(count, 3);
+        assert!(fold.is_empty(), "nothing needed folding");
     }
 
     #[test]
     fn owned_when_case_folding_needed() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("Mixed");
-        assert!(matches!(toks[0].text, Cow::Owned(_)));
+        let input = "Mixed";
+        let (mut fold, mut count) = (String::new(), 0);
+        Tokenizer::new().for_each_token(input, &mut fold, |token| {
+            assert!(!inside(input, token), "{token:?} should be the fold buffer");
+            assert_eq!(token, "mixed");
+            count += 1;
+        });
+        assert_eq!(count, 1);
+        assert_eq!(fold, "mixed", "the visitor saw the fold buffer");
     }
 
     #[test]
     fn drops_single_characters_by_default() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("a b c word");
-        assert_eq!(texts(&toks), vec!["word"]);
+        assert_eq!(visited("a b c word"), vec!["word"]);
     }
 
     #[test]
     fn drops_numeric_tokens_by_default() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("profits rose 1992 by 12 percent");
-        assert_eq!(texts(&toks), vec!["profits", "rose", "by", "percent"]);
+        assert_eq!(
+            visited("profits rose 1992 by 12 percent"),
+            vec!["profits", "rose", "by", "percent"]
+        );
     }
 
     #[test]
     fn keeps_alphanumeric_mixtures() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("boeing 747s and b2b deals");
-        assert_eq!(texts(&toks), vec!["boeing", "747s", "and", "b2b", "deals"]);
-    }
-
-    #[test]
-    fn permissive_keeps_everything() {
-        let t = Tokenizer::permissive();
-        let toks = t.tokenize("a 1 22 xyz");
-        assert_eq!(texts(&toks), vec!["a", "1", "22", "xyz"]);
+        assert_eq!(
+            visited("boeing 747s and b2b deals"),
+            vec!["boeing", "747s", "and", "b2b", "deals"]
+        );
     }
 
     #[test]
     fn handles_unicode_words() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("Zürich café économie");
-        assert_eq!(texts(&toks), vec!["zürich", "café", "économie"]);
+        assert_eq!(
+            visited("Zürich café économie"),
+            vec!["zürich", "café", "économie"]
+        );
     }
 
     #[test]
     fn empty_input_yields_no_tokens() {
-        let t = Tokenizer::new();
-        assert!(t.tokenize("").is_empty());
-        assert!(t.tokenize("   \t\n ").is_empty());
-        assert!(t.tokenize("!!! --- ???").is_empty());
-    }
-
-    #[test]
-    fn offsets_and_positions_are_recorded() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("alpha beta");
-        assert_eq!(toks[0].offset, 0);
-        assert_eq!(toks[0].position, 0);
-        assert_eq!(toks[1].offset, 6);
-        assert_eq!(toks[1].position, 1);
+        assert!(visited("").is_empty());
+        assert!(visited("   \t\n ").is_empty());
+        assert!(visited("!!! --- ???").is_empty());
     }
 
     #[test]
     fn token_at_end_of_input_is_emitted() {
-        let t = Tokenizer::new();
-        let toks = t.tokenize("trailing token");
-        assert_eq!(texts(&toks), vec!["trailing", "token"]);
+        assert_eq!(visited("trailing token"), vec!["trailing", "token"]);
     }
 
     #[test]
     fn overlong_tokens_are_dropped() {
-        let mut t = Tokenizer::new();
-        t.max_len = 5;
-        let toks = t.tokenize("short elongatedword tiny");
-        assert_eq!(texts(&toks), vec!["short", "tiny"]);
-    }
-
-    /// What `for_each_token` shows its visitor.
-    fn visited(t: &Tokenizer, input: &str) -> Vec<String> {
-        let mut fold = String::new();
-        let mut seen = Vec::new();
-        t.for_each_token(input, &mut fold, |token| seen.push(token.to_string()));
-        seen
-    }
-
-    #[test]
-    fn both_front_ends_see_the_same_tokens() {
-        for t in [Tokenizer::new(), Tokenizer::permissive()] {
-            for input in [
-                "Weapons of mass-destruction, reported!",
-                "boeing 747s and B2B deals in 1992",
-                "Zürich café ÉCONOMIE İstanbul straße ΟΔΟΣ x",
-                "trailing Token",
-                "ends in é",
-                "",
-                " \t ",
-            ] {
-                let owned: Vec<String> = t
-                    .tokenize(input)
-                    .iter()
-                    .map(|tok| tok.as_str().to_string())
-                    .collect();
-                assert_eq!(visited(&t, input), owned, "for {input:?}");
-            }
-        }
+        let forty = "abcdefghijklmnopqrstuvwxyzabcdefghijklmn";
+        let forty_one = format!("{forty}o");
+        assert_eq!(
+            visited(&format!("short {forty_one} {forty} tiny")),
+            vec!["short", forty, "tiny"]
+        );
     }
 
     #[test]
     fn ascii_tokens_in_unicode_input_follow_the_ascii_rules() {
-        let t = Tokenizer::new();
         // One non-ASCII character anywhere sends the whole input down the
         // char-by-char scanner; ASCII tokens must come out as they would
         // from the byte scanner.
         let ascii = "Profits rose 1992 by 12 Percent at b2b firms a";
         let mixed = format!("{ascii} — né");
-        let mut expected = visited(&t, ascii);
+        let mut expected = visited(ascii);
         expected.push("né".to_string());
-        assert_eq!(visited(&t, &mixed), expected);
-        let toks = t.tokenize(&mixed);
-        assert!(matches!(toks[1].text, Cow::Borrowed("rose")));
-        assert_eq!(toks[1].offset, 8);
+        assert_eq!(visited(&mixed), expected);
+        let mut fold = String::new();
+        let mut borrowed = Vec::new();
+        Tokenizer::new().for_each_token(&mixed, &mut fold, |token| {
+            if inside(&mixed, token) {
+                borrowed.push(token.to_string());
+            }
+        });
+        assert_eq!(borrowed, vec!["rose", "by", "at", "b2b", "firms"]);
     }
 
     #[test]
     fn length_limits_count_characters_not_bytes() {
-        let mut t = Tokenizer::new();
-        t.max_len = 4;
-        // Four characters, eight bytes: kept. Five characters: dropped.
-        assert_eq!(visited(&t, "éééé ééééé abcd abcde"), vec!["éééé", "abcd"]);
-        t.min_len = 4;
-        assert_eq!(visited(&t, "ééé éééé abc"), vec!["éééé"]);
+        // Forty characters, eighty bytes: kept. Forty-one: dropped. One
+        // two-byte character is still too short.
+        let forty = "é".repeat(40);
+        let forty_one = "é".repeat(41);
+        assert_eq!(
+            visited(&format!("{forty} {forty_one} é ée")),
+            vec![forty.as_str(), "ée"]
+        );
     }
 
     #[test]
     fn unicode_lowercasing_may_change_byte_length() {
-        let t = Tokenizer::new();
         // U+0130 lower-cases to "i" + U+0307 (2 → 3 bytes); final sigma is
         // context-sensitive, which only `str::to_lowercase` gets right.
-        assert_eq!(visited(&t, "İx"), vec!["i\u{307}x"]);
-        assert_eq!(visited(&t, "ΟΔΟΣ"), vec!["οδος"]);
+        assert_eq!(visited("İx"), vec!["i\u{307}x"]);
+        assert_eq!(visited("ΟΔΟΣ"), vec!["οδος"]);
         // Non-ASCII digits are alphanumeric but not "numeric" for the
-        // drop_numeric filter, which is about ASCII digits only.
-        assert_eq!(visited(&t, "٣٤ 34"), vec!["٣٤"]);
-    }
-
-    #[test]
-    fn tokenize_into_reuses_buffer() {
-        let t = Tokenizer::new();
-        let mut buf = Vec::new();
-        t.tokenize_into("first call here", &mut buf);
-        assert_eq!(buf.len(), 3);
-        t.tokenize_into("second", &mut buf);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].as_str(), "second");
+        // numeric filter, which is about ASCII digits only.
+        assert_eq!(visited("٣٤ 34"), vec!["٣٤"]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`TermVector`] holds raw term frequencies (`f_{d,t}` / `f_{Q,t}` of the
 //! paper's Equation 1); a [`WeightedVector`] holds the derived impact weights
-//! (`w_{d,t}` / `w_{Q,t}`) produced by a [`crate::weighting::WeightingModel`].
+//! (`w_{d,t}` / `w_{Q,t}`) produced by [`crate::weighting::Scoring`].
 //! Both are stored as term-id-sorted `Vec`s so that merging, dot products and
 //! iteration are cache-friendly and allocation-free in the hot path.
 
@@ -57,14 +57,9 @@ impl TermVector {
 
     /// Increments the count of `term` by one.
     pub fn add(&mut self, term: TermId) {
-        self.add_count(term, 1);
-    }
-
-    /// Increments the count of `term` by `count`.
-    pub fn add_count(&mut self, term: TermId, count: u32) {
         match self.entries.binary_search_by_key(&term, |(t, _)| *t) {
-            Ok(i) => self.entries[i].1 += count,
-            Err(i) => self.entries.insert(i, (term, count)),
+            Ok(i) => self.entries[i].1 += 1,
+            Err(i) => self.entries.insert(i, (term, 1)),
         }
     }
 
@@ -229,14 +224,6 @@ impl WeightedVector {
             .sum::<f64>()
             .sqrt()
     }
-
-    /// The largest weight in the vector (0.0 if empty).
-    pub fn max_weight(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|e| e.weight.get())
-            .fold(0.0, f64::max)
-    }
 }
 
 impl FromIterator<(TermId, f64)> for WeightedVector {
@@ -389,10 +376,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_vector_norm_and_max() {
+    fn weighted_vector_norm() {
         let v = WeightedVector::from_weights([(t(0), 0.6), (t(1), 0.8)]);
         assert!((v.l2_norm() - 1.0).abs() < 1e-12);
-        assert!((v.max_weight() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -400,7 +386,6 @@ mod tests {
         let v = WeightedVector::new();
         assert!(v.is_empty());
         assert_eq!(v.weight(t(0)), 0.0);
-        assert_eq!(v.max_weight(), 0.0);
         assert_eq!(v.l2_norm(), 0.0);
         let tv = TermVector::new();
         assert!(tv.is_empty());

@@ -20,14 +20,13 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use cts_text::{PorterStemmer, StopWords, TermId, TermStats, TermVector, Tokenizer};
+use cts_text::{PorterStemmer, StopWords, TermId, TermVector};
 
 /// The seed dictionary: every term boxed twice.
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceDictionary {
     by_term: HashMap<Box<str>, TermId>,
     terms: Vec<Box<str>>,
-    stats: Vec<TermStats>,
 }
 
 impl ReferenceDictionary {
@@ -43,7 +42,6 @@ impl ReferenceDictionary {
         let boxed: Box<str> = term.into();
         self.by_term.insert(boxed.clone(), id);
         self.terms.push(boxed);
-        self.stats.push(TermStats::default());
         id
     }
 
@@ -51,37 +49,26 @@ impl ReferenceDictionary {
         self.terms.get(id.index()).map(|t| t.as_ref())
     }
 
-    pub fn stats(&self, id: TermId) -> Option<TermStats> {
-        self.stats.get(id.index()).copied()
-    }
-
-    pub fn record_occurrences(&mut self, id: TermId, count: u64) {
-        if let Some(s) = self.stats.get_mut(id.index()) {
-            s.document_frequency += 1;
-            s.collection_frequency += count;
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.terms.len()
     }
 
     /// Bytes this layout asks the allocator for: hash buckets (boxed key,
-    /// id, one control byte), the `Vec` of boxed terms, every term's text
-    /// twice, and the statistics. What the allocator adds per boxed string
+    /// id, one control byte), the `Vec` of boxed terms and every term's text
+    /// twice. What the allocator adds per boxed string
     /// (a 16-byte header and rounding, on glibc) is not in here.
     pub fn requested_bytes(&self) -> usize {
         let text: usize = self.terms.iter().map(|term| term.len()).sum();
         self.by_term.capacity() * (std::mem::size_of::<(Box<str>, TermId)>() + 1)
             + self.terms.capacity() * std::mem::size_of::<Box<str>>()
             + 2 * text
-            + self.stats.capacity() * std::mem::size_of::<TermStats>()
     }
 }
 
-/// The seed tokenizer's output: lower-cased text, borrowed when the source
-/// was already lower-case ASCII.
-pub fn reference_tokens<'a>(tokenizer: &Tokenizer, input: &'a str) -> Vec<Cow<'a, str>> {
+/// The seed tokenizer's output under the filters the crate's tokenizer
+/// applies (2 to 40 characters, ASCII-digit tokens dropped): lower-cased
+/// text, borrowed when the source was already lower-case ASCII.
+pub fn reference_tokens(input: &str) -> Vec<Cow<'_, str>> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
     let mut start: Option<usize> = None;
@@ -97,10 +84,10 @@ pub fn reference_tokens<'a>(tokenizer: &Tokenizer, input: &'a str) -> Vec<Cow<'a
             let end = if is_word && at_end { input.len() } else { idx };
             let raw = &input[begin..end];
             let char_len = raw.chars().count();
-            if char_len < tokenizer.min_len || char_len > tokenizer.max_len {
+            if !(2..=40).contains(&char_len) {
                 continue;
             }
-            if tokenizer.drop_numeric && raw.bytes().all(|b| b.is_ascii_digit()) {
+            if raw.bytes().all(|b| b.is_ascii_digit()) {
                 continue;
             }
             let needs_fold = bytes[begin..end]
@@ -116,63 +103,38 @@ pub fn reference_tokens<'a>(tokenizer: &Tokenizer, input: &'a str) -> Vec<Cow<'a
     out
 }
 
-/// The seed `Analyzer`: no state between calls.
+/// The seed English `Analyzer`: no state between calls.
 #[derive(Debug, Clone)]
 pub struct ReferenceAnalyzer {
-    pub tokenizer: Tokenizer,
     pub stopwords: StopWords,
-    pub stemmer: Option<PorterStemmer>,
+    pub stemmer: PorterStemmer,
 }
 
 impl ReferenceAnalyzer {
     pub fn english() -> Self {
         Self {
-            tokenizer: Tokenizer::new(),
             stopwords: StopWords::english(),
-            stemmer: Some(PorterStemmer::new()),
-        }
-    }
-
-    pub fn plain() -> Self {
-        Self {
-            tokenizer: Tokenizer::new(),
-            stopwords: StopWords::none(),
-            stemmer: None,
+            stemmer: PorterStemmer::new(),
         }
     }
 
     /// The seed `Analyzer::analyze` body.
     pub fn analyze(&self, text: &str, dict: &mut ReferenceDictionary) -> TermVector {
         let mut vector = TermVector::new();
-        for token in reference_tokens(&self.tokenizer, text) {
+        for token in reference_tokens(text) {
             let word: &str = &token;
             if self.stopwords.contains(word) {
                 continue;
             }
-            let id = match &self.stemmer {
-                Some(stemmer) => {
-                    let stemmed = stemmer.stem(word);
-                    dict.intern(&stemmed)
-                }
-                None => dict.intern(word),
-            };
-            vector.add(id);
-        }
-        vector
-    }
-
-    /// The seed `Analyzer::analyze_document` body.
-    pub fn analyze_document(&self, text: &str, dict: &mut ReferenceDictionary) -> TermVector {
-        let vector = self.analyze(text, dict);
-        for (term, count) in vector.iter() {
-            dict.record_occurrences(term, u64::from(count));
+            let stemmed = self.stemmer.stem(word);
+            vector.add(dict.intern(&stemmed));
         }
         vector
     }
 }
 
 /// Everything the differential suites hold equal between the two pipelines'
-/// dictionaries: length, id → term, and per-term statistics.
+/// dictionaries: length, id → term and term → id.
 pub fn assert_same_dictionary(
     new: &cts_text::Dictionary,
     reference: &ReferenceDictionary,
@@ -182,10 +144,5 @@ pub fn assert_same_dictionary(
     for (id, term) in new.iter() {
         assert_eq!(Some(term), reference.term(id), "term of {id}, {context}");
         assert_eq!(new.lookup(term), Some(id), "lookup of {term:?}, {context}");
-        assert_eq!(
-            new.stats(id),
-            reference.stats(id),
-            "stats of {id} ({term:?}), {context}"
-        );
     }
 }
