@@ -1,16 +1,20 @@
 //! Micro-benchmarks of the index substrate: the operations on the paper's
 //! hot path.
 //!
-//! * `inverted_list/insert_expire` — one posting insertion plus one removal
-//!   on a realistically sized impact-ordered list (the per-term cost of a
-//!   document arrival + expiration pair).
+//! * `inverted_list/insert_expire` — one posting insertion plus one expiry
+//!   on a realistically sized impact-ordered list sliding under a
+//!   1,000-arrival window (the per-term cost of a document arrival +
+//!   expiration pair): the expiry counts a dead posting, and every 251st
+//!   compacts the list in one pass.
 //! * `inverted_list/resume_below` — the refill access path: resume a
 //!   descent at a recorded local threshold.
 //! * `threshold_tree/probe` — the `θ_{Q,t} ≤ w` range probe executed for
 //!   every term of every arriving document.
 //! * `threshold_tree/update` — moving a query's local threshold.
 //! * `inverted_index/churn` — a full document arrival + oldest-expiration
-//!   cycle through the composite index.
+//!   cycle through the composite index: filing every composition entry, then
+//!   killing the expiring document's postings in place (and the compactions
+//!   that come due).
 //! * `live_terms/intersect` — cutting one paper-point document (≈ 230
 //!   composition entries) down to its live entries against the bitmap of the
 //!   ≈ 9.7k terms that 1,000 ten-term queries use: the one pass an event
@@ -31,22 +35,26 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cts_bench::fixture;
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::{DocId, Document, InvertedIndex, InvertedList, LiveTerms, QueryId, ThresholdTree};
+
+/// Live postings of the `inverted_list` arms' list.
+const LIST_LEN: u64 = 1_000;
 use cts_text::Weight;
 
 fn bench_inverted_list(c: &mut Criterion) {
-    // A list the size of a busy term's: 1,000 postings.
+    // A list the size of a busy term's: 1,000 live postings, one per
+    // arrival of a window that every arrival slides by one.
+    let weight = |seq: u64| Weight::new(0.001 + (seq % 997) as f64 * 0.00097);
     let mut list = InvertedList::new();
-    for i in 0..1_000u64 {
-        list.insert(DocId(i), Weight::new(0.001 + (i % 997) as f64 * 0.00097));
+    for seq in 0..LIST_LEN {
+        list.insert(seq, weight(seq));
     }
-    let mut next = 1_000u64;
+    let mut next = LIST_LEN;
     c.bench_function("inverted_list/insert_expire", |b| {
         b.iter(|| {
-            let id = DocId(next);
-            let w = Weight::new(0.001 + (next % 997) as f64 * 0.00097);
-            list.insert(id, w);
-            list.remove(id, w);
+            list.insert(next, weight(next));
             next += 1;
+            // The window's front passes the oldest posting.
+            list.expire(next - LIST_LEN);
         })
     });
 
@@ -57,7 +65,7 @@ fn bench_inverted_list(c: &mut Criterion) {
             black_box(
                 list.iter_at_or_below(Weight::new(0.5))
                     .take(4)
-                    .map(|p| p.doc.0)
+                    .map(|p| p.seq)
                     .sum::<u64>(),
             )
         })

@@ -39,14 +39,17 @@
 //! outside `R` scores at most `τ ≤ S_k`, and the top-k inside `R` is the
 //! true top-k. [`ItaEngine::check_invariants`] audits both halves.
 //!
-//! Every list access above goes through the impact-list API of `cts_index`
-//! (`iter_at_or_below`, …), which since PR 3 is backed by *segmented* impact
-//! lists: descent cursors transparently cross segment boundaries —
-//! including equal-weight tie runs that a segment split leaves straddling
-//! two segments — while a head-term arrival/expiration shifts at most one
-//! segment instead of a window-length `Vec` tail. The engine code is
-//! layout-agnostic; the `ita_brute_force_agreement_beyond_segment_capacity`
-//! test pins the boundary behaviour at engine level.
+//! Every list read above goes through one accessor of `cts_index`,
+//! `InvertedIndex::live_postings`, over *segmented* impact lists: descent
+//! cursors transparently cross segment boundaries — including equal-weight
+//! tie runs that a segment split leaves straddling two segments — and skip
+//! the dead postings expiry leaves in place, while a head-term arrival
+//! shifts at most one segment instead of a window-length `Vec` tail. A
+//! posting names its document by the window's arrival sequence number, so
+//! the descent reads the id for its `R` membership test and the
+//! composition it scores by one index each into the window. The
+//! `ita_brute_force_agreement_beyond_segment_capacity` test pins the
+//! boundary behaviour at engine level.
 
 #![deny(clippy::disallowed_types)]
 #![deny(
@@ -183,7 +186,21 @@ impl ItaEngine {
     /// memory follows the live terms instead of the vocabulary. This is the
     /// shard configuration of [`crate::ShardedItaEngine`].
     pub fn term_filtered(window: SlidingWindow) -> Self {
-        Self::over(window, InvertedIndex::term_filtered())
+        Self::term_filtered_from(window, 0)
+    }
+
+    /// A term-filtered engine whose window numbers its first arrival
+    /// `first_seq`: a shard rebuilt from the coordinator's mirror numbers
+    /// the mirror's documents as the mirror does, so the postings the mirror
+    /// resolves name the shard's documents.
+    pub(crate) fn term_filtered_from(window: SlidingWindow, first_seq: u64) -> Self {
+        Self::over(window, InvertedIndex::term_filtered_from(first_seq))
+    }
+
+    /// The arrival sequence number of the oldest valid document (of the next
+    /// arrival, when none is valid).
+    pub(crate) fn front_seq(&self) -> u64 {
+        self.index.documents().front_seq()
     }
 
     /// Whether this engine maintains a term-filtered (shadow) index.
@@ -376,23 +393,19 @@ impl ItaEngine {
 /// `R` and the frontier, until `S_k ≥ τ` or the lists are exhausted.
 ///
 /// Each list is read through **one cursor** for the whole search, opened at
-/// its frontier (`iter_at_or_below(θ)`: ties at the frontier may or may not
-/// have been examined). `R` only grows while the search runs and every
+/// its frontier (`live_postings(term, θ)`: ties at the frontier may or may
+/// not have been examined). `R` only grows while the search runs and every
 /// posting behind a cursor is in `R`, so a step skips `R`-members only from
 /// where each cursor stands, and only the chosen list advances — through its
-/// tie group. No posting is read twice and no step allocates.
+/// whole tie group, so the order within a group (arrival) decides nothing.
+/// No posting is read twice and no step allocates.
 fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
     let k = state.query.k();
+    let window = index.documents();
     let mut cursors: Vec<_> = state
         .thresholds
         .iter()
-        .map(|&(term, theta)| {
-            index
-                .list(term)
-                .into_iter()
-                .flat_map(move |list| list.iter_at_or_below(theta))
-                .peekable()
-        })
+        .map(|&(term, theta)| index.live_postings(term, theta).peekable())
         .collect();
     loop {
         // The bound over the best unexamined posting of each list, and the
@@ -400,7 +413,10 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         let mut tau_next = 0.0;
         let mut best: Option<(usize, f64, Weight)> = None;
         for (slot, cursor) in cursors.iter_mut().enumerate() {
-            while cursor.next_if(|p| state.results.contains(p.doc)).is_some() {}
+            while cursor
+                .next_if(|p| state.results.contains(window.id_at(p.seq)))
+                .is_some()
+            {}
             let Some(peek) = cursor.peek() else {
                 continue;
             };
@@ -430,20 +446,12 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         // Examine the full tie group at that weight so the frontier is exact:
         // afterwards, every posting strictly above θ is guaranteed to be in R.
         while let Some(posting) = cursors[slot].next_if(|p| p.weight == group_weight) {
-            if state.results.contains(posting.doc) {
+            let id = window.id_at(posting.seq);
+            if state.results.contains(id) {
                 continue;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "postings only reference valid documents"
-            )]
-            let composition = &index
-                .documents()
-                .get(posting.doc)
-                .expect("indexed documents are valid")
-                .composition;
-            let score = state.query.score(composition);
-            state.results.insert(posting.doc, score);
+            let score = state.query.score(&window.doc_at(posting.seq).composition);
+            state.results.insert(id, score);
             state.postings_examined += 1;
         }
         state.thresholds[slot].1 = group_weight;
@@ -649,14 +657,15 @@ impl ItaEngine {
                 }
                 live_refs[slot] += 1;
                 // The paper's invariant, first half: the search has examined
-                // every posting strictly above θ_{Q,t}, and an arrival up
+                // every live posting strictly above θ_{Q,t}, and an arrival up
                 // there is touched, so each of them is in R.
-                let list = self.index.list(*term).into_iter().flat_map(|l| l.iter());
-                for posting in list.take_while(|p| p.weight > *theta) {
+                let all = Weight::new(f64::INFINITY);
+                let live = self.index.live_postings(*term, all);
+                for posting in live.take_while(|p| p.weight > *theta) {
+                    let doc = self.index.documents().id_at(posting.seq);
                     assert!(
-                        state.results.contains(posting.doc),
-                        "{} lies above {qid}'s θ={theta} in {term} but is not in R",
-                        posting.doc
+                        state.results.contains(doc),
+                        "{doc} lies above {qid}'s θ={theta} in {term} but is not in R",
                     );
                 }
             }
@@ -779,14 +788,14 @@ mod tests {
     /// builds).
     pub(super) fn restart_descent(index: &InvertedIndex, mut state: QueryState) -> QueryState {
         let k = state.query.k();
+        let window = index.documents();
         loop {
             let mut peeks: Vec<Option<cts_index::Posting>> = Vec::new();
             let mut tau_next = 0.0;
             for (term, theta) in &state.thresholds {
-                let peek = index.list(*term).and_then(|list| {
-                    list.iter_at_or_below(*theta)
-                        .find(|p| !state.results.contains(p.doc))
-                });
+                let peek = index
+                    .live_postings(*term, *theta)
+                    .find(|p| !state.results.contains(window.id_at(p.seq)));
                 if let Some(p) = peek {
                     tau_next += state.query.weight(*term).get() * p.weight.get();
                 }
@@ -811,17 +820,13 @@ mod tests {
                 .unwrap();
             let (term, _) = state.thresholds[slot];
             let members: Vec<DocId> = index
-                .list(term)
-                .unwrap()
-                .iter_at_or_below(posting.weight)
+                .live_postings(term, posting.weight)
                 .take_while(|p| p.weight == posting.weight)
-                .map(|p| p.doc)
+                .map(|p| window.id_at(p.seq))
                 .collect();
             for doc in members {
                 if !state.results.contains(doc) {
-                    let score = state
-                        .query
-                        .score(&index.documents().get(doc).unwrap().composition);
+                    let score = state.query.score(&window.get(doc).unwrap().composition);
                     state.results.insert(doc, score);
                     state.postings_examined += 1;
                 }
@@ -1103,17 +1108,13 @@ mod tests {
             ));
             let state = e.queries.get(q).unwrap();
             for (term, theta) in &state.thresholds {
-                if let Some(list) = e.index.list(*term) {
-                    for p in list.iter() {
-                        if p.weight > *theta {
-                            assert!(
-                                state.results.contains(p.doc),
-                                "event {i}: {} above θ={} in {} missing from R",
-                                p.doc,
-                                theta,
-                                term
-                            );
-                        }
+                for p in e.index.live_postings(*term, Weight::new(f64::INFINITY)) {
+                    let doc = e.index.documents().id_at(p.seq);
+                    if p.weight > *theta {
+                        assert!(
+                            state.results.contains(doc),
+                            "event {i}: {doc} above θ={theta} in {term} missing from R",
+                        );
                     }
                 }
             }

@@ -154,11 +154,13 @@ use crate::result::RankedDocument;
 use crate::stats::ProcessingStats;
 
 /// What a worker builds its engine from: the mirror's documents (oldest
-/// first), then the shard's queries registered with the postings the
-/// coordinator resolved for their terms over those documents. Empty for a
-/// worker [`ShardedItaEngine::new`] starts.
+/// first) and the mirror's sequence number of the first of them, then the
+/// shard's queries registered with the postings the coordinator resolved
+/// for their terms over those documents — which name documents by those
+/// numbers. Empty for a worker [`ShardedItaEngine::new`] starts.
 #[derive(Default)]
 struct Seed {
+    first_seq: u64,
     window: Vec<Arc<Document>>,
     queries: Vec<(QueryId, Arc<ContinuousQuery>)>,
     postings: TermPostings,
@@ -215,7 +217,7 @@ impl ShardWorker {
     /// postings resolved over those documents. No injection check and no
     /// stats recording: building is not stream work.
     fn build(shard: usize, window: SlidingWindow, seed: Seed) -> Self {
-        let mut engine = ItaEngine::term_filtered(window);
+        let mut engine = ItaEngine::term_filtered_from(window, seed.first_seq);
         for doc in seed.window {
             engine.process_shared(doc);
         }
@@ -259,20 +261,26 @@ impl ShardWorker {
 
     /// Audits the shard engine's deep structural invariants, that its store
     /// holds exactly `mirror` (the coordinator's documents, oldest first)
-    /// and that it hosts exactly `hosted` (the registry's ids that hash to
-    /// this shard). A violation panics right here, which ends the worker
-    /// with a fault carrying the message.
-    fn audit(&self, mirror: &[DocId], hosted: &[QueryId]) {
+    /// numbered from `front_seq` as the mirror numbers them, and that it
+    /// hosts exactly `hosted` (the registry's ids that hash to this shard).
+    /// A violation panics right here, which ends the worker with a fault
+    /// carrying the message.
+    fn audit(&self, front_seq: u64, mirror: &[DocId], hosted: &[QueryId]) {
         let engine = &self.engine;
         engine.check_invariants();
         // Shipped postings are only right if the coordinator resolved them
-        // over the very documents this store holds.
+        // over the very documents this store holds, numbered alike.
         assert!(
             engine
                 .store_documents()
                 .map(|doc| doc.id)
                 .eq(mirror.iter().copied()),
             "the shard's store and the coordinator's mirror hold different documents"
+        );
+        assert_eq!(
+            engine.front_seq(),
+            front_seq,
+            "the shard numbers its documents apart from the coordinator's mirror"
         );
         // Placement is the hash: the registry's distinct ids that hash here,
         // and no other query.
@@ -610,6 +618,7 @@ impl ShardedItaEngine {
                 .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
         );
         let seed = Seed {
+            first_seq: self.mirror.front_seq(),
             window: self.mirror.iter().cloned().collect(),
             queries,
             postings,
@@ -1001,6 +1010,7 @@ impl Engine for ShardedItaEngine {
     fn check_invariants(&self) {
         self.mirror.check_invariants();
         let mirrored: Arc<[DocId]> = self.mirror.iter().map(|doc| doc.id).collect();
+        let front_seq = self.mirror.front_seq();
         let mut hosted = vec![Vec::new(); self.workers.len()];
         for &qid in self.registry.keys() {
             hosted[self.shard_of(qid)].push(qid);
@@ -1014,7 +1024,7 @@ impl Engine for ShardedItaEngine {
                 clippy::panic,
                 reason = "audit-only path re-raising a worker-side assertion"
             )]
-            if let Err(err) = self.call(shard, move |w| w.audit(&mirrored, &hosted)) {
+            if let Err(err) = self.call(shard, move |w| w.audit(front_seq, &mirrored, &hosted)) {
                 panic!("shard {shard} failed its invariant audit: {err}");
             }
         }
@@ -1143,6 +1153,10 @@ mod tests {
         let index = sharded.shard_index_stats();
         assert!(index.iter().all(|s| s.documents == 6));
         assert!(index.iter().map(|s| s.postings).sum::<usize>() > 0);
+        // Each shard reports what its lists hold, bytes and dead postings
+        // included: within the quarter rule.
+        assert!(index.iter().all(|s| (s.list_bytes > 0) == (s.postings > 0)));
+        assert!(index.iter().all(|s| 4 * s.dead_postings <= s.postings));
         // The queries' stats are served by the owning shard.
         let q0 = QueryId(0);
         assert!(sharded.query_stats(q0).is_some());

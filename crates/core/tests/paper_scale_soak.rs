@@ -6,6 +6,10 @@
 //! cargo test --release -p cts-core --test paper_scale_soak -- --ignored
 //! ```
 //!
+//! `dead_postings_stay_within_a_quarter_over_a_hundred_turnovers` soaks the
+//! lazy expiry of impact entries at a 2,500-document window instead: the
+//! dead postings it leaves in the lists, and what they cost in bytes.
+//!
 //! The soak fills a 10,000-document count-based window from the synthetic
 //! WSJ-like stream (181,978-term vocabulary, log-normal document lengths),
 //! registers 1,000 ten-term queries with `k = 10`, streams thousands of
@@ -252,4 +256,137 @@ fn sharded_ita_stays_exact_at_paper_scale() {
         "shadow {shadow_postings} >= full {}",
         full.postings
     );
+}
+
+/// Resident set size in MiB, from `/proc/self/statm` (resident pages of
+/// 4 KiB); `None` where that file does not exist.
+fn rss_mib() -> Option<f64> {
+    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+    let pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
+    Some(pages as f64 * 4096.0 / (1024.0 * 1024.0))
+}
+
+/// Expiry leaves an expired document's postings in place as dead ones, and
+/// a list compacts once its dead outnumber a quarter of its live. Over 100
+/// turnovers of a 2,500-document window, with 1,000 queries registered on a
+/// full-index engine and a term-filtered one fed the same stream, this pins
+/// the memory that costs: from turnover 2 on, every list of both engines
+/// holds at most a quarter of its live postings dead, plus one (their
+/// `check_invariants`), so the lists hold at most 1.25 × the live
+/// postings; and the filtered engine's per-term tables and term
+/// directories do not grow. It prints the resident set per turnover
+/// without bounding it. Sampled queries are checked against a brute-force
+/// evaluation, and every query's results agree between the two engines.
+#[test]
+#[ignore = "release-tier soak: about a minute in release mode; run via cargo test --release -- --ignored"]
+fn dead_postings_stay_within_a_quarter_over_a_hundred_turnovers() {
+    const WINDOW: usize = 2_500;
+    const TURNOVERS: usize = 100;
+    let corpus = CorpusConfig {
+        seed: 0x50AC_0011,
+        ..CorpusConfig::default()
+    };
+    let workload = QueryWorkload::new(
+        WorkloadConfig {
+            num_queries: NUM_QUERIES,
+            query_length: 10,
+            k: 10,
+            popularity_biased: false,
+            seed: 0x50AC_0012,
+        },
+        corpus.vocabulary_size,
+    );
+    let dict = Dictionary::new();
+    let queries: Vec<ContinuousQuery> = workload
+        .generate()
+        .iter()
+        .map(|spec| {
+            ContinuousQuery::from_term_frequencies(&spec.terms, spec.k, Scoring::Cosine, &dict)
+        })
+        .collect();
+    let mut stream = DocumentStream::new(
+        corpus,
+        StreamConfig {
+            arrival_rate_per_sec: 200.0,
+            seed: 0x50AC_0013,
+        },
+    );
+    let window = SlidingWindow::count_based(WINDOW);
+    let mut full = ItaEngine::new(window, ItaConfig::default());
+    let mut filtered = ItaEngine::term_filtered(window);
+    for _ in 0..WINDOW {
+        let doc = stream.next_document();
+        full.process_document(doc.clone());
+        filtered.process_document(doc);
+    }
+    let qids: Vec<QueryId> = full.register_batch(queries.clone());
+    assert_eq!(filtered.register_batch(queries.clone()), qids);
+
+    let sample_stride = (NUM_QUERIES / SAMPLE).max(1);
+    let mut settled = None;
+    for turnover in 1..=TURNOVERS {
+        for _ in 0..WINDOW {
+            let doc = stream.next_document();
+            assert_eq!(
+                full.process_document(doc.clone()),
+                filtered.process_document(doc),
+                "turnover {turnover}: outcomes diverged"
+            );
+        }
+        let (f, s) = (full.index_stats(), filtered.index_stats());
+        eprintln!(
+            "turnover {turnover:3}: rss {} MiB; full {} live + {} dead postings, {:.1} MiB of \
+             lists; filtered {} live + {} dead, {:.2} MiB",
+            rss_mib().map_or("?".to_string(), |mib| format!("{mib:.1}")),
+            f.postings,
+            f.dead_postings,
+            f.list_bytes as f64 / (1024.0 * 1024.0),
+            s.postings,
+            s.dead_postings,
+            s.list_bytes as f64 / (1024.0 * 1024.0),
+        );
+        for (qid, query) in qids.iter().zip(&queries) {
+            assert_eq!(
+                full.current_results(*qid),
+                filtered.current_results(*qid),
+                "turnover {turnover}, {qid}: the engines disagree"
+            );
+            if (qid.0 as usize).is_multiple_of(sample_stride) {
+                let reported: Vec<(u64, f64)> = (full.current_results(*qid).iter())
+                    .map(|r| (r.doc.0, r.score))
+                    .collect();
+                assert_eq!(
+                    reported,
+                    brute_force_top(&full, query),
+                    "turnover {turnover}, {qid}: results diverged from brute force"
+                );
+            }
+        }
+        if turnover < 2 {
+            continue;
+        }
+        // Per list: the engines' audits hold dead ≤ live / 4 + 1. In total
+        // the quarter rule leaves at most a quarter of the live dead.
+        full.check_invariants();
+        filtered.check_invariants();
+        for stats in [f, s] {
+            assert!(
+                4 * stats.dead_postings <= stats.postings,
+                "turnover {turnover}: {} dead beside {} live postings",
+                stats.dead_postings,
+                stats.postings
+            );
+        }
+        let shape = (
+            s.list_slots,
+            s.tree_slots,
+            s.refcount_slots,
+            s.directory_bytes,
+        );
+        let first = *settled.get_or_insert(shape);
+        assert!(
+            shape.0 <= first.0 && shape.1 <= first.1 && shape.2 <= first.2 && shape.3 <= first.3,
+            "turnover {turnover}: the filtered engine's tables grew from {first:?} to {shape:?}"
+        );
+    }
 }

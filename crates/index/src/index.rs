@@ -3,10 +3,15 @@
 //! An [`InvertedIndex`] owns the valid documents — a [`WindowTerms`], the
 //! one container of them — and one impact-ordered [`InvertedList`] per term
 //! seen in the window (the segmented impact list). Document arrival inserts
-//! one impact entry per composition-list term; expiration
-//! ([`InvertedIndex::pop_expired`], the window's one expiry rule) removes
-//! them again and frees empty lists, so memory tracks the window contents
-//! exactly (Figure 1 of the paper).
+//! one impact entry per composition-list term, naming the document by its
+//! arrival sequence number in the window. Expiration
+//! ([`InvertedIndex::pop_expired`], the window's one expiry rule) moves the
+//! window's front past the document, which kills its postings where they
+//! stand: each of its lists counts one more dead posting, compacts once the
+//! dead outnumber a quarter of the live, and is freed when none is left
+//! live, so memory tracks the window contents within 25% per list (Figure 1
+//! of the paper). Every read of a list goes through
+//! [`InvertedIndex::live_postings`], which skips the dead.
 //!
 //! Lists live in a [`DenseArena`] keyed through the index's [`LiveTerms`] —
 //! the set of terms the owner's registered queries use, which also fixes the
@@ -58,10 +63,11 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use cts_text::{TermId, WeightedTerm};
+use cts_text::{TermId, Weight, WeightedTerm};
 
 use crate::arena::{DenseArena, LiveTerms};
 use crate::document::{DocId, Document, Timestamp};
+use crate::posting::Posting;
 use crate::window::SlidingWindow;
 use crate::window_terms::{TermPostings, WindowTerms};
 use crate::InvertedList;
@@ -103,7 +109,16 @@ impl InvertedIndex {
     /// slots, so the arena is sized by the live terms rather than by the
     /// vocabulary. Documents are always stored in full.
     pub fn term_filtered() -> Self {
+        Self::term_filtered_from(0)
+    }
+
+    /// A term-filtered index whose first arrival gets sequence number
+    /// `first_seq` ([`WindowTerms::numbered_from`]): a shard seeded with a
+    /// window mirror's documents numbers them as the mirror does, so the
+    /// postings the mirror resolves name the shard's documents too.
+    pub fn term_filtered_from(first_seq: u64) -> Self {
         Self {
+            window: WindowTerms::numbered_from(first_seq),
             live: LiveTerms::live_slots(),
             ..Self::default()
         }
@@ -171,9 +186,12 @@ impl InvertedIndex {
     /// Inserts an already-shared arriving document, filing impact entries
     /// only for composition terms accepted by `allow`; the document itself is
     /// always stored in full. For a caller that keeps a term filter of its
-    /// own over a full index (the `ctsbench` replica pass). On a
-    /// term-filtered index anything but an all-accepting `allow` would leave
-    /// a live term's list incomplete, which the audit reports.
+    /// own over a full index (the `ctsbench` replica pass). The filter must
+    /// be the same for every document: expiry counts a dead posting in every
+    /// list of the expiring document's terms, so a term accepted for some
+    /// documents and refused for others would miscount. On a term-filtered
+    /// index anything but an all-accepting `allow` would leave a live term's
+    /// list incomplete, which the audit reports.
     pub fn insert_shared_filtered(
         &mut self,
         doc: Arc<Document>,
@@ -210,7 +228,8 @@ impl InvertedIndex {
     }
 
     /// The one filing loop: appends `doc` to the window, then adds an impact
-    /// entry for each of `entries` that `allow` accepts and that has a key.
+    /// entry under its sequence number for each of `entries` that `allow`
+    /// accepts and that has a key.
     ///
     /// # Panics
     ///
@@ -222,13 +241,13 @@ impl InvertedIndex {
         entries: &[WeightedTerm],
         mut allow: impl FnMut(TermId) -> bool,
     ) {
-        self.window.push(Arc::clone(doc));
+        let seq = self.window.push(Arc::clone(doc));
         for entry in entries {
             if !allow(entry.term) {
                 continue;
             }
             if let Some(key) = self.live.key(entry.term) {
-                self.lists.get_or_default(key).insert(doc.id, entry.weight);
+                self.lists.get_or_default(key).insert(seq, entry.weight);
             }
         }
     }
@@ -256,8 +275,8 @@ impl InvertedIndex {
                 panic!("backfill of {term}, which no registered query references");
             };
             let list = self.lists.get_or_default(key);
-            for (doc, weight) in postings {
-                list.insert(*doc, *weight);
+            for (seq, weight) in postings {
+                list.insert(*seq, *weight);
             }
             self.register_postings_touched += postings.len() as u64;
         }
@@ -282,18 +301,18 @@ impl InvertedIndex {
         self.window.stats().entries_walked
     }
 
-    /// Removes the window's **oldest** document, if its id is `id`: deletes
-    /// its impact entries and returns the (shared) document. Returns `None`
-    /// and changes nothing for any other id — a document leaves the window
-    /// in arrival order or not at all. For a caller that applies a window
-    /// policy of its own (the `ctsbench` replica pass); the engines expire
-    /// through [`InvertedIndex::pop_expired`]. On a filtered index,
-    /// composition terms that were never indexed simply have no list and are
-    /// skipped.
+    /// Removes the window's **oldest** document, if its id is `id`: kills
+    /// its impact entries as expiry does and returns the (shared) document.
+    /// Returns `None` and changes nothing for any other id — a document
+    /// leaves the window in arrival order or not at all. For a caller that
+    /// applies a window policy of its own (the `ctsbench` replica pass); the
+    /// engines expire through [`InvertedIndex::pop_expired`]. On a filtered
+    /// index, composition terms that were never indexed simply have no list
+    /// and are skipped.
     pub fn remove_document(&mut self, id: DocId) -> Option<Arc<Document>> {
         self.window.iter().next().filter(|oldest| oldest.id == id)?;
         let doc = self.window.pop_front()?;
-        self.unfile(id, doc.composition.as_slice());
+        self.expire(doc.composition.as_slice());
         Some(doc)
     }
 
@@ -301,7 +320,7 @@ impl InvertedIndex {
     /// [`InvertedIndex::insert_arrival`]: pops the oldest document if it has
     /// left `window` at `now` ([`WindowTerms::pop_expired`]), cuts it down to
     /// the entries live **now** — left in `live_entries` for the caller's
-    /// threshold probe — and deletes their impact entries. An engine loops
+    /// threshold probe — and kills their impact entries. An engine loops
     /// over this until it returns `None`. The live set may have changed since
     /// the document arrived; that is sound because a list exists exactly for
     /// the live terms, whatever they were then: a term that went live later
@@ -315,19 +334,22 @@ impl InvertedIndex {
     ) -> Option<Arc<Document>> {
         let doc = self.window.pop_expired(window, now)?;
         let entries = self.cut(&doc, live_entries);
-        self.unfile(doc.id, entries);
+        self.expire(entries);
         Some(doc)
     }
 
-    /// The one removal loop: deletes document `id`'s impact entry from the
-    /// list of each of `entries` that has one, vacating emptied lists.
-    fn unfile(&mut self, id: DocId, entries: &[WeightedTerm]) {
+    /// The one expiry loop, run once the window has popped the document of
+    /// `entries`: each of them that has a list counts one more dead posting
+    /// (the document's, left where it stands) and compacts if due; a list
+    /// left with no live posting is vacated. No list is searched or shifted.
+    fn expire(&mut self, entries: &[WeightedTerm]) {
+        let front = self.window.front_seq();
         for entry in entries {
             let Some(key) = self.live.key(entry.term) else {
                 continue;
             };
             let emptied = self.lists.get_mut(key).is_some_and(|list| {
-                list.remove(id, entry.weight);
+                list.expire(front);
                 list.is_empty()
             });
             if emptied {
@@ -341,9 +363,32 @@ impl InvertedIndex {
         &self.window
     }
 
-    /// The inverted list for `term`, if any valid document contains it.
+    /// The inverted list for `term`, if any valid document contains it. Its
+    /// reads return dead postings too; [`InvertedIndex::live_postings`] is
+    /// the read that skips them.
     pub fn list(&self, term: TermId) -> Option<&InvertedList> {
         self.lists.get(self.live.key(term)?)
+    }
+
+    /// The live postings of `term`'s list with weight **at or below**
+    /// `weight`, in list order (decreasing weight, ties by arrival) — every
+    /// live posting at `Weight::new(f64::INFINITY)`. The one way the engine
+    /// reads a list: its threshold descent opens one such cursor per query
+    /// term at the term's local threshold, and its audit checks the
+    /// postings above each threshold. A posting names its document by
+    /// sequence number: [`WindowTerms::id_at`] and [`WindowTerms::doc_at`]
+    /// on [`InvertedIndex::documents`] read its id and composition by one
+    /// index each.
+    pub fn live_postings(
+        &self,
+        term: TermId,
+        weight: Weight,
+    ) -> impl Iterator<Item = Posting> + '_ {
+        let front = self.window.front_seq();
+        self.list(term)
+            .into_iter()
+            .flat_map(move |list| list.iter_at_or_below(weight))
+            .filter(move |posting| posting.seq >= front)
     }
 
     /// Number of valid documents.
@@ -367,13 +412,15 @@ impl InvertedIndex {
     /// Audits the index's structural invariants, panicking with a
     /// description on violation:
     ///
-    /// * every inverted list is non-empty (an emptied list's arena slot is
-    ///   vacated on removal, never left behind) and internally well-formed
-    ///   ([`crate::InvertedList`]'s own `check_invariants`);
+    /// * every inverted list holds a live posting (a list whose last live
+    ///   posting dies is vacated, never left behind) and is internally
+    ///   well-formed ([`crate::InvertedList`]'s own `check_invariants`): its
+    ///   dead postings are exactly those below the window's front, and no
+    ///   more than a quarter of its live ones, plus one;
     /// * the window's own invariants ([`WindowTerms::check_invariants`]);
-    /// * every posting is an entry of a valid document — that document's
-    ///   weight for the list's term — and no list holds more postings than
-    ///   there are valid documents;
+    /// * every live posting names the document at its sequence number, at
+    ///   that document's weight for the list's term, and no list holds more
+    ///   live postings than there are valid documents;
     /// * the live-term set's own invariants ([`LiveTerms::check_invariants`]),
     ///   and on a term-filtered index every list sits under the key of a
     ///   term that is live now — a recycled slot never inherits a list;
@@ -388,6 +435,7 @@ impl InvertedIndex {
     /// paths.
     pub fn check_invariants(&self) {
         let documents = self.window.len();
+        let front = self.window.front_seq();
         self.window.check_invariants();
         self.live.check_invariants();
         for (key, list) in self.lists.iter() {
@@ -400,23 +448,24 @@ impl InvertedIndex {
             assert!(!list.is_empty(), "empty list for {term} was not vacated");
             assert!(
                 list.len() <= documents,
-                "list for {term} holds {} postings over a {documents}-document window",
+                "list for {term} holds {} live postings over a {documents}-document window",
                 list.len()
             );
-            list.check_invariants();
-            for posting in list.iter() {
-                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
-                let Some(doc) = self.window.get(posting.doc) else {
-                    panic!(
-                        "list for {term} references expired document {}",
-                        posting.doc
-                    );
-                };
+            list.check_invariants(front);
+            for posting in list.iter().filter(|posting| posting.seq >= front) {
+                assert!(
+                    posting.seq < front + documents as u64,
+                    "list for {term} holds sequence number {}, past the window",
+                    posting.seq
+                );
+                let doc = self.window.doc_at(posting.seq);
                 assert!(
                     doc.composition.contains(term)
                         && doc.composition.impact(term) == posting.weight,
-                    "list for {term} holds {} at a weight its composition list does not",
-                    posting.doc
+                    "list for {term} holds sequence number {} ({}) at a weight its composition \
+                     list does not",
+                    posting.seq,
+                    doc.id
                 );
             }
         }
@@ -441,16 +490,20 @@ impl InvertedIndex {
 
     /// A point-in-time summary of the index shape.
     pub fn stats(&self) -> IndexStats {
-        let mut total_postings = 0;
-        let mut longest_list = 0;
+        let (mut total_postings, mut dead_postings) = (0, 0);
+        let (mut longest_list, mut list_bytes) = (0, 0);
         for list in self.lists.values() {
             total_postings += list.len();
+            dead_postings += list.dead();
             longest_list = longest_list.max(list.len());
+            list_bytes += list.heap_bytes();
         }
         IndexStats {
             documents: self.window.len(),
             terms: self.lists.len(),
             postings: total_postings,
+            dead_postings,
+            list_bytes,
             longest_list,
             live_terms: self.live.len(),
             list_slots: self.lists.slot_capacity(),
@@ -470,9 +523,16 @@ pub struct IndexStats {
     pub documents: usize,
     /// Number of non-empty inverted lists.
     pub terms: usize,
-    /// Total number of impact entries across all lists.
+    /// Total number of live impact entries across all lists.
     pub postings: usize,
-    /// Length of the longest inverted list.
+    /// Dead impact entries the lists still hold — their documents have left
+    /// the window — awaiting compaction (at most a quarter of each list's
+    /// live entries, plus one).
+    pub dead_postings: usize,
+    /// Heap bytes of the lists: every segment's capacity at 16 bytes a
+    /// posting, plus the segment directories.
+    pub list_bytes: usize,
+    /// Live entries of the longest inverted list.
     pub longest_list: usize,
     /// Number of terms at least one registered query references.
     pub live_terms: usize,
@@ -499,7 +559,6 @@ pub struct IndexStats {
 mod tests {
     use super::*;
     use crate::document::Timestamp;
-    use crate::posting::Posting;
     use cts_text::WeightedVector;
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {
@@ -510,17 +569,25 @@ mod tests {
         )
     }
 
-    /// What `term`'s list must hold: a brute-force filter of the valid
-    /// documents, in list order (decreasing weight, ties by document id).
+    /// What `term`'s list must hold live: a brute-force filter of the valid
+    /// documents, in list order (decreasing weight, ties by arrival).
     fn window_postings(idx: &InvertedIndex, term: TermId) -> Vec<Posting> {
-        let mut postings: Vec<Posting> = idx
-            .documents()
-            .iter()
-            .filter(|doc| doc.composition.contains(term))
-            .map(|doc| Posting::new(doc.id, doc.composition.impact(term)))
+        let front = idx.documents().front_seq();
+        let mut postings: Vec<Posting> = (front..)
+            .zip(idx.documents().iter())
+            .filter(|(_, doc)| doc.composition.contains(term))
+            .map(|(seq, doc)| Posting::new(seq, doc.composition.impact(term)))
             .collect();
         postings.sort_unstable_by(|a, b| a.rank(b));
         postings
+    }
+
+    /// The ids of `term`'s live postings, in list order.
+    fn live_ids(idx: &InvertedIndex, term: TermId) -> Vec<u64> {
+        let all = Weight::new(f64::INFINITY);
+        idx.live_postings(term, all)
+            .map(|p| idx.documents().id_at(p.seq).0)
+            .collect()
     }
 
     #[test]
@@ -530,10 +597,9 @@ mod tests {
         idx.insert_document(doc(2, &[(20, 0.09)]));
         assert_eq!(idx.num_documents(), 2);
         assert_eq!(idx.num_terms(), 2);
-        let l20 = idx.list(TermId(20)).unwrap();
-        let order: Vec<u64> = l20.iter().map(|p| p.doc.0).collect();
-        assert_eq!(order, vec![2, 1]);
+        assert_eq!(live_ids(&idx, TermId(20)), vec![2, 1]);
         assert!(idx.list(TermId(99)).is_none());
+        assert_eq!(live_ids(&idx, TermId(99)), Vec::<u64>::new());
     }
 
     #[test]
@@ -547,6 +613,13 @@ mod tests {
         // Term 11 only appeared in document 1 → its list is dropped.
         assert!(idx.list(TermId(11)).is_none());
         assert_eq!(idx.list(TermId(20)).unwrap().len(), 1);
+        assert_eq!(live_ids(&idx, TermId(20)), vec![2]);
+        assert_eq!(
+            idx.stats().dead_postings,
+            0,
+            "1 dead beside 1 live compacts"
+        );
+        idx.check_invariants();
         assert!(idx.remove_document(DocId(1)).is_none());
     }
 
@@ -619,6 +692,33 @@ mod tests {
         let stats = idx.stats();
         assert_eq!(stats.postings, 3);
         assert!(stats.terms <= 3);
+        idx.check_invariants();
+    }
+
+    #[test]
+    fn expiry_kills_postings_in_place_and_compacts_past_a_quarter() {
+        // Term 1 in every document of a 12-document window: each expiry
+        // leaves one dead posting behind, until 4 dead outnumber a quarter
+        // of the 12 live and one pass drops them.
+        let mut idx = InvertedIndex::new();
+        let mut dead = Vec::new();
+        for i in 0..39u64 {
+            idx.insert_document(doc(i, &[(1, 0.1 + (i % 3) as f64 * 0.1)]));
+            if i >= 12 {
+                assert!(idx.remove_document(DocId(i - 12)).is_some());
+            }
+            dead.push(idx.stats().dead_postings);
+            idx.check_invariants();
+            let ids: Vec<u64> = live_ids(&idx, TermId(1));
+            let mut expected: Vec<u64> = (i.saturating_sub(11)..=i).collect();
+            expected.sort_by_key(|d| (std::cmp::Reverse(d % 3), *d));
+            assert_eq!(ids, expected, "after arrival {i}");
+        }
+        assert_eq!(&dead[12..22], [1, 2, 3, 0, 1, 2, 3, 0, 1, 2]);
+        let stats = idx.stats();
+        assert_eq!((stats.postings, stats.dead_postings), (12, 3));
+        assert_eq!(idx.list(TermId(1)).unwrap().iter().count(), 15);
+        assert!(stats.list_bytes >= 15 * std::mem::size_of::<Posting>());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   order" ([`TermPostings`]) — from lazily built per-chunk term
 //!   directories, without a pass over the whole window.
 //! * [`InvertedList`] / [`InvertedIndex`] — one impact-ordered inverted list
-//!   per dictionary term, holding `⟨d, w_{d,t}⟩` entries sorted by decreasing
-//!   weight, maintained under document arrival and expiration.
+//!   per dictionary term, holding `⟨w_{d,t}, seq⟩` entries ([`Posting`]: the
+//!   document named by its arrival sequence number in the window) sorted by
+//!   decreasing weight, filed on arrival and killed in place on expiration:
+//!   a posting is live iff its number is at or past the window's front.
 //! * [`ThresholdTree`] — the per-list book-keeping structure holding one
 //!   `⟨θ_{Q,t}, Q⟩` entry per query that contains the list's term, supporting
 //!   the probe "all queries whose local threshold is ≤ w".
@@ -30,10 +32,10 @@
 //! term-filtered one) — see DESIGN.md §6
 //! ("Memory layout & cost model"). The production [`InvertedList`] is the
 //! **segmented** impact list ([`SegmentedImpactList`]), which bounds the
-//! point-update `memmove` by the segment capacity. The single sorted-`Vec`
-//! layout ([`FlatImpactList`]) stays as the reference arm of the impact-list
-//! differential test; DESIGN.md §6 records what the retired `BTreeSet`
-//! layouts measured against both.
+//! insert `memmove` by the segment capacity and drops dead postings in bulk.
+//! A single sorted-`Vec` layout lives in `tests/differential_impact_list.rs`
+//! as the reference arm of the impact-list differential test; DESIGN.md §6
+//! records what the retired `BTreeSet` layouts measured against both.
 
 // Every entry point of the crate runs on some engine's per-event path, so
 // the panic lints hold crate-wide (DESIGN.md §11).
@@ -56,7 +58,7 @@ pub mod window_terms;
 pub use arena::{DenseArena, LiveTerms};
 pub use document::{DocId, Document, QueryId, Timestamp};
 pub use index::{IndexStats, InvertedIndex};
-pub use posting::{FlatImpactList, Posting};
+pub use posting::Posting;
 pub use segmented::SegmentedImpactList;
 pub use threshold::{ThresholdEntry, ThresholdTree};
 pub use window::{SlidingWindow, WindowKind};

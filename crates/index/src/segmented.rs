@@ -1,53 +1,60 @@
-//! Segmented impact lists: bounded-`memmove` point updates, contiguous
-//! descents.
+//! Segmented impact lists: bounded-`memmove` inserts, contiguous
+//! descents, lazy expiry.
 //!
-//! Figure 3 sweeps over the flat layout showed that at 10k+ document
-//! windows, ITA's per-event cost was dominated by the `Vec` `memmove` paid on
-//! every arrival/expiration by the few head terms whose flat impact lists
-//! reach window length — not by any of the probes or descents the algorithm
-//! actually reasons about. The same observation drives FAST's split of
-//! frequent-term structures from infrequent-term ones for continuous filter
-//! queries (Mahmood et al.).
+//! Figure 3 sweeps over a flat single-`Vec` layout showed that at 10k+
+//! document windows, ITA's per-event cost was dominated by the `Vec`
+//! `memmove` paid on every arrival/expiration by the few head terms whose
+//! flat impact lists reach window length — not by any of the probes or
+//! descents the algorithm actually reasons about. The same observation
+//! drives FAST's split of frequent-term structures from infrequent-term ones
+//! for continuous filter queries (Mahmood et al.).
 //!
 //! [`SegmentedImpactList`] keeps the postings in a small ordered directory of
 //! fixed-capacity **segments**, each a sorted `Vec<Posting>` in the global
-//! list order (decreasing weight, ties by increasing document id):
+//! list order (decreasing weight, ties by increasing sequence number):
 //!
-//! * A point insert/remove binary-searches the directory (by each segment's
-//!   last entry), then the segment, and shifts at most `segment capacity`
-//!   postings — ~2 KiB at the default capacity of 128 — instead of the whole
-//!   window-length list (~160 KiB for a 10k-entry head term).
-//! * A segment that overflows its capacity splits in half; a segment that
-//!   drains below a quarter of capacity is merged into a neighbour (and the
-//!   merge re-split in half if it would itself overflow), so segment count
-//!   stays `Θ(len / capacity)` and every segment except a lone survivor
-//!   stays at least a quarter full.
+//! * An insert binary-searches the directory (by each segment's last entry),
+//!   then the segment, and shifts at most `segment capacity` postings —
+//!   ~2 KiB at the default capacity of 128 — instead of the whole
+//!   window-length list (~160 KiB for a 10k-entry head term). A segment that
+//!   overflows its capacity splits in half.
+//! * Expiry removes nothing: the expiring document's postings stay where they
+//!   are as **dead** postings (sequence number below the window's front), and
+//!   [`SegmentedImpactList::expire`] only counts them. Once the dead outnumber
+//!   a quarter of the live postings, [`SegmentedImpactList::compact`] drops
+//!   them all in one pass and re-packs the segments — merging every segment
+//!   left below a quarter of capacity into its neighbour — so segment count
+//!   stays `Θ(len / capacity)`, every segment except a lone survivor stays at
+//!   least a quarter full, and a list never holds more than 25% extra
+//!   postings. The pass costs the list's length once per `len / 5`
+//!   expiries: a constant per expired posting, against a directory search, a
+//!   segment search and a `memmove` per posting for point removal.
 //! * Every read path — above all the threshold descent's one cursor per
 //!   list, opened at the query's frontier by `iter_at_or_below` at
 //!   registration and refill alike — is a directory locate followed by
 //!   **contiguous scans within segments**,
 //!   which is the access pattern the paper's §III cost model charges for:
 //!   "read a prefix of `L_t`" remains a linear read of adjacent memory, now
-//!   with one extra pointer hop per `capacity` entries visited.
+//!   with one extra pointer hop per `capacity` entries visited. The list's
+//!   reads return dead postings too; the index's one read path skips them
+//!   ([`crate::InvertedIndex::live_postings`]).
 //!
-//! The flat single-`Vec` layout is retained as
-//! [`crate::posting::FlatImpactList`] (the differential-test reference); the
-//! two are driven through randomized interleaved operation
-//! sequences by `tests/differential_impact_list.rs` and must agree exactly,
-//! including on equal-weight tie runs that straddle segment boundaries.
+//! `tests/differential_impact_list.rs` drives this layout and a flat
+//! sorted-`Vec` reference through randomized interleavings of inserts,
+//! front advances and compactions; the two must agree exactly, including on
+//! equal-weight tie runs that straddle segment boundaries.
 
 #![deny(clippy::disallowed_types)]
 
 use cts_text::Weight;
 
-use crate::document::DocId;
 use crate::posting::Posting;
 
 /// Default maximum number of postings per segment.
 ///
 /// 128 postings × 16 bytes = 2 KiB per segment: a handful of cache lines per
-/// shift, small enough that the worst-case point update is cheap, large
-/// enough that descents stay effectively contiguous and the directory of a
+/// shift, small enough that the worst-case insert is cheap, large enough
+/// that descents stay effectively contiguous and the directory of a
 /// 10k-entry head-term list holds only ~100 entries.
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 128;
 
@@ -61,14 +68,17 @@ struct Cursor {
 
 /// An impact-ordered inverted list for a single term, backed by an ordered
 /// directory of fixed-capacity sorted segments (decreasing weight, ties by
-/// increasing document id). See the module docs for the layout rationale.
+/// increasing sequence number), holding its live postings and the dead ones
+/// not yet compacted away. See the module docs for the layout rationale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentedImpactList {
     /// Non-empty segments in global list order: every entry of `segments[i]`
     /// ranks strictly before every entry of `segments[i + 1]`.
     segments: Vec<Vec<Posting>>,
-    /// Total postings across all segments.
-    len: usize,
+    /// Postings across all segments, dead ones included.
+    stored: usize,
+    /// Postings whose document has left the window.
+    dead: usize,
     /// Maximum postings per segment (≥ 2).
     capacity: usize,
 }
@@ -96,19 +106,20 @@ impl SegmentedImpactList {
         assert!(capacity >= 2, "segment capacity must be at least 2");
         Self {
             segments: Vec::new(),
-            len: 0,
+            stored: 0,
+            dead: 0,
             capacity,
         }
     }
 
     /// Number of segments currently in the directory. Exposed for tests;
-    /// `Θ(len / capacity)` by the merge policy.
+    /// `Θ(len / capacity)` by the re-packing policy.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
     }
 
-    /// The directory locate for point updates: index of the first segment
-    /// whose **last** entry ranks at or after `p` — the only segment that may
+    /// The directory locate for inserts: index of the first segment whose
+    /// **last** entry ranks at or after `p` — the only segment that may
     /// contain `p` or its insertion position (may be `segments.len()` when
     /// `p` ranks after everything).
     #[inline]
@@ -169,45 +180,16 @@ impl SegmentedImpactList {
             })
     }
 
-    /// Splits segment `at` into two halves. Called when it exceeds capacity.
-    fn split(&mut self, at: usize) {
-        let mid = self.segments[at].len() / 2;
-        let upper = self.segments[at].split_off(mid);
-        self.segments.insert(at + 1, upper);
-    }
-
-    /// Restores the segment-size invariants after a removal from segment
-    /// `at`: drops it if empty, otherwise merges it into an adjacent
-    /// neighbour once it falls below a quarter of capacity (re-splitting the
-    /// merge in half if the combination would overflow).
-    fn rebalance(&mut self, at: usize) {
-        if self.segments[at].is_empty() {
-            self.segments.remove(at);
-            return;
-        }
-        if self.segments.len() == 1 || self.segments[at].len() >= self.capacity.div_ceil(4) {
-            return;
-        }
-        // Merge with the right neighbour when one exists, else the left.
-        let left = if at + 1 < self.segments.len() {
-            at
-        } else {
-            at - 1
-        };
-        let tail = self.segments.remove(left + 1);
-        self.segments[left].extend(tail);
-        if self.segments[left].len() > self.capacity {
-            self.split(left);
-        }
-    }
-
-    /// Inserts the posting for `doc` with weight `weight`.
-    /// Returns `false` if an identical posting was already present.
-    pub fn insert(&mut self, doc: DocId, weight: Weight) -> bool {
-        let posting = Posting::new(doc, weight);
+    /// Inserts the posting of the document with sequence number `seq` at
+    /// weight `weight`. Returns `false` if an identical posting was already
+    /// present.
+    pub fn insert(&mut self, seq: u64, weight: Weight) -> bool {
+        let posting = Posting::new(seq, weight);
         if self.segments.is_empty() {
-            self.segments.push(vec![posting]);
-            self.len = 1;
+            // A directory of one header: most lists never hold a second
+            // segment.
+            self.segments = vec![vec![posting]];
+            self.stored = 1;
             return true;
         }
         // A posting ranking after everything is appended to the last segment.
@@ -216,64 +198,106 @@ impl SegmentedImpactList {
             Ok(_) => false,
             Err(at) => {
                 self.segments[seg].insert(at, posting);
-                self.len += 1;
+                self.stored += 1;
                 if self.segments[seg].len() > self.capacity {
-                    self.split(seg);
+                    let mid = self.segments[seg].len() / 2;
+                    let upper = self.segments[seg].split_off(mid);
+                    self.segments.insert(seg + 1, upper);
                 }
                 true
             }
         }
     }
 
-    /// Removes the posting for `doc` with weight `weight`.
-    /// Returns `true` if the posting was present.
-    pub fn remove(&mut self, doc: DocId, weight: Weight) -> bool {
-        let posting = Posting::new(doc, weight);
-        let seg = self.segment_for(&posting);
-        if seg == self.segments.len() {
-            return false;
+    /// Records that one of the list's live postings has died — the window's
+    /// front sequence number has just passed it and is now `front` — and
+    /// compacts the list once its dead postings outnumber a quarter of its
+    /// live ones. A constant, not a knob: it bounds the extra postings at 25%
+    /// per list.
+    pub fn expire(&mut self, front: u64) {
+        self.dead += 1;
+        if 4 * self.dead > self.len() {
+            self.compact(front);
         }
-        match self.segments[seg].binary_search_by(|p| p.rank(&posting)) {
-            Ok(at) => {
-                self.segments[seg].remove(at);
-                self.len -= 1;
-                self.rebalance(seg);
-                true
+    }
+
+    /// Drops every posting whose sequence number is below `front` in one
+    /// pass and re-packs the segments: each segment filters in place, and a
+    /// segment left below a quarter of capacity is merged into its
+    /// predecessor (or absorbs its successor, at the front), the merge split
+    /// in half if it overflows.
+    pub fn compact(&mut self, front: u64) {
+        let quarter = self.capacity.div_ceil(4);
+        let mut kept = 0usize;
+        for at in 0..self.segments.len() {
+            let mut segment = std::mem::take(&mut self.segments[at]);
+            segment.retain(|p| p.seq >= front);
+            if segment.is_empty() {
+                continue;
             }
-            Err(_) => false,
+            let Some(last) = kept.checked_sub(1) else {
+                self.segments[0] = segment;
+                kept = 1;
+                continue;
+            };
+            if self.segments[last].len() >= quarter && segment.len() >= quarter {
+                self.segments[kept] = segment;
+                kept += 1;
+                continue;
+            }
+            self.segments[last].append(&mut segment);
+            if self.segments[last].len() > self.capacity {
+                let mid = self.segments[last].len() / 2;
+                self.segments[kept] = self.segments[last].split_off(mid);
+                kept += 1;
+            }
         }
+        self.segments.truncate(kept);
+        self.stored = self.segments.iter().map(Vec::len).sum();
+        self.dead = 0;
     }
 
-    /// Number of postings in the list.
+    /// Number of live postings in the list.
     pub fn len(&self) -> usize {
-        self.len
+        self.stored - self.dead
     }
 
-    /// Whether the list is empty.
+    /// Number of dead postings the list still holds.
+    pub fn dead(&self) -> usize {
+        self.dead
+    }
+
+    /// Whether the list holds no live posting.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The posting with the highest weight, if any.
+    /// Heap bytes held: every segment's capacity and the directory's.
+    pub fn heap_bytes(&self) -> usize {
+        let postings: usize = self.segments.iter().map(Vec::capacity).sum();
+        postings * std::mem::size_of::<Posting>()
+            + self.segments.capacity() * std::mem::size_of::<Vec<Posting>>()
+    }
+
+    /// The posting with the highest weight, dead or live, if any.
     pub fn first(&self) -> Option<Posting> {
         self.segments.first().and_then(|s| s.first()).copied()
     }
 
-    /// Iterates over all postings in decreasing-weight order.
+    /// Iterates over every stored posting, dead ones included, in list
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
         self.segments.iter().flat_map(|s| s.iter().copied())
     }
 
-    /// Iterates over postings **strictly below** `weight` (i.e. `w_{d,t} <
-    /// weight`), in decreasing-weight order. This is the "resume the search
-    /// below the local threshold" access path of ITA's refill step.
+    /// Iterates over stored postings **strictly below** `weight` (i.e.
+    /// `w_{d,t} < weight`), in list order.
     pub fn iter_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
         self.iter_from(self.first_below(weight))
     }
 
-    /// Iterates over postings with weight **at or above** `weight`
-    /// (`w_{d,t} ≥ weight`), in decreasing-weight order. Used by invariant
-    /// checks ("every document above a local threshold is in R").
+    /// Iterates over stored postings with weight **at or above** `weight`
+    /// (`w_{d,t} ≥ weight`), in list order.
     pub fn iter_at_or_above(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
         let end = self.first_below(weight);
         self.segments[..end.seg]
@@ -287,30 +311,26 @@ impl SegmentedImpactList {
             )
     }
 
-    /// Iterates over postings with weight **at or below** `weight`
-    /// (`w_{d,t} ≤ weight`), in decreasing-weight order. ITA's refill resumes
-    /// its descent here: entries tied with the recorded local threshold may or
-    /// may not have been visited before, so the caller skips documents that
-    /// are already in its result set.
+    /// Iterates over stored postings with weight **at or below** `weight`
+    /// (`w_{d,t} ≤ weight`), in list order. ITA's descent opens its cursor
+    /// here: entries tied with the recorded local threshold may or may not
+    /// have been visited before, so the caller skips documents that are
+    /// already in its result set.
     pub fn iter_at_or_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
         self.iter_from(self.first_at_or_below(weight))
     }
 
-    /// Returns the weight stored for `doc`, if the document appears in this
-    /// list. Linear scan; used only by tests and invariant checks.
-    pub fn weight_of(&self, doc: DocId) -> Option<Weight> {
-        self.iter().find(|p| p.doc == doc).map(|p| p.weight)
-    }
-
-    /// Checks every structural invariant of the layout, panicking with a
-    /// description on violation: a non-empty directory of segments in strict
-    /// rank order (across boundaries too), every segment within capacity and
-    /// — unless it is the lone survivor — at least a quarter full, and the
-    /// cached length agreeing with the contents. Used by tests (notably the
-    /// randomized differential test) after every mutation and by the
-    /// engine-level `check_invariants` audits (`invariant-checks` feature);
-    /// not called on hot paths.
-    pub fn check_invariants(&self) {
+    /// Checks every structural invariant of the layout against the window's
+    /// front sequence number `front`, panicking with a description on
+    /// violation: a non-empty directory of segments in strict rank order
+    /// (across boundaries too), every segment within capacity and — unless it
+    /// is the lone survivor — at least a quarter full, the cached counts
+    /// agreeing with the contents (the dead postings are exactly those below
+    /// `front`), and no more than `live / 4 + 1` of them. Used by tests
+    /// (notably the randomized differential test) after every mutation and by
+    /// the engine-level `check_invariants` audits (`invariant-checks`
+    /// feature); not called on hot paths.
+    pub fn check_invariants(&self, front: u64) {
         let mut total = 0;
         for (i, seg) in self.segments.iter().enumerate() {
             assert!(!seg.is_empty(), "segment {i} is empty");
@@ -320,8 +340,8 @@ impl SegmentedImpactList {
                 seg.len(),
                 self.capacity
             );
-            // The merge policy's guarantee: everything but a lone survivor
-            // stays at least a quarter full, so segment count is
+            // The re-packing guarantee: everything but a lone survivor stays
+            // at least a quarter full, so segment count is
             // Θ(len / capacity) and never degrades toward one-entry segments.
             if self.segments.len() > 1 {
                 assert!(
@@ -350,7 +370,18 @@ impl SegmentedImpactList {
                 );
             }
         }
-        assert_eq!(total, self.len, "cached len disagrees with contents");
+        assert_eq!(total, self.stored, "cached count disagrees with contents");
+        let dead = self.iter().filter(|p| p.seq < front).count();
+        assert_eq!(
+            dead, self.dead,
+            "dead count disagrees with the front {front}"
+        );
+        assert!(
+            self.dead <= self.len() / 4 + 1,
+            "{} dead postings beside {} live ones were not compacted",
+            self.dead,
+            self.len()
+        );
     }
 }
 
@@ -366,15 +397,15 @@ mod tests {
     /// boundaries.
     fn list(entries: &[(u64, f64)]) -> SegmentedImpactList {
         let mut l = SegmentedImpactList::with_segment_capacity(4);
-        for &(d, x) in entries {
-            assert!(l.insert(DocId(d), w(x)));
-            l.check_invariants();
+        for &(seq, x) in entries {
+            assert!(l.insert(seq, w(x)));
+            l.check_invariants(0);
         }
         l
     }
 
-    fn docs_of(it: impl Iterator<Item = Posting>) -> Vec<u64> {
-        it.map(|p| p.doc.0).collect()
+    fn seqs_of(it: impl Iterator<Item = Posting>) -> Vec<u64> {
+        it.map(|p| p.seq).collect()
     }
 
     #[test]
@@ -391,7 +422,7 @@ mod tests {
             (3, 0.01),
         ]);
         assert!(l.num_segments() > 1, "fixture must straddle segments");
-        assert_eq!(docs_of(l.iter()), vec![9, 2, 6, 7, 1, 5, 8, 4, 3]);
+        assert_eq!(seqs_of(l.iter()), vec![9, 2, 6, 7, 1, 5, 8, 4, 3]);
         assert_eq!(l.len(), 9);
     }
 
@@ -399,8 +430,8 @@ mod tests {
     fn splits_keep_segments_within_capacity() {
         let mut l = SegmentedImpactList::with_segment_capacity(4);
         for i in 0..64u64 {
-            assert!(l.insert(DocId(i), w(0.001 + (i % 13) as f64 * 0.01)));
-            l.check_invariants();
+            assert!(l.insert(i, w(0.001 + (i % 13) as f64 * 0.01)));
+            l.check_invariants(0);
         }
         assert_eq!(l.len(), 64);
         // Θ(len / capacity) directory: at least len/capacity segments.
@@ -409,30 +440,33 @@ mod tests {
 
     #[test]
     fn removals_merge_sparse_segments() {
+        // Expiry in arrival order, the window's: compactions re-pack the
+        // thinning segments down to a lone survivor, then to nothing.
         let mut l = SegmentedImpactList::with_segment_capacity(4);
         for i in 0..64u64 {
-            l.insert(DocId(i), w(0.001 + i as f64 * 0.002));
+            l.insert(i, w(0.001 + i as f64 * 0.002));
         }
         for i in 0..63u64 {
-            assert!(l.remove(DocId(i), w(0.001 + i as f64 * 0.002)));
-            l.check_invariants();
+            l.expire(i + 1);
+            l.check_invariants(i + 1);
         }
         assert_eq!(l.len(), 1);
+        l.compact(63);
         assert_eq!(l.num_segments(), 1);
-        assert!(l.remove(DocId(63), w(0.001 + 63.0 * 0.002)));
+        l.expire(64);
         assert!(l.is_empty());
         assert_eq!(l.num_segments(), 0);
         assert!(l.first().is_none());
     }
 
     #[test]
-    fn duplicate_insert_and_absent_remove_are_rejected() {
+    fn duplicate_insert_is_rejected_and_an_idle_compaction_changes_nothing() {
         let mut l = list(&[(1, 0.5), (2, 0.4), (3, 0.3), (4, 0.2), (5, 0.1)]);
-        assert!(!l.insert(DocId(3), w(0.3)));
-        assert!(!l.remove(DocId(3), w(0.35)));
-        assert!(!l.remove(DocId(99), w(0.3)));
-        // Ranking past the end of the directory must not panic or remove.
-        assert!(!l.remove(DocId(u64::MAX), w(0.0)));
+        assert!(!l.insert(3, w(0.3)));
+        let before = l.clone();
+        // Every posting is at or past the front: nothing to drop.
+        l.compact(1);
+        assert_eq!(l, before);
         assert_eq!(l.len(), 5);
     }
 
@@ -441,13 +475,13 @@ mod tests {
         // Nine equal-weight postings over capacity-4 segments: the tie run is
         // guaranteed to straddle at least one segment boundary.
         let mut l = SegmentedImpactList::with_segment_capacity(4);
-        for d in [5u64, 1, 9, 3, 7, 2, 8, 4, 6] {
-            assert!(l.insert(DocId(d), w(0.5)));
+        for seq in [5u64, 1, 9, 3, 7, 2, 8, 4, 6] {
+            assert!(l.insert(seq, w(0.5)));
         }
         assert!(l.num_segments() > 1);
-        l.check_invariants();
-        // The run iterates in document-id order regardless of boundaries.
-        assert_eq!(docs_of(l.iter()), (1..=9).collect::<Vec<_>>());
+        l.check_invariants(0);
+        // The run iterates in arrival order regardless of boundaries.
+        assert_eq!(seqs_of(l.iter()), (1..=9).collect::<Vec<_>>());
         // All boundary semantics treat the run as one group.
         assert_eq!(l.iter_at_or_above(w(0.5)).count(), 9);
         assert_eq!(l.iter_at_or_below(w(0.5)).count(), 9);
@@ -455,7 +489,7 @@ mod tests {
         // A descent cursor opened at the run walks all of it across the
         // boundaries.
         assert_eq!(
-            docs_of(l.iter_at_or_below(w(0.5))),
+            seqs_of(l.iter_at_or_below(w(0.5))),
             (1..=9).collect::<Vec<_>>()
         );
     }
@@ -472,11 +506,10 @@ mod tests {
             (4, 0.02),
         ]);
         assert!(l.num_segments() > 1);
-        assert_eq!(docs_of(l.iter_below(w(0.07))), vec![8, 2, 4]);
-        assert_eq!(docs_of(l.iter_at_or_above(w(0.07))), vec![9, 7, 1, 5]);
-        assert_eq!(docs_of(l.iter_at_or_below(w(0.07))), vec![5, 8, 2, 4]);
-        assert_eq!(l.weight_of(DocId(8)), Some(w(0.05)));
-        assert!(l.weight_of(DocId(42)).is_none());
+        assert_eq!(seqs_of(l.iter_below(w(0.07))), vec![8, 2, 4]);
+        assert_eq!(seqs_of(l.iter_at_or_above(w(0.07))), vec![9, 7, 1, 5]);
+        assert_eq!(seqs_of(l.iter_at_or_below(w(0.07))), vec![5, 8, 2, 4]);
+        assert_eq!(l.first(), Some(Posting::new(9, w(0.16))));
     }
 
     #[test]
@@ -487,7 +520,8 @@ mod tests {
         assert!(l.first().is_none());
         assert_eq!(l.iter_below(w(1.0)).count(), 0);
         assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);
-        l.check_invariants();
+        assert_eq!(l.heap_bytes(), 0);
+        l.check_invariants(0);
     }
 
     #[test]
@@ -498,17 +532,26 @@ mod tests {
 
     #[test]
     fn heavy_churn_preserves_invariants_and_order() {
-        // Interleaved inserts and removes with many ties, small capacity.
+        // A 100-document window sliding over 500 arrivals with many ties,
+        // small capacity: every arrival files a posting, every expiry kills
+        // one, and compactions keep the dead within a quarter of the live.
         let mut l = SegmentedImpactList::with_segment_capacity(8);
         let weight_of = |i: u64| w(0.01 + (i % 5) as f64 * 0.07);
+        let mut most_dead = 0;
         for i in 0..500u64 {
-            assert!(l.insert(DocId(i), weight_of(i)));
+            assert!(l.insert(i, weight_of(i)));
+            let front = i.saturating_sub(99);
             if i >= 100 {
-                assert!(l.remove(DocId(i - 100), weight_of(i - 100)));
+                l.expire(front);
             }
-            l.check_invariants();
+            most_dead = most_dead.max(l.dead());
+            l.check_invariants(front);
         }
         assert_eq!(l.len(), 100);
+        assert_eq!(
+            most_dead, 25,
+            "compaction waits for 26 dead beside 100 live"
+        );
         let all: Vec<Posting> = l.iter().collect();
         assert!(all
             .windows(2)

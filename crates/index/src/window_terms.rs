@@ -14,15 +14,21 @@
 //!   says so. `now` is the latest event's arrival, and expiry stops at the
 //!   first document still fresh — so after a timestamp steps backwards, a
 //!   document behind a fresh one waits for it, whatever its own timestamp.
-//! * **Lookup by id.** Each document's arrival sequence number is kept by
-//!   id, so [`WindowTerms::get`] — the threshold descent's random-access
-//!   scoring read — is one map probe plus one deque index, and
-//!   [`WindowTerms::contains`] refuses a duplicate before it lands anywhere.
+//! * **The document handle.** Every arrival gets the next **sequence
+//!   number**, and the window holds the documents with numbers
+//!   [`WindowTerms::front_seq`]`..` — so a posting names its document by
+//!   number, is dead once the front passes it, and the threshold descent
+//!   reads a document's id and composition by sequence number
+//!   ([`WindowTerms::id_at`], a contiguous per-position id array, and
+//!   [`WindowTerms::doc_at`]): one index each, no hashing. The id → number
+//!   map serves [`WindowTerms::contains`], which refuses a duplicate before
+//!   it lands anywhere, and the by-id read [`WindowTerms::get`] off the hot
+//!   path.
 //! * **Resolving postings.** A query registered mid-stream on a
 //!   term-filtered engine needs the postings of the terms it brings live —
-//!   `(document, weight)` pairs over the whole valid window, in arrival
-//!   order — and the window stores documents, not terms. The window is cut
-//!   into fixed **chunks** of [`CHUNK_DOCS`] documents, and
+//!   `(sequence number, weight)` pairs over the whole valid window, in
+//!   arrival order — and the window stores documents, not terms. The window
+//!   is cut into fixed **chunks** of [`CHUNK_DOCS`] documents, and
 //!   [`WindowTerms::postings`] answers chunk by chunk.
 //!
 //! The resolver, chunk by chunk:
@@ -98,16 +104,17 @@ const MARK_EVERY: usize = 64;
 pub const MAX_POSITIONS: usize = 1 << u16::BITS;
 
 /// The postings of a set of terms over one state of the window: for each
-/// term, the `(document, weight)` pairs of the valid documents containing it,
-/// **in arrival order** — the insertion sequence an always-live list would
-/// have seen. Resolved by [`WindowTerms::postings`] and filed by
-/// `InvertedIndex::acquire_terms`.
+/// term, the `(sequence number, weight)` pairs of the valid documents
+/// containing it, **in arrival order** — the insertion sequence an
+/// always-live list would have seen. Resolved by [`WindowTerms::postings`]
+/// and filed by `InvertedIndex::acquire_terms`, which requires both windows
+/// to number the same documents alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermPostings {
     /// Sorted and distinct.
     terms: Vec<TermId>,
     /// Aligned with `terms`.
-    lists: Vec<Vec<(DocId, Weight)>>,
+    lists: Vec<Vec<(u64, Weight)>>,
 }
 
 impl TermPostings {
@@ -129,7 +136,7 @@ impl TermPostings {
     /// The postings of `term` in arrival order, or `None` if `term` was not
     /// among the terms resolved (an empty slice means it was, and no valid
     /// document contains it).
-    pub fn get(&self, term: TermId) -> Option<&[(DocId, Weight)]> {
+    pub fn get(&self, term: TermId) -> Option<&[(u64, Weight)]> {
         let slot = self.terms.binary_search(&term).ok()?;
         Some(&self.lists[slot])
     }
@@ -168,16 +175,16 @@ impl WantedBits {
 }
 
 /// The one scan strategy: walks every composition entry of `docs` (oldest
-/// first) once, tests it against the bitmap of `into`'s terms and appends
-/// the hits to their lists. Returns the number of composition entries read
-/// and the number of hits.
+/// first, with their sequence numbers) once, tests it against the bitmap of
+/// `into`'s terms and appends the hits to their lists. Returns the number of
+/// composition entries read and the number of hits.
 fn walk<'a>(
-    docs: impl Iterator<Item = &'a Document>,
+    docs: impl Iterator<Item = (u64, &'a Document)>,
     wanted: &WantedBits,
     into: &mut TermPostings,
 ) -> (u64, u64) {
     let (mut walked, mut hits) = (0, 0);
-    for doc in docs {
+    for (seq, doc) in docs {
         let composition = doc.composition.as_slice();
         walked += composition.len() as u64;
         for entry in composition {
@@ -185,7 +192,7 @@ fn walk<'a>(
                 continue;
             }
             if let Ok(slot) = into.terms.binary_search(&entry.term) {
-                into.lists[slot].push((doc.id, entry.weight));
+                into.lists[slot].push((seq, entry.weight));
                 hits += 1;
             }
         }
@@ -389,6 +396,9 @@ pub struct WindowTermsStats {
 #[derive(Debug, Clone)]
 pub struct WindowTerms {
     docs: VecDeque<Arc<Document>>,
+    /// `ids[i]` is `docs[i].id`: the descent's membership tests read ids
+    /// without a pointer chase per posting.
+    ids: VecDeque<DocId>,
     /// The arrival sequence number of each document of `docs`: `docs[i]` has
     /// number `popped + i`.
     #[expect(
@@ -396,7 +406,8 @@ pub struct WindowTerms {
         reason = "point lookups only; iteration follows the FIFO"
     )]
     seqs: HashMap<DocId, u64>,
-    /// Documents popped so far — the sequence number of `docs[0]`.
+    /// The sequence number of `docs[0]`: the first number, plus the
+    /// documents popped so far.
     popped: u64,
     /// One slot per chunk the window spans, oldest first. Chunk `c` covers
     /// the documents at positions `c * chunk_docs - front_offset() ..` of
@@ -433,15 +444,30 @@ impl WindowTerms {
     /// Panics unless `1 <= chunk_docs < 32768` (a directory slot is a `u16`
     /// with one bit spoken for).
     pub fn with_shape(chunk_docs: usize, builds_per_call: usize) -> Self {
+        Self::shaped(chunk_docs, builds_per_call, 0)
+    }
+
+    /// An empty window with the production shape whose first arrival gets
+    /// sequence number `first_seq`, as if `first_seq` documents had come and
+    /// gone: a shard seeded with a mirror's documents numbers them as the
+    /// mirror does.
+    pub fn numbered_from(first_seq: u64) -> Self {
+        Self::shaped(CHUNK_DOCS, BUILDS_PER_CALL, first_seq)
+    }
+
+    fn shaped(chunk_docs: usize, builds_per_call: usize, first_seq: u64) -> Self {
         assert!(
             (1..usize::from(MULTI)).contains(&chunk_docs),
             "a chunk holds between 1 and 32767 documents"
         );
+        // A number inside a chunk starts in that chunk's slot.
+        let open = usize::from(!first_seq.is_multiple_of(chunk_docs as u64));
         Self {
             docs: VecDeque::new(),
+            ids: VecDeque::new(),
             seqs: Default::default(),
-            popped: 0,
-            directories: VecDeque::new(),
+            popped: first_seq,
+            directories: std::iter::repeat_n(None, open).collect(),
             chunk_docs,
             builds_per_call,
             entries_walked: 0,
@@ -451,14 +477,15 @@ impl WindowTerms {
         }
     }
 
-    /// Appends an arriving document: a pointer push and an id insert, plus
-    /// an empty directory slot when the document opens a chunk.
+    /// Appends an arriving document and returns its sequence number: a
+    /// pointer push and an id insert, plus an empty directory slot when the
+    /// document opens a chunk.
     ///
     /// # Panics
     ///
     /// Panics if a document with the same id is in the window — before
     /// anything is changed; [`WindowTerms::contains`] asks first.
-    pub fn push(&mut self, doc: Arc<Document>) {
+    pub fn push(&mut self, doc: Arc<Document>) -> u64 {
         let seq = self.popped + self.docs.len() as u64;
         match self.seqs.entry(doc.id) {
             #[expect(
@@ -472,7 +499,9 @@ impl WindowTerms {
         if seq.is_multiple_of(self.chunk_docs as u64) {
             self.directories.push_back(None);
         }
+        self.ids.push_back(doc.id);
         self.docs.push_back(doc);
+        seq
     }
 
     /// Whether a document with id `id` is in the window.
@@ -482,10 +511,37 @@ impl WindowTerms {
 
     /// The valid document with id `id`: one map probe and one deque index.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        let seq = self.seqs.get(&id)?;
-        self.docs
-            .get((seq - self.popped) as usize)
-            .map(|doc| &**doc)
+        self.seqs.get(&id).map(|seq| self.doc_at(*seq))
+    }
+
+    /// The sequence number of the oldest valid document — of the next
+    /// arrival, when the window is empty. A posting is live iff its number
+    /// is at least this.
+    pub fn front_seq(&self) -> u64 {
+        self.popped
+    }
+
+    /// The id of the valid document with sequence number `seq`: one index
+    /// into a contiguous id array.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a valid document has number `seq` — a live posting's
+    /// always does.
+    #[inline]
+    pub fn id_at(&self, seq: u64) -> DocId {
+        self.ids[(seq - self.popped) as usize]
+    }
+
+    /// The valid document with sequence number `seq`: one deque index.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a valid document has number `seq` — a live posting's
+    /// always does.
+    #[inline]
+    pub fn doc_at(&self, seq: u64) -> &Document {
+        &self.docs[(seq - self.popped) as usize]
     }
 
     /// Removes and returns the oldest document: a pointer pop and an id
@@ -493,6 +549,7 @@ impl WindowTerms {
     /// last document.
     pub fn pop_front(&mut self) -> Option<Arc<Document>> {
         let doc = self.docs.pop_front()?;
+        self.ids.pop_front();
         self.seqs.remove(&doc.id);
         self.popped += 1;
         if self.front_offset() == 0 {
@@ -563,7 +620,8 @@ impl WindowTerms {
                 if range.len() == self.chunk_docs {
                     walked_whole.push(chunk);
                 }
-                let docs = self.docs.range(range).map(|doc| &**doc);
+                let first = self.popped + range.start as u64;
+                let docs = (first..).zip(self.docs.range(range).map(|doc| &**doc));
                 let (walked, hits) = walk(docs, &wanted, &mut postings);
                 entries_walked += walked;
                 from_walks += hits;
@@ -572,14 +630,14 @@ impl WindowTerms {
             // Local index `l` of this chunk sits at `range.start + l -
             // expired`, where only the front chunk has `expired > 0`.
             let expired = self.chunk_docs - range.len();
-            let (docs, lists) = (&self.docs, &mut postings.lists);
+            let (docs, lists, popped) = (&self.docs, &mut postings.lists, self.popped);
             directory.merge(&postings.terms, |slot, at| {
                 let hits = directory.hits_of(at);
                 let live = hits.partition_point(|hit| usize::from(hit.local) < expired);
                 for hit in &hits[live..] {
-                    let doc = &docs[range.start + usize::from(hit.local) - expired];
-                    let entry = doc.composition.as_slice()[usize::from(hit.position)];
-                    lists[slot].push((doc.id, entry.weight));
+                    let position = range.start + usize::from(hit.local) - expired;
+                    let entry = docs[position].composition.as_slice()[usize::from(hit.position)];
+                    lists[slot].push((popped + position as u64, entry.weight));
                 }
                 from_directories += hits.len() - live;
             });
@@ -620,8 +678,9 @@ impl WindowTerms {
     }
 
     /// Audits the structure, panicking with a description on violation:
-    /// the id map holds exactly the window's ids, each under its document's
-    /// position; there is one directory
+    /// the id map and the id array hold exactly the window's ids, each
+    /// under its document's sequence number or position; there is one
+    /// directory
     /// slot per chunk the window spans; only a sealed chunk whose documents
     /// all fit [`MAX_POSITIONS`] carries a directory; every position a directory records for a
     /// valid document names that document's composition entry of the
@@ -635,6 +694,10 @@ impl WindowTerms {
                 && (self.docs.iter().enumerate())
                     .all(|(at, doc)| self.seqs.get(&doc.id) == Some(&(self.popped + at as u64))),
             "the id map is not the window's ids at their positions"
+        );
+        assert!(
+            self.ids.iter().eq(self.docs.iter().map(|doc| &doc.id)),
+            "the id array is not the window's ids in arrival order"
         );
         let arrived = self.front_offset() + self.docs.len();
         assert_eq!(
@@ -712,9 +775,11 @@ mod tests {
         ))
     }
 
+    /// The sequence numbers of `term`'s postings — the ids too, in a window
+    /// fed ids 0, 1, 2, … from number 0.
     fn ids(postings: &TermPostings, term: u32) -> Vec<u64> {
         let list = postings.get(TermId(term)).expect("term was asked for");
-        list.iter().map(|(doc, _)| doc.0).collect()
+        list.iter().map(|(seq, _)| *seq).collect()
     }
 
     #[test]
@@ -744,9 +809,11 @@ mod tests {
             assert!(window.contains(DocId(expired)));
             assert_eq!(window.pop_front().map(|d| d.id), Some(DocId(expired)));
             assert!(!window.contains(DocId(expired)) && window.get(DocId(expired)).is_none());
-            for valid in window.iter() {
+            for (seq, valid) in (window.front_seq()..).zip(window.iter()) {
                 let got = window.get(valid.id).expect("a valid document");
                 assert!(std::ptr::eq(got, &**valid));
+                assert!(std::ptr::eq(window.doc_at(seq), got));
+                assert_eq!(window.id_at(seq), valid.id);
             }
             window.check_invariants();
         }
@@ -755,6 +822,33 @@ mod tests {
             Timestamp::from_millis(9)
         );
         assert!(window.get(DocId(99)).is_none() && !window.contains(DocId(99)));
+    }
+
+    #[test]
+    fn a_window_numbered_from_mid_chunk_resolves_as_the_original_does() {
+        // The original has seen 0..10 and expired 0..6; the copy starts at
+        // its front and must number, chunk and resolve alike.
+        let mut original = WindowTerms::with_shape(4, usize::MAX);
+        for i in 0..10 {
+            assert_eq!(original.push(doc(i, &[(i as u32 % 3, 0.5)])), i);
+        }
+        for _ in 0..6 {
+            original.pop_front();
+        }
+        let mut copy = WindowTerms::shaped(4, usize::MAX, original.front_seq());
+        assert_eq!(copy.stats().chunks, 1, "6 sits inside the chunk 4..8");
+        copy.check_invariants();
+        for d in original.iter() {
+            copy.push(Arc::clone(d));
+            copy.check_invariants();
+        }
+        assert_eq!(copy.front_seq(), 6);
+        assert_eq!(copy.stats().chunks, original.stats().chunks);
+        let wanted = [TermId(0), TermId(1), TermId(2)];
+        assert_eq!(copy.postings(wanted), original.postings(wanted));
+        assert_eq!(ids(&copy.postings(wanted), 0), vec![6, 9]);
+        assert_eq!(copy.id_at(9), DocId(9));
+        assert_eq!(WindowTerms::numbered_from(5).front_seq(), 5);
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Randomized differential test: [`SegmentedImpactList`] against the plain
-//! sorted-`Vec` reference [`FlatImpactList`].
+//! Randomized differential test: [`SegmentedImpactList`] against a plain
+//! sorted-`Vec` reference, [`FlatImpactList`], defined here.
 //!
-//! Both layouts are driven through the same randomized interleaving of point
-//! updates (insert/remove, including duplicate inserts and misses) and every
-//! descent/range read the ITA engine performs (`iter`, `iter_below`,
-//! `iter_at_or_below`, `iter_at_or_above`, `first`, `weight_of`), asserting
-//! **identical
-//! observable sequences** after every step. Weights are drawn from a small
-//! discrete palette so long equal-weight tie runs are common and routinely
-//! straddle segment boundaries — the exact case where a segmented cursor can
-//! silently go wrong. The segmented list's structural invariants are checked
-//! after every mutation.
+//! Both layouts are driven through the same randomized interleaving of the
+//! operations a list sees under a sliding window — inserts of arrivals
+//! (including duplicate inserts), advances of the window's front that kill
+//! postings one arrival at a time (compacting where the quarter rule says
+//! so), and explicit compactions — and every read path (`iter`,
+//! `iter_below`, `iter_at_or_below`, `iter_at_or_above`, `first`), asserting
+//! **identical observable sequences**, live and dead, and equal live and
+//! dead counts after every step. Weights are drawn from a small discrete
+//! palette so long equal-weight tie runs are common and routinely straddle
+//! segment boundaries — the exact case where a segmented cursor can
+//! silently go wrong. The segmented list's structural invariants (dead
+//! postings exactly those below the front, at most a quarter of the live
+//! plus one) are checked after every step.
 //!
 //! The seeded randomness comes from [`cts_core::testkit::ScriptRng`] — the
 //! same deterministic generator behind the engine-level op-script suites —
@@ -18,39 +21,115 @@
 //! in every assertion context via the step index).
 
 use cts_core::testkit::ScriptRng;
-use cts_index::{DocId, FlatImpactList, Posting, SegmentedImpactList};
+use cts_index::{Posting, SegmentedImpactList};
 use cts_text::Weight;
+
+/// The reference arm: every posting in one sorted `Vec`, in list order
+/// (decreasing weight, ties by increasing sequence number). Every locate is
+/// one binary search and every read a contiguous slice scan; an insert
+/// shifts the whole tail, which is why the engines run the segmented layout.
+/// Dead postings are counted and dropped by the same quarter rule.
+#[derive(Debug, Default)]
+struct FlatImpactList {
+    entries: Vec<Posting>,
+    dead: usize,
+}
+
+impl FlatImpactList {
+    fn insert(&mut self, seq: u64, weight: Weight) -> bool {
+        let posting = Posting::new(seq, weight);
+        match self.entries.binary_search_by(|p| p.rank(&posting)) {
+            Ok(_) => false,
+            Err(at) => {
+                self.entries.insert(at, posting);
+                true
+            }
+        }
+    }
+
+    fn expire(&mut self, front: u64) {
+        self.dead += 1;
+        if 4 * self.dead > self.len() {
+            self.compact(front);
+        }
+    }
+
+    fn compact(&mut self, front: u64) {
+        self.entries.retain(|p| p.seq >= front);
+        self.dead = 0;
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len() - self.dead
+    }
+
+    fn first(&self) -> Option<Posting> {
+        self.entries.first().copied()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
+        self.entries.iter().copied()
+    }
+
+    fn iter_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
+        let at = self.entries.partition_point(|p| p.weight >= weight);
+        self.entries[at..].iter().copied()
+    }
+
+    fn iter_at_or_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
+        let at = self.entries.partition_point(|p| p.weight > weight);
+        self.entries[at..].iter().copied()
+    }
+
+    fn iter_at_or_above(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
+        let at = self.entries.partition_point(|p| p.weight >= weight);
+        self.entries[..at].iter().copied()
+    }
+}
 
 /// The discrete weight palette. Few distinct values → dense tie runs.
 fn palette(slot: usize) -> Weight {
     Weight::new(0.05 + (slot % 7) as f64 * 0.13)
 }
 
-fn docs(postings: impl Iterator<Item = Posting>) -> Vec<(u64, u64)> {
+fn seqs(postings: impl Iterator<Item = Posting>) -> Vec<(u64, u64)> {
     postings
-        .map(|p| (p.doc.0, p.weight.get().to_bits()))
+        .map(|p| (p.seq, p.weight.get().to_bits()))
         .collect()
 }
 
-/// Compares every read path of the two lists at probe weight `w`.
-fn assert_reads_agree(seg: &SegmentedImpactList, flat: &FlatImpactList, w: Weight) {
-    assert_eq!(seg.len(), flat.len());
-    assert_eq!(seg.is_empty(), flat.is_empty());
+/// Compares every read path of the two lists at probe weight `w`, over all
+/// stored postings and over the live ones (at or past `front`) alone.
+fn assert_reads_agree(seg: &SegmentedImpactList, flat: &FlatImpactList, w: Weight, front: u64) {
+    assert_eq!(seg.len(), flat.len(), "live count");
+    assert_eq!(seg.dead(), flat.dead, "dead count");
+    assert_eq!(seg.is_empty(), flat.len() == 0);
     assert_eq!(seg.first(), flat.first());
-    assert_eq!(docs(seg.iter()), docs(flat.iter()), "iter at {w}");
+    let live = |p: &Posting| p.seq >= front;
+    assert_eq!(seqs(seg.iter()), seqs(flat.iter()), "iter at {w}");
     assert_eq!(
-        docs(seg.iter_below(w)),
-        docs(flat.iter_below(w)),
+        seqs(seg.iter().filter(live)),
+        seqs(flat.iter().filter(live)),
+        "live iter at {w}"
+    );
+    assert_eq!(
+        seqs(seg.iter_below(w)),
+        seqs(flat.iter_below(w)),
         "iter_below {w}"
     );
     assert_eq!(
-        docs(seg.iter_at_or_below(w)),
-        docs(flat.iter_at_or_below(w)),
+        seqs(seg.iter_at_or_below(w).filter(live)),
+        seqs(flat.iter_at_or_below(w).filter(live)),
+        "live iter_at_or_below {w}"
+    );
+    assert_eq!(
+        seqs(seg.iter_at_or_below(w)),
+        seqs(flat.iter_at_or_below(w)),
         "iter_at_or_below {w}"
     );
     assert_eq!(
-        docs(seg.iter_at_or_above(w)),
-        docs(flat.iter_at_or_above(w)),
+        seqs(seg.iter_at_or_above(w)),
+        seqs(flat.iter_at_or_above(w)),
         "iter_at_or_above {w}"
     );
 }
@@ -59,47 +138,61 @@ fn assert_reads_agree(seg: &SegmentedImpactList, flat: &FlatImpactList, w: Weigh
 fn differential_run(capacity: usize, seed: u64, steps: usize) {
     let mut rng = ScriptRng::new(seed);
     let mut seg = SegmentedImpactList::with_segment_capacity(capacity);
-    let mut flat = FlatImpactList::new();
-    // The live (doc, weight) population, so removals usually hit.
-    let mut live: Vec<(DocId, Weight)> = Vec::new();
-    let mut next_doc = 0u64;
+    let mut flat = FlatImpactList::default();
+    // The stored (seq, weight) postings in arrival order, so advancing the
+    // front knows which arrivals had a posting here and duplicate inserts
+    // hit live ones.
+    let mut filed: Vec<(u64, Weight)> = Vec::new();
+    // The window: sequence numbers `front..next_seq` have arrived and not
+    // expired. Arrivals without this list's term skip a number.
+    let (mut front, mut next_seq) = (0u64, 0u64);
+    let mut compactions = 0;
 
     for step in 0..steps {
         let op = rng.below(10);
         match op {
-            // 0..6: insert a fresh posting (tie-heavy palette).
+            // 0..6: an arrival with this list's term files a fresh posting
+            // (tie-heavy palette); sometimes arrivals without it went first.
             0..=5 => {
-                let doc = DocId(next_doc);
-                next_doc += 1;
+                next_seq += rng.below(3) as u64;
+                let seq = next_seq;
+                next_seq += 1;
                 let w = palette(rng.below(7));
-                assert_eq!(seg.insert(doc, w), flat.insert(doc, w), "insert {doc}");
-                live.push((doc, w));
+                assert_eq!(seg.insert(seq, w), flat.insert(seq, w), "insert {seq}");
+                filed.push((seq, w));
             }
             // 6: duplicate insert of a live posting (must be rejected by both).
-            6 if !live.is_empty() => {
-                let (doc, w) = live[rng.below(live.len())];
-                assert_eq!(seg.insert(doc, w), flat.insert(doc, w));
-                assert!(!seg.insert(doc, w), "duplicate insert must be rejected");
+            6 => {
+                let live = filed.partition_point(|(seq, _)| *seq < front);
+                if live < filed.len() {
+                    let (seq, w) = filed[live + rng.below(filed.len() - live)];
+                    assert!(!seg.insert(seq, w), "duplicate insert must be rejected");
+                    assert!(!flat.insert(seq, w));
+                }
             }
-            // 7..8: remove a live posting.
-            7 | 8 if !live.is_empty() => {
-                let at = rng.below(live.len());
-                let (doc, w) = live.swap_remove(at);
-                assert_eq!(seg.remove(doc, w), flat.remove(doc, w), "remove {doc}");
-                assert!(flat.weight_of(doc).is_none());
+            // 7..8: advance the front by up to 4 arrivals, one expiry at a
+            // time, as the window pops its oldest document.
+            7 | 8 => {
+                let n = rng.range(1, 5) as u64;
+                for _ in 0..n.min(next_seq - front) {
+                    let expiring = front;
+                    front += 1;
+                    if filed.iter().any(|(seq, _)| *seq == expiring) {
+                        let dead_before = seg.dead();
+                        seg.expire(front);
+                        flat.expire(front);
+                        compactions += usize::from(seg.dead() <= dead_before);
+                    }
+                }
             }
-            // 9: remove miss — absent doc or wrong weight for a live doc.
+            // 9: an explicit compaction at the current front.
             _ => {
-                let (doc, w) = if live.is_empty() || rng.chance(0.5) {
-                    (DocId(next_doc + 1_000_000), palette(rng.below(7)))
-                } else {
-                    let (doc, w) = live[rng.below(live.len())];
-                    (doc, Weight::new(w.get() + 0.001))
-                };
-                assert_eq!(seg.remove(doc, w), flat.remove(doc, w));
+                seg.compact(front);
+                flat.compact(front);
+                filed.retain(|(seq, _)| *seq >= front);
             }
         }
-        seg.check_invariants();
+        seg.check_invariants(front);
 
         // Probe at palette values (tie boundaries), their midpoints, and the
         // extremes.
@@ -110,27 +203,31 @@ fn differential_run(capacity: usize, seed: u64, steps: usize) {
             Weight::new(1.0),
         ];
         for w in probes {
-            assert_reads_agree(&seg, &flat, w);
-        }
-        if let Some(&(doc, _)) = live.first().filter(|_| step % 16 == 0) {
-            assert_eq!(seg.weight_of(doc), flat.weight_of(doc));
+            assert_reads_agree(&seg, &flat, w, front);
         }
     }
+    assert!(compactions > 0, "the quarter rule never compacted");
 
-    // Drain completely: merges all the way down to the empty directory.
-    while let Some((doc, w)) = live.pop() {
-        assert!(seg.remove(doc, w));
-        assert!(flat.remove(doc, w));
-        seg.check_invariants();
+    // Drain completely: the front passes every arrival, and the last
+    // expiry compacts the list down to the empty directory.
+    while front < next_seq {
+        let expiring = front;
+        front += 1;
+        if filed.iter().any(|(seq, _)| *seq == expiring) {
+            seg.expire(front);
+            flat.expire(front);
+        }
+        seg.check_invariants(front);
+        assert_reads_agree(&seg, &flat, palette(0), front);
     }
     assert!(seg.is_empty());
     assert_eq!(seg.num_segments(), 0);
-    assert!(flat.is_empty());
+    assert!(flat.entries.is_empty());
 }
 
 #[test]
 fn tiny_segments_split_and_merge_constantly() {
-    // Capacity 2 and 3: every few inserts split, every few removes merge.
+    // Capacity 2 and 3: every few inserts split, every compaction merges.
     differential_run(2, 0xD1FF_0001, 600);
     differential_run(3, 0xD1FF_0002, 600);
 }
@@ -139,8 +236,9 @@ fn tiny_segments_split_and_merge_constantly() {
 fn small_segments_with_tie_runs_straddling_boundaries() {
     // Capacity 4..8 with a 7-value palette: tie runs are much longer than a
     // segment, so every boundary case is exercised.
-    differential_run(4, 0xD1FF_0003, 800);
-    differential_run(8, 0xD1FF_0004, 800);
+    for capacity in 4..=8 {
+        differential_run(capacity, 0xD1FF_0003 + capacity as u64, 800);
+    }
 }
 
 #[test]

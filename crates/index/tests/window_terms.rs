@@ -4,10 +4,10 @@
 //! terms, in arrival order" from lazily built per-chunk term directories
 //! where it has them and by one bitmap walk where it does not (DESIGN.md
 //! §9). The contract pinned here: the answer is **exactly** what filtering
-//! the valid documents one by one gives — same `(DocId, Weight)` pairs, same
-//! order — whatever the window policy, wherever the chunk boundaries fall,
-//! and whichever chunks happen to carry a directory at the time; every
-//! directory ever built equals a rebuild from its documents
+//! the valid documents one by one gives — same `(sequence number, Weight)`
+//! pairs, same order — whatever the window policy, wherever the chunk
+//! boundaries fall, and whichever chunks happen to carry a directory at the
+//! time; every directory ever built equals a rebuild from its documents
 //! ([`WindowTerms::check_invariants`]); and a registration over built
 //! directories walks fewer composition entries than one chunk holds.
 //! Seeded randomness comes from [`cts_core::testkit::ScriptRng`], so every
@@ -45,25 +45,28 @@ fn random_doc(rng: &mut ScriptRng, id: u64, arrival: Timestamp) -> Arc<Document>
     ))
 }
 
-/// The reference: the valid documents in arrival order, filtered term by
-/// term, document by document.
+/// The reference: the valid documents in arrival order, and how many have
+/// expired — the sequence number of the first — filtered term by term,
+/// document by document.
 #[derive(Default)]
-struct BruteForce(VecDeque<Arc<Document>>);
+struct BruteForce(VecDeque<Arc<Document>>, u64);
 
 impl BruteForce {
     fn slide(&mut self, window: SlidingWindow, now: Timestamp) -> usize {
         let before = self.0.len();
         while (self.0.front()).is_some_and(|doc| window.is_stale(self.0.len(), doc.arrival, now)) {
             self.0.pop_front();
+            self.1 += 1;
         }
         before - self.0.len()
     }
 
+    /// `(sequence number, weight bits)` of `term`'s postings.
     fn postings(&self, term: TermId) -> Vec<(u64, u64)> {
-        self.0
-            .iter()
-            .filter(|doc| doc.composition.contains(term))
-            .map(|doc| (doc.id.0, doc.composition.weight(term).to_bits()))
+        (self.1..)
+            .zip(&self.0)
+            .filter(|(_, doc)| doc.composition.contains(term))
+            .map(|(seq, doc)| (seq, doc.composition.weight(term).to_bits()))
             .collect()
     }
 }
@@ -87,7 +90,7 @@ fn assert_answer(answer: &TermPostings, wanted: &[TermId], reference: &BruteForc
             .get(*term)
             .expect("a requested term is resolved")
             .iter()
-            .map(|(doc, weight)| (doc.0, weight.get().to_bits()))
+            .map(|(seq, weight)| (*seq, weight.get().to_bits()))
             .collect();
         assert_eq!(got, reference.postings(*term), "{context}: {term}");
         total += got.len();
@@ -292,7 +295,8 @@ fn a_chunk_holding_a_document_past_max_positions_is_always_walked() {
         }
     }
     let answer = view.postings([fits, past]);
-    let ids = |term| -> Vec<u64> { answer.get(term).unwrap().iter().map(|(d, _)| d.0).collect() };
+    // Ids and sequence numbers coincide: ids 0.. arrived from number 0.
+    let ids = |term| -> Vec<u64> { answer.get(term).unwrap().iter().map(|(d, _)| *d).collect() };
     assert_eq!((ids(fits), ids(past)), (vec![0, 2], vec![0]));
 }
 
