@@ -99,7 +99,7 @@ mod tests {
         l.expire(2);
         assert_eq!((l.len(), l.dead()), (1, 0), "1 dead of 1 live compacts");
         assert_eq!(seqs(l.iter()), vec![2]);
-        assert_eq!(l.first(), Some(Posting::new(2, w(0.2))));
+        assert_eq!(seqs(l.iter_at_or_below(w(0.3))), vec![2]);
     }
 
     #[test]
@@ -111,12 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_below_excludes_equal_weights() {
-        let l = list(&[(7, 0.10), (1, 0.08), (5, 0.07), (8, 0.05)]);
-        assert_eq!(seqs(l.iter_below(w(0.08))), vec![5, 8]);
-    }
-
-    #[test]
     fn iter_at_or_below_includes_equal_weights() {
         let l = list(&[(7, 0.10), (1, 0.08), (5, 0.07), (8, 0.05)]);
         assert_eq!(seqs(l.iter_at_or_below(w(0.08))), vec![1, 5, 8]);
@@ -125,49 +119,31 @@ mod tests {
     }
 
     #[test]
-    fn iter_at_or_above_includes_equal_weights() {
-        let l = list(&[(7, 0.10), (1, 0.08), (5, 0.07), (8, 0.05)]);
-        assert_eq!(seqs(l.iter_at_or_above(w(0.08))), vec![7, 1]);
-    }
-
-    #[test]
     fn empty_list_behaviour() {
         let l = InvertedList::new();
         assert!(l.is_empty());
-        assert!(l.first().is_none());
-        assert_eq!(l.iter_below(w(1.0)).count(), 0);
-        assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);
+        assert_eq!(l.iter_at_or_below(w(1.0)).count(), 0);
         assert_eq!(l.iter().count(), 0);
     }
 
     #[test]
     fn duplicate_weight_run_at_the_head_of_the_list() {
-        // A run of equal weights at the very top: range probes must treat the
-        // whole run as one tie group on either side of the boundary.
+        // A run of equal weights at the very top: a descent cursor must treat
+        // the whole run as one tie group on either side of the boundary.
         let l = list(&[(3, 0.9), (1, 0.9), (2, 0.9), (4, 0.5)]);
-        assert_eq!(seqs(l.iter_at_or_above(w(0.9))), vec![1, 2, 3]);
-        assert_eq!(l.iter_below(w(0.9)).count(), 1);
+        assert_eq!(seqs(l.iter_at_or_below(w(0.9))), vec![1, 2, 3, 4]);
+        assert_eq!(seqs(l.iter_at_or_below(w(0.89))), vec![4]);
     }
 
     #[test]
     fn duplicate_weight_run_at_the_tail_of_the_list() {
         let l = list(&[(1, 0.9), (7, 0.2), (5, 0.2), (6, 0.2)]);
         assert_eq!(seqs(l.iter_at_or_below(w(0.2))), vec![5, 6, 7]);
-        assert_eq!(l.iter_below(w(0.2)).count(), 0);
+        assert_eq!(l.iter_at_or_below(w(0.19)).count(), 0);
         // Compacting away the run's oldest posting keeps order intact.
         let mut l = l;
         l.compact(6);
         assert_eq!(seqs(l.iter_at_or_below(w(0.2))), vec![6, 7]);
         assert_eq!(seqs(l.iter()), vec![6, 7], "0.9 had sequence number 1");
-    }
-
-    #[test]
-    fn iter_below_on_an_all_equal_weight_list_is_empty() {
-        let l = list(&[(1, 0.3), (2, 0.3), (3, 0.3)]);
-        assert_eq!(l.iter_below(w(0.3)).count(), 0);
-        assert_eq!(l.iter_at_or_below(w(0.3)).count(), 3);
-        assert_eq!(l.iter_at_or_above(w(0.3)).count(), 3);
-        // A descent walks the tie group in arrival order.
-        assert_eq!(seqs(l.iter_at_or_below(w(0.3))), vec![1, 2, 3]);
     }
 }

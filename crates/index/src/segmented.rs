@@ -17,7 +17,8 @@
 //!   then the segment, and shifts at most `segment capacity` postings —
 //!   ~2 KiB at the default capacity of 128 — instead of the whole
 //!   window-length list (~160 KiB for a 10k-entry head term). A segment that
-//!   overflows its capacity splits in half.
+//!   overflows its capacity splits in half, each half allocated to
+//!   `capacity + 1` postings.
 //! * Expiry removes nothing: the expiring document's postings stay where they
 //!   are as **dead** postings (sequence number below the window's front), and
 //!   [`SegmentedImpactList::expire`] only counts them. Once the dead outnumber
@@ -29,12 +30,13 @@
 //!   postings. The pass costs the list's length once per `len / 5`
 //!   expiries: a constant per expired posting, against a directory search, a
 //!   segment search and a `memmove` per posting for point removal.
-//! * Every read path — above all the threshold descent's one cursor per
-//!   list, opened at the query's frontier by `iter_at_or_below` at
-//!   registration and refill alike — is a directory locate followed by
-//!   **contiguous scans within segments**,
-//!   which is the access pattern the paper's §III cost model charges for:
-//!   "read a prefix of `L_t`" remains a linear read of adjacent memory, now
+//! * A list has two reads: [`SegmentedImpactList::iter`] over every posting
+//!   (audits and statistics) and the threshold descent's one cursor per
+//!   list, opened at the query's frontier by
+//!   [`SegmentedImpactList::iter_at_or_below`] at registration and refill
+//!   alike — a directory locate followed by **contiguous scans within
+//!   segments**, which is the access pattern the paper's §III cost model
+//!   charges for: "read a prefix of `L_t`" remains a linear read of adjacent memory, now
 //!   with one extra pointer hop per `capacity` entries visited. The list's
 //!   reads return dead postings too; the index's one read path skips them
 //!   ([`crate::InvertedIndex::live_postings`]).
@@ -57,14 +59,6 @@ use crate::posting::Posting;
 /// that descents stay effectively contiguous and the directory of a
 /// 10k-entry head-term list holds only ~100 entries.
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 128;
-
-/// A position inside the segment directory: entry `off` of segment `seg`.
-/// `seg == segments.len()` (with `off == 0`) is the end-of-list cursor.
-#[derive(Debug, Clone, Copy)]
-struct Cursor {
-    seg: usize,
-    off: usize,
-}
 
 /// An impact-ordered inverted list for a single term, backed by an ordered
 /// directory of fixed-capacity sorted segments (decreasing weight, ties by
@@ -133,51 +127,16 @@ impl SegmentedImpactList {
         })
     }
 
-    /// Cursor at the first entry whose weight is **strictly below** `weight`.
-    #[inline]
-    fn first_below(&self, weight: Weight) -> Cursor {
-        #[expect(
-            clippy::expect_used,
-            reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
-        )]
-        let seg = self
-            .segments
-            .partition_point(|s| s.last().expect("segments are non-empty").weight >= weight);
-        let off = match self.segments.get(seg) {
-            // The segment's last entry is < weight, so `off` is in bounds.
-            Some(entries) => entries.partition_point(|p| p.weight >= weight),
-            None => 0,
-        };
-        Cursor { seg, off }
-    }
-
-    /// Cursor at the first entry whose weight is **at or below** `weight`.
-    #[inline]
-    fn first_at_or_below(&self, weight: Weight) -> Cursor {
-        #[expect(
-            clippy::expect_used,
-            reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
-        )]
-        let seg = self
-            .segments
-            .partition_point(|s| s.last().expect("segments are non-empty").weight > weight);
-        let off = match self.segments.get(seg) {
-            Some(entries) => entries.partition_point(|p| p.weight > weight),
-            None => 0,
-        };
-        Cursor { seg, off }
-    }
-
-    /// Iterates from `cursor` (inclusive) to the end of the list, crossing
-    /// segment boundaries; each segment is scanned contiguously.
-    fn iter_from(&self, cursor: Cursor) -> impl Iterator<Item = Posting> + '_ {
-        self.segments[cursor.seg..]
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, seg)| {
-                let start = if i == 0 { cursor.off } else { 0 };
-                seg[start..].iter().copied()
-            })
+    /// Splits an overflowed segment in half and returns the upper half.
+    /// Both halves are left with `capacity + 1` slots — room to fill up and
+    /// take the insert that overflows them — so neither reallocates before
+    /// its own split, and the lower half gives back the doubled allocation
+    /// its overflow grew.
+    fn split(segment: &mut Vec<Posting>, capacity: usize) -> Vec<Posting> {
+        let mut upper = Vec::with_capacity(capacity + 1);
+        upper.extend(segment.drain(segment.len() / 2..));
+        segment.shrink_to(capacity + 1);
+        upper
     }
 
     /// Inserts the posting of the document with sequence number `seq` at
@@ -200,8 +159,7 @@ impl SegmentedImpactList {
                 self.segments[seg].insert(at, posting);
                 self.stored += 1;
                 if self.segments[seg].len() > self.capacity {
-                    let mid = self.segments[seg].len() / 2;
-                    let upper = self.segments[seg].split_off(mid);
+                    let upper = Self::split(&mut self.segments[seg], self.capacity);
                     self.segments.insert(seg + 1, upper);
                 }
                 true
@@ -247,8 +205,7 @@ impl SegmentedImpactList {
             }
             self.segments[last].append(&mut segment);
             if self.segments[last].len() > self.capacity {
-                let mid = self.segments[last].len() / 2;
-                self.segments[kept] = self.segments[last].split_off(mid);
+                self.segments[kept] = Self::split(&mut self.segments[last], self.capacity);
                 kept += 1;
             }
         }
@@ -279,36 +236,10 @@ impl SegmentedImpactList {
             + self.segments.capacity() * std::mem::size_of::<Vec<Posting>>()
     }
 
-    /// The posting with the highest weight, dead or live, if any.
-    pub fn first(&self) -> Option<Posting> {
-        self.segments.first().and_then(|s| s.first()).copied()
-    }
-
     /// Iterates over every stored posting, dead ones included, in list
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
         self.segments.iter().flat_map(|s| s.iter().copied())
-    }
-
-    /// Iterates over stored postings **strictly below** `weight` (i.e.
-    /// `w_{d,t} < weight`), in list order.
-    pub fn iter_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
-        self.iter_from(self.first_below(weight))
-    }
-
-    /// Iterates over stored postings with weight **at or above** `weight`
-    /// (`w_{d,t} ≥ weight`), in list order.
-    pub fn iter_at_or_above(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
-        let end = self.first_below(weight);
-        self.segments[..end.seg]
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .chain(
-                self.segments
-                    .get(end.seg)
-                    .into_iter()
-                    .flat_map(move |s| s[..end.off].iter().copied()),
-            )
     }
 
     /// Iterates over stored postings with weight **at or below** `weight`
@@ -317,14 +248,33 @@ impl SegmentedImpactList {
     /// have been visited before, so the caller skips documents that are
     /// already in its result set.
     pub fn iter_at_or_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
-        self.iter_from(self.first_at_or_below(weight))
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
+        )]
+        let first = self
+            .segments
+            .partition_point(|s| s.last().expect("segments are non-empty").weight > weight);
+        let off = match self.segments.get(first) {
+            Some(entries) => entries.partition_point(|p| p.weight > weight),
+            None => 0,
+        };
+        // Each segment is scanned contiguously, the first from `off`.
+        self.segments[first..]
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, seg)| {
+                let start = if i == 0 { off } else { 0 };
+                seg[start..].iter().copied()
+            })
     }
 
     /// Checks every structural invariant of the layout against the window's
     /// front sequence number `front`, panicking with a description on
     /// violation: a non-empty directory of segments in strict rank order
     /// (across boundaries too), every segment within capacity and — unless it
-    /// is the lone survivor — at least a quarter full, the cached counts
+    /// is the lone survivor — at least a quarter full and allocated to at
+    /// most `capacity + 1` postings, the cached counts
     /// agreeing with the contents (the dead postings are exactly those below
     /// `front`), and no more than `live / 4 + 1` of them. Used by tests
     /// (notably the randomized differential test) after every mutation and by
@@ -343,11 +293,19 @@ impl SegmentedImpactList {
             // The re-packing guarantee: everything but a lone survivor stays
             // at least a quarter full, so segment count is
             // Θ(len / capacity) and never degrades toward one-entry segments.
+            // Every segment of a split list was sized by a split, so none
+            // holds more slots than a full segment and one overflow.
             if self.segments.len() > 1 {
                 assert!(
                     seg.len() >= self.capacity.div_ceil(4),
                     "segment {i} holds {} < quarter of capacity {}",
                     seg.len(),
+                    self.capacity
+                );
+                assert!(
+                    seg.capacity() <= self.capacity + 1,
+                    "segment {i} allocates {} > capacity {} + 1",
+                    seg.capacity(),
                     self.capacity
                 );
             }
@@ -456,7 +414,7 @@ mod tests {
         l.expire(64);
         assert!(l.is_empty());
         assert_eq!(l.num_segments(), 0);
-        assert!(l.first().is_none());
+        assert_eq!(l.iter().count(), 0);
     }
 
     #[test]
@@ -482,10 +440,9 @@ mod tests {
         l.check_invariants(0);
         // The run iterates in arrival order regardless of boundaries.
         assert_eq!(seqs_of(l.iter()), (1..=9).collect::<Vec<_>>());
-        // All boundary semantics treat the run as one group.
-        assert_eq!(l.iter_at_or_above(w(0.5)).count(), 9);
+        // The descent's boundary treats the run as one group.
         assert_eq!(l.iter_at_or_below(w(0.5)).count(), 9);
-        assert_eq!(l.iter_below(w(0.5)).count(), 0);
+        assert_eq!(l.iter_at_or_below(w(0.49)).count(), 0);
         // A descent cursor opened at the run walks all of it across the
         // boundaries.
         assert_eq!(
@@ -506,10 +463,11 @@ mod tests {
             (4, 0.02),
         ]);
         assert!(l.num_segments() > 1);
-        assert_eq!(seqs_of(l.iter_below(w(0.07))), vec![8, 2, 4]);
-        assert_eq!(seqs_of(l.iter_at_or_above(w(0.07))), vec![9, 7, 1, 5]);
+        assert_eq!(seqs_of(l.iter_at_or_below(w(0.06))), vec![8, 2, 4]);
         assert_eq!(seqs_of(l.iter_at_or_below(w(0.07))), vec![5, 8, 2, 4]);
-        assert_eq!(l.first(), Some(Posting::new(9, w(0.16))));
+        assert_eq!(l.iter_at_or_below(w(0.16)).count(), 7);
+        assert_eq!(l.iter_at_or_below(w(0.01)).count(), 0);
+        assert_eq!(l.iter().next(), Some(Posting::new(9, w(0.16))));
     }
 
     #[test]
@@ -517,9 +475,8 @@ mod tests {
         let l = SegmentedImpactList::new();
         assert!(l.is_empty());
         assert_eq!(l.capacity, DEFAULT_SEGMENT_CAPACITY);
-        assert!(l.first().is_none());
-        assert_eq!(l.iter_below(w(1.0)).count(), 0);
-        assert_eq!(l.iter_at_or_above(w(0.0)).count(), 0);
+        assert_eq!(l.iter().count(), 0);
+        assert_eq!(l.iter_at_or_below(w(1.0)).count(), 0);
         assert_eq!(l.heap_bytes(), 0);
         l.check_invariants(0);
     }
