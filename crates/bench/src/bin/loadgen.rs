@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use cts_core::validate::sample_queries;
+use cts_bench::sweep::sample_queries;
 use cts_core::{
     Admission, ContinuousQuery, Engine, ItaConfig, ItaEngine, ServiceConfig, ShardedItaEngine,
     StreamService,

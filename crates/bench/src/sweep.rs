@@ -24,7 +24,7 @@
 //! materialised, so peak memory stays at one engine's footprint — and the
 //! harness cross-checks them anyway: `ita`'s final top-k for a sample of
 //! queries is snapshotted and every other arm must reproduce it exactly
-//! ([`cts_core::validate::compare_to_snapshot`]). A cell that diverges
+//! (`compare_to_snapshot`). A cell that diverges
 //! panics; the sweep is therefore also a paper-scale integration test.
 //!
 //! Reports serialise to machine-readable JSON (`BENCH_fig3a.json` /
@@ -32,15 +32,13 @@
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use cts_core::validate::{
-    compare_to_snapshot, sample_queries, snapshot_results, DEFAULT_TOLERANCE,
-};
 use cts_core::{
-    ContinuousQuery, Engine, ItaConfig, ItaEngine, NaiveConfig, NaiveEngine, ProcessingStats,
-    RankedDocument, ShardedItaEngine,
+    ContinuousQuery, Engine, ItaConfig, ItaEngine, ProcessingStats, RankedDocument,
+    ShardedItaEngine,
 };
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::{QueryId, SlidingWindow};
+use cts_reference::{results_match, Divergence, NaiveConfig, NaiveEngine, DEFAULT_TOLERANCE};
 use cts_text::weighting::Scoring;
 use cts_text::Dictionary;
 use serde::Serialize;
@@ -318,6 +316,51 @@ fn drive<E: Engine>(
         self_check: String::new(),
     };
     (report, query_ids)
+}
+
+/// Captures the current top-k of every query in `queries`, in order. The
+/// arms of a cell are never alive at the same time (that halves peak
+/// memory), so the first arm is snapshotted and dropped, and every later arm
+/// is compared against the snapshot with [`compare_to_snapshot`].
+fn snapshot_results<E: Engine>(engine: &E, queries: &[QueryId]) -> Vec<Vec<RankedDocument>> {
+    queries.iter().map(|&q| engine.current_results(q)).collect()
+}
+
+/// Compares `candidate`'s current results against a snapshot previously
+/// taken with [`snapshot_results`] over the same `queries`, returning the
+/// first divergence found.
+fn compare_to_snapshot<C: Engine>(
+    reference_name: &'static str,
+    snapshot: &[Vec<RankedDocument>],
+    candidate: &C,
+    queries: &[QueryId],
+    tolerance: f64,
+) -> Result<(), Box<Divergence>> {
+    assert_eq!(
+        snapshot.len(),
+        queries.len(),
+        "snapshot and query list must be parallel"
+    );
+    for (&query, expected) in queries.iter().zip(snapshot) {
+        let actual = candidate.current_results(query);
+        if !results_match(expected, &actual, tolerance) {
+            return Err(Box::new(Divergence {
+                query,
+                reference_name,
+                candidate_name: candidate.name(),
+                reference: expected.clone(),
+                candidate: actual,
+            }));
+        }
+    }
+    Ok(())
+}
+
+/// Every `stride`-th query of `queries` (always including the first), the
+/// sampling used by paper-scale self-checks where comparing all 1,000
+/// queries after every cell would dominate the run.
+pub fn sample_queries(queries: &[QueryId], stride: usize) -> Vec<QueryId> {
+    queries.iter().step_by(stride.max(1)).copied().collect()
 }
 
 /// The `ita` arm's final top-k for every `stride`-th query: what every other
@@ -649,6 +692,50 @@ mod tests {
         // The headline claim, visible even at toy scale: ITA touches fewer
         // (query, update) pairs per event than the all-queries baseline.
         assert!(ita.queries_touched_per_event < naive.queries_touched_per_event);
+    }
+
+    #[test]
+    fn snapshot_comparison_matches_live_comparison() {
+        use cts_index::{DocId, Document, Timestamp};
+        use cts_reference::BruteForceOracle;
+        use cts_text::{TermId, WeightedVector};
+        let window = SlidingWindow::count_based(5);
+        let mut a = BruteForceOracle::new(window);
+        let mut b = BruteForceOracle::new(window);
+        let q = a.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 2));
+        b.register(ContinuousQuery::from_weights([(TermId(1), 1.0)], 2));
+        for i in 0..8u64 {
+            let d = Document::new(
+                DocId(i),
+                Timestamp::from_millis(i),
+                WeightedVector::from_weights([(TermId(1), 0.1 * (i % 4 + 1) as f64)]),
+            );
+            a.process_document(d.clone());
+            b.process_document(d);
+        }
+        let queries = [q];
+        let snap = snapshot_results(&a, &queries);
+        compare_to_snapshot("oracle-a", &snap, &b, &queries, DEFAULT_TOLERANCE)
+            .expect("identical streams must match");
+        // Perturb b and the snapshot comparison must notice.
+        b.process_document(Document::new(
+            DocId(99),
+            Timestamp::from_millis(99),
+            WeightedVector::from_weights([(TermId(1), 9.0)]),
+        ));
+        let err = compare_to_snapshot("oracle-a", &snap, &b, &queries, DEFAULT_TOLERANCE)
+            .expect_err("divergence must be reported");
+        assert_eq!(err.query, q);
+        assert_eq!(err.reference_name, "oracle-a");
+    }
+
+    #[test]
+    fn sample_queries_takes_every_stride_th() {
+        let ids: Vec<QueryId> = (0..10).map(QueryId).collect();
+        let sampled = sample_queries(&ids, 4);
+        assert_eq!(sampled, vec![QueryId(0), QueryId(4), QueryId(8)]);
+        assert_eq!(sample_queries(&ids, 0).len(), 10);
+        assert!(sample_queries(&[], 3).is_empty());
     }
 
     #[test]

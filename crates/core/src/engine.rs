@@ -169,7 +169,7 @@ pub trait Engine {
     /// The arm lives in the shard's worker and dies with it: arming a shard
     /// twice before an event faults it once, and the rebuilt worker starts
     /// with nothing armed. Returns whether a fault was armed. The default is a no-op returning
-    /// `false` — which is what lets the testkit's chaos scripts run in
+    /// `false` — which is what lets `cts-reference`'s chaos scripts run in
     /// lockstep against fault-free reference engines.
     fn inject_fault(&mut self, _shard: usize) -> bool {
         false
@@ -182,9 +182,10 @@ pub trait Engine {
     }
 
     /// Audits the engine's internal structural invariants, panicking with a
-    /// description on violation. The testkit lockstep runner calls this on
-    /// every engine after every op when the `invariant-checks` feature (or a
-    /// unit-test build) is active, so a differential suite catches a
+    /// description on violation. `cts-reference`'s lockstep runner calls
+    /// this on every engine after every op when that crate's
+    /// `invariant-checks` feature (or its unit-test build) is active, so a
+    /// differential suite catches a
     /// corrupted structure at the op that corrupted it instead of at the
     /// first divergent result. Engines without deep checks inherit this
     /// no-op default.
@@ -192,7 +193,7 @@ pub trait Engine {
 }
 
 /// Mutable references to engines are engines: harnesses that want to drive
-/// an engine they do not own (e.g. the testkit's lockstep runner over a
+/// an engine they do not own (e.g. `cts-reference`'s lockstep runner over a
 /// caller-owned pair, so the caller can inspect concrete state afterwards)
 /// box `&mut E` instead of `E`. Every method delegates — including
 /// [`Engine::process_batch`], which must reach the engine's native override

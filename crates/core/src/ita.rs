@@ -598,10 +598,9 @@ impl ItaEngine {
     /// referencing only valid (windowed) documents, term reference counts
     /// equal to the number of live referencing queries, and the paper's
     /// per-query invariant: every posting strictly above `θ_{Q,t}` is in `R`,
-    /// and `τ ≤ S_k`. Driven by the testkit
-    /// lockstep runner when the
-    /// `invariant-checks` feature (or a unit-test build) is active; far too
-    /// expensive for production paths.
+    /// and `τ ≤ S_k`. Driven by `cts-reference`'s lockstep runner when its
+    /// `invariant-checks` feature (or its unit-test build) is active, and by
+    /// this crate's unit tests; far too expensive for production paths.
     pub fn check_invariants(&self) {
         self.index.check_invariants();
         let live = self.index.live_terms();
@@ -777,7 +776,7 @@ impl Engine for ItaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::ScriptRng;
+    use cts_corpus::ScriptRng;
     use cts_index::DocId;
     use cts_text::WeightedVector;
 
@@ -1423,65 +1422,6 @@ mod tests {
             ));
         }
         assert_eq!(looped.register_postings_touched(), hits);
-    }
-
-    /// A stand-alone filtered engine resolves through its own window the way
-    /// the sharded coordinator does: the first registration of a fresh term
-    /// walks the window and builds the sealed chunks' term directories, and
-    /// the next one — the term fresh again after its query left — walks only
-    /// the unsealed tail. Both queries' results are the full-index engine's
-    /// and the oracle's.
-    #[test]
-    fn a_stand_alone_filtered_engine_resolves_from_directories() {
-        use crate::oracle::BruteForceOracle;
-        use cts_index::window_terms::CHUNK_DOCS;
-        let mut rng = ScriptRng::new(0xD1_2EC7);
-        let window = SlidingWindow::count_based(4 * CHUNK_DOCS);
-        let mut filtered = ItaEngine::term_filtered(window);
-        let mut full = ItaEngine::new(window, ItaConfig::default());
-        let mut oracle = BruteForceOracle::new(window);
-        // Two sealed chunks and a tail of 100 documents, 3–8 terms each.
-        let docs = 2 * CHUNK_DOCS as u64 + 100;
-        let mut chunk_entries = 0;
-        for i in 0..docs {
-            let terms: Vec<(u32, f64)> = (0..rng.range(3, 9))
-                .map(|_| (rng.below(60) as u32, 0.1 + rng.below(8) as f64 * 0.1))
-                .collect();
-            let d = doc(i, &terms);
-            if i < CHUNK_DOCS as u64 {
-                chunk_entries += d.composition.len() as u64;
-            }
-            filtered.process_document(d.clone());
-            full.process_document(d.clone());
-            oracle.process_document(d);
-        }
-        let queries = [
-            ContinuousQuery::from_weights([(TermId(7), 0.8), (TermId(8), 0.6)], 5),
-            ContinuousQuery::from_weights([(TermId(7), 0.3), (TermId(9), 0.95)], 3),
-        ];
-        let mut walks = Vec::new();
-        for query in queries {
-            let before = filtered.register_entries_walked();
-            let q = filtered.register(query.clone());
-            walks.push(filtered.register_entries_walked() - before);
-            assert_eq!(full.register(query.clone()), q);
-            assert_eq!(oracle.register(query), q);
-            assert_eq!(filtered.current_results(q), full.current_results(q));
-            assert_eq!(filtered.current_results(q), oracle.current_results(q));
-            filtered.check_invariants();
-            for engine in [&mut filtered as &mut dyn Engine, &mut full, &mut oracle] {
-                assert!(engine.deregister(q));
-            }
-        }
-        assert!(
-            walks[0] > 2 * chunk_entries,
-            "the first call walks the window"
-        );
-        assert!(
-            walks[1] < chunk_entries,
-            "the second call walked {} entries, a chunk holds {chunk_entries}",
-            walks[1]
-        );
     }
 
     /// Postings resolved by the window's owner are filed as they are: the

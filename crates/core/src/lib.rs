@@ -2,9 +2,11 @@
 //!
 //! This crate implements the contribution of the ICDE 2009 paper
 //! *"An Incremental Threshold Method for Continuous Text Search Queries"*
-//! (Mouratidis & Pang): the **Incremental Threshold Algorithm (ITA)**, plus
-//! the baselines it is evaluated against, and the one layer a caller puts
-//! around an engine.
+//! (Mouratidis & Pang): the **Incremental Threshold Algorithm (ITA)**, its
+//! query-partitioned form, and the one layer a caller puts around an engine.
+//! The references it is checked and measured against — the brute-force
+//! oracle, the top-`k_max` baseline of the paper's §IV and the lockstep
+//! testkit — live in the dev-only `cts-reference` crate.
 //!
 //! * [`ContinuousQuery`] — a registered query: weighted search terms and `k`.
 //! * [`ItaEngine`] — the paper's algorithm. Maintains, per query, a result
@@ -14,11 +16,6 @@
 //!   arrivals and expirations touch only the queries whose thresholds they
 //!   cross; an expired top-k document is replaced by an incremental
 //!   *refill* instead of recomputation.
-//! * [`NaiveEngine`] — the §II baseline enhanced with the top-`k_max`
-//!   materialised-view technique of Yi et al. (the competitor measured in the
-//!   paper's §IV).
-//! * [`BruteForceOracle`] — an exhaustive re-evaluator used by the test suite
-//!   to validate both engines.
 //! * [`ShardedItaEngine`] — ITA across query-partitioned worker shards, with
 //!   results byte-identical to [`ItaEngine`]'s, and event outcomes too up
 //!   to a shard's first fault (a faulted shard is rebuilt from the
@@ -55,22 +52,16 @@
 pub mod engine;
 pub mod fault;
 pub mod ita;
-pub mod naive;
-pub mod oracle;
 pub mod query;
 pub mod result;
 pub mod service;
 pub mod sharded;
 pub mod slab;
 pub mod stats;
-pub mod testkit;
-pub mod validate;
 
 pub use engine::{Engine, EventOutcome, IngestEvent, RankedDocument};
 pub use fault::{EngineError, FaultStats, ShardFault};
 pub use ita::{ItaConfig, ItaEngine, ItaQueryStats};
-pub use naive::{NaiveConfig, NaiveEngine};
-pub use oracle::BruteForceOracle;
 pub use query::ContinuousQuery;
 pub use result::ResultSet;
 pub use service::{Admission, DrainReport, ServiceConfig, ShedReason, StreamService};

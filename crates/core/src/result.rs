@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn random_updates_track_a_sorted_model() {
-        use crate::testkit::ScriptRng;
+        use cts_corpus::ScriptRng;
         // A small score palette makes ties (ranked by document id) routine.
         let palette = [0.1, 0.2, 0.2, 0.4, 0.7, 0.9];
         for seed in 0..16u64 {

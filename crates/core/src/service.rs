@@ -40,8 +40,8 @@
 //! [`Engine::process_batch`] is contractually byte-identical to the per-event
 //! loop. Feeding the [`DrainReport`]'s processed sequence to an unbounded
 //! reference engine therefore reproduces the service's results exactly — the
-//! lockstep contract the testkit's overload axis
-//! ([`crate::testkit::run_overload_session`]) enforces.
+//! lockstep contract the overload axis of `cts-reference`'s testkit
+//! (`run_overload_session`) enforces.
 //!
 //! Accounting is exact and checked on every operation:
 //! `offered == accepted + coalesced + shed + queue depth`

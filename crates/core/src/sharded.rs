@@ -1052,7 +1052,6 @@ impl Drop for ShardedItaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::assert_lockstep_event;
     use cts_text::{TermId, WeightedVector};
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {
@@ -1065,6 +1064,28 @@ mod tests {
 
     fn query(terms: &[(u32, f64)], k: usize) -> ContinuousQuery {
         ContinuousQuery::from_weights(terms.iter().map(|&(t, w)| (TermId(t), w)), k)
+    }
+
+    /// Feeds `doc` to both engines and asserts that they stay in lockstep:
+    /// the same event outcome (so a shard double-counting touched queries
+    /// fails even where results agree) and the same top-k on every query in
+    /// `queries`.
+    fn assert_lockstep_event(
+        reference: &mut ItaEngine,
+        sharded: &mut ShardedItaEngine,
+        doc: &Document,
+        queries: &[QueryId],
+    ) {
+        let expected = reference.process_document(doc.clone());
+        let actual = sharded.process_document(doc.clone());
+        assert_eq!(expected, actual, "event outcomes diverged on {}", doc.id);
+        for &query in queries {
+            assert_eq!(
+                reference.current_results(query),
+                sharded.current_results(query),
+                "results diverged on {query}"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`Vocabulary`] — optional human-readable synthetic word strings so that
 //!   examples can show real-looking text while the benchmarks work directly
 //!   with term ids.
+//! * [`ScriptRng`] — the SplitMix64 generator the differential suites build
+//!   their seeded op scripts with.
 //!
 //! DESIGN.md §3 documents why these substitutions preserve the behaviour the
 //! paper measures.
@@ -49,6 +51,7 @@ pub mod config;
 pub mod distributions;
 pub mod generator;
 pub mod queries;
+pub mod script_rng;
 pub mod stream;
 pub mod vocabulary;
 
@@ -57,5 +60,6 @@ pub use config::{CorpusConfig, StreamConfig, WorkloadConfig};
 pub use distributions::{LogNormal, Zipf};
 pub use generator::SyntheticCorpus;
 pub use queries::{QuerySpec, QueryWorkload, TermSelection};
+pub use script_rng::ScriptRng;
 pub use stream::DocumentStream;
 pub use vocabulary::Vocabulary;

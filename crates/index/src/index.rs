@@ -430,7 +430,7 @@ impl InvertedIndex {
     ///   each is a true one, so equal counts mean a term is live **iff** its
     ///   list holds exactly the window's postings for it.
     ///
-    /// Driven per-op by the testkit lockstep runner under the
+    /// Driven per-op by `cts-reference`'s lockstep runner under its
     /// `invariant-checks` feature (and in unit tests); not called on hot
     /// paths.
     pub fn check_invariants(&self) {

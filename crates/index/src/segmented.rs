@@ -278,8 +278,8 @@ impl SegmentedImpactList {
     /// agreeing with the contents (the dead postings are exactly those below
     /// `front`), and no more than `live / 4 + 1` of them. Used by tests
     /// (notably the randomized differential test) after every mutation and by
-    /// the engine-level `check_invariants` audits (`invariant-checks`
-    /// feature); not called on hot paths.
+    /// the engine-level `check_invariants` audits (`cts-reference`'s
+    /// `invariant-checks` feature); not called on hot paths.
     pub fn check_invariants(&self, front: u64) {
         let mut total = 0;
         for (i, seg) in self.segments.iter().enumerate() {

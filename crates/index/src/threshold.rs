@@ -114,7 +114,8 @@ impl ThresholdTree {
     /// on violation: entries strictly ascending by `(θ, Q)` — which implies
     /// no duplicate entry — so `affected_by`'s `partition_point` + prefix
     /// scan is sound. Driven by the engine-level `check_invariants` audits
-    /// (`invariant-checks` feature) and tests; not called on hot paths.
+    /// (`cts-reference`'s `invariant-checks` feature) and tests; not called
+    /// on hot paths.
     pub fn check_invariants(&self) {
         for pair in self.entries.windows(2) {
             assert!(

@@ -20,10 +20,7 @@ use std::sync::Arc;
 
 use cts_index::{QueryId, SlidingWindow, Timestamp, WindowTerms};
 
-use crate::engine::{Engine, EventOutcome};
-use crate::query::ContinuousQuery;
-use crate::result::{RankedDocument, ResultSet};
-use crate::slab::QuerySlab;
+use cts_core::{ContinuousQuery, Engine, EventOutcome, QuerySlab, RankedDocument, ResultSet};
 
 /// Tuning knobs of the [`NaiveEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -2,26 +2,24 @@
 //!
 //! [`BruteForceOracle`] keeps no per-query state at all: it stores the valid
 //! documents and, when asked for a query's results, scores **every** valid
-//! document from scratch. It is the slowest possible correct implementation,
-//! which is precisely what makes it the ground truth the test suite validates
-//! [`crate::ItaEngine`] and [`crate::NaiveEngine`] against — any divergence
-//! is a bug in the incremental machinery, never in the oracle.
+//! document from scratch and ranks them with a plain sort. It is the slowest
+//! possible correct implementation, which is precisely what makes it the
+//! ground truth the test suites validate [`cts_core::ItaEngine`] and
+//! [`crate::NaiveEngine`] against — any divergence is a bug in the
+//! incremental machinery, never in the oracle.
 
 use std::collections::{BTreeMap, VecDeque};
 
+use cts_core::{ContinuousQuery, Engine, EventOutcome, RankedDocument};
 use cts_index::{Document, QueryId, SlidingWindow, Timestamp};
-
-use crate::engine::{Engine, EventOutcome};
-use crate::query::ContinuousQuery;
-use crate::result::{RankedDocument, ResultSet};
 
 /// The exhaustive re-evaluation engine.
 #[derive(Debug, Clone)]
 pub struct BruteForceOracle {
     window: SlidingWindow,
     /// The valid documents, oldest first — a plain list, kept apart from the
-    /// engines' `WindowTerms` so the reference shares no container code
-    /// with what it checks.
+    /// engines' `WindowTerms` (and ranked without their `ResultSet`) so the
+    /// reference shares no container code with what it checks.
     store: VecDeque<Document>,
     queries: BTreeMap<QueryId, ContinuousQuery>,
     next_query: u32,
@@ -86,14 +84,20 @@ impl Engine for BruteForceOracle {
         let Some(query) = self.queries.get(&query) else {
             return Vec::new();
         };
-        let mut results = ResultSet::new();
-        for doc in self.store.iter() {
-            let score = query.score(&doc.composition);
-            if score > 0.0 {
-                results.insert(doc.id, score);
-            }
-        }
-        results.top(query.k())
+        let mut results: Vec<RankedDocument> = self
+            .store
+            .iter()
+            .map(|doc| RankedDocument {
+                doc: doc.id,
+                score: query.score(&doc.composition),
+            })
+            .filter(|ranked| ranked.score > 0.0)
+            .collect();
+        // The ranking rule (DESIGN §4), written out: score descending, ties
+        // by ascending document id.
+        results.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        results.truncate(query.k());
+        results
     }
 
     fn num_queries(&self) -> usize {

@@ -5,14 +5,11 @@
 //! operations (query registration/deregistration, single stream events,
 //! whole bursts) applied in lockstep to several engines, equality asserted
 //! after every step, and — on failure — output that lets a human reproduce
-//! and understand the divergence. Before this module, that machinery was
-//! re-implemented in `tests/sharded_equivalence.rs`,
-//! `tests/paper_scale_soak.rs` and `cts-index`'s
-//! `tests/differential_impact_list.rs`; now they all share it:
+//! and understand the divergence. The suites share this module for it:
 //!
-//! * [`ScriptRng`] — a tiny deterministic SplitMix64 generator, so scripts
-//!   are reproducible from a single `u64` seed with no external dependency
-//!   (the suites in other crates reuse it too).
+//! * [`ScriptRng`] — `cts-corpus`'s tiny deterministic SplitMix64
+//!   generator, so scripts are reproducible from a single `u64` seed with
+//!   no external dependency.
 //! * [`Op`] / [`OpScript`] / [`generate_script`] — a concrete, printable op
 //!   script: register/deregister/feed/feed-batch with tie-heavy documents
 //!   and arbitrary arrival gaps (a gap of zero produces equal timestamps,
@@ -22,7 +19,7 @@
 //!   synthetic WSJ stream and runs it through the same runner.
 //! * [`run_script`] — the lockstep runner over `N` boxed [`Engine`]s:
 //!   engine 0 is the reference; every op must produce identical query-id
-//!   assignment, identical [`crate::EventOutcome`]s (optional, for engines
+//!   assignment, identical [`cts_core::EventOutcome`]s (optional, for engines
 //!   with identical accounting, e.g. ITA vs sharded ITA, and only up to a
 //!   candidate's first fault) and identical top-k on every (sampled) live
 //!   query. Failures are returned as data, not panics, so the minimizer can
@@ -40,62 +37,12 @@ use std::fmt;
 use cts_index::{DocId, Document, QueryId, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
-use crate::engine::{Engine, IngestEvent};
-use crate::query::ContinuousQuery;
-use crate::service::{Admission, ServiceConfig, StreamService};
-use crate::stats::OverloadStats;
-use crate::validate::{results_match, DEFAULT_TOLERANCE};
+use cts_core::{
+    Admission, ContinuousQuery, Engine, IngestEvent, OverloadStats, ServiceConfig, StreamService,
+};
+use cts_corpus::ScriptRng;
 
-/// A tiny deterministic pseudo-random generator (SplitMix64) for building
-/// reproducible op scripts from a single `u64` seed.
-///
-/// Deliberately not `rand`: the testkit ships in the library crate (so
-/// other crates' test suites can reuse it) and a 10-line generator keeps it
-/// dependency-free while remaining statistically fine for fuzzing-style
-/// interleavings.
-#[derive(Debug, Clone)]
-pub struct ScriptRng {
-    state: u64,
-}
-
-impl ScriptRng {
-    /// Creates a generator for `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// The next raw 64-bit output.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw from `[0, bound)`. `bound` must be positive.
-    pub fn below(&mut self, bound: usize) -> usize {
-        assert!(bound > 0, "empty range");
-        // Multiply-shift keeps the draw uniform enough for test scripts
-        // without a rejection loop.
-        ((u128::from(self.next_u64()) * bound as u128) >> 64) as usize
-    }
-
-    /// A uniform draw from `[lo, hi)`.
-    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + self.below(hi - lo)
-    }
-
-    /// A Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        ((self.next_u64() >> 11) as f64) / ((1u64 << 53) as f64) < p
-    }
-
-    /// A uniform pick from `values`.
-    pub fn pick<'a, T>(&mut self, values: &'a [T]) -> &'a T {
-        &values[self.below(values.len())]
-    }
-}
+use crate::{results_match, DEFAULT_TOLERANCE};
 
 /// One operation of a differential script.
 #[derive(Debug, Clone)]
@@ -454,15 +401,15 @@ impl<E: Engine> Engine for LoopRegister<E> {
         self.0.deregister(query)
     }
 
-    fn process_document(&mut self, doc: Document) -> crate::EventOutcome {
+    fn process_document(&mut self, doc: Document) -> cts_core::EventOutcome {
         self.0.process_document(doc)
     }
 
-    fn process_batch(&mut self, docs: Vec<Document>) -> Vec<crate::EventOutcome> {
+    fn process_batch(&mut self, docs: Vec<Document>) -> Vec<cts_core::EventOutcome> {
         self.0.process_batch(docs)
     }
 
-    fn current_results(&self, query: QueryId) -> Vec<crate::RankedDocument> {
+    fn current_results(&self, query: QueryId) -> Vec<cts_core::RankedDocument> {
         self.0.current_results(query)
     }
 
@@ -486,7 +433,7 @@ impl<E: Engine> Engine for LoopRegister<E> {
         self.0.inject_fault(shard)
     }
 
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
+    fn fault_stats(&self) -> Option<cts_core::FaultStats> {
         self.0.fault_stats()
     }
 
@@ -498,7 +445,7 @@ impl<E: Engine> Engine for LoopRegister<E> {
 /// Knobs of [`run_script`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Compare per-event [`crate::EventOutcome`]s across engines. Enable
+    /// Compare per-event [`cts_core::EventOutcome`]s across engines. Enable
     /// for engines with identical work accounting (ITA vs sharded ITA;
     /// batch vs singles); disable when comparing engines that count work
     /// differently (ITA vs the naïve baseline). Either way a candidate's
@@ -893,11 +840,11 @@ impl OverloadConfig {
 ///   (`offered == accepted + coalesced + shed + depth`);
 /// * the service's own timing stats count exactly what it drained:
 ///   `stats().events == accepted + coalesced`, and `stats().batches` is the
-///   sum of every [`crate::service::DrainReport::batches`];
+///   sum of every [`cts_core::DrainReport::batches`];
 /// * registrations and deregistrations mirror to the reference at offer
 ///   time, with identical id assignment;
 /// * every event the service reports processed is replayed into the
-///   reference, with identical [`crate::EventOutcome`]s up to the
+///   reference, with identical [`cts_core::EventOutcome`]s up to the
 ///   candidate's first fault, and periodically identical top-k results on
 ///   all live queries (and, under the `invariant-checks` feature or a
 ///   unit-test build, a clean [`Engine::check_invariants`] audit of the
@@ -956,7 +903,7 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         );
     };
 
-    let mirror_report = |report: &crate::service::DrainReport,
+    let mirror_report = |report: &cts_core::DrainReport,
                          reference: &mut R,
                          queued: &mut BTreeMap<u64, Document>,
                          outcomes_held: bool,
@@ -1096,8 +1043,8 @@ pub fn run_overload_session<C: Engine, R: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ita::{ItaConfig, ItaEngine};
-    use crate::sharded::ShardedItaEngine;
+    use crate::{NaiveConfig, NaiveEngine};
+    use cts_core::{ItaConfig, ItaEngine, ShardedItaEngine};
     use cts_index::SlidingWindow;
 
     /// Number of stream events `script` feeds (counting batch members).
@@ -1262,6 +1209,41 @@ mod tests {
         assert!(run_script(&mut make(), &minimized, &RunOptions::default()).is_err());
     }
 
+    /// Engines whose results agree can still do different work: the
+    /// runner's outcome check is what tells them apart, and
+    /// `compare_outcomes: false` is what lets ITA run in lockstep with the
+    /// naïve baseline.
+    #[test]
+    fn outcome_comparison_separates_engines_whose_results_agree() {
+        let window = SlidingWindow::count_based(4);
+        let make = || -> Vec<Box<dyn Engine>> {
+            vec![
+                Box::new(ItaEngine::new(window, ItaConfig::default())),
+                Box::new(NaiveEngine::new(window, NaiveConfig::default())),
+            ]
+        };
+        let mut script = OpScript::new(0);
+        script.push(Op::Register(ContinuousQuery::from_weights(
+            [(TermId(1), 1.0)],
+            1,
+        )));
+        // No query uses its term: the naïve baseline touches every query,
+        // ITA none, and both report no results.
+        script.push(Op::Feed(Document::new(
+            DocId(0),
+            Timestamp::ZERO,
+            WeightedVector::from_weights([(TermId(2), 0.5)]),
+        )));
+        let failure = run_script(&mut make(), &script, &RunOptions::default())
+            .expect_err("the outcomes differ");
+        assert!(failure.message.contains("outcomes diverged"), "{failure}");
+        let results_only = RunOptions {
+            compare_outcomes: false,
+            ..RunOptions::default()
+        };
+        assert!(run_script(&mut make(), &script, &results_only).is_ok());
+    }
+
     #[test]
     #[should_panic(expected = "testkit: engines diverged")]
     fn assert_script_equivalence_panics_with_the_seed() {
@@ -1309,10 +1291,10 @@ mod tests {
         fn deregister(&mut self, _: QueryId) -> bool {
             unimplemented!("audit-only stub")
         }
-        fn process_document(&mut self, _: Document) -> crate::EventOutcome {
+        fn process_document(&mut self, _: Document) -> cts_core::EventOutcome {
             unimplemented!("audit-only stub")
         }
-        fn current_results(&self, _: QueryId) -> Vec<crate::RankedDocument> {
+        fn current_results(&self, _: QueryId) -> Vec<cts_core::RankedDocument> {
             unimplemented!("audit-only stub")
         }
         fn num_queries(&self) -> usize {

@@ -3,7 +3,7 @@
 //! shard counts {1, 2, 4, 8} — including deregistrations between batches
 //! and window expiries that fall mid-batch.
 //!
-//! Three angles, the first two driven by [`cts_core::testkit`]:
+//! Three angles, the first two driven by [`cts_reference::testkit`]:
 //!
 //! * scripted: batched op scripts run over `[ItaEngine, ShardedItaEngine]`
 //!   pairs — the reference's `process_batch` is the default per-event loop,
@@ -16,11 +16,12 @@
 //!   twin sharded engines, through faults — a single event *is* a burst of
 //!   one.
 
-use cts_core::testkit::{assert_script_equivalence, generate_script, Op, ScriptConfig, ScriptRng};
 use cts_core::{
     ContinuousQuery, Engine, EventOutcome, FaultStats, ItaConfig, ItaEngine, ShardedItaEngine,
 };
+use cts_corpus::ScriptRng;
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
+use cts_reference::testkit::{assert_script_equivalence, generate_script, Op, ScriptConfig};
 use cts_text::{TermId, WeightedVector};
 
 fn pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {

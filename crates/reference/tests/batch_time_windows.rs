@@ -18,12 +18,10 @@
 
 use std::time::Duration;
 
-use cts_core::testkit::{assert_script_equivalence, ScriptConfig};
-use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, NaiveConfig, NaiveEngine,
-    ShardedItaEngine,
-};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
 use cts_index::{DocId, Document, SlidingWindow, Timestamp, WindowKind};
+use cts_reference::testkit::{assert_script_equivalence, ScriptConfig};
+use cts_reference::{BruteForceOracle, NaiveConfig, NaiveEngine};
 use cts_text::{TermId, WeightedVector};
 
 fn pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {

@@ -17,12 +17,13 @@
 
 use std::time::Duration;
 
-use cts_core::testkit::{
-    assert_script_equivalence, generate_script, run_script, Op, RunOptions, ScriptConfig, ScriptRng,
-};
-use cts_core::validate::assert_engines_agree;
-use cts_core::{BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
+use cts_corpus::ScriptRng;
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp, WindowTerms};
+use cts_reference::testkit::{
+    assert_script_equivalence, generate_script, run_script, Op, RunOptions, ScriptConfig,
+};
+use cts_reference::{assert_engines_agree, BruteForceOracle};
 use cts_text::{TermId, WeightedVector};
 
 fn faults(sharded: &ShardedItaEngine) -> u64 {

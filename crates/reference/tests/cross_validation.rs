@@ -11,12 +11,10 @@
 
 use std::time::Duration;
 
-use cts_core::validate::assert_engines_agree;
-use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, ItaConfig, ItaEngine, NaiveConfig, NaiveEngine,
-};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::{QueryId, SlidingWindow};
+use cts_reference::{assert_engines_agree, BruteForceOracle, NaiveConfig, NaiveEngine};
 use cts_text::weighting::Scoring;
 use cts_text::Dictionary;
 

@@ -17,12 +17,12 @@
 //! allocated past a full segment and one overflow) are checked after every
 //! step.
 //!
-//! The seeded randomness comes from [`cts_core::testkit::ScriptRng`] — the
+//! The seeded randomness comes from [`ScriptRng`] — the
 //! same deterministic generator behind the engine-level op-script suites —
 //! so every run reproduces from the `u64` seed baked into each test (echoed
 //! in every assertion context via the step index).
 
-use cts_core::testkit::ScriptRng;
+use cts_corpus::ScriptRng;
 use cts_index::{Posting, SegmentedImpactList};
 use cts_text::Weight;
 

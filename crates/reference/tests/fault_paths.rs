@@ -3,11 +3,9 @@
 //! unknown-query deregistration, typed `try_*` errors, empty batches,
 //! duplicate document ids and id minting under interleaved churn.
 
-use cts_core::validate::assert_engines_agree;
-use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, EngineError, ItaConfig, ShardedItaEngine,
-};
+use cts_core::{ContinuousQuery, Engine, EngineError, ItaConfig, ShardedItaEngine};
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
+use cts_reference::{assert_engines_agree, BruteForceOracle};
 use cts_text::{TermId, WeightedVector};
 
 fn engine(shards: usize) -> ShardedItaEngine {

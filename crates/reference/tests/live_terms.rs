@@ -27,12 +27,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cts_core::testkit::ScriptRng;
-use cts_core::{
-    BruteForceOracle, ContinuousQuery, Engine, EventOutcome, ItaConfig, ItaEngine, RankedDocument,
-};
+use cts_core::{ContinuousQuery, Engine, EventOutcome, ItaConfig, ItaEngine, RankedDocument};
+use cts_corpus::ScriptRng;
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::{DocId, Document, LiveTerms, QueryId, SlidingWindow, Timestamp, WindowTerms};
+use cts_reference::BruteForceOracle;
 use cts_text::weighting::Scoring;
 use cts_text::{Dictionary, TermId, Weight, WeightedVector};
 
@@ -437,4 +436,71 @@ fn a_filtered_engine_sizes_its_term_tables_by_live_terms() {
     let mut plain = ItaEngine::new(window, ItaConfig::default());
     plain.register_batch(queries[..500].to_vec());
     assert!(plain.index_stats().tree_slots > 181_000);
+}
+
+/// A stand-alone filtered engine resolves through its own window the way
+/// the sharded coordinator does: the first registration of a fresh term
+/// walks the window and builds the sealed chunks' term directories, and
+/// the next one — the term fresh again after its query left — walks only
+/// the unsealed tail. Both queries' results are the full-index engine's
+/// and the oracle's.
+#[test]
+fn a_stand_alone_filtered_engine_resolves_from_directories() {
+    use cts_index::window_terms::CHUNK_DOCS;
+    let mut rng = ScriptRng::new(0xD1_2EC7);
+    let window = SlidingWindow::count_based(4 * CHUNK_DOCS);
+    let mut filtered = ItaEngine::term_filtered(window);
+    let mut full = ItaEngine::new(window, ItaConfig::default());
+    let mut oracle = BruteForceOracle::new(window);
+    // Two sealed chunks and a tail of 100 documents, 3–8 terms each.
+    let docs = 2 * CHUNK_DOCS as u64 + 100;
+    let mut chunk_entries = 0;
+    for i in 0..docs {
+        let terms: Vec<(TermId, f64)> = (0..rng.range(3, 9))
+            .map(|_| {
+                (
+                    TermId(rng.below(60) as u32),
+                    0.1 + rng.below(8) as f64 * 0.1,
+                )
+            })
+            .collect();
+        let d = Document::new(
+            DocId(i),
+            Timestamp::from_millis(i),
+            WeightedVector::from_weights(terms),
+        );
+        if i < CHUNK_DOCS as u64 {
+            chunk_entries += d.composition.len() as u64;
+        }
+        filtered.process_document(d.clone());
+        full.process_document(d.clone());
+        oracle.process_document(d);
+    }
+    let queries = [
+        ContinuousQuery::from_weights([(TermId(7), 0.8), (TermId(8), 0.6)], 5),
+        ContinuousQuery::from_weights([(TermId(7), 0.3), (TermId(9), 0.95)], 3),
+    ];
+    let mut walks = Vec::new();
+    for query in queries {
+        let before = filtered.register_entries_walked();
+        let q = filtered.register(query.clone());
+        walks.push(filtered.register_entries_walked() - before);
+        assert_eq!(full.register(query.clone()), q);
+        assert_eq!(oracle.register(query), q);
+        assert_eq!(filtered.current_results(q), full.current_results(q));
+        assert_eq!(filtered.current_results(q), oracle.current_results(q));
+        filtered.check_invariants();
+        for engine in [&mut filtered as &mut dyn Engine, &mut full, &mut oracle] {
+            assert!(engine.deregister(q));
+        }
+    }
+    assert!(
+        walks[0] > 2 * chunk_entries,
+        "the first call walks the window"
+    );
+    assert!(
+        walks[1] < chunk_entries,
+        "the second call walked {} entries, a chunk holds {chunk_entries}",
+        walks[1]
+    );
 }

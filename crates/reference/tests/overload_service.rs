@@ -8,12 +8,13 @@
 //! admission must stay explicit (`Accepted`/`Shed`, never a deadlock or a
 //! silently dropped ack) even while a worker is dead.
 
-use cts_core::testkit::{run_overload_session, OverloadConfig, ScriptRng};
 use cts_core::{
     Admission, ContinuousQuery, Engine, IngestEvent, ItaConfig, ItaEngine, ServiceConfig,
     ShardedItaEngine, ShedReason, StreamService,
 };
+use cts_corpus::ScriptRng;
 use cts_index::{DocId, Document, SlidingWindow, Timestamp};
+use cts_reference::testkit::{run_overload_session, OverloadConfig};
 use cts_text::{TermId, WeightedVector};
 
 fn sharded(window: SlidingWindow, shards: usize) -> ShardedItaEngine {
@@ -70,9 +71,9 @@ fn overload_lockstep_holds_across_shards_and_policies() {
 
 /// The acceptance burst: arrival rate 10× the drain budget at the
 /// 1,000-query/10k-window point, across shard counts, with injected faults.
-/// Release-only (run by the soak job via `--ignored`).
+/// Release-only (run by the `overload` tier of `scripts/verify.sh`).
 #[test]
-#[ignore = "acceptance-scale overload soak; run with --release -- --ignored"]
+#[ignore = "acceptance-scale overload soak; run via scripts/verify.sh overload"]
 fn ten_x_burst_stays_live_and_exact_at_paper_scale() {
     let window = SlidingWindow::count_based(10_000);
     let config = OverloadConfig::ten_x();

@@ -3,7 +3,7 @@
 //! default `cargo test` stays fast. CI runs it in a dedicated job:
 //!
 //! ```text
-//! cargo test --release -p cts-core --test paper_scale_soak -- --ignored
+//! cargo test --release -p cts-reference --test paper_scale_soak -- --ignored
 //! ```
 //!
 //! `dead_postings_stay_within_a_quarter_over_a_hundred_turnovers` soaks the
@@ -52,7 +52,7 @@ fn brute_force_top(engine: &ItaEngine, query: &ContinuousQuery) -> Vec<(u64, f64
 }
 
 #[test]
-#[ignore = "paper-scale soak: minutes in release mode; run via cargo test --release -- --ignored"]
+#[ignore = "paper-scale soak: minutes in release mode; run via scripts/verify.sh soak"]
 fn ita_survives_a_paper_scale_soak() {
     let corpus = CorpusConfig {
         seed: 0x50AC_0001,
@@ -151,7 +151,7 @@ fn ita_survives_a_paper_scale_soak() {
 
 /// Sharded spot-check at paper scale: a 4-shard [`cts_core::ShardedItaEngine`]
 /// and the single-shard reference stream the same fill + workload +
-/// steady-state events — **as a corpus-built [`cts_core::testkit`] op
+/// steady-state events — **as a corpus-built [`cts_reference::testkit`] op
 /// script** driven by the shared lockstep runner, with the steady state
 /// split between single events and 64-document bursts so the batched
 /// fan-out is exercised at full scale too. Outcomes are compared on every
@@ -160,10 +160,10 @@ fn ita_survives_a_paper_scale_soak() {
 /// paper-scale engines to soak-job runtime). Minimization is deliberately
 /// skipped at this scale — the failure still reports the offending op.
 #[test]
-#[ignore = "paper-scale soak: minutes in release mode; run via cargo test --release -- --ignored"]
+#[ignore = "paper-scale soak: minutes in release mode; run via scripts/verify.sh soak"]
 fn sharded_ita_stays_exact_at_paper_scale() {
-    use cts_core::testkit::{run_script, Op, OpScript, RunOptions};
     use cts_core::ShardedItaEngine;
+    use cts_reference::testkit::{run_script, Op, OpScript, RunOptions};
 
     const SHARDS: usize = 4;
     const EVENTS: usize = 1_000;
@@ -278,7 +278,7 @@ fn rss_mib() -> Option<f64> {
 /// without bounding it. Sampled queries are checked against a brute-force
 /// evaluation, and every query's results agree between the two engines.
 #[test]
-#[ignore = "release-tier soak: about a minute in release mode; run via cargo test --release -- --ignored"]
+#[ignore = "release-tier soak: about a minute in release mode; run via scripts/verify.sh soak"]
 fn dead_postings_stay_within_a_quarter_over_a_hundred_turnovers() {
     const WINDOW: usize = 2_500;
     const TURNOVERS: usize = 100;

@@ -7,7 +7,7 @@
 //!
 //! All of the mechanics — the seeded op-script generator, the lockstep
 //! runner, and the failure path that echoes the seed and a minimized
-//! reproduction script — live in [`cts_core::testkit`]; this file only
+//! reproduction script — live in [`cts_reference::testkit`]; this file only
 //! states *which* engine pairs and stream shapes must agree. The default
 //! [`ScriptConfig`] is adversarial on purpose: a small vocabulary and a
 //! discrete weight palette force long tie runs and dense term sharing
@@ -17,9 +17,9 @@
 
 use std::time::Duration;
 
-use cts_core::testkit::{assert_script_equivalence, LoopRegister, ScriptConfig};
 use cts_core::{Engine, ItaConfig, ItaEngine, ShardedItaEngine};
 use cts_index::SlidingWindow;
+use cts_reference::testkit::{assert_script_equivalence, LoopRegister, ScriptConfig};
 
 /// The reference/candidate pair every scenario drives: a single-shard
 /// [`ItaEngine`] against a [`ShardedItaEngine`] with `shards` workers.
@@ -51,7 +51,7 @@ fn sharded_matches_single_shard_under_count_based_windows() {
 /// hide behind a lucky query placement here.
 #[test]
 fn every_shard_mirrors_the_reference_window() {
-    use cts_core::testkit::{generate_script, run_script, RunOptions};
+    use cts_reference::testkit::{generate_script, run_script, RunOptions};
 
     for shards in [2usize, 4, 8] {
         let window = SlidingWindow::count_based(30);
@@ -117,7 +117,7 @@ fn sharded_matches_single_shard_with_heavy_query_churn() {
 }
 
 /// The registration-heavy axis: [`ScriptConfig::churn_storm`] scripts mix
-/// [`cts_core::testkit::Op::RegisterBurst`]s into the churn, and the engine
+/// [`cts_reference::testkit::Op::RegisterBurst`]s into the churn, and the engine
 /// set pits every registration strategy against the reference at once — a
 /// [`LoopRegister`]-pinned twin (bulk path disabled) and the sharded engine's
 /// one-round-trip-per-shard burst fan-out. Bulk merge, lists filed from

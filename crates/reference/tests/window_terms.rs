@@ -10,14 +10,14 @@
 //! time; every directory ever built equals a rebuild from its documents
 //! ([`WindowTerms::check_invariants`]); and a registration over built
 //! directories walks fewer composition entries than one chunk holds.
-//! Seeded randomness comes from [`cts_core::testkit::ScriptRng`], so every
+//! Seeded randomness comes from [`ScriptRng`], so every
 //! run reproduces from the `u64` seed baked into each test.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cts_core::testkit::ScriptRng;
+use cts_corpus::ScriptRng;
 use cts_index::window_terms::MAX_POSITIONS;
 use cts_index::{DocId, Document, SlidingWindow, TermPostings, Timestamp, WindowTerms};
 use cts_text::{TermId, WeightedVector};

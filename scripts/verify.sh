@@ -24,7 +24,7 @@ tier_lint() {
     # Clippy reads only compiled code, so it runs once more with the
     # feature that compiles testkit's invariant-checks-only blocks.
     cargo clippy --workspace --all-targets -- -D warnings
-    cargo clippy --workspace --all-targets --features cts-core/invariant-checks -- -D warnings
+    cargo clippy --workspace --all-targets --features cts-reference/invariant-checks -- -D warnings
     # A member that does not inherit [workspace.lints] is checked by
     # clippy's defaults only, and nothing above would notice: every
     # workspace member outside the vendored crates/compat/ stand-ins must
@@ -44,6 +44,33 @@ for path in missing:
     print(f"{path}: no [lints] workspace = true")
 sys.exit(1 if missing else 0)
 '
+    # Layering: no member may reach a crate above it, not even for its
+    # tests. A member whose dev-dependency depends, through normal
+    # dependencies, back on that member would compile against a second copy
+    # of itself (e.g. cts-core's tests reaching for cts-reference), so the
+    # references stay a layer above what they check.
+    cargo metadata --no-deps --format-version 1 | python3 -c '
+import json, sys
+packages = json.load(sys.stdin)["packages"]
+normal = {p["name"]: [d["name"] for d in p["dependencies"] if d["kind"] is None]
+          for p in packages}
+cycles = []
+for package in packages:
+    name = package["name"]
+    for dev in (d["name"] for d in package["dependencies"] if d["kind"] == "dev"):
+        closure, stack = set(), [dev]
+        while stack:
+            member = stack.pop()
+            if member in closure:
+                continue
+            closure.add(member)
+            stack.extend(normal.get(member, []))
+        if name in closure:
+            cycles.append(f"{name} dev-depends on {dev}, which depends on {name}")
+for cycle in cycles:
+    print(cycle)
+sys.exit(1 if cycles else 0)
+'
     # Intra-doc links: a deleted or private item that a public doc still
     # links to is a broken link, and only rustdoc sees it.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -61,6 +88,19 @@ sys.exit(1 if missing else 0)
             return 1
         fi
     done
+    # Each #[ignore]d test runs in exactly the tier that names it: a file
+    # holding one must be the --test target of some `-- --ignored` command
+    # in this script, so no tier has to build every release test target to
+    # find them.
+    local file target script=scripts/verify.sh
+    for file in $(grep -rlE --include='*.rs' '^\s*#\[ignore' crates); do
+        target=$(basename "$file" .rs)
+        if [[ $file != crates/*/tests/"$target".rs ]] ||
+            ! grep -Eq -- "--test $target( .*)? -- --ignored$" "$script"; then
+            echo "$file holds an #[ignore]d test that no '--test $target ... -- --ignored' command in $script runs" >&2
+            return 1
+        fi
+    done
 }
 
 tier_test() {
@@ -74,7 +114,7 @@ tier_test() {
     # is attributable at a glance: churn-storm scripts interleave
     # register_batch bursts with churn and hold bulk, per-query-loop and
     # sharded registration byte-identical across shard counts {1, 2, 4, 8}.
-    RUST_BACKTRACE=1 cargo test -q -p cts-core --test sharded_equivalence --test batch_equivalence churn_storm
+    RUST_BACKTRACE=1 cargo test -q -p cts-reference --test sharded_equivalence --test batch_equivalence churn_storm
     # The same lockstep runner with the per-op structural audits compiled
     # in: after every op, every engine's check_invariants walks threshold
     # trees, term refcounts, the complete-lists invariant of every shadow
@@ -98,7 +138,7 @@ tier_test() {
     # vs oracle), batch_time_windows (time windows, a timestamp stepping
     # backwards) and cts-index's unit tests cover the index-owned window
     # with the audits on.
-    RUST_BACKTRACE=1 cargo test -q -p cts-core --test sharded_equivalence --test batch_equivalence --test overload_service --test live_terms --test cross_validation --test batch_time_windows --features invariant-checks
+    RUST_BACKTRACE=1 cargo test -q -p cts-reference --test sharded_equivalence --test batch_equivalence --test overload_service --test live_terms --test cross_validation --test batch_time_windows --features invariant-checks
     RUST_BACKTRACE=1 cargo test -q -p cts-index --lib
     # The threshold descent's one cursor per list against the restart-at-θ
     # descent it replaced (kept in ita::tests): unit-test builds run every
@@ -110,7 +150,7 @@ tier_test() {
     # (count and time windows, every chunk-boundary case, directories built
     # at different moments, a document too long for a u16 position that
     # keeps its chunk walked).
-    RUST_BACKTRACE=1 cargo test -q -p cts-index --test window_terms
+    RUST_BACKTRACE=1 cargo test -q -p cts-reference --test window_terms
     # The benchmark is a package of its own (BENCHMARK.json builds it from
     # inside its directory), so nothing above compiles it: build it the way
     # the pipeline does, so that a public item it uses going missing fails
@@ -134,14 +174,14 @@ tier_chaos() {
     # included); sharded::tests the worker lifecycle (a worker gone before
     # an event, arms that die with it, a worker panic's message reaching
     # the caller).
-    RUST_BACKTRACE=1 cargo test -q -p cts-core --test chaos_recovery --test fault_paths
+    RUST_BACKTRACE=1 cargo test -q -p cts-reference --test chaos_recovery --test fault_paths
     RUST_BACKTRACE=1 cargo test -q -p cts-core --lib sharded::tests
     # The same suites with the per-op structural audits on: after every
     # script op every engine runs check_invariants() — the coordinator's
     # window mirror, and on every healthy shard its trees, lists, that its
     # store is the mirror and that it hosts exactly the queries that hash
     # to it — through faults and rebuilds.
-    RUST_BACKTRACE=1 cargo test -q -p cts-core --test chaos_recovery --test fault_paths --features invariant-checks
+    RUST_BACKTRACE=1 cargo test -q -p cts-reference --test chaos_recovery --test fault_paths --features invariant-checks
 }
 
 tier_soak() {
@@ -150,8 +190,9 @@ tier_soak() {
     # spot-checks, plus the sharded spot-check (a 4-shard engine and the
     # single-shard reference driven through a corpus-built testkit op
     # script, bursts included), and the 100-turnover dead-postings soak.
-    # #[ignore]d so the test tier stays fast.
-    RUST_BACKTRACE=1 cargo test --release -- --ignored
+    # #[ignore]d so the test tier stays fast. Only this target is built:
+    # overload_service's #[ignore]d soak is the overload tier's.
+    RUST_BACKTRACE=1 cargo test --release -p cts-reference --test paper_scale_soak -- --ignored
 }
 
 tier_overload() {
@@ -160,10 +201,10 @@ tier_overload() {
     # unbounded reference across shard counts {1, 2, 4, 8} with injected
     # faults (no pump may return with a shard left degraded), and the shed
     # path staying non-blocking while a worker is dead.
-    RUST_BACKTRACE=1 cargo test -q -p cts-core --test overload_service
+    RUST_BACKTRACE=1 cargo test -q -p cts-reference --test overload_service
     # The 10x-burst soak at the paper's 1,000-query / 10k-window point,
     # release-only (it is #[ignore]d out of the test tier).
-    RUST_BACKTRACE=1 cargo test --release -p cts-core --test overload_service -- --ignored
+    RUST_BACKTRACE=1 cargo test --release -p cts-reference --test overload_service -- --ignored
     # Loadgen at a fixed seed: drives a 10x-overload burst profile through
     # the bounded service, mirrors every accepted event into an unbounded
     # reference (panics on divergence), and writes the latency/shed report.
