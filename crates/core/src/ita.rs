@@ -2,9 +2,10 @@
 //!
 //! [`ItaEngine`] maintains, for every registered query `Q`:
 //!
-//! * a result set `R` ([`crate::ResultSet`]) holding the verified top-k
-//!   **and** every other valid document lying above the query's search
-//!   frontier (the paper's *unverified* documents);
+//! * a result set `R` holding the verified top-k **and** every other valid
+//!   document lying above the query's search frontier (the paper's
+//!   *unverified* documents): the top-k in rank order, the rest in window
+//!   order (`crate::result`, DESIGN.md §6 "The layout of R");
 //! * one *local threshold* `θ_{Q,t}` per query term, the impact weight down
 //!   to which the threshold search has examined the inverted list `L_t`; and
 //! * the *influence threshold* `τ = Σ_t w_{Q,t}·θ_{Q,t}`, an upper bound on
@@ -45,9 +46,10 @@
 //! tie runs that a segment split leaves straddling two segments — and skip
 //! the dead postings expiry leaves in place, while a head-term arrival
 //! shifts at most one segment instead of a window-length `Vec` tail. A
-//! posting names its document by the window's arrival sequence number, so
-//! the descent reads the id for its `R` membership test and the
-//! composition it scores by one index each into the window. The
+//! posting names its document by the window's arrival sequence number, and
+//! so does an entry of `R`: the descent tests membership by sequence
+//! number, and reads the id and the composition of a document it scores by
+//! one index each into the window. The
 //! `ita_brute_force_agreement_beyond_segment_capacity` test pins the
 //! boundary behaviour at engine level.
 
@@ -71,7 +73,7 @@ use cts_text::{TermId, Weight, WeightedTerm};
 
 use crate::engine::{Engine, EventOutcome};
 use crate::query::ContinuousQuery;
-use crate::result::{RankedDocument, ResultSet};
+use crate::result::{RankedDocument, Results};
 use crate::slab::QuerySlab;
 
 /// The [`ItaEngine`]'s configuration, which has no fields: its one field
@@ -108,7 +110,7 @@ struct QueryState {
     /// registry): a query never changes after registration, so every holder
     /// keeps the one allocation.
     query: Arc<ContinuousQuery>,
-    results: ResultSet,
+    results: Results,
     /// `⟨t, θ_{Q,t}⟩`, aligned with the query's term order.
     thresholds: Vec<(TermId, Weight)>,
     arrivals_examined: u64,
@@ -218,7 +220,7 @@ impl ItaEngine {
         let state = self.queries.get(query)?;
         Some(ItaQueryStats {
             result_set_size: state.results.len(),
-            kth_score: state.results.kth_score(state.query.k()),
+            kth_score: state.results.kth_score(),
             influence_threshold: state.tau(),
             arrivals_examined: state.arrivals_examined,
             expirations_examined: state.expirations_examined,
@@ -327,10 +329,11 @@ impl ItaEngine {
     }
 
     /// Handles the arrival side of one stream event. The document is already
-    /// in the index and its live entries are in `self.live_entries` — all an
-    /// affected query needs to score it, bit for bit (every term of a
-    /// registered query is live). Returns `(queries_touched, results_changed)`.
-    fn handle_arrival(&mut self, doc: &Document) -> (usize, usize) {
+    /// in the index under sequence number `seq` and its live entries are in
+    /// `self.live_entries` — all an affected query needs to score it, bit for
+    /// bit (every term of a registered query is live). Returns
+    /// `(queries_touched, results_changed)`.
+    fn handle_arrival(&mut self, doc: &Document, seq: u64) -> (usize, usize) {
         self.collect_affected_queries();
         let affected = std::mem::take(&mut self.scratch);
         let entries = std::mem::take(&mut self.live_entries);
@@ -345,8 +348,7 @@ impl ItaEngine {
             state.arrivals_examined += 1;
             state.postings_examined += 1;
             let score = state.query.score_entries(&entries);
-            state.results.insert(doc.id, score);
-            if state.results.is_in_top_k(doc.id, state.query.k()) {
+            if state.results.insert(seq, doc.id, score) {
                 changed += 1;
             }
         }
@@ -355,10 +357,13 @@ impl ItaEngine {
         (touched, changed)
     }
 
-    /// Handles one expiration. The document has already been removed from
-    /// the index, which left its entries live *now* in `self.live_entries`.
-    /// Returns `(queries_touched, results_changed)`.
-    fn handle_expiration(&mut self, doc: &Document) -> (usize, usize) {
+    /// Handles one expiration: the document with sequence number `seq`, the
+    /// window's oldest, has already been removed from the index, which left
+    /// its entries live *now* in `self.live_entries`. Every member of `R`
+    /// has a posting at or above its query's frontier, so this probe reaches
+    /// every query holding the document. Returns
+    /// `(queries_touched, results_changed)`.
+    fn handle_expiration(&mut self, seq: u64) -> (usize, usize) {
         self.collect_affected_queries();
         let affected = std::mem::take(&mut self.scratch);
         let touched = affected.len();
@@ -370,14 +375,9 @@ impl ItaEngine {
             )]
             let state = self.queries.get_mut(qid).expect("tree entries are live");
             state.expirations_examined += 1;
-            if !state.results.contains(doc.id) {
-                // The document sat exactly on the frontier without having
-                // been examined; nothing to repair.
-                continue;
-            }
-            let was_top_k = state.results.is_in_top_k(doc.id, state.query.k());
-            state.results.remove(doc.id);
-            if was_top_k {
+            // `None`: the document sat exactly on the frontier without
+            // having been examined, so there is nothing to repair.
+            if state.results.expire(seq) == Some(true) {
                 changed += 1;
                 state.refills += 1;
                 self.run_threshold_search(qid, false);
@@ -400,7 +400,6 @@ impl ItaEngine {
 /// whole tie group, so the order within a group (arrival) decides nothing.
 /// No posting is read twice and no step allocates.
 fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
-    let k = state.query.k();
     let window = index.documents();
     let mut cursors: Vec<_> = state
         .thresholds
@@ -413,10 +412,7 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         let mut tau_next = 0.0;
         let mut best: Option<(usize, f64, Weight)> = None;
         for (slot, cursor) in cursors.iter_mut().enumerate() {
-            while cursor
-                .next_if(|p| state.results.contains(window.id_at(p.seq)))
-                .is_some()
-            {}
+            while cursor.next_if(|p| state.results.contains(p.seq)).is_some() {}
             let Some(peek) = cursor.peek() else {
                 continue;
             };
@@ -433,7 +429,7 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         // score ties common, and a document tied with `S_k` at the frontier
         // may out-rank an in-R document under the doc-id tie-break, so the
         // search must keep going until ties are provably impossible.
-        let Some((slot, _, group_weight)) = best.filter(|_| state.results.kth_score(k) <= tau_next)
+        let Some((slot, _, group_weight)) = best.filter(|_| state.results.kth_score() <= tau_next)
         else {
             // Done: snap every local threshold to its cursor's frontier
             // (every posting strictly above it is in R).
@@ -446,12 +442,13 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         // Examine the full tie group at that weight so the frontier is exact:
         // afterwards, every posting strictly above θ is guaranteed to be in R.
         while let Some(posting) = cursors[slot].next_if(|p| p.weight == group_weight) {
-            let id = window.id_at(posting.seq);
-            if state.results.contains(id) {
+            if state.results.contains(posting.seq) {
                 continue;
             }
             let score = state.query.score(&window.doc_at(posting.seq).composition);
-            state.results.insert(id, score);
+            state
+                .results
+                .insert(posting.seq, window.id_at(posting.seq), score);
             state.postings_examined += 1;
         }
         state.thresholds[slot].1 = group_weight;
@@ -528,8 +525,8 @@ impl ItaEngine {
         self.queries.insert(
             qid,
             QueryState {
+                results: Results::new(query.k()),
                 query,
-                results: ResultSet::new(),
                 thresholds,
                 arrivals_examined: 0,
                 expirations_examined: 0,
@@ -567,20 +564,21 @@ impl ItaEngine {
         // One pass over the composition list, against the live-term bitmap;
         // from here on the event walks the document's live entries. First,
         // because this is where a duplicate id is refused.
-        self.index.insert_arrival(&doc, &mut self.live_entries);
+        let seq = self.index.insert_arrival(&doc, &mut self.live_entries);
         self.clock = doc.arrival;
-        let (touched, changed) = self.handle_arrival(&doc);
+        let (touched, changed) = self.handle_arrival(&doc, seq);
         outcome.queries_touched_by_arrival = touched;
         outcome.results_changed += changed;
 
         // Each expiring document is re-intersected against the live set as
         // it is *now* — it may have changed since the document arrived.
-        while let Some(doc) =
-            self.index
-                .pop_expired(self.window, self.clock, &mut self.live_entries)
+        while self
+            .index
+            .pop_expired(self.window, self.clock, &mut self.live_entries)
+            .is_some()
         {
             outcome.expired += 1;
-            let (touched, changed) = self.handle_expiration(&doc);
+            let (touched, changed) = self.handle_expiration(self.front_seq() - 1);
             outcome.queries_touched_by_expiration += touched;
             outcome.results_changed += changed;
         }
@@ -594,11 +592,15 @@ impl ItaEngine {
     /// the window's postings of the live terms), every threshold tree's
     /// strict ordering, a tree for every
     /// live term and under no other key, two-way agreement between tree
-    /// entries and the live queries' recorded local thresholds, result sets
-    /// referencing only valid (windowed) documents, term reference counts
-    /// equal to the number of live referencing queries, and the paper's
-    /// per-query invariant: every posting strictly above `θ_{Q,t}` is in `R`,
-    /// and `τ ≤ S_k`. Driven by `cts-reference`'s lockstep runner when its
+    /// entries and the live queries' recorded local thresholds, term
+    /// reference counts equal to the number of live referencing queries, and
+    /// per query: `R`'s layout (the top-k in rank order, the rest in
+    /// sequence order and ranked after it), every entry naming a valid
+    /// document by its sequence number and having *support* — a weight at or
+    /// above `θ_{Q,t}` in some query term `t`, which is what lets expiry find
+    /// an unverified entry at the rest's front — and the paper's invariant:
+    /// every posting strictly above `θ_{Q,t}` is in `R`, and `τ ≤ S_k`.
+    /// Driven by `cts-reference`'s lockstep runner when its
     /// `invariant-checks` feature (or its unit-test build) is active, and by
     /// this crate's unit tests; far too expensive for production paths.
     pub fn check_invariants(&self) {
@@ -639,8 +641,30 @@ impl ItaEngine {
             live.len(),
             "a live term has no threshold tree"
         );
+        let window = self.index.documents();
         let mut live_refs: Vec<u32> = Vec::new();
         for (qid, state) in self.queries.iter() {
+            state.results.check_invariants();
+            for entry in state.results.iter() {
+                let (seq, doc) = (entry.seq, entry.doc);
+                assert!(
+                    seq >= window.front_seq() && seq - window.front_seq() < window.len() as u64,
+                    "{qid}'s R holds {doc} under sequence number {seq}, which is not in the window"
+                );
+                assert_eq!(
+                    window.id_at(seq),
+                    doc,
+                    "{qid}'s R names {doc} by the wrong sequence number {seq}"
+                );
+                let composition = &window.doc_at(seq).composition;
+                assert!(
+                    state.thresholds.iter().any(|(term, theta)| {
+                        let weight = composition.impact(*term);
+                        weight > Weight::ZERO && weight >= *theta
+                    }),
+                    "{qid}'s R holds {doc}, which has no weight at or above θ in any query term"
+                );
+            }
             for (term, theta) in &state.thresholds {
                 #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
                 let Some(tree) = live.key(*term).and_then(|key| self.trees.get(key)) else {
@@ -661,9 +685,9 @@ impl ItaEngine {
                 let all = Weight::new(f64::INFINITY);
                 let live = self.index.live_postings(*term, all);
                 for posting in live.take_while(|p| p.weight > *theta) {
-                    let doc = self.index.documents().id_at(posting.seq);
+                    let doc = window.id_at(posting.seq);
                     assert!(
-                        state.results.contains(doc),
+                        state.results.contains(posting.seq),
                         "{doc} lies above {qid}'s θ={theta} in {term} but is not in R",
                     );
                 }
@@ -671,15 +695,8 @@ impl ItaEngine {
             // Second half: τ ≤ S_k, exactly. Only the descent sets a threshold,
             // and it stops on τ < S_k (or with every θ at zero); S_k falls
             // only when a top-k document expires, which runs the descent.
-            let (tau, s_k) = (state.tau(), state.results.kth_score(state.query.k()));
+            let (tau, s_k) = (state.tau(), state.results.kth_score());
             assert!(tau <= s_k, "{qid}'s τ={tau} exceeds S_k={s_k}");
-            for ranked in state.results.iter() {
-                assert!(
-                    self.index.documents().contains(ranked.doc),
-                    "{qid}'s result set holds expired document {}",
-                    ranked.doc
-                );
-            }
         }
         let referenced = live_refs.iter().filter(|count| **count > 0).count();
         assert_eq!(
@@ -748,7 +765,7 @@ impl Engine for ItaEngine {
     fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
         self.queries
             .get(query)
-            .map(|state| state.results.top(state.query.k()))
+            .map(|state| state.results.top())
             .unwrap_or_default()
     }
 
@@ -786,7 +803,6 @@ mod tests {
     /// cursor walk is held to (`run_threshold_search` runs both in unit-test
     /// builds).
     pub(super) fn restart_descent(index: &InvertedIndex, mut state: QueryState) -> QueryState {
-        let k = state.query.k();
         let window = index.documents();
         loop {
             let mut peeks: Vec<Option<cts_index::Posting>> = Vec::new();
@@ -794,14 +810,14 @@ mod tests {
             for (term, theta) in &state.thresholds {
                 let peek = index
                     .live_postings(*term, *theta)
-                    .find(|p| !state.results.contains(window.id_at(p.seq)));
+                    .find(|p| !state.results.contains(p.seq));
                 if let Some(p) = peek {
                     tau_next += state.query.weight(*term).get() * p.weight.get();
                 }
                 peeks.push(peek);
             }
             let exhausted = peeks.iter().all(Option::is_none);
-            if exhausted || state.results.kth_score(k) > tau_next {
+            if exhausted || state.results.kth_score() > tau_next {
                 for ((_, theta), peek) in state.thresholds.iter_mut().zip(&peeks) {
                     *theta = peek.map(|p| p.weight).unwrap_or(Weight::ZERO);
                 }
@@ -818,15 +834,16 @@ mod tests {
                 })
                 .unwrap();
             let (term, _) = state.thresholds[slot];
-            let members: Vec<DocId> = index
+            let members: Vec<u64> = index
                 .live_postings(term, posting.weight)
                 .take_while(|p| p.weight == posting.weight)
-                .map(|p| window.id_at(p.seq))
+                .map(|p| p.seq)
                 .collect();
-            for doc in members {
-                if !state.results.contains(doc) {
-                    let score = state.query.score(&window.get(doc).unwrap().composition);
-                    state.results.insert(doc, score);
+            for seq in members {
+                if !state.results.contains(seq) {
+                    let doc = window.get(window.id_at(seq)).unwrap();
+                    let score = state.query.score(&doc.composition);
+                    state.results.insert(seq, doc.id, score);
                     state.postings_examined += 1;
                 }
             }
@@ -834,8 +851,8 @@ mod tests {
         }
     }
 
-    /// Equal θ (by bits), equal R entries (scores by bits) and an equal
-    /// count of postings examined.
+    /// Equal θ (by bits), equal R (its layout is a function of its entries)
+    /// and an equal count of postings examined.
     pub(super) fn assert_same_search(cursor: &QueryState, restart: &QueryState) {
         let thetas = |s: &QueryState| -> Vec<(TermId, u64)> {
             let bits = s
@@ -844,14 +861,8 @@ mod tests {
                 .map(|(t, theta)| (*t, theta.get().to_bits()));
             bits.collect()
         };
-        let entries = |s: &QueryState| -> Vec<(DocId, u64)> {
-            s.results
-                .iter()
-                .map(|r| (r.doc, r.score.to_bits()))
-                .collect()
-        };
         assert_eq!(thetas(cursor), thetas(restart), "θ diverged");
-        assert_eq!(entries(cursor), entries(restart), "R diverged");
+        assert_eq!(cursor.results, restart.results, "R diverged");
         assert_eq!(
             cursor.postings_examined, restart.postings_examined,
             "postings examined diverged"
@@ -899,15 +910,16 @@ mod tests {
         e.current_results(q).iter().map(|r| r.doc.0).collect()
     }
 
+    /// Scores every valid document and ranks by score descending, then id
+    /// ascending, as the reference oracle does.
     fn brute_force_top(e: &ItaEngine, query: &ContinuousQuery) -> Vec<u64> {
-        let mut rs = ResultSet::new();
-        for d in e.index.documents().iter() {
-            let s = query.score(&d.composition);
-            if s > 0.0 {
-                rs.insert(d.id, s);
-            }
-        }
-        rs.top(query.k()).iter().map(|r| r.doc.0).collect()
+        let mut scored: Vec<(f64, u64)> = e
+            .store_documents()
+            .map(|d| (query.score(&d.composition), d.id.0))
+            .filter(|(score, _)| *score > 0.0)
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored.iter().take(query.k()).map(|(_, id)| *id).collect()
     }
 
     #[test]
@@ -1111,7 +1123,7 @@ mod tests {
                     let doc = e.index.documents().id_at(p.seq);
                     if p.weight > *theta {
                         assert!(
-                            state.results.contains(doc),
+                            state.results.contains(p.seq),
                             "event {i}: {doc} above θ={theta} in {term} missing from R",
                         );
                     }

@@ -63,7 +63,6 @@ pub use engine::{Engine, EventOutcome, IngestEvent, RankedDocument};
 pub use fault::{EngineError, FaultStats, ShardFault};
 pub use ita::{ItaConfig, ItaEngine, ItaQueryStats};
 pub use query::ContinuousQuery;
-pub use result::ResultSet;
 pub use service::{Admission, DrainReport, ServiceConfig, ShedReason, StreamService};
 pub use sharded::ShardedItaEngine;
 pub use slab::QuerySlab;

@@ -7,16 +7,33 @@
 //! the expiration-time *refill* incremental: the threshold search can resume
 //! downwards instead of restarting from the top of the inverted lists.
 //!
-//! [`ResultSet`] is an ordered set of `(score, document)` pairs with
-//! by-document lookup, supporting the operations the engines need:
-//! score-ordered traversal, `S_k` (the k-th best score), membership tests and
-//! point updates. It is two sorted `Vec`s — one in rank order, one in
-//! document-id order — because `R` is small (median ≈ 50 entries at the
-//! paper's operating point, a few thousand at most): lookups are a binary
-//! search over a few cache lines, `S_k` is an index, and a point update
-//! shifts a short tail.
+//! `Results` lays `R` out for the accesses the engine makes (DESIGN.md §6
+//! "The layout of R"; the stage timings are in CHANGES.md's "`R` becomes a
+//! ranked top-k plus an arrival-ordered queue" entry). Each entry names its document by the window's arrival
+//! sequence number, as postings do, and `R` is split in two:
+//!
+//! * the **top-k**, a `k`-slot array in rank order (score descending, ties
+//!   by ascending document id), whose last slot is `S_k`;
+//! * the **rest** — the unverified documents — a queue in sequence-number
+//!   order.
+//!
+//! An arrival is the window's newest document, so an arrival that stays out
+//! of the top-k is a `push_back`. Every member of `R` has a posting at or
+//! above the query's frontier, so the expiry probe reaches each of them as
+//! it leaves, and the window expires oldest first: an expiring unverified
+//! document is the rest's front, and leaves with a `pop_front`. Only an
+//! arrival that enters the top-k (re-filing the document it demotes by
+//! sequence number) and a top-k expiry (promoting the rest's best entry,
+//! found by one scan) pay more than O(1); both are rare next to the touches.
+//! The threshold descent asks, for every posting it passes, whether the
+//! document is in `R`: a binary search of the rest by sequence number, and a
+//! 64-bit filter of the top-k's sequence numbers that lets a miss skip the
+//! top-k scan.
 
 #![deny(clippy::disallowed_types)]
+
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,15 +49,21 @@ pub struct RankedDocument {
     pub score: f64,
 }
 
-/// Internal ordering key: descending score, ascending document id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ScoreKey {
-    score: Weight,
-    doc: DocId,
+/// One member of `R`: a valid document, by sequence number and id, and its
+/// score.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Entry {
+    /// The document's arrival sequence number in the window.
+    pub(crate) seq: u64,
+    /// The document's id.
+    pub(crate) doc: DocId,
+    /// Its similarity score `S(d|Q)`.
+    pub(crate) score: Weight,
 }
 
-impl Ord for ScoreKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl Entry {
+    /// Rank order: descending score, ties by ascending document id.
+    fn rank(&self, other: &Entry) -> Ordering {
         other
             .score
             .cmp(&self.score)
@@ -48,326 +71,303 @@ impl Ord for ScoreKey {
     }
 }
 
-impl PartialOrd for ScoreKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The result set `R` of one continuous query: the ranked top-k and the
+/// arrival-ordered rest (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Results {
+    k: usize,
+    /// The best `min(k, |R|)` entries, in rank order.
+    top: Vec<Entry>,
+    /// Every other entry, in increasing sequence-number order; each ranks
+    /// after the top-k's last.
+    rest: VecDeque<Entry>,
+    /// Bit `seq % 64` set for each top-k entry: the descent's membership
+    /// test, which mostly misses, scans the top-k only on a hit.
+    top_bits: u64,
 }
 
-impl From<&ScoreKey> for RankedDocument {
-    fn from(key: &ScoreKey) -> Self {
-        RankedDocument {
-            doc: key.doc,
-            score: key.score.get(),
-        }
-    }
-}
-
-/// The result set `R` of one continuous query.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResultSet {
-    /// Every entry in rank order (descending score, ties by ascending
-    /// document id).
-    ranked: Vec<ScoreKey>,
-    /// The same entries in ascending document-id order.
-    by_doc: Vec<(DocId, Weight)>,
-}
-
-impl ResultSet {
-    /// Creates an empty result set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Position of `doc` in `by_doc`, or where it would be inserted.
-    #[inline]
-    fn locate(&self, doc: DocId) -> Result<usize, usize> {
-        self.by_doc.binary_search_by_key(&doc, |(d, _)| *d)
-    }
-
-    /// Drops `key` from the rank order.
-    fn unrank(&mut self, key: ScoreKey) {
-        if let Ok(at) = self.ranked.binary_search(&key) {
-            self.ranked.remove(at);
+impl Results {
+    /// An empty `R` for a query with parameter `k ≥ 1`.
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            k,
+            top: Vec::with_capacity(k),
+            rest: VecDeque::new(),
+            top_bits: 0,
         }
     }
 
-    /// Inserts (or updates) `doc` with `score`.
-    pub fn insert(&mut self, doc: DocId, score: f64) {
-        let score = Weight::new(score);
-        match self.locate(doc) {
-            Ok(at) => {
-                let old = std::mem::replace(&mut self.by_doc[at].1, score);
-                self.unrank(ScoreKey { score: old, doc });
-            }
-            Err(at) => self.by_doc.insert(at, (doc, score)),
-        }
-        let key = ScoreKey { score, doc };
-        if let Err(at) = self.ranked.binary_search(&key) {
-            self.ranked.insert(at, key);
-        }
+    /// Number of documents in `R` (top-k plus unverified).
+    pub(crate) fn len(&self) -> usize {
+        self.top.len() + self.rest.len()
     }
 
-    /// Removes `doc`, returning its score if it was present.
-    pub fn remove(&mut self, doc: DocId) -> Option<f64> {
-        let at = self.locate(doc).ok()?;
-        let (_, score) = self.by_doc.remove(at);
-        self.unrank(ScoreKey { score, doc });
-        Some(score.get())
-    }
-
-    /// Whether `doc` is in the result set.
-    pub fn contains(&self, doc: DocId) -> bool {
-        self.locate(doc).is_ok()
-    }
-
-    /// Number of documents in the set (top-k plus unverified extras).
-    pub fn len(&self) -> usize {
-        self.ranked.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ranked.is_empty()
-    }
-
-    /// The `k`-th best score `S_k`, or `0.0` when fewer than `k` documents
-    /// are present (so that any positive-scoring arrival qualifies for the
+    /// `S_k`, the `k`-th best score, or `0.0` while `R` holds fewer than `k`
+    /// documents (so that any positive-scoring arrival qualifies for the
     /// top-k, matching the maintenance rules of §II/§III).
-    pub fn kth_score(&self, k: usize) -> f64 {
-        if k == 0 {
-            return f64::INFINITY;
+    pub(crate) fn kth_score(&self) -> f64 {
+        match self.top.last() {
+            Some(last) if self.top.len() == self.k => last.score.get(),
+            _ => 0.0,
         }
-        self.ranked.get(k - 1).map_or(0.0, |e| e.score.get())
     }
 
-    /// The top `k` documents in descending score order.
-    pub fn top(&self, k: usize) -> Vec<RankedDocument> {
-        self.ranked
+    /// The top-k, best first.
+    pub(crate) fn top(&self) -> Vec<RankedDocument> {
+        self.top
             .iter()
-            .take(k)
-            .map(RankedDocument::from)
+            .map(|e| RankedDocument {
+                doc: e.doc,
+                score: e.score.get(),
+            })
             .collect()
     }
 
-    /// Whether `doc` currently ranks within the top `k` (ties broken by
-    /// ascending document id, consistently with [`ResultSet::top`]).
-    pub fn is_in_top_k(&self, doc: DocId, k: usize) -> bool {
-        self.ranked.iter().take(k).any(|e| e.doc == doc)
+    /// Whether the document with sequence number `seq` is in `R`.
+    pub(crate) fn contains(&self, seq: u64) -> bool {
+        (self.top_bits & bit(seq) != 0 && self.top.iter().any(|e| e.seq == seq))
+            || self.rest.binary_search_by_key(&seq, |e| e.seq).is_ok()
     }
 
-    /// Iterates over all entries in descending score order.
-    pub fn iter(&self) -> impl Iterator<Item = RankedDocument> + '_ {
-        self.ranked.iter().map(RankedDocument::from)
+    /// `top_bits` as the top-k's entries give it.
+    fn filter_of_top(&self) -> u64 {
+        self.top.iter().fold(0, |bits, e| bits | bit(e.seq))
     }
 
-    /// The lowest-ranked entry (lowest score, ties broken by highest
-    /// document id — the exact inverse of [`ResultSet::top`]'s order), if
-    /// any. This is the admission boundary of a bounded view: a newcomer
-    /// belongs in the set iff it ranks above this entry.
-    pub fn worst(&self) -> Option<RankedDocument> {
-        self.ranked.last().map(RankedDocument::from)
-    }
-
-    /// Removes and returns the lowest-scored entry (used by bounded buffers
-    /// such as the Naïve engine's top-`k_max` view).
-    pub fn pop_worst(&mut self) -> Option<RankedDocument> {
-        let worst = self.ranked.pop()?;
-        if let Ok(at) = self.locate(worst.doc) {
-            self.by_doc.remove(at);
+    /// Adds a document that is not in `R`, returning whether it entered the
+    /// top-k.
+    pub(crate) fn insert(&mut self, seq: u64, doc: DocId, score: f64) -> bool {
+        let entry = Entry {
+            seq,
+            doc,
+            score: Weight::new(score),
+        };
+        if self.top.len() == self.k {
+            match self.top.last() {
+                Some(last) if entry.rank(last).is_lt() => {}
+                _ => {
+                    self.file(entry);
+                    return false;
+                }
+            }
+            if let Some(demoted) = self.top.pop() {
+                self.file(demoted);
+            }
+            self.top_bits = self.filter_of_top();
         }
-        Some(RankedDocument::from(&worst))
+        let at = self.top.partition_point(|e| e.rank(&entry).is_lt());
+        self.top.insert(at, entry);
+        self.top_bits |= bit(seq);
+        true
     }
+
+    /// Files `entry` into the rest by sequence number: at the back for an
+    /// arrival, by binary search for a demoted or searched-out document.
+    fn file(&mut self, entry: Entry) {
+        if self.rest.back().is_none_or(|last| last.seq < entry.seq) {
+            self.rest.push_back(entry);
+        } else {
+            let at = self.rest.partition_point(|e| e.seq < entry.seq);
+            self.rest.insert(at, entry);
+        }
+    }
+
+    /// Drops the document with sequence number `seq`, which must be the
+    /// oldest valid one: no member of `R` is older. Returns `None` if it was
+    /// not in `R`, and otherwise whether it was in the top-k — whose freed
+    /// slot the best of the rest then takes.
+    pub(crate) fn expire(&mut self, seq: u64) -> Option<bool> {
+        if self.rest.front().is_some_and(|e| e.seq == seq) {
+            self.rest.pop_front();
+            return Some(false);
+        }
+        let at = self.top.iter().position(|e| e.seq == seq)?;
+        self.top.remove(at);
+        let best = (0..self.rest.len()).reduce(|best, i| {
+            if self.rest[i].rank(&self.rest[best]).is_lt() {
+                i
+            } else {
+                best
+            }
+        });
+        if let Some(promoted) = best.and_then(|i| self.rest.remove(i)) {
+            self.top.push(promoted);
+        }
+        self.top_bits = self.filter_of_top();
+        Some(true)
+    }
+
+    /// Every entry: the top-k in rank order, then the rest in sequence
+    /// order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Entry> {
+        self.top.iter().chain(&self.rest)
+    }
+
+    /// Audits the layout, panicking on violation: the top-k holds
+    /// `min(k, |R|)` entries in strict rank order, the rest is in strictly
+    /// increasing sequence-number order, every rest entry ranks after the
+    /// top-k's last, and the top-k filter matches the top-k.
+    pub(crate) fn check_invariants(&self) {
+        assert_eq!(
+            self.top.len(),
+            self.k.min(self.len()),
+            "the top-k holds {} of R's {} entries at k = {}",
+            self.top.len(),
+            self.len(),
+            self.k
+        );
+        assert!(
+            self.top.windows(2).all(|w| w[0].rank(&w[1]).is_lt()),
+            "the top-k is out of rank order"
+        );
+        assert!(
+            self.rest
+                .iter()
+                .zip(self.rest.iter().skip(1))
+                .all(|(a, b)| a.seq < b.seq),
+            "the rest is out of sequence-number order"
+        );
+        assert_eq!(
+            self.top_bits,
+            self.filter_of_top(),
+            "the top-k filter is stale"
+        );
+        if let Some(last) = self.top.last() {
+            assert!(
+                self.rest.iter().all(|e| last.rank(e).is_lt()),
+                "an entry of the rest out-ranks the top-k's last"
+            );
+        }
+    }
+}
+
+/// `seq`'s bit in a top-k filter.
+fn bit(seq: u64) -> u64 {
+    1 << (seq % 64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cts_corpus::ScriptRng;
 
-    fn d(i: u64) -> DocId {
-        DocId(i)
-    }
-
-    /// The score `r` records for `doc`, if present.
-    fn score_of(r: &ResultSet, doc: DocId) -> Option<f64> {
-        r.locate(doc).ok().map(|at| r.by_doc[at].1.get())
-    }
-
-    #[test]
-    fn insert_and_rank_order() {
-        let mut r = ResultSet::new();
-        r.insert(d(6), 0.19);
-        r.insert(d(2), 0.17);
-        r.insert(d(7), 0.15);
-        let top = r.top(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].doc, d(6));
-        assert_eq!(top[1].doc, d(2));
-        assert_eq!(r.len(), 3);
-    }
-
+    /// The paper's §III example: R = {⟨d6,0.19⟩, ⟨d2,0.17⟩, ⟨d7,0.15⟩}
+    /// with k = 2 gives S_k = 0.17; d9 (0.20) arriving lifts it to 0.19.
     #[test]
     fn kth_score_matches_paper_example() {
-        // Initial result {⟨d6,0.19⟩, ⟨d2,0.17⟩} with k = 2 → S_k = 0.17.
-        let mut r = ResultSet::new();
-        r.insert(d(6), 0.19);
-        r.insert(d(2), 0.17);
-        r.insert(d(7), 0.15);
-        assert!((r.kth_score(2) - 0.17).abs() < 1e-12);
-        // After d9 (0.20) arrives → S_k becomes 0.19.
-        r.insert(d(9), 0.20);
-        assert!((r.kth_score(2) - 0.19).abs() < 1e-12);
+        let mut r = Results::new(2);
+        assert!(r.insert(0, DocId(6), 0.19));
+        assert!(r.insert(1, DocId(2), 0.17));
+        assert!(!r.insert(2, DocId(7), 0.15));
+        assert_eq!(r.kth_score(), 0.17);
+        assert!(r.insert(3, DocId(9), 0.20));
+        assert_eq!(r.kth_score(), 0.19);
+        let top: Vec<u64> = r.top().iter().map(|e| e.doc.0).collect();
+        assert_eq!(top, vec![9, 6]);
+        assert_eq!(r.len(), 4);
+        r.check_invariants();
     }
 
     #[test]
     fn kth_score_with_too_few_documents_is_zero() {
-        let mut r = ResultSet::new();
-        assert_eq!(r.kth_score(3), 0.0);
-        r.insert(d(1), 0.4);
-        assert_eq!(r.kth_score(3), 0.0);
-        assert_eq!(r.kth_score(1), 0.4);
-        assert_eq!(r.kth_score(0), f64::INFINITY);
+        let mut r = Results::new(3);
+        assert_eq!(r.kth_score(), 0.0);
+        r.insert(0, DocId(1), 0.4);
+        assert_eq!(r.kth_score(), 0.0);
+        let mut r = Results::new(1);
+        r.insert(0, DocId(1), 0.4);
+        assert_eq!(r.kth_score(), 0.4);
     }
 
-    #[test]
-    fn update_replaces_previous_score() {
-        let mut r = ResultSet::new();
-        r.insert(d(1), 0.2);
-        r.insert(d(1), 0.5);
-        assert_eq!(r.len(), 1);
-        assert_eq!(score_of(&r, d(1)), Some(0.5));
-        assert_eq!(r.top(1)[0].score, 0.5);
-    }
-
-    #[test]
-    fn remove_and_membership() {
-        let mut r = ResultSet::new();
-        r.insert(d(1), 0.2);
-        assert!(r.contains(d(1)));
-        assert_eq!(r.remove(d(1)), Some(0.2));
-        assert!(!r.contains(d(1)));
-        assert_eq!(r.remove(d(1)), None);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn ties_are_broken_by_document_id() {
-        let mut r = ResultSet::new();
-        r.insert(d(30), 0.5);
-        r.insert(d(10), 0.5);
-        r.insert(d(20), 0.5);
-        let order: Vec<u64> = r.iter().map(|e| e.doc.0).collect();
-        assert_eq!(order, vec![10, 20, 30]);
-        assert!(r.is_in_top_k(d(10), 1));
-        assert!(!r.is_in_top_k(d(30), 2));
-        assert!(r.is_in_top_k(d(30), 3));
-    }
-
-    #[test]
-    fn best_worst_and_pop_worst() {
-        let mut r = ResultSet::new();
-        r.insert(d(1), 0.9);
-        r.insert(d(2), 0.1);
-        r.insert(d(3), 0.5);
-        assert_eq!(r.iter().next().map(|e| e.score), Some(0.9));
-        assert_eq!(r.worst().unwrap().doc, d(2));
-        assert_eq!(r.worst().unwrap().score, 0.1);
-        let popped = r.pop_worst().unwrap();
-        assert_eq!(popped.doc, d(2));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.worst().unwrap().score, 0.5);
-    }
-
-    #[test]
-    fn worst_breaks_ties_by_highest_doc_id() {
-        let mut r = ResultSet::new();
-        r.insert(d(10), 0.5);
-        r.insert(d(30), 0.5);
-        r.insert(d(20), 0.5);
-        assert_eq!(r.worst().unwrap().doc, d(30));
-        assert!(ResultSet::new().worst().is_none());
-    }
-
-    #[test]
-    fn is_in_top_k_for_absent_document() {
-        let r = ResultSet::new();
-        assert!(!r.is_in_top_k(d(1), 5));
-    }
-
-    #[test]
-    fn iter_is_descending() {
-        let mut r = ResultSet::new();
-        for i in 0..20u64 {
-            r.insert(d(i), (i as f64) * 0.01);
-        }
-        let scores: Vec<f64> = r.iter().map(|e| e.score).collect();
-        assert!(scores.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    /// The reference model: every entry in one `Vec`, re-sorted per read.
-    fn model_ranked(model: &[(u64, f64)]) -> Vec<(u64, f64)> {
+    /// The reference: every entry in one `Vec`, sorted per read.
+    fn ranked(model: &[Entry]) -> Vec<Entry> {
         let mut ranked = model.to_vec();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked.sort_by(Entry::rank);
         ranked
     }
 
+    /// Random interleavings of the engine's four operations — arrival
+    /// inserts (the newest sequence number), descent inserts (any valid one
+    /// not in R), expiries of the oldest sequence number, among them top-k
+    /// expiries that promote — against a flat list sorted by rank, read back
+    /// after every op. A small score palette makes ties routine.
     #[test]
-    fn random_updates_track_a_sorted_model() {
-        use cts_corpus::ScriptRng;
-        // A small score palette makes ties (ranked by document id) routine.
+    fn random_operations_track_a_sorted_reference() {
         let palette = [0.1, 0.2, 0.2, 0.4, 0.7, 0.9];
-        for seed in 0..16u64 {
-            let mut rng = ScriptRng::new(0x7E57_0000 + seed);
-            let mut live = ResultSet::new();
-            let mut model: Vec<(u64, f64)> = Vec::new();
-            for step in 0..500 {
-                let id = rng.below(60) as u64;
-                match rng.below(8) {
-                    0..=3 => {
-                        let score = *rng.pick(&palette);
-                        live.insert(d(id), score);
-                        model.retain(|(doc, _)| *doc != id);
-                        model.push((id, score));
-                    }
-                    4 | 5 => {
-                        let expected = model.iter().find(|(doc, _)| *doc == id).map(|e| e.1);
-                        assert_eq!(live.remove(d(id)), expected);
-                        model.retain(|(doc, _)| *doc != id);
-                    }
-                    6 => {
-                        let worst = model_ranked(&model).last().copied();
-                        assert_eq!(live.pop_worst().map(|e| (e.doc.0, e.score)), worst);
-                        if let Some((doc, _)) = worst {
-                            model.retain(|(other, _)| *other != doc);
+        let mut top_k_expiries = 0;
+        for k in [1usize, 2, 10] {
+            for seed in 0..12u64 {
+                let mut rng = ScriptRng::new(0x2E5_0000 + seed * 16 + k as u64);
+                let mut r = Results::new(k);
+                let mut model: Vec<Entry> = Vec::new();
+                // The window holds the sequence numbers `front..next`.
+                let (mut front, mut next) = (0u64, 0u64);
+                for step in 0..600 {
+                    match rng.below(10) {
+                        0..=3 => {
+                            let seq = next;
+                            next += 1;
+                            if rng.chance(0.6) {
+                                let e = Entry {
+                                    seq,
+                                    doc: DocId(rng.below(1_000) as u64 * 1_000 + seq),
+                                    score: Weight::new(*rng.pick(&palette)),
+                                };
+                                let entered = r.insert(e.seq, e.doc, e.score.get());
+                                model.push(e);
+                                assert_eq!(
+                                    entered,
+                                    ranked(&model)[..k.min(model.len())].contains(&e)
+                                );
+                            }
                         }
+                        4..=6 => {
+                            let absent: Vec<u64> = (front..next)
+                                .filter(|s| model.iter().all(|e| e.seq != *s))
+                                .collect();
+                            if let Some(&seq) = absent.get(rng.below(absent.len().max(1))) {
+                                let e = Entry {
+                                    seq,
+                                    doc: DocId(rng.below(1_000) as u64 * 1_000 + seq),
+                                    score: Weight::new(*rng.pick(&palette)),
+                                };
+                                r.insert(e.seq, e.doc, e.score.get());
+                                model.push(e);
+                            }
+                        }
+                        _ if front < next => {
+                            let member = model.iter().any(|e| e.seq == front);
+                            let in_top = ranked(&model).iter().take(k).any(|e| e.seq == front);
+                            let expected = member.then_some(in_top);
+                            assert_eq!(r.expire(front), expected, "k {k} seed {seed} step {step}");
+                            top_k_expiries += usize::from(expected == Some(true));
+                            model.retain(|e| e.seq != front);
+                            front += 1;
+                        }
+                        _ => {}
                     }
-                    _ => {}
+                    let context = format!("k {k} seed {seed} step {step}");
+                    r.check_invariants();
+                    let expected = ranked(&model);
+                    let expected_top: Vec<RankedDocument> = expected
+                        .iter()
+                        .take(k)
+                        .map(|e| RankedDocument {
+                            doc: e.doc,
+                            score: e.score.get(),
+                        })
+                        .collect();
+                    assert_eq!(r.top(), expected_top, "{context}");
+                    assert_eq!(r.len(), model.len(), "{context}");
+                    let kth = expected.get(k - 1).map_or(0.0, |e| e.score.get());
+                    assert_eq!(r.kth_score(), kth, "{context}");
+                    for seq in front.saturating_sub(1)..=next {
+                        let member = model.iter().any(|e| e.seq == seq);
+                        assert_eq!(r.contains(seq), member, "{context}: seq {seq}");
+                    }
                 }
-                let ranked = model_ranked(&model);
-                let k = rng.range(1, 6);
-                let context = format!("seed {seed} step {step}");
-                assert_eq!(live.len(), ranked.len(), "{context}");
-                let all: Vec<(u64, f64)> = live.iter().map(|e| (e.doc.0, e.score)).collect();
-                assert_eq!(all, ranked, "{context}");
-                let top: Vec<(u64, f64)> = live.top(k).iter().map(|e| (e.doc.0, e.score)).collect();
-                assert_eq!(top, ranked[..k.min(ranked.len())], "{context}");
-                assert_eq!(
-                    live.kth_score(k),
-                    ranked.get(k - 1).map_or(0.0, |e| e.1),
-                    "{context}"
-                );
-                assert_eq!(
-                    live.is_in_top_k(d(id), k),
-                    ranked.iter().take(k).any(|e| e.0 == id),
-                    "{context}"
-                );
-                assert_eq!(
-                    score_of(&live, d(id)),
-                    model.iter().find(|e| e.0 == id).map(|e| e.1),
-                    "{context}"
-                );
-                assert_eq!(live.contains(d(id)), model.iter().any(|e| e.0 == id));
             }
         }
+        assert!(top_k_expiries > 100, "only {top_k_expiries} top-k expiries");
     }
 }

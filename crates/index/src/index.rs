@@ -204,10 +204,15 @@ impl InvertedIndex {
     /// in `live_entries` for the caller's threshold probe and scoring — and
     /// files them. A full index files the whole composition list instead
     /// (its lists cover every term, live or not); a term-filtered one walks
-    /// only the slice, typically ~5 entries of ~230.
-    pub fn insert_arrival(&mut self, doc: &Arc<Document>, live_entries: &mut Vec<WeightedTerm>) {
+    /// only the slice, typically ~5 entries of ~230. Returns the arrival's
+    /// sequence number in the window.
+    pub fn insert_arrival(
+        &mut self,
+        doc: &Arc<Document>,
+        live_entries: &mut Vec<WeightedTerm>,
+    ) -> u64 {
         let entries = self.cut(doc, live_entries);
-        self.file(doc, entries, |_| true);
+        self.file(doc, entries, |_| true)
     }
 
     /// Replaces `live_entries` with `doc`'s live entries and returns the
@@ -228,8 +233,8 @@ impl InvertedIndex {
     }
 
     /// The one filing loop: appends `doc` to the window, then adds an impact
-    /// entry under its sequence number for each of `entries` that `allow`
-    /// accepts and that has a key.
+    /// entry under its sequence number — which it returns — for each of
+    /// `entries` that `allow` accepts and that has a key.
     ///
     /// # Panics
     ///
@@ -240,7 +245,7 @@ impl InvertedIndex {
         doc: &Arc<Document>,
         entries: &[WeightedTerm],
         mut allow: impl FnMut(TermId) -> bool,
-    ) {
+    ) -> u64 {
         let seq = self.window.push(Arc::clone(doc));
         for entry in entries {
             if !allow(entry.term) {
@@ -250,6 +255,7 @@ impl InvertedIndex {
                 self.lists.get_or_default(key).insert(seq, entry.weight);
             }
         }
+        seq
     }
 
     /// Files the lists of `terms`, which [`InvertedIndex::acquire_terms`]
@@ -758,7 +764,9 @@ mod tests {
                 let refused = catch_unwind(AssertUnwindSafe(|| match attempt {
                     0 => idx.insert_document(Document::clone(&duplicate)),
                     1 => idx.insert_shared_filtered(duplicate, |_| true),
-                    _ => idx.insert_arrival(&duplicate, &mut scratch),
+                    _ => {
+                        idx.insert_arrival(&duplicate, &mut scratch);
+                    }
                 }));
                 assert!(refused.is_err(), "attempt {attempt} filed a duplicate id");
                 idx.check_invariants();

@@ -30,6 +30,7 @@ use cts_index::QueryId;
 
 pub mod naive;
 pub mod oracle;
+mod result;
 pub mod testkit;
 
 pub use naive::{NaiveConfig, NaiveEngine};

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use cts_index::{QueryId, SlidingWindow, Timestamp, WindowTerms};
 
-use cts_core::{ContinuousQuery, Engine, EventOutcome, QuerySlab, RankedDocument, ResultSet};
+use cts_core::{ContinuousQuery, Engine, EventOutcome, QuerySlab, RankedDocument};
+
+use crate::result::ResultSet;
 
 /// Tuning knobs of the [`NaiveEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -18,7 +18,7 @@ use cts_index::{Document, QueryId, SlidingWindow, Timestamp};
 pub struct BruteForceOracle {
     window: SlidingWindow,
     /// The valid documents, oldest first — a plain list, kept apart from the
-    /// engines' `WindowTerms` (and ranked without their `ResultSet`) so the
+    /// engines' `WindowTerms` (and ranked by its own sort) so the
     /// reference shares no container code with what it checks.
     store: VecDeque<Document>,
     queries: BTreeMap<QueryId, ContinuousQuery>,

@@ -7,7 +7,14 @@
 //! It also checks the paper's headline claim in counter form: ITA examines
 //! strictly fewer (query, update) pairs than the naïve baseline in
 //! aggregate, because threshold trees prune the queries an update cannot
-//! affect.
+//! affect. Under the `invariant-checks` feature ITA's structural audit runs
+//! after every event too.
+//!
+//! `count_based_window_popular_terms` draws query terms by document
+//! popularity instead (the regime of ROADMAP item 16): each query's `R`
+//! holds a large part of the window, so arrivals, expiries and the
+//! promotion that follows a top-k expiry all work on a long arrival-ordered
+//! rest.
 
 use std::time::Duration;
 
@@ -26,11 +33,19 @@ struct StreamOutcome {
     naive_pairs: u64,
     ita_changed: u64,
     naive_changed: u64,
+    /// ITA's `|R|`, summed over queries and events.
+    result_set_entries: u64,
+    /// ITA's refills (top-k expiries), summed over queries.
+    refills: u64,
 }
 
 /// Streams `EVENTS` documents through all three engines, validating after
 /// every event, and returns the aggregate work counters.
-fn run_cross_validation(window: SlidingWindow, seed: u64) -> StreamOutcome {
+fn run_cross_validation(
+    window: SlidingWindow,
+    seed: u64,
+    popularity_biased: bool,
+) -> StreamOutcome {
     let corpus = CorpusConfig {
         vocabulary_size: 2_000,
         seed,
@@ -45,7 +60,7 @@ fn run_cross_validation(window: SlidingWindow, seed: u64) -> StreamOutcome {
             num_queries: NUM_QUERIES,
             query_length: 4,
             k: 5,
-            popularity_biased: false,
+            popularity_biased,
             seed: seed.wrapping_add(2),
         },
         corpus.vocabulary_size,
@@ -74,6 +89,8 @@ fn run_cross_validation(window: SlidingWindow, seed: u64) -> StreamOutcome {
         naive_pairs: 0,
         ita_changed: 0,
         naive_changed: 0,
+        result_set_entries: 0,
+        refills: 0,
     };
     for event in 0..EVENTS {
         let doc = stream.next_document();
@@ -95,7 +112,20 @@ fn run_cross_validation(window: SlidingWindow, seed: u64) -> StreamOutcome {
 
         assert_engines_agree(&oracle, &ita, &queries);
         assert_engines_agree(&oracle, &naive, &queries);
+        if cfg!(feature = "invariant-checks") {
+            ita.check_invariants();
+        }
+        outcome.result_set_entries += queries
+            .iter()
+            .filter_map(|q| ita.query_stats(*q))
+            .map(|stats| stats.result_set_size as u64)
+            .sum::<u64>();
     }
+    outcome.refills = queries
+        .iter()
+        .filter_map(|q| ita.query_stats(*q))
+        .map(|stats| stats.refills)
+        .sum();
     outcome
 }
 
@@ -119,13 +149,13 @@ fn check_work_counters(outcome: &StreamOutcome) {
 
 #[test]
 fn count_based_window_stream_a() {
-    let outcome = run_cross_validation(SlidingWindow::count_based(50), 0xA11CE);
+    let outcome = run_cross_validation(SlidingWindow::count_based(50), 0xA11CE, false);
     check_work_counters(&outcome);
 }
 
 #[test]
 fn count_based_window_stream_b() {
-    let outcome = run_cross_validation(SlidingWindow::count_based(80), 0xB0B);
+    let outcome = run_cross_validation(SlidingWindow::count_based(80), 0xB0B, false);
     check_work_counters(&outcome);
 }
 
@@ -135,6 +165,7 @@ fn time_based_window_stream_a() {
     let outcome = run_cross_validation(
         SlidingWindow::time_based(Duration::from_millis(250)),
         0xCAFE,
+        false,
     );
     check_work_counters(&outcome);
 }
@@ -144,6 +175,25 @@ fn time_based_window_stream_b() {
     let outcome = run_cross_validation(
         SlidingWindow::time_based(Duration::from_millis(400)),
         0xD00D,
+        false,
     );
     check_work_counters(&outcome);
+}
+
+#[test]
+fn count_based_window_popular_terms() {
+    const WINDOW: usize = 300;
+    let outcome = run_cross_validation(SlidingWindow::count_based(WINDOW), 0x90B, true);
+    let mean_r = outcome.result_set_entries as f64 / (EVENTS * NUM_QUERIES) as f64;
+    eprintln!(
+        "popular terms: mean |R| {mean_r:.1} of a {WINDOW}-document window, {} refills, \
+         {} ITA touches against {} naive",
+        outcome.refills, outcome.ita_pairs, outcome.naive_pairs
+    );
+    assert!(
+        mean_r > WINDOW as f64 / 4.0,
+        "mean |R| {mean_r:.1}: the popular workload no longer fills R"
+    );
+    assert!(outcome.refills > 100, "only {} refills", outcome.refills);
+    assert!(outcome.ita_changed > 0 && outcome.naive_changed > 0);
 }

@@ -9,6 +9,9 @@
 //! `dead_postings_stay_within_a_quarter_over_a_hundred_turnovers` soaks the
 //! lazy expiry of impact entries at a 2,500-document window instead: the
 //! dead postings it leaves in the lists, and what they cost in bytes.
+//! `popular_queries_stay_exact_at_paper_scale` runs the paper point with
+//! query terms drawn by document popularity, where each query's `R` holds
+//! thousands of documents.
 //!
 //! The soak fills a 10,000-document count-based window from the synthetic
 //! WSJ-like stream (181,978-term vocabulary, log-normal document lengths),
@@ -37,18 +40,14 @@ const SAMPLE: usize = 25;
 /// engine's own store, mirroring `BruteForceOracle` without paying for a
 /// second copy of the 10k-document window.
 fn brute_force_top(engine: &ItaEngine, query: &ContinuousQuery) -> Vec<(u64, f64)> {
-    let mut results = cts_core::ResultSet::new();
-    for doc in engine.store_documents() {
-        let score = query.score(&doc.composition);
-        if score > 0.0 {
-            results.insert(doc.id, score);
-        }
-    }
-    results
-        .top(query.k())
-        .iter()
-        .map(|r| (r.doc.0, r.score))
-        .collect()
+    let mut scored: Vec<(u64, f64)> = engine
+        .store_documents()
+        .map(|doc| (doc.id.0, query.score(&doc.composition)))
+        .filter(|(_, score)| *score > 0.0)
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(query.k());
+    scored
 }
 
 #[test]
@@ -389,4 +388,111 @@ fn dead_postings_stay_within_a_quarter_over_a_hundred_turnovers() {
             "turnover {turnover}: the filtered engine's tables grew from {first:?} to {shape:?}"
         );
     }
+}
+
+/// The popular-term regime (ROADMAP item 16) at the paper point: 1,000
+/// ten-term queries whose terms follow document popularity, over a
+/// 10,000-document window on the term-filtered engine. Each query's `R`
+/// then holds thousands of documents, so every arrival, expiry and
+/// top-k promotion works on a long arrival-ordered rest. Sampled queries
+/// are checked against brute force twice and the engine is audited once;
+/// the test prints the registration time, ms/event and mean `|R|`.
+#[test]
+#[ignore = "release-tier soak: popular queries at the paper point; run via scripts/verify.sh soak"]
+fn popular_queries_stay_exact_at_paper_scale() {
+    const EVENTS: usize = 300;
+    let corpus = CorpusConfig {
+        seed: 0x50AC_0021,
+        ..CorpusConfig::default()
+    };
+    let workload = QueryWorkload::new(
+        WorkloadConfig {
+            num_queries: NUM_QUERIES,
+            query_length: 10,
+            k: 10,
+            popularity_biased: true,
+            seed: 0x50AC_0022,
+        },
+        corpus.vocabulary_size,
+    );
+    let dict = Dictionary::new();
+    let queries: Vec<ContinuousQuery> = workload
+        .generate()
+        .iter()
+        .map(|spec| {
+            ContinuousQuery::from_term_frequencies(&spec.terms, spec.k, Scoring::Cosine, &dict)
+        })
+        .collect();
+    let mut stream = DocumentStream::new(
+        corpus,
+        StreamConfig {
+            arrival_rate_per_sec: 200.0,
+            seed: 0x50AC_0023,
+        },
+    );
+    let mut engine = ItaEngine::term_filtered(SlidingWindow::count_based(WINDOW_DOCS));
+    for _ in 0..WINDOW_DOCS {
+        engine.process_document(stream.next_document());
+    }
+    let registering = std::time::Instant::now();
+    let qids = engine.register_batch(queries.clone());
+    let register_s = registering.elapsed().as_secs_f64();
+    let mean_r = |engine: &ItaEngine| {
+        let total: usize = (qids.iter())
+            .filter_map(|qid| engine.query_stats(*qid))
+            .map(|stats| stats.result_set_size)
+            .sum();
+        total as f64 / qids.len() as f64
+    };
+    let registered_r = mean_r(&engine);
+
+    let check = |engine: &ItaEngine, event: usize| {
+        for (qid, query) in qids.iter().zip(&queries).step_by(NUM_QUERIES / SAMPLE) {
+            let reported: Vec<(u64, f64)> = (engine.current_results(*qid).iter())
+                .map(|r| (r.doc.0, r.score))
+                .collect();
+            assert_eq!(
+                reported,
+                brute_force_top(engine, query),
+                "event {event}, {qid}: results diverged from brute force"
+            );
+        }
+    };
+    let mut busy = std::time::Duration::ZERO;
+    let (mut touched, mut refills_before) = (0usize, 0u64);
+    for qid in &qids {
+        refills_before += engine.query_stats(*qid).map_or(0, |stats| stats.refills);
+    }
+    for event in 1..=EVENTS {
+        let doc = stream.next_document();
+        let start = std::time::Instant::now();
+        let outcome = engine.process_document(doc);
+        busy += start.elapsed();
+        assert_eq!(outcome.expired, 1, "steady state expires exactly one doc");
+        touched += outcome.queries_touched_by_arrival + outcome.queries_touched_by_expiration;
+        if event == EVENTS / 2 {
+            check(&engine, event);
+        }
+    }
+    check(&engine, EVENTS);
+    engine.check_invariants();
+    let refills: u64 = (qids.iter())
+        .filter_map(|qid| engine.query_stats(*qid))
+        .map(|stats| stats.refills)
+        .sum::<u64>()
+        - refills_before;
+    let ms_per_event = busy.as_secs_f64() * 1e3 / EVENTS as f64;
+    let final_r = mean_r(&engine);
+    eprintln!(
+        "popular soak: registration {register_s:.1} s; {ms_per_event:.2} ms/event over {EVENTS} \
+         events, {:.0} touches/event, {refills} refills; mean |R| {registered_r:.0} after \
+         registration, {final_r:.0} at the end (ROADMAP item 16 read 34.7 ms/event at mean \
+         |R| 9,004 before R's two-part layout)",
+        touched as f64 / EVENTS as f64
+    );
+    assert!(
+        final_r > 1_000.0,
+        "mean |R| {final_r:.0}: the popular workload no longer fills R"
+    );
+    assert!(refills > 0, "no top-k expiry promoted from the rest");
 }

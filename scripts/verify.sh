@@ -135,7 +135,8 @@ tier_test() {
     # that every shard hosts exactly the registry's queries that hash to it.
     # Every engine keeps its valid documents in a WindowTerms and expires
     # through its one pop-while-stale rule: cross_validation (ITA vs naive
-    # vs oracle), batch_time_windows (time windows, a timestamp stepping
+    # vs oracle after every event, ITA audited after every event, one
+    # stream with popular query terms and a long R), batch_time_windows (time windows, a timestamp stepping
     # backwards) and cts-index's unit tests cover the index-owned window
     # with the audits on.
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test sharded_equivalence --test batch_equivalence --test overload_service --test live_terms --test cross_validation --test batch_time_windows --features invariant-checks
@@ -189,7 +190,9 @@ tier_soak() {
     # ROADMAP's paper-scale configuration, with periodic brute-force
     # spot-checks, plus the sharded spot-check (a 4-shard engine and the
     # single-shard reference driven through a corpus-built testkit op
-    # script, bursts included), and the 100-turnover dead-postings soak.
+    # script, bursts included), the 100-turnover dead-postings soak, and
+    # the popular-term soak (1,000 queries drawn by document popularity,
+    # each R thousands of documents long; it prints ms/event and mean |R|).
     # #[ignore]d so the test tier stays fast. Only this target is built:
     # overload_service's #[ignore]d soak is the overload tier's.
     RUST_BACKTRACE=1 cargo test --release -p cts-reference --test paper_scale_soak -- --ignored
