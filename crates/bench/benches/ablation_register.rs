@@ -13,11 +13,16 @@
 //!
 //! * `lazy-loop` — one [`Engine::register`] call per query, one resolve each;
 //! * `bulk` — one [`Engine::register_batch`] call, one resolve for the lot;
+//! * `popular/bulk` — `bulk` with query terms drawn by document popularity,
+//!   so each query's `R` holds a large part of the window: the case where
+//!   filing `R` one document at a time made registration quadratic in `|R|`
+//!   (the release soak's popular test prices it at the paper point);
 //! * `single/len10` — one ten-term query registering alone on an engine
 //!   that already holds half the workload.
 //!
-//! Each stand-alone arm also prints the directory bytes the engine holds
-//! after it (`IndexStats::directory_bytes`).
+//! Each stand-alone arm also prints the mean `|R|` its queries register with
+//! and the directory bytes the engine holds after it
+//! (`IndexStats::directory_bytes`).
 //!
 //! **Resolved by the window's owner** (`window_terms/register/…`) — what the
 //! sharded coordinator does: a [`WindowTerms`] over the same documents
@@ -87,16 +92,21 @@ fn operating_point() -> Point {
 }
 
 fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
-    build_queries_of(point, point.num_queries, 0x4E60_0002)
+    build_queries_of(point, point.num_queries, 0x4E60_0002, false)
 }
 
-fn build_queries_of(point: &Point, num_queries: usize, seed: u64) -> Vec<ContinuousQuery> {
+fn build_queries_of(
+    point: &Point,
+    num_queries: usize,
+    seed: u64,
+    popularity_biased: bool,
+) -> Vec<ContinuousQuery> {
     let workload = QueryWorkload::new(
         WorkloadConfig {
             num_queries,
             query_length: 10,
             k: 10,
-            popularity_biased: false,
+            popularity_biased,
             seed,
         },
         point.corpus.vocabulary_size,
@@ -166,10 +176,15 @@ fn register_bulk(engine: &mut ItaEngine, queries: &[ContinuousQuery]) -> Vec<Que
 
 fn bench_registration_strategies(c: &mut Criterion) {
     let point = operating_point();
-    let queries = build_queries(&point);
+    let uniform = build_queries(&point);
+    let popular = build_queries_of(&point, point.num_queries, 0x4E60_0002, true);
     let docs = window_documents(&point, point.window_docs);
-    let arms: [(&str, RegisterFn); 2] = [("lazy-loop", register_looped), ("bulk", register_bulk)];
-    for (label, register) in arms {
+    let arms: [(&str, RegisterFn, &[ContinuousQuery]); 3] = [
+        ("lazy-loop", register_looped, &uniform),
+        ("bulk", register_bulk, &uniform),
+        ("popular/bulk", register_bulk, &popular),
+    ];
+    for (label, register, queries) in arms {
         let mut engine = filled_engine(&docs);
         eprintln!(
             "ablation_register: {label} ready ({} queries, {}-doc window)",
@@ -177,6 +192,7 @@ fn bench_registration_strategies(c: &mut Criterion) {
         );
         let mut register_time = Duration::ZERO;
         let mut iterations = 0u64;
+        let mut result_set_sizes = 0usize;
         let postings_before = engine.register_postings_touched();
         c.bench_function(
             &format!(
@@ -190,10 +206,13 @@ fn bench_registration_strategies(c: &mut Criterion) {
                     // iteration and is deliberately inside the criterion
                     // clock but outside the manual one.
                     let start = Instant::now();
-                    let ids = register(&mut engine, &queries);
+                    let ids = register(&mut engine, queries);
                     register_time += start.elapsed();
                     iterations += 1;
                     for id in &ids {
+                        result_set_sizes += engine
+                            .query_stats(*id)
+                            .map_or(0, |stats| stats.result_set_size);
                         engine.deregister(*id);
                     }
                 })
@@ -204,11 +223,12 @@ fn bench_registration_strategies(c: &mut Criterion) {
             let filed = engine.register_postings_touched() - postings_before;
             eprintln!(
                 "ita_term_filtered/register/{label}: {:.3} s per {}-query workload \
-                 ({:.1} µs/query, {} postings filed and {} composition entries walked \
-                 across {iterations} iteration(s); {:.2} MB of directories)",
+                 ({:.1} µs/query, mean |R| {:.0}; {} postings filed and {} composition \
+                 entries walked across {iterations} iteration(s); {:.2} MB of directories)",
                 per_workload,
                 point.num_queries,
                 per_workload * 1e6 / point.num_queries as f64,
+                result_set_sizes as f64 / (iterations as usize * point.num_queries) as f64,
                 filed,
                 engine.register_entries_walked(),
                 engine.index_stats().directory_bytes as f64 / 1e6,
@@ -225,7 +245,7 @@ fn bench_single_registration(c: &mut Criterion) {
     let mut engine = filled_engine(&docs);
     let resident = build_queries(&point);
     engine.register_batch(resident[..point.num_queries / 2].to_vec());
-    let fresh = build_queries_of(&point, 64, 0x4E60_010A);
+    let fresh = build_queries_of(&point, 64, 0x4E60_010A, false);
     let mut register_time = Duration::ZERO;
     let mut iterations = 0u64;
     c.bench_function(
@@ -291,7 +311,7 @@ fn bench_resolved_registration(c: &mut Criterion) {
             // 64 distinct bursts, cycled, so no call re-registers the terms
             // the previous one just released.
             let bursts: Vec<Vec<ContinuousQuery>> = (0..if burst > 64 { 2 } else { 64 })
-                .map(|i| build_queries_of(&point, burst, 0x4E60_0200 + i))
+                .map(|i| build_queries_of(&point, burst, 0x4E60_0200 + i, false))
                 .collect();
             for state in ["cold", "warm"] {
                 let (mut resolve, mut file) = (Duration::ZERO, Duration::ZERO);
@@ -367,12 +387,12 @@ fn median_us(calls: usize, mut routine: impl FnMut(usize) -> Duration) -> f64 {
 fn bench_window_shape(_c: &mut Criterion) {
     let point = operating_point();
     let docs = window_documents(&point, point.window_docs);
-    let lone: Vec<Vec<TermId>> = build_queries_of(&point, 40, 0x4E60_0300)
+    let lone: Vec<Vec<TermId>> = build_queries_of(&point, 40, 0x4E60_0300, false)
         .iter()
         .map(|query| terms_of(std::slice::from_ref(query)))
         .collect();
     let bursts: Vec<Vec<TermId>> = (0..10)
-        .map(|i| terms_of(&build_queries_of(&point, 16, 0x4E60_0400 + i)))
+        .map(|i| terms_of(&build_queries_of(&point, 16, 0x4E60_0400 + i, false)))
         .collect();
     let chunk_lengths: &[usize] = if point.quick {
         &[8, 16, 32]

@@ -73,7 +73,7 @@ use cts_text::{TermId, Weight, WeightedTerm};
 
 use crate::engine::{Engine, EventOutcome};
 use crate::query::ContinuousQuery;
-use crate::result::{RankedDocument, Results};
+use crate::result::{Entry, RankedDocument, Results};
 use crate::slab::QuerySlab;
 
 /// The [`ItaEngine`]'s configuration, which has no fields: its one field
@@ -148,6 +148,8 @@ pub struct ItaEngine {
     /// handled — its one intersection with the live-term set, which the
     /// index filing loop, the threshold probe and arrival scoring all walk.
     live_entries: Vec<WeightedTerm>,
+    /// Reused buffers of the threshold descent.
+    descent: DescentScratch,
     next_query: u32,
     clock: Timestamp,
 }
@@ -169,6 +171,7 @@ impl ItaEngine {
             queries: QuerySlab::new(),
             scratch: Vec::new(),
             live_entries: Vec::new(),
+            descent: DescentScratch::default(),
             next_query: 0,
             clock: Timestamp::ZERO,
         }
@@ -289,7 +292,7 @@ impl ItaEngine {
         // reference, and hold the two to the same θ, R and count.
         #[cfg(test)]
         let reference = tests::restart_descent(&self.index, state.clone());
-        threshold_descent(&self.index, state);
+        threshold_descent(&self.index, state, &mut self.descent);
         #[cfg(test)]
         tests::assert_same_search(state, &reference);
         let live = self.index.live_terms();
@@ -388,6 +391,26 @@ impl ItaEngine {
     }
 }
 
+/// The threshold descent's buffers, kept on the engine like `scratch` so
+/// that a descent allocates only while they grow.
+#[derive(Debug, Clone, Default)]
+struct DescentScratch {
+    /// Membership in `R` while a descent runs: bit `seq − front_seq` of the
+    /// window (1.25 KB at 10k documents). All clear between descents: a
+    /// descent clears the whole bitmap when it stops, one short `memset`
+    /// where clearing `R`'s bits one by one would walk all of `R` again.
+    members: Vec<u64>,
+    /// The examined entries a running descent files into the rest, unsorted.
+    searched: Vec<Entry>,
+}
+
+/// The word and the bit of sequence number `seq` in a membership bitmap
+/// whose bit 0 is the window's oldest document, `front`.
+fn member_bit(seq: u64, front: u64) -> (usize, u64) {
+    let at = seq - front;
+    ((at / 64) as usize, 1 << (at % 64))
+}
+
 /// Runs the (initial or resumed) threshold search: repeatedly examines the
 /// highest-impact unexamined posting among the query's lists, maintaining
 /// `R` and the frontier, until `S_k ≥ τ` or the lists are exhausted.
@@ -398,9 +421,26 @@ impl ItaEngine {
 /// posting behind a cursor is in `R`, so a step skips `R`-members only from
 /// where each cursor stands, and only the chosen list advances — through its
 /// whole tie group, so the order within a group (arrival) decides nothing.
-/// No posting is read twice and no step allocates.
-fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
+/// No posting is read twice.
+///
+/// Membership in `R` is a bitmap over the window (`DescentScratch::members`),
+/// set for `R`'s entries when the search starts and for each document as it
+/// is examined, and cleared when it stops: one load per posting passed. An
+/// examined document enters the top-k at once when it ranks there, since
+/// `S_k` decides the stop; it, or the entry it demotes, otherwise waits
+/// unsorted until the stop (`Results::file_searched`). A registration that
+/// builds an `R` of thousands therefore files it with one sort,
+/// `O(|R| log |R|)`, not `O(|R|²)`.
+fn threshold_descent(index: &InvertedIndex, state: &mut QueryState, scratch: &mut DescentScratch) {
     let window = index.documents();
+    let front = window.front_seq();
+    let members = &mut scratch.members;
+    members.resize(members.len().max(window.len().div_ceil(64)), 0);
+    state.results.iter().for_each(|entry| {
+        let (word, bit) = member_bit(entry.seq, front);
+        members[word] |= bit;
+    });
+    let query_weights = state.query.weights().as_slice();
     let mut cursors: Vec<_> = state
         .thresholds
         .iter()
@@ -412,12 +452,18 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
         let mut tau_next = 0.0;
         let mut best: Option<(usize, f64, Weight)> = None;
         for (slot, cursor) in cursors.iter_mut().enumerate() {
-            while cursor.next_if(|p| state.results.contains(p.seq)).is_some() {}
+            while cursor
+                .next_if(|p| {
+                    let (word, bit) = member_bit(p.seq, front);
+                    members[word] & bit != 0
+                })
+                .is_some()
+            {}
             let Some(peek) = cursor.peek() else {
                 continue;
             };
-            let (term, _) = state.thresholds[slot];
-            let contribution = state.query.weight(term).get() * peek.weight.get();
+            // `thresholds` is aligned with the query's terms.
+            let contribution = query_weights[slot].weight.get() * peek.weight.get();
             tau_next += contribution;
             if best.is_none_or(|(_, most, _)| contribution >= most) {
                 best = Some((slot, contribution, peek.weight));
@@ -436,19 +482,24 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState) {
             for ((_, theta), cursor) in state.thresholds.iter_mut().zip(&mut cursors) {
                 *theta = cursor.peek().map_or(Weight::ZERO, |p| p.weight);
             }
+            state.results.file_searched(&mut scratch.searched);
+            members.fill(0);
             return;
         };
 
         // Examine the full tie group at that weight so the frontier is exact:
         // afterwards, every posting strictly above θ is guaranteed to be in R.
         while let Some(posting) = cursors[slot].next_if(|p| p.weight == group_weight) {
-            if state.results.contains(posting.seq) {
+            let (word, bit) = member_bit(posting.seq, front);
+            if members[word] & bit != 0 {
                 continue;
             }
+            members[word] |= bit;
             let score = state.query.score(&window.doc_at(posting.seq).composition);
+            let doc = window.id_at(posting.seq);
             state
                 .results
-                .insert(posting.seq, window.id_at(posting.seq), score);
+                .insert_searched(posting.seq, doc, score, &mut scratch.searched);
             state.postings_examined += 1;
         }
         state.thresholds[slot].1 = group_weight;
@@ -643,8 +694,14 @@ impl ItaEngine {
         );
         let window = self.index.documents();
         let mut live_refs: Vec<u32> = Vec::new();
+        assert!(
+            self.descent.members.iter().all(|word| *word == 0) && self.descent.searched.is_empty(),
+            "the threshold descent left its membership bitmap or its filing buffer dirty"
+        );
         for (qid, state) in self.queries.iter() {
             state.results.check_invariants();
+            let mut members: Vec<u64> = state.results.iter().map(|e| e.seq).collect();
+            members.sort_unstable();
             for entry in state.results.iter() {
                 let (seq, doc) = (entry.seq, entry.doc);
                 assert!(
@@ -687,7 +744,7 @@ impl ItaEngine {
                 for posting in live.take_while(|p| p.weight > *theta) {
                     let doc = window.id_at(posting.seq);
                     assert!(
-                        state.results.contains(posting.seq),
+                        members.binary_search(&posting.seq).is_ok(),
                         "{doc} lies above {qid}'s θ={theta} in {term} but is not in R",
                     );
                 }
@@ -792,6 +849,8 @@ impl Engine for ItaEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use cts_corpus::ScriptRng;
     use cts_index::DocId;
@@ -804,13 +863,14 @@ mod tests {
     /// builds).
     pub(super) fn restart_descent(index: &InvertedIndex, mut state: QueryState) -> QueryState {
         let window = index.documents();
+        let mut in_r: BTreeSet<u64> = state.results.iter().map(|e| e.seq).collect();
         loop {
             let mut peeks: Vec<Option<cts_index::Posting>> = Vec::new();
             let mut tau_next = 0.0;
             for (term, theta) in &state.thresholds {
                 let peek = index
                     .live_postings(*term, *theta)
-                    .find(|p| !state.results.contains(p.seq));
+                    .find(|p| !in_r.contains(&p.seq));
                 if let Some(p) = peek {
                     tau_next += state.query.weight(*term).get() * p.weight.get();
                 }
@@ -840,7 +900,7 @@ mod tests {
                 .map(|p| p.seq)
                 .collect();
             for seq in members {
-                if !state.results.contains(seq) {
+                if in_r.insert(seq) {
                     let doc = window.get(window.id_at(seq)).unwrap();
                     let score = state.query.score(&doc.composition);
                     state.results.insert(seq, doc.id, score);
@@ -1102,6 +1162,42 @@ mod tests {
         assert!(refills > 100, "only {refills} refills met the reference");
     }
 
+    /// One descent that builds an R of thousands, against the restart
+    /// reference (every search of this build runs both) and the audit. Both
+    /// query terms are in every document with weights that add up to about
+    /// the same score, so τ stays above S_k until the lists are half read;
+    /// a stream of arrivals and expiries then refills on top of that R.
+    #[test]
+    fn a_descent_that_builds_an_r_of_thousands_stays_exact() {
+        let window = 3_000;
+        let mut rng = ScriptRng::new(0x26_0001);
+        let mut e = engine(window);
+        let next_doc = |e: &mut ItaEngine, id: u64, rng: &mut ScriptRng| {
+            let a = rng.below(100) as f64 / 250.0;
+            let noise = rng.below(4) as f64 / 1_000.0;
+            let filler = 3 + rng.below(50) as u32;
+            e.process_document(doc(
+                id,
+                &[(1, 0.3 + a), (2, 0.7 - a + noise), (filler, 0.5)],
+            ));
+        };
+        for id in 0..window as u64 {
+            next_doc(&mut e, id, &mut rng);
+        }
+        let query = ContinuousQuery::from_weights([(TermId(1), 0.5), (TermId(2), 0.5)], 10);
+        let q = e.register(query.clone());
+        let size = e.query_stats(q).unwrap().result_set_size;
+        assert!(size > 1_000, "the descent filed only {size} documents");
+        e.check_invariants();
+        assert_eq!(top_ids(&e, q), brute_force_top(&e, &query));
+        for id in window as u64..window as u64 + 300 {
+            next_doc(&mut e, id, &mut rng);
+        }
+        e.check_invariants();
+        assert_eq!(top_ids(&e, q), brute_force_top(&e, &query));
+        assert!(e.query_stats(q).unwrap().refills > 0, "no refill ran");
+    }
+
     #[test]
     fn invariant_every_document_above_a_threshold_is_in_r() {
         let mut e = engine(20);
@@ -1123,7 +1219,7 @@ mod tests {
                     let doc = e.index.documents().id_at(p.seq);
                     if p.weight > *theta {
                         assert!(
-                            state.results.contains(p.seq),
+                            state.results.iter().any(|e| e.seq == p.seq),
                             "event {i}: {doc} above θ={theta} in {term} missing from R",
                         );
                     }

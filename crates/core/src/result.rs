@@ -25,10 +25,17 @@
 //! arrival that enters the top-k (re-filing the document it demotes by
 //! sequence number) and a top-k expiry (promoting the rest's best entry,
 //! found by one scan) pay more than O(1); both are rare next to the touches.
-//! The threshold descent asks, for every posting it passes, whether the
-//! document is in `R`: a binary search of the rest by sequence number, and a
-//! 64-bit filter of the top-k's sequence numbers that lets a miss skip the
-//! top-k scan.
+//!
+//! The threshold descent files in a batch. Each document it examines enters
+//! the top-k at once if it ranks there, since `S_k` decides when the descent
+//! stops; the document, or the entry it demotes, otherwise goes onto an
+//! unsorted buffer the engine owns (`Results::insert_searched`), and the
+//! rest takes them when the descent stops (`Results::file_searched`). At
+//! registration the rest is empty, so building an `R` of thousands costs
+//! one sort by sequence number instead of a middle insertion per document;
+//! a refill's few entries are filed by binary search, as a demoted entry
+//! is. Membership is not asked of `R` at all: the descent keeps its own
+//! bitmap over the window (`crate::ita`).
 
 #![deny(clippy::disallowed_types)]
 
@@ -62,6 +69,14 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
+    fn new(seq: u64, doc: DocId, score: f64) -> Self {
+        Self {
+            seq,
+            doc,
+            score: Weight::new(score),
+        }
+    }
+
     /// Rank order: descending score, ties by ascending document id.
     fn rank(&self, other: &Entry) -> Ordering {
         other
@@ -81,9 +96,6 @@ pub(crate) struct Results {
     /// Every other entry, in increasing sequence-number order; each ranks
     /// after the top-k's last.
     rest: VecDeque<Entry>,
-    /// Bit `seq % 64` set for each top-k entry: the descent's membership
-    /// test, which mostly misses, scans the top-k only on a hit.
-    top_bits: u64,
 }
 
 impl Results {
@@ -93,7 +105,6 @@ impl Results {
             k,
             top: Vec::with_capacity(k),
             rest: VecDeque::new(),
-            top_bits: 0,
         }
     }
 
@@ -123,42 +134,66 @@ impl Results {
             .collect()
     }
 
-    /// Whether the document with sequence number `seq` is in `R`.
-    pub(crate) fn contains(&self, seq: u64) -> bool {
-        (self.top_bits & bit(seq) != 0 && self.top.iter().any(|e| e.seq == seq))
-            || self.rest.binary_search_by_key(&seq, |e| e.seq).is_ok()
-    }
-
-    /// `top_bits` as the top-k's entries give it.
-    fn filter_of_top(&self) -> u64 {
-        self.top.iter().fold(0, |bits, e| bits | bit(e.seq))
-    }
-
     /// Adds a document that is not in `R`, returning whether it entered the
     /// top-k.
     pub(crate) fn insert(&mut self, seq: u64, doc: DocId, score: f64) -> bool {
-        let entry = Entry {
-            seq,
-            doc,
-            score: Weight::new(score),
-        };
+        let (entered, leaving) = self.enter(Entry::new(seq, doc, score));
+        if let Some(entry) = leaving {
+            self.file(entry);
+        }
+        entered
+    }
+
+    /// Adds a document the threshold descent examined, which is not in `R`:
+    /// into the top-k if it ranks there, and whatever leaves for the rest —
+    /// the document or the entry it demotes — onto `searched`, unsorted.
+    /// [`Results::file_searched`] files them when the descent stops; until
+    /// then `R` is its top-k, its rest and `searched`, and only
+    /// [`Results::kth_score`] may be read.
+    pub(crate) fn insert_searched(
+        &mut self,
+        seq: u64,
+        doc: DocId,
+        score: f64,
+        searched: &mut Vec<Entry>,
+    ) {
+        let (_, leaving) = self.enter(Entry::new(seq, doc, score));
+        searched.extend(leaving);
+    }
+
+    /// Files the entries a descent left on `searched` into the rest, leaving
+    /// it empty. At registration the rest is empty, and one sort fills it.
+    /// A refill adds a few entries to a long rest, and files each by binary
+    /// search as a demoted entry is: a one-pass merge would first have to
+    /// make the ring buffer contiguous, moving the whole rest.
+    pub(crate) fn file_searched(&mut self, searched: &mut Vec<Entry>) {
+        if self.rest.is_empty() && !searched.is_empty() {
+            searched.sort_unstable_by_key(|e| e.seq);
+            // The power of two that filing one entry at a time would reach:
+            // an exact fit would make the next arrival copy the whole rest
+            // into a new allocation.
+            self.rest.reserve(searched.len().next_power_of_two());
+            self.rest.extend(searched.drain(..));
+        }
+        for entry in searched.drain(..) {
+            self.file(entry);
+        }
+    }
+
+    /// Places `entry` in the top-k if it ranks there. Returns whether it did,
+    /// and the entry that leaves for the rest: `entry` itself, or the one it
+    /// demotes from a full top-k.
+    fn enter(&mut self, entry: Entry) -> (bool, Option<Entry>) {
+        let mut demoted = None;
         if self.top.len() == self.k {
             match self.top.last() {
-                Some(last) if entry.rank(last).is_lt() => {}
-                _ => {
-                    self.file(entry);
-                    return false;
-                }
+                Some(last) if entry.rank(last).is_lt() => demoted = self.top.pop(),
+                _ => return (false, Some(entry)),
             }
-            if let Some(demoted) = self.top.pop() {
-                self.file(demoted);
-            }
-            self.top_bits = self.filter_of_top();
         }
         let at = self.top.partition_point(|e| e.rank(&entry).is_lt());
         self.top.insert(at, entry);
-        self.top_bits |= bit(seq);
-        true
+        (true, demoted)
     }
 
     /// Files `entry` into the rest by sequence number: at the back for an
@@ -193,7 +228,6 @@ impl Results {
         if let Some(promoted) = best.and_then(|i| self.rest.remove(i)) {
             self.top.push(promoted);
         }
-        self.top_bits = self.filter_of_top();
         Some(true)
     }
 
@@ -205,8 +239,8 @@ impl Results {
 
     /// Audits the layout, panicking on violation: the top-k holds
     /// `min(k, |R|)` entries in strict rank order, the rest is in strictly
-    /// increasing sequence-number order, every rest entry ranks after the
-    /// top-k's last, and the top-k filter matches the top-k.
+    /// increasing sequence-number order, and every rest entry ranks after the
+    /// top-k's last.
     pub(crate) fn check_invariants(&self) {
         assert_eq!(
             self.top.len(),
@@ -227,11 +261,6 @@ impl Results {
                 .all(|(a, b)| a.seq < b.seq),
             "the rest is out of sequence-number order"
         );
-        assert_eq!(
-            self.top_bits,
-            self.filter_of_top(),
-            "the top-k filter is stale"
-        );
         if let Some(last) = self.top.last() {
             assert!(
                 self.rest.iter().all(|e| last.rank(e).is_lt()),
@@ -239,11 +268,6 @@ impl Results {
             );
         }
     }
-}
-
-/// `seq`'s bit in a top-k filter.
-fn bit(seq: u64) -> u64 {
-    1 << (seq % 64)
 }
 
 #[cfg(test)]
@@ -286,33 +310,45 @@ mod tests {
         ranked
     }
 
-    /// Random interleavings of the engine's four operations — arrival
-    /// inserts (the newest sequence number), descent inserts (any valid one
-    /// not in R), expiries of the oldest sequence number, among them top-k
-    /// expiries that promote — against a flat list sorted by rank, read back
-    /// after every op. A small score palette makes ties routine.
+    /// Random interleavings of the engine's operations — arrival inserts
+    /// (the newest sequence number), single inserts of any valid document
+    /// not in R (filed by binary search, as a demoted entry is), descent
+    /// batches (several such documents through `insert_searched`, then one
+    /// `file_searched`, on an empty and on a non-empty R), expiries of the
+    /// oldest sequence number, among them top-k expiries that promote —
+    /// against a flat list sorted by rank, read back after every op. A small
+    /// score palette makes ties routine.
     #[test]
     fn random_operations_track_a_sorted_reference() {
         let palette = [0.1, 0.2, 0.2, 0.4, 0.7, 0.9];
         let mut top_k_expiries = 0;
+        let mut batches = [0usize; 2];
+        let mut searched = Vec::new();
         for k in [1usize, 2, 10] {
             for seed in 0..12u64 {
                 let mut rng = ScriptRng::new(0x2E5_0000 + seed * 16 + k as u64);
                 let mut r = Results::new(k);
                 let mut model: Vec<Entry> = Vec::new();
-                // The window holds the sequence numbers `front..next`.
-                let (mut front, mut next) = (0u64, 0u64);
+                // The window holds the sequence numbers `front..next`; each
+                // run opens with a descent batch on an empty R over a
+                // window of up to 40 documents, as a registration does.
+                let (mut front, mut next) = (0u64, 1 + rng.below(40) as u64);
                 for step in 0..600 {
-                    match rng.below(10) {
+                    let context = format!("k {k} seed {seed} step {step}");
+                    let random_entry = |rng: &mut ScriptRng, seq: u64| Entry {
+                        seq,
+                        doc: DocId(rng.below(1_000) as u64 * 1_000 + seq),
+                        score: Weight::new(*rng.pick(&palette)),
+                    };
+                    let mut absent: Vec<u64> = (front..next)
+                        .filter(|s| model.iter().all(|e| e.seq != *s))
+                        .collect();
+                    match if step == 0 { 6 } else { rng.below(10) } {
                         0..=3 => {
                             let seq = next;
                             next += 1;
                             if rng.chance(0.6) {
-                                let e = Entry {
-                                    seq,
-                                    doc: DocId(rng.below(1_000) as u64 * 1_000 + seq),
-                                    score: Weight::new(*rng.pick(&palette)),
-                                };
+                                let e = random_entry(&mut rng, seq);
                                 let entered = r.insert(e.seq, e.doc, e.score.get());
                                 model.push(e);
                                 assert_eq!(
@@ -321,32 +357,46 @@ mod tests {
                                 );
                             }
                         }
-                        4..=6 => {
-                            let absent: Vec<u64> = (front..next)
-                                .filter(|s| model.iter().all(|e| e.seq != *s))
-                                .collect();
+                        4..=5 => {
                             if let Some(&seq) = absent.get(rng.below(absent.len().max(1))) {
-                                let e = Entry {
-                                    seq,
-                                    doc: DocId(rng.below(1_000) as u64 * 1_000 + seq),
-                                    score: Weight::new(*rng.pick(&palette)),
-                                };
+                                let e = random_entry(&mut rng, seq);
                                 r.insert(e.seq, e.doc, e.score.get());
                                 model.push(e);
                             }
+                        }
+                        6 => {
+                            let count = if step == 0 || rng.chance(0.2) {
+                                absent.len()
+                            } else {
+                                rng.below(5)
+                            }
+                            .min(absent.len());
+                            if count > 0 {
+                                batches[usize::from(!model.is_empty())] += 1;
+                            }
+                            for _ in 0..count {
+                                let seq = absent.swap_remove(rng.below(absent.len()));
+                                let e = random_entry(&mut rng, seq);
+                                r.insert_searched(e.seq, e.doc, e.score.get(), &mut searched);
+                                model.push(e);
+                                // The descent's stop test reads S_k mid-batch.
+                                let kth = ranked(&model).get(k - 1).map_or(0.0, |e| e.score.get());
+                                assert_eq!(r.kth_score(), kth, "{context}: mid-batch S_k");
+                            }
+                            r.file_searched(&mut searched);
+                            assert!(searched.is_empty(), "{context}: the batch was not filed");
                         }
                         _ if front < next => {
                             let member = model.iter().any(|e| e.seq == front);
                             let in_top = ranked(&model).iter().take(k).any(|e| e.seq == front);
                             let expected = member.then_some(in_top);
-                            assert_eq!(r.expire(front), expected, "k {k} seed {seed} step {step}");
+                            assert_eq!(r.expire(front), expected, "{context}");
                             top_k_expiries += usize::from(expected == Some(true));
                             model.retain(|e| e.seq != front);
                             front += 1;
                         }
                         _ => {}
                     }
-                    let context = format!("k {k} seed {seed} step {step}");
                     r.check_invariants();
                     let expected = ranked(&model);
                     let expected_top: Vec<RankedDocument> = expected
@@ -361,13 +411,18 @@ mod tests {
                     assert_eq!(r.len(), model.len(), "{context}");
                     let kth = expected.get(k - 1).map_or(0.0, |e| e.score.get());
                     assert_eq!(r.kth_score(), kth, "{context}");
-                    for seq in front.saturating_sub(1)..=next {
-                        let member = model.iter().any(|e| e.seq == seq);
-                        assert_eq!(r.contains(seq), member, "{context}: seq {seq}");
-                    }
+                    let mut members: Vec<Entry> = r.iter().copied().collect();
+                    members.sort_by_key(|e| e.seq);
+                    let mut expected_members = model.clone();
+                    expected_members.sort_by_key(|e| e.seq);
+                    assert_eq!(members, expected_members, "{context}");
                 }
             }
         }
+        assert!(
+            batches[0] >= 36 && batches[1] > 500,
+            "descent batches on an empty and a non-empty R: {batches:?}"
+        );
         assert!(top_k_expiries > 100, "only {top_k_expiries} top-k expiries");
     }
 }

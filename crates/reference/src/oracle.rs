@@ -6,12 +6,17 @@
 //! possible correct implementation, which is precisely what makes it the
 //! ground truth the test suites validate [`cts_core::ItaEngine`] and
 //! [`crate::NaiveEngine`] against — any divergence is a bug in the
-//! incremental machinery, never in the oracle.
+//! incremental machinery, never in the oracle. It shares no scoring code
+//! with them either: it scores by the plain merge ([`cts_text::dot_product`]),
+//! where the engines' `ContinuousQuery::score` probes the composition list
+//! by lockstep binary searches. Both add the matched products in ascending
+//! term order, so the scores agree bit for bit.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use cts_core::{ContinuousQuery, Engine, EventOutcome, RankedDocument};
 use cts_index::{Document, QueryId, SlidingWindow, Timestamp};
+use cts_text::dot_product;
 
 /// The exhaustive re-evaluation engine.
 #[derive(Debug, Clone)]
@@ -89,7 +94,7 @@ impl Engine for BruteForceOracle {
             .iter()
             .map(|doc| RankedDocument {
                 doc: doc.id,
-                score: query.score(&doc.composition),
+                score: dot_product(query.weights().as_slice(), doc.composition.as_slice()),
             })
             .filter(|ranked| ranked.score > 0.0)
             .collect();

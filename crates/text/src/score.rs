@@ -46,18 +46,52 @@ pub fn dot_product(xs: &[WeightedTerm], ys: &[WeightedTerm]) -> f64 {
 /// `|Q| + |d|` at newswire document lengths.
 const LOOKUP_ASYMMETRY: usize = 16;
 
+/// Query terms whose binary searches [`dot_product_lookup`] runs side by
+/// side. 16 holds a whole query wherever the lookup path is taken at
+/// newswire document lengths (`|Q|·LOOKUP_ASYMMETRY < |d|` ≈ 230).
+const LANES: usize = 16;
+
 /// Computes the sparse dot product by probing `ys` (binary search) for each
 /// term of `xs`. Equivalent to [`dot_product`] — both accumulate matched
 /// terms in ascending term-id order, so the results are bit-identical — but
 /// `O(|xs| log |ys|)` instead of `O(|xs| + |ys|)`, a large win when a short
 /// query meets a long document composition list.
+///
+/// The searches run in lockstep, `LANES` query terms at a time: each round
+/// halves every lane's range by one comparison, so a round issues one load
+/// per lane, none waiting on another, where a search per term would chain
+/// `log |ys|` dependent loads each. A scored document is mostly cold, so the
+/// loads, not the comparisons, are the cost.
 pub fn dot_product_lookup(xs: &[WeightedTerm], ys: &[WeightedTerm]) -> f64 {
-    xs.iter()
-        .map(|x| {
-            let matched = ys.binary_search_by_key(&x.term, |y| y.term);
-            x.weight.get() * matched.map_or(0.0, |i| ys[i].weight.get())
-        })
-        .sum()
+    let mut acc = 0.0;
+    if ys.is_empty() {
+        return acc;
+    }
+    for group in xs.chunks(LANES) {
+        // Lane `l` keeps `ys[base[l]].term ≤ group[l].term` whenever any
+        // entry of `ys` is, over a range whose length halves each round.
+        let mut base = [0usize; LANES];
+        let mut len = ys.len();
+        while len > 1 {
+            let half = len / 2;
+            for (lane, x) in base.iter_mut().zip(group) {
+                let probe = *lane + half;
+                *lane = if ys[probe].term <= x.term {
+                    probe
+                } else {
+                    *lane
+                };
+            }
+            len -= half;
+        }
+        for (&at, x) in base.iter().zip(group) {
+            let y = ys[at];
+            if y.term == x.term {
+                acc += x.weight.get() * y.weight.get();
+            }
+        }
+    }
+    acc
 }
 
 /// Scores a (short) query against a (long) document composition list, both
@@ -202,24 +236,108 @@ mod tests {
         assert_eq!(dot_product(&[], a.as_slice()), 0.0);
     }
 
+    /// A splitmix64 stream: reproducible draws for the property test, in a
+    /// crate that has no random number generator of its own.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % u64::from(n)) as u32
+        }
+
+        /// A positive weight spanning six orders of magnitude, so that a
+        /// different summation order would round differently.
+        fn weight(&mut self) -> Weight {
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            Weight::new((unit + 1e-3) * 10f64.powi(self.below(6) as i32 - 3))
+        }
+
+        /// `len` distinct terms of `pool`, ascending, each with a weight.
+        fn entries(&mut self, pool: &[u32], len: usize) -> Vec<WeightedTerm> {
+            let mut terms = pool.to_vec();
+            for i in 0..len.min(terms.len()) {
+                let j = i + self.below((terms.len() - i) as u32) as usize;
+                terms.swap(i, j);
+            }
+            terms.truncate(len);
+            terms.sort_unstable();
+            terms
+                .into_iter()
+                .map(|term| WeightedTerm {
+                    term: t(term),
+                    weight: self.weight(),
+                })
+                .collect()
+        }
+    }
+
+    /// The lockstep lookup against the merge, by `to_bits`, over query
+    /// lengths 1..=40 (within one lane group, exactly one, and across two
+    /// and three) and documents of 0, 1, ≈ 230 and 4,000 entries; each query
+    /// is drawn three ways: around and beyond the document's term range
+    /// (below its first term and above its last), from its terms only (every
+    /// term matches), and with both extremes of the term space.
     #[test]
     fn lookup_and_merge_dot_products_are_bit_identical() {
-        let q = WeightedVector::from_weights([(t(3), 0.447), (t(40), 0.894), (t(99), 0.1)]);
-        let d = WeightedVector::from_weights((0..100u32).map(|i| (t(i), 0.001 + i as f64 * 0.003)));
-        assert_eq!(
-            dot_product(q.as_slice(), d.as_slice()),
-            dot_product_lookup(q.as_slice(), d.as_slice())
-        );
-        assert_eq!(
-            query_document_score(q.as_slice(), d.as_slice()),
-            dot_product(q.as_slice(), d.as_slice())
-        );
-        // Symmetric sizes take the merge path; tiny-vs-large takes lookup.
-        let small = WeightedVector::from_weights([(t(1), 0.5)]);
-        assert_eq!(
-            query_document_score(small.as_slice(), d.as_slice()),
-            dot_product_lookup(small.as_slice(), d.as_slice())
-        );
+        let mut rng = SplitMix(0x5C0_4E00);
+        let mut all_matched = 0;
+        for doc_len in [0usize, 1, 229, 230, 231, 4_000] {
+            // Terms 100.. with gaps, so misses fall between entries too.
+            let mut next = 100;
+            let doc_terms: Vec<u32> = (0..doc_len)
+                .map(|_| {
+                    next += 1 + rng.below(3);
+                    next
+                })
+                .collect();
+            let doc = rng.entries(&doc_terms, doc_len);
+            let around: Vec<u32> = (0..next + 100).collect();
+            for query_len in 1..=40usize {
+                for _ in 0..4 {
+                    let mut extremes = rng.entries(&around, query_len.saturating_sub(2));
+                    extremes.insert(
+                        0,
+                        WeightedTerm {
+                            term: t(0),
+                            weight: rng.weight(),
+                        },
+                    );
+                    if query_len > 1 {
+                        extremes.push(WeightedTerm {
+                            term: t(u32::MAX),
+                            weight: rng.weight(),
+                        });
+                    }
+                    let mut queries = vec![rng.entries(&around, query_len), extremes];
+                    if query_len <= doc_len {
+                        queries.push(rng.entries(&doc_terms, query_len));
+                    }
+                    for (kind, query) in queries.iter().enumerate() {
+                        let merge = dot_product(query, &doc);
+                        let lookup = dot_product_lookup(query, &doc);
+                        assert_eq!(
+                            lookup.to_bits(),
+                            merge.to_bits(),
+                            "query kind {kind} of {query_len} terms on a {doc_len}-entry document"
+                        );
+                        assert_eq!(query_document_score(query, &doc).to_bits(), merge.to_bits());
+                        if kind == 2 {
+                            assert!(merge > 0.0);
+                            all_matched += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(all_matched > 400, "only {all_matched} all-matching queries");
     }
 
     #[test]
