@@ -1,14 +1,14 @@
-//! Ablation: what recovering a faulted shard worker costs.
+//! Ablation: what recovering a faulted shard costs.
 //!
-//! There is one recovery path (DESIGN.md §10): a caught panic ends the
-//! shard's worker, and the coordinator rebuilds the shard from its durable
-//! registry and window mirror — it joins the old thread, resolves the
-//! postings of the shard's queries against the mirror and spawns a worker
-//! seeded with them, which loads the mirror's documents into a fresh engine
+//! There is one recovery path (DESIGN.md §10): a caught panic drops the
+//! shard's state, and the coordinator rebuilds the shard from its durable
+//! registry and window mirror before the call returns, in place on the
+//! caller's thread — it resolves the postings of the shard's queries
+//! against the mirror, loads the mirror's documents into a fresh engine
 //! (no query is live yet, so nothing is filed) and then registers the
 //! queries in one batch. Cost scales with the window (the load and the
 //! resolve) and with the shard's queries (their threshold searches), not
-//! with history; the thread start is tens of microseconds.
+//! with history.
 //!
 //! Fixes a 2-shard engine over a filled count-based window at two points —
 //! 500 queries over 5k documents (where the deleted warm restore was priced)
@@ -124,7 +124,7 @@ fn bench_recovery(c: &mut Criterion) {
                 |b| {
                     b.iter(|| {
                         if fault {
-                            // The next event is applied, the worker panics,
+                            // The next event is applied, shard 0 panics,
                             // and the measured time includes the rebuild.
                             engine.inject_fault(0);
                         }

@@ -193,7 +193,7 @@ fn bench_registration_strategies(c: &mut Criterion) {
         let mut register_time = Duration::ZERO;
         let mut iterations = 0u64;
         let mut result_set_sizes = 0usize;
-        let postings_before = engine.register_postings_touched();
+        let postings_before = engine.index_stats().register_postings_touched;
         c.bench_function(
             &format!(
                 "ita_term_filtered/register/q{}w{}/{label}",
@@ -220,7 +220,7 @@ fn bench_registration_strategies(c: &mut Criterion) {
         );
         if iterations > 0 {
             let per_workload = register_time.as_secs_f64() / iterations as f64;
-            let filed = engine.register_postings_touched() - postings_before;
+            let filed = engine.index_stats().register_postings_touched - postings_before;
             eprintln!(
                 "ita_term_filtered/register/{label}: {:.3} s per {}-query workload \
                  ({:.1} µs/query, mean |R| {:.0}; {} postings filed and {} composition \
@@ -230,7 +230,7 @@ fn bench_registration_strategies(c: &mut Criterion) {
                 per_workload * 1e6 / point.num_queries as f64,
                 result_set_sizes as f64 / (iterations as usize * point.num_queries) as f64,
                 filed,
-                engine.register_entries_walked(),
+                engine.index_stats().register_entries_walked,
                 engine.index_stats().directory_bytes as f64 / 1e6,
             );
         }
@@ -272,7 +272,7 @@ fn bench_single_registration(c: &mut Criterion) {
             ms(register_time, iterations),
             point.window_docs,
             engine.index_stats().directory_bytes as f64 / 1e6,
-            engine.register_entries_walked(),
+            engine.index_stats().register_entries_walked,
         );
     }
 }
@@ -291,7 +291,7 @@ fn bench_resolved_registration(c: &mut Criterion) {
         engine.register_batch(resident[..point.num_queries / 2].to_vec());
         // The resident half registered stand-alone: that one walk is all
         // this engine ever reads out of its own store.
-        let own_walk = engine.register_entries_walked();
+        let own_walk = engine.index_stats().register_entries_walked;
         let mut warm = window_over(&docs, chunk_docs, usize::MAX);
         warm.postings([TermId(0)]);
         let built = warm.stats();
@@ -334,7 +334,7 @@ fn bench_resolved_registration(c: &mut Criterion) {
                                 .then(|| window_over(&docs, chunk_docs, BUILDS_PER_CALL));
                             let window = fresh.as_mut().unwrap_or(&mut warm);
                             let before = window.stats();
-                            let filed_before = engine.register_postings_touched();
+                            let filed_before = engine.index_stats().register_postings_touched;
                             let start = Instant::now();
                             let postings = window.postings(terms_of(queries));
                             let resolved = start.elapsed();
@@ -347,7 +347,7 @@ fn bench_resolved_registration(c: &mut Criterion) {
                             walked += after.entries_walked - before.entries_walked;
                             from_directories +=
                                 after.postings_from_directories - before.postings_from_directories;
-                            filed += engine.register_postings_touched() - filed_before;
+                            filed += engine.index_stats().register_postings_touched - filed_before;
                             for (id, _) in &batch {
                                 engine.deregister(*id);
                             }
@@ -355,7 +355,7 @@ fn bench_resolved_registration(c: &mut Criterion) {
                     },
                 );
                 assert_eq!(
-                    engine.register_entries_walked(),
+                    engine.index_stats().register_entries_walked,
                     own_walk,
                     "the engine walked"
                 );

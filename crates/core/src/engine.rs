@@ -165,9 +165,9 @@ pub trait Engine {
 
     /// Arms one injected fault on `shard`, for engines that support fault
     /// injection: the next stream event that shard processes is applied and
-    /// then the worker panics mid-request, exercising the recovery path.
-    /// The arm lives in the shard's worker and dies with it: arming a shard
-    /// twice before an event faults it once, and the rebuilt worker starts
+    /// then the shard's work panics, exercising the recovery path. The arm
+    /// lives in the shard's state and is dropped with it: arming a shard
+    /// twice before an event faults it once, and the rebuilt shard starts
     /// with nothing armed. Returns whether a fault was armed. The default is a no-op returning
     /// `false` — which is what lets `cts-reference`'s chaos scripts run in
     /// lockstep against fault-free reference engines.

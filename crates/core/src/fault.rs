@@ -1,27 +1,25 @@
 //! Fault taxonomy and fault counters for the sharded engine.
 //!
-//! A production continuous-search service cannot let one faulting worker
+//! A production continuous-search service cannot let one faulting shard
 //! take down every registered query. This module holds the types the fault-
 //! tolerant [`crate::ShardedItaEngine`] surfaces to callers:
 //!
 //! * [`ShardFault`] / [`EngineError`] — what went wrong, as data instead of
-//!   a process abort. A worker that faults exits, and its shard is rebuilt
-//!   by a freshly started worker before the mutating call that found it
-//!   returns, so a `try_*` coordinator method returns a fault only when
-//!   that worker fails to start (its thread fails to spawn, or it panics
-//!   while building; the next mutating call tries again). The infallible
+//!   a process abort. A panic in a shard's work drops the shard's state, and
+//!   the shard is rebuilt in place before the mutating call that caused it
+//!   returns, so a `try_*` coordinator method returns a fault only when that
+//!   rebuild panics (the next mutating call tries again). The infallible
 //!   [`crate::Engine`] trait methods panic then, and on a refused input (a
 //!   duplicate document id).
 //! * [`FaultStats`] — counters for faults seen, rebuilds performed, time
-//!   spent rebuilding and shards currently degraded. Construction has no
-//!   counters: a worker that fails to start fails construction.
+//!   spent rebuilding and shards currently degraded.
 //!
 //! Faults are injected only through [`crate::Engine::inject_fault`] and the
-//! sharded engine's `inject_disconnect` test hook; no document or query a
-//! caller passes in can fault a worker on purpose. The recovery design
-//! itself — one path: a faulted shard is rebuilt as a registration of its
-//! queries over the coordinator's window mirror — is documented in
-//! DESIGN.md §10 and implemented in [`crate::sharded`].
+//! sharded engine's `inject_loss` test hook; no document or query a caller
+//! passes in can fault a shard on purpose. The recovery design itself — one
+//! path: a faulted shard is rebuilt as a registration of its queries over
+//! the coordinator's window mirror — is documented in DESIGN.md §10 and
+//! implemented in [`crate::sharded`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -29,8 +27,8 @@ use std::fmt;
 
 use cts_index::{DocId, QueryId};
 
-/// A shard worker panicked and exited: the shard's engine state is gone
-/// until the coordinator rebuilds it.
+/// A shard's work panicked: the shard's engine state is gone until the
+/// coordinator rebuilds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFault {
     /// Which shard faulted (coordinator shard index).
@@ -51,16 +49,9 @@ impl std::error::Error for ShardFault {}
 /// panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker panicked while building its shard from the coordinator's
-    /// state; the shard stays degraded and the next mutating call tries the
-    /// rebuild again.
+    /// A shard's rebuild from the coordinator's state panicked; the shard
+    /// stays degraded and the next mutating call tries the rebuild again.
     ShardFault(ShardFault),
-    /// A worker thread is gone (its channel disconnected) and a new one
-    /// could not be spawned; the next mutating call tries again.
-    ShardUnavailable {
-        /// Which shard's worker is unreachable.
-        shard: usize,
-    },
     /// The query id is not registered.
     UnknownQuery(QueryId),
     /// A document of the burst has the id of a document still in the
@@ -73,9 +64,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::ShardFault(fault) => fault.fmt(f),
-            EngineError::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} worker is unavailable (disconnected)")
-            }
             EngineError::UnknownQuery(query) => write!(f, "{query} is not registered"),
             EngineError::DuplicateDocument(id) => write!(f, "duplicate document id {id}"),
         }
@@ -101,16 +89,16 @@ impl From<ShardFault> for EngineError {
 /// ([`crate::Engine::fault_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Times a shard went from healthy to degraded, by a caught panic or a
-    /// disconnect.
+    /// Times a shard went from healthy to degraded: a caught panic, or the
+    /// loss test hook.
     pub faults: u64,
     /// Shard rebuilds performed.
     pub recoveries: u64,
     /// Total time spent rebuilding shards, in microseconds.
     pub recovery_micros: u64,
-    /// Shards currently degraded (worker gone). Only a read
-    /// through `&self` can leave one degraded past its call; the next
-    /// mutating call rebuilds it.
+    /// Shards currently degraded (state dropped and not yet rebuilt). Only
+    /// a failed rebuild or the loss test hook leaves one degraded past its
+    /// call; the next mutating call rebuilds it.
     pub degraded_shards: usize,
 }
 
@@ -128,10 +116,6 @@ mod tests {
         let err: EngineError = fault.clone().into();
         assert_eq!(err.to_string(), fault.to_string());
         assert!(std::error::Error::source(&err).is_some());
-        assert_eq!(
-            EngineError::ShardUnavailable { shard: 1 }.to_string(),
-            "shard 1 worker is unavailable (disconnected)"
-        );
         assert!(EngineError::UnknownQuery(QueryId(9))
             .to_string()
             .contains("not registered"));

@@ -243,23 +243,6 @@ impl ItaEngine {
         }
     }
 
-    /// Impact entries filed by the registration-path backfills of this
-    /// engine's index so far — the registration-cost regression counter (see
-    /// [`cts_index::InvertedIndex::register_postings_touched`]). Always 0 on
-    /// unfiltered engines.
-    pub fn register_postings_touched(&self) -> u64 {
-        self.index.register_postings_touched()
-    }
-
-    /// Composition entries this engine's window walked to resolve postings
-    /// no caller supplied (see
-    /// [`cts_index::InvertedIndex::register_entries_walked`]): the chunks
-    /// without a term directory per call, and 0 on a shard whose
-    /// coordinator ships them.
-    pub fn register_entries_walked(&self) -> u64 {
-        self.index.register_entries_walked()
-    }
-
     /// Iterates over the currently valid documents in arrival order.
     /// Exposed so validation harnesses (e.g. the paper-scale soak) can
     /// re-evaluate queries against the engine's own window without keeping a
@@ -901,7 +884,7 @@ mod tests {
                 .collect();
             for seq in members {
                 if in_r.insert(seq) {
-                    let doc = window.get(window.id_at(seq)).unwrap();
+                    let doc = window.doc_at(seq);
                     let score = state.query.score(&doc.composition);
                     state.results.insert(seq, doc.id, score);
                     state.postings_examined += 1;
@@ -1492,17 +1475,17 @@ mod tests {
         let hits = 8u64;
         let mut small = filtered_window(7, hits, 100);
         let mut large = filtered_window(7, hits, 400);
-        assert_eq!(small.register_postings_touched(), 0);
+        assert_eq!(small.index_stats().register_postings_touched, 0);
         small.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 2));
         large.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 2));
         assert_eq!(
-            small.register_postings_touched(),
+            small.index_stats().register_postings_touched,
             hits,
             "registration filed more postings than the term occurs"
         );
         assert_eq!(
-            small.register_postings_touched(),
-            large.register_postings_touched(),
+            small.index_stats().register_postings_touched,
+            large.index_stats().register_postings_touched,
             "registration cost moved with window size"
         );
     }
@@ -1518,8 +1501,8 @@ mod tests {
         assert_eq!(ids.len(), 20);
         // One walk serves the whole burst: the cost is one list's postings
         // and one window's entries, not 20 of either.
-        assert_eq!(e.register_postings_touched(), hits);
-        assert_eq!(e.register_entries_walked(), hits + 100);
+        assert_eq!(e.index_stats().register_postings_touched, hits);
+        assert_eq!(e.index_stats().register_entries_walked, hits + 100);
         // And the loop path agrees — the second and later registrations find
         // the term already live and file nothing.
         let mut looped = filtered_window(7, hits, 100);
@@ -1529,7 +1512,7 @@ mod tests {
                 ((k % 3) + 1) as usize,
             ));
         }
-        assert_eq!(looped.register_postings_touched(), hits);
+        assert_eq!(looped.index_stats().register_postings_touched, hits);
     }
 
     /// Postings resolved by the window's owner are filed as they are: the
@@ -1562,11 +1545,11 @@ mod tests {
         let postings = window.postings(terms);
         supplied.register_shared_batch(&batch, &postings);
         walked.register_shared_batch(&batch, &TermPostings::default());
-        assert_eq!(supplied.register_entries_walked(), 0);
-        assert_eq!(walked.register_entries_walked(), hits + 100);
+        assert_eq!(supplied.index_stats().register_entries_walked, 0);
+        assert_eq!(walked.index_stats().register_entries_walked, hits + 100);
         assert_eq!(
-            supplied.register_postings_touched(),
-            walked.register_postings_touched()
+            supplied.index_stats().register_postings_touched,
+            walked.index_stats().register_postings_touched
         );
         for (qid, _) in &batch {
             assert_eq!(supplied.current_results(*qid), walked.current_results(*qid));

@@ -16,7 +16,7 @@
 //!   arrivals and expirations touch only the queries whose thresholds they
 //!   cross; an expired top-k document is replaced by an incremental
 //!   *refill* instead of recomputation.
-//! * [`ShardedItaEngine`] — ITA across query-partitioned worker shards, with
+//! * [`ShardedItaEngine`] — ITA across query-partitioned shards, with
 //!   results byte-identical to [`ItaEngine`]'s, and event outcomes too up
 //!   to a shard's first fault (a faulted shard is rebuilt from the
 //!   coordinator's window mirror).

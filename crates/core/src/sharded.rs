@@ -1,129 +1,73 @@
 //! Query-sharded parallel execution of the Incremental Threshold Algorithm.
 //!
-//! [`ShardedItaEngine`] partitions the registered queries across `N` worker
-//! shards by a deterministic hash of the query id. Each shard owns, for its
-//! query subset, **everything** the single-shard [`ItaEngine`] owns for the
-//! full set: the per-query result sets and local thresholds, the per-term
-//! threshold trees, and a *term-filtered shadow* inverted index — segmented
-//! impact lists for only the terms its queries reference, mirrored over the
-//! shared window (every shard's `WindowTerms` holds `Arc`s, so the window's
-//! composition lists exist once in memory no matter how many shards mirror
-//! them).
+//! [`ShardedItaEngine`] partitions the registered queries across `N` shards
+//! by a hash of the query id. Each shard owns, for its query subset,
+//! **everything** the single-shard [`ItaEngine`] owns for the full set:
+//! result sets, local thresholds, threshold trees, and a *term-filtered
+//! shadow* index — impact lists for only the terms its queries reference,
+//! over a store of `Arc`'d documents shared with every other shard.
 //!
-//! ## Calls
+//! ## Calls and fan-outs
 //!
-//! The coordinator talks to a worker in **calls**: it ships a closure over
-//! the worker's state down the shard's job queue and receives the closure's
-//! typed result on a reply channel that belongs to that one call, so an
-//! operation is one closure at its call site and no reply can be read by
-//! another call. A fan-out submits its call to every shard before it waits
-//! on any, so the shards work in parallel.
-//!
-//! Stream events cross the boundary in **bursts**, and a single event is a
-//! burst of one (DESIGN.md §8 has the traffic numbers that make this the
-//! only path): the coordinator wraps each document in an `Arc` and ships the
-//! burst to every shard in **one call per shard**. Every worker probes its
-//! own trees, repairs its own result sets and slides its own window mirror
-//! with **zero cross-shard locking on the hot path** — the channel handoff
-//! at the burst boundary is the only synchronisation — processing (and
-//! timing) the events one by one, in order, so outcomes are byte-identical
-//! whatever the burst length (the batch-vs-singles differential tests
-//! enforce it). The per-shard [`crate::EventOutcome`]s are folded back with
-//! [`crate::EventOutcome::merge_shard`] into exactly what a single-shard
-//! engine would have reported, and per-worker [`ProcessingStats`] merge
-//! through [`ProcessingStats::absorb`], so a caller reads exact aggregate
-//! numbers, per-event maxima of batched runs included.
-//!
-//! ## Static placement
+//! A shard is data the coordinator owns: its engine, its processing stats
+//! and an armed-fault flag, in one slot of a `Vec`. Reads (results, stats,
+//! the audit) are direct calls on it. A mutating call reaches its shards
+//! through one **fan-out**, in **steps** (a burst's step is one event, a
+//! registration batch is one step). A call carrying one event, or reaching
+//! one shard, runs its shards one after another on the caller's thread. A
+//! larger burst or registration batch gives the first shard to the caller
+//! and every other shard to a thread of one [`std::thread::scope`], which
+//! takes its shard over when it starts; until then the caller steps that
+//! shard in turn with its own. No thread outlives a call. Every shard runs
+//! a burst's events one by one, in order, timing each, so outcomes are
+//! byte-identical whatever the burst length; the per-shard
+//! [`crate::EventOutcome`]s fold with [`crate::EventOutcome::merge_shard`]
+//! into exactly the single-shard engine's, and per-shard
+//! [`ProcessingStats`] merge with [`ProcessingStats::absorb`].
 //!
 //! A query lives on the shard [`ShardedItaEngine::shard_of`] hashes its id
-//! to, from registration to deregistration; that hash is the whole routing.
-//! The coordinator mints
-//! the ids, and the multiply-shift over their Fibonacci hash levels the query
-//! count across shards for sequential and churned id sets alike, so nothing
-//! moves a query afterwards (DESIGN.md §8 has the measured spread and what a
-//! rebalancer would still level).
+//! to, from registration to deregistration (DESIGN.md §8).
 //!
 //! ## Fault tolerance
 //!
-//! A production service cannot let one faulting worker take every
-//! registered query down, so a worker panic is **data, not death of the
-//! process** (DESIGN.md §10):
+//! A panic in a shard's work is **data, not death of the process**
+//! (DESIGN.md §10):
 //!
-//! * **A shard is only ever built** — one function starts every worker: a
-//!   fresh thread seeded with the mirror's documents, the shard's queries
-//!   and their postings, which builds its engine from the seed and answers
-//!   once on a ready channel. [`ShardedItaEngine::new`] seeds every worker
-//!   empty; recovery seeds one from the coordinator's durable state.
-//! * **A faulted worker exits** — the build and every call run under
-//!   [`std::panic::catch_unwind`]. A panic answers with a typed
-//!   [`ShardFault`] and ends the thread, so a shard is either healthy or
-//!   gone; the coordinator marks it *degraded* alike for a fault, a failed
-//!   submit and a reply channel that closes unanswered.
-//! * **One recovery path, the seeded rebuild** — the coordinator keeps
-//!   durable state updated **before** any fan-out — a query registry
-//!   (id → [`ContinuousQuery`]), whose ids hash to their shards, and a window
-//!   mirror of `Arc`'d documents ([`WindowTerms`]) — and rebuilds a degraded
-//!   shard from it: join the old thread, resolve the postings of the shard's
-//!   queries against the mirror, spawn a worker seeded with them. The worker
-//!   loads the mirror's documents into a fresh engine (no query is live, so
-//!   nothing is filed), then registers the queries in one batch. A rebuilt
-//!   shard is "these queries registered over this window", the state any
-//!   registration produces. Its top-k results are exact (ITA's reported
-//!   top-k is a function of the window contents and the queries); its
-//!   thresholds are a fresh registration's, not the faulted history's, so
-//!   its work counters — and the event outcomes built from them — are a
-//!   rebuilt engine's from the shard's first fault on (DESIGN.md §10).
-//! * **Rebuilt before the call returns** — a mutating call rebuilds every
-//!   degraded shard before it fans out, and again before it returns, so a
-//!   shard that faults during a call loses its share of that call's
-//!   outcomes and nothing else. The call surfaces a typed [`EngineError`]
-//!   only when a rebuild itself fails. A read through `&self` cannot
-//!   rebuild: it answers a degraded shard with its fallback (empty results,
-//!   zeroed stats) and leaves the shard to the next mutating call.
-//!
-//! A document whose id is already in the window (or twice in one burst) is
-//! refused with [`EngineError::DuplicateDocument`] before any shard or the
-//! mirror sees it: every worker would panic on it, and the mirror would
-//! hand it to every rebuild.
-//!
-//! Workers are **persistent**: one thread per shard, living until the engine
-//! is dropped or the worker faults. Construction panics if any of them
-//! fails to start, so an engine always runs on the shards it was asked for;
-//! a worker that fails to start during a rebuild leaves the shard degraded
-//! for the next mutating call to try again. Dropping the engine closes
-//! every job queue and joins the threads; a worker's [`ProcessingStats`]
-//! are read while the engine lives
-//! ([`ShardedItaEngine::aggregate_shard_stats`]).
+//! * **Every step runs under [`std::panic::catch_unwind`]**, whichever
+//!   thread runs it. A panic drops that shard's state — its slot is empty
+//!   until the shard is rebuilt — and counts one fault.
+//! * **One recovery path, the seeded rebuild.** The coordinator updates its
+//!   durable state **before** any fan-out — a query registry
+//!   (id → [`ContinuousQuery`]) and a window mirror ([`WindowTerms`]) — and
+//!   rebuilds a shard from it in place: the mirror's documents loaded into a
+//!   fresh engine (no query is live, so nothing is filed), then the shard's
+//!   queries registered in one batch with postings resolved on the mirror.
+//!   Its top-k results are exact; its thresholds are a fresh
+//!   registration's, so its work counters, and the outcomes built from
+//!   them, are a rebuilt engine's from the shard's first fault on.
+//! * **Rebuilt before the call returns.** A fan-out rebuilds every shard
+//!   that faulted in it before it returns, so such a shard loses its share
+//!   of that call's outcomes and nothing else, and every mutating call first
+//!   rebuilds a shard left degraded. A shard stays degraded between calls
+//!   only when its rebuild panicked, which the call returns as
+//!   [`EngineError::ShardFault`]; reads answer it with their fallback (empty
+//!   results, zeroed stats).
 //!
 //! ## Why this is exact
 //!
 //! Every structure the ITA maintenance paths read is *per query term*:
-//! registration and refill descend the query's own inverted lists, and
-//! arrivals/expirations consult the threshold trees of the arriving
-//! document's terms. A shard that keeps complete lists for the
-//! union of its queries' terms therefore reproduces, query for query, the
-//! exact reads the single-shard engine performs — the shadow index is
-//! complete for that term set by construction: filtered inserts for live
-//! terms, and when a registration brings a term live mid-stream, its
-//! postings over the whole window filed in arrival order.
-//!
-//! **Who resolves those postings.** The coordinator does, once, for every
-//! shard: its window mirror is a [`WindowTerms`] — the arrival-ordered
-//! `Arc`s plus lazily built per-chunk term directories, which exist once
-//! however many shards there are. [`ShardedItaEngine::try_register_batch`]
-//! resolves the terms of a burst against it while no event burst is in
-//! flight (so the mirror and every healthy shard's store hold the same
-//! documents) and ships the [`TermPostings`] with the call, and so does a
-//! rebuild's seed; the shard files
-//! what it finds newly live and never resolves through its own window
-//! ([`ItaEngine::register_entries_walked`] stays 0 on every shard). Arrival
-//! and expiry do no term work on the mirror (DESIGN.md §9). The randomized
-//! differential test in `tests/sharded_equivalence.rs` enforces
-//! byte-identical results and event outcomes against [`ItaEngine`] across
-//! shard counts, deregistration and window expiry; `tests/chaos_recovery.rs`
-//! enforces exact results with faults injected and rebuilt mid-stream, and
-//! identical outcomes up to the first fault.
+//! registration and refill descend the query's own lists, and arrivals and
+//! expirations consult the threshold trees of the document's terms. A
+//! shard whose lists are complete for its queries' terms therefore makes the
+//! single-shard engine's reads for those queries. The coordinator resolves
+//! the postings of every term a registration brings live, once for all
+//! shards, on its mirror — between bursts, so the mirror and every shard's
+//! store hold the same documents — and hands them to the shards, as a
+//! rebuild's seed does; no shard reads its own store
+//! (`IndexStats::register_entries_walked` stays 0). `sharded_equivalence`
+//! holds results and outcomes byte-identical to [`ItaEngine`]'s across
+//! shard counts; `chaos_recovery` holds results exact through faults and
+//! outcomes identical up to the first.
 
 #![deny(clippy::disallowed_types)]
 #![deny(
@@ -133,13 +77,9 @@
     clippy::unreachable
 )]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use cts_index::{
     DocId, Document, IndexStats, QueryId, SlidingWindow, TermPostings, Timestamp, WindowTerms,
@@ -153,28 +93,16 @@ use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
 use crate::stats::ProcessingStats;
 
-/// What a worker builds its engine from: the mirror's documents (oldest
-/// first) and the mirror's sequence number of the first of them, then the
-/// shard's queries registered with the postings the coordinator resolved
-/// for their terms over those documents — which name documents by those
-/// numbers. Empty for a worker [`ShardedItaEngine::new`] starts.
+/// What a shard is built from: the mirror's documents (oldest first),
+/// numbered from `first_seq` as the mirror numbers them, then the shard's
+/// queries with the postings the coordinator resolved over those documents.
+/// Empty for a shard [`ShardedItaEngine::new`] builds.
 #[derive(Default)]
 struct Seed {
     first_seq: u64,
     window: Vec<Arc<Document>>,
     queries: Vec<(QueryId, Arc<ContinuousQuery>)>,
     postings: TermPostings,
-}
-
-/// One unit of work on a shard's job queue, run on the worker's thread
-/// against its state; it returns whether the worker keeps serving.
-type Job = Box<dyn FnOnce(&mut ShardWorker) -> bool + Send>;
-
-/// A call submitted to a shard and not yet waited on: the receiving end of
-/// the reply channel that belongs to this one call.
-struct Pending<T> {
-    shard: usize,
-    reply: Receiver<Result<T, ShardFault>>,
 }
 
 /// Renders a caught panic payload as the fault context string.
@@ -197,15 +125,16 @@ fn guarded<T>(shard: usize, work: impl FnOnce() -> T) -> Result<T, ShardFault> {
     })
 }
 
-/// The per-thread state of one shard worker: the engine, local processing
-/// stats, and whether an injected fault is armed.
+/// The state of one shard: the engine, local processing stats, and whether
+/// an injected fault is armed.
+#[derive(Debug)]
 struct ShardWorker {
     shard: usize,
     engine: ItaEngine,
     stats: ProcessingStats,
     /// Whether [`Engine::inject_fault`] armed an injected fault. The next
-    /// stream event fires it, and the worker dies with it: arming twice
-    /// still faults once.
+    /// stream event fires it, and the shard's state is dropped with it:
+    /// arming twice still faults once.
     fault_armed: bool,
 }
 
@@ -230,41 +159,34 @@ impl ShardWorker {
         }
     }
 
-    /// Processes and times a burst of stream events one by one, so the
-    /// outcomes and the per-worker stats do not depend on how the stream
-    /// was cut into bursts. An armed injected fault models a *partial*
-    /// failure: the event is applied for real, then the panic fires and
-    /// ends the worker.
-    fn process_burst(&mut self, docs: &[Arc<Document>]) -> Vec<EventOutcome> {
-        docs.iter()
-            .map(|doc| {
-                let doc_id = doc.id;
-                #[expect(
-                    clippy::disallowed_types,
-                    reason = "times the event for stats; never read by engine state"
-                )]
-                let start = std::time::Instant::now();
-                let outcome = self.engine.process_shared(Arc::clone(doc));
-                let elapsed = start.elapsed();
-                #[expect(
-                    clippy::panic,
-                    reason = "deliberate injected fault; the recovery machinery under test"
-                )]
-                if self.fault_armed {
-                    panic!("injected fault while processing document {}", doc_id.0);
-                }
-                self.stats.record(&outcome, elapsed);
-                outcome
-            })
-            .collect()
+    /// Processes and times one stream event, so the outcomes and the
+    /// per-shard stats do not depend on how the stream was cut into bursts.
+    /// An armed injected fault models a *partial* failure: the event is
+    /// applied for real, then the panic fires.
+    fn process_event(&mut self, doc: &Arc<Document>) -> EventOutcome {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "times the event for stats; never read by engine state"
+        )]
+        let start = std::time::Instant::now();
+        let outcome = self.engine.process_shared(Arc::clone(doc));
+        let elapsed = start.elapsed();
+        #[expect(
+            clippy::panic,
+            reason = "deliberate injected fault; the recovery machinery under test"
+        )]
+        if self.fault_armed {
+            panic!("injected fault while processing document {}", doc.id.0);
+        }
+        self.stats.record(&outcome, elapsed);
+        outcome
     }
 
     /// Audits the shard engine's deep structural invariants, that its store
     /// holds exactly `mirror` (the coordinator's documents, oldest first)
     /// numbered from `front_seq` as the mirror numbers them, and that it
     /// hosts exactly `hosted` (the registry's ids that hash to this shard).
-    /// A violation panics right here, which ends the worker with a fault
-    /// carrying the message.
+    /// A violation panics with its message.
     fn audit(&self, front_seq: u64, mirror: &[DocId], hosted: &[QueryId]) {
         let engine = &self.engine;
         engine.check_invariants();
@@ -295,189 +217,121 @@ impl ShardWorker {
     }
 }
 
-/// How long a worker that has just finished a job keeps polling its queue
-/// before it parks. The coordinator's calls come in runs — a burst, then a
-/// registration, its result reads and deregistrations, one shard at a time —
-/// and a worker parked between two of them is woken wherever the scheduler
-/// finds an idle core, which on a box with fewer cores than threads is the
-/// core the *other* parked worker last ran on: the next fan-out then starts
-/// both on one core, one after the other (74% of bursts on the 2-core
-/// sandbox once registration stopped keeping the workers busy;
-/// `register_churn.event_us` 28 → 40). Polling through the run keeps each
-/// worker where it is. 20 µs does not bridge the gaps, 50 µs and up do
-/// (DESIGN.md §9 has the sweep); the poll yields, so a thread waiting for
-/// the core gets it.
-const LINGER: Duration = Duration::from_micros(100);
-
-/// The worker's next job: polled for while [`LINGER`] lasts, then awaited.
-/// `None` once the coordinator has hung up.
-fn next_job(jobs: &Receiver<Job>) -> Option<Job> {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "bounds the poll before parking; never read by engine state"
-    )]
-    let lingering = std::time::Instant::now();
-    while lingering.elapsed() < LINGER {
-        match jobs.try_recv() {
-            Ok(job) => return Some(job),
-            Err(TryRecvError::Empty) => std::thread::yield_now(),
-            Err(TryRecvError::Disconnected) => return None,
-        }
-    }
-    jobs.recv().ok()
+/// One shard's share of a fan-out: its state, the answers of the steps it
+/// has run, and the fault that stopped it, if one did.
+struct Lane<'a, T> {
+    worker: &'a mut ShardWorker,
+    answers: Vec<T>,
+    fault: Option<ShardFault>,
+    /// Set by the scoped thread that takes the lane over; until then the
+    /// caller steps it.
+    claimed: bool,
 }
 
-/// A worker thread's whole life: build the engine from `seed` under a panic
-/// guard and answer `ready` with the outcome, then run jobs until the
-/// coordinator hangs up or a job says to stop — a call that panicked, or
-/// the disconnect test hook.
-fn worker_loop(
-    shard: usize,
-    window: SlidingWindow,
-    seed: Seed,
-    jobs: Receiver<Job>,
-    ready: SyncSender<Result<(), ShardFault>>,
-) {
-    match guarded(shard, || ShardWorker::build(shard, window, seed)) {
-        Ok(mut worker) => {
-            // A failed send means the coordinator is gone; nothing to serve.
-            if ready.send(Ok(())).is_ok() {
-                while let Some(job) = next_job(&jobs) {
-                    if !job(&mut worker) {
-                        return;
-                    }
-                }
-            }
+impl<T> Lane<'_, T> {
+    /// Whether the lane has a step left: fewer than `steps` run, no fault.
+    fn open(&self, steps: usize) -> bool {
+        self.fault.is_none() && self.answers.len() < steps
+    }
+
+    /// Runs the lane's next step under the panic guard; a panic stops the
+    /// lane with the shard's fault.
+    fn step(&mut self, work: &impl Fn(&mut ShardWorker, usize) -> T) {
+        let at = self.answers.len();
+        let worker = &mut *self.worker;
+        match guarded(worker.shard, || work(worker, at)) {
+            Ok(answer) => self.answers.push(answer),
+            Err(fault) => self.fault = Some(fault),
         }
-        Err(fault) => {
-            let _ = ready.send(Err(fault));
+    }
+
+    /// Runs the lane's remaining steps.
+    fn run(&mut self, steps: usize, work: &impl Fn(&mut ShardWorker, usize) -> T) {
+        while self.open(steps) {
+            self.step(work);
+        }
+    }
+
+    /// The lane's shard and its answer: the step answers, or the fault.
+    fn finish(self) -> (usize, Result<Vec<T>, ShardFault>) {
+        let answer = match self.fault {
+            Some(fault) => Err(fault),
+            None => Ok(self.answers),
+        };
+        (self.worker.shard, answer)
+    }
+}
+
+/// Takes a lane over from the caller, waiting out its one step unparked.
+fn claim<'l, T>(lane: &'l Mutex<T>) -> MutexGuard<'l, T> {
+    loop {
+        match lane.try_lock() {
+            Ok(lane) => return lane,
+            Err(TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => std::thread::yield_now(),
         }
     }
 }
 
-/// One shard's job queue and thread handle, as owned by the coordinator.
-#[derive(Debug)]
-struct ShardHandle {
-    jobs: Sender<Job>,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// Fault counters and per-shard degradation flags, behind a [`RefCell`] so
-/// the `&self` read paths (which may *observe* a fault but cannot repair
-/// it) can still account for what they saw. The engine is not `Sync` (its
-/// channel `Sender`s already are not), so the single-threaded `RefCell`
-/// discipline costs nothing.
-#[derive(Debug)]
-struct FaultState {
-    stats: FaultStats,
-    degraded: Vec<bool>,
-}
-
-/// The paper's ITA, executed across `N` query-partitioned worker shards
-/// with panic isolation and supervised recovery.
+/// The paper's ITA, executed across `N` query-partitioned shards with panic
+/// isolation and in-place recovery.
 ///
 /// Implements [`Engine`] with results byte-identical to the single-shard
-/// [`ItaEngine`] over any stream — including streams with worker faults —
-/// and event outcomes byte-identical up to the first fault, after which they
-/// are a rebuilt shard's. See the module docs for the partitioning rule, the
-/// call protocol, the fault model and the exactness argument.
+/// [`ItaEngine`] over any stream — including streams with faults — and
+/// event outcomes byte-identical up to the first fault, after which they
+/// are a rebuilt shard's. See the module docs for the partitioning rule,
+/// the call model, the fault model and the exactness argument.
 #[derive(Debug)]
 pub struct ShardedItaEngine {
-    /// Per-shard job queues + thread handles. A rebuild replaces a shard's
-    /// handle in place, so the vector length is the shard count.
-    workers: Vec<ShardHandle>,
+    /// One slot per shard, so the vector length is the shard count. A slot
+    /// is `None` while its shard is degraded: a fault dropped its state and
+    /// no rebuild has restored it yet.
+    shards: Vec<Option<ShardWorker>>,
     window: SlidingWindow,
-    /// Durable copy of every registered query, in id order. Its keys are the
-    /// registered set, each living on the shard its id hashes to
-    /// ([`ShardedItaEngine::shard_of`]) — with `mirror`, everything a
-    /// rebuild needs. Updated **before**
-    /// any fan-out, so a call lost to a crashed worker is still
+    /// Durable copy of every registered query, in id order, each on the
+    /// shard its id hashes to — with `mirror`, everything a rebuild needs.
+    /// Updated **before** any fan-out, so a call lost to a fault is still
     /// reconstructible.
     registry: BTreeMap<QueryId, Arc<ContinuousQuery>>,
     /// Durable mirror of the sliding window (oldest first), pruned with the
-    /// exact policy the workers apply. The `Arc`s are shared with the
-    /// workers' stores, so the mirror costs pointers, not documents — plus
-    /// the term directories registrations have built over its sealed chunks,
-    /// which is what makes it the one place a registration's postings are
-    /// resolved, and (with its id set) where duplicate ids are refused.
+    /// shards' policy and updated before any fan-out. Its `Arc`s are shared
+    /// with the shards' stores; its term directories make it the one place
+    /// a registration's postings are resolved, and its id set refuses
+    /// duplicate ids.
     mirror: WindowTerms,
-    fault_state: RefCell<FaultState>,
+    /// Fault counters; `degraded_shards` is counted from `shards` on read.
+    faults: FaultStats,
     next_query: u32,
     clock: Timestamp,
 }
 
 impl ShardedItaEngine {
-    /// Creates an engine with `shards` persistent worker shards, each
-    /// running a term-filtered [`ItaEngine`] under the given window policy.
-    /// The [`ItaConfig`] is empty and ignored.
+    /// Creates an engine with `shards` shards, each running a term-filtered
+    /// [`ItaEngine`] under the given window policy. The [`ItaConfig`] is
+    /// empty and ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, or if any worker fails to start: an engine
-    /// runs on exactly the shards it was asked for.
+    /// Panics if `shards == 0`.
     pub fn new(window: SlidingWindow, _config: ItaConfig, shards: usize) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        let start = |shard| match Self::spawn_worker(shard, window, Seed::default()) {
-            Ok(handle) => handle,
-            #[expect(
-                clippy::panic,
-                reason = "construction fails loudly rather than run on fewer shards than asked for"
-            )]
-            Err(error) => panic!("could not start shard worker {shard}: {error}"),
-        };
-        let workers: Vec<ShardHandle> = (0..shards).map(start).collect();
         Self {
-            workers,
+            shards: (0..shards)
+                .map(|shard| Some(ShardWorker::build(shard, window, Seed::default())))
+                .collect(),
             window,
             registry: BTreeMap::new(),
             mirror: WindowTerms::new(),
-            fault_state: RefCell::new(FaultState {
-                stats: FaultStats::default(),
-                degraded: vec![false; shards],
-            }),
+            faults: FaultStats::default(),
             next_query: 0,
             clock: Timestamp::ZERO,
         }
     }
 
-    /// The one way a shard worker comes to be: spawns a fresh thread that
-    /// builds its engine from `seed`, and returns once it answered that it
-    /// is ready. A thread that fails to spawn is
-    /// [`EngineError::ShardUnavailable`]; a build that panics is the
-    /// worker's [`EngineError::ShardFault`], its thread joined.
-    fn spawn_worker(
-        shard: usize,
-        window: SlidingWindow,
-        seed: Seed,
-    ) -> Result<ShardHandle, EngineError> {
-        let (jobs, job_queue) = mpsc::channel();
-        let (ready_tx, ready) = mpsc::sync_channel(1);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the shard supervisor: every worker thread is spawned here, and rebuilt here after a fault"
-        )]
-        let thread = std::thread::Builder::new()
-            .name(format!("cts-shard-{shard}"))
-            .spawn(move || worker_loop(shard, window, seed, job_queue, ready_tx))
-            .map_err(|_| EngineError::ShardUnavailable { shard })?;
-        let failed = match ready.recv() {
-            Ok(Ok(())) => {
-                return Ok(ShardHandle {
-                    jobs,
-                    thread: Some(thread),
-                })
-            }
-            Ok(Err(fault)) => EngineError::ShardFault(fault),
-            Err(_) => EngineError::ShardUnavailable { shard },
-        };
-        let _ = thread.join();
-        Err(failed)
-    }
-
-    /// Number of worker shards: always the count [`ShardedItaEngine::new`]
-    /// was given.
+    /// Number of shards: always the count [`ShardedItaEngine::new`] was
+    /// given.
     pub fn num_shards(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
     /// The sliding-window policy in force.
@@ -503,109 +357,145 @@ impl ShardedItaEngine {
     /// would then occupy only half the shards).
     pub fn shard_of(&self, query: QueryId) -> usize {
         let hashed = (u64::from(query.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((u128::from(hashed) * self.workers.len() as u128) >> 64) as usize
+        ((u128::from(hashed) * self.shards.len() as u128) >> 64) as usize
     }
 
-    /// The shard hosting `query`, if it is registered.
-    fn host(&self, query: QueryId) -> Option<usize> {
-        self.registry
-            .contains_key(&query)
-            .then(|| self.shard_of(query))
-    }
-
-    fn is_degraded(&self, shard: usize) -> bool {
-        self.fault_state.borrow().degraded[shard]
-    }
-
-    /// Marks `shard` degraded, counting a fault when it was healthy — the
-    /// same for a fault as for a disconnect.
-    fn mark_degraded(&self, shard: usize) {
-        let mut state = self.fault_state.borrow_mut();
-        if !state.degraded[shard] {
-            state.stats.faults += 1;
-            state.degraded[shard] = true;
+    /// The healthy shard hosting `query`, if it is registered.
+    fn host(&self, query: QueryId) -> Option<&ShardWorker> {
+        if !self.registry.contains_key(&query) {
+            return None;
         }
+        self.shards[self.shard_of(query)].as_ref()
     }
 
-    /// Ships `work` to `shard`'s worker, which runs it under the panic
-    /// guard and answers on this call's own reply channel: the result, or
-    /// the fault that ends the worker. A worker found gone marks the shard
-    /// degraded.
-    fn submit<T: Send + 'static>(
-        &self,
-        shard: usize,
-        work: impl FnOnce(&mut ShardWorker) -> T + Send + 'static,
-    ) -> Result<Pending<T>, EngineError> {
-        let (answer, reply) = mpsc::sync_channel(1);
-        let job: Job = Box::new(move |worker| {
-            let result = guarded(shard, || work(worker));
-            let serving = result.is_ok();
-            let _ = answer.send(result);
-            serving
-        });
-        if self.workers[shard].jobs.send(job).is_err() {
-            self.mark_degraded(shard);
-            return Err(EngineError::ShardUnavailable { shard });
+    /// Drops `shard`'s state, counting a fault when it was healthy.
+    fn drop_shard(&mut self, shard: usize) -> bool {
+        let dropped = self.shards[shard].take().is_some();
+        self.faults.faults += u64::from(dropped);
+        dropped
+    }
+
+    /// The one fan-out: runs `steps` steps of `work` (step `i` of a burst is
+    /// its `i`-th event), each under the panic guard, on every healthy shard
+    /// `touches` names, and answers per shard with the step answers or the
+    /// fault that stopped it. Without `spread`, or on one shard, the caller
+    /// runs the shards in turn. Otherwise the first shard is the caller's
+    /// and each other shard's scoped thread takes it over when it starts;
+    /// until then the caller steps it with its own, so a thread that starts
+    /// late costs half its delay (DESIGN.md §7, §9). A shard that panicked
+    /// is dropped and rebuilt before this returns.
+    fn fan_out<T: Send>(
+        &mut self,
+        steps: usize,
+        spread: bool,
+        touches: impl Fn(usize) -> bool,
+        work: impl Fn(&mut ShardWorker, usize) -> T + Sync,
+    ) -> Result<Vec<Result<Vec<T>, ShardFault>>, EngineError> {
+        let mut lanes: Vec<Lane<T>> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(shard, _)| touches(*shard))
+            .filter_map(|(_, slot)| slot.as_mut())
+            .map(|worker| Lane {
+                worker,
+                answers: Vec::new(),
+                fault: None,
+                claimed: false,
+            })
+            .collect();
+        if spread && lanes.len() > 1 {
+            let others: Vec<Mutex<Lane<T>>> = lanes.drain(1..).map(Mutex::new).collect();
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = others
+                    .iter()
+                    .filter_map(|lane| {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the one fan-out: every shard thread is scoped to the call that spawns it"
+                        )]
+                        let thread = std::thread::Builder::new().spawn_scoped(scope, || {
+                            let mut lane = claim(lane);
+                            lane.claimed = true;
+                            lane.run(steps, &work);
+                        });
+                        // A thread that fails to spawn leaves its lane to
+                        // the caller.
+                        thread.ok()
+                    })
+                    .collect();
+                let own = &mut lanes[0];
+                loop {
+                    let mut stepped = own.open(steps);
+                    if stepped {
+                        own.step(&work);
+                    }
+                    for lane in &others {
+                        if let Ok(mut lane) = lane.try_lock() {
+                            if !lane.claimed && lane.open(steps) {
+                                lane.step(&work);
+                                stepped = true;
+                            }
+                        }
+                    }
+                    if !stepped {
+                        break;
+                    }
+                }
+                // Waiting without parking keeps the caller's core awake for
+                // the answer, which is never more than one lane away.
+                for thread in &threads {
+                    while !thread.is_finished() {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            lanes.extend(
+                others
+                    .into_iter()
+                    .map(|lane| lane.into_inner().unwrap_or_else(PoisonError::into_inner)),
+            );
+        } else {
+            for lane in &mut lanes {
+                lane.run(steps, &work);
+            }
         }
-        Ok(Pending { shard, reply })
-    }
-
-    /// Blocks for a submitted call's answer, converting a fault and a reply
-    /// channel closed unanswered (the worker exited) into typed errors that
-    /// mark the shard degraded.
-    fn wait<T>(&self, call: Pending<T>) -> Result<T, EngineError> {
-        let shard = call.shard;
-        let error = match call.reply.recv() {
-            Ok(Ok(value)) => return Ok(value),
-            Ok(Err(fault)) => EngineError::ShardFault(fault),
-            Err(_) => EngineError::ShardUnavailable { shard },
-        };
-        self.mark_degraded(shard);
-        Err(error)
-    }
-
-    /// Runs `work` on `shard`'s worker and blocks for its result.
-    fn call<T: Send + 'static>(
-        &self,
-        shard: usize,
-        work: impl FnOnce(&mut ShardWorker) -> T + Send + 'static,
-    ) -> Result<T, EngineError> {
-        self.wait(self.submit(shard, work)?)
+        let answers: Vec<(usize, Result<Vec<T>, ShardFault>)> =
+            lanes.into_iter().map(Lane::finish).collect();
+        for (shard, answer) in &answers {
+            if answer.is_err() {
+                self.drop_shard(*shard);
+            }
+        }
+        self.recover_degraded()?;
+        Ok(answers.into_iter().map(|(_, answer)| answer).collect())
     }
 
     /// Rebuilds every degraded shard from the durable registry + window
-    /// mirror. Every mutating call runs it before its fan-out, for shards a
-    /// read or a failed rebuild left degraded, and again after it has
-    /// waited on every shard, for shards the call itself degraded.
+    /// mirror. Every mutating call runs it before its fan-out, for a shard a
+    /// failed call left degraded, and every fan-out runs it before it
+    /// returns, for the shards that faulted in it.
     fn recover_degraded(&mut self) -> Result<(), EngineError> {
-        for shard in 0..self.workers.len() {
-            if self.is_degraded(shard) {
+        for shard in 0..self.shards.len() {
+            if self.shards[shard].is_none() {
                 self.rebuild(shard)?;
             }
         }
         Ok(())
     }
 
-    /// The one recovery path, for one shard: join the old worker thread —
-    /// a degraded shard's worker faulted or hung up, so it has exited —
-    /// then spawn a worker seeded with the mirror's documents and
-    /// the shard's queries (the registry's ids that hash to it, in id
-    /// order), their postings resolved here as
-    /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. Rebuilt
-    /// results are exact; the thresholds are a fresh registration's, so
-    /// future work counters need not match a fault-free history — see
-    /// DESIGN.md §10.
+    /// The one recovery path, run in place: build the shard from the
+    /// mirror's documents and its queries (the registry's ids that hash to
+    /// it, in id order), their postings resolved here as
+    /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. A build
+    /// that panics is the shard's [`EngineError::ShardFault`], and the shard
+    /// stays degraded (DESIGN.md §10).
     fn rebuild(&mut self, shard: usize) -> Result<(), EngineError> {
         #[expect(
             clippy::disallowed_types,
             reason = "measures recovery cost only; never read by engine state"
         )]
         let start = std::time::Instant::now();
-        if let Some(thread) = self.workers[shard].thread.take() {
-            // An error here is a panic that escaped the worker's guard; the
-            // panic hook has reported it, and the shard is rebuilt anyway.
-            let _ = thread.join();
-        }
         let queries: Vec<(QueryId, Arc<ContinuousQuery>)> = self
             .registry
             .iter()
@@ -623,16 +513,15 @@ impl ShardedItaEngine {
             queries,
             postings,
         };
-        self.workers[shard] = Self::spawn_worker(shard, self.window, seed)?;
-        let mut state = self.fault_state.borrow_mut();
-        state.degraded[shard] = false;
-        state.stats.recoveries += 1;
-        state.stats.recovery_micros += start.elapsed().as_micros() as u64;
+        let window = self.window;
+        self.shards[shard] = Some(guarded(shard, || ShardWorker::build(shard, window, seed))?);
+        self.faults.recoveries += 1;
+        self.faults.recovery_micros += start.elapsed().as_micros() as u64;
         Ok(())
     }
 
     /// Appends `doc` to the durable window mirror and prunes it with the
-    /// exact policy the workers apply, returning how many documents expired
+    /// exact policy the shards apply, returning how many documents expired
     /// (cross-checked against the shards' outcomes in debug builds).
     fn push_mirror(&mut self, doc: Arc<Document>) -> usize {
         let now = doc.arrival;
@@ -641,7 +530,7 @@ impl ShardedItaEngine {
     }
 
     /// An id of `docs` that is still in the window or occurs twice among
-    /// them: every worker would refuse it mid-burst by panicking, and the
+    /// them: every shard would refuse it mid-burst by panicking, and the
     /// mirror would hand it to every rebuild.
     fn first_duplicate(&self, docs: &[Document]) -> Option<DocId> {
         let mut ids: Vec<DocId> = docs.iter().map(|doc| doc.id).collect();
@@ -668,32 +557,34 @@ impl ShardedItaEngine {
     /// [`Engine::process_batch`], and the one path a stream event takes to
     /// the shards. A burst that repeats an id, or names one still in the
     /// window, is refused whole with [`EngineError::DuplicateDocument`]
-    /// before anything moves. Every degraded shard is rebuilt before the
-    /// fan-out, and every shard that faults during it — a worker found gone
-    /// at the submit, or one that faults on the burst — before returning,
+    /// before any shard or the mirror sees it. Every degraded shard is rebuilt before the
+    /// fan-out, and every shard that faults on the burst before returning,
     /// from the mirror, which holds the burst by then: that shard's share
     /// of the burst's outcomes is lost (results stay exact).
     pub fn try_process_batch(
         &mut self,
         docs: Vec<Document>,
     ) -> Result<Vec<EventOutcome>, EngineError> {
+        self.process_burst(docs).map(|(merged, _)| merged)
+    }
+
+    /// [`ShardedItaEngine::try_process_batch`], also answering the faults
+    /// its fan-out caught (and rebuilt), in shard order.
+    fn process_burst(
+        &mut self,
+        docs: Vec<Document>,
+    ) -> Result<(Vec<EventOutcome>, Vec<ShardFault>), EngineError> {
         let Some(last) = docs.last() else {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), Vec::new()));
         };
         if let Some(id) = self.first_duplicate(&docs) {
             return Err(EngineError::DuplicateDocument(id));
         }
         self.recover_degraded()?;
         self.clock = last.arrival;
-        let docs: Arc<[Arc<Document>]> = docs.into_iter().map(Arc::new).collect();
-        let pending: Vec<Pending<Vec<EventOutcome>>> = (0..self.workers.len())
-            .filter_map(|shard| {
-                let docs = Arc::clone(&docs);
-                self.submit(shard, move |w| w.process_burst(&docs)).ok()
-            })
-            .collect();
-        // The burst becomes durable before outcomes are read: any recovery
-        // from here on replays it from the mirror. The mirror's view seeds
+        let docs: Vec<Arc<Document>> = docs.into_iter().map(Arc::new).collect();
+        // The burst becomes durable before any shard sees it: a rebuild
+        // from here on loads it from the mirror. The mirror's view seeds
         // the merge: `merge_shard` debug-checks every shard's expirations
         // against it, and a burst no shard answered still reports them.
         let mut merged: Vec<EventOutcome> = docs
@@ -704,30 +595,38 @@ impl ShardedItaEngine {
                 ..EventOutcome::default()
             })
             .collect();
-        for call in pending {
-            // A faulted shard is marked degraded and rebuilt below.
-            if let Ok(outcomes) = self.wait(call) {
-                debug_assert_eq!(outcomes.len(), merged.len(), "shards saw different bursts");
-                for (into, outcome) in merged.iter_mut().zip(&outcomes) {
-                    into.merge_shard(outcome);
+        let mut faults = Vec::new();
+        let answers = self.fan_out(
+            docs.len(),
+            docs.len() > 1,
+            |_| true,
+            |w, at| w.process_event(&docs[at]),
+        )?;
+        for answer in answers {
+            match answer {
+                Ok(outcomes) => {
+                    debug_assert_eq!(outcomes.len(), merged.len(), "shards saw different bursts");
+                    for (into, outcome) in merged.iter_mut().zip(&outcomes) {
+                        into.merge_shard(outcome);
+                    }
                 }
+                Err(fault) => faults.push(fault),
             }
         }
-        self.recover_degraded()?;
-        Ok(merged)
+        Ok((merged, faults))
     }
 
     /// Fallible registration burst: the `try_*` twin of
     /// [`Engine::register_batch`]. The window postings of the burst's terms
     /// are resolved here, once, against the mirror — no event burst is in
     /// flight, so every healthy shard's store holds the mirror's documents —
-    /// and shipped to the shards, which file them instead of reading the
+    /// and handed to the shards, which file them instead of reading the
     /// window themselves. Each query goes to its hash shard
     /// ([`ShardedItaEngine::shard_of`]). The registry is updated **before**
     /// the fan-out, so a shard that faults during registration is rebuilt
     /// with the burst's queries from the registry. On error the registry
     /// keeps the minted registrations; the next mutating call's rebuild
-    /// makes the workers agree.
+    /// makes the shards agree.
     pub fn try_register_batch(
         &mut self,
         queries: Vec<ContinuousQuery>,
@@ -737,7 +636,7 @@ impl ShardedItaEngine {
         }
         self.recover_degraded()?;
         let mut per_shard: Vec<Vec<(QueryId, Arc<ContinuousQuery>)>> =
-            vec![Vec::new(); self.workers.len()];
+            vec![Vec::new(); self.shards.len()];
         let mut ids = Vec::with_capacity(queries.len());
         for query in queries {
             let qid = QueryId(self.next_query);
@@ -751,57 +650,45 @@ impl ShardedItaEngine {
         }
         // One resolve serves every shard: the union of the burst's terms,
         // sorted, so nothing depends on which shard a term's query went to.
-        let postings = Arc::new(
-            self.mirror.postings(
-                per_shard
-                    .iter()
-                    .flatten()
-                    .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
-            ),
+        let postings = self.mirror.postings(
+            per_shard
+                .iter()
+                .flatten()
+                .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
         );
-        // Submit every shard's group before awaiting any answer, so the
-        // shards file their lists and run their threshold searches in
-        // parallel. The queries are shared with the registry, the postings
-        // with the other shards.
-        let pending: Vec<Pending<()>> = per_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .filter_map(|(shard, group)| {
-                let postings = Arc::clone(&postings);
-                self.submit(shard, move |w| {
-                    w.engine.register_shared_batch(&group, &postings)
-                })
-                .ok()
-            })
-            .collect();
-        for call in pending {
-            // A faulted shard is marked degraded; its rebuild below
-            // registers the burst from the registry.
-            let _ = self.wait(call);
-        }
-        self.recover_degraded()?;
+        // A shard that faults is rebuilt inside the fan-out, and its rebuild
+        // registers the burst from the registry.
+        self.fan_out(
+            1,
+            true,
+            |shard| !per_shard[shard].is_empty(),
+            |w, _| {
+                w.engine
+                    .register_shared_batch(&per_shard[w.shard], &postings)
+            },
+        )?;
         Ok(ids)
     }
 
     /// Fallible deregistration: the `try_*` twin of [`Engine::deregister`],
     /// surfacing [`EngineError::UnknownQuery`] instead of `false`. Durable
-    /// state is updated first, so a worker fault during removal is
-    /// recoverable (the rebuild simply omits the query).
+    /// state is updated first, so a fault during removal is recoverable
+    /// (the rebuild simply omits the query).
     pub fn try_deregister(&mut self, query: QueryId) -> Result<bool, EngineError> {
         self.recover_degraded()?;
         if self.registry.remove(&query).is_none() {
             return Err(EngineError::UnknownQuery(query));
         }
-        let shard = self.shard_of(query);
-        match self.call(shard, move |w| w.engine.deregister(query)) {
-            Ok(removed) => assert!(
-                removed,
-                "shard {shard} did not host {query}, its hash shard"
-            ),
-            // Durable state already dropped the query; the rebuild leaves
-            // it out.
-            Err(_) => self.recover_degraded()?,
+        let host = self.shard_of(query);
+        let answers = self.fan_out(
+            1,
+            false,
+            |shard| shard == host,
+            |w, _| w.engine.deregister(query),
+        )?;
+        // A shard that faulted was rebuilt without the query.
+        for removed in answers.into_iter().flatten().flatten() {
+            assert!(removed, "shard {host} did not host {query}, its hash shard");
         }
         Ok(true)
     }
@@ -810,13 +697,7 @@ impl ShardedItaEngine {
     /// is healthy (served by its hash shard; `None` while the shard is
     /// degraded).
     pub fn query_stats(&self, query: QueryId) -> Option<ItaQueryStats> {
-        let shard = self.host(query)?;
-        if self.is_degraded(shard) {
-            return None;
-        }
-        self.call(shard, move |w| w.engine.query_stats(query))
-            .ok()
-            .flatten()
+        self.host(query)?.engine.query_stats(query)
     }
 
     /// Per-shard shadow-index statistics, in shard order. Postings sum to
@@ -825,7 +706,14 @@ impl ShardedItaEngine {
     /// reports the same document count. Degraded shards report zeroed
     /// stats.
     pub fn shard_index_stats(&self) -> Vec<IndexStats> {
-        self.broadcast_collect(|w| w.engine.index_stats())
+        self.shards
+            .iter()
+            .map(|slot| {
+                slot.as_ref()
+                    .map(|w| w.engine.index_stats())
+                    .unwrap_or_default()
+            })
+            .collect()
     }
 
     /// Sizes and counters of the coordinator's [`WindowTerms`] — the window
@@ -837,29 +725,35 @@ impl ShardedItaEngine {
         self.mirror.stats()
     }
 
-    /// Per-shard processing statistics (each worker times its own event
-    /// handling), in shard order. Degraded shards report zeroed stats, and a
-    /// rebuilt shard counts from its rebuild: a worker's stats die with it.
+    /// Per-shard processing statistics (each shard times its own event
+    /// handling), in shard order. Degraded shards report zeroed stats, and
+    /// a rebuilt shard counts from its rebuild: a shard's stats are dropped
+    /// with its state.
     pub fn shard_stats(&self) -> Vec<ProcessingStats> {
-        self.broadcast_collect(|w| w.stats)
+        self.shards
+            .iter()
+            .map(|slot| slot.as_ref().map(|w| w.stats).unwrap_or_default())
+            .collect()
     }
 
-    /// Zeroes every worker's processing statistics. Call after an untimed
+    /// Zeroes every shard's processing statistics. Call after an untimed
     /// setup phase (window fill, workload registration) so
     /// [`ShardedItaEngine::shard_stats`] and
     /// [`ShardedItaEngine::aggregate_shard_stats`] cover only the events
     /// processed afterwards. A degraded shard's rebuild starts from zeroed
     /// stats anyway.
     pub fn reset_shard_stats(&mut self) {
-        self.broadcast_collect(|w| w.stats = ProcessingStats::default());
+        for worker in self.shards.iter_mut().flatten() {
+            worker.stats = ProcessingStats::default();
+        }
     }
 
-    /// The exact aggregate of every worker's processing statistics, merged
+    /// The exact aggregate of every shard's processing statistics, merged
     /// with [`ProcessingStats::absorb`]. `events` counts each stream event
     /// once per shard (every shard handles every event); `total_time` is the
-    /// summed busy time across workers — divide by the caller's own
+    /// summed busy time across shards — divide by the caller's own
     /// wall-clock event time to read parallel utilisation;
-    /// `max_event_time` is the slowest single event any worker processed,
+    /// `max_event_time` is the slowest single event any shard processed,
     /// whatever the bursts were.
     pub fn aggregate_shard_stats(&self) -> ProcessingStats {
         let mut merged = ProcessingStats::default();
@@ -869,41 +763,13 @@ impl ShardedItaEngine {
         merged
     }
 
-    /// Runs `work` on every healthy shard — submitted to all before any is
-    /// waited on — and returns the results in shard order, with the default
-    /// value for a degraded or faulting shard (the read-only fan-outs: index
-    /// and processing statistics, and the stats reset).
-    fn broadcast_collect<T: Default + Send + 'static>(
-        &self,
-        work: impl FnOnce(&mut ShardWorker) -> T + Send + Copy + 'static,
-    ) -> Vec<T> {
-        let pending: Vec<Option<Pending<T>>> = (0..self.workers.len())
-            .map(|shard| {
-                if self.is_degraded(shard) {
-                    return None;
-                }
-                self.submit(shard, work).ok()
-            })
-            .collect();
-        pending
-            .into_iter()
-            .map(|call| {
-                call.and_then(|call| self.wait(call).ok())
-                    .unwrap_or_default()
-            })
-            .collect()
-    }
-
-    /// Test hook for the chaos suite: makes `shard`'s worker thread exit
-    /// without answering, exactly as a killed thread would look from the
-    /// coordinator's side. The next operation that touches the shard
-    /// observes the disconnect: a mutating one rebuilds the shard before it
-    /// returns, a read answers with its fallback and leaves the rebuild to
-    /// the next mutating call. Returns whether the exit job reached the
-    /// worker's queue.
-    pub fn inject_disconnect(&mut self, shard: usize) -> bool {
-        let shard = shard % self.workers.len();
-        self.workers[shard].jobs.send(Box::new(|_| false)).is_ok()
+    /// Test hook for the chaos suite: drops `shard`'s state and marks it
+    /// degraded, counting one fault, as a fault the call that caused it
+    /// could not rebuild would leave it. Reads answer the shard with their
+    /// fallback until the next mutating call rebuilds it. Returns whether
+    /// the shard was healthy.
+    pub fn inject_loss(&mut self, shard: usize) -> bool {
+        self.drop_shard(shard % self.shards.len())
     }
 }
 
@@ -958,14 +824,11 @@ impl Engine for ShardedItaEngine {
     }
 
     fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
-        match self.host(query) {
-            // A read cannot rebuild a degraded shard; the next mutating
-            // call does.
-            Some(shard) if !self.is_degraded(shard) => self
-                .call(shard, move |w| w.engine.current_results(query))
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        }
+        // A degraded shard answers empty until the next mutating call
+        // rebuilds it.
+        self.host(query)
+            .map(|w| w.engine.current_results(query))
+            .unwrap_or_default()
     }
 
     fn num_queries(&self) -> usize {
@@ -974,7 +837,7 @@ impl Engine for ShardedItaEngine {
 
     fn num_valid_documents(&self) -> usize {
         // Every healthy shard's store equals the mirror (`check_invariants`
-        // audits it), so the coordinator answers without a round-trip.
+        // audits it).
         self.mirror.len()
     }
 
@@ -987,64 +850,46 @@ impl Engine for ShardedItaEngine {
     }
 
     fn inject_fault(&mut self, shard: usize) -> bool {
-        let shard = shard % self.workers.len();
-        !self.is_degraded(shard) && self.call(shard, |w| w.fault_armed = true).is_ok()
+        let shard = shard % self.shards.len();
+        let Some(worker) = self.shards[shard].as_mut() else {
+            return false;
+        };
+        worker.fault_armed = true;
+        true
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
-        let state = self.fault_state.borrow();
-        let mut stats = state.stats;
-        stats.degraded_shards = state.degraded.iter().filter(|down| **down).count();
-        Some(stats)
+        Some(FaultStats {
+            degraded_shards: self.shards.iter().filter(|slot| slot.is_none()).count(),
+            ..self.faults
+        })
     }
 
     /// Audits the window mirror's own structure (only sealed chunks carry a
     /// term directory, each equal to a rebuild from its documents) and then
-    /// has every healthy worker audit its own engine, that its store holds
-    /// the mirror's documents in arrival order, and that it hosts exactly
-    /// the registry's queries that hash to it; a worker-side violation
-    /// comes back as a fault carrying the assertion message and is
-    /// re-raised here. Degraded shards are skipped — their worker is gone
-    /// by definition and the rebuild starts from the registry and the
-    /// mirror.
+    /// every healthy shard's engine, that its store holds the mirror's
+    /// documents in arrival order, and that it hosts exactly the registry's
+    /// queries that hash to it. A shard's violation panics with the shard
+    /// named and its message. Degraded shards are skipped — their state is
+    /// gone, and the rebuild starts from the registry and the mirror.
     fn check_invariants(&self) {
         self.mirror.check_invariants();
-        let mirrored: Arc<[DocId]> = self.mirror.iter().map(|doc| doc.id).collect();
+        let mirrored: Vec<DocId> = self.mirror.iter().map(|doc| doc.id).collect();
         let front_seq = self.mirror.front_seq();
-        let mut hosted = vec![Vec::new(); self.workers.len()];
+        let mut hosted = vec![Vec::new(); self.shards.len()];
         for &qid in self.registry.keys() {
             hosted[self.shard_of(qid)].push(qid);
         }
-        for (shard, hosted) in hosted.into_iter().enumerate() {
-            if self.is_degraded(shard) {
-                continue;
-            }
-            let mirrored = Arc::clone(&mirrored);
+        for (shard, worker) in self.shards.iter().enumerate() {
+            let Some(worker) = worker else { continue };
             #[expect(
                 clippy::panic,
-                reason = "audit-only path re-raising a worker-side assertion"
+                reason = "audit-only path re-raising a shard's assertion with the shard named"
             )]
-            if let Err(err) = self.call(shard, move |w| w.audit(front_seq, &mirrored, &hosted)) {
-                panic!("shard {shard} failed its invariant audit: {err}");
-            }
-        }
-    }
-}
-
-impl Drop for ShardedItaEngine {
-    /// Hangs up every worker's job queue, which ends its loop, and joins
-    /// the threads.
-    fn drop(&mut self) {
-        for ShardHandle { jobs, thread } in self.workers.drain(..) {
-            drop(jobs);
-            #[expect(
-                clippy::panic,
-                reason = "drop path surfacing a worker panic that escaped its guard"
-            )]
-            if let Some(thread) = thread {
-                if thread.join().is_err() && !std::thread::panicking() {
-                    panic!("a shard worker panicked; see stderr for the root cause");
-                }
+            if let Err(fault) =
+                guarded(shard, || worker.audit(front_seq, &mirrored, &hosted[shard]))
+            {
+                panic!("shard {shard} failed its invariant audit: {fault}");
             }
         }
     }
@@ -1252,16 +1097,13 @@ mod tests {
         assert!(batched.process_batch(Vec::new()).is_empty());
     }
 
-    /// The one fault rule: a shard that faults during a call is rebuilt
-    /// before the call returns and loses its share of that call's outcomes.
-    /// Here the worker is killed and joined before the event, so the fan-out
-    /// finds it gone at the send, through either entry point. The rebuild
-    /// loads the event from the mirror unrecorded, so the rebuilt shard
-    /// counts no event, and the outcome is shard 0's share alone — the
-    /// window's arrival and expirations are the reference's — while results
-    /// stay exact.
+    /// A shard left degraded between calls (here by the loss hook) is
+    /// rebuilt by the next mutating call before its fan-out, through either
+    /// entry point, and so keeps its share of the event: the outcome is the
+    /// reference's in every field the rebuild cannot change, the rebuilt
+    /// shard counts the event, and results stay exact.
     #[test]
-    fn a_worker_gone_before_an_event_is_rebuilt_and_loses_its_share() {
+    fn a_lost_shard_is_rebuilt_before_an_event_and_keeps_its_share() {
         let window = SlidingWindow::count_based(8);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
         let mut singles = ShardedItaEngine::new(window, ItaConfig::default(), 2);
@@ -1285,10 +1127,9 @@ mod tests {
             bursts.process_document(d);
         }
         for engine in [&mut singles, &mut bursts] {
-            // Joined, so the send fails instead of racing the exit.
-            assert!(engine.inject_disconnect(1));
-            let thread = engine.workers[1].thread.take().expect("worker thread");
-            thread.join().expect("the crash hook exits cleanly");
+            assert!(engine.inject_loss(1));
+            assert!(!engine.inject_loss(1), "a lost shard is lost once");
+            assert!(engine.shard_stats()[1] == ProcessingStats::default());
         }
         // The new best document of every query, on both shards.
         let d = doc(12, &[(0, 0.9)]);
@@ -1298,10 +1139,10 @@ mod tests {
         assert_eq!(bursts.process_batch(vec![d]), vec![single]);
         assert_eq!(
             (single.arrived, single.expired, single.results_changed),
-            (expected.arrived, expected.expired, on_shard_0)
+            (expected.arrived, expected.expired, qids.len())
         );
         for engine in [&singles, &bursts] {
-            assert_eq!(engine.shard_stats()[1].events, 0);
+            assert_eq!(engine.shard_stats()[1].events, 1);
             let stats = engine.fault_stats().expect("tracked");
             assert_eq!(
                 (stats.faults, stats.recoveries, stats.degraded_shards),
@@ -1367,21 +1208,75 @@ mod tests {
         let _ = ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), 0);
     }
 
-    #[test]
-    fn dropping_the_engine_joins_its_workers() {
-        let handle = {
-            let sharded =
-                ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), 2);
-            sharded.num_shards()
-        };
-        // Reaching here without hanging means the workers exited and the
-        // supervisor joined them.
-        assert_eq!(handle, 2);
+    /// The four places an armed fault can fire: on shard 0, always the
+    /// caller's, or on shard 1, whose scoped thread takes it over during a
+    /// multi-event burst and which the caller runs for a single event.
+    const FAULT_CASES: [(usize, usize); 4] = [(0, 5), (1, 5), (0, 1), (1, 1)];
+
+    /// Fresh engines, outcomes checked equal event by event; then `shard`
+    /// is armed and the next `len` events go in as one call. The fault
+    /// fires on the call's first event and the shard is rebuilt before the
+    /// call returns: the arrivals and expirations are the reference's, the
+    /// results exact, and no shard is left degraded. Returns the faults
+    /// the call's fan-out caught.
+    fn fault_case(shard: usize, len: usize) -> Vec<ShardFault> {
+        let window = SlidingWindow::count_based(8);
+        let mut reference = ItaEngine::new(window, ItaConfig::default());
+        let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+        let qids: Vec<QueryId> = (0..6u32)
+            .map(|t| {
+                let q = query(&[(t % 4, 0.6), (4 + t % 3, 0.4)], 2);
+                let qid = reference.register(q.clone());
+                assert_eq!(sharded.register(q), qid);
+                qid
+            })
+            .collect();
+        let event = |i: u64| doc(i, &[((i % 6) as u32, 0.1 + (i % 5) as f64 * 0.12)]);
+        for i in 0..12 {
+            assert_lockstep_event(&mut reference, &mut sharded, &event(i), &qids);
+        }
+        let context = format!("shard {shard}, {len} events");
+        assert!(sharded.inject_fault(shard), "{context}");
+        let burst: Vec<Document> = (12..12 + len as u64).map(event).collect();
+        let expected: Vec<EventOutcome> = burst
+            .iter()
+            .map(|d| reference.process_document(d.clone()))
+            .collect();
+        let (actual, faults) = sharded.process_burst(burst).expect("rebuilt in place");
+        for (expected, actual) in expected.iter().zip(&actual) {
+            assert_eq!(
+                (actual.arrived, actual.expired),
+                (expected.arrived, expected.expired),
+                "{context}"
+            );
+        }
+        let stats = sharded.fault_stats().expect("tracked");
+        assert_eq!(
+            (stats.faults, stats.recoveries, stats.degraded_shards),
+            (1, 1, 0),
+            "{context}: the call returned with the shard unrebuilt"
+        );
+        assert!(sharded.shards[shard].is_some(), "{context}");
+        for i in 12 + len as u64..30 {
+            let d = event(i);
+            reference.process_document(d.clone());
+            sharded.process_document(d);
+            for &q in &qids {
+                assert_eq!(
+                    reference.current_results(q),
+                    sharded.current_results(q),
+                    "{context}: results diverged on {q}"
+                );
+            }
+        }
+        sharded.check_invariants();
+        faults
     }
 
-    /// A fault ends the shard's worker, and the coordinator rebuilds it before the
-    /// event returns: the faulted shard's share of that event's outcome is
-    /// lost, so outcomes match up to the first fault and results always.
+    /// A fault drops the shard's state, and the fan-out rebuilds it before
+    /// the event returns: the faulted shard's share of that event's outcome
+    /// is lost, so outcomes match up to the first fault and results always
+    /// — on the caller's thread and on a scoped one, in bursts and singly.
     #[test]
     fn an_injected_fault_is_rebuilt_with_exact_results() {
         let window = SlidingWindow::count_based(8);
@@ -1413,15 +1308,128 @@ mod tests {
         assert_eq!(stats.faults, 5, "every armed fault fires on its event");
         assert_eq!(stats.recoveries, stats.faults, "every fault is rebuilt");
         assert_eq!(stats.degraded_shards, 0);
+        for (shard, len) in FAULT_CASES {
+            let faults = fault_case(shard, len);
+            let caught: Vec<usize> = faults.iter().map(|fault| fault.shard).collect();
+            assert_eq!(caught, vec![shard], "shard {shard}, {len} events");
+        }
     }
 
-    /// A panic inside a call reaches the caller as a fault that carries the
-    /// worker's own message. Here a query is deregistered on its worker's
-    /// engine behind the coordinator's back, so the worker's placement audit
-    /// fails; the next mutating call rebuilds the shard from the registry,
-    /// and every query's results are exact again.
+    /// A fan-out runs shard 0 on the caller's thread, and hands the other
+    /// shards to scoped threads only for a call carrying more than one
+    /// event or query; a call reaching one shard runs it in place. Here
+    /// shard 0's step waits until every other shard has run its own, which
+    /// only a scoped thread can do while the caller is inside that step.
+    #[test]
+    fn a_fan_out_spreads_only_multi_shard_bursts() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut sharded =
+            ShardedItaEngine::new(SlidingWindow::count_based(4), ItaConfig::default(), 3);
+        let caller = std::thread::current().id();
+        let mut on_caller = |spread: bool, touches: fn(usize) -> bool| -> Vec<bool> {
+            let others = (1..3).filter(|&shard| touches(shard)).count();
+            let ran = AtomicUsize::new(0);
+            sharded
+                .fan_out(1, spread, touches, |w, _| {
+                    if spread && w.shard == 0 {
+                        while ran.load(Ordering::SeqCst) < others {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::thread::current().id() == caller
+                })
+                .expect("no rebuild fails")
+                .into_iter()
+                .map(|answer| answer.expect("no shard faults") == vec![true])
+                .collect()
+        };
+        assert_eq!(on_caller(true, |_| true), vec![true, false, false]);
+        assert_eq!(on_caller(false, |_| true), vec![true, true, true]);
+        assert_eq!(on_caller(true, |shard| shard == 2), vec![true]);
+        assert_eq!(on_caller(true, |shard| shard != 1), vec![true, false]);
+    }
+
+    /// A panic in a shard's work reaches the caller with its own message:
+    /// as a [`ShardFault`] of the fan-out — for an armed fault wherever it
+    /// fires, and for a panic on the caller's thread and on a scoped one —
+    /// and as the audit's panic for a violated invariant. The fan-out
+    /// rebuilds the shard before it returns. For the audit, a query is
+    /// deregistered on its shard's engine behind the coordinator's back, so
+    /// the shard's placement audit fails; an audit only reads, so the shard
+    /// stays as it is until it is lost and rebuilt from the registry, and
+    /// every query's results are exact again.
     #[test]
     fn a_worker_panic_reaches_the_caller_with_its_message() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        for spread in [false, true] {
+            let window = SlidingWindow::count_based(8);
+            let mut reference = ItaEngine::new(window, ItaConfig::default());
+            let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
+            let qids: Vec<QueryId> = (0..4u32)
+                .map(|t| {
+                    let q = query(&[(t % 3, 0.7), (3, 0.3)], 2);
+                    let qid = reference.register(q.clone());
+                    assert_eq!(sharded.register(q), qid);
+                    qid
+                })
+                .collect();
+            for i in 0..10u64 {
+                let d = doc(i, &[((i % 4) as u32, 0.1 + (i % 5) as f64 * 0.1)]);
+                assert_lockstep_event(&mut reference, &mut sharded, &d, &qids);
+            }
+            // Spread, shard 0's step waits for shard 1's, so shard 1 runs on
+            // its scoped thread; in place, shard 1 runs on the caller's.
+            let ran = AtomicBool::new(false);
+            let answers = sharded
+                .fan_out(
+                    1,
+                    spread,
+                    |_| true,
+                    |w, _| {
+                        if w.shard == 0 {
+                            while spread && !ran.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            return;
+                        }
+                        ran.store(true, Ordering::SeqCst);
+                        let scoped = std::thread::current().id() != caller;
+                        panic!("shard {} panicked, scoped: {scoped}", w.shard);
+                    },
+                )
+                .expect("the rebuild succeeds");
+            assert!(answers[0].is_ok());
+            let fault = answers[1].clone().expect_err("shard 1 panicked");
+            assert_eq!(fault.shard, 1);
+            assert_eq!(fault.context, format!("shard 1 panicked, scoped: {spread}"));
+            let stats = sharded.fault_stats().expect("tracked");
+            assert_eq!(
+                (stats.faults, stats.recoveries, stats.degraded_shards),
+                (1, 1, 0),
+                "spread {spread}: the fan-out returned with the shard unrebuilt"
+            );
+            for i in 10..20u64 {
+                let d = doc(i, &[((i % 4) as u32, 0.2 + (i % 3) as f64 * 0.2)]);
+                reference.process_document(d.clone());
+                sharded.process_document(d);
+                for &q in &qids {
+                    assert_eq!(sharded.current_results(q), reference.current_results(q));
+                }
+            }
+            sharded.check_invariants();
+        }
+        for (shard, len) in FAULT_CASES {
+            let faults = fault_case(shard, len);
+            let contexts: Vec<&str> = faults.iter().map(|fault| fault.context.as_str()).collect();
+            assert_eq!(
+                contexts,
+                vec!["injected fault while processing document 12"],
+                "shard {shard}, {len} events"
+            );
+        }
         let window = SlidingWindow::count_based(8);
         let mut reference = ItaEngine::new(window, ItaConfig::default());
         let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), 2);
@@ -1444,15 +1452,16 @@ mod tests {
             reference.process_document(d.clone());
             sharded.process_document(d);
         }
-        let removed = sharded.call(shard, move |w| w.engine.deregister(lone));
-        assert!(matches!(removed, Ok(true)));
+        let worker = sharded.shards[shard].as_mut().expect("healthy");
+        assert!(worker.engine.deregister(lone));
         let audit = catch_unwind(AssertUnwindSafe(|| sharded.check_invariants()));
         let message = panic_message(audit.expect_err("the audit must fail").as_ref());
         assert!(message.contains("failed its invariant audit"), "{message}");
         let worker_text =
             format!("shard {shard} hosts 0 queries, not the 1 the registry places on it");
         assert!(message.contains(&worker_text), "{message}");
-        assert_eq!(sharded.fault_stats().expect("tracked").degraded_shards, 1);
+        assert_eq!(sharded.fault_stats().expect("tracked").degraded_shards, 0);
+        assert!(sharded.inject_loss(shard));
         let d = doc(10, &[(0, 0.9), (1, 0.9)]);
         reference.process_document(d.clone());
         sharded.process_document(d);

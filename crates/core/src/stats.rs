@@ -3,7 +3,7 @@
 //! The paper's headline metric is *processing time per stream event*
 //! (arrival plus the expirations it triggers). [`ProcessingStats`]
 //! accumulates it, with the work counters of every [`EventOutcome`], at the
-//! one place each figure is measured: a shard worker times each event it
+//! one place each figure is measured: a shard times each event it
 //! processes, [`crate::StreamService`] times each burst it hands its engine,
 //! and a bench harness times its own loop. [`OverloadStats`] is the
 //! service's admission ledger, carried inside.
@@ -129,7 +129,7 @@ pub struct ProcessingStats {
     /// The most expensive single event recorded through
     /// [`ProcessingStats::record`]. A batch has no per-event split, so
     /// [`ProcessingStats::record_batch`] leaves this alone; whoever times
-    /// the events one by one inside a batch (the sharded engine's workers,
+    /// the events one by one inside a batch (the sharded engine's shards,
     /// read through [`crate::ShardedItaEngine::shard_stats`]) holds that
     /// maximum. Whole-batch wall clock is tracked separately as
     /// [`ProcessingStats::max_batch_time`].
@@ -216,7 +216,7 @@ impl ProcessingStats {
     }
 
     /// Folds another accumulator into this one — the combinator behind every
-    /// multi-source aggregation (the sharded engine's per-worker stats).
+    /// multi-source aggregation (the sharded engine's per-shard stats).
     ///
     /// The merge is exact: counters and `total_time` (integer nanoseconds)
     /// add, `max_event_time` takes the maximum, and derived quantities like

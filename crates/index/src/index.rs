@@ -54,7 +54,7 @@
 //! own mirror, for every shard) and resolves the terms nobody supplied — all
 //! of them on a stand-alone filtered engine — through the index's own
 //! window, exactly as the coordinator does
-//! ([`InvertedIndex::register_entries_walked`] counts the entries that
+//! ([`IndexStats::register_entries_walked`] counts the entries that
 //! window walked: 0 on a shard).
 
 #![deny(clippy::disallowed_types)]
@@ -288,25 +288,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Impact entries filed by registration-path backfills so far (monotone).
-    ///
-    /// The registration-cost regression tests pin this to the size of the
-    /// lists actually probed: re-registering shared terms must add nothing,
-    /// and growing the window with documents that do not contain a query's
-    /// terms must not grow the counter.
-    pub fn register_postings_touched(&self) -> u64 {
-        self.register_postings_touched
-    }
-
-    /// Composition entries this index's window walked to resolve postings
-    /// nobody supplied (monotone; [`crate::WindowTermsStats::entries_walked`]).
-    /// A call adds the entries of the chunks it found without a directory,
-    /// whatever the number of terms; a registration whose postings were all
-    /// supplied adds nothing.
-    pub fn register_entries_walked(&self) -> u64 {
-        self.window.stats().entries_walked
-    }
-
     /// Removes the window's **oldest** document, if its id is `id`: kills
     /// its impact entries as expiry does and returns the (shared) document.
     /// Returns `None` and changes nothing for any other id — a document
@@ -516,7 +497,7 @@ impl InvertedIndex {
             tree_slots: 0,
             refcount_slots: self.live.slot_capacity(),
             register_postings_touched: self.register_postings_touched,
-            register_entries_walked: self.register_entries_walked(),
+            register_entries_walked: self.window.stats().entries_walked,
             directory_bytes: self.window.stats().directory_bytes,
         }
     }
@@ -551,9 +532,18 @@ pub struct IndexStats {
     pub tree_slots: usize,
     /// Slots allocated by the term reference-count table (same key space).
     pub refcount_slots: usize,
-    /// [`InvertedIndex::register_postings_touched`] so far.
+    /// Impact entries filed by registration-path backfills so far
+    /// (monotone). The registration-cost regression tests pin this to the
+    /// size of the lists actually probed: re-registering shared terms adds
+    /// nothing, and growing the window with documents that do not contain a
+    /// query's terms does not grow it.
     pub register_postings_touched: u64,
-    /// [`InvertedIndex::register_entries_walked`] so far (0 on a shard).
+    /// Composition entries the index's window walked to resolve postings
+    /// nobody supplied, so far (monotone;
+    /// [`crate::WindowTermsStats::entries_walked`]). A call adds the entries
+    /// of the chunks it found without a directory, whatever the number of
+    /// terms; a registration whose postings were all supplied adds nothing,
+    /// so it stays 0 on a shard.
     pub register_entries_walked: u64,
     /// Heap bytes of the term directories the index's window has built to
     /// resolve postings (0 on a shard and on a full index, which never
@@ -735,10 +725,9 @@ mod tests {
         assert_eq!(idx.list(TermId(1)).unwrap().len(), 1);
         assert!(idx.list(TermId(2)).is_none());
         // The stored composition is complete, not the filtered projection.
-        assert!(idx
-            .documents()
-            .get(DocId(1))
-            .unwrap()
+        let documents = idx.documents();
+        assert!(documents
+            .doc_at(documents.front_seq())
             .composition
             .contains(TermId(2)));
         // Removal of a document whose terms were never indexed is a no-op on
@@ -772,7 +761,9 @@ mod tests {
                 idx.check_invariants();
                 assert_eq!(idx.stats(), before);
                 // The stored document is still the first one.
-                assert_eq!(idx.documents().get(DocId(1)).unwrap().composition.len(), 2);
+                let documents = idx.documents();
+                let first = documents.doc_at(documents.front_seq());
+                assert_eq!((first.id, first.composition.len()), (DocId(1), 2));
             }
         }
     }
@@ -845,7 +836,7 @@ mod tests {
         assert!(shadow.list(TermId(7)).is_none());
         // Terms with no postings in the window backfill to nothing.
         shadow.acquire_terms([TermId(7), TermId(42)], &TermPostings::default());
-        assert_eq!(shadow.register_postings_touched(), 3);
+        assert_eq!(shadow.stats().register_postings_touched, 3);
         let reference: Vec<_> = full.list(TermId(7)).unwrap().iter().collect();
         let rebuilt: Vec<_> = shadow.list(TermId(7)).unwrap().iter().collect();
         assert_eq!(reference, rebuilt);
@@ -853,7 +844,7 @@ mod tests {
         // A second reference on a live term files nothing: the list is
         // already complete.
         shadow.acquire_terms([TermId(7)], &TermPostings::default());
-        assert_eq!(shadow.register_postings_touched(), 3);
+        assert_eq!(shadow.stats().register_postings_touched, 3);
         shadow.check_invariants();
     }
 
@@ -916,10 +907,10 @@ mod tests {
             idx.lists().map(|(t, l)| (t, l.iter().collect())).collect()
         };
         assert_eq!(lists(&supplied), lists(&own));
-        assert_eq!(supplied.register_entries_walked(), 0);
-        assert_eq!(own.register_entries_walked(), 26 * 2);
-        assert_eq!(own.register_postings_touched(), 26 * 2);
-        assert_eq!(supplied.register_postings_touched(), 26 * 2);
+        assert_eq!(supplied.stats().register_entries_walked, 0);
+        assert_eq!(own.stats().register_entries_walked, 26 * 2);
+        assert_eq!(own.stats().register_postings_touched, 26 * 2);
+        assert_eq!(supplied.stats().register_postings_touched, 26 * 2);
         for term in &terms {
             let filed: Vec<_> = supplied
                 .list(*term)
@@ -948,8 +939,12 @@ mod tests {
         // supplied but not asked for.
         let supplied = window.postings([TermId(1), TermId(9), TermId(3)]);
         idx.acquire_terms([TermId(2), TermId(1), TermId(9), TermId(2)], &supplied);
-        assert_eq!(idx.register_entries_walked(), 6 * 3, "one walk for term 2");
-        assert_eq!(idx.register_postings_touched(), 12);
+        assert_eq!(
+            idx.stats().register_entries_walked,
+            6 * 3,
+            "one walk for term 2"
+        );
+        assert_eq!(idx.stats().register_postings_touched, 12);
         for term in [1, 2] {
             let filed: Vec<_> = idx.list(TermId(term)).unwrap().iter().collect();
             assert_eq!(filed, window_postings(&idx, TermId(term)));

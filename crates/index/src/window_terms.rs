@@ -22,8 +22,7 @@
 //!   ([`WindowTerms::id_at`], a contiguous per-position id array, and
 //!   [`WindowTerms::doc_at`]): one index each, no hashing. The id → number
 //!   map serves [`WindowTerms::contains`], which refuses a duplicate before
-//!   it lands anywhere, and the by-id read [`WindowTerms::get`] off the hot
-//!   path.
+//!   it lands anywhere.
 //! * **Resolving postings.** A query registered mid-stream on a
 //!   term-filtered engine needs the postings of the terms it brings live —
 //!   `(sequence number, weight)` pairs over the whole valid window, in
@@ -509,11 +508,6 @@ impl WindowTerms {
         self.seqs.contains_key(&id)
     }
 
-    /// The valid document with id `id`: one map probe and one deque index.
-    pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.seqs.get(&id).map(|seq| self.doc_at(*seq))
-    }
-
     /// The sequence number of the oldest valid document — of the next
     /// arrival, when the window is empty. A posting is live iff its number
     /// is at least this.
@@ -798,9 +792,12 @@ mod tests {
         assert!(window.is_empty());
     }
 
+    /// The by-number reads and the id set follow the front: `doc_at` and
+    /// `id_at` answer every valid number across chunk seams, and `contains`
+    /// every valid id and no expired one.
     #[test]
     fn get_and_contains() {
-        // Chunks of 3, so `get` crosses chunk seams after the front expires.
+        // Chunks of 3, so the reads cross chunk seams after the front expires.
         let mut window = WindowTerms::with_shape(3, 0);
         for i in [10, 4, 7, 11, 2, 9, 30] {
             window.push(doc(i, &[(i as u32, 0.5)]));
@@ -808,20 +805,19 @@ mod tests {
         for expired in [10, 4, 7, 11] {
             assert!(window.contains(DocId(expired)));
             assert_eq!(window.pop_front().map(|d| d.id), Some(DocId(expired)));
-            assert!(!window.contains(DocId(expired)) && window.get(DocId(expired)).is_none());
+            assert!(!window.contains(DocId(expired)));
             for (seq, valid) in (window.front_seq()..).zip(window.iter()) {
-                let got = window.get(valid.id).expect("a valid document");
-                assert!(std::ptr::eq(got, &**valid));
-                assert!(std::ptr::eq(window.doc_at(seq), got));
+                assert!(window.contains(valid.id));
+                assert!(std::ptr::eq(window.doc_at(seq), &**valid));
                 assert_eq!(window.id_at(seq), valid.id);
             }
             window.check_invariants();
         }
         assert_eq!(
-            window.get(DocId(9)).unwrap().arrival,
+            window.doc_at(window.front_seq() + 1).arrival,
             Timestamp::from_millis(9)
         );
-        assert!(window.get(DocId(99)).is_none() && !window.contains(DocId(99)));
+        assert!(!window.contains(DocId(99)));
     }
 
     #[test]
@@ -880,7 +876,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 3);
         let out = a.pop_front().unwrap();
         assert!(Arc::ptr_eq(&out, &shared));
-        assert_eq!(b.get(DocId(1)).unwrap().id, DocId(1));
+        assert!(b.contains(DocId(1)) && std::ptr::eq(b.doc_at(b.front_seq()), &*shared));
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub struct ScriptConfig {
     pub max_doc_terms: usize,
     /// Per-op probability of arming an injected fault on a random shard
     /// ([`Op::InjectFault`]): the next event that shard processes is applied
-    /// and then the worker panics mid-request, forcing a rebuild.
+    /// and then the shard's work panics, forcing a rebuild.
     pub inject_fault_probability: f64,
     /// Per-document probability of arming every shard at once: one
     /// [`Op::InjectFault`] per pseudo-index below [`ARMED_SHARDS`], just
@@ -787,7 +787,7 @@ pub struct OverloadConfig {
     /// milliseconds; `0` offers events without deadlines.
     pub deadline_slack_millis: u64,
     /// Per-round probability of arming an injected fault on the candidate
-    /// (a worker panic and the shard's rebuild; results must stay exact
+    /// (a shard panic and the shard's rebuild; results must stay exact
     /// through it).
     pub inject_fault_probability: f64,
 }

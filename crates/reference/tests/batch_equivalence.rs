@@ -169,7 +169,7 @@ fn sharded_batches_equal_sharded_singles_on_the_same_stream() {
 }
 
 /// A deterministic deregister-between-batches scenario; the sharded
-/// engine's workers must count every event of both bursts, one by one.
+/// engine's shards must count every event of both bursts, one by one.
 #[test]
 fn monitored_batches_with_deregistration_between_batches() {
     let window = SlidingWindow::count_based(6);
@@ -210,8 +210,8 @@ fn monitored_batches_with_deregistration_between_batches() {
         assert_eq!(sharded.current_results(q), reference.current_results(q));
     }
     assert!(sharded.current_results(qids[2]).is_empty());
-    // Every worker saw all 20 events of both bursts and timed each alone:
-    // workers count events, not bursts. The 6-doc window expired the other
+    // Every shard saw all 20 events of both bursts and timed each alone:
+    // shards count events, not bursts. The 6-doc window expired the other
     // 14 on every shard.
     for stats in sharded.shard_stats() {
         assert_eq!((stats.events, stats.batches), (20, 0));
@@ -347,7 +347,7 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize) {
 
 /// `process_document(d)` and `process_batch(vec![d])` are one path — a
 /// burst of one — so they must agree on everything observable: outcomes
-/// (typed errors included), results, fault counters, per-worker stats and
+/// (typed errors included), results, fault counters, per-shard stats and
 /// query counts, through faults.
 #[test]
 fn a_burst_of_one_is_the_single_event_through_faults() {

@@ -1,7 +1,7 @@
 //! The fault-injection differential axis: a fault-tolerant
 //! [`ShardedItaEngine`] must stay in lockstep with a fault-free
-//! single-shard [`ItaEngine`] *through* injected worker panics — on one
-//! shard or on every shard at once — and killed worker threads, across
+//! single-shard [`ItaEngine`] *through* injected shard panics — on one
+//! shard or on every shard at once — and lost shards, across
 //! shard counts {1, 2, 4, 8}.
 //!
 //! There is one recovery path (DESIGN.md §10): a faulted shard is rebuilt as
@@ -228,9 +228,9 @@ fn a_rebuilt_shard_is_a_registration_over_the_mirror() {
     }
 }
 
-/// A fault right after a rebuild: a killed worker is found by the next
-/// event and rebuilt by a fresh worker, and the event after that faults in the
-/// freshly rebuilt worker, which is rebuilt again. Results are compared
+/// A fault right after a rebuild: a lost shard is found by the next
+/// event and rebuilt, and the event after that faults in the freshly
+/// rebuilt shard, which is rebuilt again. Results are compared
 /// after every event.
 #[test]
 fn fault_right_after_a_rebuild_rebuilds_again_exactly() {
@@ -259,11 +259,11 @@ fn fault_right_after_a_rebuild_rebuilds_again_exactly() {
             id += 1;
         }
         let shard = round % 2;
-        assert!(sharded.inject_disconnect(shard));
-        // This event finds the worker gone and rebuilds the shard…
+        assert!(sharded.inject_loss(shard));
+        // This event finds the shard lost and rebuilds it…
         feed(&mut reference, &mut sharded, id);
         id += 1;
-        // …and the next one faults in the freshly rebuilt worker.
+        // …and the next one faults in the freshly rebuilt shard.
         assert!(sharded.inject_fault(shard), "rebuilt shard refused arming");
         armed += 1;
         feed(&mut reference, &mut sharded, id);
@@ -372,7 +372,7 @@ fn injected_fault_is_applied_then_recovered_exactly() {
     assert_eq!(stats.degraded_shards, 0);
 }
 
-/// Every shard faults on one event (the event is applied, then each worker
+/// Every shard faults on one event (the event is applied, then each shard
 /// panics) and every shard is rebuilt before the event returns; the rebuild
 /// loads the event from the mirror without processing it. Twice, with
 /// results exact throughout.
@@ -405,8 +405,8 @@ fn a_fault_on_every_shard_at_once_is_rebuilt_exactly() {
     assert_eq!(stats.degraded_shards, 0);
 }
 
-/// An armed fault lives in the shard's worker and dies with it: shard 0
-/// armed twice faults on the first event only, because the rebuilt worker
+/// An armed fault lives in the shard's state and dies with it: shard 0
+/// armed twice faults on the first event only, because the rebuilt shard
 /// starts with nothing armed, and results are the oracle's after both.
 #[test]
 fn armed_faults_die_with_their_worker() {
@@ -444,8 +444,8 @@ fn armed_faults_die_with_their_worker() {
     sharded.check_invariants();
 }
 
-/// Random injected faults on three shards: every caught panic ends its
-/// shard's worker and the coordinator rebuilds the shard before the event
+/// Random injected faults on three shards: every caught panic drops its
+/// shard's state and the coordinator rebuilds the shard before the event
 /// returns, with exact results after every event.
 #[test]
 fn cold_rebuild_restores_exact_results_under_block_policy() {
@@ -480,7 +480,7 @@ fn cold_rebuild_restores_exact_results_under_block_policy() {
     assert_eq!(stats.degraded_shards, 0);
 }
 
-/// A killed worker thread (disconnect, not panic) is resurrected by the
+/// A lost shard (its state dropped, not a panic) is rebuilt by the
 /// coordinator, with exact results afterwards.
 #[test]
 fn killed_worker_is_resurrected_with_exact_results() {
@@ -496,10 +496,10 @@ fn killed_worker_is_resurrected_with_exact_results() {
     }
     for i in 0..30u64 {
         if i == 10 {
-            assert!(sharded.inject_disconnect(0));
+            assert!(sharded.inject_loss(0));
         }
         if i == 20 {
-            assert!(sharded.inject_disconnect(1));
+            assert!(sharded.inject_loss(1));
         }
         let doc = Document::new(
             DocId(i),
@@ -524,7 +524,7 @@ fn killed_worker_is_resurrected_with_exact_results() {
 }
 
 /// The one window in which a shard stays degraded: a read through `&self`
-/// that finds a killed worker cannot rebuild it. It answers its fallback
+/// that finds a lost shard cannot rebuild it. It answers its fallback
 /// (empty results, no stats) and leaves the shard degraded; the next event
 /// rebuilds the shard before it returns, with exact results.
 #[test]
@@ -551,7 +551,7 @@ fn a_dead_worker_found_by_a_read_is_rebuilt_by_the_next_event() {
         .find(|&q| !reference.current_results(q).is_empty())
         .expect("some query has results");
     let shard = sharded.shard_of(victim);
-    assert!(sharded.inject_disconnect(shard));
+    assert!(sharded.inject_loss(shard));
     assert!(
         sharded.current_results(victim).is_empty(),
         "a dead worker served results"
@@ -576,7 +576,7 @@ fn a_dead_worker_found_by_a_read_is_rebuilt_by_the_next_event() {
     sharded.check_invariants();
 }
 
-/// A registration burst that finds a killed worker: the burst's queries go
+/// A registration burst that finds a lost shard: the burst's queries go
 /// to their hash shards, the dead one included (there is no reroute), the
 /// shard is rebuilt before the registration returns, and every new query
 /// answers exactly at once and after more events.
@@ -602,7 +602,7 @@ fn a_registration_that_finds_a_dead_worker_lands_on_the_hash_shard() {
     }
     // The next minted id goes to `dead`.
     let dead = sharded.shard_of(QueryId(live.len() as u32));
-    assert!(sharded.inject_disconnect(dead));
+    assert!(sharded.inject_loss(dead));
     let burst: Vec<ContinuousQuery> = (0..6).map(|_| small_query(&mut rng)).collect();
     let late = reference.register_batch(burst.clone());
     assert_eq!(late, sharded.register_batch(burst));
@@ -696,7 +696,7 @@ fn a_rebuild_keeps_results_exact_while_counters_may_differ() {
                 .flat_map(|(_, query)| query.terms().map(|(t, _)| t)),
         );
         rebuilt.register_shared_batch(&batch, &postings);
-        assert_eq!(rebuilt.register_entries_walked(), 0);
+        assert_eq!(rebuilt.index_stats().register_entries_walked, 0);
         let ids: Vec<QueryId> = queries.iter().map(|(qid, _)| *qid).collect();
         // Results match now (a function of window contents and queries)…
         assert_engines_agree(&reference, &rebuilt, &ids);

@@ -85,9 +85,12 @@ impl Rig {
         assert_eq!(self.oracle.register(query.clone()), qid);
         let postings = self.mirror.postings(query.terms().map(|(term, _)| term));
         self.shipped += postings.len();
-        let walked = self.filtered[shard].register_entries_walked();
+        let walked = self.filtered[shard].index_stats().register_entries_walked;
         self.filtered[shard].register_shared_batch(&[(qid, Arc::new(query))], &postings);
-        assert_eq!(self.filtered[shard].register_entries_walked(), walked);
+        assert_eq!(
+            self.filtered[shard].index_stats().register_entries_walked,
+            walked
+        );
         self.host.insert(qid, shard);
         self.audit(&format!("register {qid} on shard {shard}"));
         qid
@@ -211,7 +214,7 @@ fn rig_with_t_registered_late_on_shard_1() -> (Rig, QueryId) {
         Some(Weight::new(0.6))
     );
     assert_eq!((rig.shipped, rig.postings(1)), (3, 3));
-    assert_eq!(rig.filtered[1].register_postings_touched(), 3);
+    assert_eq!(rig.filtered[1].index_stats().register_postings_touched, 3);
     (rig, q)
 }
 
@@ -225,7 +228,7 @@ fn a_term_a_late_registration_brings_live_is_listed_at_once_later_arrivals_inclu
     assert_eq!(rig.postings(1), 4);
     // A second query on T registers on shard 1 and finds the list as it is.
     rig.register(&[(T, 0.5), (U, 0.5)], 2, 1);
-    assert_eq!(rig.filtered[1].register_postings_touched(), 3);
+    assert_eq!(rig.filtered[1].index_stats().register_postings_touched, 3);
     assert_eq!(rig.postings(1), 4);
     // Slide until every T document has expired out of the list.
     for _ in 0..4 {
@@ -482,9 +485,9 @@ fn a_stand_alone_filtered_engine_resolves_from_directories() {
     ];
     let mut walks = Vec::new();
     for query in queries {
-        let before = filtered.register_entries_walked();
+        let before = filtered.index_stats().register_entries_walked;
         let q = filtered.register(query.clone());
-        walks.push(filtered.register_entries_walked() - before);
+        walks.push(filtered.index_stats().register_entries_walked - before);
         assert_eq!(full.register(query.clone()), q);
         assert_eq!(oracle.register(query), q);
         assert_eq!(filtered.current_results(q), full.current_results(q));

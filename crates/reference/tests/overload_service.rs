@@ -4,9 +4,9 @@
 //! The correctness contract under overload: the service may shed whatever
 //! its bounds dictate, but the events it reports processed must produce
 //! byte-identical results to feeding exactly that sequence to an unbounded
-//! reference engine, across shard counts and through worker faults — and
+//! reference engine, across shard counts and through shard faults — and
 //! admission must stay explicit (`Accepted`/`Shed`, never a deadlock or a
-//! silently dropped ack) even while a worker is dead.
+//! silently dropped ack) even while a shard is lost.
 
 use cts_core::{
     Admission, ContinuousQuery, Engine, IngestEvent, ItaConfig, ItaEngine, ServiceConfig,
@@ -125,10 +125,10 @@ fn a_dead_worker_does_not_block_the_shed_path() {
     let mut reference = ItaEngine::new(window, ItaConfig::default());
     let rq = reference.register(query(0));
     assert_eq!(q, rq);
-    // Kill a worker. The engine rebuilds it at its next mutating call — but
+    // Lose a shard. The engine rebuilds it at its next mutating call — but
     // offers never touch the engine, so admission (including shedding)
     // keeps answering instantly while the shard is down.
-    assert!(service.engine_mut().inject_disconnect(0));
+    assert!(service.engine_mut().inject_loss(0));
     // An offer whose deadline already passed is shed at offer time, with an
     // explicit ack and no engine call (nothing here can block on recovery).
     service.offer_document(doc(0, 100, 0.5)); // advances the logical clock

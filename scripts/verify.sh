@@ -165,16 +165,17 @@ tier_test() {
 
 tier_chaos() {
     # Fault-injection differential axis, run by name so a failure is
-    # attributable at a glance: chaos-storm scripts arm worker panics on
+    # attributable at a glance: chaos-storm scripts arm shard panics on
     # one shard and on every shard at once mid-stream across shard counts
-    # {1, 2, 4, 8}; every fault ends its worker and must be rebuilt from
-    # the coordinator's registry and window mirror, and the engine must
-    # report the fault-free single-shard reference's results throughout
-    # (and its event outcomes up to the first fault). fault_paths covers
-    # the coordinator's typed error surface (a duplicate document id
-    # included); sharded::tests the worker lifecycle (a worker gone before
-    # an event, arms that die with it, a worker panic's message reaching
-    # the caller).
+    # {1, 2, 4, 8}; every fault drops its shard's state, which must be
+    # rebuilt from the coordinator's registry and window mirror before the
+    # call returns, and the engine must report the fault-free single-shard
+    # reference's results throughout (and its event outcomes up to the
+    # first fault). fault_paths covers the coordinator's typed error
+    # surface (a duplicate document id included); sharded::tests the
+    # fan-out and its fault path (a lost shard rebuilt before an event,
+    # faults on the caller's thread and on a scoped one, in bursts and
+    # singly, a panic's message reaching the caller).
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test chaos_recovery --test fault_paths
     RUST_BACKTRACE=1 cargo test -q -p cts-core --lib sharded::tests
     # The same suites with the per-op structural audits on: after every
@@ -203,7 +204,7 @@ tier_overload() {
     # attributable at a glance: shedding sessions lockstepped against an
     # unbounded reference across shard counts {1, 2, 4, 8} with injected
     # faults (no pump may return with a shard left degraded), and the shed
-    # path staying non-blocking while a worker is dead.
+    # path staying non-blocking while a shard is lost.
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test overload_service
     # The 10x-burst soak at the paper's 1,000-query / 10k-window point,
     # release-only (it is #[ignore]d out of the test tier).
