@@ -14,7 +14,14 @@
 //! * `inverted_index/churn` — a full document arrival + oldest-expiration
 //!   cycle through the composite index: filing every composition entry, then
 //!   killing the expiring document's postings in place (and the compactions
-//!   that come due).
+//!   that come due). Its 256-document window over the small fixture corpus
+//!   keeps every list in L2, so a change of list layout barely shows here.
+//! * `inverted_index/churn_paper` — the same cycle where a layout change
+//!   is paid: a full index over the paper-point corpus (the default
+//!   `CorpusConfig` at seed 7) with a 10k-document window, ≈ 230 postings
+//!   filed and ≈ 230 killed per iteration across ≈ 167k lists, most of
+//!   them a few postings long. Generating the next document is setup, not
+//!   measured.
 //! * `live_terms/intersect` — cutting one paper-point document (≈ 230
 //!   composition entries) down to its live entries against the bitmap of the
 //!   ≈ 9.7k terms that 1,000 ten-term queries use: the one pass an event
@@ -30,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
 use cts_bench::fixture;
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
@@ -123,6 +130,46 @@ fn bench_index_churn(c: &mut Criterion) {
     });
 }
 
+/// Documents in `inverted_index/churn_paper`'s window: the paper point's.
+const PAPER_WINDOW: usize = 10_000;
+
+fn bench_index_churn_paper(c: &mut Criterion) {
+    let corpus = CorpusConfig {
+        seed: 7,
+        ..CorpusConfig::default()
+    };
+    let mut stream = DocumentStream::new(corpus, StreamConfig::default());
+    let mut index = InvertedIndex::new();
+    // The window's ids, oldest first: `remove_document` takes the oldest.
+    let mut ids: VecDeque<DocId> = VecDeque::with_capacity(PAPER_WINDOW + 1);
+    for doc in stream.by_ref().take(PAPER_WINDOW) {
+        ids.push_back(doc.id);
+        index.insert_document(doc);
+    }
+    c.bench_function("inverted_index/churn_paper", |b| {
+        b.iter_batched(
+            || stream.next_document(),
+            |doc| {
+                ids.push_back(doc.id);
+                index.insert_document(doc);
+                let oldest = ids.pop_front().expect("window is non-empty");
+                index.remove_document(oldest).expect("oldest is valid");
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let stats = index.stats();
+    eprintln!(
+        "inverted_index/churn_paper: {} lists, {} live and {} dead postings, {:.1} MB of lists \
+         ({:.1} bytes per stored posting)",
+        stats.terms,
+        stats.postings,
+        stats.dead_postings,
+        stats.list_bytes as f64 / 1e6,
+        stats.list_bytes as f64 / (stats.postings + stats.dead_postings) as f64,
+    );
+}
+
 fn bench_live_term_intersection(c: &mut Criterion) {
     // The paper point: the default corpus (182k-term vocabulary) and the
     // default workload (1,000 uniformly drawn ten-term queries).
@@ -160,6 +207,7 @@ criterion_group!(
     bench_inverted_list,
     bench_threshold_tree,
     bench_index_churn,
+    bench_index_churn_paper,
     bench_live_term_intersection
 );
 criterion_main!(benches);

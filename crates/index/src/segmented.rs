@@ -1,52 +1,69 @@
 //! Segmented impact lists: bounded-`memmove` inserts, contiguous
-//! descents, lazy expiry.
+//! descents, lazy expiry, and a layout by length.
 //!
-//! Figure 3 sweeps over a flat single-`Vec` layout showed that at 10k+
-//! document windows, ITA's per-event cost was dominated by the `Vec`
-//! `memmove` paid on every arrival/expiration by the few head terms whose
-//! flat impact lists reach window length — not by any of the probes or
-//! descents the algorithm actually reasons about. The same observation
-//! drives FAST's split of frequent-term structures from infrequent-term ones
-//! for continuous filter queries (Mahmood et al.).
+//! On a flat single-`Vec` layout a 10k+ document window makes ITA's
+//! per-event cost the `memmove` paid on every arrival by the few head
+//! terms whose lists reach window length — not any of the probes or
+//! descents the algorithm reasons about. The long tail is the other way
+//! round: most lists hold a handful of postings, and what an insert pays
+//! there is the pointer hops to reach them. FAST (Mahmood et al.) splits
+//! frequent-term from infrequent-term structures for continuous filter
+//! queries on the same observation; this list serves both ends with one
+//! layout.
 //!
-//! [`SegmentedImpactList`] keeps the postings in a small ordered directory of
-//! fixed-capacity **segments**, each a sorted `Vec<Posting>` in the global
-//! list order (decreasing weight, ties by increasing sequence number):
+//! [`SegmentedImpactList`] keeps its postings in fixed-capacity
+//! **segments**, each a sorted `Vec<Posting>` in the global list order
+//! (decreasing weight, ties by increasing sequence number):
 //!
-//! * An insert binary-searches the directory (by each segment's last entry),
-//!   then the segment, and shifts at most `segment capacity` postings —
-//!   ~2 KiB at the default capacity of 128 — instead of the whole
-//!   window-length list (~160 KiB for a 10k-entry head term). A segment that
-//!   overflows its capacity splits in half, each half allocated to
-//!   `capacity + 1` postings.
-//! * Expiry removes nothing: the expiring document's postings stay where they
-//!   are as **dead** postings (sequence number below the window's front), and
-//!   [`SegmentedImpactList::expire`] only counts them. Once the dead outnumber
-//!   a quarter of the live postings, [`SegmentedImpactList::compact`] drops
-//!   them all in one pass and re-packs the segments — merging every segment
-//!   left below a quarter of capacity into its neighbour — so segment count
-//!   stays `Θ(len / capacity)`, every segment except a lone survivor stays at
+//! * The **first segment lives in the list header**. A list that never
+//!   splits — almost every tail term — is that one `Vec` and nothing else,
+//!   so its insert goes from the index's arena slot straight to the
+//!   postings.
+//! * A list that has split owns one boxed **directory**: the remaining
+//!   segments, and the **fence keys** — the last posting of every segment
+//!   but the last, contiguous at 16 bytes each. An insert binary-searches
+//!   the fences, which touches no segment, then the one segment they name,
+//!   and shifts at most `segment capacity` postings — ~2 KiB at the
+//!   default capacity of 128 — instead of the whole window-length list
+//!   (~160 KiB for a 10k-entry head term).
+//! * A segment that overflows its capacity splits in half, each half
+//!   allocated to `capacity + 1` postings, and the lower half's new last
+//!   posting becomes one more fence. An insert into a segment that stays
+//!   within capacity never changes a fence: it lands strictly before its
+//!   segment's last posting, or after the last fence.
+//! * Expiry removes nothing: the expiring document's postings stay where
+//!   they are as **dead** postings (sequence number below the window's
+//!   front), and [`SegmentedImpactList::expire`] only counts them. Once the
+//!   dead outnumber a quarter of the live postings,
+//!   [`SegmentedImpactList::compact`] drops them all in one pass and
+//!   re-packs the segments — merging every segment left below a quarter of
+//!   capacity into its neighbour — then rebuilds the fences, and drops the
+//!   directory when one segment is left. Segment count stays
+//!   `Θ(len / capacity)`, every segment except a lone survivor stays at
 //!   least a quarter full, and a list never holds more than 25% extra
 //!   postings. The pass costs the list's length once per `len / 5`
-//!   expiries: a constant per expired posting, against a directory search, a
+//!   expiries: a constant per expired posting, against a fence search, a
 //!   segment search and a `memmove` per posting for point removal.
 //! * A list has two reads: [`SegmentedImpactList::iter`] over every posting
 //!   (audits and statistics) and the threshold descent's one cursor per
 //!   list, opened at the query's frontier by
 //!   [`SegmentedImpactList::iter_at_or_below`] at registration and refill
-//!   alike — a directory locate followed by **contiguous scans within
+//!   alike — a fence search followed by **contiguous scans within
 //!   segments**, which is the access pattern the paper's §III cost model
-//!   charges for: "read a prefix of `L_t`" remains a linear read of adjacent memory, now
-//!   with one extra pointer hop per `capacity` entries visited. The list's
-//!   reads return dead postings too; the index's one read path skips them
-//!   ([`crate::InvertedIndex::live_postings`]).
+//!   charges for: "read a prefix of `L_t`" remains a linear read of adjacent
+//!   memory, with one extra pointer hop per `capacity` entries visited. The
+//!   list's reads return dead postings too; the index's one read path skips
+//!   them ([`crate::InvertedIndex::live_postings`]).
 //!
 //! `tests/differential_impact_list.rs` drives this layout and a flat
 //! sorted-`Vec` reference through randomized interleavings of inserts,
 //! front advances and compactions; the two must agree exactly, including on
-//! equal-weight tie runs that straddle segment boundaries.
+//! equal-weight tie runs that straddle a fence and across the one ↔ many
+//! segment boundary in both directions.
 
 #![deny(clippy::disallowed_types)]
+
+use std::cmp::Ordering;
 
 use cts_text::Weight;
 
@@ -56,25 +73,55 @@ use crate::posting::Posting;
 ///
 /// 128 postings × 16 bytes = 2 KiB per segment: a handful of cache lines per
 /// shift, small enough that the worst-case insert is cheap, large enough
-/// that descents stay effectively contiguous and the directory of a
-/// 10k-entry head-term list holds only ~100 entries.
+/// that descents stay effectively contiguous and a 10k-entry head-term list
+/// holds only ~80 fences.
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 128;
 
-/// An impact-ordered inverted list for a single term, backed by an ordered
-/// directory of fixed-capacity sorted segments (decreasing weight, ties by
-/// increasing sequence number), holding its live postings and the dead ones
-/// not yet compacted away. See the module docs for the layout rationale.
+/// An impact-ordered inverted list for a single term: fixed-capacity sorted
+/// segments (decreasing weight, ties by increasing sequence number), the
+/// first inline and the rest behind a fenced directory, holding its live
+/// postings and the dead ones not yet compacted away. See the module docs
+/// for the layout rationale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentedImpactList {
-    /// Non-empty segments in global list order: every entry of `segments[i]`
-    /// ranks strictly before every entry of `segments[i + 1]`.
-    segments: Vec<Vec<Posting>>,
-    /// Postings across all segments, dead ones included.
-    stored: usize,
+    /// The first segment, in global list order; empty only when the list
+    /// is, and then without a directory.
+    first: Vec<Posting>,
+    /// The rest of a list that has split; `None` while it has one segment
+    /// or none.
+    directory: Option<Box<Directory>>,
+    /// Postings across all segments, dead ones included. Counts are `u32`
+    /// so the header is 48 bytes — the full index keeps one per vocabulary
+    /// term — which caps a list below 2³² postings (64 GiB of them).
+    stored: u32,
     /// Postings whose document has left the window.
-    dead: usize,
+    dead: u32,
     /// Maximum postings per segment (≥ 2).
     capacity: usize,
+}
+
+/// The segments after the first, and the fence keys that locate a posting
+/// among all of them.
+#[derive(Debug, Clone, PartialEq)]
+struct Directory {
+    /// `fences[i]` is the last posting of segment `i` (segment 0 is the
+    /// list's first): one per segment but the last, in list order.
+    fences: Vec<Posting>,
+    /// Segments `1..` — never none — non-empty and in global list order:
+    /// every entry of a segment ranks strictly before every entry of the
+    /// next.
+    rest: Vec<Vec<Posting>>,
+}
+
+impl Directory {
+    /// The locate for inserts: the first segment whose last entry ranks at
+    /// or after `p` — the only one that may contain `p` or its insertion
+    /// position — or the last segment when `p` ranks after every fence.
+    #[inline]
+    fn segment_for(&self, p: &Posting) -> usize {
+        self.fences
+            .partition_point(|fence| fence.rank(p) == Ordering::Less)
+    }
 }
 
 impl Default for SegmentedImpactList {
@@ -99,44 +146,65 @@ impl SegmentedImpactList {
     pub fn with_segment_capacity(capacity: usize) -> Self {
         assert!(capacity >= 2, "segment capacity must be at least 2");
         Self {
-            segments: Vec::new(),
+            first: Vec::new(),
+            directory: None,
             stored: 0,
             dead: 0,
             capacity,
         }
     }
 
-    /// Number of segments currently in the directory. Exposed for tests;
-    /// `Θ(len / capacity)` by the re-packing policy.
+    /// Number of segments. Exposed for tests; `Θ(len / capacity)` by the
+    /// re-packing policy.
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        match &self.directory {
+            Some(directory) => 1 + directory.rest.len(),
+            None => usize::from(!self.first.is_empty()),
+        }
     }
 
-    /// The directory locate for inserts: index of the first segment whose
-    /// **last** entry ranks at or after `p` — the only segment that may
-    /// contain `p` or its insertion position (may be `segments.len()` when
-    /// `p` ranks after everything).
+    /// The fence keys: the last posting of every segment but the last, in
+    /// list order (none for a list of one segment or none). Exposed for
+    /// tests, which probe the reads at a fence's weight.
+    pub fn fences(&self) -> &[Posting] {
+        self.directory
+            .as_deref()
+            .map_or(&[], |directory| &directory.fences)
+    }
+
+    /// The segments after the first: none unless the list has split.
+    fn rest(&self) -> &[Vec<Posting>] {
+        self.directory
+            .as_deref()
+            .map_or(&[], |directory| &directory.rest)
+    }
+
+    /// Files `posting` into the sorted `segment`; `false` if it is already
+    /// there.
     #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
-    )]
-    fn segment_for(&self, p: &Posting) -> usize {
-        self.segments.partition_point(|seg| {
-            seg.last().expect("segments are non-empty").rank(p) == std::cmp::Ordering::Less
-        })
+    fn file(segment: &mut Vec<Posting>, posting: Posting) -> bool {
+        match segment.binary_search_by(|p| p.rank(&posting)) {
+            Ok(_) => false,
+            Err(at) => {
+                segment.insert(at, posting);
+                true
+            }
+        }
     }
 
-    /// Splits an overflowed segment in half and returns the upper half.
+    /// Splits an overflowed segment in half and returns the lower half's new
+    /// last posting — the fence between the halves — and the upper half.
     /// Both halves are left with `capacity + 1` slots — room to fill up and
     /// take the insert that overflows them — so neither reallocates before
     /// its own split, and the lower half gives back the doubled allocation
     /// its overflow grew.
-    fn split(segment: &mut Vec<Posting>, capacity: usize) -> Vec<Posting> {
+    fn split(segment: &mut Vec<Posting>, capacity: usize) -> (Posting, Vec<Posting>) {
+        let mid = segment.len() / 2;
+        let fence = segment[mid - 1];
         let mut upper = Vec::with_capacity(capacity + 1);
-        upper.extend(segment.drain(segment.len() / 2..));
+        upper.extend(segment.drain(mid..));
         segment.shrink_to(capacity + 1);
-        upper
+        (fence, upper)
     }
 
     /// Inserts the posting of the document with sequence number `seq` at
@@ -144,27 +212,44 @@ impl SegmentedImpactList {
     /// present.
     pub fn insert(&mut self, seq: u64, weight: Weight) -> bool {
         let posting = Posting::new(seq, weight);
-        if self.segments.is_empty() {
-            // A directory of one header: most lists never hold a second
-            // segment.
-            self.segments = vec![vec![posting]];
+        if self.first.is_empty() {
+            // One slot, not the four of a `Vec`'s first growth: most lists
+            // stay short.
+            self.first = vec![posting];
             self.stored = 1;
             return true;
         }
-        // A posting ranking after everything is appended to the last segment.
-        let seg = self.segment_for(&posting).min(self.segments.len() - 1);
-        match self.segments[seg].binary_search_by(|p| p.rank(&posting)) {
-            Ok(_) => false,
-            Err(at) => {
-                self.segments[seg].insert(at, posting);
-                self.stored += 1;
-                if self.segments[seg].len() > self.capacity {
-                    let upper = Self::split(&mut self.segments[seg], self.capacity);
-                    self.segments.insert(seg + 1, upper);
+        let seg = self
+            .directory
+            .as_deref()
+            .map_or(0, |directory| directory.segment_for(&posting));
+        let segment = match (seg.checked_sub(1), self.directory.as_deref_mut()) {
+            (Some(at), Some(directory)) => &mut directory.rest[at],
+            _ => &mut self.first,
+        };
+        if !Self::file(segment, posting) {
+            return false;
+        }
+        self.stored += 1;
+        if segment.len() > self.capacity {
+            // The upper half keeps the segment's fence (or its lack of one,
+            // at the end); the lower half gets a new one. The first split
+            // promotes the list to a directory.
+            let (fence, upper) = Self::split(segment, self.capacity);
+            match self.directory.as_deref_mut() {
+                Some(directory) => {
+                    directory.fences.insert(seg, fence);
+                    directory.rest.insert(seg, upper);
                 }
-                true
+                None => {
+                    self.directory = Some(Box::new(Directory {
+                        fences: vec![fence],
+                        rest: vec![upper],
+                    }))
+                }
             }
         }
+        true
     }
 
     /// Records that one of the list's live postings has died — the window's
@@ -174,7 +259,7 @@ impl SegmentedImpactList {
     /// per list.
     pub fn expire(&mut self, front: u64) {
         self.dead += 1;
-        if 4 * self.dead > self.len() {
+        if 4 * self.dead as usize > self.len() {
             self.compact(front);
         }
     }
@@ -183,45 +268,70 @@ impl SegmentedImpactList {
     /// pass and re-packs the segments: each segment filters in place, and a
     /// segment left below a quarter of capacity is merged into its
     /// predecessor (or absorbs its successor, at the front), the merge split
-    /// in half if it overflows.
+    /// in half if it overflows. The fences are then rebuilt, and a list left
+    /// with one segment or none drops its directory.
     pub fn compact(&mut self, front: u64) {
+        self.dead = 0;
+        let Some(mut directory) = self.directory.take() else {
+            self.first.retain(|p| p.seq >= front);
+            if self.first.is_empty() {
+                self.first = Vec::new();
+            }
+            self.stored = self.first.len() as u32;
+            return;
+        };
+        let segments = &mut directory.rest;
+        segments.insert(0, std::mem::take(&mut self.first));
         let quarter = self.capacity.div_ceil(4);
         let mut kept = 0usize;
-        for at in 0..self.segments.len() {
-            let mut segment = std::mem::take(&mut self.segments[at]);
+        for at in 0..segments.len() {
+            let mut segment = std::mem::take(&mut segments[at]);
             segment.retain(|p| p.seq >= front);
             if segment.is_empty() {
                 continue;
             }
             let Some(last) = kept.checked_sub(1) else {
-                self.segments[0] = segment;
+                segments[0] = segment;
                 kept = 1;
                 continue;
             };
-            if self.segments[last].len() >= quarter && segment.len() >= quarter {
-                self.segments[kept] = segment;
+            if segments[last].len() >= quarter && segment.len() >= quarter {
+                segments[kept] = segment;
                 kept += 1;
                 continue;
             }
-            self.segments[last].append(&mut segment);
-            if self.segments[last].len() > self.capacity {
-                self.segments[kept] = Self::split(&mut self.segments[last], self.capacity);
+            segments[last].append(&mut segment);
+            if segments[last].len() > self.capacity {
+                segments[kept] = Self::split(&mut segments[last], self.capacity).1;
                 kept += 1;
             }
         }
-        self.segments.truncate(kept);
-        self.stored = self.segments.iter().map(Vec::len).sum();
-        self.dead = 0;
+        segments.truncate(kept);
+        self.stored = segments.iter().map(Vec::len).sum::<usize>() as u32;
+        if segments.is_empty() {
+            return;
+        }
+        self.first = segments.remove(0);
+        if segments.is_empty() {
+            // One segment is left: the list demotes to its header.
+            return;
+        }
+        let ends = std::iter::once(&self.first).chain(&segments[..segments.len() - 1]);
+        directory.fences.clear();
+        directory
+            .fences
+            .extend(ends.filter_map(|segment| segment.last().copied()));
+        self.directory = Some(directory);
     }
 
     /// Number of live postings in the list.
     pub fn len(&self) -> usize {
-        self.stored - self.dead
+        (self.stored - self.dead) as usize
     }
 
     /// Number of dead postings the list still holds.
     pub fn dead(&self) -> usize {
-        self.dead
+        self.dead as usize
     }
 
     /// Whether the list holds no live posting.
@@ -229,17 +339,25 @@ impl SegmentedImpactList {
         self.len() == 0
     }
 
-    /// Heap bytes held: every segment's capacity and the directory's.
+    /// Heap bytes held: every segment's capacity, and for a list that has
+    /// split its directory — the box, the fences and the segment handles.
     pub fn heap_bytes(&self) -> usize {
-        let postings: usize = self.segments.iter().map(Vec::capacity).sum();
-        postings * std::mem::size_of::<Posting>()
-            + self.segments.capacity() * std::mem::size_of::<Vec<Posting>>()
+        let segment_bytes = |segment: &Vec<Posting>| segment.capacity() * size_of::<Posting>();
+        let directory = self.directory.as_deref().map_or(0, |directory| {
+            size_of::<Directory>()
+                + directory.fences.capacity() * size_of::<Posting>()
+                + directory.rest.capacity() * size_of::<Vec<Posting>>()
+                + directory.rest.iter().map(segment_bytes).sum::<usize>()
+        });
+        segment_bytes(&self.first) + directory
     }
 
     /// Iterates over every stored posting, dead ones included, in list
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
-        self.segments.iter().flat_map(|s| s.iter().copied())
+        std::iter::once(&self.first)
+            .chain(self.rest())
+            .flat_map(|segment| segment.iter().copied())
     }
 
     /// Iterates over stored postings with weight **at or below** `weight`
@@ -248,41 +366,60 @@ impl SegmentedImpactList {
     /// have been visited before, so the caller skips documents that are
     /// already in its result set.
     pub fn iter_at_or_below(&self, weight: Weight) -> impl Iterator<Item = Posting> + '_ {
-        #[expect(
-            clippy::expect_used,
-            reason = "structural invariant: the directory never holds an empty segment, enforced by check_invariants"
-        )]
-        let first = self
-            .segments
-            .partition_point(|s| s.last().expect("segments are non-empty").weight > weight);
-        let off = match self.segments.get(first) {
-            Some(entries) => entries.partition_point(|p| p.weight > weight),
-            None => 0,
+        let rest = self.rest();
+        // The first segment whose last entry is at or below `weight`, or
+        // the last segment, which then yields nothing.
+        let seg = self.fences().partition_point(|fence| fence.weight > weight);
+        let (head, tail) = match seg.checked_sub(1) {
+            None => (&self.first, rest),
+            Some(at) => (&rest[at], &rest[seg..]),
         };
+        let off = head.partition_point(|p| p.weight > weight);
         // Each segment is scanned contiguously, the first from `off`.
-        self.segments[first..]
+        head[off..]
             .iter()
-            .enumerate()
-            .flat_map(move |(i, seg)| {
-                let start = if i == 0 { off } else { 0 };
-                seg[start..].iter().copied()
-            })
+            .copied()
+            .chain(tail.iter().flat_map(|segment| segment.iter().copied()))
     }
 
     /// Checks every structural invariant of the layout against the window's
     /// front sequence number `front`, panicking with a description on
-    /// violation: a non-empty directory of segments in strict rank order
-    /// (across boundaries too), every segment within capacity and — unless it
-    /// is the lone survivor — at least a quarter full and allocated to at
-    /// most `capacity + 1` postings, the cached counts
-    /// agreeing with the contents (the dead postings are exactly those below
-    /// `front`), and no more than `live / 4 + 1` of them. Used by tests
-    /// (notably the randomized differential test) after every mutation and by
-    /// the engine-level `check_invariants` audits (`cts-reference`'s
-    /// `invariant-checks` feature); not called on hot paths.
+    /// violation: segments in strict rank order (across boundaries too), an
+    /// empty first segment only in an empty list, every segment within
+    /// capacity and — unless it is the lone survivor — at least a quarter
+    /// full and allocated to at most `capacity + 1` postings; a directory
+    /// only in a list of two segments or more, holding one fence per
+    /// segment but the last, each equal to its segment's last posting; the
+    /// cached counts agreeing with the contents (the dead postings are
+    /// exactly those below `front`), and no more than `live / 4 + 1` of
+    /// them. Used by tests (notably the randomized differential test) after
+    /// every mutation and by the engine-level `check_invariants` audits
+    /// (`cts-reference`'s `invariant-checks` feature); not called on hot
+    /// paths.
     pub fn check_invariants(&self, front: u64) {
+        if let Some(directory) = &self.directory {
+            assert!(
+                !directory.rest.is_empty(),
+                "a directory holds no segment beyond the first"
+            );
+            assert_eq!(
+                directory.fences.len(),
+                directory.rest.len(),
+                "the fence count is not the segment count - 1"
+            );
+        }
+        if self.first.is_empty() {
+            assert!(
+                self.directory.is_none(),
+                "an empty first segment heads a directory"
+            );
+        }
+        let segments: Vec<&Vec<Posting>> = std::iter::once(&self.first)
+            .filter(|first| !first.is_empty())
+            .chain(self.rest())
+            .collect();
         let mut total = 0;
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (i, seg) in segments.iter().enumerate() {
             assert!(!seg.is_empty(), "segment {i} is empty");
             assert!(
                 seg.len() <= self.capacity,
@@ -295,7 +432,7 @@ impl SegmentedImpactList {
             // Θ(len / capacity) and never degrades toward one-entry segments.
             // Every segment of a split list was sized by a split, so none
             // holds more slots than a full segment and one overflow.
-            if self.segments.len() > 1 {
+            if segments.len() > 1 {
                 assert!(
                     seg.len() >= self.capacity.div_ceil(4),
                     "segment {i} holds {} < quarter of capacity {}",
@@ -312,30 +449,37 @@ impl SegmentedImpactList {
             total += seg.len();
             for pair in seg.windows(2) {
                 assert!(
-                    pair[0].rank(&pair[1]) == std::cmp::Ordering::Less,
+                    pair[0].rank(&pair[1]) == Ordering::Less,
                     "segment {i} is not strictly ordered"
                 );
             }
-            #[expect(
-                clippy::unwrap_used,
-                reason = "audit-only path; both segments were just asserted non-empty"
-            )]
-            if let Some(next) = self.segments.get(i + 1) {
+            if let Some(fence) = self.fences().get(i) {
+                assert_eq!(
+                    seg.last(),
+                    Some(fence),
+                    "fence {i} is not its segment's last posting"
+                );
+            }
+            if let (Some(last), Some(next)) = (seg.last(), segments.get(i + 1)) {
                 assert!(
-                    seg.last().unwrap().rank(next.first().unwrap()) == std::cmp::Ordering::Less,
+                    next.first().is_some_and(|p| last.rank(p) == Ordering::Less),
                     "segments {i} and {} are not ordered across the boundary",
                     i + 1
                 );
             }
         }
-        assert_eq!(total, self.stored, "cached count disagrees with contents");
+        assert_eq!(
+            total, self.stored as usize,
+            "cached count disagrees with contents"
+        );
         let dead = self.iter().filter(|p| p.seq < front).count();
         assert_eq!(
-            dead, self.dead,
+            dead,
+            self.dead(),
             "dead count disagrees with the front {front}"
         );
         assert!(
-            self.dead <= self.len() / 4 + 1,
+            self.dead() <= self.len() / 4 + 1,
             "{} dead postings beside {} live ones were not compacted",
             self.dead,
             self.len()
@@ -479,6 +623,57 @@ mod tests {
         assert_eq!(l.iter_at_or_below(w(1.0)).count(), 0);
         assert_eq!(l.heap_bytes(), 0);
         l.check_invariants(0);
+    }
+
+    #[test]
+    fn an_arena_slot_stays_within_56_bytes() {
+        // The full index's arena holds one slot per vocabulary term
+        // (262,144 at the paper point), split list or not.
+        assert!(size_of::<Option<crate::InvertedList>>() <= 56);
+        assert_eq!(size_of::<Option<crate::InvertedList>>(), 48);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_segments_and_the_directory() {
+        assert_eq!(SegmentedImpactList::new().heap_bytes(), 0);
+        // One posting: the inline segment, allocated to exactly one slot,
+        // and no directory.
+        let one = list(&[(1, 0.5)]);
+        assert_eq!(one.num_segments(), 1);
+        assert_eq!(one.heap_bytes(), 16);
+        // Five postings split capacity-4 segments once: both halves hold
+        // capacity + 1 = 5 slots, and the directory is its box (two
+        // `Vec` handles), one fence and one segment handle.
+        let split = list(&[(1, 0.5), (2, 0.4), (3, 0.3), (4, 0.2), (5, 0.1)]);
+        assert_eq!(split.num_segments(), 2);
+        assert_eq!(size_of::<Directory>(), 48);
+        assert_eq!(split.heap_bytes(), 5 * 16 + (48 + 16 + 24 + 5 * 16));
+    }
+
+    #[test]
+    fn the_first_split_promotes_and_a_one_segment_compaction_demotes() {
+        let mut l = list(&[(1, 0.5), (2, 0.4), (3, 0.3), (4, 0.2)]);
+        assert!(l.fences().is_empty());
+        assert!(l.directory.is_none());
+        assert!(l.insert(5, w(0.1)));
+        l.check_invariants(0);
+        assert_eq!(l.num_segments(), 2);
+        assert_eq!(l.fences(), &[Posting::new(2, w(0.4))]);
+        // An insert below the fence, into the first segment, leaves it be.
+        assert!(l.insert(6, w(0.45)));
+        l.check_invariants(0);
+        assert_eq!(l.fences(), &[Posting::new(2, w(0.4))]);
+        // Postings 1..=5 die: the two survivors fit one segment, and the
+        // list is its header again.
+        for front in 2..=6 {
+            l.expire(front);
+        }
+        l.compact(6);
+        l.check_invariants(6);
+        assert_eq!(l.num_segments(), 1);
+        assert!(l.fences().is_empty());
+        assert!(l.directory.is_none());
+        assert_eq!(seqs_of(l.iter()), vec![6]);
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! allocated past a full segment and one overflow) are checked after every
 //! step.
 //!
+//! Each run also crosses the boundary between the list's two shapes in both
+//! directions — a one-segment list, which is its header alone, promoted to
+//! a fenced directory by its first split, and demoted back by a compaction
+//! that leaves one segment — and asserts that both transitions happened,
+//! and probes the reads at the weight of a fence, the last posting of a
+//! segment, including fences inside a tie run that continues into the next
+//! segment.
+//!
 //! The seeded randomness comes from [`ScriptRng`] — the
 //! same deterministic generator behind the engine-level op-script suites —
 //! so every run reproduces from the `u64` seed baked into each test (echoed
@@ -111,8 +119,36 @@ fn assert_reads_agree(seg: &SegmentedImpactList, flat: &FlatImpactList, w: Weigh
     );
 }
 
-/// One full differential run at the given segment capacity.
-fn differential_run(capacity: usize, seed: u64, steps: usize) {
+/// Probes both reads at the weight of a fence of `seg` — the one `step`
+/// picks, and the first whose tie run continues past it into the next
+/// segment — and returns whether a probed fence sits inside such a run.
+fn probe_fences(seg: &SegmentedImpactList, flat: &FlatImpactList, step: usize, front: u64) -> bool {
+    let fences = seg.fences();
+    if fences.is_empty() {
+        return false;
+    }
+    let straddles = |fence: &Posting| {
+        let at = flat.entries.partition_point(|p| p.rank(fence).is_lt());
+        flat.entries
+            .get(at + 1)
+            .is_some_and(|next| next.weight == fence.weight)
+    };
+    let picked = fences[step % fences.len()];
+    assert_reads_agree(seg, flat, picked.weight, front);
+    match fences.iter().find(|fence| straddles(fence)) {
+        Some(fence) => {
+            assert_reads_agree(seg, flat, fence.weight, front);
+            true
+        }
+        None => false,
+    }
+}
+
+/// One full differential run at the given segment capacity. A `breathing`
+/// run also caps the window, alternately at `3 × capacity` arrivals and at
+/// `capacity / 2` for `3 × capacity` steps each, so the list grows past one
+/// segment and shrinks back into one again and again.
+fn differential_run(capacity: usize, seed: u64, steps: usize, breathing: bool) {
     let mut rng = ScriptRng::new(seed);
     let mut seg = SegmentedImpactList::with_segment_capacity(capacity);
     let mut flat = FlatImpactList::default();
@@ -124,9 +160,15 @@ fn differential_run(capacity: usize, seed: u64, steps: usize) {
     // expired. Arrivals without this list's term skip a number.
     let (mut front, mut next_seq) = (0u64, 0u64);
     let mut compactions = 0;
+    // Crossings of the one ↔ many segment boundary, and probes at a fence
+    // inside a tie run.
+    let (mut promotions, mut demotions, mut straddled) = (0, 0, 0);
 
     for step in 0..steps {
+        let segments_before = seg.num_segments();
         let op = rng.below(10);
+        // Arrivals the window's front passes this step.
+        let mut advance = 0u64;
         match op {
             // 0..6: an arrival with this list's term files a fresh posting
             // (tie-heavy palette); sometimes arrivals without it went first.
@@ -149,19 +191,7 @@ fn differential_run(capacity: usize, seed: u64, steps: usize) {
             }
             // 7..8: advance the front by up to 4 arrivals, one expiry at a
             // time, as the window pops its oldest document.
-            7 | 8 => {
-                let n = rng.range(1, 5) as u64;
-                for _ in 0..n.min(next_seq - front) {
-                    let expiring = front;
-                    front += 1;
-                    if filed.iter().any(|(seq, _)| *seq == expiring) {
-                        let dead_before = seg.dead();
-                        seg.expire(front);
-                        flat.expire(front);
-                        compactions += usize::from(seg.dead() <= dead_before);
-                    }
-                }
-            }
+            7 | 8 => advance = rng.range(1, 5) as u64,
             // 9: an explicit compaction at the current front.
             _ => {
                 seg.compact(front);
@@ -169,7 +199,28 @@ fn differential_run(capacity: usize, seed: u64, steps: usize) {
                 filed.retain(|(seq, _)| *seq >= front);
             }
         }
+        if breathing {
+            let cap = if (step / (3 * capacity)).is_multiple_of(2) {
+                3 * capacity
+            } else {
+                capacity / 2
+            };
+            advance = advance.max((next_seq - front).saturating_sub(cap as u64));
+        }
+        for _ in 0..advance.min(next_seq - front) {
+            let expiring = front;
+            front += 1;
+            if filed.iter().any(|(seq, _)| *seq == expiring) {
+                let dead_before = seg.dead();
+                seg.expire(front);
+                flat.expire(front);
+                compactions += usize::from(seg.dead() <= dead_before);
+            }
+        }
         seg.check_invariants(front);
+        let segments_after = seg.num_segments();
+        promotions += usize::from(segments_before == 1 && segments_after > 1);
+        demotions += usize::from(segments_before > 1 && segments_after == 1);
 
         // Probe at palette values (tie boundaries), their midpoints, and the
         // extremes.
@@ -182,21 +233,39 @@ fn differential_run(capacity: usize, seed: u64, steps: usize) {
         for w in probes {
             assert_reads_agree(&seg, &flat, w, front);
         }
+        straddled += usize::from(probe_fences(&seg, &flat, step, front));
     }
     assert!(compactions > 0, "the quarter rule never compacted");
 
     // Drain completely: the front passes every arrival, and the last
-    // expiry compacts the list down to the empty directory.
+    // expiry compacts the list down to the empty list.
     while front < next_seq {
         let expiring = front;
         front += 1;
+        let segments_before = seg.num_segments();
         if filed.iter().any(|(seq, _)| *seq == expiring) {
             seg.expire(front);
             flat.expire(front);
         }
         seg.check_invariants(front);
+        demotions += usize::from(segments_before > 1 && seg.num_segments() == 1);
         assert_reads_agree(&seg, &flat, palette(0), front);
+        straddled += usize::from(probe_fences(&seg, &flat, expiring as usize, front));
     }
+    eprintln!(
+        "capacity {capacity}: {promotions} promotions, {demotions} demotions, \
+         {straddled} probes at a fence inside a tie run"
+    );
+    let crossings = if breathing { 2 } else { 1 };
+    assert!(
+        promotions >= crossings,
+        "{promotions} first splits promoted a one-segment list"
+    );
+    assert!(
+        demotions >= crossings,
+        "{demotions} compactions left a split list one segment"
+    );
+    assert!(straddled > 0, "no probe hit a fence inside a tie run");
     assert!(seg.is_empty());
     assert_eq!(seg.num_segments(), 0);
     assert!(flat.entries.is_empty());
@@ -205,8 +274,8 @@ fn differential_run(capacity: usize, seed: u64, steps: usize) {
 #[test]
 fn tiny_segments_split_and_merge_constantly() {
     // Capacity 2 and 3: every few inserts split, every compaction merges.
-    differential_run(2, 0xD1FF_0001, 600);
-    differential_run(3, 0xD1FF_0002, 600);
+    differential_run(2, 0xD1FF_0001, 600, false);
+    differential_run(3, 0xD1FF_0002, 600, false);
 }
 
 #[test]
@@ -214,7 +283,7 @@ fn small_segments_with_tie_runs_straddling_boundaries() {
     // Capacity 4..8 with a 7-value palette: tie runs are much longer than a
     // segment, so every boundary case is exercised.
     for capacity in 4..=8 {
-        differential_run(capacity, 0xD1FF_0003 + capacity as u64, 800);
+        differential_run(capacity, 0xD1FF_0003 + capacity as u64, 800, false);
     }
 }
 
@@ -224,5 +293,20 @@ fn production_capacity_agrees_on_a_long_run() {
         cts_index::segmented::DEFAULT_SEGMENT_CAPACITY,
         0xD1FF_0005,
         1_500,
+        false,
     );
+}
+
+#[test]
+fn lists_cross_the_one_segment_boundary_both_ways_again_and_again() {
+    // A window that breathes across one segment's worth of postings: each
+    // run promotes and demotes its list at least twice.
+    for capacity in (2..=8).chain([cts_index::segmented::DEFAULT_SEGMENT_CAPACITY]) {
+        differential_run(
+            capacity,
+            0xD1FF_0010 + capacity as u64,
+            12 * capacity + 200,
+            true,
+        );
+    }
 }
