@@ -2,13 +2,12 @@
 //!
 //! There is one recovery path (DESIGN.md §10): a caught panic drops the
 //! shard's state, and the coordinator rebuilds the shard from its durable
-//! registry and window mirror before the call returns, in place on the
-//! caller's thread — it resolves the postings of the shard's queries
-//! against the mirror, loads the mirror's documents into a fresh engine
-//! (no query is live yet, so nothing is filed) and then registers the
-//! queries in one batch. Cost scales with the window (the load and the
-//! resolve) and with the shard's queries (their threshold searches), not
-//! with history.
+//! registry and window before the call returns, in place on the caller's
+//! thread — a rebuild is a registration: it resolves the postings of the
+//! shard's queries on the window and registers them in one batch on a fresh
+//! core. No document is replayed. Cost scales with the window (the resolve)
+//! and with the shard's queries (their threshold searches), not with
+//! history.
 //!
 //! Fixes a 2-shard engine over a filled count-based window at two points —
 //! 500 queries over 5k documents (where the deleted warm restore was priced)
@@ -19,7 +18,7 @@
 //!   the event plus the rebuild.
 //!
 //! The engine's own `recovery_micros` counter is printed per fault,
-//! isolating time inside the rebuild (resolve, load, registration) from the
+//! isolating time inside the rebuild (resolve and registration) from the
 //! surrounding dispatch.
 //!
 //! Run with `cargo bench --bench ablation_recovery`. Set

@@ -24,17 +24,18 @@
 //! and the directory bytes the engine holds after it
 //! (`IndexStats::directory_bytes`).
 //!
-//! **Resolved by the window's owner** (`window_terms/register/…`) — what the
-//! sharded coordinator does: a [`WindowTerms`] over the same documents
-//! answers [`WindowTerms::postings`] and the engine files the answer
-//! ([`ItaEngine::register_shared_batch`]). Arms: a lone query, bursts of 16
-//! and 64, the 1,000-query workload × a 10k- and a 40k-document window ×
-//! directories *cold* (a fresh `WindowTerms` per call: everything is walked,
+//! **On the sharded coordinator** (`window_terms/register/…`) — a one-shard
+//! [`ShardedItaEngine`]: the coordinator answers [`WindowTerms::postings`]
+//! on its window and the shard's core files the answer, walking no window
+//! of its own. Arms: a lone query, bursts of 16 and 64, the 1,000-query
+//! workload × a 10k- and a 40k-document window × directories *cold* (a
+//! fresh engine per call over the same documents: everything is walked,
 //! then the bounded builds run) and *warm* (every sealed chunk built). Each
-//! arm prints the time per call split into resolve and file-and-search, the
-//! composition entries walked and the postings answered from directories —
-//! a warm lone registration must follow the chunk count and its own
-//! postings, not the window's 2.3M / 9.2M entries.
+//! arm prints the time per call, the composition entries walked, the
+//! postings answered from directories and the postings filed — a warm lone
+//! registration must follow the chunk count and its own postings, not the
+//! window's 2.3M / 9.2M entries. The shape sweep below prices the resolve
+//! alone.
 //!
 //! **Shape sweep** (`window_terms/shape/…`) — chunk length × builds per call
 //! on the 10k window, `WindowTerms` alone: the cold and the warm lone call,
@@ -59,9 +60,9 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cts_core::{ContinuousQuery, Engine, ItaEngine};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
-use cts_index::window_terms::{BUILDS_PER_CALL, CHUNK_DOCS};
+use cts_index::window_terms::CHUNK_DOCS;
 use cts_index::{Document, QueryId, SlidingWindow, WindowTerms};
 use cts_text::weighting::Scoring;
 use cts_text::{Dictionary, TermId};
@@ -135,13 +136,24 @@ fn window_documents(point: &Point, count: usize) -> Vec<Arc<Document>> {
         .collect()
 }
 
-/// A term-filtered engine whose window holds exactly `docs` (untimed setup).
-fn filled_engine(docs: &[Arc<Document>]) -> ItaEngine {
-    let mut engine = ItaEngine::term_filtered(SlidingWindow::count_based(docs.len()));
-    for doc in docs {
-        engine.process_shared(Arc::clone(doc));
-    }
+/// `engine` with its window filled with exactly `docs` (untimed setup).
+fn filled<E: Engine>(mut engine: E, docs: &[Arc<Document>]) -> E {
+    engine.process_batch(docs.iter().map(|doc| Document::clone(doc)).collect());
     engine
+}
+
+/// A term-filtered engine whose window holds exactly `docs`.
+fn filled_engine(docs: &[Arc<Document>]) -> ItaEngine {
+    filled(
+        ItaEngine::term_filtered(SlidingWindow::count_based(docs.len())),
+        docs,
+    )
+}
+
+/// A one-shard sharded engine whose window holds exactly `docs`.
+fn filled_coordinator(docs: &[Arc<Document>]) -> ShardedItaEngine {
+    let window = SlidingWindow::count_based(docs.len());
+    filled(ShardedItaEngine::new(window, ItaConfig::default(), 1), docs)
 }
 
 fn window_over(docs: &[Arc<Document>], chunk_docs: usize, builds_per_call: usize) -> WindowTerms {
@@ -278,23 +290,25 @@ fn bench_single_registration(c: &mut Criterion) {
 }
 
 /// Registration as the sharded coordinator performs it — postings resolved
-/// by a `WindowTerms`, filed by the engine — across burst sizes, window
-/// sizes and directory states.
+/// on its window, filed by a shard's core — across burst sizes, window sizes
+/// and directory states.
 fn bench_resolved_registration(c: &mut Criterion) {
     let point = operating_point();
-    let chunk_docs = if point.quick { 16 } else { CHUNK_DOCS };
     for window_docs in [point.window_docs, 4 * point.window_docs] {
         let docs = window_documents(&point, window_docs);
         let entries: usize = docs.iter().map(|doc| doc.composition.len()).sum();
-        let mut engine = filled_engine(&docs);
-        let resident = build_queries(&point);
-        engine.register_batch(resident[..point.num_queries / 2].to_vec());
-        // The resident half registered stand-alone: that one walk is all
-        // this engine ever reads out of its own store.
-        let own_walk = engine.index_stats().register_entries_walked;
-        let mut warm = window_over(&docs, chunk_docs, usize::MAX);
-        warm.postings([TermId(0)]);
-        let built = warm.stats();
+        // Warm: lone registrations until every sealed chunk is built.
+        let mut warm = filled_coordinator(&docs);
+        let warmers = build_queries_of(&point, 64, 0x4E60_0100, false);
+        let sealed = docs.len() / CHUNK_DOCS;
+        for query in warmers.iter().cycle().take(4 * sealed) {
+            if warm.window_terms_stats().directories >= sealed {
+                break;
+            }
+            let id = warm.register(query.clone());
+            warm.deregister(id);
+        }
+        let built = warm.window_terms_stats();
         eprintln!(
             "ablation_register: {window_docs}-doc window = {entries} composition entries; \
              {} of {} chunks carry a directory, {:.2} MB",
@@ -314,7 +328,7 @@ fn bench_resolved_registration(c: &mut Criterion) {
                 .map(|i| build_queries_of(&point, burst, 0x4E60_0200 + i, false))
                 .collect();
             for state in ["cold", "warm"] {
-                let (mut resolve, mut file) = (Duration::ZERO, Duration::ZERO);
+                let mut register = Duration::ZERO;
                 let mut calls = 0u64;
                 let (mut walked, mut from_directories, mut filed) = (0u64, 0u64, 0u64);
                 c.bench_function(
@@ -322,51 +336,39 @@ fn bench_resolved_registration(c: &mut Criterion) {
                     |b| {
                         b.iter(|| {
                             let queries = &bursts[calls as usize % bursts.len()];
-                            // Ids above the resident ones, reused call
-                            // after call: each burst leaves before the next.
-                            let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = (point.num_queries
-                                as u32..)
-                                .zip(queries)
-                                .map(|(id, query)| (QueryId(id), Arc::new(query.clone())))
-                                .collect();
                             // Cold: a window nobody has asked anything yet.
-                            let mut fresh = (state == "cold")
-                                .then(|| window_over(&docs, chunk_docs, BUILDS_PER_CALL));
-                            let window = fresh.as_mut().unwrap_or(&mut warm);
-                            let before = window.stats();
-                            let filed_before = engine.index_stats().register_postings_touched;
+                            let mut fresh = (state == "cold").then(|| filled_coordinator(&docs));
+                            let engine = fresh.as_mut().unwrap_or(&mut warm);
+                            let before = engine.window_terms_stats();
+                            let filed_before =
+                                engine.shard_index_stats()[0].register_postings_touched;
                             let start = Instant::now();
-                            let postings = window.postings(terms_of(queries));
-                            let resolved = start.elapsed();
-                            engine.register_shared_batch(&batch, &postings);
-                            let done = start.elapsed();
-                            resolve += resolved;
-                            file += done - resolved;
+                            let ids = engine.register_batch(queries.clone());
+                            register += start.elapsed();
                             calls += 1;
-                            let after = window.stats();
+                            let after = engine.window_terms_stats();
                             walked += after.entries_walked - before.entries_walked;
                             from_directories +=
                                 after.postings_from_directories - before.postings_from_directories;
-                            filed += engine.index_stats().register_postings_touched - filed_before;
-                            for (id, _) in &batch {
-                                engine.deregister(*id);
+                            filed += engine.shard_index_stats()[0].register_postings_touched
+                                - filed_before;
+                            assert_eq!(
+                                engine.shard_index_stats()[0].register_entries_walked,
+                                0,
+                                "the shard walked"
+                            );
+                            for id in ids {
+                                engine.deregister(id);
                             }
                         })
                     },
                 );
-                assert_eq!(
-                    engine.index_stats().register_entries_walked,
-                    own_walk,
-                    "the engine walked"
-                );
                 eprintln!(
                     "window_terms/register/w{window_docs}/{arm}/{state}: {:.3} ms per call \
-                     = {:.3} resolve + {:.3} file and search ({:.1} µs/query); per call {} \
-                     entries walked, {} postings from directories, {} filed ({calls} calls)",
-                    ms(resolve + file, calls),
-                    ms(resolve, calls),
-                    ms(file, calls),
-                    ms(resolve + file, calls) * 1e3 / burst as f64,
+                     ({:.1} µs/query); per call {} entries walked, {} postings from \
+                     directories, {} filed ({calls} calls)",
+                    ms(register, calls),
+                    ms(register, calls) * 1e3 / burst as f64,
                     walked / calls.max(1),
                     from_directories / calls.max(1),
                     filed / calls.max(1),

@@ -18,7 +18,7 @@
 //! sharded engine's `inject_loss` test hook; no document or query a caller
 //! passes in can fault a shard on purpose. The recovery design itself — one
 //! path: a faulted shard is rebuilt as a registration of its queries over
-//! the coordinator's window mirror — is documented in DESIGN.md §10 and
+//! the coordinator's window — is documented in DESIGN.md §10 and
 //! implemented in [`crate::sharded`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -56,7 +56,7 @@ pub enum EngineError {
     UnknownQuery(QueryId),
     /// A document of the burst has the id of a document still in the
     /// window, or of another document of the same burst. Refused before any
-    /// shard or the window mirror saw the burst.
+    /// shard or the window saw the burst.
     DuplicateDocument(DocId),
 }
 

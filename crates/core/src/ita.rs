@@ -40,18 +40,17 @@
 //! outside `R` scores at most `τ ≤ S_k`, and the top-k inside `R` is the
 //! true top-k. [`ItaEngine::check_invariants`] audits both halves.
 //!
-//! Every list read above goes through one accessor of `cts_index`,
-//! `InvertedIndex::live_postings`, over *segmented* impact lists: descent
-//! cursors transparently cross segment boundaries — including equal-weight
-//! tie runs that a segment split leaves straddling two segments — and skip
-//! the dead postings expiry leaves in place, while a head-term arrival
-//! shifts at most one segment instead of a window-length `Vec` tail. A
-//! posting names its document by the window's arrival sequence number, and
-//! so does an entry of `R`: the descent tests membership by sequence
-//! number, and reads the id and the composition of a document it scores by
-//! one index each into the window. The
-//! `ita_brute_force_agreement_beyond_segment_capacity` test pins the
-//! boundary behaviour at engine level.
+//! **A window owner and a windowless core.** Every structure ITA reads for
+//! a query is per query term. An [`ItaEngine`] is the one [`WindowTerms`] of
+//! valid documents plus one `ItaCore` — lists (`cts_index::TermLists`),
+//! trees and queries — which reads the window only through a borrow; the
+//! sharded coordinator owns one window and one core per shard. A posting
+//! names its document by the window's arrival sequence number, and so does
+//! an entry of `R`: the descent tests membership by sequence number, and
+//! reads the id and the composition of a document it scores by one index
+//! each into the window. Descent cursors cross segment boundaries of the
+//! *segmented* impact lists, tie runs straddling two segments included
+//! (`ita_brute_force_agreement_beyond_segment_capacity`).
 
 #![deny(clippy::disallowed_types)]
 #![deny(
@@ -66,8 +65,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use cts_index::{
-    DenseArena, Document, InvertedIndex, QueryId, SlidingWindow, TermPostings, ThresholdTree,
-    Timestamp,
+    DenseArena, DocId, Document, IndexStats, QueryId, SlidingWindow, TermLists, TermPostings,
+    ThresholdTree, Timestamp, WindowTerms,
 };
 use cts_text::{TermId, Weight, WeightedTerm};
 
@@ -128,98 +127,67 @@ impl QueryState {
     }
 }
 
-/// The paper's monitoring algorithm.
+/// The windowless query core: everything ITA keeps for a set of queries,
+/// over documents its owner's [`WindowTerms`] holds. The core holds valid
+/// the documents numbered `front..end`; its owner moves both, one event at a
+/// time ([`ItaCore::process`]), and keeps those documents in the window
+/// until the core has read them.
 #[derive(Debug, Clone)]
-pub struct ItaEngine {
-    window: SlidingWindow,
-    /// The inverted index, which also owns the engine's **live-term set**
-    /// (`index.live_terms()`): one reference per (registered query, term),
+pub(crate) struct ItaCore {
+    /// The inverted lists, which also own the core's **live-term set**
+    /// (`lists.live_terms()`): one reference per (registered query, term),
     /// a bit per term flipped where a count crosses zero, and the key space
-    /// of every per-term arena — term ids on a plain engine, compact live
-    /// slots on a term-filtered one (see `cts_index::arena`).
-    index: InvertedIndex,
-    /// One threshold tree per live term, keyed like the index's lists.
+    /// of every per-term arena — term ids on full lists, compact live slots
+    /// on term-filtered ones (see `cts_index::arena`).
+    lists: TermLists,
+    /// One threshold tree per live term, keyed like the lists.
     trees: DenseArena<ThresholdTree>,
     queries: QuerySlab<QueryState>,
     /// Reused per-event buffer for the affected-query probe; kept on the
-    /// engine so steady-state event processing allocates nothing.
+    /// core so steady-state event processing allocates nothing.
     scratch: Vec<QueryId>,
     /// Reused per-event buffer: the live entries of the document being
     /// handled — its one intersection with the live-term set, which the
-    /// index filing loop, the threshold probe and arrival scoring all walk.
+    /// filing loop, the threshold probe and arrival scoring all walk.
     live_entries: Vec<WeightedTerm>,
     /// Reused buffers of the threshold descent.
     descent: DescentScratch,
-    next_query: u32,
-    clock: Timestamp,
+    /// The sequence number the core has expired through: its oldest valid
+    /// document's (the next arrival's, when none is valid).
+    front: u64,
+    /// The next arrival's sequence number.
+    end: u64,
 }
 
-impl ItaEngine {
-    /// Creates an engine with the given sliding-window policy. The
-    /// [`ItaConfig`] is empty and ignored.
-    pub fn new(window: SlidingWindow, _config: ItaConfig) -> Self {
-        Self::over(window, InvertedIndex::new())
-    }
-
-    /// The index fixes the key space of every per-term structure, so it is
-    /// the one thing the two constructors choose.
-    fn over(window: SlidingWindow, index: InvertedIndex) -> Self {
+impl ItaCore {
+    /// A core over `lists` (which fix the key space) holding valid exactly
+    /// the documents `window` holds now, with no query registered.
+    pub(crate) fn new(lists: TermLists, window: &WindowTerms) -> Self {
+        let front = window.front_seq();
         Self {
-            window,
-            index,
+            lists,
             trees: DenseArena::new(),
             queries: QuerySlab::new(),
             scratch: Vec::new(),
             live_entries: Vec::new(),
             descent: DescentScratch::default(),
-            next_query: 0,
-            clock: Timestamp::ZERO,
+            front,
+            end: front + window.len() as u64,
         }
     }
 
-    /// Creates a **term-filtered** engine: the inverted index files postings
-    /// only for terms referenced by at least one registered query
-    /// (registration files a new term's list from postings the caller
-    /// supplies or, failing that, resolves them through the index's own
-    /// `cts_index::WindowTerms`, as the sharded coordinator does;
-    /// deregistration retires lists whose last referencing query left). For
-    /// its registered queries it is exactly equivalent to an unfiltered
-    /// engine — every list a query's threshold search or probe can touch is
-    /// complete — while skipping index maintenance for the (large)
-    /// majority of composition terms no query watches, and keying lists,
-    /// threshold trees and reference counts by compact live slots so their
-    /// memory follows the live terms instead of the vocabulary. This is the
-    /// shard configuration of [`crate::ShardedItaEngine`].
-    pub fn term_filtered(window: SlidingWindow) -> Self {
-        Self::term_filtered_from(window, 0)
+    pub(crate) fn num_queries(&self) -> usize {
+        self.queries.len()
     }
 
-    /// A term-filtered engine whose window numbers its first arrival
-    /// `first_seq`: a shard rebuilt from the coordinator's mirror numbers
-    /// the mirror's documents as the mirror does, so the postings the mirror
-    /// resolves name the shard's documents.
-    pub(crate) fn term_filtered_from(window: SlidingWindow, first_seq: u64) -> Self {
-        Self::over(window, InvertedIndex::term_filtered_from(first_seq))
+    pub(crate) fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
+        self.queries
+            .get(query)
+            .map(|state| state.results.top())
+            .unwrap_or_default()
     }
 
-    /// The arrival sequence number of the oldest valid document (of the next
-    /// arrival, when none is valid).
-    pub(crate) fn front_seq(&self) -> u64 {
-        self.index.documents().front_seq()
-    }
-
-    /// Whether this engine maintains a term-filtered (shadow) index.
-    pub fn is_term_filtered(&self) -> bool {
-        self.index.is_term_filtered()
-    }
-
-    /// The sliding-window policy in force.
-    pub fn window(&self) -> SlidingWindow {
-        self.window
-    }
-
-    /// A snapshot of `query`'s bookkeeping, if it is registered.
-    pub fn query_stats(&self, query: QueryId) -> Option<ItaQueryStats> {
+    pub(crate) fn query_stats(&self, query: QueryId) -> Option<ItaQueryStats> {
         let state = self.queries.get(query)?;
         Some(ItaQueryStats {
             result_set_size: state.results.len(),
@@ -232,53 +200,38 @@ impl ItaEngine {
         })
     }
 
-    /// A point-in-time summary of the inverted index (documents, lists,
-    /// postings) and of how the per-term tables are sized (`live_terms`
-    /// against `list_slots` / `tree_slots`). Exposed for the sweep harness,
-    /// soak tests and the memory-shape regression test.
-    pub fn index_stats(&self) -> cts_index::IndexStats {
-        cts_index::IndexStats {
+    /// The lists' shape, the tree arena's size and the valid document count.
+    pub(crate) fn index_stats(&self) -> IndexStats {
+        IndexStats {
+            documents: (self.end - self.front) as usize,
             tree_slots: self.trees.slot_capacity(),
-            ..self.index.stats()
+            ..self.lists.stats()
         }
-    }
-
-    /// Iterates over the currently valid documents in arrival order.
-    /// Exposed so validation harnesses (e.g. the paper-scale soak) can
-    /// re-evaluate queries against the engine's own window without keeping a
-    /// second copy of it.
-    pub fn store_documents(&self) -> impl Iterator<Item = &Document> {
-        self.index.documents().iter().map(|doc| &**doc)
-    }
-
-    /// The local threshold `θ_{Q,t}`, if `query` is registered and contains
-    /// `term`. Exposed for tests and benchmarks.
-    pub fn local_threshold(&self, query: QueryId, term: TermId) -> Option<Weight> {
-        self.queries
-            .get(query)?
-            .thresholds
-            .iter()
-            .find(|(t, _)| *t == term)
-            .map(|(_, theta)| *theta)
     }
 
     /// Runs (or resumes) the threshold search for `qid` until `S_k ≥ τ`,
     /// then reconciles the per-list threshold trees with the new frontier.
-    fn run_threshold_search(&mut self, qid: QueryId, register: bool) {
+    fn run_threshold_search(&mut self, window: &WindowTerms, qid: QueryId, register: bool) {
         #[expect(
             clippy::expect_used,
             reason = "callers pass ids taken from the live query slab"
         )]
         let state = self.queries.get_mut(qid).expect("query exists");
         let before: Vec<Weight> = state.thresholds.iter().map(|(_, theta)| *theta).collect();
+        let view = View {
+            lists: &self.lists,
+            window,
+            front: self.front,
+            end: self.end,
+        };
         // Unit-test builds run every search twice, once by the restart-at-θ
         // reference, and hold the two to the same θ, R and count.
         #[cfg(test)]
-        let reference = tests::restart_descent(&self.index, state.clone());
-        threshold_descent(&self.index, state, &mut self.descent);
+        let reference = tests::restart_descent(&view, state.clone());
+        threshold_descent(&view, state, &mut self.descent);
         #[cfg(test)]
         tests::assert_same_search(state, &reference);
-        let live = self.index.live_terms();
+        let live = self.lists.live_terms();
         for ((term, after), before) in state.thresholds.iter().zip(before) {
             #[expect(
                 clippy::expect_used,
@@ -303,7 +256,7 @@ impl ItaEngine {
     /// buffer is reused across events so the hot path performs no allocation.
     fn collect_affected_queries(&mut self) {
         self.scratch.clear();
-        let live = self.index.live_terms();
+        let live = self.lists.live_terms();
         for entry in &self.live_entries {
             if let Some(tree) = live.key(entry.term).and_then(|key| self.trees.get(key)) {
                 self.scratch
@@ -314,12 +267,12 @@ impl ItaEngine {
         self.scratch.dedup();
     }
 
-    /// Handles the arrival side of one stream event. The document is already
-    /// in the index under sequence number `seq` and its live entries are in
+    /// Handles the arrival side of one stream event. The document `doc` is
+    /// already filed under sequence number `seq` and its live entries are in
     /// `self.live_entries` — all an affected query needs to score it, bit for
     /// bit (every term of a registered query is live). Returns
     /// `(queries_touched, results_changed)`.
-    fn handle_arrival(&mut self, doc: &Document, seq: u64) -> (usize, usize) {
+    fn handle_arrival(&mut self, doc: DocId, seq: u64) -> (usize, usize) {
         self.collect_affected_queries();
         let affected = std::mem::take(&mut self.scratch);
         let entries = std::mem::take(&mut self.live_entries);
@@ -334,7 +287,7 @@ impl ItaEngine {
             state.arrivals_examined += 1;
             state.postings_examined += 1;
             let score = state.query.score_entries(&entries);
-            if state.results.insert(seq, doc.id, score) {
+            if state.results.insert(seq, doc, score) {
                 changed += 1;
             }
         }
@@ -343,13 +296,12 @@ impl ItaEngine {
         (touched, changed)
     }
 
-    /// Handles one expiration: the document with sequence number `seq`, the
-    /// window's oldest, has already been removed from the index, which left
-    /// its entries live *now* in `self.live_entries`. Every member of `R`
-    /// has a posting at or above its query's frontier, so this probe reaches
-    /// every query holding the document. Returns
-    /// `(queries_touched, results_changed)`.
-    fn handle_expiration(&mut self, seq: u64) -> (usize, usize) {
+    /// Handles one expiration: the document with sequence number `seq` has
+    /// just left the front, which left its entries live *now* in
+    /// `self.live_entries`. Every member of `R` has a posting at or above
+    /// its query's frontier, so this probe reaches every query holding the
+    /// document. Returns `(queries_touched, results_changed)`.
+    fn handle_expiration(&mut self, window: &WindowTerms, seq: u64) -> (usize, usize) {
         self.collect_affected_queries();
         let affected = std::mem::take(&mut self.scratch);
         let touched = affected.len();
@@ -366,29 +318,274 @@ impl ItaEngine {
             if state.results.expire(seq) == Some(true) {
                 changed += 1;
                 state.refills += 1;
-                self.run_threshold_search(qid, false);
+                self.run_threshold_search(window, qid, false);
             }
         }
         self.scratch = affected;
         (touched, changed)
     }
+
+    /// Processes one stream event: the arrival of the document numbered
+    /// `seq` (the core's `end`), then the expiry of every document below
+    /// `front`, the front the window policy left at that arrival — oldest
+    /// first, each re-intersected with the live set as it is *now*. The
+    /// window must hold all of them.
+    pub(crate) fn process(&mut self, window: &WindowTerms, seq: u64, front: u64) -> EventOutcome {
+        debug_assert_eq!(seq, self.end, "a core sees arrivals in sequence order");
+        self.end = seq + 1;
+        let doc = window.doc_at(seq);
+        // One pass over the composition list, against the live-term bitmap;
+        // from here on the event walks the document's live entries.
+        self.lists.insert_arrival(seq, doc, &mut self.live_entries);
+        let (touched, changed) = self.handle_arrival(doc.id, seq);
+        let mut outcome = EventOutcome {
+            arrived: doc.id,
+            queries_touched_by_arrival: touched,
+            results_changed: changed,
+            ..EventOutcome::default()
+        };
+        while self.front < front {
+            let expired = self.front;
+            self.front += 1;
+            self.lists
+                .expire(window.doc_at(expired), self.front, &mut self.live_entries);
+            let (touched, changed) = self.handle_expiration(window, expired);
+            outcome.expired += 1;
+            outcome.queries_touched_by_expiration += touched;
+            outcome.results_changed += changed;
+        }
+        outcome
+    }
+
+    /// Registers a batch of queries under ids no registered query holds,
+    /// over queries the caller keeps a handle on: the core stores a refcount
+    /// bump per query, not a copy. All of the batch's newly-live terms are
+    /// filed first, from `postings` — the window's postings as its owner
+    /// resolved them, which must cover every term the batch brings live —
+    /// and only then do the per-query threshold searches run, each
+    /// byte-identical to the one a burst of one would have run, because
+    /// registration reads the lists and writes only the registering query's
+    /// own state. Full lists keep every term current and ignore `postings`.
+    pub(crate) fn register(
+        &mut self,
+        window: &WindowTerms,
+        batch: &[(QueryId, Arc<ContinuousQuery>)],
+        postings: &TermPostings,
+    ) {
+        debug_assert!(
+            batch
+                .iter()
+                .all(|(qid, _)| self.queries.get(*qid).is_none()),
+            "a registered id registers again"
+        );
+        self.lists.acquire_terms(
+            batch
+                .iter()
+                .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
+            postings,
+        );
+        for (qid, query) in batch {
+            let thresholds = query
+                .terms()
+                .map(|(t, _)| (t, Weight::new(f64::INFINITY)))
+                .collect();
+            self.queries.insert(
+                *qid,
+                QueryState {
+                    results: Results::new(query.k()),
+                    query: Arc::clone(query),
+                    thresholds,
+                    arrivals_examined: 0,
+                    expirations_examined: 0,
+                    refills: 0,
+                    postings_examined: 0,
+                },
+            );
+            self.run_threshold_search(window, *qid, true);
+        }
+    }
+
+    /// Removes the query's threshold-tree entries (retiring empty trees) and
+    /// releases its term references (term-filtered lists drop the lists of
+    /// terms it held the last reference on).
+    pub(crate) fn deregister(&mut self, query: QueryId) -> bool {
+        let Some(state) = self.queries.remove(query) else {
+            return false;
+        };
+        for (term, theta) in &state.thresholds {
+            // The tree goes before the reference: releasing the last one
+            // recycles the key the tree is filed under.
+            if let Some(key) = self.lists.live_terms().key(*term) {
+                if let Some(tree) = self.trees.get_mut(key) {
+                    tree.remove(query, *theta);
+                    if tree.is_empty() {
+                        self.trees.remove(key);
+                    }
+                }
+            }
+            self.lists.release_term(*term);
+        }
+        true
+    }
+
+    /// Audits the core against `window`, which must hold exactly the
+    /// documents the core holds valid, panicking on violation (DESIGN.md
+    /// §11): the lists' invariants (`TermLists::check_invariants`), every
+    /// tree's ordering, a tree for every live term and under no other key,
+    /// two-way agreement between tree entries and the queries' thresholds,
+    /// reference counts equal to the referencing queries, and per query:
+    /// `R`'s layout, every entry naming a valid document by its sequence
+    /// number and having *support* — a weight at or above `θ_{Q,t}` in some
+    /// query term, which lets expiry find an unverified entry at the rest's
+    /// front — and the paper's invariant: every posting strictly above
+    /// `θ_{Q,t}` is in `R`, and `τ ≤ S_k`.
+    pub(crate) fn check_invariants(&self, window: &WindowTerms) {
+        assert_eq!(
+            (self.front, self.end - self.front),
+            (window.front_seq(), window.len() as u64),
+            "the core holds valid other documents than its window (front, count)"
+        );
+        self.lists.check_invariants(window);
+        let live = self.lists.live_terms();
+        for (key, tree) in self.trees.iter() {
+            let term = live.term_of(key);
+            assert!(
+                live.contains(term) && live.key(term) == Some(key),
+                "a threshold tree is filed under key {key}, which no live term holds (last: {term})"
+            );
+            assert!(
+                !tree.is_empty(),
+                "empty threshold tree for {term} was not retired"
+            );
+            tree.check_invariants();
+            for entry in tree.iter() {
+                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
+                let Some(state) = self.queries.get(entry.query) else {
+                    panic!(
+                        "threshold tree for {term} references dead query {}",
+                        entry.query
+                    );
+                };
+                assert!(
+                    state
+                        .thresholds
+                        .iter()
+                        .any(|(t, theta)| *t == term && *theta == entry.threshold),
+                    "tree entry θ={} for {} in {term} disagrees with the query's recorded thresholds",
+                    entry.threshold,
+                    entry.query
+                );
+            }
+        }
+        assert_eq!(
+            self.trees.len(),
+            live.len(),
+            "a live term has no threshold tree"
+        );
+        let mut live_refs: Vec<u32> = Vec::new();
+        assert!(
+            self.descent.members.iter().all(|word| *word == 0) && self.descent.searched.is_empty(),
+            "the threshold descent left its membership bitmap or its filing buffer dirty"
+        );
+        for (qid, state) in self.queries.iter() {
+            state.results.check_invariants();
+            let mut members: Vec<u64> = state.results.iter().map(|e| e.seq).collect();
+            members.sort_unstable();
+            for entry in state.results.iter() {
+                let (seq, doc) = (entry.seq, entry.doc);
+                assert!(
+                    (self.front..self.end).contains(&seq),
+                    "{qid}'s R holds {doc} under sequence number {seq}, which is not in the window"
+                );
+                assert_eq!(
+                    window.id_at(seq),
+                    doc,
+                    "{qid}'s R names {doc} by the wrong sequence number {seq}"
+                );
+                let composition = &window.doc_at(seq).composition;
+                assert!(
+                    state.thresholds.iter().any(|(term, theta)| {
+                        let weight = composition.impact(*term);
+                        weight > Weight::ZERO && weight >= *theta
+                    }),
+                    "{qid}'s R holds {doc}, which has no weight at or above θ in any query term"
+                );
+            }
+            for (term, theta) in &state.thresholds {
+                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
+                let Some(tree) = live.key(*term).and_then(|key| self.trees.get(key)) else {
+                    panic!("no threshold tree covers {qid}'s term {term}");
+                };
+                assert!(
+                    tree.iter().any(|e| e.query == qid && e.threshold == *theta),
+                    "{qid}'s recorded threshold θ={theta} for {term} is missing from the tree"
+                );
+                let slot = term.0 as usize;
+                if slot >= live_refs.len() {
+                    live_refs.resize(slot + 1, 0);
+                }
+                live_refs[slot] += 1;
+                // The paper's invariant, first half: the search has examined
+                // every live posting strictly above θ_{Q,t}, and an arrival up
+                // there is touched, so each of them is in R.
+                let all = Weight::new(f64::INFINITY);
+                let live = self.lists.live_postings(*term, all, self.front);
+                for posting in live.take_while(|p| p.weight > *theta) {
+                    let doc = window.id_at(posting.seq);
+                    assert!(
+                        members.binary_search(&posting.seq).is_ok(),
+                        "{doc} lies above {qid}'s θ={theta} in {term} but is not in R",
+                    );
+                }
+            }
+            // Second half: τ ≤ S_k, exactly. Only the descent sets a threshold,
+            // and it stops on τ < S_k (or with every θ at zero); S_k falls
+            // only when a top-k document expires, which runs the descent.
+            let (tau, s_k) = (state.tau(), state.results.kth_score());
+            assert!(tau <= s_k, "{qid}'s τ={tau} exceeds S_k={s_k}");
+        }
+        let referenced = live_refs.iter().filter(|count| **count > 0).count();
+        assert_eq!(
+            referenced,
+            live.len(),
+            "a term is live but no registered query references it"
+        );
+        for (slot, referencing) in live_refs.iter().enumerate() {
+            let term = TermId(slot as u32);
+            assert_eq!(
+                live.count(term),
+                *referencing,
+                "{term}'s reference count disagrees with the live queries referencing it"
+            );
+        }
+    }
 }
 
-/// The threshold descent's buffers, kept on the engine like `scratch` so
+/// What a threshold search reads: a core's lists, the window its postings
+/// index, and the valid sequence numbers `front..end`.
+struct View<'a> {
+    lists: &'a TermLists,
+    window: &'a WindowTerms,
+    front: u64,
+    end: u64,
+}
+
+/// The threshold descent's buffers, kept on the core like `scratch` so
 /// that a descent allocates only while they grow.
 #[derive(Debug, Clone, Default)]
 struct DescentScratch {
-    /// Membership in `R` while a descent runs: bit `seq − front_seq` of the
-    /// window (1.25 KB at 10k documents). All clear between descents: a
-    /// descent clears the whole bitmap when it stops, one short `memset`
-    /// where clearing `R`'s bits one by one would walk all of `R` again.
+    /// Membership in `R` while a descent runs: bit `seq − front` of the
+    /// valid documents (1.25 KB at 10k documents). All clear between
+    /// descents: a descent clears the whole bitmap when it stops, one short
+    /// `memset` where clearing `R`'s bits one by one would walk all of `R`
+    /// again.
     members: Vec<u64>,
     /// The examined entries a running descent files into the rest, unsorted.
     searched: Vec<Entry>,
 }
 
 /// The word and the bit of sequence number `seq` in a membership bitmap
-/// whose bit 0 is the window's oldest document, `front`.
+/// whose bit 0 is the oldest valid document, `front`.
 fn member_bit(seq: u64, front: u64) -> (usize, u64) {
     let at = seq - front;
     ((at / 64) as usize, 1 << (at % 64))
@@ -404,21 +601,24 @@ fn member_bit(seq: u64, front: u64) -> (usize, u64) {
 /// posting behind a cursor is in `R`, so a step skips `R`-members only from
 /// where each cursor stands, and only the chosen list advances — through its
 /// whole tie group, so the order within a group (arrival) decides nothing.
-/// No posting is read twice.
+/// No posting is read twice. A list's θ only moves down, so a tie group
+/// above it means the list is out of order: debug builds stop there instead
+/// of searching on.
 ///
-/// Membership in `R` is a bitmap over the window (`DescentScratch::members`),
-/// set for `R`'s entries when the search starts and for each document as it
-/// is examined, and cleared when it stops: one load per posting passed. An
-/// examined document enters the top-k at once when it ranks there, since
-/// `S_k` decides the stop; it, or the entry it demotes, otherwise waits
-/// unsorted until the stop (`Results::file_searched`). A registration that
-/// builds an `R` of thousands therefore files it with one sort,
-/// `O(|R| log |R|)`, not `O(|R|²)`.
-fn threshold_descent(index: &InvertedIndex, state: &mut QueryState, scratch: &mut DescentScratch) {
-    let window = index.documents();
-    let front = window.front_seq();
+/// Membership in `R` is a bitmap over the valid documents
+/// (`DescentScratch::members`), set for `R`'s entries when the search starts
+/// and for each document as it is examined, and cleared when it stops: one
+/// load per posting passed. An examined document enters the top-k at once
+/// when it ranks there, since `S_k` decides the stop; it, or the entry it
+/// demotes, otherwise waits unsorted until the stop
+/// (`Results::file_searched`). A registration that builds an `R` of
+/// thousands therefore files it with one sort, `O(|R| log |R|)`, not
+/// `O(|R|²)`.
+fn threshold_descent(view: &View, state: &mut QueryState, scratch: &mut DescentScratch) {
+    let (window, front) = (view.window, view.front);
     let members = &mut scratch.members;
-    members.resize(members.len().max(window.len().div_ceil(64)), 0);
+    let words = (view.end - front).div_ceil(64) as usize;
+    members.resize(members.len().max(words), 0);
     state.results.iter().for_each(|entry| {
         let (word, bit) = member_bit(entry.seq, front);
         members[word] |= bit;
@@ -427,7 +627,7 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState, scratch: &mu
     let mut cursors: Vec<_> = state
         .thresholds
         .iter()
-        .map(|&(term, theta)| index.live_postings(term, theta).peekable())
+        .map(|&(term, theta)| view.lists.live_postings(term, theta, front).peekable())
         .collect();
     loop {
         // The bound over the best unexamined posting of each list, and the
@@ -469,6 +669,12 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState, scratch: &mu
             members.fill(0);
             return;
         };
+        debug_assert!(
+            group_weight <= state.thresholds[slot].1,
+            "a tie group at {group_weight} lies above θ={} of {}: the list is out of order",
+            state.thresholds[slot].1,
+            state.thresholds[slot].0
+        );
 
         // Examine the full tie group at that weight so the frontier is exact:
         // afterwards, every posting strictly above θ is guaranteed to be in R.
@@ -489,332 +695,190 @@ fn threshold_descent(index: &InvertedIndex, state: &mut QueryState, scratch: &mu
     }
 }
 
+/// The paper's monitoring algorithm: the valid documents, and one
+/// `ItaCore` over them.
+#[derive(Debug, Clone)]
+pub struct ItaEngine {
+    policy: SlidingWindow,
+    /// The valid documents, oldest first: the one container of them.
+    window: WindowTerms,
+    core: ItaCore,
+    next_query: u32,
+    clock: Timestamp,
+}
+
 impl ItaEngine {
-    /// Registers a whole batch of queries under caller-chosen ids — the
-    /// sharded engine assigns ids globally and routes each query to one
-    /// shard, so the shard must not mint its own — over queries the caller
-    /// keeps a handle on: the engine stores a refcount bump per query, not a
-    /// copy. Ids handed out by a later [`Engine::register`] never collide
-    /// with ids registered this way. All of the batch's newly-live terms are
-    /// filed first, in one call, and only then do the per-query threshold
-    /// searches run — each byte-identical to the one a burst of one would
-    /// have run, because registration reads the index and writes only the
-    /// registering query's own state.
-    ///
-    /// `postings` are the window's postings as the caller resolved them: the
-    /// sharded coordinator resolves a burst's terms against its own copy of
-    /// the window (`cts_index::WindowTerms`), so no shard resolves any.
-    /// They must describe exactly the documents this engine holds; terms they
-    /// do not cover (all of them, when empty — what [`Engine::register_batch`]
-    /// passes) a term-filtered engine resolves in **one call** on its own
-    /// `WindowTerms`, which answers from term directories where built and
-    /// walks the rest (DESIGN.md §9 has the cost model). A plain engine keeps
-    /// every list current and ignores them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is already registered or occurs twice in `batch` —
-    /// before anything is touched.
-    pub fn register_shared_batch(
-        &mut self,
-        batch: &[(QueryId, Arc<ContinuousQuery>)],
-        postings: &TermPostings,
-    ) {
-        self.claim_ids(batch.iter().map(|(qid, _)| *qid).collect());
-        self.index.acquire_terms(
-            batch
-                .iter()
-                .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
-            postings,
-        );
-        for (qid, query) in batch {
-            self.finish_register(*qid, Arc::clone(query));
+    /// Creates an engine with the given sliding-window policy over full
+    /// lists. The [`ItaConfig`] is empty and ignored.
+    pub fn new(window: SlidingWindow, _config: ItaConfig) -> Self {
+        Self::over(window, TermLists::new())
+    }
+
+    /// The lists fix the key space of every per-term structure, so they are
+    /// the one thing the two constructors choose.
+    fn over(policy: SlidingWindow, lists: TermLists) -> Self {
+        let window = WindowTerms::new();
+        Self {
+            policy,
+            core: ItaCore::new(lists, &window),
+            window,
+            next_query: 0,
+            clock: Timestamp::ZERO,
         }
     }
 
-    /// Refuses a duplicate id before anything is touched — `QuerySlab::insert`
-    /// would *replace* the live query's state, under term references and tree
-    /// entries taken for a query that then does not exist — and keeps the ids
-    /// [`Engine::register`] mints clear of the claimed ones.
-    fn claim_ids(&mut self, mut ids: Vec<QueryId>) {
+    /// Creates a **term-filtered** engine: its lists file postings only for
+    /// terms referenced by at least one registered query (registration
+    /// resolves the postings of the terms it brings live on the engine's own
+    /// window, as the sharded coordinator does, and files them;
+    /// deregistration retires lists whose last referencing query left). For
+    /// its registered queries it is exactly equivalent to an unfiltered
+    /// engine — every list a query's threshold search or probe can touch is
+    /// complete — while skipping index maintenance for the (large) majority
+    /// of composition terms no query watches, and keying lists, threshold
+    /// trees and reference counts by compact live slots so their memory
+    /// follows the live terms instead of the vocabulary. A shard of
+    /// [`crate::ShardedItaEngine`] is the same core without the window.
+    pub fn term_filtered(window: SlidingWindow) -> Self {
+        Self::over(window, TermLists::term_filtered())
+    }
+
+    /// Whether this engine maintains term-filtered lists.
+    pub fn is_term_filtered(&self) -> bool {
+        self.core.lists.is_term_filtered()
+    }
+
+    /// The sliding-window policy in force.
+    pub fn window(&self) -> SlidingWindow {
+        self.policy
+    }
+
+    /// A snapshot of `query`'s bookkeeping, if it is registered.
+    pub fn query_stats(&self, query: QueryId) -> Option<ItaQueryStats> {
+        self.core.query_stats(query)
+    }
+
+    /// A point-in-time summary of the lists (documents, lists, postings), of
+    /// how the per-term tables are sized (`live_terms` against `list_slots`
+    /// / `tree_slots`) and of what registrations read of the window. Exposed
+    /// for the sweep harness, soak tests and the memory-shape regression
+    /// test.
+    pub fn index_stats(&self) -> IndexStats {
+        let window = self.window.stats();
+        IndexStats {
+            register_entries_walked: window.entries_walked,
+            directory_bytes: window.directory_bytes,
+            ..self.core.index_stats()
+        }
+    }
+
+    /// The valid documents, oldest first. Exposed so validation harnesses
+    /// (e.g. the paper-scale soak) can re-evaluate queries against the
+    /// engine's own window without keeping a second copy of it.
+    pub fn documents(&self) -> &WindowTerms {
+        &self.window
+    }
+
+    /// The local threshold `θ_{Q,t}`, if `query` is registered and contains
+    /// `term`. Exposed for tests and benchmarks.
+    pub fn local_threshold(&self, query: QueryId, term: TermId) -> Option<Weight> {
+        let state = self.core.queries.get(query)?;
+        let (_, theta) = state.thresholds.iter().find(|(t, _)| *t == term)?;
+        Some(*theta)
+    }
+
+    /// Registers a batch under caller-chosen ids: refuses a duplicate id
+    /// before anything is touched — the slab would *replace* the live
+    /// query's state, under term references and tree entries taken for a
+    /// query that then does not exist — keeps the ids [`Engine::register`]
+    /// mints clear of the claimed ones, resolves the postings of the terms
+    /// the batch brings live on the window (one [`WindowTerms::postings`]
+    /// call, term-filtered lists only) and hands the batch to the core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is already registered or occurs twice in `batch`.
+    fn register_shared(&mut self, batch: &[(QueryId, Arc<ContinuousQuery>)]) {
+        let mut ids: Vec<QueryId> = batch.iter().map(|(qid, _)| *qid).collect();
         ids.sort_unstable();
         for (i, qid) in ids.iter().enumerate() {
             assert!(
-                self.queries.get(*qid).is_none() && ids.get(i + 1) != Some(qid),
+                self.core.queries.get(*qid).is_none() && ids.get(i + 1) != Some(qid),
                 "query id {qid} is already registered"
             );
         }
         if let Some(highest) = ids.last() {
             self.next_query = self.next_query.max(highest.0.saturating_add(1));
         }
-    }
-
-    /// The tail of registration, once the query's terms are live: record the
-    /// query state and run its initial threshold search.
-    fn finish_register(&mut self, qid: QueryId, query: Arc<ContinuousQuery>) {
-        let thresholds = query
-            .terms()
-            .map(|(t, _)| (t, Weight::new(f64::INFINITY)))
-            .collect();
-        self.queries.insert(
-            qid,
-            QueryState {
-                results: Results::new(query.k()),
-                query,
-                thresholds,
-                arrivals_examined: 0,
-                expirations_examined: 0,
-                refills: 0,
-                postings_examined: 0,
-            },
-        );
-        self.run_threshold_search(qid, true);
-    }
-
-    /// Processes one already-shared stream event — the fan-out path of the
-    /// sharded engine, where every shard receives the same `Arc`'d document
-    /// and the window's composition lists exist once in memory no matter how
-    /// many shards mirror them. [`Engine::process_document`] wraps and
-    /// delegates here.
-    ///
-    /// The arriving document, and later each expiring one, is intersected
-    /// with the live-term set **once**; filing, the threshold probe and
-    /// arrival scoring then cost what the document's *matching* terms make
-    /// them cost. The full `Arc<Document>` stays in the window for what needs
-    /// all of it: postings resolution and `threshold_descent`'s
-    /// random-access scoring. Expiry then pops the oldest documents while
-    /// the window policy calls them stale, one at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a document with the same id is still in the window — before
-    /// the index or any query state is touched.
-    pub fn process_shared(&mut self, doc: Arc<Document>) -> EventOutcome {
-        let mut outcome = EventOutcome {
-            arrived: doc.id,
-            ..EventOutcome::default()
+        let terms = batch
+            .iter()
+            .flat_map(|(_, query)| query.terms().map(|(term, _)| term));
+        let postings = if self.is_term_filtered() {
+            let live = self.core.lists.live_terms();
+            let fresh: Vec<TermId> = terms.filter(|term| !live.contains(*term)).collect();
+            self.window.postings(fresh)
+        } else {
+            TermPostings::default()
         };
-
-        // One pass over the composition list, against the live-term bitmap;
-        // from here on the event walks the document's live entries. First,
-        // because this is where a duplicate id is refused.
-        let seq = self.index.insert_arrival(&doc, &mut self.live_entries);
-        self.clock = doc.arrival;
-        let (touched, changed) = self.handle_arrival(&doc, seq);
-        outcome.queries_touched_by_arrival = touched;
-        outcome.results_changed += changed;
-
-        // Each expiring document is re-intersected against the live set as
-        // it is *now* — it may have changed since the document arrived.
-        while self
-            .index
-            .pop_expired(self.window, self.clock, &mut self.live_entries)
-            .is_some()
-        {
-            outcome.expired += 1;
-            let (touched, changed) = self.handle_expiration(self.front_seq() - 1);
-            outcome.queries_touched_by_expiration += touched;
-            outcome.results_changed += changed;
-        }
-        outcome
+        self.core.register(&self.window, batch, &postings);
     }
 
-    /// Audits the engine's deep structural invariants, panicking with a
-    /// description on violation (DESIGN.md §11): the inverted index's own
-    /// invariants (the live-term set's included: bitmap bit ⇔ reference
-    /// count > 0; on a term-filtered engine also that the lists hold exactly
-    /// the window's postings of the live terms), every threshold tree's
-    /// strict ordering, a tree for every
-    /// live term and under no other key, two-way agreement between tree
-    /// entries and the live queries' recorded local thresholds, term
-    /// reference counts equal to the number of live referencing queries, and
-    /// per query: `R`'s layout (the top-k in rank order, the rest in
-    /// sequence order and ranked after it), every entry naming a valid
-    /// document by its sequence number and having *support* — a weight at or
-    /// above `θ_{Q,t}` in some query term `t`, which is what lets expiry find
-    /// an unverified entry at the rest's front — and the paper's invariant:
-    /// every posting strictly above `θ_{Q,t}` is in `R`, and `τ ≤ S_k`.
-    /// Driven by `cts-reference`'s lockstep runner when its
+    /// Audits the window's own structure ([`WindowTerms::check_invariants`])
+    /// and the core's deep invariants against it (`ItaCore::check_invariants`,
+    /// DESIGN.md §11). Driven by `cts-reference`'s lockstep runner when its
     /// `invariant-checks` feature (or its unit-test build) is active, and by
     /// this crate's unit tests; far too expensive for production paths.
     pub fn check_invariants(&self) {
-        self.index.check_invariants();
-        let live = self.index.live_terms();
-        for (key, tree) in self.trees.iter() {
-            let term = live.term_of(key);
-            assert!(
-                live.contains(term) && live.key(term) == Some(key),
-                "a threshold tree is filed under key {key}, which no live term holds (last: {term})"
-            );
-            assert!(
-                !tree.is_empty(),
-                "empty threshold tree for {term} was not retired"
-            );
-            tree.check_invariants();
-            for entry in tree.iter() {
-                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
-                let Some(state) = self.queries.get(entry.query) else {
-                    panic!(
-                        "threshold tree for {term} references dead query {}",
-                        entry.query
-                    );
-                };
-                assert!(
-                    state
-                        .thresholds
-                        .iter()
-                        .any(|(t, theta)| *t == term && *theta == entry.threshold),
-                    "tree entry θ={} for {} in {term} disagrees with the query's recorded thresholds",
-                    entry.threshold,
-                    entry.query
-                );
-            }
-        }
-        assert_eq!(
-            self.trees.len(),
-            live.len(),
-            "a live term has no threshold tree"
-        );
-        let window = self.index.documents();
-        let mut live_refs: Vec<u32> = Vec::new();
-        assert!(
-            self.descent.members.iter().all(|word| *word == 0) && self.descent.searched.is_empty(),
-            "the threshold descent left its membership bitmap or its filing buffer dirty"
-        );
-        for (qid, state) in self.queries.iter() {
-            state.results.check_invariants();
-            let mut members: Vec<u64> = state.results.iter().map(|e| e.seq).collect();
-            members.sort_unstable();
-            for entry in state.results.iter() {
-                let (seq, doc) = (entry.seq, entry.doc);
-                assert!(
-                    seq >= window.front_seq() && seq - window.front_seq() < window.len() as u64,
-                    "{qid}'s R holds {doc} under sequence number {seq}, which is not in the window"
-                );
-                assert_eq!(
-                    window.id_at(seq),
-                    doc,
-                    "{qid}'s R names {doc} by the wrong sequence number {seq}"
-                );
-                let composition = &window.doc_at(seq).composition;
-                assert!(
-                    state.thresholds.iter().any(|(term, theta)| {
-                        let weight = composition.impact(*term);
-                        weight > Weight::ZERO && weight >= *theta
-                    }),
-                    "{qid}'s R holds {doc}, which has no weight at or above θ in any query term"
-                );
-            }
-            for (term, theta) in &state.thresholds {
-                #[expect(clippy::panic, reason = "audit-only diagnostics, never on a hot path")]
-                let Some(tree) = live.key(*term).and_then(|key| self.trees.get(key)) else {
-                    panic!("no threshold tree covers {qid}'s term {term}");
-                };
-                assert!(
-                    tree.iter().any(|e| e.query == qid && e.threshold == *theta),
-                    "{qid}'s recorded threshold θ={theta} for {term} is missing from the tree"
-                );
-                let slot = term.0 as usize;
-                if slot >= live_refs.len() {
-                    live_refs.resize(slot + 1, 0);
-                }
-                live_refs[slot] += 1;
-                // The paper's invariant, first half: the search has examined
-                // every live posting strictly above θ_{Q,t}, and an arrival up
-                // there is touched, so each of them is in R.
-                let all = Weight::new(f64::INFINITY);
-                let live = self.index.live_postings(*term, all);
-                for posting in live.take_while(|p| p.weight > *theta) {
-                    let doc = window.id_at(posting.seq);
-                    assert!(
-                        members.binary_search(&posting.seq).is_ok(),
-                        "{doc} lies above {qid}'s θ={theta} in {term} but is not in R",
-                    );
-                }
-            }
-            // Second half: τ ≤ S_k, exactly. Only the descent sets a threshold,
-            // and it stops on τ < S_k (or with every θ at zero); S_k falls
-            // only when a top-k document expires, which runs the descent.
-            let (tau, s_k) = (state.tau(), state.results.kth_score());
-            assert!(tau <= s_k, "{qid}'s τ={tau} exceeds S_k={s_k}");
-        }
-        let referenced = live_refs.iter().filter(|count| **count > 0).count();
-        assert_eq!(
-            referenced,
-            live.len(),
-            "a term is live but no registered query references it"
-        );
-        for (slot, referencing) in live_refs.iter().enumerate() {
-            let term = TermId(slot as u32);
-            assert_eq!(
-                live.count(term),
-                *referencing,
-                "{term}'s reference count disagrees with the live queries referencing it"
-            );
-        }
+        self.window.check_invariants();
+        self.core.check_invariants(&self.window);
     }
 }
 
 impl Engine for ItaEngine {
     fn register(&mut self, query: ContinuousQuery) -> QueryId {
         let qid = QueryId(self.next_query);
-        self.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
+        self.register_shared(&[(qid, Arc::new(query))]);
         qid
     }
 
     fn register_batch(&mut self, queries: Vec<ContinuousQuery>) -> Vec<QueryId> {
-        let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = queries
-            .into_iter()
-            .map(|query| {
-                let qid = QueryId(self.next_query);
-                self.next_query += 1;
-                (qid, Arc::new(query))
-            })
+        let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = (self.next_query..)
+            .zip(queries)
+            .map(|(id, query)| (QueryId(id), Arc::new(query)))
             .collect();
-        self.register_shared_batch(&batch, &TermPostings::default());
+        self.register_shared(&batch);
         batch.iter().map(|(qid, _)| *qid).collect()
     }
 
-    /// Removes the query's threshold-tree entries (retiring empty trees) and
-    /// releases its term references (on a term-filtered engine,
-    /// last-reference lists are dropped).
     fn deregister(&mut self, query: QueryId) -> bool {
-        let Some(state) = self.queries.remove(query) else {
-            return false;
-        };
-        for (term, theta) in &state.thresholds {
-            // The tree goes before the reference: releasing the last one
-            // recycles the key the tree is filed under.
-            if let Some(key) = self.index.live_terms().key(*term) {
-                if let Some(tree) = self.trees.get_mut(key) {
-                    tree.remove(query, *theta);
-                    if tree.is_empty() {
-                        self.trees.remove(key);
-                    }
-                }
-            }
-            self.index.release_term(*term);
-        }
-        true
+        self.core.deregister(query)
     }
 
+    /// Appends the document (refusing a duplicate id before anything is
+    /// touched), lets the core handle the arrival and every expiry the
+    /// window policy makes at its timestamp, then pops the expired.
     fn process_document(&mut self, doc: Document) -> EventOutcome {
-        self.process_shared(Arc::new(doc))
+        let now = doc.arrival;
+        let seq = self.window.push(Arc::new(doc));
+        self.clock = now;
+        let front = self
+            .window
+            .front_after(self.policy, self.window.front_seq(), seq + 1, now);
+        let outcome = self.core.process(&self.window, seq, front);
+        self.window.trim(front);
+        outcome
     }
 
     fn current_results(&self, query: QueryId) -> Vec<RankedDocument> {
-        self.queries
-            .get(query)
-            .map(|state| state.results.top())
-            .unwrap_or_default()
+        self.core.current_results(query)
     }
 
     fn num_queries(&self) -> usize {
-        self.queries.len()
+        self.core.num_queries()
     }
 
     fn num_valid_documents(&self) -> usize {
-        self.index.num_documents()
+        self.window.len()
     }
 
     fn clock(&self) -> Timestamp {
@@ -844,16 +908,14 @@ mod tests {
     /// collects the chosen tie group before examining it. The reference the
     /// cursor walk is held to (`run_threshold_search` runs both in unit-test
     /// builds).
-    pub(super) fn restart_descent(index: &InvertedIndex, mut state: QueryState) -> QueryState {
-        let window = index.documents();
+    pub(super) fn restart_descent(view: &View, mut state: QueryState) -> QueryState {
+        let live_postings = |term, theta| view.lists.live_postings(term, theta, view.front);
         let mut in_r: BTreeSet<u64> = state.results.iter().map(|e| e.seq).collect();
         loop {
             let mut peeks: Vec<Option<cts_index::Posting>> = Vec::new();
             let mut tau_next = 0.0;
             for (term, theta) in &state.thresholds {
-                let peek = index
-                    .live_postings(*term, *theta)
-                    .find(|p| !in_r.contains(&p.seq));
+                let peek = live_postings(*term, *theta).find(|p| !in_r.contains(&p.seq));
                 if let Some(p) = peek {
                     tau_next += state.query.weight(*term).get() * p.weight.get();
                 }
@@ -876,15 +938,19 @@ mod tests {
                     ca.partial_cmp(&cb).unwrap()
                 })
                 .unwrap();
-            let (term, _) = state.thresholds[slot];
-            let members: Vec<u64> = index
-                .live_postings(term, posting.weight)
+            let (term, theta) = state.thresholds[slot];
+            assert!(
+                posting.weight <= theta,
+                "a tie group at {} lies above θ={theta} of {term}: the list is out of order",
+                posting.weight
+            );
+            let members: Vec<u64> = live_postings(term, posting.weight)
                 .take_while(|p| p.weight == posting.weight)
                 .map(|p| p.seq)
                 .collect();
             for seq in members {
                 if in_r.insert(seq) {
-                    let doc = window.doc_at(seq);
+                    let doc = view.window.doc_at(seq);
                     let score = state.query.score(&doc.composition);
                     state.results.insert(seq, doc.id, score);
                     state.postings_examined += 1;
@@ -957,7 +1023,8 @@ mod tests {
     /// ascending, as the reference oracle does.
     fn brute_force_top(e: &ItaEngine, query: &ContinuousQuery) -> Vec<u64> {
         let mut scored: Vec<(f64, u64)> = e
-            .store_documents()
+            .documents()
+            .iter()
             .map(|d| (query.score(&d.composition), d.id.0))
             .filter(|(score, _)| *score > 0.0)
             .collect();
@@ -1196,10 +1263,11 @@ mod tests {
                     (3 + (i % 2) as u32, 0.2),
                 ],
             ));
-            let state = e.queries.get(q).unwrap();
+            let state = e.core.queries.get(q).unwrap();
             for (term, theta) in &state.thresholds {
-                for p in e.index.live_postings(*term, Weight::new(f64::INFINITY)) {
-                    let doc = e.index.documents().id_at(p.seq);
+                let all = Weight::new(f64::INFINITY);
+                for p in e.core.lists.live_postings(*term, all, e.core.front) {
+                    let doc = e.window.id_at(p.seq);
                     if p.weight > *theta {
                         assert!(
                             state.results.iter().any(|e| e.seq == p.seq),
@@ -1313,21 +1381,21 @@ mod tests {
                     "a burst of one naming the live id",
                     Box::new(|e| {
                         let batch = [(q, Arc::new(other.clone()))];
-                        e.register_shared_batch(&batch, &TermPostings::default())
+                        e.register_shared(&batch)
                     }),
                 ),
                 (
                     "a batch naming a live id after a fresh one",
                     Box::new(|e| {
                         let batch = [fresh, q].map(|id| (id, Arc::new(other.clone())));
-                        e.register_shared_batch(&batch, &TermPostings::default())
+                        e.register_shared(&batch)
                     }),
                 ),
                 (
                     "a batch naming one fresh id twice",
                     Box::new(|e| {
                         let batch = [fresh, fresh].map(|id| (id, Arc::new(other.clone())));
-                        e.register_shared_batch(&batch, &TermPostings::default())
+                        e.register_shared(&batch)
                     }),
                 ),
             ];
@@ -1367,10 +1435,9 @@ mod tests {
         assert!(batched.process_batch(Vec::new()).is_empty());
     }
 
-    /// Registers `query` under a caller-chosen id, as a shard does: a burst
-    /// of one with no postings supplied.
+    /// Registers `query` under a caller-chosen id, as a shard does.
     fn register_with_id(e: &mut ItaEngine, qid: QueryId, query: ContinuousQuery) {
-        e.register_shared_batch(&[(qid, Arc::new(query))], &TermPostings::default());
+        e.register_shared(&[(qid, Arc::new(query))]);
     }
 
     #[test]
@@ -1407,10 +1474,10 @@ mod tests {
     #[test]
     fn deregister_removes_tree_entries() {
         let (mut e, q) = paper_lists_engine();
-        assert!(!e.trees.is_empty());
+        assert!(!e.core.trees.is_empty());
         assert!(e.deregister(q));
         assert!(!e.deregister(q));
-        assert!(e.trees.is_empty());
+        assert!(e.core.trees.is_empty());
         assert!(e.current_results(q).is_empty());
         assert_eq!(e.num_queries(), 0);
         // The stream keeps flowing without touching the removed query.
@@ -1515,17 +1582,17 @@ mod tests {
         assert_eq!(looped.index_stats().register_postings_touched, hits);
     }
 
-    /// Postings resolved by the window's owner are filed as they are: the
-    /// engine's own window walks nothing, and the engine ends up in the state
-    /// its own resolution would have left.
+    /// Postings resolved by another window over the same documents are
+    /// filed as they are: the engine's own window walks nothing, and the
+    /// core ends up in the state the engine's own resolution leaves.
     #[test]
     fn supplied_postings_replace_the_store_walk_exactly() {
         let hits = 8u64;
         let mut walked = filtered_window(7, hits, 100);
         let mut supplied = filtered_window(7, hits, 100);
         let mut window = cts_index::WindowTerms::with_shape(16, usize::MAX);
-        for doc in supplied.store_documents() {
-            window.push(Arc::new(doc.clone()));
+        for doc in supplied.documents().iter() {
+            window.push(Arc::clone(doc));
         }
         let batch: Vec<(QueryId, Arc<ContinuousQuery>)> = (0..5u32)
             .map(|i| {
@@ -1543,8 +1610,8 @@ mod tests {
         // Twice: the second answer comes out of the directories.
         window.postings(terms.iter().copied());
         let postings = window.postings(terms);
-        supplied.register_shared_batch(&batch, &postings);
-        walked.register_shared_batch(&batch, &TermPostings::default());
+        supplied.core.register(&supplied.window, &batch, &postings);
+        walked.register_shared(&batch);
         assert_eq!(supplied.index_stats().register_entries_walked, 0);
         assert_eq!(walked.index_stats().register_entries_walked, hits + 100);
         assert_eq!(

@@ -18,8 +18,8 @@
 //!   *refill* instead of recomputation.
 //! * [`ShardedItaEngine`] — ITA across query-partitioned shards, with
 //!   results byte-identical to [`ItaEngine`]'s, and event outcomes too up
-//!   to a shard's first fault (a faulted shard is rebuilt from the
-//!   coordinator's window mirror).
+//!   to a shard's first fault (a faulted shard is rebuilt as a registration
+//!   over the coordinator's window).
 //! * [`StreamService`] — admission control in front of any engine: a
 //!   bounded ingest queue with explicit accept/shed answers, registrations
 //!   that run at once, and each burst it hands the engine timed into

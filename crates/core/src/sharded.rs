@@ -1,19 +1,21 @@
 //! Query-sharded parallel execution of the Incremental Threshold Algorithm.
 //!
 //! [`ShardedItaEngine`] partitions the registered queries across `N` shards
-//! by a hash of the query id. Each shard owns, for its query subset,
-//! **everything** the single-shard [`ItaEngine`] owns for the full set:
-//! result sets, local thresholds, threshold trees, and a *term-filtered
-//! shadow* index — impact lists for only the terms its queries reference,
-//! over a store of `Arc`'d documents shared with every other shard.
+//! by a hash of the query id. The coordinator owns the one window of valid
+//! documents (a [`WindowTerms`]); each shard owns, for its query subset,
+//! everything else the single-shard [`crate::ItaEngine`] owns for the full
+//! set: result sets, local thresholds, threshold trees, and
+//! *term-filtered* impact lists for only the terms its queries reference,
+//! whose postings name the coordinator's documents by sequence number.
 //!
 //! ## Calls and fan-outs
 //!
-//! A shard is data the coordinator owns: its engine, its processing stats
+//! A shard is data the coordinator owns: its core, its processing stats
 //! and an armed-fault flag, in one slot of a `Vec`. Reads (results, stats,
 //! the audit) are direct calls on it. A mutating call reaches its shards
 //! through one **fan-out**, in **steps** (a burst's step is one event, a
-//! registration batch is one step). A call carrying one event, or reaching
+//! registration batch is one step), and every shard reads the coordinator's
+//! window through a shared borrow. A call carrying one event, or reaching
 //! one shard, runs its shards one after another on the caller's thread. A
 //! larger burst or registration batch gives the first shard to the caller
 //! and every other shard to a thread of one [`std::thread::scope`], which
@@ -36,22 +38,21 @@
 //! * **Every step runs under [`std::panic::catch_unwind`]**, whichever
 //!   thread runs it. A panic drops that shard's state — its slot is empty
 //!   until the shard is rebuilt — and counts one fault.
-//! * **One recovery path, the seeded rebuild.** The coordinator updates its
-//!   durable state **before** any fan-out — a query registry
-//!   (id → [`ContinuousQuery`]) and a window mirror ([`WindowTerms`]) — and
-//!   rebuilds a shard from it in place: the mirror's documents loaded into a
-//!   fresh engine (no query is live, so nothing is filed), then the shard's
-//!   queries registered in one batch with postings resolved on the mirror.
+//! * **One recovery path: a rebuild is a registration.** The coordinator
+//!   updates its durable state **before** any fan-out — a query registry
+//!   (id → [`ContinuousQuery`]) and the window — and rebuilds a shard from
+//!   it in place: a fresh core, and the shard's queries registered in one
+//!   batch with postings resolved on the window. No document is replayed.
 //!   Its top-k results are exact; its thresholds are a fresh
 //!   registration's, so its work counters, and the outcomes built from
 //!   them, are a rebuilt engine's from the shard's first fault on.
-//! * **Rebuilt before the call returns.** A fan-out rebuilds every shard
-//!   that faulted in it before it returns, so such a shard loses its share
-//!   of that call's outcomes and nothing else, and every mutating call first
-//!   rebuilds a shard left degraded. A shard stays degraded between calls
-//!   only when its rebuild panicked, which the call returns as
-//!   [`EngineError::ShardFault`]; reads answer it with their fallback (empty
-//!   results, zeroed stats).
+//! * **Rebuilt before the call returns.** A mutating call rebuilds every
+//!   shard that faulted in its fan-out before it returns, so such a shard
+//!   loses its share of that call's outcomes and nothing else, and every
+//!   mutating call first rebuilds a shard left degraded. A shard stays
+//!   degraded between calls only when its rebuild panicked, which the call
+//!   returns as [`EngineError::ShardFault`]; reads answer it with their
+//!   fallback (empty results, zeroed stats).
 //!
 //! ## Why this is exact
 //!
@@ -60,14 +61,14 @@
 //! expirations consult the threshold trees of the document's terms. A
 //! shard whose lists are complete for its queries' terms therefore makes the
 //! single-shard engine's reads for those queries. The coordinator resolves
-//! the postings of every term a registration brings live, once for all
-//! shards, on its mirror — between bursts, so the mirror and every shard's
-//! store hold the same documents — and hands them to the shards, as a
-//! rebuild's seed does; no shard reads its own store
-//! (`IndexStats::register_entries_walked` stays 0). `sharded_equivalence`
-//! holds results and outcomes byte-identical to [`ItaEngine`]'s across
-//! shard counts; `chaos_recovery` holds results exact through faults and
-//! outcomes identical up to the first.
+//! the postings of a registration's terms once for all shards, on its
+//! window, between bursts — when every shard holds valid exactly the
+//! window's documents. A burst is pushed whole before its fan-out and the
+//! expired are popped only after it, before any rebuild: a refill at event
+//! *i* reads documents that leave before the burst ends.
+//! `sharded_equivalence` holds results and outcomes byte-identical to
+//! [`crate::ItaEngine`]'s across shard counts; `chaos_recovery` holds
+//! results exact through faults and outcomes identical up to the first.
 
 #![deny(clippy::disallowed_types)]
 #![deny(
@@ -82,28 +83,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use cts_index::{
-    DocId, Document, IndexStats, QueryId, SlidingWindow, TermPostings, Timestamp, WindowTerms,
-    WindowTermsStats,
+    DocId, Document, IndexStats, QueryId, SlidingWindow, TermLists, TermPostings, Timestamp,
+    WindowTerms, WindowTermsStats,
 };
 
 use crate::engine::{Engine, EventOutcome};
 use crate::fault::{EngineError, FaultStats, ShardFault};
-use crate::ita::{ItaConfig, ItaEngine, ItaQueryStats};
+use crate::ita::{ItaConfig, ItaCore, ItaQueryStats};
 use crate::query::ContinuousQuery;
 use crate::result::RankedDocument;
 use crate::stats::ProcessingStats;
-
-/// What a shard is built from: the mirror's documents (oldest first),
-/// numbered from `first_seq` as the mirror numbers them, then the shard's
-/// queries with the postings the coordinator resolved over those documents.
-/// Empty for a shard [`ShardedItaEngine::new`] builds.
-#[derive(Default)]
-struct Seed {
-    first_seq: u64,
-    window: Vec<Arc<Document>>,
-    queries: Vec<(QueryId, Arc<ContinuousQuery>)>,
-    postings: TermPostings,
-}
 
 /// Renders a caught panic payload as the fault context string.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -125,12 +114,13 @@ fn guarded<T>(shard: usize, work: impl FnOnce() -> T) -> Result<T, ShardFault> {
     })
 }
 
-/// The state of one shard: the engine, local processing stats, and whether
-/// an injected fault is armed.
+/// The state of one shard: its core, local processing stats, and whether
+/// an injected fault is armed. It holds no documents: its core reads the
+/// coordinator's window.
 #[derive(Debug)]
 struct ShardWorker {
     shard: usize,
-    engine: ItaEngine,
+    core: ItaCore,
     stats: ProcessingStats,
     /// Whether [`Engine::inject_fault`] armed an injected fault. The next
     /// stream event fires it, and the shard's state is dropped with it:
@@ -139,79 +129,66 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Builds the shard's engine from its seed. The mirror holds only
-    /// currently valid documents, so loading them triggers no expiration,
-    /// and with no query live it files nothing and runs no threshold work.
-    /// Then the shard's queries register as any burst does, with their
-    /// postings resolved over those documents. No injection check and no
-    /// stats recording: building is not stream work.
-    fn build(shard: usize, window: SlidingWindow, seed: Seed) -> Self {
-        let mut engine = ItaEngine::term_filtered_from(window, seed.first_seq);
-        for doc in seed.window {
-            engine.process_shared(doc);
-        }
-        engine.register_shared_batch(&seed.queries, &seed.postings);
+    /// A fresh core over `window` with `queries` registered in one batch,
+    /// from `postings` the coordinator resolved on that window. No
+    /// injection check and no stats recording: building is not stream work.
+    fn build(
+        shard: usize,
+        window: &WindowTerms,
+        queries: &[(QueryId, Arc<ContinuousQuery>)],
+        postings: &TermPostings,
+    ) -> Self {
+        let mut core = ItaCore::new(TermLists::term_filtered(), window);
+        core.register(window, queries, postings);
         Self {
             shard,
-            engine,
+            core,
             stats: ProcessingStats::default(),
             fault_armed: false,
         }
     }
 
-    /// Processes and times one stream event, so the outcomes and the
-    /// per-shard stats do not depend on how the stream was cut into bursts.
-    /// An armed injected fault models a *partial* failure: the event is
-    /// applied for real, then the panic fires.
-    fn process_event(&mut self, doc: &Arc<Document>) -> EventOutcome {
+    /// Processes and times one stream event — the arrival numbered `seq`,
+    /// then the expiries up to `front` — so the outcomes and the per-shard
+    /// stats do not depend on how the stream was cut into bursts. An armed
+    /// injected fault models a *partial* failure: the event is applied for
+    /// real, then the panic fires.
+    fn process_event(&mut self, window: &WindowTerms, seq: u64, front: u64) -> EventOutcome {
         #[expect(
             clippy::disallowed_types,
             reason = "times the event for stats; never read by engine state"
         )]
         let start = std::time::Instant::now();
-        let outcome = self.engine.process_shared(Arc::clone(doc));
+        let outcome = self.core.process(window, seq, front);
         let elapsed = start.elapsed();
         #[expect(
             clippy::panic,
             reason = "deliberate injected fault; the recovery machinery under test"
         )]
         if self.fault_armed {
-            panic!("injected fault while processing document {}", doc.id.0);
+            panic!(
+                "injected fault while processing document {}",
+                outcome.arrived.0
+            );
         }
         self.stats.record(&outcome, elapsed);
         outcome
     }
 
-    /// Audits the shard engine's deep structural invariants, that its store
-    /// holds exactly `mirror` (the coordinator's documents, oldest first)
-    /// numbered from `front_seq` as the mirror numbers them, and that it
-    /// hosts exactly `hosted` (the registry's ids that hash to this shard).
-    /// A violation panics with its message.
-    fn audit(&self, front_seq: u64, mirror: &[DocId], hosted: &[QueryId]) {
-        let engine = &self.engine;
-        engine.check_invariants();
-        // Shipped postings are only right if the coordinator resolved them
-        // over the very documents this store holds, numbered alike.
-        assert!(
-            engine
-                .store_documents()
-                .map(|doc| doc.id)
-                .eq(mirror.iter().copied()),
-            "the shard's store and the coordinator's mirror hold different documents"
-        );
-        assert_eq!(
-            engine.front_seq(),
-            front_seq,
-            "the shard numbers its documents apart from the coordinator's mirror"
-        );
+    /// Audits the shard's core against the coordinator's `window`, and that
+    /// it hosts exactly `hosted` (the registry's ids that hash to this
+    /// shard). A violation panics with its message.
+    fn audit(&self, window: &WindowTerms, hosted: &[QueryId]) {
+        let core = &self.core;
+        core.check_invariants(window);
         // Placement is the hash: the registry's distinct ids that hash here,
         // and no other query.
         assert!(
-            engine.num_queries() == hosted.len()
-                && hosted.iter().all(|qid| engine.query_stats(*qid).is_some()),
+            core.num_queries() == hosted.len()
+                && hosted.iter().all(|qid| core.query_stats(*qid).is_some()),
             "shard {} hosts {} queries, not the {} the registry places on it",
             self.shard,
-            engine.num_queries(),
+            core.num_queries(),
             hosted.len()
         );
     }
@@ -277,9 +254,9 @@ fn claim<'l, T>(lane: &'l Mutex<T>) -> MutexGuard<'l, T> {
 /// isolation and in-place recovery.
 ///
 /// Implements [`Engine`] with results byte-identical to the single-shard
-/// [`ItaEngine`] over any stream — including streams with faults — and
-/// event outcomes byte-identical up to the first fault, after which they
-/// are a rebuilt shard's. See the module docs for the partitioning rule,
+/// [`crate::ItaEngine`] over any stream — including streams with faults —
+/// and event outcomes byte-identical up to the first fault, after which
+/// they are a rebuilt shard's. See the module docs for the partitioning rule,
 /// the call model, the fault model and the exactness argument.
 #[derive(Debug)]
 pub struct ShardedItaEngine {
@@ -287,18 +264,17 @@ pub struct ShardedItaEngine {
     /// is `None` while its shard is degraded: a fault dropped its state and
     /// no rebuild has restored it yet.
     shards: Vec<Option<ShardWorker>>,
-    window: SlidingWindow,
+    policy: SlidingWindow,
     /// Durable copy of every registered query, in id order, each on the
-    /// shard its id hashes to — with `mirror`, everything a rebuild needs.
+    /// shard its id hashes to — with `window`, everything a rebuild needs.
     /// Updated **before** any fan-out, so a call lost to a fault is still
     /// reconstructible.
     registry: BTreeMap<QueryId, Arc<ContinuousQuery>>,
-    /// Durable mirror of the sliding window (oldest first), pruned with the
-    /// shards' policy and updated before any fan-out. Its `Arc`s are shared
-    /// with the shards' stores; its term directories make it the one place
-    /// a registration's postings are resolved, and its id set refuses
-    /// duplicate ids.
-    mirror: WindowTerms,
+    /// The valid documents, oldest first: the engine's one window, which
+    /// every shard's core reads and nobody else holds. Updated before any
+    /// fan-out; its term directories make it the one place a registration's
+    /// postings are resolved, and its id set refuses duplicate ids.
+    window: WindowTerms,
     /// Fault counters; `degraded_shards` is counted from `shards` on read.
     faults: FaultStats,
     next_query: u32,
@@ -306,22 +282,24 @@ pub struct ShardedItaEngine {
 }
 
 impl ShardedItaEngine {
-    /// Creates an engine with `shards` shards, each running a term-filtered
-    /// [`ItaEngine`] under the given window policy. The [`ItaConfig`] is
-    /// empty and ignored.
+    /// Creates an engine with `shards` shards, each a term-filtered core
+    /// under the given window policy. The [`ItaConfig`] is empty and
+    /// ignored.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     pub fn new(window: SlidingWindow, _config: ItaConfig, shards: usize) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
+        let documents = WindowTerms::new();
+        let empty = TermPostings::default();
         Self {
             shards: (0..shards)
-                .map(|shard| Some(ShardWorker::build(shard, window, Seed::default())))
+                .map(|shard| Some(ShardWorker::build(shard, &documents, &[], &empty)))
                 .collect(),
-            window,
+            policy: window,
             registry: BTreeMap::new(),
-            mirror: WindowTerms::new(),
+            window: documents,
             faults: FaultStats::default(),
             next_query: 0,
             clock: Timestamp::ZERO,
@@ -336,7 +314,7 @@ impl ShardedItaEngine {
 
     /// The sliding-window policy in force.
     pub fn window(&self) -> SlidingWindow {
-        self.window
+        self.policy
     }
 
     /// Queries moved between shards: always 0, since a query lives on its
@@ -377,20 +355,24 @@ impl ShardedItaEngine {
 
     /// The one fan-out: runs `steps` steps of `work` (step `i` of a burst is
     /// its `i`-th event), each under the panic guard, on every healthy shard
-    /// `touches` names, and answers per shard with the step answers or the
-    /// fault that stopped it. Without `spread`, or on one shard, the caller
-    /// runs the shards in turn. Otherwise the first shard is the caller's
-    /// and each other shard's scoped thread takes it over when it starts;
-    /// until then the caller steps it with its own, so a thread that starts
-    /// late costs half its delay (DESIGN.md §7, §9). A shard that panicked
-    /// is dropped and rebuilt before this returns.
+    /// `touches` names, with the window lent to every step, and answers per
+    /// shard with the step answers or the fault that stopped it. Without
+    /// `spread`, or on one shard, the caller runs the shards in turn.
+    /// Otherwise the first shard is the caller's and each other shard's
+    /// scoped thread takes it over when it starts; until then the caller
+    /// steps it with its own, so a thread that starts late costs half its
+    /// delay (DESIGN.md §7, §9). A shard that panicked is dropped; the
+    /// caller rebuilds it ([`ShardedItaEngine::recover_degraded`]) once the
+    /// window is as the call leaves it.
     fn fan_out<T: Send>(
         &mut self,
         steps: usize,
         spread: bool,
         touches: impl Fn(usize) -> bool,
-        work: impl Fn(&mut ShardWorker, usize) -> T + Sync,
-    ) -> Result<Vec<Result<Vec<T>, ShardFault>>, EngineError> {
+        work: impl Fn(&mut ShardWorker, &WindowTerms, usize) -> T + Sync,
+    ) -> Vec<Result<Vec<T>, ShardFault>> {
+        let window = &self.window;
+        let work = |worker: &mut ShardWorker, at| work(worker, window, at);
         let mut lanes: Vec<Lane<T>> = self
             .shards
             .iter_mut()
@@ -467,14 +449,12 @@ impl ShardedItaEngine {
                 self.drop_shard(*shard);
             }
         }
-        self.recover_degraded()?;
-        Ok(answers.into_iter().map(|(_, answer)| answer).collect())
+        answers.into_iter().map(|(_, answer)| answer).collect()
     }
 
-    /// Rebuilds every degraded shard from the durable registry + window
-    /// mirror. Every mutating call runs it before its fan-out, for a shard a
-    /// failed call left degraded, and every fan-out runs it before it
-    /// returns, for the shards that faulted in it.
+    /// Rebuilds every degraded shard from the durable registry and window.
+    /// Every mutating call runs it before its fan-out, for a shard a failed
+    /// call left degraded, and after it, for the shards that faulted in it.
     fn recover_degraded(&mut self) -> Result<(), EngineError> {
         for shard in 0..self.shards.len() {
             if self.shards[shard].is_none() {
@@ -484,9 +464,9 @@ impl ShardedItaEngine {
         Ok(())
     }
 
-    /// The one recovery path, run in place: build the shard from the
-    /// mirror's documents and its queries (the registry's ids that hash to
-    /// it, in id order), their postings resolved here as
+    /// The one recovery path, run in place: a fresh core with the shard's
+    /// queries (the registry's ids that hash to it, in id order) registered
+    /// in one batch, their postings resolved on the window as
     /// [`ShardedItaEngine::try_register_batch`] resolves a burst's. A build
     /// that panics is the shard's [`EngineError::ShardFault`], and the shard
     /// stays degraded (DESIGN.md §10).
@@ -502,65 +482,41 @@ impl ShardedItaEngine {
             .filter(|(qid, _)| self.shard_of(**qid) == shard)
             .map(|(qid, query)| (*qid, Arc::clone(query)))
             .collect();
-        let postings = self.mirror.postings(
+        let postings = self.window.postings(
             queries
                 .iter()
                 .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
         );
-        let seed = Seed {
-            first_seq: self.mirror.front_seq(),
-            window: self.mirror.iter().cloned().collect(),
-            queries,
-            postings,
-        };
-        let window = self.window;
-        self.shards[shard] = Some(guarded(shard, || ShardWorker::build(shard, window, seed))?);
+        let window = &self.window;
+        let worker = guarded(shard, || {
+            ShardWorker::build(shard, window, &queries, &postings)
+        })?;
+        self.shards[shard] = Some(worker);
         self.faults.recoveries += 1;
         self.faults.recovery_micros += start.elapsed().as_micros() as u64;
         Ok(())
     }
 
-    /// Appends `doc` to the durable window mirror and prunes it with the
-    /// exact policy the shards apply, returning how many documents expired
-    /// (cross-checked against the shards' outcomes in debug builds).
-    fn push_mirror(&mut self, doc: Arc<Document>) -> usize {
-        let now = doc.arrival;
-        self.mirror.push(doc);
-        std::iter::from_fn(|| self.mirror.pop_expired(self.window, now)).count()
-    }
-
     /// An id of `docs` that is still in the window or occurs twice among
-    /// them: every shard would refuse it mid-burst by panicking, and the
-    /// mirror would hand it to every rebuild.
+    /// them: the window would refuse it mid-burst by panicking.
     fn first_duplicate(&self, docs: &[Document]) -> Option<DocId> {
         let mut ids: Vec<DocId> = docs.iter().map(|doc| doc.id).collect();
         ids.sort_unstable();
         ids.windows(2)
             .find(|pair| pair[0] == pair[1])
             .map(|pair| pair[0])
-            .or_else(|| ids.into_iter().find(|id| self.mirror.contains(*id)))
-    }
-
-    /// Fallible single-event processing: the `try_*` twin of
-    /// [`Engine::process_document`] — a burst of one through
-    /// [`ShardedItaEngine::try_process_batch`].
-    #[expect(
-        clippy::expect_used,
-        reason = "try_process_batch returns exactly one outcome per document"
-    )]
-    pub fn try_process(&mut self, doc: Document) -> Result<EventOutcome, EngineError> {
-        let outcome = self.try_process_batch(vec![doc])?.pop();
-        Ok(outcome.expect("one outcome per document"))
+            .or_else(|| ids.into_iter().find(|id| self.window.contains(*id)))
     }
 
     /// Fallible burst processing: the `try_*` twin of
-    /// [`Engine::process_batch`], and the one path a stream event takes to
-    /// the shards. A burst that repeats an id, or names one still in the
-    /// window, is refused whole with [`EngineError::DuplicateDocument`]
-    /// before any shard or the mirror sees it. Every degraded shard is rebuilt before the
-    /// fan-out, and every shard that faults on the burst before returning,
-    /// from the mirror, which holds the burst by then: that shard's share
-    /// of the burst's outcomes is lost (results stay exact).
+    /// [`Engine::process_batch`] and [`Engine::process_document`], and the
+    /// one path a stream event takes to the shards. A burst that repeats an
+    /// id, or names one still in the window, is refused whole with
+    /// [`EngineError::DuplicateDocument`] before any shard or the window
+    /// sees it. Every degraded shard is rebuilt before the fan-out, and
+    /// every shard that faults on the burst before returning, over the
+    /// window as the burst leaves it: that shard's share of the burst's
+    /// outcomes is lost (results stay exact).
     pub fn try_process_batch(
         &mut self,
         docs: Vec<Document>,
@@ -582,26 +538,39 @@ impl ShardedItaEngine {
         }
         self.recover_degraded()?;
         self.clock = last.arrival;
-        let docs: Vec<Arc<Document>> = docs.into_iter().map(Arc::new).collect();
-        // The burst becomes durable before any shard sees it: a rebuild
-        // from here on loads it from the mirror. The mirror's view seeds
-        // the merge: `merge_shard` debug-checks every shard's expirations
-        // against it, and a burst no shard answered still reports them.
-        let mut merged: Vec<EventOutcome> = docs
-            .iter()
-            .map(|doc| EventOutcome {
-                arrived: doc.id,
-                expired: self.push_mirror(Arc::clone(doc)),
+        // The burst becomes durable before any shard sees it: the window
+        // takes every document, and each event's front is the policy's at
+        // its arrival. That view seeds the merge: `merge_shard` debug-checks
+        // every shard's expirations against it, and a burst no shard
+        // answered still reports them.
+        let mut front = self.window.front_seq();
+        let mut events = Vec::with_capacity(docs.len());
+        let mut merged = Vec::with_capacity(docs.len());
+        for doc in docs {
+            let (arrived, now) = (doc.id, doc.arrival);
+            let seq = self.window.push(Arc::new(doc));
+            let after = self.window.front_after(self.policy, front, seq + 1, now);
+            merged.push(EventOutcome {
+                arrived,
+                expired: (after - front) as usize,
                 ..EventOutcome::default()
-            })
-            .collect();
-        let mut faults = Vec::new();
+            });
+            events.push((seq, after));
+            front = after;
+        }
         let answers = self.fan_out(
-            docs.len(),
-            docs.len() > 1,
+            events.len(),
+            events.len() > 1,
             |_| true,
-            |w, at| w.process_event(&docs[at]),
-        )?;
+            |w, window, at| {
+                let (seq, front) = events[at];
+                w.process_event(window, seq, front)
+            },
+        );
+        // Only now has every shard read what it needs of the expired.
+        self.window.trim(front);
+        self.recover_degraded()?;
+        let mut faults = Vec::new();
         for answer in answers {
             match answer {
                 Ok(outcomes) => {
@@ -618,10 +587,9 @@ impl ShardedItaEngine {
 
     /// Fallible registration burst: the `try_*` twin of
     /// [`Engine::register_batch`]. The window postings of the burst's terms
-    /// are resolved here, once, against the mirror — no event burst is in
-    /// flight, so every healthy shard's store holds the mirror's documents —
-    /// and handed to the shards, which file them instead of reading the
-    /// window themselves. Each query goes to its hash shard
+    /// are resolved here, once — no event burst is in flight, so every
+    /// healthy shard holds valid exactly the window's documents — and handed
+    /// to the shards, which file them. Each query goes to its hash shard
     /// ([`ShardedItaEngine::shard_of`]). The registry is updated **before**
     /// the fan-out, so a shard that faults during registration is rebuilt
     /// with the burst's queries from the registry. On error the registry
@@ -650,23 +618,21 @@ impl ShardedItaEngine {
         }
         // One resolve serves every shard: the union of the burst's terms,
         // sorted, so nothing depends on which shard a term's query went to.
-        let postings = self.mirror.postings(
+        let postings = self.window.postings(
             per_shard
                 .iter()
                 .flatten()
                 .flat_map(|(_, query)| query.terms().map(|(term, _)| term)),
         );
-        // A shard that faults is rebuilt inside the fan-out, and its rebuild
+        // A shard that faults is rebuilt after the fan-out, and its rebuild
         // registers the burst from the registry.
         self.fan_out(
             1,
             true,
             |shard| !per_shard[shard].is_empty(),
-            |w, _| {
-                w.engine
-                    .register_shared_batch(&per_shard[w.shard], &postings)
-            },
-        )?;
+            |w, window, _| w.core.register(window, &per_shard[w.shard], &postings),
+        );
+        self.recover_degraded()?;
         Ok(ids)
     }
 
@@ -684,8 +650,9 @@ impl ShardedItaEngine {
             1,
             false,
             |shard| shard == host,
-            |w, _| w.engine.deregister(query),
-        )?;
+            |w, _, _| w.core.deregister(query),
+        );
+        self.recover_degraded()?;
         // A shard that faulted was rebuilt without the query.
         for removed in answers.into_iter().flatten().flatten() {
             assert!(removed, "shard {host} did not host {query}, its hash shard");
@@ -697,32 +664,31 @@ impl ShardedItaEngine {
     /// is healthy (served by its hash shard; `None` while the shard is
     /// degraded).
     pub fn query_stats(&self, query: QueryId) -> Option<ItaQueryStats> {
-        self.host(query)?.engine.query_stats(query)
+        self.host(query)?.core.query_stats(query)
     }
 
-    /// Per-shard shadow-index statistics, in shard order. Postings sum to
-    /// the sharded system's total index footprint (terms referenced by
-    /// queries in two shards are mirrored in both); every healthy shard
-    /// reports the same document count. Degraded shards report zeroed
-    /// stats.
+    /// Per-shard list statistics, in shard order. Postings sum to the
+    /// sharded system's total index footprint (terms referenced by queries
+    /// in two shards are filed in both); every healthy shard reports the
+    /// window's document count. Degraded shards report zeroed stats.
     pub fn shard_index_stats(&self) -> Vec<IndexStats> {
         self.shards
             .iter()
             .map(|slot| {
                 slot.as_ref()
-                    .map(|w| w.engine.index_stats())
+                    .map(|w| w.core.index_stats())
                     .unwrap_or_default()
             })
             .collect()
     }
 
     /// Sizes and counters of the coordinator's [`WindowTerms`] — the window
-    /// mirror every registration's postings are resolved against: how many
+    /// every registration's postings are resolved against: how many
     /// chunks it spans and how many carry a term directory (and their
     /// bytes), composition entries read by walks, postings answered from
     /// directories and from walks, directories built.
     pub fn window_terms_stats(&self) -> WindowTermsStats {
-        self.mirror.stats()
+        self.window.stats()
     }
 
     /// Per-shard processing statistics (each shard times its own event
@@ -810,8 +776,10 @@ impl Engine for ShardedItaEngine {
         reason = "the infallible Engine surface; typed errors live on the try_* twin"
     )]
     fn process_document(&mut self, doc: Document) -> EventOutcome {
-        self.try_process(doc)
-            .unwrap_or_else(|err| panic!("sharded engine could not serve the event: {err}"))
+        let outcome = self
+            .try_process_batch(vec![doc])
+            .map(|mut one| one.remove(0));
+        outcome.unwrap_or_else(|err| panic!("sharded engine could not serve the event: {err}"))
     }
 
     #[expect(
@@ -827,7 +795,7 @@ impl Engine for ShardedItaEngine {
         // A degraded shard answers empty until the next mutating call
         // rebuilds it.
         self.host(query)
-            .map(|w| w.engine.current_results(query))
+            .map(|w| w.core.current_results(query))
             .unwrap_or_default()
     }
 
@@ -836,9 +804,7 @@ impl Engine for ShardedItaEngine {
     }
 
     fn num_valid_documents(&self) -> usize {
-        // Every healthy shard's store equals the mirror (`check_invariants`
-        // audits it).
-        self.mirror.len()
+        self.window.len()
     }
 
     fn clock(&self) -> Timestamp {
@@ -865,17 +831,15 @@ impl Engine for ShardedItaEngine {
         })
     }
 
-    /// Audits the window mirror's own structure (only sealed chunks carry a
-    /// term directory, each equal to a rebuild from its documents) and then
-    /// every healthy shard's engine, that its store holds the mirror's
-    /// documents in arrival order, and that it hosts exactly the registry's
-    /// queries that hash to it. A shard's violation panics with the shard
-    /// named and its message. Degraded shards are skipped — their state is
-    /// gone, and the rebuild starts from the registry and the mirror.
+    /// Audits the window's own structure (only sealed chunks carry a term
+    /// directory, each equal to a rebuild from its documents) and then every
+    /// healthy shard's core against it, and that the shard hosts exactly the
+    /// registry's queries that hash to it. A shard's violation panics with
+    /// the shard named and its message. Degraded shards are skipped — their
+    /// state is gone, and the rebuild starts from the registry and the
+    /// window.
     fn check_invariants(&self) {
-        self.mirror.check_invariants();
-        let mirrored: Vec<DocId> = self.mirror.iter().map(|doc| doc.id).collect();
-        let front_seq = self.mirror.front_seq();
+        self.window.check_invariants();
         let mut hosted = vec![Vec::new(); self.shards.len()];
         for &qid in self.registry.keys() {
             hosted[self.shard_of(qid)].push(qid);
@@ -886,17 +850,17 @@ impl Engine for ShardedItaEngine {
                 clippy::panic,
                 reason = "audit-only path re-raising a shard's assertion with the shard named"
             )]
-            if let Err(fault) =
-                guarded(shard, || worker.audit(front_seq, &mirrored, &hosted[shard]))
-            {
+            if let Err(fault) = guarded(shard, || worker.audit(&self.window, &hosted[shard])) {
                 panic!("shard {shard} failed its invariant audit: {fault}");
             }
         }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ita::ItaEngine;
     use cts_text::{TermId, WeightedVector};
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {
@@ -1330,7 +1294,7 @@ mod tests {
             let others = (1..3).filter(|&shard| touches(shard)).count();
             let ran = AtomicUsize::new(0);
             sharded
-                .fan_out(1, spread, touches, |w, _| {
+                .fan_out(1, spread, touches, |w, _, _| {
                     if spread && w.shard == 0 {
                         while ran.load(Ordering::SeqCst) < others {
                             std::thread::yield_now();
@@ -1340,7 +1304,6 @@ mod tests {
                     }
                     std::thread::current().id() == caller
                 })
-                .expect("no rebuild fails")
                 .into_iter()
                 .map(|answer| answer.expect("no shard faults") == vec![true])
                 .collect()
@@ -1383,24 +1346,23 @@ mod tests {
             // Spread, shard 0's step waits for shard 1's, so shard 1 runs on
             // its scoped thread; in place, shard 1 runs on the caller's.
             let ran = AtomicBool::new(false);
-            let answers = sharded
-                .fan_out(
-                    1,
-                    spread,
-                    |_| true,
-                    |w, _| {
-                        if w.shard == 0 {
-                            while spread && !ran.load(Ordering::SeqCst) {
-                                std::thread::yield_now();
-                            }
-                            return;
+            let answers = sharded.fan_out(
+                1,
+                spread,
+                |_| true,
+                |w, _, _| {
+                    if w.shard == 0 {
+                        while spread && !ran.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
                         }
-                        ran.store(true, Ordering::SeqCst);
-                        let scoped = std::thread::current().id() != caller;
-                        panic!("shard {} panicked, scoped: {scoped}", w.shard);
-                    },
-                )
-                .expect("the rebuild succeeds");
+                        return;
+                    }
+                    ran.store(true, Ordering::SeqCst);
+                    let scoped = std::thread::current().id() != caller;
+                    panic!("shard {} panicked, scoped: {scoped}", w.shard);
+                },
+            );
+            sharded.recover_degraded().expect("the rebuild succeeds");
             assert!(answers[0].is_ok());
             let fault = answers[1].clone().expect_err("shard 1 panicked");
             assert_eq!(fault.shard, 1);
@@ -1453,7 +1415,7 @@ mod tests {
             sharded.process_document(d);
         }
         let worker = sharded.shards[shard].as_mut().expect("healthy");
-        assert!(worker.engine.deregister(lone));
+        assert!(worker.core.deregister(lone));
         let audit = catch_unwind(AssertUnwindSafe(|| sharded.check_invariants()));
         let message = panic_message(audit.expect_err("the audit must fail").as_ref());
         assert!(message.contains("failed its invariant audit"), "{message}");
@@ -1474,5 +1436,98 @@ mod tests {
             assert_eq!(sharded.current_results(q), reference.current_results(q));
         }
         sharded.check_invariants();
+    }
+
+    /// A count window of 4 under bursts of 16 whose first seven documents
+    /// (and last) outrank the rest: top-k documents expire at every one of
+    /// a burst's events 3–10, and the refill each expiry runs reads
+    /// documents that leave the window before the burst ends. The coordinator pops the
+    /// expired only after the fan-out, so outcomes and results equal the
+    /// plain engine's, event by event. With a fault armed before the third
+    /// burst, the shard drops at that burst's first event and is rebuilt
+    /// over the window as the burst leaves it: arrivals and expiries stay
+    /// the plain engine's and the results exact.
+    #[test]
+    fn a_mid_burst_refill_reads_documents_that_leave_before_the_burst_ends() {
+        let window = SlidingWindow::count_based(4);
+        let event = |i: u64| {
+            let at = i % 16;
+            let high = at < 7 || at == 15;
+            let weight = if high {
+                0.9 - at as f64 * 0.03
+            } else {
+                0.1 + at as f64 * 0.01
+            };
+            doc(i, &[((i % 3) as u32, weight), (3, weight / 2.0)])
+        };
+        for shards in [2, 4] {
+            for armed in [None, Some(shards - 1)] {
+                let context = format!("{shards} shards, fault on {armed:?}");
+                let mut reference = ItaEngine::new(window, ItaConfig::default());
+                let mut sharded = ShardedItaEngine::new(window, ItaConfig::default(), shards);
+                let qids: Vec<QueryId> = (0..8u32)
+                    .map(|t| {
+                        let q = query(&[(t % 3, 0.8), (3, 0.2)], 1 + (t % 2) as usize);
+                        let qid = reference.register(q.clone());
+                        assert_eq!(sharded.register(q), qid, "{context}");
+                        qid
+                    })
+                    .collect();
+                let refills = |engine: &ItaEngine| -> u64 {
+                    let stats = qids.iter().map(|q| engine.query_stats(*q).expect("live"));
+                    stats.map(|stats| stats.refills).sum()
+                };
+                for burst in 0..4u64 {
+                    if burst == 2 {
+                        if let Some(shard) = armed {
+                            assert!(sharded.inject_fault(shard), "{context}");
+                        }
+                    }
+                    let docs: Vec<Document> = (burst * 16..burst * 16 + 16).map(event).collect();
+                    let mut refilled_at = Vec::new();
+                    let expected: Vec<EventOutcome> = (0..16u64)
+                        .zip(&docs)
+                        .map(|(at, d)| {
+                            let before = refills(&reference);
+                            let outcome = reference.process_document(d.clone());
+                            if refills(&reference) > before {
+                                refilled_at.push(at);
+                            }
+                            outcome
+                        })
+                        .collect();
+                    if burst > 0 {
+                        let mid_burst = (3..=10).all(|at| refilled_at.contains(&at));
+                        assert!(mid_burst, "{context}: refills at {refilled_at:?}");
+                    }
+                    let actual = sharded.process_batch(docs);
+                    if armed.is_none() || burst < 2 {
+                        assert_eq!(actual, expected, "{context}: burst {burst}");
+                    }
+                    for (actual, expected) in actual.iter().zip(&expected) {
+                        assert_eq!(
+                            (actual.arrived, actual.expired),
+                            (expected.arrived, expected.expired),
+                            "{context}: burst {burst}"
+                        );
+                    }
+                    for &q in &qids {
+                        assert_eq!(
+                            sharded.current_results(q),
+                            reference.current_results(q),
+                            "{context}: burst {burst}, {q}"
+                        );
+                    }
+                    sharded.check_invariants();
+                }
+                let stats = sharded.fault_stats().expect("tracked");
+                let faults = u64::from(armed.is_some());
+                assert_eq!(
+                    (stats.faults, stats.recoveries),
+                    (faults, faults),
+                    "{context}"
+                );
+            }
+        }
     }
 }

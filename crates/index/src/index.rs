@@ -1,61 +1,36 @@
 //! The streaming inverted index.
 //!
-//! An [`InvertedIndex`] owns the valid documents — a [`WindowTerms`], the
-//! one container of them — and one impact-ordered [`InvertedList`] per term
-//! seen in the window (the segmented impact list). Document arrival inserts
-//! one impact entry per composition-list term, naming the document by its
-//! arrival sequence number in the window. Expiration
-//! ([`InvertedIndex::pop_expired`], the window's one expiry rule) moves the
-//! window's front past the document, which kills its postings where they
-//! stand: each of its lists counts one more dead posting, compacts once the
-//! dead outnumber a quarter of the live, and is freed when none is left
-//! live, so memory tracks the window contents within 25% per list (Figure 1
-//! of the paper). Every read of a list goes through
-//! [`InvertedIndex::live_postings`], which skips the dead.
+//! [`TermLists`] is the paper's inverted lists without the documents: one
+//! impact-ordered [`InvertedList`] per term, each posting naming its
+//! document by arrival sequence number in the [`WindowTerms`] that owns the
+//! documents (Figure 1 puts one FIFO list of valid documents under all the
+//! lists). Arrival files one impact entry per composition-list term;
+//! expiration moves the front past the document, which kills its postings
+//! where they stand: each list counts its dead, compacts once they outnumber
+//! a quarter of the live, and is freed when none is left live. Every read
+//! goes through [`TermLists::live_postings`], which skips the dead. The lists
+//! hold no document and no front: what needs them takes them as arguments.
 //!
-//! Lists live in a [`DenseArena`] keyed through the index's [`LiveTerms`] —
-//! the set of terms the owner's registered queries use, which also fixes the
-//! arena's key space (see [`crate::arena`]). A full index
-//! ([`InvertedIndex::new`]) keys its lists by the interned [`TermId`], so
-//! the per-term lookup performed for *every* term of *every* arriving and
-//! expiring document is a single bounds-checked array index, not a hash.
-//! Composition entries already carry validated [`cts_text::Weight`]s
-//! (`cts_text::WeightedTerm`), so filing them into the lists is free of
-//! per-entry `f64` re-validation.
+//! Lists live in a [`DenseArena`] keyed through the [`LiveTerms`] — the terms
+//! the owner's registered queries use, which also fix the arena's key space
+//! (see [`crate::arena`]). Full lists ([`TermLists::new`]) are keyed by the
+//! interned [`TermId`], so the per-term lookup for *every* term of *every*
+//! arriving and expiring document is one bounds-checked array index.
+//! **Term-filtered lists** ([`TermLists::term_filtered`]) file entries only
+//! for live terms, under compact live-slot keys, so work and memory follow
+//! the terms the queries reference, not the vocabulary. A document is cut
+//! down to its live entries **once** per arrival and expiry, and filing, the
+//! threshold probe and scoring walk that short slice. A term a registration
+//! brings live gets its list from postings the window's owner resolved
+//! ([`TermLists::acquire_terms`]); the last release retires it. So a term has
+//! two states and no third: no query uses it and it has no list, or it is
+//! live and its list holds **exactly** the window's postings for it — which
+//! lets expiry re-intersect a document with the live set as it is *now*, and
+//! is what [`TermLists::check_invariants`] audits.
 //!
-//! The sharded engine builds **term-filtered shadow indexes**
-//! ([`InvertedIndex::term_filtered`]): each worker shard mirrors the full
-//! window in its own [`WindowTerms`] (shared `Arc`s, one copy in memory)
-//! but files impact entries only for the live terms, under compact
-//! live-slot keys, so both the work per event and the memory follow the
-//! terms its own queries reference, not the vocabulary. An arriving or
-//! expiring document is cut down to its live entries **once**
-//! ([`InvertedIndex::insert_arrival`],
-//! [`InvertedIndex::pop_expired`]) and the filing loop, the engine's
-//! threshold probe and its scoring all walk that short slice. A query
-//! registered mid-stream may bring a term live that the shadow never
-//! indexed; [`InvertedIndex::acquire_terms`] files such a term's postings in
-//! arrival order, and [`InvertedIndex::release_term`] retires a
-//! list once the last referencing query deregisters. A term therefore has
-//! two states on a term-filtered index and no third: no query uses it and
-//! it has no list, or it is live and its list holds **exactly** the window's
-//! postings for it — which is what lets expiry re-intersect a document with
-//! the live set as it is *now*, and what [`InvertedIndex::check_invariants`]
-//! audits. (The caller-filtered form —
-//! [`InvertedIndex::insert_shared_filtered`] over an identity-keyed index,
-//! which the replica passes of `ctsbench` drive — is for full indexes only:
-//! a term-filtered index owns its filter.)
-//!
-//! **One resolver.** Postings are always resolved by a
-//! [`WindowTerms::postings`] call — per-chunk term directories where built,
-//! one bitmap walk of the rest — never by a pass over the whole window (the
-//! *registration cliff*, DESIGN.md §9). `acquire_terms` files what the
-//! caller supplies (a shard's coordinator resolves a burst once, against its
-//! own mirror, for every shard) and resolves the terms nobody supplied — all
-//! of them on a stand-alone filtered engine — through the index's own
-//! window, exactly as the coordinator does
-//! ([`IndexStats::register_entries_walked`] counts the entries that
-//! window walked: 0 on a shard).
+//! [`InvertedIndex`] is full lists plus the [`WindowTerms`] they are filed
+//! from: a stand-alone index for callers that apply a window policy of their
+//! own (the `ctsbench` replica pass, `index_micro`).
 
 #![deny(clippy::disallowed_types)]
 
@@ -66,20 +41,17 @@ use serde::{Deserialize, Serialize};
 use cts_text::{TermId, Weight, WeightedTerm};
 
 use crate::arena::{DenseArena, LiveTerms};
-use crate::document::{DocId, Document, Timestamp};
+use crate::document::{DocId, Document};
 use crate::posting::Posting;
-use crate::window::SlidingWindow;
 use crate::window_terms::{TermPostings, WindowTerms};
 use crate::InvertedList;
 
-/// The streaming inverted index over the valid documents.
+/// The inverted lists of one set of queries, over documents someone else
+/// holds — see the module documentation.
 #[derive(Debug, Clone, Default)]
-pub struct InvertedIndex {
-    /// The valid documents in arrival order, and the resolver of the
-    /// postings of terms nobody supplied.
-    window: WindowTerms,
+pub struct TermLists {
     /// The terms the owner's queries reference, and the key space of
-    /// `lists`: term ids on a full index, live slots on a term-filtered one.
+    /// `lists`: term ids on full lists, live slots on term-filtered ones.
     live: LiveTerms,
     lists: DenseArena<InvertedList>,
     /// Impact entries filed by registration-path backfills (satellite
@@ -88,44 +60,25 @@ pub struct InvertedIndex {
     register_postings_touched: u64,
 }
 
-impl InvertedIndex {
-    /// Creates an empty index.
+impl TermLists {
+    /// Empty full lists: every composition term is filed.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty index with list room for roughly `docs` valid
-    /// documents of `terms_per_doc` distinct terms each.
-    pub fn with_capacity(docs: usize, terms_per_doc: usize) -> Self {
-        Self {
-            lists: DenseArena::with_capacity(docs.saturating_mul(terms_per_doc) / 4),
-            ..Self::default()
-        }
-    }
-
-    /// Creates an empty **term-filtered** index: postings are filed only for
-    /// live terms — those holding a reference taken through
-    /// [`InvertedIndex::acquire_terms`] — and lists are keyed by compact live
+    /// Empty **term-filtered** lists: postings are filed only for live terms
+    /// — those holding a reference taken through
+    /// [`TermLists::acquire_terms`] — and lists are keyed by compact live
     /// slots, so the arena is sized by the live terms rather than by the
-    /// vocabulary. Documents are always stored in full.
+    /// vocabulary.
     pub fn term_filtered() -> Self {
-        Self::term_filtered_from(0)
-    }
-
-    /// A term-filtered index whose first arrival gets sequence number
-    /// `first_seq` ([`WindowTerms::numbered_from`]): a shard seeded with a
-    /// window mirror's documents numbers them as the mirror does, so the
-    /// postings the mirror resolves name the shard's documents too.
-    pub fn term_filtered_from(first_seq: u64) -> Self {
         Self {
-            window: WindowTerms::numbered_from(first_seq),
             live: LiveTerms::live_slots(),
             ..Self::default()
         }
     }
 
-    /// Whether this index files live terms only (see
-    /// [`InvertedIndex::term_filtered`]).
+    /// Whether these lists file live terms only.
     pub fn is_term_filtered(&self) -> bool {
         self.live.keys_are_slots()
     }
@@ -138,32 +91,51 @@ impl InvertedIndex {
     }
 
     /// Takes one reference on each of `terms` (a registering batch's query
-    /// terms, repeats included). On a term-filtered index the terms this
-    /// brings live get their lists filed right away — from `supplied`, the
-    /// postings the window's owner resolved for this very window state, and,
-    /// for newly live terms it does not cover, from this index's own
-    /// [`WindowTerms::postings`] — so the caller may probe every one of
-    /// them. This is the only way a list comes to exist other than by an
-    /// arrival.
+    /// terms, repeats included). On term-filtered lists the terms this brings
+    /// live get their lists filed right away from `supplied`, the postings
+    /// the window's owner resolved for the window as it is now, so the caller
+    /// may probe every one of them. This is the only way a list comes to
+    /// exist other than by an arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `supplied` does not cover a term this brings live.
     pub fn acquire_terms(
         &mut self,
         terms: impl IntoIterator<Item = TermId>,
         supplied: &TermPostings,
     ) {
-        // `acquire` is true exactly once per distinct newly-live term, so
-        // `newly_live` is duplicate-free.
+        // `acquire` is true exactly once per distinct newly-live term, and
+        // the last release retired any earlier list of it.
         let newly_live: Vec<TermId> = terms
             .into_iter()
             .filter(|term| self.live.acquire(*term))
             .collect();
-        if self.is_term_filtered() && !newly_live.is_empty() {
-            self.rebuild_lists(&newly_live, supplied);
+        if !self.is_term_filtered() {
+            return;
+        }
+        for term in newly_live {
+            #[expect(
+                clippy::panic,
+                reason = "the owner resolves every term it does not hold live; a gap would leave a live list incomplete"
+            )]
+            let (Some(key), Some(postings)) = (self.live.key(term), supplied.get(term)) else {
+                panic!("the postings of {term}, which this call brings live, were not supplied");
+            };
+            if postings.is_empty() {
+                continue;
+            }
+            let list = self.lists.get_or_default(key);
+            for (seq, weight) in postings {
+                list.insert(*seq, *weight);
+            }
+            self.register_postings_touched += postings.len() as u64;
         }
     }
 
-    /// Drops one reference on `term`; `true` when it was the last. A
-    /// term-filtered index then retires the term's list and recycles its key
-    /// — the caller must already have let go of whatever *it* files under
+    /// Drops one reference on `term`; `true` when it was the last.
+    /// Term-filtered lists then retire the term's list and recycle its key —
+    /// the caller must already have let go of whatever *it* files under
     /// [`LiveTerms::key`].
     pub fn release_term(&mut self, term: TermId) -> bool {
         let Some(key) = self.live.release(term) else {
@@ -175,49 +147,39 @@ impl InvertedIndex {
         true
     }
 
-    /// Inserts an arriving document: appends it to the window and adds one
-    /// impact entry per composition-list term (per *live* term on a
-    /// term-filtered index).
-    pub fn insert_document(&mut self, doc: Document) {
-        let doc = Arc::new(doc);
-        self.file(&doc, doc.composition.as_slice(), |_| true);
-    }
-
-    /// Inserts an already-shared arriving document, filing impact entries
-    /// only for composition terms accepted by `allow`; the document itself is
-    /// always stored in full. For a caller that keeps a term filter of its
-    /// own over a full index (the `ctsbench` replica pass). The filter must
-    /// be the same for every document: expiry counts a dead posting in every
-    /// list of the expiring document's terms, so a term accepted for some
-    /// documents and refused for others would miscount. On a term-filtered
-    /// index anything but an all-accepting `allow` would leave a live term's
-    /// list incomplete, which the audit reports.
-    pub fn insert_shared_filtered(
-        &mut self,
-        doc: Arc<Document>,
-        allow: impl FnMut(TermId) -> bool,
-    ) {
-        self.file(&doc, doc.composition.as_slice(), allow);
-    }
-
-    /// The engines' arrival path: cuts `doc` down to its live entries — left
-    /// in `live_entries` for the caller's threshold probe and scoring — and
-    /// files them. A full index files the whole composition list instead
-    /// (its lists cover every term, live or not); a term-filtered one walks
-    /// only the slice, typically ~5 entries of ~230. Returns the arrival's
-    /// sequence number in the window.
+    /// The arrival path: cuts `doc`, which arrived under sequence number
+    /// `seq`, down to its live entries — left in `live_entries` for the
+    /// caller's threshold probe and scoring — and files them. Full lists
+    /// file the whole composition list instead (they cover every term, live
+    /// or not); term-filtered ones walk only the slice, typically ~5 entries
+    /// of ~230.
     pub fn insert_arrival(
         &mut self,
-        doc: &Arc<Document>,
+        seq: u64,
+        doc: &Document,
         live_entries: &mut Vec<WeightedTerm>,
-    ) -> u64 {
+    ) {
         let entries = self.cut(doc, live_entries);
-        self.file(doc, entries, |_| true)
+        self.file(seq, entries, |_| true);
+    }
+
+    /// The expiry path, once the caller's front has moved past `doc` to
+    /// `front`: cuts `doc` down to the entries live **now** — left in
+    /// `live_entries` for the caller's threshold probe — and each of them
+    /// that has a list counts one more dead posting and compacts if due; a
+    /// list left with no live posting is vacated. No list is searched or
+    /// shifted. The live set may have changed since the document arrived; a
+    /// list exists exactly for the live terms, so a term that went live later
+    /// was backfilled with this document's entry, and one that died took its
+    /// list along.
+    pub fn expire(&mut self, doc: &Document, front: u64, live_entries: &mut Vec<WeightedTerm>) {
+        let entries = self.cut(doc, live_entries);
+        self.kill(entries, front);
     }
 
     /// Replaces `live_entries` with `doc`'s live entries and returns the
-    /// entries this index keeps postings for: those, if it is term-filtered,
-    /// the whole composition list if it is full.
+    /// entries these lists keep postings for: those, if term-filtered, the
+    /// whole composition list if full.
     fn cut<'a>(
         &self,
         doc: &'a Document,
@@ -232,21 +194,9 @@ impl InvertedIndex {
         }
     }
 
-    /// The one filing loop: appends `doc` to the window, then adds an impact
-    /// entry under its sequence number — which it returns — for each of
+    /// The one filing loop: an impact entry under `seq` for each of
     /// `entries` that `allow` accepts and that has a key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a document with `doc`'s id is already valid — before any
-    /// list is touched, so the index the unwind leaves behind is intact.
-    fn file(
-        &mut self,
-        doc: &Arc<Document>,
-        entries: &[WeightedTerm],
-        mut allow: impl FnMut(TermId) -> bool,
-    ) -> u64 {
-        let seq = self.window.push(Arc::clone(doc));
+    fn file(&mut self, seq: u64, entries: &[WeightedTerm], mut allow: impl FnMut(TermId) -> bool) {
         for entry in entries {
             if !allow(entry.term) {
                 continue;
@@ -255,82 +205,10 @@ impl InvertedIndex {
                 self.lists.get_or_default(key).insert(seq, entry.weight);
             }
         }
-        seq
     }
 
-    /// Files the lists of `terms`, which [`InvertedIndex::acquire_terms`]
-    /// just brought live (so they are distinct, and the last release retired
-    /// any earlier list) — the one place backfilled postings are filed, in
-    /// arrival order per term, the insertion sequence a list maintained all
-    /// along would have seen. A term's postings come from `supplied` if it
-    /// covers the term, and otherwise from one [`WindowTerms::postings`] call
-    /// on this index's window over all the uncovered terms together.
-    fn rebuild_lists(&mut self, terms: &[TermId], supplied: &TermPostings) {
-        let uncovered = terms.iter().filter(|term| supplied.get(**term).is_none());
-        let resolved = self.window.postings(uncovered.copied());
-        for term in terms {
-            let postings = supplied.get(*term).or_else(|| resolved.get(*term));
-            let Some(postings) = postings.filter(|postings| !postings.is_empty()) else {
-                continue;
-            };
-            #[expect(
-                clippy::panic,
-                reason = "the only caller took a reference on every term it passes, so each has a key"
-            )]
-            let Some(key) = self.live.key(*term) else {
-                panic!("backfill of {term}, which no registered query references");
-            };
-            let list = self.lists.get_or_default(key);
-            for (seq, weight) in postings {
-                list.insert(*seq, *weight);
-            }
-            self.register_postings_touched += postings.len() as u64;
-        }
-    }
-
-    /// Removes the window's **oldest** document, if its id is `id`: kills
-    /// its impact entries as expiry does and returns the (shared) document.
-    /// Returns `None` and changes nothing for any other id — a document
-    /// leaves the window in arrival order or not at all. For a caller that
-    /// applies a window policy of its own (the `ctsbench` replica pass); the
-    /// engines expire through [`InvertedIndex::pop_expired`]. On a filtered
-    /// index, composition terms that were never indexed simply have no list
-    /// and are skipped.
-    pub fn remove_document(&mut self, id: DocId) -> Option<Arc<Document>> {
-        self.window.iter().next().filter(|oldest| oldest.id == id)?;
-        let doc = self.window.pop_front()?;
-        self.expire(doc.composition.as_slice());
-        Some(doc)
-    }
-
-    /// The engines' expiration path, the mirror of
-    /// [`InvertedIndex::insert_arrival`]: pops the oldest document if it has
-    /// left `window` at `now` ([`WindowTerms::pop_expired`]), cuts it down to
-    /// the entries live **now** — left in `live_entries` for the caller's
-    /// threshold probe — and kills their impact entries. An engine loops
-    /// over this until it returns `None`. The live set may have changed since
-    /// the document arrived; that is sound because a list exists exactly for
-    /// the live terms, whatever they were then: a term that went live later
-    /// was backfilled with this document's entry, and a term that died took
-    /// its list with it.
-    pub fn pop_expired(
-        &mut self,
-        window: SlidingWindow,
-        now: Timestamp,
-        live_entries: &mut Vec<WeightedTerm>,
-    ) -> Option<Arc<Document>> {
-        let doc = self.window.pop_expired(window, now)?;
-        let entries = self.cut(&doc, live_entries);
-        self.expire(entries);
-        Some(doc)
-    }
-
-    /// The one expiry loop, run once the window has popped the document of
-    /// `entries`: each of them that has a list counts one more dead posting
-    /// (the document's, left where it stands) and compacts if due; a list
-    /// left with no live posting is vacated. No list is searched or shifted.
-    fn expire(&mut self, entries: &[WeightedTerm]) {
-        let front = self.window.front_seq();
+    /// The one expiry loop over an expired document's `entries`.
+    fn kill(&mut self, entries: &[WeightedTerm], front: u64) {
         for entry in entries {
             let Some(key) = self.live.key(entry.term) else {
                 continue;
@@ -345,73 +223,57 @@ impl InvertedIndex {
         }
     }
 
-    /// The valid documents, oldest first.
-    pub fn documents(&self) -> &WindowTerms {
-        &self.window
-    }
-
     /// The inverted list for `term`, if any valid document contains it. Its
-    /// reads return dead postings too; [`InvertedIndex::live_postings`] is
-    /// the read that skips them.
+    /// reads return dead postings too; [`TermLists::live_postings`] is the
+    /// read that skips them.
     pub fn list(&self, term: TermId) -> Option<&InvertedList> {
         self.lists.get(self.live.key(term)?)
     }
 
-    /// The live postings of `term`'s list with weight **at or below**
-    /// `weight`, in list order (decreasing weight, ties by arrival) — every
-    /// live posting at `Weight::new(f64::INFINITY)`. The one way the engine
-    /// reads a list: its threshold descent opens one such cursor per query
-    /// term at the term's local threshold, and its audit checks the
-    /// postings above each threshold. A posting names its document by
-    /// sequence number: [`WindowTerms::id_at`] and [`WindowTerms::doc_at`]
-    /// on [`InvertedIndex::documents`] read its id and composition by one
-    /// index each.
+    /// The postings of `term`'s list live at `front` (numbered `front` or
+    /// later) with weight **at or below** `weight`, in list order
+    /// (decreasing weight, ties by arrival) — every live posting at
+    /// `Weight::new(f64::INFINITY)`. The one way the engine reads a list:
+    /// its threshold descent opens one such cursor per query term at the
+    /// term's local threshold, and its audit checks the postings above each
+    /// threshold. [`WindowTerms::id_at`] and [`WindowTerms::doc_at`] read a
+    /// posting's document by one index each.
     pub fn live_postings(
         &self,
         term: TermId,
         weight: Weight,
+        front: u64,
     ) -> impl Iterator<Item = Posting> + '_ {
-        let front = self.window.front_seq();
         self.list(term)
             .into_iter()
             .flat_map(move |list| list.iter_at_or_below(weight))
             .filter(move |posting| posting.seq >= front)
     }
 
-    /// Number of valid documents.
-    pub fn num_documents(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Number of non-empty inverted lists (distinct terms in the window).
-    pub fn num_terms(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Iterates over `(term, list)` pairs in key order — increasing term id
-    /// on a full index, live-slot order on a term-filtered one.
+    /// on full lists, live-slot order on term-filtered ones.
     pub fn lists(&self) -> impl Iterator<Item = (TermId, &InvertedList)> {
         self.lists
             .iter()
             .map(|(key, list)| (self.live.term_of(key), list))
     }
 
-    /// Audits the index's structural invariants, panicking with a
+    /// Audits the lists against `window`, the documents their sequence
+    /// numbers index (all of its documents valid), panicking with a
     /// description on violation:
     ///
-    /// * every inverted list holds a live posting (a list whose last live
-    ///   posting dies is vacated, never left behind) and is internally
-    ///   well-formed ([`crate::InvertedList`]'s own `check_invariants`): its
-    ///   dead postings are exactly those below the window's front, and no
-    ///   more than a quarter of its live ones, plus one;
-    /// * the window's own invariants ([`WindowTerms::check_invariants`]);
+    /// * every list holds a live posting (a list whose last live posting
+    ///   dies is vacated, never left behind) and is internally well-formed
+    ///   ([`crate::InvertedList`]'s own `check_invariants`): its dead
+    ///   postings are exactly those below the window's front, and no more
+    ///   than a quarter of its live ones, plus one;
     /// * every live posting names the document at its sequence number, at
     ///   that document's weight for the list's term, and no list holds more
     ///   live postings than there are valid documents;
     /// * the live-term set's own invariants ([`LiveTerms::check_invariants`]),
-    ///   and on a term-filtered index every list sits under the key of a
-    ///   term that is live now — a recycled slot never inherits a list;
-    /// * **complete lists**, on a term-filtered index: the lists hold as many
+    ///   and on term-filtered lists every list sits under the key of a term
+    ///   that is live now — a recycled slot never inherits a list;
+    /// * **complete lists**, when term-filtered: the lists hold as many
     ///   postings as the valid documents have live entries (one
     ///   [`LiveTerms::intersect`] per document). Postings are distinct and
     ///   each is a true one, so equal counts mean a term is live **iff** its
@@ -420,10 +282,8 @@ impl InvertedIndex {
     /// Driven per-op by `cts-reference`'s lockstep runner under its
     /// `invariant-checks` feature (and in unit tests); not called on hot
     /// paths.
-    pub fn check_invariants(&self) {
-        let documents = self.window.len();
-        let front = self.window.front_seq();
-        self.window.check_invariants();
+    pub fn check_invariants(&self, window: &WindowTerms) {
+        let (documents, front) = (window.len(), window.front_seq());
         self.live.check_invariants();
         for (key, list) in self.lists.iter() {
             let term = self.live.term_of(key);
@@ -445,7 +305,7 @@ impl InvertedIndex {
                     "list for {term} holds sequence number {}, past the window",
                     posting.seq
                 );
-                let doc = self.window.doc_at(posting.seq);
+                let doc = window.doc_at(posting.seq);
                 assert!(
                     doc.composition.contains(term)
                         && doc.composition.impact(term) == posting.weight,
@@ -458,8 +318,7 @@ impl InvertedIndex {
         }
         if self.is_term_filtered() {
             let mut live_entries = Vec::new();
-            let expected: usize = self
-                .window
+            let expected: usize = window
                 .iter()
                 .map(|doc| {
                     self.live
@@ -475,30 +334,116 @@ impl InvertedIndex {
         }
     }
 
-    /// A point-in-time summary of the index shape.
+    /// A point-in-time summary of the lists' shape; the fields that describe
+    /// the documents and the window (`documents`, `register_entries_walked`,
+    /// `directory_bytes`) are the owner's to fill and read 0 here.
     pub fn stats(&self) -> IndexStats {
-        let (mut total_postings, mut dead_postings) = (0, 0);
+        let (mut postings, mut dead_postings) = (0, 0);
         let (mut longest_list, mut list_bytes) = (0, 0);
         for list in self.lists.values() {
-            total_postings += list.len();
+            postings += list.len();
             dead_postings += list.dead();
             longest_list = longest_list.max(list.len());
             list_bytes += list.heap_bytes();
         }
         IndexStats {
-            documents: self.window.len(),
             terms: self.lists.len(),
-            postings: total_postings,
+            postings,
             dead_postings,
             list_bytes,
             longest_list,
             live_terms: self.live.len(),
             list_slots: self.lists.slot_capacity(),
-            tree_slots: 0,
             refcount_slots: self.live.slot_capacity(),
             register_postings_touched: self.register_postings_touched,
-            register_entries_walked: self.window.stats().entries_walked,
-            directory_bytes: self.window.stats().directory_bytes,
+            ..IndexStats::default()
+        }
+    }
+}
+
+/// A stand-alone full inverted index: the valid documents in a
+/// [`WindowTerms`], and full [`TermLists`] filed from them.
+#[derive(Debug, Clone, Default)]
+pub struct InvertedIndex {
+    window: WindowTerms,
+    lists: TermLists,
+}
+
+impl InvertedIndex {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates an empty index with list room for roughly `docs` valid
+    /// documents of `terms_per_doc` distinct terms each.
+    pub fn with_capacity(docs: usize, terms_per_doc: usize) -> Self {
+        let lists = DenseArena::with_capacity(docs.saturating_mul(terms_per_doc) / 4);
+        Self {
+            lists: TermLists {
+                lists,
+                ..TermLists::default()
+            },
+            ..Self::default()
+        }
+    }
+
+    /// Inserts an arriving document: appends it to the window and adds one
+    /// impact entry per composition-list term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a document with `doc`'s id is already valid — before any
+    /// list is touched, so the index the unwind leaves behind is intact.
+    pub fn insert_document(&mut self, doc: Document) {
+        self.insert_shared_filtered(Arc::new(doc), |_| true);
+    }
+
+    /// Inserts an already-shared arriving document, filing impact entries
+    /// only for composition terms accepted by `allow`; the document itself is
+    /// always stored in full. For a caller that keeps a term filter of its
+    /// own (the `ctsbench` replica pass). The filter must be the same for
+    /// every document: expiry counts a dead posting in every list of the
+    /// expiring document's terms, so a term accepted for some documents and
+    /// refused for others would miscount.
+    ///
+    /// # Panics
+    ///
+    /// As [`InvertedIndex::insert_document`].
+    pub fn insert_shared_filtered(
+        &mut self,
+        doc: Arc<Document>,
+        allow: impl FnMut(TermId) -> bool,
+    ) {
+        let seq = self.window.push(Arc::clone(&doc));
+        self.lists.file(seq, doc.composition.as_slice(), allow);
+    }
+
+    /// Removes the window's **oldest** document, if its id is `id`: kills
+    /// its impact entries as expiry does and returns the (shared) document.
+    /// Returns `None` and changes nothing for any other id — a document
+    /// leaves the window in arrival order or not at all. Composition terms
+    /// that were never indexed simply have no list and are skipped.
+    pub fn remove_document(&mut self, id: DocId) -> Option<Arc<Document>> {
+        self.window.iter().next().filter(|oldest| oldest.id == id)?;
+        let doc = self.window.pop_front()?;
+        self.lists
+            .kill(doc.composition.as_slice(), self.window.front_seq());
+        Some(doc)
+    }
+
+    /// Audits the window's own invariants ([`WindowTerms::check_invariants`])
+    /// and the lists' against it ([`TermLists::check_invariants`]).
+    pub fn check_invariants(&self) {
+        self.window.check_invariants();
+        self.lists.check_invariants(&self.window);
+    }
+
+    /// A point-in-time summary of the index shape.
+    pub fn stats(&self) -> IndexStats {
+        IndexStats {
+            documents: self.window.len(),
+            ..self.lists.stats()
         }
     }
 }
@@ -524,11 +469,11 @@ pub struct IndexStats {
     /// Number of terms at least one registered query references.
     pub live_terms: usize,
     /// Slots allocated by the list arena, occupied or not: vocabulary-sized
-    /// on a full index, within twice the peak live-term count on a
-    /// term-filtered one.
+    /// on full lists, within twice the peak live-term count on term-filtered
+    /// ones.
     pub list_slots: usize,
     /// Slots allocated by the owning engine's threshold-tree arena (same
-    /// key space as the lists). 0 when a bare index reports.
+    /// key space as the lists). 0 when bare lists report.
     pub tree_slots: usize,
     /// Slots allocated by the term reference-count table (same key space).
     pub refcount_slots: usize,
@@ -538,16 +483,15 @@ pub struct IndexStats {
     /// nothing, and growing the window with documents that do not contain a
     /// query's terms does not grow it.
     pub register_postings_touched: u64,
-    /// Composition entries the index's window walked to resolve postings
-    /// nobody supplied, so far (monotone;
+    /// Composition entries the owner's window walked to resolve postings
+    /// for registrations, so far (monotone;
     /// [`crate::WindowTermsStats::entries_walked`]). A call adds the entries
     /// of the chunks it found without a directory, whatever the number of
-    /// terms; a registration whose postings were all supplied adds nothing,
-    /// so it stays 0 on a shard.
+    /// terms. 0 on a shard, whose coordinator resolves for it, and on a full
+    /// index, which never resolves any.
     pub register_entries_walked: u64,
-    /// Heap bytes of the term directories the index's window has built to
-    /// resolve postings (0 on a shard and on a full index, which never
-    /// resolve any).
+    /// Heap bytes of the term directories the owner's window has built to
+    /// resolve postings (0 on a shard and on a full index).
     pub directory_bytes: usize,
 }
 
@@ -555,6 +499,7 @@ pub struct IndexStats {
 mod tests {
     use super::*;
     use crate::document::Timestamp;
+    use crate::window::SlidingWindow;
     use cts_text::WeightedVector;
 
     fn doc(id: u64, terms: &[(u32, f64)]) -> Document {
@@ -565,12 +510,70 @@ mod tests {
         )
     }
 
+    /// Term-filtered lists over a window of their own, composed as an
+    /// engine composes them: the window numbers and holds the documents, its
+    /// owner resolves the postings of the terms a call brings live, and the
+    /// lists file them.
+    struct Shadow {
+        window: WindowTerms,
+        lists: TermLists,
+        entries: Vec<WeightedTerm>,
+    }
+
+    impl Shadow {
+        fn new() -> Self {
+            Shadow {
+                window: WindowTerms::new(),
+                lists: TermLists::term_filtered(),
+                entries: Vec::new(),
+            }
+        }
+
+        fn insert(&mut self, doc: Document) {
+            let doc = Arc::new(doc);
+            let seq = self.window.push(Arc::clone(&doc));
+            self.lists.insert_arrival(seq, &doc, &mut self.entries);
+        }
+
+        /// Takes references on `terms`, resolving on the window the ones
+        /// not live yet.
+        fn acquire(&mut self, terms: &[TermId]) {
+            let live = self.lists.live_terms();
+            let fresh = terms.iter().filter(|term| !live.contains(**term));
+            let postings = self.window.postings(fresh.copied().collect::<Vec<_>>());
+            self.lists.acquire_terms(terms.iter().copied(), &postings);
+        }
+
+        /// Expires `popped`, which the window just popped off its front.
+        fn expire(&mut self, popped: Option<Arc<Document>>) -> Option<Arc<Document>> {
+            let doc = popped?;
+            let front = self.window.front_seq();
+            self.lists.expire(&doc, front, &mut self.entries);
+            Some(doc)
+        }
+
+        fn pop_expired(&mut self, policy: SlidingWindow, now: Timestamp) -> Option<Arc<Document>> {
+            let popped = self.window.pop_expired(policy, now);
+            self.expire(popped)
+        }
+
+        fn remove_oldest(&mut self) -> Option<Arc<Document>> {
+            let popped = self.window.pop_front();
+            self.expire(popped)
+        }
+
+        fn check_invariants(&self) {
+            self.window.check_invariants();
+            self.lists.check_invariants(&self.window);
+        }
+    }
+
     /// What `term`'s list must hold live: a brute-force filter of the valid
     /// documents, in list order (decreasing weight, ties by arrival).
-    fn window_postings(idx: &InvertedIndex, term: TermId) -> Vec<Posting> {
-        let front = idx.documents().front_seq();
+    fn window_postings(window: &WindowTerms, term: TermId) -> Vec<Posting> {
+        let front = window.front_seq();
         let mut postings: Vec<Posting> = (front..)
-            .zip(idx.documents().iter())
+            .zip(window.iter())
             .filter(|(_, doc)| doc.composition.contains(term))
             .map(|(seq, doc)| Posting::new(seq, doc.composition.impact(term)))
             .collect();
@@ -580,9 +583,10 @@ mod tests {
 
     /// The ids of `term`'s live postings, in list order.
     fn live_ids(idx: &InvertedIndex, term: TermId) -> Vec<u64> {
-        let all = Weight::new(f64::INFINITY);
-        idx.live_postings(term, all)
-            .map(|p| idx.documents().id_at(p.seq).0)
+        let (all, front) = (Weight::new(f64::INFINITY), idx.window.front_seq());
+        idx.lists
+            .live_postings(term, all, front)
+            .map(|p| idx.window.id_at(p.seq).0)
             .collect()
     }
 
@@ -591,10 +595,10 @@ mod tests {
         let mut idx = InvertedIndex::new();
         idx.insert_document(doc(1, &[(11, 0.08), (20, 0.06)]));
         idx.insert_document(doc(2, &[(20, 0.09)]));
-        assert_eq!(idx.num_documents(), 2);
-        assert_eq!(idx.num_terms(), 2);
+        assert_eq!(idx.window.len(), 2);
+        assert_eq!(idx.stats().terms, 2);
         assert_eq!(live_ids(&idx, TermId(20)), vec![2, 1]);
-        assert!(idx.list(TermId(99)).is_none());
+        assert!(idx.lists.list(TermId(99)).is_none());
         assert_eq!(live_ids(&idx, TermId(99)), Vec::<u64>::new());
     }
 
@@ -605,10 +609,10 @@ mod tests {
         idx.insert_document(doc(2, &[(20, 0.09)]));
         let removed = idx.remove_document(DocId(1)).unwrap();
         assert_eq!(removed.id, DocId(1));
-        assert_eq!(idx.num_documents(), 1);
+        assert_eq!(idx.window.len(), 1);
         // Term 11 only appeared in document 1 → its list is dropped.
-        assert!(idx.list(TermId(11)).is_none());
-        assert_eq!(idx.list(TermId(20)).unwrap().len(), 1);
+        assert!(idx.lists.list(TermId(11)).is_none());
+        assert_eq!(idx.lists.list(TermId(20)).unwrap().len(), 1);
         assert_eq!(live_ids(&idx, TermId(20)), vec![2]);
         assert_eq!(
             idx.stats().dead_postings,
@@ -619,40 +623,57 @@ mod tests {
         assert!(idx.remove_document(DocId(1)).is_none());
     }
 
+    /// The index refuses every id but the oldest; term-filtered lists,
+    /// which expire only what their owner pops off the front, stay complete
+    /// through the same pops.
     #[test]
     fn removing_anything_but_the_oldest_document_changes_nothing() {
-        for mut idx in [InvertedIndex::new(), InvertedIndex::term_filtered()] {
-            idx.acquire_terms([TermId(20)], &TermPostings::default());
-            idx.insert_document(doc(1, &[(11, 0.08), (20, 0.06)]));
-            idx.insert_document(doc(2, &[(20, 0.09)]));
-            idx.insert_document(doc(3, &[(11, 0.5)]));
-            let before = idx.stats();
-            for id in [2, 3, 99] {
-                assert!(idx.remove_document(DocId(id)).is_none(), "d{id}");
-                idx.check_invariants();
-                assert_eq!(idx.stats(), before, "d{id}");
-            }
-            assert_eq!(idx.remove_document(DocId(1)).map(|d| d.id), Some(DocId(1)));
-            assert_eq!(idx.remove_document(DocId(2)).map(|d| d.id), Some(DocId(2)));
-            idx.check_invariants();
-            assert_eq!(idx.num_documents(), 1);
+        let docs = || {
+            [
+                doc(1, &[(11, 0.08), (20, 0.06)]),
+                doc(2, &[(20, 0.09)]),
+                doc(3, &[(11, 0.5)]),
+            ]
+        };
+        let mut idx = InvertedIndex::new();
+        let mut shadow = Shadow::new();
+        shadow.acquire(&[TermId(20)]);
+        for d in docs() {
+            idx.insert_document(d.clone());
+            shadow.insert(d);
         }
+        let before = idx.stats();
+        for id in [2, 3, 99] {
+            assert!(idx.remove_document(DocId(id)).is_none(), "d{id}");
+            idx.check_invariants();
+            assert_eq!(idx.stats(), before, "d{id}");
+        }
+        assert_eq!(idx.remove_document(DocId(1)).map(|d| d.id), Some(DocId(1)));
+        assert_eq!(idx.remove_document(DocId(2)).map(|d| d.id), Some(DocId(2)));
+        idx.check_invariants();
+        assert_eq!(idx.window.len(), 1);
+        for expected in [1, 2] {
+            assert_eq!(shadow.remove_oldest().map(|d| d.id), Some(DocId(expected)));
+            shadow.check_invariants();
+        }
+        assert_eq!(shadow.window.len(), 1);
+        assert!(shadow.lists.list(TermId(20)).is_none());
     }
 
     #[test]
     fn removing_the_last_posting_restores_the_empty_arena_slot() {
         let mut idx = InvertedIndex::new();
         idx.insert_document(doc(1, &[(42, 0.5)]));
-        assert_eq!(idx.num_terms(), 1);
+        assert_eq!(idx.stats().terms, 1);
         idx.remove_document(DocId(1)).unwrap();
         // The slot is vacated, not left as an empty list...
-        assert!(idx.list(TermId(42)).is_none());
-        assert_eq!(idx.num_terms(), 0);
-        assert_eq!(idx.lists().count(), 0);
+        assert!(idx.lists.list(TermId(42)).is_none());
+        assert_eq!(idx.stats().terms, 0);
+        assert_eq!(idx.lists.lists().count(), 0);
         // ...and a later arrival with the same term reclaims it.
         idx.insert_document(doc(2, &[(42, 0.7)]));
-        assert_eq!(idx.num_terms(), 1);
-        assert_eq!(idx.list(TermId(42)).unwrap().len(), 1);
+        assert_eq!(idx.stats().terms, 1);
+        assert_eq!(idx.lists.list(TermId(42)).unwrap().len(), 1);
     }
 
     #[test]
@@ -680,11 +701,11 @@ mod tests {
         // Simulate a count-based window of 3 over 50 arrivals.
         for i in 0..50u64 {
             idx.insert_document(doc(i, &[((i % 7) as u32, 0.1 + (i % 5) as f64 * 0.1)]));
-            if idx.num_documents() > 3 {
+            if idx.window.len() > 3 {
                 idx.remove_document(DocId(i - 3)).unwrap();
             }
         }
-        assert_eq!(idx.num_documents(), 3);
+        assert_eq!(idx.window.len(), 3);
         let stats = idx.stats();
         assert_eq!(stats.postings, 3);
         assert!(stats.terms <= 3);
@@ -713,7 +734,7 @@ mod tests {
         assert_eq!(&dead[12..22], [1, 2, 3, 0, 1, 2, 3, 0, 1, 2]);
         let stats = idx.stats();
         assert_eq!((stats.postings, stats.dead_postings), (12, 3));
-        assert_eq!(idx.list(TermId(1)).unwrap().iter().count(), 15);
+        assert_eq!(idx.lists.list(TermId(1)).unwrap().iter().count(), 15);
         assert!(stats.list_bytes >= 15 * std::mem::size_of::<Posting>());
     }
 
@@ -721,11 +742,11 @@ mod tests {
     fn filtered_insert_skips_lists_but_stores_the_document() {
         let mut idx = InvertedIndex::new();
         idx.insert_shared_filtered(Arc::new(doc(1, &[(1, 0.5), (2, 0.4)])), |t| t == TermId(1));
-        assert_eq!(idx.num_documents(), 1);
-        assert_eq!(idx.list(TermId(1)).unwrap().len(), 1);
-        assert!(idx.list(TermId(2)).is_none());
+        assert_eq!(idx.window.len(), 1);
+        assert_eq!(idx.lists.list(TermId(1)).unwrap().len(), 1);
+        assert!(idx.lists.list(TermId(2)).is_none());
         // The stored composition is complete, not the filtered projection.
-        let documents = idx.documents();
+        let documents = &idx.window;
         assert!(documents
             .doc_at(documents.front_seq())
             .composition
@@ -733,35 +754,36 @@ mod tests {
         // Removal of a document whose terms were never indexed is a no-op on
         // the missing lists.
         idx.remove_document(DocId(1)).unwrap();
-        assert_eq!(idx.num_terms(), 0);
+        assert_eq!(idx.stats().terms, 0);
     }
 
     #[test]
     fn a_duplicate_document_id_panics_before_any_list_is_touched() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut full = InvertedIndex::new();
-        let mut filtered = InvertedIndex::term_filtered();
-        filtered.acquire_terms([TermId(11), TermId(20)], &TermPostings::default());
-        for idx in [&mut full, &mut filtered] {
-            idx.insert_document(doc(1, &[(11, 0.08), (20, 0.06)]));
-            idx.insert_document(doc(2, &[(20, 0.09)]));
-            let before = idx.stats();
-            let duplicate = Arc::new(doc(1, &[(11, 0.5), (20, 0.5), (30, 0.5)]));
-            let mut scratch = Vec::new();
-            for attempt in 0..3 {
-                let duplicate = Arc::clone(&duplicate);
-                let refused = catch_unwind(AssertUnwindSafe(|| match attempt {
-                    0 => idx.insert_document(Document::clone(&duplicate)),
-                    1 => idx.insert_shared_filtered(duplicate, |_| true),
-                    _ => {
-                        idx.insert_arrival(&duplicate, &mut scratch);
-                    }
-                }));
-                assert!(refused.is_err(), "attempt {attempt} filed a duplicate id");
-                idx.check_invariants();
-                assert_eq!(idx.stats(), before);
-                // The stored document is still the first one.
-                let documents = idx.documents();
+        let first = [doc(1, &[(11, 0.08), (20, 0.06)]), doc(2, &[(20, 0.09)])];
+        let duplicate = Arc::new(doc(1, &[(11, 0.5), (20, 0.5), (30, 0.5)]));
+        let mut idx = InvertedIndex::new();
+        let mut shadow = Shadow::new();
+        shadow.acquire(&[TermId(11), TermId(20)]);
+        for d in first {
+            idx.insert_document(d.clone());
+            shadow.insert(d);
+        }
+        let (before, shadow_before) = (idx.stats(), shadow.lists.stats());
+        for attempt in 0..3 {
+            let duplicate = Arc::clone(&duplicate);
+            let refused = catch_unwind(AssertUnwindSafe(|| match attempt {
+                0 => idx.insert_document(Document::clone(&duplicate)),
+                1 => idx.insert_shared_filtered(duplicate, |_| true),
+                _ => shadow.insert(Document::clone(&duplicate)),
+            }));
+            assert!(refused.is_err(), "attempt {attempt} filed a duplicate id");
+            idx.check_invariants();
+            shadow.check_invariants();
+            assert_eq!(idx.stats(), before);
+            assert_eq!(shadow.lists.stats(), shadow_before);
+            // The stored document is still the first one.
+            for documents in [&idx.window, &shadow.window] {
                 let first = documents.doc_at(documents.front_seq());
                 assert_eq!((first.id, first.composition.len()), (DocId(1), 2));
             }
@@ -771,50 +793,46 @@ mod tests {
     #[test]
     fn a_term_filtered_index_files_live_terms_under_recycled_slots() {
         let mut full = InvertedIndex::new();
-        let mut shadow = InvertedIndex::term_filtered();
-        assert!(shadow.is_term_filtered() && !full.is_term_filtered());
-        let mut entries = Vec::new();
-        let arrive = |full: &mut InvertedIndex, shadow: &mut InvertedIndex, d: Document| {
-            let d = Arc::new(d);
-            full.insert_shared_filtered(Arc::clone(&d), |_| true);
-            shadow.insert_arrival(&d, &mut Vec::new());
+        let mut shadow = Shadow::new();
+        let full_lists = TermLists::new();
+        assert!(shadow.lists.is_term_filtered() && !full_lists.is_term_filtered());
+        let arrive = |full: &mut InvertedIndex, shadow: &mut Shadow, d: Document| {
+            full.insert_shared_filtered(Arc::new(d.clone()), |_| true);
+            shadow.insert(d);
         };
         arrive(&mut full, &mut shadow, doc(1, &[(7, 0.3), (90_000, 0.4)]));
-        assert_eq!(shadow.stats().postings, 0, "no term is live yet");
+        assert_eq!(shadow.lists.stats().postings, 0, "no term is live yet");
         // Going live backfills; the slot is compact whatever the term id.
-        shadow.acquire_terms(
-            [TermId(90_000), TermId(90_000), TermId(5)],
-            &TermPostings::default(),
-        );
-        assert_eq!(shadow.live_terms().key(TermId(90_000)), Some(0));
-        assert_eq!(shadow.list(TermId(90_000)).unwrap().len(), 1);
+        shadow.acquire(&[TermId(90_000), TermId(90_000), TermId(5)]);
+        assert_eq!(shadow.lists.live_terms().key(TermId(90_000)), Some(0));
+        assert_eq!(shadow.lists.list(TermId(90_000)).unwrap().len(), 1);
         arrive(
             &mut full,
             &mut shadow,
             doc(2, &[(5, 0.2), (7, 0.9), (90_000, 0.1)]),
         );
-        assert_eq!(shadow.stats().postings, 3);
+        assert_eq!(shadow.lists.stats().postings, 3);
         // One of two references goes: still live. The second takes the list.
-        assert!(!shadow.release_term(TermId(90_000)));
-        assert!(shadow.release_term(TermId(90_000)));
-        assert!(shadow.list(TermId(90_000)).is_none());
+        assert!(!shadow.lists.release_term(TermId(90_000)));
+        assert!(shadow.lists.release_term(TermId(90_000)));
+        assert!(shadow.lists.list(TermId(90_000)).is_none());
         // Term 7 inherits the slot, and a list rebuilt from the window.
-        shadow.acquire_terms([TermId(7)], &TermPostings::default());
-        assert_eq!(shadow.live_terms().key(TermId(7)), Some(0));
+        shadow.acquire(&[TermId(7)]);
+        assert_eq!(shadow.lists.live_terms().key(TermId(7)), Some(0));
         for term in [5, 7] {
-            let expected: Vec<_> = full.list(TermId(term)).unwrap().iter().collect();
-            let actual: Vec<_> = shadow.list(TermId(term)).unwrap().iter().collect();
+            let expected: Vec<_> = full.lists.list(TermId(term)).unwrap().iter().collect();
+            let actual: Vec<_> = shadow.lists.list(TermId(term)).unwrap().iter().collect();
             assert_eq!(actual, expected);
         }
         // Expiry re-intersects with the live set as it is now.
         let (one, now) = (SlidingWindow::count_based(1), Timestamp::from_millis(2));
-        let removed = shadow.pop_expired(one, now, &mut entries).unwrap();
-        assert!(shadow.pop_expired(one, now, &mut entries).is_none());
+        let removed = shadow.pop_expired(one, now).unwrap();
+        assert_eq!(shadow.entries.len(), 1, "only term 7 of d1 is live");
+        assert!(shadow.pop_expired(one, now).is_none());
         assert_eq!(removed.composition.len(), 2);
-        assert_eq!(entries.len(), 1, "only term 7 of d1 is live");
-        assert_eq!(shadow.list(TermId(7)).unwrap().len(), 1);
+        assert_eq!(shadow.lists.list(TermId(7)).unwrap().len(), 1);
         shadow.check_invariants();
-        let stats = shadow.stats();
+        let stats = shadow.lists.stats();
         assert_eq!((stats.live_terms, stats.postings), (2, 2));
         assert!(stats.list_slots < 16 && stats.refcount_slots < 16);
     }
@@ -822,7 +840,7 @@ mod tests {
     #[test]
     fn backfill_rebuilds_a_list_in_arrival_order() {
         let mut full = InvertedIndex::new();
-        let mut shadow = InvertedIndex::term_filtered();
+        let mut shadow = Shadow::new();
         let docs = [
             doc(1, &[(7, 0.30), (8, 0.10)]),
             doc(2, &[(7, 0.50)]),
@@ -831,68 +849,64 @@ mod tests {
         ];
         for d in docs {
             full.insert_document(d.clone());
-            shadow.insert_document(d);
+            shadow.insert(d);
         }
-        assert!(shadow.list(TermId(7)).is_none());
+        assert!(shadow.lists.list(TermId(7)).is_none());
         // Terms with no postings in the window backfill to nothing.
-        shadow.acquire_terms([TermId(7), TermId(42)], &TermPostings::default());
-        assert_eq!(shadow.stats().register_postings_touched, 3);
-        let reference: Vec<_> = full.list(TermId(7)).unwrap().iter().collect();
-        let rebuilt: Vec<_> = shadow.list(TermId(7)).unwrap().iter().collect();
+        shadow.acquire(&[TermId(7), TermId(42)]);
+        assert_eq!(shadow.lists.stats().register_postings_touched, 3);
+        let reference: Vec<_> = full.lists.list(TermId(7)).unwrap().iter().collect();
+        let rebuilt: Vec<_> = shadow.lists.list(TermId(7)).unwrap().iter().collect();
         assert_eq!(reference, rebuilt);
-        assert!(shadow.list(TermId(42)).is_none());
+        assert!(shadow.lists.list(TermId(42)).is_none());
         // A second reference on a live term files nothing: the list is
         // already complete.
-        shadow.acquire_terms([TermId(7)], &TermPostings::default());
-        assert_eq!(shadow.stats().register_postings_touched, 3);
+        shadow.acquire(&[TermId(7)]);
+        assert_eq!(shadow.lists.stats().register_postings_touched, 3);
         shadow.check_invariants();
     }
 
     #[test]
     #[should_panic(expected = "do not hold exactly the live entries")]
     fn the_audit_reports_a_live_term_whose_list_is_incomplete() {
-        let mut idx = InvertedIndex::term_filtered();
-        idx.acquire_terms([TermId(7)], &TermPostings::default());
-        idx.insert_document(doc(1, &[(7, 0.3)]));
-        idx.check_invariants();
-        // A caller-side filter over an index that owns its filter: term 7 is
-        // live and this document's posting for it is never filed.
-        idx.insert_shared_filtered(Arc::new(doc(2, &[(7, 0.5)])), |_| false);
-        idx.check_invariants();
+        let mut shadow = Shadow::new();
+        shadow.acquire(&[TermId(7)]);
+        shadow.insert(doc(1, &[(7, 0.3)]));
+        shadow.check_invariants();
+        // A document the window holds and the lists never filed: term 7 is
+        // live and this document's posting for it is missing.
+        shadow.window.push(Arc::new(doc(2, &[(7, 0.5)])));
+        shadow.check_invariants();
     }
 
     #[test]
     fn supplied_postings_equal_walked_postings_equal_a_brute_force_filter() {
-        use crate::window_terms::WindowTerms;
         // Chunks of 8 over 29 documents, then 3 expire: the term set has hits
         // in the partly expired front chunk, in sealed chunks and in the
         // unsealed tail. `built` answers from directories, `walked` never
-        // builds one, `own` resolves through its own window.
+        // builds one; `supplied` files what `built` answers, `own` resolves
+        // on a window of its own as an engine does.
         let terms: Vec<TermId> = (0..12).map(TermId).collect();
         let mut built = WindowTerms::with_shape(8, usize::MAX);
         let mut walked = WindowTerms::with_shape(8, 0);
-        let mut supplied = InvertedIndex::term_filtered();
-        let mut own = InvertedIndex::term_filtered();
+        let mut supplied = TermLists::term_filtered();
+        let mut own = Shadow::new();
+        let mut entries = Vec::new();
         for i in 0..29u64 {
             let t = (i % 10) as u32;
-            let d = Arc::new(doc(
-                i,
-                &[(t, 0.1 + (i % 3) as f64 * 0.2), ((t + 5) % 10, 0.4)],
-            ));
-            for window in [&mut built, &mut walked] {
-                window.push(Arc::clone(&d));
-            }
-            for idx in [&mut supplied, &mut own] {
-                idx.insert_shared_filtered(Arc::clone(&d), |_| true);
-            }
+            let d = doc(i, &[(t, 0.1 + (i % 3) as f64 * 0.2), ((t + 5) % 10, 0.4)]);
+            walked.push(Arc::new(d.clone()));
+            let seq = built.push(Arc::new(d.clone()));
+            supplied.insert_arrival(seq, &d, &mut entries);
+            own.insert(d);
         }
         built.postings(terms.iter().copied());
         assert_eq!(built.stats().directories, 3);
-        for i in 0..3 {
-            built.pop_front();
+        for _ in 0..3 {
+            let d = built.pop_front().unwrap();
+            supplied.expire(&d, built.front_seq(), &mut entries);
             walked.pop_front();
-            supplied.remove_document(DocId(i));
-            own.remove_document(DocId(i));
+            own.remove_oldest();
         }
         let walked_before = built.stats().entries_walked;
         let from_directories = built.postings(terms.iter().copied());
@@ -901,15 +915,18 @@ mod tests {
         // fewer entries than one chunk holds.
         assert_eq!(built.stats().entries_walked - walked_before, 5 * 2);
         supplied.acquire_terms(terms.iter().copied(), &from_directories);
-        own.acquire_terms(terms.iter().copied(), &TermPostings::default());
+        own.acquire(&terms);
         // Equal but for who read the window.
-        let lists = |idx: &InvertedIndex| -> Vec<(TermId, Vec<Posting>)> {
-            idx.lists().map(|(t, l)| (t, l.iter().collect())).collect()
+        let lists = |lists: &TermLists| -> Vec<(TermId, Vec<Posting>)> {
+            lists
+                .lists()
+                .map(|(t, l)| (t, l.iter().collect()))
+                .collect()
         };
-        assert_eq!(lists(&supplied), lists(&own));
+        assert_eq!(lists(&supplied), lists(&own.lists));
         assert_eq!(supplied.stats().register_entries_walked, 0);
-        assert_eq!(own.stats().register_entries_walked, 26 * 2);
-        assert_eq!(own.stats().register_postings_touched, 26 * 2);
+        assert_eq!(own.window.stats().entries_walked, 26 * 2);
+        assert_eq!(own.lists.stats().register_postings_touched, 26 * 2);
         assert_eq!(supplied.stats().register_postings_touched, 26 * 2);
         for term in &terms {
             let filed: Vec<_> = supplied
@@ -918,46 +935,50 @@ mod tests {
                 .unwrap_or_default();
             assert_eq!(
                 filed,
-                window_postings(&own, *term),
+                window_postings(&own.window, *term),
                 "lists diverge for {term}"
             );
         }
-        supplied.check_invariants();
+        supplied.check_invariants(&built);
         own.check_invariants();
     }
 
+    /// A registration whose terms are partly live already: the owner
+    /// resolves only the rest, in one walk, and the lists file those; a
+    /// term the postings cover but the call does not name is not filed.
     #[test]
     fn partly_supplied_postings_are_completed_by_one_walk() {
-        let mut window = crate::window_terms::WindowTerms::new();
-        let mut idx = InvertedIndex::term_filtered();
+        let mut shadow = Shadow::new();
         for i in 0..6u64 {
-            let d = Arc::new(doc(i, &[(1, 0.5), (2, 0.1 + i as f64 * 0.1), (3, 0.2)]));
-            window.push(Arc::clone(&d));
-            idx.insert_shared_filtered(d, |_| true);
+            shadow.insert(doc(i, &[(1, 0.5), (2, 0.1 + i as f64 * 0.1), (3, 0.2)]));
         }
-        // Terms 1 and 9 are supplied (9 occurs nowhere), 2 is not; 3 is
-        // supplied but not asked for.
-        let supplied = window.postings([TermId(1), TermId(9), TermId(3)]);
-        idx.acquire_terms([TermId(2), TermId(1), TermId(9), TermId(2)], &supplied);
+        shadow.acquire(&[TermId(1)]);
+        assert_eq!(shadow.window.stats().entries_walked, 6 * 3);
+        let walked = shadow.window.stats().entries_walked;
+        // Terms 2 and 9 are new (9 occurs nowhere), 1 is live; 3 is
+        // resolved but not asked for.
+        let supplied = shadow.window.postings([TermId(2), TermId(9), TermId(3)]);
         assert_eq!(
-            idx.stats().register_entries_walked,
+            shadow.window.stats().entries_walked - walked,
             6 * 3,
-            "one walk for term 2"
+            "one walk for terms 2 and 9"
         );
-        assert_eq!(idx.stats().register_postings_touched, 12);
+        let terms = [TermId(2), TermId(1), TermId(9), TermId(2)];
+        shadow.lists.acquire_terms(terms, &supplied);
+        assert_eq!(shadow.lists.stats().register_postings_touched, 12);
         for term in [1, 2] {
-            let filed: Vec<_> = idx.list(TermId(term)).unwrap().iter().collect();
-            assert_eq!(filed, window_postings(&idx, TermId(term)));
+            let filed: Vec<_> = shadow.lists.list(TermId(term)).unwrap().iter().collect();
+            assert_eq!(filed, window_postings(&shadow.window, TermId(term)));
         }
-        assert!(idx.list(TermId(9)).is_none() && idx.list(TermId(3)).is_none());
-        idx.check_invariants();
+        assert!(shadow.lists.list(TermId(9)).is_none() && shadow.lists.list(TermId(3)).is_none());
+        shadow.check_invariants();
     }
 
     #[test]
     fn lists_iterator_covers_all_terms() {
         let mut idx = InvertedIndex::new();
         idx.insert_document(doc(1, &[(1, 0.5), (2, 0.4), (3, 0.3)]));
-        let terms: Vec<u32> = idx.lists().map(|(t, _)| t.0).collect();
+        let terms: Vec<u32> = idx.lists.lists().map(|(t, _)| t.0).collect();
         assert_eq!(terms, vec![1, 2, 3]);
     }
 }

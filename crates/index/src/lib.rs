@@ -5,17 +5,20 @@
 //! Queries":
 //!
 //! * [`WindowTerms`] — the first-in-first-out list of *valid* documents
-//!   (the sliding window contents), the one container of them: it holds each
-//!   document's full composition list for random-access scoring by id,
-//!   applies the window policy ([`WindowTerms::pop_expired`]) and resolves a
-//!   registration's postings — "the postings of these terms, in arrival
-//!   order" ([`TermPostings`]) — from lazily built per-chunk term
-//!   directories, without a pass over the whole window.
-//! * [`InvertedList`] / [`InvertedIndex`] — one impact-ordered inverted list
-//!   per dictionary term, holding `⟨w_{d,t}, seq⟩` entries ([`Posting`]: the
-//!   document named by its arrival sequence number in the window) sorted by
-//!   decreasing weight, filed on arrival and killed in place on expiration:
-//!   a posting is live iff its number is at or past the window's front.
+//!   (the sliding window contents), the one container of them, held once
+//!   per engine: it holds each document's full composition list for
+//!   random-access scoring by sequence number, applies the window policy
+//!   ([`WindowTerms::front_after`]) and resolves a registration's postings —
+//!   "the postings of these terms, in arrival order" ([`TermPostings`]) —
+//!   from lazily built per-chunk term directories, without a pass over the
+//!   whole window.
+//! * [`InvertedList`] / [`TermLists`] — one impact-ordered inverted list per
+//!   term, holding `⟨w_{d,t}, seq⟩` entries ([`Posting`]: the document named
+//!   by its arrival sequence number in the window) sorted by decreasing
+//!   weight, filed on arrival and killed in place on expiration: a posting
+//!   is live iff its number is at or past the front. The lists hold no
+//!   documents; [`InvertedIndex`] is full lists plus their window, for
+//!   stand-alone use.
 //! * [`ThresholdTree`] — the per-list book-keeping structure holding one
 //!   `⟨θ_{Q,t}, Q⟩` entry per query that contains the list's term, supporting
 //!   the probe "all queries whose local threshold is ≤ w".
@@ -57,7 +60,7 @@ pub mod window_terms;
 
 pub use arena::{DenseArena, LiveTerms};
 pub use document::{DocId, Document, QueryId, Timestamp};
-pub use index::{IndexStats, InvertedIndex};
+pub use index::{IndexStats, InvertedIndex, TermLists};
 pub use posting::Posting;
 pub use segmented::SegmentedImpactList;
 pub use threshold::{ThresholdEntry, ThresholdTree};

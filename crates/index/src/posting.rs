@@ -19,7 +19,7 @@
 //! compare, for count and time windows alike. Lists count their dead postings
 //! and drop them in one pass once they outnumber a quarter of the live ones
 //! ([`crate::SegmentedImpactList::expire`]); every read the engine makes skips
-//! them ([`crate::InvertedIndex::live_postings`]).
+//! them ([`crate::TermLists::live_postings`]).
 
 #![deny(clippy::disallowed_types)]
 

@@ -53,7 +53,7 @@
 //!   charges for: "read a prefix of `L_t`" remains a linear read of adjacent
 //!   memory, with one extra pointer hop per `capacity` entries visited. The
 //!   list's reads return dead postings too; the index's one read path skips
-//!   them ([`crate::InvertedIndex::live_postings`]).
+//!   them ([`crate::TermLists::live_postings`]).
 //!
 //! `tests/differential_impact_list.rs` drives this layout and a flat
 //! sorted-`Vec` reference through randomized interleavings of inserts,

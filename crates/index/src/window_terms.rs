@@ -1,19 +1,21 @@
 //! The valid documents: the paper's FIFO list (Figure 1), and the window as
 //! a registration reads it.
 //!
-//! [`WindowTerms`] is the one container of valid documents. Every engine
-//! keeps its window in one — an [`crate::InvertedIndex`] (so every
-//! `ItaEngine` and every shard), the naive baseline and the sharded
-//! coordinator's mirror — as shared `Arc<Document>`s in arrival order, so N
-//! shards mirroring one stream hold each composition list once. It does
-//! three things:
+//! [`WindowTerms`] is the one container of valid documents, and every engine
+//! holds exactly one: an `ItaEngine`, the sharded coordinator (its shards'
+//! lists name its documents and read them through it) and the naive
+//! baseline each keep their valid documents in one, as shared
+//! `Arc<Document>`s in arrival order. It does three things:
 //!
 //! * **Arrival and expiry.** [`WindowTerms::push`] appends;
-//!   [`WindowTerms::pop_expired`] is the one place the window policy is
-//!   applied: it pops the oldest document while [`SlidingWindow::is_stale`]
-//!   says so. `now` is the latest event's arrival, and expiry stops at the
-//!   first document still fresh — so after a timestamp steps backwards, a
-//!   document behind a fresh one waits for it, whatever its own timestamp.
+//!   [`WindowTerms::front_after`] is the one place the window policy is
+//!   applied: it advances a front past the oldest document while
+//!   [`SlidingWindow::is_stale`] says so. `now` is the latest event's
+//!   arrival, and expiry stops at the first document still fresh — so after
+//!   a timestamp steps backwards, a document behind a fresh one waits for
+//!   it, whatever its own timestamp. The owner pops what it expired
+//!   ([`WindowTerms::trim`], or [`WindowTerms::pop_expired`] one at a time)
+//!   once nobody reads those documents any more.
 //! * **The document handle.** Every arrival gets the next **sequence
 //!   number**, and the window holds the documents with numbers
 //!   [`WindowTerms::front_seq`]`..` — so a posting names its document by
@@ -53,12 +55,11 @@
 //! chunks it had to walk, newest first (the oldest expire soonest). The first
 //! registration after a quiet stretch costs one walk plus that bounded build;
 //! steady churn finds every sealed chunk built. A window nobody asks — a
-//! full index's, a shard's (its coordinator resolves for it), the naive
-//! baseline's — never walks and never builds. Arrival and expiry do no term
-//! work at all: [`WindowTerms::push`] and [`WindowTerms::pop_front`] are
-//! pointer pushes and pops and one id-map update, plus dropping a directory
-//! when its chunk's last document leaves (DESIGN.md §9 has the prices that
-//! ruled per-event maintenance out).
+//! full-index engine's, the naive baseline's — never walks and never builds.
+//! Arrival and expiry do no term work at all: [`WindowTerms::push`] and
+//! [`WindowTerms::pop_front`] are pointer pushes and pops and one id-map
+//! update, plus dropping a directory when its chunk's last document leaves
+//! (DESIGN.md §9 has the prices that ruled per-event maintenance out).
 
 #![deny(clippy::disallowed_types)]
 
@@ -106,8 +107,7 @@ pub const MAX_POSITIONS: usize = 1 << u16::BITS;
 /// term, the `(sequence number, weight)` pairs of the valid documents
 /// containing it, **in arrival order** — the insertion sequence an
 /// always-live list would have seen. Resolved by [`WindowTerms::postings`]
-/// and filed by `InvertedIndex::acquire_terms`, which requires both windows
-/// to number the same documents alike.
+/// and filed by [`crate::TermLists::acquire_terms`] over the same window.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermPostings {
     /// Sorted and distinct.
@@ -443,30 +443,16 @@ impl WindowTerms {
     /// Panics unless `1 <= chunk_docs < 32768` (a directory slot is a `u16`
     /// with one bit spoken for).
     pub fn with_shape(chunk_docs: usize, builds_per_call: usize) -> Self {
-        Self::shaped(chunk_docs, builds_per_call, 0)
-    }
-
-    /// An empty window with the production shape whose first arrival gets
-    /// sequence number `first_seq`, as if `first_seq` documents had come and
-    /// gone: a shard seeded with a mirror's documents numbers them as the
-    /// mirror does.
-    pub fn numbered_from(first_seq: u64) -> Self {
-        Self::shaped(CHUNK_DOCS, BUILDS_PER_CALL, first_seq)
-    }
-
-    fn shaped(chunk_docs: usize, builds_per_call: usize, first_seq: u64) -> Self {
         assert!(
             (1..usize::from(MULTI)).contains(&chunk_docs),
             "a chunk holds between 1 and 32767 documents"
         );
-        // A number inside a chunk starts in that chunk's slot.
-        let open = usize::from(!first_seq.is_multiple_of(chunk_docs as u64));
         Self {
             docs: VecDeque::new(),
             ids: VecDeque::new(),
             seqs: Default::default(),
-            popped: first_seq,
-            directories: std::iter::repeat_n(None, open).collect(),
+            popped: 0,
+            directories: VecDeque::new(),
             chunk_docs,
             builds_per_call,
             entries_walked: 0,
@@ -552,17 +538,49 @@ impl WindowTerms {
         Some(doc)
     }
 
-    /// Pops the oldest document if it has left `window` at `now`
-    /// ([`SlidingWindow::is_stale`]) — the one place the window policy is
-    /// applied. Expiry is a loop over this: it takes documents in arrival
-    /// order and stops at the first one still fresh.
+    /// Pops the oldest document if it has left `window` at `now` — a loop
+    /// over this is expiry for an owner nobody reads by number while it
+    /// expires (the naive baseline).
     pub fn pop_expired(&mut self, window: SlidingWindow, now: Timestamp) -> Option<Arc<Document>> {
-        let oldest = self.docs.front()?;
-        if window.is_stale(self.docs.len(), oldest.arrival, now) {
-            self.pop_front()
-        } else {
-            None
+        let end = self.popped + self.docs.len() as u64;
+        self.stale(window, self.popped, end, now)
+            .then(|| self.pop_front())
+            .flatten()
+    }
+
+    /// The window policy's one rule, over sequence numbers: the front that
+    /// `window` leaves at `now` (the latest arrival) when the documents
+    /// numbered `front..end` are valid — advanced past the oldest while
+    /// [`SlidingWindow::is_stale`] says so (see the module documentation).
+    /// It only reads: an owner asks it per event over documents it has
+    /// pushed ahead, and pops them ([`WindowTerms::trim`]) once nobody
+    /// reads them any more.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every number in `front..end` is in the window.
+    pub fn front_after(
+        &self,
+        window: SlidingWindow,
+        mut front: u64,
+        end: u64,
+        now: Timestamp,
+    ) -> u64 {
+        while self.stale(window, front, end, now) {
+            front += 1;
         }
+        front
+    }
+
+    /// Whether the document numbered `front`, the oldest of the valid
+    /// `front..end`, has left `window` at `now`.
+    fn stale(&self, window: SlidingWindow, front: u64, end: u64, now: Timestamp) -> bool {
+        front < end && window.is_stale((end - front) as usize, self.doc_at(front).arrival, now)
+    }
+
+    /// Pops the documents numbered below `front`.
+    pub fn trim(&mut self, front: u64) {
+        while self.popped < front && self.pop_front().is_some() {}
     }
 
     /// How many documents of the front chunk have expired.
@@ -818,33 +836,6 @@ mod tests {
             Timestamp::from_millis(9)
         );
         assert!(!window.contains(DocId(99)));
-    }
-
-    #[test]
-    fn a_window_numbered_from_mid_chunk_resolves_as_the_original_does() {
-        // The original has seen 0..10 and expired 0..6; the copy starts at
-        // its front and must number, chunk and resolve alike.
-        let mut original = WindowTerms::with_shape(4, usize::MAX);
-        for i in 0..10 {
-            assert_eq!(original.push(doc(i, &[(i as u32 % 3, 0.5)])), i);
-        }
-        for _ in 0..6 {
-            original.pop_front();
-        }
-        let mut copy = WindowTerms::shaped(4, usize::MAX, original.front_seq());
-        assert_eq!(copy.stats().chunks, 1, "6 sits inside the chunk 4..8");
-        copy.check_invariants();
-        for d in original.iter() {
-            copy.push(Arc::clone(d));
-            copy.check_invariants();
-        }
-        assert_eq!(copy.front_seq(), 6);
-        assert_eq!(copy.stats().chunks, original.stats().chunks);
-        let wanted = [TermId(0), TermId(1), TermId(2)];
-        assert_eq!(copy.postings(wanted), original.postings(wanted));
-        assert_eq!(ids(&copy.postings(wanted), 0), vec![6, 9]);
-        assert_eq!(copy.id_at(9), DocId(9));
-        assert_eq!(WindowTerms::numbered_from(5).front_seq(), 5);
     }
 
     #[test]

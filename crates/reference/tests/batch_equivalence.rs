@@ -290,7 +290,7 @@ fn burst_of_one_session(window: SlidingWindow, shards: usize) {
             }
             _ => {}
         }
-        let single = singles.try_process(doc.clone());
+        let single = Ok(singles.process_document(doc.clone()));
         let burst = bursts.try_process_batch(vec![doc]).map(|mut outcomes| {
             assert_eq!(outcomes.len(), 1, "{context}");
             outcomes.remove(0)

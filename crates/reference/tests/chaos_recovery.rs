@@ -5,7 +5,7 @@
 //! shard counts {1, 2, 4, 8}.
 //!
 //! There is one recovery path (DESIGN.md §10): a faulted shard is rebuilt as
-//! a registration of its queries over the coordinator's window mirror. ITA's
+//! a registration of its queries over the coordinator's window. ITA's
 //! reported top-k is a function of (window contents, registered queries), so
 //! results are exact throughout. Its thresholds are history-dependent — a
 //! query registered mid-stream carries thresholds derived from documents
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use cts_core::{ContinuousQuery, Engine, ItaConfig, ItaEngine, ShardedItaEngine};
 use cts_corpus::ScriptRng;
-use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp, WindowTerms};
+use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_reference::testkit::{
     assert_script_equivalence, generate_script, run_script, Op, RunOptions, ScriptConfig,
 };
@@ -158,9 +158,9 @@ fn small_query(rng: &mut ScriptRng) -> ContinuousQuery {
 
 /// Right after a resurrection a rebuilt shard is "these queries registered
 /// over this window" and nothing else: no rebuilt query has examined an
-/// arrival or an expiration, no shard read its own store (the rebuild ships
-/// its postings), and results are the oracle's — the shards are rebuilt
-/// inside the faulting event.
+/// arrival or an expiration, no shard walked a window (the coordinator
+/// resolves the rebuild's postings), and results are the oracle's — the
+/// shards are rebuilt inside the faulting event.
 #[test]
 fn a_rebuilt_shard_is_a_registration_over_the_mirror() {
     for shards in [1usize, 2, 4, 8] {
@@ -373,9 +373,9 @@ fn injected_fault_is_applied_then_recovered_exactly() {
 }
 
 /// Every shard faults on one event (the event is applied, then each shard
-/// panics) and every shard is rebuilt before the event returns; the rebuild
-/// loads the event from the mirror without processing it. Twice, with
-/// results exact throughout.
+/// panics) and every shard is rebuilt before the event returns, over the
+/// window that already holds the event. Twice, with results exact
+/// throughout.
 #[test]
 fn a_fault_on_every_shard_at_once_is_rebuilt_exactly() {
     let window = SlidingWindow::count_based(6);
@@ -627,9 +627,9 @@ fn a_registration_that_finds_a_dead_worker_lands_on_the_hash_shard() {
 }
 
 /// The contract the suites above rely on, stated on the engine itself: a
-/// term-filtered engine rebuilt the way a shard is — the window loaded, then
-/// every query registered with postings resolved over it — reports exactly
-/// the results of the engine it replaces, now and on every later event. Its
+/// core rebuilt the way a shard is — fresh, then every query registered in
+/// one batch with postings resolved on the window — reports exactly the
+/// results of the engine it replaces, now and on every later event. Its
 /// work counters need not match: a query registered mid-stream carries
 /// thresholds derived from documents that have since expired, which a
 /// registration over the surviving window cannot reproduce. That is why
@@ -677,26 +677,21 @@ fn a_rebuild_keeps_results_exact_while_counters_may_differ() {
                 queries.push((reference.register(q.clone()), q));
             }
         }
-        // The rebuild: the window loaded into a fresh engine, then one
-        // registration with the postings its owner resolves.
-        let mut mirror = WindowTerms::new();
-        let mut rebuilt = ItaEngine::term_filtered(window);
-        for doc in reference.store_documents() {
-            let doc = std::sync::Arc::new(doc.clone());
-            mirror.push(std::sync::Arc::clone(&doc));
-            rebuilt.process_shared(doc);
-        }
-        let batch: Vec<(QueryId, std::sync::Arc<ContinuousQuery>)> = queries
+        // The rebuild, as the coordinator runs one: a fresh core over the
+        // window, every query registered in one batch with postings resolved
+        // on that window. A one-shard engine that takes the valid documents
+        // before any query registers is exactly that.
+        let mut rebuilt = ShardedItaEngine::new(window, ItaConfig::default(), 1);
+        let valid: Vec<Document> = reference
+            .documents()
             .iter()
-            .map(|(qid, query)| (*qid, std::sync::Arc::new(query.clone())))
+            .map(|d| (**d).clone())
             .collect();
-        let postings = mirror.postings(
-            queries
-                .iter()
-                .flat_map(|(_, query)| query.terms().map(|(t, _)| t)),
-        );
-        rebuilt.register_shared_batch(&batch, &postings);
-        assert_eq!(rebuilt.index_stats().register_entries_walked, 0);
+        rebuilt.process_batch(valid);
+        let batch: Vec<ContinuousQuery> = queries.iter().map(|(_, query)| query.clone()).collect();
+        let registered = rebuilt.register_batch(batch);
+        assert!(registered.iter().eq(queries.iter().map(|(qid, _)| qid)));
+        assert_eq!(rebuilt.shard_index_stats()[0].register_entries_walked, 0);
         let ids: Vec<QueryId> = queries.iter().map(|(qid, _)| *qid).collect();
         // Results match now (a function of window contents and queries)…
         assert_engines_agree(&reference, &rebuilt, &ids);

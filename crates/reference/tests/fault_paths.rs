@@ -119,9 +119,9 @@ fn duplicate_queries_in_one_burst_get_distinct_ids() {
     );
 }
 
-/// A duplicate id would panic in every shard and, once in the mirror, in
+/// A duplicate id would panic in every shard and, once in the window, in
 /// every rebuild — a fault no recovery repairs. The coordinator refuses it,
-/// inside one burst or against the window, before any shard or the mirror
+/// inside one burst or against the window, before any shard or the window
 /// sees the burst: nothing faults, nothing moves, and an id that has left
 /// the window is fresh again.
 #[test]

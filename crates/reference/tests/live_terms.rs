@@ -7,46 +7,41 @@
 //!
 //! * a **plain** [`ItaEngine`] (full index, identity keys) hosting every
 //!   query;
-//! * two **term-filtered** engines (live-slot keys) that both see every
-//!   document and host one part of the queries each — the shard
-//!   configuration: every registration files the postings a [`WindowTerms`]
-//!   mirror resolves, as the sharded coordinator ships them, and never walks
-//!   the engine's own store;
+//! * a [`ShardedItaEngine`], whose shards are **term-filtered** cores
+//!   (live-slot keys) that host one part of the queries each and read the
+//!   coordinator's window: every registration files the postings the
+//!   coordinator resolves on its [`cts_index::WindowTerms`], and no shard
+//!   has a window to walk;
 //! * the [`BruteForceOracle`].
 //!
-//! After every op: `check_invariants()` on all three ITA engines, merged
-//! filtered [`EventOutcome`]s equal to the plain engine's, and per query
-//! identical [`cts_core::ItaQueryStats`] and results (scores by
-//! `f64::to_bits`) on plain engine, hosting filtered engine and oracle.
+//! After every op: `check_invariants()` on both ITA engines, the sharded
+//! engine's merged [`EventOutcome`]s equal to the plain engine's, and per
+//! query identical [`cts_core::ItaQueryStats`] and results (scores by
+//! `f64::to_bits`) on plain engine, sharded engine and oracle.
 //!
 //! Also here: the bit-identity of scoring a live-entry slice instead of the
 //! whole composition list, and the memory shape the live-slot key space
 //! promises.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use cts_core::{ContinuousQuery, Engine, EventOutcome, ItaConfig, ItaEngine, RankedDocument};
+use cts_core::{
+    ContinuousQuery, Engine, EventOutcome, ItaConfig, ItaEngine, RankedDocument, ShardedItaEngine,
+};
 use cts_corpus::ScriptRng;
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
-use cts_index::{DocId, Document, LiveTerms, QueryId, SlidingWindow, Timestamp, WindowTerms};
+use cts_index::{DocId, Document, IndexStats, LiveTerms, QueryId, SlidingWindow, Timestamp};
 use cts_reference::BruteForceOracle;
 use cts_text::weighting::Scoring;
 use cts_text::{Dictionary, TermId, Weight, WeightedVector};
 
-/// The three views, plus where each query lives among the filtered pair.
+/// The three views, and the queries live in them.
 struct Rig {
     plain: ItaEngine,
-    filtered: [ItaEngine; 2],
-    /// The window as its owner sees it: what a registration's postings are
-    /// resolved against.
-    window: SlidingWindow,
-    mirror: WindowTerms,
-    /// Postings shipped with registrations so far.
-    shipped: usize,
+    sharded: ShardedItaEngine,
     oracle: BruteForceOracle,
-    host: BTreeMap<QueryId, usize>,
+    live: BTreeSet<QueryId>,
     next_doc: u64,
     clock_ms: u64,
 }
@@ -59,47 +54,38 @@ fn bits(results: &[RankedDocument]) -> Vec<(u64, u64)> {
 }
 
 impl Rig {
-    fn new(window: SlidingWindow) -> Self {
+    fn new(window: SlidingWindow, shards: usize) -> Self {
         Rig {
             plain: ItaEngine::new(window, ItaConfig::default()),
-            filtered: [
-                ItaEngine::term_filtered(window),
-                ItaEngine::term_filtered(window),
-            ],
-            window,
-            mirror: WindowTerms::new(),
-            shipped: 0,
+            sharded: ShardedItaEngine::new(window, ItaConfig::default(), shards),
             oracle: BruteForceOracle::new(window),
-            host: BTreeMap::new(),
+            live: BTreeSet::new(),
             next_doc: 0,
             clock_ms: 0,
         }
     }
 
-    /// Registers on `shard` with the mirror's postings shipped, as the
-    /// sharded coordinator does: the engine files the lists of its
-    /// newly-live terms from them and reads no store.
-    fn register(&mut self, terms: &[(u32, f64)], k: usize, shard: usize) -> QueryId {
+    /// Registers on every view. The sharded engine's shards file the lists
+    /// of their newly-live terms from the postings the coordinator resolves,
+    /// and walk no window of their own.
+    fn register(&mut self, terms: &[(u32, f64)], k: usize) -> QueryId {
         let query = ContinuousQuery::from_weights(terms.iter().map(|&(t, w)| (TermId(t), w)), k);
         let qid = self.plain.register(query.clone());
         assert_eq!(self.oracle.register(query.clone()), qid);
-        let postings = self.mirror.postings(query.terms().map(|(term, _)| term));
-        self.shipped += postings.len();
-        let walked = self.filtered[shard].index_stats().register_entries_walked;
-        self.filtered[shard].register_shared_batch(&[(qid, Arc::new(query))], &postings);
+        assert_eq!(self.sharded.register(query), qid);
         assert_eq!(
-            self.filtered[shard].index_stats().register_entries_walked,
-            walked
+            self.stats(|shard| shard.register_entries_walked as usize),
+            0
         );
-        self.host.insert(qid, shard);
-        self.audit(&format!("register {qid} on shard {shard}"));
+        self.live.insert(qid);
+        self.audit(&format!("register {qid}"));
         qid
     }
 
     fn deregister(&mut self, qid: QueryId) {
-        let shard = self.host.remove(&qid).expect("query is live");
+        assert!(self.live.remove(&qid), "query is live");
         assert!(self.plain.deregister(qid) && self.oracle.deregister(qid));
-        assert!(self.filtered[shard].deregister(qid));
+        assert!(self.sharded.deregister(qid));
         self.audit(&format!("deregister {qid}"));
     }
 
@@ -113,14 +99,8 @@ impl Rig {
         );
         self.next_doc += 1;
         let expected = self.plain.process_document(doc.clone());
-        let [a, b] = &mut self.filtered;
-        let mut merged = a.process_document(doc.clone());
-        merged.merge_shard(&b.process_document(doc.clone()));
+        let merged = self.sharded.process_document(doc.clone());
         assert_eq!(merged, expected, "outcomes diverged on {}", doc.id);
-        self.mirror.push(Arc::new(doc.clone()));
-        let mirror = &mut self.mirror;
-        let expired = std::iter::from_fn(|| mirror.pop_expired(self.window, doc.arrival));
-        assert_eq!(expired.count(), expected.expired);
         self.oracle.process_document(doc);
         self.audit(&format!("feed d{}", self.next_doc - 1));
         expected
@@ -128,21 +108,18 @@ impl Rig {
 
     fn audit(&self, context: &str) {
         self.plain.check_invariants();
-        for engine in &self.filtered {
-            engine.check_invariants();
-        }
-        for (&qid, &shard) in &self.host {
-            let hosted = &self.filtered[shard];
+        self.sharded.check_invariants();
+        for &qid in &self.live {
             assert_eq!(
-                hosted.query_stats(qid),
+                self.sharded.query_stats(qid),
                 self.plain.query_stats(qid),
                 "{context}: stats of {qid} diverged"
             );
             let expected = bits(&self.plain.current_results(qid));
             assert_eq!(
-                bits(&hosted.current_results(qid)),
+                bits(&self.sharded.current_results(qid)),
                 expected,
-                "{context}: filtered results of {qid} diverged"
+                "{context}: sharded results of {qid} diverged"
             );
             assert_eq!(
                 bits(&self.oracle.current_results(qid)),
@@ -152,8 +129,20 @@ impl Rig {
         }
     }
 
-    fn postings(&self, shard: usize) -> usize {
-        self.filtered[shard].index_stats().postings
+    /// `field` of the shards' list statistics, summed over the shards.
+    fn stats(&self, field: impl Fn(&IndexStats) -> usize) -> usize {
+        self.sharded.shard_index_stats().iter().map(field).sum()
+    }
+
+    /// Live postings the shards' lists hold.
+    fn postings(&self) -> usize {
+        self.stats(|shard| shard.postings)
+    }
+
+    /// Postings the coordinator has resolved for registrations so far.
+    fn shipped(&self) -> u64 {
+        let resolved = self.sharded.window_terms_stats();
+        resolved.postings_from_walks + resolved.postings_from_directories
     }
 }
 
@@ -162,36 +151,32 @@ const U: u32 = 7;
 
 #[test]
 fn a_term_going_live_after_arrival_is_backfilled_and_cleaned_on_expiry() {
-    let mut rig = Rig::new(SlidingWindow::count_based(3));
+    let mut rig = Rig::new(SlidingWindow::count_based(3), 1);
     rig.feed(&[(T, 0.4), (U, 0.2)], 1);
     rig.feed(&[(T, 0.7)], 1);
-    assert_eq!(rig.postings(0), 0, "nothing is live, nothing is filed");
-    let q = rig.register(&[(T, 1.0)], 2, 0);
-    assert_eq!(rig.postings(0), 2, "the backfill found both documents");
-    assert_eq!(rig.filtered[0].current_results(q).len(), 2);
+    assert_eq!(rig.postings(), 0, "nothing is live, nothing is filed");
+    let q = rig.register(&[(T, 1.0)], 2);
+    assert_eq!(rig.postings(), 2, "the backfill found both documents");
+    assert_eq!(rig.sharded.current_results(q).len(), 2);
     rig.feed(&[(U, 0.9)], 1);
     // The two documents that arrived before T was live now expire: the
     // re-intersection finds T live and removes the backfilled postings.
     let out = rig.feed(&[(U, 0.1)], 1);
     assert_eq!(out.expired, 1);
     rig.feed(&[(U, 0.1)], 1);
-    assert_eq!(rig.postings(0), 0);
-    assert!(rig.filtered[0].current_results(q).is_empty());
+    assert_eq!(rig.postings(), 0);
+    assert!(rig.sharded.current_results(q).is_empty());
 }
 
 #[test]
 fn a_term_whose_last_query_left_is_skipped_on_expiry() {
-    let mut rig = Rig::new(SlidingWindow::count_based(2));
-    let q = rig.register(&[(T, 0.6), (U, 0.4)], 1, 1);
+    let mut rig = Rig::new(SlidingWindow::count_based(2), 1);
+    let q = rig.register(&[(T, 0.6), (U, 0.4)], 1);
     rig.feed(&[(T, 0.5), (U, 0.5)], 1);
-    assert_eq!(rig.postings(1), 2);
+    assert_eq!(rig.postings(), 2);
     rig.deregister(q);
-    assert_eq!(
-        rig.postings(1),
-        0,
-        "the last reference took the lists along"
-    );
-    assert_eq!(rig.filtered[1].index_stats().live_terms, 0);
+    assert_eq!(rig.postings(), 0, "the last reference took the lists along");
+    assert_eq!(rig.stats(|shard| shard.live_terms), 0);
     rig.feed(&[(T, 0.1)], 1);
     // d0 was filed under two lists that no longer exist.
     let out = rig.feed(&[(T, 0.1)], 1);
@@ -199,22 +184,31 @@ fn a_term_whose_last_query_left_is_skipped_on_expiry() {
 }
 
 /// Feeds a low, a middle and a high `T` document, then registers `{T}` with
-/// `k = 1` late on shard 1, which no query ever made `T` live on: the
+/// `k = 1` late on the one shard, which no query ever made `T` live on: the
 /// registration lists all three documents at once from the shipped
 /// postings, and the descent examines the high one and stops at the middle
 /// one, so `θ_T` = 0.6 lies strictly above the low posting.
 fn rig_with_t_registered_late_on_shard_1() -> (Rig, QueryId) {
-    let mut rig = Rig::new(SlidingWindow::count_based(4));
+    let mut rig = Rig::new(SlidingWindow::count_based(4), 1);
     rig.feed(&[(T, 0.2)], 1);
     rig.feed(&[(T, 0.6)], 1);
     rig.feed(&[(T, 0.9)], 1);
-    let q = rig.register(&[(T, 1.0)], 1, 1);
+    let q = rig.register(&[(T, 1.0)], 1);
     assert_eq!(
-        rig.filtered[1].local_threshold(q, TermId(T)),
+        rig.plain.local_threshold(q, TermId(T)),
         Some(Weight::new(0.6))
     );
-    assert_eq!((rig.shipped, rig.postings(1)), (3, 3));
-    assert_eq!(rig.filtered[1].index_stats().register_postings_touched, 3);
+    // A one-term query's τ is its θ: the shard's equals the plain engine's.
+    let tau = rig
+        .sharded
+        .query_stats(q)
+        .map(|stats| stats.influence_threshold);
+    assert_eq!(tau, Some(0.6));
+    assert_eq!((rig.shipped(), rig.postings()), (3, 3));
+    assert_eq!(
+        rig.stats(|shard| shard.register_postings_touched as usize),
+        3
+    );
     (rig, q)
 }
 
@@ -225,16 +219,20 @@ fn a_term_a_late_registration_brings_live_is_listed_at_once_later_arrivals_inclu
     // list is complete from the registration on.
     let out = rig.feed(&[(T, 0.5)], 1);
     assert_eq!(out.queries_touched_by_arrival, 0);
-    assert_eq!(rig.postings(1), 4);
-    // A second query on T registers on shard 1 and finds the list as it is.
-    rig.register(&[(T, 0.5), (U, 0.5)], 2, 1);
-    assert_eq!(rig.filtered[1].index_stats().register_postings_touched, 3);
-    assert_eq!(rig.postings(1), 4);
+    assert_eq!(rig.postings(), 4);
+    // A second query on T registers on the same shard and finds the list as
+    // it is.
+    rig.register(&[(T, 0.5), (U, 0.5)], 2);
+    assert_eq!(
+        rig.stats(|shard| shard.register_postings_touched as usize),
+        3
+    );
+    assert_eq!(rig.postings(), 4);
     // Slide until every T document has expired out of the list.
     for _ in 0..4 {
         rig.feed(&[(U, 0.3)], 1);
     }
-    assert_eq!(rig.postings(1), 4, "only the four U postings remain");
+    assert_eq!(rig.postings(), 4, "only the four U postings remain");
 }
 
 #[test]
@@ -245,53 +243,53 @@ fn a_shipped_posting_expires_out_of_its_list_below_the_threshold_and_above() {
     // posting the registration shipped leaves the list.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 0));
-    assert_eq!(rig.postings(1), 2);
+    assert_eq!(rig.postings(), 2);
     // d1 (T: 0.6) sits on the frontier, never examined and not in R: the
     // probe touches the query, which has nothing to repair.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 1));
     assert_eq!(out.results_changed, 0);
-    assert_eq!(rig.postings(1), 1);
+    assert_eq!(rig.postings(), 1);
     // d2 (T: 0.9) is the top-1: its expiry refills from a list now empty.
     let out = rig.feed(&[(U, 0.3)], 1);
     assert_eq!((out.expired, out.queries_touched_by_expiration), (1, 1));
-    assert_eq!(rig.postings(1), 0);
-    assert!(rig.filtered[1].current_results(q).is_empty());
+    assert_eq!(rig.postings(), 0);
+    assert!(rig.sharded.current_results(q).is_empty());
 }
 
 #[test]
 fn a_term_that_dies_and_is_reregistered_is_rebuilt_under_a_recycled_slot() {
-    let mut rig = Rig::new(SlidingWindow::time_based(Duration::from_millis(10)));
-    let first = rig.register(&[(T, 1.0)], 1, 0);
+    let mut rig = Rig::new(SlidingWindow::time_based(Duration::from_millis(10)), 1);
+    let first = rig.register(&[(T, 1.0)], 1);
     rig.feed(&[(T, 0.6)], 1);
     rig.feed(&[(T, 0.3), (U, 0.3)], 1);
     rig.deregister(first);
     // U takes the slot T vacated; T comes back under a new one.
-    rig.register(&[(U, 1.0)], 1, 0);
-    let second = rig.register(&[(T, 1.0)], 2, 0);
-    assert_eq!(rig.postings(0), 3);
-    assert_eq!(rig.filtered[0].current_results(second).len(), 2);
+    rig.register(&[(U, 1.0)], 1);
+    let second = rig.register(&[(T, 1.0)], 2);
+    assert_eq!(rig.postings(), 3);
+    assert_eq!(rig.sharded.current_results(second).len(), 2);
     // Both documents arrived while the *first* T was live; they expire out
     // of the second T's list (equal timestamps expire together).
     let out = rig.feed(&[(U, 0.1)], 20);
     assert_eq!(out.expired, 2);
-    assert_eq!(rig.postings(0), 1);
+    assert_eq!(rig.postings(), 1);
 }
 
 /// Seeded scripts over a small vocabulary, so that every op keeps moving
 /// terms across the live/dead boundary under documents in the window.
 fn random_script(window: SlidingWindow, seed: u64) {
     let mut rng = ScriptRng::new(seed);
-    let mut rig = Rig::new(window);
+    let mut rig = Rig::new(window, 2);
     let weights = [0.1, 0.25, 0.4, 0.55, 0.7];
     for _ in 0..260 {
-        let live: Vec<QueryId> = rig.host.keys().copied().collect();
+        let live: Vec<QueryId> = rig.live.iter().copied().collect();
         match rng.below(10) {
             0 | 1 if live.len() < 8 => {
                 let terms: Vec<(u32, f64)> = (0..rng.range(1, 4))
                     .map(|_| (rng.below(9) as u32 * 97, *rng.pick(&weights)))
                     .collect();
-                rig.register(&terms, rng.range(1, 4), rng.below(2));
+                rig.register(&terms, rng.range(1, 4));
             }
             2 if !live.is_empty() => rig.deregister(*rng.pick(&live)),
             _ => {
@@ -304,9 +302,9 @@ fn random_script(window: SlidingWindow, seed: u64) {
         }
     }
     assert!(
-        rig.shipped > 20,
+        rig.shipped() > 20,
         "seed {seed:#x} exercised nothing: registrations shipped {} postings",
-        rig.shipped
+        rig.shipped()
     );
 }
 

@@ -37,11 +37,12 @@ const CHECK_EVERY: usize = 500;
 const SAMPLE: usize = 25;
 
 /// Recomputes `query`'s true top-k by scoring every valid document in the
-/// engine's own store, mirroring `BruteForceOracle` without paying for a
+/// engine's own window, as `BruteForceOracle` does, without paying for a
 /// second copy of the 10k-document window.
 fn brute_force_top(engine: &ItaEngine, query: &ContinuousQuery) -> Vec<(u64, f64)> {
     let mut scored: Vec<(u64, f64)> = engine
-        .store_documents()
+        .documents()
+        .iter()
         .map(|doc| (doc.id.0, query.score(&doc.composition)))
         .filter(|(_, score)| *score > 0.0)
         .collect();
@@ -243,7 +244,7 @@ fn sharded_ita_stays_exact_at_paper_scale() {
     assert_eq!(sharded.num_queries(), NUM_QUERIES);
     assert_eq!(sharded.num_valid_documents(), WINDOW_DOCS);
 
-    // Every shard mirrors the full window; the shadow postings across all
+    // Every shard holds the full window valid; the postings across all
     // shards stay below the full index (most composition terms are watched
     // by no query at this workload).
     let full = reference.index_stats();

@@ -44,11 +44,11 @@ fn sharded_matches_single_shard_under_count_based_windows() {
 }
 
 /// The runner compares engine-level observables, and
-/// `ShardedItaEngine::num_valid_documents` is the coordinator's mirror — so this
-/// scenario keeps the concrete engines (`&mut E` is an `Engine`) and
-/// asserts afterwards that **every** shard's shadow index mirrors the
-/// reference window exactly. A shard ≥ 1 mis-expiring its mirror cannot
-/// hide behind a lucky query placement here.
+/// `ShardedItaEngine::num_valid_documents` is the coordinator's window — so
+/// this scenario keeps the concrete engines (`&mut E` is an `Engine`) and
+/// asserts afterwards that **every** shard's core holds valid as many
+/// documents as the reference window. A shard ≥ 1 mis-expiring cannot hide
+/// behind a lucky query placement here.
 #[test]
 fn every_shard_mirrors_the_reference_window() {
     use cts_reference::testkit::{generate_script, run_script, RunOptions};
@@ -75,7 +75,7 @@ fn every_shard_mirrors_the_reference_window() {
         for (shard, stats) in sharded.shard_index_stats().iter().enumerate() {
             assert_eq!(
                 stats.documents, full_docs,
-                "{shards}-shard engine: shard {shard} window mirror drifted"
+                "{shards}-shard engine: shard {shard}'s valid documents drifted"
             );
         }
     }

@@ -117,27 +117,28 @@ tier_test() {
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test sharded_equivalence --test batch_equivalence churn_storm
     # The same lockstep runner with the per-op structural audits compiled
     # in: after every op, every engine's check_invariants walks threshold
-    # trees, term refcounts, the complete-lists invariant of every shadow
-    # index (a live term's list holds exactly the window's postings for it)
+    # trees, term refcounts, the complete-lists invariant of every
+    # term-filtered core (a live term's list holds exactly the window's
+    # postings for it)
     # and each shard's hash placement (integration tests link the lib
     # without cfg(test), so the feature is what turns the audits on here).
     # Shard counts {1, 2, 4, 8} via the suites' own loops.
     # overload_service rides along: its sessions audit the service-hosted
     # candidate wherever they compare live results. live_terms is the
-    # filtered-vs-plain-vs-oracle lockstep whose scripts move the live-term
+    # sharded-vs-plain-vs-oracle lockstep whose scripts move the live-term
     # set between a document's arrival and its expiry (it calls
     # check_invariants after every op itself, feature or not; it runs here
     # so that every differential suite is green in this configuration).
     # The sharded audit also checks the coordinator's WindowTerms (only
     # sealed chunks carry a term directory, each equal to a rebuild from
-    # its documents) and that every shard's store holds the mirror's
-    # documents in arrival order — what shipped postings rely on — and
+    # its documents), every shard's core against that one window (the
+    # shards hold no documents: their postings name the window's) and
     # that every shard hosts exactly the registry's queries that hash to it.
-    # Every engine keeps its valid documents in a WindowTerms and expires
-    # through its one pop-while-stale rule: cross_validation (ITA vs naive
+    # Every engine holds one WindowTerms and expires through its one
+    # advance-while-stale rule: cross_validation (ITA vs naive
     # vs oracle after every event, ITA audited after every event, one
     # stream with popular query terms and a long R), batch_time_windows (time windows, a timestamp stepping
-    # backwards) and cts-index's unit tests cover the index-owned window
+    # backwards) and cts-index's unit tests cover the window and the lists
     # with the audits on.
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test sharded_equivalence --test batch_equivalence --test overload_service --test live_terms --test cross_validation --test batch_time_windows --features invariant-checks
     RUST_BACKTRACE=1 cargo test -q -p cts-index --lib
@@ -168,21 +169,22 @@ tier_chaos() {
     # attributable at a glance: chaos-storm scripts arm shard panics on
     # one shard and on every shard at once mid-stream across shard counts
     # {1, 2, 4, 8}; every fault drops its shard's state, which must be
-    # rebuilt from the coordinator's registry and window mirror before the
-    # call returns, and the engine must report the fault-free single-shard
-    # reference's results throughout (and its event outcomes up to the
-    # first fault). fault_paths covers the coordinator's typed error
+    # rebuilt — a registration of its queries over the coordinator's
+    # window — before the call returns, and the engine must report the
+    # fault-free single-shard reference's results throughout (and its
+    # event outcomes up to the first fault). fault_paths covers the coordinator's typed error
     # surface (a duplicate document id included); sharded::tests the
     # fan-out and its fault path (a lost shard rebuilt before an event,
     # faults on the caller's thread and on a scoped one, in bursts and
-    # singly, a panic's message reaching the caller).
+    # singly, a panic's message reaching the caller, a refill mid-burst
+    # reading documents that leave before the burst ends).
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test chaos_recovery --test fault_paths
     RUST_BACKTRACE=1 cargo test -q -p cts-core --lib sharded::tests
     # The same suites with the per-op structural audits on: after every
     # script op every engine runs check_invariants() — the coordinator's
-    # window mirror, and on every healthy shard its trees, lists, that its
-    # store is the mirror and that it hosts exactly the queries that hash
-    # to it — through faults and rebuilds.
+    # window, and on every healthy shard its trees and lists against that
+    # window and that it hosts exactly the queries that hash to it —
+    # through faults and rebuilds.
     RUST_BACKTRACE=1 cargo test -q -p cts-reference --test chaos_recovery --test fault_paths --features invariant-checks
 }
 
@@ -240,8 +242,9 @@ tier_bench() {
     # warm and cold, with the stage split, memo hit rate and bytes.
     CTS_TEXT_ANALYZE_QUICK=1 cargo bench -p cts-bench --bench text_analyze
     # Recovery pricing: one fault-free event against one event plus the
-    # shard's rebuild (the one recovery path: the mirror loaded, the
-    # shard's queries registered with shipped postings), at the reduced
+    # shard's rebuild (the one recovery path: the shard's queries
+    # registered on a fresh core with postings resolved on the
+    # coordinator's window), at the reduced
     # point, with the engine's own recovery_micros per fault printed.
     CTS_ABLATION_RECOVERY_QUICK=1 cargo bench -p cts-bench --bench ablation_recovery
 }
